@@ -110,8 +110,10 @@ class CkksContext:
             )
         basis = self._data_bases.get(level)
         if basis is None:
-            primes = list(reversed(self.consumable_primes))[: self.max_level - level]
-            basis = RnsBasis(primes, self.poly_modulus_degree)
+            # Every data basis is a prefix of the level-0 key basis, so each is
+            # derived by dropping a prime and shares that basis's NTT tables.
+            parent = self.key_basis(0) if level == 0 else self.data_basis(level - 1)
+            basis = parent.drop_last()
             self._data_bases[level] = basis
         return basis
 
@@ -119,8 +121,11 @@ class CkksContext:
         """RNS basis used during key switching at the given level (data + special)."""
         basis = self._key_bases.get(level)
         if basis is None:
-            primes = self.data_basis(level).primes + [self.special_prime]
-            basis = RnsBasis(primes, self.poly_modulus_degree)
+            if level == 0:
+                primes = list(reversed(self.consumable_primes))
+            else:
+                primes = self.data_basis(level).primes
+            basis = RnsBasis(primes + [self.special_prime], self.poly_modulus_degree)
             self._key_bases[level] = basis
         return basis
 

@@ -8,6 +8,7 @@ from ..errors import ExecutionError
 from .ciphertext import Ciphertext
 from .context import CkksContext
 from .keys import SecretKey
+from .rns import RnsPolynomial
 
 
 class Decryptor:
@@ -22,14 +23,14 @@ class Decryptor:
         if ciphertext.size < 2:
             raise ExecutionError("ciphertext is transparent or malformed")
         basis = ciphertext.basis
-        s = self.secret_key.poly_for(basis)
-        result = ciphertext.polys[0]
-        s_power = s
-        for index in range(1, ciphertext.size):
-            result = result.add(ciphertext.polys[index].multiply(s_power))
-            if index + 1 < ciphertext.size:
-                s_power = s_power.multiply(s)
-        return result
+        kernel = basis.kernel
+        # One forward over c_1.., one inverse of the summed products: the
+        # powers of s are static and cached in evaluation form on the key.
+        tail = kernel.forward(np.stack([poly.residues for poly in ciphertext.polys[1:]]))
+        powers = self.secret_key.evaluation_powers(basis, ciphertext.size - 1)
+        products = tail * powers % basis.primes_column
+        total = products.sum(axis=0, keepdims=True) % basis.primes_column
+        return ciphertext.polys[0].add(RnsPolynomial(basis, kernel.inverse(total)[0]))
 
     def decrypt(self, ciphertext: Ciphertext) -> np.ndarray:
         """Decrypt and decode to a real-valued slot vector."""

@@ -10,7 +10,7 @@ from ..errors import ParameterError
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext
 from .keys import PublicKey
-from .rns import RnsPolynomial
+from .rns import RnsBasis, RnsPolynomial
 from .sampling import RlweSampler
 
 
@@ -46,14 +46,28 @@ class Encryptor:
         basis = self.context.data_basis(plaintext.level)
         if plaintext.poly.basis != basis:
             raise ParameterError("plaintext level does not match its polynomial basis")
-        pk_b = self.context.restrict(self.public_key.b, basis)
-        pk_a = self.context.restrict(self.public_key.a, basis)
         u = self.sampler.ternary(basis)
         e0 = self.sampler.error(basis)
         e1 = self.sampler.error(basis)
-        c0 = pk_b.multiply(u).add(e0).add(plaintext.poly)
-        c1 = pk_a.multiply(u).add(e1)
+        # One forward (of u) and one inverse over both products: the key's
+        # evaluation form is static.
+        kernel = basis.kernel
+        products = self._public_key_form(basis) * kernel.forward(u.residues[np.newaxis])
+        b_u, a_u = kernel.inverse(products % basis.primes_column)
+        c0 = RnsPolynomial(basis, b_u).add(e0).add(plaintext.poly)
+        c1 = RnsPolynomial(basis, a_u).add(e1)
         return Ciphertext(polys=[c0, c1], scale=plaintext.scale, level=plaintext.level)
+
+    def _public_key_form(self, basis: RnsBasis) -> np.ndarray:
+        """``(2, K, N)`` evaluation form of ``(b, a)`` over ``basis``, cached on the key."""
+        forms = self.public_key._evaluation_forms
+        key = tuple(basis.primes)
+        form = forms.get(key)
+        if form is None:
+            pair = (self.public_key.b, self.public_key.a)
+            restricted = [self.context.restrict(poly, basis).residues for poly in pair]
+            form = forms[key] = basis.kernel.forward(np.stack(restricted))
+        return form
 
     def encode_and_encrypt(
         self,

@@ -12,7 +12,7 @@ guarantees can never occur in a validated program.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,12 +38,33 @@ _SCALE_RTOL = 1e-6
 _HOIST_CACHE_CAPACITY = 4
 
 
+#: Residue products are below 2^62, so this many fit one ``uint64`` sum unreduced.
+_LAZY_TERMS = 4
+
+
+def _multiply_accumulate(
+    digits: np.ndarray, key_forms: np.ndarray, primes: np.ndarray
+) -> np.ndarray:
+    """``sum_j digits[j] * key_forms[:, j] mod primes`` as ``(2, K, N)``.
+
+    Multiply-accumulates in ``uint64`` and divides once per ``_LAZY_TERMS``
+    digits instead of once per product.
+    """
+    digits, key_forms, primes = (x.view(np.uint64) for x in (digits, key_forms, primes))
+    total = None
+    for start in range(0, len(digits), _LAZY_TERMS):
+        stop = start + _LAZY_TERMS
+        part = np.einsum("jkn,ajkn->akn", digits[start:stop], key_forms[:, start:stop]) % primes
+        total = part if total is None else (total + part) % primes
+    return total.view(np.int64)
+
+
 class Evaluator:
     """Evaluates homomorphic operations on CKKS ciphertexts.
 
     Key switching runs in the NTT (evaluation) domain by default: switching
-    keys are transformed once per (key, basis) and cached, each decomposition
-    digit is transformed once and multiply-accumulated pointwise, and Galois
+    keys are transformed once per (key, basis) and cached, all decomposition
+    digits are transformed in one kernel pass and multiply-accumulated pointwise, and Galois
     automorphisms become index permutations of the cached digit transforms —
     so a group of rotations of the same ciphertext shares one decomposition
     (SEAL-style hoisting).  Pass ``fast_keyswitch=False`` to run the original
@@ -131,14 +152,27 @@ class Evaluator:
                 raise PolynomialCountError(
                     f"multiplication operand has {operand.size} polynomials; relinearize first"
                 )
-        c0 = a.polys[0].multiply(b.polys[0])
-        c1 = a.polys[0].multiply(b.polys[1]).add(a.polys[1].multiply(b.polys[0]))
-        c2 = a.polys[1].multiply(b.polys[1])
-        return Ciphertext([c0, c1, c2], a.scale * b.scale, a.level)
+        basis = a.basis
+        a.polys[0]._check_basis(b.polys[0])
+        # Each operand polynomial is transformed exactly once (twice fewer
+        # when squaring), and the three products share one inverse pass.
+        operands = a.polys if a is b else a.polys + b.polys
+        forms = basis.kernel.forward(np.stack([poly.residues for poly in operands]))
+        a0, a1, b0, b1 = forms if a is not b else (*forms, *forms)
+        primes = basis.primes_column
+        # Residue products stay below 2^62, so the cross term needs one reduction.
+        products = np.stack([a0 * b0 % primes, (a0 * b1 + a1 * b0) % primes, a1 * b1 % primes])
+        polys = [RnsPolynomial(basis, rows) for rows in basis.kernel.inverse(products)]
+        return Ciphertext(polys, a.scale * b.scale, a.level)
 
     def multiply_plain(self, a: Ciphertext, p: Plaintext) -> Ciphertext:
         self._check_plain(a, p)
-        polys = [poly.multiply(p.poly) for poly in a.polys]
+        basis = a.basis
+        a.polys[0]._check_basis(p.poly)
+        operands = a.polys + [p.poly]
+        forms = basis.kernel.forward(np.stack([poly.residues for poly in operands]))
+        products = forms[:-1] * forms[-1:] % basis.primes_column
+        polys = [RnsPolynomial(basis, rows) for rows in basis.kernel.inverse(products)]
         return Ciphertext(polys, a.scale * p.scale, a.level)
 
     def square(self, a: Ciphertext) -> Ciphertext:
@@ -192,14 +226,10 @@ class Evaluator:
                 self._hoist_cache.move_to_end(id(poly))
                 return entry[2]
         key_basis = self.context.key_basis(level)
-        n = key_basis.poly_modulus_degree
-        rows = len(poly.basis)
-        digit_ntts = np.empty((rows, len(key_basis), n), dtype=np.int64)
-        primes = key_basis.primes_column
-        for j in range(rows):
-            digits = poly.residues[j][np.newaxis, :] % primes
-            for k, ntt in enumerate(key_basis.ntt):
-                digit_ntts[j, k] = ntt.forward(digits[k])
+        # Lift every data residue row to all key primes, then transform the
+        # whole (L, K, N) digit matrix in one kernel pass.
+        digits = poly.residues[:, np.newaxis, :] % key_basis.primes_column
+        digit_ntts = key_basis.kernel.forward(digits)
         if cache:
             self._hoist_cache[id(poly)] = (poly, level, digit_ntts)
             while len(self._hoist_cache) > _HOIST_CACHE_CAPACITY:
@@ -208,37 +238,32 @@ class Evaluator:
 
     def _key_evaluation_form(
         self, switching_key: KeySwitchingKey, key_basis: RnsBasis, data_primes: Tuple[int, ...]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """NTT forms of the switching-key pairs, cached on the key object.
+    ) -> np.ndarray:
+        """Evaluation form of the switching-key pairs, cached on the key object.
 
-        Returns ``(B, A)`` with shape ``(L, K, N)``: ``B[j, k]`` is the forward
-        NTT modulo key prime ``k`` of ``b_j`` (and likewise ``A`` for ``a_j``)
-        for data prime ``q_j``.  Keys are static per session, so this is
-        computed once per (key, basis) instead of twice per key switch.
+        Returns a ``(2, L, K, N)`` array: ``[0, j]`` is the forward transform
+        over the key basis of ``b_j`` and ``[1, j]`` that of ``a_j``, for data
+        prime ``q_j``.  Keys are static per session, so this is computed once
+        per (key, basis) instead of twice per key switch.
         """
-        forms: Dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]]
-        forms = getattr(switching_key, "_evaluation_forms", None)
-        if forms is None:
-            forms = {}
-            switching_key._evaluation_forms = forms
+        forms = switching_key._evaluation_forms
         cache_key = tuple(key_basis.primes)
         cached = forms.get(cache_key)
         if cached is not None:
             return cached
-        n = key_basis.poly_modulus_degree
-        b_ntt = np.empty((len(data_primes), len(key_basis), n), dtype=np.int64)
-        a_ntt = np.empty_like(b_ntt)
-        for j, q_j in enumerate(data_primes):
-            pair = switching_key.pairs.get(q_j)
-            if pair is None:
-                raise ParameterError(f"switching key is missing the digit for prime {q_j}")
-            b_j = self.context.restrict(pair[0], key_basis)
-            a_j = self.context.restrict(pair[1], key_basis)
-            for k, ntt in enumerate(key_basis.ntt):
-                b_ntt[j, k] = ntt.forward(b_j.residues[k])
-                a_ntt[j, k] = ntt.forward(a_j.residues[k])
-        forms[cache_key] = (b_ntt, a_ntt)
-        return b_ntt, a_ntt
+        missing = [q_j for q_j in data_primes if q_j not in switching_key.pairs]
+        if missing:
+            raise ParameterError(f"switching key is missing the digit for prime {missing[0]}")
+        restrict = self.context.restrict
+        stacked = np.stack(
+            [
+                [restrict(poly, key_basis).residues for poly in switching_key.pairs[q_j]]
+                for q_j in data_primes
+            ]
+        )
+        # (L, 2, K, N) in, (2, L, K, N) kept: each accumulator reads a contiguous block.
+        forms[cache_key] = np.ascontiguousarray(key_basis.kernel.forward(stacked).swapaxes(0, 1))
+        return forms[cache_key]
 
     def _key_switch_decomposed(
         self,
@@ -255,24 +280,12 @@ class Evaluator:
         context = self.context
         key_basis = context.key_basis(level)
         data_primes = tuple(context.data_basis(level).primes)
-        b_ntt, a_ntt = self._key_evaluation_form(switching_key, key_basis, data_primes)
-        primes = key_basis.primes_column
-        shape = (len(key_basis), key_basis.poly_modulus_degree)
-        acc0 = np.zeros(shape, dtype=np.int64)
-        acc1 = np.zeros(shape, dtype=np.int64)
-        for j in range(digit_ntts.shape[0]):
-            digit = digit_ntts[j] if permutation is None else digit_ntts[j][:, permutation]
-            acc0 += digit * b_ntt[j] % primes
-            np.subtract(acc0, primes, out=acc0, where=acc0 >= primes)
-            acc1 += digit * a_ntt[j] % primes
-            np.subtract(acc1, primes, out=acc1, where=acc1 >= primes)
-        res0 = np.empty(shape, dtype=np.int64)
-        res1 = np.empty(shape, dtype=np.int64)
-        for k, ntt in enumerate(key_basis.ntt):
-            res0[k] = ntt.inverse(acc0[k])
-            res1[k] = ntt.inverse(acc1[k])
-        poly0 = RnsPolynomial(key_basis, res0)
-        poly1 = RnsPolynomial(key_basis, res1)
+        key_forms = self._key_evaluation_form(switching_key, key_basis, data_primes)
+        if permutation is not None:
+            digit_ntts = np.take(digit_ntts, permutation, axis=-1)
+        # Both accumulators sum_j digit_j * key_j at once, then one inverse pass.
+        totals = _multiply_accumulate(digit_ntts, key_forms, key_basis.primes_column)
+        poly0, poly1 = (RnsPolynomial(key_basis, rows) for rows in key_basis.kernel.inverse(totals))
         return poly0.divide_and_round_last(), poly1.divide_and_round_last()
 
     def relinearize(self, a: Ciphertext) -> Ciphertext:

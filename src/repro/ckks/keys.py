@@ -14,7 +14,7 @@ switch from ``s^2`` to ``s``) and Galois keys (which switch from ``s(X^g)`` to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,12 +24,22 @@ from .rns import RnsBasis, RnsPolynomial
 from .sampling import RlweSampler
 
 
+def _evaluation_cache():
+    """Per-basis cache of a static key's evaluation (NTT) form.
+
+    Lives on the key object so it is dropped with the key; it is derived
+    data in the kernel's private slot order and is never serialized.
+    """
+    return field(default_factory=dict, repr=False, compare=False)
+
+
 @dataclass
 class SecretKey:
     """Ternary secret key, stored as raw coefficients plus per-basis caches."""
 
     coefficients: np.ndarray
     _cache: Dict[Tuple[int, ...], RnsPolynomial] = field(default_factory=dict, repr=False)
+    _evaluation_forms: Dict[Tuple[int, ...], np.ndarray] = _evaluation_cache()
 
     def poly_for(self, basis: RnsBasis) -> RnsPolynomial:
         """The secret key reduced into the given RNS basis (cached)."""
@@ -40,6 +50,18 @@ class SecretKey:
             self._cache[key] = poly
         return poly
 
+    def evaluation_powers(self, basis: RnsBasis, count: int) -> np.ndarray:
+        """Evaluation form of ``s, s^2, ..., s^count`` over ``basis`` as ``(count, K, N)``."""
+        key = tuple(basis.primes)
+        powers = self._evaluation_forms.get(key)
+        if powers is None:
+            powers = basis.kernel.forward(self.poly_for(basis).residues[np.newaxis])
+        while len(powers) < count:
+            higher = powers[-1:] * powers[:1] % basis.primes_column
+            powers = np.concatenate([powers, higher])
+        self._evaluation_forms[key] = powers
+        return powers[:count]
+
 
 @dataclass
 class PublicKey:
@@ -47,6 +69,8 @@ class PublicKey:
 
     b: RnsPolynomial
     a: RnsPolynomial
+    #: ``(2, K, N)`` evaluation form of ``(b, a)`` per data basis (see ``Encryptor``).
+    _evaluation_forms: Dict[Tuple[int, ...], np.ndarray] = _evaluation_cache()
 
 
 @dataclass
@@ -58,6 +82,8 @@ class KeySwitchingKey:
     """
 
     pairs: Dict[int, Tuple[RnsPolynomial, RnsPolynomial]]
+    #: ``(2, L, K, N)`` evaluation form of the pairs per key basis (see ``Evaluator``).
+    _evaluation_forms: Dict[Tuple[int, ...], np.ndarray] = _evaluation_cache()
 
 
 @dataclass
@@ -94,29 +120,38 @@ class KeyGenerator:
     # -- public key -----------------------------------------------------------------
     def create_public_key(self) -> PublicKey:
         basis = self.context.data_basis(0)
-        s = self.secret_key.poly_for(basis)
         a = self.sampler.uniform(basis)
         e = self.sampler.error(basis)
-        b = a.multiply(s).add(e).negate()
-        return PublicKey(b=b, a=a)
+        (a_times_s,) = self._times_secret(basis, a.residues[np.newaxis])
+        return PublicKey(b=a_times_s.add(e).negate(), a=a)
+
+    def _times_secret(self, basis: RnsBasis, residues: np.ndarray) -> List[RnsPolynomial]:
+        """``p * s`` for every polynomial of a ``(count, K, N)`` stack, in one kernel pass.
+
+        Only the stack is transformed: ``s`` is static, so its evaluation form is cached.
+        """
+        s_hat = self.secret_key.evaluation_powers(basis, 1)
+        product = basis.kernel.forward(residues) * s_hat % basis.primes_column
+        return [RnsPolynomial(basis, rows) for rows in basis.kernel.inverse(product)]
 
     # -- key switching keys ------------------------------------------------------------
     def _create_keyswitch_key(self, target: RnsPolynomial) -> KeySwitchingKey:
         """Create a switching key from the key ``target`` (over the key basis) to ``s``."""
         context = self.context
         key_basis = context.key_basis(0)
-        s = self.secret_key.poly_for(key_basis)
         special = context.special_prime
+        primes = context.consumable_primes
+        samples = [
+            (self.sampler.uniform(key_basis), self.sampler.error(key_basis)) for _ in primes
+        ]
+        masks = self._times_secret(key_basis, np.stack([a.residues for a, _ in samples]))
         pairs: Dict[int, Tuple[RnsPolynomial, RnsPolynomial]] = {}
         prime_rows = {prime: i for i, prime in enumerate(key_basis.primes)}
-        for q_j in context.consumable_primes:
-            a_j = self.sampler.uniform(key_basis)
-            e_j = self.sampler.error(key_basis)
+        for q_j, (a_j, e_j), a_j_times_s in zip(primes, samples, masks):
             w = RnsPolynomial.zero(key_basis)
             row = prime_rows[q_j]
             w.residues[row] = (target.residues[row] * (special % q_j)) % q_j
-            b_j = w.sub(a_j.multiply(s)).sub(e_j)
-            pairs[q_j] = (b_j, a_j)
+            pairs[q_j] = (w.sub(a_j_times_s).sub(e_j), a_j)
         return KeySwitchingKey(pairs)
 
     def create_relin_key(self) -> RelinearizationKey:

@@ -2,9 +2,11 @@
 
 An :class:`RnsPolynomial` stores one residue row per prime of its basis; all
 ring operations (addition, negacyclic multiplication, Galois automorphisms,
-dropping / dividing away the last prime) are implemented row-wise with
-vectorized ``numpy`` ``int64`` arithmetic and the NTT contexts of
-:mod:`repro.ckks.ntt`.
+dropping / dividing away the last prime) run on the whole residue matrix with
+vectorized ``numpy`` ``int64`` arithmetic and the batched NTT kernel of
+:mod:`repro.ckks.ntt`.  Residues are always in coefficient form; evaluation
+(NTT) form exists only as transient or cached ``numpy`` arrays inside the
+operations that need it.
 
 CRT composition back to arbitrary-precision integers (needed only at
 decryption time, where coefficients can exceed 64 bits) uses Python integers.
@@ -17,7 +19,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import ParameterError
-from .ntt import get_ntt_context
+from .ntt import NttKernel, get_ntt_kernel
 from .numth import mod_inverse
 
 _AUTOMORPHISM_TABLE_CACHE: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
@@ -36,7 +38,7 @@ def _automorphism_tables(n: int, galois_element: int) -> Tuple[np.ndarray, np.nd
 
 
 class RnsBasis:
-    """An ordered list of primes together with their NTT contexts.
+    """An ordered list of primes together with their batched NTT kernel.
 
     Derived tables that every hot operation needs — the primes broadcast as an
     ``int64`` column, the rescale inverses of the last prime, the CRT
@@ -46,12 +48,18 @@ class RnsBasis:
     is paid at basis construction instead of per polynomial op.
     """
 
-    def __init__(self, primes: Sequence[int], poly_modulus_degree: int) -> None:
+    def __init__(
+        self,
+        primes: Sequence[int],
+        poly_modulus_degree: int,
+        _kernel: "NttKernel | None" = None,
+    ) -> None:
         if not primes:
             raise ParameterError("an RNS basis needs at least one prime")
         self.primes: List[int] = [int(p) for p in primes]
         self.poly_modulus_degree = int(poly_modulus_degree)
-        self.ntt = [get_ntt_context(p, poly_modulus_degree) for p in self.primes]
+        #: Transforms ``(..., len(primes), N)`` arrays over all primes at once.
+        self.kernel = _kernel or get_ntt_kernel(self.primes, self.poly_modulus_degree)
         #: ``primes`` as an (L, 1) int64 column, ready to broadcast over residues.
         self.primes_column = np.array(self.primes, dtype=np.int64).reshape(-1, 1)
         self._dropped: "RnsBasis | None" = None
@@ -64,7 +72,10 @@ class RnsBasis:
 
     def drop_last(self) -> "RnsBasis":
         if self._dropped is None:
-            self._dropped = RnsBasis(self.primes[:-1], self.poly_modulus_degree)
+            # The dropped kernel is a row-slice view of this one's tables.
+            self._dropped = RnsBasis(
+                self.primes[:-1], self.poly_modulus_degree, _kernel=self.kernel.drop_last()
+            )
         return self._dropped
 
     def modulus(self) -> int:
@@ -174,12 +185,11 @@ class RnsPolynomial:
         return RnsPolynomial(self.basis, negated)
 
     def multiply(self, other: "RnsPolynomial") -> "RnsPolynomial":
-        """Negacyclic polynomial product (NTT-based, per prime)."""
+        """Negacyclic polynomial product: one forward and one inverse kernel pass."""
         self._check_basis(other)
-        rows = []
-        for index, ntt in enumerate(self.basis.ntt):
-            rows.append(ntt.multiply(self.residues[index], other.residues[index]))
-        return RnsPolynomial(self.basis, np.stack(rows))
+        kernel = self.basis.kernel
+        a, b = kernel.forward(np.stack([self.residues, other.residues]))
+        return RnsPolynomial(self.basis, kernel.inverse(a * b % self.basis.primes_column))
 
     def multiply_scalar(self, scalar: int) -> "RnsPolynomial":
         rows = []
