@@ -1,11 +1,11 @@
 """Connection scaling of the asyncio front door: idle sessions for free.
 
-The threaded listener dedicates an OS thread to every connection for its
-whole lifetime — the cost of a long-lived client is a thread, whether it is
-evaluating or idle.  The asyncio front door (:mod:`repro.serving.aionet`)
-multiplexes every connection on one event loop; a bounded daemon pool runs
-only the requests actually in flight, so an *idle* connection costs a file
-descriptor and a heap object.
+A thread-per-connection listener makes a long-lived client cost an OS
+thread whether it is evaluating or idle.  The front door
+(:mod:`repro.serving.aionet`, the only listener) multiplexes every
+connection on one event loop; a bounded daemon pool runs only the requests
+actually in flight, so an *idle* connection costs a file descriptor and a
+heap object.
 
 This benchmark opens a large pool of idle connections against an in-process
 server and then drives mixed JSON and binary traffic through the crowd:
@@ -14,10 +14,10 @@ server and then drives mixed JSON and binary traffic through the crowd:
   server actually reports live (``stats`` / ``connection_infos``) while
   traffic flows.  Gated: the committed baseline sustains the full target.
 * **threads per idle connection** — additional OS threads divided by idle
-  connections.  The async front door sits near zero (the dispatch pool is
-  bounded and idle connections hold no thread); the threaded fallback would
-  be ~1.0.  Reported for context, not gated (absolute thread counts wobble
-  with pool retirement timing).
+  connections.  The front door sits near zero (the dispatch pool is
+  bounded and idle connections hold no thread); a thread per connection
+  would read ~1.0.  Reported for context, not gated (absolute thread counts
+  wobble with pool retirement timing).
 * **mixed traffic** — JSON-lines and binary-frame submits interleaved while
   the idle crowd stays connected; every reply must be correct.
 

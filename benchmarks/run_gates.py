@@ -15,9 +15,9 @@ gates the fresh payload against the committed ``BENCH_<name>.json`` via
 the manifest against the baselines committed at the repo root, so a
 ``BENCH_*.json`` can be neither orphaned nor silently ungated.
 
-The manifest is parsed with :mod:`tomllib` where the interpreter has it
-(3.11+) and a minimal TOML-subset parser otherwise — the tier-1 matrix
-still includes 3.10.
+The manifest is parsed by :mod:`repro.tomlcompat` — ``tomllib`` where the
+interpreter has it (3.11+), the repo's one TOML-subset parser otherwise; the
+tier-1 matrix still includes 3.10, so that leg exercises the fallback.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro import tomlcompat  # noqa: E402
+
 DEFAULT_MANIFEST = Path(__file__).resolve().parent / "gates.toml"
 REQUIRED_FIELDS = ("script", "baseline", "fresh", "suites")
 
@@ -38,65 +42,12 @@ class ManifestError(RuntimeError):
     """The gates manifest is malformed or inconsistent."""
 
 
-# -- minimal TOML subset (3.10 fallback) -------------------------------------------
-def _toml_scalar(text: str) -> Any:
-    text = text.strip()
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in ("'", '"'):
-        return text[1:-1]
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [_toml_scalar(part) for part in inner.split(",") if part.strip()]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ManifestError(f"unsupported TOML value {text!r}") from None
-
-
-def _parse_toml_minimal(text: str) -> Dict[str, Any]:
-    """TOML subset the manifest needs: dotted ``[table.sub]`` headers and
-    ``key = scalar-or-string-array`` pairs with ``#`` comments."""
-    data: Dict[str, Any] = {}
-    current: Dict[str, Any] = data
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ManifestError(f"malformed TOML table header {line!r}")
-            node = data
-            for part in line[1:-1].strip().split("."):
-                node = node.setdefault(part.strip(), {})
-            current = node
-            continue
-        if "=" not in line:
-            raise ManifestError(f"malformed TOML line {line!r}")
-        key, _, value = line.partition("=")
-        if not value.strip().startswith(('"', "'", "[")):
-            value = value.split("#", 1)[0]
-        current[key.strip()] = _toml_scalar(value)
-    return data
-
-
 def load_manifest(path: Path = DEFAULT_MANIFEST) -> Dict[str, Dict[str, Any]]:
     """Parse and validate the gates manifest; returns ``{name: entry}``."""
-    raw = Path(path).read_bytes().decode("utf-8")
     try:
-        import tomllib
-    except ModuleNotFoundError:
-        data = _parse_toml_minimal(raw)
-    else:
-        data = tomllib.loads(raw)
+        data = tomlcompat.loads(Path(path).read_bytes().decode("utf-8"))
+    except ValueError as error:
+        raise ManifestError(f"{path}: malformed TOML: {error}") from None
     gates = data.get("gate")
     if not isinstance(gates, dict) or not gates:
         raise ManifestError(f"{path}: no [gate.<name>] tables found")

@@ -229,7 +229,6 @@ def _serve_single(args, options, programs) -> int:
         host=args.host,
         port=args.port,
         wire_policy=args.wire,
-        frontdoor=args.frontdoor,
     )
     host, port = tcp.address
     print(
@@ -298,7 +297,6 @@ def _serve_cluster(args, options, programs, config=None) -> int:
         port=args.port,
         slow_threshold=args.slow_threshold,
         wire_policy=args.wire,
-        frontdoor=args.frontdoor,
     )
     host, port = tcp.address
     print(
@@ -592,15 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wire policy: auto serves JSON lines and grants binary framing "
         "to clients that negotiate it; json pins the listener to JSON "
         "(legacy clients work unchanged under every policy)",
-    )
-    serve.add_argument(
-        "--frontdoor",
-        choices=["async", "threaded"],
-        default=None,
-        help="listener transport: async (default) multiplexes every "
-        "connection on one event loop and scales to thousands of idle "
-        "sessions; threaded dedicates an OS thread per connection (the "
-        "legacy fallback); REPRO_FRONTDOOR sets the default",
     )
     serve.add_argument(
         "--cluster-config",

@@ -95,6 +95,16 @@ def iter_fields(data: bytes) -> Iterator[Tuple[int, int, object]]:
     Varint fields yield ints, fixed64 fields yield 8-byte buffers, and
     length-delimited fields yield byte strings.  Unknown wire types raise.
     """
+    for field_number, wire_type, value, _end in iter_field_spans(data):
+        yield field_number, wire_type, value
+
+
+def iter_field_spans(data) -> Iterator[Tuple[int, int, object, int]]:
+    """:func:`iter_fields` plus the offset just past each field.
+
+    Values are slices of ``data``: pass a :class:`memoryview` and
+    length-delimited fields come back zero-copy.
+    """
     offset = 0
     while offset < len(data):
         tag, offset = decode_varint(data, offset)
@@ -102,22 +112,22 @@ def iter_fields(data: bytes) -> Iterator[Tuple[int, int, object]]:
         wire_type = tag & 0x7
         if wire_type == WIRETYPE_VARINT:
             value, offset = decode_varint(data, offset)
-            yield field_number, wire_type, value
+            yield field_number, wire_type, value, offset
         elif wire_type == WIRETYPE_FIXED64:
             if offset + 8 > len(data):
                 raise SerializationError("truncated fixed64 field")
-            yield field_number, wire_type, data[offset : offset + 8]
+            yield field_number, wire_type, data[offset : offset + 8], offset + 8
             offset += 8
         elif wire_type == WIRETYPE_LENGTH_DELIMITED:
             length, offset = decode_varint(data, offset)
             if offset + length > len(data):
                 raise SerializationError("truncated length-delimited field")
-            yield field_number, wire_type, data[offset : offset + length]
+            yield field_number, wire_type, data[offset : offset + length], offset + length
             offset += length
         elif wire_type == WIRETYPE_FIXED32:
             if offset + 4 > len(data):
                 raise SerializationError("truncated fixed32 field")
-            yield field_number, wire_type, data[offset : offset + 4]
+            yield field_number, wire_type, data[offset : offset + 4], offset + 4
             offset += 4
         else:
             raise SerializationError(f"unsupported wire type {wire_type}")

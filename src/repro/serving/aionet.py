@@ -1,26 +1,25 @@
-"""Asyncio front door: the default listener behind the TCP server factories.
+"""The listener: one asyncio event loop in front of sans-IO connection objects.
 
-The threaded listeners in :mod:`.netserver` spend one OS thread per
-connection — fine for tens of clients, fatal for the thousands of mostly-idle
-sessions a long-lived serving deployment accumulates.  This module rebuilds
-the *transport* on :mod:`asyncio` while reusing the threaded handlers'
-message logic verbatim, so both front doors speak byte-identical protocols:
+Every TCP front end in the serving stack is this transport (there is no
+other): :class:`~.netserver.EvaTcpServer` and
+:class:`~.netserver.ClusterTcpServer` subclass :class:`AsyncWireServer` and
+only say which connection object to build.
 
-* One event loop owns every socket.  Idle connections cost a heap object and
-  a file descriptor, not a thread; first-byte JSON/binary sniffing, hello
-  negotiation, chunked uploads, and per-connection byte counters all behave
-  exactly as on the threaded path.
-* Request *processing* still happens on threads (CKKS evaluation and cluster
-  forwarding are blocking, CPU- or upstream-bound work), but on a bounded
-  daemon pool shared by all connections instead of a thread per socket.
-  Each connection dispatches sequentially — pipelined requests keep their
-  order, and the router's thread-local upstream connections keep working.
-* The handler classes (:class:`~.netserver._RequestHandler`,
-  :class:`~.netserver._RouterHandler`) are instantiated *detached* from
-  ``socketserver``: the event loop reads complete messages, hands them to the
-  handler on the pool, and flushes the handler's buffered reply back through
-  the stream writer.  One logic implementation, two transports — the
-  threaded path stays available as a fallback (``frontdoor="threaded"``).
+* **The event loop owns every socket.**  An idle connection costs a heap
+  object and a file descriptor, not a thread, so thousands of mostly-idle
+  sessions are cheap.  The loop feeds received bytes to the connection's
+  :class:`~repro.wire.FrameDecoder` — the one place the first-byte
+  JSON/binary sniff and the frame-header checks live — and writes back
+  whatever the connection object returns.
+* **An affinity pool runs the blocking work.**  CKKS evaluation and cluster
+  forwarding block, so each complete message is handed to
+  :class:`_DaemonDispatchPool`, a bounded pool of daemon threads shared by
+  all connections.  A connection always runs on the same worker, one
+  message at a time: pipelined requests keep their order, and the router's
+  thread-keyed upstream connections stay coherent.
+* **Connection objects are sans-IO.**  They take a decoded message and
+  return ``(reply_bytes, keep_open)``; they never see a socket, a stream or
+  the loop, so the protocol can be driven by a test with no network.
 """
 
 from __future__ import annotations
@@ -30,88 +29,16 @@ import concurrent.futures
 import queue
 import socket
 import threading
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ServingError, TransportError
-from .netserver import (
-    _ConnectionState,
-    _RequestHandler,
-    _RouterHandler,
-    _WireListenerMixin,
-)
-from .quotas import FairnessPolicy, QuotaLedger
-from .server import EvaServer
-from .telemetry import Telemetry
-from ..wire import FRAME_CHUNK, FRAME_REQUEST, FRAME_RESPONSE, MAGIC, MAX_FRAME_BYTES
-
-_KNOWN_FRAME_TYPES = frozenset((FRAME_REQUEST, FRAME_RESPONSE, FRAME_CHUNK))
-
-#: Longest legal frame varint, mirroring :func:`repro.wire.frames.read_varint`.
-_MAX_VARINT_BYTES = 10
+from ..wire import WIRE_MODES, FrameDecoder
+from ..wire.frames import READ_BYTES
 
 #: Upper bound on threads processing requests concurrently (idle connections
-#: hold no thread).  Workers exit after this many seconds without work.
-DEFAULT_DISPATCH_WORKERS = 64
+#: hold no thread).  Workers exit after ``_WORKER_IDLE_SECONDS`` without work.
+DISPATCH_WORKERS = 64
 _WORKER_IDLE_SECONDS = 30.0
-
-
-async def read_frame_async(reader: asyncio.StreamReader) -> Tuple[int, bytes, int]:
-    """Async counterpart of :func:`repro.wire.frames.read_frame`.
-
-    The magic byte has already been consumed by the caller's protocol sniff.
-    Returns ``(frame_type, payload, wire_bytes)`` with the same validation
-    order as the blocking reader: type, varint, length ceiling — all checked
-    before any payload byte is read or allocated.
-    """
-    frame_type = (await reader.readexactly(1))[0]
-    if frame_type not in _KNOWN_FRAME_TYPES:
-        raise TransportError(f"unknown frame type {frame_type:#x}")
-    length = 0
-    shift = 0
-    varint_bytes = 0
-    while True:
-        byte = (await reader.readexactly(1))[0]
-        varint_bytes += 1
-        length |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            break
-        if varint_bytes >= _MAX_VARINT_BYTES:
-            raise TransportError("frame varint is too long (corrupt frame header)")
-        shift += 7
-    if length > MAX_FRAME_BYTES:
-        raise TransportError(
-            f"frame declares a {length}-byte payload, above the "
-            f"{MAX_FRAME_BYTES}-byte limit (corrupt or hostile header)"
-        )
-    payload = await reader.readexactly(length)
-    return frame_type, payload, 2 + varint_bytes + length
-
-
-class _ReplyBuffer:
-    """File-like sink the detached handlers write replies into.
-
-    Stands in for the socketserver ``wfile``: the handler runs on a pool
-    thread and writes here; the event loop drains the chunks to the stream
-    writer afterwards.  ``bytes(data)`` snapshots memoryview parts, because
-    blob views are released when the handler's ``raw_blobs`` context exits —
-    before the event loop flushes.
-    """
-
-    __slots__ = ("_chunks",)
-
-    def __init__(self) -> None:
-        self._chunks = []
-
-    def write(self, data) -> int:
-        self._chunks.append(bytes(data))
-        return len(data)
-
-    def flush(self) -> None:  # handler API compatibility; flushing is the loop's job
-        pass
-
-    def drain(self) -> list:
-        chunks, self._chunks = self._chunks, []
-        return chunks
 
 
 class _WorkerSlot:
@@ -130,15 +57,13 @@ class _DaemonDispatchPool:
     requests run on the *same* OS thread — which is what keeps the cluster
     router's thread-keyed upstream connections coherent: the CHUNK frames of
     a streaming upload and the request that finally references the upload
-    must reach the shard over one upstream socket, exactly as they did when
-    each connection owned a handler thread.
+    must reach the shard over one upstream socket.
 
     ``concurrent.futures.ThreadPoolExecutor`` is deliberately not used: it
     has no affinity, and its workers are non-daemon and joined at interpreter
     exit, so one handler stuck on a dead upstream would hang process
-    shutdown — the same reason the threaded servers set
-    ``daemon_threads = True``.  Workers spawn on first use of their slot and
-    retire after a quiet period.
+    shutdown.  Workers spawn on first use of their slot and retire after a
+    quiet period.
     """
 
     def __init__(self, max_workers: int, name: str) -> None:
@@ -185,56 +110,68 @@ class _DaemonDispatchPool:
                 future.set_result(result)
 
 
-class _AsyncWireServer(_WireListenerMixin):
-    """Event-loop listener sharing the threaded servers' public surface.
+class AsyncWireServer:
+    """Event-loop listener and connection registry.
+
+    Subclasses set :attr:`connection_class`; the listener builds one per
+    accepted socket as ``connection_class(self, key, peer)`` — ``key`` is the
+    connection's registry key and dispatch affinity — and drives it through
+    ``handle(message) -> (reply_bytes, keep_open)`` for each decoded message,
+    ``info()`` for the ``stats`` op, and, once the socket is gone and only if
+    ``needs_close`` is true, ``close()``.  ``handle`` and ``close`` run on
+    the connection's pool worker and may block.
 
     The listening socket is bound synchronously in ``__init__`` so
     ``.address`` answers immediately after construction — the CLI and the
     cluster's shard bootstrap read the bound port before serving starts.
-    ``serve_forever`` runs the event loop in the calling thread (blocking,
-    like socketserver); ``shutdown`` is thread-safe and waits for the loop
-    to wind down, closing live connections as it goes.
+    ``serve_forever`` runs the event loop in the calling thread (blocking);
+    ``shutdown`` is thread-safe and waits for the loop to wind down, closing
+    live connections as it goes.
+
+    ``wire_policy`` governs hello negotiation: ``auto``/``binary`` grant
+    binary framing to clients that ask for it, ``json`` pins the listener to
+    JSON (binary hellos negotiate down; legacy clients are unaffected either
+    way).
     """
 
-    #: Name for the background serving thread; subclasses override to match
-    #: their threaded twin.
+    connection_class: Any = None
+
+    #: Name of the background serving thread (and prefix of its workers).
     thread_name = "eva-aio-server"
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        wire_policy: str,
-        dispatch_workers: int = DEFAULT_DISPATCH_WORKERS,
-    ) -> None:
-        self._init_wire(wire_policy)
+    def __init__(self, host: str, port: int, wire_policy: str) -> None:
+        if wire_policy not in WIRE_MODES:
+            raise ServingError(
+                f"unknown wire policy {wire_policy!r}; expected one of {WIRE_MODES}"
+            )
+        self.wire_policy = wire_policy
+        self._conn_lock = threading.Lock()
+        self._conn_seq = 0
+        self._connections: Dict[int, Any] = {}
         self._socket = socket.create_server((host, port), backlog=512)
-        self._pool = _DaemonDispatchPool(dispatch_workers, f"{self.thread_name}-dispatch")
+        self._pool = _DaemonDispatchPool(DISPATCH_WORKERS, f"{self.thread_name}-dispatch")
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._started = threading.Event()
         self._stopped = threading.Event()
         self._conn_tasks = set()
 
-    # -- handler wiring (subclass hook) -----------------------------------------
-    def _make_handler(self, peer: str):
-        raise NotImplementedError
+    # -- connection registry -------------------------------------------------------
+    def _open_connection(self, peer: str):
+        with self._conn_lock:
+            self._conn_seq += 1
+            conn = self.connection_class(self, self._conn_seq, peer)
+            self._connections[conn.key] = conn
+        return conn
 
-    @staticmethod
-    def _detached_handler(handler_cls, server, peer: str):
-        """Instantiate a netserver handler without its socketserver plumbing.
+    def connection_infos(self) -> List[Dict[str, Any]]:
+        """Live connections with their negotiated protocol and byte counters
+        (the ``stats`` op's ``connections`` field)."""
+        with self._conn_lock:
+            connections = list(self._connections.values())
+        return [conn.info() for conn in connections]
 
-        The handler's message methods only touch ``self.server``,
-        ``self.conn``, and ``self.wfile`` — satisfied here by the async
-        server, a fresh connection state, and a reply buffer.
-        """
-        handler = handler_cls.__new__(handler_cls)
-        handler.server = server
-        handler.conn = _ConnectionState(peer)
-        handler.wfile = _ReplyBuffer()
-        return handler
-
-    # -- public lifecycle (threaded-server compatible) --------------------------
+    # -- public lifecycle ----------------------------------------------------------
     @property
     def address(self) -> Tuple[str, int]:
         """The bound (host, port) — useful after binding port 0."""
@@ -250,9 +187,8 @@ class _AsyncWireServer(_WireListenerMixin):
         self._started.wait(timeout=10)
         return thread
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
+    def serve_forever(self) -> None:
         """Run the event loop until :meth:`shutdown` (blocking call)."""
-        del poll_interval  # socketserver signature compatibility
         asyncio.run(self._serve())
 
     def shutdown(self) -> None:
@@ -279,17 +215,12 @@ class _AsyncWireServer(_WireListenerMixin):
         if self._stop_event is not None:
             self._stop_event.set()
 
-    # -- event loop --------------------------------------------------------------
+    # -- event loop ----------------------------------------------------------------
     async def _serve(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         server = await asyncio.start_server(
-            self._serve_connection,
-            sock=self._socket,
-            # StreamReader's high-water mark also caps readline(); JSON-mode
-            # key uploads are one multi-megabyte line, so give it the same
-            # ceiling the frame layer enforces.
-            limit=MAX_FRAME_BYTES,
+            self._serve_connection, sock=self._socket, limit=READ_BYTES
         )
         self._started.set()
         try:
@@ -306,20 +237,19 @@ class _AsyncWireServer(_WireListenerMixin):
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         peername = writer.get_extra_info("peername")
-        peer = f"{peername[0]}:{peername[1]}" if peername else "?"
-        handler = self._make_handler(peer)
-        key = self._register_connection(handler.conn)
+        conn = self._open_connection(f"{peername[0]}:{peername[1]}" if peername else "?")
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
         sock = writer.get_extra_info("socket")
         if sock is not None:
             try:
+                # A reply's final partial segment must never wait on a delayed ACK.
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:
                 pass
         try:
-            await self._connection_loop(handler, key, reader, writer)
+            await self._connection_loop(conn, reader, writer)
         except asyncio.CancelledError:
             pass  # server shutting down
         except (ConnectionError, OSError):
@@ -329,129 +259,47 @@ class _AsyncWireServer(_WireListenerMixin):
         finally:
             if task is not None:
                 self._conn_tasks.discard(task)
-            self._unregister_connection(key)
+            with self._conn_lock:
+                self._connections.pop(conn.key, None)
             try:
                 writer.close()
             except Exception:
                 pass
+            if conn.needs_close:
+                # Queued behind the connection's last message on its own
+                # worker; not awaited, because this task may be the one
+                # being cancelled.
+                self._pool.submit(conn.key, conn.close)
 
     async def _connection_loop(
-        self,
-        handler,
-        affinity: int,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        self, conn, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Sniff each message's framing from its first byte and reply in kind.
+        """Decode, dispatch, reply — one message at a time, in arrival order.
 
-        The async twin of :meth:`netserver._WireHandler.handle`: same
-        per-message protocol sniff, same error policy (payload errors are
-        answered, framing errors drop the connection).
+        Payload errors are answered by the connection object; framing errors
+        drop the connection, because nothing downstream of a desynchronized
+        stream can be trusted.
         """
+        decoder = FrameDecoder()
         while True:
-            first = await reader.read(1)
-            if not first:
+            try:
+                message = decoder.next_message()
+            except TransportError:
+                return  # broken framing: the stream cannot resync
+            if message is None:
+                data = await reader.read(READ_BYTES)
+                if not data:
+                    return
+                decoder.feed(data)
+                continue
+            reply, keep_open = await asyncio.wrap_future(
+                self._pool.submit(conn.key, conn.handle, message)
+            )
+            if reply:
+                try:
+                    writer.write(reply)
+                    await writer.drain()
+                except (ConnectionError, OSError, RuntimeError):
+                    return  # the peer is gone
+            if not keep_open:
                 return
-            if first[0] == MAGIC:
-                try:
-                    frame_type, payload, nbytes = await read_frame_async(reader)
-                except (TransportError, asyncio.IncompleteReadError):
-                    return  # broken framing: the stream cannot resync
-                handler.conn.protocol = "binary"
-                handler._count_received(nbytes, "binary")
-                keep_open = await self._dispatch(
-                    affinity, handler._handle_frame, frame_type, payload
-                )
-                if not await self._flush(handler, writer):
-                    return
-                if not keep_open:
-                    return
-            else:
-                try:
-                    line = first + await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    return  # line past the frame ceiling: hostile or corrupt
-                handler._count_received(len(line), "json")
-                try:
-                    text = line.decode("utf-8").strip()
-                except UnicodeDecodeError:
-                    return  # not JSON, not a frame: drop the connection
-                if not text:
-                    continue
-                await self._dispatch(affinity, handler._handle_json, text)
-                if not await self._flush(handler, writer):
-                    return
-
-    async def _dispatch(self, affinity: int, fn, *args):
-        """Run one blocking handler call on the connection's pool worker."""
-        return await asyncio.wrap_future(self._pool.submit(affinity, fn, *args))
-
-    async def _flush(self, handler, writer: asyncio.StreamWriter) -> bool:
-        """Write the handler's buffered reply; False when the peer is gone."""
-        chunks = handler.wfile.drain()
-        if not chunks:
-            return True
-        try:
-            writer.write(b"".join(chunks))
-            await writer.drain()
-        except (ConnectionError, OSError, RuntimeError):
-            return False
-        return True
-
-
-class AsyncEvaTcpServer(_AsyncWireServer):
-    """Asyncio front door for one :class:`~repro.serving.server.EvaServer`.
-
-    Protocol-identical to :class:`~repro.serving.netserver.ThreadedEvaTcpServer`
-    (same handler logic, different transport); holds thousands of idle
-    sessions on one event loop.
-    """
-
-    thread_name = "eva-tcp-server"
-
-    def __init__(
-        self,
-        eva_server: EvaServer,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        wire_policy: str = "auto",
-        dispatch_workers: int = DEFAULT_DISPATCH_WORKERS,
-    ) -> None:
-        self.eva_server = eva_server
-        super().__init__(host, port, wire_policy, dispatch_workers)
-
-    def _make_handler(self, peer: str):
-        return self._detached_handler(_RequestHandler, self, peer)
-
-
-class AsyncClusterTcpServer(_AsyncWireServer):
-    """Asyncio router front door of an :class:`~repro.serving.cluster.EvaCluster`.
-
-    Protocol- and policy-identical to
-    :class:`~repro.serving.netserver.ThreadedClusterTcpServer`: same quota
-    admission, telemetry plane, and passthrough forwarding — on an event
-    loop instead of a thread per connection.
-    """
-
-    thread_name = "eva-cluster-router"
-
-    def __init__(
-        self,
-        cluster: Any,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        fairness: Optional[FairnessPolicy] = None,
-        slow_threshold: float = 1.0,
-        wire_policy: str = "auto",
-        dispatch_workers: int = DEFAULT_DISPATCH_WORKERS,
-    ) -> None:
-        self.cluster = cluster
-        if fairness is None:
-            fairness = getattr(cluster, "fairness", None)
-        self.ledger = QuotaLedger(fairness)
-        #: The router's own telemetry plane (mirrors the threaded router).
-        self.telemetry = Telemetry(slow_threshold=slow_threshold, shard="router")
-        super().__init__(host, port, wire_policy, dispatch_workers)
-
-    def _make_handler(self, peer: str):
-        return self._detached_handler(_RouterHandler, self, peer)

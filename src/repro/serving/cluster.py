@@ -55,6 +55,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .. import tomlcompat
 from ..core.compiler import CompilerOptions
 from ..core.ir import Program
 from ..errors import EvaError, ServingError, TransportError
@@ -353,60 +354,6 @@ class ScalePolicy:
 
 
 # -- cluster config files ----------------------------------------------------------
-def _toml_scalar(text: str) -> Any:
-    """One TOML value of the subset the fallback parser accepts."""
-    text = text.strip()
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in ("'", '"'):
-        return text[1:-1]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ServingError(f"unsupported TOML value {text!r}") from None
-
-
-def _parse_toml_minimal(text: str) -> Dict[str, Any]:
-    """A minimal TOML-subset parser for interpreters without ``tomllib``.
-
-    Covers what cluster config files use — ``[table]`` headers,
-    ``[[array-of-tables]]`` headers, and ``key = scalar`` pairs (strings,
-    ints, floats, booleans) with ``#`` comments — and nothing more.  On
-    Python >= 3.11 :func:`load_cluster_config` uses the real ``tomllib``.
-    """
-    data: Dict[str, Any] = {}
-    current: Dict[str, Any] = data
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[["):
-            if not line.endswith("]]"):
-                raise ServingError(f"malformed TOML table header {line!r}")
-            name = line[2:-2].strip()
-            current = {}
-            data.setdefault(name, []).append(current)
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ServingError(f"malformed TOML table header {line!r}")
-            name = line[1:-1].strip()
-            current = data.setdefault(name, {})
-            continue
-        if "=" not in line:
-            raise ServingError(f"malformed TOML line {line!r}")
-        key, _, value = line.partition("=")
-        value = value.split("#", 1)[0] if not value.strip().startswith(('"', "'")) else value
-        current[key.strip()] = _toml_scalar(value)
-    return data
-
-
 def load_cluster_config(path: Any) -> Dict[str, Any]:
     """Parse a cluster TOML config into constructor-ready pieces.
 
@@ -427,19 +374,15 @@ def load_cluster_config(path: Any) -> Dict[str, Any]:
 
     Returns ``{"cluster": {...}, "remote": [(host, port), ...],
     "scale": ScalePolicy-or-None, "scale_interval": float-or-None}``.
-    Uses :mod:`tomllib` when the interpreter has it (3.11+) and a minimal
-    TOML-subset parser otherwise.
+    Parsed by :mod:`repro.tomlcompat` (``tomllib`` on 3.11+, a subset parser
+    before).
     """
     with open(path, "rb") as fh:
         raw = fh.read().decode("utf-8")
     try:
-        import tomllib
-    except ModuleNotFoundError:
-        data = _parse_toml_minimal(raw)
-    else:
-        data = tomllib.loads(raw)
-    if not isinstance(data, dict):
-        raise ServingError("cluster config must be a TOML document")
+        data = tomlcompat.loads(raw)
+    except ValueError as error:
+        raise ServingError(f"{path}: malformed cluster config: {error}") from None
     cluster = dict(data.get("cluster", {}) or {})
     remotes: List[Tuple[str, int]] = []
     for entry in data.get("remote", []) or []:

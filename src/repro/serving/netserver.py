@@ -1,4 +1,4 @@
-"""TCP front-ends for single-process and sharded (cluster) serving.
+"""Protocol side of the TCP front ends, and the client that talks to them.
 
 Every listener speaks **two framings on the same socket**:
 
@@ -17,9 +17,13 @@ Binary framing is negotiated by a JSON ``hello`` exchange (see
 :mod:`repro.wire.protocol`); multi-megabyte evaluation-key sets stream as
 bounded CHUNK frames instead of one monolithic message.
 
-Each connection may pipeline any number of requests; responses come back in
-order.  Connection threads block on the server's futures, so concurrency
-across connections is bounded by the job engine, not by the socket layer.
+Sockets live elsewhere.  The listener is :class:`~.aionet.AsyncWireServer`
+(one event loop, an affinity pool for blocking work); this module supplies
+the *sans-IO connection objects* it drives — one decoded message in, reply
+bytes and a keep-open flag out — so everything protocol-shaped (hello,
+chunked uploads, dispatch, byte accounting, error replies) can be exercised
+without a network.  Each connection may pipeline any number of requests;
+responses come back in order.
 
 Two servers share the wire formats:
 
@@ -37,10 +41,7 @@ Two servers share the wire formats:
 from __future__ import annotations
 
 import json
-import os
 import socket
-import socketserver
-import threading
 import time
 from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -61,26 +62,28 @@ from ..wire import (
     FRAME_CHUNK,
     FRAME_REQUEST,
     FRAME_RESPONSE,
-    MAGIC,
     STREAM_THRESHOLD_BYTES,
     UPLOAD_KEY,
     WIRE_MODES,
+    FrameDecoder,
     UploadState,
     build_hello,
     decode_message,
     encode_blob_record,
     encode_envelope,
+    encode_frame,
     encode_message,
     hello_ack,
     iter_chunks,
     parse_hello_reply,
     peek_envelope,
-    read_frame,
+    read_message,
     rehydrate,
     replace_envelope,
     split_message,
     write_frame,
 )
+from .aionet import AsyncWireServer
 from .quotas import FairnessPolicy, QuotaLedger
 from .server import EvaServer
 from .telemetry import (
@@ -93,22 +96,29 @@ from .telemetry import (
 
 _Bytes = Union[bytes, bytearray, memoryview]
 
+#: What a connection object hands back for one message: the reply as wire
+#: bytes (empty when the message is not answered) and whether to keep the
+#: connection open.
+_Reply = Tuple[bytes, bool]
 
-class _ConnectionState:
-    """Per-connection bookkeeping: framing, byte counters, upload assembly."""
 
-    __slots__ = (
-        "peer",
-        "opened_at",
-        "protocol",
-        "negotiated",
-        "bytes_sent",
-        "bytes_received",
-        "requests",
-        "uploads",
-    )
+class _WireConnection:
+    """Sans-IO protocol state of one connection, shared by shard and router.
 
-    def __init__(self, peer: str) -> None:
+    :meth:`handle` takes one message from the connection's
+    :class:`~repro.wire.FrameDecoder` and returns the reply bytes — already
+    in the framing of the request — plus a keep-open flag.  Frame-*payload*
+    errors are answered with an error reply (the stream is still
+    synchronized at the next frame boundary); an undecodable line or a
+    malformed chunk closes the connection.
+    """
+
+    #: Whether :meth:`close` has upstream state to release.
+    needs_close = False
+
+    def __init__(self, server: Any, key: int, peer: str) -> None:
+        self.server = server
+        self.key = key
         self.peer = peer
         self.opened_at = time.time()
         #: The connection's current framing: ``json`` until a binary frame
@@ -118,7 +128,6 @@ class _ConnectionState:
         self.bytes_sent = 0
         self.bytes_received = 0
         self.requests = 0
-        self.uploads = UploadState()
 
     def info(self) -> Dict[str, Any]:
         """Wire-friendly connection descriptor for ``cluster stats``."""
@@ -132,131 +141,74 @@ class _ConnectionState:
             "opened_at": round(self.opened_at, 3),
         }
 
-
-class _WireListenerMixin:
-    """Connection registry + wire policy shared by both TCP servers."""
-
-    def _init_wire(self, wire_policy: str) -> None:
-        if wire_policy not in WIRE_MODES:
-            raise ServingError(
-                f"unknown wire policy {wire_policy!r}; expected one of {WIRE_MODES}"
-            )
-        self.wire_policy = wire_policy
-        self._conn_lock = threading.Lock()
-        self._conn_seq = 0
-        self._connections: Dict[int, _ConnectionState] = {}
-
-    def _register_connection(self, state: _ConnectionState) -> int:
-        with self._conn_lock:
-            self._conn_seq += 1
-            key = self._conn_seq
-            self._connections[key] = state
-        return key
-
-    def _unregister_connection(self, key: int) -> None:
-        with self._conn_lock:
-            self._connections.pop(key, None)
-
-    def connection_infos(self) -> List[Dict[str, Any]]:
-        """Live connections with their negotiated protocol and byte counters
-        (the ``stats`` op's ``connections`` field)."""
-        with self._conn_lock:
-            states = list(self._connections.values())
-        return [state.info() for state in states]
-
-
-class _WireHandler(socketserver.StreamRequestHandler):
-    """Dual-protocol connection machinery shared by shard and router handlers.
-
-    The handle loop sniffs each message's framing from its first byte and
-    hands it to ``_handle_json`` / ``_handle_frame`` (subclass dispatch).
-    Frame-*payload* errors are answered with an error reply (the stream is
-    still synchronized at the next frame boundary); frame-*header* errors
-    and undecodable lines drop the connection, because nothing downstream of
-    a desynchronized stream can be trusted.
-    """
-
-    #: Frames are written piecewise (header, envelope, blob slices); buffer
-    #: the write side so one reply leaves as coalesced segments instead of a
-    #: syscall (and packet) per part, and disable Nagle so the final partial
-    #: segment of a reply is never held back waiting for a delayed ACK.
-    wbufsize = 64 * 1024
-    disable_nagle_algorithm = True
+    def close(self) -> None:
+        """Release upstream state once the peer is gone (see ``needs_close``)."""
 
     def _telemetry(self) -> Telemetry:
         raise NotImplementedError
 
-    def setup(self) -> None:
-        """Register the connection and its negotiation state with the server."""
-        super().setup()
-        host, port = self.client_address[:2]
-        self.conn = _ConnectionState(f"{host}:{port}")
-        self._conn_key = self.server._register_connection(self.conn)
+    def handle_json(self, text: str) -> _Reply:
+        """Answer one JSON-lines request."""
+        raise NotImplementedError
 
-    def finish(self) -> None:
-        """Unregister the connection on teardown."""
-        self.server._unregister_connection(self._conn_key)
-        super().finish()
+    def handle_frame(self, frame_type: int, payload: bytes) -> _Reply:
+        """Answer (or absorb) one binary frame."""
+        raise NotImplementedError
 
-    def handle(self) -> None:
-        """Serve one connection: sniff JSON vs binary per message, reply in kind."""
-        while True:
-            first = self.rfile.read(1)
-            if not first:
-                return
-            if first[0] == MAGIC:
-                try:
-                    frame_type, payload, nbytes = read_frame(
-                        self.rfile, first_byte=MAGIC
-                    )
-                except TransportError:
-                    return  # broken framing: the stream cannot resync
-                self.conn.protocol = "binary"
-                self._count_received(nbytes, "binary")
-                if not self._handle_frame(frame_type, payload):
-                    return
-            else:
-                line = first + self.rfile.readline()
-                self._count_received(len(line), "json")
-                try:
-                    text = line.decode("utf-8").strip()
-                except UnicodeDecodeError:
-                    return  # not JSON, not a frame: drop the connection
-                if not text:
-                    continue
-                self._handle_json(text)
+    def handle(self, message: tuple) -> _Reply:
+        """Account for one decoded message and answer it in its own framing."""
+        if message[0] == "frame":
+            _kind, frame_type, payload, nbytes = message
+            self.protocol = "binary"
+            self._count_received(nbytes, "binary")
+            return self.handle_frame(frame_type, payload)
+        line = message[1]
+        self._count_received(len(line), "json")
+        try:
+            text = line.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            return b"", False  # not JSON, not a frame: drop the connection
+        if not text:
+            return b"", True
+        return self.handle_json(text)
 
-    # -- byte accounting -----------------------------------------------------------
+    # -- byte accounting and reply encoding ----------------------------------------
     def _count_received(self, nbytes: int, protocol: str) -> None:
-        self.conn.bytes_received += nbytes
+        self.bytes_received += nbytes
         self._telemetry().inc("net.bytes_received", nbytes, protocol=protocol)
 
     def _count_sent(self, nbytes: int, protocol: str) -> None:
-        self.conn.bytes_sent += nbytes
+        self.bytes_sent += nbytes
         self._telemetry().inc("net.bytes_sent", nbytes, protocol=protocol)
 
-    # -- reply writers -------------------------------------------------------------
-    def _send_json_dict(self, reply: Dict[str, Any]) -> None:
-        data = (json.dumps(reply, separators=(",", ":")) + "\n").encode("utf-8")
-        self.wfile.write(data)
-        self.wfile.flush()
+    def _json_reply(self, reply: Union[str, Dict[str, Any]]) -> _Reply:
+        """One reply line from a message dict (or a shard's raw reply text)."""
+        if not isinstance(reply, str):
+            reply = json.dumps(reply, separators=(",", ":"))
+        if not reply.endswith("\n"):
+            reply += "\n"
+        data = reply.encode("utf-8")
         self._count_sent(len(data), "json")
+        return data, True
 
-    def _send_json_text(self, text: str) -> None:
-        if not text.endswith("\n"):
-            text += "\n"
-        data = text.encode("utf-8")
-        self.wfile.write(data)
-        self.wfile.flush()
-        self._count_sent(len(data), "json")
+    def _frame_reply(self, *parts: _Bytes) -> _Reply:
+        """One response frame; copies each part once, while its buffer lives."""
+        data = encode_frame(FRAME_RESPONSE, *parts)
+        self._count_sent(len(data), "binary")
+        return data, True
 
-    def _send_frame_parts(self, *parts: _Bytes) -> None:
-        nbytes = write_frame(self.wfile, FRAME_RESPONSE, *parts)
-        self.wfile.flush()
-        self._count_sent(nbytes, "binary")
-
-    def _send_frame_dict(self, reply: Dict[str, Any]) -> None:
-        self._send_frame_parts(*encode_message(reply))
+    def _error_reply(
+        self, error: Exception, trace_id: Optional[str], binary: bool
+    ) -> _Reply:
+        """The typed error reply every request failure degrades to."""
+        if not isinstance(error, EvaError):  # never let a request kill the connection
+            error = ServingError(str(error))
+        reply = messages.build_error(
+            error, trace_id=getattr(error, "trace_id", None) or trace_id
+        )
+        if binary:
+            return self._frame_reply(*encode_message(reply))
+        return self._json_reply(reply)
 
     # -- negotiation ---------------------------------------------------------------
     def _maybe_hello(self, request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
@@ -264,20 +216,29 @@ class _WireHandler(socketserver.StreamRequestHandler):
         if request.get("op") != "hello":
             return None
         reply, negotiated = hello_ack(request, self.server.wire_policy)
-        self.conn.protocol = negotiated
-        self.conn.negotiated = negotiated == "binary"
+        self.protocol = negotiated
+        self.negotiated = negotiated == "binary"
         return reply
 
 
-class _RequestHandler(_WireHandler):
+class _ShardConnection(_WireConnection):
     """One shard/single-server connection: requests in, responses out."""
 
     server: "EvaTcpServer"
 
+    def __init__(self, server: Any, key: int, peer: str) -> None:
+        super().__init__(server, key, peer)
+        self.uploads = UploadState()
+
+    def info(self) -> Dict[str, Any]:
+        """The shared descriptor plus this connection's assembling uploads."""
+        return dict(super().info(), open_uploads=len(self.uploads))
+
     def _telemetry(self) -> Telemetry:
         return self.server.eva_server.telemetry
 
-    def _handle_json(self, text: str) -> None:
+    def handle_json(self, text: str) -> _Reply:
+        """Answer one JSON-lines request."""
         # Captured as soon as the request parses, so even an error reply
         # echoes the trace id the request carried (quota rejections
         # included — the client can still look the trace up).
@@ -290,29 +251,26 @@ class _RequestHandler(_WireHandler):
             if isinstance(parsed, dict):
                 hello = self._maybe_hello(parsed)
                 if hello is not None:
-                    self._send_json_dict(hello)
-                    return
+                    return self._json_reply(hello)
             request = messages.validate_request(parsed)
             trace_id = request.get("trace_id")
-            self.conn.requests += 1
-            reply = self._dispatch(request, binary=False)
-        except EvaError as error:
-            reply = messages.build_error(error, trace_id=trace_id)
-        except Exception as error:  # never let a request kill the connection
-            reply = messages.build_error(ServingError(str(error)), trace_id=trace_id)
-        self._send_json_dict(reply)
+            self.requests += 1
+            return self._json_reply(self._dispatch(request, binary=False))
+        except Exception as error:
+            return self._error_reply(error, trace_id, binary=False)
 
-    def _handle_frame(self, frame_type: int, payload: bytes) -> bool:
+    def handle_frame(self, frame_type: int, payload: bytes) -> _Reply:
+        """Answer one request frame, or absorb one chunk of an upload."""
         if frame_type == FRAME_CHUNK:
             # One slice of a streaming upload; never answered individually.
             # Malformed chunks poison the upload and are reported on the
             # request that references it.
             try:
                 envelope, blobs = decode_message(payload)
-                self.conn.uploads.add_chunk(envelope, blobs[0] if blobs else b"")
+                self.uploads.add_chunk(envelope, blobs[0] if blobs else b"")
             except TransportError:
-                return False
-            return True
+                return b"", False
+            return b"", True
         trace_id: Optional[str] = None
         try:
             if frame_type != FRAME_REQUEST:
@@ -322,27 +280,22 @@ class _RequestHandler(_WireHandler):
             envelope, blobs = decode_message(payload)
             upload_id = envelope.pop(UPLOAD_KEY, None)
             if upload_id is not None:
-                blobs = self.conn.uploads.finish(upload_id)
+                blobs = self.uploads.finish(upload_id)
             hello = self._maybe_hello(envelope)
             if hello is not None:
-                self._send_frame_dict(hello)
-                return True
+                return self._frame_reply(*encode_message(hello))
             request = messages.validate_request(rehydrate(envelope, blobs))
             trace_id = request.get("trace_id")
-            self.conn.requests += 1
+            self.requests += 1
             # Raw-blob mode for the whole dispatch: everything packed on the
             # way out (ciphertext outputs, packed vectors) skips base64 and is
-            # lifted into binary blob records by the frame encoder.
+            # lifted into binary blob records by the frame encoder — which
+            # must run inside the context, while the blob views are alive.
             with raw_blobs():
                 reply = self._dispatch(request, binary=True)
-                self._send_frame_dict(reply)
-            return True
-        except EvaError as error:
-            reply = messages.build_error(error, trace_id=trace_id)
-        except Exception as error:  # never let a request kill the connection
-            reply = messages.build_error(ServingError(str(error)), trace_id=trace_id)
-        self._send_frame_dict(reply)
-        return True
+                return self._frame_reply(*encode_message(reply))
+        except Exception as error:
+            return self._error_reply(error, trace_id, binary=True)
 
     def _dispatch(self, request: Dict[str, Any], binary: bool) -> Dict[str, Any]:
         eva = self.server.eva_server
@@ -474,12 +427,8 @@ class _RequestHandler(_WireHandler):
         return reply
 
 
-class ThreadedEvaTcpServer(_WireListenerMixin, socketserver.ThreadingTCPServer):
-    """Threaded TCP server wrapping an :class:`EvaServer`.
-
-    One OS thread per connection — the original front door, kept as the
-    fallback behind the :func:`EvaTcpServer` factory (the asyncio listener in
-    :mod:`.aionet` is the default).
+class EvaTcpServer(AsyncWireServer):
+    """TCP front door of one :class:`~repro.serving.server.EvaServer`.
 
     ``wire_policy`` governs hello negotiation: ``auto``/``binary`` grant
     binary framing to clients that ask for it, ``json`` pins the listener to
@@ -487,8 +436,8 @@ class ThreadedEvaTcpServer(_WireListenerMixin, socketserver.ThreadingTCPServer):
     way).
     """
 
-    allow_reuse_address = True
-    daemon_threads = True
+    connection_class = _ShardConnection
+    thread_name = "eva-tcp-server"
 
     def __init__(
         self,
@@ -498,29 +447,15 @@ class ThreadedEvaTcpServer(_WireListenerMixin, socketserver.ThreadingTCPServer):
         wire_policy: str = "auto",
     ) -> None:
         self.eva_server = eva_server
-        self._init_wire(wire_policy)
-        super().__init__((host, port), _RequestHandler)
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound (host, port) — useful after binding port 0."""
-        return self.server_address[0], self.server_address[1]
-
-    def start_background(self) -> threading.Thread:
-        """Serve on a daemon thread; returns the (started) thread."""
-        thread = threading.Thread(
-            target=self.serve_forever, name="eva-tcp-server", daemon=True
-        )
-        thread.start()
-        return thread
+        super().__init__(host, port, wire_policy)
 
 
-class _RouterHandler(_WireHandler):
+class _RouterConnection(_WireConnection):
     """One router connection: route each request to its client's shard.
 
     Forwarding goes through the cluster's own request plumbing
     (:meth:`EvaCluster._call`), which keeps one upstream connection per
-    (handler thread, shard) — so pipelined requests keep their ordering per
+    (worker thread, shard) — so pipelined requests keep their ordering per
     shard and the router adds no per-request connect cost — and already
     implements failover: a dead shard leaves the ring and the request retries
     on the client's new home shard, safe because serving requests are pure
@@ -531,14 +466,48 @@ class _RouterHandler(_WireHandler):
     splicing a minted ``trace_id`` re-encodes the tiny envelope field, never
     the megabytes of ciphertext behind it.  CHUNK frames of a streaming
     upload are relayed to the client's shard without any reply.
+
+    An upstream connection is shared by every client connection on the same
+    worker, while clients number their uploads per connection (``up-1``,
+    ``up-2``, …), so relayed upload ids are prefixed with this connection's
+    key, and the uploads still open when the client goes away are discarded
+    on the shard (:meth:`close`).
     """
 
     server: "ClusterTcpServer"
 
+    def __init__(self, server: Any, key: int, peer: str) -> None:
+        super().__init__(server, key, peer)
+        #: Relayed upload id -> the client id its chunks were routed by.
+        self._open_uploads: Dict[str, str] = {}
+
+    @property
+    def needs_close(self) -> bool:
+        """True while the shard holds chunks no request has claimed."""
+        return bool(self._open_uploads)
+
+    def close(self) -> None:
+        """Tell the shard to drop the uploads this client left unfinished."""
+        for upload_id, client_id in self._open_uploads.items():
+            discard = encode_envelope(
+                {"upload": upload_id, "discard": True, "client_id": client_id}
+            )
+            try:
+                self.server.cluster._call(
+                    client_id, lambda upstream: upstream.send_frame(FRAME_CHUNK, discard)
+                )
+            except Exception:
+                pass  # the shard is gone, and its upload buffers with it
+        self._open_uploads.clear()
+
     def _telemetry(self) -> Telemetry:
         return self.server.telemetry
 
-    def _handle_json(self, text: str) -> None:
+    def _relayed_upload(self, upload_id: Any) -> str:
+        return f"{self.key}/{upload_id}"
+
+    def handle_json(self, text: str) -> _Reply:
+        """Answer one JSON-lines request, locally or from the client's shard."""
         trace_id: Optional[str] = None
         try:
             try:
@@ -549,14 +518,12 @@ class _RouterHandler(_WireHandler):
                 raise SerializationError("request must be a JSON object")
             hello = self._maybe_hello(request)
             if hello is not None:
-                self._send_json_dict(hello)
-                return
+                return self._json_reply(hello)
             trace_id = self._request_trace_id(request)
-            self.conn.requests += 1
+            self.requests += 1
             local = self._local_reply(request)
             if local is not None:
-                self._send_json_dict(local)
-                return
+                return self._json_reply(local)
             # Forwarded (submit/session/unknown): mint a trace id for
             # untraced clients — a string splice, not a re-encode; the
             # payload may be megabytes of ciphertext.
@@ -570,43 +537,40 @@ class _RouterHandler(_WireHandler):
                 client_id,
                 trace_id,
                 request.get("program"),
-                lambda line=text: self.server.cluster._call(
-                    client_id, lambda upstream: upstream.roundtrip_raw(line)
+                lambda: self.server.cluster._call(
+                    client_id, lambda upstream: upstream.roundtrip_raw(text)
                 ),
             )
             if op in ("submit", "session") and request.get("trace"):
                 reply = self._merge_reply_trace(reply, trace_id)
-            self._send_json_text(reply)
-            return
-        except EvaError as error:
-            reply_dict = messages.build_error(
-                error, trace_id=getattr(error, "trace_id", None) or trace_id
-            )
-        except Exception as error:  # never let a request kill the connection
-            reply_dict = messages.build_error(
-                ServingError(str(error)), trace_id=trace_id
-            )
-        self._send_json_dict(reply_dict)
+            return self._json_reply(reply)
+        except Exception as error:
+            return self._error_reply(error, trace_id, binary=False)
 
-    def _handle_frame(self, frame_type: int, payload: bytes) -> bool:
+    def handle_frame(self, frame_type: int, payload: bytes) -> _Reply:
+        """Relay one request frame or upload chunk to the client's shard."""
         cluster = self.server.cluster
         if frame_type == FRAME_CHUNK:
-            # Relay the chunk to the client's shard verbatim; chunks are
-            # never answered, so routing failures surface on the final
-            # request that references the upload.
+            # Relay the chunk to the client's shard under this connection's
+            # upload namespace; chunks are never answered, so routing
+            # failures surface on the final request that references the
+            # upload.
             try:
                 envelope, _end = peek_envelope(payload)
             except TransportError:
-                return False
+                return b"", False
             client_id = str(envelope.get("client_id", "default"))
+            upload_id = envelope["upload"] = self._relayed_upload(envelope.get("upload"))
+            self._open_uploads[upload_id] = client_id
+            chunk = replace_envelope(payload, envelope)
             try:
                 cluster._call(
                     client_id,
-                    lambda upstream: upstream.send_frame(FRAME_CHUNK, payload),
+                    lambda upstream: upstream.send_frame(FRAME_CHUNK, *chunk),
                 )
             except Exception:
                 pass  # the referencing request reports the failed upload
-            return True
+            return b"", True
         trace_id: Optional[str] = None
         try:
             if frame_type != FRAME_REQUEST:
@@ -616,26 +580,28 @@ class _RouterHandler(_WireHandler):
             envelope, _end = peek_envelope(payload)
             hello = self._maybe_hello(envelope)
             if hello is not None:
-                self._send_frame_dict(hello)
-                return True
+                return self._frame_reply(*encode_message(hello))
             trace_id = self._request_trace_id(envelope)
-            self.conn.requests += 1
+            self.requests += 1
             local = self._local_reply(envelope)
             if local is not None:
                 with raw_blobs():
-                    self._send_frame_dict(local)
-                return True
+                    return self._frame_reply(*encode_message(local))
             op = str(envelope.get("op"))
             client_id = str(envelope.get("client_id", "default"))
-            if op in ("submit", "session") and trace_id is None:
-                # Mint at the router for untraced clients; re-encodes only
-                # the envelope field, the blob records are relayed as one
-                # slice of the original payload.
-                trace_id = new_trace_id()
-                envelope["trace_id"] = trace_id
-                parts: Sequence[_Bytes] = replace_envelope(payload, envelope)
-            else:
-                parts = (payload,)
+            mint = op in ("submit", "session") and trace_id is None
+            if mint:  # at the router, for untraced clients
+                trace_id = envelope["trace_id"] = new_trace_id()
+            upload_id = envelope.get(UPLOAD_KEY)
+            if upload_id is not None:
+                upload_id = envelope[UPLOAD_KEY] = self._relayed_upload(upload_id)
+            # An envelope rewrite re-encodes only that small field; the blob
+            # records are relayed as one slice of the original payload.
+            parts: Sequence[_Bytes] = (
+                replace_envelope(payload, envelope)
+                if mint or upload_id is not None
+                else (payload,)
+            )
             reply_payload = self._admitted_forward(
                 op,
                 client_id,
@@ -645,21 +611,14 @@ class _RouterHandler(_WireHandler):
                     client_id, lambda upstream: upstream.roundtrip_frame(parts)
                 ),
             )
+            # The shard answered, so it has claimed (or rejected) the upload.
+            self._open_uploads.pop(upload_id, None)
             reply_parts: Sequence[_Bytes] = (reply_payload,)
             if op in ("submit", "session") and envelope.get("trace"):
                 reply_parts = self._merge_frame_trace(reply_payload, trace_id)
-            self._send_frame_parts(*reply_parts)
-            return True
-        except EvaError as error:
-            reply_dict = messages.build_error(
-                error, trace_id=getattr(error, "trace_id", None) or trace_id
-            )
-        except Exception as error:  # never let a request kill the connection
-            reply_dict = messages.build_error(
-                ServingError(str(error)), trace_id=trace_id
-            )
-        self._send_frame_dict(reply_dict)
-        return True
+            return self._frame_reply(*reply_parts)
+        except Exception as error:
+            return self._error_reply(error, trace_id, binary=True)
 
     @staticmethod
     def _request_trace_id(request: Dict[str, Any]) -> Optional[str]:
@@ -855,8 +814,8 @@ class _RouterHandler(_WireHandler):
         return replace_envelope(reply_payload, envelope)
 
 
-class ThreadedClusterTcpServer(_WireListenerMixin, socketserver.ThreadingTCPServer):
-    """Threaded router front door of an :class:`~repro.serving.cluster.EvaCluster`.
+class ClusterTcpServer(AsyncWireServer):
+    """Router front door of an :class:`~repro.serving.cluster.EvaCluster`.
 
     Owns the public listener; every request is forwarded to the shard its
     client consistent-hashes to.  The wire protocols are identical to
@@ -873,8 +832,8 @@ class ThreadedClusterTcpServer(_WireListenerMixin, socketserver.ThreadingTCPServ
     costs a shard anything.
     """
 
-    allow_reuse_address = True
-    daemon_threads = True
+    connection_class = _RouterConnection
+    thread_name = "eva-cluster-router"
 
     def __init__(
         self,
@@ -893,100 +852,7 @@ class ThreadedClusterTcpServer(_WireListenerMixin, socketserver.ThreadingTCPServ
         #: counters, and router-side slow-request detection (end-to-end
         #: latency as the client experienced it, including the shard hop).
         self.telemetry = Telemetry(slow_threshold=slow_threshold, shard="router")
-        self._init_wire(wire_policy)
-        super().__init__((host, port), _RouterHandler)
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound (host, port) — useful after binding port 0."""
-        return self.server_address[0], self.server_address[1]
-
-    def start_background(self) -> threading.Thread:
-        """Serve on a daemon thread; returns the (started) thread."""
-        thread = threading.Thread(
-            target=self.serve_forever, name="eva-cluster-router", daemon=True
-        )
-        thread.start()
-        return thread
-
-
-#: Listener transport used when neither the ``frontdoor`` argument nor the
-#: ``REPRO_FRONTDOOR`` environment variable says otherwise.  The asyncio
-#: front door holds thousands of idle connections on one event loop; the
-#: threaded transport (one OS thread per connection) remains as a fallback.
-DEFAULT_FRONTDOOR = "async"
-
-FRONTDOOR_MODES = ("async", "threaded")
-
-
-def _frontdoor_mode(frontdoor: Optional[str]) -> str:
-    mode = frontdoor or os.environ.get("REPRO_FRONTDOOR") or DEFAULT_FRONTDOOR
-    if mode not in FRONTDOOR_MODES:
-        raise ServingError(
-            f"unknown front door {mode!r}; expected one of {FRONTDOOR_MODES}"
-        )
-    return mode
-
-
-def EvaTcpServer(
-    eva_server: EvaServer,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    wire_policy: str = "auto",
-    frontdoor: Optional[str] = None,
-):
-    """Build the TCP front door for one :class:`EvaServer`.
-
-    Returns the asyncio listener by default, or the threaded one when
-    ``frontdoor="threaded"`` (or ``REPRO_FRONTDOOR=threaded``).  Both speak
-    identical wire protocols and expose the same surface (``address``,
-    ``start_background``, ``serve_forever``, ``shutdown``, ``server_close``,
-    ``connection_infos``), so callers never need to know which transport
-    they got.
-    """
-    if _frontdoor_mode(frontdoor) == "threaded":
-        return ThreadedEvaTcpServer(
-            eva_server, host=host, port=port, wire_policy=wire_policy
-        )
-    from .aionet import AsyncEvaTcpServer
-
-    return AsyncEvaTcpServer(eva_server, host=host, port=port, wire_policy=wire_policy)
-
-
-def ClusterTcpServer(
-    cluster: Any,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    fairness: Optional[FairnessPolicy] = None,
-    slow_threshold: float = 1.0,
-    wire_policy: str = "auto",
-    frontdoor: Optional[str] = None,
-):
-    """Build the router front door of an :class:`~repro.serving.cluster.EvaCluster`.
-
-    Same transport selection as :func:`EvaTcpServer`: asyncio by default,
-    ``frontdoor="threaded"`` (or ``REPRO_FRONTDOOR=threaded``) for the
-    thread-per-connection fallback.
-    """
-    if _frontdoor_mode(frontdoor) == "threaded":
-        return ThreadedClusterTcpServer(
-            cluster,
-            host=host,
-            port=port,
-            fairness=fairness,
-            slow_threshold=slow_threshold,
-            wire_policy=wire_policy,
-        )
-    from .aionet import AsyncClusterTcpServer
-
-    return AsyncClusterTcpServer(
-        cluster,
-        host=host,
-        port=port,
-        fairness=fairness,
-        slow_threshold=slow_threshold,
-        wire_policy=wire_policy,
-    )
+        super().__init__(host, port, wire_policy)
 
 
 class ServingClient:
@@ -1021,7 +887,10 @@ class ServingClient:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         # A request's final partial segment must never wait on a delayed ACK.
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._file = self._sock.makefile("rwb")
+        #: Frames are written piecewise (header, envelope, blob slices);
+        #: buffer the write side so one request leaves as coalesced segments.
+        self._file = self._sock.makefile("wb")
+        self._decoder = FrameDecoder()
         if wire != "json":
             self._negotiate(wire)
 
@@ -1051,14 +920,13 @@ class ServingClient:
         try:
             self._file.write(data)
             self._file.flush()
-            reply = self._file.readline()
         except OSError as exc:
             raise TransportError(f"connection to server lost: {exc}") from exc
-        if not reply:
-            raise TransportError("connection closed by server")
         self.bytes_sent += len(data)
-        self.bytes_received += len(reply)
-        return reply.decode("utf-8")
+        kind, reply = self._read_reply_unit()
+        if kind != "json":
+            raise TransportError("server answered a JSON request with a binary frame")
+        return reply
 
     def send_frame(self, frame_type: int, *parts: _Bytes) -> int:
         """Write one binary frame (no reply expected); returns bytes written."""
@@ -1074,28 +942,19 @@ class ServingClient:
         """Read one reply in whichever framing it arrives: ("binary",
         payload bytes) or ("json", text)."""
         try:
-            first = self._file.read(1)
+            message = read_message(self._decoder, self._sock.recv)
         except OSError as exc:
             raise TransportError(f"connection to server lost: {exc}") from exc
-        if not first:
-            raise TransportError("connection closed by server")
-        if first[0] == MAGIC:
-            try:
-                frame_type, payload, nbytes = read_frame(self._file, first_byte=MAGIC)
-            except OSError as exc:
-                raise TransportError(f"connection to server lost: {exc}") from exc
-            self.bytes_received += nbytes
-            if frame_type != FRAME_RESPONSE:
-                raise TransportError(
-                    f"expected a response frame, got frame type {frame_type:#x}"
-                )
-            return "binary", payload
-        try:
-            line = first + self._file.readline()
-        except OSError as exc:
-            raise TransportError(f"connection to server lost: {exc}") from exc
-        self.bytes_received += len(line)
-        return "json", line.decode("utf-8")
+        if message[0] == "json":
+            self.bytes_received += len(message[1])
+            return "json", message[1].decode("utf-8")
+        _kind, frame_type, payload, nbytes = message
+        self.bytes_received += nbytes
+        if frame_type != FRAME_RESPONSE:
+            raise TransportError(
+                f"expected a response frame, got frame type {frame_type:#x}"
+            )
+        return "binary", payload
 
     def roundtrip_frame(self, parts: Sequence[_Bytes]) -> bytes:
         """Send one pre-encoded request frame, return the raw reply payload.

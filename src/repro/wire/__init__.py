@@ -7,11 +7,14 @@ alternative that shares every listener with the JSON protocol:
 
 * :mod:`.frames` — the frame layer: one magic byte (so a server can sniff
   binary frames apart from JSON lines on the same socket), a frame type, a
-  varint length, and the payload.  Truncated, oversized, or garbage frames
-  raise :class:`~repro.errors.TransportError` without over-reading.
+  varint length, and the payload.  One socket-free
+  :class:`~.frames.FrameDecoder` holds every framing rule; oversized or
+  garbage input raises :class:`~repro.errors.TransportError` from the header
+  alone, before anything is buffered or allocated for it.
 * :mod:`.codec` — the message layer: a request/response dict is split into a
   small JSON *envelope* plus length-delimited binary *blob* records (protobuf
-  style, built on :mod:`repro.core.serialization.wire`).  Cipher and key
+  style).  Varints and tagged fields, here and in the frame header, are the
+  one implementation in :mod:`repro.core.serialization.wire`.  Cipher and key
   blobs travel as raw little-endian bytes — no base64 — and decode into
   zero-copy :class:`memoryview` slices of the received frame.
 * :mod:`.protocol` — connection-level concerns: the ``hello`` negotiation
@@ -43,9 +46,9 @@ from .frames import (
     FRAME_RESPONSE,
     MAGIC,
     MAX_FRAME_BYTES,
+    FrameDecoder,
     encode_frame,
-    read_frame,
-    read_varint,
+    read_message,
     write_frame,
 )
 from .protocol import (
@@ -66,6 +69,7 @@ __all__ = [
     "FRAME_CHUNK",
     "FRAME_REQUEST",
     "FRAME_RESPONSE",
+    "FrameDecoder",
     "MAGIC",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
@@ -83,8 +87,7 @@ __all__ = [
     "iter_chunks",
     "parse_hello_reply",
     "peek_envelope",
-    "read_frame",
-    "read_varint",
+    "read_message",
     "rehydrate",
     "replace_envelope",
     "split_message",

@@ -30,8 +30,14 @@ import binascii
 import json
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
-from ..errors import TransportError
-from .frames import MAX_FRAME_BYTES, encode_varint
+from ..core.serialization.wire import (
+    WIRETYPE_LENGTH_DELIMITED,
+    WIRETYPE_VARINT,
+    encode_varint,
+    iter_field_spans,
+)
+from ..errors import SerializationError, TransportError
+from .frames import MAX_FRAME_BYTES
 
 #: Envelope JSON is field 1, blobs are field 2 (both length-delimited).
 _ENVELOPE_TAG = (1 << 3) | 2
@@ -124,43 +130,20 @@ def encode_message(message: Dict[str, Any]) -> List[_Bytes]:
     return parts
 
 
-def _read_varint(view: memoryview, offset: int) -> Tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if offset >= len(view):
-            raise TransportError("truncated varint inside a frame payload")
-        byte = view[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7
-        if shift > 70:
-            raise TransportError("overlong varint inside a frame payload")
-
-
 def _iter_fields(view: memoryview):
-    """Yield (field_number, value) over a payload; length-delimited values
-    are zero-copy memoryview slices.  Unknown scalar fields are skipped."""
-    offset = 0
-    while offset < len(view):
-        tag, offset = _read_varint(view, offset)
-        field_number, wire_type = tag >> 3, tag & 0x7
-        if wire_type == 2:
-            length, offset = _read_varint(view, offset)
-            if offset + length > len(view):
+    """Yield (field_number, value, end_offset) over a payload's
+    length-delimited fields; values are zero-copy memoryview slices.
+    Unknown scalar (varint) fields are skipped."""
+    try:
+        for field_number, wire_type, value, end in iter_field_spans(view):
+            if wire_type == WIRETYPE_LENGTH_DELIMITED:
+                yield field_number, value, end
+            elif wire_type != WIRETYPE_VARINT:
                 raise TransportError(
-                    "length-delimited field overruns the frame payload"
+                    f"unsupported wire type {wire_type} in a frame payload"
                 )
-            yield field_number, view[offset : offset + length], offset + length
-            offset += length
-        elif wire_type == 0:
-            _value, offset = _read_varint(view, offset)
-        else:
-            raise TransportError(
-                f"unsupported wire type {wire_type} in a frame payload"
-            )
+    except SerializationError as exc:
+        raise TransportError(f"malformed frame payload: {exc}") from exc
 
 
 def _parse_envelope(raw: memoryview) -> Dict[str, Any]:

@@ -128,6 +128,11 @@ class UploadState:
     malformed indices — *poison* the upload rather than raising: CHUNK
     frames are never answered individually, so the error is reported exactly
     once, on the final request that references the upload.
+
+    A relay that multiplexes several clients onto this connection (the
+    cluster router) sends ``{"upload": id, "discard": true}`` for an upload
+    whose client went away, so abandoned buffers do not count against
+    ``max_uploads`` forever.
     """
 
     def __init__(
@@ -146,6 +151,9 @@ class UploadState:
         """Buffer one chunk frame's blob slice (copies it — the frame buffer
         is released when the handler moves to the next message)."""
         upload_id = str(envelope.get("upload"))
+        if envelope.get("discard"):
+            self._uploads.pop(upload_id, None)
+            return
         upload = self._uploads.get(upload_id)
         if upload is None:
             if len(self._uploads) >= self.max_uploads:

@@ -1,16 +1,14 @@
-"""Tests for the asyncio front door (:mod:`repro.serving.aionet`).
+"""Tests for the listener (:mod:`repro.serving.aionet`) and what it drives.
 
 The protocol matrix (negotiation, chunked uploads, mixed JSON+binary
-clients) already runs against the async listener because it is the default
-behind the ``EvaTcpServer`` / ``ClusterTcpServer`` factories — see
-``test_wire.py``.  This file covers what is *specific* to the async
-transport: front-door selection (flag, env var, validation), the async
-frame reader's failure modes, the reply buffer's copy-on-write contract,
-connection->worker affinity in the dispatch pool, abrupt disconnects
-mid-frame and mid-line, and an idle crowd served alongside live traffic.
+clients) and the socket-free frame-decoder matrix live in ``test_wire.py``.
+This file covers the two halves the listener joins — sans-IO connection
+objects driven with no network at all, and connection->worker affinity in
+the dispatch pool — and then the real thing: abrupt disconnects mid-frame
+and mid-line, and an idle crowd served alongside live traffic.
 """
 
-import asyncio
+import json
 import socket
 import threading
 
@@ -19,7 +17,8 @@ import pytest
 
 from repro import wire
 from repro.backend import MockBackend
-from repro.errors import ServingError, TransportError
+from repro.core.serialization import messages
+from repro.core.serialization.packing import raw_blobs
 from repro.frontend import EvaProgram, input_encrypted, output
 from repro.serving import EvaServer, EvaTcpServer, ServingClient
 from repro.serving import aionet, netserver
@@ -52,125 +51,82 @@ def async_server():
         server.close()
 
 
-# -- front-door selection ------------------------------------------------------
+# -- sans-IO connection objects and the dispatch pool ---------------------------
 
 
-class TestFrontdoorSelection:
-    def test_async_is_the_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FRONTDOOR", raising=False)
+class FakeListener:
+    """What a connection object needs from its listener — no socket in sight."""
+
+    wire_policy = "auto"
+
+    def __init__(self, eva_server):
+        self.eva_server = eva_server
+
+    def connection_infos(self):
+        return []
+
+
+def decode_reply(data):
+    decoder = wire.FrameDecoder()
+    decoder.feed(data)
+    message = decoder.next_message()
+    assert decoder.pending == 0 and decoder.next_message() is None
+    return message
+
+
+class TestSansIoConnection:
+    """The protocol runs with no network: decoded message in, reply bytes out."""
+
+    @pytest.fixture
+    def conn(self):
         server = make_server()
-        tcp = EvaTcpServer(server, port=0)
         try:
-            assert isinstance(tcp, aionet.AsyncEvaTcpServer)
+            yield netserver._ShardConnection(FakeListener(server), 1, "test:0")
         finally:
-            tcp.server_close()
             server.close()
 
-    def test_threaded_fallback_via_flag(self):
-        server = make_server()
-        tcp = EvaTcpServer(server, port=0, frontdoor="threaded")
-        try:
-            assert isinstance(tcp, netserver.ThreadedEvaTcpServer)
-        finally:
-            tcp.server_close()
-            server.close()
+    def test_json_line_in_json_line_out(self, conn):
+        reply, keep_open = conn.handle(("json", b'{"op":"ping"}\n'))
+        assert keep_open and reply.endswith(b"\n")
+        assert json.loads(reply) == {"ok": True, "pong": True}
+        assert (conn.protocol, conn.requests) == ("json", 1)
+        assert (conn.bytes_received, conn.bytes_sent) == (14, len(reply))
 
-    def test_env_var_selects_threaded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FRONTDOOR", "threaded")
-        server = make_server()
-        tcp = EvaTcpServer(server, port=0)
-        try:
-            assert isinstance(tcp, netserver.ThreadedEvaTcpServer)
-        finally:
-            tcp.server_close()
-            server.close()
+    def test_blank_and_undecodable_lines(self, conn):
+        assert conn.handle(("json", b"  \n")) == (b"", True)
+        assert conn.handle(("json", b"\xff\xfe\n")) == (b"", False)
 
-    def test_explicit_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FRONTDOOR", "threaded")
-        server = make_server()
-        tcp = EvaTcpServer(server, port=0, frontdoor="async")
-        try:
-            assert isinstance(tcp, aionet.AsyncEvaTcpServer)
-        finally:
-            tcp.server_close()
-            server.close()
+    def test_binary_reply_is_owned_bytes_valid_after_raw_blobs_exits(self, conn):
+        # The reply's blob parts are views that live only inside the
+        # connection's raw_blobs context; what it returns is one bytes object
+        # built there, so it decodes long after the context is gone.
+        with raw_blobs():
+            request = messages.build_request(
+                "submit", pack_inputs=True, program="poly", inputs={"x": [1.0, 2.0]}
+            )
+        frame = wire.encode_frame(wire.FRAME_REQUEST, *wire.encode_message(request))
+        _kind, frame_type, payload, nbytes = decode_reply(frame)
+        reply, keep_open = conn.handle(("frame", frame_type, payload, nbytes))
+        assert keep_open and isinstance(reply, bytes)
+        assert conn.protocol == "binary"
+        assert (conn.bytes_received, conn.bytes_sent) == (len(frame), len(reply))
+        _kind, reply_type, reply_payload, _n = decode_reply(reply)
+        assert reply_type == wire.FRAME_RESPONSE
+        response = messages.finish_response(
+            wire.rehydrate(*wire.decode_message(reply_payload))
+        )
+        np.testing.assert_allclose(response["outputs"]["y"][:2], [3.0, 7.0], atol=1e-6)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ServingError, match="unknown front door"):
-            netserver._frontdoor_mode("carrier-pigeon")
-
-    def test_threaded_fallback_serves_traffic(self):
-        server = make_server()
-        tcp = EvaTcpServer(server, port=0, frontdoor="threaded")
-        tcp.start_background()
-        try:
-            host, port = tcp.address
-            with ServingClient(host, port, wire="binary") as client:
-                outputs = client.submit("poly", {"x": [1.0, 2.0]})
-            np.testing.assert_allclose(outputs["y"][:2], [3.0, 7.0], atol=1e-6)
-        finally:
-            tcp.shutdown()
-            server.close()
-
-
-# -- async frame reader --------------------------------------------------------
-
-
-def read_async_frame(data: bytes):
-    """Feed one frame, minus the MAGIC byte the connection loop sniffs."""
-
-    async def go():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return await aionet.read_frame_async(reader)
-
-    return asyncio.run(go())
-
-
-class TestReadFrameAsync:
-    def test_roundtrip(self):
-        payload = b"x" * 300
-        encoded = wire.encode_frame(wire.FRAME_REQUEST, payload)
-        frame_type, got, nbytes = read_async_frame(encoded[1:])
-        assert frame_type == wire.FRAME_REQUEST
-        assert bytes(got) == payload
-        assert nbytes == len(encoded)  # wire size includes the sniffed magic
-
-    def test_unknown_frame_type_rejected(self):
-        with pytest.raises(TransportError, match="frame type"):
-            read_async_frame(bytes([0x7F]) + encode_varint(0))
-
-    def test_overlong_varint_rejected(self):
-        data = bytes([wire.FRAME_REQUEST]) + b"\x80" * 10 + b"\x01"
-        with pytest.raises(TransportError, match="varint"):
-            read_async_frame(data)
-
-    def test_oversized_length_rejected_before_alloc(self):
-        data = bytes([wire.FRAME_REQUEST]) + encode_varint(wire.MAX_FRAME_BYTES + 1)
-        with pytest.raises(TransportError, match="limit"):
-            read_async_frame(data)
-
-    def test_truncated_frame_raises_incomplete(self):
-        encoded = wire.encode_frame(wire.FRAME_REQUEST, b"abcdef")
-        with pytest.raises(asyncio.IncompleteReadError):
-            read_async_frame(encoded[1:-2])
-
-
-# -- reply buffer and dispatch pool --------------------------------------------
-
-
-class TestReplyBuffer:
-    def test_memoryviews_are_copied_at_write_time(self):
-        # The handler writes zero-copy views whose backing store is released
-        # before the event loop flushes — the buffer must copy eagerly.
-        buffer = aionet._ReplyBuffer()
-        backing = bytearray(b"abcdef")
-        buffer.write(memoryview(backing))
-        backing[:] = b"XXXXXX"
-        buffer.flush()  # no-op, must not raise
-        assert buffer.drain() == [b"abcdef"]
-        assert buffer.drain() == []
+    def test_errors_are_typed_replies_in_the_request_framing(self, conn):
+        reply, keep_open = conn.handle(("json", b"{not json\n"))
+        assert keep_open and json.loads(reply)["kind"] == "SerializationError"
+        frame = wire.encode_frame(wire.FRAME_RESPONSE, wire.encode_envelope({"op": "ping"}))
+        reply, keep_open = conn.handle(decode_reply(frame))
+        envelope, _blobs = wire.decode_message(decode_reply(reply)[2])
+        assert keep_open and envelope["kind"] == "TransportError"
+        # A malformed chunk cannot be answered: the connection closes.
+        chunk = wire.encode_frame(wire.FRAME_CHUNK, b"\xff\xff")
+        assert conn.handle(decode_reply(chunk)) == (b"", False)
 
 
 class TestDispatchPoolAffinity:

@@ -1,11 +1,12 @@
 """Tests for the binary wire protocol: frames, codec, negotiation, uploads.
 
-Property/fuzz coverage of the varint and frame codecs (roundtrips on random
-values; truncated/oversized/garbage input raises a clean ``TransportError``,
-never hangs or over-reads), the envelope+blob message codec, the hello
-negotiation (including legacy fallback), chunked streaming uploads, and
-mixed-protocol serving — one JSON client and one binary client concurrently
-on the same router.
+Property/fuzz coverage of the varint codec and of the socket-free frame
+decoder (roundtrips on random values under every way a stream can be cut up;
+truncated/oversized/garbage input raises a clean ``TransportError``, never
+hangs or over-reads), the envelope+blob message codec, the hello negotiation
+(including legacy fallback), chunked streaming uploads, and mixed-protocol
+serving — one JSON client and one binary client concurrently on the same
+router.
 """
 
 import io
@@ -20,6 +21,7 @@ from repro import wire
 from repro.api import ClientKit, CompiledProgram
 from repro.backend import MockBackend
 from repro.core.serialization import messages
+from repro.core.serialization import wire as core_wire
 from repro.core.serialization.packing import (
     jsonable_blobs,
     pack_values,
@@ -51,14 +53,21 @@ def make_poly_program(name="poly", vec_size=32):
 
 
 class TestVarints:
+    """The frame header and the blob records share the one varint codec."""
+
+    def test_frame_layer_uses_the_core_codec(self):
+        assert wire.frames.encode_varint is core_wire.encode_varint
+        assert wire.frames.decode_varint is core_wire.decode_varint
+        assert wire.codec.encode_varint is core_wire.encode_varint
+
     def test_roundtrip_on_random_values(self):
         rng = random.Random(7)
         values = [0, 1, 127, 128, 300, 2**32, 2**63 - 1]
         values += [rng.getrandbits(rng.randint(1, 63)) for _ in range(500)]
         for value in values:
-            stream = io.BytesIO(wire.frames.encode_varint(value))
-            assert wire.read_varint(stream) == value
-            assert stream.read() == b""  # nothing over-read
+            data = encode_varint(value)
+            # Trailing bytes are not over-read.
+            assert core_wire.decode_varint(data + b"\xff", 0) == (value, len(data))
 
     def test_encoding_is_minimal_length(self):
         assert encode_varint(0) == b"\x00"
@@ -67,39 +76,96 @@ class TestVarints:
         assert encode_varint(300) == b"\xac\x02"
 
     def test_negative_rejected(self):
-        with pytest.raises(TransportError):
+        with pytest.raises(SerializationError):
             encode_varint(-1)
 
     def test_truncated_varint_raises_cleanly(self):
         # Every proper prefix that ends on a continuation byte must raise.
         data = encode_varint(2**40)
         for cut in range(len(data) - 1):
-            with pytest.raises(TransportError):
-                wire.read_varint(io.BytesIO(data[:cut]))
+            with pytest.raises(SerializationError):
+                core_wire.decode_varint(data[:cut], 0)
 
     def test_overlong_varint_raises(self):
-        with pytest.raises(TransportError):
-            wire.read_varint(io.BytesIO(b"\x80" * 11))
+        with pytest.raises(SerializationError):
+            core_wire.decode_varint(b"\x80" * 11, 0)
+
+    def test_payload_varint_errors_surface_as_transport_errors(self):
+        # Inside a frame payload the same failures are the frame boundary's.
+        for payload in (b"\x0a", b"\x0a\x80", b"\x80" * 11, b"\x0a\x05ab"):
+            with pytest.raises(TransportError):
+                wire.decode_message(payload)
 
 
-# -- frames --------------------------------------------------------------------
+# -- the frame decoder (socket-free) -------------------------------------------
+
+FRAME_TYPES = [wire.FRAME_REQUEST, wire.FRAME_RESPONSE, wire.FRAME_CHUNK]
 
 
-class TestFrames:
-    def test_roundtrip_random_payloads(self):
+def chunkings(data, rng):
+    """The ways a stream can arrive: at once, byte by byte, at random cuts."""
+    yield [data]
+    yield [data[i : i + 1] for i in range(len(data))]
+    for _ in range(3):
+        cuts = sorted(rng.randint(0, len(data)) for _ in range(rng.randint(1, 8)))
+        yield [data[a:b] for a, b in zip([0] + cuts, cuts + [len(data)])]
+
+
+def drain(decoder):
+    """Every message the decoder can complete from what it has been fed."""
+    out = []
+    while True:
+        message = decoder.next_message()
+        if message is None:
+            return out
+        out.append(message)
+
+
+def decode_stream(pieces):
+    decoder = wire.FrameDecoder()
+    out = []
+    for piece in pieces:
+        decoder.feed(piece)
+        out.extend(drain(decoder))
+    return out, decoder
+
+
+def header(frame_type, length):
+    return bytes([wire.MAGIC, frame_type]) + encode_varint(length)
+
+
+class TestFrameDecoder:
+    """One matrix over the one parser: the listener, the blocking client and
+    these tests all pump :class:`repro.wire.FrameDecoder`."""
+
+    def test_roundtrip_random_payloads_under_every_chunking(self):
         rng = random.Random(11)
         for _ in range(50):
             payload = rng.randbytes(rng.randint(0, 4096))
-            frame_type = rng.choice(
-                [wire.FRAME_REQUEST, wire.FRAME_RESPONSE, wire.FRAME_CHUNK]
-            )
+            frame_type = rng.choice(FRAME_TYPES)
             encoded = wire.encode_frame(frame_type, payload)
-            stream = io.BytesIO(encoded)
-            got_type, got_payload, nbytes = wire.read_frame(stream)
-            assert got_type == frame_type
-            assert got_payload == payload
-            assert nbytes == len(encoded)
-            assert stream.read() == b""  # never over-reads
+            for pieces in chunkings(encoded, rng):
+                messages_out, decoder = decode_stream(pieces)
+                assert messages_out == [("frame", frame_type, payload, len(encoded))]
+                assert decoder.pending == 0
+
+    def test_wire_size_includes_the_sniffed_magic(self):
+        payload = b"x" * 300
+        encoded = wire.encode_frame(wire.FRAME_REQUEST, payload)
+        [(kind, frame_type, got, nbytes)], _ = decode_stream([encoded])
+        assert (kind, frame_type, bytes(got)) == ("frame", wire.FRAME_REQUEST, payload)
+        assert nbytes == len(encoded)
+
+    def test_never_overreads_into_the_next_message(self):
+        first = wire.encode_frame(wire.FRAME_REQUEST, b"abc")
+        second = wire.encode_frame(wire.FRAME_RESPONSE, b"defgh")
+        decoder = wire.FrameDecoder()
+        decoder.feed(first + second[:4])
+        assert decoder.next_message() == ("frame", wire.FRAME_REQUEST, b"abc", len(first))
+        assert decoder.pending == 4  # the next frame's bytes, untouched
+        assert decoder.next_message() is None
+        decoder.feed(second[4:])
+        assert decoder.next_message() == ("frame", wire.FRAME_RESPONSE, b"defgh", len(second))
 
     def test_write_frame_piecewise_equals_encode_frame(self):
         parts = [b"abc", bytearray(b"defg"), memoryview(b"hi")]
@@ -108,40 +174,129 @@ class TestFrames:
         assert stream.getvalue() == wire.encode_frame(
             wire.FRAME_REQUEST, b"abcdefghi"
         )
+        assert stream.getvalue() == wire.encode_frame(wire.FRAME_REQUEST, *parts)
         assert nbytes == len(stream.getvalue())
 
-    def test_truncated_frames_raise_cleanly(self):
+    def test_reply_built_from_views_outlives_the_buffers_behind_them(self):
+        # Connection objects hand the listener bytes, not views: a reply's
+        # parts are copied once, at build time, so what the event loop writes
+        # later is unaffected by the raw_blobs context ending and the buffers
+        # behind relayed blob slices being reused.
+        backing = bytearray(b"\x07" * 64)
+        with raw_blobs():
+            message = {"ok": True, "outputs": {"y": pack_values([1.0, 2.0, 3.0])}}
+            parts = wire.encode_message(message) + [memoryview(backing)[8:40]]
+            expected = b"".join(bytes(part) for part in parts)
+            reply = wire.encode_frame(wire.FRAME_RESPONSE, *parts)
+        backing[:] = b"X" * 64
+        del message, parts
+        [(_kind, frame_type, payload, nbytes)], _ = decode_stream([reply])
+        assert frame_type == wire.FRAME_RESPONSE and nbytes == len(reply)
+        assert payload == expected
+
+    def test_truncated_at_every_cut_needs_more_then_fails_at_eof(self):
         encoded = wire.encode_frame(wire.FRAME_REQUEST, b"x" * 100)
         for cut in range(len(encoded)):
-            with pytest.raises(TransportError):
-                wire.read_frame(io.BytesIO(encoded[:cut]))
+            messages_out, decoder = decode_stream([encoded[:cut]])
+            assert messages_out == [] and decoder.pending == cut
+            # The blocking pump turns end-of-stream into a clean error...
+            with pytest.raises(TransportError, match="closed"):
+                wire.read_message(wire.FrameDecoder(), io.BytesIO(encoded[:cut]).read)
+            # ...and the rest of the bytes complete the message.
+            decoder.feed(encoded[cut:])
+            assert drain(decoder) == [
+                ("frame", wire.FRAME_REQUEST, b"x" * 100, len(encoded))
+            ]
 
-    def test_oversized_declared_length_rejected_before_reading(self):
-        # A hostile header declaring a huge payload must be rejected from the
-        # header alone — the reader must not wait for (or allocate) the body.
-        header = bytes([wire.MAGIC, wire.FRAME_REQUEST]) + encode_varint(
-            wire.MAX_FRAME_BYTES + 1
+    def test_truncated_varint_needs_more_bytes(self):
+        data = header(wire.FRAME_REQUEST, wire.MAX_FRAME_BYTES)  # a 5-byte varint
+        for cut in range(2, len(data)):
+            assert decode_stream([data[:cut]])[0] == []
+
+    def test_blocking_pump_reads_messages_in_order(self):
+        first = wire.encode_frame(wire.FRAME_RESPONSE, b"abcdef")
+        stream = io.BytesIO(first + b'{"ok":true}\n')
+        decoder = wire.FrameDecoder()
+        assert wire.read_message(decoder, stream.read) == (
+            "frame", wire.FRAME_RESPONSE, b"abcdef", len(first)
         )
-        with pytest.raises(TransportError, match="limit"):
-            wire.read_frame(io.BytesIO(header))
+        assert wire.read_message(decoder, stream.read) == ("json", b'{"ok":true}\n')
+        with pytest.raises(TransportError, match="closed by server"):
+            wire.read_message(decoder, stream.read)
 
-    def test_garbage_first_byte_and_frame_type_rejected(self):
-        with pytest.raises(TransportError):
-            wire.read_frame(io.BytesIO(b"{not a frame}\n"))
-        with pytest.raises(TransportError):
-            wire.read_frame(io.BytesIO(bytes([wire.MAGIC, 0x7F, 0x00])))
+    def test_oversized_declared_length_rejected_from_the_header_alone(self):
+        # A hostile header declaring a huge payload must be rejected before
+        # the decoder waits for (or allocates) the body.
+        data = header(wire.FRAME_REQUEST, wire.MAX_FRAME_BYTES + 1)
+        for pieces in chunkings(data, random.Random(3)):
+            with pytest.raises(TransportError, match="limit"):
+                decode_stream(pieces)
+        assert decode_stream([header(wire.FRAME_REQUEST, wire.MAX_FRAME_BYTES)])[0] == []
+
+    def test_oversized_json_line_rejected(self, monkeypatch):
+        monkeypatch.setattr(wire.frames, "MAX_FRAME_BYTES", 64)
+        decoder = wire.FrameDecoder()
+        decoder.feed(b"{" + b"x" * 63)
+        assert decoder.next_message() is None
+        decoder.feed(b"x")
+        with pytest.raises(TransportError, match="limit"):
+            decoder.next_message()
+
+    def test_first_byte_sniff_and_unknown_frame_type(self):
+        # Anything not starting with the magic byte is a JSON line...
+        assert decode_stream([b"{not a frame}\n"])[0] == [("json", b"{not a frame}\n")]
+        # ...and a magic byte must be followed by a known frame type.
+        with pytest.raises(TransportError, match="frame type"):
+            decode_stream([bytes([wire.MAGIC, 0x7F, 0x00])])
+        with pytest.raises(TransportError, match="frame type"):
+            decode_stream([bytes([wire.MAGIC, 0x7F])])
+
+    def test_overlong_varint_rejected(self):
+        for tail in (b"\x80" * 10, b"\x80" * 10 + b"\x01", b"\x80" * 11):
+            data = bytes([wire.MAGIC, wire.FRAME_REQUEST]) + tail
+            for pieces in chunkings(data, random.Random(5)):
+                with pytest.raises(TransportError, match="varint"):
+                    decode_stream(pieces)
+        # Nine continuation bytes could still end legally: no verdict yet.
+        assert decode_stream([bytes([wire.MAGIC, wire.FRAME_REQUEST]) + b"\x80" * 9])[0] == []
 
     def test_fuzz_garbage_never_hangs_or_overreads(self):
         rng = random.Random(13)
-        for _ in range(200):
+        for round_ in range(400):
             blob = rng.randbytes(rng.randint(0, 64))
-            stream = io.BytesIO(blob)
-            try:
-                _type, payload, _n = wire.read_frame(stream)
-            except TransportError:
-                continue
-            assert stream.tell() <= len(blob)
-            assert len(payload) <= len(blob)
+            if round_ % 2:  # random bytes rarely start a frame on their own
+                blob = bytes([wire.MAGIC, rng.choice(FRAME_TYPES)]) + blob
+            for pieces in chunkings(blob, rng):
+                decoder = wire.FrameDecoder()
+                consumed = 0
+                try:
+                    for piece in pieces:
+                        decoder.feed(piece)
+                        for message in drain(decoder):
+                            consumed += len(message[1]) if message[0] == "json" else message[3]
+                except TransportError:
+                    continue  # the only acceptable failure mode
+                assert consumed + decoder.pending == len(blob)
+
+    def test_interleaved_json_lines_and_frames(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            expected, stream = [], b""
+            for _ in range(rng.randint(1, 12)):
+                if rng.random() < 0.5:
+                    line = json.dumps({"op": "ping", "n": rng.randint(0, 10**6)}).encode() + b"\n"
+                    expected.append(("json", line))
+                    stream += line
+                else:
+                    payload = rng.randbytes(rng.randint(0, 300))
+                    frame_type = rng.choice(FRAME_TYPES)
+                    encoded = wire.encode_frame(frame_type, payload)
+                    expected.append(("frame", frame_type, payload, len(encoded)))
+                    stream += encoded
+            for pieces in chunkings(stream, rng):
+                messages_out, decoder = decode_stream(pieces)
+                assert messages_out == expected
+                assert decoder.pending == 0
 
     def test_oversized_payload_refused_on_write(self):
         class Huge:
@@ -150,6 +305,8 @@ class TestFrames:
 
         with pytest.raises(TransportError):
             wire.write_frame(io.BytesIO(), wire.FRAME_REQUEST, Huge())
+        with pytest.raises(TransportError, match="frame type"):
+            wire.encode_frame(0x7F, b"")
 
 
 # -- message codec -------------------------------------------------------------
@@ -616,3 +773,112 @@ class TestMixedProtocolCluster:
         finally:
             router.shutdown()
             cluster.close()
+
+
+class TestRouterUploadIsolation:
+    """Chunked uploads of different clients share a router->shard connection
+    (one per dispatch worker and shard) but must never share upload state."""
+
+    @pytest.fixture
+    def routed(self, monkeypatch):
+        """A router with ONE dispatch worker in front of one in-process shard,
+        so every client connection relays over the same upstream socket."""
+        from repro.serving import aionet, netserver
+
+        monkeypatch.setattr(netserver, "STREAM_THRESHOLD_BYTES", 64)
+        shard_server = EvaServer(backend=MockBackend(error_model="none"), workers=1)
+        shard_server.register("poly", make_poly_program())
+        shard = EvaTcpServer(shard_server, port=0)
+        shard.start_background()
+        monkeypatch.setattr(aionet, "DISPATCH_WORKERS", 1)
+        cluster = EvaCluster(
+            shards=0,
+            backend=BackendSpec(name="mock-exact"),
+            remote_shards=[shard.address],
+            health_interval=None,
+        )
+        cluster.register("poly", make_poly_program())
+        cluster.start()
+        router = ClusterTcpServer(cluster, port=0)
+        router.start_background()
+        try:
+            yield router, shard
+        finally:
+            router.shutdown()
+            cluster.close()
+            shard.shutdown()
+            shard_server.close()
+
+    @staticmethod
+    def wait_for(condition, what):
+        for _ in range(200):
+            if condition():
+                return
+            threading.Event().wait(0.025)
+        raise AssertionError(f"timed out waiting for {what}")
+
+    @staticmethod
+    def shard_open_uploads(shard):
+        return sum(info["open_uploads"] for info in shard.connection_infos())
+
+    def abandon_upload(self, router, upload_id, client_id="ghost"):
+        """A client that streams one non-final chunk, then disconnects."""
+        import socket
+
+        host, port = router.address
+        before = {info["peer"] for info in router.connection_infos()}
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                wire.encode_frame(
+                    wire.FRAME_CHUNK,
+                    wire.encode_envelope(
+                        {"upload": upload_id, "blob": 0, "eof": False, "client_id": client_id}
+                    ),
+                    *wire.encode_blob_record(b"\x01" * 13),
+                )
+                # Answered only after the chunk before it has been relayed.
+                + b'{"op":"ping"}\n'
+            )
+            assert b"pong" in sock.makefile("rb").readline()
+            peer = "%s:%d" % sock.getsockname()[:2]
+        # The router has noticed the disconnect (and queued its clean-up).
+        self.wait_for(
+            lambda: peer not in {i["peer"] for i in router.connection_infos()} - before,
+            "the router to drop the ghost's connection",
+        )
+
+    def chunked_session_and_request(self, router, client_id):
+        host, port = router.address
+        kit = ClientKit(
+            CompiledProgram.compile(make_poly_program().graph),
+            backend=MockBackend(error_model="none"),
+            client_id=client_id,
+        )
+        with ServingClient(host, port, wire="binary") as client:
+            session = client.create_session("poly", kit)
+            assert session["client_id"] == client_id
+            outputs = client.submit_encrypted("poly", kit, {"x": [2.0, 4.0]})
+            assert client._upload_seq == 1  # the bundle really went as upload "up-1"
+        np.testing.assert_allclose(outputs["y"][:2], [7.0, 21.0], atol=1e-6)
+
+    def test_abandoned_upload_does_not_corrupt_the_next_clients(self, routed):
+        router, _shard = routed
+        # Same upload id the victim's ServingClient will mint for its bundle.
+        self.abandon_upload(router, "up-1")
+        self.chunked_session_and_request(router, "victim")
+
+    def test_abandoned_uploads_cannot_wedge_a_dispatch_slot(self, routed):
+        router, _shard = routed
+        for index in range(5):  # one more than MAX_OPEN_UPLOADS
+            self.abandon_upload(router, f"ghost-{index}", client_id=f"ghost-{index}")
+        self.chunked_session_and_request(router, "fresh")
+
+    def test_shard_side_open_uploads_return_to_zero(self, routed):
+        router, shard = routed
+        self.abandon_upload(router, "up-1")
+        self.abandon_upload(router, "up-2")
+        self.wait_for(
+            lambda: self.shard_open_uploads(shard) == 0, "the shard to discard the uploads"
+        )
+        self.chunked_session_and_request(router, "after")
+        assert self.shard_open_uploads(shard) == 0
