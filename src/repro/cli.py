@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 from typing import Any, Dict
@@ -188,6 +189,24 @@ def _fairness_policy(args):
     )
 
 
+def _serve_until_interrupted(tcp, engine) -> int:
+    """Serve until SIGINT or SIGTERM, then stop the listener and close ``engine``.
+
+    SIGTERM is what supervisors, ``kill`` and ``Popen.terminate()`` send; it
+    takes the Ctrl-C path, because dying on it would skip the shutdown below
+    and leave the ``--shards`` child processes running.
+    """
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        tcp.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        tcp.shutdown()
+        engine.close()
+    return 0
+
+
 def _serve_single(args, options, programs) -> int:
     from .serving import (
         ArtifactCache,
@@ -242,14 +261,7 @@ def _serve_single(args, options, programs) -> int:
         ),
         flush=True,
     )
-    try:
-        tcp.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        tcp.shutdown()
-        server.close()
-    return 0
+    return _serve_until_interrupted(tcp, server)
 
 
 def _serve_cluster(args, options, programs, config=None) -> int:
@@ -311,14 +323,7 @@ def _serve_cluster(args, options, programs, config=None) -> int:
         ),
         flush=True,
     )
-    try:
-        tcp.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        tcp.shutdown()
-        cluster.close()
-    return 0
+    return _serve_until_interrupted(tcp, cluster)
 
 
 def cmd_submit(args: argparse.Namespace) -> int:

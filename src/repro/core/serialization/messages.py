@@ -78,13 +78,12 @@ SLO_CLASSES = ("tight", "standard", "relaxed")
 SHARD_OPS = ("drain", "rejoin")
 
 
-def validate_shard(op: str, shard: Any) -> int:
-    """The validated shard index of a shard-addressed op (router + decoder)."""
-    if not isinstance(shard, int) or isinstance(shard, bool) or shard < 0:
-        raise SerializationError(
-            f"{op} requests need a non-negative integer 'shard', got {shard!r}"
-        )
-    return shard
+def request_trace_id(message: Dict[str, Any]) -> Optional[str]:
+    """The validated trace id a request carries (None when untraced)."""
+    trace_id = message.get("trace_id")
+    if trace_id is not None and not isinstance(trace_id, str):
+        raise SerializationError("'trace_id' must be a string")
+    return trace_id
 
 
 def encode_values(values: Dict[str, Any]) -> Dict[str, list]:
@@ -221,15 +220,6 @@ def encode_request(op: str, **fields: Any) -> str:
     return json.dumps(build_request(op, **fields), separators=(",", ":")) + "\n"
 
 
-def decode_request(line: str) -> Dict[str, Any]:
-    """Parse and validate one JSON request line."""
-    try:
-        message = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"malformed request JSON: {exc}") from exc
-    return validate_request(message)
-
-
 def validate_request(message: Any) -> Dict[str, Any]:
     """Validate one parsed request message (shared by both wire framings)."""
     if not isinstance(message, dict):
@@ -286,12 +276,14 @@ def validate_request(message: Any) -> Dict[str, Any]:
                 "session requests need an 'evaluation_keys' object"
             )
     if op in SHARD_OPS:
-        validate_shard(op, message.get("shard"))
+        shard = message.get("shard")
+        if not isinstance(shard, int) or isinstance(shard, bool) or shard < 0:
+            raise SerializationError(
+                f"{op} requests need a non-negative integer 'shard', got {shard!r}"
+            )
     if op == "trace" and not isinstance(message.get("trace_id"), str):
         raise SerializationError("trace requests need a string 'trace_id'")
-    trace_id = message.get("trace_id")
-    if trace_id is not None and not isinstance(trace_id, str):
-        raise SerializationError("'trace_id' must be a string")
+    request_trace_id(message)
     message.setdefault("client_id", "default")
     return message
 
@@ -324,18 +316,6 @@ def build_response(
     return message
 
 
-def encode_response(
-    outputs: Optional[Dict[str, Any]] = None,
-    stats: Optional[Dict[str, Any]] = None,
-    payload: Optional[Dict[str, Any]] = None,
-) -> str:
-    """Build one JSON wire line for a successful response."""
-    return (
-        json.dumps(build_response(outputs, stats, payload), separators=(",", ":"))
-        + "\n"
-    )
-
-
 def build_error(error: BaseException, trace_id: Optional[str] = None) -> Dict[str, Any]:
     """Build one failed-request response as a message dict.
 
@@ -358,11 +338,6 @@ def build_error(error: BaseException, trace_id: Optional[str] = None) -> Dict[st
     return message
 
 
-def encode_error(error: BaseException, trace_id: Optional[str] = None) -> str:
-    """Build one JSON wire line reporting a failed request."""
-    return json.dumps(build_error(error, trace_id), separators=(",", ":")) + "\n"
-
-
 def splice_field(line: str, key: str, value: Any) -> str:
     """Insert one top-level field into an encoded wire line without reparsing.
 
@@ -371,7 +346,7 @@ def splice_field(line: str, key: str, value: Any) -> str:
     This keeps that property for telemetry: injecting a ``trace_id`` into a
     forwarded request (or attaching a ``trace`` object to a reply) is a
     string splice at the closing brace.  The line must be one encoded JSON
-    object (as produced by the encode_* functions); behaviour on anything
+    object (as a JSON-lines connection carries them); behaviour on anything
     else is undefined.
     """
     stripped = line.rstrip("\n")

@@ -25,6 +25,13 @@ chunked uploads, dispatch, byte accounting, error replies) can be exercised
 without a network.  Each connection may pipeline any number of requests;
 responses come back in order.
 
+Nothing here is written once per framing.  :meth:`_WireConnection.handle` is
+the connection's one state machine, and it, the router's passthrough and
+:class:`ServingClient` all reach a message through the codec pair of
+:mod:`repro.wire.framing` (``JSON`` and ``BINARY``: peek the envelope, decode,
+rewrite an envelope field, encode a reply), chosen by what the frame decoder
+sniffed.
+
 Two servers share the wire formats:
 
 * :class:`EvaTcpServer` wraps one in-process
@@ -40,48 +47,42 @@ Two servers share the wire formats:
 
 from __future__ import annotations
 
-import json
 import socket
 import time
-from contextlib import nullcontext
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.serialization import messages
-from ..core.serialization.packing import raw_blobs
 from ..errors import (
     DeadlineInfeasibleError,
     EvaError,
     QuotaExceededError,
-    SerializationError,
     ServingError,
     TransportError,
 )
 from ..wire import (
+    BINARY,
     FRAME_CHUNK,
     FRAME_REQUEST,
     FRAME_RESPONSE,
+    FRAMINGS,
+    JSON,
+    MAX_TRACKED_UPLOADS,
     STREAM_THRESHOLD_BYTES,
     UPLOAD_KEY,
     WIRE_MODES,
     FrameDecoder,
+    Framing,
+    Parts,
     UploadState,
     build_hello,
     decode_message,
-    encode_blob_record,
-    encode_envelope,
-    encode_frame,
-    encode_message,
     hello_ack,
     iter_chunks,
+    open_message,
     parse_hello_reply,
-    peek_envelope,
     read_message,
-    rehydrate,
-    replace_envelope,
-    split_message,
-    write_frame,
 )
 from .aionet import AsyncWireServer
 from .quotas import FairnessPolicy, QuotaLedger
@@ -94,23 +95,31 @@ from .telemetry import (
     render_prometheus,
 )
 
-_Bytes = Union[bytes, bytearray, memoryview]
-
 #: What a connection object hands back for one message: the reply as wire
 #: bytes (empty when the message is not answered) and whether to keep the
 #: connection open.
 _Reply = Tuple[bytes, bool]
 
 
+def _metrics_reply(request: Dict[str, Any], snapshot: Dict[str, Any]) -> Dict[str, Any]:
+    """A ``metrics`` reply: the snapshot, plus its Prometheus text when asked."""
+    payload = {"metrics": snapshot}
+    if request.get("format") == "prometheus":
+        payload["prometheus"] = render_prometheus(snapshot)
+    return messages.build_response(payload=payload)
+
+
 class _WireConnection:
     """Sans-IO protocol state of one connection, shared by shard and router.
 
-    :meth:`handle` takes one message from the connection's
-    :class:`~repro.wire.FrameDecoder` and returns the reply bytes — already
-    in the framing of the request — plus a keep-open flag.  Frame-*payload*
-    errors are answered with an error reply (the stream is still
-    synchronized at the next frame boundary); an undecodable line or a
-    malformed chunk closes the connection.
+    :meth:`handle` is the whole protocol: every message the connection's
+    :class:`~repro.wire.FrameDecoder` produces yields exactly one reply in
+    the message's own framing, or nothing (a blank line, an absorbed CHUNK),
+    or a close.  A request that fails is answered with a typed error reply —
+    the stream is still synchronized at the next message boundary — while an
+    undecodable line or a malformed chunk, which nothing can answer, closes
+    the connection.  Subclasses say only how a request is answered
+    (:meth:`respond`) and where a chunk goes (:meth:`absorb_chunk`).
     """
 
     #: Whether :meth:`close` has upstream state to release.
@@ -123,7 +132,7 @@ class _WireConnection:
         self.opened_at = time.time()
         #: The connection's current framing: ``json`` until a binary frame
         #: arrives or a hello negotiates binary.
-        self.protocol = "json"
+        self.protocol = JSON.name
         self.negotiated = False
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -144,81 +153,67 @@ class _WireConnection:
     def close(self) -> None:
         """Release upstream state once the peer is gone (see ``needs_close``)."""
 
-    def _telemetry(self) -> Telemetry:
+    def respond(self, framing: Framing, raw: Any, envelope: Dict[str, Any]) -> Parts:
+        """Answer one request; returns the reply's parts in ``framing``."""
         raise NotImplementedError
 
-    def handle_json(self, text: str) -> _Reply:
-        """Answer one JSON-lines request."""
-        raise NotImplementedError
+    def absorb_chunk(self, payload: bytes) -> None:
+        """Take one CHUNK frame of a streaming upload (never answered).
 
-    def handle_frame(self, frame_type: int, payload: bytes) -> _Reply:
-        """Answer (or absorb) one binary frame."""
+        A :class:`~repro.errors.TransportError` closes the connection;
+        anything milder is reported on the request that references the upload.
+        """
         raise NotImplementedError
 
     def handle(self, message: tuple) -> _Reply:
-        """Account for one decoded message and answer it in its own framing."""
-        if message[0] == "frame":
-            _kind, frame_type, payload, nbytes = message
-            self.protocol = "binary"
-            self._count_received(nbytes, "binary")
-            return self.handle_frame(frame_type, payload)
-        line = message[1]
-        self._count_received(len(line), "json")
+        """The connection state machine: one decoded message in, its reply out."""
         try:
-            text = line.decode("utf-8").strip()
+            framing, frame_type, raw, nbytes = open_message(message)
         except UnicodeDecodeError:
             return b"", False  # not JSON, not a frame: drop the connection
-        if not text:
-            return b"", True
-        return self.handle_json(text)
-
-    # -- byte accounting and reply encoding ----------------------------------------
-    def _count_received(self, nbytes: int, protocol: str) -> None:
+        if framing is BINARY:
+            self.protocol = BINARY.name
         self.bytes_received += nbytes
-        self._telemetry().inc("net.bytes_received", nbytes, protocol=protocol)
-
-    def _count_sent(self, nbytes: int, protocol: str) -> None:
-        self.bytes_sent += nbytes
-        self._telemetry().inc("net.bytes_sent", nbytes, protocol=protocol)
-
-    def _json_reply(self, reply: Union[str, Dict[str, Any]]) -> _Reply:
-        """One reply line from a message dict (or a shard's raw reply text)."""
-        if not isinstance(reply, str):
-            reply = json.dumps(reply, separators=(",", ":"))
-        if not reply.endswith("\n"):
-            reply += "\n"
-        data = reply.encode("utf-8")
-        self._count_sent(len(data), "json")
+        self.server.telemetry.inc("net.bytes_received", nbytes, protocol=framing.name)
+        if not raw and framing is JSON:
+            return b"", True  # a blank line between requests
+        if frame_type == FRAME_CHUNK:
+            try:
+                self.absorb_chunk(raw)
+            except TransportError:
+                return b"", False  # unanswerable, and the stream may be hostile
+            return b"", True
+        # Captured as soon as the envelope parses, so even an error reply
+        # echoes the trace id the request carried (quota rejections included
+        # — the client can still look the trace up).
+        trace_id: Optional[str] = None
+        # Raw-blob mode (binary) for the whole dispatch: everything packed on
+        # the way out skips base64 and is lifted into blob records by the
+        # encoder — which must run inside the context, while the blob views
+        # are alive, and returns one owned ``bytes``.
+        with framing.blob_context():
+            try:
+                if frame_type == FRAME_RESPONSE:
+                    raise TransportError("clients send request frames, got a response frame")
+                envelope = framing.peek(raw)
+                if envelope.get("op") == "hello":
+                    ack, self.protocol = hello_ack(envelope, self.server.wire_policy)
+                    self.negotiated = self.protocol == BINARY.name
+                    parts = framing.parts(ack)
+                else:
+                    trace_id = messages.request_trace_id(envelope)
+                    self.requests += 1
+                    parts = self.respond(framing, raw, envelope)
+            except Exception as error:
+                # A minted trace id rides the exception (see the router).
+                trace_id = getattr(error, "trace_id", None) or trace_id
+                if not isinstance(error, EvaError):  # never let a request kill the connection
+                    error = ServingError(str(error))
+                parts = framing.parts(messages.build_error(error, trace_id=trace_id))
+            data = framing.encode(FRAME_RESPONSE, parts)
+        self.bytes_sent += len(data)
+        self.server.telemetry.inc("net.bytes_sent", len(data), protocol=framing.name)
         return data, True
-
-    def _frame_reply(self, *parts: _Bytes) -> _Reply:
-        """One response frame; copies each part once, while its buffer lives."""
-        data = encode_frame(FRAME_RESPONSE, *parts)
-        self._count_sent(len(data), "binary")
-        return data, True
-
-    def _error_reply(
-        self, error: Exception, trace_id: Optional[str], binary: bool
-    ) -> _Reply:
-        """The typed error reply every request failure degrades to."""
-        if not isinstance(error, EvaError):  # never let a request kill the connection
-            error = ServingError(str(error))
-        reply = messages.build_error(
-            error, trace_id=getattr(error, "trace_id", None) or trace_id
-        )
-        if binary:
-            return self._frame_reply(*encode_message(reply))
-        return self._json_reply(reply)
-
-    # -- negotiation ---------------------------------------------------------------
-    def _maybe_hello(self, request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        """Answer a wire-negotiation hello; None when this isn't one."""
-        if request.get("op") != "hello":
-            return None
-        reply, negotiated = hello_ack(request, self.server.wire_policy)
-        self.protocol = negotiated
-        self.negotiated = negotiated == "binary"
-        return reply
 
 
 class _ShardConnection(_WireConnection):
@@ -234,70 +229,18 @@ class _ShardConnection(_WireConnection):
         """The shared descriptor plus this connection's assembling uploads."""
         return dict(super().info(), open_uploads=len(self.uploads))
 
-    def _telemetry(self) -> Telemetry:
-        return self.server.eva_server.telemetry
+    def absorb_chunk(self, payload: bytes) -> None:
+        """Buffer one slice of a streaming upload; a malformed chunk poisons
+        the upload and is reported on the request that references it."""
+        envelope, blobs = decode_message(payload)
+        self.uploads.add_chunk(envelope, blobs[0] if blobs else b"")
 
-    def handle_json(self, text: str) -> _Reply:
-        """Answer one JSON-lines request."""
-        # Captured as soon as the request parses, so even an error reply
-        # echoes the trace id the request carried (quota rejections
-        # included — the client can still look the trace up).
-        trace_id: Optional[str] = None
-        try:
-            try:
-                parsed = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise SerializationError(f"malformed request JSON: {exc}") from exc
-            if isinstance(parsed, dict):
-                hello = self._maybe_hello(parsed)
-                if hello is not None:
-                    return self._json_reply(hello)
-            request = messages.validate_request(parsed)
-            trace_id = request.get("trace_id")
-            self.requests += 1
-            return self._json_reply(self._dispatch(request, binary=False))
-        except Exception as error:
-            return self._error_reply(error, trace_id, binary=False)
+    def respond(self, framing: Framing, raw: Any, envelope: Dict[str, Any]) -> Parts:
+        """Decode (claiming a referenced upload), validate, dispatch."""
+        request = messages.validate_request(framing.decode(raw, envelope, self.uploads))
+        return framing.parts(self._dispatch(request, framing))
 
-    def handle_frame(self, frame_type: int, payload: bytes) -> _Reply:
-        """Answer one request frame, or absorb one chunk of an upload."""
-        if frame_type == FRAME_CHUNK:
-            # One slice of a streaming upload; never answered individually.
-            # Malformed chunks poison the upload and are reported on the
-            # request that references it.
-            try:
-                envelope, blobs = decode_message(payload)
-                self.uploads.add_chunk(envelope, blobs[0] if blobs else b"")
-            except TransportError:
-                return b"", False
-            return b"", True
-        trace_id: Optional[str] = None
-        try:
-            if frame_type != FRAME_REQUEST:
-                raise TransportError(
-                    f"clients send request frames, got frame type {frame_type:#x}"
-                )
-            envelope, blobs = decode_message(payload)
-            upload_id = envelope.pop(UPLOAD_KEY, None)
-            if upload_id is not None:
-                blobs = self.uploads.finish(upload_id)
-            hello = self._maybe_hello(envelope)
-            if hello is not None:
-                return self._frame_reply(*encode_message(hello))
-            request = messages.validate_request(rehydrate(envelope, blobs))
-            trace_id = request.get("trace_id")
-            self.requests += 1
-            # Raw-blob mode for the whole dispatch: everything packed on the
-            # way out (ciphertext outputs, packed vectors) skips base64 and is
-            # lifted into binary blob records by the frame encoder — which
-            # must run inside the context, while the blob views are alive.
-            with raw_blobs():
-                reply = self._dispatch(request, binary=True)
-                return self._frame_reply(*encode_message(reply))
-        except Exception as error:
-            return self._error_reply(error, trace_id, binary=True)
-
-    def _dispatch(self, request: Dict[str, Any], binary: bool) -> Dict[str, Any]:
+    def _dispatch(self, request: Dict[str, Any], framing: Framing) -> Dict[str, Any]:
         eva = self.server.eva_server
         op = request["op"]
         if op == "ping":
@@ -309,11 +252,7 @@ class _ShardConnection(_WireConnection):
             stats["connections"] = self.server.connection_infos()
             return messages.build_response(payload={"stats": stats})
         if op == "metrics":
-            snapshot = eva.metrics_snapshot()
-            payload: Dict[str, Any] = {"metrics": snapshot}
-            if request.get("format") == "prometheus":
-                payload["prometheus"] = render_prometheus(snapshot)
-            return messages.build_response(payload=payload)
+            return _metrics_reply(request, eva.metrics_snapshot())
         if op == "trace":
             return messages.build_response(
                 payload={"trace": eva.telemetry.trace_of(request["trace_id"])}
@@ -341,29 +280,18 @@ class _ShardConnection(_WireConnection):
             )
         started = time.perf_counter()
         trace_id = request.get("trace_id")
-        client_id = request.get("client_id", "default")
-        program = request.get("program")
+        client_id = request["client_id"]
+        program = request["program"]
+        slo = {
+            "deadline_ms": request.get("deadline_ms"),
+            "slo_class": request.get("slo_class"),
+        }
         if op == "session":
-            session = eva.create_session(
-                request["program"],
-                client_id,
-                request["evaluation_keys"],
-            )
+            session = eva.create_session(program, client_id, request["evaluation_keys"])
             reply = messages.build_response(payload={"session": session})
-            eva.telemetry.finish(
-                trace_id,
-                time.perf_counter() - started,
-                op="session",
-                client=client_id,
-                program=program,
-            )
-            return reply
-        if "bundle" in request:
-            name = request["program"]
+        elif "bundle" in request:
             response = eva.request_encrypted(
-                name, request["bundle"], client_id=client_id, trace_id=trace_id,
-                deadline_ms=request.get("deadline_ms"),
-                slo_class=request.get("slo_class"),
+                program, request["bundle"], client_id=client_id, trace_id=trace_id, **slo
             )
             # Encode the ciphertext reply with the session context the worker
             # evaluated under (carried on the response, so an eviction between
@@ -377,50 +305,35 @@ class _ShardConnection(_WireConnection):
             # The transport owns the output handles once encoded.
             response.release()
             eva.telemetry.span(
-                trace_id,
-                "serialize_reply",
-                time.perf_counter() - encode_started,
+                trace_id, "serialize_reply", time.perf_counter() - encode_started
             )
-            return self._finish_submit(request, reply, started, client_id, program)
-        response = eva.request(
-            request["program"],
-            request["inputs"],
-            client_id=client_id,
-            output_size=request.get("output_size"),
-            trace_id=trace_id,
-            deadline_ms=request.get("deadline_ms"),
-            slo_class=request.get("slo_class"),
-        )
-        encode_started = time.perf_counter()
-        reply = messages.build_response(
-            outputs=response.outputs,
-            stats=response.stats_dict(),
-            pack_outputs=binary,
-        )
-        eva.telemetry.span(
-            trace_id, "serialize_reply", time.perf_counter() - encode_started
-        )
-        return self._finish_submit(request, reply, started, client_id, program)
-
-    def _finish_submit(
-        self,
-        request: Dict[str, Any],
-        reply: Dict[str, Any],
-        started: float,
-        client_id: str,
-        program: Optional[str],
-    ) -> Dict[str, Any]:
-        """Close out one submit: total-latency metrics, slow log, trace echo."""
-        eva = self.server.eva_server
-        trace_id = request.get("trace_id")
+        else:
+            response = eva.request(
+                program,
+                request["inputs"],
+                client_id=client_id,
+                output_size=request.get("output_size"),
+                trace_id=trace_id,
+                **slo,
+            )
+            encode_started = time.perf_counter()
+            reply = messages.build_response(
+                outputs=response.outputs,
+                stats=response.stats_dict(),
+                pack_outputs=framing.packed,
+            )
+            eva.telemetry.span(
+                trace_id, "serialize_reply", time.perf_counter() - encode_started
+            )
+        # Close the request out: total-latency metrics, slow log, trace echo.
         eva.telemetry.finish(
             trace_id,
             time.perf_counter() - started,
-            op="submit",
+            op=op,
             client=client_id,
             program=program,
         )
-        if trace_id and request.get("trace"):
+        if op == "submit" and trace_id and request.get("trace"):
             trace = eva.telemetry.trace_of(trace_id)
             if trace is not None:
                 reply["trace"] = trace
@@ -428,13 +341,8 @@ class _ShardConnection(_WireConnection):
 
 
 class EvaTcpServer(AsyncWireServer):
-    """TCP front door of one :class:`~repro.serving.server.EvaServer`.
-
-    ``wire_policy`` governs hello negotiation: ``auto``/``binary`` grant
-    binary framing to clients that ask for it, ``json`` pins the listener to
-    JSON (binary hellos negotiate down; legacy clients are unaffected either
-    way).
-    """
+    """TCP front door of one :class:`~repro.serving.server.EvaServer`
+    (``wire_policy``: see :class:`~.aionet.AsyncWireServer`)."""
 
     connection_class = _ShardConnection
     thread_name = "eva-tcp-server"
@@ -447,6 +355,8 @@ class EvaTcpServer(AsyncWireServer):
         wire_policy: str = "auto",
     ) -> None:
         self.eva_server = eva_server
+        #: Where connections count their bytes: the engine's own registry.
+        self.telemetry = eva_server.telemetry
         super().__init__(host, port, wire_policy)
 
 
@@ -489,177 +399,112 @@ class _RouterConnection(_WireConnection):
     def close(self) -> None:
         """Tell the shard to drop the uploads this client left unfinished."""
         for upload_id, client_id in self._open_uploads.items():
-            discard = encode_envelope(
+            discard = BINARY.parts(
                 {"upload": upload_id, "discard": True, "client_id": client_id}
             )
             try:
                 self.server.cluster._call(
-                    client_id, lambda upstream: upstream.send_frame(FRAME_CHUNK, discard)
+                    client_id, lambda upstream: upstream.send(BINARY, FRAME_CHUNK, discard)
                 )
             except Exception:
                 pass  # the shard is gone, and its upload buffers with it
         self._open_uploads.clear()
 
-    def _telemetry(self) -> Telemetry:
-        return self.server.telemetry
-
     def _relayed_upload(self, upload_id: Any) -> str:
         return f"{self.key}/{upload_id}"
 
-    def handle_json(self, text: str) -> _Reply:
-        """Answer one JSON-lines request, locally or from the client's shard."""
-        trace_id: Optional[str] = None
+    def absorb_chunk(self, payload: bytes) -> None:
+        """Relay one upload chunk to the client's shard under this connection's
+        upload namespace; routing failures surface on the final request that
+        references the upload."""
+        envelope = BINARY.peek(payload)
+        client_id = str(envelope.get("client_id", "default"))
+        upload_id = self._relayed_upload(envelope.get("upload"))
+        if (
+            upload_id not in self._open_uploads
+            and len(self._open_uploads) >= MAX_TRACKED_UPLOADS
+        ):
+            raise TransportError(
+                f"connection has {MAX_TRACKED_UPLOADS} unclaimed uploads"
+            )
+        self._open_uploads[upload_id] = client_id
+        chunk = BINARY.rewrite(payload, envelope, {"upload": upload_id})
         try:
-            try:
-                request = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise SerializationError(f"malformed request JSON: {exc}") from exc
-            if not isinstance(request, dict):
-                raise SerializationError("request must be a JSON object")
-            hello = self._maybe_hello(request)
-            if hello is not None:
-                return self._json_reply(hello)
-            trace_id = self._request_trace_id(request)
-            self.requests += 1
-            local = self._local_reply(request)
-            if local is not None:
-                return self._json_reply(local)
-            # Forwarded (submit/session/unknown): mint a trace id for
-            # untraced clients — a string splice, not a re-encode; the
-            # payload may be megabytes of ciphertext.
-            op = str(request.get("op"))
-            client_id = str(request.get("client_id", "default"))
-            if op in ("submit", "session") and trace_id is None:
-                trace_id = new_trace_id()
-                text = messages.splice_field(text, "trace_id", trace_id)
+            self.server.cluster._call(
+                client_id, lambda upstream: upstream.send(BINARY, FRAME_CHUNK, chunk)
+            )
+        except Exception:
+            pass  # the referencing request reports the failed upload
+
+    def respond(self, framing: Framing, raw: Any, envelope: Dict[str, Any]) -> Parts:
+        """Answer locally, or forward to the client's shard and relay its reply.
+
+        Only ``submit``/``session`` are forwarded, and only their envelope is
+        read here — the payload may be megabytes of ciphertext, which the
+        shard validates.  An envelope rewrite (a trace id minted for an
+        untraced client, a relayed upload id) re-encodes that small field; the
+        blobs are relayed as one slice of the original message.
+        """
+        op = envelope.get("op")
+        if op not in ("submit", "session"):
+            return framing.parts(self._local_reply(messages.validate_request(envelope)))
+        client_id = str(envelope.get("client_id", "default"))
+        trace_id = envelope.get("trace_id")
+        fields: Dict[str, Any] = {}
+        if trace_id is None:
+            trace_id = fields["trace_id"] = new_trace_id()
+        upload_id = envelope.get(UPLOAD_KEY)
+        if upload_id is not None:
+            upload_id = fields[UPLOAD_KEY] = self._relayed_upload(upload_id)
+        parts = framing.rewrite(raw, envelope, fields) if fields else (raw,)
+        try:
             reply = self._admitted_forward(
                 op,
                 client_id,
                 trace_id,
-                request.get("program"),
-                lambda: self.server.cluster._call(
-                    client_id, lambda upstream: upstream.roundtrip_raw(text)
-                ),
-            )
-            if op in ("submit", "session") and request.get("trace"):
-                reply = self._merge_reply_trace(reply, trace_id)
-            return self._json_reply(reply)
-        except Exception as error:
-            return self._error_reply(error, trace_id, binary=False)
-
-    def handle_frame(self, frame_type: int, payload: bytes) -> _Reply:
-        """Relay one request frame or upload chunk to the client's shard."""
-        cluster = self.server.cluster
-        if frame_type == FRAME_CHUNK:
-            # Relay the chunk to the client's shard under this connection's
-            # upload namespace; chunks are never answered, so routing
-            # failures surface on the final request that references the
-            # upload.
-            try:
-                envelope, _end = peek_envelope(payload)
-            except TransportError:
-                return b"", False
-            client_id = str(envelope.get("client_id", "default"))
-            upload_id = envelope["upload"] = self._relayed_upload(envelope.get("upload"))
-            self._open_uploads[upload_id] = client_id
-            chunk = replace_envelope(payload, envelope)
-            try:
-                cluster._call(
-                    client_id,
-                    lambda upstream: upstream.send_frame(FRAME_CHUNK, *chunk),
-                )
-            except Exception:
-                pass  # the referencing request reports the failed upload
-            return b"", True
-        trace_id: Optional[str] = None
-        try:
-            if frame_type != FRAME_REQUEST:
-                raise TransportError(
-                    f"clients send request frames, got frame type {frame_type:#x}"
-                )
-            envelope, _end = peek_envelope(payload)
-            hello = self._maybe_hello(envelope)
-            if hello is not None:
-                return self._frame_reply(*encode_message(hello))
-            trace_id = self._request_trace_id(envelope)
-            self.requests += 1
-            local = self._local_reply(envelope)
-            if local is not None:
-                with raw_blobs():
-                    return self._frame_reply(*encode_message(local))
-            op = str(envelope.get("op"))
-            client_id = str(envelope.get("client_id", "default"))
-            mint = op in ("submit", "session") and trace_id is None
-            if mint:  # at the router, for untraced clients
-                trace_id = envelope["trace_id"] = new_trace_id()
-            upload_id = envelope.get(UPLOAD_KEY)
-            if upload_id is not None:
-                upload_id = envelope[UPLOAD_KEY] = self._relayed_upload(upload_id)
-            # An envelope rewrite re-encodes only that small field; the blob
-            # records are relayed as one slice of the original payload.
-            parts: Sequence[_Bytes] = (
-                replace_envelope(payload, envelope)
-                if mint or upload_id is not None
-                else (payload,)
-            )
-            reply_payload = self._admitted_forward(
-                op,
-                client_id,
-                trace_id,
                 envelope.get("program"),
-                lambda: cluster._call(
-                    client_id, lambda upstream: upstream.roundtrip_frame(parts)
+                lambda: self.server.cluster._call(
+                    client_id, lambda upstream: upstream.roundtrip(framing, parts)
                 ),
             )
-            # The shard answered, so it has claimed (or rejected) the upload.
-            self._open_uploads.pop(upload_id, None)
-            reply_parts: Sequence[_Bytes] = (reply_payload,)
-            if op in ("submit", "session") and envelope.get("trace"):
-                reply_parts = self._merge_frame_trace(reply_payload, trace_id)
-            return self._frame_reply(*reply_parts)
         except Exception as error:
-            return self._error_reply(error, trace_id, binary=True)
+            # handle() saw only the id the request carried; a minted one rides
+            # the exception, so a throttled or failed-over client still gets a
+            # correlatable reply.
+            error.trace_id = trace_id
+            raise
+        # The shard answered, so it has claimed (or rejected) the upload.
+        self._open_uploads.pop(upload_id, None)
+        if envelope.get("trace"):
+            return self._merge_trace(framing, reply, trace_id)
+        return (reply,)
 
-    @staticmethod
-    def _request_trace_id(request: Dict[str, Any]) -> Optional[str]:
-        trace_id = request.get("trace_id")
-        if trace_id is not None and not isinstance(trace_id, str):
-            raise SerializationError("'trace_id' must be a string")
-        return trace_id
-
-    def _local_reply(self, request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        """Ops the router answers itself, in either framing: liveness,
-        routing introspection, shard lifecycle administration, and the
-        cluster-wide views that span shards.  None → forward to a shard."""
+    def _local_reply(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """Ops the router answers itself (``request`` already validated):
+        liveness, routing introspection, shard lifecycle administration, and
+        the cluster-wide views that span shards."""
         cluster = self.server.cluster
         telemetry = self.server.telemetry
-        op = request.get("op")
-        client_id = str(request.get("client_id", "default"))
+        op = request["op"]
         if op == "ping":
             return messages.build_response(payload={"pong": True})
         if op == "route":
             return messages.build_response(
-                payload={"route": cluster.describe_route(client_id)}
+                payload={"route": cluster.describe_route(str(request["client_id"]))}
             )
         if op == "health":
             return messages.build_response(payload={"health": cluster.check_health()})
         if op == "drain":
-            shard = messages.validate_shard(op, request.get("shard"))
             return messages.build_response(
-                payload={"drain": cluster.drain_shard(shard)}
+                payload={"drain": cluster.drain_shard(request["shard"])}
             )
         if op == "rejoin":
-            shard = messages.validate_shard(op, request.get("shard"))
             return messages.build_response(
-                payload={"rejoin": cluster.rejoin_shard(shard)}
+                payload={"rejoin": cluster.rejoin_shard(request["shard"])}
             )
         if op == "join":
             return messages.build_response(
-                payload={
-                    "join": cluster.attach_shard(
-                        str(request["host"]), int(request["port"])
-                    )
-                }
+                payload={"join": cluster.attach_shard(request["host"], request["port"])}
             )
         if op == "list":
             return messages.build_response(payload={"programs": cluster.programs()})
@@ -674,18 +519,11 @@ class _RouterConnection(_WireConnection):
             snapshots = cluster.shard_metrics()
             snapshots["cluster"] = cluster.telemetry.registry.snapshot()
             snapshots["router"] = telemetry.registry.snapshot()
-            snapshot = aggregate_snapshots(snapshots)
-            payload: Dict[str, Any] = {"metrics": snapshot}
-            if request.get("format") == "prometheus":
-                payload["prometheus"] = render_prometheus(snapshot)
-            return messages.build_response(payload=payload)
+            return _metrics_reply(request, aggregate_snapshots(snapshots))
         if op == "trace":
-            queried = request.get("trace_id")
-            if not isinstance(queried, str):
-                raise SerializationError("trace requests need a string 'trace_id'")
-            parts = cluster.shard_traces(queried)
-            parts.append(telemetry.trace_of(queried))
-            return messages.build_response(payload={"trace": merge_traces(parts)})
+            views = cluster.shard_traces(request["trace_id"])
+            views.append(telemetry.trace_of(request["trace_id"]))
+            return messages.build_response(payload={"trace": merge_traces(views)})
         if op == "slow":
             limit = request.get("limit")
             records = cluster.shard_slow(limit)
@@ -694,7 +532,7 @@ class _RouterConnection(_WireConnection):
             if limit is not None:
                 records = records[: max(int(limit), 0)]
             return messages.build_response(payload={"slow": records})
-        return None
+        raise ServingError(f"the router does not answer {op!r} requests")
 
     def _admitted_forward(
         self,
@@ -704,9 +542,9 @@ class _RouterConnection(_WireConnection):
         program: Any,
         forward: Callable[[], Any],
     ) -> Any:
-        """Quota admission + telemetry around one forwarded request.
+        """Quota admission + telemetry around one forwarded submit/session.
 
-        submit/session pass per-client admission first — sessions are the
+        Both pass per-client admission first — sessions are the
         *heaviest* op (key import + persistence), so exempting them would
         leave the biggest hole — and the router is the cheap place to say
         429, before the request ever costs a shard anything.
@@ -714,104 +552,58 @@ class _RouterConnection(_WireConnection):
         telemetry = self.server.telemetry
         ledger = self.server.ledger
         started = time.perf_counter()
-        if op in ("submit", "session") and ledger.enabled:
-            admit_started = time.perf_counter()
+        if ledger.enabled:
             try:
                 ledger.admit(client_id)  # raises QuotaExceededError
-            except EvaError as exc:
+            except EvaError:
                 telemetry.inc("serving.router.throttled", client=client_id)
-                # The handler's except path never saw the parsed request, so
-                # carry the trace id on the exception — a throttled client
-                # still gets a correlatable reply.
-                exc.trace_id = trace_id
                 raise
             telemetry.span(
                 trace_id,
                 "quota_admission",
-                time.perf_counter() - admit_started,
-                client=client_id,
-            )
-            try:
-                reply = self._timed_forward(op, client_id, trace_id, forward)
-            finally:
-                ledger.release(client_id)
-        else:
-            reply = self._timed_forward(op, client_id, trace_id, forward)
-        if op in ("submit", "session"):
-            telemetry.finish(
-                trace_id,
                 time.perf_counter() - started,
-                op=op,
                 client=client_id,
-                program=program,
             )
-        return reply
-
-    def _timed_forward(
-        self,
-        op: str,
-        client_id: str,
-        trace_id: Optional[str],
-        forward: Callable[[], Any],
-    ) -> Any:
-        """Run one shard hop, timing it as a span."""
         forward_started = time.perf_counter()
-        reply = forward()
-        self.server.telemetry.span(
+        try:
+            reply = forward()
+        finally:
+            ledger.release(client_id)  # a no-op without an in-flight quota
+        telemetry.span(
             trace_id,
             "router_forward",
             time.perf_counter() - forward_started,
             client=client_id,
             op=op,
         )
-        self.server.telemetry.inc(
-            "serving.router.forwarded", client=client_id, op=op
+        telemetry.inc("serving.router.forwarded", client=client_id, op=op)
+        telemetry.finish(
+            trace_id,
+            time.perf_counter() - started,
+            op=op,
+            client=client_id,
+            program=program,
         )
         return reply
 
-    def _merge_reply_trace(self, reply: str, trace_id: Optional[str]) -> str:
+    def _merge_trace(self, framing: Framing, reply: Any, trace_id: str) -> Parts:
         """Fold the router's spans into the trace object a shard echoed.
 
         Only runs for requests that asked for an echo (``"trace": true``), so
-        the decode/re-encode cost is opt-in; untraced ciphertext replies are
-        still relayed verbatim.
+        the cost is opt-in — and even then only the reply's envelope field is
+        rewritten; untraced ciphertext replies are relayed verbatim.
         """
-        if not trace_id:
-            return reply
         router_view = self.server.telemetry.trace_of(trace_id)
         if router_view is None:
-            return reply
+            return (reply,)
         try:
-            message = json.loads(reply)
-        except json.JSONDecodeError:
-            return reply
-        if not isinstance(message, dict):
-            return reply
-        merged = merge_traces([message.get("trace"), router_view])
-        if merged is not None:
-            message["trace"] = merged
-        return json.dumps(message, separators=(",", ":")) + "\n"
-
-    def _merge_frame_trace(
-        self, reply_payload: _Bytes, trace_id: Optional[str]
-    ) -> Sequence[_Bytes]:
-        """Binary variant of :meth:`_merge_reply_trace`: rewrites only the
-        reply's envelope field; ciphertext blob records are relayed as one
-        slice of the original payload."""
-        if not trace_id:
-            return (reply_payload,)
-        router_view = self.server.telemetry.trace_of(trace_id)
-        if router_view is None:
-            return (reply_payload,)
-        try:
-            envelope, _end = peek_envelope(reply_payload)
-        except TransportError:
-            return (reply_payload,)
+            envelope = framing.peek(reply)
+        except EvaError:
+            return (reply,)
         merged = merge_traces([envelope.get("trace"), router_view])
         if merged is None:
-            return (reply_payload,)
-        envelope["trace"] = merged
-        return replace_envelope(reply_payload, envelope)
+            return (reply,)
+        return framing.rewrite(reply, envelope, {"trace": merged})
 
 
 class ClusterTcpServer(AsyncWireServer):
@@ -855,6 +647,12 @@ class ClusterTcpServer(AsyncWireServer):
         super().__init__(host, port, wire_policy)
 
 
+#: Error kinds a reply carries a ``retry_after`` hint for.
+_RETRY_AFTER_ERRORS = {
+    error.__name__: error for error in (QuotaExceededError, DeadlineInfeasibleError)
+}
+
+
 class ServingClient:
     """Dual-protocol client for :class:`EvaTcpServer` (and the router).
 
@@ -892,158 +690,94 @@ class ServingClient:
         self._file = self._sock.makefile("wb")
         self._decoder = FrameDecoder()
         if wire != "json":
-            self._negotiate(wire)
+            # The hello exchange: a JSON line even legacy servers can answer.
+            reply = JSON.peek(self.roundtrip(JSON, JSON.parts(build_hello(wire))))
+            self.protocol, self.protocol_version = parse_hello_reply(reply, wire)
 
     # -- transport ----------------------------------------------------------------
-    def _negotiate(self, mode: str) -> None:
-        """The hello exchange: a JSON line even legacy servers can answer."""
-        line = json.dumps(build_hello(mode), separators=(",", ":")) + "\n"
-        raw = self.roundtrip_raw(line)
-        try:
-            reply = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise TransportError(f"malformed hello reply: {exc}") from exc
-        if not isinstance(reply, dict):
-            raise TransportError("hello reply must be a JSON object")
-        self.protocol, self.protocol_version = parse_hello_reply(reply, mode)
-
-    def roundtrip_raw(self, text: str) -> str:
-        """Send one raw JSON request line, return the raw reply line.
+    def send(self, framing: Framing, frame_type: int, parts: Parts) -> None:
+        """Write one message in ``framing`` without waiting for a reply.
 
         Transport failures raise :class:`~repro.errors.TransportError` so
         routing layers can distinguish "the connection died" (fail over) from
         an application-level error reply (do not).
         """
-        if not text.endswith("\n"):
-            text += "\n"
-        data = text.encode("utf-8")
         try:
-            self._file.write(data)
-            self._file.flush()
-        except OSError as exc:
-            raise TransportError(f"connection to server lost: {exc}") from exc
-        self.bytes_sent += len(data)
-        kind, reply = self._read_reply_unit()
-        if kind != "json":
-            raise TransportError("server answered a JSON request with a binary frame")
-        return reply
-
-    def send_frame(self, frame_type: int, *parts: _Bytes) -> int:
-        """Write one binary frame (no reply expected); returns bytes written."""
-        try:
-            written = write_frame(self._file, frame_type, *parts)
+            written = framing.write(self._file, frame_type, parts)
             self._file.flush()
         except OSError as exc:
             raise TransportError(f"connection to server lost: {exc}") from exc
         self.bytes_sent += written
-        return written
 
-    def _read_reply_unit(self) -> Tuple[str, Any]:
-        """Read one reply in whichever framing it arrives: ("binary",
-        payload bytes) or ("json", text)."""
+    def roundtrip(self, framing: Framing, parts: Parts) -> Any:
+        """Send one pre-encoded request, return the raw reply in its framing.
+
+        The router's passthrough path: the caller relays the returned line or
+        payload verbatim, without decoding the blobs in it.
+        """
+        self.send(framing, FRAME_REQUEST, parts)
         try:
             message = read_message(self._decoder, self._sock.recv)
         except OSError as exc:
             raise TransportError(f"connection to server lost: {exc}") from exc
-        if message[0] == "json":
-            self.bytes_received += len(message[1])
-            return "json", message[1].decode("utf-8")
-        _kind, frame_type, payload, nbytes = message
+        answered, frame_type, raw, nbytes = open_message(message)
         self.bytes_received += nbytes
-        if frame_type != FRAME_RESPONSE:
+        if answered is not framing or frame_type not in (None, FRAME_RESPONSE):
             raise TransportError(
-                f"expected a response frame, got frame type {frame_type:#x}"
+                f"expected a {framing.name} response, got a {answered.name} "
+                f"message (frame type {frame_type})"
             )
-        return "binary", payload
-
-    def roundtrip_frame(self, parts: Sequence[_Bytes]) -> bytes:
-        """Send one pre-encoded request frame, return the raw reply payload.
-
-        The router's binary passthrough path: the caller relays the returned
-        payload verbatim without decoding its blob records.
-        """
-        self.send_frame(FRAME_REQUEST, *parts)
-        kind, payload = self._read_reply_unit()
-        if kind != "binary":
-            raise TransportError("shard answered a binary request with a JSON line")
-        return payload
+        return raw
 
     # -- request plumbing ---------------------------------------------------------
-    def _blob_context(self):
-        """Raw (base64-free) packing while building binary-bound payloads."""
-        return raw_blobs() if self.protocol == "binary" else nullcontext()
+    def _stream_upload(self, blobs: Sequence[Any], client_id: str) -> str:
+        """Stream ``blobs`` as bounded CHUNK frames; returns the upload id.
 
-    def _binary_roundtrip(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        envelope, blobs = split_message(message)
-        total = sum(len(blob) for blob in blobs)
-        if blobs and total > STREAM_THRESHOLD_BYTES:
-            # Stream the blobs as bounded CHUNK frames so a multi-MB key set
-            # never head-of-line-blocks the connection behind one giant
-            # frame; the final request frame references the upload.
-            self._upload_seq += 1
-            upload_id = f"up-{self._upload_seq}"
-            client_id = str(message.get("client_id", "default"))
-            for index, blob in enumerate(blobs):
-                views = list(iter_chunks(blob))
-                for position, view in enumerate(views):
-                    chunk_envelope = {
-                        "upload": upload_id,
-                        "blob": index,
-                        "eof": position == len(views) - 1,
-                        "client_id": client_id,
-                    }
-                    self.send_frame(
-                        FRAME_CHUNK,
-                        encode_envelope(chunk_envelope),
-                        *encode_blob_record(view),
-                    )
-            envelope[UPLOAD_KEY] = upload_id
-            self.send_frame(FRAME_REQUEST, encode_envelope(envelope))
-        else:
-            parts: List[_Bytes] = [encode_envelope(envelope)]
-            for blob in blobs:
-                parts.extend(encode_blob_record(blob))
-            self.send_frame(FRAME_REQUEST, *parts)
-        kind, payload = self._read_reply_unit()
-        if kind == "binary":
-            reply_envelope, reply_blobs = decode_message(payload)
-            return messages.finish_response(rehydrate(reply_envelope, reply_blobs))
-        return messages.decode_response(payload)
+        A multi-MB key set never head-of-line-blocks the connection behind
+        one giant frame; the request frame that follows references the upload.
+        """
+        self._upload_seq += 1
+        upload_id = f"up-{self._upload_seq}"
+        for index, blob in enumerate(blobs):
+            views = list(iter_chunks(blob))
+            for position, view in enumerate(views):
+                chunk_envelope = {
+                    "upload": upload_id,
+                    "blob": index,
+                    "eof": position == len(views) - 1,
+                    "client_id": client_id,
+                }
+                self.send(BINARY, FRAME_CHUNK, BINARY.join(chunk_envelope, [view]))
+        return upload_id
 
     def _roundtrip_op(self, op: str, **fields: Any) -> Dict[str, Any]:
-        if self.protocol == "binary":
-            with raw_blobs():
-                message = messages.build_request(op, pack_inputs=True, **fields)
-            response = self._binary_roundtrip(message)
-        else:
-            response = messages.decode_response(
-                self.roundtrip_raw(messages.encode_request(op, **fields))
+        framing = FRAMINGS[self.protocol]
+        with framing.blob_context():
+            message = messages.build_request(op, pack_inputs=framing.packed, **fields)
+        envelope, blobs = framing.split(message)
+        if sum(len(blob) for blob in blobs) > STREAM_THRESHOLD_BYTES:
+            envelope[UPLOAD_KEY] = self._stream_upload(
+                blobs, str(message.get("client_id", "default"))
             )
-        if not response.get("ok"):
-            kind = response.get("kind", "ServingError")
-            if kind == "QuotaExceededError":
-                # The serving layer's 429: re-raise typed, with the server's
-                # retry-after hint, so callers can back off instead of just
-                # failing.  The echoed trace id rides along so a throttled
-                # request stays correlatable.
-                error = QuotaExceededError(
-                    str(response.get("error")),
-                    retry_after=float(response.get("retry_after", 0.0) or 0.0),
-                )
-                error.trace_id = response.get("trace_id")
-                raise error
-            if kind == "DeadlineInfeasibleError":
-                # The SLO-admission rejection: typed like the quota 429, with
-                # the server's retry-after hint, so a deadline-carrying client
-                # can re-plan instead of treating it as a generic failure.
-                error = DeadlineInfeasibleError(
-                    str(response.get("error")),
-                    retry_after=float(response.get("retry_after", 0.0) or 0.0),
-                )
-                error.trace_id = response.get("trace_id")
-                raise error
+            blobs = ()
+        raw = self.roundtrip(framing, framing.join(envelope, blobs))
+        response = messages.finish_response(framing.decode(raw, framing.peek(raw)))
+        if response.get("ok"):
+            return response
+        kind = response.get("kind", "ServingError")
+        typed = _RETRY_AFTER_ERRORS.get(kind)
+        if typed is None:
             raise ServingError(f"{kind}: {response.get('error')}")
-        return response
+        # The serving layer's 429 (quota) and SLO-admission rejections are
+        # re-raised typed, with the server's retry-after hint, so callers can
+        # back off or re-plan instead of just failing.  The echoed trace id
+        # rides along so a rejected request stays correlatable.
+        error = typed(
+            str(response.get("error")),
+            retry_after=float(response.get("retry_after", 0.0) or 0.0),
+        )
+        error.trace_id = response.get("trace_id")
+        raise error
 
     # -- client API ---------------------------------------------------------------
     def submit(
@@ -1070,22 +804,25 @@ class ServingClient:
         :class:`~repro.errors.DeadlineInfeasibleError` carrying
         ``retry_after``.
         """
-        if trace and trace_id is None:
-            trace_id = new_trace_id()
-        response = self._roundtrip_op(
-            "submit",
+        return self._submit(
+            trace,
+            trace_id,
             program=program,
             inputs=inputs,
             client_id=client_id,
             output_size=output_size,
-            trace_id=trace_id,
-            trace=trace,
             deadline_ms=deadline_ms,
             slo_class=slo_class,
-        )
+        ).get("outputs", {})
+
+    def _submit(self, trace: bool, trace_id: Optional[str], **fields: Any) -> Dict[str, Any]:
+        """One submit op; keeps the reply's stats and trace echo for the caller."""
+        if trace and trace_id is None:
+            trace_id = new_trace_id()
+        response = self._roundtrip_op("submit", trace=trace, trace_id=trace_id, **fields)
         self.last_stats: Dict[str, Any] = response.get("stats", {})
         self.last_trace: Optional[Dict[str, Any]] = response.get("trace")
-        return response.get("outputs", {})
+        return response
 
     def create_session(self, program: str, client_kit: Any, client_id: Optional[str] = None) -> Dict[str, Any]:
         """Register ``client_kit``'s evaluation keys for ``program`` on the server.
@@ -1095,7 +832,7 @@ class ServingClient:
         On a binary connection the keys are exported raw (no base64) and
         streamed as chunked frames when they exceed the streaming threshold.
         """
-        with self._blob_context():
+        with FRAMINGS[self.protocol].blob_context():
             evaluation_keys = client_kit.export_evaluation_keys()
         response = self._roundtrip_op(
             "session",
@@ -1116,21 +853,15 @@ class ServingClient:
         slo_class: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Submit a wire-encoded cipher bundle; returns wire-encoded ciphertext outputs."""
-        if trace and trace_id is None:
-            trace_id = new_trace_id()
-        response = self._roundtrip_op(
-            "submit",
+        return self._submit(
+            trace,
+            trace_id,
             program=program,
             bundle=bundle_wire,
             client_id=client_id,
-            trace_id=trace_id,
-            trace=trace,
             deadline_ms=deadline_ms,
             slo_class=slo_class,
-        )
-        self.last_stats = response.get("stats", {})
-        self.last_trace = response.get("trace")
-        return response.get("encrypted_outputs", {})
+        ).get("encrypted_outputs", {})
 
     def submit_encrypted(
         self,
@@ -1154,7 +885,7 @@ class ServingClient:
         identically.
         """
         bundle = client_kit.encrypt_inputs(inputs)
-        with self._blob_context():
+        with FRAMINGS[self.protocol].blob_context():
             bundle_wire = client_kit.bundle_to_wire(bundle)
         reply = self.submit_bundle(
             program,

@@ -23,6 +23,12 @@ alternative that shares every listener with the JSON protocol:
   evaluation-key set is carried as a sequence of bounded frames instead of
   one monolithic message.
 
+* :mod:`.framing` — the codec pair: ``JSON`` and ``BINARY``, two instances of
+  one interface (peek an envelope, decode, rewrite an envelope field without
+  touching blob bytes, encode), picked per message by what the frame decoder
+  sniffed.  Servers, the router's passthrough and the client reach a message
+  only through it, so nothing downstream is written once per framing.
+
 Compatibility promise: a listener that speaks this protocol still serves
 plain JSON-lines clients unchanged — framing is sniffed per message from the
 first byte, and replies always use the framing of the request they answer.
@@ -35,6 +41,7 @@ from .codec import (
     encode_blob_record,
     encode_envelope,
     encode_message,
+    join_message,
     peek_envelope,
     rehydrate,
     replace_envelope,
@@ -49,10 +56,11 @@ from .frames import (
     FrameDecoder,
     encode_frame,
     read_message,
-    write_frame,
 )
+from .framing import BINARY, FRAMINGS, JSON, Framing, Parts, open_message
 from .protocol import (
     CHUNK_BYTES,
+    MAX_TRACKED_UPLOADS,
     PROTOCOL_VERSION,
     STREAM_THRESHOLD_BYTES,
     UploadState,
@@ -64,15 +72,21 @@ from .protocol import (
 )
 
 __all__ = [
+    "BINARY",
     "BLOB_KEY",
     "CHUNK_BYTES",
     "FRAME_CHUNK",
     "FRAME_REQUEST",
     "FRAME_RESPONSE",
+    "FRAMINGS",
     "FrameDecoder",
+    "Framing",
+    "JSON",
     "MAGIC",
     "MAX_FRAME_BYTES",
+    "MAX_TRACKED_UPLOADS",
     "PROTOCOL_VERSION",
+    "Parts",
     "STREAM_THRESHOLD_BYTES",
     "UPLOAD_KEY",
     "UploadState",
@@ -85,11 +99,12 @@ __all__ = [
     "encode_message",
     "hello_ack",
     "iter_chunks",
+    "join_message",
+    "open_message",
     "parse_hello_reply",
     "peek_envelope",
     "read_message",
     "rehydrate",
     "replace_envelope",
     "split_message",
-    "write_frame",
 ]

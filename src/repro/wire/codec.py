@@ -116,18 +116,22 @@ def encode_blob_record(blob: _Bytes) -> List[_Bytes]:
     return [encode_varint(_BLOB_TAG) + encode_varint(len(blob)), blob]
 
 
-def encode_message(message: Dict[str, Any]) -> List[_Bytes]:
-    """Encode a message dict as frame-payload parts (envelope + blobs).
+def join_message(envelope: Dict[str, Any], blobs: Sequence[_Bytes]) -> List[_Bytes]:
+    """Frame-payload parts from (envelope, blobs), inverting :func:`split_message`.
 
-    Returns a list of byte-like parts for :func:`repro.wire.frames.write_frame`
-    — blob bytes are passed through by reference, never concatenated, so a
-    multi-megabyte ciphertext is written to the socket from its own buffer.
+    Returns a list of byte-like parts for a frame writer — blob bytes are
+    passed through by reference, never concatenated, so a multi-megabyte
+    ciphertext is written to the socket from its own buffer.
     """
-    envelope, blobs = split_message(message)
     parts: List[_Bytes] = [encode_envelope(envelope)]
     for blob in blobs:
         parts.extend(encode_blob_record(blob))
     return parts
+
+
+def encode_message(message: Dict[str, Any]) -> List[_Bytes]:
+    """Encode a message dict as frame-payload parts (envelope + blobs)."""
+    return join_message(*split_message(message))
 
 
 def _iter_fields(view: memoryview):

@@ -28,7 +28,7 @@ a reader nor balloon its memory.
 
 from __future__ import annotations
 
-from typing import BinaryIO, Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 from ..core.serialization.wire import decode_varint, encode_varint
 from ..errors import TransportError
@@ -62,7 +62,8 @@ READ_BYTES = 256 * 1024
 Message = Union[Tuple[str, bytes], Tuple[str, int, bytes, int]]
 
 
-def _frame_header(frame_type: int, length: int) -> bytes:
+def frame_header(frame_type: int, length: int) -> bytes:
+    """The magic, type and varint length that precede a frame's payload."""
     if frame_type not in _KNOWN_TYPES:
         raise TransportError(f"unknown frame type {frame_type:#x}")
     if length > MAX_FRAME_BYTES:
@@ -80,23 +81,8 @@ def encode_frame(frame_type: int, *parts) -> bytes:
     copied exactly once, into the returned frame, so the result stays valid
     after the buffers behind the views are released.
     """
-    header = _frame_header(frame_type, sum(len(part) for part in parts))
+    header = frame_header(frame_type, sum(len(part) for part in parts))
     return b"".join((header, *parts))
-
-
-def write_frame(stream: BinaryIO, frame_type: int, *parts) -> int:
-    """Write one frame piecewise to a (buffered) stream.
-
-    Unlike :func:`encode_frame` nothing is concatenated, so a sender relaying
-    a multi-megabyte blob slice never builds a second copy of it.  Returns
-    the total bytes written.
-    """
-    length = sum(len(part) for part in parts)
-    header = _frame_header(frame_type, length)
-    stream.write(header)
-    for part in parts:
-        stream.write(part)
-    return len(header) + length
 
 
 class FrameDecoder:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from ..errors import SerializationError, ServingError
+from ..errors import SerializationError, ServingError, TransportError
 from .frames import MAX_FRAME_BYTES
 
 #: Highest binary protocol version this build speaks.
@@ -44,6 +44,12 @@ STREAM_THRESHOLD_BYTES = 1024 * 1024
 #: assembling uploads — a misbehaving peer cannot pin unbounded memory.
 MAX_UPLOAD_BYTES = MAX_FRAME_BYTES
 MAX_OPEN_UPLOADS = 4
+
+#: Upload ids one connection may have outstanding in any state — assembling,
+#: poisoned and waiting to be reported, or (at a relay) not yet claimed.  The
+#: first ids past :data:`MAX_OPEN_UPLOADS` are still answered on the request
+#: that references them; a peer that keeps minting ids past this is dropped.
+MAX_TRACKED_UPLOADS = 64
 
 _Bytes = Union[bytes, bytearray, memoryview]
 
@@ -127,21 +133,18 @@ class UploadState:
     may interleave.  Violations — byte caps, too many concurrent uploads,
     malformed indices — *poison* the upload rather than raising: CHUNK
     frames are never answered individually, so the error is reported exactly
-    once, on the final request that references the upload.
+    once, on the final request that references the upload.  Poisoned records
+    are bookkeeping a peer could grow without limit, so a new id past
+    :data:`MAX_TRACKED_UPLOADS` raises :class:`~repro.errors.TransportError`
+    and the owner drops the connection, as for a malformed chunk.
 
     A relay that multiplexes several clients onto this connection (the
     cluster router) sends ``{"upload": id, "discard": true}`` for an upload
     whose client went away, so abandoned buffers do not count against
-    ``max_uploads`` forever.
+    :data:`MAX_OPEN_UPLOADS` forever.
     """
 
-    def __init__(
-        self,
-        max_bytes: int = MAX_UPLOAD_BYTES,
-        max_uploads: int = MAX_OPEN_UPLOADS,
-    ) -> None:
-        self.max_bytes = int(max_bytes)
-        self.max_uploads = int(max_uploads)
+    def __init__(self) -> None:
         self._uploads: Dict[str, _Upload] = {}
 
     def __len__(self) -> int:
@@ -156,10 +159,14 @@ class UploadState:
             return
         upload = self._uploads.get(upload_id)
         if upload is None:
-            if len(self._uploads) >= self.max_uploads:
+            if len(self._uploads) >= MAX_TRACKED_UPLOADS:
+                raise TransportError(
+                    f"connection has {MAX_TRACKED_UPLOADS} unclaimed uploads"
+                )
+            if len(self._uploads) >= MAX_OPEN_UPLOADS:
                 upload = _Upload()
                 upload.error = (
-                    f"connection exceeds {self.max_uploads} concurrent uploads"
+                    f"connection exceeds {MAX_OPEN_UPLOADS} concurrent uploads"
                 )
                 self._uploads[upload_id] = upload
                 return
@@ -172,9 +179,9 @@ class UploadState:
             upload.blobs.clear()
             return
         upload.total += len(data)
-        if upload.total > self.max_bytes:
+        if upload.total > MAX_UPLOAD_BYTES:
             upload.error = (
-                f"upload exceeds the {self.max_bytes}-byte per-connection cap"
+                f"upload exceeds the {MAX_UPLOAD_BYTES}-byte per-connection cap"
             )
             upload.blobs.clear()
             return

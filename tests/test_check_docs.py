@@ -32,6 +32,7 @@ class TestCheckDocs:
         assert "--deadline-ms" in surface["submit"]
         assert "--cluster-config" in surface["serve"]
         assert "join" in check_docs.wire_ops()
+        assert check_docs.frame_kinds() == ["FRAME_CHUNK", "FRAME_REQUEST", "FRAME_RESPONSE"]
 
     def test_fails_on_doctored_docs(self, check_docs, tmp_path):
         docs = tmp_path / "docs"
@@ -54,6 +55,21 @@ class TestCheckDocs:
         assert any("--deadline-ms" in item for item in missing)
         assert any("`join`" in item for item in missing)
         assert check_docs.main(["--docs-dir", str(docs)]) == 1
+
+    def test_state_table_must_match_the_code_both_ways(self, check_docs):
+        doc = (REPO_ROOT / "docs" / "wire-protocol.md").read_text()
+        assert check_docs.check_state_table(doc) == []
+        row = next(line for line in doc.splitlines() if line.startswith("| `FRAME_RESPONSE`"))
+        assert check_docs.check_state_table(doc.replace(row + "\n", "")) == [
+            "wire-protocol.md: state table lacks message kind `FRAME_RESPONSE`"
+        ]
+        assert check_docs.check_state_table(doc.replace("`rejoin`, `join`", "`rejoin`, `adopt`")) == [
+            "wire-protocol.md: state table lacks op `join`",
+            "wire-protocol.md: state table names unknown op `adopt`",
+        ]
+        assert check_docs.check_state_table("# Wire protocol\n") == [
+            "wire-protocol.md: connection state table missing"
+        ]
 
     def test_fails_on_missing_doc_file(self, check_docs, tmp_path):
         docs = tmp_path / "docs"

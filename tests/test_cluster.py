@@ -695,6 +695,12 @@ class TestClusterCli:
         finally:
             process.terminate()
             process.wait(20)
+        # SIGTERM takes the Ctrl-C path: the router exits cleanly and takes
+        # every shard it spawned (the SIGKILLed one is long gone) with it.
+        assert process.returncode == 0
+        for shard in banner["shards"]:
+            with pytest.raises(ProcessLookupError):
+                os.kill(shard["pid"], 0)
 
 
 class TestClusterTelemetry:

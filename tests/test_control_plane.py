@@ -12,6 +12,7 @@ from repro.backend import MockBackend
 from repro.core import compile_program
 from repro.core.executor import Executor
 from repro.core.serialization import messages
+from repro.wire import JSON
 from repro.errors import QuotaExceededError, SerializationError, ServingError
 from repro.frontend import EvaProgram, input_encrypted, output
 from repro.serving import (
@@ -560,32 +561,36 @@ class TestSessionStoreGC:
             SessionStore(tmp_path, ttl=0.0)
 
 
+def decode_request(line):
+    """Parse and validate one JSON request line, as a connection does."""
+    return messages.validate_request(JSON.peek(line))
+
+
 class TestAdminWireMessages:
     def test_shard_ops_roundtrip(self):
         line = messages.encode_request("drain", shard=2)
-        decoded = messages.decode_request(line)
+        decoded = decode_request(line)
         assert decoded["op"] == "drain" and decoded["shard"] == 2
         line = messages.encode_request("rejoin", shard=0)
-        assert messages.decode_request(line)["shard"] == 0
+        assert decode_request(line)["shard"] == 0
 
     def test_shard_ops_require_shard(self):
         with pytest.raises(SerializationError):
             messages.encode_request("drain")
         with pytest.raises(SerializationError):
-            messages.decode_request('{"op": "rejoin"}')
+            decode_request('{"op": "rejoin"}')
         with pytest.raises(SerializationError):
-            messages.decode_request('{"op": "drain", "shard": -1}')
+            decode_request('{"op": "drain", "shard": -1}')
         with pytest.raises(SerializationError):
-            messages.decode_request('{"op": "drain", "shard": true}')
+            decode_request('{"op": "drain", "shard": true}')
 
     def test_error_encoding_carries_retry_after(self):
-        line = messages.encode_error(QuotaExceededError("slow down", retry_after=0.25))
-        reply = messages.decode_response(line)
+        reply = messages.build_error(QuotaExceededError("slow down", retry_after=0.25))
         assert not reply["ok"]
         assert reply["kind"] == "QuotaExceededError"
         assert reply["retry_after"] == pytest.approx(0.25)
         # Ordinary errors stay unchanged.
-        reply = messages.decode_response(messages.encode_error(ServingError("x")))
+        reply = messages.build_error(ServingError("x"))
         assert "retry_after" not in reply
 
     def test_single_server_rejects_cluster_admin_ops(self):

@@ -9,6 +9,7 @@ import pytest
 from repro.backend import MockBackend
 from repro.core import CompilerOptions, Executor, compile_program, execute_reference, program_signature
 from repro.core.serialization import messages
+from repro.wire import FRAME_RESPONSE, JSON
 from repro.errors import (
     QueueFullError,
     SerializationError,
@@ -600,36 +601,46 @@ class TestEvaServer:
             assert response.batch_size <= 2
 
 
+def decode_request(line):
+    """Parse and validate one JSON request line, as a connection does."""
+    return messages.validate_request(JSON.peek(line))
+
+
+def json_line(message):
+    """One message dict as the JSON line a connection sends."""
+    return JSON.encode(FRAME_RESPONSE, JSON.parts(message)).decode("utf-8")
+
+
 class TestWireMessages:
     def test_request_roundtrip(self):
         line = messages.encode_request(
             "submit", program="poly", inputs={"x": [1.0, 2.0]}, client_id="alice"
         )
-        decoded = messages.decode_request(line)
+        decoded = decode_request(line)
         assert decoded["op"] == "submit"
         assert decoded["program"] == "poly"
         assert decoded["client_id"] == "alice"
         np.testing.assert_allclose(decoded["inputs"]["x"], [1.0, 2.0])
 
     def test_response_roundtrip(self):
-        line = messages.encode_response(outputs={"y": np.array([1.5, 2.5])})
+        line = json_line(messages.build_response(outputs={"y": np.array([1.5, 2.5])}))
         decoded = messages.decode_response(line)
         assert decoded["ok"]
         np.testing.assert_allclose(decoded["outputs"]["y"], [1.5, 2.5])
 
     def test_error_roundtrip(self):
-        line = messages.encode_error(ServingError("nope"))
+        line = json_line(messages.build_error(ServingError("nope")))
         decoded = messages.decode_response(line)
         assert not decoded["ok"]
         assert decoded["kind"] == "ServingError"
 
     def test_malformed_request_rejected(self):
         with pytest.raises(SerializationError):
-            messages.decode_request("not json")
+            decode_request("not json")
         with pytest.raises(SerializationError):
-            messages.decode_request('{"op": "explode"}')
+            decode_request('{"op": "explode"}')
         with pytest.raises(SerializationError):
-            messages.decode_request('{"op": "submit"}')
+            decode_request('{"op": "submit"}')
 
     def test_bad_output_size_rejected_at_decode(self):
         for bad in ('"oops"', "-4", "0", "true", "1.5"):
@@ -638,7 +649,7 @@ class TestWireMessages:
                 f'"output_size": {bad}}}'
             )
             with pytest.raises(SerializationError):
-                messages.decode_request(line)
+                decode_request(line)
 
 
 class TestTcpServing:

@@ -373,7 +373,7 @@ class TestTelemetry:
 
 class TestSpliceField:
     def test_splices_into_encoded_response(self):
-        line = messages.encode_response(payload={"pong": True})
+        line = json.dumps(messages.build_response(payload={"pong": True})) + "\n"
         spliced = messages.splice_field(line, "trace_id", "abc")
         decoded = json.loads(spliced)
         assert decoded["trace_id"] == "abc"

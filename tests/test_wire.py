@@ -167,10 +167,10 @@ class TestFrameDecoder:
         decoder.feed(second[4:])
         assert decoder.next_message() == ("frame", wire.FRAME_RESPONSE, b"defgh", len(second))
 
-    def test_write_frame_piecewise_equals_encode_frame(self):
+    def test_piecewise_write_equals_encode_frame(self):
         parts = [b"abc", bytearray(b"defg"), memoryview(b"hi")]
         stream = io.BytesIO()
-        nbytes = wire.write_frame(stream, wire.FRAME_REQUEST, *parts)
+        nbytes = wire.BINARY.write(stream, wire.FRAME_REQUEST, parts)
         assert stream.getvalue() == wire.encode_frame(
             wire.FRAME_REQUEST, b"abcdefghi"
         )
@@ -304,7 +304,7 @@ class TestFrameDecoder:
                 return wire.MAX_FRAME_BYTES + 1
 
         with pytest.raises(TransportError):
-            wire.write_frame(io.BytesIO(), wire.FRAME_REQUEST, Huge())
+            wire.BINARY.write(io.BytesIO(), wire.FRAME_REQUEST, [Huge()])
         with pytest.raises(TransportError, match="frame type"):
             wire.encode_frame(0x7F, b"")
 
@@ -471,8 +471,9 @@ class TestUploadState:
         with pytest.raises(SerializationError, match="incomplete"):
             state.finish("u1")
 
-    def test_byte_cap_poisons_the_upload(self):
-        state = wire.UploadState(max_bytes=10)
+    def test_byte_cap_poisons_the_upload(self, monkeypatch):
+        monkeypatch.setattr(wire.protocol, "MAX_UPLOAD_BYTES", 10)
+        state = wire.UploadState()
         self.chunk(state, "u1", 0, b"x" * 20, eof=True)
         with pytest.raises(SerializationError, match="cap"):
             state.finish("u1")
@@ -490,14 +491,31 @@ class TestUploadState:
         with pytest.raises(SerializationError, match="finished"):
             state.finish("u1")
 
-    def test_too_many_concurrent_uploads_poisons_the_extra(self):
-        state = wire.UploadState(max_uploads=2)
+    def test_too_many_concurrent_uploads_poisons_the_extra(self, monkeypatch):
+        monkeypatch.setattr(wire.protocol, "MAX_OPEN_UPLOADS", 2)
+        state = wire.UploadState()
         self.chunk(state, "u1", 0, b"a", eof=True)
         self.chunk(state, "u2", 0, b"b", eof=True)
         self.chunk(state, "u3", 0, b"c", eof=True)
         assert [bytes(b) for b in state.finish("u1")] == [b"a"]
         with pytest.raises(SerializationError, match="concurrent uploads"):
             state.finish("u3")
+
+    def test_poisoned_records_are_bounded(self):
+        # Over-cap ids are remembered so their request gets an answer, but
+        # only up to a constant: a peer minting fresh ids forever is dropped.
+        state = wire.UploadState()
+        for index in range(wire.MAX_TRACKED_UPLOADS):
+            self.chunk(state, f"u{index}", 0, b"x")
+        assert len(state) == wire.MAX_TRACKED_UPLOADS
+        self.chunk(state, "u0", 0, b"y", eof=True)  # known ids still assemble
+        with pytest.raises(TransportError, match="unclaimed uploads"):
+            self.chunk(state, "one-too-many", 0, b"x")
+        assert len(state) == wire.MAX_TRACKED_UPLOADS
+        assert [bytes(b) for b in state.finish("u0")] == [b"xy"]
+        with pytest.raises(SerializationError, match="concurrent uploads"):
+            state.finish(f"u{wire.MAX_TRACKED_UPLOADS - 1}")
+        self.chunk(state, "room-again", 0, b"x")  # claimed records free their slot
 
     def test_iter_chunks_covers_blob_exactly(self):
         blob = bytes(range(256)) * 5
@@ -635,9 +653,7 @@ class TestServingOverBinaryWire:
                                        evaluation_keys={"k": 1})
             )
             envelope[wire.UPLOAD_KEY] = "never-streamed"
-            client.send_frame(wire.FRAME_REQUEST, wire.encode_envelope(envelope))
-            kind, payload = client._read_reply_unit()
-            assert kind == "binary"
+            payload = client.roundtrip(wire.BINARY, [wire.encode_envelope(envelope)])
             reply, _ = wire.decode_message(payload)
             assert reply["ok"] is False
             assert reply["kind"] == "SerializationError"

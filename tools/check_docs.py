@@ -14,6 +14,11 @@ every piece of it:
   ``docs/operations.md``;
 * the wire op set ``repro.core.serialization.messages.REQUEST_OPS`` ->
   every op must appear backticked in ``docs/wire-protocol.md``;
+* the connection state table in ``docs/wire-protocol.md`` (the one headed
+  ``## Connection state machine``) -> its message column must name exactly
+  the ``repro.wire.FRAME_*`` kinds and its op column exactly ``hello`` plus
+  ``REQUEST_OPS``, in both directions — the table claims to be the state
+  machine, so it may not say more than the code either;
 * the committed benchmark baselines (``BENCH_*.json`` at the repo root) ->
   every one must be listed (and gated) by ``benchmarks/gates.toml``, every
   manifest entry must point at files that exist, and every baseline's
@@ -94,6 +99,37 @@ def wire_ops() -> list:
     from repro.core.serialization import messages
 
     return sorted(messages.REQUEST_OPS)
+
+
+def frame_kinds() -> list:
+    from repro import wire
+
+    return sorted(name for name in dir(wire) if name.startswith("FRAME_"))
+
+
+def check_state_table(wire_doc: str) -> list:
+    """The connection state table vs. the frame kinds and ops the code has."""
+    section = wire_doc.partition("## Connection state machine")[2].partition("\n## ")[0]
+    rows = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|")
+    ][2:]  # header and ruler
+    if not rows:
+        return ["wire-protocol.md: connection state table missing"]
+    complaints = []
+    for column, what, expected in (
+        (0, "message kind", set(frame_kinds())),
+        (1, "op", {"hello", *wire_ops()}),
+    ):
+        found = {
+            token for row in rows for token in re.findall(r"`([^`]+)`", row[column])
+        }
+        for token in sorted(expected - found):
+            complaints.append(f"wire-protocol.md: state table lacks {what} `{token}`")
+        for token in sorted(found - expected):
+            complaints.append(f"wire-protocol.md: state table names unknown {what} `{token}`")
+    return complaints
 
 
 def _load_benchmarks_module(name: str):
@@ -177,6 +213,8 @@ def check(docs_dir: Path) -> list:
     for op in wire_ops():
         if f"`{op}`" not in wire_doc:
             missing.append(f"wire-protocol.md: request op `{op}` undocumented")
+    if wire_doc:
+        missing.extend(check_state_table(wire_doc))
 
     missing.extend(check_gates_manifest())
 
