@@ -35,5 +35,5 @@ class Decryptor:
     def decrypt(self, ciphertext: Ciphertext) -> np.ndarray:
         """Decrypt and decode to a real-valued slot vector."""
         message = self.decrypt_poly(ciphertext)
-        coefficients = message.to_int_coefficients()
+        coefficients = np.asarray(message.to_int_coefficients(), dtype=np.float64)
         return self.context.encoder.decode_real(coefficients, ciphertext.scale)

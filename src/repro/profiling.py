@@ -107,8 +107,6 @@ def _profile_spec(name: str):
     if name == "sobel_lanes":
         from .apps.sobel import build_sobel_program
 
-        # Scale 20 keeps the deep Sobel chain inside the dense encoder's
-        # N <= 8192 envelope while still exercising lane batching.
         image_size = 16
         vec_size = 1024
         program = build_sobel_program(image_size=image_size, scale=20.0, vec_size=vec_size)

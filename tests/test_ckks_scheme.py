@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from oracles.dense_encoder import DenseCkksEncoder
+
 from repro.ckks import (
     CkksContext,
     Decryptor,
     Encryptor,
     Evaluator,
     KeyGenerator,
+    Plaintext,
 )
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.numth import generate_ntt_primes
@@ -148,6 +151,23 @@ class TestContext:
 
 
 class TestSchemeOperations:
+    def test_plaintexts_from_fft_and_dense_encoders_decrypt_identically(self, ckks):
+        """Same values, same encryption randomness: a plaintext built by the
+        dense oracle and one built by the FFT encoder decrypt to the same slots
+        (their coefficients differ by at most one unit at a rounding tie)."""
+        context, encryptor, decryptor, _ = ckks
+        values = random_vector(context, 11)
+        decrypted = []
+        for encoder in (context.encoder, DenseCkksEncoder(N)):
+            poly = RnsPolynomial.from_int64_coefficients(
+                context.data_basis(0), encoder.encode(values, SCALE)
+            )
+            seeded = Encryptor(context, encryptor.public_key, seed=99)
+            cipher = seeded.encrypt(Plaintext(poly=poly, scale=SCALE, level=0))
+            decrypted.append(decryptor.decrypt(cipher))
+        np.testing.assert_allclose(decrypted[0], decrypted[1], atol=N / SCALE)
+        np.testing.assert_allclose(decrypted[0], values, atol=5e-3)
+
     def test_encrypt_decrypt(self, ckks):
         context, encryptor, decryptor, _ = ckks
         values = random_vector(context, 0)
