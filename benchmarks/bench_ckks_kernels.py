@@ -9,7 +9,7 @@ once and cached, digits transformed once and multiply-accumulated pointwise,
 Galois automorphisms applied as index permutations of the cached digit
 transforms so a *group* of rotations of one ciphertext shares a single
 decomposition (SEAL-style hoisting).  The original coefficient-domain path
-is retained as the property-test oracle (``fast_keyswitch=False``).
+is retained as the property-test oracle (``tests/oracles/keyswitch.py``).
 
 Underneath both sits one batched NTT kernel (``repro.ckks.ntt.NttKernel``:
 constant-geometry butterflies, Shoup twiddles, lazy ``[0, 2q)`` reduction)
@@ -61,6 +61,7 @@ from repro.ckks.ntt import bit_reverse_indices, get_ntt_context
 # Reference sides that have left production live with the tests.
 sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles.dense_encoder import DenseCkksEncoder  # noqa: E402
+from oracles.keyswitch import ReferenceEvaluator  # noqa: E402
 
 try:
     from conftest import print_table
@@ -98,8 +99,8 @@ def _setup():
     galois_keys = keygen.create_galois_keys(ROTATION_STEPS)
     encryptor = Encryptor(context, keygen.create_public_key(), seed=11)
     decryptor = Decryptor(context, keygen.secret_key)
-    fast = Evaluator(context, relin_key, galois_keys, fast_keyswitch=True)
-    reference = Evaluator(context, relin_key, galois_keys, fast_keyswitch=False)
+    fast = Evaluator(context, relin_key, galois_keys)
+    reference = ReferenceEvaluator(context, relin_key, galois_keys)
     rng = np.random.default_rng(3)
     values = rng.uniform(-1.0, 1.0, context.slots)
     cipher = encryptor.encode_and_encrypt(values, SCALE)

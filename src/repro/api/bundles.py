@@ -94,22 +94,28 @@ def bundle_from_wire(data: Dict[str, Any], context: Any) -> CipherBundle:
     """Inverse of :func:`bundle_to_wire`."""
     if not isinstance(data, dict) or "program_signature" not in data:
         raise SerializationError("malformed cipher bundle: missing program_signature")
+    ciphertexts: Dict[str, Any] = {}
     try:
+        for name, cipher in data.get("ciphertexts", {}).items():
+            ciphertexts[str(name)] = context.decode_cipher(cipher)
         return CipherBundle(
             program_signature=str(data["program_signature"]),
             vec_size=int(data["vec_size"]),
-            ciphertexts={
-                str(name): context.decode_cipher(cipher)
-                for name, cipher in data.get("ciphertexts", {}).items()
-            },
+            ciphertexts=ciphertexts,
             plain={
                 str(name): np.asarray(values, dtype=np.float64)
                 for name, values in data.get("plain", {}).items()
             },
             client_id=str(data.get("client_id", "default")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed cipher bundle: {exc}") from exc
+    except Exception as exc:
+        # The caller never sees a half-decoded bundle, so it could not
+        # release the handles decoded before the failure.
+        for handle in ciphertexts.values():
+            context.release(handle)
+        if isinstance(exc, (KeyError, TypeError, ValueError)):
+            raise SerializationError(f"malformed cipher bundle: {exc}") from exc
+        raise
 
 
 def outputs_to_wire(outputs: EncryptedOutputs, context: Any) -> Dict[str, Any]:

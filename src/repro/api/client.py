@@ -80,11 +80,10 @@ class ClientKit:
         self.rotation_steps: List[int] = list(parameters.rotation_steps)
         self.context: BackendContext = backend.create_context(parameters)
         self.context.generate_keys()
-        self._program = self.compiled.program
-        # The engine's encrypt_inputs is the single implementation of the
-        # client-side encryption duty (shared with the compat Executor):
-        # which inputs are live, which are Cipher, and at what scale each
-        # must be encrypted.
+        # The engine's encrypt_inputs / decrypt_outputs are the single
+        # implementation of the key owner's duties (shared with the compat
+        # Executor and the server's plaintext path): which inputs are live,
+        # which are Cipher, and at what scale each must be encrypted.
         self._engine = EvaluationEngine(self.compiled.compilation, backend=backend)
 
     @classmethod
@@ -177,11 +176,7 @@ class ClientKit:
                     f"({outputs.program_signature[:12]}... vs "
                     f"{self.compiled.signature[:12]}...)"
                 )
-        vec_size = self.compiled.vec_size
-        return {
-            name: self.context.decrypt(handle)[:vec_size].copy()
-            for name, handle in handles.items()
-        }
+        return self._engine.decrypt_outputs(self.context, handles)
 
     # -- wire helpers ------------------------------------------------------------
     def bundle_to_wire(self, bundle: CipherBundle) -> Dict[str, Any]:

@@ -37,13 +37,8 @@ class ServerRuntime:
         threads: int = 1,
     ) -> None:
         self.compiled: CompiledProgram = as_compiled_program(compiled)
-        # retire_inputs=False: the bundle's ciphertext handles belong to the
-        # client, which may re-submit or re-serialize them after this call.
         self.engine = EvaluationEngine(
-            self.compiled.compilation,
-            backend=backend,
-            threads=threads,
-            retire_inputs=False,
+            self.compiled.compilation, backend=backend, threads=threads
         )
         self.backend = self.engine.backend
         self._clients: Dict[str, BackendContext] = {}
@@ -127,6 +122,8 @@ class ServerRuntime:
             context = self._check_no_secret(context)
         start = time.perf_counter()
         with self._evaluation_lock(bundle.client_id):
+            # Inputs are not retired: the bundle's handles belong to the
+            # client, which may re-submit or re-serialize them after this call.
             handles = self.engine.evaluate(context, bundle.ciphertexts, bundle.plain)
         elapsed = time.perf_counter() - start
         return EncryptedOutputs(

@@ -111,7 +111,11 @@ class BackendContext(abc.ABC):
         """Number of coefficient-modulus primes consumed by the handle."""
 
     def release(self, handle: CipherHandle) -> None:
-        """Hint that ``handle`` will no longer be used (memory reuse)."""
+        """Hint that ``handle`` will no longer be used (memory reuse).
+
+        Releasing a handle again is a no-op: live-ciphertext accounting counts
+        each handle once.
+        """
 
     # -- client/server split -----------------------------------------------------
     # These hooks realize the paper's asymmetric deployment model: the client

@@ -392,8 +392,9 @@ class CkksBackendContext(BackendContext):
         return handle.level
 
     def release(self, handle: Ciphertext) -> None:
-        handle.polys = []
-        self.live_ciphertexts = max(self.live_ciphertexts - 1, 0)
+        if handle.polys:  # a handle counts once, however often it is released
+            handle.polys = []
+            self.live_ciphertexts = max(self.live_ciphertexts - 1, 0)
 
 
 class CkksBackend(HomomorphicBackend):

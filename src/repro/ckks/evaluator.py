@@ -62,13 +62,13 @@ def _multiply_accumulate(
 class Evaluator:
     """Evaluates homomorphic operations on CKKS ciphertexts.
 
-    Key switching runs in the NTT (evaluation) domain by default: switching
-    keys are transformed once per (key, basis) and cached, all decomposition
-    digits are transformed in one kernel pass and multiply-accumulated pointwise, and Galois
-    automorphisms become index permutations of the cached digit transforms —
-    so a group of rotations of the same ciphertext shares one decomposition
-    (SEAL-style hoisting).  Pass ``fast_keyswitch=False`` to run the original
-    coefficient-domain path, which is kept as the property-test oracle.
+    Key switching runs in the NTT (evaluation) domain: switching keys are
+    transformed once per (key, basis) and cached, all decomposition digits are
+    transformed in one kernel pass and multiply-accumulated pointwise, and
+    Galois automorphisms become index permutations of the cached digit
+    transforms — so a group of rotations of the same ciphertext shares one
+    decomposition (SEAL-style hoisting).  The original coefficient-domain
+    path is the property-test oracle in ``tests/oracles/keyswitch.py``.
     """
 
     def __init__(
@@ -76,12 +76,10 @@ class Evaluator:
         context: CkksContext,
         relin_key: Optional[RelinearizationKey] = None,
         galois_keys: Optional[GaloisKeys] = None,
-        fast_keyswitch: bool = True,
     ) -> None:
         self.context = context
         self.relin_key = relin_key
         self.galois_keys = galois_keys
-        self.fast_keyswitch = bool(fast_keyswitch)
         self._hoist_cache: "OrderedDict[int, Tuple[RnsPolynomial, int, np.ndarray]]" = (
             OrderedDict()
         )
@@ -187,30 +185,8 @@ class Evaluator:
         Returns the pair to be added to ``(c0, c1)``, already scaled down by
         the special prime and expressed in the data basis of ``level``.
         """
-        if not self.fast_keyswitch:
-            return self._key_switch_reference(poly, switching_key, level)
         digit_ntts = self._digit_ntts(poly, level, cache=False)
         return self._key_switch_decomposed(digit_ntts, switching_key, level)
-
-    def _key_switch_reference(
-        self, poly: RnsPolynomial, switching_key: KeySwitchingKey, level: int
-    ) -> Tuple[RnsPolynomial, RnsPolynomial]:
-        """Coefficient-domain key switch (property-test oracle for the fast path)."""
-        context = self.context
-        data_basis = poly.basis
-        key_basis = context.key_basis(level)
-        acc0 = RnsPolynomial.zero(key_basis)
-        acc1 = RnsPolynomial.zero(key_basis)
-        for row, prime in enumerate(data_basis.primes):
-            pair = switching_key.pairs.get(prime)
-            if pair is None:
-                raise ParameterError(f"switching key is missing the digit for prime {prime}")
-            digit = RnsPolynomial.from_int64_coefficients(key_basis, poly.residues[row])
-            b_j = context.restrict(pair[0], key_basis)
-            a_j = context.restrict(pair[1], key_basis)
-            acc0 = acc0.add(digit.multiply(b_j))
-            acc1 = acc1.add(digit.multiply(a_j))
-        return acc0.divide_and_round_last(), acc1.divide_and_round_last()
 
     def _digit_ntts(self, poly: RnsPolynomial, level: int, cache: bool) -> np.ndarray:
         """Forward NTT of every decomposition digit of ``poly`` over the key basis.
@@ -306,11 +282,11 @@ class Evaluator:
     def rotate(self, a: Ciphertext, steps: int) -> Ciphertext:
         """Rotate the slots left by ``steps`` (negative values rotate right).
 
-        On the fast path the decomposition of ``c1`` is hoisted: it is
-        transformed once (and cached by ciphertext identity), and each rotation
-        applies its Galois element as an index permutation of the cached digit
-        NTTs — rotating the same ciphertext by k different steps costs one
-        decomposition instead of k.
+        The decomposition of ``c1`` is hoisted: it is transformed once (and
+        cached by ciphertext identity), and each rotation applies its Galois
+        element as an index permutation of the cached digit NTTs — rotating
+        the same ciphertext by k different steps costs one decomposition
+        instead of k.
         """
         if self.galois_keys is None:
             raise ParameterError("no Galois keys available")
@@ -321,23 +297,12 @@ class Evaluator:
             raise PolynomialCountError("rotation requires a relinearized ciphertext")
         element = self.context.galois_element_for_step(steps)
         switching_key = self.galois_keys.key_for(element)
-        if not self.fast_keyswitch:
-            return self._rotate_reference(a, element, switching_key)
         c0 = a.polys[0].automorphism(element)
         digit_ntts = self._digit_ntts(a.polys[1], a.level, cache=True)
         permutation = galois_ntt_permutation(self.context.poly_modulus_degree, element)
         ks0, ks1 = self._key_switch_decomposed(
             digit_ntts, switching_key, a.level, permutation=permutation
         )
-        return Ciphertext([c0.add(ks0), ks1], a.scale, a.level)
-
-    def _rotate_reference(
-        self, a: Ciphertext, element: int, switching_key: KeySwitchingKey
-    ) -> Ciphertext:
-        """Rotate via coefficient-domain automorphism + reference key switch."""
-        c0 = a.polys[0].automorphism(element)
-        c1 = a.polys[1].automorphism(element)
-        ks0, ks1 = self._key_switch_reference(c1, switching_key, a.level)
         return Ciphertext([c0.add(ks0), ks1], a.scale, a.level)
 
     # -- modulus chain -----------------------------------------------------------------------

@@ -7,18 +7,21 @@ Three layers are provided, mirroring the paper's asymmetric deployment model
   Section 3's execution semantics: Cipher values are ordinary vectors and the
   FHE-specific instructions are identities.  It defines the reference output
   every backend execution is compared against.
-* :class:`EvaluationEngine` is the server half of execution: it schedules the
-  instruction DAG of a *compiled* program over ciphertext handles, encoding
-  plaintext operands at the level and scale their consumers require and
-  recycling ciphertext memory as soon as a value is dead (retired).  It never
-  encrypts and never decrypts — it only needs a backend context holding
+* :class:`EvaluationEngine` holds the three duties of one compiled program.
+  :meth:`~EvaluationEngine.evaluate` is the server half: it schedules the
+  instruction DAG over ciphertext handles, encoding plaintext operands at the
+  level and scale their consumers require and recycling ciphertext memory as
+  soon as a value is dead (retired); it needs only a backend context holding
   evaluation keys (see :meth:`repro.backend.hisa.BackendContext.evaluation_context`).
+  :meth:`~EvaluationEngine.encrypt_inputs` and
+  :meth:`~EvaluationEngine.decrypt_outputs` are the key owner's half.  Whoever
+  holds the keys calls them — :class:`repro.api.ClientKit` for client-held
+  keys, :class:`repro.serving.EvaServer` for a plaintext request under
+  server-held keys — so every caller runs the same one evaluation.
 * :class:`Executor` is the one-process convenience wrapper kept for
-  compatibility: ``execute(inputs)`` performs keygen, encryption, evaluation,
-  and decryption in one call by pairing the client-side duties with an
-  :class:`EvaluationEngine`.  New code targeting the client/server split
-  should use :class:`repro.api.ClientKit` and :class:`repro.api.ServerRuntime`
-  instead.
+  compatibility: ``execute(inputs)`` is keygen plus those three duties in one
+  call.  New code targeting the client/server split should use
+  :class:`repro.api.ClientKit` and :class:`repro.api.ServerRuntime` instead.
 """
 
 from __future__ import annotations
@@ -134,7 +137,6 @@ class EvaluationEngine:
         compilation: CompilationResult,
         backend: Optional[HomomorphicBackend] = None,
         threads: int = 1,
-        retire_inputs: bool = True,
     ) -> None:
         if backend is None:
             from ..backend.mock_backend import MockBackend
@@ -143,10 +145,6 @@ class EvaluationEngine:
         self.compilation = compilation
         self.backend = backend
         self.threads = max(int(threads), 1)
-        #: Whether input ciphertexts may be released after their last use.
-        #: A server evaluating a client's bundle does not own those handles
-        #: (the client may re-submit or re-serialize them), so it keeps them.
-        self.retire_inputs = retire_inputs
         self.program = compilation.program
         self._scales = compute_scales(self.program)
 
@@ -179,41 +177,70 @@ class EvaluationEngine:
     def encrypt_inputs(
         self, context: BackendContext, inputs: Dict[str, Any]
     ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-        """The client duty: split ``inputs`` into encrypted handles and plain vectors.
+        """The key owner's first duty: encrypted handles and plain vectors.
 
         Cipher inputs are encrypted at the scale the compiled program requires
         (level 0); Vector inputs are broadcast unencrypted.  A missing live
         input raises; extra names — including declared-but-dead inputs the
-        compiler pruned — are ignored.  This is the single implementation both
-        the compat :class:`Executor` and :class:`repro.api.ClientKit` use.
+        compiler pruned — are ignored.  The caller owns the returned handles;
+        when this raises part-way it has released the ones it made.  This is
+        the single implementation :class:`Executor`, :class:`repro.api.ClientKit`
+        and :class:`repro.serving.EvaServer` use.
         """
         cipher_inputs: Dict[str, Any] = {}
         plain_inputs: Dict[str, np.ndarray] = {}
         vec_size = self.program.vec_size
         scales = self.input_scales()
-        for name in self.cipher_input_names():
-            if name not in inputs:
-                raise ExecutionError(f"missing value for input {name!r}")
-            cipher_inputs[name] = context.encrypt(
-                _broadcast(inputs[name], vec_size), scales[name], level=0
-            )
-        for name in self.plain_input_names():
-            if name not in inputs:
-                raise ExecutionError(f"missing value for input {name!r}")
-            plain_inputs[name] = _broadcast(inputs[name], vec_size)
+        try:
+            for name in self.cipher_input_names():
+                if name not in inputs:
+                    raise ExecutionError(f"missing value for input {name!r}")
+                cipher_inputs[name] = context.encrypt(
+                    _broadcast(inputs[name], vec_size), scales[name], level=0
+                )
+            for name in self.plain_input_names():
+                if name not in inputs:
+                    raise ExecutionError(f"missing value for input {name!r}")
+                plain_inputs[name] = _broadcast(inputs[name], vec_size)
+        except BaseException:
+            for handle in cipher_inputs.values():
+                context.release(handle)
+            raise
         return cipher_inputs, plain_inputs
+
+    def decrypt_outputs(
+        self, context: BackendContext, handles: Dict[str, Any]
+    ) -> Dict[str, np.ndarray]:
+        """The key owner's last duty: decrypt output handles to float vectors.
+
+        ``context`` must hold the secret key.  The handles stay live — they
+        belong to whoever obtained them from :meth:`evaluate`.
+        """
+        vec_size = self.program.vec_size
+        return {
+            name: context.decrypt(handle)[:vec_size].copy()
+            for name, handle in handles.items()
+        }
 
     def evaluate(
         self,
         context: BackendContext,
         cipher_inputs: Dict[str, Any],
         plain_inputs: Optional[Dict[str, Any]] = None,
+        retire_inputs: bool = False,
     ) -> Dict[str, Any]:
         """Evaluate the DAG; returns output name -> ciphertext handle.
 
         ``cipher_inputs`` maps Cipher input names to backend ciphertext
         handles (already encrypted by the data owner); ``plain_inputs`` maps
         the program's unencrypted vector inputs to plain values.
+
+        ``retire_inputs`` states who owns the input handles for this call.
+        A caller that owns them (it encrypted or wire-decoded them itself)
+        passes True and each is released after its last use, like any other
+        dead value.  A caller evaluating someone else's live bundle leaves it
+        False: the client may re-submit or re-serialize those handles.  The
+        returned output handles always belong to the caller.
         """
         plain_inputs = plain_inputs or {}
         cipher_values: Dict[int, Any] = {}
@@ -235,7 +262,7 @@ class EvaluationEngine:
                     plain_values[term.id] = _broadcast(plain_inputs[term.name], vec_size)
             elif term.is_constant:
                 plain_values[term.id] = _broadcast(term.value, vec_size)
-        return self._evaluate(context, cipher_values, plain_values)
+        return self._evaluate(context, cipher_values, plain_values, retire_inputs)
 
     # -- internals ---------------------------------------------------------------
     def _evaluate(
@@ -243,22 +270,26 @@ class EvaluationEngine:
         context: BackendContext,
         cipher_values: Dict[int, Any],
         plain_values: Dict[int, np.ndarray],
+        retire_inputs: bool,
     ) -> Dict[str, Any]:
         program = self.program
         uses = program.uses()
         remaining_uses = {tid: len(consumers) for tid, consumers in uses.items()}
-        output_ids = {t.id for t in program.outputs.values()}
         terms = program.terms()
+        # Never retired: the outputs, and inputs the caller does not own.
+        keep_ids = {t.id for t in program.outputs.values()}
+        if not retire_inputs:
+            keep_ids.update(t.id for t in terms if t.is_input)
 
         if self.threads == 1:
             for term in terms:
                 if term.is_root:
                     continue
                 self._execute_term(context, term, cipher_values, plain_values)
-                self._retire_args(context, term, remaining_uses, output_ids, cipher_values)
+                self._retire_args(context, term, remaining_uses, keep_ids, cipher_values)
         else:
             self._evaluate_parallel(
-                context, terms, cipher_values, plain_values, remaining_uses, output_ids
+                context, terms, cipher_values, plain_values, remaining_uses, keep_ids
             )
 
         handles = {}
@@ -276,7 +307,7 @@ class EvaluationEngine:
         cipher_values: Dict[int, Any],
         plain_values: Dict[int, np.ndarray],
         remaining_uses: Dict[int, int],
-        output_ids: set,
+        keep_ids: set,
     ) -> None:
         """Dependency-driven parallel evaluation of the instruction DAG.
 
@@ -332,7 +363,7 @@ class EvaluationEngine:
                 return
             newly_ready: List[Term] = []
             with lock:
-                self._retire_args(context, term, remaining_uses, output_ids, cipher_values)
+                self._retire_args(context, term, remaining_uses, keep_ids, cipher_values)
                 done_count += 1
                 inflight -= 1
                 if not errors:
@@ -442,7 +473,7 @@ class EvaluationEngine:
         context: BackendContext,
         term: Term,
         remaining_uses: Dict[int, int],
-        output_ids: set,
+        keep_ids: set,
         cipher_values: Dict[int, Any],
     ) -> None:
         """Release ciphertexts whose last consumer has executed (memory reuse)."""
@@ -450,12 +481,7 @@ class EvaluationEngine:
             if arg.id not in remaining_uses:
                 continue
             remaining_uses[arg.id] -= 1
-            if (
-                remaining_uses[arg.id] <= 0
-                and arg.id in cipher_values
-                and arg.id not in output_ids
-                and (self.retire_inputs or not arg.is_input)
-            ):
+            if remaining_uses[arg.id] <= 0 and arg.id in cipher_values and arg.id not in keep_ids:
                 context.release(cipher_values[arg.id])
 
 
@@ -482,7 +508,6 @@ class Executor:
         self.compilation = compilation
         self.backend = self.engine.backend
         self.program = self.engine.program
-        self._scales = self.engine._scales
 
     @property
     def threads(self) -> int:
@@ -523,14 +548,14 @@ class Executor:
         stats.encrypt_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        output_handles = self.engine.evaluate(context, cipher_inputs, plain_inputs)
+        # This process encrypted the inputs, so it owns them: retire at last use.
+        output_handles = self.engine.evaluate(
+            context, cipher_inputs, plain_inputs, retire_inputs=True
+        )
         stats.evaluate_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        outputs = {}
-        for name, handle in output_handles.items():
-            decoded = context.decrypt(handle)
-            outputs[name] = decoded[: self.program.vec_size].copy()
+        outputs = self.engine.decrypt_outputs(context, output_handles)
         stats.decrypt_seconds = time.perf_counter() - t0
 
         stats.wall_seconds = time.perf_counter() - start_all

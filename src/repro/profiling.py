@@ -36,13 +36,11 @@ CATEGORY_RULES: List[Tuple[str, str, Optional[frozenset]]] = [
         frozenset(
             {
                 "_key_switch",
-                "_key_switch_reference",
                 "_key_switch_decomposed",
                 "_digit_ntts",
                 "_key_evaluation_form",
                 "relinearize",
                 "rotate",
-                "_rotate_reference",
             }
         ),
     ),

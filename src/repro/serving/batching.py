@@ -54,12 +54,16 @@ def linger_budget(
     batch_window: float,
     deadline_remaining: Optional[float] = None,
     execute_estimate: float = 0.0,
+    can_share: bool = True,
 ) -> float:
     """Seconds batch formation may linger for one request, given its SLO.
 
     The DiLaServe-style batch-vs-solo decision, made per request against its
     deadline rather than globally:
 
+    * a request whose group cannot share an evaluation (``can_share`` False:
+      pre-encrypted bundles, which the server cannot slot-pack) never lingers
+      — company would not make it any cheaper.
     * ``tight`` requests are never held back to fill lanes — a batch worth
       forming for a relaxed client is worth skipping for a tight one, so the
       budget is 0 (already-queued same-group jobs still ride along for free).
@@ -73,7 +77,7 @@ def linger_budget(
     ``deadline_remaining`` is seconds until the request's deadline (None when
     it carries none); ``execute_estimate`` is the modeled solo execution time.
     """
-    if slo_class == "tight":
+    if slo_class == "tight" or not can_share:
         return 0.0
     if slo_class == "relaxed" or deadline_remaining is None:
         return max(float(batch_window), 0.0)

@@ -95,6 +95,9 @@ class Job:
     deadline_at: Optional[float] = None
     #: Modeled solo execution time, used by batch formation to cap lingering.
     execute_estimate: float = 0.0
+    #: Whether same-group jobs can share one evaluation with this one; a job
+    #: that cannot gains nothing from company, so its batch never lingers.
+    can_share: bool = True
 
     @property
     def queue_seconds(self) -> float:
@@ -272,6 +275,7 @@ class JobEngine:
         deadline_ms: Optional[float] = None,
         slo_class: Optional[str] = None,
         execute_estimate: Optional[float] = None,
+        can_share: bool = True,
     ) -> "Future[Any]":
         """Enqueue a job for ``client`` and return its future.
 
@@ -292,6 +296,11 @@ class JobEngine:
         ``retry_after`` hint.  The linger a batch may add is deliberately
         *not* part of the admission model: a request whose slack only covers
         execution goes solo, it is not rejected.
+
+        ``can_share`` says whether the handler can answer same-group jobs
+        with one shared evaluation; when it cannot, batch formation does not
+        linger for stragglers (already-queued same-group jobs still ride
+        along, and SLO accounting is unchanged).
 
         ``trace_id`` labels every span the engine records for this job;
         ``program`` labels its metric series.
@@ -382,6 +391,7 @@ class JobEngine:
                     slo_class=slo,
                     deadline_at=None if deadline_s is None else now + deadline_s,
                     execute_estimate=estimate,
+                    can_share=can_share,
                 )
                 queue = self._queues.get(client)
                 if queue is None:
@@ -440,13 +450,15 @@ class JobEngine:
             # Batch-vs-solo is decided per request against its SLO: a tight
             # first job gets a zero linger budget (already-queued same-group
             # jobs above still ride along), a relaxed one the full window,
-            # a standard one its deadline slack.
+            # a standard one its deadline slack — and a job that cannot share
+            # an evaluation never waits for company.
             now = time.monotonic()
             window = linger_budget(
                 first.slo_class,
                 self.batch_window,
                 None if first.deadline_at is None else first.deadline_at - now,
                 first.execute_estimate,
+                first.can_share,
             )
             deadline = now + window
             while len(batch) < self.max_batch and window > 0 and not self._closed:

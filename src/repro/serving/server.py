@@ -12,8 +12,17 @@ futures.  Per request the server
    client) group into the unused CKKS slots (:class:`SlotBatcher`) — jobs
    group by *signature*, not program name, so identical programs registered
    under different names share batches — and
-4. executes once per batch through the ordinary :class:`~repro.core.Executor`
-   with the injected context.
+4. runs each *unit of evaluation* — a packed plan answering all its jobs, or
+   one job — through the one spine in :meth:`EvaServer._handle_batch`.
+
+A plaintext request is "encrypt under server-held keys, then the encrypted
+path": both job kinds obtain ciphertext inputs (the server's own encryptions,
+or the client's bundle), share the one
+:meth:`~repro.core.EvaluationEngine.evaluate` call site, and differ only in
+how the output handles become a reply.  Every handle the server acquires for
+a request — its own encryptions, wire-decoded copies, outputs it decrypted —
+is released before the request's reply or error is produced; a client's live
+bundle and outputs handed to a transport are never the server's to release.
 
 Rotation-bearing programs batch too: when a batch of narrow requests arrives
 for a program that is not slotwise, the server resolves (compiling at most
@@ -42,15 +51,15 @@ import numpy as np
 
 from ..backend.hisa import BackendContext, HomomorphicBackend
 from ..core.compiler import CompilationResult, CompilerOptions, program_signature
-from ..core.executor import EvaluationEngine, Executor
+from ..core.executor import EvaluationEngine
 from ..core.ir import Program
-from ..errors import EvaError, ServingError, UnknownProgramError
+from ..errors import EncodingError, EvaError, ServingError, UnknownProgramError
 from .artifacts import ArtifactCache, LaneWidthPolicy, WidthHistogram
-from .batching import BatchInfo, SlotBatcher, pow2_ceil, request_width
+from .batching import BatchInfo, BatchPlan, SlotBatcher, pow2_ceil, request_width
 from .jobs import Job, JobEngine
 from .quotas import FairnessPolicy
 from .registry import ProgramRegistry
-from .sessions import SessionManager
+from .sessions import Session, SessionManager
 from .store import SessionStore
 from .telemetry import Telemetry, absorb_summary
 
@@ -79,6 +88,26 @@ class ServeRequest:
     inputs: Dict[str, Any]
     output_size: Optional[int] = None
     name: str = ""
+
+
+def _admitted_inputs(inputs: Dict[str, Any]) -> Dict[str, np.ndarray]:
+    """Each input value as one float64 vector, or a typed admission error."""
+    vectors: Dict[str, np.ndarray] = {}
+    for key, value in inputs.items():
+        try:
+            vector = np.atleast_1d(np.asarray(value, dtype=np.float64)).ravel()
+        except (TypeError, ValueError):
+            raise ServingError(
+                f"input {key!r} is not numeric ({type(value).__name__})"
+            ) from None
+        if vector.size == 0:
+            raise ServingError(f"input {key!r} is empty")
+        if not np.isfinite(vector).all():
+            raise EncodingError(
+                f"cannot encode non-finite values (NaN or infinity) in input {key!r}"
+            )
+        vectors[key] = vector
+    return vectors
 
 
 @dataclass
@@ -171,6 +200,19 @@ class ServeResponse:
         }
 
 
+@dataclass
+class _Served:
+    """What the server caches per compilation signature, built on a worker."""
+
+    engine: EvaluationEngine
+    #: :meth:`SlotBatcher.inspect` facts; also carries the static
+    #: rotation/key-switch counts the telemetry counters are fed from.
+    info: BatchInfo
+    #: Modeled solo-execution seconds (cost model over the compiled graph),
+    #: the cold-start execute estimate of the engine's deadline admission.
+    execute_seconds: float
+
+
 class EvaServer:
     """In-process encrypted-computation server over a homomorphic backend."""
 
@@ -215,13 +257,9 @@ class EvaServer:
         self.batcher = SlotBatcher()
         self.executor_threads = max(int(executor_threads), 1)
         self._programs: Dict[str, ProgramSpec] = {}
-        self._executors: Dict[str, Executor] = {}
-        self._engines: Dict[str, EvaluationEngine] = {}
-        self._batch_infos: Dict[str, BatchInfo] = {}
-        #: Per-signature modeled solo-execution seconds (cost model over the
-        #: compiled graph), populated on the worker side and fed to the
-        #: engine's deadline admission as the cold-start execute estimate.
-        self._cost_estimates: Dict[str, float] = {}
+        #: The one per-signature cache (engine, batch facts, cost estimate),
+        #: kept bounded alongside the registry by :meth:`_served_for`.
+        self._served: Dict[str, _Served] = {}
         #: (base signature, lane width) pairs whose variant compilation
         #: failed; remembered so a failing width is not recompiled per batch.
         self._lane_failures: Set[Tuple[str, int]] = set()
@@ -311,13 +349,7 @@ class EvaServer:
         the class shapes the batch-vs-solo decision downstream.  Unset values
         fall back to the fairness policy's per-client defaults.
         """
-        with self._lock:
-            spec = self._programs.get(name)
-            if spec is None:
-                raise UnknownProgramError(
-                    f"no program registered under {name!r}; "
-                    f"known programs: {sorted(self._programs)}"
-                )
+        spec = self._lookup(name)
         if output_size is not None:
             # Reject here, at admission: a bad value surfacing inside the
             # worker would fail co-batched requests along with this one.
@@ -329,22 +361,49 @@ class EvaServer:
                 ) from None
             if output_size < 1:
                 raise ServingError(f"output_size must be positive, got {output_size}")
-        payload = ServeRequest(inputs=dict(inputs), output_size=output_size, name=name)
+        # Likewise the input values: a NaN or a string would otherwise be
+        # packed into (and fail) the vector its neighbours share.
+        payload = ServeRequest(
+            inputs=_admitted_inputs(inputs), output_size=output_size, name=name
+        )
         if self.precompile is not None:
             self._observe_width(spec, payload)
-        # Group by compilation signature, not name: packed execution depends
-        # only on the compiled graph, so identical programs registered under
-        # different names share batches (clients still never mix).
+        return self._enqueue(
+            "plain", spec, payload, client_id, timeout=timeout, trace_id=trace_id,
+            deadline_ms=deadline_ms, slo_class=slo_class,
+        )
+
+    def _lookup(self, name: str) -> ProgramSpec:
+        with self._lock:
+            spec = self._programs.get(name)
+            if spec is None:
+                raise UnknownProgramError(
+                    f"no program registered under {name!r}; "
+                    f"known programs: {sorted(self._programs)}"
+                )
+            return spec
+
+    def _enqueue(
+        self, kind: str, spec: ProgramSpec, payload: Any, client_id: str, **admission: Any
+    ) -> "Future[Any]":
+        """Queue one job of either kind (the one ``engine.submit`` call site).
+
+        Jobs group by compilation signature, not name: evaluation depends only
+        on the compiled graph, so identical programs registered under
+        different names share batches.  Clients never mix, and neither do the
+        kinds: the server can slot-pack plaintext it encrypts itself, but not
+        data it cannot read — so only plaintext groups can share an
+        evaluation, and only they are worth lingering for.
+        """
+        served = self._served.get(spec.signature)
         return self.engine.submit(
-            ("plain", spec.signature, str(client_id)),
+            (kind, spec.signature, str(client_id)),
             payload,
-            timeout=timeout,
             client=str(client_id),
-            trace_id=trace_id,
-            program=name,
-            deadline_ms=deadline_ms,
-            slo_class=slo_class,
-            execute_estimate=self._cost_estimates.get(spec.signature),
+            program=payload.name,
+            execute_estimate=served.execute_seconds if served else None,
+            can_share=kind == "plain",
+            **admission,
         )
 
     def request(
@@ -435,28 +494,16 @@ class EvaServer:
             "lane_width": compilation.lane_width,
         }
 
-    def session_context(self, name: str, client_id: str) -> BackendContext:
-        """The evaluation context registered for ``(name, client)``.
-
-        Transports use it to decode incoming bundles and encode ciphertext
-        replies with the right codec.
-        """
-        _spec, compilation, _cached = self._resolve(name)
-        try:
-            return self.sessions.get_attached(compilation, str(client_id)).context
-        except LookupError as exc:
-            session = self._restore_session(compilation, str(client_id))
-            if session is None:
-                raise ServingError(str(exc)) from exc
-            return session.context
-
-    def _restore_session(self, compilation: CompilationResult, client_id: str):
+    def _restore_session(
+        self, compilation: CompilationResult, name: str, client_id: str
+    ):
         """Rebuild a client-keyed session from the persisted key blob, if any.
 
         Returns the attached session, or ``None`` when there is no store, no
         record, or the blob cannot be rebuilt (a corrupt or stale record must
         degrade to the ordinary "create a session first" error, not crash the
-        batch).
+        batch).  ``name`` is the registered program name the session's key
+        footprint is counted under, as :meth:`create_session` counts it.
         """
         if self.session_store is None:
             return None
@@ -468,9 +515,7 @@ class EvaServer:
                 compilation.parameters, blob
             )
             session = self.sessions.attach(compilation, client_id, context)
-            self._count_session_keys(
-                compilation, compilation.program.name, client_id
-            )
+            self._count_session_keys(compilation, name, client_id)
             return session
         except Exception as exc:
             import warnings
@@ -502,13 +547,7 @@ class EvaServer:
         the server cannot slot-pack data it cannot read — clients pack before
         encrypting (``ClientKit.encrypt_packed``) to get the same amortization.
         """
-        with self._lock:
-            spec = self._programs.get(name)
-            if spec is None:
-                raise UnknownProgramError(
-                    f"no program registered under {name!r}; "
-                    f"known programs: {sorted(self._programs)}"
-                )
+        spec = self._lookup(name)
         wire = isinstance(bundle, dict)
         if client_id is None:
             client_id = (
@@ -517,16 +556,9 @@ class EvaServer:
                 else getattr(bundle, "client_id", "default")
             )
         payload = EncryptedServeRequest(bundle=bundle, wire=wire, name=name)
-        return self.engine.submit(
-            ("encrypted", spec.signature, str(client_id)),
-            payload,
-            timeout=timeout,
-            client=str(client_id),
-            trace_id=trace_id,
-            program=name,
-            deadline_ms=deadline_ms,
-            slo_class=slo_class,
-            execute_estimate=self._cost_estimates.get(spec.signature),
+        return self._enqueue(
+            "encrypted", spec, payload, client_id, timeout=timeout, trace_id=trace_id,
+            deadline_ms=deadline_ms, slo_class=slo_class,
         )
 
     def request_encrypted(
@@ -555,14 +587,19 @@ class EvaServer:
         if spec is None:
             raise UnknownProgramError(f"program {name!r} was unregistered mid-flight")
         cached = spec.signature in self.registry
-        compilation = self.registry.get_or_compile(
-            spec.program,
-            spec.options,
-            spec.input_scales,
-            spec.output_scales,
-            signature=spec.signature,
+        return spec, self._compile(spec), cached
+
+    def _compile(
+        self, spec: ProgramSpec, lane_width: Optional[int] = None
+    ) -> CompilationResult:
+        """The registry's compilation of ``spec`` — or, given a ``lane_width``,
+        of its lane-lowered variant at that width (compiled at most once)."""
+        source = (spec.program, spec.options, spec.input_scales, spec.output_scales)
+        if lane_width is None:
+            return self.registry.get_or_compile(*source, signature=spec.signature)
+        return self.registry.get_or_compile_variant(
+            *source, lane_width=lane_width, base_signature=spec.signature
         )
-        return spec, compilation, cached
 
     def _resolve_any(
         self, names: List[str], signature: str
@@ -615,14 +652,7 @@ class EvaServer:
             if key in self._lane_failures:
                 return None
         try:
-            return self.registry.get_or_compile_variant(
-                spec.program,
-                spec.options,
-                spec.input_scales,
-                spec.output_scales,
-                lane_width=width,
-                base_signature=spec.signature,
-            )
+            return self._compile(spec, lane_width=width)
         except Exception as exc:
             # Lane lowering is an optimization: a width that cannot compile
             # (or validate) must degrade to solo execution, not fail jobs.
@@ -710,14 +740,8 @@ class EvaServer:
         the ``serving.lane.width_chosen`` counter, making the picker's
         decisions observable.
         """
-        compilation = self.registry.get_or_compile(
-            spec.program,
-            spec.options,
-            spec.input_scales,
-            spec.output_scales,
-            signature=spec.signature,
-        )
-        info = self._info_for(spec.signature, compilation)
+        compilation = self._compile(spec)
+        info = self._served_for(spec.signature, compilation).info
         if info.slotwise or info.lane_width is not None:
             # Slotwise programs batch without lane variants; a pinned lane
             # width is already compiled in.
@@ -741,14 +765,7 @@ class EvaServer:
                 if key in self._lane_failures or key in self._precompiled:
                     continue
             try:
-                self.registry.get_or_compile_variant(
-                    spec.program,
-                    spec.options,
-                    spec.input_scales,
-                    spec.output_scales,
-                    lane_width=width,
-                    base_signature=spec.signature,
-                )
+                self._compile(spec, lane_width=width)
                 with self._lock:
                     self._precompiled.add(key)
                 self.telemetry.inc(
@@ -772,51 +789,45 @@ class EvaServer:
                 self._precompile_cond.wait(remaining)
             return True
 
-    def _executor_for(
-        self, signature: str, compilation: CompilationResult
-    ) -> Tuple[Executor, BatchInfo]:
-        with self._lock:
-            executor = self._executors.get(signature)
-            if executor is None:
-                executor = Executor(
-                    compilation, self.backend, threads=self.executor_threads
-                )
-                self._executors[signature] = executor
-                # Keep the side caches bounded alongside the registry.
-                while len(self._executors) > 2 * self.registry.capacity:
-                    self._executors.pop(next(iter(self._executors)))
-        return executor, self._info_for(signature, compilation)
+    def _served_for(self, signature: str, compilation: CompilationResult) -> _Served:
+        """The cached per-signature record; built on first use, on a worker.
 
-    def _info_for(self, signature: str, compilation: CompilationResult) -> BatchInfo:
-        """Cached :meth:`SlotBatcher.inspect` result (also carries the static
-        rotation/key-switch counts the telemetry counters are fed from)."""
+        Building here (where the compilation is in hand anyway) means deadline
+        admission never forces a compile: until a program's first execution
+        it falls back to the engine's observed history.
+        """
         with self._lock:
-            info = self._batch_infos.get(signature)
-            if info is None:
-                info = self.batcher.inspect(compilation)
-                self._batch_infos[signature] = info
-                while len(self._batch_infos) > 2 * self.registry.capacity:
-                    self._batch_infos.pop(next(iter(self._batch_infos)))
-            return info
+            served = self._served.get(signature)
+            if served is None:
+                from ..backend.cost_model import DEFAULT_COST_MODEL
+
+                params = compilation.parameters
+                served = self._served[signature] = _Served(
+                    engine=EvaluationEngine(
+                        compilation, self.backend, threads=self.executor_threads
+                    ),
+                    info=self.batcher.inspect(compilation),
+                    execute_seconds=DEFAULT_COST_MODEL.program_seconds(
+                        compilation.program,
+                        params.poly_modulus_degree,
+                        max(params.modulus_count - 1, 1),
+                    ),
+                )
+                # Keep the side cache bounded alongside the registry.
+                while len(self._served) > 2 * self.registry.capacity:
+                    self._served.pop(next(iter(self._served)))
+            return served
 
     def _count_rotation_tax(
         self, info: BatchInfo, program: str, client_id: str
     ) -> None:
         """One evaluation's rotation/key-switch tax, attributed per program/client."""
-        if info.rotations:
-            self.telemetry.inc(
-                "serving.rotations",
-                info.rotations,
-                program=program,
-                client=client_id,
-            )
-        if info.keyswitches:
-            self.telemetry.inc(
-                "serving.keyswitch",
-                info.keyswitches,
-                program=program,
-                client=client_id,
-            )
+        for series, count in (
+            ("serving.rotations", info.rotations),
+            ("serving.keyswitch", info.keyswitches),
+        ):
+            if count:
+                self.telemetry.inc(series, count, program=program, client=client_id)
 
     def _harvest_op_times(self, context: Any, program: str) -> None:
         """Fold the backend's per-op kernel timings into ``ckks.op.*``.
@@ -857,149 +868,19 @@ class EvaServer:
             "serving.galois.key_steps", steps, program=program
         )
 
-    def _engine_for(
-        self, signature: str, compilation: CompilationResult
-    ) -> EvaluationEngine:
-        """Cached ciphertext-only evaluation engine (bundle path).
-
-        Separate from the :class:`Executor` cache because bundle evaluation
-        must not retire input ciphertexts — they belong to the client.
-        """
-        with self._lock:
-            engine = self._engines.get(signature)
-            if engine is None:
-                engine = EvaluationEngine(
-                    compilation,
-                    self.backend,
-                    threads=self.executor_threads,
-                    retire_inputs=False,
-                )
-                self._engines[signature] = engine
-                while len(self._engines) > 2 * self.registry.capacity:
-                    self._engines.pop(next(iter(self._engines)))
-            return engine
-
-    def _handle_encrypted_batch(self, jobs: List[Job]) -> List[Any]:
-        from ..api.bundles import EncryptedOutputs, bundle_from_wire
-
-        _, signature, client_id = jobs[0].group
-        resolve_started = time.perf_counter()
-        spec, compilation, cached_program = self._resolve_any(
-            [job.payload.name for job in jobs], signature
-        )
-        self._note_cost_estimate(signature, compilation)
-        restored = False
-        try:
-            session = self.sessions.get_attached(compilation, client_id)
-        except LookupError as exc:
-            # The client may have registered its keys with a previous process
-            # (server restart) or a different shard (reroute after a shard
-            # failure): restore from the persistent store before giving up.
-            restore_started = time.perf_counter()
-            session = self._restore_session(compilation, client_id)
-            if session is None:
-                raise ServingError(str(exc)) from exc
-            restored = True
-            restore_seconds = time.perf_counter() - restore_started
-        engine = self._engine_for(spec.signature, compilation)
-        info = self._info_for(spec.signature, compilation)
-        resolve_seconds = time.perf_counter() - resolve_started
-        for job in jobs:
-            self.telemetry.span(
-                job.trace_id,
-                "compile_or_cache",
-                resolve_seconds - (restore_seconds if restored else 0.0),
-                cached=cached_program,
-                program=spec.name,
-            )
-            if restored:
-                self.telemetry.span(
-                    job.trace_id, "session_restore", restore_seconds,
-                    client=client_id,
-                )
-        responses: List[Any] = []
-        with session.lock:
-            for job in jobs:
-                request = job.payload
-                try:
-                    bundle = request.bundle
-                    if request.wire:
-                        bundle = bundle_from_wire(bundle, session.context)
-                    if bundle.program_signature != spec.signature:
-                        raise ServingError(
-                            f"bundle was encrypted for a different compilation "
-                            f"of {request.name!r} ({bundle.program_signature[:12]}... "
-                            f"vs {spec.signature[:12]}...); recompile the client "
-                            "against the server's program and options (including "
-                            "its lane_width)"
-                        )
-                    start = time.perf_counter()
-                    handles = engine.evaluate(
-                        session.context, bundle.ciphertexts, bundle.plain
-                    )
-                    elapsed = time.perf_counter() - start
-                    self._count_rotation_tax(info, spec.name, client_id)
-                    self._harvest_op_times(session.context, spec.name)
-                    if request.wire:
-                        # Wire-decoded input handles are server-owned copies;
-                        # release them so the context's live-ciphertext
-                        # accounting stays bounded.  A pass-through output can
-                        # alias an input handle — those stay live.
-                        output_ids = {id(h) for h in handles.values()}
-                        for handle in bundle.ciphertexts.values():
-                            if id(handle) not in output_ids:
-                                session.context.release(handle)
-                    responses.append(
-                        EncryptedServeResponse(
-                            outputs=EncryptedOutputs(
-                                program_signature=spec.signature,
-                                ciphertexts=handles,
-                                evaluate_seconds=elapsed,
-                            ),
-                            program=request.name,
-                            client_id=client_id,
-                            cached_program=cached_program,
-                            execute_seconds=elapsed,
-                            context=session.context,
-                        )
-                    )
-                except Exception as exc:  # fail this job, not the batch
-                    responses.append(exc)
-        for job, response in zip(jobs, responses):
-            if isinstance(response, EncryptedServeResponse):
-                response.queue_seconds = job.queue_seconds
-        return responses
-
-    def _note_cost_estimate(self, signature: str, compilation: Any) -> None:
-        """Record the modeled solo-execution seconds of one compilation.
-
-        Runs on the worker side (where the compilation is in hand anyway) so
-        deadline admission never forces a compile; until a program's first
-        execution, admission falls back to the engine's observed history.
-        """
-        if signature in self._cost_estimates:
-            return
-        from ..backend.cost_model import DEFAULT_COST_MODEL
-
-        params = compilation.parameters
-        self._cost_estimates[signature] = DEFAULT_COST_MODEL.program_seconds(
-            compilation.program,
-            params.poly_modulus_degree,
-            max(params.modulus_count - 1, 1),
-        )
-
     def _handle_batch(self, jobs: List[Job]) -> List[Any]:
-        group = jobs[0].group
-        if group[0] == "encrypted":
-            return self._handle_encrypted_batch(jobs)
-        _, signature, client_id = group
-        requests: List[ServeRequest] = [job.payload for job in jobs]
+        """The evaluation spine: every job of either kind is answered here.
+
+        A batch is one group — (kind, compilation signature, client) — so its
+        jobs share one compiled program, one session and one kind.
+        """
+        kind, signature, client_id = jobs[0].group
+        requests = [job.payload for job in jobs]
         resolve_started = time.perf_counter()
         spec, compilation, cached_program = self._resolve_any(
             [request.name for request in requests], signature
         )
-        self._note_cost_estimate(signature, compilation)
-        executor, batch_info = self._executor_for(spec.signature, compilation)
+        served = self._served_for(spec.signature, compilation)
         resolve_seconds = time.perf_counter() - resolve_started
         for job in jobs:
             self.telemetry.span(
@@ -1009,115 +890,185 @@ class EvaServer:
                 cached=cached_program,
                 program=spec.name,
             )
-
-        plan = self.batcher.plan(
-            compilation,
-            [request.inputs for request in requests],
-            [request.output_size for request in requests],
-            info=batch_info,
-        )
-        if plan is None and len(requests) >= 2:
-            # Rotation-bearing program: try the lane-lowered variant sized to
-            # this batch.  The variant computes, per lane, what the base
-            # program computes on a replicated narrow input, so answers agree
-            # with the solo path.
-            variant = self._lane_variant_for(spec, batch_info, requests)
-            if variant is not None:
-                variant_executor, variant_info = self._executor_for(
-                    variant.signature, variant
-                )
-                variant_plan = self.batcher.plan(
-                    variant,
-                    [request.inputs for request in requests],
-                    [request.output_size for request in requests],
-                    info=variant_info,
-                )
-                if variant_plan is not None:
-                    compilation, executor = variant, variant_executor
-                    batch_info, plan = variant_info, variant_plan
-
-        # The session is keyed by the compilation that will actually run:
-        # a lane variant has its own rotation steps and hence its own keys.
-        session = self.sessions.get_session(compilation, client_id)
+        plan = None
+        if kind == "encrypted":
+            # Client-held keys: the session is whatever the client attached.
+            try:
+                session = self.sessions.get_attached(compilation, client_id)
+            except LookupError as exc:
+                # The client may have registered its keys with a previous
+                # process (server restart) or a different shard (reroute after
+                # a shard failure): restore from the persistent store before
+                # giving up.
+                restore_started = time.perf_counter()
+                session = self._restore_session(compilation, spec.name, client_id)
+                if session is None:
+                    raise ServingError(str(exc)) from exc
+                restore_seconds = time.perf_counter() - restore_started
+                for job in jobs:
+                    self.telemetry.span(
+                        job.trace_id, "session_restore", restore_seconds,
+                        client=client_id,
+                    )
+        else:
+            inputs = [request.inputs for request in requests]
+            sizes = [request.output_size for request in requests]
+            plan = self.batcher.plan(compilation, inputs, sizes, info=served.info)
+            if plan is None and len(requests) >= 2:
+                # Rotation-bearing program: try the lane-lowered variant sized
+                # to this batch.  The variant computes, per lane, what the
+                # base program computes on a replicated narrow input, so
+                # answers agree with the solo path.
+                variant = self._lane_variant_for(spec, served.info, requests)
+                if variant is not None:
+                    variant_served = self._served_for(variant.signature, variant)
+                    variant_plan = self.batcher.plan(
+                        variant, inputs, sizes, info=variant_served.info
+                    )
+                    if variant_plan is not None:
+                        compilation, served, plan = variant, variant_served, variant_plan
+            # Server-held keys, keyed by the compilation that will actually
+            # run: a lane variant has its own rotation steps, hence own keys.
+            session = self.sessions.get_session(compilation, client_id)
         cached_session = session.hits > 0
+        # The unit of evaluation: a packed plan is one unit answering all its
+        # jobs; anything else — a bundle the server cannot read, requests that
+        # do not fit shared lanes — is one unit per job.
+        units = [requests] if plan is not None else [[request] for request in requests]
         responses: List[Any] = []
         with session.lock:
-            if plan is not None:
-                packed = self.batcher.pack(plan, [r.inputs for r in requests])
-                result = executor.execute(packed, context=session.context)
-                # One homomorphic evaluation served the whole batch: the
-                # rotation tax is paid once, not per request — exactly the
-                # amortization the counters exist to make visible.
-                self._count_rotation_tax(batch_info, spec.name, client_id)
-                self._harvest_op_times(session.context, spec.name)
-                per_request = self.batcher.unpack(plan, result.outputs)
-                for request, outputs in zip(requests, per_request):
-                    responses.append(
-                        ServeResponse(
-                            outputs=outputs,
-                            program=request.name,
-                            client_id=client_id,
-                            batch_size=len(jobs),
-                            cached_program=cached_program,
-                            cached_session=cached_session,
-                            execute_seconds=result.stats.evaluate_seconds,
-                            lane_width=batch_info.lane_width,
-                        )
+            for unit in units:
+                try:
+                    responses += self._evaluate_unit(
+                        unit, plan, spec, served, session, cached_program, cached_session
                     )
+                except Exception as exc:  # fail this unit's jobs, not the batch
+                    responses += [exc] * len(unit)
+        for job, response in zip(jobs, responses):
+            if not isinstance(response, Exception):
+                response.queue_seconds = job.queue_seconds
+        return responses
+
+    def _evaluate_unit(
+        self,
+        requests: List[Any],
+        plan: Optional[BatchPlan],
+        spec: ProgramSpec,
+        served: _Served,
+        session: Session,
+        cached_program: bool,
+        cached_session: bool,
+    ) -> List[Any]:
+        """One evaluation, and the reply of every job it answers.
+
+        ``requests`` is all the requests of a packed ``plan``, else exactly
+        one.  Runs under the session lock.  Whatever happens, every handle
+        this unit made the server responsible for is released on the way out.
+        """
+        from ..api.bundles import EncryptedOutputs, bundle_from_wire
+
+        engine, info, context = served.engine, served.info, session.context
+        client_id = session.client_id
+        request = requests[0]
+        encrypted = isinstance(request, EncryptedServeRequest)
+        owned: List[Any] = []
+        try:
+            if encrypted:
+                bundle = request.bundle
+                if request.wire:
+                    # Wire-decoded handles are the server's own copies.
+                    bundle = bundle_from_wire(bundle, context)
+                    owned += bundle.ciphertexts.values()
+                if bundle.program_signature != spec.signature:
+                    raise ServingError(
+                        f"bundle was encrypted for a different compilation "
+                        f"of {request.name!r} ({bundle.program_signature[:12]}... "
+                        f"vs {spec.signature[:12]}...); recompile the client "
+                        "against the server's program and options (including "
+                        "its lane_width)"
+                    )
+                ciphers, plain = bundle.ciphertexts, bundle.plain
+            else:
+                if plan is not None:
+                    inputs = self.batcher.pack(plan, [r.inputs for r in requests])
+                else:
+                    inputs = request.inputs
+                    # A pinned lane width is a hard contract: the lowered
+                    # rotations are lane-local, so data wider than the lane
+                    # would be computed *wrongly*, not just unbatched.
+                    wide = max(request_width(inputs), request.output_size or 0)
+                    if info.lane_width is not None and wide > info.lane_width:
+                        raise ServingError(
+                            f"request of width {wide} exceeds the "
+                            f"lane width {info.lane_width} "
+                            f"{request.name!r} was registered with"
+                        )
+                ciphers, plain = engine.encrypt_inputs(context, inputs)
+                owned += ciphers.values()
+            start = time.perf_counter()
+            # Inputs the server owns retire at their last use like any dead
+            # value; a client's live bundle stays the client's.
+            handles = engine.evaluate(
+                context, ciphers, plain, retire_inputs=not encrypted or request.wire
+            )
+            elapsed = time.perf_counter() - start
+            # One evaluation, however many jobs it answers: the rotation tax
+            # is paid once, not per request — exactly the amortization the
+            # counters exist to make visible.
+            self._count_rotation_tax(info, spec.name, client_id)
+            self._harvest_op_times(context, spec.name)
+            if encrypted:
+                # The outputs go to the transport, which releases them once
+                # encoded (EncryptedServeResponse.release).  A pass-through
+                # output aliases an input handle, which stays live with it.
+                handed_over = {id(handle) for handle in handles.values()}
+                owned = [handle for handle in owned if id(handle) not in handed_over]
+                return [
+                    EncryptedServeResponse(
+                        outputs=EncryptedOutputs(
+                            program_signature=spec.signature,
+                            ciphertexts=handles,
+                            evaluate_seconds=elapsed,
+                        ),
+                        program=request.name,
+                        client_id=client_id,
+                        cached_program=cached_program,
+                        execute_seconds=elapsed,
+                        context=context,
+                    )
+                ]
+            owned += handles.values()
+            outputs = engine.decrypt_outputs(context, handles)
+            if plan is not None:
+                per_request = self.batcher.unpack(plan, outputs)
             else:
                 # Solo answers default to the output's full period — the
                 # request width, widened to the program constants' period —
                 # which is the same view a batched (slotwise or lane-lowered)
                 # execution yields for a replicated narrow input.
-                for request in requests:
-                    try:
-                        if batch_info.lane_width is not None:
-                            # A pinned lane width is a hard contract: the
-                            # lowered rotations are lane-local, so data wider
-                            # than the lane would be computed *wrongly*, not
-                            # just unbatched.
-                            wide = max(
-                                request_width(request.inputs),
-                                request.output_size or 0,
-                            )
-                            if wide > batch_info.lane_width:
-                                raise ServingError(
-                                    f"request of width {wide} exceeds the "
-                                    f"lane width {batch_info.lane_width} "
-                                    f"{request.name!r} was registered with"
-                                )
-                        result = executor.execute(
-                            request.inputs, context=session.context
-                        )
-                        self._count_rotation_tax(
-                            batch_info, spec.name, client_id
-                        )
-                        self._harvest_op_times(session.context, spec.name)
-                        width = request.output_size or min(
-                            compilation.program.vec_size,
-                            max(request_width(request.inputs), batch_info.min_lane),
-                        )
-                        responses.append(
-                            ServeResponse(
-                                outputs={
-                                    key: np.asarray(value)[:width].copy()
-                                    for key, value in result.outputs.items()
-                                },
-                                program=request.name,
-                                client_id=client_id,
-                                batch_size=1,
-                                cached_program=cached_program,
-                                cached_session=cached_session,
-                                execute_seconds=result.stats.evaluate_seconds,
-                                lane_width=batch_info.lane_width,
-                            )
-                        )
-                    except Exception as exc:  # fail this job, not the batch
-                        responses.append(exc)
-        for job, response in zip(jobs, responses):
-            if isinstance(response, ServeResponse):
-                response.queue_seconds = job.queue_seconds
-        return responses
+                width = request.output_size or min(
+                    engine.program.vec_size,
+                    max(request_width(request.inputs), info.min_lane),
+                )
+                per_request = [
+                    {key: value[:width].copy() for key, value in outputs.items()}
+                ]
+            return [
+                ServeResponse(
+                    outputs=answer,
+                    program=answered.name,
+                    client_id=client_id,
+                    batch_size=len(requests),
+                    cached_program=cached_program,
+                    cached_session=cached_session,
+                    execute_seconds=elapsed,
+                    lane_width=info.lane_width,
+                )
+                for answered, answer in zip(requests, per_request)
+            ]
+        finally:
+            for handle in owned:
+                context.release(handle)
 
     # -- introspection / lifecycle ----------------------------------------------
     def stats(self) -> Dict[str, object]:

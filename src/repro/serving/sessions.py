@@ -1,10 +1,12 @@
 """Per-client session cache of backend contexts and generated keys.
 
 Creating a backend context and generating its secret/public/relinearization/
-Galois keys is the other per-request cost a one-shot ``Executor.execute``
-pays besides compilation.  A *session* pins that work to a
+Galois keys is the other per-request cost one-shot execution pays besides
+compilation.  A *session* pins that work to a
 ``(client, encryption parameters, rotation steps)`` triple: the first request
 of a session builds the context and keys, every later request reuses them.
+The server's evaluation spine runs every request under its session's lock and
+leaves the context's live-ciphertext count where it found it.
 Distinct clients never share a session — in a real deployment each client
 owns its own secret key, so contexts must not leak across clients even when
 their encryption parameters coincide.

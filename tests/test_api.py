@@ -19,7 +19,6 @@ import pytest
 from repro.api import (
     ClientKit,
     CompiledProgram,
-    EncryptedOutputs,
     Executor,
     ServerRuntime,
     bundle_from_wire,
@@ -357,19 +356,6 @@ class TestEvaServerEncryptedPath:
         )
         return server, kit
 
-    def test_in_process_encrypted_request(self):
-        server, kit = self._server_and_kit()
-        try:
-            server.create_session("poly", "alice", kit.evaluation_context())
-            xv = np.linspace(-1, 1, 32)
-            response = server.request_encrypted("poly", kit.encrypt_inputs({"x": xv}))
-            assert isinstance(response.outputs, EncryptedOutputs)
-            assert response.stats_dict()["encrypted"] is True
-            outputs = kit.decrypt_outputs(response.outputs)
-            np.testing.assert_allclose(outputs["y"], expected(xv), atol=1e-9)
-        finally:
-            server.close()
-
     def test_encrypted_request_requires_session(self):
         server, kit = self._server_and_kit()
         try:
@@ -384,19 +370,6 @@ class TestEvaServerEncryptedPath:
         try:
             with pytest.raises(ServingError, match="evaluation-only"):
                 server.create_session("poly", "alice", kit.context)
-        finally:
-            server.close()
-
-    def test_plaintext_and_encrypted_paths_coexist(self):
-        server, kit = self._server_and_kit()
-        try:
-            server.create_session("poly", "alice", kit.evaluation_context())
-            xv = np.linspace(-1, 1, 32)
-            plain = server.request("poly", {"x": xv}, client_id="bob")
-            encrypted = kit.decrypt_outputs(
-                server.request_encrypted("poly", kit.encrypt_inputs({"x": xv})).outputs
-            )
-            np.testing.assert_allclose(plain["y"], encrypted["y"], atol=1e-9)
         finally:
             server.close()
 

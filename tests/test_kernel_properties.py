@@ -15,7 +15,8 @@ optimized paths can be pinned against them over randomized inputs:
 * the transform-once rewrites of ``Evaluator.multiply`` / ``multiply_plain``
   and ``Encryptor.encrypt`` / ``Decryptor.decrypt_poly`` vs the same formulas
   built pairwise from ``RnsPolynomial.multiply``;
-* ``Evaluator(fast_keyswitch=True)`` vs the coefficient-domain reference —
+* ``Evaluator`` vs ``oracles.keyswitch.ReferenceEvaluator``, the
+  coefficient-domain key switch that left ``src/`` —
   **bit-exact** for relinearization, **noise-level** for hoisted rotations
   (digit lifting does not commute with the automorphism's sign flips, so
   the two valid decompositions differ only under the noise floor).
@@ -26,6 +27,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from oracles.keyswitch import ReferenceEvaluator
 
 from repro.backend import CkksBackend
 from repro.ckks import (
@@ -300,8 +302,8 @@ class TestKeySwitchAgainstReference:
             "context": context,
             "encryptor": Encryptor(context, keygen.create_public_key(), seed=seed + 100),
             "decryptor": Decryptor(context, keygen.secret_key),
-            "fast": Evaluator(context, relin_key, galois_keys, fast_keyswitch=True),
-            "reference": Evaluator(context, relin_key, galois_keys, fast_keyswitch=False),
+            "fast": Evaluator(context, relin_key, galois_keys),
+            "reference": ReferenceEvaluator(context, relin_key, galois_keys),
         }
 
     def _fresh_cipher(self, scheme, seed):

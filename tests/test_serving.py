@@ -2,15 +2,20 @@
 
 import threading
 import time
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
 
-from repro.backend import MockBackend
+from repro.api import ClientKit, CompiledProgram, EncryptedOutputs, ServerRuntime
+from repro.backend import CkksBackend, MockBackend
 from repro.core import CompilerOptions, Executor, compile_program, execute_reference, program_signature
 from repro.core.serialization import messages
 from repro.wire import FRAME_RESPONSE, JSON
 from repro.errors import (
+    EncodingError,
+    ExecutionError,
     QueueFullError,
     SerializationError,
     ServingError,
@@ -426,21 +431,6 @@ class TestEvaServer:
             with pytest.raises(Exception):
                 bad.result(30)
 
-    def test_batched_outputs_match_reference_per_request(self):
-        program = make_poly_program(vec_size=64)
-        with EvaServer(
-            backend=MockBackend(seed=0), workers=1, max_batch=8, batch_window=0.05
-        ) as server:
-            server.register("poly", program)
-            rng = np.random.default_rng(11)
-            request_inputs = [rng.uniform(-1, 1, 8) for _ in range(6)]
-            futures = [server.submit("poly", {"x": xv}) for xv in request_inputs]
-            responses = [future.result(30) for future in futures]
-        assert any(response.batch_size > 1 for response in responses)
-        for xv, response in zip(request_inputs, responses):
-            reference = execute_reference(program.graph, {"x": xv})
-            np.testing.assert_allclose(response["y"], reference["y"][:8], atol=1e-3)
-
     def test_concurrent_clients_against_one_server(self):
         program = make_poly_program(vec_size=64)
         server = EvaServer(
@@ -504,30 +494,6 @@ class TestEvaServer:
         for response in responses:
             assert response.batch_size == 1
             np.testing.assert_allclose(response["y"], reference["y"], rtol=1e-9)
-
-    def test_rotation_program_lane_batched_when_requests_are_narrow(self):
-        """Narrow concurrent requests to a rotation-bearing program batch via
-        an on-demand lane-lowered variant, and match the solo answers."""
-        program = make_rotation_program(vec_size=64)
-        with EvaServer(
-            backend=MockBackend(error_model="none"),
-            workers=1,
-            max_batch=8,
-            batch_window=0.05,
-        ) as server:
-            server.register("rot", program)
-            rng = np.random.default_rng(23)
-            request_inputs = [rng.uniform(-1, 1, 8) for _ in range(4)]
-            futures = [server.submit("rot", {"x": xv}) for xv in request_inputs]
-            responses = [future.result(60) for future in futures]
-            solo = server.request("rot", {"x": request_inputs[0]})
-        assert any(response.batch_size > 1 for response in responses)
-        assert any(response.lane_width == 8 for response in responses)
-        for xv, response in zip(request_inputs, responses):
-            reference = execute_reference(program.graph, {"x": xv})
-            np.testing.assert_allclose(response["y"], reference["y"][:8], rtol=1e-9)
-        # A later solo request answers identically (width included).
-        np.testing.assert_allclose(solo["y"], responses[0]["y"], rtol=1e-9)
 
     def test_registered_lane_width_serves_all_requests_lowered(self):
         program = make_rotation_program(vec_size=64)
@@ -840,24 +806,55 @@ class TestLaneReviewRegressions:
         np.testing.assert_allclose(response["y"], reference["y"][:8], rtol=1e-9)
 
     @staticmethod
-    def _make_jobs(server, signature, named_inputs):
-        """Build a worker batch by hand (deterministic re-registration races)."""
+    def _make_jobs(server, kind, signature, named_inputs):
+        """Build a worker batch by hand (deterministic re-registration races).
+
+        Returns the jobs and a ``decrypt(response)`` for their answers: an
+        encrypted batch carries bundles of a client whose session is attached
+        first, and only that client can read the replies.
+        """
         from concurrent.futures import Future
 
-        from repro.serving import Job, ServeRequest
+        from repro.serving import EncryptedServeRequest, Job, ServeRequest
 
-        return [
+        if kind == "plain":
+            payloads = [
+                ServeRequest(inputs=dict(inputs), name=name) for name, inputs in named_inputs
+            ]
+
+            def decrypt(response):
+                return response.outputs
+
+        else:
+            kit = ClientKit(
+                CompiledProgram.compile(make_poly_program(vec_size=64)),
+                backend=server.backend,
+                client_id="c",
+            )
+            assert kit.compiled.signature == signature
+            server.create_session(named_inputs[0][0], "c", kit.evaluation_context())
+            payloads = [
+                EncryptedServeRequest(bundle=kit.encrypt_inputs(inputs), name=name)
+                for name, inputs in named_inputs
+            ]
+
+            def decrypt(response):
+                return kit.decrypt_outputs(response.outputs)
+
+        jobs = [
             Job(
                 id=index,
-                group=("plain", signature, "c"),
-                payload=ServeRequest(inputs=dict(inputs), name=name),
+                group=(kind, signature, "c"),
+                payload=payload,
                 future=Future(),
                 submitted_at=0.0,
             )
-            for index, (name, inputs) in enumerate(named_inputs)
+            for index, payload in enumerate(payloads)
         ]
+        return jobs, decrypt
 
-    def test_reregistered_name_cannot_answer_other_names_batch(self):
+    @pytest.mark.parametrize("kind", ["plain", "encrypted"])
+    def test_reregistered_name_cannot_answer_other_names_batch(self, kind):
         """A name re-registered to a different program mid-flight must not
         execute jobs grouped under the old signature."""
         program = make_poly_program(vec_size=64)
@@ -866,8 +863,9 @@ class TestLaneReviewRegressions:
         ) as server:
             spec = server.register("a", program)
             server.register("b", make_poly_program(name="b", vec_size=64))
-            jobs = self._make_jobs(
+            jobs, decrypt = self._make_jobs(
                 server,
+                kind,
                 spec.signature,
                 [("a", {"x": [0.5] * 8}), ("b", {"x": [0.25] * 8})],
             )
@@ -878,15 +876,20 @@ class TestLaneReviewRegressions:
             responses = server._handle_batch(jobs)
             for xv, response in zip([[0.5] * 8, [0.25] * 8], responses):
                 reference = execute_reference(program.graph, {"x": xv})
-                np.testing.assert_allclose(response["y"], reference["y"][:8], rtol=1e-9)
+                np.testing.assert_allclose(
+                    decrypt(response)["y"][:8], reference["y"][:8], rtol=1e-9
+                )
 
-    def test_batch_with_no_matching_signature_fails_cleanly(self):
+    @pytest.mark.parametrize("kind", ["plain", "encrypted"])
+    def test_batch_with_no_matching_signature_fails_cleanly(self, kind):
         program = make_poly_program(vec_size=64)
         with EvaServer(
             backend=MockBackend(error_model="none"), workers=1, batch_window=0.0
         ) as server:
             spec = server.register("only", program)
-            jobs = self._make_jobs(server, spec.signature, [("only", {"x": [0.5] * 8})])
+            jobs, _ = self._make_jobs(
+                server, kind, spec.signature, [("only", {"x": [0.5] * 8})]
+            )
             server.register("only", make_poly_program(coeff=9.0, vec_size=64))
             with pytest.raises(UnknownProgramError):
                 server._handle_batch(jobs)
@@ -1061,3 +1064,449 @@ class TestSloScheduling:
             with pytest.raises(DeadlineInfeasibleError):
                 engine.submit("g", 1, client="trader")
             assert engine.submit("g", 2, client="other").result(10) is None
+
+
+# ---------------------------------------------------------------------------
+# One evaluation spine: one behaviour, every kind of request, both backends.
+# ---------------------------------------------------------------------------
+
+#: Primes are capped at 30 bits on the real backend; the mock takes the same
+#: options so both backends serve the same compilation.
+SPINE_OPTIONS = CompilerOptions(max_rescale_bits=25)
+
+#: backend id -> (factory, absolute tolerance against ``execute_reference``).
+SPINE_BACKENDS = {
+    "mock": (lambda: MockBackend(error_model="none"), 1e-9),
+    "ckks": (lambda: CkksBackend(seed=3), 5e-2),  # real RNS-CKKS at N=4096
+}
+
+#: The stages every request records between admission and its reply,
+#: whichever kind it is (``serialize_reply`` belongs to the TCP transport).
+SPINE_STAGES = {"quota_admission", "compile_or_cache", "queue_wait", "batch_form", "execute"}
+
+
+def make_spine_program(vec_size=64):
+    """Two outputs, one rotation: not slotwise, so it packs only lane-lowered."""
+    program = EvaProgram("spine", vec_size=vec_size, default_scale=25)
+    with program:
+        x = input_encrypted("x", 25)
+        output("y", (x << 1) * x, 25)
+        output("z", x * 0.5 + 1.0, 25)
+    return program
+
+
+def make_mix_program(vec_size=64):
+    """Two encrypted inputs (so one can go missing) and a rotation."""
+    program = EvaProgram("mix", vec_size=vec_size, default_scale=25)
+    with program:
+        x = input_encrypted("x", 25)
+        y = input_encrypted("y", 25)
+        output("out", (x << 1) * y + x, 25)
+    return program
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One way a request reaches the spine; ``jobs`` > 1 means one packed unit."""
+
+    name: str
+    program: Callable
+    jobs: int = 1
+    encrypted: bool = False
+    wire: bool = False
+    #: Lane width of the compilation expected to answer (a lane variant).
+    lane_width: Optional[int] = None
+
+
+KINDS = [
+    Kind("plain-solo", make_spine_program),
+    Kind("plain-packed-slotwise", make_poly_program, jobs=3),
+    Kind("plain-packed-lane", make_spine_program, jobs=3, lane_width=8),
+    Kind("encrypted-live", make_spine_program, encrypted=True),
+    Kind("encrypted-wire", make_spine_program, encrypted=True, wire=True),
+]
+
+
+def handle_accounts(server):
+    """(live, peak) ciphertext counters of every session context, in order."""
+    manager = server.sessions
+    sessions = [*manager._sessions.values(), *manager._attached.values()]
+    return [
+        (s.context.live_ciphertexts, s.context.peak_live_ciphertexts) for s in sessions
+    ]
+
+
+def spine_server(backend, jobs=1):
+    """One worker; a batch closes the moment it holds ``jobs`` jobs, so a
+    generous window costs nothing and packing does not depend on timing."""
+    return EvaServer(backend=backend, workers=1, max_batch=jobs, batch_window=1.0)
+
+
+def serve(server, name, kit, requests, tag, encrypted=False, wire=False, garble=None):
+    """Serve ``requests`` as one unit; returns (responses, answers, trace ids).
+
+    Plaintext requests are submitted together (``max_batch`` makes them one
+    batch).  An encrypted request goes through the client's kit, the reply
+    through ``to_wire`` when the bundle came over the wire; either way the
+    caller plays the transport and releases the output handles once it has
+    read them.  ``garble`` names a ciphertext of the wire bundle to replace
+    with something that does not decode.
+    """
+    trace_ids = [f"{tag}-{index}" for index in range(len(requests))]
+    if not encrypted:
+        futures = [
+            server.submit(name, request, client_id="carol", trace_id=trace_id)
+            for request, trace_id in zip(requests, trace_ids)
+        ]
+        responses = [future.result(60) for future in futures]
+        return responses, [response.outputs for response in responses], trace_ids
+    (request,) = requests
+    bundle = kit.encrypt_inputs(request) if isinstance(request, dict) else request
+    payload = kit.bundle_to_wire(bundle) if wire else bundle
+    if garble:
+        payload["ciphertexts"][garble] = {"scheme": "garbage"}
+    response = server.request_encrypted(
+        name,
+        payload,
+        client_id="carol",
+        trace_id=trace_ids[0],
+        timeout=60,
+    )
+    outputs = kit.outputs_from_wire(response.to_wire()) if wire else response.outputs
+    answer = kit.decrypt_outputs(outputs)
+    response.release()
+    return [response], [answer], trace_ids
+
+
+@pytest.mark.parametrize("backend_id", sorted(SPINE_BACKENDS))
+class TestOneEvaluationSpine:
+    """Every kind of request is the same evaluation with different ends."""
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.name)
+    def test_one_behaviour_every_kind(self, backend_id, kind):
+        factory, atol = SPINE_BACKENDS[backend_id]
+        backend = factory()
+        program = kind.program()
+        rng = np.random.default_rng(17)
+        requests = [{"x": rng.uniform(-1, 1, 8)} for _ in range(kind.jobs)]
+        # The static rotation count of the compilation expected to answer.
+        per_evaluation = SlotBatcher().inspect(
+            compile_program(
+                program.graph, options=replace(SPINE_OPTIONS, lane_width=kind.lane_width)
+            )
+        ).rotations
+        with spine_server(backend, kind.jobs) as server:
+            server.register("prog", program, options=SPINE_OPTIONS)
+            kit = None
+            if kind.encrypted:
+                kit = ClientKit(
+                    CompiledProgram.compile(program, options=SPINE_OPTIONS),
+                    backend=backend,
+                    client_id="carol",
+                )
+                server.create_session("prog", "carol", kit.evaluation_context())
+            responses, answers, trace_ids = serve(
+                server, "prog", kit, requests, "first", kind.encrypted, kind.wire
+            )
+
+            # Answers: the reference's, at the request's width.
+            for request, response, answer in zip(requests, responses, answers):
+                reference = execute_reference(program.graph, request)
+                assert set(answer) == set(reference)
+                for name, values in answer.items():
+                    if not kind.encrypted:
+                        assert len(values) == 8
+                    np.testing.assert_allclose(values[:8], reference[name][:8], atol=atol)
+                stats = response.stats_dict()
+                assert stats["program"] == "prog" and stats["client_id"] == "carol"
+                if kind.encrypted:
+                    assert isinstance(response.outputs, EncryptedOutputs)
+                    assert stats["encrypted"] is True
+                else:
+                    assert stats["batch_size"] == kind.jobs
+                    assert stats["lane_width"] == kind.lane_width
+
+            # Spans: the same stages, whatever the kind.
+            for trace_id in trace_ids:
+                spans = server.telemetry.trace_of(trace_id)["spans"]
+                assert {span["stage"] for span in spans} == SPINE_STAGES
+
+            # Counters: the static rotation tax once per *evaluation* — one
+            # packed unit answered every job — and the backend's own per-op
+            # counts harvested exactly once.
+            registry = server.telemetry.registry
+            rotations = registry.counter_value(
+                "serving.rotations", program="prog", client="carol"
+            )
+            assert rotations == per_evaluation
+            if backend_id == "ckks" and rotations:
+                assert registry.counter_value(
+                    "ckks.op.count", op="rotate", program="prog"
+                ) == per_evaluation
+
+            # ... and again once per evaluation on every later request.
+            for round_index in range(2):
+                serve(
+                    server, "prog", kit, requests, f"again{round_index}",
+                    kind.encrypted, kind.wire,
+                )
+            assert registry.counter_value(
+                "serving.rotations", program="prog", client="carol"
+            ) == 3 * per_evaluation
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.name)
+    def test_answered_requests_release_every_handle(self, backend_id, kind):
+        """Every handle a request acquired is released by the time it is
+        answered (for ciphertext replies: once the transport has let go of
+        them), so a reused context's counters repeat exactly."""
+        factory, _ = SPINE_BACKENDS[backend_id]
+        backend = factory()
+        program = kind.program()
+        requests = [{"x": np.linspace(-1, 1, 8)}] * kind.jobs
+        with spine_server(backend, kind.jobs) as server:
+            server.register("prog", program, options=SPINE_OPTIONS)
+            kit = ClientKit(
+                CompiledProgram.compile(program, options=SPINE_OPTIONS),
+                backend=backend,
+                client_id="carol",
+            )
+            if kind.encrypted:
+                server.create_session("prog", "carol", kit.evaluation_context())
+            accounts = []
+            for round_index in range(10):
+                serve(
+                    server, "prog", kit, requests, f"round{round_index}",
+                    kind.encrypted, kind.wire,
+                )
+                accounts.append(handle_accounts(server))
+            first, tenth = accounts[0], accounts[-1]
+            assert len(first) == len(tenth) == 1
+            assert first[0][1] > 0
+            assert {
+                "live after the first request": first[0][0],
+                "live after the tenth": tenth[0][0],
+                "peak after the tenth": tenth[0][1],
+            } == {
+                "live after the first request": 0,
+                "live after the tenth": 0,
+                "peak after the tenth": first[0][1],
+            }
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "plain-solo-over-pinned-lane",
+            "plain-solo-missing-input",
+            "plain-packed-missing-input",
+            "encrypted-live-missing-ciphertext",
+            "encrypted-wire-missing-ciphertext",
+            "encrypted-live-signature-mismatch",
+            "encrypted-wire-signature-mismatch",
+            "encrypted-wire-undecodable-ciphertext",
+        ],
+    )
+    def test_failed_requests_release_every_handle(self, backend_id, case):
+        factory, _ = SPINE_BACKENDS[backend_id]
+        backend = factory()
+        program = make_mix_program()
+        encrypted, wire = case.startswith("encrypted"), "wire" in case
+        jobs = 3 if "packed" in case else 1
+        good = {"x": np.linspace(-1, 1, 8), "y": np.linspace(1, -1, 8)}
+        with spine_server(backend, jobs) as server:
+            server.register("mix", program, options=SPINE_OPTIONS, lane_width=8)
+            kit = ClientKit(
+                CompiledProgram.compile(
+                    program, options=replace(SPINE_OPTIONS, lane_width=8)
+                ),
+                backend=backend,
+                client_id="carol",
+            )
+            if encrypted:
+                server.create_session("mix", "carol", kit.evaluation_context())
+            serve(server, "mix", kit, [good] * jobs, "good", encrypted, wire)
+            baseline = handle_accounts(server)
+            assert all(live == 0 for live, _ in baseline)
+
+            garble = None
+            if case == "plain-solo-over-pinned-lane":
+                bad = {"x": np.ones(16), "y": np.ones(16)}
+                error, text = ServingError, "exceeds the lane width"
+            elif not encrypted:
+                bad, error, text = {"x": good["x"]}, ExecutionError, "missing value for input 'y'"
+            else:
+                bad = kit.encrypt_inputs(good)
+                if "undecodable" in case:
+                    # 'x' decodes before 'y' turns out not to.
+                    garble, error, text = "y", SerializationError, "not a .* ciphertext"
+                elif "missing" in case:
+                    del bad.ciphertexts["y"]
+                    error, text = ExecutionError, "missing ciphertext for encrypted input 'y'"
+                else:
+                    bad.program_signature = "0" * 64
+                    error, text = ServingError, "encrypted for a different compilation"
+            for attempt in range(3):
+                with pytest.raises(error, match=text):
+                    serve(
+                        server, "mix", kit, [bad] * jobs, f"bad{attempt}", encrypted, wire,
+                        garble,
+                    )
+                assert [live for live, _ in handle_accounts(server)] == [
+                    live for live, _ in baseline
+                ]
+            # ... and a failure leaves nothing behind that a later good
+            # request would push the peak up with.
+            serve(server, "mix", kit, [good] * jobs, "good-again", encrypted, wire)
+            assert handle_accounts(server) == baseline
+
+    def test_entry_points_agree(self, backend_id):
+        """``Executor.execute``, ``ClientKit`` + ``ServerRuntime`` and every
+        ``EvaServer`` kind are one evaluation: same program, same answers."""
+        factory, atol = SPINE_BACKENDS[backend_id]
+        backend = factory()
+        program = make_spine_program()
+        request = {"x": np.linspace(-1, 1, 8)}
+        compiled = CompiledProgram.compile(program, options=SPINE_OPTIONS)
+        kit = ClientKit(compiled, backend=backend, client_id="carol")
+        answers = {"executor": Executor(compiled.compilation, backend).execute(request).outputs}
+        runtime = ServerRuntime(compiled, backend=backend)
+        runtime.attach_client("carol", kit.evaluation_context())
+        answers["runtime"] = kit.decrypt_outputs(runtime.evaluate(kit.encrypt_inputs(request)))
+        with spine_server(backend) as server:
+            server.register("prog", program, options=SPINE_OPTIONS)
+            server.create_session("prog", "carol", kit.evaluation_context())
+            for kind in KINDS:
+                if kind.program is make_spine_program and kind.jobs == 1:
+                    _, (answer,), _ = serve(
+                        server, "prog", kit, [request], kind.name, kind.encrypted, kind.wire
+                    )
+                    answers[kind.name] = answer
+        with spine_server(backend, 3) as server:
+            server.register("prog", program, options=SPINE_OPTIONS)
+            responses, packed, _ = serve(server, "prog", None, [request] * 3, "packed")
+            assert responses[0].lane_width == 8
+            answers["plain-packed-lane"] = packed[0]
+        assert len(answers) == 6
+        reference = execute_reference(program.graph, request)
+        for source, answer in answers.items():
+            for name in reference:
+                np.testing.assert_allclose(
+                    answer[name][:8], reference[name][:8], atol=atol, err_msg=source
+                )
+                np.testing.assert_allclose(
+                    answer[name][:8], answers["executor"][name][:8], atol=2 * atol,
+                    err_msg=source,
+                )
+        # A lane-batched reply has the width (and values) of the solo one.
+        assert len(answers["plain-packed-lane"]["y"]) == len(answers["plain-solo"]["y"])
+
+    def test_one_engine_per_program(self, backend_id, monkeypatch):
+        """A program served plain and encrypted builds one engine: the scale
+        analysis runs once per signature, not once per kind."""
+        import repro.core.executor as executor_module
+
+        factory, _ = SPINE_BACKENDS[backend_id]
+        backend = factory()
+        program = make_spine_program()
+        kit = ClientKit(
+            CompiledProgram.compile(program, options=SPINE_OPTIONS),
+            backend=backend,
+            client_id="carol",
+        )
+        analysed = []
+        original = executor_module.compute_scales
+
+        def counting(graph):
+            analysed.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(executor_module, "compute_scales", counting)
+        request = {"x": np.linspace(-1, 1, 8)}
+        with spine_server(backend) as server:
+            server.register("prog", program, options=SPINE_OPTIONS)
+            server.create_session("prog", "carol", kit.evaluation_context())
+            for kind in (KINDS[0], KINDS[3], KINDS[4], KINDS[0]):
+                serve(server, "prog", kit, [request], kind.name, kind.encrypted, kind.wire)
+            assert len(analysed) == 1
+            assert len(server._served) == 1
+
+    @pytest.mark.parametrize("bad_value", [[0.5, float("nan")], "abc"], ids=["nan", "text"])
+    def test_bad_input_is_rejected_alone_at_admission(self, backend_id, bad_value):
+        """A NaN or a string never reaches the vector its neighbours share:
+        it fails at ``submit``, and the requests around it are answered —
+        batched — as if it had never been sent."""
+        factory, atol = SPINE_BACKENDS[backend_id]
+        program = make_poly_program(vec_size=64)
+        with spine_server(factory(), 2) as server:
+            server.register("poly", program, options=SPINE_OPTIONS)
+            first = server.submit("poly", {"x": [0.5] * 8})
+            error = EncodingError if isinstance(bad_value, list) else ServingError
+            with pytest.raises(error, match="non-finite|not numeric"):
+                server.submit("poly", {"x": bad_value})
+            second = server.submit("poly", {"x": [0.25] * 8})
+            for future, value in ((first, 0.5), (second, 0.25)):
+                response = future.result(60)
+                assert response.batch_size == 2
+                reference = execute_reference(program.graph, {"x": [value] * 8})
+                np.testing.assert_allclose(response["y"], reference["y"][:8], atol=atol)
+            assert server.stats()["engine"]["failed"] == 0
+
+    def test_encrypted_jobs_do_not_linger(self, backend_id):
+        """Jobs that cannot share an evaluation do not wait for company: an
+        encrypted job alone under a 1 s window leaves at once, while two
+        plaintext jobs 50 ms apart still share one batch."""
+        factory, _ = SPINE_BACKENDS[backend_id]
+        backend = factory()
+        program = make_poly_program(vec_size=64)
+        kit = ClientKit(
+            CompiledProgram.compile(program, options=SPINE_OPTIONS),
+            backend=backend,
+            client_id="carol",
+        )
+        with EvaServer(backend=backend, workers=1, max_batch=2, batch_window=1.0) as server:
+            server.register("poly", program, options=SPINE_OPTIONS)
+            server.create_session("poly", "carol", kit.evaluation_context())
+            bundle = kit.encrypt_inputs({"x": [0.5] * 8})
+            started = time.perf_counter()
+            server.request_encrypted("poly", bundle, trace_id="enc", timeout=60).release()
+            assert time.perf_counter() - started < 0.5, "an encrypted job lingered"
+            (batch_form,) = [
+                span
+                for span in server.telemetry.trace_of("enc")["spans"]
+                if span["stage"] == "batch_form"
+            ]
+            assert batch_form["seconds"] < 0.05
+
+            first = server.submit("poly", {"x": [0.5] * 8})
+            time.sleep(0.05)
+            second = server.submit("poly", {"x": [0.25] * 8})
+            assert first.result(60).batch_size == 2
+            assert second.result(60).batch_size == 2
+
+
+def test_restored_session_is_counted_under_the_registered_name(tmp_path):
+    """A session rebuilt from the store is the same session ``create_session``
+    made: its Galois key footprint lands on the same series — the name the
+    program was registered under, not the graph's own name."""
+    from repro.serving import SessionStore
+
+    program = make_spine_program()  # the graph is called "spine"
+    backend = MockBackend(error_model="none")
+    kit = ClientKit(CompiledProgram.compile(program), backend=backend, client_id="carol")
+    counted = []
+    for restart in range(2):
+        with EvaServer(backend=backend, session_store=SessionStore(tmp_path)) as server:
+            server.register("prog", program)
+            if not restart:
+                server.create_session("prog", "carol", kit.export_evaluation_keys())
+            serve(server, "prog", kit, [{"x": [0.5] * 8}], "t", encrypted=True, wire=True)
+            counters = server.metrics_snapshot()["counters"]
+            counted.append(
+                {
+                    counter["labels"]["program"]: counter["value"]
+                    for counter in counters
+                    if counter["name"] == "serving.galois.keys_bytes"
+                }
+            )
+    created, restored = counted
+    assert set(created) == {"prog"} and created["prog"] > 0
+    assert restored == created
