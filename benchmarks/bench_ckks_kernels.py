@@ -34,10 +34,18 @@ gates the ratios:
   encoder vs the dense ``N/2 x N`` embedding matrix it replaced, which lives
   on as ``tests/oracles/dense_encoder.py`` (coefficients equal up to one unit
   at a rounding tie and slots within 1e-9, asserted).
+* **multiply chain** — ``x^2``, ``x^3 = x^2 x``, ``x^4 = x^2 x^2``, each a
+  multiply + relinearize + rescale, with forms following the operations vs
+  the same evaluator with every result forced back to coefficient form (the
+  scheme before polynomials carried a form; bit-exact agreement asserted).
+  Besides the ratio it reports the **exact** NTT rows of both sides, which
+  repeat on any host.
 
 Speedups are ratios of wall times measured back to back in one process, so
-they transfer between hosts; the acceptance bar is >= 2x on all four.  Runs
-standalone for the CI gate or under pytest-benchmark with the suite.
+they transfer between hosts; the acceptance bar is >= 2x on the four kernel
+rows (the multiply chain is gated against its committed ratio and its exact
+row count instead).  Runs standalone for the CI gate or under
+pytest-benchmark with the suite.
 """
 
 from __future__ import annotations
@@ -56,12 +64,12 @@ from repro.ckks import (
     Evaluator,
     KeyGenerator,
 )
-from repro.ckks.ntt import bit_reverse_indices, get_ntt_context
+from repro.ckks.ntt import bit_reverse_indices, get_ntt_context, ntt_rows
 
 # Reference sides that have left production live with the tests.
 sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles.dense_encoder import DenseCkksEncoder  # noqa: E402
-from oracles.keyswitch import ReferenceEvaluator  # noqa: E402
+from oracles.keyswitch import ReferenceEvaluator, coefficient_form  # noqa: E402
 
 try:
     from conftest import print_table
@@ -137,19 +145,66 @@ def measure_ntt(context, cipher) -> dict:
 
 
 def measure_relinearize(fast, reference, cipher) -> dict:
-    squared = fast.multiply(cipher, cipher)
+    # A multiplication leaves its operand in evaluation form; the rows below
+    # share ``cipher``, so square a copy.  Each side gets the product in the
+    # form it works in, and the fast side settles its result, so both time
+    # one whole key switch.
+    squared = fast.square(cipher.copy())
+    squared_coefficients = coefficient_form(squared)
     # Warm both paths once: the fast evaluator builds and caches the key's
     # NTT form on first use; timing that one-off would flatter the reference.
-    want = reference.relinearize(squared)
+    want = reference.relinearize(squared_coefficients)
     got = fast.relinearize(squared)
-    for a, b in zip(want.polys, got.polys):
+    for a, b in zip(want.polys, got.to_coeff()):
         assert np.array_equal(a.residues, b.residues), (
             "NTT-domain relinearization must agree bit-exactly with the "
             "coefficient-domain reference"
         )
-    ref_seconds = _best_of(ROUNDS, lambda: reference.relinearize(squared))
-    fast_seconds = _best_of(ROUNDS, lambda: fast.relinearize(squared))
+    ref_seconds = _best_of(ROUNDS, lambda: reference.relinearize(squared_coefficients))
+    fast_seconds = _best_of(ROUNDS, lambda: fast.relinearize(squared).settle())
     return {
+        "reference_seconds": ref_seconds,
+        "fast_seconds": fast_seconds,
+        "speedup": ref_seconds / fast_seconds,
+    }
+
+
+def measure_multiply_chain(fast, cipher) -> dict:
+    """Three multiply + relinearize + rescale groups, forms following vs forced back."""
+
+    def chain(step):
+        x = cipher.copy()
+
+        def group(a, b):
+            product = step(fast.multiply(a, b))
+            return step(fast.rescale_to_next(step(fast.relinearize(product))))
+
+        x2 = group(x, x)
+        x3 = group(x2, step(fast.mod_switch_to_next(x)))
+        x4 = group(x2, x2)
+        # Either way the answers leave in the wire's form.
+        return coefficient_form(x3), coefficient_form(x4)
+
+    def rows(step):
+        before = ntt_rows()
+        return chain(step), ntt_rows() - before
+
+    def following(result):
+        return result
+
+    chain(following)  # first use caches the relinearization key's form per level
+    (got, following_rows), (want, coefficient_rows) = rows(following), rows(coefficient_form)
+    for a, b in zip(got, want):
+        for p, q in zip(a.polys, b.polys):
+            assert np.array_equal(p.residues, q.residues), (
+                "the form-following chain must agree bit-exactly with the "
+                "coefficient-form chain"
+            )
+    ref_seconds = _best_of(ROUNDS, lambda: chain(coefficient_form))
+    fast_seconds = _best_of(ROUNDS, lambda: chain(following))
+    return {
+        "groups": 3,
+        "ntt_rows": {"following": following_rows, "coefficient": coefficient_rows},
         "reference_seconds": ref_seconds,
         "fast_seconds": fast_seconds,
         "speedup": ref_seconds / fast_seconds,
@@ -215,10 +270,12 @@ def run(benchmark=None) -> dict:
     ntt = measure_ntt(context, cipher)
     relin = measure_relinearize(fast, reference, cipher)
     rotation = measure_rotation_group(fast, reference, decryptor, values, cipher)
+    chain = measure_multiply_chain(fast, cipher)
 
     print_table(
         f"CKKS kernels at N={POLY_MODULUS_DEGREE} "
-        f"(reference = row-loop NTT / coefficient-domain key switch / dense encoder)",
+        f"(reference = row-loop NTT / coefficient-domain key switch / dense encoder / "
+        f"coefficient form after every op)",
         ["Kernel", "Reference", "Fast", "Speedup"],
         [
             [
@@ -245,6 +302,13 @@ def run(benchmark=None) -> dict:
                 f"{encoder['fast_seconds'] * 1e3:.1f} ms",
                 f"{encoder['speedup']:.2f}x",
             ],
+            [
+                f"multiply chain x{chain['groups']}",
+                f"{chain['reference_seconds'] * 1e3:.1f} ms "
+                f"({chain['ntt_rows']['coefficient']} rows)",
+                f"{chain['fast_seconds'] * 1e3:.1f} ms ({chain['ntt_rows']['following']} rows)",
+                f"{chain['speedup']:.2f}x",
+            ],
         ],
     )
 
@@ -268,13 +332,14 @@ def run(benchmark=None) -> dict:
         "relinearize": relin,
         "rotation_group": rotation,
         "encoder": encoder,
+        "multiply_chain": chain,
     }
     print(json.dumps(payload))
 
     if benchmark is not None:
-        squared = fast.multiply(cipher, cipher)
+        squared = fast.square(cipher.copy())
         benchmark.pedantic(
-            lambda: fast.relinearize(squared), rounds=ROUNDS, iterations=1
+            lambda: fast.relinearize(squared).settle(), rounds=ROUNDS, iterations=1
         )
     else:
         import os
@@ -296,6 +361,7 @@ if __name__ == "__main__":
         f"relinearize {result['relinearize']['speedup']:.2f}x, "
         f"rotation group {result['rotation_group']['speedup']:.2f}x, "
         f"encoder {result['encoder']['speedup']:.2f}x "
-        f">= {MIN_SPEEDUP}x"
+        f">= {MIN_SPEEDUP}x; multiply chain {result['multiply_chain']['speedup']:.2f}x, "
+        f"{result['multiply_chain']['ntt_rows']['following']} NTT rows"
     )
     sys.exit(0)

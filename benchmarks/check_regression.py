@@ -85,6 +85,15 @@ GATES: Dict[str, List[Tuple]] = {
         # follows the host's memory bandwidth (~20x to ~200x seen); the wide
         # band gates "still an order of magnitude", not the last number.
         ("encoder.speedup", "higher", 0.9),
+        # Three multiply + relinearize + rescale groups with forms following
+        # the operations, over the same evaluator forced back to coefficient
+        # form after every op.  The ratio sits near 1.3x, so a 20% band puts
+        # the floor at "forms still pay"; the NTT rows of the form-following
+        # side are an exact count (54: x into evaluation form 6, key switches
+        # 24, fused special-prime + rescale divisions 20, export 4) and get
+        # the near-zero band exact counts get.
+        ("multiply_chain.speedup", "higher", 0.2),
+        ("multiply_chain.ntt_rows.following", "lower", 0.001),
     ],
     "async_frontdoor": [
         # Idle connections the event loop held open while mixed JSON+binary

@@ -44,6 +44,14 @@ class BackendContext(abc.ABC):
         """
         return {}
 
+    def drain_ntt_rows(self) -> dict:
+        """Return and reset the exact per-op ``{op: NTT rows}`` of those operations.
+
+        Rows are counted, not timed, so the number repeats run to run; only
+        the CKKS backend transforms anything.
+        """
+        return {}
+
     # -- setup -----------------------------------------------------------------
     @property
     def slot_count(self) -> int:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Dict, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from ..ckks import (
     Plaintext,
 )
 from ..ckks.keys import GaloisKeys, KeySwitchingKey, PublicKey, RelinearizationKey
+from ..ckks.ntt import ntt_rows
 from ..ckks.rns import RnsBasis, RnsPolynomial
 from ..core.analysis.parameters import EncryptionParameters
 from ..errors import ExecutionError, ParameterError, SerializationError
@@ -38,11 +40,12 @@ from .hisa import BackendContext, HomomorphicBackend, replicate_to_slots
 
 
 def _poly_to_rows(poly: RnsPolynomial) -> Dict[str, Any]:
-    """Pack an RNS polynomial's residue matrix (base64 int64, ~10x smaller
-    than the per-residue integer lists the codec originally emitted)."""
+    """Pack an RNS polynomial's coefficient-form residue matrix (base64 int64,
+    ~10x smaller than the per-residue integer lists the codec originally
+    emitted).  Evaluation form never reaches the wire."""
     from ..core.serialization.packing import pack_residues
 
-    return pack_residues(poly.residues)
+    return pack_residues(poly.to_coeff().residues)
 
 
 def _poly_from_rows(basis: RnsBasis, rows: Any) -> RnsPolynomial:
@@ -112,6 +115,7 @@ class CkksBackendContext(BackendContext):
         self.has_secret_key = False
         self.op_seconds: Dict[str, float] = {}
         self.op_counts: Dict[str, int] = {}
+        self.op_ntt_rows: Dict[str, int] = {}
 
     # -- setup -----------------------------------------------------------------------
     def generate_keys(self) -> None:
@@ -156,6 +160,7 @@ class CkksBackendContext(BackendContext):
         derived.has_secret_key = False
         derived.op_seconds = {}
         derived.op_counts = {}
+        derived.op_ntt_rows = {}
         return derived
 
     def export_evaluation_keys(self) -> Dict[str, Any]:
@@ -214,11 +219,15 @@ class CkksBackendContext(BackendContext):
     def encode_cipher(self, handle: Ciphertext) -> Dict[str, Any]:
         if not handle.polys:
             raise SerializationError("cannot serialize a released ciphertext")
+        # The wire is coefficient form over the data basis, whatever the
+        # evaluator left the handle in; the conversion is charged to "export".
+        with self._op("export"):
+            polys = [_poly_to_rows(poly) for poly in handle.settle()]
         return {
             "scheme": "ckks",
             "scale": float(handle.scale),
             "level": int(handle.level),
-            "polys": [_poly_to_rows(poly) for poly in handle.polys],
+            "polys": polys,
         }
 
     def decode_cipher(self, data: Dict[str, Any]) -> Ciphertext:
@@ -245,10 +254,21 @@ class CkksBackendContext(BackendContext):
         self.peak_live_ciphertexts = max(self.peak_live_ciphertexts, self.live_ciphertexts)
         return cipher
 
-    def _record_op(self, op: str, started: float) -> None:
-        elapsed = time.perf_counter() - started
-        self.op_seconds[op] = self.op_seconds.get(op, 0.0) + elapsed
+    @contextmanager
+    def _op(self, op: str) -> Iterator[None]:
+        """Charge the wall time and the NTT rows of the enclosed scheme call to ``op``.
+
+        The row tally is the calling thread's, so the difference is exactly
+        this call's work even while other sessions run on other workers.  A
+        call that raises is not recorded.
+        """
+        started, rows = time.perf_counter(), ntt_rows()
+        yield
+        self.op_seconds[op] = self.op_seconds.get(op, 0.0) + time.perf_counter() - started
         self.op_counts[op] = self.op_counts.get(op, 0) + 1
+        transformed = ntt_rows() - rows
+        if transformed:
+            self.op_ntt_rows[op] = self.op_ntt_rows.get(op, 0) + transformed
 
     def drain_op_times(self) -> Dict[str, Tuple[int, float]]:
         """Return and reset accumulated ``{op: (count, seconds)}`` timings.
@@ -265,33 +285,29 @@ class CkksBackendContext(BackendContext):
         self.op_counts = {}
         return snapshot
 
+    def drain_ntt_rows(self) -> Dict[str, int]:
+        """Return and reset the exact ``{op: NTT rows}`` of the same operations."""
+        snapshot, self.op_ntt_rows = self.op_ntt_rows, {}
+        return snapshot
+
     # -- data movement -----------------------------------------------------------------
     def encode(self, values, scale_bits: float, level: int = 0) -> Plaintext:
-        self._require_keys()
-        started = time.perf_counter()
-        data = replicate_to_slots(values, self.slot_count)
-        result = self.encryptor.encode(data, 2.0 ** float(scale_bits), level=level)
-        self._record_op("encode", started)
-        return result
+        return self.encode_at_scale(values, 2.0 ** float(scale_bits), level)
 
     def encode_at_scale(self, values, scale: float, level: int = 0) -> Plaintext:
         """Encode at an exact (non power-of-two) scale; used for scale matching."""
         self._require_keys()
-        started = time.perf_counter()
-        data = replicate_to_slots(values, self.slot_count)
-        result = self.encryptor.encode(data, float(scale), level=level)
-        self._record_op("encode", started)
-        return result
+        with self._op("encode"):
+            data = replicate_to_slots(values, self.slot_count)
+            return self.encryptor.encode(data, float(scale), level=level)
 
     def encrypt(self, values, scale_bits: float, level: int = 0) -> Ciphertext:
         self._require_keys()
-        started = time.perf_counter()
-        data = replicate_to_slots(values, self.slot_count)
-        result = self._track(
-            self.encryptor.encode_and_encrypt(data, 2.0 ** float(scale_bits), level=level)
-        )
-        self._record_op("encrypt", started)
-        return result
+        with self._op("encrypt"):
+            data = replicate_to_slots(values, self.slot_count)
+            return self._track(
+                self.encryptor.encode_and_encrypt(data, 2.0 ** float(scale_bits), level=level)
+            )
 
     def decrypt(self, handle: Ciphertext) -> np.ndarray:
         self._require_keys()
@@ -300,65 +316,45 @@ class CkksBackendContext(BackendContext):
                 "this context holds no secret key: decryption is a client-side "
                 "operation (use the ClientKit that generated the keys)"
             )
-        started = time.perf_counter()
-        result = self.decryptor.decrypt(handle)
-        self._record_op("decrypt", started)
-        return result
+        with self._op("decrypt"):
+            return self.decryptor.decrypt(handle)
 
     # -- evaluation ----------------------------------------------------------------------
     def negate(self, a: Ciphertext) -> Ciphertext:
-        started = time.perf_counter()
-        result = self._track(self.evaluator.negate(a))
-        self._record_op("negate", started)
-        return result
+        with self._op("negate"):
+            return self._track(self.evaluator.negate(a))
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        started = time.perf_counter()
-        result = self._track(self.evaluator.add(a, b))
-        self._record_op("add", started)
-        return result
+        with self._op("add"):
+            return self._track(self.evaluator.add(a, b))
 
     def add_plain(self, a: Ciphertext, b: Plaintext) -> Ciphertext:
-        started = time.perf_counter()
-        result = self._track(self.evaluator.add_plain(a, b))
-        self._record_op("add_plain", started)
-        return result
+        with self._op("add_plain"):
+            return self._track(self.evaluator.add_plain(a, b))
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        started = time.perf_counter()
-        result = self._track(self.evaluator.sub(a, b))
-        self._record_op("sub", started)
-        return result
+        with self._op("sub"):
+            return self._track(self.evaluator.sub(a, b))
 
     def sub_plain(self, a: Ciphertext, b: Plaintext, reverse: bool = False) -> Ciphertext:
-        started = time.perf_counter()
-        result = self._track(self.evaluator.sub_plain(a, b, reverse=reverse))
-        self._record_op("sub_plain", started)
-        return result
+        with self._op("sub_plain"):
+            return self._track(self.evaluator.sub_plain(a, b, reverse=reverse))
 
     def multiply(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        started = time.perf_counter()
-        result = self._track(self.evaluator.multiply(a, b))
-        self._record_op("multiply", started)
-        return result
+        with self._op("multiply"):
+            return self._track(self.evaluator.multiply(a, b))
 
     def multiply_plain(self, a: Ciphertext, b: Plaintext) -> Ciphertext:
-        started = time.perf_counter()
-        result = self._track(self.evaluator.multiply_plain(a, b))
-        self._record_op("multiply_plain", started)
-        return result
+        with self._op("multiply_plain"):
+            return self._track(self.evaluator.multiply_plain(a, b))
 
     def rotate(self, a: Ciphertext, steps: int) -> Ciphertext:
-        started = time.perf_counter()
-        result = self._track(self.evaluator.rotate(a, steps))
-        self._record_op("rotate", started)
-        return result
+        with self._op("rotate"):
+            return self._track(self.evaluator.rotate(a, steps))
 
     def relinearize(self, a: Ciphertext) -> Ciphertext:
-        started = time.perf_counter()
-        result = self._track(self.evaluator.relinearize(a))
-        self._record_op("relinearize", started)
-        return result
+        with self._op("relinearize"):
+            return self._track(self.evaluator.relinearize(a))
 
     def rescale(self, a: Ciphertext, bits: float) -> Ciphertext:
         expected = self.context.prime_at_level(a.level)
@@ -367,22 +363,18 @@ class CkksBackendContext(BackendContext):
                 f"rescale by 2^{bits:g} requested but the next prime has "
                 f"{math.log2(expected):.2f} bits"
             )
-        started = time.perf_counter()
-        result = self.evaluator.rescale_to_next(a)
-        # Follow the paper's executor (footnote 1): book-keep the scale as if
-        # the division had been by the power of two.  The chosen primes are as
-        # close as possible to 2^bits, so the induced relative error per
-        # rescale is on the order of 2N / 2^bits.
-        result.scale = a.scale / (2.0 ** float(bits))
-        result = self._track(result)
-        self._record_op("rescale", started)
-        return result
+        with self._op("rescale"):
+            result = self.evaluator.rescale_to_next(a)
+            # Follow the paper's executor (footnote 1): book-keep the scale as if
+            # the division had been by the power of two.  The chosen primes are as
+            # close as possible to 2^bits, so the induced relative error per
+            # rescale is on the order of 2N / 2^bits.
+            result.scale = a.scale / (2.0 ** float(bits))
+            return self._track(result)
 
     def mod_switch(self, a: Ciphertext) -> Ciphertext:
-        started = time.perf_counter()
-        result = self._track(self.evaluator.mod_switch_to_next(a))
-        self._record_op("mod_switch", started)
-        return result
+        with self._op("mod_switch"):
+            return self._track(self.evaluator.mod_switch_to_next(a))
 
     # -- introspection ------------------------------------------------------------------
     def scale_bits(self, handle: Ciphertext) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from .rns import RnsPolynomial
+from .rns import EVAL, RnsPolynomial
 
 
 @dataclass
@@ -27,6 +27,13 @@ class Ciphertext:
 
     ``polys[i]`` is the coefficient of ``s^i`` in the decryption equation
     ``m + e = sum_i polys[i] * s^i (mod Q_level)``.
+
+    Each polynomial carries its own form, and the evaluator leaves a
+    relinearized evaluation-form ciphertext *extended*: still over the key
+    basis, holding ``P`` times its value.  Both are facts about ``polys``, and
+    they change only by rebinding ``polys`` to new polynomials that mean the
+    same ciphertext (:meth:`settle`, :meth:`to_eval`) — never by editing a
+    ``residues`` array — so threads sharing a handle each see a whole list.
     """
 
     polys: List[RnsPolynomial] = field(default_factory=list)
@@ -41,6 +48,35 @@ class Ciphertext:
     @property
     def basis(self):
         return self.polys[0].basis
+
+    @property
+    def extended(self) -> bool:
+        """Whether the polynomials still live over the key basis (see :meth:`settle`)."""
+        return bool(self.polys) and self.polys[0].basis.special
+
+    def settle(self) -> List[RnsPolynomial]:
+        """The polynomials over the data basis of ``level``.
+
+        An extended ciphertext pays its division by the special prime here,
+        once: the result replaces ``polys``.  Only ``rescale_to_next`` reads
+        an extended ciphertext without settling it (it divides by ``P`` and
+        the next prime in one pass); every other consumer starts here.
+        """
+        polys = self.polys
+        if polys and polys[0].basis.special:
+            polys = self.polys = [poly.divide_and_round_last() for poly in polys]
+        return polys
+
+    def to_eval(self) -> List[RnsPolynomial]:
+        """The settled polynomials in evaluation form, kept for the next multiplication."""
+        polys = self.settle()
+        if any(poly.form != EVAL for poly in polys):
+            polys = self.polys = [poly.to_eval() for poly in polys]
+        return polys
+
+    def to_coeff(self) -> List[RnsPolynomial]:
+        """The settled polynomials in coefficient form (the wire's form); nothing is kept."""
+        return [poly.to_coeff() for poly in self.settle()]
 
     def copy(self) -> "Ciphertext":
         return Ciphertext([p.copy() for p in self.polys], self.scale, self.level)

@@ -125,7 +125,9 @@ class CkksContext:
                 primes = list(reversed(self.consumable_primes))
             else:
                 primes = self.data_basis(level).primes
-            basis = RnsBasis(primes + [self.special_prime], self.poly_modulus_degree)
+            basis = RnsBasis(
+                primes + [self.special_prime], self.poly_modulus_degree, special=True
+            )
             self._key_bases[level] = basis
         return basis
 

@@ -8,7 +8,7 @@ from ..errors import ExecutionError
 from .ciphertext import Ciphertext
 from .context import CkksContext
 from .keys import SecretKey
-from .rns import RnsPolynomial
+from .rns import COEFF, EVAL, RnsPolynomial
 
 
 class Decryptor:
@@ -19,21 +19,23 @@ class Decryptor:
         self.secret_key = secret_key
 
     def decrypt_poly(self, ciphertext: Ciphertext):
-        """Return the raw plaintext polynomial ``sum_i c_i s^i`` (RNS form)."""
+        """Return the raw plaintext polynomial ``sum_i c_i s^i`` (RNS, coefficient form)."""
         if ciphertext.size < 2:
             raise ExecutionError("ciphertext is transparent or malformed")
-        basis = ciphertext.basis
-        kernel = basis.kernel
-        # One forward over c_1.., one inverse of the summed products: the
-        # powers of s are static and cached in evaluation form on the key.
-        tail = kernel.forward(np.stack([poly.residues for poly in ciphertext.polys[1:]]))
-        powers = self.secret_key.evaluation_powers(basis, ciphertext.size - 1)
+        c0, *tail = ciphertext.settle()
+        basis = c0.basis
+        # One forward over the c_1.. still in coefficient form, one inverse of
+        # the summed products: the powers of s are static and cached in
+        # evaluation form on the key.
+        tail = np.stack([poly.to_eval().residues for poly in tail])
+        powers = self.secret_key.evaluation_powers(basis, len(tail))
         products = tail * powers % basis.primes_column
-        total = products.sum(axis=0, keepdims=True) % basis.primes_column
-        return ciphertext.polys[0].add(RnsPolynomial(basis, kernel.inverse(total)[0]))
+        total = RnsPolynomial(basis, products.sum(axis=0) % basis.primes_column, EVAL)
+        if c0.form == COEFF:
+            total = total.to_coeff()
+        return c0.add(total).to_coeff()
 
     def decrypt(self, ciphertext: Ciphertext) -> np.ndarray:
         """Decrypt and decode to a real-valued slot vector."""
-        message = self.decrypt_poly(ciphertext)
-        coefficients = np.asarray(message.to_int_coefficients(), dtype=np.float64)
+        coefficients = self.decrypt_poly(ciphertext).to_float_coefficients()
         return self.context.encoder.decode_real(coefficients, ciphertext.scale)

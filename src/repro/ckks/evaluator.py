@@ -7,6 +7,16 @@ rescaling, and modulus switching.  Every operation enforces the same
 preconditions SEAL enforces and raises the typed errors of
 :mod:`repro.errors` when they are violated — the conditions the EVA compiler
 guarantees can never occur in a validated program.
+
+Form follows the operation: each operation takes its operands in whatever form
+they arrive and returns the form that costs it no transform.  Multiplications
+return evaluation form (and leave their operands converted, by rebinding
+``Ciphertext.polys``); linear operations keep the form they are given; a key
+switch answers in the form of the polynomial its result is added to, so a
+rotation of a coefficient-form ciphertext never meets an evaluation-form
+polynomial; ``relinearize`` of an evaluation-form ciphertext stops before the
+division by the special prime (an *extended* ciphertext) because the
+``rescale_to_next`` that follows divides by both primes in one pass.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext
 from .keys import GaloisKeys, KeySwitchingKey, RelinearizationKey
 from .ntt import galois_ntt_permutation
-from .rns import RnsBasis, RnsPolynomial
+from .rns import COEFF, EVAL, RnsBasis, RnsPolynomial
 
 #: Relative tolerance when comparing scales of additive operands.
 _SCALE_RTOL = 1e-6
@@ -107,20 +117,14 @@ class Evaluator:
 
     # -- linear operations -------------------------------------------------------------
     def negate(self, a: Ciphertext) -> Ciphertext:
-        return Ciphertext([p.negate() for p in a.polys], a.scale, a.level)
+        return Ciphertext([p.negate() for p in a.settle()], a.scale, a.level)
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         self._check_same_level(a, b)
         self._check_same_scale(a.scale, b.scale)
-        size = max(a.size, b.size)
-        polys = []
-        for i in range(size):
-            if i < a.size and i < b.size:
-                polys.append(a.polys[i].add(b.polys[i]))
-            elif i < a.size:
-                polys.append(a.polys[i].copy())
-            else:
-                polys.append(b.polys[i].copy())
+        shorter, longer = sorted((a.settle(), b.settle()), key=len)
+        polys = [p.add(q) for p, q in zip(shorter, longer)]
+        polys += [p.copy() for p in longer[len(shorter) :]]
         return Ciphertext(polys, max(a.scale, b.scale), a.level)
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -129,18 +133,16 @@ class Evaluator:
     def add_plain(self, a: Ciphertext, p: Plaintext) -> Ciphertext:
         self._check_plain(a, p)
         self._check_same_scale(a.scale, p.scale)
-        polys = [a.polys[0].add(p.poly)] + [poly.copy() for poly in a.polys[1:]]
-        return Ciphertext(polys, a.scale, a.level)
+        c0, *rest = a.settle()
+        return Ciphertext([c0.add(p.poly)] + [poly.copy() for poly in rest], a.scale, a.level)
 
     def sub_plain(self, a: Ciphertext, p: Plaintext, reverse: bool = False) -> Ciphertext:
+        if reverse:
+            return self.add_plain(self.negate(a), p)
         self._check_plain(a, p)
         self._check_same_scale(a.scale, p.scale)
-        if not reverse:
-            polys = [a.polys[0].sub(p.poly)] + [poly.copy() for poly in a.polys[1:]]
-            return Ciphertext(polys, a.scale, a.level)
-        negated = self.negate(a)
-        polys = [negated.polys[0].add(p.poly)] + [poly.copy() for poly in negated.polys[1:]]
-        return Ciphertext(polys, a.scale, a.level)
+        c0, *rest = a.settle()
+        return Ciphertext([c0.sub(p.poly)] + [poly.copy() for poly in rest], a.scale, a.level)
 
     # -- multiplication -------------------------------------------------------------------
     def multiply(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -150,51 +152,40 @@ class Evaluator:
                 raise PolynomialCountError(
                     f"multiplication operand has {operand.size} polynomials; relinearize first"
                 )
-        basis = a.basis
-        a.polys[0]._check_basis(b.polys[0])
-        # Each operand polynomial is transformed exactly once (twice fewer
-        # when squaring), and the three products share one inverse pass.
-        operands = a.polys if a is b else a.polys + b.polys
-        forms = basis.kernel.forward(np.stack([poly.residues for poly in operands]))
-        a0, a1, b0, b1 = forms if a is not b else (*forms, *forms)
+        # Each operand is transformed at most once in its life (it keeps the
+        # evaluation form), and the product is not transformed back.
+        (a0, a1), (b0, b1) = a.to_eval(), b.to_eval()
+        a0._check_basis(b0)
+        basis = a0.basis
         primes = basis.primes_column
+        a0, a1, b0, b1 = (poly.residues for poly in (a0, a1, b0, b1))
         # Residue products stay below 2^62, so the cross term needs one reduction.
-        products = np.stack([a0 * b0 % primes, (a0 * b1 + a1 * b0) % primes, a1 * b1 % primes])
-        polys = [RnsPolynomial(basis, rows) for rows in basis.kernel.inverse(products)]
+        products = (a0 * b0 % primes, (a0 * b1 + a1 * b0) % primes, a1 * b1 % primes)
+        polys = [RnsPolynomial(basis, rows, EVAL) for rows in products]
         return Ciphertext(polys, a.scale * b.scale, a.level)
 
     def multiply_plain(self, a: Ciphertext, p: Plaintext) -> Ciphertext:
         self._check_plain(a, p)
-        basis = a.basis
-        a.polys[0]._check_basis(p.poly)
-        operands = a.polys + [p.poly]
-        forms = basis.kernel.forward(np.stack([poly.residues for poly in operands]))
-        products = forms[:-1] * forms[-1:] % basis.primes_column
-        polys = [RnsPolynomial(basis, rows) for rows in basis.kernel.inverse(products)]
+        polys = a.to_eval()
+        polys[0]._check_basis(p.poly)
+        basis = polys[0].basis
+        plain = p.poly.to_eval().residues
+        products = [poly.residues * plain % basis.primes_column for poly in polys]
+        polys = [RnsPolynomial(basis, rows, EVAL) for rows in products]
         return Ciphertext(polys, a.scale * p.scale, a.level)
 
     def square(self, a: Ciphertext) -> Ciphertext:
         return self.multiply(a, a)
 
     # -- key switching ----------------------------------------------------------------------
-    def _key_switch(
-        self, poly: RnsPolynomial, switching_key: KeySwitchingKey, level: int
-    ) -> Tuple[RnsPolynomial, RnsPolynomial]:
-        """Switch ``poly`` (held under some key ``s'``) to the secret key ``s``.
-
-        Returns the pair to be added to ``(c0, c1)``, already scaled down by
-        the special prime and expressed in the data basis of ``level``.
-        """
-        digit_ntts = self._digit_ntts(poly, level, cache=False)
-        return self._key_switch_decomposed(digit_ntts, switching_key, level)
-
     def _digit_ntts(self, poly: RnsPolynomial, level: int, cache: bool) -> np.ndarray:
         """Forward NTT of every decomposition digit of ``poly`` over the key basis.
 
         Returns an ``(L, K, N)`` array: row ``j`` holds the NTT (one row per
         key-basis prime) of ``poly``'s ``j``-th data residue lifted to the key
         basis.  With ``cache=True`` the result is memoized by the identity of
-        ``poly`` so a group of rotations of one ciphertext decomposes once.
+        ``poly`` — the ciphertext's own polynomial, whatever its form — so a
+        group of rotations of one ciphertext decomposes once.
         """
         if cache:
             entry = self._hoist_cache.get(id(poly))
@@ -202,14 +193,42 @@ class Evaluator:
                 self._hoist_cache.move_to_end(id(poly))
                 return entry[2]
         key_basis = self.context.key_basis(level)
-        # Lift every data residue row to all key primes, then transform the
-        # whole (L, K, N) digit matrix in one kernel pass.
-        digits = poly.residues[:, np.newaxis, :] % key_basis.primes_column
-        digit_ntts = key_basis.kernel.forward(digits)
+        if poly.form == EVAL:
+            digit_ntts = self._digit_ntts_of_evaluations(poly, key_basis)
+        else:
+            # Lift every data residue row to all key primes, then transform the
+            # whole (L, K, N) digit matrix in one kernel pass.
+            digits = poly.residues[:, np.newaxis, :] % key_basis.primes_column
+            digit_ntts = key_basis.kernel.forward(digits)
         if cache:
             self._hoist_cache[id(poly)] = (poly, level, digit_ntts)
             while len(self._hoist_cache) > _HOIST_CACHE_CAPACITY:
                 self._hoist_cache.popitem(last=False)
+        return digit_ntts
+
+    @staticmethod
+    def _digit_ntts_of_evaluations(poly: RnsPolynomial, key_basis: RnsBasis) -> np.ndarray:
+        """The digit matrix of an evaluation-form ``poly``: L inverse + L(K-1) forward rows.
+
+        Digit ``j`` lifted to its own prime is residue row ``j`` itself, so
+        that row of its transform is ``poly``'s evaluation row and is not
+        recomputed; the digits themselves need ``poly``'s coefficients.
+        """
+        kernel = poly.basis.kernel
+        coefficients = kernel.inverse(poly.residues)
+        count, degree = coefficients.shape
+        own = np.arange(count)
+        digit_ntts = np.empty((count, count + 1, degree), dtype=np.int64)
+        digit_ntts[own, own] = poly.residues
+        special = key_basis.kernel.rows(count, count + 1)
+        digit_ntts[:, count:] = special.forward(
+            coefficients[:, np.newaxis, :] % key_basis.primes[-1]
+        )
+        if count > 1:
+            # Pass b over the data primes: prime k transforms digit (k + 1 + b) mod L,
+            # so every prime meets every digit but its own.
+            digit = (own + 1 + np.arange(count - 1).reshape(-1, 1)) % count
+            digit_ntts[digit, own] = kernel.forward(coefficients[digit] % poly.basis.primes_column)
         return digit_ntts
 
     def _key_evaluation_form(
@@ -241,15 +260,16 @@ class Evaluator:
         forms[cache_key] = np.ascontiguousarray(key_basis.kernel.forward(stacked).swapaxes(0, 1))
         return forms[cache_key]
 
-    def _key_switch_decomposed(
+    def _key_switch_totals(
         self,
         digit_ntts: np.ndarray,
         switching_key: KeySwitchingKey,
         level: int,
         permutation: Optional[np.ndarray] = None,
-    ) -> Tuple[RnsPolynomial, RnsPolynomial]:
-        """Key switch from pre-transformed digits, entirely in the NTT domain.
+    ) -> np.ndarray:
+        """``sum_j digit_j * key_j`` for both key halves, as ``(2, K, N)`` evaluations.
 
+        This is the switched pair times the special prime, over the key basis.
         ``permutation`` (a Galois NTT permutation) is applied to the digits on
         the fly, which is how hoisted rotations reuse one decomposition.
         """
@@ -259,13 +279,30 @@ class Evaluator:
         key_forms = self._key_evaluation_form(switching_key, key_basis, data_primes)
         if permutation is not None:
             digit_ntts = np.take(digit_ntts, permutation, axis=-1)
-        # Both accumulators sum_j digit_j * key_j at once, then one inverse pass.
-        totals = _multiply_accumulate(digit_ntts, key_forms, key_basis.primes_column)
-        poly0, poly1 = (RnsPolynomial(key_basis, rows) for rows in key_basis.kernel.inverse(totals))
+        return _multiply_accumulate(digit_ntts, key_forms, key_basis.primes_column)
+
+    def _switched_pair(
+        self, totals: np.ndarray, level: int, form: str
+    ) -> Tuple[RnsPolynomial, RnsPolynomial]:
+        """Divide key-switch ``totals`` by the special prime; the pair comes back in ``form``.
+
+        Coefficient form inverse-transforms both totals in one pass and divides
+        there; evaluation form transforms only the special row back and its
+        correction forward, so neither form pays for the other.
+        """
+        key_basis = self.context.key_basis(level)
+        if form == COEFF:
+            totals = key_basis.kernel.inverse(totals)
+        poly0, poly1 = (RnsPolynomial(key_basis, rows, form) for rows in totals)
         return poly0.divide_and_round_last(), poly1.divide_and_round_last()
 
     def relinearize(self, a: Ciphertext) -> Ciphertext:
-        """Reduce a three-polynomial ciphertext back to two polynomials."""
+        """Reduce a three-polynomial ciphertext back to two polynomials.
+
+        An evaluation-form ciphertext comes back *extended*: ``(P*c0 + t0,
+        P*c1 + t1)`` over the key basis, the division by ``P`` left to
+        ``rescale_to_next`` (which folds it into its own) or ``settle``.
+        """
         if self.relin_key is None:
             raise ParameterError("no relinearization key available")
         if a.size == 2:
@@ -274,10 +311,18 @@ class Evaluator:
             raise PolynomialCountError(
                 f"relinearization supports ciphertexts of size 3, got {a.size}"
             )
-        ks0, ks1 = self._key_switch(a.polys[2], self.relin_key.key, a.level)
-        return Ciphertext(
-            [a.polys[0].add(ks0), a.polys[1].add(ks1)], a.scale, a.level
-        )
+        c0, c1, c2 = a.polys
+        digit_ntts = self._digit_ntts(c2, a.level, cache=False)
+        totals = self._key_switch_totals(digit_ntts, self.relin_key.key, a.level)
+        if not c0.form == c1.form == EVAL:
+            ks0, ks1 = self._switched_pair(totals, a.level, COEFF)
+            return Ciphertext([c0.add(ks0), c1.add(ks1)], a.scale, a.level)
+        key_basis = self.context.key_basis(a.level)
+        primes = key_basis.primes_column
+        lifted = np.stack([c0.residues, c1.residues]) * (primes[-1] % primes[:-1])
+        totals[:, :-1] = (totals[:, :-1] + lifted) % primes[:-1]
+        polys = [RnsPolynomial(key_basis, rows, EVAL) for rows in totals]
+        return Ciphertext(polys, a.scale, a.level)
 
     def rotate(self, a: Ciphertext, steps: int) -> Ciphertext:
         """Rotate the slots left by ``steps`` (negative values rotate right).
@@ -297,26 +342,31 @@ class Evaluator:
             raise PolynomialCountError("rotation requires a relinearized ciphertext")
         element = self.context.galois_element_for_step(steps)
         switching_key = self.galois_keys.key_for(element)
-        c0 = a.polys[0].automorphism(element)
-        digit_ntts = self._digit_ntts(a.polys[1], a.level, cache=True)
+        c0, c1 = a.settle()
+        digit_ntts = self._digit_ntts(c1, a.level, cache=True)
         permutation = galois_ntt_permutation(self.context.poly_modulus_degree, element)
-        ks0, ks1 = self._key_switch_decomposed(
-            digit_ntts, switching_key, a.level, permutation=permutation
-        )
-        return Ciphertext([c0.add(ks0), ks1], a.scale, a.level)
+        totals = self._key_switch_totals(digit_ntts, switching_key, a.level, permutation)
+        ks0, ks1 = self._switched_pair(totals, a.level, c0.form)
+        return Ciphertext([c0.automorphism(element).add(ks0), ks1], a.scale, a.level)
 
     # -- modulus chain -----------------------------------------------------------------------
     def rescale_to_next(self, a: Ciphertext) -> Ciphertext:
-        """Divide the ciphertext (and its scale) by the next prime in the chain."""
+        """Divide the ciphertext (and its scale) by the next prime in the chain.
+
+        An extended ciphertext divides by the special prime and the next prime
+        together, which is what it was left extended for.
+        """
         if a.level >= self.context.max_level - 1:
             raise ModulusExhaustedError("cannot rescale: no prime left to divide away")
-        prime = a.basis.primes[-1]
-        polys = [p.divide_and_round_last() for p in a.polys]
+        polys = a.polys
+        count = 2 if polys[0].basis.special else 1
+        prime = polys[0].basis.primes[-count]
+        polys = [p.divide_and_round_last(count) for p in polys]
         return Ciphertext(polys, a.scale / prime, a.level + 1)
 
     def mod_switch_to_next(self, a: Ciphertext) -> Ciphertext:
         """Drop the next prime in the chain without changing the scale."""
         if a.level >= self.context.max_level - 1:
             raise ModulusExhaustedError("cannot switch modulus: no prime left to drop")
-        polys = [p.drop_last() for p in a.polys]
+        polys = [p.drop_last() for p in a.settle()]
         return Ciphertext(polys, a.scale, a.level + 1)

@@ -30,13 +30,20 @@ whole-array ``numpy`` operations:
   ``psi^(2*bitrev(j)+1)``) and ``inverse`` consumes that same order.  The
   order is this module's private convention: point-wise arithmetic does not
   care, :func:`galois_ntt_permutation` is expressed in it, and
-  evaluation-form data is never serialized, so nothing else may assume it.
+  evaluation-form data — which polynomials carry between operations
+  (``RnsPolynomial.form``) — is never serialized, so nothing else may assume it.
 
 Twiddle tables are ``log2 N`` rows of ``N/2`` (``w``, ``w'``) pairs per prime
 and direction, so kernels are cached process-wide by ``(primes, N)`` —
 sessions with equal parameters derive equal primes and share one table — and
-the kernel of a basis with its last prime dropped is a row-slice view of its
-parent's table, not a copy.
+the kernel over any contiguous run of a basis's primes (its last prime
+dropped, or only its trailing rows) is a row-slice view of its parent's
+table, not a copy.
+
+Every ``forward`` / ``inverse`` adds the rows it transforms to a thread-local
+tally (:func:`ntt_rows`): kernels are process-wide and sessions run on
+different worker threads, so a caller reads the tally before and after its
+own work to get an exact, repeatable cost.
 
 :class:`NttContext` is the single-prime face (one 1-D row in, one out,
 through the same kernel) and carries the textbook row-at-a-time transform as
@@ -45,6 +52,7 @@ the property-test oracle.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -56,6 +64,13 @@ from .numth import find_primitive_root, mod_inverse
 _SHOUP_BITS = 32
 #: Largest prime (exclusive) for which ``2q < 2^32`` holds.
 _PRIME_BOUND = 1 << 31
+
+_TALLY = threading.local()
+
+
+def ntt_rows() -> int:
+    """Length-N rows the calling thread has transformed so far, both directions."""
+    return getattr(_TALLY, "rows", 0)
 
 
 def _power_table(roots: np.ndarray, primes: np.ndarray, n: int) -> np.ndarray:
@@ -81,7 +96,11 @@ class NttKernel:
     """
 
     def __init__(
-        self, primes: Sequence[int], poly_modulus_degree: int, _parent: "NttKernel | None" = None
+        self,
+        primes: Sequence[int],
+        poly_modulus_degree: int,
+        _parent: "NttKernel | None" = None,
+        _start: int = 0,
     ) -> None:
         n = int(poly_modulus_degree)
         if n < 2 or n & (n - 1):
@@ -93,13 +112,14 @@ class NttKernel:
             raise ParameterError("an NTT kernel needs at least one prime")
         if _parent is not None:
             # Row-slice views of the parent's tables: no twiddle is copied.
-            self.psi = _parent.psi[:rows]
-            self._forward = _parent._forward[:, :, :rows]
-            self._inverse = _parent._inverse[:, :, :rows]
-            self._n_inv = _parent._n_inv[:, :rows]
-            self._q = _parent._q[:rows]
-            self._q_half = _parent._q_half[:rows]
-            self._two_q_half = _parent._two_q_half[:rows]
+            view = slice(_start, _start + rows)
+            self.psi = _parent.psi[view]
+            self._forward = _parent._forward[:, :, view]
+            self._inverse = _parent._inverse[:, :, view]
+            self._n_inv = _parent._n_inv[:, view]
+            self._q = _parent._q[view]
+            self._q_half = _parent._q_half[view]
+            self._two_q_half = _parent._two_q_half[view]
             return
         for prime in self.primes:
             if not 2 < prime < _PRIME_BOUND:
@@ -142,13 +162,17 @@ class NttKernel:
         q = self._q[:, : w.shape[-1]]
         return np.stack([w, (w << np.uint64(_SHOUP_BITS)) // q], axis=-3)
 
-    def drop_last(self) -> "NttKernel":
-        """The kernel over all primes but the last, sharing this one's tables."""
-        key = (self.primes[:-1], self.n)
+    def rows(self, start: int, stop: int) -> "NttKernel":
+        """The kernel over ``primes[start:stop]``, sharing this one's tables."""
+        key = (self.primes[start:stop], self.n)
         kernel = _KERNEL_CACHE.get(key)
         if kernel is None:
-            kernel = _KERNEL_CACHE[key] = NttKernel(key[0], self.n, _parent=self)
+            kernel = _KERNEL_CACHE[key] = NttKernel(key[0], self.n, _parent=self, _start=start)
         return kernel
+
+    def drop_last(self) -> "NttKernel":
+        """The kernel over all primes but the last, sharing this one's tables."""
+        return self.rows(0, len(self.primes) - 1)
 
     # -- the transform ---------------------------------------------------------------
     def _words(self, values: np.ndarray) -> np.ndarray:
@@ -157,6 +181,7 @@ class NttKernel:
             raise ParameterError(
                 f"expected (..., {len(self.primes)}, {self.n}) residues, got {values.shape}"
             )
+        _TALLY.rows = ntt_rows() + values.size // self.n
         return values.view(np.uint64)
 
     @staticmethod

@@ -35,9 +35,10 @@ CATEGORY_RULES: List[Tuple[str, str, Optional[frozenset]]] = [
         "ckks/evaluator.py",
         frozenset(
             {
-                "_key_switch",
-                "_key_switch_decomposed",
+                "_key_switch_totals",
+                "_switched_pair",
                 "_digit_ntts",
+                "_digit_ntts_of_evaluations",
                 "_key_evaluation_form",
                 "relinearize",
                 "rotate",

@@ -830,14 +830,17 @@ class EvaServer:
                 self.telemetry.inc(series, count, program=program, client=client_id)
 
     def _harvest_op_times(self, context: Any, program: str) -> None:
-        """Fold the backend's per-op kernel timings into ``ckks.op.*``.
+        """Fold the backend's per-op kernel timings into ``ckks.op.*`` and ``ckks.ntt.rows``.
 
-        Real-backend contexts accumulate wall time per homomorphic op; the
-        mock backend reports nothing, so this is free on the simulated path.
+        Real-backend contexts accumulate wall time and exact NTT rows per
+        homomorphic op; the mock backend reports nothing, so this is free on
+        the simulated path.
         """
         for op, (count, seconds) in context.drain_op_times().items():
             self.telemetry.inc("ckks.op.count", count, op=op, program=program)
             self.telemetry.inc("ckks.op.seconds", seconds, op=op, program=program)
+        for op, rows in context.drain_ntt_rows().items():
+            self.telemetry.inc("ckks.ntt.rows", rows, op=op, program=program)
 
     def _count_session_keys(
         self, compilation: CompilationResult, program: str, client_id: str

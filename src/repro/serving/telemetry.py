@@ -63,6 +63,7 @@ serving.slo.missed                    counter    slo_class, program
 serving.slo.rejected                  counter    slo_class, client
 ckks.op.count                         counter    op, program
 ckks.op.seconds                       counter    op, program
+ckks.ntt.rows                         counter    op, program
 cluster.shards.joined                 counter    —
 cluster.scale.up                      counter    reason
 cluster.scale.down                    counter    reason

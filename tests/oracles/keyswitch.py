@@ -11,9 +11,12 @@ noise-level for hoisted rotations) and timed against in
 ``benchmarks/bench_ckks_kernels.py``.
 
 :class:`ReferenceEvaluator` is an ``Evaluator`` whose two key-switching entry
-points (``_key_switch`` for relinearization, ``rotate``) run the reference
-path; everything else is inherited, so both sides of a comparison share the
-same keys, checks and arithmetic outside key switching.
+points (``relinearize``, ``rotate``) run the production prologue and then the
+reference path; everything else is inherited, so both sides of a comparison
+share the same keys, checks and arithmetic outside key switching.  The
+reference path predates form-carrying polynomials: both entry points first
+bring their operand to coefficient form (settling an extended one), and
+answer in it.
 """
 
 from __future__ import annotations
@@ -27,13 +30,27 @@ from repro.ckks.rns import RnsPolynomial
 from repro.errors import ParameterError, PolynomialCountError
 
 
+def coefficient_form(cipher: Ciphertext) -> Ciphertext:
+    """``cipher`` settled and in coefficient form, as every value was before forms."""
+    return Ciphertext(cipher.to_coeff(), cipher.scale, cipher.level)
+
+
 class ReferenceEvaluator(Evaluator):
     """An ``Evaluator`` that key-switches in the coefficient domain."""
 
-    def _key_switch(
-        self, poly: RnsPolynomial, switching_key: KeySwitchingKey, level: int
-    ) -> Tuple[RnsPolynomial, RnsPolynomial]:
-        return self._key_switch_reference(poly, switching_key, level)
+    def relinearize(self, a: Ciphertext) -> Ciphertext:
+        """The production ``relinearize`` prologue, then the reference key switch."""
+        if self.relin_key is None:
+            raise ParameterError("no relinearization key available")
+        if a.size == 2:
+            return a.copy()
+        if a.size != 3:
+            raise PolynomialCountError(
+                f"relinearization supports ciphertexts of size 3, got {a.size}"
+            )
+        c0, c1, c2 = a.to_coeff()
+        ks0, ks1 = self._key_switch_reference(c2, self.relin_key.key, a.level)
+        return Ciphertext([c0.add(ks0), c1.add(ks1)], a.scale, a.level)
 
     def rotate(self, a: Ciphertext, steps: int) -> Ciphertext:
         """The production ``rotate`` prologue, then the reference rotation."""
@@ -46,7 +63,7 @@ class ReferenceEvaluator(Evaluator):
             raise PolynomialCountError("rotation requires a relinearized ciphertext")
         element = self.context.galois_element_for_step(steps)
         switching_key = self.galois_keys.key_for(element)
-        return self._rotate_reference(a, element, switching_key)
+        return self._rotate_reference(coefficient_form(a), element, switching_key)
 
     def _key_switch_reference(
         self, poly: RnsPolynomial, switching_key: KeySwitchingKey, level: int

@@ -1,0 +1,566 @@
+"""Form follows the operation: every path a form can take is the coefficient path.
+
+An ``RnsPolynomial`` carries its form and a relinearized evaluation-form
+ciphertext stays *extended* until something divides by the special prime.
+None of that may change a single residue: these tests hold every operation,
+in every combination of operand forms, to the answer the same operation gives
+when every value is forced back to coefficient form after each step (what the
+scheme did before forms existed), to the independent oracles in
+``tests/oracles``, and to exact NTT row counts.
+"""
+
+import json
+import sys
+import threading
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles.keyswitch import ReferenceEvaluator, coefficient_form
+from oracles.rns import divide_and_round_sequential
+
+from repro.api import (
+    ClientKit,
+    CompiledProgram,
+    CompilerOptions,
+    EvaProgram,
+    ServerRuntime,
+    execute_reference,
+    input_encrypted,
+    output,
+)
+from repro.backend import CkksBackend
+from repro.ckks import Ciphertext, CkksContext, Decryptor, Encryptor, Evaluator, KeyGenerator
+from repro.ckks.ntt import get_ntt_kernel, ntt_rows
+from repro.ckks.numth import generate_ntt_primes
+from repro.ckks.rns import COEFF, EVAL, RnsBasis, RnsPolynomial
+from repro.core.executor import EvaluationEngine
+from repro.profiling import PROFILE_PROGRAMS, _profile_spec
+from repro.serving import EvaServer
+
+N = 256
+SCALE = 2.0**26
+STEP = 3
+
+
+@pytest.fixture(scope="module")
+def scheme():
+    context = CkksContext(N, [26, 26, 26, 30], enforce_security=False)
+    keygen = KeyGenerator(context, seed=5)
+    keys = keygen.create_relin_key(), keygen.create_galois_keys([1, STEP])
+    encryptor = Encryptor(context, keygen.create_public_key(), seed=6)
+    rng = np.random.default_rng(7)
+    values = rng.uniform(-1.0, 1.0, (3, context.slots))
+    return SimpleNamespace(
+        context=context,
+        encryptor=encryptor,
+        decryptor=Decryptor(context, keygen.secret_key),
+        evaluator=Evaluator(context, *keys),
+        reference=ReferenceEvaluator(context, *keys),
+        values=values,
+        fresh=[encryptor.encode_and_encrypt(row, SCALE) for row in values],
+        plain=encryptor.encode(np.linspace(-1.0, 1.0, context.slots), SCALE**2),
+    )
+
+
+def assert_same_ciphertext(got, want):
+    got, want = coefficient_form(got), coefficient_form(want)
+    assert (got.size, got.scale, got.level) == (want.size, want.scale, want.level)
+    for a, b in zip(got.polys, want.polys):
+        assert a.basis == b.basis and a.form == b.form == COEFF
+        assert np.array_equal(a.residues, b.residues)
+
+
+#: Forms a two-polynomial operand can arrive in; ``extended`` exists only as
+#: the result of relinearizing an evaluation-form product.
+FORMS = ("coeff", "eval", "mixed", "extended")
+
+
+def product(scheme, which):
+    """The evaluation-form, three-polynomial product of two fresh ciphertexts."""
+    a, b = scheme.fresh[which].copy(), scheme.fresh[which + 1].copy()
+    return scheme.evaluator.multiply(a, b)
+
+
+def reshape(cipher, form):
+    """``cipher`` (settled on the way) with its polynomials in ``form``."""
+    polys = cipher.to_coeff()
+    if form == "eval":
+        polys = [p.to_eval() for p in polys]
+    elif form == "mixed":
+        polys = [p.to_eval() if index % 2 else p for index, p in enumerate(polys)]
+    return Ciphertext(polys, cipher.scale, cipher.level)
+
+
+def operand(scheme, which, form):
+    """Relinearized product number ``which`` as a fresh object in ``form``.
+
+    Every form is made from the same extended ciphertext, so the four mean the
+    same ciphertext exactly when ``settle`` is exact (pinned against the
+    sequential oracle below).
+    """
+    extended = scheme.evaluator.relinearize(product(scheme, which))
+    assert extended.extended and all(p.form == EVAL for p in extended.polys)
+    return extended if form == "extended" else reshape(extended, form)
+
+
+UNARY = {
+    "negate": lambda ev, s, a: ev.negate(a),
+    "rotate": lambda ev, s, a: ev.rotate(a, STEP),
+    "rotate_by_zero": lambda ev, s, a: ev.rotate(a, 0),
+    "hoisted_rotations": lambda ev, s, a: ev.add(ev.rotate(a, 1), ev.rotate(a, STEP)),
+    "rescale": lambda ev, s, a: ev.rescale_to_next(a),
+    "rescale_twice": lambda ev, s, a: ev.rescale_to_next(ev.rescale_to_next(a)),
+    "mod_switch": lambda ev, s, a: ev.mod_switch_to_next(a),
+    "relinearize_of_two": lambda ev, s, a: ev.relinearize(a),
+    "square": lambda ev, s, a: ev.multiply(a, a),
+    "add_to_itself": lambda ev, s, a: ev.add(a, a),
+    "add_plain": lambda ev, s, a: ev.add_plain(a, s.plain),
+    "sub_plain": lambda ev, s, a: ev.sub_plain(a, s.plain),
+    "sub_plain_reverse": lambda ev, s, a: ev.sub_plain(a, s.plain, reverse=True),
+    "multiply_plain": lambda ev, s, a: ev.multiply_plain(a, s.plain),
+    "copy": lambda ev, s, a: a.copy(),
+}
+BINARY = {
+    "add": lambda ev, a, b: ev.add(a, b),
+    "sub": lambda ev, a, b: ev.sub(a, b),
+    "multiply": lambda ev, a, b: ev.multiply(a, b),
+}
+
+
+class TestEveryOperationInEveryForm:
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("name", sorted(UNARY))
+    def test_unary(self, scheme, name, form):
+        op, ev = UNARY[name], scheme.evaluator
+        want = coefficient_form(op(ev, scheme, operand(scheme, 0, "coeff")))
+        a = operand(scheme, 0, form)
+        assert_same_ciphertext(op(ev, scheme, a), want)
+        # Whatever the operation rebound, the operand still means what it meant.
+        assert_same_ciphertext(a, operand(scheme, 0, "coeff"))
+
+    @pytest.mark.parametrize("form_b", FORMS)
+    @pytest.mark.parametrize("form_a", FORMS)
+    @pytest.mark.parametrize("name", sorted(BINARY))
+    def test_binary(self, scheme, name, form_a, form_b):
+        op, ev = BINARY[name], scheme.evaluator
+        want = coefficient_form(op(ev, operand(scheme, 0, "coeff"), operand(scheme, 1, "coeff")))
+        a, b = operand(scheme, 0, form_a), operand(scheme, 1, form_b)
+        assert_same_ciphertext(op(ev, a, b), want)
+        assert_same_ciphertext(a, operand(scheme, 0, "coeff"))
+        assert_same_ciphertext(b, operand(scheme, 1, "coeff"))
+
+    @pytest.mark.parametrize("form", FORMS[:3])
+    def test_three_polynomial_operands(self, scheme, form):
+        """Relinearize (against the coefficient-domain oracle), and what else takes size 3."""
+        ev = scheme.evaluator
+        base = coefficient_form(product(scheme, 0))
+        oracle = scheme.reference.relinearize(base)
+        assert all(p.form == COEFF for p in oracle.polys)
+        relinearized = ev.relinearize(reshape(product(scheme, 0), form))
+        assert relinearized.extended == (form == "eval")
+        assert_same_ciphertext(relinearized, oracle)
+        for op in (
+            lambda a: ev.add(a, operand(scheme, 0, form)),
+            lambda a: ev.add(operand(scheme, 0, form), a),
+            lambda a: ev.multiply_plain(a, scheme.plain),
+            lambda a: ev.rescale_to_next(a),
+            lambda a: ev.negate(a),
+        ):
+            assert_same_ciphertext(op(reshape(product(scheme, 0), form)), coefficient_form(op(base)))
+        decrypted = scheme.decryptor.decrypt_poly(reshape(product(scheme, 0), form))
+        want = scheme.decryptor.decrypt_poly(base)
+        assert decrypted.form == want.form == COEFF
+        assert np.array_equal(decrypted.residues, want.residues)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_decrypt(self, scheme, form):
+        want = scheme.decryptor.decrypt(operand(scheme, 0, "coeff"))
+        assert np.array_equal(scheme.decryptor.decrypt(operand(scheme, 0, form)), want)
+        expected = scheme.values[0] * scheme.values[1]
+        assert np.max(np.abs(np.real(want) - expected)) < 1e-2
+
+    def test_plaintext_in_evaluation_form(self, scheme):
+        ev, plain = scheme.evaluator, scheme.plain
+        converted = type(plain)(plain.poly.to_eval(), plain.scale, plain.level)
+        for form in FORMS:
+            for op in (ev.add_plain, ev.sub_plain, ev.multiply_plain):
+                want = op(operand(scheme, 0, "coeff"), plain)
+                assert_same_ciphertext(op(operand(scheme, 0, form), converted), want)
+
+    @pytest.mark.parametrize("evaluator", ["evaluator", "reference"])
+    def test_a_whole_program_against_coefficient_form_after_every_step(self, scheme, evaluator):
+        """x^4 + x^3 + x^2 + x plus a rotation group: the form-following run
+        is the step-by-step coefficient run (and the oracle's), bit for bit."""
+
+        def run(ev, step):
+            x = scheme.fresh[0].copy()
+            x2 = step(ev.rescale_to_next(step(ev.relinearize(step(ev.multiply(x, x))))))
+            x1 = step(ev.mod_switch_to_next(x))
+            x3 = step(ev.rescale_to_next(step(ev.relinearize(step(ev.multiply(x2, x1))))))
+            x4 = step(ev.rescale_to_next(step(ev.relinearize(step(ev.multiply(x2, x2))))))
+            total = x4
+            for term in (x3, x2, x1):
+                if term.level < total.level:
+                    term = step(ev.mod_switch_to_next(term))
+                # Scales differ by a factor prime / 2^26: the sum is exact
+                # arithmetic either way, which is all this test compares.
+                term.scale = total.scale
+                total = step(ev.add(total, term))
+            return step(ev.add(step(ev.rotate(x3, 1)), step(ev.rotate(x3, STEP)))), x4, total
+
+        following = run(scheme.evaluator, lambda cipher: cipher)
+        stepwise = run(getattr(scheme, evaluator), coefficient_form)
+        # The oracle's rotation decomposes after the automorphism, a different
+        # valid decomposition: its rotations agree at noise level only.
+        exact = slice(None) if evaluator == "evaluator" else slice(1, None)
+        for got, want in zip(following[exact], stepwise[exact]):
+            assert_same_ciphertext(got, want)
+        decrypt = scheme.decryptor.decrypt
+        assert np.max(np.abs(decrypt(following[0]) - decrypt(stepwise[0]))) < 1e-2
+        rotated, x4, _ = following
+        x = scheme.values[0]
+        assert np.max(np.abs(np.real(scheme.decryptor.decrypt(x4)) - x**4)) < 1e-2
+        want = np.roll(x**3, -1) + np.roll(x**3, -STEP)
+        assert np.max(np.abs(np.real(scheme.decryptor.decrypt(rotated)) - want)) < 1e-2
+
+    def test_a_forgotten_settle_fails_loudly(self, scheme):
+        extended = operand(scheme, 0, "extended")
+        settled = operand(scheme, 1, "eval")
+        with pytest.raises(Exception, match="different RNS bases"):
+            extended.polys[0].add(settled.polys[0])
+
+
+def boundary_residues(rng, basis):
+    """Random residues with every rounding boundary of every prime mixed in."""
+    column = basis.primes_column
+    residues = rng.integers(0, column, size=(len(basis), basis.poly_modulus_degree))
+    edges = np.concatenate([np.zeros_like(column), column - 1, column // 2, column // 2 + 1], 1)
+    width = min(edges.shape[1], residues.shape[1])
+    residues[:, :width] = edges[:, :width]
+    return RnsPolynomial(basis, residues.astype(np.int64))
+
+
+class TestDivideAndRoundLast:
+    """Both forms, one or two primes at once, against the sequential oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([8, 64, 1024]),
+        bits=st.lists(st.integers(20, 30), min_size=2, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # The Harris chain: one 20-bit prime among 28-bit ones, 30-bit special prime.
+    @example(n=64, bits=[28, 28, 20, 28, 30], seed=0)
+    @example(n=8, bits=[30, 30, 30], seed=1)
+    @example(n=8, bits=[20, 30], seed=2)
+    def test_matches_sequential_divisions(self, n, bits, seed):
+        basis = RnsBasis(generate_ntt_primes(bits, n), n)
+        poly = boundary_residues(np.random.default_rng(seed), basis)
+        for count in (1, 2):
+            if count >= len(basis):
+                with pytest.raises(Exception, match="only prime"):
+                    poly.divide_and_round_last(count)
+                continue
+            want = divide_and_round_sequential(poly, count)
+            for operand_ in (poly, poly.to_eval()):
+                got = operand_.divide_and_round_last(count)
+                assert got.form == operand_.form and got.basis == want.basis
+                assert np.array_equal(got.to_coeff().residues, want.residues)
+
+    def test_more_than_two_primes_at_once_is_refused(self):
+        basis = RnsBasis(generate_ntt_primes([25] * 5, 8), 8)
+        with pytest.raises(Exception, match="one or two"):
+            RnsPolynomial.zero(basis).divide_and_round_last(3)
+
+    def test_the_trailing_row_kernels_are_views_of_the_key_basis_tables(self):
+        context = CkksContext(64, [25, 25, 25, 30], enforce_security=False)
+        for level in range(context.max_level):
+            key_kernel = context.key_basis(level).kernel
+            count = len(key_kernel.primes)
+            for start in range(count):
+                view = key_kernel.rows(start, count)
+                assert view.primes == key_kernel.primes[start:]
+                assert view is key_kernel.rows(start, count)
+                if view is not key_kernel:
+                    assert view._forward.base is not None
+                rng = np.random.default_rng(start)
+                rows = rng.integers(0, 1000, size=(2, count, 64), dtype=np.int64)
+                assert np.array_equal(
+                    view.forward(rows[:, start:]), key_kernel.forward(rows)[:, start:]
+                )
+                evaluations = key_kernel.forward(rows)
+                assert np.array_equal(view.inverse(evaluations[:, start:]), rows[:, start:])
+
+
+# -- exact NTT row counts ---------------------------------------------------------------
+OPTIONS = CompilerOptions(policy="eva", max_rescale_bits=25.0, security_level=128)
+
+
+def relin_poly_program():
+    program = EvaProgram("relin_poly", vec_size=2048, default_scale=25)
+    with program:
+        x = input_encrypted("x", 25)
+        x2 = x * x
+        output("y", x2 * x2 + x2 * x + x2 + x, 25)
+    return program
+
+
+def rotate_sum_program():
+    program = EvaProgram("rotate_sum", vec_size=1024, default_scale=25)
+    with program:
+        acc = input_encrypted("x", 25)
+        step = 1
+        while step < 1024:
+            acc = acc + (acc << step)
+            step *= 2
+        output("y", acc, 25)
+    return program
+
+
+def batch_poly_program():
+    program = EvaProgram("batch_poly", vec_size=64, default_scale=25)
+    with program:
+        x = input_encrypted("x", 25)
+        output("y", x * x + x, 25)
+    return program
+
+
+def steady_state_rows(program, chain, whole_request):
+    """``{op: rows}`` of one request after a warm-up (key forms are cached by then)."""
+    compilation = CompiledProgram.compile(program.graph, options=OPTIONS).compilation
+    assert compilation.parameters.coeff_modulus_bits == chain[1]
+    assert compilation.parameters.poly_modulus_degree == chain[0]
+    backend = CkksBackend(seed=3)
+    engine = EvaluationEngine(compilation, backend=backend)
+    context = backend.create_context(compilation.parameters)
+    context.generate_keys()
+    values = np.random.default_rng(1).uniform(-1.0, 1.0, program.graph.vec_size)
+    for _ in range(2):
+        ciphers, plain = engine.encrypt_inputs(context, {"x": values})
+        if not whole_request:
+            context.drain_ntt_rows()
+        handles = engine.evaluate(context, ciphers, plain, retire_inputs=True)
+        if whole_request:
+            answer = engine.decrypt_outputs(context, handles)["y"]
+        else:
+            wire = context.encode_cipher(handles["y"])
+            answer = context.decrypt(context.decode_cipher(json.loads(json.dumps(wire))))
+        rows = context.drain_ntt_rows()
+    reference = execute_reference(program.graph, {"x": values})["y"]
+    assert np.allclose(answer[: len(reference)], reference, atol=0.1)
+    return rows
+
+
+class TestExactNttRows:
+    def test_multiply_chain_82_rows(self):
+        rows = steady_state_rows(relin_poly_program(), (8192, [25] * 5), whole_request=False)
+        # 126 before forms: multiply 56 (it transformed back), relinearize 70.
+        assert rows.pop("decrypt") == 4
+        assert rows == {"multiply": 8, "relinearize": 44, "rescale": 26, "export": 4}
+
+    def test_rotation_chain_is_untouched_120_rows(self):
+        rows = steady_state_rows(rotate_sum_program(), (4096, [25] * 3), whole_request=False)
+        assert rows.pop("decrypt") == 4
+        # (L + 1)(L + 2) = 12 per rotation, and nothing to convert at export.
+        assert rows == {"rotate": 120}
+
+    def test_server_held_keys_37_rows(self):
+        rows = steady_state_rows(batch_poly_program(), (4096, [25] * 4), whole_request=True)
+        # 48 before forms (multiply 15, relinearize 20, decrypt 4).
+        assert rows == {"encrypt": 9, "multiply": 6, "relinearize": 12, "rescale": 8, "decrypt": 2}
+
+    def test_hoisted_rotations_of_an_evaluation_form_ciphertext(self, scheme):
+        """L + L^2 rows once, then 2 + 2L per step — the cache is keyed on the
+        ciphertext's own c1, so the conversion cannot make it miss."""
+        ev, count = scheme.evaluator, 3
+        a = operand(scheme, 0, "eval")
+        ev.rotate(a, 1), ev.rotate(operand(scheme, 1, "eval"), STEP)  # warm both keys
+        a = operand(scheme, 0, "eval")
+        before = ntt_rows()
+        ev.rotate(a, 1)
+        assert ntt_rows() - before == count + count**2 + 2 + 2 * count
+        for step in (STEP, 1, STEP):
+            before = ntt_rows()
+            ev.rotate(a, step)
+            assert ntt_rows() - before == 2 + 2 * count
+        assert any(entry[0] is a.polys[1] for entry in ev._hoist_cache.values())
+
+    def test_rows_are_counted_per_thread(self):
+        kernel = get_ntt_kernel(generate_ntt_primes([25, 25], 64), 64)
+        seen = {}
+
+        def work(name, batch):
+            before = ntt_rows()
+            kernel.inverse(kernel.forward(np.zeros((batch, 2, 64), dtype=np.int64)))
+            seen[name] = ntt_rows() - before
+
+        threads = [threading.Thread(target=work, args=(i, i + 1)) for i in range(4)]
+        before = ntt_rows()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert seen == {i: 4 * (i + 1) for i in range(4)} and ntt_rows() == before
+
+    def test_the_server_exports_ckks_ntt_rows(self):
+        with EvaServer(backend=CkksBackend(seed=3), workers=1, batch_window=0.0) as server:
+            server.register("prog", batch_poly_program(), options=OPTIONS)
+            for _ in range(3):
+                server.submit("prog", {"x": [0.5, -0.25]}, client_id="carol").result(60)
+            value = server.telemetry.registry.counter_value
+            assert value("ckks.ntt.rows", op="multiply", program="prog") == 3 * 6
+            assert value("ckks.ntt.rows", op="rescale", program="prog") == 3 * 8
+            # Harvested after each evaluation, so the third decrypt is still
+            # pending; the first also cached s in evaluation form (2 rows).
+            assert value("ckks.ntt.rows", op="decrypt", program="prog") == 2 + 2 * 2
+            assert value("ckks.op.count", op="multiply", program="prog") == 3
+
+
+# -- the wire --------------------------------------------------------------------------
+class TestFormsStayOffTheWire:
+    def test_every_form_encodes_to_the_coefficient_bytes(self):
+        compilation = CompiledProgram.compile(batch_poly_program().graph, options=OPTIONS)
+        backend = CkksBackend(seed=9)
+        context = backend.create_context(compilation.compilation.parameters)
+        context.generate_keys()
+        x = context.encrypt(np.linspace(-1, 1, 64), 25)
+        relinearized = context.relinearize(context.multiply(x, x))
+        assert relinearized.extended and x.polys[0].form == EVAL
+        want = context.encode_cipher(coefficient_form(relinearized.copy()))
+        assert context.encode_cipher(relinearized.copy()) == want  # extended
+        assert context.encode_cipher(reshape(relinearized.copy(), "eval")) == want
+        assert context.encode_cipher(reshape(relinearized.copy(), "mixed")) == want
+        assert json.dumps(context.encode_cipher(relinearized)) == json.dumps(want)
+        # The operand the multiplication converted still exports its original bytes.
+        fresh = backend.create_context(compilation.compilation.parameters)
+        fresh.generate_keys()
+        assert context.encode_cipher(x) == fresh.encode_cipher(
+            fresh.encrypt(np.linspace(-1, 1, 64), 25)
+        )
+        decoded = context.decode_cipher(want)
+        assert all(p.form == COEFF for p in decoded.polys) and not decoded.extended
+
+
+# -- threads ---------------------------------------------------------------------------
+class TestSharedHandlesAcrossThreads:
+    def test_concurrent_multiplies_of_one_handle_agree_with_the_serial_answer(self, scheme):
+        """The form switch rebinds ``polys`` and never edits ``residues``, so
+        racing multiplications of one coefficient-form handle (and racing
+        settles of one extended handle) all compute the serial answer."""
+        ev = scheme.evaluator
+        serial = coefficient_form(ev.multiply(scheme.fresh[0].copy(), scheme.fresh[1].copy()))
+        settled = coefficient_form(ev.add(operand(scheme, 0, "coeff"), operand(scheme, 1, "coeff")))
+        workers, rounds = 8, 6
+        failures = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(rounds):
+                x, y = scheme.fresh[0].copy(), scheme.fresh[1].copy()
+                a, b = operand(scheme, 0, "extended"), operand(scheme, 1, "extended")
+                barrier = threading.Barrier(workers)
+
+                def work():
+                    try:
+                        barrier.wait(30)
+                        assert_same_ciphertext(ev.multiply(x, y), serial)
+                        assert_same_ciphertext(ev.add(a, b), settled)
+                    except BaseException as exc:  # reported by the main thread
+                        failures.append(exc)
+
+                threads = [threading.Thread(target=work) for _ in range(workers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                    assert not thread.is_alive()
+                assert all(p.form == EVAL for p in x.polys + y.polys)
+                assert not a.extended and not b.extended
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures[0]
+
+    def test_two_executor_threads_share_an_input_handle(self):
+        program = EvaProgram("shared", vec_size=64, default_scale=25)
+        with program:
+            x = input_encrypted("x", 25)
+            output("y", x * x + (x << 1) * x, 25)
+        compilation = CompiledProgram.compile(program.graph, options=OPTIONS).compilation
+        backend = CkksBackend(seed=4)
+        context = backend.create_context(compilation.parameters)
+        context.generate_keys()
+        values = np.linspace(-1, 1, 64)
+        answers = []
+        for threads in (1, 2, 2, 2):
+            engine = EvaluationEngine(compilation, backend=backend, threads=threads)
+            context.encryptor.sampler = type(context.encryptor.sampler)(11)
+            ciphers, plain = engine.encrypt_inputs(context, {"x": values})
+            handles = engine.evaluate(context, ciphers, plain, retire_inputs=True)
+            answers.append(context.encode_cipher(handles["y"]))
+        assert all(answer == answers[0] for answer in answers[1:])
+
+
+# -- whole programs ------------------------------------------------------------------------
+class StepwiseCoefficientEvaluator(Evaluator):
+    """The scheme before forms: every result returns to coefficient form at once."""
+
+
+for _name in (
+    "negate add sub add_plain sub_plain multiply multiply_plain relinearize rotate "
+    "rescale_to_next mod_switch_to_next"
+).split():
+
+    def _stepwise(self, *args, _op=getattr(Evaluator, _name), **kwargs):
+        return coefficient_form(_op(self, *args, **kwargs))
+
+    setattr(StepwiseCoefficientEvaluator, _name, _stepwise)
+
+
+class TestRealBackendAgainstTheReference:
+    """Plaintext multiplies, hoisted rotation groups of evaluation-form
+    ciphertexts, a reduction tree and relinearization chains, wire to wire:
+    the reply is byte for byte the step-by-step coefficient run's, and
+    decrypts to the reference."""
+
+    @staticmethod
+    def _run(program, options, inputs):
+        compiled = CompiledProgram.compile(program, options=options)
+        backend = CkksBackend(seed=21)
+        client = ClientKit(compiled, backend=backend, client_id="forms")
+        wire = json.loads(json.dumps(client.bundle_to_wire(client.encrypt_inputs(inputs))))
+        server = ServerRuntime(compiled, backend=backend)
+        context = server.attach_client("forms", client.evaluation_context())
+        keys = context.evaluator.relin_key, context.evaluator.galois_keys
+        replies = []
+        for evaluator in (Evaluator, StepwiseCoefficientEvaluator):
+            context.evaluator = evaluator(context.context, *keys)
+            replies.append(server.evaluate_wire(wire, client_id="forms"))
+        assert replies[0]["ciphertexts"] == replies[1]["ciphertexts"]
+        return client.decrypt_outputs(client.outputs_from_wire(replies[0]))
+
+    @pytest.mark.parametrize("name", PROFILE_PROGRAMS)
+    def test_profiled_programs(self, name):
+        program, options, inputs = _profile_spec(name)
+        outputs = self._run(program, options, inputs)
+        if options.lane_width:
+            # The two image kernels are profiled at a 20-bit scale, where the
+            # real backend decrypts to noise (before forms too): they are held
+            # to the coefficient run alone.
+            return
+        for key, want in execute_reference(program.graph, inputs).items():
+            assert np.allclose(outputs[key][: len(want)], want, atol=0.05), key
+
+    @pytest.mark.parametrize(
+        "build", [relin_poly_program, rotate_sum_program, batch_poly_program]
+    )
+    def test_served_programs(self, build):
+        program = build()
+        size = program.graph.vec_size
+        inputs = {"x": np.random.default_rng(5).uniform(-1.0, 1.0, size)}
+        outputs = self._run(program, OPTIONS, inputs)
+        reference = execute_reference(program.graph, inputs)
+        assert np.allclose(outputs["y"][:size], reference["y"], atol=0.1)

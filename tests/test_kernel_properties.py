@@ -8,8 +8,8 @@ optimized paths can be pinned against them over randomized inputs:
 * the batched ``NttKernel`` vs ``NttContext.forward_reference`` /
   ``inverse_reference`` — bit-for-bit, under the kernel's documented slot
   order (``kernel[j] == reference[bit_reverse(j)]``);
-* ``RnsPolynomial.divide_and_round_last`` / ``to_int_coefficients`` vs
-  their ``*_reference`` row-at-a-time versions;
+* ``RnsPolynomial.divide_and_round_last`` / ``to_int_coefficients`` /
+  ``to_float_coefficients`` vs the row-at-a-time versions in ``oracles.rns``;
 * ``galois_ntt_permutation`` vs the coefficient-domain automorphism, as an
   order-free property of the production kernel;
 * the transform-once rewrites of ``Evaluator.multiply`` / ``multiply_plain``
@@ -28,6 +28,11 @@ import pathlib
 import numpy as np
 import pytest
 from oracles.keyswitch import ReferenceEvaluator
+from oracles.rns import (
+    divide_and_round_last_reference,
+    divide_and_round_sequential,
+    to_int_coefficients_reference,
+)
 
 from repro.backend import CkksBackend
 from repro.ckks import (
@@ -263,9 +268,14 @@ class TestRnsKernelsAgainstReference:
         for draw in range(DRAWS):
             poly = random_residues(rng, basis)
             fast = poly.divide_and_round_last()
-            slow = poly.divide_and_round_last_reference()
+            slow = divide_and_round_last_reference(poly)
             assert fast.basis == slow.basis
             assert np.array_equal(fast.residues, slow.residues)
+            two = divide_and_round_sequential(poly, 2)
+            for form in (poly, poly.to_eval()):
+                fused = form.divide_and_round_last(2)
+                assert fused.form == form.form and fused.basis == two.basis
+                assert np.array_equal(fused.to_coeff().residues, two.residues)
 
     def test_to_int_coefficients(self):
         n = 64
@@ -273,7 +283,31 @@ class TestRnsKernelsAgainstReference:
         rng = np.random.default_rng(11)
         for draw in range(DRAWS):
             poly = random_residues(rng, basis)
-            assert poly.to_int_coefficients() == poly.to_int_coefficients_reference()
+            assert poly.to_int_coefficients() == to_int_coefficients_reference(poly)
+
+    @pytest.mark.parametrize("count", range(1, 9))
+    def test_to_float_coefficients(self, count):
+        """The int64/float64 Garner composition against the exact big-integer one."""
+        n = 64
+        basis = RnsBasis(generate_ntt_primes([20, 28, 25, 30, 22, 27, 29, 24][:count], n), n)
+        modulus = basis.modulus()
+        rng = np.random.default_rng(count)
+        # Anywhere in (-Q/2, Q/2]: each of the count - 1 float steps may round once.
+        edges = [modulus // 2, -(modulus // 2), modulus // 2 - 1, 1 - modulus // 2, 0, 1, -1]
+        polys = [random_residues(rng, basis) for draw in range(DRAWS)]
+        polys.append(RnsPolynomial.from_int_coefficients(basis, (edges * n)[:n]))
+        for poly in polys:
+            exact = np.asarray(poly.to_int_coefficients(), dtype=np.float64)
+            for form in (poly, poly.to_eval()):
+                got = form.to_float_coefficients()
+                assert got.dtype == np.float64
+                assert np.allclose(got, exact, rtol=count * 2.0**-53, atol=0)
+        # Below 2^53 the high digits are exactly zero and so is the error.
+        bound = min(2**53, modulus // 2)
+        small = [int(v) for v in rng.integers(-bound + 1, bound, size=n)]
+        small[:4] = [bound - 1, 1 - bound, 0, -1]
+        poly = RnsPolynomial.from_int_coefficients(basis, small)
+        assert np.array_equal(poly.to_float_coefficients(), np.asarray(small, dtype=np.float64))
 
     def test_roundtrip_through_int_coefficients(self):
         n = 64
@@ -318,7 +352,7 @@ class TestKeySwitchAgainstReference:
             fast = scheme["fast"].relinearize(squared)
             reference = scheme["reference"].relinearize(squared)
             assert fast.scale == reference.scale and fast.level == reference.level
-            for a, b in zip(fast.polys, reference.polys):
+            for a, b in zip(fast.to_coeff(), reference.polys):
                 assert np.array_equal(a.residues, b.residues)
 
     def test_relinearize_bit_exact_at_lower_level(self, scheme):
@@ -327,7 +361,7 @@ class TestKeySwitchAgainstReference:
         squared = scheme["fast"].multiply(dropped, dropped)
         fast = scheme["fast"].relinearize(squared)
         reference = scheme["reference"].relinearize(squared)
-        for a, b in zip(fast.polys, reference.polys):
+        for a, b in zip(fast.to_coeff(), reference.polys):
             assert np.array_equal(a.residues, b.residues)
 
     def test_hoisted_rotation_matches_reference_at_noise_level(self, scheme):
@@ -364,7 +398,8 @@ class TestKeySwitchAgainstReference:
 
 class TestTransformOnceAgainstPairwise:
     """The batched operations transform each operand once; the answers must be
-    bit-equal to the same formulas built from pairwise ``RnsPolynomial.multiply``."""
+    bit-equal, in coefficient form, to the same formulas built from pairwise
+    ``RnsPolynomial.multiply``."""
 
     N = 256
     SCALE = 2.0**22
@@ -393,7 +428,7 @@ class TestTransformOnceAgainstPairwise:
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.basis == b.basis
-            assert np.array_equal(a.residues, b.residues)
+            assert np.array_equal(a.to_coeff().residues, b.to_coeff().residues)
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_multiply(self, scheme, level):
