@@ -40,12 +40,20 @@ gates the ratios:
   scheme before polynomials carried a form; bit-exact agreement asserted).
   Besides the ratio it reports the **exact** NTT rows of both sides, which
   repeat on any host.
+* **session keys** — everything a brand-new client's keys cost before its
+  first answer: key generation, export, import into an evaluation context,
+  and the first rotation (which builds that key's evaluation form) — with
+  the uniform half of every key travelling as its seed vs the same keys
+  written out in full, the format of builds before seeds (``a`` produced by
+  an inverse transform at export and transformed back at first use).  Same
+  test seed, so the same keys and ciphertext: the rotated answers are
+  asserted byte-identical.  Reports the exact NTT rows of both sides.
 
 Speedups are ratios of wall times measured back to back in one process, so
 they transfer between hosts; the acceptance bar is >= 2x on the four kernel
-rows (the multiply chain is gated against its committed ratio and its exact
-row count instead).  Runs standalone for the CI gate or under
-pytest-benchmark with the suite.
+rows (the multiply chain and the session keys are gated against their
+committed ratio and their exact row count instead).  Runs standalone for the
+CI gate or under pytest-benchmark with the suite.
 """
 
 from __future__ import annotations
@@ -53,10 +61,12 @@ from __future__ import annotations
 import json
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 
+from repro.backend import CkksBackend
 from repro.ckks import (
     CkksContext,
     Decryptor,
@@ -65,6 +75,8 @@ from repro.ckks import (
     KeyGenerator,
 )
 from repro.ckks.ntt import bit_reverse_indices, get_ntt_context, ntt_rows
+from repro.core.analysis.parameters import EncryptionParameters
+from repro.core.serialization.packing import expanded_seeds
 
 # Reference sides that have left production live with the tests.
 sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
@@ -211,6 +223,41 @@ def measure_multiply_chain(fast, cipher) -> dict:
     }
 
 
+def measure_session_keys(values) -> dict:
+    """Keygen + export + import + first rotation: seeded keys vs the same keys written out."""
+    parameters = EncryptionParameters(
+        poly_modulus_degree=POLY_MODULUS_DEGREE,
+        coeff_modulus_bits=list(COEFF_MODULUS_BITS),
+        rotation_steps=list(ROTATION_STEPS),
+    )
+
+    def new_client(written_out: bool):
+        before = ntt_rows()
+        backend = CkksBackend(seed=7)
+        client = backend.create_context(parameters)
+        client.generate_keys()
+        with expanded_seeds() if written_out else nullcontext():
+            keys = client.export_evaluation_keys()
+        server = backend.create_evaluation_context(parameters, keys)
+        rows = ntt_rows() - before
+        cipher = server.decode_cipher(client.encode_cipher(client.encrypt(values, np.log2(SCALE))))
+        before = ntt_rows()
+        rotated = server.rotate(cipher, ROTATION_STEPS[0])
+        return server.encode_cipher(rotated), rows + ntt_rows() - before
+
+    (got, seeded_rows), (want, written_rows) = new_client(False), new_client(True)
+    assert got == want, "seeded and written-out keys must rotate to the same bytes"
+    ref_seconds = _best_of(ROUNDS, lambda: new_client(True))
+    fast_seconds = _best_of(ROUNDS, lambda: new_client(False))
+    return {
+        "keys": 2 + len(ROTATION_STEPS),
+        "ntt_rows": {"seeded": seeded_rows, "written_out": written_rows},
+        "reference_seconds": ref_seconds,
+        "fast_seconds": fast_seconds,
+        "speedup": ref_seconds / fast_seconds,
+    }
+
+
 def measure_rotation_group(fast, reference, decryptor, values, cipher) -> dict:
     def rotate_all(evaluator):
         return [evaluator.rotate(cipher, step) for step in ROTATION_STEPS]
@@ -271,11 +318,12 @@ def run(benchmark=None) -> dict:
     relin = measure_relinearize(fast, reference, cipher)
     rotation = measure_rotation_group(fast, reference, decryptor, values, cipher)
     chain = measure_multiply_chain(fast, cipher)
+    session = measure_session_keys(values)
 
     print_table(
         f"CKKS kernels at N={POLY_MODULUS_DEGREE} "
         f"(reference = row-loop NTT / coefficient-domain key switch / dense encoder / "
-        f"coefficient form after every op)",
+        f"coefficient form after every op / keys written out in full)",
         ["Kernel", "Reference", "Fast", "Speedup"],
         [
             [
@@ -309,6 +357,13 @@ def run(benchmark=None) -> dict:
                 f"{chain['fast_seconds'] * 1e3:.1f} ms ({chain['ntt_rows']['following']} rows)",
                 f"{chain['speedup']:.2f}x",
             ],
+            [
+                f"session keys x{session['keys']}",
+                f"{session['reference_seconds'] * 1e3:.1f} ms "
+                f"({session['ntt_rows']['written_out']} rows)",
+                f"{session['fast_seconds'] * 1e3:.1f} ms ({session['ntt_rows']['seeded']} rows)",
+                f"{session['speedup']:.2f}x",
+            ],
         ],
     )
 
@@ -333,6 +388,7 @@ def run(benchmark=None) -> dict:
         "rotation_group": rotation,
         "encoder": encoder,
         "multiply_chain": chain,
+        "session_keys": session,
     }
     print(json.dumps(payload))
 
@@ -362,6 +418,8 @@ if __name__ == "__main__":
         f"rotation group {result['rotation_group']['speedup']:.2f}x, "
         f"encoder {result['encoder']['speedup']:.2f}x "
         f">= {MIN_SPEEDUP}x; multiply chain {result['multiply_chain']['speedup']:.2f}x, "
-        f"{result['multiply_chain']['ntt_rows']['following']} NTT rows"
+        f"{result['multiply_chain']['ntt_rows']['following']} NTT rows; "
+        f"session keys {result['session_keys']['speedup']:.2f}x, "
+        f"{result['session_keys']['ntt_rows']['seeded']} NTT rows"
     )
     sys.exit(0)

@@ -94,6 +94,16 @@ GATES: Dict[str, List[Tuple]] = {
         # the near-zero band exact counts get.
         ("multiply_chain.speedup", "higher", 0.2),
         ("multiply_chain.ntt_rows.following", "lower", 0.001),
+        # A new client's keys end to end — keygen, export, import, first
+        # rotation — seeded vs the same keys written out in full.  Both row
+        # counts are exact (118: keygen 86 — 72 for six switching keys, 14 for
+        # the public key, s and s^2 — and 32 for the first rotation, 12 of them
+        # b's evaluation form; 205 written out: 75 more at export, 12 more at
+        # first use) and get the near-zero band; the ratio sits near 1.7x and
+        # its 30% band gates "seeds still pay", not the last number.
+        ("session_keys.speedup", "higher", 0.3),
+        ("session_keys.ntt_rows.seeded", "lower", 0.001),
+        ("session_keys.ntt_rows.written_out", "lower", 0.001),
     ],
     "async_frontdoor": [
         # Idle connections the event loop held open while mixed JSON+binary

@@ -31,10 +31,23 @@ from ..ckks import (
     KeyGenerator,
     Plaintext,
 )
-from ..ckks.keys import GaloisKeys, KeySwitchingKey, PublicKey, RelinearizationKey
+from ..ckks.encryptor import expand_ciphertext_seed
+from ..ckks.keys import (
+    PUBLIC_LABEL,
+    RELIN_LABEL,
+    GaloisKeys,
+    KeySwitchingKey,
+    PublicKey,
+    RelinearizationKey,
+    SeededUniform,
+    UniformHalf,
+    digit_label,
+    galois_label,
+)
 from ..ckks.ntt import ntt_rows
 from ..ckks.rns import RnsBasis, RnsPolynomial
 from ..core.analysis.parameters import EncryptionParameters
+from ..core.serialization.packing import pack_residues, pack_seed, unpack_residues, unpack_seed
 from ..errors import ExecutionError, ParameterError, SerializationError
 from .hisa import BackendContext, HomomorphicBackend, replicate_to_slots
 
@@ -43,15 +56,15 @@ def _poly_to_rows(poly: RnsPolynomial) -> Dict[str, Any]:
     """Pack an RNS polynomial's coefficient-form residue matrix (base64 int64,
     ~10x smaller than the per-residue integer lists the codec originally
     emitted).  Evaluation form never reaches the wire."""
-    from ..core.serialization.packing import pack_residues
-
     return pack_residues(poly.to_coeff().residues)
 
 
 def _poly_from_rows(basis: RnsBasis, rows: Any) -> RnsPolynomial:
-    """Inverse of :func:`_poly_to_rows`; also accepts legacy row lists."""
-    from ..core.serialization.packing import unpack_residues
+    """Inverse of :func:`_poly_to_rows`; also accepts legacy row lists.
 
+    What comes back is safe to hand the NTT kernel, whose lazy butterflies
+    assume reduced residues: the right shape, and every residue in ``[0, prime)``.
+    """
     residues = unpack_residues(rows)
     if residues.ndim != 2 or residues.shape != (
         len(basis),
@@ -61,23 +74,44 @@ def _poly_from_rows(basis: RnsBasis, rows: Any) -> RnsPolynomial:
             f"polynomial rows have shape {residues.shape}, basis expects "
             f"({len(basis)}, {basis.poly_modulus_degree})"
         )
+    # Unsigned, so one comparison also catches the negative ones.
+    if (residues.view(np.uint64) >= basis.primes_column.view(np.uint64)).any():
+        raise SerializationError("polynomial residues lie outside [0, prime)")
     return RnsPolynomial(basis, residues)
 
 
-def _keyswitch_to_dict(key: KeySwitchingKey) -> Dict[str, Any]:
+def _uniform_to_rows(uniform: UniformHalf, basis: RnsBasis) -> Dict[str, Any]:
+    """A key's uniform half: its seed record, or — for a peer that reads no
+    seeds, and for a key imported written out — the packed polynomial."""
+    if isinstance(uniform, SeededUniform):
+        return pack_seed(uniform.seed) or _poly_to_rows(uniform.coefficients(basis))
+    return _poly_to_rows(uniform)
+
+
+def _uniform_from_rows(basis: RnsBasis, rows: Any, label: str) -> UniformHalf:
+    """Inverse of :func:`_uniform_to_rows`; ``label`` is the half's place in the key set."""
+    seed = unpack_seed(rows)
+    if seed is not None:
+        return SeededUniform(seed, label)
+    return _poly_from_rows(basis, rows)
+
+
+def _keyswitch_to_dict(key: KeySwitchingKey, basis: RnsBasis) -> Dict[str, Any]:
     return {
-        str(prime): [_poly_to_rows(b), _poly_to_rows(a)]
+        str(prime): [_poly_to_rows(b), _uniform_to_rows(a, basis)]
         for prime, (b, a) in key.pairs.items()
     }
 
 
-def _keyswitch_from_dict(basis: RnsBasis, data: Dict[str, Any]) -> KeySwitchingKey:
-    pairs: Dict[int, Tuple[RnsPolynomial, RnsPolynomial]] = {}
+def _keyswitch_from_dict(context: CkksContext, data: Dict[str, Any], family: str) -> KeySwitchingKey:
+    basis = context.key_basis(0)
+    pairs: Dict[int, Tuple[RnsPolynomial, UniformHalf]] = {}
     for prime, (b_rows, a_rows) in data.items():
-        pairs[int(prime)] = (
-            _poly_from_rows(basis, b_rows),
-            _poly_from_rows(basis, a_rows),
-        )
+        prime = int(prime)
+        if prime not in context.consumable_primes:
+            raise SerializationError(f"switching key names {prime}, not a prime of the chain")
+        label = digit_label(family, context.consumable_primes.index(prime))
+        pairs[prime] = (_poly_from_rows(basis, b_rows), _uniform_from_rows(basis, a_rows, label))
     return KeySwitchingKey(pairs)
 
 
@@ -119,12 +153,15 @@ class CkksBackendContext(BackendContext):
 
     # -- setup -----------------------------------------------------------------------
     def generate_keys(self) -> None:
-        self.keygen = KeyGenerator(self.context, seed=self.seed)
-        public_key = self.keygen.create_public_key()
-        relin_key = self.keygen.create_relin_key()
-        galois_keys = self.keygen.create_galois_keys(self.parameters.rotation_steps)
-        self.encryptor = Encryptor(self.context, public_key, seed=self.seed)
-        self.decryptor = Decryptor(self.context, self.keygen.secret_key)
+        with self._op("keygen"):
+            self.keygen = KeyGenerator(self.context, seed=self.seed)
+            public_key = self.keygen.create_public_key()
+            relin_key = self.keygen.create_relin_key()
+            galois_keys = self.keygen.create_galois_keys(self.parameters.rotation_steps)
+        secret_key = self.keygen.secret_key
+        # Holding the secret key, this context encrypts symmetrically.
+        self.encryptor = Encryptor(self.context, public_key, secret_key, seed=self.seed)
+        self.decryptor = Decryptor(self.context, secret_key)
         self.evaluator = Evaluator(self.context, relin_key, galois_keys)
         self.has_secret_key = True
 
@@ -147,9 +184,7 @@ class CkksBackendContext(BackendContext):
         derived.enforce_security = self.enforce_security
         derived.context = self.context
         derived.keygen = None
-        derived.encryptor = Encryptor(
-            self.context, self.encryptor.public_key, seed=self.seed
-        )
+        derived.encryptor = Encryptor(self.context, self.encryptor.public_key, seed=self.seed)
         derived.decryptor = None
         derived.evaluator = Evaluator(
             self.context, self.evaluator.relin_key, self.evaluator.galois_keys
@@ -167,18 +202,20 @@ class CkksBackendContext(BackendContext):
         """Serialize public + evaluation keys (never the secret key)."""
         self._require_keys()
         public = self.encryptor.public_key
+        data_basis = self.context.data_basis(0)
+        key_basis = self.context.key_basis(0)
         blob: Dict[str, Any] = {
             "scheme": "ckks",
             "poly_modulus_degree": self.context.poly_modulus_degree,
-            "public_key": [_poly_to_rows(public.b), _poly_to_rows(public.a)],
+            "public_key": [_poly_to_rows(public.b), _uniform_to_rows(public.a, data_basis)],
         }
         relin = self.evaluator.relin_key
         if relin is not None:
-            blob["relin_key"] = _keyswitch_to_dict(relin.key)
+            blob["relin_key"] = _keyswitch_to_dict(relin.key, key_basis)
         galois = self.evaluator.galois_keys
         if galois is not None:
             blob["galois_keys"] = {
-                str(element): _keyswitch_to_dict(key)
+                str(element): _keyswitch_to_dict(key, key_basis)
                 for element, key in galois.keys.items()
             }
         return blob
@@ -194,20 +231,21 @@ class CkksBackendContext(BackendContext):
             )
         try:
             data_basis = self.context.data_basis(0)
-            key_basis = self.context.key_basis(0)
             b_rows, a_rows = blob["public_key"]
             public = PublicKey(
                 b=_poly_from_rows(data_basis, b_rows),
-                a=_poly_from_rows(data_basis, a_rows),
+                a=_uniform_from_rows(data_basis, a_rows, PUBLIC_LABEL),
             )
             relin = None
             if "relin_key" in blob:
                 relin = RelinearizationKey(
-                    _keyswitch_from_dict(key_basis, blob["relin_key"])
+                    _keyswitch_from_dict(self.context, blob["relin_key"], RELIN_LABEL)
                 )
             galois = GaloisKeys()
             for element, key_data in blob.get("galois_keys", {}).items():
-                galois.keys[int(element)] = _keyswitch_from_dict(key_basis, key_data)
+                galois.keys[int(element)] = _keyswitch_from_dict(
+                    self.context, key_data, galois_label(int(element))
+                )
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"malformed CKKS key blob: {exc}") from exc
         self.keygen = None
@@ -221,8 +259,11 @@ class CkksBackendContext(BackendContext):
             raise SerializationError("cannot serialize a released ciphertext")
         # The wire is coefficient form over the data basis, whatever the
         # evaluator left the handle in; the conversion is charged to "export".
+        # A fresh symmetric ciphertext's c1 travels as the seed it expands from.
         with self._op("export"):
-            polys = [_poly_to_rows(poly) for poly in handle.settle()]
+            seed = pack_seed(handle.seed) if handle.seed else None
+            written = handle.settle()[: 1 if seed else None]
+            polys = [_poly_to_rows(poly) for poly in written] + ([seed] if seed else [])
         return {
             "scheme": "ckks",
             "scale": float(handle.scale),
@@ -234,14 +275,22 @@ class CkksBackendContext(BackendContext):
         if not isinstance(data, dict) or data.get("scheme") != "ckks":
             raise SerializationError("not a CKKS ciphertext")
         try:
-            level = int(data["level"])
+            level, scale, records = int(data["level"]), float(data["scale"]), list(data["polys"])
+            if not 0 <= level < self.context.max_level:
+                raise ValueError(f"level {level} is outside the modulus chain")
+            if not (math.isfinite(scale) and scale > 0.0):
+                raise ValueError(f"scale {scale} is not a positive finite number")
+            if not records:
+                raise ValueError("no polynomials")
             basis = self.context.data_basis(level)
-            polys = [_poly_from_rows(basis, rows) for rows in data["polys"]]
-            cipher = Ciphertext(polys=polys, scale=float(data["scale"]), level=level)
+            # Only c1 of a fresh two-polynomial ciphertext may be a seed record.
+            seed = unpack_seed(records[1]) if len(records) == 2 else None
+            polys = [_poly_from_rows(basis, rows) for rows in records[: 1 if seed else None]]
+            if seed:
+                polys.append(expand_ciphertext_seed(seed, basis))
+            cipher = Ciphertext(polys=polys, scale=scale, level=level)
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"malformed CKKS ciphertext: {exc}") from exc
-        if not polys:
-            raise SerializationError("CKKS ciphertext carries no polynomials")
         self.live_ciphertexts += 1
         self.peak_live_ciphertexts = max(
             self.peak_live_ciphertexts, self.live_ciphertexts
@@ -386,6 +435,7 @@ class CkksBackendContext(BackendContext):
     def release(self, handle: Ciphertext) -> None:
         if handle.polys:  # a handle counts once, however often it is released
             handle.polys = []
+            handle.seed = None
             self.live_ciphertexts = max(self.live_ciphertexts - 1, 0)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 from .rns import EVAL, RnsPolynomial
 
@@ -34,11 +34,18 @@ class Ciphertext:
     they change only by rebinding ``polys`` to new polynomials that mean the
     same ciphertext (:meth:`settle`, :meth:`to_eval`) — never by editing a
     ``residues`` array — so threads sharing a handle each see a whole list.
+
+    ``seed`` is set only on a *fresh* symmetric encryption: ``polys[1]`` is
+    then the expansion of that 32-byte public seed (``Encryptor``), in
+    whatever form it has been rebound to since, and the wire may carry the
+    seed in its place.  Every operation builds a new ciphertext, which has
+    none.
     """
 
     polys: List[RnsPolynomial] = field(default_factory=list)
     scale: float = 1.0
     level: int = 0
+    seed: Optional[bytes] = None
 
     @property
     def size(self) -> int:

@@ -35,7 +35,7 @@ from ..errors import (
 )
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext
-from .keys import GaloisKeys, KeySwitchingKey, RelinearizationKey
+from .keys import GaloisKeys, KeySwitchingKey, RelinearizationKey, evaluation_forms
 from .ntt import galois_ntt_permutation
 from .rns import COEFF, EVAL, RnsBasis, RnsPolynomial
 
@@ -231,34 +231,38 @@ class Evaluator:
             digit_ntts[digit, own] = kernel.forward(coefficients[digit] % poly.basis.primes_column)
         return digit_ntts
 
-    def _key_evaluation_form(
-        self, switching_key: KeySwitchingKey, key_basis: RnsBasis, data_primes: Tuple[int, ...]
-    ) -> np.ndarray:
+    def _key_evaluation_form(self, switching_key: KeySwitchingKey, level: int) -> np.ndarray:
         """Evaluation form of the switching-key pairs, cached on the key object.
 
-        Returns a ``(2, L, K, N)`` array: ``[0, j]`` is the forward transform
-        over the key basis of ``b_j`` and ``[1, j]`` that of ``a_j``, for data
-        prime ``q_j``.  Keys are static per session, so this is computed once
-        per (key, basis) instead of twice per key switch.
+        Returns a ``(2, L, K, N)`` array: ``[0, j]`` is ``b_j`` and ``[1, j]``
+        is ``a_j`` in evaluation form over the key basis of ``level``, for data
+        prime ``q_j``.  Keys are static per session, so the level-0 form is
+        built once per key — ``b`` forward-transformed, a seeded ``a`` expanded
+        straight into it — and every other level *selects* from it: the NTT is
+        row-wise and a level's digits and key primes are subsets of level 0's.
         """
         forms = switching_key._evaluation_forms
+        key_basis = self.context.key_basis(level)
         cache_key = tuple(key_basis.primes)
         cached = forms.get(cache_key)
         if cached is not None:
             return cached
-        missing = [q_j for q_j in data_primes if q_j not in switching_key.pairs]
-        if missing:
-            raise ParameterError(f"switching key is missing the digit for prime {missing[0]}")
-        restrict = self.context.restrict
-        stacked = np.stack(
-            [
-                [restrict(poly, key_basis).residues for poly in switching_key.pairs[q_j]]
-                for q_j in data_primes
-            ]
-        )
-        # (L, 2, K, N) in, (2, L, K, N) kept: each accumulator reads a contiguous block.
-        forms[cache_key] = np.ascontiguousarray(key_basis.kernel.forward(stacked).swapaxes(0, 1))
-        return forms[cache_key]
+        if level == 0:
+            data_primes = key_basis.primes[:-1]
+            missing = [q_j for q_j in data_primes if q_j not in switching_key.pairs]
+            if missing:
+                raise ParameterError(f"switching key is missing the digit for prime {missing[0]}")
+            halves = zip(*(switching_key.pairs[q_j] for q_j in data_primes))
+            polys = [poly for half in halves for poly in half]  # every b_j, then every a_j
+            form = evaluation_forms(self.context, polys, key_basis)
+            form = form.reshape(2, len(data_primes), *form.shape[1:])
+        else:
+            # Level l keeps level 0's first L_l digits and data rows, and the special row.
+            count = len(key_basis) - 1
+            top = self._key_evaluation_form(switching_key, 0)
+            form = np.concatenate([top[:, :count, :count], top[:, :count, -1:]], axis=2)
+        forms[cache_key] = form
+        return form
 
     def _key_switch_totals(
         self,
@@ -273,10 +277,8 @@ class Evaluator:
         ``permutation`` (a Galois NTT permutation) is applied to the digits on
         the fly, which is how hoisted rotations reuse one decomposition.
         """
-        context = self.context
-        key_basis = context.key_basis(level)
-        data_primes = tuple(context.data_basis(level).primes)
-        key_forms = self._key_evaluation_form(switching_key, key_basis, data_primes)
+        key_basis = self.context.key_basis(level)
+        key_forms = self._key_evaluation_form(switching_key, level)
         if permutation is not None:
             digit_ntts = np.take(digit_ntts, permutation, axis=-1)
         return _multiply_accumulate(digit_ntts, key_forms, key_basis.primes_column)

@@ -9,19 +9,97 @@ noise small relative to the scale.
 The same :class:`KeySwitchingKey` structure backs relinearization keys (which
 switch from ``s^2`` to ``s``) and Galois keys (which switch from ``s(X^g)`` to
 ``s``).
+
+Seeded halves
+-------------
+Every key here is a pair ``(b, a)`` whose ``a`` is uniformly random and
+public, and whose only consumers multiply it pointwise in evaluation form.
+So ``a`` is not stored, shipped or transformed: it is a
+:class:`SeededUniform` — the 32-byte seed of the key set plus a label —
+whose expansion (:func:`repro.ckks.sampling.expand_uniform`) *is* its
+evaluation form.  The ``N`` expanded values of the row for prime ``q_k`` are
+the evaluations in natural slot order, ``i -> a(psi_k^(2i+1))`` with ``psi_k =
+find_primitive_root(2N, q_k)``; :meth:`SeededUniform.evaluations` maps that to
+the NTT kernel's private order, so the kernel stays free to change its layout.
+Key generation computes ``b = w - INTT(a_hat * s_hat) - e`` with one inverse
+pass and no forward pass; an importer fills the ``a`` half of the form it
+multiplies by straight from the seed and forward-transforms only ``b``
+(:func:`evaluation_forms`).  Labels separate every polynomial under one
+key-set seed: ``public``, ``relin/<j>`` and ``galois/<element>/<j>``, ``j``
+the digit's index in the chain's consumption order (and the prime of each row
+is part of the expander's input).
+
+A key set written by a build before seeds carries ``a`` in coefficient form;
+such an ``a`` stays an :class:`RnsPolynomial` and is transformed on first use,
+as both halves used to be.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import ParameterError
 from .context import CkksContext
-from .rns import RnsBasis, RnsPolynomial
-from .sampling import RlweSampler
+from .ntt import bit_reverse_indices
+from .rns import EVAL, RnsBasis, RnsPolynomial
+from .sampling import KEY_SEEDS, RlweSampler, SeedSource, expand_uniform
+
+
+@dataclass(frozen=True)
+class SeededUniform:
+    """A public uniform polynomial, named by the seed and label it expands from."""
+
+    seed: bytes
+    label: str
+
+    def evaluations(self, basis: RnsBasis) -> np.ndarray:
+        """The ``(K, N)`` evaluation form over ``basis``, in the kernel's slot order."""
+        degree = basis.poly_modulus_degree
+        natural = expand_uniform(self.seed, self.label, basis.primes, degree)
+        return natural[:, bit_reverse_indices(degree)]
+
+    def coefficients(self, basis: RnsBasis) -> RnsPolynomial:
+        """Written out in coefficient form (what builds before seeds exchange)."""
+        return RnsPolynomial(basis, self.evaluations(basis), EVAL).to_coeff()
+
+
+#: The uniform half of a key: named by its seed, or written out by an older build.
+UniformHalf = Union[SeededUniform, RnsPolynomial]
+
+#: Label families under a key-set seed.  A switching key's digit ``j`` (the
+#: index of its prime in the chain's consumption order) is ``<family>/<j>``.
+PUBLIC_LABEL = "public"
+RELIN_LABEL = "relin"
+
+
+def galois_label(galois_element: int) -> str:
+    return f"galois/{int(galois_element)}"
+
+
+def digit_label(family: str, index: int) -> str:
+    return f"{family}/{int(index)}"
+
+
+def evaluation_forms(
+    context: CkksContext, polys: Sequence[UniformHalf], basis: RnsBasis
+) -> np.ndarray:
+    """``(len(polys), K, N)`` evaluation forms of key polynomials over ``basis``.
+
+    The written-out ones are restricted to ``basis`` and transformed in one
+    kernel pass; the seeded ones are expanded for its primes and cost no row.
+    """
+    forms = np.empty((len(polys), len(basis), basis.poly_modulus_degree), dtype=np.int64)
+    written = [i for i, poly in enumerate(polys) if isinstance(poly, RnsPolynomial)]
+    if written:
+        stack = np.stack([context.restrict(polys[i], basis).residues for i in written])
+        forms[written] = basis.kernel.forward(stack)
+    for i, poly in enumerate(polys):
+        if isinstance(poly, SeededUniform):
+            forms[i] = poly.evaluations(basis)
+    return forms
 
 
 def _evaluation_cache():
@@ -68,9 +146,9 @@ class PublicKey:
     """RLWE public key ``(b, a) = (-(a*s + e), a)`` over the level-0 data basis."""
 
     b: RnsPolynomial
-    a: RnsPolynomial
-    #: ``(2, K, N)`` evaluation form of ``(b, a)`` per data basis (see ``Encryptor``).
-    _evaluation_forms: Dict[Tuple[int, ...], np.ndarray] = _evaluation_cache()
+    a: UniformHalf
+    #: ``(2, L, N)`` evaluation form of ``(b, a)`` over that basis (see ``Encryptor``).
+    _evaluation_form: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -78,10 +156,11 @@ class KeySwitchingKey:
     """Switching key from some key ``s'`` to the secret key ``s``.
 
     ``pairs[prime] = (b_j, a_j)`` over the level-0 key basis (data primes plus
-    the special prime), one pair per consumable prime ``q_j``.
+    the special prime), one pair per consumable prime ``q_j``; ``b_j`` is in
+    coefficient form (the wire's), ``a_j`` is its :data:`UniformHalf`.
     """
 
-    pairs: Dict[int, Tuple[RnsPolynomial, RnsPolynomial]]
+    pairs: Dict[int, Tuple[RnsPolynomial, UniformHalf]]
     #: ``(2, L, K, N)`` evaluation form of the pairs per key basis (see ``Evaluator``).
     _evaluation_forms: Dict[Tuple[int, ...], np.ndarray] = _evaluation_cache()
 
@@ -110,56 +189,61 @@ class GaloisKeys:
 
 
 class KeyGenerator:
-    """Generates secret, public, relinearization, and Galois keys."""
+    """Generates secret, public, relinearization, and Galois keys.
+
+    One key-set seed names the uniform half of every key generated here; the
+    secret key and the errors come from the secret sampler.
+    """
 
     def __init__(self, context: CkksContext, seed: Optional[int] = None) -> None:
         self.context = context
         self.sampler = RlweSampler(seed)
+        self.seed = SeedSource(seed, KEY_SEEDS).next_seed()
         self.secret_key = SecretKey(self.sampler.ternary_coefficients(context.poly_modulus_degree))
+
+    def _masks(self, basis: RnsBasis, uniforms: Sequence[SeededUniform]) -> np.ndarray:
+        """``a * s`` in coefficient form for every ``a``, as ``(count, K, N)``: one inverse pass.
+
+        Neither factor is transformed: each ``a`` is born in evaluation form
+        and the evaluation form of the static ``s`` is cached on the key.
+        """
+        a_hat = np.stack([uniform.evaluations(basis) for uniform in uniforms])
+        s_hat = self.secret_key.evaluation_powers(basis, 1)
+        return basis.kernel.inverse(a_hat * s_hat % basis.primes_column)
 
     # -- public key -----------------------------------------------------------------
     def create_public_key(self) -> PublicKey:
         basis = self.context.data_basis(0)
-        a = self.sampler.uniform(basis)
+        a = SeededUniform(self.seed, PUBLIC_LABEL)
+        (a_times_s,) = self._masks(basis, [a])
         e = self.sampler.error(basis)
-        (a_times_s,) = self._times_secret(basis, a.residues[np.newaxis])
-        return PublicKey(b=a_times_s.add(e).negate(), a=a)
-
-    def _times_secret(self, basis: RnsBasis, residues: np.ndarray) -> List[RnsPolynomial]:
-        """``p * s`` for every polynomial of a ``(count, K, N)`` stack, in one kernel pass.
-
-        Only the stack is transformed: ``s`` is static, so its evaluation form is cached.
-        """
-        s_hat = self.secret_key.evaluation_powers(basis, 1)
-        product = basis.kernel.forward(residues) * s_hat % basis.primes_column
-        return [RnsPolynomial(basis, rows) for rows in basis.kernel.inverse(product)]
+        return PublicKey(b=RnsPolynomial(basis, a_times_s).add(e).negate(), a=a)
 
     # -- key switching keys ------------------------------------------------------------
-    def _create_keyswitch_key(self, target: RnsPolynomial) -> KeySwitchingKey:
+    def _create_keyswitch_key(self, target: RnsPolynomial, family: str) -> KeySwitchingKey:
         """Create a switching key from the key ``target`` (over the key basis) to ``s``."""
         context = self.context
         key_basis = context.key_basis(0)
         special = context.special_prime
         primes = context.consumable_primes
-        samples = [
-            (self.sampler.uniform(key_basis), self.sampler.error(key_basis)) for _ in primes
-        ]
-        masks = self._times_secret(key_basis, np.stack([a.residues for a, _ in samples]))
-        pairs: Dict[int, Tuple[RnsPolynomial, RnsPolynomial]] = {}
+        uniforms = [SeededUniform(self.seed, digit_label(family, j)) for j in range(len(primes))]
+        masks = self._masks(key_basis, uniforms)
+        pairs: Dict[int, Tuple[RnsPolynomial, UniformHalf]] = {}
         prime_rows = {prime: i for i, prime in enumerate(key_basis.primes)}
-        for q_j, (a_j, e_j), a_j_times_s in zip(primes, samples, masks):
+        for q_j, a_j, a_j_times_s in zip(primes, uniforms, masks):
             w = RnsPolynomial.zero(key_basis)
             row = prime_rows[q_j]
             w.residues[row] = (target.residues[row] * (special % q_j)) % q_j
-            pairs[q_j] = (w.sub(a_j_times_s).sub(e_j), a_j)
+            e_j = self.sampler.error(key_basis)
+            pairs[q_j] = (w.sub(RnsPolynomial(key_basis, a_j_times_s)).sub(e_j), a_j)
         return KeySwitchingKey(pairs)
 
     def create_relin_key(self) -> RelinearizationKey:
         """Relinearization key: switches ``s^2`` back to ``s``."""
         key_basis = self.context.key_basis(0)
-        s = self.secret_key.poly_for(key_basis)
-        s_squared = s.multiply(s)
-        return RelinearizationKey(self._create_keyswitch_key(s_squared))
+        s_squared_hat = self.secret_key.evaluation_powers(key_basis, 2)[1]
+        s_squared = RnsPolynomial(key_basis, s_squared_hat, EVAL).to_coeff()
+        return RelinearizationKey(self._create_keyswitch_key(s_squared, RELIN_LABEL))
 
     def create_galois_keys(self, rotation_steps: Iterable[int]) -> GaloisKeys:
         """Galois keys for the given left-rotation step counts."""
@@ -171,5 +255,5 @@ class KeyGenerator:
                 continue
             element = self.context.galois_element_for_step(step)
             rotated_s = s.automorphism(element)
-            keys.keys[element] = self._create_keyswitch_key(rotated_s)
+            keys.keys[element] = self._create_keyswitch_key(rotated_s, galois_label(element))
         return keys

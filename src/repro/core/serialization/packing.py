@@ -19,6 +19,14 @@ length-delimited blob record.  :func:`unpack_array` accepts the raw form
 unconditionally (including zero-copy ``memoryview`` slices of a received
 frame), and :func:`jsonable_blobs` converts raw records back to base64 for
 the places that must stay plain JSON (the session store on disk).
+
+A *seed record*, ``{"seed": "<64 hex digits>"}``, may stand wherever a packed
+uniformly random polynomial would: the reader expands the 32-byte seed
+itself (:mod:`repro.ckks.sampling`).  Writers emit it by default
+(:func:`pack_seed`); inside an :func:`expanded_seeds` context — a connection
+whose peer did not announce the ``seeded`` feature — they write the
+polynomial out instead, which is exactly the format of builds before seeds.
+Readers accept both, always (:func:`unpack_seed`).
 """
 
 from __future__ import annotations
@@ -60,10 +68,24 @@ def _integer_tag(array: np.ndarray) -> str:
     return "i8"
 
 
-_RAW_MODE = threading.local()
+#: This thread's packing context: ``raw`` (see :func:`raw_blobs`) and
+#: ``expanded`` (see :func:`expanded_seeds`), both off unless entered.
+_PACKING = threading.local()
+
+#: Length of the seed a seed record carries (``repro.ckks.sampling.SEED_BYTES``).
+_SEED_BYTES = 32
 
 
 @contextmanager
+def _packing(flag: str):
+    previous = getattr(_PACKING, flag, False)
+    setattr(_PACKING, flag, True)
+    try:
+        yield
+    finally:
+        setattr(_PACKING, flag, previous)
+
+
 def raw_blobs():
     """Make :func:`pack_array` emit raw-bytes records in this thread.
 
@@ -73,12 +95,43 @@ def raw_blobs():
     they exist to be lifted into binary blob records by the wire codec (or
     converted back with :func:`jsonable_blobs`).
     """
-    previous = getattr(_RAW_MODE, "active", False)
-    _RAW_MODE.active = True
+    return _packing("raw")
+
+
+def expanded_seeds():
+    """Make :func:`pack_seed` decline in this thread, so writers send whole polynomials.
+
+    Entered around message building for a peer that did not announce the
+    ``seeded`` feature: the messages then have the record shapes and lengths
+    of every build before seeds.
+    """
+    return _packing("expanded")
+
+
+def pack_seed(seed: bytes) -> "dict | None":
+    """The seed record standing in for a uniform polynomial — or ``None``
+    inside :func:`expanded_seeds`, where the caller packs the polynomial."""
+    if getattr(_PACKING, "expanded", False):
+        return None
+    return {"seed": seed.hex()}
+
+
+def unpack_seed(record: Any) -> "bytes | None":
+    """The 32 bytes of a seed record, or ``None`` when ``record`` is not one.
+
+    A record that says ``seed`` but does not hold 64 hex digits raises
+    :class:`~repro.errors.SerializationError`.
+    """
+    if not isinstance(record, dict) or "seed" not in record:
+        return None
+    text = record["seed"]
     try:
-        yield
-    finally:
-        _RAW_MODE.active = previous
+        seed = bytes.fromhex(text) if isinstance(text, str) else b""
+    except ValueError:
+        seed = b""
+    if len(seed) != _SEED_BYTES:
+        raise SerializationError(f"a seed record carries {_SEED_BYTES} bytes as hex digits")
+    return seed
 
 
 def pack_array(array: Any, dtype: Any = None) -> dict:
@@ -102,7 +155,7 @@ def pack_array(array: Any, dtype: Any = None) -> dict:
         "dtype": tag,
         "shape": [int(dim) for dim in data.shape],
     }
-    if getattr(_RAW_MODE, "active", False):
+    if getattr(_PACKING, "raw", False):
         record["raw"] = data.tobytes()
     else:
         record["b64"] = base64.b64encode(data.tobytes()).decode("ascii")

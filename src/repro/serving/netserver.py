@@ -49,11 +49,13 @@ from __future__ import annotations
 
 import socket
 import time
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import Any, Callable, Dict, FrozenSet, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.serialization import messages
+from ..core.serialization.packing import expanded_seeds
 from ..errors import (
     DeadlineInfeasibleError,
     EvaError,
@@ -69,6 +71,7 @@ from ..wire import (
     FRAMINGS,
     JSON,
     MAX_TRACKED_UPLOADS,
+    SEEDED,
     STREAM_THRESHOLD_BYTES,
     UPLOAD_KEY,
     WIRE_MODES,
@@ -78,6 +81,7 @@ from ..wire import (
     UploadState,
     build_hello,
     decode_message,
+    granted_features,
     hello_ack,
     iter_chunks,
     open_message,
@@ -661,8 +665,10 @@ class ServingClient:
     the server is legacy or pinned; ``binary`` demands frames (raising
     :class:`~repro.errors.ServingError` when refused); ``json`` skips
     negotiation entirely and speaks the original line protocol.  The
-    negotiated result is ``self.protocol``; ``bytes_sent``/``bytes_received``
-    count the traffic on this connection.
+    negotiated result is ``self.protocol`` and ``self.features`` (the optional
+    record shapes the server said it reads — none without a hello, so such a
+    connection is sent the format every build understands);
+    ``bytes_sent``/``bytes_received`` count the traffic on this connection.
     """
 
     def __init__(
@@ -679,6 +685,7 @@ class ServingClient:
         self.wire_mode = wire
         self.protocol = "json"
         self.protocol_version: Optional[int] = None
+        self.features: FrozenSet[str] = frozenset()
         self.bytes_sent = 0
         self.bytes_received = 0
         self._upload_seq = 0
@@ -693,6 +700,7 @@ class ServingClient:
             # The hello exchange: a JSON line even legacy servers can answer.
             reply = JSON.peek(self.roundtrip(JSON, JSON.parts(build_hello(wire))))
             self.protocol, self.protocol_version = parse_hello_reply(reply, wire)
+            self.features = granted_features(reply)
 
     # -- transport ----------------------------------------------------------------
     def send(self, framing: Framing, frame_type: int, parts: Parts) -> None:
@@ -730,6 +738,17 @@ class ServingClient:
         return raw
 
     # -- request plumbing ---------------------------------------------------------
+    @contextmanager
+    def _kit_packing(self) -> Iterator[None]:
+        """The packing context a client kit writes this connection's blobs in.
+
+        The framing's own (raw bytes on a binary connection), and — unless the
+        server granted ``seeded`` — every seeded polynomial written out.
+        """
+        seeds = nullcontext() if SEEDED in self.features else expanded_seeds()
+        with FRAMINGS[self.protocol].blob_context(), seeds:
+            yield
+
     def _stream_upload(self, blobs: Sequence[Any], client_id: str) -> str:
         """Stream ``blobs`` as bounded CHUNK frames; returns the upload id.
 
@@ -830,9 +849,10 @@ class ServingClient:
         ``client_kit`` is a :class:`repro.api.ClientKit` (anything exposing
         ``export_evaluation_keys()``); the secret key never leaves the client.
         On a binary connection the keys are exported raw (no base64) and
-        streamed as chunked frames when they exceed the streaming threshold.
+        streamed as chunked frames when they exceed the streaming threshold;
+        where ``seeded`` was granted their uniform halves travel as seeds.
         """
-        with FRAMINGS[self.protocol].blob_context():
+        with self._kit_packing():
             evaluation_keys = client_kit.export_evaluation_keys()
         response = self._roundtrip_op(
             "session",
@@ -885,7 +905,7 @@ class ServingClient:
         identically.
         """
         bundle = client_kit.encrypt_inputs(inputs)
-        with FRAMINGS[self.protocol].blob_context():
+        with self._kit_packing():
             bundle_wire = client_kit.bundle_to_wire(bundle)
         reply = self.submit_bundle(
             program,

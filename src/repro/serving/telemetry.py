@@ -73,6 +73,11 @@ serving.engine.* / serving.quota.*    gauge      (absorbed summaries)
 serving.registry.* / serving.store.*  gauge      (absorbed summaries)
 serving.sessions.* / serving.artifacts.*  gauge  (absorbed summaries)
 ====================================  =========  =======================
+
+The ``op`` label of the three ``ckks.*`` series is the scheme primitive that
+paid (``encrypt``, ``multiply``, ``rotate``, ``rescale``, ...), plus two that
+are not evaluation steps: ``keygen`` (a server-held-key session generating its
+keys) and ``export`` (a reply converted to the wire's coefficient form).
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ alternative that shares every listener with the JSON protocol:
   zero-copy :class:`memoryview` slices of the received frame.
 * :mod:`.protocol` — connection-level concerns: the ``hello`` negotiation
   (a JSON line, so legacy servers answer it with an ordinary error and the
-  client falls back to JSON), and chunked streaming uploads so a multi-MB
+  client falls back to JSON) of the framing and of optional record shapes
+  (``features``), and chunked streaming uploads so a multi-MB
   evaluation-key set is carried as a sequence of bounded frames instead of
   one monolithic message.
 
@@ -60,12 +61,15 @@ from .frames import (
 from .framing import BINARY, FRAMINGS, JSON, Framing, Parts, open_message
 from .protocol import (
     CHUNK_BYTES,
+    FEATURES,
     MAX_TRACKED_UPLOADS,
     PROTOCOL_VERSION,
+    SEEDED,
     STREAM_THRESHOLD_BYTES,
     UploadState,
     WIRE_MODES,
     build_hello,
+    granted_features,
     hello_ack,
     iter_chunks,
     parse_hello_reply,
@@ -75,6 +79,7 @@ __all__ = [
     "BINARY",
     "BLOB_KEY",
     "CHUNK_BYTES",
+    "FEATURES",
     "FRAME_CHUNK",
     "FRAME_REQUEST",
     "FRAME_RESPONSE",
@@ -87,6 +92,7 @@ __all__ = [
     "MAX_TRACKED_UPLOADS",
     "PROTOCOL_VERSION",
     "Parts",
+    "SEEDED",
     "STREAM_THRESHOLD_BYTES",
     "UPLOAD_KEY",
     "UploadState",
@@ -97,6 +103,7 @@ __all__ = [
     "encode_envelope",
     "encode_frame",
     "encode_message",
+    "granted_features",
     "hello_ack",
     "iter_chunks",
     "join_message",

@@ -11,6 +11,17 @@ binary-capable server answers ``{"ok": true, "wire": "binary", "version":
 "unknown op" error, which an ``auto`` client treats as "speak JSON" — so new
 clients work against old servers and old clients never see a byte of binary.
 
+**Features.**  The same exchange carries what is new *inside* messages without
+a new format or version: the hello lists the optional record shapes the client
+can write (``"features": ["seeded"]``), the ack repeats the ones this build
+reads, and a client writes a shape only after seeing it granted.  A peer that
+knows nothing of features ignores the field, grants nothing, and is sent the
+records every build understands — SNIPPETS.md §3's rule that old readers skip
+what they do not know.  Decoders accept every shape regardless: negotiation
+only restrains writers.  :data:`FEATURES` is the whole list
+(``docs/wire-protocol.md`` describes each; ``tools/check_docs.py`` holds the
+two together).
+
 **Chunked uploads.**  A multi-megabyte evaluation-key set is not sent as one
 monolithic frame: the client streams it as bounded CHUNK frames (one blob
 slice each) and finishes with a request frame referencing the upload.  The
@@ -22,13 +33,20 @@ peer can pin.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from ..errors import SerializationError, ServingError, TransportError
 from .frames import MAX_FRAME_BYTES
 
 #: Highest binary protocol version this build speaks.
 PROTOCOL_VERSION = 1
+
+#: ``seeded``: a uniformly random polynomial (a fresh ciphertext's ``c1``, the
+#: ``a`` half of a public or switching key) may travel as ``{"seed": <hex>}``.
+SEEDED = "seeded"
+
+#: Every optional record shape this build reads, and offers to write.
+FEATURES = (SEEDED,)
 
 #: Client/server wire modes (CLI ``--wire``): ``auto`` negotiates binary and
 #: falls back to JSON, the other two force one protocol.
@@ -56,7 +74,12 @@ _Bytes = Union[bytes, bytearray, memoryview]
 
 def build_hello(mode: str) -> Dict[str, Any]:
     """The hello request an ``auto`` or ``binary`` client opens with."""
-    return {"op": "hello", "wire": str(mode), "versions": [PROTOCOL_VERSION]}
+    return {
+        "op": "hello",
+        "wire": str(mode),
+        "versions": [PROTOCOL_VERSION],
+        "features": list(FEATURES),
+    }
 
 
 def hello_ack(request: Dict[str, Any], policy: str) -> Tuple[Dict[str, Any], str]:
@@ -65,6 +88,8 @@ def hello_ack(request: Dict[str, Any], policy: str) -> Tuple[Dict[str, Any], str
     Returns ``(reply, negotiated_protocol)``.  Binary is granted when the
     listener allows it (policy ``auto`` or ``binary``) and the client offers
     a version this build speaks; everything else negotiates down to JSON.
+    Whichever framing results, the reply grants the offered features this
+    build reads (and has no such field for a client that offered none).
     """
     versions = request.get("versions")
     offered = (
@@ -74,11 +99,24 @@ def hello_ack(request: Dict[str, Any], policy: str) -> Tuple[Dict[str, Any], str
     )
     wants_binary = request.get("wire") in ("binary", "auto")
     if policy != "json" and wants_binary and PROTOCOL_VERSION in offered:
-        return (
-            {"ok": True, "wire": "binary", "version": PROTOCOL_VERSION},
-            "binary",
-        )
-    return {"ok": True, "wire": "json"}, "json"
+        reply = {"ok": True, "wire": "binary", "version": PROTOCOL_VERSION}
+    else:
+        reply = {"ok": True, "wire": "json"}
+    granted = _known_features(request)
+    if granted:
+        reply["features"] = granted
+    return reply, reply["wire"]
+
+
+def _known_features(message: Dict[str, Any]) -> List[str]:
+    """The entries of a hello's or an ack's ``features`` that this build knows."""
+    features = message.get("features")
+    return [f for f in features if f in FEATURES] if isinstance(features, list) else []
+
+
+def granted_features(reply: Dict[str, Any]) -> FrozenSet[str]:
+    """The features a hello reply grants: none from a refusal or an older server."""
+    return frozenset(_known_features(reply)) if reply.get("ok") else frozenset()
 
 
 def parse_hello_reply(reply: Dict[str, Any], mode: str) -> Tuple[str, Optional[int]]:

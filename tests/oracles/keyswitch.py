@@ -16,7 +16,10 @@ reference path; everything else is inherited, so both sides of a comparison
 share the same keys, checks and arithmetic outside key switching.  The
 reference path predates form-carrying polynomials: both entry points first
 bring their operand to coefficient form (settling an extended one), and
-answer in it.
+answer in it.  A seeded key half is likewise written out in coefficient form
+(one inverse transform of its expansion, kept for the next switch so timings
+against this path stay about key switching), so the oracle also checks that
+the production path reads the seed as the same polynomial.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Tuple
 
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.evaluator import Evaluator
-from repro.ckks.keys import KeySwitchingKey
+from repro.ckks.keys import KeySwitchingKey, SeededUniform
 from repro.ckks.rns import RnsPolynomial
 from repro.errors import ParameterError, PolynomialCountError
 
@@ -37,6 +40,10 @@ def coefficient_form(cipher: Ciphertext) -> Ciphertext:
 
 class ReferenceEvaluator(Evaluator):
     """An ``Evaluator`` that key-switches in the coefficient domain."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._written_out = {}  # seeded key half -> its coefficient form
 
     def relinearize(self, a: Ciphertext) -> Ciphertext:
         """The production ``relinearize`` prologue, then the reference key switch."""
@@ -79,8 +86,13 @@ class ReferenceEvaluator(Evaluator):
             if pair is None:
                 raise ParameterError(f"switching key is missing the digit for prime {prime}")
             digit = RnsPolynomial.from_int64_coefficients(key_basis, poly.residues[row])
-            b_j = context.restrict(pair[0], key_basis)
-            a_j = context.restrict(pair[1], key_basis)
+            b_j, a_j = pair
+            if isinstance(a_j, SeededUniform):  # the oracle multiplies coefficient forms
+                if a_j not in self._written_out:
+                    self._written_out[a_j] = a_j.coefficients(b_j.basis)
+                a_j = self._written_out[a_j]
+            b_j = context.restrict(b_j, key_basis)
+            a_j = context.restrict(a_j, key_basis)
             acc0 = acc0.add(digit.multiply(b_j))
             acc1 = acc1.add(digit.multiply(a_j))
         return acc0.divide_and_round_last(), acc1.divide_and_round_last()

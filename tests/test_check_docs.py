@@ -71,6 +71,17 @@ class TestCheckDocs:
             "wire-protocol.md: connection state table missing"
         ]
 
+    def test_feature_table_must_match_the_code_both_ways(self, check_docs):
+        doc = (REPO_ROOT / "docs" / "wire-protocol.md").read_text()
+        assert check_docs.check_feature_table(doc) == []
+        assert check_docs.check_feature_table(doc.replace("| `seeded` |", "| `sprouted` |")) == [
+            "wire-protocol.md: feature table lacks `seeded`",
+            "wire-protocol.md: feature table names unknown feature `sprouted`",
+        ]
+        assert check_docs.check_feature_table("# Wire protocol\n") == [
+            "wire-protocol.md: feature table lacks `seeded`"
+        ]
+
     def test_fails_on_missing_doc_file(self, check_docs, tmp_path):
         docs = tmp_path / "docs"
         shutil.copytree(REPO_ROOT / "docs", docs)

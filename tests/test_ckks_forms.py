@@ -367,10 +367,51 @@ class TestExactNttRows:
         # (L + 1)(L + 2) = 12 per rotation, and nothing to convert at export.
         assert rows == {"rotate": 120}
 
-    def test_server_held_keys_37_rows(self):
+    def test_server_held_keys_34_rows(self):
         rows = steady_state_rows(batch_poly_program(), (4096, [25] * 4), whole_request=True)
-        # 48 before forms (multiply 15, relinearize 20, decrypt 4).
-        assert rows == {"encrypt": 9, "multiply": 6, "relinearize": 12, "rescale": 8, "decrypt": 2}
+        # 48 before forms (multiply 15, relinearize 20, decrypt 4), 37 before
+        # symmetric encryption (3L = 9 rows for the public-key path).
+        assert rows == {"encrypt": 6, "multiply": 6, "relinearize": 12, "rescale": 8, "decrypt": 2}
+
+    @pytest.mark.parametrize(
+        "program, chain, keygen, encrypt, first, steady",
+        [
+            # 150 / 6 / 240 / 120 before seeds: each of 11 switching keys paid 6
+            # forward rows for a and the server 12 per key form (now 6, b only).
+            (rotate_sum_program, (4096, [25] * 3), 76, 4, 180, 120),
+            # 72 / 12 / 142 / 78: one relinearization key, whose level-1 form is
+            # a selection of the level-0 form (20 rows), not 24 rows more.
+            (relin_poly_program, (8192, [25] * 5), 38, 8, 98, 78),
+        ],
+        ids=["rotate_sum", "relin_poly"],
+    )
+    def test_a_new_client_row_by_row(self, program, chain, keygen, encrypt, first, steady):
+        """Key generation, the server's first evaluation (cold key forms), a
+        steady one, and encryption — a kit on one side, an evaluation context
+        imported from its ``{seed, b}`` export on the other."""
+        program = program()
+        compiled = CompiledProgram.compile(program.graph, options=OPTIONS)
+        parameters = compiled.compilation.parameters
+        assert (parameters.poly_modulus_degree, parameters.coeff_modulus_bits) == chain
+        backend = CkksBackend(seed=3)
+        kit = ClientKit(compiled, backend=backend)
+        assert kit.context.drain_ntt_rows() == {"keygen": keygen}
+        assert [(op, count) for op, (count, _) in kit.context.drain_op_times().items()] == [("keygen", 1)]
+        keys = json.loads(json.dumps(kit.export_evaluation_keys()))
+        server = backend.create_evaluation_context(parameters, keys)
+        assert not kit.context.drain_ntt_rows() and not server.drain_ntt_rows()  # export, import: none
+        engine = EvaluationEngine(compiled.compilation, backend=backend)
+        values = np.random.default_rng(1).uniform(-1.0, 1.0, program.graph.vec_size)
+        for expected in (first, steady):
+            bundle = kit.encrypt_inputs({"x": values})
+            wire = json.loads(json.dumps(kit.bundle_to_wire(bundle)))
+            assert kit.context.drain_ntt_rows() == {"encrypt": encrypt}
+            ciphers = {name: server.decode_cipher(c) for name, c in wire["ciphertexts"].items()}
+            handles = engine.evaluate(server, ciphers, {}, retire_inputs=True)
+            assert sum(server.drain_ntt_rows().values()) == expected
+        reply = kit.context.decode_cipher(json.loads(json.dumps(server.encode_cipher(handles["y"]))))
+        reference = execute_reference(program.graph, {"x": values})["y"]
+        assert np.allclose(kit.context.decrypt(reply)[: len(reference)], reference, atol=0.1)
 
     def test_hoisted_rotations_of_an_evaluation_form_ciphertext(self, scheme):
         """L + L^2 rows once, then 2 + 2L per step — the cache is keyed on the
@@ -494,11 +535,13 @@ class TestSharedHandlesAcrossThreads:
         context = backend.create_context(compilation.parameters)
         context.generate_keys()
         values = np.linspace(-1, 1, 64)
+        engine = EvaluationEngine(compilation, backend=backend)
+        ciphers, plain = engine.encrypt_inputs(context, {"x": values})
+        wires = {name: context.encode_cipher(handle) for name, handle in ciphers.items()}
         answers = []
         for threads in (1, 2, 2, 2):
             engine = EvaluationEngine(compilation, backend=backend, threads=threads)
-            context.encryptor.sampler = type(context.encryptor.sampler)(11)
-            ciphers, plain = engine.encrypt_inputs(context, {"x": values})
+            ciphers = {name: context.decode_cipher(wire) for name, wire in wires.items()}
             handles = engine.evaluate(context, ciphers, plain, retire_inputs=True)
             answers.append(context.encode_cipher(handles["y"]))
         assert all(answer == answers[0] for answer in answers[1:])

@@ -421,7 +421,28 @@ class TestNegotiation:
     def test_hello_ack_grants_binary_under_auto_policy(self):
         reply, proto = wire.hello_ack(wire.build_hello("auto"), "auto")
         assert proto == "binary"
+        assert reply == {
+            "ok": True,
+            "wire": "binary",
+            "version": wire.PROTOCOL_VERSION,
+            "features": ["seeded"],
+        }
+
+    def test_a_hello_without_features_is_acked_exactly_as_before(self):
+        hello = {"op": "hello", "wire": "auto", "versions": [wire.PROTOCOL_VERSION]}
+        reply, _proto = wire.hello_ack(hello, "auto")
         assert reply == {"ok": True, "wire": "binary", "version": wire.PROTOCOL_VERSION}
+        assert wire.granted_features(reply) == frozenset()
+
+    def test_features_are_granted_by_intersection_under_either_framing(self):
+        hello = dict(wire.build_hello("auto"), features=["seeded", "from-the-future", 7])
+        for policy in ("auto", "json"):
+            reply, _proto = wire.hello_ack(hello, policy)
+            assert reply["features"] == ["seeded"]
+            assert wire.granted_features(reply) == {"seeded"}
+        assert wire.granted_features({"ok": False, "features": ["seeded"]}) == frozenset()
+        assert wire.granted_features({"ok": True, "features": "seeded"}) == frozenset()
+        assert wire.hello_ack(dict(hello, features="seeded"), "auto")[0].get("features") is None
 
     def test_hello_ack_pins_json_when_policy_is_json(self):
         reply, proto = wire.hello_ack(wire.build_hello("binary"), "json")

@@ -19,6 +19,10 @@ every piece of it:
   the ``repro.wire.FRAME_*`` kinds and its op column exactly ``hello`` plus
   ``REQUEST_OPS``, in both directions — the table claims to be the state
   machine, so it may not say more than the code either;
+* the hello features ``repro.wire.FEATURES`` -> the table under ``###
+  Features`` in ``docs/wire-protocol.md`` must name exactly those, in both
+  directions (a documented feature no build grants is as wrong as a granted
+  one nobody documented);
 * the committed benchmark baselines (``BENCH_*.json`` at the repo root) ->
   every one must be listed (and gated) by ``benchmarks/gates.toml``, every
   manifest entry must point at files that exist, and every baseline's
@@ -132,6 +136,24 @@ def check_state_table(wire_doc: str) -> list:
     return complaints
 
 
+def check_feature_table(wire_doc: str) -> list:
+    """The hello feature table vs. ``repro.wire.FEATURES``."""
+    from repro import wire
+
+    section = wire_doc.partition("### Features")[2].partition("\n## ")[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")][2:]
+    found = {token for row in rows for token in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    expected = set(wire.FEATURES)
+    complaints = [
+        f"wire-protocol.md: feature table lacks `{name}`" for name in sorted(expected - found)
+    ]
+    complaints += [
+        f"wire-protocol.md: feature table names unknown feature `{name}`"
+        for name in sorted(found - expected)
+    ]
+    return complaints
+
+
 def _load_benchmarks_module(name: str):
     """Import a module from benchmarks/ (a script directory, not a package)."""
     import importlib.util
@@ -215,6 +237,7 @@ def check(docs_dir: Path) -> list:
             missing.append(f"wire-protocol.md: request op `{op}` undocumented")
     if wire_doc:
         missing.extend(check_state_table(wire_doc))
+        missing.extend(check_feature_table(wire_doc))
 
     missing.extend(check_gates_manifest())
 
