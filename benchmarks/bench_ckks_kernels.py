@@ -40,6 +40,12 @@ gates the ratios:
   scheme before polynomials carried a form; bit-exact agreement asserted).
   Besides the ratio it reports the **exact** NTT rows of both sides, which
   repeat on any host.
+* **rotation chain** — a reduction tree, ``acc = acc + (acc << k)`` for ten
+  doubling steps, the shape ``sum`` / dot products / box filters compile to:
+  the production evaluator, whose ``c0`` stays extended down the whole chain
+  (one division by the special prime, at the end), vs the reference key
+  switch after every step (decryption-level agreement, as for the rotation
+  group).  Reports the exact NTT rows of both sides.
 * **session keys** — everything a brand-new client's keys cost before its
   first answer: key generation, export, import into an evaluation context,
   and the first rotation (which builds that key's evaluation form) — with
@@ -51,9 +57,9 @@ gates the ratios:
 
 Speedups are ratios of wall times measured back to back in one process, so
 they transfer between hosts; the acceptance bar is >= 2x on the four kernel
-rows (the multiply chain and the session keys are gated against their
-committed ratio and their exact row count instead).  Runs standalone for the
-CI gate or under pytest-benchmark with the suite.
+rows (the multiply chain, the rotation chain and the session keys are gated
+against their committed ratio and their exact row count instead).  Runs
+standalone for the CI gate or under pytest-benchmark with the suite.
 """
 
 from __future__ import annotations
@@ -96,7 +102,9 @@ except ImportError:  # standalone invocation without the benchmarks conftest
 POLY_MODULUS_DEGREE = 4096
 COEFF_MODULUS_BITS = (30, 24, 24, 30)
 SCALE = float(2**26)
-ROTATION_STEPS = (1, 2, 4, 8, 16)
+#: The reduction tree of the rotation-chain row; the rotation group uses the first five.
+CHAIN_STEPS = tuple(1 << k for k in range(10))
+ROTATION_STEPS = CHAIN_STEPS[:5]
 #: Acceptance bar for every gated kernel.
 MIN_SPEEDUP = 2.0
 ROUNDS = 3
@@ -116,7 +124,7 @@ def _setup():
     context = CkksContext(POLY_MODULUS_DEGREE, COEFF_MODULUS_BITS)
     keygen = KeyGenerator(context, seed=7)
     relin_key = keygen.create_relin_key()
-    galois_keys = keygen.create_galois_keys(ROTATION_STEPS)
+    galois_keys = keygen.create_galois_keys(CHAIN_STEPS)
     encryptor = Encryptor(context, keygen.create_public_key(), seed=11)
     decryptor = Decryptor(context, keygen.secret_key)
     fast = Evaluator(context, relin_key, galois_keys)
@@ -283,6 +291,39 @@ def measure_rotation_group(fast, reference, decryptor, values, cipher) -> dict:
     }
 
 
+def measure_rotation_chain(fast, reference, decryptor, values, cipher) -> dict:
+    """``acc = acc + (acc << k)`` down ten doubling steps, answer in the wire's form."""
+
+    def chain(evaluator):
+        acc = cipher.copy()
+        for step in CHAIN_STEPS:
+            acc = evaluator.add(acc, evaluator.rotate(acc, step))
+        return coefficient_form(acc)
+
+    def rows(evaluator):
+        before = ntt_rows()
+        return chain(evaluator), ntt_rows() - before
+
+    chain(fast)  # first use caches each Galois key's evaluation form
+    (got, fast_rows), (want, reference_rows) = rows(fast), rows(reference)
+    expected = values.copy()
+    for step in CHAIN_STEPS:
+        expected = expected + np.roll(expected, -step)
+    got, want = (np.real(decryptor.decrypt(ct)) for ct in (got, want))
+    for name, answer in (("reference", want), ("production", got)):
+        err = float(np.max(np.abs(answer - expected)))
+        assert err < 5e-2, f"{name} rotation chain drifted: {err:g}"
+    ref_seconds = _best_of(ROUNDS, lambda: chain(reference))
+    fast_seconds = _best_of(ROUNDS, lambda: chain(fast))
+    return {
+        "steps": len(CHAIN_STEPS),
+        "ntt_rows": {"production": fast_rows, "reference": reference_rows},
+        "reference_seconds": ref_seconds,
+        "fast_seconds": fast_seconds,
+        "speedup": ref_seconds / fast_seconds,
+    }
+
+
 def measure_encoder(context, values) -> dict:
     """Twisted-FFT encode+decode vs the dense embedding matrix."""
     fast, oracle = context.encoder, DenseCkksEncoder(POLY_MODULUS_DEGREE)
@@ -318,12 +359,14 @@ def run(benchmark=None) -> dict:
     relin = measure_relinearize(fast, reference, cipher)
     rotation = measure_rotation_group(fast, reference, decryptor, values, cipher)
     chain = measure_multiply_chain(fast, cipher)
+    tree = measure_rotation_chain(fast, reference, decryptor, values, cipher)
     session = measure_session_keys(values)
 
     print_table(
         f"CKKS kernels at N={POLY_MODULUS_DEGREE} "
         f"(reference = row-loop NTT / coefficient-domain key switch / dense encoder / "
-        f"coefficient form after every op / keys written out in full)",
+        f"coefficient form after every op / reference key switch after every step / "
+        f"keys written out in full)",
         ["Kernel", "Reference", "Fast", "Speedup"],
         [
             [
@@ -358,6 +401,12 @@ def run(benchmark=None) -> dict:
                 f"{chain['speedup']:.2f}x",
             ],
             [
+                f"rotation chain x{tree['steps']}",
+                f"{tree['reference_seconds'] * 1e3:.1f} ms ({tree['ntt_rows']['reference']} rows)",
+                f"{tree['fast_seconds'] * 1e3:.1f} ms ({tree['ntt_rows']['production']} rows)",
+                f"{tree['speedup']:.2f}x",
+            ],
+            [
                 f"session keys x{session['keys']}",
                 f"{session['reference_seconds'] * 1e3:.1f} ms "
                 f"({session['ntt_rows']['written_out']} rows)",
@@ -388,6 +437,7 @@ def run(benchmark=None) -> dict:
         "rotation_group": rotation,
         "encoder": encoder,
         "multiply_chain": chain,
+        "rotation_chain": tree,
         "session_keys": session,
     }
     print(json.dumps(payload))
@@ -419,6 +469,8 @@ if __name__ == "__main__":
         f"encoder {result['encoder']['speedup']:.2f}x "
         f">= {MIN_SPEEDUP}x; multiply chain {result['multiply_chain']['speedup']:.2f}x, "
         f"{result['multiply_chain']['ntt_rows']['following']} NTT rows; "
+        f"rotation chain {result['rotation_chain']['speedup']:.2f}x, "
+        f"{result['rotation_chain']['ntt_rows']['production']} NTT rows; "
         f"session keys {result['session_keys']['speedup']:.2f}x, "
         f"{result['session_keys']['ntt_rows']['seeded']} NTT rows"
     )

@@ -31,6 +31,7 @@ from ..ckks import (
     KeyGenerator,
     Plaintext,
 )
+from ..ckks.ciphertext import settled_coefficients
 from ..ckks.encryptor import expand_ciphertext_seed
 from ..ckks.keys import (
     PUBLIC_LABEL,
@@ -258,12 +259,14 @@ class CkksBackendContext(BackendContext):
         if not handle.polys:
             raise SerializationError("cannot serialize a released ciphertext")
         # The wire is coefficient form over the data basis, whatever the
-        # evaluator left the handle in; the conversion is charged to "export".
+        # evaluator left the handle in; the conversion (and an extended
+        # polynomial's owed division) is charged to "export" and kept nowhere.
         # A fresh symmetric ciphertext's c1 travels as the seed it expands from.
         with self._op("export"):
             seed = pack_seed(handle.seed) if handle.seed else None
-            written = handle.settle()[: 1 if seed else None]
-            polys = [_poly_to_rows(poly) for poly in written] + ([seed] if seed else [])
+            written = handle.polys[: 1 if seed else None]
+            polys = [_poly_to_rows(settled_coefficients(poly)) for poly in written]
+            polys += [seed] if seed else []
         return {
             "scheme": "ckks",
             "scale": float(handle.scale),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ExecutionError
-from .ciphertext import Ciphertext
+from .ciphertext import Ciphertext, settled_coefficients
 from .context import CkksContext
 from .keys import SecretKey
 from .rns import COEFF, EVAL, RnsPolynomial
@@ -22,7 +22,11 @@ class Decryptor:
         """Return the raw plaintext polynomial ``sum_i c_i s^i`` (RNS, coefficient form)."""
         if ciphertext.size < 2:
             raise ExecutionError("ciphertext is transparent or malformed")
-        c0, *tail = ciphertext.settle()
+        c0, *tail = ciphertext.settle(first=1)
+        if c0.basis.special:
+            # Nothing reads c0 in evaluation form again: transform it back
+            # whole and divide there, without rebinding the ciphertext.
+            c0 = settled_coefficients(c0)
         basis = c0.basis
         # One forward over the c_1.. still in coefficient form, one inverse of
         # the summed products: the powers of s are static and cached in

@@ -11,18 +11,28 @@ guarantees can never occur in a validated program.
 Form follows the operation: each operation takes its operands in whatever form
 they arrive and returns the form that costs it no transform.  Multiplications
 return evaluation form (and leave their operands converted, by rebinding
-``Ciphertext.polys``); linear operations keep the form they are given; a key
-switch answers in the form of the polynomial its result is added to, so a
-rotation of a coefficient-form ciphertext never meets an evaluation-form
-polynomial; ``relinearize`` of an evaluation-form ciphertext stops before the
-division by the special prime (an *extended* ciphertext) because the
-``rescale_to_next`` that follows divides by both primes in one pass.
+``Ciphertext.polys``); linear operations keep the form they are given.
+
+A key switch computes ``P`` times its result, in evaluation form over the key
+basis, and the division by the special prime ``P`` is paid only by a
+polynomial whose *value* is needed next.  ``rotate`` returns ``[perm(P*c0) +
+t0, round(t1 / P)]``: ``c1`` is decomposed by the next rotation, so it is
+settled in the form it arrived in; ``c0`` is only ever permuted and added —
+both free in evaluation form over the key basis — so it stays *extended*
+through rotation chains and reduction trees, and one division settles the sum
+of all their key-switch results.  ``relinearize`` of an evaluation-form
+ciphertext leaves both polynomials extended because the ``rescale_to_next``
+that follows divides by both primes in one pass.  ``add`` / ``sub`` /
+``negate`` keep an extended polynomial extended (a settled partner is
+*lifted* to ``P`` times itself, which never rebinds it); everything else
+settles first.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,9 +52,10 @@ from .rns import COEFF, EVAL, RnsBasis, RnsPolynomial
 #: Relative tolerance when comparing scales of additive operands.
 _SCALE_RTOL = 1e-6
 
-#: How many digit decompositions the hoisting cache retains (keyed by the
-#: identity of the decomposed polynomial; entries hold a strong reference so
-#: ``id()`` cannot be recycled while cached).
+#: How many ciphertexts the hoisting cache remembers: the digit decomposition
+#: of ``c1`` with the lift of ``c0`` beside it (keyed by the identity of
+#: ``c1``; entries hold strong references so ``id()`` cannot be recycled while
+#: cached).
 _HOIST_CACHE_CAPACITY = 4
 
 
@@ -90,9 +101,11 @@ class Evaluator:
         self.context = context
         self.relin_key = relin_key
         self.galois_keys = galois_keys
-        self._hoist_cache: "OrderedDict[int, Tuple[RnsPolynomial, int, np.ndarray]]" = (
-            OrderedDict()
-        )
+        #: ``id(c1) -> (c1, c0, digit NTTs of c1, c0 extended)``, least recently rotated first.
+        self._hoist_cache: (
+            "OrderedDict[int, Tuple[RnsPolynomial, RnsPolynomial, np.ndarray, RnsPolynomial]]"
+        ) = OrderedDict()
+        self._hoist_lock = threading.Lock()
 
     # -- checks ---------------------------------------------------------------------
     @staticmethod
@@ -116,14 +129,52 @@ class Evaluator:
             )
 
     # -- linear operations -------------------------------------------------------------
+    def _lift(self, poly: RnsPolynomial, level: int) -> RnsPolynomial:
+        """``P * poly`` in evaluation form over the key basis: ``poly``, extended.
+
+        The special row of a multiple of ``P`` is zero, so this is ``L``
+        forward rows from coefficient form and none from evaluation form.
+        """
+        key_basis = self.context.key_basis(level)
+        primes = key_basis.primes_column
+        rows = np.zeros((len(key_basis), key_basis.poly_modulus_degree), dtype=np.int64)
+        rows[:-1] = poly.to_eval().residues * (primes[-1] % primes[:-1]) % primes[:-1]
+        return RnsPolynomial(key_basis, rows, EVAL)
+
+    def _remembered(self, c0: RnsPolynomial, c1: RnsPolynomial) -> Optional[tuple]:
+        """The hoisting-cache entry of the ciphertext ``(c0, c1)``, if it is still these two."""
+        with self._hoist_lock:
+            entry = self._hoist_cache.get(id(c1))
+            if entry is None or entry[0] is not c1 or entry[1] is not c0:
+                return None
+            self._hoist_cache.move_to_end(id(c1))
+            return entry
+
+    def _extended(self, polys: Sequence[RnsPolynomial], index: int, level: int) -> RnsPolynomial:
+        """``polys[index]`` extended: itself when it already is, otherwise lifted.
+
+        A lift makes a new polynomial and never rebinds the ciphertext it
+        reads.  The lift of a rotated ciphertext's ``c0`` is already in the
+        hoisting cache, so ``acc + (acc << k)`` and a hoisted group lift once.
+        """
+        poly = polys[index]
+        if poly.basis.special:
+            return poly
+        entry = self._remembered(*polys) if index == 0 and len(polys) == 2 else None
+        return entry[3] if entry else self._lift(poly, level)
+
     def negate(self, a: Ciphertext) -> Ciphertext:
-        return Ciphertext([p.negate() for p in a.settle()], a.scale, a.level)
+        return Ciphertext([p.negate() for p in a.polys], a.scale, a.level)
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         self._check_same_level(a, b)
         self._check_same_scale(a.scale, b.scale)
-        shorter, longer = sorted((a.settle(), b.settle()), key=len)
-        polys = [p.add(q) for p, q in zip(shorter, longer)]
+        shorter, longer = sorted((a.polys, b.polys), key=len)
+        polys = []
+        for index, (p, q) in enumerate(zip(shorter, longer)):
+            if p.basis.special != q.basis.special:  # the settled one of a pair meets the other
+                p, q = (self._extended(polys_, index, a.level) for polys_ in (shorter, longer))
+            polys.append(p.add(q))
         polys += [p.copy() for p in longer[len(shorter) :]]
         return Ciphertext(polys, max(a.scale, b.scale), a.level)
 
@@ -178,33 +229,41 @@ class Evaluator:
         return self.multiply(a, a)
 
     # -- key switching ----------------------------------------------------------------------
-    def _digit_ntts(self, poly: RnsPolynomial, level: int, cache: bool) -> np.ndarray:
+    def _digit_ntts(self, poly: RnsPolynomial, level: int) -> np.ndarray:
         """Forward NTT of every decomposition digit of ``poly`` over the key basis.
 
         Returns an ``(L, K, N)`` array: row ``j`` holds the NTT (one row per
         key-basis prime) of ``poly``'s ``j``-th data residue lifted to the key
-        basis.  With ``cache=True`` the result is memoized by the identity of
-        ``poly`` — the ciphertext's own polynomial, whatever its form — so a
-        group of rotations of one ciphertext decomposes once.
+        basis.
         """
-        if cache:
-            entry = self._hoist_cache.get(id(poly))
-            if entry is not None and entry[0] is poly and entry[1] == level:
-                self._hoist_cache.move_to_end(id(poly))
-                return entry[2]
         key_basis = self.context.key_basis(level)
         if poly.form == EVAL:
-            digit_ntts = self._digit_ntts_of_evaluations(poly, key_basis)
-        else:
-            # Lift every data residue row to all key primes, then transform the
-            # whole (L, K, N) digit matrix in one kernel pass.
-            digits = poly.residues[:, np.newaxis, :] % key_basis.primes_column
-            digit_ntts = key_basis.kernel.forward(digits)
-        if cache:
-            self._hoist_cache[id(poly)] = (poly, level, digit_ntts)
-            while len(self._hoist_cache) > _HOIST_CACHE_CAPACITY:
-                self._hoist_cache.popitem(last=False)
-        return digit_ntts
+            return self._digit_ntts_of_evaluations(poly, key_basis)
+        # Lift every data residue row to all key primes, then transform the
+        # whole (L, K, N) digit matrix in one kernel pass.
+        digits = poly.residues[:, np.newaxis, :] % key_basis.primes_column
+        return key_basis.kernel.forward(digits)
+
+    def _hoisted(
+        self, c0: RnsPolynomial, c1: RnsPolynomial, level: int
+    ) -> Tuple[np.ndarray, RnsPolynomial]:
+        """What every rotation of the ciphertext ``(c0, c1)`` shares: the digit
+        NTTs of ``c1`` and ``c0`` extended.
+
+        Remembered by the identity of the ciphertext's own polynomials,
+        whatever their form, so a group of rotations of one ciphertext
+        decomposes and lifts once — and so does the ``add`` that meets the
+        ciphertext again afterwards.
+        """
+        entry = self._remembered(c0, c1)
+        if entry is None:
+            lifted = c0 if c0.basis.special else self._lift(c0, level)
+            entry = (c1, c0, self._digit_ntts(c1, level), lifted)
+            with self._hoist_lock:
+                self._hoist_cache[id(c1)] = entry
+                while len(self._hoist_cache) > _HOIST_CACHE_CAPACITY:
+                    self._hoist_cache.popitem(last=False)
+        return entry[2], entry[3]
 
     @staticmethod
     def _digit_ntts_of_evaluations(poly: RnsPolynomial, key_basis: RnsBasis) -> np.ndarray:
@@ -283,21 +342,6 @@ class Evaluator:
             digit_ntts = np.take(digit_ntts, permutation, axis=-1)
         return _multiply_accumulate(digit_ntts, key_forms, key_basis.primes_column)
 
-    def _switched_pair(
-        self, totals: np.ndarray, level: int, form: str
-    ) -> Tuple[RnsPolynomial, RnsPolynomial]:
-        """Divide key-switch ``totals`` by the special prime; the pair comes back in ``form``.
-
-        Coefficient form inverse-transforms both totals in one pass and divides
-        there; evaluation form transforms only the special row back and its
-        correction forward, so neither form pays for the other.
-        """
-        key_basis = self.context.key_basis(level)
-        if form == COEFF:
-            totals = key_basis.kernel.inverse(totals)
-        poly0, poly1 = (RnsPolynomial(key_basis, rows, form) for rows in totals)
-        return poly0.divide_and_round_last(), poly1.divide_and_round_last()
-
     def relinearize(self, a: Ciphertext) -> Ciphertext:
         """Reduce a three-polynomial ciphertext back to two polynomials.
 
@@ -313,13 +357,17 @@ class Evaluator:
             raise PolynomialCountError(
                 f"relinearization supports ciphertexts of size 3, got {a.size}"
             )
-        c0, c1, c2 = a.polys
-        digit_ntts = self._digit_ntts(c2, a.level, cache=False)
+        c0, c1, c2 = a.settle()
+        digit_ntts = self._digit_ntts(c2, a.level)
         totals = self._key_switch_totals(digit_ntts, self.relin_key.key, a.level)
-        if not c0.form == c1.form == EVAL:
-            ks0, ks1 = self._switched_pair(totals, a.level, COEFF)
-            return Ciphertext([c0.add(ks0), c1.add(ks1)], a.scale, a.level)
         key_basis = self.context.key_basis(a.level)
+        if not c0.form == c1.form == EVAL:
+            # Both totals back in one inverse pass, divided by P in coefficient form.
+            ks0, ks1 = (
+                RnsPolynomial(key_basis, rows).divide_and_round_last()
+                for rows in key_basis.kernel.inverse(totals)
+            )
+            return Ciphertext([c0.add(ks0), c1.add(ks1)], a.scale, a.level)
         primes = key_basis.primes_column
         lifted = np.stack([c0.residues, c1.residues]) * (primes[-1] % primes[:-1])
         totals[:, :-1] = (totals[:, :-1] + lifted) % primes[:-1]
@@ -329,11 +377,18 @@ class Evaluator:
     def rotate(self, a: Ciphertext, steps: int) -> Ciphertext:
         """Rotate the slots left by ``steps`` (negative values rotate right).
 
-        The decomposition of ``c1`` is hoisted: it is transformed once (and
-        cached by ciphertext identity), and each rotation applies its Galois
-        element as an index permutation of the cached digit NTTs — rotating
-        the same ciphertext by k different steps costs one decomposition
-        instead of k.
+        Returns ``[perm(P*c0) + t0, round(t1 / P)]`` for the key-switch
+        totals ``(t0, t1)`` of the permuted ``c1``: ``c0`` extended, the
+        automorphism a slot permutation and the division by ``P`` still owed;
+        ``c1`` — which the next rotation decomposes — settled in the form it
+        arrived in.  So a rotation transforms the ``L*K`` digit rows forward
+        and ``K`` rows (coefficient ``c1``) or ``1 + L`` (evaluation) back.
+
+        The decomposition of ``c1`` and the lift of a settled ``c0`` are
+        hoisted: computed once (and cached by ciphertext identity), and each
+        rotation applies its Galois element as an index permutation of them —
+        rotating the same ciphertext by k different steps costs one
+        decomposition instead of k.
         """
         if self.galois_keys is None:
             raise ParameterError("no Galois keys available")
@@ -344,27 +399,28 @@ class Evaluator:
             raise PolynomialCountError("rotation requires a relinearized ciphertext")
         element = self.context.galois_element_for_step(steps)
         switching_key = self.galois_keys.key_for(element)
-        c0, c1 = a.settle()
-        digit_ntts = self._digit_ntts(c1, a.level, cache=True)
+        c0, c1 = a.settle(first=1)
+        digit_ntts, extended = self._hoisted(c0, c1, a.level)
         permutation = galois_ntt_permutation(self.context.poly_modulus_degree, element)
         totals = self._key_switch_totals(digit_ntts, switching_key, a.level, permutation)
-        ks0, ks1 = self._switched_pair(totals, a.level, c0.form)
-        return Ciphertext([c0.automorphism(element).add(ks0), ks1], a.scale, a.level)
+        key_basis = self.context.key_basis(a.level)
+        t0, t1 = (RnsPolynomial(key_basis, rows, EVAL) for rows in totals)
+        if c1.form == COEFF:
+            t1 = t1.to_coeff()
+        rotated = [extended.automorphism(element).add(t0), t1.divide_and_round_last()]
+        return Ciphertext(rotated, a.scale, a.level)
 
     # -- modulus chain -----------------------------------------------------------------------
     def rescale_to_next(self, a: Ciphertext) -> Ciphertext:
         """Divide the ciphertext (and its scale) by the next prime in the chain.
 
-        An extended ciphertext divides by the special prime and the next prime
+        An extended polynomial divides by the special prime and the next prime
         together, which is what it was left extended for.
         """
         if a.level >= self.context.max_level - 1:
             raise ModulusExhaustedError("cannot rescale: no prime left to divide away")
-        polys = a.polys
-        count = 2 if polys[0].basis.special else 1
-        prime = polys[0].basis.primes[-count]
-        polys = [p.divide_and_round_last(count) for p in polys]
-        return Ciphertext(polys, a.scale / prime, a.level + 1)
+        polys = [p.divide_and_round_last(2 if p.basis.special else 1) for p in a.polys]
+        return Ciphertext(polys, a.scale / self.context.prime_at_level(a.level), a.level + 1)
 
     def mod_switch_to_next(self, a: Ciphertext) -> Ciphertext:
         """Drop the next prime in the chain without changing the scale."""

@@ -225,25 +225,25 @@ class RnsPolynomial:
 
     def add(self, other: "RnsPolynomial") -> "RnsPolynomial":
         a, b, form = self._same_form(other)
-        # Both operands are reduced, so the sum lives in [0, 2p): a conditional
-        # subtract replaces the per-element int64 division of `% p`.
-        primes = self.basis.primes_column
-        total = a + b
-        np.subtract(total, primes, out=total, where=total >= primes)
-        return RnsPolynomial(self.basis, total, form)
+        # Both operands are reduced, so the sum lives in [0, 2p): the unsigned
+        # minimum of t and t - p (which wraps when t < p) is the reduced one,
+        # with no per-element division and no mask.
+        total = (a + b).view(np.uint64)
+        np.minimum(total, total - self.basis.primes_column.view(np.uint64), out=total)
+        return RnsPolynomial(self.basis, total.view(np.int64), form)
 
     def sub(self, other: "RnsPolynomial") -> "RnsPolynomial":
         a, b, form = self._same_form(other)
-        primes = self.basis.primes_column
-        diff = a - b
-        np.add(diff, primes, out=diff, where=diff < 0)
-        return RnsPolynomial(self.basis, diff, form)
+        # The difference lives in (-p, p); a negative one wraps, so t + p is the smaller.
+        diff = (a - b).view(np.uint64)
+        np.minimum(diff, diff + self.basis.primes_column.view(np.uint64), out=diff)
+        return RnsPolynomial(self.basis, diff.view(np.int64), form)
 
     def negate(self) -> "RnsPolynomial":
         primes = self.basis.primes_column
-        negated = primes - self.residues
-        np.subtract(negated, primes, out=negated, where=negated >= primes)
-        return RnsPolynomial(self.basis, negated, self.form)
+        negated = (primes - self.residues).view(np.uint64)  # in [1, p]: only p itself reduces
+        np.minimum(negated, negated - primes.view(np.uint64), out=negated)
+        return RnsPolynomial(self.basis, negated.view(np.int64), self.form)
 
     def multiply(self, other: "RnsPolynomial") -> "RnsPolynomial":
         """Negacyclic product in coefficient form: one forward and one inverse kernel pass."""

@@ -7,7 +7,12 @@ RNS-CKKS backend under :mod:`cProfile` and :mod:`tracemalloc`, and buckets
 the measured time into the cost centers the ROADMAP names — key-switch
 decomposition, NTT butterflies, RNS base conversion, encode/decode, and
 Python dispatch — so kernel work targets what is actually hot instead of
-what looks hot.  ``tools/profile_ckks.py`` and ``repro.cli profile`` are thin
+what looks hot.  Beside the sampled seconds it reports, per homomorphic
+operation, the backend's own count, seconds and **exact NTT rows**
+(``drain_op_times()`` / ``drain_ntt_rows()``: the taxonomy and the numbers of
+the live ``ckks.op.*`` / ``ckks.ntt.rows`` series), so a change to the kernels
+can be replayed as rows — which repeat on any host — with one command.
+``tools/profile_ckks.py`` and ``repro.cli profile`` are thin
 wrappers around :func:`run_profile`; the output is machine-readable JSON and
 is uploaded as a CI artifact by the weekly full-bench run.
 """
@@ -36,7 +41,8 @@ CATEGORY_RULES: List[Tuple[str, str, Optional[frozenset]]] = [
         frozenset(
             {
                 "_key_switch_totals",
-                "_switched_pair",
+                "_hoisted",
+                "_lift",
                 "_digit_ntts",
                 "_digit_ntts_of_evaluations",
                 "_key_evaluation_form",
@@ -183,13 +189,15 @@ def profile_program(name: str, repeats: int = 3, top: int = 15) -> dict:
     backend = CkksBackend(seed=21)
     client = ClientKit(compiled, backend=backend, client_id="profiler")
     server = ServerRuntime(compiled, backend=backend)
-    server.attach_client("profiler", client.evaluation_context())
+    contexts = (server.attach_client("profiler", client.evaluation_context()), client.context)
     bundle = client.encrypt_inputs(inputs)
 
     # Warm every cache the serving path would have warm (twiddles, key NTT
     # forms, encoder tables) so the profile reflects steady state.
     warm = server.evaluate(bundle)
     client.decrypt_outputs(warm)
+    for context in contexts:
+        context.drain_op_times(), context.drain_ntt_rows()
 
     tracemalloc.start()
     profiler = cProfile.Profile()
@@ -206,6 +214,16 @@ def profile_program(name: str, repeats: int = 3, top: int = 15) -> dict:
 
     categories, top_rows = _collect_stats(profiler, top)
     profiled_total = sum(categories.values()) or 1.0
+    # The server's evaluations and the client's one decrypt, by the backend's
+    # own per-op accounting (seconds here include the profiler's overhead).
+    ops: Dict[str, dict] = {}
+    for context in contexts:
+        rows = context.drain_ntt_rows()
+        for op, (count, seconds) in context.drain_op_times().items():
+            entry = ops.setdefault(op, {"count": 0, "seconds": 0.0, "ntt_rows": 0})
+            entry["count"] += count
+            entry["seconds"] = round(entry["seconds"] + seconds, 6)
+            entry["ntt_rows"] += rows.get(op, 0)
     return {
         "wall_seconds": round(wall, 6),
         "evaluations": repeats,
@@ -219,6 +237,8 @@ def profile_program(name: str, repeats: int = 3, top: int = 15) -> dict:
                 categories.items(), key=lambda item: item[1], reverse=True
             )
         },
+        "ops": dict(sorted(ops.items(), key=lambda item: item[1]["seconds"], reverse=True)),
+        "ntt_rows": sum(entry["ntt_rows"] for entry in ops.values()),
         "top_functions": top_rows,
         "tracemalloc_peak_kb": round(peak / 1024.0, 1),
     }
@@ -246,8 +266,8 @@ def run_profile(
         report["programs"][name] = result
         hottest = next(iter(result["categories"]), "n/a")
         log(
-            f"  {name}: {result['wall_seconds']:.2f}s wall, hottest bucket {hottest}, "
-            f"peak {result['tracemalloc_peak_kb']:.0f} KiB"
+            f"  {name}: {result['wall_seconds']:.2f}s wall, {result['ntt_rows']} NTT rows, "
+            f"hottest bucket {hottest}, peak {result['tracemalloc_peak_kb']:.0f} KiB"
         )
     return report
 
