@@ -58,6 +58,16 @@ def _make_backend(name: str, seed: int):
     return BackendSpec(name=name, seed=seed).build()
 
 
+def _compiler_options(args) -> CompilerOptions:
+    """The compile flags (``add_compile_options``) as compiler options."""
+    return CompilerOptions(
+        policy=args.policy,
+        max_rescale_bits=args.max_rescale_bits,
+        security_level=args.security,
+        lane_width=args.lane_width,
+    )
+
+
 def cmd_info(args: argparse.Namespace) -> int:
     program = load(args.program)
     counts = {op.name: count for op, count in sorted(program.op_counts().items())}
@@ -76,12 +86,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     program = load(args.program)
-    options = CompilerOptions(
-        policy=args.policy,
-        max_rescale_bits=args.max_rescale_bits,
-        security_level=args.security,
-        lane_width=args.lane_width,
-    )
+    options = _compiler_options(args)
     result = EvaCompiler(options).compile(program)
     save(result.program, args.output)
     summary = dict(result.summary())
@@ -94,12 +99,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     program = load(args.program)
-    options = CompilerOptions(
-        policy=args.policy,
-        max_rescale_bits=args.max_rescale_bits,
-        security_level=args.security,
-        lane_width=args.lane_width,
-    )
+    options = _compiler_options(args)
     # The executable on disk may be an already-compiled program (containing
     # FHE-specific instructions); in that case only parameter selection is
     # needed.  Otherwise compile from scratch.
@@ -138,12 +138,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    options = CompilerOptions(
-        policy=args.policy,
-        max_rescale_bits=args.max_rescale_bits,
-        security_level=args.security,
-        lane_width=args.lane_width,
-    )
+    options = _compiler_options(args)
     # Load and validate everything before spinning up worker threads or
     # binding the port, so a bad invocation fails fast and clean.
     programs = {}
@@ -162,40 +157,49 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 "the source program instead"
             )
         programs[name] = program
-    config = None
-    if args.cluster_config:
-        from .serving import load_cluster_config
+    from .serving import ShardConfig, configure_logging, load_cluster_config
 
-        config = load_cluster_config(args.cluster_config)
-    if config is not None or args.shards > 1:
-        return _serve_cluster(args, options, programs, config)
-    return _serve_single(args, options, programs)
+    # One recipe for whatever kind of serving process this becomes: the flags
+    # below are its fields, whether they configure this process or N shards.
+    same_name = (
+        "session_dir", "host", "workers", "max_batch", "batch_window", "session_ttl",
+        "artifact_dir", "slow_threshold", "log_json", "log_level", "precompile_widths",
+    )  # fmt: skip
+    recipe = {field: getattr(args, field) for field in same_name}
+    recipe.update(
+        backend={"name": args.backend, "seed": args.seed},
+        executor_threads=args.threads,
+        fairness=_fairness_policy(args),
+    )
+    configure_logging(json_logs=args.log_json, level=args.log_level)
+    entries = [(name, program, options) for name, program in programs.items()]
+    if args.cluster_config or args.shards > 1:
+        config = load_cluster_config(args.cluster_config) if args.cluster_config else None
+        return _serve_cluster(args, recipe, entries, config)
+    return _serve_single(args, ShardConfig(**recipe), entries)
 
 
 def _fairness_policy(args):
-    """A FairnessPolicy from the serve flags, or None when no quota is set."""
+    """The quota flags as a ``FairnessPolicy`` table, or None when no quota is set."""
     if args.quota_burst is not None and args.quota_rps is None:
         # Burst is the rate limiter's bucket capacity; without a rate it
         # would be silently ignored — refuse rather than mislead.
         raise EvaError("--quota-burst requires --quota-rps")
     if args.quota_rps is None and args.max_inflight is None:
         return None
-    from .serving import FairnessPolicy
-
-    return FairnessPolicy(
-        quota_rps=args.quota_rps,
-        burst=args.quota_burst,
-        max_inflight=args.max_inflight,
-    )
+    return dict(quota_rps=args.quota_rps, burst=args.quota_burst, max_inflight=args.max_inflight)
 
 
-def _serve_until_interrupted(tcp, engine) -> int:
-    """Serve until SIGINT or SIGTERM, then stop the listener and close ``engine``.
+def _serve_until_interrupted(tcp, engine, **banner) -> int:
+    """Print the banner, serve until SIGINT or SIGTERM, then stop the listener
+    and close ``engine``.
 
     SIGTERM is what supervisors, ``kill`` and ``Popen.terminate()`` send; it
     takes the Ctrl-C path, because dying on it would skip the shutdown below
     and leave the ``--shards`` child processes running.
     """
+    host, port = tcp.address
+    print(json.dumps({"serving": f"{host}:{port}", **banner}), flush=True)
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         tcp.serve_forever()
@@ -207,84 +211,25 @@ def _serve_until_interrupted(tcp, engine) -> int:
     return 0
 
 
-def _serve_single(args, options, programs) -> int:
-    from .serving import (
-        ArtifactCache,
-        EvaServer,
-        EvaTcpServer,
-        LaneWidthPolicy,
-        SessionStore,
-        Telemetry,
-        configure_logging,
-    )
+def _serve_single(args, recipe, entries) -> int:
+    from .serving import EvaTcpServer
 
-    configure_logging(json_logs=args.log_json, level=args.log_level)
-    session_store = None
-    if args.session_dir:
-        session_store = SessionStore(args.session_dir, ttl=args.session_ttl)
-        pruned = session_store.prune()
-        if pruned:
-            print(f"pruned {pruned} expired session record(s)", file=sys.stderr)
-    server = EvaServer(
-        backend=_make_backend(args.backend, args.seed),
-        workers=args.workers,
-        max_batch=args.max_batch,
-        batch_window=args.batch_window,
-        executor_threads=args.threads,
-        session_store=session_store,
-        artifact_cache=ArtifactCache(args.artifact_dir) if args.artifact_dir else None,
-        fairness=_fairness_policy(args),
-        precompile=(
-            LaneWidthPolicy(top_widths=args.precompile_widths)
-            if args.precompile_widths
-            else None
-        ),
-        telemetry=Telemetry(slow_threshold=args.slow_threshold),
-    )
-    for name, program in programs.items():
-        server.register(name, program, options=options)
-    tcp = EvaTcpServer(
+    server = recipe.build(entries)
+    tcp = EvaTcpServer(server, host=args.host, port=args.port, wire_policy=args.wire)
+    return _serve_until_interrupted(
+        tcp,
         server,
-        host=args.host,
-        port=args.port,
-        wire_policy=args.wire,
-    )
-    host, port = tcp.address
-    print(
-        json.dumps(
-            {
-                "serving": f"{host}:{port}",
-                "programs": server.programs(),
-                "session_dir": args.session_dir,
-                "artifact_dir": args.artifact_dir,
-            }
-        ),
-        flush=True,
-    )
-    return _serve_until_interrupted(tcp, server)
-
-
-def _serve_cluster(args, options, programs, config=None) -> int:
-    from .serving import BackendSpec, ClusterTcpServer, EvaCluster, configure_logging
-
-    configure_logging(json_logs=args.log_json, level=args.log_level)
-    kwargs = dict(
-        shards=args.shards,
-        backend=BackendSpec(name=args.backend, seed=args.seed),
+        programs=server.programs(),
         session_dir=args.session_dir,
-        workers=args.workers,
-        max_batch=args.max_batch,
-        batch_window=args.batch_window,
-        executor_threads=args.threads,
-        host=args.host,
-        session_ttl=args.session_ttl,
         artifact_dir=args.artifact_dir,
-        fairness=_fairness_policy(args),
-        health_interval=args.health_interval or None,
-        slow_threshold=args.slow_threshold,
-        log_json=args.log_json,
-        log_level=args.log_level,
-        wire=args.wire,
+    )
+
+
+def _serve_cluster(args, recipe, entries, config=None) -> int:
+    from .serving import ClusterTcpServer, EvaCluster
+
+    kwargs = dict(
+        recipe, shards=args.shards, health_interval=args.health_interval or None, wire=args.wire
     )
     if config is not None:
         # [cluster] table entries override the flag-derived kwargs; [[remote]]
@@ -300,30 +245,20 @@ def _serve_cluster(args, options, programs, config=None) -> int:
         cluster = EvaCluster(**kwargs)
     except TypeError as error:
         raise EvaError(f"bad [cluster] config key: {error}") from None
-    for name, program in programs.items():
+    for name, program, options in entries:
         cluster.register(name, program, options=options)
     cluster.start()
-    tcp = ClusterTcpServer(
+    # `wire` twice, on purpose: what the router speaks upstream (above) and
+    # what its listener grants are different settings.
+    tcp = ClusterTcpServer(cluster, host=args.host, port=args.port, wire_policy=args.wire)
+    return _serve_until_interrupted(
+        tcp,
         cluster,
-        host=args.host,
-        port=args.port,
-        slow_threshold=args.slow_threshold,
-        wire_policy=args.wire,
+        programs=sorted(name for name, _program, _options in entries),
+        shards=cluster.shard_infos(),
+        session_dir=args.session_dir,
+        artifact_dir=args.artifact_dir,
     )
-    host, port = tcp.address
-    print(
-        json.dumps(
-            {
-                "serving": f"{host}:{port}",
-                "programs": sorted(programs),
-                "shards": cluster.shard_infos(),
-                "session_dir": args.session_dir,
-                "artifact_dir": args.artifact_dir,
-            }
-        ),
-        flush=True,
-    )
-    return _serve_until_interrupted(tcp, cluster)
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
@@ -341,12 +276,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
                 )
             from .api import ClientKit, CompiledProgram
 
-            options = CompilerOptions(
-                policy=args.policy,
-                max_rescale_bits=args.max_rescale_bits,
-                security_level=args.security,
-                lane_width=args.lane_width,
-            )
+            options = _compiler_options(args)
             compiled = CompiledProgram.compile(load(args.program_file), options=options)
             kit = ClientKit(
                 compiled,
@@ -586,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="pre-warm this many of the most-requested lane widths per "
-        "program in the background (0 disables; single-process serve only)",
+        "program in the background (0 disables)",
     )
     serve.add_argument(
         "--wire",
@@ -600,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cluster-config",
         type=Path,
         default=None,
-        help="TOML cluster config: a [cluster] table of EvaCluster settings "
-        "(overrides the flags), [[remote]] shard endpoints to attach at "
+        help="TOML cluster config: a [cluster] table of cluster and shard "
+        "settings (overrides the flags), [[remote]] shard endpoints to attach at "
         "start, and a [scale] table enabling queue-depth autoscaling; "
         "implies cluster mode even with --shards 1",
     )

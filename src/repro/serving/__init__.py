@@ -25,7 +25,9 @@ Turns the one-shot compiler + executor into a serving stack:
   transparent failover, health checks, shard ``drain`` / ``rejoin``, and
   queue-depth autoscaling under a :class:`ScalePolicy`
   (``repro.cli serve --shards N --cluster-config cluster.toml``; admin via
-  ``repro.cli cluster``).
+  ``repro.cli cluster``).  Every serving process — ``serve``, a shard — is
+  built from one :class:`ShardConfig` recipe, and the shard lifecycle is the
+  sans-IO state table of :mod:`repro.serving.membership`.
 * SLO classes — requests may carry ``deadline_ms`` / ``slo_class``
   (``tight`` / ``standard`` / ``relaxed``); admission rejects infeasible
   deadlines up front (:class:`~repro.errors.DeadlineInfeasibleError` with

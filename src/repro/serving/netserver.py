@@ -89,15 +89,9 @@ from ..wire import (
     read_message,
 )
 from .aionet import AsyncWireServer
-from .quotas import FairnessPolicy, QuotaLedger
+from .quotas import QuotaLedger
 from .server import EvaServer
-from .telemetry import (
-    Telemetry,
-    aggregate_snapshots,
-    merge_traces,
-    new_trace_id,
-    render_prometheus,
-)
+from .telemetry import Telemetry, merge_traces, new_trace_id, render_prometheus
 
 #: What a connection object hands back for one message: the reply as wire
 #: bytes (empty when the message is not answered) and whether to keep the
@@ -488,55 +482,34 @@ class _RouterConnection(_WireConnection):
         liveness, routing introspection, shard lifecycle administration, and
         the cluster-wide views that span shards."""
         cluster = self.server.cluster
-        telemetry = self.server.telemetry
+        # The cluster-wide views fold the router's own telemetry plane in.
+        planes = (self.server.telemetry,)
         op = request["op"]
-        if op == "ping":
-            return messages.build_response(payload={"pong": True})
-        if op == "route":
-            return messages.build_response(
-                payload={"route": cluster.describe_route(str(request["client_id"]))}
-            )
-        if op == "health":
-            return messages.build_response(payload={"health": cluster.check_health()})
-        if op == "drain":
-            return messages.build_response(
-                payload={"drain": cluster.drain_shard(request["shard"])}
-            )
-        if op == "rejoin":
-            return messages.build_response(
-                payload={"rejoin": cluster.rejoin_shard(request["shard"])}
-            )
-        if op == "join":
-            return messages.build_response(
-                payload={"join": cluster.attach_shard(request["host"], request["port"])}
-            )
-        if op == "list":
-            return messages.build_response(payload={"programs": cluster.programs()})
-        if op == "stats":
-            stats = dict(cluster.stats())
-            stats["connections"] = self.server.connection_infos()
-            return messages.build_response(payload={"stats": stats})
         if op == "metrics":
-            # The cluster-wide snapshot: every live shard's registry plus the
-            # router's own, aggregated (per-shard labeled series + summed
-            # totals with percentiles recomputed from merged buckets).
-            snapshots = cluster.shard_metrics()
-            snapshots["cluster"] = cluster.telemetry.registry.snapshot()
-            snapshots["router"] = telemetry.registry.snapshot()
-            return _metrics_reply(request, aggregate_snapshots(snapshots))
-        if op == "trace":
-            views = cluster.shard_traces(request["trace_id"])
-            views.append(telemetry.trace_of(request["trace_id"]))
-            return messages.build_response(payload={"trace": merge_traces(views)})
-        if op == "slow":
-            limit = request.get("limit")
-            records = cluster.shard_slow(limit)
-            records.extend(telemetry.slow(limit))
-            records.sort(key=lambda r: r.get("ts", 0.0), reverse=True)
-            if limit is not None:
-                records = records[: max(int(limit), 0)]
-            return messages.build_response(payload={"slow": records})
-        raise ServingError(f"the router does not answer {op!r} requests")
+            return _metrics_reply(request, cluster.metrics_snapshot(planes))
+        if op == "ping":
+            payload = {"pong": True}
+        elif op == "route":
+            payload = {"route": cluster.describe_route(str(request["client_id"]))}
+        elif op == "health":
+            payload = {"health": cluster.check_health()}
+        elif op == "drain":
+            payload = {"drain": cluster.drain_shard(request["shard"])}
+        elif op == "rejoin":
+            payload = {"rejoin": cluster.rejoin_shard(request["shard"])}
+        elif op == "join":
+            payload = {"join": cluster.attach_shard(request["host"], request["port"])}
+        elif op == "list":
+            payload = {"programs": cluster.programs()}
+        elif op == "stats":
+            payload = {"stats": dict(cluster.stats(), connections=self.server.connection_infos())}
+        elif op == "trace":
+            payload = {"trace": cluster.trace_of(request["trace_id"], planes)}
+        elif op == "slow":
+            payload = {"slow": cluster.slow_requests(request.get("limit"), planes)}
+        else:
+            raise ServingError(f"the router does not answer {op!r} requests")
+        return messages.build_response(payload=payload)
 
     def _admitted_forward(
         self,
@@ -621,11 +594,11 @@ class ClusterTcpServer(AsyncWireServer):
     liveness), ``drain`` and ``rejoin`` (shard lifecycle) — useful for chaos
     drills, rolling restarts, and smoke tests.
 
-    When the cluster carries a :class:`~repro.serving.quotas.FairnessPolicy`
-    (or one is passed explicitly), the router enforces per-client rate and
-    in-flight quotas *before* forwarding: a throttled client gets a
-    ``QuotaExceededError`` reply with ``retry_after`` and its request never
-    costs a shard anything.
+    When the cluster's recipe carries a
+    :class:`~repro.serving.quotas.FairnessPolicy`, the router enforces
+    per-client rate and in-flight quotas *before* forwarding: a throttled
+    client gets a ``QuotaExceededError`` reply with ``retry_after`` and its
+    request never costs a shard anything.
     """
 
     connection_class = _RouterConnection
@@ -636,18 +609,14 @@ class ClusterTcpServer(AsyncWireServer):
         cluster: Any,
         host: str = "127.0.0.1",
         port: int = 0,
-        fairness: Optional[FairnessPolicy] = None,
-        slow_threshold: float = 1.0,
         wire_policy: str = "auto",
     ) -> None:
         self.cluster = cluster
-        if fairness is None:
-            fairness = getattr(cluster, "fairness", None)
-        self.ledger = QuotaLedger(fairness)
+        self.ledger = QuotaLedger(cluster.recipe.fairness)
         #: The router's own telemetry plane: forward/admission spans, router
         #: counters, and router-side slow-request detection (end-to-end
         #: latency as the client experienced it, including the shard hop).
-        self.telemetry = Telemetry(slow_threshold=slow_threshold, shard="router")
+        self.telemetry = Telemetry(slow_threshold=cluster.recipe.slow_threshold, shard="router")
         super().__init__(host, port, wire_policy)
 
 

@@ -58,12 +58,13 @@ CHUNK_BYTES = 256 * 1024
 #: Requests whose blobs total more than this are streamed as chunks.
 STREAM_THRESHOLD_BYTES = 1024 * 1024
 
-#: Per-connection ceiling on buffered upload bytes, and on concurrent
-#: assembling uploads — a misbehaving peer cannot pin unbounded memory.
+#: Ceiling on one upload's buffered bytes, and on concurrent assembling
+#: uploads per upload namespace (see :class:`UploadState`: a direct client's
+#: namespace is its connection) — a misbehaving peer cannot pin unbounded memory.
 MAX_UPLOAD_BYTES = MAX_FRAME_BYTES
 MAX_OPEN_UPLOADS = 4
 
-#: Upload ids one connection may have outstanding in any state — assembling,
+#: Upload ids one namespace may have outstanding in any state — assembling,
 #: poisoned and waiting to be reported, or (at a relay) not yet claimed.  The
 #: first ids past :data:`MAX_OPEN_UPLOADS` are still answered on the request
 #: that references them; a peer that keeps minting ids past this is dropped.
@@ -163,6 +164,12 @@ class _Upload:
         self.total = 0
 
 
+def _namespace(upload_id: str) -> str:
+    """What a relay prefixed an upload id with ("" for a direct client's id)."""
+    prefix, slash, _rest = upload_id.partition("/")
+    return prefix if slash else ""
+
+
 class UploadState:
     """Per-connection assembly of chunked blob uploads.
 
@@ -177,9 +184,13 @@ class UploadState:
     and the owner drops the connection, as for a malformed chunk.
 
     A relay that multiplexes several clients onto this connection (the
-    cluster router) sends ``{"upload": id, "discard": true}`` for an upload
-    whose client went away, so abandoned buffers do not count against
-    :data:`MAX_OPEN_UPLOADS` forever.
+    cluster router) prefixes each client's ids with ``<its connection key>/``,
+    and the two caps are charged per such *namespace* (a direct client's ids
+    have none: the empty namespace, the whole connection) — otherwise one
+    client behind the relay could exhaust the caps of every neighbour sharing
+    the upstream connection.  The relay sends ``{"upload": id, "discard":
+    true}`` for an upload whose client went away, so abandoned buffers do not
+    count against :data:`MAX_OPEN_UPLOADS` forever.
     """
 
     def __init__(self) -> None:
@@ -197,11 +208,13 @@ class UploadState:
             return
         upload = self._uploads.get(upload_id)
         if upload is None:
-            if len(self._uploads) >= MAX_TRACKED_UPLOADS:
+            namespace = _namespace(upload_id)
+            tracked = sum(1 for known in self._uploads if _namespace(known) == namespace)
+            if tracked >= MAX_TRACKED_UPLOADS:
                 raise TransportError(
                     f"connection has {MAX_TRACKED_UPLOADS} unclaimed uploads"
                 )
-            if len(self._uploads) >= MAX_OPEN_UPLOADS:
+            if tracked >= MAX_OPEN_UPLOADS:
                 upload = _Upload()
                 upload.error = (
                     f"connection exceeds {MAX_OPEN_UPLOADS} concurrent uploads"

@@ -102,8 +102,6 @@ class LoopbackUpstream:
 class StubCluster:
     """The one thing a router connection forwards through: ``_call``."""
 
-    fairness = None
-
     def __init__(self, upstream):
         self.upstream = upstream
         self.routed = []
@@ -290,6 +288,86 @@ class TestSansIoConnection:
                     wire.UPLOAD_KEY: f"u{wire.protocol.MAX_OPEN_UPLOADS}"}
         reply = exchange(conn, on_wire(wire.BINARY, over_cap))
         assert reply["kind"] == "SerializationError" and "concurrent uploads" in reply["error"]
+
+
+class TestRelayedUploadNamespaces:
+    """Upload caps are charged per client behind the router, not per upstream
+    connection: several router connections share one in-memory shard connection
+    (as the clients of one dispatch worker share one upstream socket)."""
+
+    class SharedUpstream(LoopbackUpstream):
+        """The loopback, noting whether the shard ever dropped the connection
+        every client shares (the router swallows a failed chunk relay)."""
+
+        dropped = False
+
+        def send(self, framing, frame_type, parts):
+            self.sent.append((framing, frame_type, parts))
+            reply, keep_open = self.conn.handle(decode_reply(framing.encode(frame_type, parts)))
+            self.dropped = self.dropped or not keep_open
+            return reply
+
+    @pytest.fixture
+    def fleet(self):
+        server = EvaServer(backend=MockBackend(error_model="none"), workers=1)
+        server.register("poly", make_poly_program())
+        try:
+            shard = netserver._ShardConnection(FakeListener(server), 1, "test:0")
+            upstream = self.SharedUpstream(shard)
+            router = FakeRouter(StubCluster(upstream))
+            yield shard, lambda key: netserver._RouterConnection(router, key, f"test:{key}")
+            assert not upstream.dropped, "the shard dropped the shared upstream connection"
+        finally:
+            server.close()
+
+    def test_five_relayed_clients_with_one_open_upload_each_all_complete(self, fleet):
+        shard, connect = fleet
+        clients = [(connect(key), chunked_submit(wire.BINARY, f"relayed-{key}")) for key in range(10, 15)]
+        for conn, stream in clients:  # every client opens its upload ...
+            assert exchange(conn, stream[0]) is None
+        assert len(shard.uploads) == 5  # ... five open at once on one upstream connection
+        for conn, stream in clients:
+            replies = [exchange(conn, data) for data in stream[1:]]
+            outputs_are([3.0, 7.0])(replies[-1])
+        assert len(shard.uploads) == 0
+
+    def test_a_flooding_client_loses_only_its_own_uploads(self, fleet):
+        shard, connect = fleet
+        neighbour, stream = connect(20), chunked_submit(wire.BINARY, "neighbour")
+        assert exchange(neighbour, stream[0]) is None
+
+        def chunk(index):
+            envelope = {"upload": f"u{index}", "blob": 0, "eof": False, "client_id": "flood"}
+            return decode_reply(wire.encode_frame(wire.FRAME_CHUNK, *wire.join_message(envelope, [b"x"])))
+
+        flooder = connect(21)
+        for index in range(wire.MAX_TRACKED_UPLOADS):
+            assert flooder.handle(chunk(index)) == (b"", True)
+        # The router cuts the flooder off at its own cap; what the listener
+        # does next (close) discards that client's uploads on the shard.
+        assert flooder.handle(chunk(wire.MAX_TRACKED_UPLOADS)) == (b"", False)
+        assert flooder.needs_close
+        flooder.close()
+        assert len(shard.uploads) == 1  # the neighbour's, untouched
+        replies = [exchange(neighbour, data) for data in stream[1:]]
+        outputs_are([3.0, 7.0])(replies[-1])
+        assert len(shard.uploads) == 0
+
+    def test_a_direct_clients_caps_are_per_connection(self, fleet):
+        """No namespace: the limits and the errors of a direct client are unchanged
+        (the boundary itself is ``test_upload_bookkeeping_is_bounded``)."""
+        uploads = wire.UploadState()
+        for index in range(wire.protocol.MAX_OPEN_UPLOADS + 1):
+            uploads.add_chunk({"upload": f"up-{index}", "blob": 0, "eof": True}, b"x")
+        assert uploads.finish("up-0") == [bytearray(b"x")]
+        with pytest.raises(Exception, match="connection exceeds 4 concurrent uploads"):
+            uploads.finish(f"up-{wire.protocol.MAX_OPEN_UPLOADS}")
+        # A relayed id is charged to its own namespace, whatever follows the first slash.
+        for index in range(wire.protocol.MAX_OPEN_UPLOADS + 1):
+            uploads.add_chunk({"upload": f"7/a/{index}", "blob": 0, "eof": True}, b"y")
+        assert uploads.finish("7/a/0") == [bytearray(b"y")]
+        with pytest.raises(Exception, match="concurrent uploads"):
+            uploads.finish(f"7/a/{wire.protocol.MAX_OPEN_UPLOADS}")
 
 
 class TestRouterPassthrough:

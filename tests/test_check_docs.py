@@ -9,14 +9,21 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.fixture(scope="module")
-def check_docs():
-    spec = importlib.util.spec_from_file_location(
-        "check_docs", REPO_ROOT / "tools" / "check_docs.py"
-    )
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def check_docs():
+    return _load_tool("check_docs")
+
+
+@pytest.fixture(scope="module")
+def surface():
+    return _load_tool("surface")
 
 
 class TestCheckDocs:
@@ -82,9 +89,85 @@ class TestCheckDocs:
             "wire-protocol.md: feature table lacks `seeded`"
         ]
 
+    def test_lifecycle_table_must_match_the_machine_both_ways(self, check_docs):
+        doc = (REPO_ROOT / "docs" / "operations.md").read_text()
+        assert check_docs.check_lifecycle_table(doc) == []
+        row = next(line for line in doc.splitlines() if line.startswith("| `probe_failed`"))
+        # The doc claims a transition the machine does not make ...
+        wrong = row.replace("| — | `dead` | `drained` |", "| — | `dead` | `dead` |")
+        assert wrong != row
+        assert check_docs.check_lifecycle_table(doc.replace(row, wrong)) == [
+            "operations.md: lifecycle table says (drained, probe_failed) -> dead, "
+            "the code says drained"
+        ]
+        # ... drops an event the machine has ...
+        assert check_docs.check_lifecycle_table(doc.replace(row + "\n", "")) == [
+            f"operations.md: lifecycle table says ({state}, probe_failed) -> None, "
+            f"the code says {target}"
+            for state, target in (("dead", "dead"), ("drained", "drained"), ("live", "dead"))
+        ]
+        # ... or allows what the machine refuses.
+        drain = next(line for line in doc.splitlines() if line.startswith("| `drain`"))
+        allowed = drain.replace("| `drained` | `drained` | — |", "| `drained` | `drained` | `drained` |")
+        assert allowed != drain
+        assert check_docs.check_lifecycle_table(doc.replace(drain, allowed)) == [
+            "operations.md: lifecycle table has (dead, drain) -> drained, which the code refuses"
+        ]
+        assert check_docs.check_lifecycle_table("# Operations\n") == [
+            "operations.md: shard lifecycle table missing"
+        ]
+
     def test_fails_on_missing_doc_file(self, check_docs, tmp_path):
         docs = tmp_path / "docs"
         shutil.copytree(REPO_ROOT / "docs", docs)
         (docs / "wire-protocol.md").unlink()
         missing = check_docs.check(docs)
         assert any("file missing" in item for item in missing)
+
+
+class TestSurface:
+    """tools/surface.py: the line and option counts, and their committed ceilings."""
+
+    def test_counts_come_from_the_code(self, surface):
+        report = surface.measure(REPO_ROOT)
+        assert report["src_lines"] == sum(report["src_lines_by_package"].values()) > 10_000
+        assert report["src_lines_by_package"]["repro.serving"] > 1_000
+        # EvaCluster: its ten own parameters plus the fields of the recipe.
+        options = surface.constructor_options()
+        own = [name for name in options["EvaCluster"] if not name.startswith("recipe.")]
+        assert own == [
+            "shards", "replicas", "start_timeout", "request_timeout", "retries",
+            "health_interval", "wire", "remote_shards", "scale_policy", "scale_interval",
+        ]  # fmt: skip
+        assert "recipe.backend" in options["EvaCluster"]
+        assert "recipe.precompile_widths" in options["EvaCluster"]
+        assert set(options) == {"EvaServer", "JobEngine", "EvaCluster", "EvaluationEngine", "Evaluator"}
+        flags = surface.cli_flags()
+        assert "--cluster-config" in flags["serve"] and flags["info"] == []
+        assert report["cli_flags_total"] == sum(len(names) for names in flags.values())
+        assert report["options"] == (
+            sum(len(names) for names in options.values())
+            + report["cli_flags_total"]
+            + len(report["environ_reads"])
+        )
+
+    def test_check_passes_on_the_tree_and_fails_past_a_ceiling(self, surface, tmp_path, capsys):
+        assert surface.main(["--check"]) == 0
+        limits = surface.ceilings(REPO_ROOT)
+        report = surface.measure(REPO_ROOT)
+        assert report["src_lines"] <= limits["max_src_lines"]
+        assert report["options"] <= limits["max_options"]
+        # A checkout whose ceilings are one line too low fails, naming the count.
+        (tmp_path / "src").symlink_to(REPO_ROOT / "src")
+        (tmp_path / "pyproject.toml").write_text(
+            f"[tool.repro.surface]\nmax_src_lines = {report['src_lines'] - 1}\n"
+            f"max_options = {report['options']}\n"
+        )
+        capsys.readouterr()
+        assert surface.main(["--check", "--root", str(tmp_path)]) == 1
+        assert f"src_lines = {report['src_lines']} exceeds" in capsys.readouterr().err
+
+    def test_environ_reads_are_found(self, surface, tmp_path):
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "mod.py").write_text("import os\nX = os.environ.get('X')\n")
+        assert surface.environ_reads(tmp_path) == ["pkg/mod.py:2"]

@@ -24,7 +24,38 @@ from repro.serving import (
     EvaServer,
     ServingClient,
     SessionStore,
+    ShardConfig,
 )
+from repro.serving.membership import Membership
+
+
+def record_transitions(cluster):
+    """Record every event the cluster's IO shell feeds its membership machine
+    (wrap before ``start()``); see :func:`assert_replays`."""
+    events, apply = [], cluster.members.apply
+
+    def recording(index, event, generation=None):
+        events.append((index, event, generation))
+        return apply(index, event, generation)
+
+    cluster.members.apply = recording
+    return events
+
+
+def assert_replays(cluster, events, *expected):
+    """A fresh machine fed the recorded sequence ends in the cluster's table —
+    the process test and the sans-IO properties talk about the same machine."""
+    fresh = Membership(replicas=cluster.members.ring.replicas)
+    for index, event, generation in events:
+        try:
+            fresh.apply(index, event, generation)
+        except ServingError:
+            pass  # refused in the recording too: a refusal changes nothing
+    assert fresh.state == cluster.members.state
+    assert fresh.generation == cluster.members.generation
+    assert fresh.ring.nodes == cluster.ring.nodes == cluster.stats()["live"]
+    fed = {event for _index, event, _generation in events}
+    assert set(expected) <= fed, (expected, fed)
 
 
 def make_poly_program(name="poly", vec_size=32):
@@ -284,6 +315,7 @@ class TestClusterEndToEnd:
             batch_window=0.0,
         )
         cluster.register("poly", program)
+        events = record_transitions(cluster)
         cluster.start()
         router = None
         try:
@@ -340,6 +372,7 @@ class TestClusterEndToEnd:
             # Plaintext clients keep working after the loss too.
             outputs = cluster.request("poly", {"x": [1.0, 2.0]}, client_id="bob")
             np.testing.assert_allclose(outputs["y"][:2], expected, atol=1e-6)
+            assert_replays(cluster, events, "join", "process_died")
         finally:
             if router is not None:
                 router.shutdown()
@@ -356,6 +389,7 @@ class TestClusterEndToEnd:
             batch_window=0.0,
         )
         cluster.register("poly", program)
+        events = record_transitions(cluster)
         cluster.start()
         try:
             outputs = cluster.request("poly", {"x": [1.0, 2.0]}, client_id="alice")
@@ -380,6 +414,10 @@ class TestClusterEndToEnd:
             assert statuses == {0: "live", 1: "live"}
             # Rejoining a live in-ring shard is a no-op, not an error.
             assert not cluster.rejoin_shard(victim)["respawned"]
+            assert cluster.members.generation[victim] == 1
+            assert_replays(
+                cluster, events, "process_died", "rejoin_respawned", "rejoin", "probe_ok"
+            )
         finally:
             cluster.close()
 
@@ -389,6 +427,7 @@ class TestClusterEndToEnd:
             shards=2, backend=BackendSpec("mock-exact", seed=7), batch_window=0.0
         )
         cluster.register("poly", program)
+        events = record_transitions(cluster)
         cluster.start()
         try:
             home = cluster.shard_for("alice")
@@ -410,6 +449,7 @@ class TestClusterEndToEnd:
             cluster.request("poly", {"x": [1.0]}, client_id="alice")
             with pytest.raises(ServingError, match="no shard"):
                 cluster.drain_shard(99)
+            assert_replays(cluster, events, "drain", "rejoin", "probe_ok")
         finally:
             cluster.close()
 
@@ -476,6 +516,7 @@ class TestClusterEndToEnd:
             shards=2, backend=BackendSpec("mock-exact", seed=7), batch_window=0.0
         )
         cluster.register("poly", make_poly_program())
+        events = record_transitions(cluster)
         cluster.start()
         try:
             cluster.drain_shard(0)
@@ -490,6 +531,7 @@ class TestClusterEndToEnd:
             assert 0 in stats["dead"] and 0 not in stats["drained"]
             # ... and rejoin still brings it back (respawned).
             assert cluster.rejoin_shard(0)["respawned"]
+            assert_replays(cluster, events, "drain", "process_died", "rejoin_respawned")
         finally:
             cluster.close()
 
@@ -567,6 +609,95 @@ class TestClusterEndToEnd:
             cluster.kill_shard(0)
             with pytest.raises(ServingError, match="no live shards"):
                 cluster.request("poly", {"x": [1.0]}, client_id="alice")
+        finally:
+            cluster.close()
+
+
+class TestRecipe:
+    """``ShardConfig``: one validated description of a serving process."""
+
+    CONFIG = (
+        '[cluster]\nshards = 1\nbackend = "mock-exact"\nbatch_window = 0\n\n'
+        "[cluster.fairness]\nquota_rps = 50.0\nburst = 100\n"
+        "[cluster.fairness.weights]\nalice = 2.0\n"
+        '[cluster.fairness.slo_classes]\nalice = "tight"\n'
+        "[cluster.fairness.class_deadlines_ms]\ntight = 5000.0\n"
+    )
+
+    def test_config_file_tables_are_coerced_before_any_process_exists(self, tmp_path):
+        """`[cluster] backend = "mock-exact"` used to die inside the spawned
+        shard (`'str' object has no attribute 'build'`)."""
+        from repro import tomlcompat
+        from repro.serving import FairnessPolicy, load_cluster_config
+
+        assert tomlcompat._parse_toml_minimal(self.CONFIG) == tomlcompat.loads(self.CONFIG)
+        config = tmp_path / "cluster.toml"
+        config.write_text(self.CONFIG)
+        cluster = EvaCluster(**load_cluster_config(config)["cluster"])
+        assert cluster.recipe.backend == BackendSpec("mock-exact")
+        assert cluster.recipe.batch_window == 0.0 and isinstance(cluster.recipe.batch_window, float)
+        assert cluster.recipe.fairness == FairnessPolicy(
+            quota_rps=50.0, burst=100, weights={"alice": 2.0},
+            slo_classes={"alice": "tight"}, class_deadlines_ms={"tight": 5000.0},
+        )  # fmt: skip
+        program = make_poly_program()
+        cluster.register("poly", program)
+        cluster.start()
+        try:
+            outputs = cluster.request("poly", {"x": [1.0, 2.0]}, client_id="alice")
+            expected = execute_reference(program.graph, {"x": [1.0, 2.0]})["y"][:2]
+            np.testing.assert_allclose(outputs["y"][:2], expected, atol=1e-6)
+            assert cluster.stats()["fairness"] is True
+        finally:
+            cluster.close()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("backend", 7),
+            ("backend", "mock-exat"),
+            ("backend", {"name": "mock", "sed": 1}),
+            ("fairness", {"quota_rps": -1.0}),
+            ("fairness", "strict"),
+            ("workers", "two"),
+            ("workers", True),
+            ("batch_window", "5ms"),
+            ("session_dir", 12),
+            ("log_json", "yes"),
+            ("precompile_widths", 1.5),
+        ],
+    )
+    def test_a_bad_value_fails_in_the_parent_naming_the_key(self, key, value):
+        import multiprocessing
+
+        children = set(multiprocessing.active_children())
+        with pytest.raises(ServingError, match=key):
+            EvaCluster(shards=1, **{key: value})
+        assert set(multiprocessing.active_children()) == children
+        with pytest.raises(TypeError, match="no_such_key"):  # "bad [cluster] config key"
+            EvaCluster(shards=1, no_such_key=1)
+
+    def test_table_forms_and_paths(self, tmp_path):
+        recipe = ShardConfig(
+            backend={"name": "mock", "seed": 3, "op_latency": 0.001},
+            session_dir=tmp_path, artifact_dir=str(tmp_path), session_ttl=60, batch_window=1,
+        )  # fmt: skip
+        assert recipe.backend == BackendSpec("mock", seed=3, op_latency=0.001)
+        assert recipe.session_dir == recipe.artifact_dir == str(tmp_path)
+        assert recipe.session_ttl == 60.0 and recipe.batch_window == 1.0
+        assert ShardConfig().backend == BackendSpec() and ShardConfig().fairness is None
+
+    def test_precompile_widths_reaches_every_shard(self):
+        """The knob `serve` documented as "single-process serve only"."""
+        cluster = EvaCluster(
+            shards=2, backend="mock-exact", batch_window=0.0, precompile_widths=2
+        )
+        cluster.register("poly", make_poly_program())
+        cluster.start()
+        try:
+            per_shard = cluster.stats()["per_shard"]
+            assert sorted(per_shard) == ["0", "1"]
+            assert all(stats["precompile"]["enabled"] is True for stats in per_shard.values())
         finally:
             cluster.close()
 
@@ -872,10 +1003,11 @@ class TestClusterTelemetry:
             cluster.close()
 
     def test_router_merges_shard_trace_into_echo(self):
-        cluster = self._make_cluster()
+        # The router reads its slow threshold from the cluster's recipe.
+        cluster = self._make_cluster(slow_threshold=0.0)
         router = None
         try:
-            router = ClusterTcpServer(cluster, port=0, slow_threshold=0.0)
+            router = ClusterTcpServer(cluster, port=0)
             router.start_background()
             host, port = router.address
             with ServingClient(host, port) as client:
@@ -984,7 +1116,7 @@ class TestRemoteShards:
             tcp.shutdown()
             tcp.server_close()
             eva.close()
-            cluster._drop_probe_client(1)
+            cluster._drop_connection(cluster._probe_clients, 1)
             statuses = {h["index"]: h["status"] for h in cluster.check_health()}
             assert statuses[1] == "dead"
             outputs = cluster.request("poly", {"x": [1.0, 2.0]}, client_id=client_id)
@@ -1114,38 +1246,44 @@ class TestAutoscaling:
         cluster.register("poly", make_poly_program())
         cluster.start()
         try:
+            clock = [0.0]
+
+            def tick(queue_depth):
+                clock[0] += 1.0
+                return cluster.scale_tick(queue_depth=queue_depth, now=clock[0])
+
             # One high observation is not enough; a mid-band observation
             # resets the streak (the no-flap property).
-            assert cluster.scale_tick(queue_depth=50) is None
-            assert cluster.scale_tick(queue_depth=5) is None
-            assert cluster.scale_tick(queue_depth=50) is None
-            action = cluster.scale_tick(queue_depth=50)
+            assert tick(50) is None
+            assert tick(5) is None
+            assert tick(50) is None
+            action = tick(50)
             assert action["action"] == "up" and action["reason"] == "spawn"
             assert action["shard"] == 2 and cluster.stats()["live"] == [0, 1, 2]
 
             # Cooldown gates the next action even with a sustained breach.
-            assert cluster.scale_tick(queue_depth=50) is None
-            assert cluster.scale_tick(queue_depth=50) is None
-            cluster._last_scale_at = None  # test hook: expire the cooldown
+            assert tick(50) is None
+            assert tick(50) is None
+            clock[0] += 3600.0  # the cooldown passes
 
             # Low-watermark streak drains the newest local shard (parked,
             # not killed)...
-            assert cluster.scale_tick(queue_depth=0) is None
-            action = cluster.scale_tick(queue_depth=0)
+            assert tick(0) is None
+            action = tick(0)
             assert action["action"] == "down" and action["shard"] == 2
             assert cluster.stats()["drained"] == [2]
-            cluster._last_scale_at = None
+            clock[0] += 3600.0
 
             # ... so the next scale-up is a cheap rejoin, not a spawn.
-            assert cluster.scale_tick(queue_depth=50) is None
-            action = cluster.scale_tick(queue_depth=50)
+            assert tick(50) is None
+            action = tick(50)
             assert action["action"] == "up" and action["reason"] == "rejoin"
             assert cluster.stats()["live"] == [0, 1, 2]
-            cluster._last_scale_at = None
+            clock[0] += 3600.0
 
             # max_shards caps growth even under a sustained breach.
-            assert cluster.scale_tick(queue_depth=50) is None
-            assert cluster.scale_tick(queue_depth=50) is None
+            assert tick(50) is None
+            assert tick(50) is None
             assert len(cluster.stats()["live"]) == 3
 
             # The decisions landed on the cluster's own telemetry plane.

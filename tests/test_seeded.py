@@ -43,7 +43,7 @@ from repro.core.executor import execute_reference
 from repro.core.serialization.packing import expanded_seeds, raw_blobs, unpack_seed
 from repro.errors import ExecutionError, ParameterError, SerializationError, ServingError
 from repro.frontend import EvaProgram, input_encrypted, output
-from repro.serving import EvaServer, EvaTcpServer, ServingClient, SessionStore
+from repro.serving import EvaServer, EvaTcpServer, ServingClient, SessionStore, ShardConfig
 from repro.serving import netserver
 
 OPTIONS = CompilerOptions(max_rescale_bits=25)
@@ -505,7 +505,7 @@ class TestSeededWire:
         class OneShardCluster:
             """What a router connection forwards through: one upstream per worker thread."""
 
-            fairness = None
+            recipe = ShardConfig()  # where the router reads fairness / slow_threshold
 
             def __init__(self):
                 self.upstreams = {}

@@ -7,7 +7,7 @@ import pytest
 
 from repro import tomlcompat
 from repro.errors import ServingError
-from repro.serving import load_cluster_config
+from repro.serving import EvaCluster, load_cluster_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -68,6 +68,12 @@ def test_documented_cluster_config_loads(tmp_path):
     config = tmp_path / "cluster.toml"
     config.write_text(documented_cluster_config())
     parsed = load_cluster_config(config)
-    assert parsed["cluster"] == {"shards": 2, "batch_window": 0.01}
+    assert parsed["cluster"] == {
+        "shards": 2, "batch_window": 0.01, "backend": "mock-exact",
+        "fairness": {"quota_rps": 20.0, "max_inflight": 8, "slo_classes": {"trader": "tight"}},
+    }  # fmt: skip
+    # ... which is exactly what EvaCluster takes: its own arguments plus recipe fields.
+    recipe = EvaCluster(**parsed["cluster"]).recipe
+    assert recipe.backend.name == "mock-exact" and recipe.fairness.slo_classes == {"trader": "tight"}
     assert parsed["remote"] == [("10.0.0.5", 7001)]
     assert parsed["scale"].high_queue_depth == 32 and parsed["scale_interval"] == 1.0

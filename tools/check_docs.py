@@ -23,6 +23,11 @@ every piece of it:
   Features`` in ``docs/wire-protocol.md`` must name exactly those, in both
   directions (a documented feature no build grants is as wrong as a granted
   one nobody documented);
+* the shard lifecycle table in ``docs/operations.md`` (under ``## Shard
+  lifecycle``) -> it must state exactly
+  ``repro.serving.membership.TRANSITIONS``, in both directions: every
+  ``(state, event)`` pair of the code with the state it leads to, and ``—``
+  for every pair the machine refuses;
 * the committed benchmark baselines (``BENCH_*.json`` at the repo root) ->
   every one must be listed (and gated) by ``benchmarks/gates.toml``, every
   manifest entry must point at files that exist, and every baseline's
@@ -154,6 +159,47 @@ def check_feature_table(wire_doc: str) -> list:
     return complaints
 
 
+def check_lifecycle_table(operations_doc: str) -> list:
+    """The shard lifecycle table vs. ``membership.TRANSITIONS``."""
+    from repro.serving import membership
+
+    section = operations_doc.partition("## Shard lifecycle")[2].partition("\n## ")[0]
+    rows = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|")
+    ]
+    if len(rows) < 3:
+        return ["operations.md: shard lifecycle table missing"]
+    # One column per state, named in the header; the unnamed one is "no such shard".
+    columns = {}
+    for position, cell in enumerate(rows[0][1:], start=1):
+        named = [state for state in membership.STATES if f"`{state}`" in cell]
+        if named or position == 1:
+            columns[position] = named[0] if named else None
+    documented = {}
+    for row in rows[2:]:
+        (event,) = re.findall(r"`([^`]+)`", row[0])[:1] or [row[0]]
+        for position, state in columns.items():
+            target = re.findall(r"`([^`]+)`", row[position])
+            if target:
+                documented[(state, event)] = target[0]
+    complaints = []
+    for (state, event), target in sorted(membership.TRANSITIONS.items(), key=repr):
+        found = documented.pop((state, event), None)
+        if found != target:
+            complaints.append(
+                f"operations.md: lifecycle table says ({state}, {event}) -> {found}, "
+                f"the code says {target}"
+            )
+    for (state, event), target in sorted(documented.items(), key=repr):
+        complaints.append(
+            f"operations.md: lifecycle table has ({state}, {event}) -> {target}, "
+            "which the code refuses"
+        )
+    return complaints
+
+
 def _load_benchmarks_module(name: str):
     """Import a module from benchmarks/ (a script directory, not a package)."""
     import importlib.util
@@ -230,6 +276,9 @@ def check(docs_dir: Path) -> list:
                 missing.append(
                     f"operations.md: {subcommand} flag {option!r} undocumented"
                 )
+
+    if operations_doc:
+        missing.extend(check_lifecycle_table(operations_doc))
 
     wire_doc = read("wire-protocol.md")
     for op in wire_ops():
