@@ -33,6 +33,7 @@ locally — the server never sees plaintext or the secret key::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import signal
 import sys
@@ -58,16 +59,6 @@ def _make_backend(name: str, seed: int):
     return BackendSpec(name=name, seed=seed).build()
 
 
-def _compiler_options(args) -> CompilerOptions:
-    """The compile flags (``add_compile_options``) as compiler options."""
-    return CompilerOptions(
-        policy=args.policy,
-        max_rescale_bits=args.max_rescale_bits,
-        security_level=args.security,
-        lane_width=args.lane_width,
-    )
-
-
 def cmd_info(args: argparse.Namespace) -> int:
     program = load(args.program)
     counts = {op.name: count for op, count in sorted(program.op_counts().items())}
@@ -86,7 +77,12 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     program = load(args.program)
-    options = _compiler_options(args)
+    options = CompilerOptions(
+        policy=args.policy,
+        max_rescale_bits=args.max_rescale_bits,
+        security_level=args.security,
+        lane_width=args.lane_width,
+    )
     result = EvaCompiler(options).compile(program)
     save(result.program, args.output)
     summary = dict(result.summary())
@@ -99,7 +95,12 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     program = load(args.program)
-    options = _compiler_options(args)
+    options = CompilerOptions(
+        policy=args.policy,
+        max_rescale_bits=args.max_rescale_bits,
+        security_level=args.security,
+        lane_width=args.lane_width,
+    )
     # The executable on disk may be an already-compiled program (containing
     # FHE-specific instructions); in that case only parameter selection is
     # needed.  Otherwise compile from scratch.
@@ -138,7 +139,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    options = _compiler_options(args)
+    options = CompilerOptions(
+        policy=args.policy,
+        max_rescale_bits=args.max_rescale_bits,
+        security_level=args.security,
+        lane_width=args.lane_width,
+    )
     # Load and validate everything before spinning up worker threads or
     # binding the port, so a bad invocation fails fast and clean.
     programs = {}
@@ -159,13 +165,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         programs[name] = program
     from .serving import ShardConfig, configure_logging, load_cluster_config
 
-    # One recipe for whatever kind of serving process this becomes: the flags
-    # below are its fields, whether they configure this process or N shards.
-    same_name = (
-        "session_dir", "host", "workers", "max_batch", "batch_window", "session_ttl",
-        "artifact_dir", "slow_threshold", "log_json", "log_level", "precompile_widths",
-    )  # fmt: skip
-    recipe = {field: getattr(args, field) for field in same_name}
+    # One recipe for whatever kind of serving process this becomes: a flag named
+    # after a recipe field is that field, whether it configures this process
+    # or N shards; the three spelled differently follow.
+    recipe = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(ShardConfig)
+        if hasattr(args, field.name)
+    }
     recipe.update(
         backend={"name": args.backend, "seed": args.seed},
         executor_threads=args.threads,
@@ -173,9 +180,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     configure_logging(json_logs=args.log_json, level=args.log_level)
     entries = [(name, program, options) for name, program in programs.items()]
-    if args.cluster_config or args.shards > 1:
-        config = load_cluster_config(args.cluster_config) if args.cluster_config else None
+    if args.cluster_config:
+        config = load_cluster_config(args.cluster_config)
         return _serve_cluster(args, recipe, entries, config)
+    if args.shards > 1:
+        return _serve_cluster(args, recipe, entries)
     return _serve_single(args, ShardConfig(**recipe), entries)
 
 
@@ -187,7 +196,11 @@ def _fairness_policy(args):
         raise EvaError("--quota-burst requires --quota-rps")
     if args.quota_rps is None and args.max_inflight is None:
         return None
-    return dict(quota_rps=args.quota_rps, burst=args.quota_burst, max_inflight=args.max_inflight)
+    return {
+        "quota_rps": args.quota_rps,
+        "burst": args.quota_burst,
+        "max_inflight": args.max_inflight,
+    }
 
 
 def _serve_until_interrupted(tcp, engine, **banner) -> int:
@@ -229,7 +242,10 @@ def _serve_cluster(args, recipe, entries, config=None) -> int:
     from .serving import ClusterTcpServer, EvaCluster
 
     kwargs = dict(
-        recipe, shards=args.shards, health_interval=args.health_interval or None, wire=args.wire
+        recipe,
+        shards=args.shards,
+        health_interval=args.health_interval or None,
+        wire=args.wire,
     )
     if config is not None:
         # [cluster] table entries override the flag-derived kwargs; [[remote]]
@@ -250,7 +266,9 @@ def _serve_cluster(args, recipe, entries, config=None) -> int:
     cluster.start()
     # `wire` twice, on purpose: what the router speaks upstream (above) and
     # what its listener grants are different settings.
-    tcp = ClusterTcpServer(cluster, host=args.host, port=args.port, wire_policy=args.wire)
+    tcp = ClusterTcpServer(
+        cluster, host=args.host, port=args.port, wire_policy=args.wire
+    )
     return _serve_until_interrupted(
         tcp,
         cluster,
@@ -276,7 +294,12 @@ def cmd_submit(args: argparse.Namespace) -> int:
                 )
             from .api import ClientKit, CompiledProgram
 
-            options = _compiler_options(args)
+            options = CompilerOptions(
+                policy=args.policy,
+                max_rescale_bits=args.max_rescale_bits,
+                security_level=args.security,
+                lane_width=args.lane_width,
+            )
             compiled = CompiledProgram.compile(load(args.program_file), options=options)
             kit = ClientKit(
                 compiled,

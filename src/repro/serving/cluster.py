@@ -64,9 +64,23 @@ from .. import tomlcompat
 from ..core.compiler import CompilerOptions
 from ..core.ir import Program
 from ..errors import EvaError, ServingError, TransportError
-from .membership import DEAD, DRAIN, DRAINED, JOIN, LIVE, PROBE_FAILED, PROBE_OK, PROCESS_DIED
-from .membership import REJOIN, REJOIN_RESPAWNED, TRANSPORT_FAILURE
-from .membership import Autoscaler, ConsistentHashRing, Membership, ScalePolicy
+from .membership import (
+    DEAD,
+    DRAIN,
+    DRAINED,
+    JOIN,
+    LIVE,
+    PROBE_FAILED,
+    PROBE_OK,
+    PROCESS_DIED,
+    REJOIN,
+    REJOIN_RESPAWNED,
+    TRANSPORT_FAILURE,
+    Autoscaler,
+    ConsistentHashRing,
+    Membership,
+    ScalePolicy,
+)
 from .quotas import FairnessPolicy
 from .telemetry import Telemetry, aggregate_snapshots, merge_traces, new_trace_id
 
@@ -90,7 +104,9 @@ class BackendSpec:
 
     def __post_init__(self) -> None:
         if self.name not in ("mock", "mock-exact", "ckks"):
-            raise EvaError(f"unknown backend {self.name!r} (choose mock, mock-exact, or ckks)")
+            raise EvaError(
+                f"unknown backend {self.name!r} (choose mock, mock-exact, or ckks)"
+            )
         if self.name == "ckks" and self.op_latency:
             raise EvaError("op_latency is a mock-backend knob")
 
@@ -124,7 +140,8 @@ def _from_table(key: str, value: Any, kind: type) -> Any:
 
 
 def _scalar(key: str, value: Any, kind: type, optional: bool) -> Any:
-    """``value`` checked against ``kind`` (an int is a fine float, a path a fine str)."""
+    """``value`` checked against ``kind`` (an int is a fine float, a path a
+    fine str)."""
     if value is None and optional:
         return None
     if kind is str and isinstance(value, os.PathLike):
@@ -191,9 +208,12 @@ class ShardConfig:
             key = spec.name
             if key not in ("backend", "fairness"):
                 kind = self._OPTIONAL.get(key) or type(spec.default)
-                setattr(self, key, _scalar(key, getattr(self, key), kind, key in self._OPTIONAL))
+                value = _scalar(key, getattr(self, key), kind, key in self._OPTIONAL)
+                setattr(self, key, value)
 
-    def build(self, programs: Iterable[Tuple[str, Any, Any]], shard: Optional[int] = None):
+    def build(
+        self, programs: Iterable[Tuple[str, Any, Any]], shard: Optional[int] = None
+    ):
         """The :class:`~repro.serving.server.EvaServer` this recipe describes.
 
         Opens the session store (pruning expired records, so a long-lived
@@ -211,7 +231,7 @@ class ShardConfig:
             pruned = session_store.prune()
             if pruned:
                 print(f"pruned {pruned} expired session record(s)", file=sys.stderr)
-        widths = self.precompile_widths
+        widths, artifacts = self.precompile_widths, self.artifact_dir
         server = EvaServer(
             backend=self.backend.build(),
             workers=self.workers,
@@ -220,7 +240,7 @@ class ShardConfig:
             batch_window=self.batch_window,
             executor_threads=self.executor_threads,
             session_store=session_store,
-            artifact_cache=ArtifactCache(self.artifact_dir) if self.artifact_dir else None,
+            artifact_cache=ArtifactCache(artifacts) if artifacts else None,
             fairness=self.fairness,
             precompile=LaneWidthPolicy(top_widths=widths) if widths else None,
             telemetry=Telemetry(slow_threshold=self.slow_threshold, shard=shard),
@@ -230,7 +250,9 @@ class ShardConfig:
         return server
 
 
-def _shard_main(config: ShardConfig, programs, index: int, ready):  # pragma: no cover - subprocess
+def _shard_main(
+    config: ShardConfig, programs, index: int, ready
+):  # pragma: no cover - subprocess
     """Entry point of one shard process: a full EvaServer behind TCP.
 
     Runs in a fresh ``spawn``-ed interpreter.  ``programs`` are ``(name, proto
@@ -244,10 +266,11 @@ def _shard_main(config: ShardConfig, programs, index: int, ready):  # pragma: no
         from .telemetry import configure_logging
 
         configure_logging(json_logs=config.log_json, level=config.log_level)
-        server = config.build(
-            [(name, deserialize(data, name=name), options) for name, data, options in programs],
-            shard=index,
-        )
+        entries = [
+            (name, deserialize(data, name=name), options)
+            for name, data, options in programs
+        ]
+        server = config.build(entries, shard=index)
         tcp = EvaTcpServer(server, host=config.host, port=0)
     except BaseException as exc:
         try:
@@ -300,13 +323,20 @@ class ShardHandle:
         return None if self.process is None else self.process.pid
 
     def alive(self) -> bool:
-        """Whether the shard looked alive at the last probe (remote) or is running (local)."""
+        """Whether the shard looked alive at the last probe (remote) or is
+        running (local)."""
         return self.last_probe_ok if self.remote else self.process.is_alive()
 
     def info(self) -> Dict[str, Any]:
         """Wire-friendly shard descriptor (index, mode, address, liveness)."""
-        return {"index": self.index, "pid": self.pid, "host": self.host, "port": self.port,
-                "alive": self.alive(), "mode": self.mode}
+        return {
+            "index": self.index,
+            "pid": self.pid,
+            "host": self.host,
+            "port": self.port,
+            "alive": self.alive(),
+            "mode": self.mode,
+        }
 
 
 # -- cluster config files ----------------------------------------------------------
@@ -444,7 +474,9 @@ class EvaCluster:
         #: must not both respawn the process, nor two joins share an index.
         self._rejoin_lock = threading.Lock()
         #: Remote ``(host, port)`` endpoints attached right after start().
-        self._remote_endpoints = [(str(host), int(port)) for host, port in remote_shards or []]
+        self._remote_endpoints = [
+            (str(host), int(port)) for host, port in remote_shards or []
+        ]
         #: The cluster's own telemetry plane: scale decisions, join events —
         #: aggregated into the fleet metrics snapshot next to the shards'.
         self.telemetry = Telemetry(shard="cluster")
@@ -479,12 +511,15 @@ class EvaCluster:
             raise ServingError(f"cannot register {type(program).__name__} as a program")
         from ..core.serialization.proto import serialize
 
-        if lane_width is not None:  # folded into the options, as EvaServer.register does it
+        if lane_width is not None:
+            # Folded into the options, as EvaServer.register does it.
             options = replace(options or CompilerOptions(), lane_width=int(lane_width))
         self._programs.append((str(name), serialize(graph), options))
 
     # -- lifecycle ---------------------------------------------------------------
-    def _transition(self, index: int, event: str, generation=None, handle=None) -> Optional[str]:
+    def _transition(
+        self, index: int, event: str, generation=None, handle=None
+    ) -> Optional[str]:
         """The one place membership changes: one event into the table, under
         the state lock, installing the handle a join or a respawn came with."""
         with self._lock:
@@ -526,7 +561,8 @@ class EvaCluster:
                 parent_end.close()
                 if status != "ok":
                     raise ServingError(f"shard {index} failed to start: {payload}")
-                handles.append(ShardHandle(index, process, self.recipe.host, int(payload["port"])))
+                port = int(payload["port"])
+                handles.append(ShardHandle(index, process, self.recipe.host, port))
         except BaseException:
             for _index, process, _parent_end in pending:
                 if process.is_alive():
@@ -553,7 +589,10 @@ class EvaCluster:
         for name, interval, step in loops:
             if interval is not None:
                 thread = threading.Thread(
-                    target=self._run_every, args=(interval, step), name=name, daemon=True
+                    target=self._run_every,
+                    args=(interval, step),
+                    name=name,
+                    daemon=True,
                 )
                 thread.start()
                 self._threads.append(thread)
@@ -583,7 +622,9 @@ class EvaCluster:
             _close_quietly(client)
         # Remote shards are attached, not owned: closing the front door
         # leaves their processes running wherever they live.
-        owned = [handle.process for handle in self._handles.values() if not handle.remote]
+        owned = [
+            handle.process for handle in self._handles.values() if not handle.remote
+        ]
         for process in owned:
             if process.is_alive():
                 process.terminate()
@@ -606,7 +647,12 @@ class EvaCluster:
         """Routing info for one client (exposed as the wire ``route`` op)."""
         index = self.shard_for(client_id)
         handle = self._handles[index]
-        return {"client_id": str(client_id), "shard": index, "pid": handle.pid, "port": handle.port}
+        return {
+            "client_id": str(client_id),
+            "shard": index,
+            "pid": handle.pid,
+            "port": handle.port,
+        }
 
     def shard_infos(self) -> List[Dict[str, Any]]:
         """Descriptors of every shard handle, ordered by index."""
@@ -649,7 +695,8 @@ class EvaCluster:
         index, ok = handle.index, False
         for _attempt in range(2 if index in self._probe_clients else 1):
             try:
-                ok = self._connection(self._probe_clients, index, timeout, "json").ping()
+                probe = self._connection(self._probe_clients, index, timeout, "json")
+                ok = probe.ping()
             except Exception:
                 ok = False
             if ok:
@@ -687,12 +734,29 @@ class EvaCluster:
         """
         report = []
         for index in sorted(self._handles):
-            handle, generation, alive, responsive = self._observe(index, probe)
-            event = PROBE_OK if responsive else PROBE_FAILED if alive else PROCESS_DIED
-            status = self._transition(index, event, generation)
-            row = {"index": index, "mode": handle.mode, "pid": handle.pid, "port": handle.port}
-            row.update(alive=alive, responsive=responsive, in_ring=status == LIVE, status=status)
-            report.append(row)
+            for _attempt in range(2):
+                handle, generation, alive, responsive = self._observe(index, probe)
+                if responsive:
+                    event = PROBE_OK
+                else:
+                    event = PROBE_FAILED if alive else PROCESS_DIED
+                status = self._transition(index, event, generation)
+                if handle is self._handles[index]:
+                    break
+                # Respawned while we probed: the verdict was on the corpse and
+                # the table ignored it, so the row describes the successor.
+            report.append(
+                {
+                    "index": index,
+                    "mode": handle.mode,
+                    "pid": handle.pid,
+                    "port": handle.port,
+                    "alive": alive,
+                    "responsive": responsive,
+                    "in_ring": status == LIVE,
+                    "status": status,
+                }
+            )
         return report
 
     def drain_shard(self, index: int) -> Dict[str, Any]:
@@ -739,9 +803,16 @@ class EvaCluster:
                 respawned = True
             # A respawn bumps the generation: connections cached against the
             # dead process are dropped lazily, by every thread.
-            self._transition(index, REJOIN_RESPAWNED if respawned else REJOIN, handle=handle)
-        return {"shard": index, "status": "rejoined", "respawned": respawned,
-                "pid": handle.pid, "port": handle.port, "mode": handle.mode}
+            event = REJOIN_RESPAWNED if respawned else REJOIN
+            self._transition(index, event, handle=handle)
+        return {
+            "shard": index,
+            "status": "rejoined",
+            "respawned": respawned,
+            "pid": handle.pid,
+            "port": handle.port,
+            "mode": handle.mode,
+        }
 
     def attach_shard(self, host: str, port: int) -> Dict[str, Any]:
         """Attach a running remote shard at ``host:port`` to the ring.
@@ -759,13 +830,16 @@ class EvaCluster:
         from .netserver import ServingClient
 
         try:
-            with ServingClient(host, port, timeout=self.request_timeout, wire="json") as probe:
+            with ServingClient(
+                host, port, timeout=self.request_timeout, wire="json"
+            ) as probe:
                 if not probe.ping():
                     raise TransportError("endpoint did not answer the ping")
                 remote_programs = set(probe.programs())
         except Exception as exc:
             raise ServingError(f"cannot attach shard at {host}:{port}: {exc}") from exc
-        missing = sorted({name for name, _data, _options in self._programs} - remote_programs)
+        registered = {name for name, _data, _options in self._programs}
+        missing = sorted(registered - remote_programs)
         if missing:
             raise ServingError(
                 f"remote shard at {host}:{port} does not serve the cluster's "
@@ -773,12 +847,20 @@ class EvaCluster:
                 "same program set"
             )
         with self._rejoin_lock:
-            endpoints = {(h.host, h.port): h.index for h in self._handles.values() if h.remote}
+            endpoints = {
+                (h.host, h.port): h.index for h in self._handles.values() if h.remote
+            }
             index = endpoints.get((host, port), self._next_index())
             # A fresh handle either way: it just answered, so it starts live.
             self._transition(index, JOIN, handle=ShardHandle(index, None, host, port))
         self.telemetry.inc("cluster.shards.joined")
-        return {"shard": index, "status": "joined", "mode": "remote", "host": host, "port": port}
+        return {
+            "shard": index,
+            "status": "joined",
+            "mode": "remote",
+            "host": host,
+            "port": port,
+        }
 
     def _next_index(self) -> int:
         return max(self._handles, default=self.shards - 1) + 1
@@ -797,8 +879,13 @@ class EvaCluster:
             index = self._next_index()
             (handle,) = self._spawn_shards([index])
             self._transition(index, JOIN, handle=handle)
-        return {"shard": index, "status": "added", "mode": "local",
-                "pid": handle.pid, "port": handle.port}
+        return {
+            "shard": index,
+            "status": "added",
+            "mode": "local",
+            "pid": handle.pid,
+            "port": handle.port,
+        }
 
     # -- autoscaling ---------------------------------------------------------------
     def _observed_queue_depth(self) -> float:
@@ -808,7 +895,9 @@ class EvaCluster:
             for _index, stats in self._each_live(lambda client: client.stats())
         )
 
-    def scale_tick(self, queue_depth: Optional[float] = None, now: Optional[float] = None):
+    def scale_tick(
+        self, queue_depth: Optional[float] = None, now: Optional[float] = None
+    ):
         """One autoscaler observation; returns the action taken (or None).
 
         ``queue_depth`` defaults to the observed fleet-wide depth and ``now``
@@ -864,7 +953,9 @@ class EvaCluster:
         return dict(result, action=decision, reason=reason)
 
     # -- request plumbing ---------------------------------------------------------
-    def _connection(self, cache: Dict[int, Tuple[int, Any]], index: int, timeout, wire: str):
+    def _connection(
+        self, cache: Dict[int, Tuple[int, Any]], index: int, timeout, wire: str
+    ):
         """The connection to shard ``index`` held in ``cache`` (created on demand).
 
         The one lookup behind both connection caches — a thread's request
@@ -880,18 +971,23 @@ class EvaCluster:
             cached = cache.get(index)
         if cached is not None and cached[0] == generation:
             return cached[1]
-        self._drop_connection(cache, index)
         client = ServingClient(handle.host, handle.port, timeout=timeout, wire=wire)
-        with self._lock:
-            cache[index] = (generation, client)
-            self._all_clients.add(client)
+        self._drop_connection(cache, index, (generation, client))
         return client
 
-    def _drop_connection(self, cache: Dict[int, Tuple[int, Any]], index: int) -> None:
+    def _drop_connection(
+        self, cache: Dict[int, Tuple[int, Any]], index: int, successor=None
+    ) -> None:
+        """Close ``cache[index]`` and put ``successor`` (if any) in its place —
+        one step, so of two threads that miss the same shared (probe) entry
+        the loser's connection is closed, not leaked."""
         with self._lock:
             cached = cache.pop(index, None)
             if cached is not None:
                 self._all_clients.discard(cached[1])
+            if successor is not None:
+                cache[index] = successor
+                self._all_clients.add(successor[1])
         if cached is not None:
             _close_quietly(cached[1])
 
@@ -903,7 +999,9 @@ class EvaCluster:
 
     def _client_for(self, index: int):
         """This thread's cached connection to one shard."""
-        return self._connection(self._thread_clients(), index, self.request_timeout, self.wire)
+        return self._connection(
+            self._thread_clients(), index, self.request_timeout, self.wire
+        )
 
     def _note_failure(self, index: int) -> None:
         """A request to ``index`` failed at the transport level.
@@ -917,8 +1015,9 @@ class EvaCluster:
         handle = self._handles.get(index)
         if handle is None:
             return
-        _handle, generation, alive, _responsive = self._observe(index, probe=handle.remote)
-        self._transition(index, TRANSPORT_FAILURE if alive else PROCESS_DIED, generation)
+        _handle, generation, alive, _ok = self._observe(index, probe=handle.remote)
+        event = TRANSPORT_FAILURE if alive else PROCESS_DIED
+        self._transition(index, event, generation)
 
     def _call(self, client_id: str, fn: Callable[[Any], Any]) -> Any:
         """Route ``client_id``, run ``fn(connection)``, fail over on dead shards."""
@@ -1057,8 +1156,11 @@ class EvaCluster:
     def stats(self) -> Dict[str, Any]:
         """Cluster-level view plus the per-shard server stats of live shards."""
         with self._lock:
-            live, dead, drained = (self.members.indices(s) for s in (LIVE, DEAD, DRAINED))
+            live = self.members.indices(LIVE)
+            dead = self.members.indices(DEAD)
+            drained = self.members.indices(DRAINED)
         fairness = self.recipe.fairness
+        per_shard = self._each_live(lambda client: client.stats())
         return {
             "shards": self.shards,
             "live": live,
@@ -1068,7 +1170,7 @@ class EvaCluster:
             "artifact_dir": self.recipe.artifact_dir,
             "health_interval": self.health_interval,
             "fairness": fairness is not None and fairness.enabled,
-            "per_shard": {str(i): s for i, s in self._each_live(lambda client: client.stats())},
+            "per_shard": {str(index): stats for index, stats in per_shard},
         }
 
     # -- telemetry fan-out ---------------------------------------------------------
@@ -1095,7 +1197,8 @@ class EvaCluster:
         self, trace_id: str, planes: Sequence[Telemetry] = ()
     ) -> Optional[Dict[str, Any]]:
         """One trace merged across shards (spans in timestamp order)."""
-        views = [view for _index, view in self._each_live(lambda c: c.trace_of(trace_id))]
+        replies = self._each_live(lambda client: client.trace_of(trace_id))
+        views = [view for _index, view in replies]
         views.extend(plane.trace_of(trace_id) for plane in planes)
         return merge_traces(views)
 

@@ -105,12 +105,24 @@ STATES = (LIVE, DRAINED, DEAD) = ("live", "drained", "dead")
 #: out to be alive (the retry reconnects).  ``drain`` / ``rejoin``: the admin
 #: ops; ``rejoin_respawned`` is a rejoin that had to start a new process, and
 #: the only event that bumps the shard's generation.
+JOIN = "join"
+PROBE_OK = "probe_ok"
+PROBE_FAILED = "probe_failed"
+PROCESS_DIED = "process_died"
+TRANSPORT_FAILURE = "transport_failure"
+DRAIN = "drain"
+REJOIN = "rejoin"
+REJOIN_RESPAWNED = "rejoin_respawned"
 EVENTS = (
-    JOIN, PROBE_OK, PROBE_FAILED, PROCESS_DIED, TRANSPORT_FAILURE, DRAIN, REJOIN, REJOIN_RESPAWNED,
-) = (
-    "join", "probe_ok", "probe_failed", "process_died", "transport_failure", "drain", "rejoin",
-    "rejoin_respawned",
-)  # fmt: skip
+    JOIN,
+    PROBE_OK,
+    PROBE_FAILED,
+    PROCESS_DIED,
+    TRANSPORT_FAILURE,
+    DRAIN,
+    REJOIN,
+    REJOIN_RESPAWNED,
+)
 
 #: ``(state, event) -> state``; a missing pair is refused (see ``apply``).
 TRANSITIONS: Dict[Tuple[Optional[str], str], str] = {
@@ -145,7 +157,9 @@ class Membership:
         #: observations of it (a probe that was in flight) are ignored.
         self.generation: Dict[int, int] = {}
 
-    def apply(self, index: int, event: str, generation: Optional[int] = None) -> Optional[str]:
+    def apply(
+        self, index: int, event: str, generation: Optional[int] = None
+    ) -> Optional[str]:
         """Apply one event to one shard; returns the shard's state afterwards.
 
         ``generation`` says which incarnation of the shard the event was
@@ -258,7 +272,8 @@ class Autoscaler:
             self.above = 0
         else:
             self.above = self.below = 0
-        if self.last_action_at is not None and now - self.last_action_at < policy.cooldown:
+        last = self.last_action_at
+        if last is not None and now - last < policy.cooldown:
             return None
         if self.above >= policy.observations and live < policy.max_shards:
             self.above = 0

@@ -502,7 +502,8 @@ class _RouterConnection(_WireConnection):
         elif op == "list":
             payload = {"programs": cluster.programs()}
         elif op == "stats":
-            payload = {"stats": dict(cluster.stats(), connections=self.server.connection_infos())}
+            connections = self.server.connection_infos()
+            payload = {"stats": dict(cluster.stats(), connections=connections)}
         elif op == "trace":
             payload = {"trace": cluster.trace_of(request["trace_id"], planes)}
         elif op == "slow":
@@ -616,7 +617,8 @@ class ClusterTcpServer(AsyncWireServer):
         #: The router's own telemetry plane: forward/admission spans, router
         #: counters, and router-side slow-request detection (end-to-end
         #: latency as the client experienced it, including the shard hop).
-        self.telemetry = Telemetry(slow_threshold=cluster.recipe.slow_threshold, shard="router")
+        threshold = cluster.recipe.slow_threshold
+        self.telemetry = Telemetry(slow_threshold=threshold, shard="router")
         super().__init__(host, port, wire_policy)
 
 

@@ -70,6 +70,15 @@ MAX_OPEN_UPLOADS = 4
 #: that references them; a peer that keeps minting ids past this is dropped.
 MAX_TRACKED_UPLOADS = 64
 
+#: Connection-wide ceilings beside the per-namespace ones, because the peer
+#: chooses its ids and so its namespaces: upload ids outstanding in any state
+#: across all namespaces (a new id past this drops the peer), and bytes
+#: buffered across all uploads (the upload that would pass it is poisoned) —
+#: what :data:`MAX_OPEN_UPLOADS` full uploads come to, the most one connection
+#: could ever pin, so a single namespace on its own never reaches it.
+MAX_CONNECTION_UPLOADS = 16 * MAX_TRACKED_UPLOADS
+MAX_CONNECTION_UPLOAD_BYTES = MAX_OPEN_UPLOADS * MAX_UPLOAD_BYTES
+
 _Bytes = Union[bytes, bytearray, memoryview]
 
 
@@ -188,32 +197,44 @@ class UploadState:
     and the two caps are charged per such *namespace* (a direct client's ids
     have none: the empty namespace, the whole connection) — otherwise one
     client behind the relay could exhaust the caps of every neighbour sharing
-    the upstream connection.  The relay sends ``{"upload": id, "discard":
-    true}`` for an upload whose client went away, so abandoned buffers do not
-    count against :data:`MAX_OPEN_UPLOADS` forever.
+    the upstream connection.  A namespace is whatever the peer wrote, so
+    beside them the connection as a whole stays under
+    :data:`MAX_CONNECTION_UPLOADS` ids and
+    :data:`MAX_CONNECTION_UPLOAD_BYTES` buffered bytes.  The relay sends
+    ``{"upload": id, "discard": true}`` for an upload whose client went away,
+    so abandoned buffers do not count against the caps forever.
     """
 
     def __init__(self) -> None:
         self._uploads: Dict[str, _Upload] = {}
+        #: Bytes held in ``blobs`` across every upload of this connection.
+        self._buffered = 0
 
     def __len__(self) -> int:
         return len(self._uploads)
+
+    def _release(self, upload: _Upload, error: Optional[str] = None) -> None:
+        """Stop counting an upload's buffers: it was claimed or discarded, or
+        (with ``error``) it is poisoned and keeps only the message."""
+        self._buffered -= sum(len(blob) for blob in upload.blobs)
+        if error is not None:
+            upload.error = error
+            upload.blobs = []
 
     def add_chunk(self, envelope: Dict[str, Any], data: _Bytes) -> None:
         """Buffer one chunk frame's blob slice (copies it — the frame buffer
         is released when the handler moves to the next message)."""
         upload_id = str(envelope.get("upload"))
         if envelope.get("discard"):
-            self._uploads.pop(upload_id, None)
+            if upload_id in self._uploads:
+                self._release(self._uploads.pop(upload_id))
             return
         upload = self._uploads.get(upload_id)
         if upload is None:
             namespace = _namespace(upload_id)
-            tracked = sum(1 for known in self._uploads if _namespace(known) == namespace)
-            if tracked >= MAX_TRACKED_UPLOADS:
-                raise TransportError(
-                    f"connection has {MAX_TRACKED_UPLOADS} unclaimed uploads"
-                )
+            tracked = sum(_namespace(known) == namespace for known in self._uploads)
+            if tracked >= MAX_TRACKED_UPLOADS or len(self) >= MAX_CONNECTION_UPLOADS:
+                raise TransportError(f"connection has {len(self)} unclaimed uploads")
             if tracked >= MAX_OPEN_UPLOADS:
                 upload = _Upload()
                 upload.error = (
@@ -226,24 +247,26 @@ class UploadState:
             return
         index = envelope.get("blob")
         if not isinstance(index, int) or index < 0 or index > len(upload.blobs):
-            upload.error = f"chunk references blob {index!r} out of order"
-            upload.blobs.clear()
+            self._release(upload, f"chunk references blob {index!r} out of order")
             return
         upload.total += len(data)
         if upload.total > MAX_UPLOAD_BYTES:
-            upload.error = (
-                f"upload exceeds the {MAX_UPLOAD_BYTES}-byte per-connection cap"
+            self._release(
+                upload, f"upload exceeds the {MAX_UPLOAD_BYTES}-byte per-connection cap"
             )
-            upload.blobs.clear()
+            return
+        if self._buffered + len(data) > MAX_CONNECTION_UPLOAD_BYTES:
+            limit = MAX_CONNECTION_UPLOAD_BYTES
+            self._release(upload, f"connection buffers more than {limit} upload bytes")
             return
         if index == len(upload.blobs):
             upload.blobs.append(bytearray())
             upload.complete.append(False)
         if upload.complete[index]:
-            upload.error = f"chunk appends to already-finished blob {index}"
-            upload.blobs.clear()
+            self._release(upload, f"chunk appends to already-finished blob {index}")
             return
         upload.blobs[index] += data
+        self._buffered += len(data)
         if envelope.get("eof"):
             upload.complete[index] = True
 
@@ -259,6 +282,7 @@ class UploadState:
             raise SerializationError(
                 f"request references unknown upload {upload_id!r}"
             )
+        self._release(upload)
         if upload.error is not None:
             raise SerializationError(f"upload {upload_id!r} failed: {upload.error}")
         if not all(upload.complete):

@@ -362,7 +362,8 @@ class TestRelayedUploadNamespaces:
         assert uploads.finish("up-0") == [bytearray(b"x")]
         with pytest.raises(Exception, match="connection exceeds 4 concurrent uploads"):
             uploads.finish(f"up-{wire.protocol.MAX_OPEN_UPLOADS}")
-        # A relayed id is charged to its own namespace, whatever follows the first slash.
+        # A relayed id is charged to its own namespace, whatever follows the first slash
+        # (what bounds a peer that mints namespaces: test_wire's connection-wide ceilings).
         for index in range(wire.protocol.MAX_OPEN_UPLOADS + 1):
             uploads.add_chunk({"upload": f"7/a/{index}", "blob": 0, "eof": True}, b"y")
         assert uploads.finish("7/a/0") == [bytearray(b"y")]

@@ -270,3 +270,54 @@ class TestBoundedResponse:
                 break
         else:
             assert cluster._live_shards()
+
+
+class TestShellRaces:
+    """Two interleavings the IO shell must survive, scripted on stub handles."""
+
+    _cluster = TestBoundedResponse._cluster
+
+    def test_a_shard_respawned_mid_probe_is_reported_as_its_successor(self):
+        script = SimpleNamespace(alive={0: True, 1: True})
+        cluster = self._cluster(shards=2, remote=0, retries=1, script=script)
+        corpse = cluster._handles[0]
+        corpse.process.is_alive = lambda: False
+        successor = ShardHandle(0, SimpleNamespace(pid=2000, is_alive=lambda: True), "stub", 99)
+        observe = cluster._observe
+
+        def observe_while_a_rejoin_lands(index, probe):
+            observed = observe(index, probe)
+            if observed[0] is corpse:  # the rejoin finishes before the verdict is applied
+                cluster._transition(0, REJOIN_RESPAWNED, handle=successor)
+            return observed
+
+        cluster._observe = observe_while_a_rejoin_lands
+        row = cluster.check_health()[0]
+        assert (row["pid"], row["port"]) == (2000, 99)
+        assert row["alive"] and row["responsive"] and row["in_ring"] and row["status"] == LIVE
+        assert cluster.members.generation[0] == 1
+
+    def test_the_loser_of_a_race_for_a_shared_connection_is_closed(self, monkeypatch):
+        cluster = self._cluster(2, 0, 1, SimpleNamespace(alive={0: True, 1: True}))
+        del cluster._drop_connection  # the real one, not _cluster's stub
+        made, cache = [], {}
+
+        class Connection:
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        def connect(host, port, timeout=None, wire="auto"):
+            if not made:  # a second thread misses the same entry while this one connects
+                made.append(None)
+                made[0] = cluster._connection(cache, 0, 2.0, "json")
+            made.append(Connection())
+            return made[-1]
+
+        monkeypatch.setattr("repro.serving.netserver.ServingClient", connect)
+        winner = cluster._connection(cache, 0, 2.0, "json")
+        loser = made[0]
+        assert winner is made[-1] and cache[0] == (0, winner)
+        assert loser.closed and not winner.closed
+        assert set(cluster._all_clients) == {winner}

@@ -538,6 +538,39 @@ class TestUploadState:
             state.finish(f"u{wire.MAX_TRACKED_UPLOADS - 1}")
         self.chunk(state, "room-again", 0, b"x")  # claimed records free their slot
 
+    def test_a_peer_that_mints_namespaces_is_cut_off(self):
+        # The caps are per namespace and the peer writes the namespace, so the
+        # connection as a whole has ceilings of its own: ids ...
+        state = wire.UploadState()
+        with pytest.raises(TransportError, match="1024 unclaimed uploads"):
+            for index in range(1500):
+                self.chunk(state, f"{index}/x", 0, b"x")
+        assert len(state) == wire.protocol.MAX_CONNECTION_UPLOADS == 1024
+        self.chunk(state, "0/x", 0, b"y", eof=True)  # known ids still assemble
+        assert [bytes(b) for b in state.finish("0/x")] == [b"xy"]
+
+    def test_buffered_bytes_are_bounded_across_namespaces(self, monkeypatch):
+        # ... and bytes: what MAX_OPEN_UPLOADS full uploads come to, however
+        # many namespaces they are spread over.
+        monkeypatch.setattr(wire.protocol, "MAX_UPLOAD_BYTES", 10)
+        monkeypatch.setattr(wire.protocol, "MAX_CONNECTION_UPLOAD_BYTES", 40)
+        state = wire.UploadState()
+        for index in range(4):  # one namespace can fill its own allowance exactly
+            self.chunk(state, f"u{index}", 0, b"x" * 10, eof=True)
+        self.chunk(state, "1/u", 0, b"y" * 8)  # fits its namespace, not the connection
+        self.chunk(state, "1/u", 0, b"y", eof=True)  # poisoned: nothing more is buffered
+        with pytest.raises(SerializationError, match="connection buffers more than 40 upload bytes"):
+            state.finish("1/u")
+        assert state._buffered == 40
+        assert [bytes(b) for b in state.finish("u0")] == [b"x" * 10]  # claimed bytes are given back
+        self.chunk(state, "2/u", 0, b"z" * 10, eof=True)
+        state.add_chunk({"upload": "u1", "discard": True}, b"")
+        self.chunk(state, "3/u", 0, b"w" * 10, eof=True)  # so are discarded ones
+        assert [bytes(b) for b in state.finish("3/u")] == [b"w" * 10]
+        for upload_id in ("2/u", "u2", "u3"):
+            state.finish(upload_id)
+        assert state._buffered == 0 and len(state) == 0
+
     def test_iter_chunks_covers_blob_exactly(self):
         blob = bytes(range(256)) * 5
         chunks = list(wire.iter_chunks(blob, size=100))
