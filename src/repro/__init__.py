@@ -27,42 +27,17 @@ The package is organized as follows:
 * :mod:`repro.serving` — the serving subsystem: program registry, per-client
   session cache, slot batching, async job engine, and a TCP front-end that
   accepts pre-encrypted input bundles (client-held keys).
-
-Importing the old one-shot names from the top level (``repro.Executor`` and
-friends) still works but emits a :class:`DeprecationWarning`; import them
-from :mod:`repro.api` (or their home modules) instead.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any
 
 from .frontend import EvaProgram, Expr
 
 __version__ = "1.1.0"
 
-#: Legacy top-level names, lazily resolved with a deprecation warning.  The
-#: same names imported from their home modules (repro.core, repro.api) stay
-#: warning-free.
-_DEPRECATED_EXPORTS = {
-    "CompilationResult": "repro.core",
-    "CompilerOptions": "repro.core",
-    "EvaCompiler": "repro.core",
-    "Executor": "repro.core",
-    "Program": "repro.core",
-    "ReferenceExecutor": "repro.core",
-    "compile_program": "repro.core",
-    "execute_reference": "repro.core",
-}
-
-__all__ = [
-    "EvaProgram",
-    "Expr",
-    "api",
-    "__version__",
-    *sorted(_DEPRECATED_EXPORTS),
-]
+__all__ = ["EvaProgram", "Expr", "api", "__version__"]
 
 
 def __getattr__(name: str) -> Any:
@@ -70,15 +45,4 @@ def __getattr__(name: str) -> Any:
         import importlib
 
         return importlib.import_module("repro.api")
-    home = _DEPRECATED_EXPORTS.get(name)
-    if home is not None:
-        warnings.warn(
-            f"importing {name!r} from the top-level 'repro' namespace is "
-            f"deprecated; import it from 'repro.api' (or {home!r}) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(home), name)
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -5,8 +5,10 @@ encrypts its inputs, the *server* evaluates the compiled program on
 ciphertexts only, and the client decrypts the results.  This namespace
 exposes that workflow as three first-class artifacts plus a tracing frontend:
 
-* :class:`CompiledProgram` — the compiler's output, savable/loadable, carrying
-  the content signature every cache keys by;
+* :class:`CompiledProgram` — the compiler's result itself
+  (:class:`~repro.core.compiler.CompilationResult` under its public name):
+  ``compile`` / ``save`` / ``load``, carrying the content signature every
+  cache keys by;
 * :class:`ClientKit` — key owner; ``encrypt_inputs()`` / ``decrypt_outputs()``
   plus evaluation-key export for the server;
 * :class:`ServerRuntime` — blind evaluator over :class:`CipherBundle` objects;
@@ -64,7 +66,6 @@ from ..frontend.pyeva import (
     input_plain,
     output,
 )
-from .artifacts import CompiledProgram, as_compiled_program
 from .bundles import (
     CipherBundle,
     EncryptedOutputs,
@@ -76,6 +77,11 @@ from .bundles import (
 from .client import ClientKit
 from .runtime import ServerRuntime
 from .tracing import EvaProgramFamily, eva_program
+
+#: The first of the three artifacts *is* the compiler's result: one value,
+#: taken as it is by :class:`ClientKit`, :class:`ServerRuntime`, the executors
+#: and the serving layer.
+CompiledProgram = CompilationResult
 
 #: Serving-layer names resolved lazily to avoid a circular import
 #: (repro.serving itself consumes the bundle types defined here).
@@ -116,7 +122,6 @@ __all__ = [
     "Executor",
     "ReferenceExecutor",
     "execute_reference",
-    "as_compiled_program",
     *_SERVING_EXPORTS,
 ]
 

@@ -21,9 +21,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..backend.hisa import BackendContext, HomomorphicBackend
+from ..core.compiler import CompilationResult
 from ..core.executor import EvaluationEngine
 from ..errors import ExecutionError
-from .artifacts import CompiledProgram, as_compiled_program
 from .bundles import (
     CipherBundle,
     EncryptedOutputs,
@@ -38,8 +38,8 @@ class ClientKit:
     Parameters
     ----------
     compiled:
-        The :class:`CompiledProgram` (or raw ``CompilationResult``) the kit
-        encrypts for; encryption scales and levels are read from it.
+        The :class:`~repro.api.CompiledProgram` the kit encrypts for;
+        encryption scales and levels are read from it.
     backend:
         Homomorphic backend; defaults to the mock simulator.
     client_id:
@@ -54,7 +54,7 @@ class ClientKit:
 
     def __init__(
         self,
-        compiled: Any,
+        compiled: CompilationResult,
         backend: Optional[HomomorphicBackend] = None,
         client_id: str = "default",
         extra_rotation_steps: Optional[Sequence[int]] = None,
@@ -63,7 +63,7 @@ class ClientKit:
             from ..backend.mock_backend import MockBackend
 
             backend = MockBackend()
-        self.compiled: CompiledProgram = as_compiled_program(compiled)
+        self.compiled = compiled
         self.backend = backend
         self.client_id = str(client_id)
         parameters = self.compiled.parameters
@@ -84,12 +84,12 @@ class ClientKit:
         # implementation of the key owner's duties (shared with the compat
         # Executor and the server's plaintext path): which inputs are live,
         # which are Cipher, and at what scale each must be encrypted.
-        self._engine = EvaluationEngine(self.compiled.compilation, backend=backend)
+        self._engine = EvaluationEngine(compiled, backend=backend)
 
     @classmethod
     def for_programs(
         cls,
-        compilations: Sequence[Any],
+        compilations: Sequence[CompilationResult],
         backend: Optional[HomomorphicBackend] = None,
         client_id: str = "default",
     ) -> "ClientKit":
@@ -106,9 +106,8 @@ class ClientKit:
         """
         if not compilations:
             raise ExecutionError("for_programs needs at least one compilation")
-        programs = [as_compiled_program(c) for c in compilations]
-        first = programs[0].parameters
-        for other in programs[1:]:
+        first = compilations[0].parameters
+        for other in compilations[1:]:
             params = other.parameters
             if (
                 params.poly_modulus_degree != first.poly_modulus_degree
@@ -125,10 +124,10 @@ class ClientKit:
         from ..core.analysis.rotations import merge_rotation_steps
 
         merged = merge_rotation_steps(
-            *(p.parameters.rotation_steps for p in programs)
+            *(c.parameters.rotation_steps for c in compilations)
         )
         return cls(
-            programs[0],
+            compilations[0],
             backend=backend,
             client_id=client_id,
             extra_rotation_steps=merged,
@@ -214,7 +213,7 @@ class ClientKit:
         """
         from ..serving.batching import SlotBatcher
 
-        plan = SlotBatcher().plan(self.compiled.compilation, list(requests))
+        plan = SlotBatcher().plan(self.compiled, list(requests))
         if plan is None:
             raise ExecutionError(
                 "requests cannot be slot-packed for this program (neither "

@@ -1,8 +1,8 @@
 """The server half of the paper's deployment model: evaluate, never decrypt.
 
 A :class:`ServerRuntime` evaluates a compiled program on ciphertext bundles.
-It is constructed from the :class:`~repro.api.artifacts.CompiledProgram`
-artifact alone — no key material — and accepts per-client *evaluation
+It is constructed from the :class:`~repro.api.CompiledProgram`
+alone — no key material — and accepts per-client *evaluation
 contexts* (public + relinearization + Galois keys) either as live objects
 derived by :meth:`ClientKit.evaluation_context` or as exported key blobs that
 crossed a network boundary.  By construction it can never decrypt: contexts
@@ -16,9 +16,9 @@ import time
 from typing import Any, Dict, Optional
 
 from ..backend.hisa import BackendContext, HomomorphicBackend
+from ..core.compiler import CompilationResult
 from ..core.executor import EvaluationEngine
 from ..errors import ExecutionError
-from .artifacts import CompiledProgram, as_compiled_program
 from .bundles import (
     CipherBundle,
     EncryptedOutputs,
@@ -32,14 +32,12 @@ class ServerRuntime:
 
     def __init__(
         self,
-        compiled: Any,
+        compiled: CompilationResult,
         backend: Optional[HomomorphicBackend] = None,
         threads: int = 1,
     ) -> None:
-        self.compiled: CompiledProgram = as_compiled_program(compiled)
-        self.engine = EvaluationEngine(
-            self.compiled.compilation, backend=backend, threads=threads
-        )
+        self.compiled = compiled
+        self.engine = EvaluationEngine(compiled, backend=backend, threads=threads)
         self.backend = self.engine.backend
         self._clients: Dict[str, BackendContext] = {}
         #: Per-client evaluation locks: backend contexts (RNG state, op

@@ -29,10 +29,9 @@ import inspect
 import threading
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from ..core.compiler import CompilerOptions, program_signature
+from ..core.compiler import CompilationResult, CompilerOptions, program_signature
 from ..errors import CompilationError
 from ..frontend.pyeva import EvaProgram, Expr
-from .artifacts import CompiledProgram
 
 
 class EvaProgramFamily:
@@ -68,7 +67,7 @@ class EvaProgramFamily:
                 f"plain={sorted(unknown)} are not parameters of {self.name!r}"
             )
         self._programs: Dict[Tuple[int, float], EvaProgram] = {}
-        self._compiled: Dict[str, CompiledProgram] = {}
+        self._compiled: Dict[str, CompilationResult] = {}
         self._lock = threading.Lock()
         functools.update_wrapper(self, func, updated=())
 
@@ -143,7 +142,7 @@ class EvaProgramFamily:
         options: Optional[CompilerOptions] = None,
         input_scales: Optional[Dict[str, float]] = None,
         output_scales: Optional[Dict[str, float]] = None,
-    ) -> CompiledProgram:
+    ) -> CompilationResult:
         """Compile one member, cached per program signature.
 
         Distinct parameterizations (and distinct compiler options) compile
@@ -158,7 +157,7 @@ class EvaProgramFamily:
             cached = self._compiled.get(signature)
         if cached is not None:
             return cached
-        compiled = CompiledProgram.compile(
+        compiled = CompilationResult.compile(
             program, options=options, input_scales=input_scales,
             output_scales=output_scales,
         )

@@ -24,12 +24,17 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Optional
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Union
 
-from ..errors import CompilationError
+import numpy as np
+
+from ..errors import CompilationError, EvaError, SerializationError
 from .analysis import select_parameters, select_rotation_steps, validate
 from .analysis.parameters import EncryptionParameters
 from .ir import Program
+from .serialization.json_format import dict_to_program, program_to_dict
+from .serialization.records import read_record, write_record
 from .rewrite import (
     BsgsRotationPass,
     ChetKernelAlignmentPass,
@@ -142,9 +147,72 @@ class CompilerOptions:
         return cls(**data)
 
 
+#: Format marker and version of a compiled program on disk — the one record
+#: :meth:`CompilationResult.save` writes and the serving layer's
+#: ``--artifact-dir`` cache publishes.  Version 2 stores the selected
+#: parameters and a digest of the body; a version-1 file of an earlier build
+#: (parameters re-derived at load, no digest) is refused, and the records an
+#: earlier build's cache wrote under its own format marker read as a miss.
+RECORD_FORMAT = "eva-compiled-program"
+RECORD_VERSION = 2
+
+
+def _sha256_of(payload: Dict[str, Any]) -> str:
+    """SHA-256 of the canonical (sorted keys, no whitespace) JSON of ``payload``."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def frontend_graph(program: Any) -> Program:
+    """The core graph of a PyEVA ``EvaProgram`` (its ``graph``) or of a
+    :class:`~repro.core.ir.Program` (itself) — what every entry point that
+    takes "a program" compiles, registers or hashes."""
+    graph = getattr(program, "graph", program)
+    if not isinstance(graph, Program):
+        raise CompilationError(f"{type(program).__name__} is not an EVA program")
+    return graph
+
+
+def program_signature(
+    program: Program,
+    options: Optional[CompilerOptions] = None,
+    input_scales: Optional[Dict[str, float]] = None,
+    output_scales: Optional[Dict[str, float]] = None,
+) -> str:
+    """Stable content hash of a (program, compilation policy) pair.
+
+    Two programs with identical graphs, compiler options, and scale overrides
+    produce the same signature even across processes, so the signature can key
+    a compilation cache (see :class:`repro.serving.ProgramRegistry`).  The
+    program name is deliberately excluded: renaming a program does not change
+    what the compiler produces.
+    """
+    payload = program_to_dict(program)
+    payload.pop("name", None)
+    options = options or CompilerOptions()
+    payload["options"] = options.to_dict()
+    payload["input_scales"] = {
+        k: float(v) for k, v in sorted((input_scales or {}).items())
+    }
+    payload["output_scales"] = {
+        k: float(v) for k, v in sorted((output_scales or {}).items())
+    }
+    return _sha256_of(payload)
+
+
 @dataclass
 class CompilationResult:
-    """Everything the executor needs to run a compiled program."""
+    """A compiled program: the output of Algorithm 1, as one value.
+
+    The executable graph, the selected encryption parameters and the rotation
+    steps needing Galois keys, plus the content ``signature`` client and
+    server agree on without coordination.  It is what
+    :meth:`compile` / :class:`EvaCompiler` return, what
+    :class:`~repro.api.ClientKit`, :class:`~repro.api.ServerRuntime` and the
+    executors take, what the serving registry caches, and — through
+    :meth:`to_record` — the one thing written to disk
+    (``repro.api.CompiledProgram`` is this class).
+    """
 
     program: Program
     parameters: EncryptionParameters
@@ -157,9 +225,43 @@ class CompilationResult:
     #: Content hash of the *source* (pre-transform) program plus the options
     #: and scale overrides it was compiled with — the same value
     #: :func:`program_signature` yields for those arguments, so every party
-    #: that compiled the same source agrees on it.  ``None`` only for results
-    #: assembled by hand (e.g. reloaded from an already-compiled graph).
-    signature: Optional[str] = None
+    #: that compiled the same source agrees on it.  A result assembled by hand
+    #: (e.g. around an already-compiled graph) hashes what it has: the source
+    #: if given, else the compiled graph — stable, but matching only peers
+    #: that derived it the same way.
+    signature: str = ""
+    #: The frontend graph :meth:`EvaCompiler.compile` was handed (what
+    #: :meth:`execute_reference` runs); ``None`` for hand-assembled results
+    #: and for records saved without it.
+    source: Optional[Program] = None
+
+    def __post_init__(self) -> None:
+        if not self.signature:
+            graph = self.source if self.source is not None else self.program
+            self.signature = program_signature(graph, self.options)
+
+    @classmethod
+    def compile(
+        cls,
+        program: Any,
+        options: Optional[CompilerOptions] = None,
+        input_scales: Optional[Dict[str, float]] = None,
+        output_scales: Optional[Dict[str, float]] = None,
+    ) -> "CompilationResult":
+        """Compile a PyEVA ``EvaProgram`` or a core :class:`Program`."""
+        return EvaCompiler(options).compile(
+            frontend_graph(program), input_scales, output_scales
+        )
+
+    @property
+    def name(self) -> str:
+        """The source program's name."""
+        return self.program.name
+
+    @property
+    def vec_size(self) -> int:
+        """The ciphertext slot count."""
+        return self.program.vec_size
 
     @property
     def poly_modulus_degree(self) -> int:
@@ -199,37 +301,114 @@ class CompilationResult:
             "rotations": len(self.rotation_steps),
             "lane_width": self.lane_width,
             "compile_seconds": self.compile_seconds,
+            "signature": self.signature[:16],
         }
 
+    def execute_reference(self, inputs: Dict[str, Any]) -> Dict[str, np.ndarray]:
+        """Run the plaintext reference semantics (identity scheme)."""
+        from .executor import execute_reference
 
-def program_signature(
-    program: Program,
-    options: Optional[CompilerOptions] = None,
-    input_scales: Optional[Dict[str, float]] = None,
-    output_scales: Optional[Dict[str, float]] = None,
-) -> str:
-    """Stable content hash of a (program, compilation policy) pair.
+        return execute_reference(
+            self.source if self.source is not None else self.program, inputs
+        )
 
-    Two programs with identical graphs, compiler options, and scale overrides
-    produce the same signature even across processes, so the signature can key
-    a compilation cache (see :class:`repro.serving.ProgramRegistry`).  The
-    program name is deliberately excluded: renaming a program does not change
-    what the compiler produces.
-    """
-    from .serialization.json_format import program_to_dict
+    # -- persistence -------------------------------------------------------------
+    def to_record(self, include_source: bool = True) -> Dict[str, Any]:
+        """The JSON-able record of this value, sealed with a digest of its body.
 
-    payload = program_to_dict(program)
-    payload.pop("name", None)
-    options = options or CompilerOptions()
-    payload["options"] = options.to_dict()
-    payload["input_scales"] = {
-        k: float(v) for k, v in sorted((input_scales or {}).items())
-    }
-    payload["output_scales"] = {
-        k: float(v) for k, v in sorted((output_scales or {}).items())
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        Parameters and rotation steps are *stored*, so a reader skips parameter
+        selection as well as the rewrite passes.  ``include_source=False``
+        leaves the frontend graph out (the serving cache does: a network's
+        weights are constants of the graph, and a server has the source).
+        """
+        parameters = self.parameters
+        record: Dict[str, Any] = {
+            "format": RECORD_FORMAT,
+            "version": RECORD_VERSION,
+            "signature": self.signature,
+            "options": self.options.to_dict(),
+            "input_scales": {k: float(v) for k, v in self.input_scales.items()},
+            "output_scales": {k: float(v) for k, v in self.output_scales.items()},
+            "program": program_to_dict(self.program),
+            "parameters": {
+                "poly_modulus_degree": int(parameters.poly_modulus_degree),
+                "coeff_modulus_bits": [int(b) for b in parameters.coeff_modulus_bits],
+                "security_level": int(parameters.security_level),
+                "rotation_steps": [int(s) for s in parameters.rotation_steps],
+            },
+            "rotation_steps": [int(s) for s in self.rotation_steps],
+            "compile_seconds": float(self.compile_seconds),
+        }
+        if include_source and self.source is not None:
+            record["source"] = program_to_dict(self.source)
+        record["digest"] = _sha256_of(record)
+        return record
+
+    @classmethod
+    def from_record(cls, record: Any) -> "CompilationResult":
+        """Rebuild the value :meth:`to_record` described — the one reader.
+
+        Anything that is not an intact record of this build's version raises
+        :class:`~repro.errors.SerializationError` before a program is built
+        from it: the digest covers every field but itself, so a record edited
+        or damaged on disk is refused rather than evaluated.
+        """
+        if not isinstance(record, dict) or record.get("format") != RECORD_FORMAT:
+            raise SerializationError(
+                "not a compiled program record (save one with "
+                "CompiledProgram.save(); raw programs load with "
+                "repro.core.serialization.load)"
+            )
+        if record.get("version") != RECORD_VERSION:
+            raise SerializationError(
+                f"compiled program record has version {record.get('version')!r}, "
+                f"this build reads version {RECORD_VERSION}: compile the program "
+                "and save it again"
+            )
+        body = {key: value for key, value in record.items() if key != "digest"}
+        if record.get("digest") != _sha256_of(body):
+            raise SerializationError(
+                "compiled program record is damaged: its digest does not match "
+                "its contents"
+            )
+        try:
+            parameters = body["parameters"]
+            source = body.get("source")
+            return cls(
+                program=dict_to_program(body["program"]),
+                parameters=EncryptionParameters(
+                    poly_modulus_degree=int(parameters["poly_modulus_degree"]),
+                    coeff_modulus_bits=[int(b) for b in parameters["coeff_modulus_bits"]],
+                    security_level=int(parameters["security_level"]),
+                    rotation_steps=[int(s) for s in parameters["rotation_steps"]],
+                ),
+                rotation_steps=[int(s) for s in body["rotation_steps"]],
+                options=CompilerOptions.from_dict(body["options"]),
+                input_scales={k: float(v) for k, v in body["input_scales"].items()},
+                output_scales={k: float(v) for k, v in body["output_scales"].items()},
+                compile_seconds=float(body["compile_seconds"]),
+                signature=str(body["signature"]),
+                source=dict_to_program(source) if source is not None else None,
+            )
+        except (KeyError, TypeError, ValueError, AttributeError, EvaError) as exc:
+            raise SerializationError(
+                f"malformed compiled program record: {type(exc).__name__}: {exc}"
+            ) from exc
+
+    def save(self, path: Union[str, Path]) -> None:
+        """Write the record (source included) to ``path``, atomically."""
+        write_record(path, self.to_record())
+
+    @classmethod
+    def load(cls, path: Union[str, Path]) -> "CompilationResult":
+        """Load a program saved with :meth:`save`."""
+        record = read_record(path)
+        if record is None:
+            raise SerializationError(
+                f"no compiled program record at {path}: the file is missing, "
+                "unreadable or not a JSON object"
+            )
+        return cls.from_record(record)
 
 
 class EvaCompiler:
@@ -370,6 +549,7 @@ class EvaCompiler:
             pass_reports=reports,
             compile_seconds=elapsed,
             signature=signature,
+            source=program,
         )
 
 

@@ -162,13 +162,12 @@ class EncryptedInferenceSession:
         backend: Optional[HomomorphicBackend] = None,
         threads: int = 1,
     ) -> None:
-        from ..api import ClientKit, CompiledProgram, ServerRuntime
+        from ..api import ClientKit, ServerRuntime
 
         self.compiled = compiled
-        artifact = CompiledProgram(compiled.compilation)
-        self.client = ClientKit(artifact, backend=backend)
+        self.client = ClientKit(compiled.compilation, backend=backend)
         self.server = ServerRuntime(
-            artifact, backend=self.client.backend, threads=threads
+            compiled.compilation, backend=self.client.backend, threads=threads
         )
         self.server.attach_client(
             self.client.client_id, self.client.evaluation_context()

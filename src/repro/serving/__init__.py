@@ -63,7 +63,7 @@ from .cluster import (
 from .jobs import EngineMetrics, Job, JobEngine
 from .netserver import ClusterTcpServer, EvaTcpServer, ServingClient
 from .quotas import FairnessPolicy, QuotaLedger, TokenBucket
-from .registry import CacheStats, ProgramRegistry, RegistryEntry
+from .registry import CacheStats, ProgramRegistry
 from .server import (
     EncryptedServeRequest,
     EncryptedServeResponse,
@@ -116,7 +116,6 @@ __all__ = [
     "session_digest",
     "CacheStats",
     "ProgramRegistry",
-    "RegistryEntry",
     "EvaServer",
     "ProgramSpec",
     "ServeRequest",

@@ -10,237 +10,111 @@ when a sibling shard compiled the identical program minutes earlier.  The
 as one JSON file, and every other shard (or a restarted shard, or tomorrow's
 fleet) *loads* it instead of recompiling.
 
-A cached artifact stores everything :class:`~repro.core.compiler.CompilationResult`
-carries — the compiled graph, compiler options, scale maps, the selected
-encryption parameters, and the rotation steps — so loading skips not just the
-rewrite passes but parameter selection too.  The content signature
-(:func:`repro.core.compiler.program_signature`) keys the cache exactly as it
-keys the in-memory registry, which makes cache poisoning by name impossible:
-a record can only ever be loaded by a server that would have compiled the
-same source with the same options.
+A cached artifact is the compiled program's own record
+(:meth:`CompilationResult.to_record <repro.core.compiler.CompilationResult.to_record>`,
+written without the source graph): the compiled graph, compiler options,
+scale maps, the selected encryption parameters and the rotation steps — so
+loading skips not just the rewrite passes but parameter selection too — sealed
+with a digest that the one reader checks before building anything.  The
+content signature (:func:`repro.core.compiler.program_signature`) keys the
+cache exactly as it keys the in-memory registry, which makes cache poisoning
+by name impossible: a record can only ever be loaded by a server that would
+have compiled the same source with the same options.
 
-Writes are atomic (temp file + ``os.replace``, the :class:`SessionStore`
-discipline), so shard processes sharing one directory never observe a torn
-record.  Two shards racing to compile the same signature both publish — the
-last writer wins, and both wrote byte-identical semantics because
+The directory is a :class:`~repro.core.serialization.records.RecordDirectory`
+(atomic publish, ``prune``), so shard processes sharing it never observe a
+torn record.  Two shards racing to compile the same signature both publish —
+the last writer wins, and both wrote byte-identical semantics because
 compilation is deterministic in the signature.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from ..core.analysis.parameters import EncryptionParameters
-from ..core.compiler import CompilationResult, CompilerOptions
-from ..core.serialization.json_format import dict_to_program, program_to_dict
-from .store import atomic_write_json
-
-#: Format marker / version stamped into every artifact record.
-ARTIFACT_FORMAT = "eva-serving-artifact"
-#: Version 2: compiled graphs carry the rotation-hoisting/BSGS optimizations.
-#: Signatures hash the *source* program, so a version-1 record for the same
-#: signature would hold a pre-optimization graph; the bump degrades those
-#: stale records to a cache miss (the shard recompiles and republishes).
-ARTIFACT_VERSION = 2
+from ..core.compiler import RECORD_FORMAT, RECORD_VERSION, CompilationResult
+from ..core.serialization.records import RecordDirectory, write_record
+from ..errors import SerializationError
 
 
-class ArtifactCache:
-    """A directory of compiled-program artifacts keyed by (signature, lane width).
-
-    Like the session store, the cache is deliberately dumb — no index, no
-    cross-process locking beyond atomic whole-file replacement — so any
-    number of shard processes (or hosts sharing a filesystem) can use one
-    directory without coordination.
-    """
+class ArtifactCache(RecordDirectory):
+    """A directory of compiled-program records keyed by (signature, lane width)."""
 
     def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
+        super().__init__(root)
         self.hits = 0
         self.misses = 0
         self.stores = 0
 
-    # -- paths -------------------------------------------------------------------
-    @staticmethod
-    def _key(signature: str, lane_width: Optional[int]) -> str:
-        return f"{signature}.w{int(lane_width or 0)}"
+    def accepts(self, record: Dict[str, Any]) -> bool:
+        """Records of another format or version (an earlier build's) read as
+        missing: the shard recompiles and republishes over them."""
+        return (
+            record.get("format") == RECORD_FORMAT
+            and record.get("version") == RECORD_VERSION
+        )
 
     def path_for(self, signature: str, lane_width: Optional[int] = None) -> Path:
         """The cache file path for a (signature, lane width) record."""
-        return self.root / f"{self._key(signature, lane_width)}.json"
+        return self._path(f"{signature}.w{int(lane_width or 0)}")
 
-    # -- write -------------------------------------------------------------------
-    def save(
-        self, compilation: CompilationResult, signature: Optional[str] = None
-    ) -> Optional[Path]:
-        """Publish one finished compilation; returns its path (None if unkeyed).
-
-        ``signature`` defaults to the signature the compiler stamped on the
-        result; hand-assembled results without one cannot be cached (there is
-        no content key another process could look them up under).
-        """
-        signature = signature or compilation.signature
-        if signature is None:
-            return None
-        parameters = compilation.parameters
-        record = {
-            "format": ARTIFACT_FORMAT,
-            "version": ARTIFACT_VERSION,
-            "signature": signature,
-            "lane_width": compilation.lane_width,
-            "saved_at": time.time(),
-            "options": compilation.options.to_dict(),
-            "input_scales": {
-                k: float(v) for k, v in compilation.input_scales.items()
-            },
-            "output_scales": {
-                k: float(v) for k, v in compilation.output_scales.items()
-            },
-            "program": program_to_dict(compilation.program),
-            "parameters": {
-                "poly_modulus_degree": int(parameters.poly_modulus_degree),
-                "coeff_modulus_bits": [int(b) for b in parameters.coeff_modulus_bits],
-                "security_level": int(parameters.security_level),
-                "rotation_steps": [int(s) for s in parameters.rotation_steps],
-            },
-            "rotation_steps": [int(s) for s in compilation.rotation_steps],
-            "compile_seconds": float(compilation.compile_seconds),
-        }
-        path = self.path_for(signature, compilation.lane_width)
+    def save(self, compilation: CompilationResult) -> Path:
+        """Publish one finished compilation under its signature; returns the path."""
+        path = self.path_for(compilation.signature, compilation.lane_width)
+        record = compilation.to_record(include_source=False)
         with self._lock:
-            # Atomic publish (the shared SessionStore discipline): a
-            # concurrent reader — another shard — sees nothing, the old
-            # record, or the new one, never a torn file.
-            atomic_write_json(self.root, path, record)
+            write_record(path, record)
             self.stores += 1
         return path
 
-    # -- read --------------------------------------------------------------------
     def load(
         self, signature: str, lane_width: Optional[int] = None
     ) -> Optional[CompilationResult]:
         """Rebuild the cached compilation, or ``None`` on miss/corruption.
 
-        Corrupt, incompatible, or mismatched records degrade to a miss — the
-        caller compiles from source exactly as it would have without a cache.
+        Corrupt, altered, incompatible, or mismatched records degrade to a
+        miss — the caller compiles from source exactly as it would have
+        without a cache, and republishes over the bad record.
         """
+        compilation = None
         record = self._read(self.path_for(signature, lane_width))
-        if record is None or record.get("signature") != signature:
-            with self._lock:
-                self.misses += 1
-            return None
-        try:
-            compilation = CompilationResult(
-                program=dict_to_program(record["program"]),
-                parameters=EncryptionParameters(
-                    poly_modulus_degree=int(record["parameters"]["poly_modulus_degree"]),
-                    coeff_modulus_bits=[
-                        int(b) for b in record["parameters"]["coeff_modulus_bits"]
-                    ],
-                    security_level=int(record["parameters"]["security_level"]),
-                    rotation_steps=[
-                        int(s) for s in record["parameters"]["rotation_steps"]
-                    ],
-                ),
-                rotation_steps=[int(s) for s in record["rotation_steps"]],
-                options=CompilerOptions.from_dict(record.get("options", {})),
-                input_scales={
-                    k: float(v) for k, v in record.get("input_scales", {}).items()
-                },
-                output_scales={
-                    k: float(v) for k, v in record.get("output_scales", {}).items()
-                },
-                compile_seconds=float(record.get("compile_seconds", 0.0)),
-                signature=signature,
-            )
-        except Exception:
-            with self._lock:
-                self.misses += 1
-            return None
+        if record is not None and record.get("signature") == signature:
+            try:
+                compilation = CompilationResult.from_record(record)
+            except SerializationError:
+                pass
         with self._lock:
-            self.hits += 1
+            if compilation is None:
+                self.misses += 1
+            else:
+                self.hits += 1
         return compilation
 
-    @staticmethod
-    def _read(path: Path) -> Optional[Dict[str, Any]]:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if (
-            not isinstance(record, dict)
-            or record.get("format") != ARTIFACT_FORMAT
-            or record.get("version") != ARTIFACT_VERSION
-        ):
-            return None
-        return record
-
-    # -- maintenance -------------------------------------------------------------
     def records(self) -> List[Dict[str, Any]]:
         """Metadata of every readable artifact (compiled graphs omitted)."""
-        found = []
-        for path in sorted(self.root.glob("*.json")):
-            record = self._read(path)
-            if record is None:
-                continue
-            found.append(
-                {
-                    "signature": record.get("signature"),
-                    "lane_width": record.get("lane_width"),
-                    "saved_at": record.get("saved_at"),
-                    "compile_seconds": record.get("compile_seconds"),
-                    "path": str(path),
-                }
-            )
-        return found
-
-    def prune(self, max_age: float) -> int:
-        """Delete artifacts older than ``max_age`` seconds; returns the count."""
-        cutoff = time.time() - float(max_age)
-        removed = 0
-        with self._lock:
-            for path in self.root.glob("*.json"):
-                record = self._read(path)
-                saved_at = record.get("saved_at") if record else None
-                if not isinstance(saved_at, (int, float)):
-                    # Unreadable record: fall back to the filesystem clock.
-                    try:
-                        saved_at = path.stat().st_mtime
-                    except OSError:
-                        continue
-                if saved_at < cutoff:
-                    try:
-                        path.unlink()
-                        removed += 1
-                    except OSError:
-                        pass
-        return removed
-
-    def __len__(self) -> int:
-        return sum(
-            1 for path in self.root.glob("*.json") if self._read(path) is not None
-        )
+        return [
+            {
+                "signature": record.get("signature"),
+                "lane_width": record.get("options", {}).get("lane_width"),
+                "compile_seconds": record.get("compile_seconds"),
+                "path": str(path),
+            }
+            for path, record in self
+        ]
 
     def summary(self) -> Dict[str, object]:
         """Cheap monitoring view: counts files without parsing graphs."""
         with self._lock:
             return {
                 "root": str(self.root),
-                "records": sum(1 for _ in self.root.glob("*.json")),
+                "records": self.file_count(),
                 "hits": self.hits,
                 "misses": self.misses,
                 "stores": self.stores,
             }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ArtifactCache root={str(self.root)!r}>"
 
 
 # -- lane-width precompilation -----------------------------------------------------
@@ -263,7 +137,6 @@ class LaneWidthPolicy:
     solo evaluation for the requests that don't, plus the amortized
     generation/upload cost of the width's Galois key set (after BSGS
     planning, so a width whose step set decomposes well scores better).
-    Set ``use_cost_model=False`` to fall back to raw histogram frequency.
 
     Attributes
     ----------
@@ -271,14 +144,10 @@ class LaneWidthPolicy:
         Re-evaluate a program's histogram every ``min_samples`` requests.
     top_widths:
         How many of the best-scoring widths to pre-warm per evaluation.
-    use_cost_model:
-        Score candidates with the backend cost model (default) instead of
-        ranking by frequency alone.
     """
 
     min_samples: int = 32
     top_widths: int = 2
-    use_cost_model: bool = True
 
     def __post_init__(self) -> None:
         if self.min_samples < 1:
@@ -297,9 +166,7 @@ class LaneWidthPolicy:
         ``counts`` is the signature's width histogram (power-of-two request
         width -> observations).  Returns ``[(width, score), ...]`` with the
         cheapest modeled width first, truncated to ``top_widths``; scores are
-        modeled seconds per request (lower is better).  With
-        ``use_cost_model=False`` the scores are negated frequencies, which
-        reproduces the legacy most-frequent-first ranking.
+        modeled seconds per request (lower is better).
         """
         vec_size = compilation.program.vec_size
         candidates = sorted(
@@ -309,9 +176,6 @@ class LaneWidthPolicy:
         )
         if not candidates:
             return []
-        if not self.use_cost_model:
-            ranked = sorted(candidates, key=lambda w: (-counts[w], w))
-            return [(w, float(-counts[w])) for w in ranked[: self.top_widths]]
         if cost_model is None:
             from ..backend.cost_model import DEFAULT_COST_MODEL
 
@@ -369,7 +233,6 @@ class WidthHistogram:
 
     def __init__(self) -> None:
         self._counts: Dict[str, Dict[int, int]] = {}
-        self._samples: Dict[str, int] = {}
         self._lock = threading.Lock()
 
     def record(self, signature: str, width: int) -> int:
@@ -378,26 +241,12 @@ class WidthHistogram:
         with self._lock:
             counts = self._counts.setdefault(signature, {})
             counts[width] = counts.get(width, 0) + 1
-            total = self._samples.get(signature, 0) + 1
-            self._samples[signature] = total
-            return total
-
-    def top(self, signature: str, k: int) -> List[int]:
-        """The ``k`` most frequent widths (most frequent first, ties by width)."""
-        with self._lock:
-            counts = self._counts.get(signature, {})
-            ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-            return [width for width, _count in ranked[: max(int(k), 0)]]
+            return sum(counts.values())
 
     def counts(self, signature: str) -> Dict[int, int]:
         """A snapshot of the signature's width histogram (width -> count)."""
         with self._lock:
             return dict(self._counts.get(signature, {}))
-
-    def samples(self, signature: str) -> int:
-        """Number of width observations recorded for a program signature."""
-        with self._lock:
-            return self._samples.get(signature, 0)
 
     def summary(self) -> Dict[str, Dict[int, int]]:
         """Per-signature width histograms, for stats and debugging."""
@@ -408,10 +257,4 @@ class WidthHistogram:
             }
 
 
-__all__ = [
-    "ArtifactCache",
-    "LaneWidthPolicy",
-    "WidthHistogram",
-    "ARTIFACT_FORMAT",
-    "ARTIFACT_VERSION",
-]
+__all__ = ["ArtifactCache", "LaneWidthPolicy", "WidthHistogram"]

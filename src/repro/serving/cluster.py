@@ -61,8 +61,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import tomlcompat
-from ..core.compiler import CompilerOptions
-from ..core.ir import Program
+from ..core.compiler import CompilerOptions, frontend_graph
 from ..errors import EvaError, ServingError, TransportError
 from .membership import (
     DEAD,
@@ -506,15 +505,12 @@ class EvaCluster:
         """Queue a program for registration on every shard (before start)."""
         if self._started:
             raise ServingError("programs must be registered before the cluster starts")
-        graph = getattr(program, "graph", program)
-        if not isinstance(graph, Program):
-            raise ServingError(f"cannot register {type(program).__name__} as a program")
         from ..core.serialization.proto import serialize
 
         if lane_width is not None:
             # Folded into the options, as EvaServer.register does it.
             options = replace(options or CompilerOptions(), lane_width=int(lane_width))
-        self._programs.append((str(name), serialize(graph), options))
+        self._programs.append((str(name), serialize(frontend_graph(program)), options))
 
     # -- lifecycle ---------------------------------------------------------------
     def _transition(

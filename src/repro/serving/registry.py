@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.compiler import (
@@ -52,16 +52,6 @@ class CacheStats:
         }
 
 
-@dataclass
-class RegistryEntry:
-    """A cached compilation plus its bookkeeping."""
-
-    signature: str
-    compilation: CompilationResult
-    hits: int = 0
-    compile_seconds: float = field(default=0.0)
-
-
 class ProgramRegistry:
     """LRU cache of compiled programs keyed by content signature.
 
@@ -84,7 +74,7 @@ class ProgramRegistry:
         self.capacity = capacity
         self.artifacts = artifacts
         self.stats = CacheStats()
-        self._entries: "OrderedDict[str, RegistryEntry]" = OrderedDict()
+        self._entries: "OrderedDict[str, CompilationResult]" = OrderedDict()
         #: Index from (base signature, lane width) to the variant's own
         #: signature, so the warm path of :meth:`get_or_compile_variant`
         #: never re-hashes the program graph.
@@ -102,14 +92,13 @@ class ProgramRegistry:
     def lookup(self, signature: str) -> Optional[CompilationResult]:
         """Return the cached compilation for ``signature`` or None (counts)."""
         with self._lock:
-            entry = self._entries.get(signature)
-            if entry is None:
+            compilation = self._entries.get(signature)
+            if compilation is None:
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(signature)
             self.stats.hits += 1
-            entry.hits += 1
-            return entry.compilation
+            return compilation
 
     def get_or_compile(
         self,
@@ -137,7 +126,7 @@ class ProgramRegistry:
         compilation = EvaCompiler(options).compile(program, input_scales, output_scales)
         if self.artifacts is not None:
             try:
-                self.artifacts.save(compilation, signature=signature)
+                self.artifacts.save(compilation)
             except Exception as exc:  # publishing is best-effort, serving is not
                 import warnings
 
@@ -208,12 +197,8 @@ class ProgramRegistry:
                 # A concurrent worker compiled the same program first; keep
                 # the existing entry so cached identity stays stable.
                 self._entries.move_to_end(signature)
-                return existing.compilation
-            self._entries[signature] = RegistryEntry(
-                signature=signature,
-                compilation=compilation,
-                compile_seconds=compilation.compile_seconds,
-            )
+                return existing
+            self._entries[signature] = compilation
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1

@@ -50,7 +50,12 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..backend.hisa import BackendContext, HomomorphicBackend
-from ..core.compiler import CompilationResult, CompilerOptions, program_signature
+from ..core.compiler import (
+    CompilationResult,
+    CompilerOptions,
+    frontend_graph,
+    program_signature,
+)
 from ..core.executor import EvaluationEngine
 from ..core.ir import Program
 from ..errors import EncodingError, EvaError, ServingError, UnknownProgramError
@@ -307,9 +312,7 @@ class EvaServer:
         Without it, the server still lane-batches plaintext requests by
         resolving variants on demand per batch.
         """
-        graph = getattr(program, "graph", program)
-        if not isinstance(graph, Program):
-            raise ServingError(f"cannot register {type(program).__name__} as a program")
+        graph = frontend_graph(program)
         if lane_width is not None:
             options = replace(options or CompilerOptions(), lane_width=int(lane_width))
         spec = ProgramSpec(

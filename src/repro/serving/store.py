@@ -17,10 +17,15 @@ arrives for a client it has never seen.  Sessions therefore survive both a
 full server restart and a shard failure followed by a reroute (the new shard
 reads the blob the old shard persisted).
 
-Records are single JSON files written atomically (temp file + ``os.replace``),
-so concurrent shard processes sharing one directory never observe a torn
-record; the last writer of a key wins, which is safe for the key material
-because every writer of one key holds the same client's blob.  The record's
+Records are single JSON files in a
+:class:`~repro.core.serialization.records.RecordDirectory` (atomic publish,
+TTL, ``prune``), so concurrent shard processes sharing one directory never
+observe a torn record; the last writer of a key wins, which is safe for the
+key material because every writer of one key holds the same client's blob.
+The record carries no digest: it is 1.5 MB on a real backend and its write is
+on the clock of every new client (a second, canonical serialization doubled
+it), the key importer validates what it decodes, and docs/wire-protocol.md
+promises that a record of an earlier build still decodes.  The record's
 ``programs`` list is advisory metadata: the in-process lock merges names
 saved by one process, but two *processes* saving the same key concurrently
 may keep only the last writer's list.
@@ -30,40 +35,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
-import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from ..core.compiler import CompilationResult
 from ..core.serialization.packing import jsonable_blobs
+from ..core.serialization.records import RecordDirectory, unlink_quietly, write_record
 
 #: Format version stamped into every record.
 STORE_VERSION = 1
-
-
-def atomic_write_json(root: Path, path: Path, record: Dict[str, Any]) -> None:
-    """Publish ``record`` at ``path`` atomically (temp file + ``os.replace``).
-
-    The write discipline shared by every on-disk store of the serving layer
-    (:class:`SessionStore`, :class:`~repro.serving.artifacts.ArtifactCache`):
-    a concurrent reader sees nothing, the old record, or the new one — never
-    a torn file.  ``root`` must be on the same filesystem as ``path`` (the
-    temp file is created there so the final rename stays atomic).
-    """
-    fd, tmp_name = tempfile.mkstemp(dir=root, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(record, handle)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 def session_digest(compilation: CompilationResult, client_id: str) -> str:
@@ -83,42 +64,26 @@ def session_digest(compilation: CompilationResult, client_id: str) -> str:
     return hashlib.sha256(json.dumps(key, separators=(",", ":")).encode("utf-8")).hexdigest()[:32]
 
 
-class SessionStore:
+class SessionStore(RecordDirectory):
     """A directory of persisted evaluation-key records, one JSON file each.
 
-    The store is deliberately dumb: no index, no locking protocol beyond
-    atomic whole-file replacement.  That makes it safe to share between the
-    shard processes of an :class:`~repro.serving.cluster.EvaCluster` (and
-    across full server restarts) without any coordination.
+    Safe to share between the shard processes of an
+    :class:`~repro.serving.cluster.EvaCluster` (and across full server
+    restarts) without any coordination.  With a ``ttl``, records past it read
+    as missing — an expired session must force the client back through
+    ``create_session``, not silently serve stale keys — and :meth:`prune`
+    deletes them; without one a long-lived ``--session-dir`` grows one record
+    per (client, parameters) pair forever.
     """
 
-    def __init__(self, root: Union[str, Path], ttl: Optional[float] = None) -> None:
-        if ttl is not None and ttl <= 0:
-            raise ValueError("ttl must be positive seconds (or None to disable)")
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        #: Optional record lifetime in seconds: reads treat older records as
-        #: missing, and :meth:`prune` deletes them.  Without a TTL a
-        #: long-lived ``--session-dir`` grows one record per (client,
-        #: parameters) pair forever.
-        self.ttl = float(ttl) if ttl is not None else None
-        self._lock = threading.Lock()
+    def accepts(self, record: Dict[str, Any]) -> bool:
+        """Unversioned or other-version files read as missing."""
+        return record.get("version") == STORE_VERSION
 
-    def _expired(self, record: Dict[str, Any], max_age: Optional[float] = None) -> bool:
-        max_age = max_age if max_age is not None else self.ttl
-        if max_age is None:
-            return False
-        saved_at = record.get("saved_at")
-        if not isinstance(saved_at, (int, float)):
-            return True
-        return (time.time() - float(saved_at)) > float(max_age)
-
-    # -- paths -------------------------------------------------------------------
     def path_for(self, client_id: str, compilation: CompilationResult) -> Path:
         """The store file path for a (client, compilation) record."""
-        return self.root / f"{session_digest(compilation, client_id)}.json"
+        return self._path(session_digest(compilation, client_id))
 
-    # -- write -------------------------------------------------------------------
     def save(
         self,
         client_id: str,
@@ -161,119 +126,39 @@ class SessionStore:
                 # packed records; the on-disk store stays plain JSON.
                 "evaluation_keys": jsonable_blobs(evaluation_keys),
             }
-            atomic_write_json(self.root, path, record)
+            write_record(path, record)
         return path
 
-    # -- read --------------------------------------------------------------------
     def load(
         self, client_id: str, compilation: CompilationResult
     ) -> Optional[Dict[str, Any]]:
-        """The persisted key blob for ``(client, compilation)``, or ``None``.
-
-        With a TTL configured, records past it read as missing (and are
-        deleted opportunistically): an expired session must force the client
-        back through ``create_session``, not silently serve stale keys.
-        """
-        path = self.path_for(client_id, compilation)
-        record = self._read(path)
-        if record is None:
-            return None
-        if self._expired(record):
-            # Delete under the lock, after re-reading: a concurrent save()
-            # may have just republished fresh keys at this path, and deleting
-            # those would silently destroy a live session.  (save() holds the
-            # same lock, so the in-process race is closed; a cross-process
-            # saver stamps a fresh saved_at, which the re-read observes.)
-            with self._lock:
-                current = self._read(path)
-                if current is not None and self._expired(current):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-            return None
-        keys = record.get("evaluation_keys")
+        """The persisted key blob for ``(client, compilation)``, or ``None``
+        (no record, an unreadable one, or one past the TTL)."""
+        record = self._live(self.path_for(client_id, compilation))
+        keys = record.get("evaluation_keys") if record else None
         return keys if isinstance(keys, dict) else None
 
-    @staticmethod
-    def _read(path: Path) -> Optional[Dict[str, Any]]:
-        """One record, or ``None`` for missing/corrupt/incompatible files."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(record, dict) or record.get("version") != STORE_VERSION:
-            return None
-        return record
-
-    # -- maintenance -------------------------------------------------------------
     def records(self) -> List[Dict[str, Any]]:
         """Metadata of every readable record (key blobs omitted)."""
-        found = []
-        for path in sorted(self.root.glob("*.json")):
-            record = self._read(path)
-            if record is None:
-                continue
-            found.append(
-                {
-                    "client_id": record.get("client_id"),
-                    "programs": record.get("programs", []),
-                    "parameters": record.get("parameters", {}),
-                    "saved_at": record.get("saved_at"),
-                    "path": str(path),
-                }
-            )
-        return found
-
-    def prune(self, max_age: Optional[float] = None) -> int:
-        """Delete records older than ``max_age`` seconds (defaults to the TTL).
-
-        The session GC for long-lived ``--session-dir`` directories: without
-        it the store grows one record per (client, parameters) pair forever.
-        Corrupt records are aged by file mtime so they get swept too.
-        Returns the number of files removed; a no-op without a bound.
-        """
-        max_age = max_age if max_age is not None else self.ttl
-        if max_age is None:
-            return 0
-        removed = 0
-        with self._lock:
-            for path in self.root.glob("*.json"):
-                record = self._read(path)
-                if record is None:
-                    # Unreadable records degrade to misses anyway; sweep them
-                    # once they are old by the filesystem clock.
-                    try:
-                        expired = (time.time() - path.stat().st_mtime) > float(max_age)
-                    except OSError:
-                        continue
-                else:
-                    expired = self._expired(record, max_age)
-                if expired:
-                    try:
-                        path.unlink()
-                        removed += 1
-                    except OSError:
-                        pass
-        return removed
+        return [
+            {
+                "client_id": record.get("client_id"),
+                "programs": record.get("programs", []),
+                "parameters": record.get("parameters", {}),
+                "saved_at": record.get("saved_at"),
+                "path": str(path),
+            }
+            for path, record in self
+        ]
 
     def delete(self, client_id: str) -> int:
         """Drop every persisted session of ``client_id`` (e.g. key rotation)."""
-        count = 0
         with self._lock:
-            for path in self.root.glob("*.json"):
-                record = self._read(path)
-                if record is not None and record.get("client_id") == str(client_id):
-                    try:
-                        path.unlink()
-                        count += 1
-                    except OSError:
-                        pass
-        return count
-
-    def __len__(self) -> int:
-        return sum(1 for path in self.root.glob("*.json") if self._read(path) is not None)
+            return sum(
+                unlink_quietly(path)
+                for path, record in self
+                if record.get("client_id") == str(client_id)
+            )
 
     def summary(self) -> Dict[str, object]:
         """Cheap monitoring view: counts files without parsing key blobs.
@@ -283,11 +168,4 @@ class SessionStore:
         count may include records :meth:`records` would reject as corrupt;
         use :meth:`records` (which parses everything) for the exact view.
         """
-        return {
-            "root": str(self.root),
-            "ttl": self.ttl,
-            "records": sum(1 for _ in self.root.glob("*.json")),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SessionStore root={str(self.root)!r}>"
+        return {"root": str(self.root), "ttl": self.ttl, "records": self.file_count()}

@@ -18,6 +18,7 @@ import pytest
 
 from repro.api import (
     ClientKit,
+    CompilationResult,
     CompiledProgram,
     Executor,
     ServerRuntime,
@@ -27,7 +28,7 @@ from repro.api import (
 )
 from repro.backend import CkksBackend, MockBackend
 from repro.core import CompilerOptions, program_signature
-from repro.errors import CompilationError, ExecutionError, ServingError
+from repro.errors import CompilationError, ExecutionError, SerializationError, ServingError
 from repro.frontend import EvaProgram, input_encrypted, input_plain, output
 from repro.serving import EvaServer, EvaTcpServer, ServingClient
 
@@ -73,17 +74,22 @@ class TestCompiledProgram:
         assert spec.signature == compiled.signature
         server.close()
 
-    def test_signature_consistent_across_construction_paths(self, compiled):
-        """Every way of wrapping the same compilation yields the signature
-        compile() computed — the compiler stamps it on the result."""
-        rewrapped = CompiledProgram(compiled.compilation, source=compiled.source)
-        assert rewrapped.signature == compiled.signature
-        bare = CompiledProgram(compiled.compilation)
-        assert bare.signature == compiled.signature
+    def test_compiled_program_is_the_compilers_result(self, compiled):
+        """One value: what ``program.compile()``, ``EvaCompiler`` and
+        ``CompiledProgram.compile`` return is one class, and a result assembled
+        by hand hashes what it has (its source, else its compiled graph)."""
+        from dataclasses import replace
 
-    def test_raw_compilation_result_interoperates_with_server(self):
-        """A ClientKit built on program.compile() output (no CompiledProgram)
-        must produce bundles a server that registered the source accepts."""
+        assert CompiledProgram is CompilationResult
+        assert type(make_program().compile()) is CompiledProgram
+        by_hand = replace(compiled, signature="")
+        assert by_hand.signature == compiled.signature
+        bare = replace(compiled, signature="", source=None)
+        assert bare.signature == program_signature(compiled.program, compiled.options)
+
+    def test_program_compile_output_interoperates_with_server(self):
+        """A ClientKit built on program.compile() output must produce bundles
+        a server that registered the source accepts."""
         program = make_program()
         compilation = program.compile()
         kit = ClientKit(compilation, backend=MockBackend(error_model="none"))
@@ -125,9 +131,9 @@ class TestCompiledProgram:
     def test_load_rejects_non_artifacts(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text(json.dumps({"not": "an artifact"}))
-        with pytest.raises(Exception, match="not a compiled program artifact"):
+        with pytest.raises(SerializationError, match="not a compiled program record"):
             CompiledProgram.load(path)
-        with pytest.raises(Exception, match="no such"):
+        with pytest.raises(SerializationError, match="no compiled program record at"):
             CompiledProgram.load(tmp_path / "missing.json")
 
     def test_execute_reference_uses_source_semantics(self, compiled):
@@ -525,18 +531,14 @@ class TestEvaProgramFamily:
 class TestLegacyCompat:
     def test_executor_one_shot_still_works(self, compiled):
         xv = np.linspace(-1, 1, 32)
-        result = Executor(compiled.compilation, MockBackend(error_model="none")).execute(
-            {"x": xv}
-        )
+        result = Executor(compiled, MockBackend(error_model="none")).execute({"x": xv})
         np.testing.assert_allclose(result["y"], expected(xv), atol=1e-9)
         assert result.stats.op_count > 0
 
     def test_executor_matches_split_api(self, compiled, split):
         client, server = split
         xv = np.linspace(-1, 1, 32)
-        one_shot = Executor(
-            compiled.compilation, MockBackend(error_model="none")
-        ).execute({"x": xv})
+        one_shot = Executor(compiled, MockBackend(error_model="none")).execute({"x": xv})
         split_outputs = client.decrypt_outputs(
             server.evaluate(client.encrypt_inputs({"x": xv}))
         )
@@ -548,22 +550,3 @@ class TestLegacyCompat:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert repro.api.ClientKit is ClientKit
-
-    def test_top_level_imports_warn(self):
-        import repro
-
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            _ = repro.Executor
-
-    def test_every_deprecated_name_importable_from_api(self):
-        """The deprecation message points at repro.api — it must deliver."""
-        import repro
-        import repro.api as api
-
-        for name in repro._DEPRECATED_EXPORTS:
-            assert hasattr(api, name), name
-        # the supported homes stay warning-free
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            from repro.api import Executor as _api_executor  # noqa: F401
-            from repro.core import Executor as _core_executor  # noqa: F401

@@ -145,10 +145,20 @@ class TestSurface:
         flags = surface.cli_flags()
         assert "--cluster-config" in flags["serve"] and flags["info"] == []
         assert report["cli_flags_total"] == sum(len(names) for names in flags.values())
-        assert report["options"] == (
+        assert report["options_without_config_fields"] == (
             sum(len(names) for names in options.values())
             + report["cli_flags_total"]
             + len(report["environ_reads"])
+        )
+        # Each field of a config object is an option too.
+        configs = surface.config_fields()
+        assert configs["LaneWidthPolicy"] == ["min_samples", "top_widths"]
+        assert "lane_width" in configs["CompilerOptions"] and "seed" in configs["BackendSpec"]
+        assert set(configs) == {
+            "CompilerOptions", "LaneWidthPolicy", "ScalePolicy", "FairnessPolicy", "BackendSpec",
+        }  # fmt: skip
+        assert report["options"] == report["options_without_config_fields"] + sum(
+            len(names) for names in configs.values()
         )
 
     def test_check_passes_on_the_tree_and_fails_past_a_ceiling(self, surface, tmp_path, capsys):

@@ -494,7 +494,7 @@ def batch_poly_program():
 
 def steady_state_rows(program, chain, whole_request):
     """``{op: rows}`` of one request after a warm-up (key forms are cached by then)."""
-    compilation = CompiledProgram.compile(program.graph, options=OPTIONS).compilation
+    compilation = CompiledProgram.compile(program.graph, options=OPTIONS)
     assert compilation.parameters.coeff_modulus_bits == chain[1]
     assert compilation.parameters.poly_modulus_degree == chain[0]
     backend = CkksBackend(seed=3)
@@ -559,7 +559,7 @@ class TestExactNttRows:
         export on the other."""
         program = program()
         compiled = CompiledProgram.compile(program.graph, options=OPTIONS)
-        parameters = compiled.compilation.parameters
+        parameters = compiled.parameters
         assert (parameters.poly_modulus_degree, parameters.coeff_modulus_bits) == chain
         backend = CkksBackend(seed=3)
         kit = ClientKit(compiled, backend=backend)
@@ -568,7 +568,7 @@ class TestExactNttRows:
         keys = json.loads(json.dumps(kit.export_evaluation_keys()))
         server = backend.create_evaluation_context(parameters, keys)
         assert not kit.context.drain_ntt_rows() and not server.drain_ntt_rows()  # export, import: none
-        engine = EvaluationEngine(compiled.compilation, backend=backend)
+        engine = EvaluationEngine(compiled, backend=backend)
         values = np.random.default_rng(1).uniform(-1.0, 1.0, program.graph.vec_size)
         for expected in (first, steady):
             bundle = kit.encrypt_inputs({"x": values})
@@ -607,7 +607,7 @@ class TestExactNttRows:
         c0 waited: 912 steady, 1192 with cold key forms."""
         program = build_sobel_program(image_size=64, scale=28.0)
         options = CompilerOptions(max_rescale_bits=28)
-        compilation = CompiledProgram.compile(program.graph, options=options).compilation
+        compilation = CompiledProgram.compile(program.graph, options=options)
         assert compilation.parameters.poly_modulus_degree == 16384
         assert compilation.parameters.coeff_modulus_bits == [28] * 8
         backend = CkksBackend(seed=3)
@@ -682,7 +682,7 @@ class TestFormsStayOffTheWire:
     def test_every_form_encodes_to_the_coefficient_bytes(self):
         compilation = CompiledProgram.compile(batch_poly_program().graph, options=OPTIONS)
         backend = CkksBackend(seed=9)
-        context = backend.create_context(compilation.compilation.parameters)
+        context = backend.create_context(compilation.parameters)
         context.generate_keys()
         x = context.encrypt(np.linspace(-1, 1, 64), 25)
         relinearized = context.relinearize(context.multiply(x, x))
@@ -696,7 +696,7 @@ class TestFormsStayOffTheWire:
         assert json.dumps(context.encode_cipher(relinearized)) == json.dumps(want)
         assert relinearized.extended  # an export keeps nothing: the handle is as it was
         # The operand the multiplication converted still exports its original bytes.
-        fresh = backend.create_context(compilation.compilation.parameters)
+        fresh = backend.create_context(compilation.parameters)
         fresh.generate_keys()
         assert context.encode_cipher(x) == fresh.encode_cipher(
             fresh.encrypt(np.linspace(-1, 1, 64), 25)
@@ -708,7 +708,7 @@ class TestFormsStayOffTheWire:
         """A rotation's reply is written over the data basis (its owed division
         is the export's), and rows over the key basis are refused on the way in."""
         compiled = CompiledProgram.compile(rotate_sum_program().graph, options=OPTIONS)
-        context = CkksBackend(seed=9).create_context(compiled.compilation.parameters)
+        context = CkksBackend(seed=9).create_context(compiled.parameters)
         context.generate_keys()
         x = context.encrypt(np.linspace(-1, 1, 1024), 25)
         rotated = context.rotate(context.decode_cipher(context.encode_cipher(x)), 1)
@@ -786,7 +786,7 @@ class TestSharedHandlesAcrossThreads:
         with program:
             x = input_encrypted("x", 25)
             output("y", x * x + (x << 1) * x, 25)
-        compilation = CompiledProgram.compile(program.graph, options=OPTIONS).compilation
+        compilation = CompiledProgram.compile(program.graph, options=OPTIONS)
         backend = CkksBackend(seed=4)
         context = backend.create_context(compilation.parameters)
         context.generate_keys()

@@ -314,14 +314,6 @@ class TestWidthPicker:
         assert ranked and ranked[0][0] == 4
         assert all(score > 0 for _width, score in ranked)
 
-    def test_frequency_fallback_matches_histogram_order(self):
-        from repro.serving.artifacts import LaneWidthPolicy
-
-        policy = LaneWidthPolicy(top_widths=2, use_cost_model=False)
-        compilation = self._lane_program()
-        ranked = policy.choose_widths(compilation, {8: 3, 16: 9, 32: 1})
-        assert [width for width, _score in ranked] == [16, 8]
-
     def test_invalid_widths_filtered(self):
         from repro.serving.artifacts import LaneWidthPolicy
 

@@ -539,7 +539,7 @@ class TestSeededWire:
         kit, program = served["kit"], served["program"]
         keys = through_json(kit.export_evaluation_keys())
         store = SessionStore(tmp_path)
-        compilation = served["compiled"].compilation
+        compilation = served["compiled"]
         store.save("alice", compilation, keys, program="rotate_sum")
         assert store.load("alice", compilation) == keys and has_seed_record(keys)
 
@@ -646,9 +646,7 @@ class TestDecodeValidation:
         server, kit = served["server"], served["kit"]
         bundle = self._bundle(kit)
         edit(bundle["ciphertexts"]["x"])
-        live_before = server.sessions.get_attached(
-            kit.compiled.compilation, "mallory"
-        ).context.live_ciphertexts
+        live_before = server.sessions.get_attached(kit.compiled, "mallory").context.live_ciphertexts
         with pytest.raises(SerializationError) as caught:
             server.submit_encrypted("poly", copy.deepcopy(bundle), client_id="mallory").result(30)
         assert fragment in str(caught.value)
@@ -660,7 +658,7 @@ class TestDecodeValidation:
             # The connection lives on, and so does the session.
             good = client.submit_encrypted("poly", kit, {"x": np.linspace(-1, 1, 64)})["y"]
         assert math.isfinite(float(good[0]))
-        context = server.sessions.get_attached(kit.compiled.compilation, "mallory").context
+        context = server.sessions.get_attached(kit.compiled, "mallory").context
         assert context.live_ciphertexts == live_before  # nothing half-decoded was leaked
 
     @staticmethod

@@ -1367,7 +1367,7 @@ class TestOneEvaluationSpine:
         request = {"x": np.linspace(-1, 1, 8)}
         compiled = CompiledProgram.compile(program, options=SPINE_OPTIONS)
         kit = ClientKit(compiled, backend=backend, client_id="carol")
-        answers = {"executor": Executor(compiled.compilation, backend).execute(request).outputs}
+        answers = {"executor": Executor(compiled, backend).execute(request).outputs}
         runtime = ServerRuntime(compiled, backend=backend)
         runtime.attach_client("carol", kit.evaluation_context())
         answers["runtime"] = kit.decrypt_outputs(runtime.evaluate(kit.encrypt_inputs(request)))

@@ -9,10 +9,14 @@ to re-derive them.  This script prints both from the checkout it is pointed at:
   constructors (``EvaServer``, ``JobEngine``, ``EvaCluster`` — its own
   parameters plus, where it takes ``**recipe``, the fields of the
   ``ShardConfig`` recipe those keywords become — ``EvaluationEngine`` and
-  ``Evaluator``; via ``inspect.signature`` / ``dataclasses.fields``), the long
+  ``Evaluator``; via ``inspect.signature`` / ``dataclasses.fields``), each
+  field of the config objects those take (``CompilerOptions``,
+  ``LaneWidthPolicy``, ``ScalePolicy``, ``FairnessPolicy``, ``BackendSpec``:
+  a field is an independently settable value like any parameter), the long
   flags of every ``repro.cli`` subcommand (``build_parser()``; a flag two
   subcommands share counts twice, it is spelled twice), and the
-  ``os.environ`` reads under ``src/``.
+  ``os.environ`` reads under ``src/``.  ``options_without_config_fields`` is
+  the total on the basis quoted up to PR 22, which left the fields out.
 
 ``--check`` compares the totals with the ceilings committed under
 ``[tool.repro.surface]`` in ``pyproject.toml`` and exits 1 when either is
@@ -41,6 +45,15 @@ COUNTED_CONSTRUCTORS = (
     ("repro.serving.cluster", "EvaCluster"),
     ("repro.core.executor", "EvaluationEngine"),
     ("repro.ckks.evaluator", "Evaluator"),
+)
+
+#: (module, class) of every config dataclass whose fields count as options.
+COUNTED_CONFIG_OBJECTS = (
+    ("repro.core.compiler", "CompilerOptions"),
+    ("repro.serving.artifacts", "LaneWidthPolicy"),
+    ("repro.serving.membership", "ScalePolicy"),
+    ("repro.serving.quotas", "FairnessPolicy"),
+    ("repro.serving.cluster", "BackendSpec"),
 )
 
 _ENVIRON_READ = re.compile(r"os\.environ|os\.getenv|\bgetenv\(")
@@ -75,6 +88,15 @@ def constructor_options() -> dict:
     return options
 
 
+def config_fields() -> dict:
+    """Field names per counted config object."""
+    configs = {}
+    for module_name, class_name in COUNTED_CONFIG_OBJECTS:
+        cls = getattr(importlib.import_module(module_name), class_name)
+        configs[class_name] = [field.name for field in dataclasses.fields(cls)]
+    return configs
+
+
 def cli_flags() -> dict:
     """Long flags per ``repro.cli`` subcommand."""
     from repro import cli
@@ -106,14 +128,17 @@ def measure(root: Path) -> dict:
     """The whole report for the checkout at ``root`` (whose ``src/`` must be
     the ``repro`` on ``sys.path``: :func:`main` puts it there)."""
     src = root / "src"
-    constructors, flags = constructor_options(), cli_flags()
+    constructors, configs, flags = constructor_options(), config_fields(), cli_flags()
     lines, environ = line_counts(src), environ_reads(src)
     flag_count = sum(len(names) for names in flags.values())
+    old_basis = sum(len(names) for names in constructors.values()) + flag_count + len(environ)
     return {
         "src_lines": sum(lines.values()),
         "src_lines_by_package": lines,
-        "options": sum(len(names) for names in constructors.values()) + flag_count + len(environ),
+        "options": old_basis + sum(len(names) for names in configs.values()),
+        "options_without_config_fields": old_basis,
         "constructor_parameters": {name: len(names) for name, names in constructors.items()},
+        "config_fields": {name: len(names) for name, names in configs.items()},
         "cli_flags": {name: len(names) for name, names in flags.items()},
         "cli_flags_total": flag_count,
         "cli_flags_distinct": len({flag for names in flags.values() for flag in names}),
