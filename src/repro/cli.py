@@ -6,11 +6,14 @@ be saved to disk (``repro.core.serialization.save``), then inspected, compiled
 and executed from the command line::
 
     python -m repro.cli info program.evaproto
-    python -m repro.cli compile program.evaproto -o compiled.evaproto --policy eva
-    python -m repro.cli run compiled.evaproto --inputs inputs.json --backend mock
+    python -m repro.cli compile program.evaproto -o compiled.json --policy eva
+    python -m repro.cli run compiled.json --inputs inputs.json --backend mock
 
-``inputs.json`` maps input names to numbers or lists of numbers; the decrypted
-outputs are printed as JSON.
+``compile -o`` writes the compiled-program record (graph, parameters, rotation
+steps and the options it was compiled with, digest-sealed); ``run`` and
+``submit --encrypt --program-file`` take either that record, used as it is, or
+a source program, compiled with the flags.  ``inputs.json`` maps input names
+to numbers or lists of numbers; the decrypted outputs are printed as JSON.
 
 The serving subsystem is exposed as a command pair: ``serve`` registers one or
 more program files with an :class:`~repro.serving.EvaServer` and listens on a
@@ -42,9 +45,11 @@ from typing import Any, Dict
 
 import numpy as np
 
-from .core import CompilerOptions, EvaCompiler, Executor
-from .core.analysis import select_parameters, select_rotation_steps
-from .core.serialization import load, save
+from .core import CompilerOptions, Executor
+from .core.compiler import RECORD_FORMAT, CompilationResult
+from .core.serialization import load
+from .core.serialization.messages import OPS
+from .core.serialization.records import read_record
 from .errors import EvaError
 
 
@@ -59,8 +64,75 @@ def _make_backend(name: str, seed: int):
     return BackendSpec(name=name, seed=seed).build()
 
 
+#: The compile flags (argparse dest -> ``CompilerOptions`` field and the value
+#: an absent flag means).  They parse to ``None`` when absent, so a command
+#: handed a compiled-program record can tell that one was given beside it.
+_COMPILE_FLAGS = {
+    "policy": ("policy", "eva"),
+    "max_rescale_bits": ("max_rescale_bits", 60.0),
+    "security": ("security_level", 128),
+    "lane_width": ("lane_width", None),
+}
+
+
+def _compiler_options(args: argparse.Namespace) -> CompilerOptions:
+    return CompilerOptions(
+        **{
+            field: default if getattr(args, dest) is None else getattr(args, dest)
+            for dest, (field, default) in _COMPILE_FLAGS.items()
+        }
+    )
+
+
+def _load_program(path: Any):
+    """A program file: the compiled-program record ``compile -o`` wrote (a
+    :class:`CompilationResult`) or a source program (a core ``Program``)."""
+    record = read_record(path)
+    if record is not None and record.get("format") == RECORD_FORMAT:
+        return CompilationResult.from_record(record)
+    return load(path)
+
+
+def _load_source(path: Any, command: str):
+    """The source program at ``path``, for a command that compiles it itself."""
+    program = _load_program(path)
+    if isinstance(program, CompilationResult):
+        raise EvaError(
+            f"{path} is a compiled-program record (written by `compile -o`); "
+            f"`{command}` takes the source program"
+        )
+    return program
+
+
+def _refuse_compiled_graph(program, path: Any) -> None:
+    if any(term.op.is_fhe_specific for term in program.terms()):
+        raise EvaError(
+            f"{path} is an already-compiled bare graph (contains FHE-specific "
+            "instructions) without the parameters it was compiled for; give "
+            "the source program, or the record `compile -o` writes"
+        )
+
+
+def _load_compiled(path: Any, args: argparse.Namespace) -> CompilationResult:
+    """What ``run`` / ``submit --encrypt`` execute: a record as it is, or a
+    source program compiled with the flags."""
+    program = _load_program(path)
+    if not isinstance(program, CompilationResult):
+        _refuse_compiled_graph(program, path)
+        return CompilationResult.compile(program, options=_compiler_options(args))
+    given = [
+        "--" + dest.replace("_", "-") for dest in _COMPILE_FLAGS if getattr(args, dest) is not None
+    ]
+    if given:
+        raise EvaError(
+            f"{path} is a compiled-program record and carries the options it was "
+            f"compiled with; drop {', '.join(given)} (or give the source program)"
+        )
+    return program
+
+
 def cmd_info(args: argparse.Namespace) -> int:
-    program = load(args.program)
+    program = _load_source(args.program, "info")
     counts = {op.name: count for op, count in sorted(program.op_counts().items())}
     info = {
         "name": program.name,
@@ -76,15 +148,9 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    program = load(args.program)
-    options = CompilerOptions(
-        policy=args.policy,
-        max_rescale_bits=args.max_rescale_bits,
-        security_level=args.security,
-        lane_width=args.lane_width,
-    )
-    result = EvaCompiler(options).compile(program)
-    save(result.program, args.output)
+    program = _load_source(args.program, "compile")
+    result = CompilationResult.compile(program, options=_compiler_options(args))
+    result.save(args.output)
     summary = dict(result.summary())
     summary["coeff_modulus_bits"] = result.parameters.coeff_modulus_bits
     summary["rotation_steps"] = result.rotation_steps
@@ -94,38 +160,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    program = load(args.program)
-    options = CompilerOptions(
-        policy=args.policy,
-        max_rescale_bits=args.max_rescale_bits,
-        security_level=args.security,
-        lane_width=args.lane_width,
-    )
-    # The executable on disk may be an already-compiled program (containing
-    # FHE-specific instructions); in that case only parameter selection is
-    # needed.  Otherwise compile from scratch.
-    has_fhe_ops = any(term.op.is_fhe_specific for term in program.terms())
-    if has_fhe_ops:
-        rotation_steps = select_rotation_steps(program)
-        parameters = select_parameters(
-            program,
-            max_rescale_bits=options.max_rescale_bits,
-            security_level=options.security_level,
-            rotation_steps=rotation_steps,
-        )
-        from .core.compiler import CompilationResult
-
-        compilation = CompilationResult(
-            program=program,
-            parameters=parameters,
-            rotation_steps=rotation_steps,
-            options=options,
-            input_scales={n: float(t.scale or 0.0) for n, t in program.inputs.items()},
-            output_scales=dict(program.output_scales),
-        )
-    else:
-        compilation = EvaCompiler(options).compile(program)
-
+    compilation = _load_compiled(args.program, args)
     inputs = _load_inputs(args.inputs)
     backend = _make_backend(args.backend, args.seed)
     executor = Executor(compilation, backend=backend, threads=args.threads)
@@ -139,12 +174,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    options = CompilerOptions(
-        policy=args.policy,
-        max_rescale_bits=args.max_rescale_bits,
-        security_level=args.security,
-        lane_width=args.lane_width,
-    )
+    options = _compiler_options(args)
     # Load and validate everything before spinning up worker threads or
     # binding the port, so a bad invocation fails fast and clean.
     programs = {}
@@ -155,14 +185,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"duplicate program name {name!r}: {path} would overwrite an "
                 "already-registered file with the same stem"
             )
-        program = load(path)
-        if any(term.op.is_fhe_specific for term in program.terms()):
-            raise EvaError(
-                f"{path} is an already-compiled program (contains FHE-specific "
-                "instructions); the server compiles on registration, so serve "
-                "the source program instead"
-            )
-        programs[name] = program
+        # The server compiles on registration (per lane width, per artifact
+        # cache), so it takes source programs only.
+        programs[name] = _load_source(path, "serve")
+        _refuse_compiled_graph(programs[name], path)
     from .serving import ShardConfig, configure_logging, load_cluster_config
 
     # One recipe for whatever kind of serving process this becomes: a flag named
@@ -292,17 +318,10 @@ def cmd_submit(args: argparse.Namespace) -> int:
                     "--encrypt needs --program-file (the same program file the "
                     "server serves) to compile locally and derive keys"
                 )
-            from .api import ClientKit, CompiledProgram
+            from .api import ClientKit
 
-            options = CompilerOptions(
-                policy=args.policy,
-                max_rescale_bits=args.max_rescale_bits,
-                security_level=args.security,
-                lane_width=args.lane_width,
-            )
-            compiled = CompiledProgram.compile(load(args.program_file), options=options)
             kit = ClientKit(
-                compiled,
+                _load_compiled(args.program_file, args),
                 backend=_make_backend(args.backend, args.seed),
                 client_id=args.client,
             )
@@ -367,46 +386,39 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Where ``cluster <action>`` takes each request field from: the argparse
+#: dest, and what a usage error calls it.
+_CLUSTER_FIELDS = {
+    "client_id": ("client", "--client"),
+    "shard": ("shard", "--shard"),
+    "host": ("join_host", "--join-host"),
+    "port": ("join_port", "--join-port"),
+    "trace_id": ("trace_id", "a trace id argument"),
+    "limit": ("limit", "--limit"),
+}
+
+
 def cmd_cluster(args: argparse.Namespace) -> int:
-    """Cluster administration against a running router: health, drain, rejoin."""
+    """Send one op of the wire's table to a running server; print its answer."""
     from .serving import ServingClient
 
+    row = OPS[args.action]
+    fields = {
+        name: getattr(args, _CLUSTER_FIELDS[name][0])
+        for name in row.fields
+        if name in _CLUSTER_FIELDS
+    }
+    if any(fields[name] in (None, "") for name in row.required):
+        needs = " and ".join(_CLUSTER_FIELDS[name][1] for name in row.required)
+        raise EvaError(f"cluster {args.action} needs {needs}")
     with ServingClient(
         args.host, args.port, timeout=args.timeout, wire=args.wire
     ) as client:
-        if args.action == "health":
-            payload = {"health": client.health()}
-        elif args.action == "stats":
-            payload = {"stats": client.stats()}
-        elif args.action == "route":
-            payload = {"route": client.route(args.client)}
-        elif args.action == "drain":
-            if args.shard is None:
-                raise EvaError("cluster drain needs --shard")
-            payload = {"drain": client.drain(args.shard)}
-        elif args.action == "rejoin":
-            if args.shard is None:
-                raise EvaError("cluster rejoin needs --shard")
-            payload = {"rejoin": client.rejoin(args.shard)}
-        elif args.action == "join":
-            if not args.join_host or args.join_port is None:
-                raise EvaError("cluster join needs --join-host and --join-port")
-            payload = {"join": client.join(args.join_host, args.join_port)}
-        elif args.action == "metrics":
-            reply = client.metrics(prometheus=args.prometheus)
-            if args.prometheus:
-                # Raw text exposition, ready for a scraper — not JSON.
-                print(reply.get("prometheus", ""))
-                return 0
-            payload = reply
-        elif args.action == "trace":
-            if not args.trace_id:
-                raise EvaError("cluster trace needs a trace id argument")
-            payload = {"trace": client.trace_of(args.trace_id)}
-        elif args.action == "slow":
-            payload = {"slow": client.slow(limit=args.limit)}
-        else:  # pragma: no cover - argparse restricts the choices
-            raise EvaError(f"unknown cluster action {args.action!r}")
+        if args.prometheus and "format" in row.fields:
+            # Raw text exposition, ready for a scraper — not JSON.
+            print(client.metrics(prometheus=True).get("prometheus", ""))
+            return 0
+        payload = {row.reply: client.call(args.action, **fields)}
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -422,16 +434,27 @@ def build_parser() -> argparse.ArgumentParser:
     info.set_defaults(func=cmd_info)
 
     def add_compile_options(p):
-        p.add_argument("--policy", choices=["eva", "chet"], default="eva")
-        p.add_argument("--max-rescale-bits", type=float, default=60.0)
-        p.add_argument("--security", type=int, default=128, choices=[128, 192, 256])
+        p.add_argument("--policy", choices=["eva", "chet"], help="default eva")
+        p.add_argument("--max-rescale-bits", type=float, help="default 60")
+        p.add_argument("--security", type=int, choices=[128, 192, 256], help="default 128")
         p.add_argument(
             "--lane-width",
             type=int,
-            default=None,
             help="lane-lower rotations to this power-of-two width (makes "
             "rotation-bearing programs slot-batchable; server and encrypting "
             "clients must agree on it)",
+        )
+
+    def add_connection_options(p):
+        p.add_argument("--host", default="127.0.0.1")
+        p.add_argument("--port", type=int, default=8587)
+        p.add_argument("--timeout", type=float, default=30.0)
+        p.add_argument(
+            "--wire",
+            choices=["auto", "binary", "json"],
+            default="auto",
+            help="wire framing: auto negotiates the binary protocol and falls "
+            "back to JSON lines; binary demands it; json skips negotiation",
         )
 
     comp = sub.add_parser("compile", help="compile an input program")
@@ -440,7 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_compile_options(comp)
     comp.set_defaults(func=cmd_compile)
 
-    run = sub.add_parser("run", help="compile (if needed) and execute a program")
+    run = sub.add_parser(
+        "run", help="execute a compiled-program record, or compile and execute a source program"
+    )
     run.add_argument("program", type=Path)
     run.add_argument("--inputs", required=True, help="JSON file mapping input names to values")
     run.add_argument("--backend", default="mock", choices=["mock", "mock-exact", "ckks"])
@@ -564,10 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser("submit", help="submit a request to a running server")
     submit.add_argument("program", help="registered program name")
     submit.add_argument("--inputs", required=True, help="JSON file mapping input names to values")
-    submit.add_argument("--host", default="127.0.0.1")
-    submit.add_argument("--port", type=int, default=8587)
+    add_connection_options(submit)
     submit.add_argument("--client", default="default", help="client id (keys are cached per client)")
-    submit.add_argument("--timeout", type=float, default=30.0)
     submit.add_argument("--head", type=int, default=8, help="number of output slots to print")
     submit.add_argument(
         "--encrypt",
@@ -578,7 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--program-file",
         type=Path,
         default=None,
-        help="program file for --encrypt (must match what the server serves)",
+        help="program file for --encrypt: the source program the server serves "
+        "(compiled here with the same flags) or its compiled-program record",
     )
     submit.add_argument(
         "--resume",
@@ -598,13 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="mint a trace id, have the server record per-stage spans, and "
         "print the stage breakdown with the outputs",
-    )
-    submit.add_argument(
-        "--wire",
-        choices=["auto", "binary", "json"],
-        default="auto",
-        help="wire framing: auto negotiates the binary protocol and falls "
-        "back to JSON lines; binary demands it; json skips negotiation",
     )
     submit.add_argument(
         "--deadline-ms",
@@ -650,30 +667,16 @@ def build_parser() -> argparse.ArgumentParser:
     profile.set_defaults(func=cmd_profile)
 
     cluster = sub.add_parser(
-        "cluster",
-        help="administer a running sharded server (health, drain, rejoin, "
-        "join, metrics, trace, slow)",
+        "cluster", help="send one admin op to a running server or cluster router"
     )
     cluster.add_argument(
         "action",
-        choices=[
-            "health",
-            "stats",
-            "route",
-            "drain",
-            "rejoin",
-            "join",
-            "metrics",
-            "trace",
-            "slow",
-        ],
-        help="health: per-shard liveness; stats: cluster stats; route: a "
-        "client's shard; drain: remove a shard from the ring without "
-        "stopping it; rejoin: return a shard to the ring (respawning it "
-        "if dead); join: attach a running remote shard (--join-host/"
-        "--join-port) to the ring; metrics: aggregated metrics snapshot "
-        "(--prometheus for text exposition); trace: per-stage spans of one "
-        "trace id; slow: recent slow requests",
+        choices=[op for op, row in OPS.items() if not row.forwarded],
+        help="the op to send (docs/wire-protocol.md lists what each takes and "
+        "answers): drain/rejoin take --shard, join takes --join-host/--join-port, "
+        "trace takes a trace id, route takes --client, slow takes --limit, "
+        "metrics takes --prometheus; route, drain, rejoin and join are answered "
+        "by cluster routers only",
     )
     cluster.add_argument(
         "trace_id",
@@ -681,8 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="trace id for the trace action",
     )
-    cluster.add_argument("--host", default="127.0.0.1")
-    cluster.add_argument("--port", type=int, default=8587)
+    add_connection_options(cluster)
     cluster.add_argument("--shard", type=int, default=None, help="shard index for drain/rejoin")
     cluster.add_argument(
         "--join-host",
@@ -696,7 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="port of the shard server to attach with the join action",
     )
     cluster.add_argument("--client", default="default", help="client id for route")
-    cluster.add_argument("--timeout", type=float, default=30.0)
     cluster.add_argument(
         "--prometheus",
         action="store_true",
@@ -707,13 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="with slow: cap the number of records returned",
-    )
-    cluster.add_argument(
-        "--wire",
-        choices=["auto", "binary", "json"],
-        default="auto",
-        help="wire framing: auto negotiates the binary protocol and falls "
-        "back to JSON lines; binary demands it; json skips negotiation",
     )
     cluster.set_defaults(func=cmd_cluster)
     return parser

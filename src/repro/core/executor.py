@@ -281,24 +281,34 @@ class EvaluationEngine:
         if not retire_inputs:
             keep_ids.update(t.id for t in terms if t.is_input)
 
-        if self.threads == 1:
-            for term in terms:
-                if term.is_root:
-                    continue
-                self._execute_term(context, term, cipher_values, plain_values)
-                self._retire_args(context, term, remaining_uses, keep_ids, cipher_values)
-        else:
-            self._evaluate_parallel(
-                context, terms, cipher_values, plain_values, remaining_uses, keep_ids
-            )
-
-        handles = {}
-        for name, term in program.outputs.items():
-            if term.id in cipher_values:
-                handles[name] = cipher_values[term.id]
+        try:
+            if self.threads == 1:
+                for term in terms:
+                    if term.is_root:
+                        continue
+                    self._execute_term(context, term, cipher_values, plain_values)
+                    self._retire_args(context, term, remaining_uses, keep_ids, cipher_values)
             else:
-                raise ExecutionError(f"output {name!r} did not produce a ciphertext")
-        return handles
+                self._evaluate_parallel(
+                    context, terms, cipher_values, plain_values, remaining_uses, keep_ids
+                )
+            handles = {}
+            for name, term in program.outputs.items():
+                if term.id not in cipher_values:
+                    raise ExecutionError(f"output {name!r} did not produce a ciphertext")
+                handles[name] = cipher_values[term.id]
+            return handles
+        except BaseException:
+            # A failed evaluation hands nothing back, so nothing it made may stay
+            # live: every value not yet retired goes now — each handle once (a
+            # COPY shares its argument's), the caller's inputs only if it gave
+            # them up.
+            spared = set() if retire_inputs else {id(cipher_values.get(t.id)) for t in terms if t.is_input}
+            for handle in cipher_values.values():
+                if id(handle) not in spared:
+                    spared.add(id(handle))
+                    context.release(handle)
+            raise
 
     def _evaluate_parallel(
         self,
@@ -434,12 +444,17 @@ class EvaluationEngine:
         if op is Op.ROTATE_RIGHT:
             return context.rotate(cipher(0), -term.rotation)
         if op is Op.SUM:
-            acc = cipher(0)
-            shift = 1
-            while shift < self.program.vec_size:
-                acc = context.add(acc, context.rotate(acc, shift))
-                shift *= 2
-            return acc
+            acc, shift, made = cipher(0), 1, []
+            try:
+                while shift < self.program.vec_size:
+                    made.append(context.rotate(acc, shift))
+                    acc = context.add(acc, made[-1])
+                    made.append(acc)
+                    shift *= 2
+                return made.pop() if made else acc
+            finally:  # the partial sums, and after a failure the last one too
+                for handle in made:
+                    context.release(handle)
         if op is Op.MULTIPLY:
             if is_cipher(0) and is_cipher(1):
                 return context.multiply(cipher(0), cipher(1))
@@ -482,7 +497,8 @@ class EvaluationEngine:
                 continue
             remaining_uses[arg.id] -= 1
             if remaining_uses[arg.id] <= 0 and arg.id in cipher_values and arg.id not in keep_ids:
-                context.release(cipher_values[arg.id])
+                # Popped, so the clean-up after a failure sees only live values.
+                context.release(cipher_values.pop(arg.id))
 
 
 class Executor:

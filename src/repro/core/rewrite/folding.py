@@ -34,8 +34,11 @@ def _tile_common(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.tile(a, target // a.size), np.tile(b, target // b.size)
 
 
-def _evaluate_plain(term: Term, values: Dict[int, np.ndarray]) -> np.ndarray:
-    """Evaluate a plaintext instruction on the numeric values of its arguments."""
+def _evaluate_plain(term: Term, values: Dict[int, np.ndarray], vec_size: int) -> np.ndarray:
+    """Evaluate a plaintext instruction on the numeric values of its arguments.
+
+    A value shorter than ``vec_size`` is one period of the vector it denotes.
+    """
     args = [values[a.id] for a in term.args]
     if term.op is Op.NEGATE:
         return -args[0]
@@ -48,7 +51,11 @@ def _evaluate_plain(term: Term, values: Dict[int, np.ndarray]) -> np.ndarray:
     if term.op is Op.COPY:
         return args[0]
     if term.op is Op.SUM:
-        return np.full_like(np.atleast_1d(args[0]), np.sum(args[0]), dtype=np.float64)
+        # SUM adds all vec_size slots: every repetition of the period counts.
+        period = np.atleast_1d(args[0])
+        return np.full(1, np.sum(period) * (vec_size // period.size))
+    # Rolling one period is rolling the periodic vector (np.roll reduces the
+    # step modulo the period, which divides vec_size).
     if term.op is Op.ROTATE_LEFT:
         return np.roll(np.atleast_1d(args[0]), -term.rotation)
     if term.op is Op.ROTATE_RIGHT:
@@ -90,7 +97,7 @@ class ConstantFoldingPass(RewritePass):
                 and term.value_type is not ValueType.CIPHER
                 and all(a.id in values for a in term.args)
             ):
-                value = _evaluate_plain(term, values)
+                value = _evaluate_plain(term, values, program.vec_size)
                 if term.op is Op.MULTIPLY:
                     scale = sum(scales[a.id] for a in term.args)
                 else:

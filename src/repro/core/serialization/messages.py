@@ -37,53 +37,19 @@ ciphertexts only the submitting client can decrypt.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+import numbers
+import reprlib
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from ...errors import SerializationError
 
-#: Operations a client may request.  ``route`` (which shard a client
-#: consistent-hashes to), ``drain`` (take a shard out of the ring without
-#: stopping it), ``rejoin`` (return a shard to the ring, respawning it if
-#: dead), and ``join`` (attach an already-running remote shard endpoint to
-#: the ring by ``host``/``port``) are answered by cluster routers only;
-#: single-process servers reject them with a ServingError reply.  ``health``
-#: is answered by both.  The telemetry ops — ``metrics`` (registry snapshot,
-#: optionally rendered as Prometheus text), ``trace`` (the recorded spans of
-#: one trace id), and ``slow`` (recent slow requests) — are answered by
-#: both, with the router aggregating across shards.
-REQUEST_OPS = (
-    "submit",
-    "session",
-    "stats",
-    "list",
-    "ping",
-    "route",
-    "health",
-    "drain",
-    "rejoin",
-    "join",
-    "metrics",
-    "trace",
-    "slow",
-)
-
 #: SLO classes a submit may carry.  ``tight`` requests are never held back
 #: to fill a batch, ``relaxed`` ones always linger the full batch window,
 #: ``standard`` ones linger only as much as their deadline slack allows.
 SLO_CLASSES = ("tight", "standard", "relaxed")
-
-#: Ops that address one shard and therefore require a ``shard`` index.
-SHARD_OPS = ("drain", "rejoin")
-
-
-def request_trace_id(message: Dict[str, Any]) -> Optional[str]:
-    """The validated trace id a request carries (None when untraced)."""
-    trace_id = message.get("trace_id")
-    if trace_id is not None and not isinstance(trace_id, str):
-        raise SerializationError("'trace_id' must be a string")
-    return trace_id
 
 
 def encode_values(values: Dict[str, Any]) -> Dict[str, list]:
@@ -120,98 +86,208 @@ def decode_values(values: Dict[str, Any]) -> Dict[str, np.ndarray]:
     return decoded
 
 
-def build_request(
-    op: str,
-    program: Optional[str] = None,
-    inputs: Optional[Dict[str, Any]] = None,
-    client_id: str = "default",
-    output_size: Optional[int] = None,
-    bundle: Optional[Dict[str, Any]] = None,
-    evaluation_keys: Optional[Dict[str, Any]] = None,
-    shard: Optional[int] = None,
-    trace_id: Optional[str] = None,
-    trace: bool = False,
-    fmt: Optional[str] = None,
-    limit: Optional[int] = None,
-    pack_inputs: bool = False,
-    deadline_ms: Optional[float] = None,
-    slo_class: Optional[str] = None,
-    host: Optional[str] = None,
-    port: Optional[int] = None,
-) -> Dict[str, Any]:
+# -- the request table ----------------------------------------------------------
+# Which ops exist, which fields each carries, what a valid value of a field is,
+# under which key the answer comes back and who answers: declared once, here.
+# Both ends of the wire, the connection classes, ``ServingClient.call``,
+# ``cli cluster`` and the op table of ``docs/wire-protocol.md`` read these rows.
+
+
+def _typed(
+    kind: type,
+    accept: Callable[[Any], Any] = lambda value: True,
+    carry: Callable[[Any], Any] = lambda value: value,
+) -> Callable[[Any], Any]:
+    """A field checker: a ``kind`` (a bool is never a number) that ``accept``
+    admits, carried as ``carry(value)`` (numpy scalars are not JSON)."""
+
+    def check(value: Any) -> Any:
+        if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
+            raise TypeError
+        if not accept(value):
+            raise ValueError
+        return carry(value)
+
+    return check
+
+
+@dataclass(frozen=True)
+class Field:
+    """One request field: what a valid value is, on either side of the wire."""
+
+    #: Completes "must be ..." in an error message.
+    expects: str
+    #: The value as a message carries it; raises TypeError / ValueError when invalid.
+    check: Callable[[Any], Any]
+    #: What an absent field means — and therefore the value that is never sent.
+    default: Any = None
+
+
+#: Every request field, in the order a built request lists them.
+FIELDS: Dict[str, Field] = {
+    "program": Field("a program name (a string)", _typed(str)),
+    "inputs": Field("an object mapping input names to numeric vectors", decode_values),
+    "bundle": Field("a wire-encoded cipher bundle (an object)", _typed(dict)),
+    "evaluation_keys": Field("an exported evaluation-key set (an object)", _typed(dict)),
+    "client_id": Field("a string", _typed(str), default="default"),
+    "output_size": Field("a positive integer", _typed(numbers.Integral, lambda n: n >= 1, int)),
+    "shard": Field("a non-negative integer", _typed(numbers.Integral, lambda n: n >= 0, int)),
+    "trace_id": Field("a string", _typed(str)),
+    "trace": Field("a boolean", _typed(bool), default=False),
+    "format": Field("a string", _typed(str)),
+    "limit": Field("a non-negative integer", _typed(numbers.Integral, lambda n: n >= 0, int)),
+    "deadline_ms": Field("a positive number", _typed(numbers.Real, lambda ms: ms > 0, float)),
+    "slo_class": Field(f"one of {SLO_CLASSES}", _typed(str, SLO_CLASSES.__contains__)),
+    "host": Field("a non-empty string", _typed(str, len)),
+    "port": Field("a TCP port (1-65535)", _typed(numbers.Integral, lambda n: 0 < n < 65536, int)),
+}
+
+#: Fields every op may carry: whose request it is, and the trace it belongs to.
+COMMON_FIELDS = ("client_id", "trace_id")
+
+
+@dataclass(frozen=True)
+class Op:
+    """One request op: one row of the wire's instruction table."""
+
+    name: str
+    required: Tuple[str, ...] = ()
+    optional: Tuple[str, ...] = ()
+    #: The reply key the answer comes back under: the op's own name unless
+    #: given; ``None`` when the answer is the whole reply (a submit's key
+    #: depends on what it carried: ``outputs`` or ``encrypted_outputs``).
+    reply: Optional[str] = ""
+    #: A cluster router forwards the op to its client's shard; every other op
+    #: it answers itself.
+    forwarded: bool = False
+    #: Only a cluster router answers; a single-process server refuses.
+    cluster_only: bool = False
+
+    def __post_init__(self) -> None:
+        if self.reply == "":
+            object.__setattr__(self, "reply", self.name)
+
+    @property
+    def fields(self) -> Tuple[str, ...]:
+        """Every field the op may carry."""
+        return self.required + self.optional + COMMON_FIELDS
+
+
+#: The request ops.  ``route`` (which shard a client consistent-hashes to),
+#: ``drain`` (take a shard out of the ring without stopping it), ``rejoin``
+#: (return a shard to the ring, respawning it if dead) and ``join`` (attach an
+#: already-running remote shard endpoint by ``host``/``port``) are cluster
+#: operations.  The telemetry ops — ``metrics`` (registry snapshot; ``format:
+#: "prometheus"`` adds the text exposition under ``"prometheus"``), ``trace``
+#: (the recorded spans of one trace id) and ``slow`` (recent slow requests,
+#: at most ``limit``) — are answered by both kinds of server, the router
+#: aggregating across shards.
+OPS: Dict[str, Op] = {
+    row.name: row
+    for row in (
+        Op(
+            "submit",
+            ("program",),
+            ("inputs", "bundle", "output_size", "trace", "deadline_ms", "slo_class"),
+            reply=None,
+            forwarded=True,
+        ),
+        Op("session", ("program", "evaluation_keys"), forwarded=True),
+        Op("stats"),
+        Op("list", reply="programs"),
+        Op("ping", reply="pong"),
+        Op("route", cluster_only=True),
+        Op("health"),
+        Op("drain", ("shard",), cluster_only=True),
+        Op("rejoin", ("shard",), cluster_only=True),
+        Op("join", ("host", "port"), cluster_only=True),
+        Op("metrics", optional=("format",)),
+        Op("trace", ("trace_id",)),
+        Op("slow", optional=("limit",)),
+    )
+}
+
+#: Operations a client may request: the table's keys.
+REQUEST_OPS = tuple(OPS)
+
+
+def request_row(op: Any) -> Op:
+    """The table row of ``op``; an op the table lacks is a SerializationError."""
+    row = OPS.get(op) if isinstance(op, str) else None
+    if row is None:
+        raise SerializationError(f"unknown request op {op!r}")
+    return row
+
+
+def _checked(op: Any, name: str, value: Any) -> Any:
+    """``value`` as field ``name`` carries it, or a SerializationError naming both."""
+    try:
+        return FIELDS[name].check(value)
+    except (TypeError, ValueError, SerializationError) as exc:
+        reason = f" ({exc})" if str(exc) else ""
+        raise SerializationError(
+            f"{op} request: {name!r} must be {FIELDS[name].expects}, "
+            f"got {reprlib.repr(value)}{reason}"
+        ) from None
+
+
+def _carried(row: Op, fields: Dict[str, Any]) -> Dict[str, Any]:
+    """The checked fields of one request of ``row``'s op, in table order.
+
+    Both sides of the wire run this one loop, so a value one side builds is a
+    value the other accepts.  ``None`` means absent; a known field is checked
+    even where the row does not list it.
+    """
+    message: Dict[str, Any] = {}
+    for name, field in FIELDS.items():
+        value = fields.get(name)
+        if value is not None:
+            message[name] = _checked(row.name, name, value)
+        elif name in row.required:
+            raise SerializationError(f"{row.name} requests need {name!r}: {field.expects}")
+    if "inputs" in message and "bundle" in message:
+        raise SerializationError(f"a {row.name} carries either 'inputs' or a 'bundle', not both")
+    return message
+
+
+def request_trace_id(message: Dict[str, Any]) -> Optional[str]:
+    """The validated trace id a request carries (None when untraced)."""
+    trace_id = message.get("trace_id")
+    return trace_id if trace_id is None else _checked(message.get("op"), "trace_id", trace_id)
+
+
+def build_request(op: str, pack_inputs: bool = False, **fields: Any) -> Dict[str, Any]:
     """Build one client request as a message dict (framing-agnostic).
 
-    ``bundle`` (a wire-encoded cipher bundle) replaces ``inputs`` on the
-    encrypted path; ``evaluation_keys`` accompanies a ``session`` request;
-    ``shard`` addresses the cluster admin ops (``drain`` / ``rejoin``);
-    ``host``/``port`` name the remote endpoint of a ``join`` op.
-
-    ``trace_id`` propagates a distributed-trace id (a ``trace`` op *queries*
-    one); ``trace=True`` additionally asks the server to echo the recorded
-    spans in the reply.  ``fmt`` selects the exposition format of a
-    ``metrics`` op (``"prometheus"``); ``limit`` caps a ``slow`` op's rows.
+    ``fields`` are the op's fields by name (:data:`OPS`, :data:`FIELDS`); one
+    the op does not carry, or an invalid value, is a
+    :class:`~repro.errors.SerializationError` naming op and field, and ``None``
+    or a field's default is left out.  ``bundle`` (a wire-encoded cipher bundle)
+    replaces ``inputs`` on the encrypted path; ``trace_id`` propagates a
+    distributed-trace id (a ``trace`` op *queries* one) and ``trace=True`` asks
+    the server to echo the recorded spans in the reply; ``deadline_ms`` /
+    ``slo_class`` annotate a submit with its latency SLO (the engine rejects a
+    request whose modeled wait already exceeds the deadline:
+    :class:`~repro.errors.DeadlineInfeasibleError` on the wire).
     ``pack_inputs`` encodes input vectors as packed arrays instead of float
     lists — the binary framing ships them as blob records.
-
-    ``deadline_ms`` / ``slo_class`` annotate a submit with its latency SLO:
-    the engine rejects requests whose modeled wait already exceeds the
-    deadline (:class:`~repro.errors.DeadlineInfeasibleError` on the wire)
-    and decides batch-vs-solo per request against it.
     """
-    if op not in REQUEST_OPS:
-        raise SerializationError(f"unknown request op {op!r}")
-    if inputs is not None and bundle is not None:
-        raise SerializationError("a request carries either inputs or a bundle, not both")
-    if op in SHARD_OPS and shard is None:
-        raise SerializationError(f"{op} requests need a 'shard' index")
-    if op == "join" and (host is None or port is None):
-        raise SerializationError("join requests need a 'host' and a 'port'")
-    if op == "trace" and not trace_id:
-        raise SerializationError("trace requests need a 'trace_id'")
-    if slo_class is not None and slo_class not in SLO_CLASSES:
-        raise SerializationError(
-            f"unknown slo_class {slo_class!r}; expected one of {SLO_CLASSES}"
-        )
-    if deadline_ms is not None and float(deadline_ms) <= 0:
-        raise SerializationError("'deadline_ms' must be a positive number")
-    message: Dict[str, Any] = {"op": op}
-    if program is not None:
-        message["program"] = program
-    if inputs is not None:
-        if pack_inputs:
-            from .packing import pack_values
+    row = request_row(op)
+    sent = {}
+    for name, value in fields.items():
+        if value is None or (name in FIELDS and value == FIELDS[name].default):
+            continue
+        if name not in row.fields:
+            raise SerializationError(f"{op} requests carry no {name!r} field")
+        sent[name] = value
+    message = {"op": op, **_carried(row, sent)}
+    values = message.get("inputs")
+    if values is not None and pack_inputs:
+        from .packing import pack_values
 
-            message["inputs"] = {
-                str(name): pack_values(value) for name, value in inputs.items()
-            }
-        else:
-            message["inputs"] = encode_values(inputs)
-    if bundle is not None:
-        message["bundle"] = bundle
-    if evaluation_keys is not None:
-        message["evaluation_keys"] = evaluation_keys
-    if client_id != "default":
-        message["client_id"] = client_id
-    if output_size is not None:
-        message["output_size"] = int(output_size)
-    if shard is not None:
-        message["shard"] = int(shard)
-    if trace_id is not None:
-        message["trace_id"] = str(trace_id)
-    if trace:
-        message["trace"] = True
-    if fmt is not None:
-        message["format"] = str(fmt)
-    if limit is not None:
-        message["limit"] = int(limit)
-    if deadline_ms is not None:
-        message["deadline_ms"] = float(deadline_ms)
-    if slo_class is not None:
-        message["slo_class"] = str(slo_class)
-    if host is not None:
-        message["host"] = str(host)
-    if port is not None:
-        message["port"] = int(port)
+        message["inputs"] = {name: pack_values(value) for name, value in values.items()}
+    elif values is not None:
+        message["inputs"] = encode_values(values)
     return message
 
 
@@ -221,71 +297,23 @@ def encode_request(op: str, **fields: Any) -> str:
 
 
 def validate_request(message: Any) -> Dict[str, Any]:
-    """Validate one parsed request message (shared by both wire framings)."""
+    """Validate one parsed request message (shared by both wire framings).
+
+    Returns the request with every known field checked (a ``null`` one
+    dropped), ``client_id`` defaulted, and a submit without a ``bundle``
+    carrying (possibly empty) decoded ``inputs``.
+    """
     if not isinstance(message, dict):
         raise SerializationError("request must be a JSON object")
-    op = message.get("op")
-    if op not in REQUEST_OPS:
-        raise SerializationError(f"unknown request op {op!r}")
-    if op == "submit":
-        if not isinstance(message.get("program"), str):
-            raise SerializationError("submit requests need a 'program' name")
-        if "bundle" in message:
-            if "inputs" in message:
-                raise SerializationError(
-                    "a submit carries either 'inputs' or a 'bundle', not both"
-                )
-            if not isinstance(message["bundle"], dict):
-                raise SerializationError("'bundle' must be a JSON object")
-        else:
-            message["inputs"] = decode_values(message.get("inputs", {}))
-        output_size = message.get("output_size")
-        if output_size is not None:
-            if not isinstance(output_size, int) or isinstance(output_size, bool) or output_size < 1:
-                raise SerializationError(
-                    f"'output_size' must be a positive integer, got {output_size!r}"
-                )
-        deadline_ms = message.get("deadline_ms")
-        if deadline_ms is not None:
-            if (
-                not isinstance(deadline_ms, (int, float))
-                or isinstance(deadline_ms, bool)
-                or deadline_ms <= 0
-            ):
-                raise SerializationError(
-                    f"'deadline_ms' must be a positive number, got {deadline_ms!r}"
-                )
-        slo_class = message.get("slo_class")
-        if slo_class is not None and slo_class not in SLO_CLASSES:
-            raise SerializationError(
-                f"unknown slo_class {slo_class!r}; expected one of {SLO_CLASSES}"
-            )
-    if op == "join":
-        if not isinstance(message.get("host"), str) or not message["host"]:
-            raise SerializationError("join requests need a non-empty string 'host'")
-        port = message.get("port")
-        if not isinstance(port, int) or isinstance(port, bool) or not 0 < port < 65536:
-            raise SerializationError(
-                f"join requests need a TCP 'port' (1-65535), got {port!r}"
-            )
-    if op == "session":
-        if not isinstance(message.get("program"), str):
-            raise SerializationError("session requests need a 'program' name")
-        if not isinstance(message.get("evaluation_keys"), dict):
-            raise SerializationError(
-                "session requests need an 'evaluation_keys' object"
-            )
-    if op in SHARD_OPS:
-        shard = message.get("shard")
-        if not isinstance(shard, int) or isinstance(shard, bool) or shard < 0:
-            raise SerializationError(
-                f"{op} requests need a non-negative integer 'shard', got {shard!r}"
-            )
-    if op == "trace" and not isinstance(message.get("trace_id"), str):
-        raise SerializationError("trace requests need a string 'trace_id'")
-    request_trace_id(message)
-    message.setdefault("client_id", "default")
-    return message
+    row = request_row(message.get("op"))
+    request = {key: value for key, value in message.items() if key not in FIELDS}
+    request.update(_carried(row, message))
+    for name in row.fields:
+        if FIELDS[name].default is not None:
+            request.setdefault(name, FIELDS[name].default)
+    if "inputs" in row.fields and "bundle" not in request:
+        request.setdefault("inputs", {})
+    return request
 
 
 def build_response(

@@ -99,12 +99,9 @@ from .telemetry import Telemetry, merge_traces, new_trace_id, render_prometheus
 _Reply = Tuple[bytes, bool]
 
 
-def _metrics_reply(request: Dict[str, Any], snapshot: Dict[str, Any]) -> Dict[str, Any]:
-    """A ``metrics`` reply: the snapshot, plus its Prometheus text when asked."""
-    payload = {"metrics": snapshot}
-    if request.get("format") == "prometheus":
-        payload["prometheus"] = render_prometheus(snapshot)
-    return messages.build_response(payload=payload)
+#: One endpoint's answer to one op: ``(connection, validated request, framing)``
+#: -> the value that goes under the op's reply key.
+_Answer = Callable[["_WireConnection", Dict[str, Any], Framing], Any]
 
 
 class _WireConnection:
@@ -116,12 +113,19 @@ class _WireConnection:
     or a close.  A request that fails is answered with a typed error reply —
     the stream is still synchronized at the next message boundary — while an
     undecodable line or a malformed chunk, which nothing can answer, closes
-    the connection.  Subclasses say only how a request is answered
-    (:meth:`respond`) and where a chunk goes (:meth:`absorb_chunk`).
+    the connection.  :meth:`answer` is the one dispatch step, driven by the op
+    table of :mod:`~repro.core.serialization.messages`; subclasses supply what
+    their kind of endpoint answers each op with (:attr:`answers`), which
+    requests reach that step (:meth:`respond`) and where a chunk goes
+    (:meth:`absorb_chunk`).
     """
 
     #: Whether :meth:`close` has upstream state to release.
     needs_close = False
+    #: op -> this endpoint's answer (a column of :data:`_ANSWERS`).
+    answers: Dict[str, _Answer] = {}
+    #: The error for an op :attr:`answers` lacks (formatted with ``op``).
+    refusal = "{op}"
 
     def __init__(self, server: Any, key: int, peer: str) -> None:
         self.server = server
@@ -154,6 +158,22 @@ class _WireConnection:
     def respond(self, framing: Framing, raw: Any, envelope: Dict[str, Any]) -> Parts:
         """Answer one request; returns the reply's parts in ``framing``."""
         raise NotImplementedError
+
+    def answer(self, framing: Framing, message: Dict[str, Any]) -> Parts:
+        """The one dispatch step: look the op's row up and validate the request
+        against it, call this endpoint's answer for the op, wrap the answer
+        under the row's reply key."""
+        request = messages.validate_request(message)
+        row = messages.OPS[request["op"]]
+        answer = self.answers.get(row.name)
+        if answer is None:
+            raise ServingError(self.refusal.format(op=row.name))
+        reply = answer(self, request, framing)
+        if row.reply is not None:
+            reply = messages.build_response(payload={row.reply: reply})
+            if "format" in row.fields and request.get("format") == "prometheus":
+                reply["prometheus"] = render_prometheus(reply[row.reply])
+        return framing.parts(reply)
 
     def absorb_chunk(self, payload: bytes) -> None:
         """Take one CHUNK frame of a streaming upload (never answered).
@@ -218,9 +238,11 @@ class _ShardConnection(_WireConnection):
     """One shard/single-server connection: requests in, responses out."""
 
     server: "EvaTcpServer"
+    refusal = "{op} is a cluster operation; this is a single-process server"
 
     def __init__(self, server: Any, key: int, peer: str) -> None:
         super().__init__(server, key, peer)
+        self.eva: EvaServer = server.eva_server
         self.uploads = UploadState()
 
     def info(self) -> Dict[str, Any]:
@@ -234,63 +256,41 @@ class _ShardConnection(_WireConnection):
         self.uploads.add_chunk(envelope, blobs[0] if blobs else b"")
 
     def respond(self, framing: Framing, raw: Any, envelope: Dict[str, Any]) -> Parts:
-        """Decode (claiming a referenced upload), validate, dispatch."""
-        request = messages.validate_request(framing.decode(raw, envelope, self.uploads))
-        return framing.parts(self._dispatch(request, framing))
+        """Decode the whole message (claiming a referenced upload) and answer it."""
+        return self.answer(framing, framing.decode(raw, envelope, self.uploads))
 
-    def _dispatch(self, request: Dict[str, Any], framing: Framing) -> Dict[str, Any]:
-        eva = self.server.eva_server
-        op = request["op"]
-        if op == "ping":
-            return messages.build_response(payload={"pong": True})
-        if op == "list":
-            return messages.build_response(payload={"programs": eva.programs()})
-        if op == "stats":
-            stats = dict(eva.stats())
-            stats["connections"] = self.server.connection_infos()
-            return messages.build_response(payload={"stats": stats})
-        if op == "metrics":
-            return _metrics_reply(request, eva.metrics_snapshot())
-        if op == "trace":
-            return messages.build_response(
-                payload={"trace": eva.telemetry.trace_of(request["trace_id"])}
-            )
-        if op == "slow":
-            return messages.build_response(
-                payload={"slow": eva.telemetry.slow(request.get("limit"))}
-            )
-        if op == "health":
-            return messages.build_response(
-                payload={
-                    "health": [
-                        {
-                            "index": 0,
-                            "status": "live",
-                            "alive": True,
-                            "mode": "single-process",
-                        }
-                    ]
-                }
-            )
-        if op in ("route", "drain", "rejoin", "join"):
-            raise ServingError(
-                f"{op} is a cluster operation; this is a single-process server"
-            )
+    def _finish(self, request: Dict[str, Any], started: float) -> None:
+        """Close a session/submit out: total-latency metrics and the slow log."""
+        self.eva.telemetry.finish(
+            request.get("trace_id"),
+            time.perf_counter() - started,
+            op=request["op"],
+            client=request["client_id"],
+            program=request["program"],
+        )
+
+    def create_session(self, request: Dict[str, Any], framing: Framing) -> Dict[str, Any]:
+        """Import the client's evaluation keys as its session for the program."""
+        started = time.perf_counter()
+        session = self.eva.create_session(
+            request["program"], request["client_id"], request["evaluation_keys"]
+        )
+        self._finish(request, started)
+        return session
+
+    def submit(self, request: Dict[str, Any], framing: Framing) -> Dict[str, Any]:
+        """Evaluate plaintext inputs or a cipher bundle; the whole reply."""
+        eva = self.eva
         started = time.perf_counter()
         trace_id = request.get("trace_id")
-        client_id = request["client_id"]
-        program = request["program"]
-        slo = {
+        routing = {
+            "client_id": request["client_id"],
+            "trace_id": trace_id,
             "deadline_ms": request.get("deadline_ms"),
             "slo_class": request.get("slo_class"),
         }
-        if op == "session":
-            session = eva.create_session(program, client_id, request["evaluation_keys"])
-            reply = messages.build_response(payload={"session": session})
-        elif "bundle" in request:
-            response = eva.request_encrypted(
-                program, request["bundle"], client_id=client_id, trace_id=trace_id, **slo
-            )
+        if "bundle" in request:
+            response = eva.request_encrypted(request["program"], request["bundle"], **routing)
             # Encode the ciphertext reply with the session context the worker
             # evaluated under (carried on the response, so an eviction between
             # evaluation and encoding cannot fail a completed request); the
@@ -302,17 +302,12 @@ class _ShardConnection(_WireConnection):
             )
             # The transport owns the output handles once encoded.
             response.release()
-            eva.telemetry.span(
-                trace_id, "serialize_reply", time.perf_counter() - encode_started
-            )
         else:
             response = eva.request(
-                program,
+                request["program"],
                 request["inputs"],
-                client_id=client_id,
                 output_size=request.get("output_size"),
-                trace_id=trace_id,
-                **slo,
+                **routing,
             )
             encode_started = time.perf_counter()
             reply = messages.build_response(
@@ -320,18 +315,9 @@ class _ShardConnection(_WireConnection):
                 stats=response.stats_dict(),
                 pack_outputs=framing.packed,
             )
-            eva.telemetry.span(
-                trace_id, "serialize_reply", time.perf_counter() - encode_started
-            )
-        # Close the request out: total-latency metrics, slow log, trace echo.
-        eva.telemetry.finish(
-            trace_id,
-            time.perf_counter() - started,
-            op=op,
-            client=client_id,
-            program=program,
-        )
-        if op == "submit" and trace_id and request.get("trace"):
+        eva.telemetry.span(trace_id, "serialize_reply", time.perf_counter() - encode_started)
+        self._finish(request, started)
+        if trace_id and request.get("trace"):
             trace = eva.telemetry.trace_of(trace_id)
             if trace is not None:
                 reply["trace"] = trace
@@ -383,9 +369,13 @@ class _RouterConnection(_WireConnection):
     """
 
     server: "ClusterTcpServer"
+    refusal = "the router does not answer {op!r} requests"
 
     def __init__(self, server: Any, key: int, peer: str) -> None:
         super().__init__(server, key, peer)
+        self.cluster = server.cluster
+        #: The cluster-wide views fold the router's own telemetry plane in.
+        self.planes = (server.telemetry,)
         #: Relayed upload id -> the client id its chunks were routed by.
         self._open_uploads: Dict[str, str] = {}
 
@@ -401,7 +391,7 @@ class _RouterConnection(_WireConnection):
                 {"upload": upload_id, "discard": True, "client_id": client_id}
             )
             try:
-                self.server.cluster._call(
+                self.cluster._call(
                     client_id, lambda upstream: upstream.send(BINARY, FRAME_CHUNK, discard)
                 )
             except Exception:
@@ -410,6 +400,7 @@ class _RouterConnection(_WireConnection):
 
     def _relayed_upload(self, upload_id: Any) -> str:
         return f"{self.key}/{upload_id}"
+
 
     def absorb_chunk(self, payload: bytes) -> None:
         """Relay one upload chunk to the client's shard under this connection's
@@ -428,7 +419,7 @@ class _RouterConnection(_WireConnection):
         self._open_uploads[upload_id] = client_id
         chunk = BINARY.rewrite(payload, envelope, {"upload": upload_id})
         try:
-            self.server.cluster._call(
+            self.cluster._call(
                 client_id, lambda upstream: upstream.send(BINARY, FRAME_CHUNK, chunk)
             )
         except Exception:
@@ -437,15 +428,15 @@ class _RouterConnection(_WireConnection):
     def respond(self, framing: Framing, raw: Any, envelope: Dict[str, Any]) -> Parts:
         """Answer locally, or forward to the client's shard and relay its reply.
 
-        Only ``submit``/``session`` are forwarded, and only their envelope is
-        read here — the payload may be megabytes of ciphertext, which the
-        shard validates.  An envelope rewrite (a trace id minted for an
-        untraced client, a relayed upload id) re-encodes that small field; the
-        blobs are relayed as one slice of the original message.
+        Of a forwarded op (``submit``/``session``) only the envelope is read
+        here — the payload may be megabytes of ciphertext, which the shard
+        validates.  An envelope rewrite (a trace id minted for an untraced
+        client, a relayed upload id) re-encodes that small field; the blobs
+        are relayed as one slice of the original message.
         """
         op = envelope.get("op")
-        if op not in ("submit", "session"):
-            return framing.parts(self._local_reply(messages.validate_request(envelope)))
+        if not messages.request_row(op).forwarded:
+            return self.answer(framing, envelope)  # no blobs behind these envelopes
         client_id = str(envelope.get("client_id", "default"))
         trace_id = envelope.get("trace_id")
         fields: Dict[str, Any] = {}
@@ -461,7 +452,7 @@ class _RouterConnection(_WireConnection):
                 client_id,
                 trace_id,
                 envelope.get("program"),
-                lambda: self.server.cluster._call(
+                lambda: self.cluster._call(
                     client_id, lambda upstream: upstream.roundtrip(framing, parts)
                 ),
             )
@@ -476,41 +467,6 @@ class _RouterConnection(_WireConnection):
         if envelope.get("trace"):
             return self._merge_trace(framing, reply, trace_id)
         return (reply,)
-
-    def _local_reply(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Ops the router answers itself (``request`` already validated):
-        liveness, routing introspection, shard lifecycle administration, and
-        the cluster-wide views that span shards."""
-        cluster = self.server.cluster
-        # The cluster-wide views fold the router's own telemetry plane in.
-        planes = (self.server.telemetry,)
-        op = request["op"]
-        if op == "metrics":
-            return _metrics_reply(request, cluster.metrics_snapshot(planes))
-        if op == "ping":
-            payload = {"pong": True}
-        elif op == "route":
-            payload = {"route": cluster.describe_route(str(request["client_id"]))}
-        elif op == "health":
-            payload = {"health": cluster.check_health()}
-        elif op == "drain":
-            payload = {"drain": cluster.drain_shard(request["shard"])}
-        elif op == "rejoin":
-            payload = {"rejoin": cluster.rejoin_shard(request["shard"])}
-        elif op == "join":
-            payload = {"join": cluster.attach_shard(request["host"], request["port"])}
-        elif op == "list":
-            payload = {"programs": cluster.programs()}
-        elif op == "stats":
-            connections = self.server.connection_infos()
-            payload = {"stats": dict(cluster.stats(), connections=connections)}
-        elif op == "trace":
-            payload = {"trace": cluster.trace_of(request["trace_id"], planes)}
-        elif op == "slow":
-            payload = {"slow": cluster.slow_requests(request.get("limit"), planes)}
-        else:
-            raise ServingError(f"the router does not answer {op!r} requests")
-        return messages.build_response(payload=payload)
 
     def _admitted_forward(
         self,
@@ -582,6 +538,62 @@ class _RouterConnection(_WireConnection):
         if merged is None:
             return (reply,)
         return framing.rewrite(reply, envelope, {"trace": merged})
+
+
+#: What each kind of endpoint answers an op with: ``op -> (a single-process
+#: server or shard, a cluster router)``, ``None`` where that endpoint refuses
+#: the op.  The router has no answer for the ops it forwards to a shard
+#: (``messages.OPS[op].forwarded``).  Fields, reply keys and who-answers are in
+#: the rows of ``messages.OPS``; ``tests/test_wire.py`` holds the two together.
+_ANSWERS: Dict[str, Tuple[Optional[_Answer], Optional[_Answer]]] = {
+    "submit": (_ShardConnection.submit, None),
+    "session": (_ShardConnection.create_session, None),
+    "ping": (lambda conn, request, framing: True,) * 2,
+    "list": (
+        lambda conn, request, framing: conn.eva.programs(),
+        lambda conn, request, framing: conn.cluster.programs(),
+    ),
+    "stats": (
+        lambda conn, request, framing: dict(
+            conn.eva.stats(), connections=conn.server.connection_infos()
+        ),
+        lambda conn, request, framing: dict(
+            conn.cluster.stats(), connections=conn.server.connection_infos()
+        ),
+    ),
+    "metrics": (
+        lambda conn, request, framing: conn.eva.metrics_snapshot(),
+        lambda conn, request, framing: conn.cluster.metrics_snapshot(conn.planes),
+    ),
+    "trace": (
+        lambda conn, request, framing: conn.eva.telemetry.trace_of(request["trace_id"]),
+        lambda conn, request, framing: conn.cluster.trace_of(request["trace_id"], conn.planes),
+    ),
+    "slow": (
+        lambda conn, request, framing: conn.eva.telemetry.slow(request.get("limit")),
+        lambda conn, request, framing: conn.cluster.slow_requests(
+            request.get("limit"), conn.planes
+        ),
+    ),
+    "health": (
+        lambda conn, request, framing: [
+            {"index": 0, "status": "live", "alive": True, "mode": "single-process"}
+        ],
+        lambda conn, request, framing: conn.cluster.check_health(),
+    ),
+    "route": (
+        None,
+        lambda conn, request, framing: conn.cluster.describe_route(request["client_id"]),
+    ),
+    "drain": (None, lambda conn, request, framing: conn.cluster.drain_shard(request["shard"])),
+    "rejoin": (None, lambda conn, request, framing: conn.cluster.rejoin_shard(request["shard"])),
+    "join": (
+        None,
+        lambda conn, request, framing: conn.cluster.attach_shard(request["host"], request["port"]),
+    ),
+}
+_ShardConnection.answers = {op: shard for op, (shard, _) in _ANSWERS.items() if shard}
+_RouterConnection.answers = {op: router for op, (_, router) in _ANSWERS.items() if router}
 
 
 class ClusterTcpServer(AsyncWireServer):
@@ -809,7 +821,7 @@ class ServingClient:
         """One submit op; keeps the reply's stats and trace echo for the caller."""
         if trace and trace_id is None:
             trace_id = new_trace_id()
-        response = self._roundtrip_op("submit", trace=trace, trace_id=trace_id, **fields)
+        response = self.call("submit", trace=trace, trace_id=trace_id, **fields)
         self.last_stats: Dict[str, Any] = response.get("stats", {})
         self.last_trace: Optional[Dict[str, Any]] = response.get("trace")
         return response
@@ -825,13 +837,12 @@ class ServingClient:
         """
         with self._kit_packing():
             evaluation_keys = client_kit.export_evaluation_keys()
-        response = self._roundtrip_op(
+        return self.call(
             "session",
             program=program,
             client_id=client_id or getattr(client_kit, "client_id", "default"),
             evaluation_keys=evaluation_keys,
         )
-        return response.get("session", {})
 
     def submit_bundle(
         self,
@@ -888,33 +899,44 @@ class ServingClient:
         )
         return client_kit.decrypt_outputs(client_kit.outputs_from_wire(reply))
 
+    def call(self, op: str, **fields: Any) -> Any:
+        """One request of any op in the table; returns the answer.
+
+        ``fields`` are the op's fields (``messages.OPS[op]``); the answer is
+        what the reply carries under the row's reply key (the whole reply for
+        a ``submit``).  An error reply raises, as for every named helper.
+        """
+        response = self._roundtrip_op(op, **fields)
+        key = messages.OPS[op].reply
+        return response if key is None else response.get(key)
+
     def programs(self) -> list:
         """Registered program names on the server."""
-        return self._roundtrip_op("list").get("programs", [])
+        return self.call("list")
 
     def route(self, client_id: str = "default") -> Dict[str, Any]:
         """Which shard serves ``client_id`` (cluster servers only)."""
-        return self._roundtrip_op("route", client_id=client_id).get("route", {})
+        return self.call("route", client_id=client_id)
 
     def health(self) -> list:
         """Per-shard health report (single servers report one live shard)."""
-        return self._roundtrip_op("health").get("health", [])
+        return self.call("health")
 
     def drain(self, shard: int) -> Dict[str, Any]:
         """Take ``shard`` out of the ring without stopping it (cluster only)."""
-        return self._roundtrip_op("drain", shard=shard).get("drain", {})
+        return self.call("drain", shard=shard)
 
     def rejoin(self, shard: int) -> Dict[str, Any]:
         """Return ``shard`` to the ring, respawning it if dead (cluster only)."""
-        return self._roundtrip_op("rejoin", shard=shard).get("rejoin", {})
+        return self.call("rejoin", shard=shard)
 
     def join(self, host: str, port: int) -> Dict[str, Any]:
         """Attach a running remote shard at ``host:port`` to the ring (cluster only)."""
-        return self._roundtrip_op("join", host=host, port=port).get("join", {})
+        return self.call("join", host=host, port=port)
 
     def stats(self) -> Dict[str, Any]:
         """The server's stats() snapshot."""
-        return self._roundtrip_op("stats").get("stats", {})
+        return self.call("stats")
 
     def metrics(self, prometheus: bool = False) -> Dict[str, Any]:
         """The server's unified metrics snapshot (cluster-aggregated on routers).
@@ -922,25 +944,20 @@ class ServingClient:
         With ``prometheus=True`` the reply additionally carries the rendered
         text exposition under ``"prometheus"``.
         """
-        response = self._roundtrip_op(
-            "metrics", fmt="prometheus" if prometheus else None
-        )
-        result = {"metrics": response.get("metrics", {})}
-        if "prometheus" in response:
-            result["prometheus"] = response["prometheus"]
-        return result
+        response = self._roundtrip_op("metrics", format="prometheus" if prometheus else None)
+        return {key: response[key] for key in ("metrics", "prometheus") if key in response}
 
     def trace_of(self, trace_id: str) -> Optional[Dict[str, Any]]:
         """The recorded per-stage spans of one trace id (None when unknown)."""
-        return self._roundtrip_op("trace", trace_id=trace_id).get("trace")
+        return self.call("trace", trace_id=trace_id)
 
     def slow(self, limit: Optional[int] = None) -> list:
         """Recent slow requests, newest first (cluster-merged on routers)."""
-        return self._roundtrip_op("slow", limit=limit).get("slow", [])
+        return self.call("slow", limit=limit)
 
     def ping(self) -> bool:
         """Liveness probe; True when the server answers."""
-        return bool(self._roundtrip_op("ping").get("pong"))
+        return bool(self.call("ping"))
 
     def close(self) -> None:
         """Close the connection (idempotent)."""

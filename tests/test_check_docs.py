@@ -78,6 +78,27 @@ class TestCheckDocs:
             "wire-protocol.md: connection state table missing"
         ]
 
+    def test_op_table_must_match_the_rows_both_ways(self, check_docs):
+        doc = (REPO_ROOT / "docs" / "wire-protocol.md").read_text()
+        assert check_docs.check_op_table(doc) == []
+        drain = next(line for line in doc.splitlines() if line.startswith("| `drain`"))
+        for wrong in (
+            drain.replace("| `shard` | |", "| | `shard` |"),  # required shown as optional
+            drain.replace("| `drain` | router |", "| `drained` | router |"),  # reply key
+            drain.replace("| router |", "| both |"),  # who answers
+        ):
+            assert wrong != drain
+            (complaint,) = check_docs.check_op_table(doc.replace(drain, wrong))
+            assert complaint.startswith("wire-protocol.md: op table says `drain` is (")
+        # A row the code lacks, and a row the doc lacks.
+        extra = drain.replace("`drain`", "`adopt`")
+        assert check_docs.check_op_table(doc.replace(drain, drain + "\n" + extra)) == [
+            "wire-protocol.md: op table names unknown op `adopt`"
+        ]
+        (missing,) = check_docs.check_op_table(doc.replace(drain + "\n", ""))
+        assert missing.startswith("wire-protocol.md: op table says `drain` is None")
+        assert len(check_docs.check_op_table("# Wire protocol\n")) == len(check_docs.wire_ops()) + 2
+
     def test_feature_table_must_match_the_code_both_ways(self, check_docs):
         doc = (REPO_ROOT / "docs" / "wire-protocol.md").read_text()
         assert check_docs.check_feature_table(doc) == []

@@ -11,7 +11,7 @@ from repro.core import Executor, ReferenceExecutor, execute_reference
 from repro.core.ir import Program
 from repro.core.types import Op, ValueType
 from repro.errors import ExecutionError
-from repro.frontend import EvaProgram, input_encrypted, input_plain, output
+from repro.frontend import EvaProgram, input_encrypted, input_plain, output, sum_slots
 
 
 class TestReferenceExecutor:
@@ -276,3 +276,83 @@ class TestParallelErrorPath:
             Executor(compiled, parallel_backend, threads=4).execute(self._inputs())
         assert str(serial_exc.value) == str(parallel_exc.value)
         assert type(serial_exc.value) is type(parallel_exc.value)
+
+
+def _failing_on_call(context, op, nth):
+    """Make ``context.<op>`` raise on its ``nth`` call from now on (1-based)."""
+    real, calls = getattr(context, op), []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == nth:
+            raise ExecutionError(f"injected {op} failure")
+        return real(*args, **kwargs)
+
+    setattr(context, op, failing)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("backend_id", ["mock", "ckks"])
+class TestFailedEvaluationReleasesItsIntermediates:
+    """An evaluation that fails mid-DAG hands nothing back, so it leaves nothing
+    live: the context's count returns to what it was before the call."""
+
+    @staticmethod
+    def _engine(backend_id, threads, lower_sum=True):
+        from repro.backend.seal_backend import CkksBackend
+        from repro.core import CompilerOptions, EvaluationEngine
+        from repro.core.compiler import CompilationResult
+
+        program = EvaProgram("leaky", vec_size=16, default_scale=25)
+        with program:
+            x = input_encrypted("x", 25)
+            y = input_encrypted("y", 25)
+            output("out", ((x * y) << 1) + sum_slots(x * 0.5), 25)
+        options = CompilerOptions(max_rescale_bits=25, lower_sum=lower_sum)
+        backend = MockBackend(error_model="none") if backend_id == "mock" else CkksBackend(seed=3)
+        engine = EvaluationEngine(
+            CompilationResult.compile(program, options=options), backend, threads
+        )
+        context = backend.create_context(engine.compilation.parameters)
+        context.generate_keys()
+        return engine, context
+
+    @pytest.mark.parametrize("retire_inputs", [False, True])
+    def test_live_count_returns_to_its_pre_call_value(self, backend_id, threads, retire_inputs):
+        engine, context = self._engine(backend_id, threads)
+        inputs = {"x": np.linspace(-1, 1, 16), "y": np.linspace(1, -1, 16)}
+        # The last rotation: everything before it has produced a value by then.
+        rotations = sum(1 for t in engine.program.terms() if t.op.is_rotation)
+        _failing_on_call(context, "rotate", rotations)
+        for _attempt in range(3):
+            ciphers, plain = engine.encrypt_inputs(context, inputs)
+            before = context.live_ciphertexts
+            with pytest.raises(ExecutionError, match="injected rotate failure"):
+                engine.evaluate(context, ciphers, plain, retire_inputs=retire_inputs)
+            # The caller's inputs are the caller's unless it gave them up.
+            expected = before - len(ciphers) if retire_inputs else before
+            assert context.live_ciphertexts == expected
+            for handle in ciphers.values():
+                context.release(handle)  # a second release is a no-op
+            assert context.live_ciphertexts == before - len(ciphers)
+            del context.rotate
+            _failing_on_call(context, "rotate", rotations)
+
+    def test_an_unlowered_sum_keeps_no_partial_sums(self, backend_id, threads):
+        if backend_id == "ckks":
+            pytest.skip("select_rotation_steps lists no steps for an unlowered SUM: no Galois keys")
+        engine, context = self._engine(backend_id, threads, lower_sum=False)
+        assert any(t.op is Op.SUM for t in engine.program.terms())
+        inputs = {"x": np.linspace(-1, 1, 16), "y": np.linspace(1, -1, 16)}
+        ciphers, plain = engine.encrypt_inputs(context, inputs)
+        before = context.live_ciphertexts
+        outputs = engine.evaluate(context, ciphers, plain)
+        assert context.live_ciphertexts == before + len(outputs)
+        reference = execute_reference(engine.compilation.source, inputs)
+        np.testing.assert_allclose(
+            engine.decrypt_outputs(context, outputs)["out"], reference["out"], atol=5e-2
+        )
+        _failing_on_call(context, "rotate", 3)  # inside the SUM's own loop
+        with pytest.raises(ExecutionError, match="injected rotate failure"):
+            engine.evaluate(context, ciphers, plain)
+        assert context.live_ciphertexts == before + len(outputs)

@@ -5,6 +5,7 @@ x^2 + x (Figure 3), and x^2 + x + x (Figure 5), and check the structural
 properties each pass is supposed to establish.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.analysis import compute_levels, compute_scales
@@ -212,6 +213,38 @@ class TestLoweringPasses:
         assert count_ops(program, Op.SUM) == 0
         rotations = [t.rotation for t in program.terms() if t.op is Op.ROTATE_LEFT]
         assert sorted(rotations) == [1, 2, 4, 8]
+
+    @pytest.mark.parametrize("lower_sum", [True, False])
+    @pytest.mark.parametrize("period", [1, 2, 8])
+    @pytest.mark.parametrize("build", ["sum", "rotate"])
+    def test_folding_a_periodic_constant_matches_the_reference(self, build, period, lower_sum):
+        """A constant shorter than vec_size is one period of the vector it
+        denotes: SUM folds over all vec_size slots (it used to fold over one
+        period: 3x for 12x), and a rotation by a step the period does not
+        divide folds to the rotated periodic vector."""
+        from repro.core import CompilerOptions, Executor
+        from repro.core.compiler import CompilationResult
+        from repro.core.executor import execute_reference
+        from repro.backend.mock_backend import MockBackend
+
+        program = Program("p", vec_size=8)
+        x = program.input("x", ValueType.CIPHER, scale=30)
+        constant = program.constant(np.arange(1.0, period + 1.0), scale=30)
+        if build == "sum":
+            folded = program.make_term(Op.SUM, [constant])
+        else:
+            folded = program.make_term(Op.ROTATE_LEFT, [constant], rotation=3)
+        program.set_output("out", program.make_term(Op.MULTIPLY, [x, folded]), scale=30)
+        inputs = {"x": np.linspace(-1.0, 1.0, 8)}
+        expected = execute_reference(program, inputs)["out"]
+        if build == "sum":
+            np.testing.assert_allclose(expected, inputs["x"] * (8 // period) * sum(range(period + 1)))
+
+        compiled = CompilationResult.compile(program, options=CompilerOptions(lower_sum=lower_sum))
+        assert count_ops(compiled.program, Op.SUM) == 0
+        assert not any(t.op.is_rotation for t in compiled.program.terms())
+        result = Executor(compiled, backend=MockBackend(error_model="none")).execute(inputs)
+        np.testing.assert_allclose(result["out"], expected, atol=1e-9)
 
     def test_remove_copy_and_null_rotation(self):
         program = Program("p", vec_size=8)

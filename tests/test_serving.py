@@ -1303,6 +1303,10 @@ class TestOneEvaluationSpine:
             "encrypted-live-signature-mismatch",
             "encrypted-wire-signature-mismatch",
             "encrypted-wire-undecodable-ciphertext",
+            # The evaluation itself fails mid-DAG, its intermediates already made.
+            "plain-solo-failing-multiply",
+            "encrypted-live-failing-multiply",
+            "encrypted-wire-failing-multiply",
         ],
     )
     def test_failed_requests_release_every_handle(self, backend_id, case):
@@ -1328,7 +1332,15 @@ class TestOneEvaluationSpine:
             assert all(live == 0 for live, _ in baseline)
 
             garble = None
-            if case == "plain-solo-over-pinned-lane":
+            if "failing-multiply" in case:
+                bad, error, text = good, ExecutionError, "injected failure"
+                (session,) = [*server.sessions._sessions.values(), *server.sessions._attached.values()]
+
+                def failing_multiply(*_handles):
+                    raise ExecutionError("injected failure")
+
+                session.context.multiply = failing_multiply
+            elif case == "plain-solo-over-pinned-lane":
                 bad = {"x": np.ones(16), "y": np.ones(16)}
                 error, text = ServingError, "exceeds the lane width"
             elif not encrypted:
@@ -1355,6 +1367,8 @@ class TestOneEvaluationSpine:
                 ]
             # ... and a failure leaves nothing behind that a later good
             # request would push the peak up with.
+            if "failing-multiply" in case:
+                del session.context.multiply
             serve(server, "mix", kit, [good] * jobs, "good-again", encrypted, wire)
             assert handle_accounts(server) == baseline
 

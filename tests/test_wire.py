@@ -20,6 +20,8 @@ import pytest
 from repro import wire
 from repro.api import ClientKit, CompiledProgram
 from repro.backend import MockBackend
+from repro.backend.seal_backend import CkksBackend
+from repro.core import CompilerOptions
 from repro.core.serialization import messages
 from repro.core.serialization import wire as core_wire
 from repro.core.serialization.packing import (
@@ -840,6 +842,87 @@ class TestMixedProtocolCluster:
                     "poly", kit, {"x": [2.0, 4.0]}, client_id="dave"
                 )
             np.testing.assert_allclose(outputs["y"][:2], [7.0, 21.0], atol=1e-6)
+        finally:
+            router.shutdown()
+            cluster.close()
+
+
+    def test_shard_killed_mid_upload_is_a_typed_error_and_a_clean_retry(self, tmp_path, monkeypatch):
+        """A client's home shard is SIGKILLed half way through its chunked key
+        upload.  The request that references the upload gets a typed error
+        (never a hang, never a session built from half the keys), no upload
+        bookkeeping outlives it on the router or on the surviving shard, and the
+        same client's retry lands on its new home shard and is served."""
+        from repro.serving import netserver
+
+        monkeypatch.setattr(netserver, "STREAM_THRESHOLD_BYTES", 64)
+        cluster = EvaCluster(
+            shards=2,
+            backend=BackendSpec(name="ckks", seed=3),  # real keys: 240 kB in four blobs
+            session_dir=str(tmp_path / "sessions"),
+            workers=1,
+            batch_window=0.0,
+            health_interval=None,  # the router finds out from the transport
+            request_timeout=20.0,
+        )
+        options = CompilerOptions(max_rescale_bits=25)  # the real backend's primes stop at 30 bits
+        cluster.register("poly", make_poly_program(), options=options)
+        cluster.start()
+        router = ClusterTcpServer(cluster, port=0)
+        router.start_background()
+        try:
+            host, port = router.address
+            kit = ClientKit(
+                CompiledProgram.compile(make_poly_program().graph, options=options),
+                backend=CkksBackend(seed=3),
+                client_id="dave",
+            )
+            victim = cluster.describe_route("dave")["shard"]
+            with ServingClient(host, port, wire="binary", timeout=30.0) as client:
+                with client._kit_packing():
+                    request = messages.build_request(
+                        "session", program="poly", client_id="dave",
+                        evaluation_keys=kit.export_evaluation_keys(),
+                    )
+                envelope, blobs = wire.BINARY.split(request)
+                assert blobs, "the key set travels as blobs"
+                chunks = []
+                for index, blob in enumerate(blobs):
+                    half = len(blob) // 2
+                    for position, view in enumerate((memoryview(blob)[:half], memoryview(blob)[half:])):
+                        chunk = {"upload": "up-9", "blob": index, "eof": position == 1, "client_id": "dave"}
+                        chunks.append(wire.BINARY.join(chunk, [view]))
+                (conn,) = router._connections.values()
+
+                client.send(wire.BINARY, wire.FRAME_CHUNK, chunks[0])
+                assert client.ping()  # answered after the chunk before it was relayed
+                assert len(conn._open_uploads) == 1
+                cluster._handles[victim].process.kill()
+                cluster._handles[victim].process.join(timeout=10)
+                for chunk in chunks[1:]:
+                    client.send(wire.BINARY, wire.FRAME_CHUNK, chunk)
+                envelope[wire.UPLOAD_KEY] = "up-9"
+                raw = client.roundtrip(wire.BINARY, wire.BINARY.join(envelope, ()))
+                reply = wire.BINARY.decode(raw, wire.BINARY.peek(raw))
+                assert reply["ok"] is False, "half an upload must never become a session"
+                assert reply["kind"] in ("SerializationError", "TransportError"), reply
+
+                # Nothing outlives the failed request: the router connection
+                # forgot the upload, the surviving shard holds no buffers.
+                assert conn._open_uploads == {}
+                survivor = 1 - victim
+                stats = client.stats()
+                assert stats["live"] == [survivor] and stats["dead"] == [victim]
+                connections = stats["per_shard"][str(survivor)]["connections"]
+                assert connections and all(info["open_uploads"] == 0 for info in connections)
+
+                # The same client, same connection, retries: new home, served.
+                session = client.create_session("poly", kit)
+                assert session["client_id"] == "dave"
+                assert cluster.describe_route("dave")["shard"] == survivor
+                outputs = client.submit_encrypted("poly", kit, {"x": [0.5, 1.0]})
+                np.testing.assert_allclose(outputs["y"][:2], [1.75, 3.0], atol=5e-2)
+                assert conn._open_uploads == {}
         finally:
             router.shutdown()
             cluster.close()

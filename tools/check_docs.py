@@ -12,8 +12,11 @@ every piece of it:
 * the CLI surface from ``repro.cli.build_parser()`` -> every subcommand
   (as ``repro.cli <name>``) and every long option must appear in
   ``docs/operations.md``;
-* the wire op set ``repro.core.serialization.messages.REQUEST_OPS`` ->
-  every op must appear backticked in ``docs/wire-protocol.md``;
+* the wire op table ``repro.core.serialization.messages.OPS`` -> the table
+  under ``## Request ops`` in ``docs/wire-protocol.md`` must state exactly its
+  rows, in both directions: every op with its required fields, optional
+  fields and reply key, and who answers it (``both`` / ``router`` / ``shard``
+  / ``forwarded``, from the two connection classes' ``answers`` maps);
 * the connection state table in ``docs/wire-protocol.md`` (the one headed
   ``## Connection state machine``) -> its message column must name exactly
   the ``repro.wire.FRAME_*`` kinds and its op column exactly ``hello`` plus
@@ -138,6 +141,46 @@ def check_state_table(wire_doc: str) -> list:
             complaints.append(f"wire-protocol.md: state table lacks {what} `{token}`")
         for token in sorted(found - expected):
             complaints.append(f"wire-protocol.md: state table names unknown {what} `{token}`")
+    return complaints
+
+
+def check_op_table(wire_doc: str) -> list:
+    """The request op table vs. ``messages.OPS`` and the endpoints' answers."""
+    from repro.core.serialization import messages
+    from repro.serving import netserver
+
+    section = wire_doc.partition("## Request ops")[2].partition("\n## ")[0]
+    rows = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|")
+    ][2:]  # header and ruler
+    documented = {}
+    for row in rows:
+        names = [re.findall(r"`([^`]+)`", cell) for cell in row[:4]]
+        reply = None if row[3].startswith("—") else (names[3] or [""])[0]
+        documented[names[0][0]] = (set(names[1]), set(names[2]), reply, row[4])
+    complaints = [
+        f"wire-protocol.md: op table names unknown op `{op}`"
+        for op in sorted(set(documented) - set(messages.OPS))
+    ]
+    shard, router = netserver._ShardConnection.answers, netserver._RouterConnection.answers
+    for op, row in messages.OPS.items():
+        if op in shard and op in router:
+            answered_by = "both"
+        elif op in shard:
+            answered_by = "forwarded" if row.forwarded else "shard"
+        else:
+            answered_by = "router"
+        expected = (set(row.required), set(row.optional), row.reply, answered_by)
+        if documented.get(op) != expected:
+            complaints.append(
+                f"wire-protocol.md: op table says `{op}` is {documented.get(op)}, "
+                f"the code says {expected}"
+            )
+    for name in messages.COMMON_FIELDS:
+        if f"`{name}`" not in section.partition("Every op may also carry")[2]:
+            complaints.append(f"wire-protocol.md: common field `{name}` undocumented")
     return complaints
 
 
@@ -281,10 +324,8 @@ def check(docs_dir: Path) -> list:
         missing.extend(check_lifecycle_table(operations_doc))
 
     wire_doc = read("wire-protocol.md")
-    for op in wire_ops():
-        if f"`{op}`" not in wire_doc:
-            missing.append(f"wire-protocol.md: request op `{op}` undocumented")
     if wire_doc:
+        missing.extend(check_op_table(wire_doc))
         missing.extend(check_state_table(wire_doc))
         missing.extend(check_feature_table(wire_doc))
 
