@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from ..core.types import Op, ValueType
+from ..core.types import ValueType
 
 #: Seconds per (coefficient * RNS component) of simple modular arithmetic.
 _BASE_SECONDS = 2.0e-9
@@ -125,27 +125,9 @@ class CostModel:
             cipher_operands = sum(
                 1 for arg in term.args if arg.value_type is ValueType.CIPHER
             )
-            kind = self.term_kind(term.op, cipher_operands)
+            kind = term.instruction.cost_kind(cipher_operands)
             total += self.op_seconds(kind, poly_degree, remaining_levels)
         return total
-
-    def term_kind(self, op: Op, cipher_operands: int) -> str:
-        """Map an EVA opcode to a cost-model operation class."""
-        if op is Op.MULTIPLY:
-            return "multiply" if cipher_operands >= 2 else "multiply_plain"
-        if op in (Op.ADD, Op.SUB):
-            return "add"
-        if op is Op.NEGATE or op is Op.COPY:
-            return "negate"
-        if op in (Op.ROTATE_LEFT, Op.ROTATE_RIGHT):
-            return "rotate"
-        if op is Op.RELINEARIZE:
-            return "relinearize"
-        if op is Op.RESCALE:
-            return "rescale"
-        if op is Op.MOD_SWITCH:
-            return "mod_switch"
-        return "add"
 
 
 #: Shared default instance used by the scheduler and the benchmarks.

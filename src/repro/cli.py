@@ -105,7 +105,7 @@ def _load_source(path: Any, command: str):
 
 
 def _refuse_compiled_graph(program, path: Any) -> None:
-    if any(term.op.is_fhe_specific for term in program.terms()):
+    if any(t.is_instruction and t.instruction.emitted_by == "compiler" for t in program.terms()):
         raise EvaError(
             f"{path} is an already-compiled bare graph (contains FHE-specific "
             "instructions) without the parameters it was compiled for; give "

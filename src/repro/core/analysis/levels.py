@@ -36,10 +36,7 @@ def compute_levels(program: Program) -> Dict[int, int]:
     def visit(term: Term, state: Dict[int, int]) -> int:
         if term.is_root:
             return 0
-        level = max((state[a.id] for a in term.args), default=0)
-        if term.op.changes_modulus:
-            level += 1
-        return level
+        return max(state[a.id] for a in term.args) + term.instruction.consumes_modulus
 
     return forward_traversal(program, visit)
 
@@ -81,7 +78,7 @@ def compute_rescale_chains(
         cipher_args = [a for a in term.args if a.value_type is ValueType.CIPHER]
         if not cipher_args:
             chain: Chain = ()
-        elif len(cipher_args) == 1 or not term.op.is_binary_arith:
+        elif len(cipher_args) == 1:
             chain = state[cipher_args[0].id]
         else:
             chain = state[cipher_args[0].id]

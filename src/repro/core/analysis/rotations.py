@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..instructions import immediate_of
 from ..ir import Program, Term
 from ..types import Op, ValueType
 
@@ -96,7 +97,7 @@ def select_rotation_steps(program: Program) -> List[int]:
     """Return the sorted set of left-rotation steps needing Galois keys."""
     steps: Set[int] = set()
     for term in program.terms():
-        if term.op.is_rotation:
+        if immediate_of(term.op) == "rotation":
             step = normalize_step(term.op, term.rotation, program.vec_size)
             if step != 0:
                 steps.add(step)

@@ -1,15 +1,18 @@
 """Fixed-point scale analysis.
 
 Computes the scale (in bits, i.e. ``log2`` of the fixed-point scaling factor)
-of every term in a program, following the semantics of RNS-CKKS:
+of every term in a program, following the semantics of RNS-CKKS.  Inputs and
+constants carry their declared scale; an instruction's scale follows the rule
+its row of the instruction table names (``term.instruction.scale``):
 
-* inputs and constants carry their declared scale;
-* MULTIPLY adds the scales of its operands;
-* RESCALE subtracts its rescale value from the operand scale;
-* ADD/SUB require equal scales between ciphertext operands and produce that
-  scale (for analysis purposes, the maximum of the ciphertext operand scales
-  is used so that pre-MATCH-SCALE programs can still be analysed);
-* every other instruction preserves the scale of its (ciphertext) operand.
+* ``same`` — the scale of its (first) operand;
+* ``product`` — the sum of its operands' scales (MULTIPLY);
+* ``matched`` — ADD/SUB: Constraint 2 requires equal scales between
+  ciphertext operands and the result has that scale.  A plaintext operand is
+  encoded at the ciphertext's scale by the executor, so only ciphertext
+  operands count; their maximum is used so that pre-MATCH-SCALE programs can
+  still be analysed;
+* ``rescaled`` — the operand's scale minus the rescale value (RESCALE).
 """
 
 from __future__ import annotations
@@ -17,36 +20,30 @@ from __future__ import annotations
 from typing import Dict
 
 from ..ir import Program, Term
-from ..types import Op, ValueType
+from ..types import ValueType
 from .traversal import forward_traversal
 
 
-def _scale_of(term: Term, state: Dict[int, float]) -> float:
+def _matched(term: Term, scales: Dict[int, float]) -> float:
+    cipher = [scales[a.id] for a in term.args if a.value_type is ValueType.CIPHER]
+    return max(cipher or [scales[a.id] for a in term.args])
+
+
+SCALE_RULES = {
+    "same": lambda term, scales: scales[term.args[0].id],
+    "product": lambda term, scales: sum(scales[a.id] for a in term.args),
+    "matched": _matched,
+    "rescaled": lambda term, scales: scales[term.args[0].id] - term.rescale_value,
+}
+
+
+def scale_of(term: Term, scales: Dict[int, float]) -> float:
+    """The scale of ``term`` given those of its arguments in ``scales``."""
     if term.is_root:
-        scale = term.scale
-        return float(scale) if scale is not None else 0.0
-
-    arg_scales = [state[a.id] for a in term.args]
-    cipher_scales = [
-        state[a.id] for a in term.args if a.value_type is ValueType.CIPHER
-    ]
-
-    if term.op is Op.MULTIPLY:
-        return float(sum(arg_scales))
-    if term.op is Op.RESCALE:
-        return float(arg_scales[0] - term.rescale_value)
-    if term.op.is_additive:
-        # ADD/SUB of a ciphertext and a plaintext: the plaintext is encoded at
-        # the ciphertext's scale by the executor, so the result scale is the
-        # ciphertext scale.  For cipher-cipher the scales must match; use the
-        # maximum so the analysis is defined on not-yet-matched programs too.
-        if cipher_scales:
-            return float(max(cipher_scales))
-        return float(max(arg_scales))
-    # NEGATE, COPY, SUM, ROTATE_*, RELINEARIZE, MOD_SWITCH, NORMALIZE_SCALE.
-    return float(arg_scales[0])
+        return float(term.scale) if term.scale is not None else 0.0
+    return float(SCALE_RULES[term.instruction.scale](term, scales))
 
 
 def compute_scales(program: Program) -> Dict[int, float]:
     """Return a map from term id to its scale in bits."""
-    return forward_traversal(program, _scale_of)
+    return forward_traversal(program, scale_of)

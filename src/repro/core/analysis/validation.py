@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ...errors import ValidationError
+from ...errors import UnsupportedOperationError, ValidationError
+from ..instructions import INSTRUCTIONS
 from ..ir import Program, Term
 from ..types import DEFAULT_MAX_RESCALE_BITS, Op, ValueType
 from .levels import compute_rescale_chains
@@ -57,6 +58,17 @@ def compute_polynomial_counts(program: Program) -> Dict[int, int]:
     return forward_traversal(program, visit)
 
 
+def check_evaluable(program: Program) -> None:
+    """Refuse an opcode without a row, or one the compiler lowers away (SUM,
+    COPY): a compiled graph holding one would fail every request instead."""
+    for term in program.instructions():
+        if term.op not in INSTRUCTIONS or term.instruction.evaluate is None:
+            raise UnsupportedOperationError(
+                f"{term.op.name} (term {term.id}) never reaches a backend: "
+                "a compiled program cannot hold it"
+            )
+
+
 def validate(
     program: Program,
     max_rescale_bits: float = DEFAULT_MAX_RESCALE_BITS,
@@ -75,6 +87,7 @@ def validate(
         which guards against rescaling below the fixed-point representation.
     """
     program.check_structure(frontend_only=False)
+    check_evaluable(program)
 
     # Constraint 1: conforming, equal rescale chains (raises on violation).
     compute_rescale_chains(program, strict=True)
@@ -85,7 +98,7 @@ def validate(
     for term in program.terms():
         cipher_args = [a for a in term.args if a.value_type is ValueType.CIPHER]
 
-        if term.op.is_additive and len(cipher_args) == 2:
+        if term.is_instruction and term.instruction.scale == "matched" and len(cipher_args) == 2:
             s0, s1 = scales[cipher_args[0].id], scales[cipher_args[1].id]
             if abs(s0 - s1) > SCALE_TOLERANCE_BITS:
                 raise ValidationError(

@@ -32,6 +32,7 @@ import numpy as np
 from ..errors import CompilationError, EvaError, SerializationError
 from .analysis import select_parameters, select_rotation_steps, validate
 from .analysis.parameters import EncryptionParameters
+from .analysis.validation import check_evaluable
 from .ir import Program
 from .serialization.json_format import dict_to_program, program_to_dict
 from .serialization.records import read_record, write_record
@@ -56,6 +57,13 @@ from .rewrite.framework import PassContext, PassReport, waterline_of
 from .types import DEFAULT_MAX_RESCALE_BITS, DEFAULT_SECURITY_LEVEL
 
 
+#: Options of earlier builds, at the one value this build compiles with: SUM
+#: is always expanded, COPY always removed and the cleanup passes always run.
+#: :meth:`CompilerOptions.to_dict` still writes them, so signatures and
+#: records of earlier builds stay the same.
+_RETIRED_OPTIONS = {"lower_sum": True, "remove_copies": True, "cleanup": True}
+
+
 @dataclass
 class CompilerOptions:
     """Knobs of the EVA compiler.
@@ -72,8 +80,6 @@ class CompilerOptions:
         ``max_rescale_bits``.
     security_level:
         Security level in bits for parameter selection (128 by default).
-    lower_sum / remove_copies / cleanup:
-        Enable the lowering and cleanup passes.
     lane_width:
         When set, run :class:`~repro.core.rewrite.LaneLoweringPass` at this
         power-of-two lane width: every rotation (and expanded SUM) is
@@ -96,9 +102,6 @@ class CompilerOptions:
     rescale_bits: Optional[float] = None
     waterline_bits: Optional[float] = None
     security_level: int = DEFAULT_SECURITY_LEVEL
-    lower_sum: bool = True
-    remove_copies: bool = True
-    cleanup: bool = True
     lane_width: Optional[int] = None
     hoist_rotations: bool = True
     bsgs_rotations: str = "auto"
@@ -135,11 +138,18 @@ class CompilerOptions:
             data.pop("hoist_rotations", None)
         if data.get("bsgs_rotations") == "auto":
             data.pop("bsgs_rotations", None)
-        return data
+        return {**data, **_RETIRED_OPTIONS}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CompilerOptions":
         """Inverse of :meth:`to_dict`; unknown keys are rejected, missing ones default."""
+        data = dict(data)
+        for name, value in _RETIRED_OPTIONS.items():
+            if data.pop(name, value) is not value:
+                raise CompilationError(
+                    f"compiler option {name!r} is retired: this build always runs "
+                    f"those passes, so it can only be {value}"
+                )
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -236,6 +246,7 @@ class CompilationResult:
     source: Optional[Program] = None
 
     def __post_init__(self) -> None:
+        check_evaluable(self.program)
         if not self.signature:
             graph = self.source if self.source is not None else self.program
             self.signature = program_signature(graph, self.options)
@@ -419,11 +430,7 @@ class EvaCompiler:
 
     def _build_passes(self) -> List:
         options = self.options
-        passes: List = []
-        if options.remove_copies:
-            passes.append(RemoveCopyPass())
-        if options.lower_sum:
-            passes.append(ExpandSumPass())
+        passes: List = [RemoveCopyPass(), ExpandSumPass()]
         if options.lane_width is not None:
             # After SUM expansion so the reduction tree's rotations are lane-
             # lowered too, before cleanup so CSE deduplicates the masked pairs.
@@ -435,10 +442,9 @@ class EvaCompiler:
             # hoisting target), before cleanup so CSE/DCE tidy the rebuilt
             # trees and collect the originals.
             passes.append(RotationHoistingPass())
-        if options.cleanup:
-            passes.append(ConstantFoldingPass())
-            passes.append(CommonSubexpressionEliminationPass())
-            passes.append(DeadCodeEliminationPass())
+        passes.append(ConstantFoldingPass())
+        passes.append(CommonSubexpressionEliminationPass())
+        passes.append(DeadCodeEliminationPass())
         if options.bsgs_rotations != "off":
             # After CSE so the giant cache sees one rotation term per
             # (source, step); before scale management — chained rotations are
@@ -472,21 +478,9 @@ class EvaCompiler:
         """
         start = time.perf_counter()
         program.check_structure(frontend_only=True)
-        if self.options.lane_width is not None:
-            from .types import Op
-
-            width = self.options.lane_width
-            if width > program.vec_size:
-                raise CompilationError(
-                    f"lane width {width} exceeds the vector size {program.vec_size}"
-                )
-            if not self.options.lower_sum and width < program.vec_size and any(
-                term.op is Op.SUM for term in program.terms()
-            ):
-                raise CompilationError(
-                    "lane lowering needs SUM expanded into rotations; compile "
-                    "with lower_sum=True"
-                )
+        width = self.options.lane_width
+        if width is not None and width > program.vec_size:
+            raise CompilationError(f"lane width {width} exceeds the vector size {program.vec_size}")
         signature = program_signature(program, self.options, input_scales, output_scales)
 
         working = program.clone()

@@ -38,28 +38,7 @@ from ..errors import ExecutionError
 from .analysis.scales import compute_scales
 from .compiler import CompilationResult
 from .ir import Program, Term
-from .types import Op, ValueType
-
-
-def _reference_op(term: Term, args: List[np.ndarray], vec_size: int) -> np.ndarray:
-    """Evaluate one instruction under the identity scheme."""
-    if term.op is Op.NEGATE:
-        return -args[0]
-    if term.op is Op.ADD:
-        return args[0] + args[1]
-    if term.op is Op.SUB:
-        return args[0] - args[1]
-    if term.op is Op.MULTIPLY:
-        return args[0] * args[1]
-    if term.op is Op.ROTATE_LEFT:
-        return np.roll(args[0], -term.rotation)
-    if term.op is Op.ROTATE_RIGHT:
-        return np.roll(args[0], term.rotation)
-    if term.op is Op.SUM:
-        return np.full(vec_size, float(np.sum(args[0])))
-    if term.op in (Op.COPY, Op.RELINEARIZE, Op.MOD_SWITCH, Op.RESCALE, Op.NORMALIZE_SCALE):
-        return args[0]
-    raise ExecutionError(f"unsupported opcode {term.op.name}")
+from .types import ValueType
 
 
 def _broadcast(value: Any, vec_size: int) -> np.ndarray:
@@ -93,8 +72,9 @@ class ReferenceExecutor:
                 values[term.id] = _broadcast(term.value, vec_size)
             else:
                 args = [values[a.id] for a in term.args]
-                values[term.id] = _reference_op(term, args, vec_size)
-        return {name: values[t.id].copy() for name, t in self.program.outputs.items()}
+                values[term.id] = term.instruction.reference(term, args, vec_size)
+        outputs = self.program.outputs
+        return {name: _broadcast(values[t.id], vec_size) for name, t in outputs.items()}
 
 
 @dataclass
@@ -300,13 +280,11 @@ class EvaluationEngine:
             return handles
         except BaseException:
             # A failed evaluation hands nothing back, so nothing it made may stay
-            # live: every value not yet retired goes now — each handle once (a
-            # COPY shares its argument's), the caller's inputs only if it gave
-            # them up.
-            spared = set() if retire_inputs else {id(cipher_values.get(t.id)) for t in terms if t.is_input}
-            for handle in cipher_values.values():
-                if id(handle) not in spared:
-                    spared.add(id(handle))
+            # live: every value not yet retired goes now, the caller's inputs
+            # only if it gave them up.
+            inputs = {t.id for t in terms if t.is_input}
+            for term_id, handle in cipher_values.items():
+                if retire_inputs or term_id not in inputs:
                     context.release(handle)
             raise
 
@@ -405,83 +383,23 @@ class EvaluationEngine:
         cipher_values: Dict[int, Any],
         plain_values: Dict[int, np.ndarray],
     ) -> None:
+        row = term.instruction
         if term.value_type is not ValueType.CIPHER:
             args = [plain_values[a.id] for a in term.args]
-            plain_values[term.id] = _reference_op(term, args, self.program.vec_size)
+            plain_values[term.id] = row.reference(term, args, self.program.vec_size)
             return
-        cipher_values[term.id] = self._execute_cipher_term(
-            context, term, cipher_values, plain_values
-        )
-
-    def _execute_cipher_term(
-        self,
-        context: BackendContext,
-        term: Term,
-        cipher_values: Dict[int, Any],
-        plain_values: Dict[int, np.ndarray],
-    ) -> Any:
-        op = term.op
-        args = term.args
-
-        def cipher(i: int) -> Any:
-            return cipher_values[args[i].id]
-
-        def is_cipher(i: int) -> bool:
-            return args[i].value_type is ValueType.CIPHER
-
-        if op is Op.NEGATE:
-            return context.negate(cipher(0))
-        if op is Op.COPY:
-            return cipher(0)
-        if op is Op.RELINEARIZE:
-            return context.relinearize(cipher(0))
-        if op is Op.RESCALE:
-            return context.rescale(cipher(0), term.rescale_value)
-        if op is Op.MOD_SWITCH:
-            return context.mod_switch(cipher(0))
-        if op is Op.ROTATE_LEFT:
-            return context.rotate(cipher(0), term.rotation)
-        if op is Op.ROTATE_RIGHT:
-            return context.rotate(cipher(0), -term.rotation)
-        if op is Op.SUM:
-            acc, shift, made = cipher(0), 1, []
-            try:
-                while shift < self.program.vec_size:
-                    made.append(context.rotate(acc, shift))
-                    acc = context.add(acc, made[-1])
-                    made.append(acc)
-                    shift *= 2
-                return made.pop() if made else acc
-            finally:  # the partial sums, and after a failure the last one too
-                for handle in made:
-                    context.release(handle)
-        if op is Op.MULTIPLY:
-            if is_cipher(0) and is_cipher(1):
-                return context.multiply(cipher(0), cipher(1))
-            cipher_idx, plain_idx = (0, 1) if is_cipher(0) else (1, 0)
-            handle = cipher_values[args[cipher_idx].id]
-            plain = context.encode(
-                plain_values[args[plain_idx].id],
-                self._scales[args[plain_idx].id],
-                level=context.level(handle),
-            )
-            return context.multiply_plain(handle, plain)
-        if op in (Op.ADD, Op.SUB):
-            if is_cipher(0) and is_cipher(1):
-                return context.add(cipher(0), cipher(1)) if op is Op.ADD else context.sub(
-                    cipher(0), cipher(1)
-                )
-            cipher_idx, plain_idx = (0, 1) if is_cipher(0) else (1, 0)
-            handle = cipher_values[args[cipher_idx].id]
-            plain = context.encode(
-                plain_values[args[plain_idx].id],
-                context.scale_bits(handle),
-                level=context.level(handle),
-            )
-            if op is Op.ADD:
-                return context.add_plain(handle, plain)
-            return context.sub_plain(handle, plain, reverse=(plain_idx == 0))
-        raise ExecutionError(f"unsupported ciphertext opcode {op.name}")
+        handle = next(cipher_values[a.id] for a in term.args if a.value_type is ValueType.CIPHER)
+        operands = []
+        for arg in term.args:
+            if arg.value_type is ValueType.CIPHER:
+                operands.append(cipher_values[arg.id])
+                continue
+            # A plaintext operand is encoded at its ciphertext partner's level,
+            # and at the partner's scale where the row matches scales (ADD/SUB).
+            scale = context.scale_bits(handle) if row.scale == "matched" else self._scales[arg.id]
+            level = context.level(handle)
+            operands.append(context.encode(plain_values[arg.id], scale, level=level))
+        cipher_values[term.id] = row.evaluate(context, term, operands)
 
     def _retire_args(
         self,

@@ -20,7 +20,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import CompilationError
-from .types import Op, ValueType, is_power_of_two
+from .instructions import INSTRUCTIONS, Instruction, immediate_of
+from .types import Op, ValueType, is_power_of_two, result_type
 
 
 class Term:
@@ -86,6 +87,11 @@ class Term:
         return not self.is_root
 
     @property
+    def instruction(self) -> Instruction:
+        """This instruction's row of the instruction table (Table 2)."""
+        return INSTRUCTIONS[self.op]
+
+    @property
     def name(self) -> Optional[str]:
         return self.attributes.get("name")
 
@@ -116,13 +122,10 @@ class Term:
         return self.attributes.get("kernel")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        extra = ""
-        if self.op.is_rotation:
-            extra = f" by {self.rotation}"
-        elif self.op is Op.RESCALE:
-            extra = f" by 2^{self.rescale_value:g}"
-        elif self.is_input:
-            extra = f" {self.name!r}"
+        extra = f" {self.name!r}" if self.is_input else ""
+        immediate = immediate_of(self.op)
+        if immediate:
+            extra = f" {immediate}={getattr(self, immediate):g}"
         return f"<Term {self.id} {self.op.name}{extra} {self.value_type.name}>"
 
 
@@ -182,13 +185,9 @@ class Program:
 
     def make_term(self, op: Op, args: Sequence[Term], **attributes: Any) -> Term:
         """Create an instruction term, inferring its result type from ``args``."""
-        if not op.is_instruction:
+        if op not in INSTRUCTIONS:
             raise CompilationError(f"{op.name} is not an instruction opcode")
-        if any(t is ValueType.CIPHER for t in (a.value_type for a in args)):
-            value_type = ValueType.CIPHER
-        else:
-            value_type = ValueType.VECTOR
-        return Term(op, args, value_type, **attributes)
+        return Term(op, args, result_type(op, [a.value_type for a in args]), **attributes)
 
     def set_output(self, name: str, term: Term, scale: Optional[float] = None) -> None:
         """Mark ``term`` as a named program output with an optional desired scale."""
@@ -279,39 +278,25 @@ class Program:
         if not self.outputs:
             raise CompilationError("program has no outputs")
         self._check_acyclic()
-        arity = {
-            Op.NEGATE: 1,
-            Op.ADD: 2,
-            Op.SUB: 2,
-            Op.MULTIPLY: 2,
-            Op.SUM: 1,
-            Op.COPY: 1,
-            Op.ROTATE_LEFT: 1,
-            Op.ROTATE_RIGHT: 1,
-            Op.RELINEARIZE: 1,
-            Op.MOD_SWITCH: 1,
-            Op.RESCALE: 1,
-            Op.NORMALIZE_SCALE: 1,
-        }
         for term in self.terms():
             if term.is_root:
                 if term.args:
                     raise CompilationError("input/constant terms cannot have arguments")
                 continue
-            expected = arity.get(term.op)
-            if expected is None:
-                raise CompilationError(f"unknown opcode {term.op}")
-            if len(term.args) != expected:
+            row = INSTRUCTIONS.get(term.op)
+            if row is None:
+                raise CompilationError(f"unknown opcode {term.op!r}")
+            if len(term.args) != row.arity:
                 raise CompilationError(
-                    f"{term.op.name} expects {expected} arguments, got {len(term.args)}"
+                    f"{term.op.name} expects {row.arity} arguments, got {len(term.args)}"
                 )
-            if frontend_only and term.op.is_fhe_specific:
+            if frontend_only and row.emitted_by == "compiler":
                 raise CompilationError(
                     f"{term.op.name} is not allowed in input programs; "
                     "it is inserted by the compiler"
                 )
-            if term.op.is_rotation and "rotation" not in term.attributes:
-                raise CompilationError(f"{term.op.name} requires a 'rotation' attribute")
+            if row.immediate and row.immediate not in term.attributes:
+                raise CompilationError(f"{term.op.name} requires a {row.immediate!r} attribute")
         for name, term in self.outputs.items():
             if term.value_type is not ValueType.CIPHER:
                 raise CompilationError(

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..analysis.rotations import normalize_step, plan_rotation_steps, select_rotation_steps
+from ..instructions import immediate_of
 from ..ir import GraphEditor, Program, Term
 from ..types import Op
 from .framework import PassContext, RewritePass
@@ -71,7 +72,7 @@ class BsgsRotationPass(RewritePass):
         # existing taps adds no rotations at all.
         giants: Dict[Tuple[int, int], Term] = {}
         for term in terms:
-            if not term.op.is_rotation:
+            if immediate_of(term.op) != "rotation":
                 continue
             step = normalize_step(term.op, term.rotation, vec_size)
             if step != 0 and step not in plan.decompositions:
@@ -79,7 +80,7 @@ class BsgsRotationPass(RewritePass):
         editor = GraphEditor(program)
         rewrites = 0
         for term in terms:
-            if not term.op.is_rotation:
+            if immediate_of(term.op) != "rotation":
                 continue
             step = normalize_step(term.op, term.rotation, vec_size)
             pair = plan.decompositions.get(step)

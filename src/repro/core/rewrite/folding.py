@@ -13,70 +13,20 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from ..analysis.scales import scale_of
+from ..instructions import immediate_of
 from ..ir import GraphEditor, Program, Term
-from ..types import Op, ValueType
+from ..types import ValueType
 from .framework import PassContext, RewritePass
 
 
-def _tile_common(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Tile two periodic plaintext vectors to their common (lcm) length.
-
-    Constants of different lengths denote the same value replicated at
-    different periods (Section 3's input replication); a binary operation on
-    them is well-defined on the common period.  Lane masks (length = lane
-    width) meeting shorter constants is the common case.
-    """
-    a = np.atleast_1d(a)
-    b = np.atleast_1d(b)
-    if a.size == b.size:
-        return a, b
-    target = int(np.lcm(a.size, b.size))
-    return np.tile(a, target // a.size), np.tile(b, target // b.size)
-
-
-def _evaluate_plain(term: Term, values: Dict[int, np.ndarray], vec_size: int) -> np.ndarray:
-    """Evaluate a plaintext instruction on the numeric values of its arguments.
-
-    A value shorter than ``vec_size`` is one period of the vector it denotes.
-    """
-    args = [values[a.id] for a in term.args]
-    if term.op is Op.NEGATE:
-        return -args[0]
-    if term.op is Op.ADD:
-        return np.add(*_tile_common(args[0], args[1]))
-    if term.op is Op.SUB:
-        return np.subtract(*_tile_common(args[0], args[1]))
-    if term.op is Op.MULTIPLY:
-        return np.multiply(*_tile_common(args[0], args[1]))
-    if term.op is Op.COPY:
-        return args[0]
-    if term.op is Op.SUM:
-        # SUM adds all vec_size slots: every repetition of the period counts.
-        period = np.atleast_1d(args[0])
-        return np.full(1, np.sum(period) * (vec_size // period.size))
-    # Rolling one period is rolling the periodic vector (np.roll reduces the
-    # step modulo the period, which divides vec_size).
-    if term.op is Op.ROTATE_LEFT:
-        return np.roll(np.atleast_1d(args[0]), -term.rotation)
-    if term.op is Op.ROTATE_RIGHT:
-        return np.roll(np.atleast_1d(args[0]), term.rotation)
-    raise ValueError(f"cannot fold opcode {term.op.name}")
-
-
-_FOLDABLE = {
-    Op.NEGATE,
-    Op.ADD,
-    Op.SUB,
-    Op.MULTIPLY,
-    Op.COPY,
-    Op.SUM,
-    Op.ROTATE_LEFT,
-    Op.ROTATE_RIGHT,
-}
-
-
 class ConstantFoldingPass(RewritePass):
-    """Replace plaintext instructions whose arguments are all constants."""
+    """Replace plaintext instructions whose arguments are all constants.
+
+    The value is the row's reference semantics on the constants (a constant
+    shorter than ``vec_size`` is one period of the vector it denotes), and
+    its scale the row's scale rule.
+    """
 
     name = "constant-folding"
     direction = "forward"
@@ -93,15 +43,12 @@ class ConstantFoldingPass(RewritePass):
                 continue
             if (
                 term.is_instruction
-                and term.op in _FOLDABLE
                 and term.value_type is not ValueType.CIPHER
                 and all(a.id in values for a in term.args)
             ):
-                value = _evaluate_plain(term, values, program.vec_size)
-                if term.op is Op.MULTIPLY:
-                    scale = sum(scales[a.id] for a in term.args)
-                else:
-                    scale = max(scales[a.id] for a in term.args)
+                args = [values[a.id] for a in term.args]
+                value = term.instruction.reference(term, args, program.vec_size)
+                scale = scale_of(term, scales)
                 folded = program.constant(value, scale=scale)
                 values[folded.id] = np.asarray(value, dtype=np.float64)
                 scales[folded.id] = scale
@@ -112,12 +59,8 @@ class ConstantFoldingPass(RewritePass):
 
 def _structural_key(term: Term) -> Tuple:
     """Hashable key identifying structurally identical instructions."""
-    attrs: Tuple = ()
-    if term.op.is_rotation:
-        attrs = ("rot", term.rotation)
-    elif term.op is Op.RESCALE:
-        attrs = ("rescale", term.rescale_value)
-    return (term.op, tuple(a.id for a in term.args), attrs)
+    immediate = immediate_of(term.op)
+    return (term.op, tuple(a.id for a in term.args), immediate and getattr(term, immediate))
 
 
 class CommonSubexpressionEliminationPass(RewritePass):

@@ -50,6 +50,7 @@ import numpy as np
 
 from ...errors import CompilationError
 from ..analysis.rotations import lane_lowered_step_pair, lane_wrap_step, normalize_step
+from ..instructions import immediate_of
 from ..ir import GraphEditor, Program, Term
 from ..types import Op, ValueType
 from .framework import PassContext, RewritePass, waterline_of
@@ -98,11 +99,6 @@ class LaneLoweringPass(RewritePass):
                         f"width {width}; the program cannot be lane-lowered at "
                         f"this width"
                     )
-            elif term.op is Op.SUM:
-                raise CompilationError(
-                    "lane lowering requires SUM to be expanded first; compile "
-                    "with lower_sum=True"
-                )
 
         # The masks are 0/1 selectors; encode them like any other program
         # constant, at the waterline, and let the downstream scale passes do
@@ -117,7 +113,7 @@ class LaneLoweringPass(RewritePass):
         masks: Dict[Tuple[int, bool], Term] = {}
         rewrites = 0
         for term in program.terms():
-            if not term.op.is_rotation:
+            if immediate_of(term.op) != "rotation":
                 continue
             rewrites += 1
             step = normalize_step(term.op, term.rotation, vec_size) % width

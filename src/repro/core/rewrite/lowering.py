@@ -7,6 +7,7 @@ see the core opcode set of Table 2.
 
 from __future__ import annotations
 
+from ..instructions import immediate_of
 from ..ir import GraphEditor, Program, Term
 from ..types import Op
 from .framework import PassContext, RewritePass
@@ -57,7 +58,7 @@ class RemoveCopyPass(RewritePass):
         rewrites = 0
         for term in program.terms():
             is_copy = term.op is Op.COPY
-            is_null_rotation = term.op.is_rotation and (
+            is_null_rotation = immediate_of(term.op) == "rotation" and (
                 term.rotation % program.vec_size == 0
             )
             if not (is_copy or is_null_rotation):

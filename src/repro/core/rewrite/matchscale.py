@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from ..analysis.scales import scale_of
 from ..ir import GraphEditor, Program, Term
 from ..types import Op, ValueType
 from .framework import PassContext, RewritePass
@@ -30,8 +31,8 @@ class MatchScalePass(RewritePass):
         scales: Dict[int, float] = {}
         rewrites = 0
         for term in program.terms():
-            scales[term.id] = self._scale_of(term, scales)
-            if not term.op.is_additive:
+            scales[term.id] = scale_of(term, scales)
+            if term.is_root or term.instruction.scale != "matched":
                 continue
             cipher_args = [a for a in term.args if a.value_type is ValueType.CIPHER]
             if len(cipher_args) < 2:
@@ -52,17 +53,3 @@ class MatchScalePass(RewritePass):
             scales[term.id] = max(scales[a.id], scales[b.id], scales[boost.id])
             rewrites += 1
         return rewrites
-
-    @staticmethod
-    def _scale_of(term: Term, scales: Dict[int, float]) -> float:
-        if term.is_root:
-            return float(term.scale) if term.scale is not None else 0.0
-        args = [scales[a.id] for a in term.args]
-        if term.op is Op.MULTIPLY:
-            return float(sum(args))
-        if term.op is Op.RESCALE:
-            return float(args[0] - term.rescale_value)
-        if term.op.is_additive:
-            cipher = [scales[a.id] for a in term.args if a.value_type is ValueType.CIPHER]
-            return float(max(cipher)) if cipher else float(max(args))
-        return float(args[0])

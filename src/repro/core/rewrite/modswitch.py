@@ -26,10 +26,7 @@ from .framework import PassContext, RewritePass
 
 def _required_level(consumer: Term, levels: Dict[int, int]) -> int:
     """Level at which ``consumer`` needs its ciphertext operands."""
-    level = levels[consumer.id]
-    if consumer.op.changes_modulus:
-        level -= 1
-    return level
+    return levels[consumer.id] - consumer.instruction.consumes_modulus
 
 
 def _make_switch_chain(start: Term, length: int, levels: Dict[int, int]) -> List[Term]:
@@ -72,7 +69,7 @@ class EagerModSwitchPass(RewritePass):
             for consumer in consumers:
                 if consumer.id not in levels:
                     continue
-                if not consumer.op.is_binary_arith and not consumer.op.changes_modulus:
+                if consumer.instruction.arity < 2 and not consumer.instruction.consumes_modulus:
                     # Unary ops execute at whatever level their operand has;
                     # only binary arithmetic imposes Constraint 1.
                     deficit = 0
@@ -107,8 +104,6 @@ class LazyModSwitchPass(RewritePass):
         editor = GraphEditor(program)
         rewrites = 0
         for term in program.terms():
-            if not term.op.is_binary_arith:
-                continue
             cipher_args = [a for a in term.args if a.value_type is ValueType.CIPHER]
             if len(cipher_args) < 2:
                 continue

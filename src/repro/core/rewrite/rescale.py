@@ -16,16 +16,13 @@ from __future__ import annotations
 
 from typing import Dict
 
+from ..analysis.scales import scale_of
 from ..ir import GraphEditor, Program, Term
 from ..types import Op, ValueType
 from .framework import PassContext, RewritePass, waterline_of
 
 #: Numerical slack (bits) when comparing scales.
 _EPS = 1e-9
-
-
-def _root_scale(term: Term) -> float:
-    return float(term.scale) if term.scale is not None else 0.0
 
 
 class _RescaleInsertionBase(RewritePass):
@@ -38,23 +35,10 @@ class _RescaleInsertionBase(RewritePass):
         scales: Dict[int, float] = {}
         rewrites = 0
         for term in program.terms():
-            scales[term.id] = self._scale_of(term, scales)
+            scales[term.id] = scale_of(term, scales)
             if term.op is Op.MULTIPLY and term.value_type is ValueType.CIPHER:
                 rewrites += self._maybe_rescale(program, editor, term, scales, context)
         return rewrites
-
-    def _scale_of(self, term: Term, scales: Dict[int, float]) -> float:
-        if term.is_root:
-            return _root_scale(term)
-        args = [scales[a.id] for a in term.args]
-        if term.op is Op.MULTIPLY:
-            return float(sum(args))
-        if term.op is Op.RESCALE:
-            return float(args[0] - term.rescale_value)
-        if term.op.is_additive:
-            cipher = [scales[a.id] for a in term.args if a.value_type is ValueType.CIPHER]
-            return float(max(cipher)) if cipher else float(max(args))
-        return float(args[0])
 
     def _insert_rescale(
         self,

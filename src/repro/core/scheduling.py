@@ -64,7 +64,7 @@ def term_costs(
         cipher_operands = sum(
             1 for a in term.args if a.value_type is ValueType.CIPHER
         )
-        kind = cost_model.term_kind(term.op, cipher_operands)
+        kind = term.instruction.cost_kind(cipher_operands)
         operand_level = max(
             (levels[a.id] for a in term.args if a.value_type is ValueType.CIPHER),
             default=levels[term.id],

@@ -14,6 +14,7 @@ from typing import Any, Dict, List
 import numpy as np
 
 from ...errors import SerializationError
+from ..instructions import IMMEDIATES, immediate_of
 from ..ir import Program, Term
 from ..types import Op, ValueType
 
@@ -39,10 +40,9 @@ def program_to_dict(program: Program) -> Dict[str, Any]:
             node["scale"] = float(term.scale or 0.0)
             if term.attributes.get("lane_mask"):
                 node["lane_mask"] = True
-        if term.op.is_rotation:
-            node["rotation"] = term.rotation
-        if term.op is Op.RESCALE:
-            node["rescale_value"] = term.rescale_value
+        immediate = immediate_of(term.op)
+        if immediate:
+            node[immediate] = getattr(term, immediate)
         if term.kernel is not None:
             node["kernel"] = term.kernel
         nodes.append(node)
@@ -79,11 +79,9 @@ def dict_to_program(data: Dict[str, Any]) -> Program:
                     term.attributes["lane_mask"] = True
             else:
                 args = [terms[i] for i in node["args"]]
-                attrs: Dict[str, Any] = {}
-                if "rotation" in node:
-                    attrs["rotation"] = int(node["rotation"])
-                if "rescale_value" in node:
-                    attrs["rescale_value"] = float(node["rescale_value"])
+                attrs: Dict[str, Any] = {
+                    name: kind(node[name]) for name, kind in IMMEDIATES.items() if name in node
+                }
                 if "kernel" in node:
                     attrs["kernel"] = node["kernel"]
                 term = program.make_term(op, args, **attrs)

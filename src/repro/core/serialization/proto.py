@@ -25,6 +25,7 @@ from typing import Dict, List
 import numpy as np
 
 from ...errors import SerializationError
+from ..instructions import IMMEDIATES, immediate_of
 from ..ir import Program, Term
 from ..types import ObjectType, Op, ValueType, object_type_for, value_type_for
 from . import wire
@@ -256,10 +257,9 @@ def program_to_message(program: Program) -> ProgramMessage:
         if not term.is_instruction:
             continue
         arg_ids = [ids[a.id] for a in term.args]
-        if term.op.is_rotation:
-            arg_ids.append(scalar_constant(term.rotation))
-        elif term.op is Op.RESCALE:
-            arg_ids.append(scalar_constant(term.rescale_value))
+        immediate = immediate_of(term.op)
+        if immediate:
+            arg_ids.append(scalar_constant(getattr(term, immediate)))
         message.instructions.append(InstructionMessage(ids[term.id], term.op, arg_ids))
 
     for name, term in program.outputs.items():
@@ -298,27 +298,21 @@ def message_to_program(message: ProgramMessage, name: str = "program") -> Progra
         terms[constant.obj_id] = term
 
     for inst in message.instructions:
-        if inst.op_code.is_rotation or inst.op_code is Op.RESCALE:
-            if len(inst.arg_ids) < 2:
+        immediate = immediate_of(inst.op_code)
+        arg_ids, attributes = inst.arg_ids, {}
+        if immediate:
+            if len(arg_ids) < 2:
                 raise SerializationError(
                     f"{inst.op_code.name} instruction is missing its scalar argument"
                 )
-            main_args = inst.arg_ids[:-1]
-            scalar_id = inst.arg_ids[-1]
-            scalar = scalar_values.get(scalar_id)
+            scalar = scalar_values.get(arg_ids[-1])
             if scalar is None:
                 raise SerializationError(
                     f"{inst.op_code.name} refers to a non-scalar constant argument"
                 )
-            args = [_lookup(terms, i) for i in main_args]
-            if inst.op_code.is_rotation:
-                term = program.make_term(inst.op_code, args, rotation=int(scalar))
-            else:
-                term = program.make_term(inst.op_code, args, rescale_value=float(scalar))
-        else:
-            args = [_lookup(terms, i) for i in inst.arg_ids]
-            term = program.make_term(inst.op_code, args)
-        terms[inst.output_id] = term
+            arg_ids, attributes = arg_ids[:-1], {immediate: IMMEDIATES[immediate](scalar)}
+        args = [_lookup(terms, i) for i in arg_ids]
+        terms[inst.output_id] = program.make_term(inst.op_code, args, **attributes)
 
     for index, out in enumerate(message.outputs):
         output_name = out.name or f"output_{index}"

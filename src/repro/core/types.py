@@ -20,9 +20,9 @@ DEFAULT_SECURITY_LEVEL = 128
 class Op(enum.IntEnum):
     """Instruction opcodes of the EVA language (Figure 1 / Table 2).
 
-    The first group may appear in input programs written by frontends; the
-    FHE-specific group (RELINEARIZE, MOD_SWITCH, RESCALE) is inserted by the
-    compiler only (Table 2, "Restrictions" column).
+    What each opcode means — arity, who may emit it, its semantics, scale
+    rule and backend evaluation — is its row of
+    :data:`repro.core.instructions.INSTRUCTIONS`.
     """
 
     UNDEFINED = 0
@@ -41,40 +41,6 @@ class Op(enum.IntEnum):
     # Root pseudo-opcodes (not instructions): used for graph uniformity.
     INPUT = 100
     CONSTANT = 101
-
-    @property
-    def is_instruction(self) -> bool:
-        """True for opcodes that compute a value from parameters."""
-        return self not in (Op.INPUT, Op.CONSTANT, Op.UNDEFINED)
-
-    @property
-    def is_fhe_specific(self) -> bool:
-        """True for opcodes only the compiler may insert (Table 2)."""
-        return self in (Op.RELINEARIZE, Op.MOD_SWITCH, Op.RESCALE, Op.NORMALIZE_SCALE)
-
-    @property
-    def is_frontend(self) -> bool:
-        """True for opcodes a frontend may emit in an input program."""
-        return self.is_instruction and not self.is_fhe_specific
-
-    @property
-    def is_rotation(self) -> bool:
-        return self in (Op.ROTATE_LEFT, Op.ROTATE_RIGHT)
-
-    @property
-    def is_additive(self) -> bool:
-        """ADD/SUB: the ops subject to Constraint 2 (equal scales)."""
-        return self in (Op.ADD, Op.SUB)
-
-    @property
-    def is_binary_arith(self) -> bool:
-        """ADD/SUB/MULTIPLY: the ops subject to Constraint 1 (equal moduli)."""
-        return self in (Op.ADD, Op.SUB, Op.MULTIPLY)
-
-    @property
-    def changes_modulus(self) -> bool:
-        """True for the ops that consume an element of the modulus chain."""
-        return self in (Op.RESCALE, Op.MOD_SWITCH)
 
 
 class ValueType(enum.IntEnum):

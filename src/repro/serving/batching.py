@@ -34,11 +34,7 @@ import numpy as np
 
 from ..core.compiler import CompilationResult
 from ..core.ir import Program
-from ..core.types import Op
 from ..errors import ServingError
-
-#: Opcodes that read or write across slot boundaries (before lane lowering).
-_CROSS_SLOT_OPS = (Op.ROTATE_LEFT, Op.ROTATE_RIGHT, Op.SUM)
 
 
 def pow2_ceil(value: int) -> int:
@@ -91,7 +87,7 @@ def _value_width(value: Any) -> int:
 
 def is_slotwise(program: Program) -> bool:
     """True when every instruction operates slot-by-slot (batchable as-is)."""
-    return not any(term.op in _CROSS_SLOT_OPS for term in program.terms())
+    return not any(t.is_instruction and t.instruction.moves_slots for t in program.terms())
 
 
 def min_lane_width(program: Program) -> int:
@@ -177,15 +173,14 @@ class SlotBatcher:
         lane_width = compilation.options.lane_width
         if lane_width is not None and lane_width >= program.vec_size:
             lane_width = None  # full-width lane: lowering was the identity
-        counts = program.op_counts()
-        rotations = counts.get(Op.ROTATE_LEFT, 0) + counts.get(Op.ROTATE_RIGHT, 0)
+        rows = [term.instruction for term in program.instructions()]
         return BatchInfo(
             slotwise=is_slotwise(program),
             min_lane=min_lane_width(program),
             vec_size=program.vec_size,
             lane_width=lane_width,
-            rotations=rotations,
-            keyswitches=rotations + counts.get(Op.RELINEARIZE, 0),
+            rotations=sum(row.immediate == "rotation" for row in rows),
+            keyswitches=sum(row.key_switches for row in rows),
         )
 
     def batchable(self, compilation: CompilationResult) -> bool:

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.instructions import INSTRUCTIONS
+from repro.core.types import Op
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -98,6 +101,30 @@ class TestCheckDocs:
         (missing,) = check_docs.check_op_table(doc.replace(drain + "\n", ""))
         assert missing.startswith("wire-protocol.md: op table says `drain` is None")
         assert len(check_docs.check_op_table("# Wire protocol\n")) == len(check_docs.wire_ops()) + 2
+
+    def test_instruction_table_must_match_the_rows_both_ways(self, check_docs):
+        doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
+        assert check_docs.check_instruction_table(doc) == []
+        sub = next(line for line in doc.splitlines() if line.startswith("| `SUB`"))
+        for wrong in (
+            sub.replace("| 2 |", "| 1 |"),  # arity
+            sub.replace("| both |", "| compiler |"),  # who emits it
+            sub.replace("| — |", "| `rotation` |"),  # immediate
+            sub.replace("`matched`", "`product`"),  # scale rule
+            sub.replace(", `sub_plain`", ""),  # backend method
+        ):
+            assert wrong != sub
+            (complaint,) = check_docs.check_instruction_table(doc.replace(sub, wrong))
+            assert complaint.startswith("architecture.md: instruction table says `SUB` is (")
+        # A row the code lacks, and a row the doc lacks.
+        extra = sub.replace("`SUB`", "`NORMALIZE_SCALE`")
+        assert check_docs.check_instruction_table(doc.replace(sub, sub + "\n" + extra)) == [
+            "architecture.md: instruction table names unknown opcode `NORMALIZE_SCALE`"
+        ]
+        (missing,) = check_docs.check_instruction_table(doc.replace(sub + "\n", ""))
+        assert missing.startswith("architecture.md: instruction table says `SUB` is None")
+        assert check_docs.backend_methods(INSTRUCTIONS[Op.MULTIPLY]) == ["multiply", "multiply_plain"]
+        assert check_docs.backend_methods(INSTRUCTIONS[Op.SUM]) == []
 
     def test_feature_table_must_match_the_code_both_ways(self, check_docs):
         doc = (REPO_ROOT / "docs" / "wire-protocol.md").read_text()

@@ -116,14 +116,6 @@ class TestRescaleBitOptions:
         )
         assert all(bits <= 25 for bits in result.parameters.coeff_modulus_bits)
 
-    def test_cleanup_passes_can_be_disabled(self, x2y3_program):
-        result = compile_program(
-            x2y3_program, options=CompilerOptions(cleanup=False, lower_sum=False)
-        )
-        names = [r.name for r in result.pass_reports]
-        assert "cse" not in names
-        assert "expand-sum" not in names
-
 
 class TestCseAndFolding:
     def test_cse_merges_duplicate_rotations(self):

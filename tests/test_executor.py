@@ -298,7 +298,7 @@ class TestFailedEvaluationReleasesItsIntermediates:
     live: the context's count returns to what it was before the call."""
 
     @staticmethod
-    def _engine(backend_id, threads, lower_sum=True):
+    def _engine(backend_id, threads):
         from repro.backend.seal_backend import CkksBackend
         from repro.core import CompilerOptions, EvaluationEngine
         from repro.core.compiler import CompilationResult
@@ -308,7 +308,7 @@ class TestFailedEvaluationReleasesItsIntermediates:
             x = input_encrypted("x", 25)
             y = input_encrypted("y", 25)
             output("out", ((x * y) << 1) + sum_slots(x * 0.5), 25)
-        options = CompilerOptions(max_rescale_bits=25, lower_sum=lower_sum)
+        options = CompilerOptions(max_rescale_bits=25)
         backend = MockBackend(error_model="none") if backend_id == "mock" else CkksBackend(seed=3)
         engine = EvaluationEngine(
             CompilationResult.compile(program, options=options), backend, threads
@@ -322,7 +322,7 @@ class TestFailedEvaluationReleasesItsIntermediates:
         engine, context = self._engine(backend_id, threads)
         inputs = {"x": np.linspace(-1, 1, 16), "y": np.linspace(1, -1, 16)}
         # The last rotation: everything before it has produced a value by then.
-        rotations = sum(1 for t in engine.program.terms() if t.op.is_rotation)
+        rotations = sum(1 for t in engine.program.terms() if t.op in (Op.ROTATE_LEFT, Op.ROTATE_RIGHT))
         _failing_on_call(context, "rotate", rotations)
         for _attempt in range(3):
             ciphers, plain = engine.encrypt_inputs(context, inputs)
@@ -337,22 +337,3 @@ class TestFailedEvaluationReleasesItsIntermediates:
             assert context.live_ciphertexts == before - len(ciphers)
             del context.rotate
             _failing_on_call(context, "rotate", rotations)
-
-    def test_an_unlowered_sum_keeps_no_partial_sums(self, backend_id, threads):
-        if backend_id == "ckks":
-            pytest.skip("select_rotation_steps lists no steps for an unlowered SUM: no Galois keys")
-        engine, context = self._engine(backend_id, threads, lower_sum=False)
-        assert any(t.op is Op.SUM for t in engine.program.terms())
-        inputs = {"x": np.linspace(-1, 1, 16), "y": np.linspace(1, -1, 16)}
-        ciphers, plain = engine.encrypt_inputs(context, inputs)
-        before = context.live_ciphertexts
-        outputs = engine.evaluate(context, ciphers, plain)
-        assert context.live_ciphertexts == before + len(outputs)
-        reference = execute_reference(engine.compilation.source, inputs)
-        np.testing.assert_allclose(
-            engine.decrypt_outputs(context, outputs)["out"], reference["out"], atol=5e-2
-        )
-        _failing_on_call(context, "rotate", 3)  # inside the SUM's own loop
-        with pytest.raises(ExecutionError, match="injected rotate failure"):
-            engine.evaluate(context, ciphers, plain)
-        assert context.live_ciphertexts == before + len(outputs)

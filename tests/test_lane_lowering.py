@@ -116,7 +116,7 @@ class TestLaneLoweredCompilation:
         )
         wrap = 64 - 8
         for term in compiled.program.terms():
-            if term.op.is_rotation:
+            if term.op in (Op.ROTATE_LEFT, Op.ROTATE_RIGHT):
                 step = normalize_step(term.op, term.rotation, 64)
                 # Every surviving rotation is either an in-lane step (always
                 # combined with a mask) or the shared wrap-branch rotation
@@ -184,17 +184,6 @@ class TestLaneLoweredCompilation:
             compile_program(program.graph, options=CompilerOptions(lane_width=8))
         # The same constant is fine once the lane holds it.
         compile_program(program.graph, options=CompilerOptions(lane_width=16))
-
-    def test_sum_requires_lowering(self):
-        program = EvaProgram("sums", vec_size=16, default_scale=25)
-        with program:
-            x = input_encrypted("x", 25)
-            output("y", x.sum() * 0.1, 25)
-        with pytest.raises(CompilationError, match="lower_sum|SUM"):
-            compile_program(
-                program.graph,
-                options=CompilerOptions(lane_width=4, lower_sum=False),
-            )
 
 
 class TestLaneBatchedExecution:

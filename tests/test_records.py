@@ -15,20 +15,25 @@ import random
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.api import ClientKit, CompiledProgram, CompilerOptions
 from repro.backend import MockBackend
+from repro.core import Executor, program_signature
+from repro.core.analysis import validate
 from repro.core.compiler import _sha256_of
 from repro.core.serialization.json_format import program_to_dict
 from repro.core.serialization.records import RecordDirectory, read_record, write_record
-from repro.errors import EvaError, SerializationError, ServingError
+from repro.core.types import Op
+from repro.errors import CompilationError, EvaError, SerializationError, ServingError
 from repro.frontend import EvaProgram, input_encrypted, output
 from repro.serving import ArtifactCache, EvaServer, SessionStore
 
 X = [1.0, 2.0, 4.0, 8.0, -1.0, 0.5, 0.25, 3.0]
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def make_program():
@@ -105,6 +110,40 @@ class TestCompiledRecord:
         record["digest"] = _sha256_of(record)
         with pytest.raises(SerializationError, match="malformed compiled program record"):
             CompiledProgram.from_record(record)
+
+    @pytest.mark.parametrize("op", ["NORMALIZE_SCALE", "SUM", "COPY", "FUSED_ADD"])
+    def test_a_record_no_backend_can_evaluate_is_refused_at_load(self, compiled, op):
+        """Sealed with a valid digest, it used to load and then fail every
+        request: an opcode without a row, or one the compiler lowers away."""
+        record = compiled.to_record()
+        del record["digest"]
+        (node,) = [n for n in record["program"]["nodes"] if n["op"] == "ROTATE_LEFT"]
+        node["op"] = op
+        record["digest"] = _sha256_of(record)
+        with pytest.raises(SerializationError, match=op):
+            CompiledProgram.from_record(record)
+
+    @pytest.mark.parametrize("op", [Op.NORMALIZE_SCALE, Op.SUM, Op.COPY], ids=lambda op: op.name)
+    def test_validate_refuses_an_opcode_no_backend_evaluates(self, compiled, op):
+        program = compiled.program.clone()
+        (rotation,) = [t for t in program.terms() if t.op is Op.ROTATE_LEFT]
+        rotation.op = op
+        with pytest.raises(CompilationError, match=op.name):
+            validate(program)
+
+    def test_a_record_an_earlier_build_wrote_still_loads(self):
+        """``tests/data/compiled_record.json`` was written by ``cli compile -o``
+        at the commit before the instruction table: its options carry the
+        retired lowering switches, at the one value they could keep."""
+        record = read_record(DATA / "compiled_record.json")
+        retired = ("lower_sum", "remove_copies", "cleanup")
+        assert [record["options"][name] for name in retired] == [True, True, True]
+        loaded = CompiledProgram.from_record(record)
+        assert loaded.to_record()["digest"] == record["digest"]
+        assert program_signature(loaded.source, loaded.options) == record["signature"]
+        inputs = {"x": np.linspace(-1.0, 1.0, 16)}
+        outputs = Executor(loaded, MockBackend(error_model="none")).execute(inputs)
+        np.testing.assert_allclose(outputs["y"], loaded.execute_reference(inputs)["y"], atol=1e-9)
 
     def test_an_altered_saved_program_is_refused(self, compiled, tmp_path):
         path = tmp_path / "triple.json"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.backend.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.core import CompilerOptions, simulate_schedule
+from repro.core.instructions import INSTRUCTIONS
 from repro.core.scheduling import term_costs
 from repro.core.types import Op
 from repro.frontend import EvaProgram, input_encrypted, output
@@ -35,12 +36,14 @@ class TestCostModel:
         assert model.op_seconds("relinearize", 8192, 4) > model.op_seconds("multiply_plain", 8192, 4)
 
     def test_term_kind_mapping(self):
-        model = DEFAULT_COST_MODEL
-        assert model.term_kind(Op.MULTIPLY, 2) == "multiply"
-        assert model.term_kind(Op.MULTIPLY, 1) == "multiply_plain"
-        assert model.term_kind(Op.ROTATE_LEFT, 1) == "rotate"
-        assert model.term_kind(Op.ADD, 2) == "add"
-        assert model.term_kind(Op.RESCALE, 1) == "rescale"
+        assert INSTRUCTIONS[Op.MULTIPLY].cost_kind(2) == "multiply"
+        assert INSTRUCTIONS[Op.MULTIPLY].cost_kind(1) == "multiply_plain"
+        assert INSTRUCTIONS[Op.ROTATE_LEFT].cost_kind(1) == "rotate"
+        assert INSTRUCTIONS[Op.ADD].cost_kind(2) == "add"
+        assert INSTRUCTIONS[Op.ADD].cost_kind(1) == "add"
+        assert INSTRUCTIONS[Op.RESCALE].cost_kind(1) == "rescale"
+        for kind in {row.cost for row in INSTRUCTIONS.values()}:
+            assert kind in DEFAULT_COST_MODEL.weights
 
     def test_term_costs_cover_all_cipher_instructions(self):
         program = build_wide_program(4)

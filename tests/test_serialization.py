@@ -82,7 +82,7 @@ class TestProtoRoundTrip:
         program = make_rich_program()
         restored = proto.deserialize(proto.serialize(program))
         rotations = sorted(
-            t.rotation for t in restored.terms() if t.op.is_rotation
+            t.rotation for t in restored.terms() if t.op in (Op.ROTATE_LEFT, Op.ROTATE_RIGHT)
         )
         assert rotations == [2, 3]
 

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import CompilerOptions, Program, program_signature
+from repro.core import CompilationResult, CompilerOptions, Program, program_signature
 from repro.core.types import Op, ValueType
+from repro.errors import CompilationError
 
 #: Golden value of :func:`_golden_program`'s signature with default options.
 #: This hash is part of the wire contract: clients and servers that compiled
@@ -67,9 +68,6 @@ class TestProgramSignature:
             {"rescale_bits": 25.0},
             {"waterline_bits": 20.0},
             {"security_level": 192},
-            {"lower_sum": False},
-            {"remove_copies": False},
-            {"cleanup": False},
             {"lane_width": 4},
             {"hoist_rotations": False},
             {"bsgs_rotations": "off"},
@@ -90,9 +88,6 @@ class TestProgramSignature:
             "rescale_bits",
             "waterline_bits",
             "security_level",
-            "lower_sum",
-            "remove_copies",
-            "cleanup",
             "lane_width",
             "hoist_rotations",
             "bsgs_rotations",
@@ -125,3 +120,32 @@ class TestProgramSignature:
             text=True,
         )
         assert output.strip() == GOLDEN_SIGNATURE
+
+
+class TestRetiredOptions:
+    """``lower_sum``, ``remove_copies`` and ``cleanup`` are gone: SUM is always
+    expanded, COPY always removed, the cleanup passes always run."""
+
+    RETIRED = ("lower_sum", "remove_copies", "cleanup")
+
+    def test_written_at_their_only_value(self):
+        data = CompilerOptions().to_dict()
+        assert [data[name] for name in self.RETIRED] == [True, True, True]
+        assert CompilerOptions.from_dict(data) == CompilerOptions()
+
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_a_retired_option_set_to_false_is_refused(self, name):
+        data = dict(CompilerOptions().to_dict(), **{name: False})
+        with pytest.raises(CompilationError, match=repr(name)):
+            CompilerOptions.from_dict(data)
+
+    def test_every_pass_they_switched_runs(self):
+        program = _golden_program()
+        x = program.inputs["x"]
+        copied = program.make_term(Op.COPY, [program.make_term(Op.SUM, [x])])
+        program.set_output("out", program.make_term(Op.MULTIPLY, [x, copied]), scale=30)
+        compiled = CompilationResult.compile(program)
+        names = [report.name for report in compiled.pass_reports]
+        for name in ("remove-copy", "expand-sum", "constant-folding", "cse", "dce"):
+            assert name in names
+        assert not {Op.SUM, Op.COPY} & {term.op for term in compiled.program.terms()}

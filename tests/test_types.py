@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.instructions import INSTRUCTIONS
 from repro.core.types import (
     ObjectType,
     Op,
@@ -14,34 +15,38 @@ from repro.core.types import (
 
 
 class TestOp:
+    """What used to be ``Op`` properties is read off the instruction rows."""
+
     def test_fhe_specific_ops_are_not_frontend_ops(self):
-        for op in (Op.RELINEARIZE, Op.MOD_SWITCH, Op.RESCALE, Op.NORMALIZE_SCALE):
-            assert op.is_fhe_specific
-            assert not op.is_frontend
+        for op in (Op.RELINEARIZE, Op.MOD_SWITCH, Op.RESCALE):
+            assert INSTRUCTIONS[op].emitted_by == "compiler"
+        assert Op.NORMALIZE_SCALE not in INSTRUCTIONS  # nothing emits it
 
     def test_frontend_ops(self):
         for op in (Op.NEGATE, Op.ADD, Op.SUB, Op.MULTIPLY, Op.ROTATE_LEFT, Op.ROTATE_RIGHT, Op.SUM):
-            assert op.is_frontend
-            assert op.is_instruction
+            assert INSTRUCTIONS[op].emitted_by in ("frontend", "both")
+        assert {op for op, row in INSTRUCTIONS.items() if row.emitted_by == "frontend"} == {
+            Op.SUM,
+            Op.COPY,
+        }
 
     def test_roots_are_not_instructions(self):
-        assert not Op.INPUT.is_instruction
-        assert not Op.CONSTANT.is_instruction
+        assert Op.INPUT not in INSTRUCTIONS
+        assert Op.CONSTANT not in INSTRUCTIONS
 
     def test_rotation_classification(self):
-        assert Op.ROTATE_LEFT.is_rotation
-        assert Op.ROTATE_RIGHT.is_rotation
-        assert not Op.ADD.is_rotation
+        rotations = {op for op, row in INSTRUCTIONS.items() if row.immediate == "rotation"}
+        assert rotations == {Op.ROTATE_LEFT, Op.ROTATE_RIGHT}
 
     def test_additive_and_binary(self):
-        assert Op.ADD.is_additive and Op.SUB.is_additive
-        assert not Op.MULTIPLY.is_additive
-        assert Op.MULTIPLY.is_binary_arith
+        matched = {op for op, row in INSTRUCTIONS.items() if row.scale == "matched"}
+        assert matched == {Op.ADD, Op.SUB}
+        binary = {op for op, row in INSTRUCTIONS.items() if row.arity == 2}
+        assert binary == {Op.ADD, Op.SUB, Op.MULTIPLY}
 
     def test_modulus_changing_ops(self):
-        assert Op.RESCALE.changes_modulus
-        assert Op.MOD_SWITCH.changes_modulus
-        assert not Op.RELINEARIZE.changes_modulus
+        consuming = {op for op, row in INSTRUCTIONS.items() if row.consumes_modulus}
+        assert consuming == {Op.RESCALE, Op.MOD_SWITCH}
 
     def test_opcode_values_match_proto_schema(self):
         # Field numbers from Figure 1 of the paper.

@@ -26,6 +26,12 @@ every piece of it:
   Features`` in ``docs/wire-protocol.md`` must name exactly those, in both
   directions (a documented feature no build grants is as wrong as a granted
   one nobody documented);
+* the instruction table ``repro.core.instructions.INSTRUCTIONS`` -> the
+  table under ``## The instruction table`` in ``docs/architecture.md`` must
+  state exactly its rows, in both directions: every opcode with its arity,
+  who emits it, its immediate, its scale rule and the ``BackendContext``
+  methods its ``evaluate`` calls (found by calling it on a recording
+  context);
 * the shard lifecycle table in ``docs/operations.md`` (under ``## Shard
   lifecycle``) -> it must state exactly
   ``repro.serving.membership.TRANSITIONS``, in both directions: every
@@ -184,6 +190,59 @@ def check_op_table(wire_doc: str) -> list:
     return complaints
 
 
+def backend_methods(row) -> list:
+    """The ``BackendContext`` methods ``row.evaluate`` calls: with every
+    operand encrypted, then (binary rows) with a plaintext second operand."""
+    from repro.core.ir import Term
+    from repro.core.types import Op, ValueType
+
+    if row.evaluate is None:
+        return []
+    called = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            return lambda *args, **kwargs: called.append(name)
+
+    kinds = [ValueType.CIPHER] * row.arity
+    for case in [kinds] + ([kinds[:-1] + [ValueType.VECTOR]] if row.arity > 1 else []):
+        term = Term(Op.UNDEFINED, [Term(Op.INPUT, (), kind) for kind in case], rotation=1)
+        row.evaluate(Recorder(), term, [None] * row.arity)
+    return list(dict.fromkeys(called))
+
+
+def check_instruction_table(architecture_doc: str) -> list:
+    """The instruction table vs. ``repro.core.instructions.INSTRUCTIONS``."""
+    from repro.core.instructions import INSTRUCTIONS
+
+    section = architecture_doc.partition("## The instruction table")[2].partition("\n## ")[0]
+    rows = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|")
+    ][2:]  # header and ruler
+    documented = {}
+    for row in rows:
+        names = [re.findall(r"`([^`]+)`", cell) for cell in row]
+        immediate = names[3][0] if names[3] else None
+        documented[names[0][0]] = (row[1], row[2], immediate, names[4][0], names[5])
+    expected = {
+        op.name: (str(row.arity), row.emitted_by, row.immediate, row.scale, backend_methods(row))
+        for op, row in INSTRUCTIONS.items()
+    }
+    complaints = [
+        f"architecture.md: instruction table names unknown opcode `{name}`"
+        for name in sorted(set(documented) - set(expected))
+    ]
+    for name, columns in expected.items():
+        if documented.get(name) != columns:
+            complaints.append(
+                f"architecture.md: instruction table says `{name}` is {documented.get(name)}, "
+                f"the code says {columns}"
+            )
+    return complaints
+
+
 def check_feature_table(wire_doc: str) -> list:
     """The hello feature table vs. ``repro.wire.FEATURES``."""
     from repro import wire
@@ -322,6 +381,10 @@ def check(docs_dir: Path) -> list:
 
     if operations_doc:
         missing.extend(check_lifecycle_table(operations_doc))
+
+    architecture_doc = read("architecture.md")
+    if architecture_doc:
+        missing.extend(check_instruction_table(architecture_doc))
 
     wire_doc = read("wire-protocol.md")
     if wire_doc:
