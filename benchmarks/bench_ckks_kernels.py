@@ -1,6 +1,6 @@
 """Real-backend CKKS kernel speedups: batched NTT and NTT-domain key switching vs reference.
 
-The profiling harness (``repro.cli profile``) showed key switching dominating
+Profiling under cProfile showed key switching dominating
 every relinearization- and rotation-heavy program on the real backend: the
 coefficient-domain path pays a full forward/inverse NTT pass per
 decomposition digit per key prime, for every switch.  The evaluator now runs

@@ -1,27 +1,25 @@
-"""Rotation cost of lane batching: the lane tax, before and after clawback.
+"""Rotation cost of lane batching: the lane tax against the solo program.
 
-Lane lowering (PR 6) made rotation-bearing kernels batchable, but at a
-price — every rotation became a masked pair, doubling both the rotation
-count per evaluation and the Galois key set a client must generate and
-upload per session.  This benchmark measures what the rotation-cost layer
-(hoisted wrap composition + rotation hoisting + BSGS key decomposition)
-claws back on the paper's two rotation-heavy kernels, Sobel and Harris:
+Lane lowering (PR 6) made rotation-bearing kernels batchable: every rotation
+becomes a masked pair, an in-lane rotation and a wrap branch composed after
+it.  Hoisting and BSGS key decomposition claw that back.  This benchmark
+measures what is left of the tax on the paper's two rotation-heavy kernels,
+Sobel and Harris, against the solo (unbatched) compilation of the same
+program:
 
 * **rotation ratio** — ROT ops per batched evaluation over ROT ops per
   unbatched (solo) evaluation.  One batched evaluation serves a full
   ciphertext of lanes, so anything near 1.0 means batching is effectively
   rotation-free; the acceptance bar is <= 1.2x.
-* **per-session Galois key bytes** — modeled key-set size (steps x
-  per-key bytes at the compilation's own parameters) a client uploads in
-  ``create_session`` for the lane variant, optimized versus the PR 7
-  baseline (``hoist_rotations=False, bsgs_rotations="off"``).  The
-  acceptance bar is a >= 2x reduction.
+* **key steps** — Galois keys a client generates and uploads per session for
+  the lane variant.  The bar is the solo program's key steps plus one: the
+  wrap step ``vec_size - w`` every lane step shares.
 
 Both metrics are compile-time facts — deterministic across hosts, which is
 why they are the gated metrics in check_regression.py.  Runs standalone
 (``python benchmarks/bench_rotation_cost.py``) for the CI gate, or under
 pytest-benchmark with the rest of the suite (the benchmark target is the
-optimized lane-variant compilation itself).
+lane-variant compilation itself).
 """
 
 from __future__ import annotations
@@ -49,11 +47,9 @@ IMAGE_SIZE = 8
 LANE = IMAGE_SIZE**2
 #: Acceptance bar: batched rotations per evaluation vs unbatched.
 MAX_ROTATION_RATIO = 1.2
-#: Acceptance bar: baseline key bytes over optimized key bytes.
-MIN_KEYS_RATIO = 2.0
-
-#: The PR 7 baseline: masked-pair lowering, no hoisting, direct keys.
-BASELINE = dict(hoist_rotations=False, bsgs_rotations="off")
+#: Acceptance bar: lane-variant key steps over the solo program's (the
+#: shared wrap step).
+MAX_EXTRA_KEY_STEPS = 1
 
 
 def rotation_count(compilation) -> int:
@@ -76,9 +72,6 @@ def measure(build, vec_factor: int):
     optimized = compile_program(
         program.graph, options=CompilerOptions(lane_width=LANE)
     )
-    baseline = compile_program(
-        program.graph, options=CompilerOptions(lane_width=LANE, **BASELINE)
-    )
     solo_rotations = rotation_count(unbatched)
     lane_rotations = rotation_count(optimized)
     return {
@@ -90,9 +83,7 @@ def measure(build, vec_factor: int):
         "rotation_ratio": lane_rotations / max(solo_rotations, 1),
         "unbatched_key_steps": len(unbatched.rotation_steps),
         "optimized_key_steps": len(optimized.rotation_steps),
-        "baseline_key_steps": len(baseline.rotation_steps),
         "optimized_key_bytes": session_key_bytes(optimized),
-        "baseline_key_bytes": session_key_bytes(baseline),
     }
 
 
@@ -101,29 +92,21 @@ def run(benchmark=None) -> dict:
         "sobel": measure(build_sobel_program, 8),
         "harris": measure(build_harris_program, 4),
     }
-    baseline_bytes = sum(k["baseline_key_bytes"] for k in kernels.values())
-    optimized_bytes = sum(k["optimized_key_bytes"] for k in kernels.values())
-    keys_ratio = baseline_bytes / max(optimized_bytes, 1)
 
     print_table(
-        f"Lane tax on {IMAGE_SIZE}x{IMAGE_SIZE} kernels "
-        f"(lane {LANE}, PR 7 baseline vs optimized)",
-        ["Kernel", "Solo ROTs", "Lane ROTs", "Ratio", "Keys base", "Keys opt"],
+        f"Lane tax on {IMAGE_SIZE}x{IMAGE_SIZE} kernels (lane {LANE}, solo vs lane variant)",
+        ["Kernel", "Solo ROTs", "Lane ROTs", "Ratio", "Keys solo", "Keys lane"],
         [
             [
                 name,
                 k["unbatched_rotations"],
                 k["batched_rotations"],
                 f"{k['rotation_ratio']:.3f}x",
-                k["baseline_key_steps"],
+                k["unbatched_key_steps"],
                 k["optimized_key_steps"],
             ]
             for name, k in kernels.items()
         ],
-    )
-    print(
-        f"  session key upload: baseline {baseline_bytes / 1e6:.2f} MB -> "
-        f"optimized {optimized_bytes / 1e6:.2f} MB ({keys_ratio:.2f}x smaller)"
     )
 
     for name, k in kernels.items():
@@ -132,21 +115,17 @@ def run(benchmark=None) -> dict:
             f"rotations vs {k['unbatched_rotations']} unbatched "
             f"({k['rotation_ratio']:.3f}x > {MAX_ROTATION_RATIO}x)"
         )
-    assert keys_ratio >= MIN_KEYS_RATIO, (
-        f"per-session Galois key bytes only {keys_ratio:.2f}x smaller than "
-        f"the PR 7 baseline (need >= {MIN_KEYS_RATIO}x)"
-    )
+        assert k["optimized_key_steps"] <= k["unbatched_key_steps"] + MAX_EXTRA_KEY_STEPS, (
+            f"{name}: the lane variant needs {k['optimized_key_steps']} Galois "
+            f"keys vs {k['unbatched_key_steps']} solo (more than the shared "
+            f"wrap step over)"
+        )
 
     payload = {
         "benchmark": "rotation_cost",
         "image_size": IMAGE_SIZE,
         "max_rotation_ratio": MAX_ROTATION_RATIO,
-        "min_keys_ratio": MIN_KEYS_RATIO,
-        "keys": {
-            "baseline_bytes": baseline_bytes,
-            "optimized_bytes": optimized_bytes,
-            "ratio": keys_ratio,
-        },
+        "max_extra_key_steps": MAX_EXTRA_KEY_STEPS,
         **kernels,
     }
     print(json.dumps(payload))
@@ -178,10 +157,13 @@ def test_rotation_cost(benchmark):
 if __name__ == "__main__":
     result = run(None)
     print(
-        f"rotation cost ok: ratios "
-        f"sobel {result['sobel']['rotation_ratio']:.3f}x, "
-        f"harris {result['harris']['rotation_ratio']:.3f}x "
-        f"<= {MAX_ROTATION_RATIO}x; keys {result['keys']['ratio']:.2f}x "
-        f">= {MIN_KEYS_RATIO}x"
+        "rotation cost ok: "
+        + ", ".join(
+            f"{name} {result[name]['rotation_ratio']:.3f}x rotations, "
+            f"{result[name]['unbatched_key_steps']} -> "
+            f"{result[name]['optimized_key_steps']} keys"
+            for name in ("sobel", "harris")
+        )
+        + f" (<= {MAX_ROTATION_RATIO}x, <= solo + {MAX_EXTRA_KEY_STEPS})"
     )
     sys.exit(0)

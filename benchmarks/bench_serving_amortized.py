@@ -1,8 +1,8 @@
 """Amortized serving latency for a rotation-bearing program: batched vs solo.
 
-The serving throughput benchmark (bench_serving_throughput.py) measures the
-warm cached path for a *slotwise* polynomial; this one targets exactly the
-workloads slot batching used to exclude — programs full of rotations.  The
+Slot batching amortizes a warm cached path trivially for a *slotwise*
+polynomial; this benchmark targets exactly the workloads it used to exclude
+— programs full of rotations.  The
 Sobel kernel (9 rotations, squares, a polynomial square root) is compiled at
 a vector size leaving spare slots, and the serving layer lane-lowers it on
 demand: one homomorphic evaluation answers ``vec_size / lane`` images.

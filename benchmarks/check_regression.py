@@ -54,10 +54,12 @@ GATES: Dict[str, List[Tuple]] = {
         # op counts: deterministic across hosts.
         ("sobel.rotation_ratio", "lower"),
         ("harris.rotation_ratio", "lower"),
-        # Per-session Galois key bytes, PR 7 baseline over optimized (BSGS +
-        # shared wrap step).  A drop below the band means keygen dedup or the
-        # planner regressed and clients upload fat key sets again.
-        ("keys.ratio", "higher"),
+        # Galois keys per session of the lane variant (5 on both: the solo
+        # program's 4 plus the shared wrap step).  Exact counts — near-zero
+        # bands; a rise means the planner or the wrap composition regressed
+        # and clients upload fat key sets again.
+        ("sobel.optimized_key_steps", "lower", 0.001),
+        ("harris.optimized_key_steps", "lower", 0.001),
     ],
     "cluster_fairness": [
         # Light-client p95 contended/solo: a *growing* ratio means the fair

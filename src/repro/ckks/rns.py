@@ -56,9 +56,9 @@ class RnsBasis:
     Derived tables that every hot operation needs — the primes broadcast as an
     ``int64`` column, the rescale inverses of the trailing primes, the CRT
     composition factors — are computed once per basis and cached, so the
-    per-call overhead measured by ``tools/profile_ckks.py`` (rebuilding the
-    primes array on every add, re-deriving ``mod_inverse`` on every rescale)
-    is paid at basis construction instead of per polynomial op.
+    per-call overhead profiling measured (rebuilding the primes array on every
+    add, re-deriving ``mod_inverse`` on every rescale) is paid at basis
+    construction instead of per polynomial op.
 
     ``special`` marks a key-switching basis, whose last prime is the special
     prime ``P``: a ciphertext whose polynomials live over one is *extended*

@@ -164,12 +164,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     inputs = _load_inputs(args.inputs)
     backend = _make_backend(args.backend, args.seed)
     executor = Executor(compilation, backend=backend, threads=args.threads)
-    result = executor.execute(inputs)
+    context = executor.create_context()
+    result = executor.execute(inputs, context)
     outputs = {
         name: np.asarray(values)[: args.head].tolist()
         for name, values in result.outputs.items()
     }
-    print(json.dumps({"outputs": outputs, "wall_seconds": result.stats.wall_seconds}, indent=2))
+    # The backend's own accounting of this run, key generation included: the
+    # taxonomy and the exact rows of the live ckks.op.* / ckks.ntt.rows series
+    # (empty on the mock backends).
+    rows = context.drain_ntt_rows()
+    ops = {
+        op: {"count": count, "seconds": round(seconds, 6), "ntt_rows": rows.get(op, 0)}
+        for op, (count, seconds) in context.drain_op_times().items()
+    }
+    report = {"outputs": outputs, "wall_seconds": result.stats.wall_seconds, "ops": ops}
+    print(json.dumps(report, indent=2))
     return 0
 
 
@@ -364,25 +374,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
                     )
                 payload["trace_breakdown"] = breakdown
     print(json.dumps(payload, indent=2))
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Profile the real CKKS backend on representative programs."""
-    from .profiling import run_profile
-
-    report = run_profile(
-        args.programs,
-        repeats=args.repeats,
-        top=args.top,
-        log=lambda line: print(line, file=sys.stderr),
-    )
-    text = json.dumps(report, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(text)
     return 0
 
 
@@ -641,30 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_compile_options(submit)
     submit.set_defaults(func=cmd_submit)
-
-    profile = sub.add_parser(
-        "profile",
-        help="profile the real CKKS backend's hot paths (cProfile + "
-        "tracemalloc) on representative programs and print a per-op cost "
-        "breakdown as JSON",
-    )
-    profile.add_argument(
-        "--programs",
-        nargs="+",
-        default=None,
-        help="subset of the profile suite (sobel_lanes, harris_lanes, sum, "
-        "poly_relin); default runs all",
-    )
-    profile.add_argument(
-        "--repeats", type=int, default=3, help="evaluations per program"
-    )
-    profile.add_argument(
-        "--top", type=int, default=15, help="top functions to report"
-    )
-    profile.add_argument(
-        "--out", type=Path, default=None, help="write the JSON report here instead of stdout"
-    )
-    profile.set_defaults(func=cmd_profile)
 
     cluster = sub.add_parser(
         "cluster", help="send one admin op to a running server or cluster router"

@@ -5,10 +5,9 @@ from .scales import compute_scales
 from .levels import compute_levels, compute_rescale_chains
 from .validation import validate
 from .parameters import EncryptionParameters, select_parameters
-from .rotations import lane_lowered_step_pair, normalize_step, select_rotation_steps
+from .rotations import normalize_step, select_rotation_steps
 
 __all__ = [
-    "lane_lowered_step_pair",
     "normalize_step",
     "forward_traversal",
     "backward_traversal",

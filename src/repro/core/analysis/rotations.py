@@ -35,12 +35,11 @@ rotation-cost optimizations:
   is rotation-neutral while shrinking the key set severalfold.
 
 Lane lowering (:class:`~repro.core.rewrite.lane.LaneLoweringPass`) rewrites a
-lane-local rotation by ``k`` into global rotations; see
-:func:`lane_lowered_step_pair` (legacy mask-pair form, two steps per ``k``)
-and :func:`lane_wrap_step` (hoisted form, all wrap branches share the single
-step ``vec_size - w``).  :func:`lane_rotation_profile` maps a solo program's
-step set to the lowered set without compiling the variant — the width picker
-uses it to cost candidate lane widths.
+lane-local rotation by ``k`` into global rotations: the in-lane step ``k`` and
+the wrap branch composed after it, whose step every lane step shares
+(:func:`lane_wrap_step`, ``vec_size - w``).  :func:`lane_rotation_profile`
+maps a solo program's step set to the lowered set without compiling the
+variant — the width picker uses it to cost candidate lane widths.
 """
 
 from __future__ import annotations
@@ -61,30 +60,8 @@ def normalize_step(op: Op, step: int, vec_size: int) -> int:
     return step
 
 
-def lane_lowered_step_pair(step: int, lane_width: int, vec_size: int) -> Tuple[int, int]:
-    """The two normalized left steps realizing ``lane_rot(step)`` at width ``w``.
-
-    ``step`` is the lane-local left-rotation amount in ``(0, lane_width)``.
-    The in-lane branch is a global left rotation by ``step``; the wrap branch
-    is a global rotation by ``step - lane_width`` (negative, i.e. rightward),
-    normalized here to the left step ``(step - lane_width) mod vec_size``.
-
-    This is the *legacy* lowering: each distinct lane step contributes its own
-    wrap step ``vec_size - w + step``, so ``k`` lane steps need ``2k`` Galois
-    keys.  The default hoisted form (:func:`lane_wrap_step`) reaches the wrap
-    branch as ``rot(vec_size - w)`` *composed after* the in-lane rotation, so
-    every wrap shares one step.
-    """
-    step = int(step)
-    if not 0 < step < lane_width:
-        raise ValueError(
-            f"lane step must be in (0, {lane_width}), got {step}"
-        )
-    return step, (step - int(lane_width)) % int(vec_size)
-
-
 def lane_wrap_step(lane_width: int, vec_size: int) -> int:
-    """The shared wrap step of the hoisted lane lowering.
+    """The shared wrap step of the lane lowering.
 
     ``rot(k - w)(x) == rot(vec_size - w)(rot(k)(x))``: composing the in-lane
     rotation with a left rotation by ``vec_size - w`` realizes the negative
@@ -123,7 +100,7 @@ def merge_rotation_steps(*step_sets: Iterable[int]) -> List[int]:
 def lane_rotation_profile(
     steps: Iterable[int], lane_width: int, vec_size: int
 ) -> List[int]:
-    """The step set of the hoisted lane-lowered variant, without compiling it.
+    """The step set of the lane-lowered variant, before BSGS, without compiling it.
 
     Every solo step ``k`` becomes the in-lane step ``k mod w`` (dropped when
     zero — lane-multiple shifts degenerate into doublings), and any surviving
@@ -354,26 +331,21 @@ def _plan_for_base(steps: Sequence[int], base: int, vec_size: int) -> RotationPl
 def plan_rotation_steps(
     steps: Iterable[int],
     vec_size: int,
-    mode: str = "auto",
     cost_model=None,
     poly_degree: Optional[int] = None,
     levels: int = 3,
 ) -> RotationPlan:
     """Pick a BSGS decomposition for a normalized step set.
 
-    ``mode`` is one of ``"off"`` (always direct), ``"always"`` (the candidate
-    with the fewest keys, ties broken toward fewer extra rotations and a
-    smaller base), or ``"auto"`` (the candidate minimizing the cost model's
-    amortized per-session seconds — key generation + upload bytes once per
-    session versus extra giant rotations on every evaluation; direct wins
-    ties).  Candidate bases are the powers of two in ``[2, vec_size / 2]``.
+    The plan is the candidate minimizing the cost model's amortized
+    per-session seconds — key generation + upload bytes once per session
+    versus extra giant rotations on every evaluation; direct wins ties.
+    Candidate bases are the powers of two in ``[2, vec_size / 2]``.
     """
     normalized = sorted({int(s) % int(vec_size) for s in steps} - {0})
     direct = RotationPlan(steps=tuple(normalized), key_steps=tuple(normalized))
-    if mode == "off" or len(normalized) < 2:
+    if len(normalized) < 2:
         return direct
-    if mode not in ("auto", "always"):
-        raise ValueError(f"unknown BSGS mode {mode!r}")
     candidates: List[RotationPlan] = []
     base = 2
     while base <= int(vec_size) // 2:
@@ -383,12 +355,6 @@ def plan_rotation_steps(
         base *= 2
     if not candidates:
         return direct
-    if mode == "always":
-        best = min(
-            candidates,
-            key=lambda p: (len(p.key_steps), p.extra_rotations, p.baby_base),
-        )
-        return best if len(best.key_steps) < len(direct.key_steps) else direct
     if cost_model is None:
         from ...backend.cost_model import DEFAULT_COST_MODEL
 

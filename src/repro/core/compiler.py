@@ -62,6 +62,10 @@ from .types import DEFAULT_MAX_RESCALE_BITS, DEFAULT_SECURITY_LEVEL
 #: :meth:`CompilerOptions.to_dict` still writes them, so signatures and
 #: records of earlier builds stay the same.
 _RETIRED_OPTIONS = {"lower_sum": True, "remove_copies": True, "cleanup": True}
+#: Same, for options earlier builds left out of ``to_dict`` at this value:
+#: the lane wrap branch is always composed, rotation hoisting always runs and
+#: the BSGS plan is always the cost model's.
+_RETIRED_UNWRITTEN = {"hoist_rotations": True, "bsgs_rotations": "auto"}
 
 
 @dataclass
@@ -86,15 +90,6 @@ class CompilerOptions:
         rewritten into its lane-local masked form, making the compiled
         program provably slot-batchable at ``vec_size // lane_width``
         requests per ciphertext.  Must divide the program's vector size.
-    hoist_rotations:
-        Run :class:`~repro.core.rewrite.RotationHoistingPass`: same-step
-        rotations summed together (stencil taps, the shared wrap branch of
-        lane lowering) are factored through one hoisted rotation.  On by
-        default; disable to reproduce the PR 7 lane-lowered baseline.
-    bsgs_rotations:
-        Baby-step/giant-step rotation-key decomposition mode: ``"auto"``
-        (default — decompose when the cost model says the key savings beat
-        the extra rotations), ``"always"`` (fewest keys), or ``"off"``.
     """
 
     policy: str = "eva"
@@ -103,17 +98,10 @@ class CompilerOptions:
     waterline_bits: Optional[float] = None
     security_level: int = DEFAULT_SECURITY_LEVEL
     lane_width: Optional[int] = None
-    hoist_rotations: bool = True
-    bsgs_rotations: str = "auto"
 
     def __post_init__(self) -> None:
         if self.policy not in ("eva", "chet"):
             raise CompilationError(f"unknown compiler policy {self.policy!r}")
-        if self.bsgs_rotations not in ("auto", "always", "off"):
-            raise CompilationError(
-                f"bsgs_rotations must be 'auto', 'always' or 'off', "
-                f"got {self.bsgs_rotations!r}"
-            )
         if self.lane_width is not None:
             from .types import is_power_of_two
 
@@ -132,23 +120,18 @@ class CompilerOptions:
         # lowering are unchanged by the option's existence.
         if data.get("lane_width") is None:
             data.pop("lane_width", None)
-        # Same for the rotation optimizations: at their defaults they drop out
-        # of the serialized form, so pre-existing signatures stay stable.
-        if data.get("hoist_rotations") is True:
-            data.pop("hoist_rotations", None)
-        if data.get("bsgs_rotations") == "auto":
-            data.pop("bsgs_rotations", None)
         return {**data, **_RETIRED_OPTIONS}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CompilerOptions":
         """Inverse of :meth:`to_dict`; unknown keys are rejected, missing ones default."""
         data = dict(data)
-        for name, value in _RETIRED_OPTIONS.items():
-            if data.pop(name, value) is not value:
+        for name, value in {**_RETIRED_OPTIONS, **_RETIRED_UNWRITTEN}.items():
+            given = data.pop(name, value)
+            if type(given) is not type(value) or given != value:
                 raise CompilationError(
                     f"compiler option {name!r} is retired: this build always runs "
-                    f"those passes, so it can only be {value}"
+                    f"those passes, so it can only be {value!r}"
                 )
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
@@ -434,22 +417,19 @@ class EvaCompiler:
         if options.lane_width is not None:
             # After SUM expansion so the reduction tree's rotations are lane-
             # lowered too, before cleanup so CSE deduplicates the masked pairs.
-            passes.append(
-                LaneLoweringPass(options.lane_width, hoisted=options.hoist_rotations)
-            )
-        if options.hoist_rotations:
-            # After lane lowering (its shared wrap rotations are the main
-            # hoisting target), before cleanup so CSE/DCE tidy the rebuilt
-            # trees and collect the originals.
-            passes.append(RotationHoistingPass())
-        passes.append(ConstantFoldingPass())
-        passes.append(CommonSubexpressionEliminationPass())
-        passes.append(DeadCodeEliminationPass())
-        if options.bsgs_rotations != "off":
-            # After CSE so the giant cache sees one rotation term per
-            # (source, step); before scale management — chained rotations are
-            # scale- and level-transparent.
-            passes.append(BsgsRotationPass(mode=options.bsgs_rotations))
+            passes.append(LaneLoweringPass(options.lane_width))
+        # Hoisting after lane lowering (its shared wrap rotations are the main
+        # target) and before cleanup, so CSE/DCE tidy the rebuilt trees and
+        # collect the originals; BSGS after CSE, so the giant cache sees one
+        # rotation term per (source, step), and before scale management —
+        # chained rotations are scale- and level-transparent.
+        passes += [
+            RotationHoistingPass(),
+            ConstantFoldingPass(),
+            CommonSubexpressionEliminationPass(),
+            DeadCodeEliminationPass(),
+            BsgsRotationPass(),
+        ]
         if options.policy == "eva":
             passes.append(WaterlineRescalePass())
             passes.append(EagerModSwitchPass())

@@ -38,28 +38,19 @@ from .framework import PassContext, RewritePass
 class BsgsRotationPass(RewritePass):
     """Lower decomposed rotations to ``rot_baby(rot_giant(x))`` chains.
 
-    ``mode`` mirrors :func:`plan_rotation_steps`: ``"auto"`` (cost-model
-    arbitration between key savings and extra giant rotations), ``"always"``
-    (fewest keys), or ``"off"`` (identity).
+    The plan is :func:`plan_rotation_steps`'s: the default cost model
+    arbitrates between key savings and extra giant rotations.
     """
 
     name = "bsgs-rotations"
     direction = "forward"
 
-    def __init__(self, mode: str = "auto", cost_model=None) -> None:
-        self.mode = mode
-        self.cost_model = cost_model
-
     def run(self, program: Program, context: PassContext) -> int:
-        if self.mode == "off":
-            return 0
         vec_size = program.vec_size
         steps = select_rotation_steps(program)
         plan = plan_rotation_steps(
             steps,
             vec_size,
-            mode=self.mode,
-            cost_model=self.cost_model,
             poly_degree=2 * vec_size,
             levels=program.multiplicative_depth() + 2,
         )

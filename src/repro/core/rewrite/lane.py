@@ -20,12 +20,11 @@ The wrap branch is emitted in *composed* form: since ``rot(k' - w) ==
 rot(vec_size - w) . rot(k')``, the pass reuses the in-lane rotation and
 applies one further left rotation by ``vec_size - w`` — a step shared by
 *every* lane step of the program.  ``k`` distinct lane steps therefore need
-``k + 1`` Galois keys instead of the ``2k`` of the legacy form (one fresh step
-``vec_size - w + k'`` per rotation), and the shared-source wrap rotations are
-exactly what :class:`~repro.core.rewrite.hoisting.RotationHoistingPass` later
-collapses into a single hoisted rotation per additive tree.  The legacy
-mask-pair form is kept behind ``hoisted=False`` as the PR 7 baseline for the
-rotation-cost benchmark.
+``k + 1`` Galois keys instead of the ``2k`` a separate wrap rotation per step
+would (one fresh step ``vec_size - w + k'`` each), and the shared-source wrap
+rotations are exactly what
+:class:`~repro.core.rewrite.hoisting.RotationHoistingPass` later collapses into
+a single hoisted rotation per additive tree.
 
 The pass runs *after* :class:`~repro.core.rewrite.lowering.ExpandSumPass`:
 SUM is first expanded into the standard log-depth rotate-and-add tree, and
@@ -49,7 +48,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ...errors import CompilationError
-from ..analysis.rotations import lane_lowered_step_pair, lane_wrap_step, normalize_step
+from ..analysis.rotations import lane_wrap_step, normalize_step
 from ..instructions import immediate_of
 from ..ir import GraphEditor, Program, Term
 from ..types import Op, ValueType
@@ -71,12 +70,8 @@ class LaneLoweringPass(RewritePass):
     name = "lane-lowering"
     direction = "forward"
 
-    def __init__(self, lane_width: int, hoisted: bool = True) -> None:
+    def __init__(self, lane_width: int) -> None:
         self.lane_width = int(lane_width)
-        #: Emit the wrap branch as a composition sharing the single step
-        #: ``vec_size - w`` (default); ``False`` restores the legacy
-        #: mask-pair form with a distinct wrap step per rotation.
-        self.hoisted = bool(hoisted)
 
     def run(self, program: Program, context: PassContext) -> int:
         width = self.lane_width
@@ -111,6 +106,7 @@ class LaneLoweringPass(RewritePass):
         )
         editor = GraphEditor(program)
         masks: Dict[Tuple[int, bool], Term] = {}
+        wrap_step = lane_wrap_step(width, vec_size)
         rewrites = 0
         for term in program.terms():
             if immediate_of(term.op) != "rotation":
@@ -123,22 +119,11 @@ class LaneLoweringPass(RewritePass):
                 # SUM, which thereby degenerate into doublings).
                 editor.replace_term(term, term.args[0])
                 continue
-            step_in, step_wrap = lane_lowered_step_pair(step, width, vec_size)
             source = term.args[0]
-            rot_in = Term(Op.ROTATE_LEFT, [source], source.value_type, rotation=step_in)
-            if self.hoisted:
-                # rot(k - w) == rot(vec_size - w) . rot(k): reuse the in-lane
-                # rotation so every wrap branch shares one Galois key step.
-                rot_wrap = Term(
-                    Op.ROTATE_LEFT,
-                    [rot_in],
-                    rot_in.value_type,
-                    rotation=lane_wrap_step(width, vec_size),
-                )
-            else:
-                rot_wrap = Term(
-                    Op.ROTATE_LEFT, [source], source.value_type, rotation=step_wrap
-                )
+            rot_in = Term(Op.ROTATE_LEFT, [source], source.value_type, rotation=step)
+            # rot(k - w) == rot(vec_size - w) . rot(k): reuse the in-lane
+            # rotation so every wrap branch shares one Galois key step.
+            rot_wrap = Term(Op.ROTATE_LEFT, [rot_in], rot_in.value_type, rotation=wrap_step)
             kept_in = program.make_term(
                 Op.MULTIPLY, [rot_in, self._mask(program, masks, step, mask_scale, wrap=False)]
             )

@@ -209,8 +209,7 @@ class LaneWidthPolicy:
                     + cost_model.op_seconds("add", poly, levels)
                 ) + cost_model.op_seconds("rotate", poly, levels)
             plan = plan_rotation_steps(
-                lane_steps, vec_size, mode="auto", cost_model=cost_model,
-                poly_degree=poly, levels=levels,
+                lane_steps, vec_size, cost_model=cost_model, poly_degree=poly, levels=levels
             )
             key_seconds = cost_model.rotation_plan_seconds(
                 len(plan.key_steps), plan.extra_rotations, poly, levels

@@ -5,6 +5,7 @@ import pytest
 
 from repro.backend import MockBackend
 from repro.core import CompilerOptions, Executor, execute_reference
+from repro.core.analysis import select_rotation_steps
 from repro.apps import (
     build_harris_program,
     build_linear_regression_program,
@@ -111,8 +112,7 @@ class TestImageProcessing:
         # themselves, so the decomposition costs no extra rotations).
         compiled = program.compile()
         assert set(compiled.rotation_steps) == {1, 2, 16, 32}
-        direct = program.compile(options=CompilerOptions(bsgs_rotations="off"))
-        assert set(direct.rotation_steps) == {1, 2, 16, 17, 18, 32, 33, 34}
+        assert set(select_rotation_steps(program.graph)) == {1, 2, 16, 17, 18, 32, 33, 34}
 
     def test_harris_matches_reference(self):
         program = build_harris_program(image_size=8)

@@ -39,7 +39,7 @@ from repro.api import (
     input_encrypted,
     output,
 )
-from repro.apps import build_sobel_program, random_image
+from repro.apps import build_harris_program, build_sobel_program, random_image
 from repro.backend import CkksBackend
 from repro.ckks import Ciphertext, CkksContext, Decryptor, Encryptor, Evaluator, KeyGenerator
 from repro.ckks import ntt
@@ -49,7 +49,6 @@ from repro.ckks.rns import COEFF, EVAL, RnsBasis, RnsPolynomial
 from repro.core.executor import EvaluationEngine
 from repro.core.serialization.packing import pack_residues, unpack_residues
 from repro.errors import SerializationError
-from repro.profiling import _profile_spec, profile_program
 from repro.serving import EvaServer
 
 N = 256
@@ -634,17 +633,6 @@ class TestExactNttRows:
         answer = context.decrypt(context.decode_cipher(wire))
         assert np.max(np.abs(answer[: len(expected)] - expected)) < 2e-2
 
-    def test_the_offline_profiler_reports_the_live_counters_rows(self):
-        """``repro.profiling`` reads the same ``drain_ntt_rows()`` the server
-        exports as ``ckks.ntt.rows``: the replay of a kernel change is one command."""
-        report = profile_program("sum", repeats=2, top=1)
-        rotate = report["ops"]["rotate"]
-        assert (rotate["count"], rotate["ntt_rows"]) == (20, 2 * 92) and rotate["seconds"] > 0
-        assert report["ops"]["add"]["ntt_rows"] == 0  # the lift of acc is remembered
-        # The client decrypts the live handle: c0's owed division (K) + c1 there and back (2L).
-        assert report["ops"]["decrypt"]["ntt_rows"] == 3 + 4
-        assert report["ntt_rows"] == 2 * 92 + 7
-
     def test_rows_are_counted_per_thread(self):
         kernel = get_ntt_kernel(generate_ntt_primes([25, 25], 64), 64)
         seen = {}
@@ -851,22 +839,23 @@ class TestRealBackendAgainstTheReference:
             stepwise_error = np.max(np.abs(stepwise_outputs[key][: len(want)] - want))
             assert error <= stepwise_error + 1e-6 and stepwise_error < atol, key
 
-    @pytest.mark.parametrize("name, merged", [("sum", 1023), ("poly_relin", 0)])
-    def test_profiled_programs(self, name, merged):
-        self._assert_the_relation(*_profile_spec(name), merged, atol=0.05)
-
-    @pytest.mark.parametrize("name", ["sobel_lanes", "harris_lanes"])
-    def test_profiled_lane_programs(self, name):
+    @pytest.mark.parametrize(
+        "build, image_size, vec_size, seed",
+        [(build_sobel_program, 16, 1024, 11), (build_harris_program, 8, 256, 13)],
+        ids=["sobel", "harris"],
+    )
+    def test_lane_programs(self, build, image_size, vec_size, seed):
         """The two image kernels *multiply* sums of rotations, so a merged
         rounding ``d`` in one factor's ``c0`` becomes ``d`` times the other
         factor in the product — no longer small, in both polynomials — while
         decrypting to ``d`` times the other factor's *message*.  They are
         held to that: the two runs decrypt alike, to well within the distance
-        either keeps from the reference (``repro.profiling`` compiles them at
-        a 20-bit scale where the real backend decrypts to noise, before forms
-        too: an error of ~100, and the runs 0.05 / 0.3 apart)."""
-        program, options, inputs = _profile_spec(name)
-        assert options.lane_width
+        either keeps from the reference (at this 20-bit scale the real backend
+        decrypts them to noise, before forms too: an error of ~100, and the
+        runs 0.05 / 0.3 apart)."""
+        program = build(image_size=image_size, scale=20.0, vec_size=vec_size)
+        options = CompilerOptions(max_rescale_bits=20, lane_width=image_size * image_size)
+        inputs = {"image": np.random.default_rng(seed).uniform(0.0, 1.0, vec_size)}
         _, (outputs, stepwise_outputs) = self._run(program, options, inputs)
         for key, want in execute_reference(program.graph, inputs).items():
             stepwise_error = np.max(np.abs(stepwise_outputs[key][: len(want)] - want))

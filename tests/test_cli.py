@@ -53,6 +53,37 @@ class TestCli:
         expected = (x * x + np.roll(x, -1))[:8]
         np.testing.assert_allclose(report["outputs"]["out"], expected, atol=1e-6)
 
+    def test_run_on_ckks_prints_the_live_counters_per_op(self, tmp_path, capsys):
+        """`run` reports the backend's own `drain_op_times()` / `drain_ntt_rows()`
+        — the live `ckks.op.*` / `ckks.ntt.rows` series — for its one cold
+        request, so a kernel change replays as rows in one command."""
+        program = EvaProgram("rotate_sum", vec_size=1024, default_scale=25)
+        with program:
+            acc = input_encrypted("x", 25)
+            for step in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512):
+                acc = acc + (acc << step)
+            output("y", acc, 25)
+        save(program.graph, tmp_path / "rotate_sum.evaproto")
+        x = np.random.default_rng(1).uniform(-1.0, 1.0, 1024)
+        (tmp_path / "inputs.json").write_text(json.dumps({"x": list(x)}))
+        run = ["run", str(tmp_path / "rotate_sum.evaproto"), "--inputs", str(tmp_path / "inputs.json")]
+        assert main([*run, "--backend", "ckks", "--max-rescale-bits", "25"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        np.testing.assert_allclose(report["outputs"]["y"], [x.sum()] * 8, atol=0.1)
+        ops = report["ops"]
+        rows = {op: entry["ntt_rows"] for op, entry in ops.items()}
+        # Keygen and symmetric encryption as a new client pays them; the ten
+        # rotations' steady 92 plus 60 to cache the ten Galois keys' evaluation
+        # form on first use; the lift of acc is remembered, so the adds
+        # transform nothing; decrypt divides c0's owed P (K = 3) and takes c1
+        # there and back (2L = 4).
+        assert rows == {"keygen": 76, "encrypt": 4, "rotate": 92 + 60, "add": 0, "decrypt": 3 + 4}
+        assert (ops["rotate"]["count"], ops["add"]["count"]) == (10, 10)
+        assert ops["rotate"]["seconds"] > 0
+        # The mock backends time nothing.
+        assert main([*run, "--backend", "mock-exact"]) == 0
+        assert json.loads(capsys.readouterr().out)["ops"] == {}
+
     def test_compile_then_run_uses_the_record_as_it_is(self, program_file, inputs_file, tmp_path, capsys):
         """`compile -o` writes the compiled-program record, parameters and all,
         so `run` needs no compile flag again — and refuses one beside it."""

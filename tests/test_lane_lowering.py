@@ -15,7 +15,7 @@ from repro.apps.harris import build_harris_program, reference_harris
 from repro.apps.sobel import build_sobel_program, random_image, reference_sobel
 from repro.backend import CkksBackend, MockBackend
 from repro.core import CompilerOptions, Executor, compile_program, execute_reference
-from repro.core.analysis.rotations import lane_lowered_step_pair, normalize_step
+from repro.core.analysis.rotations import lane_wrap_step, normalize_step
 from repro.core.types import Op
 from repro.errors import CompilationError
 from repro.frontend import EvaProgram, input_encrypted, output
@@ -72,19 +72,20 @@ class TestLaneIdentity:
         if k == 0:
             np.testing.assert_allclose(values, expected)
             return
-        step_in, step_wrap = lane_lowered_step_pair(k, lane_width, vec_size)
+        # The lowered form: the in-lane rotation by k, and the wrap branch
+        # composed after it with the shared step vec_size - w.
+        rot_in = np.roll(values, -k)
+        rot_wrap = np.roll(rot_in, -lane_wrap_step(lane_width, vec_size))
         mask_in = np.tile(
             (np.arange(lane_width) < lane_width - k).astype(float),
             vec_size // lane_width,
         )
-        combined = mask_in * np.roll(values, -step_in) + (1.0 - mask_in) * np.roll(
-            values, -step_wrap
-        )
+        combined = mask_in * rot_in + (1.0 - mask_in) * rot_wrap
         np.testing.assert_allclose(combined, expected)
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_step_pair_agrees_with_normalize_step(self, seed):
-        """The pair is already normalized: normalize_step is a fixed point."""
+    def test_composed_wrap_step_is_the_negative_step(self, seed):
+        """rot(vec_size - w) after rot(k) is rot(k - w), already normalized."""
         rng = np.random.default_rng(100 + seed)
         log_v = int(rng.integers(2, 12))
         vec_size = 1 << log_v
@@ -92,20 +93,12 @@ class TestLaneIdentity:
         k = int(rng.integers(1, lane_width)) if lane_width > 1 else None
         if k is None:
             return
-        step_in, step_wrap = lane_lowered_step_pair(k, lane_width, vec_size)
-        for step in (step_in, step_wrap):
-            assert 0 <= step < vec_size
-            assert normalize_step(Op.ROTATE_LEFT, step, vec_size) == step
-        # The wrap branch is the left-normalized form of the negative step.
-        assert step_wrap == normalize_step(
+        wrap = lane_wrap_step(lane_width, vec_size)
+        assert 0 <= wrap < vec_size
+        assert normalize_step(Op.ROTATE_LEFT, wrap, vec_size) == wrap
+        assert (k + wrap) % vec_size == normalize_step(
             Op.ROTATE_LEFT, k - lane_width, vec_size
         )
-
-    def test_step_pair_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            lane_lowered_step_pair(0, 8, 64)
-        with pytest.raises(ValueError):
-            lane_lowered_step_pair(8, 8, 64)
 
 
 class TestLaneLoweredCompilation:
@@ -136,15 +129,6 @@ class TestLaneLoweredCompilation:
         # composed step 64 - 8 = 56 instead of the legacy pair {59, 63}.
         assert {3, 7, 56} <= set(compiled.rotation_steps)
         assert not {59, 63} & set(compiled.rotation_steps)
-        # The legacy mask-pair lowering (hoisting off) still emits per-step
-        # wrap rotations — it is kept as the PR 7 baseline.
-        legacy = compile_program(
-            rotation_program(vec_size=64, step=3).graph,
-            options=CompilerOptions(
-                lane_width=8, hoist_rotations=False, bsgs_rotations="off"
-            ),
-        )
-        assert {3, 59, 7, 63} <= set(legacy.rotation_steps)
 
     def test_full_width_lane_is_identity(self):
         program = rotation_program(vec_size=32)

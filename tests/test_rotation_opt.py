@@ -1,7 +1,7 @@
 """Tests for the rotation-cost layer: hoisting, BSGS planning, key dedup.
 
 Three optimizations share one correctness obligation — the optimized program
-must compute exactly what the direct compilation computes:
+must compute exactly what the source program means:
 
 * rotation hoisting rewrites ``sum_j c_j * rot_s(y_j)`` into
   ``rot_s(sum_j roll(c_j, s) * y_j)``, one rotation per distinct step;
@@ -11,9 +11,9 @@ must compute exactly what the direct compilation computes:
   shared between the solo and lane-lowered forms yields exactly one key.
 
 The property tests here drive random step sets, widths, and coefficients
-through the full compiler and compare against the un-optimized compilation
-on the exact mock backend; a real-CKKS spot check ties the whole chain to
-actual key-switching.
+through the full compiler and compare against ``execute_reference`` on the
+exact mock backend; a real-CKKS spot check ties the whole chain to actual
+key-switching.
 """
 
 from __future__ import annotations
@@ -21,22 +21,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.apps.harris import build_harris_program
 from repro.apps.sobel import build_sobel_program
 from repro.backend import CkksBackend, MockBackend
 from repro.backend.cost_model import DEFAULT_COST_MODEL
-from repro.core import CompilerOptions, Executor, compile_program
+from repro.core import CompilerOptions, Executor, compile_program, execute_reference
 from repro.core.analysis.rotations import (
+    _plan_for_base,
     lane_rotation_profile,
     merge_rotation_steps,
     plan_rotation_steps,
+    select_rotation_steps,
 )
 from repro.core.types import Op
-from repro.errors import CompilationError, ExecutionError
+from repro.errors import ExecutionError
 from repro.frontend import EvaProgram, input_encrypted, output
 
 EXACT = dict(error_model="none")
-
-LEGACY = dict(hoist_rotations=False, bsgs_rotations="off")
 
 
 def rotation_count(compilation) -> int:
@@ -61,26 +62,30 @@ def random_rotation_sum(rng, vec_size, n_terms, name="randsum"):
     return program
 
 
+def lane_reference(program, values, width):
+    """Each lane's ``execute_reference`` answer on that lane's request alone."""
+    return np.concatenate([
+        execute_reference(program.graph, {"x": lane})["y"][:width]
+        for lane in values.reshape(-1, width)
+    ])  # fmt: skip
+
+
 class TestHoistedEquivalence:
-    """Optimized compilation == direct compilation, numerically (mock)."""
+    """Optimized compilation == the source's reference semantics (exact mock)."""
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_random_rotation_sums_match_direct(self, seed):
+    def test_random_rotation_sums_match_the_reference(self, seed):
         rng = np.random.default_rng(seed)
         vec_size = 1 << int(rng.integers(4, 8))
         program = random_rotation_sum(rng, vec_size, int(rng.integers(2, 7)))
         optimized = compile_program(program.graph)
-        direct = compile_program(
-            program.graph, options=CompilerOptions(**LEGACY)
-        )
         values = {"x": rng.uniform(-1, 1, vec_size)}
-        backend = MockBackend(**EXACT)
-        got = Executor(optimized, backend).execute(values)
-        want = Executor(direct, backend).execute(values)
+        got = Executor(optimized, MockBackend(**EXACT)).execute(values)
+        want = execute_reference(program.graph, values)
         np.testing.assert_allclose(got["y"], want["y"], atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_lane_lowered_sums_match_direct(self, seed):
+    def test_random_lane_lowered_sums_match_the_reference(self, seed):
         rng = np.random.default_rng(100 + seed)
         vec_size = 1 << int(rng.integers(5, 8))
         lane = 1 << int(rng.integers(2, 5))
@@ -93,17 +98,12 @@ class TestHoistedEquivalence:
         optimized = compile_program(
             program.graph, options=CompilerOptions(lane_width=lane)
         )
-        legacy = compile_program(
-            program.graph, options=CompilerOptions(lane_width=lane, **LEGACY)
-        )
-        values = {"x": rng.uniform(-1, 1, vec_size)}
-        backend = MockBackend(**EXACT)
-        got = Executor(optimized, backend).execute(values)
-        want = Executor(legacy, backend).execute(values)
-        np.testing.assert_allclose(got["y"], want["y"], atol=1e-9)
-        # The hoisted wrap form needs at most one key per in-lane step plus
-        # the shared wrap step; the legacy mask-pair form pays two per step.
-        assert len(optimized.rotation_steps) <= len(legacy.rotation_steps)
+        values = rng.uniform(-1, 1, vec_size)
+        got = Executor(optimized, MockBackend(**EXACT)).execute({"x": values})
+        np.testing.assert_allclose(got["y"], lane_reference(program, values, lane), atol=1e-9)
+        # The composed wrap form needs at most one key per in-lane step plus
+        # the shared wrap step (a separate wrap rotation per step needs two).
+        assert len(optimized.rotation_steps) <= len(select_rotation_steps(program.graph)) + 1
 
     def test_hoisting_reduces_rotations_on_shared_source(self):
         # Classic stencil row: five taps of one source, all hoistable.
@@ -115,13 +115,11 @@ class TestHoistedEquivalence:
                 acc = acc + (x << step) * coeff
             output("y", acc, 25)
         optimized = compile_program(program.graph)
-        direct = compile_program(program.graph, options=CompilerOptions(**LEGACY))
-        assert rotation_count(optimized) <= rotation_count(direct)
+        assert rotation_count(optimized) <= program.graph.op_counts()[Op.ROTATE_LEFT] == 4
         values = {"x": np.linspace(-1, 1, 64)}
-        backend = MockBackend(**EXACT)
         np.testing.assert_allclose(
-            Executor(optimized, backend).execute(values)["y"],
-            Executor(direct, backend).execute(values)["y"],
+            Executor(optimized, MockBackend(**EXACT)).execute(values)["y"],
+            execute_reference(program.graph, values)["y"],
             atol=1e-9,
         )
 
@@ -129,10 +127,11 @@ class TestHoistedEquivalence:
 class TestBsgsPlanner:
     def test_dense_step_set_needs_sqrt_keys(self):
         steps = list(range(1, 64))  # 63 distinct steps
-        plan = plan_rotation_steps(steps, 128, mode="always")
+        plan = plan_rotation_steps(steps, 128)
         assert plan.decomposed
-        # B babies + 63//B giants: minimized around sqrt(63) ~ 8.
-        assert len(plan.key_steps) <= 16
+        # B babies + 63//B giants: minimized around sqrt(63) ~ 8, and every
+        # giant is itself one of the steps, so the plan adds no rotation.
+        assert (plan.baby_base, len(plan.key_steps), plan.extra_rotations) == (8, 14, 0)
         for step, (giant, baby) in plan.decompositions.items():
             assert giant + baby == step
             assert giant in plan.key_steps and baby in plan.key_steps
@@ -141,30 +140,25 @@ class TestBsgsPlanner:
         # {1,2,4,...}: every step is a pure baby or giant of any base, so
         # no decomposition can beat the direct key set.
         steps = [1, 2, 4, 8, 16, 32]
-        plan = plan_rotation_steps(steps, 128, mode="auto")
+        plan = plan_rotation_steps(steps, 128)
         assert not plan.decomposed
         assert list(plan.key_steps) == steps
 
-    def test_off_mode_is_identity(self):
-        plan = plan_rotation_steps([3, 5, 7, 11], 64, mode="off")
+    def test_fewer_than_two_steps_stay_direct(self):
+        # Steps normalize mod vec_size and zero drops out: one step is left.
+        plan = plan_rotation_steps([0, 64, 69, 5], 64)
         assert not plan.decomposed
-        assert list(plan.key_steps) == [3, 5, 7, 11]
+        assert list(plan.key_steps) == [5]
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="BSGS mode"):
-            plan_rotation_steps([1, 3], 64, mode="sometimes")
-        with pytest.raises(CompilationError, match="bsgs_rotations"):
-            CompilerOptions(bsgs_rotations="sometimes")
-
-    def test_auto_mode_charges_extra_rotations(self):
-        # A set whose giants all exist as direct steps pays zero extra
-        # rotations; the planner must know that when weighing candidates.
+    @pytest.mark.parametrize("base", [2, 4, 8, 16])
+    def test_a_plan_charges_giants_that_are_not_direct_steps(self, base):
+        # A giant the program computes anyway as a direct step costs no
+        # rotation; the planner must know that when weighing candidates.
         steps = [8, 9, 10, 16, 17, 18]
-        plan = plan_rotation_steps(steps, 64, mode="always")
-        if plan.decomposed:
-            direct = set(steps) - set(plan.decompositions)
-            giants = {g for g, _ in plan.decompositions.values()}
-            assert plan.extra_rotations == len(giants - direct)
+        plan = _plan_for_base(steps, base, 64)
+        direct = set(steps) - set(plan.decompositions)
+        giants = {g for g, _ in plan.decompositions.values()}
+        assert plan.extra_rotations == len(giants - direct)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_plan_always_covers_every_step(self, seed):
@@ -173,8 +167,10 @@ class TestBsgsPlanner:
         steps = sorted(
             set(int(s) for s in rng.integers(1, vec_size, rng.integers(2, 20)))
         )
-        for mode in ("off", "always", "auto"):
-            plan = plan_rotation_steps(steps, vec_size, mode=mode)
+        bases = [1 << k for k in range(1, vec_size.bit_length() - 1)]
+        for plan in [plan_rotation_steps(steps, vec_size)] + [
+            _plan_for_base(steps, base, vec_size) for base in bases
+        ]:
             keys = set(plan.key_steps)
             for step in steps:
                 if step in plan.decompositions:
@@ -187,8 +183,8 @@ class TestBsgsPlanner:
     def test_compiled_sobel_uses_decomposed_keys(self):
         program = build_sobel_program(16, vec_size=256)
         optimized = compile_program(program.graph)
-        direct = compile_program(program.graph, options=CompilerOptions(**LEGACY))
-        assert len(optimized.rotation_steps) < len(direct.rotation_steps)
+        assert len(select_rotation_steps(program.graph)) == 8
+        assert len(optimized.rotation_steps) == 4
 
 
 class TestLaneRotationProfile:
@@ -313,6 +309,27 @@ class TestWidthPicker:
         ranked = policy.choose_widths(compilation, {4: 40, 16: 2})
         assert ranked and ranked[0][0] == 4
         assert all(score > 0 for _width, score in ranked)
+
+    @pytest.mark.parametrize("kernel", ["sobel", "harris"])
+    @pytest.mark.parametrize("image_size, vec_size", [(8, 256), (8, 512), (16, 1024), (16, 4096)])
+    def test_the_modeled_key_set_is_the_compiled_one(self, kernel, image_size, vec_size):
+        """``choose_widths`` prices each width's keys as the BSGS plan of the
+        solo steps' lane profile, at the solo parameters, without compiling
+        the variant: that set is the compiled lane variant's, at every width."""
+        build = {"sobel": build_sobel_program, "harris": build_harris_program}[kernel]
+        program = build(image_size, vec_size=vec_size)
+        solo = compile_program(program.graph)
+        parameters = solo.parameters
+        widths = [w for w in (16, 32, 64, 128, 256) if w < vec_size]
+        for width in widths:
+            modeled = plan_rotation_steps(
+                lane_rotation_profile(solo.rotation_steps, width, vec_size),
+                vec_size,
+                poly_degree=parameters.poly_modulus_degree,
+                levels=max(len(parameters.coeff_modulus_bits), 1),
+            )
+            lane = compile_program(program.graph, options=CompilerOptions(lane_width=width))
+            assert list(modeled.key_steps) == lane.rotation_steps, width
 
     def test_invalid_widths_filtered(self):
         from repro.serving.artifacts import LaneWidthPolicy

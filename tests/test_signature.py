@@ -69,8 +69,6 @@ class TestProgramSignature:
             {"waterline_bits": 20.0},
             {"security_level": 192},
             {"lane_width": 4},
-            {"hoist_rotations": False},
-            {"bsgs_rotations": "off"},
         ],
         ids=lambda change: next(iter(change)),
     )
@@ -89,8 +87,6 @@ class TestProgramSignature:
             "waterline_bits",
             "security_level",
             "lane_width",
-            "hoist_rotations",
-            "bsgs_rotations",
         }
         assert {f.name for f in fields(CompilerOptions)} == covered
 
@@ -124,20 +120,53 @@ class TestProgramSignature:
 
 class TestRetiredOptions:
     """``lower_sum``, ``remove_copies`` and ``cleanup`` are gone: SUM is always
-    expanded, COPY always removed, the cleanup passes always run."""
+    expanded, COPY always removed, the cleanup passes always run.  So are
+    ``hoist_rotations`` and ``bsgs_rotations``: lane lowering always composes
+    the wrap branch, hoisting always runs, the BSGS plan is the cost model's."""
 
     RETIRED = ("lower_sum", "remove_copies", "cleanup")
+    #: Earlier builds left these out of ``to_dict`` at this, their default.
+    UNWRITTEN = {"hoist_rotations": True, "bsgs_rotations": "auto"}
 
     def test_written_at_their_only_value(self):
         data = CompilerOptions().to_dict()
         assert [data[name] for name in self.RETIRED] == [True, True, True]
         assert CompilerOptions.from_dict(data) == CompilerOptions()
 
+    def test_unwritten_ones_read_at_their_only_value(self):
+        data = CompilerOptions().to_dict()
+        assert not set(self.UNWRITTEN) & set(data)
+        assert CompilerOptions.from_dict({**data, **self.UNWRITTEN}) == CompilerOptions()
+
     @pytest.mark.parametrize("name", RETIRED)
     def test_a_retired_option_set_to_false_is_refused(self, name):
         data = dict(CompilerOptions().to_dict(), **{name: False})
         with pytest.raises(CompilationError, match=repr(name)):
             CompilerOptions.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("hoist_rotations", False), ("hoist_rotations", 1), ("bsgs_rotations", "off"),
+         ("bsgs_rotations", "always")],
+    )  # fmt: skip
+    def test_an_unwritten_one_at_another_value_is_refused(self, name, value):
+        data = dict(CompilerOptions().to_dict(), **{name: value})
+        with pytest.raises(CompilationError, match=repr(name)):
+            CompilerOptions.from_dict(data)
+        with pytest.raises(TypeError):
+            CompilerOptions(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [("hoist_rotations", False), ("bsgs_rotations", "off")])
+    def test_a_record_carrying_one_fails_to_load(self, name, value):
+        from repro.core.compiler import _sha256_of
+        from repro.errors import SerializationError
+
+        record = CompilationResult.compile(_golden_program()).to_record()
+        del record["digest"]
+        record["options"][name] = value
+        record["digest"] = _sha256_of(record)  # intact: the option is what fails
+        with pytest.raises(SerializationError, match=repr(name)):
+            CompilationResult.from_record(record)
 
     def test_every_pass_they_switched_runs(self):
         program = _golden_program()
@@ -146,6 +175,9 @@ class TestRetiredOptions:
         program.set_output("out", program.make_term(Op.MULTIPLY, [x, copied]), scale=30)
         compiled = CompilationResult.compile(program)
         names = [report.name for report in compiled.pass_reports]
-        for name in ("remove-copy", "expand-sum", "constant-folding", "cse", "dce"):
+        for name in (
+            "remove-copy", "expand-sum", "hoist-rotations", "constant-folding", "cse", "dce",
+            "bsgs-rotations",
+        ):  # fmt: skip
             assert name in names
         assert not {Op.SUM, Op.COPY} & {term.op for term in compiled.program.terms()}
