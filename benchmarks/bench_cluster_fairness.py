@@ -117,7 +117,7 @@ def light_stream(cluster, client_id, inputs, expected) -> list:
     latencies = []
     for _ in range(LIGHT_REQUESTS):
         start = time.perf_counter()
-        outputs = cluster.request("poly", {"x": inputs}, client_id=client_id)
+        outputs = cluster.submit("poly", {"x": inputs}, client_id=client_id)
         latencies.append(time.perf_counter() - start)
         np.testing.assert_allclose(outputs["y"][: len(inputs)], expected, atol=ATOL)
         time.sleep(LIGHT_INTERVAL)
@@ -143,7 +143,7 @@ def run_fairness() -> dict:
     try:
         # Warm both clients (compile + keygen are one-time costs).
         for client_id in (greedy_id, light_id):
-            cluster.request("poly", {"x": inputs}, client_id=client_id)
+            cluster.submit("poly", {"x": inputs}, client_id=client_id)
         time.sleep(1.0)  # refill the token buckets spent warming
 
         solo = light_stream(cluster, light_id, inputs, expected)
@@ -155,7 +155,7 @@ def run_fairness() -> dict:
         def greedy_flood() -> None:
             while not stop.is_set():
                 try:
-                    cluster.request("poly", {"x": inputs}, client_id=greedy_id)
+                    cluster.submit("poly", {"x": inputs}, client_id=greedy_id)
                     submitted[0] += 1
                 except QuotaExceededError as exc:
                     throttled[0] += 1

@@ -109,7 +109,7 @@ def run_shards(shards: int, program: EvaProgram, clients: list, requests) -> flo
         # Warm every (client, shard) pair: per-shard compilation and
         # per-client keygen are one-time costs, not the steady state.
         for client_id in clients:
-            outputs = cluster.request(
+            outputs = cluster.submit(
                 "poly35", {"x": requests[0]}, client_id=client_id
             )
             np.testing.assert_allclose(
@@ -121,7 +121,7 @@ def run_shards(shards: int, program: EvaProgram, clients: list, requests) -> flo
         def client_stream(client_id: str) -> None:
             try:
                 for request in requests:
-                    cluster.request("poly35", {"x": request}, client_id=client_id)
+                    cluster.submit("poly35", {"x": request}, client_id=client_id)
             except Exception as exc:  # noqa: BLE001 - surface in the main thread
                 errors.append(exc)
 
@@ -203,9 +203,9 @@ def run(benchmark=None) -> float:
         cluster.register("poly35", program)
         cluster.start()
         try:
-            cluster.request("poly35", {"x": requests[0]}, client_id=clients[0])
+            cluster.submit("poly35", {"x": requests[0]}, client_id=clients[0])
             benchmark.pedantic(
-                lambda: cluster.request(
+                lambda: cluster.submit(
                     "poly35", {"x": requests[0]}, client_id=clients[0]
                 ),
                 rounds=3,

@@ -90,14 +90,14 @@ def main() -> None:
         for kit in (trader, analytics):
             cluster.create_session("poly", kit)
             # Warm the path end to end (compile + keygen are one-time costs).
-            outputs = cluster.request_encrypted("poly", kit, inputs)
+            outputs = cluster.submit_encrypted("poly", kit, inputs)
             np.testing.assert_allclose(outputs["y"][:4], expected, atol=1e-6)
 
         # The relaxed flood: a loose deadline (outcomes still counted), full
         # batch-window amortization.
         def relaxed_flood() -> None:
             for _ in range(RELAXED_REQUESTS):
-                cluster.request_encrypted(
+                cluster.submit_encrypted(
                     "poly",
                     analytics,
                     inputs,
@@ -113,7 +113,7 @@ def main() -> None:
         for _ in range(TIGHT_REQUESTS):
             started = time.perf_counter()
             try:
-                outputs = cluster.request_encrypted(
+                outputs = cluster.submit_encrypted(
                     "poly",
                     trader,
                     inputs,

@@ -24,6 +24,13 @@ ring, and retries the request on the client's new home shard — transparently
 to :class:`~repro.serving.netserver.ServingClient`, whose wire protocol is
 unchanged.
 
+In process the cluster *is* such a client: :class:`EvaCluster` inherits
+``submit``, ``create_session``, ``submit_bundle``, ``submit_encrypted`` and
+``programs`` from :class:`~repro.serving.netserver.ClientApi` and supplies
+only :meth:`EvaCluster.call` — one op on the client's shard connection, with
+the failover above.  A retried attempt re-encodes the keys or bundle on its
+new connection; the trace id and the encryption happen once per request.
+
 Shard processes are started with the ``spawn`` method (safe to use from
 threaded parents) and are daemons of the front-door process; killing the
 front door kills the fleet.
@@ -80,8 +87,9 @@ from .membership import (
     Membership,
     ScalePolicy,
 )
+from .netserver import ClientApi
 from .quotas import FairnessPolicy
-from .telemetry import Telemetry, aggregate_snapshots, merge_traces, new_trace_id
+from .telemetry import Telemetry, aggregate_snapshots, merge_traces
 
 #: Transport-level failures that justify failing over to another shard.
 _FAILOVER_ERRORS = (TransportError, OSError)
@@ -396,16 +404,17 @@ def _close_quietly(client: Any) -> None:
 
 
 # -- the cluster front door --------------------------------------------------------
-class EvaCluster:
+class EvaCluster(ClientApi):
     """Front door over N shard processes with consistent-hash client routing.
 
     Usage mirrors :class:`~repro.serving.server.EvaServer`: register programs,
-    then :meth:`start`; every shard registers the same program set.  Requests
-    go through :meth:`request` / :meth:`create_session` /
-    :meth:`submit_bundle`, which route by ``client_id``, keep one upstream
-    connection per (thread, shard), and transparently fail over when a shard
-    dies — removing it from the ring so the affected clients get a stable new
-    home.
+    then :meth:`start`; every shard registers the same program set.  The
+    client API is :class:`~repro.serving.netserver.ServingClient`'s, inherited
+    (``submit``, ``create_session``, ``submit_bundle``, ``submit_encrypted``,
+    ``programs``); its one transport step, :meth:`call`, routes by
+    ``client_id``, keeps one upstream connection per (thread, shard), and
+    transparently fails over when a shard dies — removing it from the ring so
+    the affected clients get a stable new home.
 
     The arguments below are the cluster's own; every other keyword is a field
     of :class:`ShardConfig`, the recipe each shard process is built from
@@ -447,8 +456,6 @@ class EvaCluster:
         self.wire = str(wire)
         self.start_timeout = float(start_timeout)
         self.request_timeout = request_timeout
-        #: Trace id of the most recent traced request (None when untraced).
-        self.last_trace_id: Optional[str] = None
         self.retries = max(int(retries), 1)
         #: The shard table (state and generation per index) and the ring it
         #: implies; only :meth:`_transition` changes it.
@@ -1044,111 +1051,14 @@ class EvaCluster:
         return results
 
     # -- client API ----------------------------------------------------------------
-    def request(
-        self,
-        name: str,
-        inputs: Dict[str, Any],
-        client_id: str = "default",
-        output_size: Optional[int] = None,
-        trace: bool = False,
-        deadline_ms: Optional[float] = None,
-        slo_class: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Plaintext request: routed to the client's shard, decrypted outputs.
-
-        With ``trace`` the trace id is minted *here*, before the retry loop,
-        so a request that fails over after a shard death keeps one id across
-        attempts — the spans of the successful attempt land on the new shard
-        under the same trace.  The minted id is kept as ``last_trace_id`` so
-        the caller can look the trace up afterwards.  ``deadline_ms`` and
-        ``slo_class`` ride the envelope to the owning shard unchanged.
-        """
-        trace_id = new_trace_id() if trace else None
-        self.last_trace_id = trace_id
-        return self._call(
-            client_id,
-            lambda client: client.submit(
-                name,
-                inputs,
-                client_id=client_id,
-                output_size=output_size,
-                trace=trace,
-                trace_id=trace_id,
-                deadline_ms=deadline_ms,
-                slo_class=slo_class,
-            ),
-        )
-
-    def create_session(
-        self, name: str, client_kit: Any, client_id: Optional[str] = None
-    ) -> Dict[str, Any]:
-        """Register a client's evaluation keys on its shard (persisted when
-        the cluster has a session directory)."""
-        client_id = client_id or getattr(client_kit, "client_id", "default")
-        return self._call(
-            client_id,
-            lambda client: client.create_session(name, client_kit, client_id=client_id),
-        )
-
-    def submit_bundle(
-        self,
-        name: str,
-        bundle_wire: Dict[str, Any],
-        client_id: str = "default",
-        trace: bool = False,
-        deadline_ms: Optional[float] = None,
-        slo_class: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Pre-encrypted request; returns wire-encoded ciphertext outputs."""
-        trace_id = new_trace_id() if trace else None
-        self.last_trace_id = trace_id
-        return self._call(
-            client_id,
-            lambda client: client.submit_bundle(
-                name,
-                bundle_wire,
-                client_id=client_id,
-                trace=trace,
-                trace_id=trace_id,
-                deadline_ms=deadline_ms,
-                slo_class=slo_class,
-            ),
-        )
-
-    def request_encrypted(
-        self,
-        name: str,
-        client_kit: Any,
-        inputs: Dict[str, Any],
-        client_id: Optional[str] = None,
-        trace: bool = False,
-        deadline_ms: Optional[float] = None,
-        slo_class: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """End-to-end encrypted request through the client's shard.
-
-        With ``trace`` the bundle submission is traced under one id (minted
-        before the failover retry loop, like :meth:`request`), available
-        afterwards as ``last_trace_id``.  SLO fields ride the envelope
-        identically to the plaintext path.
-        """
-        client_id = client_id or getattr(client_kit, "client_id", "default")
-        bundle = client_kit.encrypt_inputs(inputs)
-        reply = self.submit_bundle(
-            name,
-            client_kit.bundle_to_wire(bundle),
-            client_id=client_id,
-            trace=trace,
-            deadline_ms=deadline_ms,
-            slo_class=slo_class,
-        )
-        return client_kit.decrypt_outputs(client_kit.outputs_from_wire(reply))
+    def call(self, op: str, **fields: Any) -> Any:
+        """One request of any op, sent to the shard ``fields["client_id"]``
+        routes to (``"default"`` without one) and failed over by :meth:`_call`:
+        how every inherited helper reaches a shard."""
+        client_id = fields.get("client_id") or "default"
+        return self._call(client_id, lambda client: client.call(op, **fields))
 
     # -- introspection -------------------------------------------------------------
-    def programs(self) -> List[str]:
-        """Registered program names (identical on every shard)."""
-        return self._call("__cluster-meta__", lambda client: client.programs())
-
     def stats(self) -> Dict[str, Any]:
         """Cluster-level view plus the per-shard server stats of live shards."""
         with self._lock:

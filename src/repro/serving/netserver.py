@@ -50,6 +50,7 @@ from __future__ import annotations
 import socket
 import time
 from contextlib import contextmanager, nullcontext
+from functools import partial
 from typing import Any, Callable, Dict, FrozenSet, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -640,7 +641,145 @@ _RETRY_AFTER_ERRORS = {
 }
 
 
-class ServingClient:
+class ClientApi:
+    """The client API, written once over ``call(op, **fields)``.
+
+    :class:`ServingClient` (one connection) and
+    :class:`~repro.serving.cluster.EvaCluster` (a failover loop over shard
+    connections) inherit these helpers and differ only in :meth:`call`.
+    Evaluation keys and cipher bundles are handed to ``call`` as
+    zero-argument callables: the connection that sends them encodes them in
+    its own packing, once per attempt, while encryption runs once here.
+    """
+
+    def call(self, op: str, **fields: Any) -> Any:
+        """One request of any op in the table; returns the answer."""
+        raise NotImplementedError
+
+    def submit(
+        self,
+        program: str,
+        inputs: Dict[str, Any],
+        client_id: str = "default",
+        output_size: Optional[int] = None,
+        trace: bool = False,
+        trace_id: Optional[str] = None,
+        deadline_ms: Optional[float] = None,
+        slo_class: Optional[str] = None,
+    ) -> Dict[str, np.ndarray]:
+        """Execute ``program`` on the server; returns decrypted outputs.
+
+        With ``trace=True`` the client mints a trace id (unless the caller
+        supplies one — e.g. a retry loop keeping one id across attempts), the
+        server records a span per stage, and the reply echoes them —
+        available afterwards as ``self.last_trace`` (``submit --trace``
+        prints this breakdown).
+
+        ``deadline_ms``/``slo_class`` attach SLO semantics; an infeasible
+        deadline is rejected with a typed
+        :class:`~repro.errors.DeadlineInfeasibleError` carrying
+        ``retry_after``.
+        """
+        return self._submit(
+            trace,
+            trace_id,
+            program=program,
+            inputs=inputs,
+            client_id=client_id,
+            output_size=output_size,
+            deadline_ms=deadline_ms,
+            slo_class=slo_class,
+        ).get("outputs", {})
+
+    def _submit(self, trace: bool, trace_id: Optional[str], **fields: Any) -> Dict[str, Any]:
+        """One submit op; keeps the reply's stats and trace echo for the caller.
+
+        The trace id is minted here, before :meth:`call`, so a cluster that
+        fails the request over sends every attempt under the same id.
+        """
+        if trace and trace_id is None:
+            trace_id = new_trace_id()
+        response = self.call("submit", trace=trace, trace_id=trace_id, **fields)
+        self.last_stats: Dict[str, Any] = response.get("stats", {})
+        self.last_trace: Optional[Dict[str, Any]] = response.get("trace")
+        return response
+
+    def create_session(self, program: str, client_kit: Any, client_id: Optional[str] = None) -> Dict[str, Any]:
+        """Register ``client_kit``'s evaluation keys for ``program`` on the server.
+
+        ``client_kit`` is a :class:`repro.api.ClientKit` (anything exposing
+        ``export_evaluation_keys()``); the secret key never leaves the client.
+        The connection that sends the keys exports them: raw (no base64) and
+        streamed as chunked frames past the streaming threshold on a binary
+        connection, their uniform halves as seeds where ``seeded`` was granted.
+        """
+        return self.call(
+            "session",
+            program=program,
+            client_id=client_id or getattr(client_kit, "client_id", "default"),
+            evaluation_keys=client_kit.export_evaluation_keys,
+        )
+
+    def submit_bundle(
+        self,
+        program: str,
+        bundle_wire: Any,
+        client_id: str = "default",
+        trace: bool = False,
+        trace_id: Optional[str] = None,
+        deadline_ms: Optional[float] = None,
+        slo_class: Optional[str] = None,
+    ) -> Dict[str, Any]:
+        """Submit a wire-encoded cipher bundle (or a zero-argument callable
+        encoding one); returns wire-encoded ciphertext outputs."""
+        return self._submit(
+            trace,
+            trace_id,
+            program=program,
+            bundle=bundle_wire,
+            client_id=client_id,
+            deadline_ms=deadline_ms,
+            slo_class=slo_class,
+        ).get("encrypted_outputs", {})
+
+    def submit_encrypted(
+        self,
+        program: str,
+        client_kit: Any,
+        inputs: Dict[str, Any],
+        client_id: Optional[str] = None,
+        trace: bool = False,
+        deadline_ms: Optional[float] = None,
+        slo_class: Optional[str] = None,
+    ) -> Dict[str, np.ndarray]:
+        """End-to-end encrypted request: encrypt, submit, decrypt — keys stay local.
+
+        The kit encrypts ``inputs`` into a bundle, the server evaluates it
+        blindly under the session created with :meth:`create_session`, and the
+        ciphertext reply is decrypted here with the kit's secret key.
+        ``client_id`` must match the one the session was created under
+        (defaults to the kit's own id, as :meth:`create_session` does).
+        ``deadline_ms``/``slo_class`` ride the envelope exactly as on
+        :meth:`submit` — SLO admission sees encrypted and plaintext requests
+        identically.
+        """
+        bundle = client_kit.encrypt_inputs(inputs)
+        reply = self.submit_bundle(
+            program,
+            partial(client_kit.bundle_to_wire, bundle),
+            client_id=client_id or getattr(client_kit, "client_id", "default"),
+            trace=trace,
+            deadline_ms=deadline_ms,
+            slo_class=slo_class,
+        )
+        return client_kit.decrypt_outputs(client_kit.outputs_from_wire(reply))
+
+    def programs(self) -> list:
+        """Registered program names on the server."""
+        return self.call("list")
+
+
+class ServingClient(ClientApi):
     """Dual-protocol client for :class:`EvaTcpServer` (and the router).
 
     ``wire`` selects the framing: ``auto`` (default) negotiates the binary
@@ -754,7 +893,10 @@ class ServingClient:
 
     def _roundtrip_op(self, op: str, **fields: Any) -> Dict[str, Any]:
         framing = FRAMINGS[self.protocol]
-        with framing.blob_context():
+        with self._kit_packing():
+            # A callable field (a kit's keys or bundle) is encoded here, for
+            # this connection.
+            fields = {key: value() if callable(value) else value for key, value in fields.items()}
             message = messages.build_request(op, pack_inputs=framing.packed, **fields)
         envelope, blobs = framing.split(message)
         if sum(len(blob) for blob in blobs) > STREAM_THRESHOLD_BYTES:
@@ -782,123 +924,6 @@ class ServingClient:
         raise error
 
     # -- client API ---------------------------------------------------------------
-    def submit(
-        self,
-        program: str,
-        inputs: Dict[str, Any],
-        client_id: str = "default",
-        output_size: Optional[int] = None,
-        trace: bool = False,
-        trace_id: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        slo_class: Optional[str] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Execute ``program`` on the server; returns decrypted outputs.
-
-        With ``trace=True`` the client mints a trace id (unless the caller
-        supplies one — e.g. a retry loop keeping one id across attempts), the
-        server records a span per stage, and the reply echoes them —
-        available afterwards as ``self.last_trace`` (``submit --trace``
-        prints this breakdown).
-
-        ``deadline_ms``/``slo_class`` attach SLO semantics; an infeasible
-        deadline is rejected with a typed
-        :class:`~repro.errors.DeadlineInfeasibleError` carrying
-        ``retry_after``.
-        """
-        return self._submit(
-            trace,
-            trace_id,
-            program=program,
-            inputs=inputs,
-            client_id=client_id,
-            output_size=output_size,
-            deadline_ms=deadline_ms,
-            slo_class=slo_class,
-        ).get("outputs", {})
-
-    def _submit(self, trace: bool, trace_id: Optional[str], **fields: Any) -> Dict[str, Any]:
-        """One submit op; keeps the reply's stats and trace echo for the caller."""
-        if trace and trace_id is None:
-            trace_id = new_trace_id()
-        response = self.call("submit", trace=trace, trace_id=trace_id, **fields)
-        self.last_stats: Dict[str, Any] = response.get("stats", {})
-        self.last_trace: Optional[Dict[str, Any]] = response.get("trace")
-        return response
-
-    def create_session(self, program: str, client_kit: Any, client_id: Optional[str] = None) -> Dict[str, Any]:
-        """Register ``client_kit``'s evaluation keys for ``program`` on the server.
-
-        ``client_kit`` is a :class:`repro.api.ClientKit` (anything exposing
-        ``export_evaluation_keys()``); the secret key never leaves the client.
-        On a binary connection the keys are exported raw (no base64) and
-        streamed as chunked frames when they exceed the streaming threshold;
-        where ``seeded`` was granted their uniform halves travel as seeds.
-        """
-        with self._kit_packing():
-            evaluation_keys = client_kit.export_evaluation_keys()
-        return self.call(
-            "session",
-            program=program,
-            client_id=client_id or getattr(client_kit, "client_id", "default"),
-            evaluation_keys=evaluation_keys,
-        )
-
-    def submit_bundle(
-        self,
-        program: str,
-        bundle_wire: Dict[str, Any],
-        client_id: str = "default",
-        trace: bool = False,
-        trace_id: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        slo_class: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Submit a wire-encoded cipher bundle; returns wire-encoded ciphertext outputs."""
-        return self._submit(
-            trace,
-            trace_id,
-            program=program,
-            bundle=bundle_wire,
-            client_id=client_id,
-            deadline_ms=deadline_ms,
-            slo_class=slo_class,
-        ).get("encrypted_outputs", {})
-
-    def submit_encrypted(
-        self,
-        program: str,
-        client_kit: Any,
-        inputs: Dict[str, Any],
-        client_id: Optional[str] = None,
-        trace: bool = False,
-        deadline_ms: Optional[float] = None,
-        slo_class: Optional[str] = None,
-    ) -> Dict[str, np.ndarray]:
-        """End-to-end encrypted request: encrypt, submit, decrypt — keys stay local.
-
-        The kit encrypts ``inputs`` into a bundle, the server evaluates it
-        blindly under the session created with :meth:`create_session`, and the
-        ciphertext reply is decrypted here with the kit's secret key.
-        ``client_id`` must match the one the session was created under
-        (defaults to the kit's own id, as :meth:`create_session` does).
-        ``deadline_ms``/``slo_class`` ride the envelope exactly as on
-        :meth:`submit` — SLO admission sees encrypted and plaintext requests
-        identically.
-        """
-        bundle = client_kit.encrypt_inputs(inputs)
-        with self._kit_packing():
-            bundle_wire = client_kit.bundle_to_wire(bundle)
-        reply = self.submit_bundle(
-            program,
-            bundle_wire,
-            client_id=client_id or getattr(client_kit, "client_id", "default"),
-            trace=trace,
-            deadline_ms=deadline_ms,
-            slo_class=slo_class,
-        )
-        return client_kit.decrypt_outputs(client_kit.outputs_from_wire(reply))
-
     def call(self, op: str, **fields: Any) -> Any:
         """One request of any op in the table; returns the answer.
 
@@ -909,10 +934,6 @@ class ServingClient:
         response = self._roundtrip_op(op, **fields)
         key = messages.OPS[op].reply
         return response if key is None else response.get(key)
-
-    def programs(self) -> list:
-        """Registered program names on the server."""
-        return self.call("list")
 
     def route(self, client_id: str = "default") -> Dict[str, Any]:
         """Which shard serves ``client_id`` (cluster servers only)."""

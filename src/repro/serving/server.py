@@ -339,17 +339,18 @@ class EvaServer:
         inputs: Dict[str, Any],
         client_id: str = "default",
         output_size: Optional[int] = None,
-        timeout: Optional[float] = None,
-        trace_id: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        slo_class: Optional[str] = None,
+        **admission: Any,
     ) -> "Future[ServeResponse]":
         """Queue one request; the future resolves to a :class:`ServeResponse`.
 
-        ``deadline_ms`` and ``slo_class`` (``tight`` / ``standard`` /
-        ``relaxed``) attach SLO semantics: an infeasible deadline is rejected
-        at admission with :class:`~repro.errors.DeadlineInfeasibleError`, and
-        the class shapes the batch-vs-solo decision downstream.  Unset values
+        ``admission`` goes to :meth:`JobEngine.submit
+        <repro.serving.jobs.JobEngine.submit>` unchanged, which names its
+        keywords (a misspelt one is a ``TypeError`` there): ``timeout`` bounds
+        the wait for queue space, ``trace_id`` labels the spans, and
+        ``deadline_ms`` / ``slo_class`` (``tight`` / ``standard`` /
+        ``relaxed``) attach SLO semantics — an infeasible deadline is rejected
+        at admission with :class:`~repro.errors.DeadlineInfeasibleError`, the
+        class shapes the batch-vs-solo decision downstream, and unset values
         fall back to the fairness policy's per-client defaults.
         """
         spec = self._lookup(name)
@@ -371,10 +372,7 @@ class EvaServer:
         )
         if self.precompile is not None:
             self._observe_width(spec, payload)
-        return self._enqueue(
-            "plain", spec, payload, client_id, timeout=timeout, trace_id=trace_id,
-            deadline_ms=deadline_ms, slo_class=slo_class,
-        )
+        return self._enqueue("plain", spec, payload, client_id, **admission)
 
     def _lookup(self, name: str) -> ProgramSpec:
         with self._lock:
@@ -410,27 +408,15 @@ class EvaServer:
         )
 
     def request(
-        self,
-        name: str,
-        inputs: Dict[str, Any],
-        client_id: str = "default",
-        output_size: Optional[int] = None,
-        timeout: Optional[float] = None,
-        trace_id: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        slo_class: Optional[str] = None,
+        self, name: str, inputs: Dict[str, Any], *, timeout: Optional[float] = None, **fields: Any
     ) -> ServeResponse:
-        """Synchronous convenience wrapper around :meth:`submit`.
+        """Synchronous :meth:`submit`, with its keywords.
 
         ``timeout`` bounds each stage: queue admission (a full queue raises
         :class:`~repro.errors.QueueFullError` when it expires) and then the
         wait for the result.
         """
-        return self.submit(
-            name, inputs, client_id=client_id, output_size=output_size,
-            timeout=timeout, trace_id=trace_id,
-            deadline_ms=deadline_ms, slo_class=slo_class,
-        ).result(timeout)
+        return self.submit(name, inputs, timeout=timeout, **fields).result(timeout)
 
     # -- encrypted request path ----------------------------------------------------
     def create_session(
@@ -536,10 +522,7 @@ class EvaServer:
         name: str,
         bundle: Any,
         client_id: Optional[str] = None,
-        timeout: Optional[float] = None,
-        trace_id: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        slo_class: Optional[str] = None,
+        **admission: Any,
     ) -> "Future[EncryptedServeResponse]":
         """Queue one pre-encrypted bundle; future resolves to ciphertext outputs.
 
@@ -549,6 +532,7 @@ class EvaServer:
         (program, client) like plaintext ones but never co-batched with them:
         the server cannot slot-pack data it cannot read — clients pack before
         encrypting (``ClientKit.encrypt_packed``) to get the same amortization.
+        ``admission`` is :meth:`submit`'s.
         """
         spec = self._lookup(name)
         wire = isinstance(bundle, dict)
@@ -559,29 +543,16 @@ class EvaServer:
                 else getattr(bundle, "client_id", "default")
             )
         payload = EncryptedServeRequest(bundle=bundle, wire=wire, name=name)
-        return self._enqueue(
-            "encrypted", spec, payload, client_id, timeout=timeout, trace_id=trace_id,
-            deadline_ms=deadline_ms, slo_class=slo_class,
-        )
+        return self._enqueue("encrypted", spec, payload, client_id, **admission)
 
     def request_encrypted(
-        self,
-        name: str,
-        bundle: Any,
-        client_id: Optional[str] = None,
-        timeout: Optional[float] = None,
-        trace_id: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        slo_class: Optional[str] = None,
+        self, name: str, bundle: Any, *, timeout: Optional[float] = None, **fields: Any
     ) -> EncryptedServeResponse:
-        """Synchronous convenience wrapper around :meth:`submit_encrypted`.
+        """Synchronous :meth:`submit_encrypted`, with its keywords.
 
         ``timeout`` bounds each stage: queue admission and the result wait.
         """
-        return self.submit_encrypted(
-            name, bundle, client_id=client_id, timeout=timeout, trace_id=trace_id,
-            deadline_ms=deadline_ms, slo_class=slo_class,
-        ).result(timeout)
+        return self.submit_encrypted(name, bundle, timeout=timeout, **fields).result(timeout)
 
     # -- execution (worker side) -------------------------------------------------
     def _resolve(self, name: str) -> Tuple[ProgramSpec, CompilationResult, bool]:

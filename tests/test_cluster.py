@@ -321,7 +321,7 @@ class TestClusterEndToEnd:
         try:
             # Plaintext requests route per client and match the reference.
             for client_id in ("alice", "bob"):
-                outputs = cluster.request(
+                outputs = cluster.submit(
                     "poly", {"x": [1.0, 2.0]}, client_id=client_id
                 )
                 np.testing.assert_allclose(outputs["y"][:2], expected, atol=1e-6)
@@ -350,7 +350,7 @@ class TestClusterEndToEnd:
             )
             session = cluster.create_session("poly", kit)
             assert session["program"] == "poly"
-            outputs = cluster.request_encrypted("poly", kit, {"x": [1.0, 2.0]})
+            outputs = cluster.submit_encrypted("poly", kit, {"x": [1.0, 2.0]})
             np.testing.assert_allclose(outputs["y"][:2], expected, atol=1e-6)
 
             # Kill alice's shard. Her next encrypted request must reroute to
@@ -358,7 +358,7 @@ class TestClusterEndToEnd:
             # persisted store — no new create_session.
             victim = cluster.shard_for("alice")
             cluster.kill_shard(victim)
-            outputs = cluster.request_encrypted("poly", kit, {"x": [1.0, 2.0]})
+            outputs = cluster.submit_encrypted("poly", kit, {"x": [1.0, 2.0]})
             np.testing.assert_allclose(outputs["y"][:2], expected, atol=1e-6)
             survivor = cluster.shard_for("alice")
             assert survivor != victim
@@ -370,7 +370,7 @@ class TestClusterEndToEnd:
             assert per_shard["sessions"]["client_keyed"] >= 1
 
             # Plaintext clients keep working after the loss too.
-            outputs = cluster.request("poly", {"x": [1.0, 2.0]}, client_id="bob")
+            outputs = cluster.submit("poly", {"x": [1.0, 2.0]}, client_id="bob")
             np.testing.assert_allclose(outputs["y"][:2], expected, atol=1e-6)
             assert_replays(cluster, events, "join", "process_died")
         finally:
@@ -392,7 +392,7 @@ class TestClusterEndToEnd:
         events = record_transitions(cluster)
         cluster.start()
         try:
-            outputs = cluster.request("poly", {"x": [1.0, 2.0]}, client_id="alice")
+            outputs = cluster.submit("poly", {"x": [1.0, 2.0]}, client_id="alice")
             np.testing.assert_allclose(outputs["y"][:2], expected, atol=1e-6)
             victim = cluster.shard_for("alice")
             old_pid = cluster.shard_infos()[victim]["pid"]
@@ -406,7 +406,7 @@ class TestClusterEndToEnd:
             # the respawned shard serves her (cached connections to the dead
             # process were invalidated by the generation bump).
             assert cluster.shard_for("alice") == victim
-            outputs = cluster.request("poly", {"x": [1.0, 2.0]}, client_id="alice")
+            outputs = cluster.submit("poly", {"x": [1.0, 2.0]}, client_id="alice")
             np.testing.assert_allclose(outputs["y"][:2], expected, atol=1e-6)
             stats = cluster.stats()
             assert stats["live"] == [0, 1] and stats["dead"] == []
@@ -437,7 +437,7 @@ class TestClusterEndToEnd:
             assert cluster.shard_for("alice") != home
             statuses = {h["index"]: h["status"] for h in cluster.check_health()}
             assert statuses[home] == "drained"
-            cluster.request("poly", {"x": [1.0]}, client_id="alice")
+            cluster.submit("poly", {"x": [1.0]}, client_id="alice")
             # The last in-ring shard cannot be drained: that would be an
             # outage, not maintenance.
             survivor = cluster.shard_for("alice")
@@ -446,7 +446,7 @@ class TestClusterEndToEnd:
             info = cluster.rejoin_shard(home)
             assert not info["respawned"]
             assert cluster.shard_for("alice") == home
-            cluster.request("poly", {"x": [1.0]}, client_id="alice")
+            cluster.submit("poly", {"x": [1.0]}, client_id="alice")
             with pytest.raises(ServingError, match="no shard"):
                 cluster.drain_shard(99)
             assert_replays(cluster, events, "drain", "rejoin", "probe_ok")
@@ -577,7 +577,7 @@ class TestClusterEndToEnd:
             # Hit both shards (different clients) so each resolves the program.
             clients = ["alice", "bob", "carol", "dave"]
             for client_id in clients:
-                cluster.request("poly", {"x": [1.0]}, client_id=client_id)
+                cluster.submit("poly", {"x": [1.0]}, client_id=client_id)
             cache = ArtifactCache(artifact_dir)
             records = cache.records()
             # One program, one signature: however many shards compiled, the
@@ -608,7 +608,7 @@ class TestClusterEndToEnd:
         try:
             cluster.kill_shard(0)
             with pytest.raises(ServingError, match="no live shards"):
-                cluster.request("poly", {"x": [1.0]}, client_id="alice")
+                cluster.submit("poly", {"x": [1.0]}, client_id="alice")
         finally:
             cluster.close()
 
@@ -644,7 +644,7 @@ class TestRecipe:
         cluster.register("poly", program)
         cluster.start()
         try:
-            outputs = cluster.request("poly", {"x": [1.0, 2.0]}, client_id="alice")
+            outputs = cluster.submit("poly", {"x": [1.0, 2.0]}, client_id="alice")
             expected = execute_reference(program.graph, {"x": [1.0, 2.0]})["y"][:2]
             np.testing.assert_allclose(outputs["y"][:2], expected, atol=1e-6)
             assert cluster.stats()["fairness"] is True
@@ -868,7 +868,7 @@ class TestClusterTelemetry:
             clients = self._two_homed_clients(cluster)
             for client_id in clients:
                 for _ in range(3):
-                    cluster.request("poly", {"x": [1.0, 2.0]}, client_id=client_id)
+                    cluster.submit("poly", {"x": [1.0, 2.0]}, client_id=client_id)
             snapshot = cluster.metrics_snapshot()
             counters = {
                 (c["name"], c["labels"].get("shard"), c["labels"].get("client")): c[
@@ -929,10 +929,10 @@ class TestClusterTelemetry:
             # Minted before the retry loop: the TransportError failover must
             # not change the id, and the successful attempt's spans land on
             # the survivor under it.
-            cluster.request(
+            cluster.submit(
                 "poly", {"x": [1.0, 2.0]}, client_id=victim_client, trace=True
             )
-            trace_id = cluster.last_trace_id
+            trace_id = cluster.last_trace["trace_id"]
             assert trace_id is not None
             assert cluster.shard_for(victim_client) != victim
             trace = cluster.trace_of(trace_id)
@@ -958,15 +958,15 @@ class TestClusterTelemetry:
                 client_id="alice",
             )
             cluster.create_session("poly", kit)
-            cluster.request_encrypted("poly", kit, {"x": [1.0, 2.0]})
+            cluster.submit_encrypted("poly", kit, {"x": [1.0, 2.0]})
             victim = cluster.shard_for("alice")
             cluster.kill_shard(victim)
             # The rerouted shard restores alice's session from the persisted
             # store; the trace must show that stage.
-            cluster.request_encrypted(
+            cluster.submit_encrypted(
                 "poly", kit, {"x": [1.0, 2.0]}, trace=True
             )
-            trace = cluster.trace_of(cluster.last_trace_id)
+            trace = cluster.trace_of(cluster.last_trace["trace_id"])
             assert trace is not None
             stages = {span["stage"] for span in trace["spans"]}
             assert "session_restore" in stages, stages
@@ -1086,7 +1086,7 @@ class TestRemoteShards:
             assert statuses[1]["mode"] == "remote" and statuses[1]["pid"] is None
 
             client_id = self._client_homed_on(cluster, 1)
-            outputs = cluster.request("poly", {"x": [1.0, 2.0]}, client_id=client_id)
+            outputs = cluster.submit("poly", {"x": [1.0, 2.0]}, client_id=client_id)
             np.testing.assert_allclose(outputs["y"][:2], expected, atol=1e-6)
             # The request was actually served by the remote endpoint.
             assert eva.stats()["engine"]["completed"] >= 1
@@ -1096,11 +1096,11 @@ class TestRemoteShards:
                 cluster.kill_shard(1)
             assert cluster.drain_shard(1)["status"] == "drained"
             assert cluster.shard_for(client_id) == 0
-            cluster.request("poly", {"x": [1.0, 2.0]}, client_id=client_id)
+            cluster.submit("poly", {"x": [1.0, 2.0]}, client_id=client_id)
             info = cluster.rejoin_shard(1)
             assert not info["respawned"] and info["mode"] == "remote"
             assert cluster.shard_for(client_id) == 1
-            cluster.request("poly", {"x": [1.0, 2.0]}, client_id=client_id)
+            cluster.submit("poly", {"x": [1.0, 2.0]}, client_id=client_id)
 
             # Re-attaching a known endpoint is the remote rejoin, not a new
             # shard; a brand-new endpoint gets the next free index.
@@ -1119,7 +1119,7 @@ class TestRemoteShards:
             cluster._drop_connection(cluster._probe_clients, 1)
             statuses = {h["index"]: h["status"] for h in cluster.check_health()}
             assert statuses[1] == "dead"
-            outputs = cluster.request("poly", {"x": [1.0, 2.0]}, client_id=client_id)
+            outputs = cluster.submit("poly", {"x": [1.0, 2.0]}, client_id=client_id)
             np.testing.assert_allclose(outputs["y"][:2], expected, atol=1e-6)
             # ... and rejoin refuses until the endpoint answers again.
             with pytest.raises(ServingError, match="not responding"):
@@ -1336,7 +1336,7 @@ class TestAutoscaling:
         cluster.start()
         try:
             assert cluster._observed_queue_depth() == 0.0
-            cluster.request("poly", {"x": [1.0]}, client_id="alice")
+            cluster.submit("poly", {"x": [1.0]}, client_id="alice")
             assert cluster._observed_queue_depth() == 0.0
         finally:
             cluster.close()

@@ -3,19 +3,22 @@
 ``repro.serving.membership`` is the sans-IO half of ``EvaCluster`` — the shard
 table, the ring derived from it, and the autoscaler's hysteresis.  These tests
 drive it with seeded random walks and assert the bounded-response properties
-after every event; the last class does the same for ``EvaCluster._call`` over
+after every event; ``TestBoundedResponse`` does the same for ``EvaCluster._call``,
+and for the client helpers that reach it through ``EvaCluster.call``, over
 scripted stub handles.  (The process tests in ``test_cluster.py`` replay the
 event sequences their IO shell produced through a fresh machine.)
 """
 
 import ast
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ServingError, TransportError
-from repro.serving import EvaCluster, ScalePolicy, ShardHandle, membership
+from repro.serving import EvaCluster, ScalePolicy, ServingClient, ShardHandle, membership, netserver
+from repro.serving import cluster as cluster_module
 from repro.serving.membership import (
     DEAD, DRAIN, DRAINED, EVENTS, JOIN, LIVE, PROBE_FAILED, PROBE_OK, PROCESS_DIED,
     REJOIN, REJOIN_RESPAWNED, STATES, TRANSITIONS, TRANSPORT_FAILURE, Autoscaler, Membership,
@@ -270,6 +273,147 @@ class TestBoundedResponse:
                 break
         else:
             assert cluster._live_shards()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_the_client_helpers_fail_over_through_call(self, seed):
+        """The inherited helpers reach a shard only through ``EvaCluster.call``:
+        a traced submit sends one trace id on every attempt, a session exports
+        its keys once per attempt on that attempt's connection, an encrypted
+        submit encrypts once — and each ends in a reply or a ``ServingError``
+        within ``retries + 1`` attempts."""
+        rng = random.Random(seed)
+        retries = rng.choice([1, 2, 3])
+        script = SimpleNamespace(alive={index: True for index in range(5)}, encoding_on=None)
+        cluster = self._cluster(shards=3, remote=2, retries=retries, script=script)
+        sent = []  # (connection, op, fields as encoded), one per attempt
+
+        class Connection:
+            def __init__(self, index):
+                self.index = index
+
+            def call(self, op, **fields):
+                script.encoding_on = self.index  # a callable field is encoded by this connection
+                fields = {key: value() if callable(value) else value for key, value in fields.items()}
+                sent.append((self.index, op, fields))
+                outcome = rng.choice(["ok", "flaky", "flaky", "died"])
+                if outcome != "ok":
+                    script.alive[self.index] = outcome != "died"
+                    raise TransportError("connection to server lost") if rng.random() < 0.5 else OSError("reset")
+                if op == "session":
+                    return {"program": fields["program"], "client_id": fields["client_id"]}
+                outputs = {"y": fields["bundle"]} if "bundle" in fields else {"y": [1.0]}
+                trace = {"trace_id": fields["trace_id"]} if fields["trace"] else None
+                return {"ok": True, "outputs": outputs, "encrypted_outputs": outputs,
+                        "stats": {"shard": self.index}, "trace": trace}  # fmt: skip
+
+        class Kit:
+            def __init__(self, client_id):
+                self.client_id, self.exports, self.encodings, self.encryptions = client_id, [], [], 0
+
+            def export_evaluation_keys(self):
+                self.exports.append(script.encoding_on)
+                return {"keys": script.encoding_on}
+
+            def encrypt_inputs(self, inputs):
+                self.encryptions += 1
+                return ("ciphertexts", self.client_id)
+
+            def bundle_to_wire(self, bundle):
+                self.encodings.append(script.encoding_on)
+                return {"bundle": bundle}
+
+            def outputs_from_wire(self, reply):
+                return reply
+
+            def decrypt_outputs(self, outputs):
+                return {"decrypted": outputs}
+
+        cluster._client_for = Connection
+        for _request in range(40):
+            del sent[:]
+            kit = Kit(f"client-{rng.randrange(8)}")
+            kind = rng.choice(["submit", "session", "encrypted"])
+            try:
+                if kind == "submit":
+                    reply = cluster.submit("poly", {"x": [1.0]}, client_id=kit.client_id, trace=True)
+                elif kind == "session":
+                    reply = cluster.create_session("poly", kit)
+                else:
+                    reply = cluster.submit_encrypted("poly", kit, {"x": [1.0]}, trace=True)
+            except ServingError as error:
+                assert "no live shards" in str(error) or f"after {retries + 1} attempts" in str(error)
+                reply = None
+            assert len(sent) <= retries + 1
+            attempts = [index for index, _op, _fields in sent]
+            assert {op for _index, op, _fields in sent} <= {"session" if kind == "session" else "submit"}
+            assert all(fields["client_id"] == kit.client_id for _index, _op, fields in sent)
+            if kind == "session":
+                assert kit.exports == attempts
+                assert [fields["evaluation_keys"] for _i, _op, fields in sent] == [{"keys": i} for i in attempts]
+            else:
+                trace_ids = {fields["trace_id"] for _i, _op, fields in sent}
+                assert len(trace_ids) <= 1 and None not in trace_ids
+            if kind == "encrypted":
+                assert kit.encryptions == 1 and kit.encodings == attempts
+            if reply is not None:
+                expected = {
+                    "submit": {"y": [1.0]},
+                    "session": {"program": "poly", "client_id": kit.client_id},
+                    "encrypted": {"decrypted": {"y": {"bundle": ("ciphertexts", kit.client_id)}}},
+                }[kind]
+                assert reply == expected
+                if kind != "session":
+                    assert cluster.last_trace == {"trace_id": sent[-1][2]["trace_id"]}
+                    assert cluster.last_stats == {"shard": attempts[-1]}
+            if not cluster._live_shards():
+                break
+
+
+class TestOneClientPath:
+    """The cluster speaks ``ServingClient``'s API: the helpers are written once,
+    and what a failover repeats is ``call``."""
+
+    HELPERS = ("submit", "_submit", "create_session", "submit_bundle", "submit_encrypted", "programs")
+
+    @staticmethod
+    def tree(module):
+        return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+    def test_the_cluster_inherits_the_helpers(self):
+        for name in self.HELPERS:
+            assert getattr(EvaCluster, name) is getattr(ServingClient, name), name
+        tree = self.tree(cluster_module)
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"request", "request_encrypted", *self.HELPERS}
+        assert "last_trace_id" not in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+    def test_a_trace_id_is_minted_in_one_place_on_the_client_side(self):
+        def minting(tree):
+            return [
+                function.name
+                for function in ast.walk(tree)
+                if isinstance(function, ast.FunctionDef)
+                for node in ast.walk(function)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "new_trace_id"
+            ]
+
+        client_side = [
+            node
+            for node in self.tree(netserver).body
+            if isinstance(node, ast.ClassDef) and node.name in ("ClientApi", "ServingClient")
+        ]
+        assert [name for cls in client_side for name in minting(cls)] == ["_submit"]
+        assert minting(self.tree(cluster_module)) == []
+
+    def test_one_place_encodes_a_kit_for_its_connection(self):
+        src = Path(netserver.__file__).parent.parent
+        uses = [
+            path.name
+            for path in sorted(src.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "_kit_packing"
+        ]
+        assert uses == ["netserver.py"]
 
 
 class TestShellRaces:
