@@ -15,10 +15,12 @@ only variable is ``ServingClient(wire=...)``.  Measured:
   session creation plus one encrypted request/response.  JSON pays base64
   (4/3 expansion) on every key and ciphertext blob; binary ships raw
   bytes.  The binary client also opens with a hello, which is where the
-  ``seeded`` feature is granted: the uniform half of every key and fresh
-  ciphertext travels as a 32-byte seed.  The JSON client sends no hello, so
-  it is sent every polynomial written out — the format of every earlier
-  build — and the ratio (~1.33x from base64 alone) is ~2.6x.  The
+  ``seeded`` and ``bitpacked`` features are granted: the uniform half of
+  every key and fresh ciphertext travels as a 32-byte seed, and every
+  residue at its prime's bit width instead of 32 bits.  The JSON client
+  sends no hello, so it is sent every polynomial written out in words — the
+  format of every earlier build — and the ratio (~1.33x from base64 alone)
+  is ~3.1x.  The
   acceptance bar stays a >= 1.3x reduction, and the ratio is
   deterministic (blob sizes are fixed by the parameter set), which is why
   it is the gated metric in check_regression.py.
@@ -49,6 +51,7 @@ from repro.core.executor import execute_reference
 from repro.core.serialization.packing import expanded_seeds
 from repro.frontend import EvaProgram, input_encrypted, output
 from repro.serving import EvaServer, EvaTcpServer, ServingClient
+from repro.wire import FEATURES
 
 try:
     from conftest import print_table
@@ -97,7 +100,7 @@ def measure_mode(host: str, port: int, mode: str, kit, xv: np.ndarray):
     # roundtrip — on a single connection, isolated from the reps above.
     with ServingClient(host, port, wire=mode) as client:
         assert client.protocol == ("binary" if mode == "binary" else "json")
-        assert client.features == ({"seeded"} if mode == "binary" else frozenset())
+        assert client.features == (set(FEATURES) if mode == "binary" else frozenset())
         client.create_session("rotpoly", kit, client_id=f"{mode}-bytes")
         setup_bytes = client.bytes_sent + client.bytes_received
         outputs = client.submit_encrypted(

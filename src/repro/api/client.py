@@ -59,6 +59,11 @@ class ClientKit:
         client_id: str = "default",
         extra_rotation_steps: Optional[Sequence[int]] = None,
     ) -> None:
+        self._set_up(compiled, backend, client_id, extra_rotation_steps, compiled.relinearizes)
+
+    def _set_up(self, compiled, backend, client_id, extra_rotation_steps, relinearize: bool) -> None:
+        """Generate the keys: Galois keys for the merged steps, and a
+        relinearization key only when ``relinearize`` (some program uses it)."""
         if backend is None:
             from ..backend.mock_backend import MockBackend
 
@@ -79,7 +84,7 @@ class ClientKit:
                 parameters = replace(parameters, rotation_steps=merged)
         self.rotation_steps: List[int] = list(parameters.rotation_steps)
         self.context: BackendContext = backend.create_context(parameters)
-        self.context.generate_keys()
+        self.context.generate_keys(relinearize=relinearize)
         # The engine's encrypt_inputs / decrypt_outputs are the single
         # implementation of the key owner's duties (shared with the compat
         # Executor and the server's plaintext path): which inputs are live,
@@ -126,12 +131,10 @@ class ClientKit:
         merged = merge_rotation_steps(
             *(c.parameters.rotation_steps for c in compilations)
         )
-        return cls(
-            compilations[0],
-            backend=backend,
-            client_id=client_id,
-            extra_rotation_steps=merged,
-        )
+        kit = cls.__new__(cls)
+        relinearize = any(c.relinearizes for c in compilations)
+        kit._set_up(compilations[0], backend, client_id, merged, relinearize)
+        return kit
 
     # -- key material ------------------------------------------------------------
     def evaluation_context(self) -> BackendContext:

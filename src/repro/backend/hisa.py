@@ -59,8 +59,12 @@ class BackendContext(abc.ABC):
         return self.parameters.slots
 
     @abc.abstractmethod
-    def generate_keys(self) -> None:
-        """Generate secret/public/relinearization/Galois keys."""
+    def generate_keys(self, relinearize: bool = True) -> None:
+        """Generate secret/public/Galois keys, and a relinearization key
+        unless ``relinearize`` is false (a program with no ``RELINEARIZE``)."""
+
+    #: Whether the keys hold a relinearization key (evaluation may relinearize).
+    can_relinearize = True
 
     # -- data movement ----------------------------------------------------------
     @abc.abstractmethod

@@ -126,7 +126,7 @@ class MockContext(BackendContext):
             )
 
     # -- BackendContext API ------------------------------------------------------
-    def generate_keys(self) -> None:
+    def generate_keys(self, relinearize: bool = True) -> None:
         self.keys_generated = True
 
     # -- client/server split -----------------------------------------------------

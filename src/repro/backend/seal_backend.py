@@ -54,10 +54,10 @@ from .hisa import BackendContext, HomomorphicBackend, replicate_to_slots
 
 
 def _poly_to_rows(poly: RnsPolynomial) -> Dict[str, Any]:
-    """Pack an RNS polynomial's coefficient-form residue matrix (base64 int64,
-    ~10x smaller than the per-residue integer lists the codec originally
-    emitted).  Evaluation form never reaches the wire."""
-    return pack_residues(poly.to_coeff().residues)
+    """Pack an RNS polynomial's coefficient-form residue matrix (``u4`` words,
+    or each row at its prime's bit width inside ``bitpacked_residues()``).
+    Evaluation form never reaches the wire."""
+    return pack_residues(poly.to_coeff().residues, poly.basis.primes)
 
 
 def _poly_from_rows(basis: RnsBasis, rows: Any) -> RnsPolynomial:
@@ -66,15 +66,14 @@ def _poly_from_rows(basis: RnsBasis, rows: Any) -> RnsPolynomial:
     What comes back is safe to hand the NTT kernel, whose lazy butterflies
     assume reduced residues: the right shape, and every residue in ``[0, prime)``.
     """
-    residues = unpack_residues(rows)
-    if residues.ndim != 2 or residues.shape != (
-        len(basis),
-        basis.poly_modulus_degree,
-    ):
-        raise SerializationError(
-            f"polynomial rows have shape {residues.shape}, basis expects "
-            f"({len(basis)}, {basis.poly_modulus_degree})"
-        )
+    expected = (len(basis), basis.poly_modulus_degree)
+    # A record's declared shape is checked before it is unpacked: it bounds
+    # what unpacking allocates (a 1-bit row widens 64-fold).
+    declared = rows.get("shape") if isinstance(rows, dict) else None
+    residues = unpack_residues(rows) if declared in (None, list(expected)) else None
+    if residues is None or residues.shape != expected:
+        shape = declared if residues is None else residues.shape
+        raise SerializationError(f"polynomial rows have shape {shape}, basis expects {expected}")
     # Unsigned, so one comparison also catches the negative ones.
     if (residues.view(np.uint64) >= basis.primes_column.view(np.uint64)).any():
         raise SerializationError("polynomial residues lie outside [0, prime)")
@@ -153,11 +152,11 @@ class CkksBackendContext(BackendContext):
         self.op_ntt_rows: Dict[str, int] = {}
 
     # -- setup -----------------------------------------------------------------------
-    def generate_keys(self) -> None:
+    def generate_keys(self, relinearize: bool = True) -> None:
         with self._op("keygen"):
             self.keygen = KeyGenerator(self.context, seed=self.seed)
             public_key = self.keygen.create_public_key()
-            relin_key = self.keygen.create_relin_key()
+            relin_key = self.keygen.create_relin_key() if relinearize else None
             galois_keys = self.keygen.create_galois_keys(self.parameters.rotation_steps)
         secret_key = self.keygen.secret_key
         # Holding the secret key, this context encrypts symmetrically.
@@ -165,6 +164,11 @@ class CkksBackendContext(BackendContext):
         self.decryptor = Decryptor(self.context, secret_key)
         self.evaluator = Evaluator(self.context, relin_key, galois_keys)
         self.has_secret_key = True
+
+    @property
+    def can_relinearize(self) -> bool:
+        """Whether this context holds a relinearization key."""
+        return self.evaluator is not None and self.evaluator.relin_key is not None
 
     def _require_keys(self) -> None:
         if self.evaluator is None or self.encryptor is None:

@@ -54,6 +54,8 @@ class SeededUniform:
 
     seed: bytes
     label: str
+    #: Per-basis written-out forms (:meth:`coefficients`), kept for the next export.
+    _coefficients: Dict[Tuple[int, ...], RnsPolynomial] = field(default_factory=dict, repr=False, compare=False)
 
     def evaluations(self, basis: RnsBasis) -> np.ndarray:
         """The ``(K, N)`` evaluation form over ``basis``, in the kernel's slot order."""
@@ -62,8 +64,12 @@ class SeededUniform:
         return natural[:, bit_reverse_indices(degree)]
 
     def coefficients(self, basis: RnsBasis) -> RnsPolynomial:
-        """Written out in coefficient form (what builds before seeds exchange)."""
-        return RnsPolynomial(basis, self.evaluations(basis), EVAL).to_coeff()
+        """Written out in coefficient form (what builds before seeds exchange):
+        one inverse transform per basis, cached for every later export."""
+        key = tuple(basis.primes)
+        if key not in self._coefficients:
+            self._coefficients[key] = RnsPolynomial(basis, self.evaluations(basis), EVAL).to_coeff()
+        return self._coefficients[key]
 
 
 #: The uniform half of a key: named by its seed, or written out by an older build.

@@ -54,7 +54,7 @@ from .rewrite import (
     WaterlineRescalePass,
 )
 from .rewrite.framework import PassContext, PassReport, waterline_of
-from .types import DEFAULT_MAX_RESCALE_BITS, DEFAULT_SECURITY_LEVEL
+from .types import DEFAULT_MAX_RESCALE_BITS, DEFAULT_SECURITY_LEVEL, Op
 
 
 #: Options of earlier builds, at the one value this build compiles with: SUM
@@ -264,6 +264,12 @@ class CompilationResult:
     @property
     def coeff_modulus_bits(self) -> List[int]:
         return self.parameters.coeff_modulus_bits
+
+    @property
+    def relinearizes(self) -> bool:
+        """Whether the compiled graph relinearizes (so its keys need a
+        relinearization key); derived, never serialized."""
+        return any(term.op is Op.RELINEARIZE for term in self.program.terms())
 
     # -- batchability metadata ---------------------------------------------------
     @property

@@ -27,11 +27,17 @@ itself (:mod:`repro.ckks.sampling`).  Writers emit it by default
 whose peer did not announce the ``seeded`` feature — they write the
 polynomial out instead, which is exactly the format of builds before seeds.
 Readers accept both, always (:func:`unpack_seed`).
+
+A *bit-packed record*, ``{"dtype": "bits", "bits": [b_0, ...], "shape": [K,
+N], ...}``, holds row ``k`` of a residue matrix as the ``N·b_k/8`` bytes of
+the little-endian integer ``sum_i v_i · 2^(i·b_k)``, rows concatenated.
+Writers emit it inside :func:`bitpacked_residues` only; readers accept it always.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import threading
 from contextlib import contextmanager
 from typing import Any, Sequence
@@ -68,8 +74,9 @@ def _integer_tag(array: np.ndarray) -> str:
     return "i8"
 
 
-#: This thread's packing context: ``raw`` (see :func:`raw_blobs`) and
-#: ``expanded`` (see :func:`expanded_seeds`), both off unless entered.
+#: This thread's packing context: ``raw`` (see :func:`raw_blobs`),
+#: ``expanded`` (see :func:`expanded_seeds`) and ``bitpacked`` (see
+#: :func:`bitpacked_residues`), all off unless entered.
 _PACKING = threading.local()
 
 #: Length of the seed a seed record carries (``repro.ckks.sampling.SEED_BYTES``).
@@ -106,6 +113,12 @@ def expanded_seeds():
     of every build before seeds.
     """
     return _packing("expanded")
+
+
+def bitpacked_residues():
+    """Make :func:`pack_residues` write bit-packed records in this thread: for
+    a peer granted ``bitpacked``, and a reply to a bit-packed request."""
+    return _packing("bitpacked")
 
 
 def pack_seed(seed: bytes) -> "dict | None":
@@ -151,14 +164,15 @@ def pack_array(array: Any, dtype: Any = None) -> dict:
     else:
         tag = "f8"
     data = np.ascontiguousarray(array, dtype="<" + tag)
-    record = {
-        "dtype": tag,
-        "shape": [int(dim) for dim in data.shape],
-    }
+    return _with_payload({"dtype": tag, "shape": [int(dim) for dim in data.shape]}, data.tobytes())
+
+
+def _with_payload(record: dict, payload: bytes) -> dict:
+    """``record`` carrying ``payload``: raw inside :func:`raw_blobs`, else base64."""
     if getattr(_PACKING, "raw", False):
-        record["raw"] = data.tobytes()
+        record["raw"] = payload
     else:
-        record["b64"] = base64.b64encode(data.tobytes()).decode("ascii")
+        record["b64"] = base64.b64encode(payload).decode("ascii")
     return record
 
 
@@ -196,17 +210,7 @@ def unpack_array(data: Any, dtype: Any = None) -> np.ndarray:
         tag = str(data.get("dtype", "f8"))
         if tag not in _DTYPES:
             raise SerializationError(f"unknown packed dtype {tag!r}")
-        if "raw" in data:
-            raw = data["raw"]
-            if not isinstance(raw, (bytes, bytearray, memoryview)):
-                raise SerializationError(
-                    f"raw payload must be bytes-like, got {type(raw).__name__}"
-                )
-        else:
-            try:
-                raw = base64.b64decode(str(data["b64"]), validate=True)
-            except (ValueError, TypeError) as exc:
-                raise SerializationError(f"malformed base64 payload: {exc}") from exc
+        raw = _payload(data)
         try:
             array = np.frombuffer(raw, dtype="<" + tag)
         except ValueError as exc:
@@ -235,11 +239,107 @@ def unpack_values(data: Any) -> np.ndarray:
     return unpack_array(data, dtype=np.float64).ravel()
 
 
-def pack_residues(residues: Any) -> dict:
-    """Pack a 2-D int64 RNS residue matrix (one row per prime)."""
-    return pack_array(residues, dtype=np.int64)
+@functools.lru_cache(maxsize=32)
+def _period(width: int) -> tuple:
+    """64 values of ``width`` bits fill exactly ``width`` little-endian 64-bit
+    words.  Per value: its word and shift in them; per rank ``r``, the ``r``-th
+    value starting in each word (64, a zero column, where none does); the
+    values that spill into the next word, that word and the shift up into it."""
+    start = np.arange(64) * width
+    word, shift = start >> 6, start & 63
+    counts = np.bincount(word, minlength=width)
+    firsts = np.cumsum(counts) - counts
+    ranks = [np.where(rank < counts, firsts + rank, 64) for rank in range(counts.max())]
+    spill = np.flatnonzero(shift + width > 64)
+    table = (word, shift.astype(np.uint64), *ranks, spill, word[spill] + 1, (64 - shift[spill]).astype(np.uint64))
+    for array in table:  # shared by every caller
+        array.flags.writeable = False
+    return table[:2], table[2:-3], table[-3:]
+
+
+def _pack_row(row: np.ndarray, width: int) -> bytes:
+    """One row's ``len(row)·width/8`` bytes, 64 values (``width`` words) at a time."""
+    (word, shift), ranks, (spill, target, lift) = _period(width)
+    values = np.zeros((-(-len(row) // 64), 64), dtype=np.uint64)
+    values.reshape(-1)[: len(row)] = row
+    shifted = np.zeros((len(values), 65), dtype=np.uint64)
+    shifted[:, :64] = values << shift
+    words = shifted[:, ranks[0]]
+    for columns in ranks[1:]:
+        words |= shifted[:, columns]
+    words[:, target] |= values[:, spill] >> lift
+    return words.astype("<u8").tobytes()[: len(row) * width // 8]
+
+
+def _unpack_row(data: np.ndarray, width: int, degree: int) -> np.ndarray:
+    """Inverse of :func:`_pack_row`: a value is its word shifted down, or'd
+    with the next word's low bits where it spills."""
+    (word, shift), _ranks, (spill, target, lift) = _period(width)
+    words = np.zeros(-(-degree // 64) * width, dtype="<u8")
+    words.view(np.uint8)[: len(data)] = data
+    words = words.reshape(-1, width)
+    values = words[:, word] >> shift
+    values[:, spill] |= words[:, target] << lift
+    values &= np.uint64((1 << width) - 1)
+    return values.reshape(-1)[:degree]
+
+
+def pack_residues(residues: Any, primes: Sequence[int] = ()) -> dict:
+    """Pack a 2-D int64 RNS residue matrix (one row per prime in ``primes``):
+    ``u4`` words, or inside :func:`bitpacked_residues` row ``k`` at
+    ``primes[k].bit_length()`` bits (where ``N`` is a multiple of 8)."""
+    residues = np.asarray(residues)
+    bits = [int(prime).bit_length() for prime in primes]
+    if not (getattr(_PACKING, "bitpacked", False) and bits and len(bits) == len(residues)
+            and residues.shape[1] % 8 == 0 and max(bits) <= 32):
+        return pack_array(residues, dtype=np.int64)
+    payload = b"".join(_pack_row(row, width) for row, width in zip(residues, bits))
+    return _with_payload({"dtype": "bits", "bits": bits, "shape": list(residues.shape)}, payload)
+
+
+def _payload(data: dict) -> Any:
+    """The bytes of a packed record: its ``raw`` buffer or decoded ``b64``."""
+    if "raw" in data:
+        raw = data["raw"]
+        if not isinstance(raw, (bytes, bytearray, memoryview)):
+            raise SerializationError(f"raw payload must be bytes-like, got {type(raw).__name__}")
+        return raw
+    try:
+        return base64.b64decode(str(data["b64"]), validate=True)
+    except (ValueError, TypeError) as exc:
+        raise SerializationError(f"malformed base64 payload: {exc}") from exc
 
 
 def unpack_residues(data: Any) -> np.ndarray:
-    """Inverse of :func:`pack_residues`; accepts legacy row lists."""
-    return unpack_array(data, dtype=np.int64)
+    """Inverse of :func:`pack_residues`; also accepts legacy row lists.  A
+    bit-packed record whose layout does not add up raises
+    :class:`~repro.errors.SerializationError`."""
+    if not (isinstance(data, dict) and data.get("dtype") == "bits"):
+        return unpack_array(data, dtype=np.int64)
+    shape, bits = data.get("shape"), data.get("bits")
+    if not (isinstance(shape, list) and len(shape) == 2 and all(type(d) is int and d >= 0 for d in shape)):
+        raise SerializationError(f"a bit-packed record's shape must be [rows, N], got {shape!r}")
+    if not (isinstance(bits, list) and len(bits) == shape[0]):
+        raise SerializationError(f"a bit-packed record needs {shape[0]} widths, one a row, got {bits!r}")
+    if not all(type(width) is int and 1 <= width <= 32 for width in bits):
+        raise SerializationError(f"bit widths must lie in 1..32, got {bits}")
+    if any(shape[1] * width % 8 for width in bits):
+        raise SerializationError(f"N = {shape[1]} times a width of {bits} is not whole bytes")
+    sizes = [shape[1] * width // 8 for width in bits]
+    flat = np.frombuffer(_payload(data), dtype=np.uint8)
+    if len(flat) != sum(sizes):
+        raise SerializationError(f"bit-packed payload of {len(flat)} bytes, widths {bits} need {sum(sizes)}")
+    residues = np.empty(shape, dtype=np.int64)
+    ends = np.cumsum(sizes)
+    for k, (width, size) in enumerate(zip(bits, sizes)):
+        residues[k] = _unpack_row(flat[ends[k] - size : ends[k]], width, shape[1])
+    return residues
+
+
+def carries_bitpacked(node: Any) -> bool:
+    """Whether any record in a message tree is bit-packed."""
+    if isinstance(node, (list, tuple)):
+        return any(carries_bitpacked(item) for item in node)
+    return isinstance(node, dict) and (
+        node.get("dtype") == "bits" or any(carries_bitpacked(v) for v in node.values())
+    )

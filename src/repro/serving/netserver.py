@@ -56,7 +56,7 @@ from typing import Any, Callable, Dict, FrozenSet, Iterator, Optional, Sequence,
 import numpy as np
 
 from ..core.serialization import messages
-from ..core.serialization.packing import expanded_seeds
+from ..core.serialization.packing import bitpacked_residues, carries_bitpacked, expanded_seeds
 from ..errors import (
     DeadlineInfeasibleError,
     EvaError,
@@ -66,6 +66,7 @@ from ..errors import (
 )
 from ..wire import (
     BINARY,
+    BITPACKED,
     FRAME_CHUNK,
     FRAME_REQUEST,
     FRAME_RESPONSE,
@@ -296,11 +297,15 @@ class _ShardConnection(_WireConnection):
             # evaluated under (carried on the response, so an eviction between
             # evaluation and encoding cannot fail a completed request); the
             # server never decrypts — only the submitting client can.
+            # Replies are bit-packed exactly when the request was: a client
+            # never meets a record shape it did not write itself.
             encode_started = time.perf_counter()
-            reply = messages.build_response(
-                stats=response.stats_dict(),
-                payload={"encrypted_outputs": response.to_wire()},
-            )
+            bits = carries_bitpacked(request["bundle"])
+            with bitpacked_residues() if bits else nullcontext():
+                reply = messages.build_response(
+                    stats=response.stats_dict(),
+                    payload={"encrypted_outputs": response.to_wire()},
+                )
             # The transport owns the output handles once encoded.
             response.release()
         else:
@@ -711,7 +716,7 @@ class ClientApi:
         ``export_evaluation_keys()``); the secret key never leaves the client.
         The connection that sends the keys exports them: raw (no base64) and
         streamed as chunked frames past the streaming threshold on a binary
-        connection, their uniform halves as seeds where ``seeded`` was granted.
+        connection, seeded and bit-packed as far as the hello granted.
         """
         return self.call(
             "session",
@@ -864,11 +869,13 @@ class ServingClient(ClientApi):
     def _kit_packing(self) -> Iterator[None]:
         """The packing context a client kit writes this connection's blobs in.
 
-        The framing's own (raw bytes on a binary connection), and — unless the
-        server granted ``seeded`` — every seeded polynomial written out.
+        The framing's own (raw bytes on a binary connection); unless the
+        server granted ``seeded``, every seeded polynomial written out; and
+        where it granted ``bitpacked``, residues at their primes' widths.
         """
         seeds = nullcontext() if SEEDED in self.features else expanded_seeds()
-        with FRAMINGS[self.protocol].blob_context(), seeds:
+        bits = bitpacked_residues() if BITPACKED in self.features else nullcontext()
+        with FRAMINGS[self.protocol].blob_context(), seeds, bits:
             yield
 
     def _stream_upload(self, blobs: Sequence[Any], client_id: str) -> str:

@@ -58,7 +58,7 @@ from ..core.compiler import (
 )
 from ..core.executor import EvaluationEngine
 from ..core.ir import Program
-from ..errors import EncodingError, EvaError, ServingError, UnknownProgramError
+from ..errors import EncodingError, EvaError, ParameterError, ServingError, UnknownProgramError
 from .artifacts import ArtifactCache, LaneWidthPolicy, WidthHistogram
 from .batching import BatchInfo, BatchPlan, SlotBatcher, pow2_ceil, request_width
 from .jobs import Job, JobEngine
@@ -887,6 +887,11 @@ class EvaServer:
                         job.trace_id, "session_restore", restore_seconds,
                         client=client_id,
                     )
+            if not session.context.can_relinearize and compilation.relinearizes:
+                raise ParameterError(
+                    f"{spec.name!r} relinearizes, and the evaluation keys client "
+                    f"{client_id!r} registered carry no relinearization key"
+                )
         else:
             inputs = [request.inputs for request in requests]
             sizes = [request.output_size for request in requests]

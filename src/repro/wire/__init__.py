@@ -60,6 +60,7 @@ from .frames import (
 )
 from .framing import BINARY, FRAMINGS, JSON, Framing, Parts, open_message
 from .protocol import (
+    BITPACKED,
     CHUNK_BYTES,
     FEATURES,
     MAX_TRACKED_UPLOADS,
@@ -77,6 +78,7 @@ from .protocol import (
 
 __all__ = [
     "BINARY",
+    "BITPACKED",
     "BLOB_KEY",
     "CHUNK_BYTES",
     "FEATURES",

@@ -45,8 +45,12 @@ PROTOCOL_VERSION = 1
 #: ``a`` half of a public or switching key) may travel as ``{"seed": <hex>}``.
 SEEDED = "seeded"
 
+#: ``bitpacked``: an RNS residue matrix may travel at its primes' bit widths,
+#: ``{"dtype": "bits", "bits": [...], ...}``, instead of as ``u4`` words.
+BITPACKED = "bitpacked"
+
 #: Every optional record shape this build reads, and offers to write.
-FEATURES = (SEEDED,)
+FEATURES = (SEEDED, BITPACKED)
 
 #: Client/server wire modes (CLI ``--wire``): ``auto`` negotiates binary and
 #: falls back to JSON, the other two force one protocol.

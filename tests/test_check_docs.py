@@ -134,7 +134,8 @@ class TestCheckDocs:
             "wire-protocol.md: feature table names unknown feature `sprouted`",
         ]
         assert check_docs.check_feature_table("# Wire protocol\n") == [
-            "wire-protocol.md: feature table lacks `seeded`"
+            "wire-protocol.md: feature table lacks `bitpacked`",
+            "wire-protocol.md: feature table lacks `seeded`",
         ]
 
     def test_lifecycle_table_must_match_the_machine_both_ways(self, check_docs):

@@ -543,8 +543,10 @@ class TestExactNttRows:
         [
             # 150 / 6 / 240 / 120 before seeds: each of 11 switching keys paid 6
             # forward rows for a and the server 12 per key form (now 6, b only);
-            # 180 / 120 while every rotation divided both halves.
-            (rotate_sum_program, (4096, [25] * 3), 76, 4, 155, 95),
+            # 180 / 120 while every rotation divided both halves.  76 keygen
+            # rows while every kit made a relinearization key: s^2 back to
+            # coefficient form (K = 3) and a*s per digit (L*K = 6).
+            (rotate_sum_program, (4096, [25] * 3), 67, 4, 155, 95),
             # 72 / 12 / 146 / 82: one relinearization key, whose level-1 form is
             # a selection of the level-0 form (20 rows), not 24 rows more.
             (relin_poly_program, (8192, [25] * 5), 38, 8, 102, 82),

@@ -40,7 +40,15 @@ from repro.ckks.sampling import KEY_SEEDS, RlweSampler, SeedSource, expand_unifo
 from repro.core.analysis.parameters import EncryptionParameters
 from repro.core.compiler import CompilerOptions
 from repro.core.executor import execute_reference
-from repro.core.serialization.packing import expanded_seeds, raw_blobs, unpack_seed
+from repro.core.serialization.packing import (
+    bitpacked_residues,
+    carries_bitpacked,
+    expanded_seeds,
+    pack_residues,
+    raw_blobs,
+    unpack_residues,
+    unpack_seed,
+)
 from repro.errors import ExecutionError, ParameterError, SerializationError, ServingError
 from repro.frontend import EvaProgram, input_encrypted, output
 from repro.serving import EvaServer, EvaTcpServer, ServingClient, SessionStore, ShardConfig
@@ -370,6 +378,32 @@ def rotate_sum_program():
 #: ``seeded`` feature must still be sent, length for length.
 PARENT_REQUEST_BYTES = {"json": (2973392, 87747), "binary": (2233917, 65916)}
 
+#: What the written-out ``relin_key`` entry of that session request came to.  A
+#: kit for a program with no RELINEARIZE generates and sends none, so its
+#: parent-format session is exactly this much shorter; a kit that holds one
+#: still sends the parent's bytes exactly.
+RELIN_ENTRY_BYTES = {"json": 262348, "binary": 197096}
+
+
+def parent_session_bytes(mode):
+    """The parent format's session request for a key set without a relinearization key."""
+    return PARENT_REQUEST_BYTES[mode][0] - RELIN_ENTRY_BYTES[mode]
+
+
+def old_ack(request, policy):
+    """A hello ack as a build before features wrote it."""
+    reply, protocol = wire.hello_ack(request, policy)
+    reply.pop("features", None)
+    return reply, protocol
+
+
+def seeded_ack(request, policy):
+    """A hello ack as a build that reads ``seeded`` but not ``bitpacked`` wrote it."""
+    reply, protocol = wire.hello_ack(request, policy)
+    if "features" in reply:
+        reply["features"] = [feature for feature in reply["features"] if feature != wire.BITPACKED]
+    return reply, protocol
+
 
 def has_seed_record(node) -> bool:
     if isinstance(node, dict):
@@ -434,42 +468,58 @@ class TestSeededWire:
         return session_bytes, client.bytes_sent - before, y
 
     def test_a_negotiated_connection_sends_seeds_and_half_the_bytes(self, served, monkeypatch):
+        """Seeds alone, ``bitpacked`` withheld: half the parent format's bytes."""
+        monkeypatch.setattr(netserver, "hello_ack", seeded_ack)
         seen = self._spy(monkeypatch, served["server"])
         x = np.linspace(-1, 1, 1024) / 1024
         host, port = served["tcp"].address
         with ServingClient(host, port, wire="binary") as client:
             assert client.features == {"seeded"}
             session_bytes, submit_bytes, y = self._session_and_submit(client, served["kit"], x)
-            assert client._upload_seq == 1  # still above the streaming threshold: chunked
+            assert client._upload_seq == 0  # 1 018 886 bytes: under the streaming threshold
         assert np.allclose(y[:1024], execute_reference(served["program"].graph, {"x": x})["y"], atol=0.1)
         assert has_seed_record(seen["keys"][0]) and has_seed_record(seen["bundles"][0])
-        parent_session, parent_submit = PARENT_REQUEST_BYTES["binary"]
-        assert 0.495 < session_bytes / parent_session < 0.505
-        assert 0.495 < submit_bytes / parent_submit < 0.51
+        assert not carries_bitpacked(seen["keys"][0]) and not carries_bitpacked(seen["bundles"][0])
+        assert 0.495 < session_bytes / parent_session_bytes("binary") < 0.505
+        assert 0.495 < submit_bytes / PARENT_REQUEST_BYTES["binary"][1] < 0.51
+
+    def test_a_bitpacked_connection_sends_residues_at_their_widths(self, served, monkeypatch):
+        """Both features: seeds, and every residue at 26/25/31 bits instead of 32."""
+        seen = self._spy(monkeypatch, served["server"])
+        x = np.linspace(-1, 1, 1024) / 1024
+        host, port = served["tcp"].address
+        with ServingClient(host, port, wire="binary") as client:
+            assert client.features == set(wire.FEATURES)
+            session_bytes, submit_bytes, y = self._session_and_submit(client, served["kit"], x)
+        assert np.allclose(y[:1024], execute_reference(served["program"].graph, {"x": x})["y"], atol=0.1)
+        assert carries_bitpacked(seen["keys"][0]) and carries_bitpacked(seen["bundles"][0])
+        # 869 287 and 26 539 bytes: 0.427 and 0.403 of the parent format.
+        assert 0.425 < session_bytes / parent_session_bytes("binary") < 0.43
+        assert 0.40 < submit_bytes / PARENT_REQUEST_BYTES["binary"][1] < 0.405
 
     @pytest.mark.parametrize("mode", ["json", "binary"])
     def test_an_unnegotiated_connection_is_sent_the_parent_format(self, served, monkeypatch, mode):
         """``wire="json"`` sends no hello; the binary side meets a server that
-        acks like one built before features existed."""
-
-        def old_ack(request, policy):
-            reply, protocol = wire.hello_ack(request, policy)
-            reply.pop("features", None)
-            return reply, protocol
-
+        acks like one built before features existed.  The rotation program has
+        no RELINEARIZE, so its kit sends no relinearization key; a kit holding
+        one sends the parent's bytes exactly."""
         monkeypatch.setattr(netserver, "hello_ack", old_ack)
         seen = self._spy(monkeypatch, served["server"])
         x = np.linspace(-1, 1, 1024) / 1024
         host, port = served["tcp"].address
+        relinearizing = ClientKit(served["compiled"], backend=CkksBackend(seed=11), client_id="alice")
+        relinearizing.context.generate_keys()  # the parent's kit: a relinearization key too
         with ServingClient(host, port, wire=mode) as client:
             assert client.protocol == mode and client.features == frozenset()
             session_bytes, submit_bytes, y = self._session_and_submit(client, served["kit"], x)
-        assert (session_bytes, submit_bytes) == PARENT_REQUEST_BYTES[mode]
+            assert self._session_and_submit(client, relinearizing, x)[:2] == PARENT_REQUEST_BYTES[mode]
+        assert (session_bytes, submit_bytes) == (parent_session_bytes(mode), PARENT_REQUEST_BYTES[mode][1])
         assert np.allclose(y[:1024], execute_reference(served["program"].graph, {"x": x})["y"], atol=0.1)
         keys, bundle = seen["keys"][0], seen["bundles"][0]
         assert not has_seed_record(keys) and not has_seed_record(bundle)
+        assert not carries_bitpacked(seen) and "relin_key" not in keys
         written_out_decoder(served["kit"].context, bundle)
-        for pair in [keys["public_key"], *keys["relin_key"].values()]:
+        for pair in [keys["public_key"], *next(iter(keys["galois_keys"].values())).values()]:
             assert [sorted(record) for record in pair] == [sorted(pair[0])] * 2  # two packed records
 
     def test_seeded_and_written_out_requests_get_byte_identical_replies(self, served):
@@ -499,6 +549,9 @@ class TestSeededWire:
         assert rebuilt["bundle"]["ciphertexts"]["x"]["polys"][1] == bundle_wire["ciphertexts"]["x"]["polys"][1]
 
     def test_chunked_seeded_upload_through_a_one_shard_router(self, served, monkeypatch):
+        # 869 287 bytes with no relinearization key and bit-packed residues:
+        # a lower threshold keeps the upload chunked.
+        monkeypatch.setattr(netserver, "STREAM_THRESHOLD_BYTES", 256 * 1024)
         seen = self._spy(monkeypatch, served["server"])
         shard_host, shard_port = served["tcp"].address
 
@@ -524,7 +577,7 @@ class TestSeededWire:
         try:
             x = np.linspace(-1, 1, 1024) / 1024
             with ServingClient(*router.address, wire="binary") as client:
-                assert client.features == {"seeded"}
+                assert client.features == set(wire.FEATURES)
                 _, _, y = self._session_and_submit(client, served["kit"], x)
                 assert client._upload_seq == 1
         finally:
@@ -572,8 +625,6 @@ def poly_program():
 
 def set_residue(record, value):
     """A packed polynomial with its first residue replaced (widened to ``i8``)."""
-    from repro.core.serialization.packing import pack_residues, unpack_residues
-
     residues = unpack_residues(record)
     residues[0, 0] = value
     return pack_residues(residues)
@@ -638,6 +689,16 @@ class TestDecodeValidation:
         kit = served["kit"]
         cipher = through_json(kit.context.encode_cipher(kit.context.encrypt([0.5], 25)))
         cipher["polys"][0] = set_residue(cipher["polys"][0], 2**40)
+        with pytest.raises(SerializationError, match="outside"):
+            kit.context.decode_cipher(cipher)
+        # A bit-packed row holds any value below 2^width, its prime included.
+        with bitpacked_residues():
+            cipher = through_json(kit.context.encode_cipher(kit.context.encrypt([0.5], 25)))
+            residues = unpack_residues(cipher["polys"][0])
+            primes = kit.context.context.data_basis(0).primes
+            residues[1, 0] = primes[1]
+            cipher["polys"][0] = pack_residues(residues, primes)
+        assert cipher["polys"][0]["bits"] == [prime.bit_length() for prime in primes]
         with pytest.raises(SerializationError, match="outside"):
             kit.context.decode_cipher(cipher)
 
@@ -760,7 +821,6 @@ class TestRandomnessSeparation:
         _, client = make_client(seed=None)
         secret = client.keygen.secret_key.coefficients
         blob = client.export_evaluation_keys()
-        from repro.core.serialization.packing import unpack_residues
 
         def packed(node):
             if isinstance(node, dict) and "b64" in node:

@@ -427,7 +427,7 @@ class TestNegotiation:
             "ok": True,
             "wire": "binary",
             "version": wire.PROTOCOL_VERSION,
-            "features": ["seeded"],
+            "features": ["seeded", "bitpacked"],
         }
 
     def test_a_hello_without_features_is_acked_exactly_as_before(self):
