@@ -232,8 +232,9 @@ class Program:
 
     def uses(self) -> Dict[int, List[Term]]:
         """Map from term id to the list of terms that consume it (its children)."""
-        result: Dict[int, List[Term]] = {t.id: [] for t in self.terms()}
-        for term in self.terms():
+        terms = self.terms()
+        result: Dict[int, List[Term]] = {t.id: [] for t in terms}
+        for term in terms:
             for arg in term.args:
                 result[arg.id].append(term)
         return result

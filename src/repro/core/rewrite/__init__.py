@@ -1,7 +1,7 @@
 """Graph rewriting framework and transformation passes (Section 5 of the paper)."""
 
 from .framework import RewritePass, PassManager, PassReport
-from .rescale import AlwaysRescalePass, WaterlineRescalePass
+from .rescale import WaterlineRescalePass
 from .modswitch import LazyModSwitchPass, EagerModSwitchPass
 from .matchscale import MatchScalePass
 from .relinearize import RelinearizePass
@@ -16,7 +16,6 @@ __all__ = [
     "RewritePass",
     "PassManager",
     "PassReport",
-    "AlwaysRescalePass",
     "WaterlineRescalePass",
     "LazyModSwitchPass",
     "EagerModSwitchPass",

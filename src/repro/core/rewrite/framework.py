@@ -16,7 +16,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
-from ..ir import Program
+from ..instructions import INSTRUCTIONS
+from ..ir import GraphEditor, Program, Term
+from ..types import Op, ValueType
 
 
 @dataclass
@@ -100,3 +102,37 @@ def waterline_of(program: Program) -> float:
         if t.is_root and t.scale is not None
     ]
     return max(scales) if scales else 0.0
+
+
+def sink_below_sums(program: Program, op: Op) -> int:
+    """Rewrite ``ADD/SUB(op(a), op(b))`` into ``op(ADD/SUB(a, b))`` until none is left.
+
+    Only for two distinct ``op`` terms with one immediate (a RESCALE's
+    divisor), each used by the sum alone and neither an output: a firing
+    removes one ``op`` and duplicates nothing.  The new ``op`` takes the
+    sum's kernel label.  One sweep in topological order is the fixpoint: a
+    firing changes only what the sum's consumers, still ahead, see.
+    """
+    key = INSTRUCTIONS[op].immediate
+    editor = GraphEditor(program)
+    outputs = {term.id for term in program.outputs.values()}
+    fired = 0
+    for term in program.terms():
+        if term.is_root or term.instruction.scale != "matched":
+            continue
+        x, y = term.args
+        alike = x.op is op and y.op is op and x.attributes.get(key) == y.attributes.get(key)
+        sole = all(t.id not in outputs and len(editor.uses[t.id]) == 1 for t in (x, y))
+        if x is y or not alike or not sole:
+            continue
+        for old in (x, y):
+            editor.uses[old.args[0].id].remove(old)
+            editor.replace_arg(term, old, old.args[0])
+        node = Term(op, [term], ValueType.CIPHER)
+        if key:
+            node.attributes[key] = x.attributes[key]
+        if term.kernel is not None:
+            node.attributes["kernel"] = term.kernel
+        editor.insert_after(term, node)
+        fired += 1
+    return fired

@@ -6,6 +6,10 @@ operations — which would lengthen the modulus chain — the pass multiplies th
 smaller-scale operand by the constant 1 encoded at exactly the scale
 difference, so both operands reach the larger scale (the paper's x²+x example,
 Figure 3c).
+
+Levels are final by then, so the pass ends by summing before rescaling:
+``RESCALE_d(a) ± RESCALE_d(b)`` becomes ``RESCALE_d(a ± b)`` (one RESCALE, by
+the prime both divided by, instead of two; :func:`~.framework.sink_below_sums`).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Dict
 from ..analysis.scales import scale_of
 from ..ir import GraphEditor, Program, Term
 from ..types import Op, ValueType
-from .framework import PassContext, RewritePass
+from .framework import PassContext, RewritePass, sink_below_sums
 
 _EPS = 1e-9
 
@@ -52,4 +56,4 @@ class MatchScalePass(RewritePass):
             editor.replace_arg(term, small, boost)
             scales[term.id] = max(scales[a.id], scales[b.id], scales[boost.id])
             rewrites += 1
-        return rewrites
+        return rewrites + sink_below_sums(program, Op.RESCALE)

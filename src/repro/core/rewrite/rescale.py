@@ -1,15 +1,11 @@
-"""RESCALE insertion passes (Section 5.3, Figure 4).
+"""WATERLINE-RESCALE insertion (Section 5.3, Figure 4).
 
-Two policies are provided:
-
-* :class:`AlwaysRescalePass` — the naive policy: insert a RESCALE after every
-  MULTIPLY, dividing by the smaller operand scale.  Defined in the paper for
-  exposition and used here as the CHET-like baseline policy.
-* :class:`WaterlineRescalePass` — the paper's policy: rescale always by the
-  maximum allowed value ``s_f`` and only when the resulting scale stays at or
-  above the waterline ``s_w`` (the maximum scale of any program root).  This
-  minimizes the number of RESCALE operations on any path and hence the
-  modulus-chain length (the paper's optimality argument).
+The paper's policy: rescale always by the maximum allowed value ``s_f`` and
+only when the resulting scale stays at or above the waterline ``s_w`` (the
+maximum scale of any program root).  This minimizes the number of RESCALE
+operations on any path and hence the modulus-chain length (the paper's
+optimality argument).  The paper's ALWAYS-RESCALE has no pass of its own: the
+CHET baseline is this pass with the waterline as its rescale value.
 """
 
 from __future__ import annotations
@@ -25,73 +21,7 @@ from .framework import PassContext, RewritePass, waterline_of
 _EPS = 1e-9
 
 
-class _RescaleInsertionBase(RewritePass):
-    """Shared machinery: forward sweep with incremental scale tracking."""
-
-    direction = "forward"
-
-    def run(self, program: Program, context: PassContext) -> int:
-        editor = GraphEditor(program)
-        scales: Dict[int, float] = {}
-        rewrites = 0
-        for term in program.terms():
-            scales[term.id] = scale_of(term, scales)
-            if term.op is Op.MULTIPLY and term.value_type is ValueType.CIPHER:
-                rewrites += self._maybe_rescale(program, editor, term, scales, context)
-        return rewrites
-
-    def _insert_rescale(
-        self,
-        program: Program,
-        editor: GraphEditor,
-        term: Term,
-        scales: Dict[int, float],
-        rescale_bits: float,
-    ) -> Term:
-        node = Term(Op.RESCALE, [term], ValueType.CIPHER, rescale_value=float(rescale_bits))
-        if term.kernel is not None:
-            node.attributes["kernel"] = term.kernel
-        editor.insert_after(term, node)
-        scales[node.id] = scales[term.id] - float(rescale_bits)
-        return node
-
-    def _maybe_rescale(
-        self,
-        program: Program,
-        editor: GraphEditor,
-        term: Term,
-        scales: Dict[int, float],
-        context: PassContext,
-    ) -> int:
-        raise NotImplementedError
-
-
-class AlwaysRescalePass(_RescaleInsertionBase):
-    """Insert a RESCALE after every ciphertext MULTIPLY (Figure 4, ALWAYS-RESCALE).
-
-    The rescale value is the minimum of the operand scales, which brings the
-    result back to the larger operand's scale.  This is the per-multiply
-    policy expert-written kernels (and the CHET baseline) use.
-    """
-
-    name = "always-rescale"
-
-    def _maybe_rescale(self, program, editor, term, scales, context) -> int:
-        rescale_bits = min(
-            self._scale_of_arg(arg, scales) for arg in term.args
-        )
-        rescale_bits = min(rescale_bits, context.max_rescale_bits)
-        if rescale_bits <= _EPS:
-            return 0
-        self._insert_rescale(program, editor, term, scales, rescale_bits)
-        return 1
-
-    @staticmethod
-    def _scale_of_arg(arg: Term, scales: Dict[int, float]) -> float:
-        return scales[arg.id]
-
-
-class WaterlineRescalePass(_RescaleInsertionBase):
+class WaterlineRescalePass(RewritePass):
     """Insert RESCALE by ``s_f`` only while the result stays above the waterline.
 
     Figure 4, WATERLINE-RESCALE: for a MULTIPLY whose result scale ``s_n``
@@ -101,17 +31,29 @@ class WaterlineRescalePass(_RescaleInsertionBase):
     """
 
     name = "waterline-rescale"
+    direction = "forward"
 
-    def _maybe_rescale(self, program, editor, term, scales, context) -> int:
+    def run(self, program: Program, context: PassContext) -> int:
+        editor = GraphEditor(program)
         waterline = (
             context.waterline_bits
             if context.waterline_bits is not None
             else waterline_of(program)
         )
-        rescale_bits = context.effective_rescale_bits()
+        rescale_bits = float(context.effective_rescale_bits())
+        scales: Dict[int, float] = {}
         rewrites = 0
-        current = term
-        while scales[current.id] - rescale_bits >= waterline - _EPS:
-            current = self._insert_rescale(program, editor, current, scales, rescale_bits)
-            rewrites += 1
+        for term in program.terms():
+            scales[term.id] = scale_of(term, scales)
+            if term.op is not Op.MULTIPLY or term.value_type is not ValueType.CIPHER:
+                continue
+            current = term
+            while scales[current.id] - rescale_bits >= waterline - _EPS:
+                node = Term(Op.RESCALE, [current], ValueType.CIPHER, rescale_value=rescale_bits)
+                if term.kernel is not None:
+                    node.attributes["kernel"] = term.kernel
+                editor.insert_after(current, node)
+                scales[node.id] = scales[current.id] - rescale_bits
+                current = node
+                rewrites += 1
         return rewrites

@@ -3,8 +3,12 @@
 ``python tests/compiled_corpus.py`` prints, for every program of ``CASES``, the
 SHA-256 and length of the compiled graph's proto bytes, the selected
 parameters, the rotation steps and the signature, as JSON.
-``tests/data/compiled_corpus.json`` is that output at the commit before the
-instruction table (``repro.core.instructions``), and
+``tests/data/compiled_corpus.json`` is that output with RESCALE and
+RELINEARIZE summed before (``sink_below_sums`` at the end of the match-scale
+and relinearize passes).  It was first captured at the commit before the
+instruction table (``repro.core.instructions``); the sinking changed the proto
+bytes of every case but ``sums_copies_and_constants`` and left their
+parameters, rotation steps and signatures as they were.
 ``tests/test_instructions.py`` holds the current compiler to it byte for byte.
 Regenerate it only from a clone of the commit you compare against::
 

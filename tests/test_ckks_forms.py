@@ -518,11 +518,15 @@ def steady_state_rows(program, chain, whole_request):
 
 
 class TestExactNttRows:
-    def test_multiply_chain_82_rows(self):
+    def test_multiply_chain_62_rows(self):
         rows = steady_state_rows(relin_poly_program(), (8192, [25] * 5), whole_request=False)
         # 126 before forms: multiply 56 (it transformed back), relinearize 70.
+        # 82 while every product was relinearized and rescaled on its own: a
+        # relinearization costs 20 rows at level 0 and 12 at level 1, a
+        # rescale 10 and 8, and x2*x2 + x2*x now sums before doing either
+        # once at level 1 (relinearize 20 + 12 + 12, rescale 10 + 8 + 8).
         assert rows.pop("decrypt") == 4
-        assert rows == {"multiply": 8, "relinearize": 44, "rescale": 26, "export": 4}
+        assert rows == {"multiply": 8, "relinearize": 20 + 12, "rescale": 10 + 8, "export": 4}
 
     def test_rotation_chain_95_rows(self):
         rows = steady_state_rows(rotate_sum_program(), (4096, [25] * 3), whole_request=False)
@@ -549,7 +553,9 @@ class TestExactNttRows:
             (rotate_sum_program, (4096, [25] * 3), 67, 4, 155, 95),
             # 72 / 12 / 146 / 82: one relinearization key, whose level-1 form is
             # a selection of the level-0 form (20 rows), not 24 rows more.
-            (relin_poly_program, (8192, [25] * 5), 38, 8, 102, 82),
+            # 102 / 82 while both level-1 products were relinearized (12 rows)
+            # and rescaled (8) on their own, before their sum.
+            (relin_poly_program, (8192, [25] * 5), 38, 8, 82, 62),
         ],
         ids=["rotate_sum", "relin_poly"],
     )
@@ -605,7 +611,10 @@ class TestExactNttRows:
         rotation feeds ``multiply_plain``, which needs c0's value at once — so
         the rows a rotation no longer spends dividing c0 (K each) are spent
         settling it there (1 + L), and the totals are the ones measured before
-        c0 waited: 912 steady, 1192 with cold key forms."""
+        c0 waited.  912 steady and 1192 with cold key forms while each of the
+        25 products was rescaled on its own (rescale 326, relinearize 134 / 190
+        cold); summing before rescaling and relinearizing leaves 8 RESCALE and
+        3 RELINEARIZE: 632 steady, 912 cold."""
         program = build_sobel_program(image_size=64, scale=28.0)
         options = CompilerOptions(max_rescale_bits=28)
         compilation = CompiledProgram.compile(program.graph, options=options)
@@ -624,7 +633,8 @@ class TestExactNttRows:
             wire = context.encode_cipher(handles["edges"])
             totals.append(context.drain_ntt_rows())
         cold, steady = totals
-        assert sum(cold.values()) == 1192 and sum(steady.values()) == 912
+        assert sum(cold.values()) == 912 and sum(steady.values()) == 632
+        assert (steady["rescale"], steady["relinearize"], cold["relinearize"]) == (88, 92, 148)
         # Three hoisted groups of evaluation-form ciphertexts, 8 rotations:
         # L + L^2 digit rows per group and 1 + L per step for c1 (296 when
         # each step divided c0 as well) ...
@@ -633,7 +643,8 @@ class TestExactNttRows:
         assert steady["multiply_plain"] == 152 + 8 * (1 + 7)
         expected = execute_reference(program.graph, inputs)["edges"]
         answer = context.decrypt(context.decode_cipher(wire))
-        assert np.max(np.abs(answer[: len(expected)] - expected)) < 2e-2
+        # 0.00254 while every product was rescaled on its own: no worse now.
+        assert np.max(np.abs(answer[: len(expected)] - expected)) <= 0.00254
 
     def test_rows_are_counted_per_thread(self):
         kernel = get_ntt_kernel(generate_ntt_primes([25, 25], 64), 64)

@@ -7,9 +7,10 @@
 * constant folding agrees with the reference on every row, for constants of
   every period (a SUM once folded over one period: 3·x for 12·x), and takes
   the scale the scale analysis gives the unfolded term;
-* the compiler makes the programs of the commit before the table, byte for
-  byte (``tests/data/compiled_corpus.json``, captured there with
-  ``tests/compiled_corpus.py``);
+* the compiler makes the pinned programs byte for byte
+  (``tests/data/compiled_corpus.json``, captured with
+  ``tests/compiled_corpus.py``: first at the commit before the table, then
+  again once RESCALE and RELINEARIZE were summed before);
 * the per-opcode chains are gone from the source.
 """
 

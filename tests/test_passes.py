@@ -13,7 +13,6 @@ from repro.core.analysis.levels import compute_rescale_chains, output_chains
 from repro.core.analysis.validation import compute_polynomial_counts
 from repro.core.ir import Program
 from repro.core.rewrite import (
-    AlwaysRescalePass,
     EagerModSwitchPass,
     ExpandSumPass,
     LazyModSwitchPass,
@@ -78,21 +77,6 @@ class TestWaterlineRescale:
         WaterlineRescalePass().run(x2y3_program, make_context(x2y3_program))
         chains = output_chains(x2y3_program, strict=False)
         assert len(chains["out"]) <= depth
-
-
-class TestAlwaysRescale:
-    def test_rescale_after_every_multiply(self, x2y3_program):
-        AlwaysRescalePass().run(x2y3_program, make_context(x2y3_program))
-        assert count_ops(x2y3_program, Op.RESCALE) == 4
-
-    def test_rescale_value_is_min_operand_scale(self, x2y3_program):
-        AlwaysRescalePass().run(x2y3_program, make_context(x2y3_program))
-        values = sorted(
-            t.rescale_value for t in x2y3_program.terms() if t.op is Op.RESCALE
-        )
-        # x^2 rescales by 60; y^2, y^3 by 30; the final product by min of both sides.
-        assert values.count(30.0) >= 2
-        assert 60.0 in values
 
 
 class TestModSwitchInsertion:
