@@ -47,11 +47,12 @@ gates the ratios:
   switch after every step (decryption-level agreement, as for the rotation
   group).  Reports the exact NTT rows of both sides.
 * **session keys** — everything a brand-new client's keys cost before its
-  first answer: key generation, export, import into an evaluation context,
-  and the first rotation (which builds that key's evaluation form) — with
-  the uniform half of every key travelling as its seed vs the same keys
-  written out in full, the format of builds before seeds (``a`` produced by
-  an inverse transform at export and transformed back at first use).  Same
+  first answer: key generation, export, import into an evaluation context
+  (which builds every switching key's evaluation form) and the first
+  rotation — with the uniform half of every key travelling as its seed vs
+  the same keys written out in full, the format of builds before seeds
+  (``a`` produced by an inverse transform at export and transformed back at
+  import).  Same
   test seed, so the same keys and ciphertext: the rotated answers are
   asserted byte-identical.  Reports the exact NTT rows of both sides.
 

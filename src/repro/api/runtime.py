@@ -64,7 +64,7 @@ class ServerRuntime:
         ``keys`` is either a live evaluation context (from
         :meth:`ClientKit.evaluation_context`) or the JSON-able blob from
         :meth:`ClientKit.export_evaluation_keys`.  Returns the installed
-        context.
+        context.  Keys that cannot make every compiled rotation are refused.
         """
         if isinstance(keys, BackendContext):
             context = self._check_no_secret(keys)
@@ -72,16 +72,11 @@ class ServerRuntime:
             context = self._check_no_secret(
                 self.backend.create_evaluation_context(self.compiled.parameters, keys)
             )
+        context.check_rotation_keys(self.compiled.parameters.rotation_steps)
         with self._lock:
             self._clients[str(client_id)] = context
             self._client_locks.setdefault(str(client_id), threading.Lock())
         return context
-
-    def detach_client(self, client_id: str) -> bool:
-        """Forget a client's evaluation context; returns whether it existed."""
-        with self._lock:
-            self._client_locks.pop(str(client_id), None)
-            return self._clients.pop(str(client_id), None) is not None
 
     def _evaluation_lock(self, client_id: str) -> threading.Lock:
         with self._lock:

@@ -20,6 +20,7 @@ from typing import Any, Dict, Sequence
 import numpy as np
 
 from ..core.analysis.parameters import EncryptionParameters
+from ..errors import ParameterError
 
 CipherHandle = Any
 PlainHandle = Any
@@ -121,6 +122,24 @@ class BackendContext(abc.ABC):
     @abc.abstractmethod
     def level(self, handle: CipherHandle) -> int:
         """Number of coefficient-modulus primes consumed by the handle."""
+
+    def check_input(self, name: str, handle: CipherHandle, scale_bits: float) -> None:
+        """Refuse (``ParameterError``), before any op, an input ciphertext the
+        compilation did not ask for: it encrypts every input at level 0, at its
+        scale.  A backend whose handles carry more checks that too."""
+        level, bits = self.level(handle), self.scale_bits(handle)
+        if level != 0:
+            raise ParameterError(
+                f"input {name!r} is at level {level}; the compilation encrypts inputs at level 0"
+            )
+        if abs(bits - float(scale_bits)) > 1e-6:  # the wire carries the scale exactly
+            raise ParameterError(
+                f"input {name!r} has scale 2^{bits:g}; the compilation encrypts it at 2^{scale_bits:g}"
+            )
+
+    def check_rotation_keys(self, rotation_steps: Sequence[int]) -> None:
+        """Refuse (``ParameterError``), at attach, evaluation keys that cannot
+        make every compiled rotation.  A backend without key material accepts any."""
 
     def release(self, handle: CipherHandle) -> None:
         """Hint that ``handle`` will no longer be used (memory reuse).

@@ -96,10 +96,11 @@ def _uniform_from_rows(basis: RnsBasis, rows: Any, label: str) -> UniformHalf:
     return _poly_from_rows(basis, rows)
 
 
-def _keyswitch_to_dict(key: KeySwitchingKey, basis: RnsBasis) -> Dict[str, Any]:
+def _keyswitch_to_dict(key: KeySwitchingKey, context: CkksContext) -> Dict[str, Any]:
+    basis = context.key_basis(0)
     return {
         str(prime): [_poly_to_rows(b), _uniform_to_rows(a, basis)]
-        for prime, (b, a) in key.pairs.items()
+        for prime, (b, a) in key.exported_pairs(context).items()
     }
 
 
@@ -112,7 +113,7 @@ def _keyswitch_from_dict(context: CkksContext, data: Dict[str, Any], family: str
             raise SerializationError(f"switching key names {prime}, not a prime of the chain")
         label = digit_label(family, context.consumable_primes.index(prime))
         pairs[prime] = (_poly_from_rows(basis, b_rows), _uniform_from_rows(basis, a_rows, label))
-    return KeySwitchingKey(pairs)
+    return KeySwitchingKey.imported(context, pairs)
 
 
 class CkksBackendContext(BackendContext):
@@ -127,15 +128,10 @@ class CkksBackendContext(BackendContext):
         super().__init__(parameters)
         self.seed = seed
         self.enforce_security = enforce_security
-        # Use a 30-bit special (key-switching) prime even when the data primes
-        # are smaller: the key-switching noise is divided by the special prime,
-        # so a large one keeps rotations and relinearizations accurate.  This
-        # mirrors SEAL's practice of making the special prime the largest.
-        coeff_bits = list(parameters.coeff_modulus_bits)
-        coeff_bits[-1] = max(coeff_bits[-1], 30)
+        # What the compiler selected runs: refused if insecure, never edited.
         self.context = CkksContext(
             parameters.poly_modulus_degree,
-            coeff_bits,
+            parameters.coeff_modulus_bits,
             security_level=parameters.security_level,
             enforce_security=enforce_security,
         )
@@ -208,7 +204,6 @@ class CkksBackendContext(BackendContext):
         self._require_keys()
         public = self.encryptor.public_key
         data_basis = self.context.data_basis(0)
-        key_basis = self.context.key_basis(0)
         blob: Dict[str, Any] = {
             "scheme": "ckks",
             "poly_modulus_degree": self.context.poly_modulus_degree,
@@ -216,17 +211,18 @@ class CkksBackendContext(BackendContext):
         }
         relin = self.evaluator.relin_key
         if relin is not None:
-            blob["relin_key"] = _keyswitch_to_dict(relin.key, key_basis)
+            blob["relin_key"] = _keyswitch_to_dict(relin.key, self.context)
         galois = self.evaluator.galois_keys
         if galois is not None:
             blob["galois_keys"] = {
-                str(element): _keyswitch_to_dict(key, key_basis)
+                str(element): _keyswitch_to_dict(key, self.context)
                 for element, key in galois.keys.items()
             }
         return blob
 
     def import_evaluation_keys(self, blob: Dict[str, Any]) -> None:
-        """Install exported key material, making this an evaluation context."""
+        """Install exported key material, making this an evaluation context;
+        each switching key is prepared here (:meth:`KeySwitchingKey.imported`)."""
         if not isinstance(blob, dict) or blob.get("scheme") != "ckks":
             raise SerializationError("not a CKKS evaluation key blob")
         if int(blob.get("poly_modulus_degree", 0)) != self.context.poly_modulus_degree:
@@ -439,8 +435,31 @@ class CkksBackendContext(BackendContext):
     def level(self, handle: Ciphertext) -> int:
         return handle.level
 
+    def check_input(self, name: str, handle: Ciphertext, scale_bits: float) -> None:
+        super().check_input(name, handle, scale_bits)
+        if handle.size != 2:
+            raise ParameterError(
+                f"input {name!r} has {handle.size} polynomials; a fresh ciphertext has 2"
+            )
+        degree = handle.polys[0].basis.poly_modulus_degree
+        if degree != self.context.poly_modulus_degree:
+            raise ParameterError(
+                f"input {name!r} is a ciphertext of degree {degree}; the compilation "
+                f"runs at N = {self.context.poly_modulus_degree}"
+            )
+
+    def check_rotation_keys(self, rotation_steps) -> None:
+        galois = self.evaluator.galois_keys if self.evaluator else None
+        held = galois.keys if galois else {}
+        element = self.context.galois_element_for_step
+        missing = [s for s in rotation_steps if s % self.context.slots and element(s) not in held]
+        if missing:
+            raise ParameterError(f"the evaluation keys hold no Galois key for rotation steps {missing}")
+
     def release(self, handle: Ciphertext) -> None:
         if handle.polys:  # a handle counts once, however often it is released
+            if self.evaluator is not None:
+                self.evaluator.forget(handle)
             handle.polys = []
             handle.seed = None
             self.live_ciphertexts = max(self.live_ciphertexts - 1, 0)

@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..core.analysis.parameters import SECURITY_MAX_COEFF_MODULUS_BITS, EncryptionParameters
+from ..core.analysis.parameters import SECURITY_MAX_COEFF_MODULUS_BITS
 from ..errors import ParameterError, SecurityError
 from .encoder import CkksEncoder, get_encoder
 from .numth import generate_ntt_primes
@@ -72,19 +72,6 @@ class CkksContext:
         self._data_bases: Dict[int, RnsBasis] = {}
         self._key_bases: Dict[int, RnsBasis] = {}
 
-    # -- factory ------------------------------------------------------------------
-    @classmethod
-    def from_parameters(
-        cls, parameters: EncryptionParameters, enforce_security: bool = True
-    ) -> "CkksContext":
-        """Build a context from the compiler's :class:`EncryptionParameters`."""
-        return cls(
-            parameters.poly_modulus_degree,
-            parameters.coeff_modulus_bits,
-            security_level=parameters.security_level,
-            enforce_security=enforce_security,
-        )
-
     # -- basic properties -----------------------------------------------------------
     @property
     def slots(self) -> int:
@@ -130,10 +117,6 @@ class CkksContext:
             )
             self._key_bases[level] = basis
         return basis
-
-    def level_of(self, basis: RnsBasis) -> int:
-        """Level of a ciphertext stored in the given data basis."""
-        return self.max_level - len(basis.primes)
 
     def restrict(self, poly: RnsPolynomial, basis: RnsBasis) -> RnsPolynomial:
         """Restrict a polynomial to a basis whose primes are a subset of its own."""

@@ -45,7 +45,7 @@ from ..errors import (
 )
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext
-from .keys import GaloisKeys, KeySwitchingKey, RelinearizationKey, evaluation_forms
+from .keys import GaloisKeys, KeySwitchingKey, RelinearizationKey
 from .ntt import galois_ntt_permutation
 from .rns import COEFF, EVAL, RnsBasis, RnsPolynomial
 
@@ -55,7 +55,8 @@ _SCALE_RTOL = 1e-6
 #: How many ciphertexts the hoisting cache remembers: the digit decomposition
 #: of ``c1`` with the lift of ``c0`` beside it (keyed by the identity of
 #: ``c1``; entries hold strong references so ``id()`` cannot be recycled while
-#: cached).
+#: cached, and :meth:`Evaluator.forget` drops a ciphertext's entries when it
+#: is released).
 _HOIST_CACHE_CAPACITY = 4
 
 
@@ -68,10 +69,11 @@ def _multiply_accumulate(
 ) -> np.ndarray:
     """``sum_j digits[j] * key_forms[:, j] mod primes`` as ``(2, K, N)``.
 
-    Multiply-accumulates in ``uint64`` and divides once per ``_LAZY_TERMS``
-    digits instead of once per product.
+    ``key_forms`` is ``uint32`` (a switching key's form, or a view of its
+    rows); it is widened as it is multiplied, in ``uint64``, which divides
+    once per ``_LAZY_TERMS`` digits instead of once per product.
     """
-    digits, key_forms, primes = (x.view(np.uint64) for x in (digits, key_forms, primes))
+    digits, primes = digits.view(np.uint64), primes.view(np.uint64)
     total = None
     for start in range(0, len(digits), _LAZY_TERMS):
         stop = start + _LAZY_TERMS
@@ -83,8 +85,8 @@ def _multiply_accumulate(
 class Evaluator:
     """Evaluates homomorphic operations on CKKS ciphertexts.
 
-    Key switching runs in the NTT (evaluation) domain: switching keys are
-    transformed once per (key, basis) and cached, all decomposition digits are
+    Key switching runs in the NTT (evaluation) domain: each switching key is
+    read in its one level-0 evaluation form, all decomposition digits are
     transformed in one kernel pass and multiply-accumulated pointwise, and
     Galois automorphisms become index permutations of the cached digit
     transforms — so a group of rotations of the same ciphertext shares one
@@ -101,9 +103,10 @@ class Evaluator:
         self.context = context
         self.relin_key = relin_key
         self.galois_keys = galois_keys
-        #: ``id(c1) -> (c1, c0, digit NTTs of c1, c0 extended)``, least recently rotated first.
+        #: ``id(c1) -> (c1, c0, digit NTTs of c1, c0 extended, id of the ciphertext)``,
+        #: least recently rotated first.
         self._hoist_cache: (
-            "OrderedDict[int, Tuple[RnsPolynomial, RnsPolynomial, np.ndarray, RnsPolynomial]]"
+            "OrderedDict[int, Tuple[RnsPolynomial, RnsPolynomial, np.ndarray, RnsPolynomial, int]]"
         ) = OrderedDict()
         self._hoist_lock = threading.Lock()
 
@@ -245,25 +248,32 @@ class Evaluator:
         return key_basis.kernel.forward(digits)
 
     def _hoisted(
-        self, c0: RnsPolynomial, c1: RnsPolynomial, level: int
+        self, a: Ciphertext, c0: RnsPolynomial, c1: RnsPolynomial
     ) -> Tuple[np.ndarray, RnsPolynomial]:
-        """What every rotation of the ciphertext ``(c0, c1)`` shares: the digit
-        NTTs of ``c1`` and ``c0`` extended.
+        """What every rotation of the ciphertext ``a = (c0, c1)`` shares: the
+        digit NTTs of ``c1`` and ``c0`` extended.
 
         Remembered by the identity of the ciphertext's own polynomials,
         whatever their form, so a group of rotations of one ciphertext
         decomposes and lifts once — and so does the ``add`` that meets the
-        ciphertext again afterwards.
+        ciphertext again afterwards — until ``a`` is released (:meth:`forget`).
         """
         entry = self._remembered(c0, c1)
         if entry is None:
-            lifted = c0 if c0.basis.special else self._lift(c0, level)
-            entry = (c1, c0, self._digit_ntts(c1, level), lifted)
+            lifted = c0 if c0.basis.special else self._lift(c0, a.level)
+            entry = (c1, c0, self._digit_ntts(c1, a.level), lifted, id(a))
             with self._hoist_lock:
                 self._hoist_cache[id(c1)] = entry
                 while len(self._hoist_cache) > _HOIST_CACHE_CAPACITY:
                     self._hoist_cache.popitem(last=False)
         return entry[2], entry[3]
+
+    def forget(self, a: Ciphertext) -> None:
+        """Drop the hoisting-cache entries of a ciphertext being released (one per
+        ``c1`` it was rotated with), so none outlives it, pins it or keeps its digits."""
+        with self._hoist_lock:
+            for key in [key for key, entry in self._hoist_cache.items() if entry[4] == id(a)]:
+                del self._hoist_cache[key]
 
     @staticmethod
     def _digit_ntts_of_evaluations(poly: RnsPolynomial, key_basis: RnsBasis) -> np.ndarray:
@@ -290,39 +300,6 @@ class Evaluator:
             digit_ntts[digit, own] = kernel.forward(coefficients[digit] % poly.basis.primes_column)
         return digit_ntts
 
-    def _key_evaluation_form(self, switching_key: KeySwitchingKey, level: int) -> np.ndarray:
-        """Evaluation form of the switching-key pairs, cached on the key object.
-
-        Returns a ``(2, L, K, N)`` array: ``[0, j]`` is ``b_j`` and ``[1, j]``
-        is ``a_j`` in evaluation form over the key basis of ``level``, for data
-        prime ``q_j``.  Keys are static per session, so the level-0 form is
-        built once per key — ``b`` forward-transformed, a seeded ``a`` expanded
-        straight into it — and every other level *selects* from it: the NTT is
-        row-wise and a level's digits and key primes are subsets of level 0's.
-        """
-        forms = switching_key._evaluation_forms
-        key_basis = self.context.key_basis(level)
-        cache_key = tuple(key_basis.primes)
-        cached = forms.get(cache_key)
-        if cached is not None:
-            return cached
-        if level == 0:
-            data_primes = key_basis.primes[:-1]
-            missing = [q_j for q_j in data_primes if q_j not in switching_key.pairs]
-            if missing:
-                raise ParameterError(f"switching key is missing the digit for prime {missing[0]}")
-            halves = zip(*(switching_key.pairs[q_j] for q_j in data_primes))
-            polys = [poly for half in halves for poly in half]  # every b_j, then every a_j
-            form = evaluation_forms(self.context, polys, key_basis)
-            form = form.reshape(2, len(data_primes), *form.shape[1:])
-        else:
-            # Level l keeps level 0's first L_l digits and data rows, and the special row.
-            count = len(key_basis) - 1
-            top = self._key_evaluation_form(switching_key, 0)
-            form = np.concatenate([top[:, :count, :count], top[:, :count, -1:]], axis=2)
-        forms[cache_key] = form
-        return form
-
     def _key_switch_totals(
         self,
         digit_ntts: np.ndarray,
@@ -334,13 +311,20 @@ class Evaluator:
 
         This is the switched pair times the special prime, over the key basis.
         ``permutation`` (a Galois NTT permutation) is applied to the digits on
-        the fly, which is how hoisted rotations reuse one decomposition.
+        the fly, which is how hoisted rotations reuse one decomposition.  The
+        key is read in its level-0 form: level ``l`` reads, as views, its first
+        ``L_l`` digits over their data rows and over the special row.
         """
-        key_basis = self.context.key_basis(level)
-        key_forms = self._key_evaluation_form(switching_key, level)
+        primes = self.context.key_basis(level).primes_column
+        form = switching_key.evaluation_form(self.context)
         if permutation is not None:
             digit_ntts = np.take(digit_ntts, permutation, axis=-1)
-        return _multiply_accumulate(digit_ntts, key_forms, key_basis.primes_column)
+        count = len(digit_ntts)
+        if count == form.shape[1]:
+            return _multiply_accumulate(digit_ntts, form, primes)
+        data = _multiply_accumulate(digit_ntts[:, :count], form[:, :count, :count], primes[:count])
+        special = _multiply_accumulate(digit_ntts[:, count:], form[:, :count, -1:], primes[count:])
+        return np.concatenate([data, special], axis=1)
 
     def relinearize(self, a: Ciphertext) -> Ciphertext:
         """Reduce a three-polynomial ciphertext back to two polynomials.
@@ -400,7 +384,7 @@ class Evaluator:
         element = self.context.galois_element_for_step(steps)
         switching_key = self.galois_keys.key_for(element)
         c0, c1 = a.settle(first=1)
-        digit_ntts, extended = self._hoisted(c0, c1, a.level)
+        digit_ntts, extended = self._hoisted(a, c0, c1)
         permutation = galois_ntt_permutation(self.context.poly_modulus_degree, element)
         totals = self._key_switch_totals(digit_ntts, switching_key, a.level, permutation)
         key_basis = self.context.key_basis(a.level)

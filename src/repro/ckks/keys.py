@@ -30,8 +30,7 @@ the digit's index in the chain's consumption order (and the prime of each row
 is part of the expander's input).
 
 A key set written by a build before seeds carries ``a`` in coefficient form;
-such an ``a`` stays an :class:`RnsPolynomial` and is transformed on first use,
-as both halves used to be.
+such an ``a`` is forward-transformed with ``b`` when the key is imported.
 """
 
 from __future__ import annotations
@@ -108,22 +107,16 @@ def evaluation_forms(
     return forms
 
 
-def _evaluation_cache():
-    """Per-basis cache of a static key's evaluation (NTT) form.
-
-    Lives on the key object so it is dropped with the key; it is derived
-    data in the kernel's private slot order and is never serialized.
-    """
-    return field(default_factory=dict, repr=False, compare=False)
-
-
 @dataclass
 class SecretKey:
     """Ternary secret key, stored as raw coefficients plus per-basis caches."""
 
     coefficients: np.ndarray
     _cache: Dict[Tuple[int, ...], RnsPolynomial] = field(default_factory=dict, repr=False)
-    _evaluation_forms: Dict[Tuple[int, ...], np.ndarray] = _evaluation_cache()
+    #: Per-basis evaluation forms of ``s`` and its powers (derived, never serialized).
+    _evaluation_forms: Dict[Tuple[int, ...], np.ndarray] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def poly_for(self, basis: RnsBasis) -> RnsPolynomial:
         """The secret key reduced into the given RNS basis (cached)."""
@@ -161,14 +154,58 @@ class PublicKey:
 class KeySwitchingKey:
     """Switching key from some key ``s'`` to the secret key ``s``.
 
-    ``pairs[prime] = (b_j, a_j)`` over the level-0 key basis (data primes plus
-    the special prime), one pair per consumable prime ``q_j``; ``b_j`` is in
-    coefficient form (the wire's), ``a_j`` is its :data:`UniformHalf`.
+    The key switch reads one array, :meth:`evaluation_form`: ``(2, L, K, N)``
+    ``uint32`` over the level-0 key basis, ``[0, j]`` holding ``b_j`` and
+    ``[1, j]`` holding ``a_j`` in evaluation form for data prime ``q_j``
+    (residues are below 2^30).  Every other level reads its rows of it: the
+    NTT is row-wise and a level's digits and key primes are subsets of level 0's.
+
+    ``pairs[prime] = (b_j, a_j)`` — ``b_j`` in coefficient form (the wire's),
+    ``a_j`` its :data:`UniformHalf` — is what a key generator made; it keeps
+    them for export and builds the form on first use.  An imported key
+    (:meth:`imported`) is the form alone, plus its seeded ``a_j``: the key held
+    once, ``2*L*K*N*4`` bytes, its export rebuilt from the form.
     """
 
     pairs: Dict[int, Tuple[RnsPolynomial, UniformHalf]]
-    #: ``(2, L, K, N)`` evaluation form of the pairs per key basis (see ``Evaluator``).
-    _evaluation_forms: Dict[Tuple[int, ...], np.ndarray] = _evaluation_cache()
+    form: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    #: An imported key's seeded ``a_j`` by prime: the ``a`` half of its export.
+    seeds: Dict[int, SeededUniform] = field(default_factory=dict, repr=False, compare=False)
+
+    @classmethod
+    def imported(
+        cls, context: CkksContext, pairs: Dict[int, Tuple[RnsPolynomial, UniformHalf]]
+    ) -> "KeySwitchingKey":
+        """A received key, prepared: its evaluation form built now, its pairs dropped."""
+        form = cls(pairs).evaluation_form(context)
+        seeds = {prime: a for prime, (_, a) in pairs.items() if isinstance(a, SeededUniform)}
+        return cls({}, form, seeds)
+
+    def evaluation_form(self, context: CkksContext) -> np.ndarray:
+        """The ``(2, L, K, N)`` form, built on first use: every ``b_j``
+        forward-transformed in one pass, every seeded ``a_j`` expanded into it."""
+        if self.form is None:
+            key_basis = context.key_basis(0)
+            data_primes = key_basis.primes[:-1]
+            missing = [q_j for q_j in data_primes if q_j not in self.pairs]
+            if missing:
+                raise ParameterError(f"switching key is missing the digit for prime {missing[0]}")
+            halves = zip(*(self.pairs[q_j] for q_j in data_primes))
+            polys = [poly for half in halves for poly in half]  # every b_j, then every a_j
+            form = evaluation_forms(context, polys, key_basis)
+            self.form = form.reshape(2, len(data_primes), *form.shape[1:]).astype(np.uint32)
+        return self.form
+
+    def exported_pairs(self, context: CkksContext) -> Dict[int, Tuple[RnsPolynomial, UniformHalf]]:
+        """``pairs``; for an imported key, rebuilt from the form by one inverse pass."""
+        if self.pairs:
+            return self.pairs
+        key_basis = context.key_basis(0)
+        b, a = (key_basis.kernel.inverse(half.astype(np.int64)) for half in self.form)
+        return {
+            q_j: (RnsPolynomial(key_basis, b[j]), self.seeds.get(q_j) or RnsPolynomial(key_basis, a[j]))
+            for j, q_j in enumerate(key_basis.primes[:-1])
+        }
 
 
 @dataclass

@@ -19,7 +19,8 @@ MOD_SWITCH instructions of the program, the ``factor_j`` entries provide room
 for the final message (output scale times desired output scale), and the
 trailing ``s_f`` entry is the special prime used only during key switching
 (it is consumed at encryption in the paper's accounting, hence the ``1 +`` in
-the modulus-length formula).
+the modulus-length formula).  It is never narrower than
+:data:`SPECIAL_PRIME_BITS`: the security check below counts the prime that runs.
 """
 
 from __future__ import annotations
@@ -45,6 +46,17 @@ SECURITY_MAX_COEFF_MODULUS_BITS: Dict[int, Dict[int, int]] = {
 
 #: Largest polynomial modulus degree in the standard's table.
 MAX_POLY_MODULUS_DEGREE = 65536
+
+#: Narrowest special (key-switching) prime.  Key-switching noise is divided by
+#: the special prime, so a wide one keeps rotations and relinearizations
+#: accurate when the data primes are narrow (SEAL makes it the largest prime);
+#: 30 bits is the widest prime the CKKS backend generates.
+SPECIAL_PRIME_BITS = 30
+
+#: Narrowest output factor.  An NTT prime ``p = 1 (mod 2N)`` has more than
+#: ``log2(2N)`` bits (17 at the table's largest ``N``), so a residual a bit
+#: past a multiple of ``s_f`` is given this much room, never a 1-bit "prime".
+MIN_FACTOR_BITS = 20
 
 
 @dataclass
@@ -125,7 +137,7 @@ def _output_factors(total_bits: float, max_rescale_bits: float) -> List[int]:
     while total > max_rescale_bits:
         factors.append(int(max_rescale_bits))
         total -= max_rescale_bits
-    factors.append(int(math.ceil(total)))
+    factors.append(max(int(math.ceil(total)), min(MIN_FACTOR_BITS, int(max_rescale_bits))))
     return factors
 
 
@@ -162,7 +174,7 @@ def select_parameters(
     if best_bits is None:
         raise CompilationError("program has no outputs to select parameters for")
 
-    coeff_modulus_bits = best_bits + [int(max_rescale_bits)]
+    coeff_modulus_bits = best_bits + [max(int(max_rescale_bits), SPECIAL_PRIME_BITS)]
 
     total_bits = sum(coeff_modulus_bits)
     table = SECURITY_MAX_COEFF_MODULUS_BITS[security_level]

@@ -220,7 +220,8 @@ class EvaluationEngine:
         passes True and each is released after its last use, like any other
         dead value.  A caller evaluating someone else's live bundle leaves it
         False: the client may re-submit or re-serialize those handles.  The
-        returned output handles always belong to the caller.
+        returned output handles always belong to the caller.  An input the
+        compilation did not encrypt is refused before any op (``check_input``).
         """
         plain_inputs = plain_inputs or {}
         cipher_values: Dict[int, Any] = {}
@@ -233,6 +234,7 @@ class EvaluationEngine:
                         raise ExecutionError(
                             f"missing ciphertext for encrypted input {term.name!r}"
                         )
+                    context.check_input(term.name, cipher_inputs[term.name], self._scales[term.id])
                     cipher_values[term.id] = cipher_inputs[term.name]
                 else:
                     if term.name not in plain_inputs:

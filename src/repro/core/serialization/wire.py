@@ -82,13 +82,6 @@ def encode_packed_doubles(field_number: int, values: "List[float]") -> bytes:
     return encode_bytes_field(field_number, payload)
 
 
-def decode_double(data: bytes, offset: int) -> Tuple[float, int]:
-    if offset + 8 > len(data):
-        raise SerializationError("truncated double")
-    (value,) = struct.unpack_from("<d", data, offset)
-    return value, offset + 8
-
-
 def iter_fields(data: bytes) -> Iterator[Tuple[int, int, object]]:
     """Iterate over (field_number, wire_type, raw_value) triples of a message.
 

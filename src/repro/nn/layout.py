@@ -36,10 +36,6 @@ class TensorLayout:
     base_width: int
     gap: int = 1
 
-    @property
-    def logical_size(self) -> int:
-        return self.height * self.width
-
     def physical_index(self, row: int, col: int) -> int:
         """Slot index of logical element (row, col)."""
         return (row * self.gap) * self.base_width + (col * self.gap)

@@ -144,13 +144,15 @@ class SessionManager:
         sessions live in their own namespace: pre-encrypted bundles evaluate
         under the client's own evaluation keys (the server can never decrypt
         them), while the client's plaintext requests — if it makes any — keep
-        using an independent server-generated session.
+        using an independent server-generated session.  Keys that cannot make
+        every compiled rotation are refused (``ParameterError``).
         """
         if getattr(context, "has_secret_key", True):
             raise ValueError(
                 "attached sessions must use evaluation-only contexts "
                 "(no secret key); derive one with ClientKit.evaluation_context()"
             )
+        context.check_rotation_keys(compilation.parameters.rotation_steps)
         key = session_key(compilation, client_id)
         session = Session(
             key=key,

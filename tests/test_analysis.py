@@ -1,7 +1,13 @@
 """Unit tests for the analysis passes: scales, levels, validation, parameters, rotations."""
 
+import dataclasses
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.apps import build_sobel_program
+from repro.backend import CkksBackend
 from repro.core.analysis import compute_levels, compute_scales, select_rotation_steps, validate
 from repro.core.analysis.levels import compute_rescale_chains, merge_chains
 from repro.core.analysis.parameters import SECURITY_MAX_COEFF_MODULUS_BITS, max_modulus_bits
@@ -10,7 +16,7 @@ from repro.core.analysis.validation import compute_polynomial_counts
 from repro.core.compiler import CompilerOptions, compile_program
 from repro.core.ir import Program
 from repro.core.types import Op, ValueType
-from repro.errors import SecurityError, ValidationError
+from repro.errors import CompilationError, SecurityError, ValidationError
 
 
 def make_program_with_rescale(rescale_bits=30.0):
@@ -192,6 +198,46 @@ class TestParameterSelection:
         result = compile_program(x2y3_program)
         summary = result.parameters.summary()
         assert set(summary) == {"log_n", "log_q", "r"}
+
+
+# -- what the compiler selects is what runs ---------------------------------------------
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"))
+import e2e_programs  # noqa: E402
+from compiled_corpus import CASES  # noqa: E402
+
+SWEPT = dict(CASES)
+for _entry in e2e_programs.compile_zoo():
+    SWEPT[_entry.name] = lambda entry=_entry: (entry.build()[0], CompilerOptions())
+
+
+def created_or_refused(program, options):
+    """The real backend's context of the compilation, or ``None`` when it does not compile."""
+    try:
+        compiled = compile_program(getattr(program, "graph", program), options=options)
+    except CompilationError:
+        return None
+    context = CkksBackend().create_context(compiled.parameters)
+    assert context.context.coeff_modulus_bits == compiled.parameters.coeff_modulus_bits
+    return context
+
+
+class TestParametersThatRun:
+    """The compiler chooses every prime's width, the special prime's too, and
+    the security check counts the primes the backend then makes as they are."""
+
+    @pytest.mark.parametrize("name", list(SWEPT))
+    def test_every_program_compiles_to_a_context_or_not_at_all(self, name):
+        program, options = SWEPT[name]()
+        for bits in range(20, 31):
+            created_or_refused(program, dataclasses.replace(options, max_rescale_bits=bits))
+
+    def test_sobel_at_27_bits_steps_up_to_a_degree_that_holds_its_chain(self):
+        """8 x 27 = 216 <= 218 bits at N = 8192 once passed the check, and the
+        backend then raised the special prime to 30 bits: 219 > 218."""
+        program = build_sobel_program(image_size=64, scale=27.0)
+        context = created_or_refused(program, CompilerOptions(max_rescale_bits=27))
+        assert context.parameters.poly_modulus_degree == 16384
+        assert context.parameters.coeff_modulus_bits == [27] * 7 + [30]
 
 
 class TestRotationSelection:

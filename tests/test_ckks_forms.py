@@ -43,6 +43,7 @@ from repro.apps import build_harris_program, build_sobel_program, random_image
 from repro.backend import CkksBackend
 from repro.ckks import Ciphertext, CkksContext, Decryptor, Encryptor, Evaluator, KeyGenerator
 from repro.ckks import ntt
+from repro.ckks.keys import SeededUniform
 from repro.ckks.ntt import get_ntt_kernel, ntt_rows
 from repro.ckks.numth import generate_ntt_primes
 from repro.ckks.rns import COEFF, EVAL, RnsBasis, RnsPolynomial
@@ -519,7 +520,7 @@ def steady_state_rows(program, chain, whole_request):
 
 class TestExactNttRows:
     def test_multiply_chain_62_rows(self):
-        rows = steady_state_rows(relin_poly_program(), (8192, [25] * 5), whole_request=False)
+        rows = steady_state_rows(relin_poly_program(), (8192, [25] * 4 + [30]), whole_request=False)
         # 126 before forms: multiply 56 (it transformed back), relinearize 70.
         # 82 while every product was relinearized and rescaled on its own: a
         # relinearization costs 20 rows at level 0 and 12 at level 1, a
@@ -529,7 +530,7 @@ class TestExactNttRows:
         assert rows == {"multiply": 8, "relinearize": 20 + 12, "rescale": 10 + 8, "export": 4}
 
     def test_rotation_chain_95_rows(self):
-        rows = steady_state_rows(rotate_sum_program(), (4096, [25] * 3), whole_request=False)
+        rows = steady_state_rows(rotate_sum_program(), (4096, [25, 25, 30]), whole_request=False)
         assert rows.pop("decrypt") == 4
         # 120 when every rotation divided both halves: (L + 1)(L + 2) = 12 each.
         # Now L*K digit rows forward and K back for c1, L more to lift the
@@ -537,33 +538,37 @@ class TestExactNttRows:
         assert rows == {"rotate": 92, "export": 3}
 
     def test_server_held_keys_34_rows(self):
-        rows = steady_state_rows(batch_poly_program(), (4096, [25] * 4), whole_request=True)
+        rows = steady_state_rows(batch_poly_program(), (4096, [25, 25, 25, 30]), whole_request=True)
         # 48 before forms (multiply 15, relinearize 20, decrypt 4), 37 before
         # symmetric encryption (3L = 9 rows for the public-key path).
         assert rows == {"encrypt": 6, "multiply": 6, "relinearize": 12, "rescale": 8, "decrypt": 2}
 
     @pytest.mark.parametrize(
-        "program, chain, keygen, encrypt, first, steady",
+        "program, chain, keygen, encrypt, imported, steady",
         [
             # 150 / 6 / 240 / 120 before seeds: each of 11 switching keys paid 6
             # forward rows for a and the server 12 per key form (now 6, b only);
             # 180 / 120 while every rotation divided both halves.  76 keygen
             # rows while every kit made a relinearization key: s^2 back to
-            # coefficient form (K = 3) and a*s per digit (L*K = 6).
-            (rotate_sum_program, (4096, [25] * 3), 67, 4, 155, 95),
+            # coefficient form (K = 3) and a*s per digit (L*K = 6).  The 10
+            # Galois keys' forms (6 rows each) were paid by the first request
+            # (155) until the import prepared them.
+            (rotate_sum_program, (4096, [25, 25, 30]), 67, 4, 60, 95),
             # 72 / 12 / 146 / 82: one relinearization key, whose level-1 form is
             # a selection of the level-0 form (20 rows), not 24 rows more.
             # 102 / 82 while both level-1 products were relinearized (12 rows)
-            # and rescaled (8) on their own, before their sum.
-            (relin_poly_program, (8192, [25] * 5), 38, 8, 82, 62),
+            # and rescaled (8) on their own, before their sum; a first request
+            # of 82 while the key's form (20 rows) waited for it.
+            (relin_poly_program, (8192, [25] * 4 + [30]), 38, 8, 20, 62),
         ],
         ids=["rotate_sum", "relin_poly"],
     )
-    def test_a_new_client_row_by_row(self, program, chain, keygen, encrypt, first, steady):
-        """Key generation, the server's first request (cold key forms), a
-        steady one — evaluation and the reply's export — and encryption: a kit
-        on one side, an evaluation context imported from its ``{seed, b}``
-        export on the other."""
+    def test_a_new_client_row_by_row(self, program, chain, keygen, encrypt, imported, steady):
+        """Key generation, the import that prepares the server's key forms,
+        a first and a steady request — evaluation and the reply's export —
+        and encryption: a kit on one side, an evaluation context imported
+        from its ``{seed, b}`` export on the other.  The first request costs
+        what the steady one does."""
         program = program()
         compiled = CompiledProgram.compile(program.graph, options=OPTIONS)
         parameters = compiled.parameters
@@ -573,11 +578,13 @@ class TestExactNttRows:
         assert kit.context.drain_ntt_rows() == {"keygen": keygen}
         assert [(op, count) for op, (count, _) in kit.context.drain_op_times().items()] == [("keygen", 1)]
         keys = json.loads(json.dumps(kit.export_evaluation_keys()))
+        before = ntt_rows()
         server = backend.create_evaluation_context(parameters, keys)
-        assert not kit.context.drain_ntt_rows() and not server.drain_ntt_rows()  # export, import: none
+        assert ntt_rows() - before == imported  # charged to no op: no request made it
+        assert not kit.context.drain_ntt_rows() and not server.drain_ntt_rows()
         engine = EvaluationEngine(compiled, backend=backend)
         values = np.random.default_rng(1).uniform(-1.0, 1.0, program.graph.vec_size)
-        for expected in (first, steady):
+        for expected in (steady, steady):
             bundle = kit.encrypt_inputs({"x": values})
             wire = json.loads(json.dumps(kit.bundle_to_wire(bundle)))
             assert kit.context.drain_ntt_rows() == {"encrypt": encrypt}
@@ -589,13 +596,80 @@ class TestExactNttRows:
         answer = kit.context.decrypt(kit.context.decode_cipher(reply))
         assert np.allclose(answer[: len(reference)], reference, atol=0.1)
 
+    @pytest.mark.parametrize(
+        "program, keys", [(rotate_sum_program, 10), (relin_poly_program, 1)], ids=["rotate_sum", "relin_poly"]
+    )
+    def test_an_imported_session_holds_each_key_once_and_no_hoisted_digits(self, program, keys):
+        """Each switching key is its level-0 form alone, 2*L*K*N*4 bytes of
+        ``uint32`` (where an import kept the coefficient ``b`` beside a cached
+        int64 form per level), and once an evaluation has released its handles
+        the hoisting cache holds nothing: no digit NTTs, no ciphertext pinned."""
+        program = program()
+        compiled = CompiledProgram.compile(program.graph, options=OPTIONS)
+        backend = CkksBackend(seed=3)
+        kit = ClientKit(compiled, backend=backend)
+        server = backend.create_evaluation_context(
+            compiled.parameters, json.loads(json.dumps(kit.export_evaluation_keys()))
+        )
+        degree, (*data, _) = compiled.parameters.poly_modulus_degree, compiled.parameters.coeff_modulus_bits
+        evaluator = server.evaluator
+        held = list(evaluator.galois_keys.keys.values())
+        held += [evaluator.relin_key.key] if evaluator.relin_key else []
+        assert len(held) == keys
+        for key in held:
+            assert key.pairs == {} and key.form.base is None and key.form.dtype == np.uint32
+            assert key.form.nbytes == 2 * len(data) * (len(data) + 1) * degree * 4
+            assert all(isinstance(a, SeededUniform) and not a._coefficients for a in key.seeds.values())
+        engine = EvaluationEngine(compiled, backend=backend)
+        values = np.random.default_rng(1).uniform(-1.0, 1.0, program.graph.vec_size)
+        for _ in range(2):
+            wire = json.loads(json.dumps(kit.bundle_to_wire(kit.encrypt_inputs({"x": values}))))
+            ciphers = {name: server.decode_cipher(c) for name, c in wire["ciphertexts"].items()}
+            handles = engine.evaluate(server, ciphers, {}, retire_inputs=True)
+            reply = server.encode_cipher(handles["y"])
+            server.release(handles["y"])
+            assert not evaluator._hoist_cache and server.live_ciphertexts == 0
+        answer = kit.context.decrypt(kit.context.decode_cipher(reply))[: program.graph.vec_size]
+        assert np.allclose(answer, execute_reference(program.graph, {"x": values})["y"], atol=0.1)
+
+    def test_threaded_evaluations_leave_no_hoisted_entry(self):
+        """Rotations and releases racing on one evaluator (four executor
+        threads on two cores, a short switch interval): every answer right,
+        and no entry left once each evaluation has released its handles."""
+        program = EvaProgram("fan", vec_size=1024, default_scale=25)
+        with program:  # a hoisted group whose rotations run side by side, then a chain
+            x = input_encrypted("x", 25)
+            fan = x + (x << 1) + (x << 2) + (x << 3) + (x << 5)
+            output("y", fan + (fan << 7), 25)
+        compiled = CompiledProgram.compile(program.graph, options=OPTIONS)
+        backend = CkksBackend(seed=3)
+        kit = ClientKit(compiled, backend=backend)
+        server = backend.create_evaluation_context(compiled.parameters, kit.export_evaluation_keys())
+        engine = EvaluationEngine(compiled, backend=backend, threads=4)
+        values = np.random.default_rng(2).uniform(-1.0, 1.0, program.graph.vec_size)
+        expected = execute_reference(program.graph, {"x": values})["y"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                wire = kit.bundle_to_wire(kit.encrypt_inputs({"x": values}))
+                ciphers = {name: server.decode_cipher(c) for name, c in wire["ciphertexts"].items()}
+                handles = engine.evaluate(server, ciphers, {}, retire_inputs=True)
+                reply = kit.context.decode_cipher(server.encode_cipher(handles["y"]))
+                server.release(handles["y"])
+                assert not server.evaluator._hoist_cache and server.live_ciphertexts == 0
+                assert np.allclose(kit.context.decrypt(reply)[: len(expected)], expected, atol=0.1)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_hoisted_rotations_of_an_evaluation_form_ciphertext(self, scheme):
         """L + L^2 digit rows once and 1 + L per step (c1 divided in evaluation
         form; c0 is lifted from evaluation form for nothing) — the cache is
-        keyed on the ciphertext's own c1, so the conversion cannot make it miss."""
+        keyed on the ciphertext's own c1, so the conversion cannot make it
+        miss — and the entry goes when the ciphertext is released."""
         ev, count = scheme.evaluator, 3
-        a = operand(scheme, 0, "eval")
-        ev.rotate(a, 1), ev.rotate(operand(scheme, 1, "eval"), STEP)  # warm both keys
+        for key in ev.galois_keys.keys.values():
+            key.evaluation_form(scheme.context)  # what an import prepares
         a = operand(scheme, 0, "eval")
         before = ntt_rows()
         ev.rotate(a, 1)
@@ -605,9 +679,12 @@ class TestExactNttRows:
             ev.rotate(a, step)
             assert ntt_rows() - before == 1 + count
         assert any(entry[0] is a.polys[1] for entry in ev._hoist_cache.values())
+        ev.forget(a)
+        assert not any(entry[0] is a.polys[1] for entry in ev._hoist_cache.values())
 
     def test_a_rotation_feeding_a_plain_multiply_pays_in_the_settle(self):
-        """Sobel 64x64 at the compiler-chosen N = 16384, 8 x 28-bit chain: every
+        """Sobel 64x64 at the compiler-chosen N = 16384, 7 x 28-bit chain and a
+        30-bit special prime (the compiler's since it chose its width): every
         rotation feeds ``multiply_plain``, which needs c0's value at once — so
         the rows a rotation no longer spends dividing c0 (K each) are spent
         settling it there (1 + L), and the totals are the ones measured before
@@ -619,7 +696,7 @@ class TestExactNttRows:
         options = CompilerOptions(max_rescale_bits=28)
         compilation = CompiledProgram.compile(program.graph, options=options)
         assert compilation.parameters.poly_modulus_degree == 16384
-        assert compilation.parameters.coeff_modulus_bits == [28] * 8
+        assert compilation.parameters.coeff_modulus_bits == [28] * 7 + [30]
         backend = CkksBackend(seed=3)
         engine = EvaluationEngine(compilation, backend=backend)
         context = backend.create_context(compilation.parameters)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import CompilerOptions, compile_program, execute_reference
 from repro.core.analysis import validate
+from repro.core.analysis.parameters import SPECIAL_PRIME_BITS
 from repro.core.ir import Program
 from repro.core.types import Op, ValueType
 from repro.errors import CompilationError
@@ -114,7 +115,9 @@ class TestRescaleBitOptions:
             input_scales={"x": 25, "y": 25},
             options=CompilerOptions(max_rescale_bits=25),
         )
-        assert all(bits <= 25 for bits in result.parameters.coeff_modulus_bits)
+        *chain, special = result.parameters.coeff_modulus_bits
+        assert all(bits <= 25 for bits in chain)
+        assert special == SPECIAL_PRIME_BITS  # never narrower: it divides the key-switching noise
 
 
 class TestCseAndFolding:

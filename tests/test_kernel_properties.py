@@ -534,7 +534,7 @@ class TestEvaluationFormStaysOffTheWire:
         server = backend.create_evaluation_context(parameters, frozen["evaluation_keys"])
         cipher = server.decode_cipher(frozen["cipher"])
         assert server.encode_cipher(cipher) == frozen["cipher"]
-        # Use every key so each one's evaluation-form cache is populated.
+        # Every key is held in its evaluation form from the import on.
         rotated = server.rotate(cipher, 1)
         squared = server.relinearize(server.multiply(cipher, cipher))
         values = np.array(frozen["values"])
@@ -544,5 +544,6 @@ class TestEvaluationFormStaysOffTheWire:
         assert np.allclose(np.real(client.decrypt(reply))[:16], values**2, atol=1e-2)
         evaluator = server.evaluator
         used = [evaluator.relin_key.key] + list(evaluator.galois_keys.keys.values())
-        assert all(key._evaluation_forms for key in used)
+        assert all(key.form is not None and not key.pairs for key in used)
+        # The export is rebuilt from the forms, exactly.
         assert server.export_evaluation_keys() == frozen["evaluation_keys"]

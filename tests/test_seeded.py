@@ -229,24 +229,26 @@ class TestSeededKeys:
             context = parties[name]
             results = exercise_every_key(context, context.decode_cipher(through_json(cipher_wire)))
             answers[name] = [context.encode_cipher(result) for result in results]
+        # One level-0 form per key, which every level read (no per-level copy).
         for own, seeded, written in zip(*(switching_keys(parties[n]) for n in ("own", "seeded", "written"))):
-            assert set(own._evaluation_forms) == set(seeded._evaluation_forms)
-            assert len(own._evaluation_forms) >= 2  # more than one level was used
-            for level_primes, form in own._evaluation_forms.items():
-                assert form.flags["C_CONTIGUOUS"]
-                assert np.array_equal(form, seeded._evaluation_forms[level_primes])
-                assert np.array_equal(form, written._evaluation_forms[level_primes])
+            assert own.form.flags["C_CONTIGUOUS"] and own.form.dtype == np.uint32
+            assert np.array_equal(own.form, seeded.form)
+            assert np.array_equal(own.form, written.form)
         # Same forms, same arithmetic: the three contexts answer byte for byte alike.
         assert answers["own"] == answers["seeded"] == answers["written"]
 
     def test_no_party_holds_a_coefficient_form_of_a_seeded_half(self, parties):
+        for key in switching_keys(parties["own"]):  # the generator's pairs, kept for export
+            for b, a in key.pairs.values():
+                assert isinstance(b, RnsPolynomial) and isinstance(a, SeededUniform)
         for name in ("own", "seeded"):
-            for key in switching_keys(parties[name]):
-                for b, a in key.pairs.values():
-                    assert isinstance(b, RnsPolynomial) and isinstance(a, SeededUniform)
             assert isinstance(parties[name].encryptor.public_key.a, SeededUniform)
-        for key in switching_keys(parties["written"]):
-            assert all(isinstance(a, RnsPolynomial) for _, a in key.pairs.values())
+        # An imported key holds its form and no pair: neither b nor a in coefficient form.
+        for name, seeded in (("seeded", True), ("written", False)):
+            for key in switching_keys(parties[name]):
+                assert key.pairs == {} and key.form is not None
+                assert len(key.seeds) == (key.form.shape[1] if seeded else 0)
+                assert all(isinstance(a, SeededUniform) for a in key.seeds.values())
 
     @pytest.mark.parametrize("name", ["seeded", "written"])
     def test_every_rotation_and_a_relinearization_decrypt(self, parties, name):
