@@ -159,7 +159,7 @@ def run(benchmark=None) -> dict:
         finally:
             flooder.join(timeout=120)
 
-        engine = server.engine.metrics
+        engine = server.engine.metrics_snapshot()
         attained = sum(
             1 for seconds in latencies if seconds * 1e3 <= TIGHT_DEADLINE_MS
         )
@@ -207,8 +207,8 @@ def run(benchmark=None) -> dict:
             "attainment": attainment,
             "p99_ms": p99,
             "rejected": rejected[0],
-            "engine_attained": engine.slo_attained,
-            "engine_missed": engine.slo_missed,
+            "engine_attained": engine["slo_attained"],
+            "engine_missed": engine["slo_missed"],
         },
         "relaxed": {
             "throughput_per_second": flood_throughput[0],

@@ -60,7 +60,7 @@ from .cluster import (
     ShardHandle,
     load_cluster_config,
 )
-from .jobs import EngineMetrics, Job, JobEngine
+from .jobs import Job, JobEngine
 from .netserver import ClusterTcpServer, EvaTcpServer, ServingClient
 from .quotas import FairnessPolicy, QuotaLedger, TokenBucket
 from .registry import CacheStats, ProgramRegistry
@@ -106,7 +106,6 @@ __all__ = [
     "ShardConfig",
     "ShardHandle",
     "load_cluster_config",
-    "EngineMetrics",
     "Job",
     "JobEngine",
     "ClusterTcpServer",

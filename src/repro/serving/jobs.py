@@ -34,9 +34,11 @@ tight request never lingers to fill lanes, a relaxed one always amortizes,
 and a standard one lingers only as long as its slack allows.  Outcomes are
 counted as ``serving.slo.attained`` / ``missed`` / ``rejected``.
 
-Per-stage latency (queue wait, execution) and throughput are accumulated in
-:class:`EngineMetrics`; the serving benchmarks read them to report amortized
-request cost.
+Every event — submission, outcome, throttle, cancellation, batch, queue wait
+and amortized execution time — is written once, into the engine's
+:class:`~repro.serving.telemetry.Telemetry` registry under its catalogued
+name; :meth:`JobEngine.metrics_snapshot` (``stats()["engine"]``) is a view
+summed from that registry.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional
 
 from ..core.serialization.messages import SLO_CLASSES
 from ..errors import DeadlineInfeasibleError, QueueFullError, ServingError
@@ -105,61 +107,6 @@ class Job:
         return max(self.started_at - self.submitted_at, 0.0)
 
 
-@dataclass
-class EngineMetrics:
-    """Counters and per-stage latency totals, updated under the engine lock."""
-
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    rejected: int = 0
-    throttled: int = 0
-    cancelled: int = 0
-    deadline_rejected: int = 0
-    slo_attained: int = 0
-    slo_missed: int = 0
-    batches: int = 0
-    largest_batch: int = 0
-    queue_seconds_total: float = 0.0
-    execute_seconds_total: float = 0.0
-    first_submit_at: Optional[float] = None
-    last_finish_at: Optional[float] = None
-    batch_size_counts: Dict[int, int] = field(default_factory=dict)
-
-    def summary(self) -> Dict[str, object]:
-        """Engine totals plus derived rates, for stats() and telemetry absorption."""
-        finished = self.completed + self.failed
-        elapsed = (
-            (self.last_finish_at - self.first_submit_at)
-            if self.first_submit_at is not None and self.last_finish_at is not None
-            else 0.0
-        )
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "throttled": self.throttled,
-            "cancelled": self.cancelled,
-            "deadline_rejected": self.deadline_rejected,
-            "slo_attained": self.slo_attained,
-            "slo_missed": self.slo_missed,
-            "batches": self.batches,
-            "largest_batch": self.largest_batch,
-            "mean_batch_size": round(finished / self.batches, 3) if self.batches else 0.0,
-            "mean_queue_seconds": (
-                round(self.queue_seconds_total / finished, 6) if finished else 0.0
-            ),
-            "mean_execute_seconds": (
-                round(self.execute_seconds_total / self.batches, 6) if self.batches else 0.0
-            ),
-            "throughput_per_second": (
-                round(finished / elapsed, 3) if elapsed > 0 else 0.0
-            ),
-            "batch_size_counts": dict(sorted(self.batch_size_counts.items())),
-        }
-
-
 class JobEngine:
     """Bounded-queue worker pool executing grouped jobs through a handler.
 
@@ -192,10 +139,8 @@ class JobEngine:
         self.batch_window = max(float(batch_window), 0.0)
         self.fairness = fairness
         self.ledger = QuotaLedger(fairness)
-        self.metrics = EngineMetrics()
-        #: Unified telemetry plane (histograms, spans); None keeps the engine
-        #: standalone-usable with only the legacy EngineMetrics totals.
-        self.telemetry = telemetry
+        #: The one place engine events are counted (and spans recorded).
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
         #: Per-client arrival queues; jobs of one client stay FIFO relative
         #: to each other, but *clients* are interleaved by virtual time.
         self._queues: "OrderedDict[str, deque[Job]]" = OrderedDict()
@@ -326,12 +271,7 @@ class JobEngine:
                 estimate = self.execute_estimate()
             wait = self.wait_estimate(slo, client)
             if wait + estimate > deadline_s:
-                with self._cond:
-                    self.metrics.deadline_rejected += 1
-                if telemetry is not None:
-                    telemetry.inc(
-                        "serving.slo.rejected", slo_class=slo, client=client
-                    )
+                telemetry.inc("serving.slo.rejected", slo_class=slo, client=client)
                 raise DeadlineInfeasibleError(
                     f"deadline of {deadline_ms:g}ms is infeasible: modeled "
                     f"queue wait {wait * 1000:.1f}ms + execution "
@@ -344,18 +284,14 @@ class JobEngine:
         try:
             self.ledger.admit(client)
         except ServingError:
-            with self._cond:
-                self.metrics.throttled += 1
-            if telemetry is not None:
-                telemetry.inc("serving.requests.throttled", client=client)
+            telemetry.inc("serving.requests.throttled", client=client)
             raise
-        if telemetry is not None:
-            telemetry.span(
-                trace_id,
-                "quota_admission",
-                time.perf_counter() - admit_started,
-                client=client,
-            )
+        telemetry.span(
+            trace_id,
+            "quota_admission",
+            time.perf_counter() - admit_started,
+            client=client,
+        )
         admitted = self.ledger.enabled
         future: "Future[Any]" = Future()
         if admitted:
@@ -368,9 +304,7 @@ class JobEngine:
                 while self._queued >= self.queue_size and not self._closed:
                     remaining = None if deadline is None else deadline - time.monotonic()
                     if remaining is not None and remaining <= 0:
-                        self.metrics.rejected += 1
-                        if telemetry is not None:
-                            telemetry.inc("serving.requests.rejected", client=client)
+                        telemetry.inc("serving.requests.rejected", client=client)
                         raise QueueFullError(
                             f"job queue is full ({self.queue_size} jobs) and the "
                             f"submit deadline of {timeout:g}s expired"
@@ -402,14 +336,10 @@ class JobEngine:
                     self._vtime[client] = max(self._clock, self._vtime.get(client, 0.0))
                 queue.append(job)
                 self._queued += 1
-                self.metrics.submitted += 1
-                if self.metrics.first_submit_at is None:
-                    self.metrics.first_submit_at = now
-                if telemetry is not None:
-                    telemetry.inc(
-                        "serving.requests.submitted", client=client, program=program
-                    )
-                    telemetry.set_gauge("serving.queue.depth", self._queued)
+                telemetry.inc(
+                    "serving.requests.submitted", client=client, program=program
+                )
+                telemetry.set_gauge("serving.queue.depth", self._queued)
                 self._cond.notify_all()
         except BaseException:
             # The job never entered the queue; settle the future so the
@@ -483,8 +413,7 @@ class JobEngine:
             form_seconds = time.perf_counter() - form_started
             for job in batch:
                 job.batch_form_seconds = form_seconds
-            if self.telemetry is not None:
-                self.telemetry.set_gauge("serving.queue.depth", self._queued)
+            self.telemetry.set_gauge("serving.queue.depth", self._queued)
             self._cond.notify_all()
             return batch
 
@@ -514,15 +443,7 @@ class JobEngine:
             # set_result below (an InvalidStateError in this loop would kill
             # the worker and strand every future behind it).
             live = [job for job in batch if job.future.set_running_or_notify_cancel()]
-            if len(live) != len(batch):
-                with self._cond:
-                    self.metrics.cancelled += len(batch) - len(live)
-                if self.telemetry is not None:
-                    for job in batch:
-                        if job not in live:
-                            self.telemetry.inc(
-                                "serving.requests.cancelled", client=job.client
-                            )
+            self._cancel(job for job in batch if job.future.cancelled())
             if not live:
                 continue
             batch = live
@@ -541,108 +462,107 @@ class JobEngine:
             finished = time.monotonic()
             execute_seconds = finished - started
             with self._cond:
-                self.metrics.batches += 1
-                self.metrics.largest_batch = max(self.metrics.largest_batch, len(batch))
-                size_counts = self.metrics.batch_size_counts
-                size_counts[len(batch)] = size_counts.get(len(batch), 0) + 1
-                self.metrics.execute_seconds_total += execute_seconds
-                self.metrics.last_finish_at = finished
                 self._execute_recent.append(execute_seconds)
                 for job in batch:
                     job.finished_at = finished
-                    self.metrics.queue_seconds_total += job.queue_seconds
                     self._wait_recent.setdefault(
                         job.slo_class, deque(maxlen=_RECENT_SAMPLES)
                     ).append(job.queue_seconds)
-                    if job.deadline_at is not None:
-                        if finished <= job.deadline_at:
-                            self.metrics.slo_attained += 1
-                        else:
-                            self.metrics.slo_missed += 1
-            if self.telemetry is not None:
-                # This is the single per-job accounting site: solo batches
-                # (len == 1, including degraded-to-solo fallbacks inside the
-                # handler) and grouped batches both pass through here exactly
-                # once per job, so queue wait and the batch-amortized execute
-                # time are reported uniformly.
-                job_execute = execute_seconds / len(batch)
-                self.telemetry.observe("serving.batch.size", len(batch))
-                for job in batch:
-                    self.telemetry.observe(
-                        "serving.queue.seconds",
-                        job.queue_seconds,
-                        client=job.client,
+            # This is the single per-job accounting site: solo batches (len ==
+            # 1, including degraded-to-solo fallbacks inside the handler) and
+            # grouped batches both pass through here exactly once per job, so
+            # queue wait and the batch-amortized execute time are reported
+            # uniformly.
+            telemetry = self.telemetry
+            job_execute = execute_seconds / len(batch)
+            telemetry.inc("serving.batches", program=batch[0].program, size=len(batch))
+            for job in batch:
+                labels = {"client": job.client, "program": job.program}
+                telemetry.observe("serving.queue.seconds", job.queue_seconds, **labels)
+                telemetry.observe("serving.execute.seconds", job_execute, **labels)
+                telemetry.span(
+                    job.trace_id, "queue_wait", job.queue_seconds, client=job.client
+                )
+                telemetry.span(
+                    job.trace_id, "batch_form", job.batch_form_seconds,
+                    batch_size=len(batch),
+                )
+                telemetry.span(
+                    job.trace_id, "execute", job_execute,
+                    batch_size=len(batch), program=job.program,
+                )
+                if job.deadline_at is not None:
+                    outcome = "attained" if finished <= job.deadline_at else "missed"
+                    telemetry.inc(
+                        f"serving.slo.{outcome}",
+                        slo_class=job.slo_class,
                         program=job.program,
                     )
-                    self.telemetry.observe(
-                        "serving.execute.seconds",
-                        job_execute,
-                        client=job.client,
-                        program=job.program,
-                    )
-                    self.telemetry.span(
-                        job.trace_id, "queue_wait", job.queue_seconds,
-                        client=job.client,
-                    )
-                    self.telemetry.span(
-                        job.trace_id, "batch_form", job.batch_form_seconds,
-                        batch_size=len(batch),
-                    )
-                    self.telemetry.span(
-                        job.trace_id, "execute", job_execute,
-                        batch_size=len(batch), program=job.program,
-                    )
-                    if job.deadline_at is not None:
-                        outcome = (
-                            "attained" if finished <= job.deadline_at else "missed"
-                        )
-                        self.telemetry.inc(
-                            f"serving.slo.{outcome}",
-                            slo_class=job.slo_class,
-                            program=job.program,
-                        )
             for job, result in zip(batch, results):
                 try:
+                    labels = {"client": job.client, "program": job.program}
                     if isinstance(result, BaseException):
-                        with self._cond:
-                            self.metrics.failed += 1
-                        if self.telemetry is not None:
-                            self.telemetry.inc(
-                                "serving.requests.failed",
-                                client=job.client,
-                                program=job.program,
-                            )
+                        telemetry.inc("serving.requests.failed", **labels)
                         job.future.set_exception(result)
                     else:
-                        with self._cond:
-                            self.metrics.completed += 1
-                        if self.telemetry is not None:
-                            self.telemetry.inc(
-                                "serving.requests.completed",
-                                client=job.client,
-                                program=job.program,
-                            )
+                        telemetry.inc("serving.requests.completed", **labels)
                         job.future.set_result(result)
                 except InvalidStateError:  # pragma: no cover - narrow race
                     # The future was resolved elsewhere; the worker must
                     # survive to serve the rest of the queue either way.
                     pass
 
+    def _cancel(self, jobs: Iterable[Job]) -> None:
+        """Cancel each of ``jobs`` that is not running, and count it."""
+        for job in jobs:
+            if job.future.cancel():
+                self.telemetry.inc("serving.requests.cancelled", client=job.client)
+
     # -- introspection -----------------------------------------------------------
     def metrics_snapshot(self) -> Dict[str, object]:
-        """The :class:`EngineMetrics` summary, read under the engine lock.
+        """Engine totals, summed from the telemetry registry in one pass.
 
-        Workers mutate the metrics under ``self._cond``; stats paths that
-        read ``self.metrics.summary()`` without it can observe torn
-        mid-batch state (e.g. ``batches`` advanced but ``completed`` not
-        yet).  Every stats/exposition path goes through here instead.
+        ``batch_size_counts`` and ``largest_batch`` read the ``size`` label of
+        ``serving.batches``; a batch folded past the series cap still counts
+        in ``batches``.  ``queued`` is read under the engine lock (the cluster
+        autoscaler compares it against its watermarks).
         """
+        sums: Dict[str, float] = {}
+        sizes: Dict[int, int] = {}
+        for (name, size), value in self.telemetry.registry.totals(split="size").items():
+            sums[name] = sums.get(name, 0.0) + value
+            if name == "serving.batches" and size:
+                sizes[int(size)] = int(value)
+
+        def count(name: str) -> int:
+            return int(sums.get(name, 0))
+
+        batches = count("serving.batches")
+        finished = count("serving.requests.completed") + count("serving.requests.failed")
         with self._cond:
-            summary = self.metrics.summary()
-            # Current queue depth rides along: the cluster autoscaler reads
-            # it per shard to compare against its watermarks.
-            summary["queued"] = self._queued
-            return summary
+            queued = self._queued
+        return {
+            "submitted": count("serving.requests.submitted"),
+            "completed": count("serving.requests.completed"),
+            "failed": count("serving.requests.failed"),
+            "rejected": count("serving.requests.rejected"),
+            "throttled": count("serving.requests.throttled"),
+            "cancelled": count("serving.requests.cancelled"),
+            "deadline_rejected": count("serving.slo.rejected"),
+            "slo_attained": count("serving.slo.attained"),
+            "slo_missed": count("serving.slo.missed"),
+            "batches": batches,
+            "largest_batch": max(sizes, default=0),
+            "mean_batch_size": round(finished / batches, 3) if batches else 0.0,
+            "mean_queue_seconds": (
+                round(sums.get("serving.queue.seconds", 0.0) / finished, 6) if finished else 0.0
+            ),
+            "mean_execute_seconds": (
+                round(sums.get("serving.execute.seconds", 0.0) / batches, 6) if batches else 0.0
+            ),
+            "batch_size_counts": dict(sorted(sizes.items())),
+            "queued": queued,
+        }
 
     # -- lifecycle ---------------------------------------------------------------
     def _drain_all(self) -> List[Job]:
@@ -675,10 +595,7 @@ class JobEngine:
             if cancel_pending and first_close:
                 doomed = self._drain_all()
             self._cond.notify_all()
-        cancelled = sum(1 for job in doomed if job.future.cancel())
-        if cancelled:
-            with self._cond:
-                self.metrics.cancelled += cancelled
+        self._cancel(doomed)
         if wait:
             for thread in self._workers:
                 thread.join()
@@ -687,10 +604,7 @@ class JobEngine:
             # its caller blocked on a future that will never settle.
             with self._cond:
                 leftover = self._drain_all()
-            stranded = sum(1 for job in leftover if job.future.cancel())
-            if stranded:
-                with self._cond:
-                    self.metrics.cancelled += stranded
+            self._cancel(leftover)
 
     def close(self, wait: bool = True) -> None:
         """Stop accepting jobs; drain the queue, then stop the workers."""

@@ -1066,8 +1066,6 @@ class EvaServer:
             "session_store": (
                 self.session_store.summary() if self.session_store else None
             ),
-            # Read under the engine lock: workers mutate these counters
-            # mid-batch, and an unlocked read can observe torn state.
             "engine": self.engine.metrics_snapshot(),
             "quota": self.engine.ledger.summary(),
             "precompile": {
@@ -1086,10 +1084,10 @@ class EvaServer:
         """The unified telemetry snapshot: registry series + absorbed summaries.
 
         The request-path histograms and counters come straight from the
-        telemetry registry; the legacy per-component ``summary()`` dicts
-        (engine totals, program registry, sessions, stores, quotas) are
-        absorbed as gauges under stable dotted prefixes, so one snapshot is
-        the whole observable state of this server process.
+        telemetry registry; the engine's view of them and the per-component
+        state ``summary()`` dicts (program registry, sessions, stores,
+        quotas) are absorbed as gauges under stable dotted prefixes, so one
+        snapshot is the whole observable state of this server process.
         """
         snapshot = self.telemetry.registry.snapshot()
         absorb_summary(snapshot, "serving.engine", self.engine.metrics_snapshot())

@@ -1,11 +1,12 @@
 r"""Unified telemetry plane: metrics registry, latency histograms, request tracing.
 
-Before this module every serving component kept its own ad-hoc totals
-(``EngineMetrics.summary()``, registry/artifact/quota/store ``summary()``,
-cluster ``stats()``) — scattered counters with no percentiles and no way to
-tell *where* a slow encrypted request spent its time as it crossed
-router → shard → fair queue → batch → backend.  This module is the
-measurement substrate that unifies them:
+Every request event is counted once, here: the job engine writes its
+submissions, outcomes, batches and waits into the registry and its
+``stats()["engine"]`` is a view computed from it.  The registry, artifact,
+quota, session and store ``summary()`` dicts describe *state* rather than
+events and are folded into snapshots as gauges (:func:`absorb_summary`).
+Traces tell *where* a slow encrypted request spent its time as it crossed
+router → shard → fair queue → batch → backend:
 
 * :class:`MetricsRegistry` — thread-safe counters, gauges, and log-bucketed
   latency :class:`Histogram`\ s (p50/p95/p99 derived from buckets) under
@@ -28,7 +29,8 @@ measurement substrate that unifies them:
 
 The registry's hot-path cost is one lock acquisition plus a dict update per
 observation; series cardinality is bounded (``max_series``) so client-chosen
-label values cannot exhaust memory.
+label values cannot exhaust memory, and a write past the bound is folded into
+its name's unlabelled series so totals stay exact.
 
 Stable metric name catalogue (mirrored in ``docs/metrics.md``; the
 ``tools/check_docs.py`` gate keeps the two in sync):
@@ -45,8 +47,7 @@ serving.requests.cancelled            counter    client
 serving.router.forwarded              counter    client, op
 serving.router.throttled              counter    client
 net.bytes_sent / net.bytes_received   counter    protocol
-serving.batches                       counter    program
-serving.batch.size                    histogram  program
+serving.batches                       counter    program, size
 serving.queue.depth                   gauge      —
 serving.queue.seconds                 histogram  client, program
 serving.execute.seconds               histogram  client, program
@@ -212,8 +213,10 @@ class MetricsRegistry:
     Series are keyed by ``(dotted name, sorted labels)``.  ``max_series``
     bounds total cardinality — client ids are caller-chosen strings, so
     unbounded per-label state would let an id-rotating client exhaust
-    memory; overflowing series are dropped and counted in
-    ``dropped_series``.
+    memory.  A counter or histogram write that finds no budget for a new
+    label set is folded into its name's unlabelled series (at most one per
+    name, created past the bound), so totals stay exact; a gauge write is
+    dropped.  Both are counted in ``dropped_series``.
     """
 
     def __init__(
@@ -237,13 +240,19 @@ class MetricsRegistry:
             < self.max_series
         )
 
+    def _budgeted(self, table: Dict, key: Tuple[str, tuple]) -> Tuple[str, tuple]:
+        """``key``, or its name's unlabelled series when ``key`` is new and
+        the budget is spent (lock held)."""
+        if key in table or self._series_budget_ok():
+            return key
+        self.dropped_series += 1
+        return (key[0], ())
+
     def inc(self, name: str, value: float = 1.0, **labels: Any) -> None:
         """Add ``value`` to a labeled counter series."""
         key = (str(name), _label_key(labels))
         with self._lock:
-            if key not in self._counters and not self._series_budget_ok():
-                self.dropped_series += 1
-                return
+            key = self._budgeted(self._counters, key)
             self._counters[key] = self._counters.get(key, 0.0) + float(value)
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
@@ -259,11 +268,9 @@ class MetricsRegistry:
         """Record ``value`` into a labeled histogram series."""
         key = (str(name), _label_key(labels))
         with self._lock:
+            key = self._budgeted(self._histograms, key)
             histogram = self._histograms.get(key)
             if histogram is None:
-                if not self._series_budget_ok():
-                    self.dropped_series += 1
-                    return
                 histogram = self._histograms[key] = Histogram(self.buckets)
             histogram.observe(value)
 
@@ -276,6 +283,25 @@ class MetricsRegistry:
         """The histogram object behind one series, or None."""
         with self._lock:
             return self._histograms.get((str(name), _label_key(labels)))
+
+    def totals(self, split: str = "") -> Dict[Tuple[str, str], float]:
+        """Counters and histogram sums added up across label sets, in one pass.
+
+        Keyed by ``(name, value of the split label)``, ``""`` for a series
+        without that label (a folded one has none).
+        """
+        with self._lock:
+            series = list(self._counters.items())
+            series += [(key, hist.sum) for key, hist in self._histograms.items()]
+        out: Dict[Tuple[str, str], float] = {}
+        for (name, labels), value in series:
+            key = (name, dict(labels).get(split, ""))
+            out[key] = out.get(key, 0.0) + value
+        return out
+
+    def total(self, name: str) -> float:
+        """One counter (or histogram sum) added up across its label sets."""
+        return sum(v for (n, _), v in self.totals().items() if n == name)
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-able snapshot of every series (single consistent lock hold)."""
@@ -304,9 +330,9 @@ def absorb_summary(
 
     Only numeric leaves are absorbed (one level of nested dicts is flattened
     with a dotted suffix); strings/lists are monitoring noise here and stay
-    in ``stats()``.  This is how the legacy ``EngineMetrics`` / registry /
-    artifact / quota / store counters surface under stable dotted names
-    without rewiring every component.
+    in ``stats()``.  This is how the engine's view and the registry /
+    artifact / quota / session / store state surface under stable dotted
+    names.
     """
     if not summary:
         return

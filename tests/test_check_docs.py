@@ -66,6 +66,19 @@ class TestCheckDocs:
         assert any("`join`" in item for item in missing)
         assert check_docs.main(["--docs-dir", str(docs)]) == 1
 
+    def test_every_catalogued_metric_has_a_write_site(self, check_docs, tmp_path):
+        assert check_docs.check_metric_writes(check_docs.catalogue_metrics()) == []
+        (tmp_path / "writer.py").write_text(
+            'inc("serving.batches")\n'
+            'inc(f"serving.slo.{outcome}")\n'
+            'absorb(snapshot, "serving.engine", summary)\n'
+            'log(f"s{x}")\n'
+        )
+        names = ["serving.batches", "serving.slo.missed", "serving.engine.*", "serving.sessions"]
+        assert check_docs.check_metric_writes(names, tmp_path) == [
+            "telemetry catalogue: metric 'serving.sessions' has no write site under src/repro"
+        ]
+
     def test_state_table_must_match_the_code_both_ways(self, check_docs):
         doc = (REPO_ROOT / "docs" / "wire-protocol.md").read_text()
         assert check_docs.check_state_table(doc) == []

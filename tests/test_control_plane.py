@@ -245,7 +245,7 @@ class TestEngineQuotas:
         for future in (first, second, third):
             future.result(10)
         engine.close()
-        assert engine.metrics.throttled == 1
+        assert engine.metrics_snapshot()["throttled"] == 1
         # Settled futures release their slots: alice can submit again.
         engine2 = JobEngine(
             lambda jobs: [None] * len(jobs), workers=1,
@@ -256,9 +256,11 @@ class TestEngineQuotas:
         engine2.close()
 
     def test_rate_quota_at_admission(self):
+        # A token every half second: two round trips never refill the bucket,
+        # so the burst is the whole budget however slow the host is.
         engine = JobEngine(
             lambda jobs: [None] * len(jobs), workers=1,
-            fairness=FairnessPolicy(quota_rps=1000.0, burst=2),
+            fairness=FairnessPolicy(quota_rps=2.0, burst=2),
         )
         engine.submit("g", None, client="alice").result(10)
         engine.submit("g", None, client="alice").result(10)

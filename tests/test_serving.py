@@ -244,7 +244,7 @@ class TestJobEngine:
         with JobEngine(lambda jobs: [job.payload * 2 for job in jobs], workers=2) as engine:
             futures = [engine.submit("g", i) for i in range(10)]
             assert [f.result(10) for f in futures] == [i * 2 for i in range(10)]
-        assert engine.metrics.completed == 10
+        assert engine.metrics_snapshot()["completed"] == 10
 
     def test_handler_exception_fails_batch(self):
         def boom(jobs):
@@ -254,7 +254,7 @@ class TestJobEngine:
             future = engine.submit("g", None)
             with pytest.raises(RuntimeError, match="kaput"):
                 future.result(10)
-        assert engine.metrics.failed == 1
+        assert engine.metrics_snapshot()["failed"] == 1
 
     def test_bounded_queue_rejects_on_timeout(self):
         release = threading.Event()
@@ -270,7 +270,7 @@ class TestJobEngine:
             engine.submit("g", 1)  # fills the queue
             with pytest.raises(QueueFullError):
                 engine.submit("g", 2, timeout=0.01)
-            assert engine.metrics.rejected == 1
+            assert engine.metrics_snapshot()["rejected"] == 1
         finally:
             release.set()
             engine.close()
@@ -300,7 +300,7 @@ class TestJobEngine:
             engine.close()
         assert ["a0", "a1", "a2", "a3"] in batches
         assert ["b0"] in batches
-        assert engine.metrics.largest_batch == 4
+        assert engine.metrics_snapshot()["largest_batch"] == 4
 
     def test_submit_after_close_raises(self):
         engine = JobEngine(lambda jobs: [None] * len(jobs), workers=1)
@@ -362,8 +362,8 @@ class TestJobEngine:
             assert future.cancelled()
             with pytest.raises(concurrent.futures.CancelledError):
                 future.result(0)
-        assert engine.metrics.cancelled == 4
-        assert engine.metrics.completed == 1
+        assert engine.metrics_snapshot()["cancelled"] == 4
+        assert engine.metrics_snapshot()["completed"] == 1
 
     def test_caller_cancelled_future_does_not_kill_worker(self):
         """A future cancelled while queued must not crash the worker thread.
@@ -392,7 +392,7 @@ class TestJobEngine:
             assert blocker.result(10) == "block"
             # The worker survived the cancelled job and still serves:
             assert engine.submit("g", "after").result(10) == "after"
-            assert engine.metrics.cancelled == 1
+            assert engine.metrics_snapshot()["cancelled"] == 1
         finally:
             engine.close()
 
@@ -940,7 +940,7 @@ class TestSloScheduling:
             with pytest.raises(DeadlineInfeasibleError, match="infeasible") as info:
                 engine.submit("g", 0, deadline_ms=5.0, execute_estimate=0.5)
             assert info.value.retry_after >= 0.05
-            assert engine.metrics.deadline_rejected == 1
+            assert engine.metrics_snapshot()["deadline_rejected"] == 1
             # Without a deadline the same job is admitted normally.
             assert engine.submit("g", 1).result(10) is None
         with pytest.raises(ValueError, match="unknown SLO class"):
@@ -969,9 +969,9 @@ class TestSloScheduling:
             assert future.result(10) is None
             elapsed = time.perf_counter() - started
             assert elapsed < 0.9, "standard job was held for the full batch window"
-            assert engine.metrics.deadline_rejected == 0
+            assert engine.metrics_snapshot()["deadline_rejected"] == 0
             assert batches == [[0]]
-            assert engine.metrics.slo_attained == 1
+            assert engine.metrics_snapshot()["slo_attained"] == 1
 
     def test_tight_skips_linger_while_relaxed_amortizes(self):
         """Under the same window, tight goes solo now, relaxed fills lanes."""
@@ -995,7 +995,7 @@ class TestSloScheduling:
             assert first.result(10) is None and second.result(10) is None
         assert ["t0"] in batches
         assert ["r0", "r1"] in batches
-        assert engine.metrics.largest_batch == 2
+        assert engine.metrics_snapshot()["largest_batch"] == 2
 
     def test_wire_carries_deadline_and_typed_rejection(self):
         """The full loop over TCP: SLO fields on the envelope, typed error back."""
@@ -1017,12 +1017,12 @@ class TestSloScheduling:
                     slo_class="standard",
                 )
                 assert "y" in outputs
-                assert eva.engine.metrics.slo_attained == 1
+                assert eva.engine.metrics_snapshot()["slo_attained"] == 1
                 # A 1 microsecond deadline is below any modeled execute time.
                 with pytest.raises(DeadlineInfeasibleError) as info:
                     client.submit("poly", {"x": [1.0, 2.0]}, deadline_ms=0.001)
                 assert info.value.retry_after > 0
-                assert eva.engine.metrics.deadline_rejected == 1
+                assert eva.engine.metrics_snapshot()["deadline_rejected"] == 1
                 # The connection survives the rejection.
                 assert client.ping()
             snapshot = eva.metrics_snapshot()

@@ -145,8 +145,10 @@ class TestMetricsRegistry:
         for i in range(10):
             registry.inc("c", client=f"rotating-{i}")
         snap = registry.snapshot()
-        assert len(snap["counters"]) == 3
+        # Overflow folds into the unlabelled series instead of vanishing.
+        assert sum(1 for c in snap["counters"] if c["labels"]) == 3
         assert snap["dropped_series"] == 7
+        assert registry.counter_value("c") == 7
         # Existing series keep counting even at the cap.
         registry.inc("c", client="rotating-0")
         assert registry.counter_value("c", client="rotating-0") == 2
@@ -411,6 +413,68 @@ class TestEngineAccounting:
         finally:
             engine.close()
         return telemetry, engine
+
+    def test_shutdown_cancellations_are_counted(self):
+        telemetry = Telemetry(slow_threshold=10.0)
+        entered = threading.Event()
+        release = threading.Event()
+
+        def gated(batch):
+            entered.set()
+            release.wait(10)
+            return [job.payload for job in batch]
+
+        engine = JobEngine(gated, workers=1, max_batch=1, telemetry=telemetry)
+        busy = engine.submit("g", "busy", client="alice")
+        assert entered.wait(10)
+        pending = [engine.submit("g", i, client="alice") for i in range(4)]
+        stopper = threading.Thread(
+            target=lambda: engine.shutdown(wait=True, cancel_pending=True)
+        )
+        stopper.start()
+        release.set()
+        stopper.join(10)
+        assert not stopper.is_alive()
+        assert busy.result(0) == "busy"
+        assert all(future.cancelled() for future in pending)
+        assert telemetry.registry.counter_value(
+            "serving.requests.cancelled", client="alice"
+        ) == 4
+        assert telemetry.registry.total("serving.requests.cancelled") == 4
+        assert engine.metrics_snapshot()["cancelled"] == 4
+
+    def test_view_stays_exact_past_the_series_cap(self):
+        telemetry = Telemetry(slow_threshold=10.0, max_series=4)
+        engine = JobEngine(
+            lambda batch: [job.payload for job in batch],
+            workers=1,
+            max_batch=1,
+            telemetry=telemetry,
+        )
+        try:
+            for i in range(10):
+                engine.submit("g", i, client=f"rotating-{i}", program="p").result(5)
+        finally:
+            engine.close()
+        assert telemetry.registry.dropped_series > 0
+        view = engine.metrics_snapshot()
+        assert view["submitted"] == 10
+        assert view["completed"] == 10
+        assert view["batches"] == 10
+        # A folded batch has no size label: counted, but in no size bucket.
+        assert sum(view["batch_size_counts"].values()) <= 10
+        assert set(view["batch_size_counts"]) <= {1}
+
+    def test_view_matches_the_registry(self):
+        telemetry, engine = self._run_jobs(4, 6)
+        registry = telemetry.registry
+        view = engine.metrics_snapshot()
+        assert view["batches"] == registry.total("serving.batches")
+        assert view["batches"] == sum(view["batch_size_counts"].values())
+        assert sum(size * n for size, n in view["batch_size_counts"].items()) == 6
+        assert view["largest_batch"] == max(view["batch_size_counts"])
+        assert view["mean_batch_size"] == round(6 / view["batches"], 3)
+        assert "throughput_per_second" not in view
 
     @pytest.mark.parametrize("max_batch", [1, 4])
     def test_every_job_observed_exactly_once(self, max_batch):

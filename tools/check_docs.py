@@ -8,7 +8,11 @@ every piece of it:
 
 * the metric catalogue in ``repro.serving.telemetry``'s module docstring
   (the table between ``====`` rulers) -> every metric name must appear in
-  ``docs/metrics.md``;
+  ``docs/metrics.md``, and must have a write site under ``src/repro``: a
+  string literal equal to it (for ``prefix.*``, equal to the prefix), or an
+  f-string whose literal head is a dotted prefix the name extends, such as
+  ``f"serving.slo.{outcome}"`` (a catalogued name nothing writes is a promise
+  no scrape keeps);
 * the CLI surface from ``repro.cli.build_parser()`` -> every subcommand
   (as ``repro.cli <name>``) and every long option must appear in
   ``docs/operations.md``;
@@ -53,6 +57,7 @@ code exposes (deprecated aliases, planned work), but never less.
 from __future__ import annotations
 
 import argparse
+import ast
 import re
 import sys
 from pathlib import Path
@@ -87,6 +92,27 @@ def catalogue_metrics() -> list:
     if not names:
         raise SystemExit("telemetry docstring: catalogue table parsed empty")
     return names
+
+
+def check_metric_writes(names: list, src: Path = REPO_ROOT / "src" / "repro") -> list:
+    """Catalogued metric names with no write site under ``src``."""
+    literals, heads = set(), set()
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.JoinedStr) and node.values:
+                head = node.values[0]
+                if isinstance(head, ast.Constant) and str(head.value).endswith("."):
+                    heads.add(head.value)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                literals.add(node.value)
+    complaints = []
+    for name in names:
+        stem = name[: -len(".*")] if name.endswith(".*") else name
+        if stem not in literals and not any(stem.startswith(head) for head in heads):
+            complaints.append(
+                f"telemetry catalogue: metric {name!r} has no write site under src/repro"
+            )
+    return complaints
 
 
 def cli_surface() -> list:
@@ -366,6 +392,7 @@ def check(docs_dir: Path) -> list:
     for metric in catalogue_metrics():
         if metric not in metrics_doc:
             missing.append(f"metrics.md: metric {metric!r} undocumented")
+    missing.extend(check_metric_writes(catalogue_metrics()))
 
     operations_doc = read("operations.md")
     for subcommand, options in cli_surface():
