@@ -15,7 +15,7 @@ Underneath both sits one batched NTT kernel (``repro.ckks.ntt.NttKernel``:
 constant-geometry butterflies, Shoup twiddles, lazy ``[0, 2q)`` reduction)
 that transforms a whole ``(L, K, N)`` digit matrix in one pass; the textbook
 row-at-a-time transform is retained as its oracle
-(``NttContext.forward_reference``).
+(``tests/oracles/ntt.py``).
 
 This benchmark times each path against its oracle on the real scheme and
 gates the ratios:
@@ -81,7 +81,7 @@ from repro.ckks import (
     Evaluator,
     KeyGenerator,
 )
-from repro.ckks.ntt import bit_reverse_indices, get_ntt_context, ntt_rows
+from repro.ckks.ntt import bit_reverse_indices, ntt_rows
 from repro.core.analysis.parameters import EncryptionParameters
 from repro.core.serialization.packing import expanded_seeds
 
@@ -89,6 +89,7 @@ from repro.core.serialization.packing import expanded_seeds
 sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles.dense_encoder import DenseCkksEncoder  # noqa: E402
 from oracles.keyswitch import ReferenceEvaluator, coefficient_form  # noqa: E402
+from oracles.ntt import ReferenceNtt  # noqa: E402
 
 try:
     from conftest import print_table
@@ -140,7 +141,7 @@ def measure_ntt(context, cipher) -> dict:
     """Batched kernel vs the reference row loop on the key-switch digit matrix."""
     key_basis = context.key_basis(cipher.level)
     digits = cipher.polys[1].residues[:, np.newaxis, :] % key_basis.primes_column
-    oracles = [get_ntt_context(prime, POLY_MODULUS_DEGREE) for prime in key_basis.primes]
+    oracles = [ReferenceNtt(prime, POLY_MODULUS_DEGREE) for prime in key_basis.primes]
 
     def row_loop():
         return np.stack(

@@ -116,7 +116,7 @@ class CostModel:
 
         Uses a flat level count for every term (pessimistic for late, cheap
         levels) — the number is meant for *relative* comparisons, e.g. the
-        lane-width picker scoring candidate widths against each other.
+        deadline admission's execute estimate before a program has run.
         """
         total = 0.0
         for term in program.terms():

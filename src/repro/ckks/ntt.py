@@ -46,8 +46,7 @@ different worker threads, so a caller reads the tally before and after its
 own work to get an exact, repeatable cost.
 
 :class:`NttContext` is the single-prime face (one 1-D row in, one out,
-through the same kernel) and carries the textbook row-at-a-time transform as
-the property-test oracle.
+through the same kernel).
 """
 
 from __future__ import annotations
@@ -267,39 +266,17 @@ def get_ntt_kernel(primes: Sequence[int], poly_modulus_degree: int) -> NttKernel
 
 
 class NttContext:
-    """One (prime, N) pair: 1-D rows through the kernel, plus the test oracle.
+    """One (prime, N) pair: 1-D rows through the batched :class:`NttKernel`.
 
-    ``forward``/``inverse``/``multiply`` run the production :class:`NttKernel`
-    on a single row.  ``forward_reference``/``inverse_reference`` are the
-    textbook transform — pre-twist by powers of ``psi``, bit-reversal gather,
-    Cooley-Tukey butterflies with a full ``%`` per stage — in *natural* slot
-    order (slot ``k`` holds the evaluation at ``psi^(2k+1)``); the kernel's
-    output is that vector indexed by :func:`bit_reverse_indices`.
+    The textbook row-at-a-time transform the kernel is pinned against lives
+    in the test oracles (``tests/oracles/ntt.py``), not here.
     """
 
     def __init__(self, prime: int, poly_modulus_degree: int) -> None:
         self.kernel = get_ntt_kernel((prime,), poly_modulus_degree)
         self.prime = int(prime)
         self.n = self.kernel.n
-        self.psi = self.kernel.psi[0]
-        self.psi_inv = mod_inverse(self.psi, self.prime)
-        self.n_inv = mod_inverse(self.n, self.prime)
-        q = np.array([self.prime], dtype=np.int64)
-        self.psi_powers = _power_table(np.array([self.psi]), q, self.n)[0]
-        self.psi_inv_powers = _power_table(np.array([self.psi_inv]), q, self.n)[0]
-        # omega = psi^2, so the stage twiddles are strided reads of the same tables.
-        self._forward_stages = self._stage_twiddles(self.psi_powers)
-        self._inverse_stages = self._stage_twiddles(self.psi_inv_powers)
 
-    def _stage_twiddles(self, powers: np.ndarray) -> Dict[int, np.ndarray]:
-        stages: Dict[int, np.ndarray] = {}
-        length = 2
-        while length <= self.n:
-            stages[length] = powers[:: 2 * self.n // length][: length // 2]
-            length *= 2
-        return stages
-
-    # -- production path: one row through the batched kernel ---------------------------
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Negacyclic forward NTT of a length-N vector of reduced residues."""
         return self.kernel.forward(np.asarray(coeffs)[np.newaxis])[0]
@@ -312,36 +289,6 @@ class NttContext:
         """Negacyclic product of two coefficient vectors modulo the prime."""
         fa, fb = self.kernel.forward(np.stack([a, b])[:, np.newaxis])
         return self.kernel.inverse(fa * fb % self.prime)[0]
-
-    # -- oracle ---------------------------------------------------------------------------
-    def _transform_reference(self, values: np.ndarray, stages: Dict[int, np.ndarray]) -> np.ndarray:
-        """Textbook butterfly loop with full `%` reductions (property-test oracle)."""
-        q = self.prime
-        data = values.astype(np.int64) % q
-        data = data[bit_reverse_indices(self.n)]
-        length = 2
-        while length <= self.n:
-            half = length // 2
-            twiddles = stages[length]
-            blocks = data.reshape(-1, length)
-            low = blocks[:, :half].copy()
-            high = (blocks[:, half:] * twiddles[np.newaxis, :]) % q
-            blocks[:, :half] = (low + high) % q
-            blocks[:, half:] = (low - high) % q
-            data = blocks.reshape(-1)
-            length *= 2
-        return data
-
-    def forward_reference(self, coeffs: np.ndarray) -> np.ndarray:
-        """Forward NTT in natural slot order through the oracle path."""
-        twisted = (coeffs.astype(np.int64) % self.prime) * self.psi_powers % self.prime
-        return self._transform_reference(twisted, self._forward_stages)
-
-    def inverse_reference(self, values: np.ndarray) -> np.ndarray:
-        """Inverse NTT of natural-order slots through the oracle path."""
-        data = self._transform_reference(values, self._inverse_stages)
-        data = data * self.n_inv % self.prime
-        return data * self.psi_inv_powers % self.prime
 
 
 _BIT_REVERSE_CACHE: Dict[int, np.ndarray] = {}

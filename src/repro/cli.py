@@ -551,13 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="logging level for the serving logger tree (DEBUG, INFO, ...)",
     )
     serve.add_argument(
-        "--precompile-widths",
-        type=int,
-        default=0,
-        help="pre-warm this many of the most-requested lane widths per "
-        "program in the background (0 disables)",
-    )
-    serve.add_argument(
         "--wire",
         choices=["auto", "binary", "json"],
         default="auto",

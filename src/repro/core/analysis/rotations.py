@@ -37,9 +37,7 @@ rotation-cost optimizations:
 Lane lowering (:class:`~repro.core.rewrite.lane.LaneLoweringPass`) rewrites a
 lane-local rotation by ``k`` into global rotations: the in-lane step ``k`` and
 the wrap branch composed after it, whose step every lane step shares
-(:func:`lane_wrap_step`, ``vec_size - w``).  :func:`lane_rotation_profile`
-maps a solo program's step set to the lowered set without compiling the
-variant — the width picker uses it to cost candidate lane widths.
+(:func:`lane_wrap_step`, ``vec_size - w``).
 """
 
 from __future__ import annotations
@@ -95,22 +93,6 @@ def merge_rotation_steps(*step_sets: Iterable[int]) -> List[int]:
             if step != 0:
                 merged.add(step)
     return sorted(merged)
-
-
-def lane_rotation_profile(
-    steps: Iterable[int], lane_width: int, vec_size: int
-) -> List[int]:
-    """The step set of the lane-lowered variant, before BSGS, without compiling it.
-
-    Every solo step ``k`` becomes the in-lane step ``k mod w`` (dropped when
-    zero — lane-multiple shifts degenerate into doublings), and any surviving
-    step adds the one shared wrap step ``vec_size - w``.
-    """
-    width = int(lane_width)
-    in_steps = {int(s) % width for s in steps} - {0}
-    if not in_steps:
-        return []
-    return sorted(in_steps | {lane_wrap_step(width, vec_size)})
 
 
 # ---------------------------------------------------------------------------

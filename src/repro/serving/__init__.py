@@ -12,8 +12,8 @@ Turns the one-shot compiler + executor into a serving stack:
 * :class:`SessionStore` — disk persistence of client key blobs, so sessions
   survive restarts and shard failures (with TTL-based ``prune`` GC).
 * :class:`ArtifactCache` — shared on-disk compiled-program cache: shards load
-  what their siblings already compiled instead of recompiling, and
-  :class:`LaneWidthPolicy` pre-warms the most-requested lane widths.
+  what their siblings already compiled (lane-width variants included)
+  instead of recompiling.
 * :class:`FairnessPolicy` / :class:`QuotaLedger` — per-client token-bucket
   rate quotas and in-flight caps (the serving 429,
   :class:`~repro.errors.QuotaExceededError`), enforced at the cluster router
@@ -41,7 +41,7 @@ Turns the one-shot compiler + executor into a serving stack:
   (``repro.cli cluster metrics|trace|slow``; ``submit --trace``).
 """
 
-from .artifacts import ArtifactCache, LaneWidthPolicy, WidthHistogram
+from .artifacts import ArtifactCache
 from .batching import (
     BatchInfo,
     BatchPlan,
@@ -87,8 +87,6 @@ from .telemetry import (
 
 __all__ = [
     "ArtifactCache",
-    "LaneWidthPolicy",
-    "WidthHistogram",
     "FairnessPolicy",
     "QuotaLedger",
     "TokenBucket",

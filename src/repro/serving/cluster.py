@@ -197,8 +197,6 @@ class ShardConfig:
     #: configuration does not exist.
     log_json: bool = False
     log_level: str = "INFO"
-    #: Pre-warm this many of the most-requested lane widths per program.
-    precompile_widths: int = 0
 
     #: The fields that may be None, and what they hold otherwise (every other
     #: scalar field is checked against the type of its default).
@@ -228,7 +226,7 @@ class ShardConfig:
         artifact cache and the telemetry plane (labelled ``shard``), and
         registers ``programs`` — ``(name, graph, options)`` triples.
         """
-        from .artifacts import ArtifactCache, LaneWidthPolicy
+        from .artifacts import ArtifactCache
         from .server import EvaServer
         from .store import SessionStore
 
@@ -238,7 +236,6 @@ class ShardConfig:
             pruned = session_store.prune()
             if pruned:
                 print(f"pruned {pruned} expired session record(s)", file=sys.stderr)
-        widths, artifacts = self.precompile_widths, self.artifact_dir
         server = EvaServer(
             backend=self.backend.build(),
             workers=self.workers,
@@ -247,9 +244,8 @@ class ShardConfig:
             batch_window=self.batch_window,
             executor_threads=self.executor_threads,
             session_store=session_store,
-            artifact_cache=ArtifactCache(artifacts) if artifacts else None,
+            artifact_cache=ArtifactCache(self.artifact_dir) if self.artifact_dir else None,
             fairness=self.fairness,
-            precompile=LaneWidthPolicy(top_widths=widths) if widths else None,
             telemetry=Telemetry(slow_threshold=self.slow_threshold, shard=shard),
         )
         for name, program, options in programs:

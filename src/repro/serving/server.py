@@ -59,7 +59,7 @@ from ..core.compiler import (
 from ..core.executor import EvaluationEngine
 from ..core.ir import Program
 from ..errors import EncodingError, EvaError, ParameterError, ServingError, UnknownProgramError
-from .artifacts import ArtifactCache, LaneWidthPolicy, WidthHistogram
+from .artifacts import ArtifactCache
 from .batching import BatchInfo, BatchPlan, SlotBatcher, pow2_ceil, request_width
 from .jobs import Job, JobEngine
 from .quotas import FairnessPolicy
@@ -234,7 +234,6 @@ class EvaServer:
         session_store: Optional[SessionStore] = None,
         artifact_cache: Optional[ArtifactCache] = None,
         fairness: Optional[FairnessPolicy] = None,
-        precompile: Optional[LaneWidthPolicy] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if backend is None:
@@ -269,15 +268,6 @@ class EvaServer:
         #: failed; remembered so a failing width is not recompiled per batch.
         self._lane_failures: Set[Tuple[str, int]] = set()
         self._lock = threading.Lock()
-        #: Request-width histogram feeding the lane-width precompile policy.
-        self.widths = WidthHistogram()
-        self.precompile = precompile
-        self._precompiled: Set[Tuple[str, int]] = set()
-        self._precompile_pending = 0
-        self._precompile_cond = threading.Condition()
-        self._precompile_queue: "Optional[Any]" = None
-        self._precompile_thread: Optional[threading.Thread] = None
-        self._precompile_closed = False
         self.engine = JobEngine(
             self._handle_batch,
             workers=workers,
@@ -370,8 +360,6 @@ class EvaServer:
         payload = ServeRequest(
             inputs=_admitted_inputs(inputs), output_size=output_size, name=name
         )
-        if self.precompile is not None:
-            self._observe_width(spec, payload)
         return self._enqueue("plain", spec, payload, client_id, **admission)
 
     def _lookup(self, name: str) -> ProgramSpec:
@@ -645,123 +633,6 @@ class EvaServer:
                 with self._lock:
                     self._lane_failures.add(key)
             return None
-
-    # -- lane-width precompilation -------------------------------------------------
-    def _observe_width(self, spec: ProgramSpec, request: ServeRequest) -> None:
-        """Feed the width histogram; kick the precompile policy when due."""
-        width = pow2_ceil(
-            max(request_width(request.inputs), int(request.output_size or 1))
-        )
-        samples = self.widths.record(spec.signature, width)
-        if samples % self.precompile.min_samples == 0:
-            self._schedule_precompile(spec)
-
-    def _schedule_precompile(self, spec: ProgramSpec) -> None:
-        """Queue a background pre-warm of ``spec``'s top lane widths."""
-        import queue as queue_module
-
-        with self._precompile_cond:
-            if self._precompile_closed:
-                # A request racing close() must not enqueue behind the stop
-                # sentinel (its pending count would never drain) or start a
-                # worker thread nobody will stop.
-                return
-            if self._precompile_queue is None:
-                self._precompile_queue = queue_module.Queue()
-                self._precompile_thread = threading.Thread(
-                    target=self._precompile_loop,
-                    name="eva-precompile",
-                    daemon=True,
-                )
-                self._precompile_thread.start()
-            self._precompile_pending += 1
-            self._precompile_queue.put(spec)
-
-    def _precompile_loop(self) -> None:
-        while True:
-            spec = self._precompile_queue.get()
-            if spec is None:
-                return
-            try:
-                self._precompile_for(spec)
-            except Exception as exc:  # pre-warming must never hurt serving
-                import warnings
-
-                warnings.warn(
-                    f"lane-width precompile of {spec.name!r} failed: "
-                    f"{type(exc).__name__}: {exc}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            finally:
-                with self._precompile_cond:
-                    self._precompile_pending -= 1
-                    self._precompile_cond.notify_all()
-
-    def _precompile_for(self, spec: ProgramSpec) -> None:
-        """Compile (and publish) the policy's best widths for one program.
-
-        The candidate widths come from the observed request histogram, ranked
-        by the policy — with the cost model on, by modeled per-request batch
-        cost (lane rotation overhead + amortized Galois key bytes + slot
-        waste), otherwise by raw popularity.  The widths a policy pre-warms
-        are exactly the ones :meth:`_lane_variant_for` would resolve inline
-        for a batch of the observed shape — so the first real batch at a
-        popular width finds the variant already in the registry (or,
-        fleet-wide, in the artifact cache) instead of paying the compile on
-        the request path.  Each candidate's score lands on the
-        ``serving.lane.width_score`` gauge and each successful pre-warm on
-        the ``serving.lane.width_chosen`` counter, making the picker's
-        decisions observable.
-        """
-        compilation = self._compile(spec)
-        info = self._served_for(spec.signature, compilation).info
-        if info.slotwise or info.lane_width is not None:
-            # Slotwise programs batch without lane variants; a pinned lane
-            # width is already compiled in.
-            return
-        ranked = self.precompile.choose_widths(
-            compilation, self.widths.counts(spec.signature)
-        )
-        for width, score in ranked:
-            self.telemetry.set_gauge(
-                "serving.lane.width_score",
-                score,
-                program=spec.name,
-                width=str(width),
-            )
-        for width, _score in ranked:
-            width = max(int(width), info.min_lane)
-            if width >= info.vec_size:
-                continue
-            key = (spec.signature, width)
-            with self._lock:
-                if key in self._lane_failures or key in self._precompiled:
-                    continue
-            try:
-                self._compile(spec, lane_width=width)
-                with self._lock:
-                    self._precompiled.add(key)
-                self.telemetry.inc(
-                    "serving.lane.width_chosen",
-                    1,
-                    program=spec.name,
-                    width=str(width),
-                )
-            except EvaError:
-                with self._lock:
-                    self._lane_failures.add(key)
-
-    def drain_precompiles(self, timeout: Optional[float] = 30.0) -> bool:
-        """Wait for queued pre-warms to finish (tests/benchmarks); True if idle."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._precompile_cond:
-            while self._precompile_pending > 0:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._precompile_cond.wait(remaining)
-            return True
 
     def _served_for(self, signature: str, compilation: CompilationResult) -> _Served:
         """The cached per-signature record; built on first use, on a worker.
@@ -1057,7 +928,6 @@ class EvaServer:
         """One dict of registry/session/engine/quota/batching metrics."""
         with self._lock:
             lane_failures = len(self._lane_failures)
-            precompiled = sorted(self._precompiled)
         return {
             "backend": getattr(self.backend, "name", "unknown"),
             "programs": self.programs(),
@@ -1068,13 +938,6 @@ class EvaServer:
             ),
             "engine": self.engine.metrics_snapshot(),
             "quota": self.engine.ledger.summary(),
-            "precompile": {
-                "enabled": self.precompile is not None,
-                "compiled_widths": [
-                    [signature[:12], width] for signature, width in precompiled
-                ],
-                "width_histogram": self.widths.summary(),
-            },
             # (signature, width) pairs whose lane variant failed to compile
             # and were pinned to solo execution; non-zero deserves a look.
             "lane_variant_failures": lane_failures,
@@ -1104,13 +967,7 @@ class EvaServer:
 
     def close(self, wait: bool = True) -> None:
         """Stop workers and release sessions; with ``wait`` joins them first."""
-        with self._precompile_cond:
-            self._precompile_closed = True
-            if self._precompile_queue is not None:
-                self._precompile_queue.put(None)
         self.engine.close(wait=wait)
-        if self._precompile_thread is not None and wait:
-            self._precompile_thread.join(timeout=10)
 
     def __enter__(self) -> "EvaServer":
         return self

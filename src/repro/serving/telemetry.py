@@ -57,8 +57,6 @@ serving.rotations                     counter    client, program
 serving.keyswitch                     counter    client, program
 serving.galois.keys_bytes             counter    client, program
 serving.galois.key_steps              gauge      program
-serving.lane.width_score              gauge      program, width
-serving.lane.width_chosen             counter    program, width
 serving.slo.attained                  counter    slo_class, program
 serving.slo.missed                    counter    slo_class, program
 serving.slo.rejected                  counter    slo_class, client

@@ -664,7 +664,6 @@ class TestRecipe:
             ("batch_window", "5ms"),
             ("session_dir", 12),
             ("log_json", "yes"),
-            ("precompile_widths", 1.5),
         ],
     )
     def test_a_bad_value_fails_in_the_parent_naming_the_key(self, key, value):
@@ -687,19 +686,20 @@ class TestRecipe:
         assert recipe.session_ttl == 60.0 and recipe.batch_window == 1.0
         assert ShardConfig().backend == BackendSpec() and ShardConfig().fairness is None
 
-    def test_precompile_widths_reaches_every_shard(self):
-        """The knob `serve` documented as "single-process serve only"."""
-        cluster = EvaCluster(
-            shards=2, backend="mock-exact", batch_window=0.0, precompile_widths=2
-        )
-        cluster.register("poly", make_poly_program())
-        cluster.start()
-        try:
-            per_shard = cluster.stats()["per_shard"]
-            assert sorted(per_shard) == ["0", "1"]
-            assert all(stats["precompile"]["enabled"] is True for stats in per_shard.values())
-        finally:
-            cluster.close()
+    def test_a_removed_key_in_a_config_file_fails_before_any_process_exists(self, tmp_path):
+        """A recipe written for the retired lane-width pre-warm names the key, not a shard crash."""
+        import multiprocessing
+
+        from repro.serving import load_cluster_config
+
+        config = tmp_path / "cluster.toml"
+        config.write_text(self.CONFIG.replace("batch_window = 0\n", "precompile_widths = 2\n"))
+        children = set(multiprocessing.active_children())
+        with pytest.raises(TypeError, match="precompile_widths"):
+            EvaCluster(**load_cluster_config(config)["cluster"])
+        with pytest.raises(TypeError, match="precompile_widths"):
+            ShardConfig(precompile_widths=2)
+        assert set(multiprocessing.active_children()) == children
 
 
 class TestClusterCli:

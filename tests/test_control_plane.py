@@ -22,13 +22,11 @@ from repro.serving import (
     EvaTcpServer,
     FairnessPolicy,
     JobEngine,
-    LaneWidthPolicy,
     ProgramRegistry,
     QuotaLedger,
     ServingClient,
     SessionStore,
     TokenBucket,
-    WidthHistogram,
 )
 
 
@@ -462,48 +460,49 @@ class TestArtifactCache:
         assert cache.load(compilation.signature) is None
 
 
-class TestLaneWidthPrecompile:
-    def test_histogram_records_and_ranks(self):
-        hist = WidthHistogram()
-        for _ in range(5):
-            hist.record("sig", 16)
-        for _ in range(2):
-            hist.record("sig", 64)
-        assert hist.record("sig", 16) == 8  # the signature's sample count
-        assert hist.counts("sig") == {16: 6, 64: 2}
-        assert hist.counts("other") == {}
+class TestLaneVariantOnDemand:
+    """The first batch at a new width compiles its lane variant inline, once
+    per fleet: the artifact cache carries it to sibling servers."""
 
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            LaneWidthPolicy(min_samples=0)
-        with pytest.raises(ValueError):
-            LaneWidthPolicy(top_widths=0)
+    NARROW = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
 
-    def test_server_prewarms_top_width(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
+    def _serve_pair(self, cache):
         server = EvaServer(
             backend=MockBackend(error_model="none"),
-            batch_window=0.0,
+            workers=1,
+            max_batch=2,
+            batch_window=1.0,
             artifact_cache=cache,
-            precompile=LaneWidthPolicy(min_samples=4, top_widths=1),
         )
         program = make_rotation_program(vec_size=64)
-        spec = server.register("rot", program)
-        narrow = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-        for _ in range(4):
-            server.request("rot", {"x": narrow})
-        assert server.drain_precompiles(timeout=60)
-        stats = server.stats()
-        assert stats["precompile"]["enabled"]
-        assert [spec.signature[:12], 8] in stats["precompile"]["compiled_widths"]
-        # The variant is already in the registry: the first batched round
-        # finds it warm (and the artifact is published for sibling shards).
-        assert server.registry.get_or_compile_variant(
-            spec.program, spec.options, lane_width=8, base_signature=spec.signature
-        ) is not None
-        variant_records = [r for r in cache.records() if r["lane_width"] == 8]
-        assert variant_records
-        server.close()
+        try:
+            server.register("rot", program)
+            futures = [server.submit("rot", {"x": self.NARROW}) for _ in range(2)]
+            responses = [future.result(60) for future in futures]
+            return responses, server.stats()
+        finally:
+            server.close()
+
+    def test_the_first_batch_at_a_new_width_compiles_its_variant(self, tmp_path):
+        from repro.core import execute_reference
+
+        cache = ArtifactCache(tmp_path)
+        responses, stats = self._serve_pair(cache)
+        assert [response.lane_width for response in responses] == [8, 8]
+        expected = execute_reference(make_rotation_program(vec_size=64).graph, {"x": self.NARROW})
+        for response in responses:
+            np.testing.assert_allclose(response.outputs["y"][:8], expected["y"][:8], atol=1e-9)
+        assert stats["lane_variant_failures"] == 0
+        assert "precompile" not in stats
+        # The variant is published for sibling shards next to the base program.
+        assert sorted(r["lane_width"] or 0 for r in cache.records()) == [0, 8]
+
+    def test_a_sibling_server_loads_the_variant_instead_of_compiling(self, tmp_path):
+        self._serve_pair(ArtifactCache(tmp_path))
+        sibling = ArtifactCache(tmp_path)
+        responses, _stats = self._serve_pair(sibling)
+        assert [response.lane_width for response in responses] == [8, 8]
+        assert sibling.hits == 2 and sibling.stores == 0
 
 
 class TestSessionStoreGC:
@@ -621,15 +620,23 @@ class TestCliFlags:
                 "serve", "p.evaproto",
                 "--quota-rps", "5", "--quota-burst", "3", "--max-inflight", "4",
                 "--session-ttl", "3600", "--artifact-dir", "/tmp/a",
-                "--health-interval", "1.5", "--precompile-widths", "2",
+                "--health-interval", "1.5",
             ]
         )
         assert args.quota_rps == 5.0 and args.quota_burst == 3.0
         assert args.max_inflight == 4 and args.session_ttl == 3600.0
         assert args.artifact_dir == "/tmp/a"
-        assert args.health_interval == 1.5 and args.precompile_widths == 2
+        assert args.health_interval == 1.5
         args = parser.parse_args(["cluster", "rejoin", "--shard", "1", "--port", "9"])
         assert args.action == "rejoin" and args.shard == 1 and args.port == 9
+
+    def test_the_removed_precompile_flag_is_rejected(self, capsys):
+        """Lane widths come on demand or pinned at register; `serve` offers no third way."""
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "p.evaproto", "--precompile-widths", "2"])
+        assert "--precompile-widths" in capsys.readouterr().err
 
     def test_quota_burst_without_rate_rejected(self):
         from repro.cli import _fairness_policy, build_parser

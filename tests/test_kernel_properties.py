@@ -5,8 +5,8 @@ kernels, and the whole key-switching pipeline — run optimized variants; the
 original implementations are kept as reference oracles precisely so the
 optimized paths can be pinned against them over randomized inputs:
 
-* the batched ``NttKernel`` vs ``NttContext.forward_reference`` /
-  ``inverse_reference`` — bit-for-bit, under the kernel's documented slot
+* the batched ``NttKernel`` vs the textbook transform in ``oracles.ntt`` —
+  bit-for-bit, under the kernel's documented slot
   order (``kernel[j] == reference[bit_reverse(j)]``);
 * ``RnsPolynomial.divide_and_round_last`` / ``to_int_coefficients`` /
   ``to_float_coefficients`` vs the row-at-a-time versions in ``oracles.rns``;
@@ -28,6 +28,7 @@ import pathlib
 import numpy as np
 import pytest
 from oracles.keyswitch import ReferenceEvaluator
+from oracles.ntt import ReferenceNtt
 from oracles.rns import (
     divide_and_round_last_reference,
     divide_and_round_sequential,
@@ -91,25 +92,42 @@ def largest_ntt_prime_below(bound, n):
 
 
 class TestNttAgainstReference:
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_the_oracle_evaluates_at_the_odd_powers_of_psi(self, n):
+        """The oracle rebuilds its tables from ``psi`` alone; pin it to the
+        definition: slot ``k`` is the polynomial at ``psi^(2k+1)``."""
+        prime = generate_ntt_primes([20], n)[0]
+        reference = ReferenceNtt(prime, n)
+        psi = reference.psi
+        assert pow(psi, n, prime) == prime - 1  # a primitive 2N-th root
+        coeffs = np.random.default_rng(n).integers(0, prime, size=n, dtype=np.int64)
+        direct = [
+            sum(int(c) * pow(psi, (2 * k + 1) * j, prime) for j, c in enumerate(coeffs)) % prime
+            for k in range(n)
+        ]
+        natural = reference.forward_reference(coeffs)
+        assert natural.tolist() == direct
+        assert np.array_equal(reference.inverse_reference(natural), coeffs)
+
     @pytest.mark.parametrize("n", [64, 256, 1024])
     @pytest.mark.parametrize("bits", [20, 28])
     def test_forward_and_inverse_match_reference(self, n, bits):
         prime = generate_ntt_primes([bits], n)[0]
-        ntt = get_ntt_context(prime, n)
+        ntt, reference = get_ntt_context(prime, n), ReferenceNtt(prime, n)
         order = bit_reverse_indices(n)
         rng = np.random.default_rng(n * bits)
         for draw in range(DRAWS):
             coeffs = rng.integers(0, prime, size=n, dtype=np.int64)
-            natural = ntt.forward_reference(coeffs)
+            natural = reference.forward_reference(coeffs)
             forward = ntt.forward(coeffs)
             assert np.array_equal(forward, natural[order])
-            assert np.array_equal(ntt.inverse(forward), ntt.inverse_reference(natural))
+            assert np.array_equal(ntt.inverse(forward), reference.inverse_reference(natural))
             assert np.array_equal(ntt.inverse(forward), coeffs % prime)
 
     def test_edge_vectors(self):
         n = 128
         prime = generate_ntt_primes([25], n)[0]
-        ntt = get_ntt_context(prime, n)
+        ntt, reference = get_ntt_context(prime, n), ReferenceNtt(prime, n)
         order = bit_reverse_indices(n)
         for coeffs in (
             np.zeros(n, dtype=np.int64),
@@ -117,7 +135,7 @@ class TestNttAgainstReference:
             np.eye(1, n, 0, dtype=np.int64)[0],  # X^0
             np.eye(1, n, n - 1, dtype=np.int64)[0],  # X^(N-1)
         ):
-            assert np.array_equal(ntt.forward(coeffs), ntt.forward_reference(coeffs)[order])
+            assert np.array_equal(ntt.forward(coeffs), reference.forward_reference(coeffs)[order])
             assert np.array_equal(ntt.inverse(ntt.forward(coeffs)), coeffs % prime)
 
     def test_negacyclic_multiply_matches_schoolbook(self):
@@ -174,7 +192,7 @@ class TestBatchedKernelAgainstReference:
         flat_out = forward.reshape(-1, count, n)
         for item in range(len(flat_in)):
             for k, prime in enumerate(primes):
-                oracle = get_ntt_context(prime, n)
+                oracle = ReferenceNtt(prime, n)
                 natural = oracle.forward_reference(flat_in[item, k])
                 assert np.array_equal(flat_out[item, k], natural[order])
                 assert np.array_equal(oracle.inverse_reference(natural), flat_in[item, k])

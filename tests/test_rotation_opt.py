@@ -28,7 +28,7 @@ from repro.backend.cost_model import DEFAULT_COST_MODEL
 from repro.core import CompilerOptions, Executor, compile_program, execute_reference
 from repro.core.analysis.rotations import (
     _plan_for_base,
-    lane_rotation_profile,
+    lane_wrap_step,
     merge_rotation_steps,
     plan_rotation_steps,
     select_rotation_steps,
@@ -187,16 +187,6 @@ class TestBsgsPlanner:
         assert len(optimized.rotation_steps) == 4
 
 
-class TestLaneRotationProfile:
-    def test_profile_folds_steps_into_the_lane(self):
-        # Steps 3 and 11 coincide mod 8; the wrap step joins when any
-        # in-lane step survives.
-        assert lane_rotation_profile([3, 11], 8, 64) == [3, 56]
-
-    def test_lane_multiples_vanish(self):
-        assert lane_rotation_profile([8, 16], 8, 64) == []
-
-
 class TestKeyDedup:
     def _variants(self, vec_size=64):
         # Two lane widths of the same program: same masked depth, hence the
@@ -291,31 +281,19 @@ class TestRealCkksSpotCheck:
         assert np.max(np.abs(result["y"] - reference["y"])) < 0.05
 
 
-class TestWidthPicker:
-    def _lane_program(self):
-        program = EvaProgram("picker", vec_size=64, default_scale=25)
-        with program:
-            x = input_encrypted("x", 25)
-            output("y", (x << 1) * 0.5 + x, 25)
-        return compile_program(program.graph)
+def _lane_profile(steps, width, vec_size):
+    """The lane variant's steps before BSGS: in-lane ``k mod w`` plus the shared wrap."""
+    in_lane = {int(step) % width for step in steps} - {0}
+    return sorted(in_lane | {lane_wrap_step(width, vec_size)}) if in_lane else []
 
-    def test_cost_model_ranking_prefers_capacity(self):
-        from repro.serving.artifacts import LaneWidthPolicy
 
-        policy = LaneWidthPolicy(top_widths=3)
-        compilation = self._lane_program()
-        # All requests are width 4: a width-4 lane packs 16 per ciphertext,
-        # wider lanes waste slots — the model must prefer the snug width.
-        ranked = policy.choose_widths(compilation, {4: 40, 16: 2})
-        assert ranked and ranked[0][0] == 4
-        assert all(score > 0 for _width, score in ranked)
-
+class TestLaneKeySet:
     @pytest.mark.parametrize("kernel", ["sobel", "harris"])
     @pytest.mark.parametrize("image_size, vec_size", [(8, 256), (8, 512), (16, 1024), (16, 4096)])
     def test_the_modeled_key_set_is_the_compiled_one(self, kernel, image_size, vec_size):
-        """``choose_widths`` prices each width's keys as the BSGS plan of the
-        solo steps' lane profile, at the solo parameters, without compiling
-        the variant: that set is the compiled lane variant's, at every width."""
+        """A lane variant's Galois keys are the BSGS plan of the solo steps'
+        lane profile, at the solo parameters: derivable without compiling the
+        variant, at every width."""
         build = {"sobel": build_sobel_program, "harris": build_harris_program}[kernel]
         program = build(image_size, vec_size=vec_size)
         solo = compile_program(program.graph)
@@ -323,7 +301,7 @@ class TestWidthPicker:
         widths = [w for w in (16, 32, 64, 128, 256) if w < vec_size]
         for width in widths:
             modeled = plan_rotation_steps(
-                lane_rotation_profile(solo.rotation_steps, width, vec_size),
+                _lane_profile(solo.rotation_steps, width, vec_size),
                 vec_size,
                 poly_degree=parameters.poly_modulus_degree,
                 levels=max(len(parameters.coeff_modulus_bits), 1),
@@ -331,13 +309,27 @@ class TestWidthPicker:
             lane = compile_program(program.graph, options=CompilerOptions(lane_width=width))
             assert list(modeled.key_steps) == lane.rotation_steps, width
 
-    def test_invalid_widths_filtered(self):
-        from repro.serving.artifacts import LaneWidthPolicy
+    @staticmethod
+    def _lane_steps(steps, width=8, vec_size=64):
+        program = EvaProgram("lanes", vec_size=vec_size, default_scale=25)
+        with program:
+            x = input_encrypted("x", 25)
+            total = x
+            for step in steps:
+                total = total + (x << step)
+            output("y", total, 25)
+        options = CompilerOptions(lane_width=width)
+        return compile_program(program.graph, options=options).rotation_steps
 
-        policy = LaneWidthPolicy()
-        compilation = self._lane_program()
-        # 64 is the full vector, 3 does not divide it, 0 is degenerate.
-        assert policy.choose_widths(compilation, {64: 5, 3: 5, 0: 5}) == []
+    def test_steps_that_coincide_in_the_lane_share_a_key(self):
+        # 3 and 11 coincide mod 8; the wrap step joins once any in-lane step survives.
+        assert lane_wrap_step(8, 64) == 56
+        assert self._lane_steps([3, 11]) == [3, 56] == _lane_profile([3, 11], 8, 64)
+        assert self._lane_steps([3, 11]) == self._lane_steps([3])
+
+    def test_lane_multiples_need_no_key(self):
+        # A shift by a multiple of the lane width leaves every lane as it was.
+        assert self._lane_steps([8, 16]) == [] == _lane_profile([8, 16], 8, 64)
 
 
 class TestServingRotationCounters:

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.ntt import ReferenceNtt
 
 from repro import wire
 from repro.api import ClientKit, CompiledProgram
@@ -33,7 +34,7 @@ from repro.backend import CkksBackend
 from repro.backend import seal_backend
 from repro.ckks import sampling
 from repro.ckks.keys import KeyGenerator, SeededUniform
-from repro.ckks.ntt import bit_reverse_indices, get_ntt_context
+from repro.ckks.ntt import bit_reverse_indices
 from repro.ckks.numth import generate_ntt_primes
 from repro.ckks.rns import RnsPolynomial
 from repro.ckks.sampling import KEY_SEEDS, RlweSampler, SeedSource, expand_uniform
@@ -154,7 +155,7 @@ class TestExpander:
         assert np.array_equal(half.evaluations(basis), natural[:, bit_reverse_indices(64)])
         coefficients = half.coefficients(basis)
         for row, prime, want in zip(coefficients.residues, basis.primes, natural):
-            oracle = get_ntt_context(prime, 64)
+            oracle = ReferenceNtt(prime, 64)
             assert np.array_equal(oracle.forward_reference(row), want)
 
 

@@ -15,7 +15,9 @@ every piece of it:
   no scrape keeps);
 * the CLI surface from ``repro.cli.build_parser()`` -> every subcommand
   (as ``repro.cli <name>``) and every long option must appear in
-  ``docs/operations.md``;
+  ``docs/operations.md``, and every code span there that begins with ``--``
+  must name a flag some subcommand defines (a removed flag the prose still
+  offers is drift too);
 * the wire op table ``repro.core.serialization.messages.OPS`` -> the table
   under ``## Request ops`` in ``docs/wire-protocol.md`` must state exactly its
   rows, in both directions: every op with its required fields, optional
@@ -50,8 +52,8 @@ Exit status 1 lists everything missing.  Run from anywhere::
 
     python tools/check_docs.py [--docs-dir docs]
 
-The check is deliberately one-directional: docs may explain more than the
-code exposes (deprecated aliases, planned work), but never less.
+Outside the tables and flags named above the check is one-directional: docs
+may explain more than the code exposes, but never less.
 """
 
 from __future__ import annotations
@@ -137,6 +139,20 @@ def cli_surface() -> list:
     if not surface:
         raise SystemExit("repro.cli.build_parser(): no subcommands found")
     return surface
+
+
+def check_stale_flags(operations_doc: str) -> list:
+    """Code spans of ``operations.md`` that begin with a flag no subcommand defines."""
+    defined = {option for _name, options in cli_surface() for option in options}
+    documented = {
+        span.split()[0]
+        for span in re.findall(r"`([^`\n]+)`", operations_doc)
+        if span.startswith("--")
+    }
+    return [
+        f"operations.md: flag {flag!r} is documented but no subcommand defines it"
+        for flag in sorted(documented - defined)
+    ]
 
 
 def wire_ops() -> list:
@@ -407,6 +423,7 @@ def check(docs_dir: Path) -> list:
                 )
 
     if operations_doc:
+        missing.extend(check_stale_flags(operations_doc))
         missing.extend(check_lifecycle_table(operations_doc))
 
     architecture_doc = read("architecture.md")
