@@ -39,7 +39,7 @@ def describe(compilation, discipline: str):
 CONFIGURATIONS = [
     ("EVA (waterline 60 + eager, DAG)", CompilerOptions(policy="eva"), "dag"),
     ("per-level rescale + lazy (CHET-like)", CompilerOptions(policy="chet"), "kernel"),
-    ("EVA with 30-bit rescales", CompilerOptions(policy="eva", rescale_bits=30, max_rescale_bits=30), "dag"),
+    ("EVA with 30-bit rescales", CompilerOptions(policy="eva", max_rescale_bits=30), "dag"),
     ("EVA scheduled bulk-synchronously", CompilerOptions(policy="eva"), "kernel"),
 ]
 

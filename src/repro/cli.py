@@ -214,13 +214,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         executor_threads=args.threads,
         fairness=_fairness_policy(args),
     )
+    # A bad config file fails before logging is set up or anything is spawned.
+    config = load_cluster_config(args.cluster_config) if args.cluster_config else None
     configure_logging(json_logs=args.log_json, level=args.log_level)
     entries = [(name, program, options) for name, program in programs.items()]
-    if args.cluster_config:
-        config = load_cluster_config(args.cluster_config)
+    if config is not None or args.shards > 1:
         return _serve_cluster(args, recipe, entries, config)
-    if args.shards > 1:
-        return _serve_cluster(args, recipe, entries)
     return _serve_single(args, ShardConfig(**recipe), entries)
 
 
@@ -285,14 +284,10 @@ def _serve_cluster(args, recipe, entries, config=None) -> int:
     )
     if config is not None:
         # [cluster] table entries override the flag-derived kwargs; [[remote]]
-        # endpoints attach at start; a [scale] table enables the autoscaler
-        # (ticking every `interval` seconds, default 1).
+        # endpoints attach at start.
         kwargs.update(config["cluster"])
         if config["remote"]:
             kwargs["remote_shards"] = config["remote"]
-        if config["scale"] is not None:
-            kwargs["scale_policy"] = config["scale"]
-            kwargs["scale_interval"] = config["scale_interval"] or 1.0
     try:
         cluster = EvaCluster(**kwargs)
     except TypeError as error:
@@ -563,9 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="TOML cluster config: a [cluster] table of cluster and shard "
-        "settings (overrides the flags), [[remote]] shard endpoints to attach at "
-        "start, and a [scale] table enabling queue-depth autoscaling; "
-        "implies cluster mode even with --shards 1",
+        "settings (overrides the flags) and [[remote]] shard endpoints to attach "
+        "at start; implies cluster mode even with --shards 1",
     )
     add_compile_options(serve)
     serve.set_defaults(func=cmd_serve)

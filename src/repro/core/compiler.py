@@ -58,10 +58,14 @@ from .types import DEFAULT_MAX_RESCALE_BITS, DEFAULT_SECURITY_LEVEL, Op
 
 
 #: Options of earlier builds, at the one value this build compiles with: SUM
-#: is always expanded, COPY always removed and the cleanup passes always run.
+#: is always expanded, COPY always removed, the cleanup passes always run, and
+#: the waterline and rescale value are always derived from the program.
 #: :meth:`CompilerOptions.to_dict` still writes them, so signatures and
 #: records of earlier builds stay the same.
-_RETIRED_OPTIONS = {"lower_sum": True, "remove_copies": True, "cleanup": True}
+_RETIRED_OPTIONS = {
+    "lower_sum": True, "remove_copies": True, "cleanup": True,
+    "rescale_bits": None, "waterline_bits": None,
+}  # fmt: skip
 #: Same, for options earlier builds left out of ``to_dict`` at this value:
 #: the lane wrap branch is always composed, rotation hoisting always runs and
 #: the BSGS plan is always the cost model's.
@@ -78,10 +82,8 @@ class CompilerOptions:
         ``"eva"`` (paper policy) or ``"chet"`` (baseline policy).
     max_rescale_bits:
         ``log2 s_f`` — both the largest rescale value and the largest prime
-        bit size (60 in SEAL).
-    rescale_bits:
-        Fixed rescale value used by WATERLINE-RESCALE; defaults to
-        ``max_rescale_bits``.
+        bit size (60 in SEAL); WATERLINE-RESCALE rescales by it under the
+        ``eva`` policy.
     security_level:
         Security level in bits for parameter selection (128 by default).
     lane_width:
@@ -94,8 +96,6 @@ class CompilerOptions:
 
     policy: str = "eva"
     max_rescale_bits: float = DEFAULT_MAX_RESCALE_BITS
-    rescale_bits: Optional[float] = None
-    waterline_bits: Optional[float] = None
     security_level: int = DEFAULT_SECURITY_LEVEL
     lane_width: Optional[int] = None
 
@@ -130,8 +130,7 @@ class CompilerOptions:
             given = data.pop(name, value)
             if type(given) is not type(value) or given != value:
                 raise CompilationError(
-                    f"compiler option {name!r} is retired: this build always runs "
-                    f"those passes, so it can only be {value!r}"
+                    f"compiler option {name!r} is retired: this build always uses {value!r}"
                 )
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
@@ -485,23 +484,17 @@ class EvaCompiler:
             raise CompilationError(f"unknown outputs in output_scales: {sorted(unknown)}")
         working.output_scales = resolved_outputs
 
-        waterline = (
-            self.options.waterline_bits
-            if self.options.waterline_bits is not None
-            else waterline_of(working)
-        )
-        rescale_bits = self.options.rescale_bits
-        if rescale_bits is None and self.options.policy == "chet":
-            # The CHET baseline rescales by (roughly) the input scale after
-            # every multiplicative level, the way expert-written kernels do,
-            # instead of EVA's maximal 2^60 rescales.  Using the waterline as
-            # the fixed rescale value keeps every chain entry identical so the
-            # per-kernel policy still produces conforming chains.
-            rescale_bits = max(waterline, 1.0)
+        waterline = waterline_of(working)
+        # The CHET baseline rescales by (roughly) the input scale after every
+        # multiplicative level, the way expert-written kernels do, instead of
+        # EVA's maximal 2^60 rescales.  Using the waterline as the fixed
+        # rescale value keeps every chain entry identical so the per-kernel
+        # policy still produces conforming chains.
+        chet = self.options.policy == "chet"
         context = PassContext(
             max_rescale_bits=self.options.max_rescale_bits,
             waterline_bits=waterline,
-            rescale_bits=rescale_bits,
+            rescale_bits=max(waterline, 1.0) if chet else None,
         )
         manager = PassManager(self._build_passes())
         reports = manager.run(working, context)

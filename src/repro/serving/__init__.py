@@ -22,8 +22,7 @@ Turns the one-shot compiler + executor into a serving stack:
 * :class:`EvaCluster` / :class:`ClusterTcpServer` — multi-node sharding:
   local shard processes plus remote shard servers attached from a cluster
   config or live via the ``join`` wire op, consistent-hash client routing,
-  transparent failover, health checks, shard ``drain`` / ``rejoin``, and
-  queue-depth autoscaling under a :class:`ScalePolicy`
+  transparent failover, health checks, and shard ``drain`` / ``rejoin``
   (``repro.cli serve --shards N --cluster-config cluster.toml``; admin via
   ``repro.cli cluster``).  Every serving process — ``serve``, a shard — is
   built from one :class:`ShardConfig` recipe, and the shard lifecycle is the
@@ -55,7 +54,6 @@ from .cluster import (
     BackendSpec,
     ConsistentHashRing,
     EvaCluster,
-    ScalePolicy,
     ShardConfig,
     ShardHandle,
     load_cluster_config,
@@ -100,7 +98,6 @@ __all__ = [
     "BackendSpec",
     "ConsistentHashRing",
     "EvaCluster",
-    "ScalePolicy",
     "ShardConfig",
     "ShardHandle",
     "load_cluster_config",

@@ -43,12 +43,10 @@ anywhere on the network) to the same ring — exposed on the wire as the
 drain/rejoin lifecycle, and binary-frame forwarding as local ones; they are
 simply never spawned, killed, or respawned by this process.
 
-A :class:`ScalePolicy` adds watermark **autoscaling**: when the fleet-wide
-queue depth stays above the high watermark the cluster spawns (or rejoins) a
-local shard, and when it stays below the low watermark it drains one —
-with consecutive-observation hysteresis and a cooldown so an oscillating
-load cannot make membership flap.  Decisions are recorded on the cluster's
-own telemetry plane as ``cluster.scale.*`` series.
+Membership changes only by command or by failure: :meth:`EvaCluster.start`,
+the health loop and request-time failover remove dead shards, and the
+operator ops ``drain`` / ``rejoin`` / ``join`` park, restore and attach them.
+The cluster never grows or shrinks on its own.
 
 Two decisions are data, each in one place: *how a serving process is
 configured* is a :class:`ShardConfig` (the recipe ``serve``, a shard and a
@@ -82,10 +80,8 @@ from .membership import (
     REJOIN,
     REJOIN_RESPAWNED,
     TRANSPORT_FAILURE,
-    Autoscaler,
     ConsistentHashRing,
     Membership,
-    ScalePolicy,
 )
 from .netserver import ClientApi
 from .quotas import FairnessPolicy
@@ -346,7 +342,7 @@ class ShardHandle:
 def load_cluster_config(path: Any) -> Dict[str, Any]:
     """Parse a cluster TOML config into constructor-ready pieces.
 
-    The file has up to three sections::
+    The file has up to two sections::
 
         [cluster]            # EvaCluster arguments and ShardConfig fields
         shards = 2
@@ -356,15 +352,11 @@ def load_cluster_config(path: Any) -> Dict[str, Any]:
         host = "10.0.0.5"
         port = 7001
 
-        [scale]              # ScalePolicy fields (presence enables scaling)
-        high_queue_depth = 32
-        low_queue_depth = 4
-        interval = 1.0       # seconds between autoscaler ticks
-
-    Returns ``{"cluster": {...}, "remote": [(host, port), ...],
-    "scale": ScalePolicy-or-None, "scale_interval": float-or-None}``.
-    Parsed by :mod:`repro.tomlcompat` (``tomllib`` on 3.11+, a subset parser
-    before).
+    Returns ``{"cluster": {...}, "remote": [(host, port), ...]}``.  Any other
+    table, a key a ``[[remote]]`` entry does not read, or a mistyped host or
+    port raises :class:`~repro.errors.ServingError` naming it, so a misspelt
+    section never silently starts a default cluster.  Parsed by
+    :mod:`repro.tomlcompat` (``tomllib`` on 3.11+, a subset parser before).
     """
     with open(path, "rb") as fh:
         raw = fh.read().decode("utf-8")
@@ -372,24 +364,30 @@ def load_cluster_config(path: Any) -> Dict[str, Any]:
         data = tomlcompat.loads(raw)
     except ValueError as error:
         raise ServingError(f"{path}: malformed cluster config: {error}") from None
-    cluster = dict(data.get("cluster", {}) or {})
+    unknown = sorted(set(data) - {"cluster", "remote"})
+    if unknown:
+        raise ServingError(
+            f"{path}: unknown table or key {unknown[0]!r} (a cluster config "
+            "has only [cluster] and [[remote]])"
+        )
+    cluster, entries = data.get("cluster", {}), data.get("remote", [])
+    if not isinstance(cluster, dict):
+        raise ServingError(f"{path}: 'cluster' must be a [cluster] table")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ServingError(f"{path}: 'remote' must be an array of [[remote]] tables")
     remotes: List[Tuple[str, int]] = []
-    for entry in data.get("remote", []) or []:
-        if "host" not in entry or "port" not in entry:
-            raise ServingError("each [[remote]] entry needs 'host' and 'port'")
-        remotes.append((str(entry["host"]), int(entry["port"])))
-    scale_fields = dict(data.get("scale") or {})
-    interval = scale_fields.pop("interval", None)
-    try:
-        scale = ScalePolicy(**scale_fields) if scale_fields else None
-    except TypeError as error:
-        raise ServingError(f"bad [scale] section: {error}") from None
-    return {
-        "cluster": cluster,
-        "remote": remotes,
-        "scale": scale,
-        "scale_interval": float(interval) if interval is not None else None,
-    }
+    for entry in entries:
+        extra = sorted(set(entry) - {"host", "port"})
+        if extra:
+            raise ServingError(f"{path}: unknown key {extra[0]!r} in [[remote]]")
+        host, port = entry.get("host"), entry.get("port")
+        if not isinstance(host, str) or type(port) is not int or not 0 < port < 65536:
+            raise ServingError(
+                f"{path}: each [[remote]] entry needs a string 'host' and an "
+                f"integer 'port' in 1-65535 (got {host!r}, {port!r})"
+            )
+        remotes.append((host, port))
+    return {"cluster": dict(cluster), "remote": remotes}
 
 
 def _close_quietly(client: Any) -> None:
@@ -428,8 +426,6 @@ class EvaCluster(ClientApi):
         health_interval: Optional[float] = None,
         wire: str = "auto",
         remote_shards: Optional[List[Tuple[str, int]]] = None,
-        scale_policy: Optional[ScalePolicy] = None,
-        scale_interval: Optional[float] = None,
         **recipe: Any,
     ) -> None:
         if shards < 1 and not remote_shards:
@@ -438,8 +434,6 @@ class EvaCluster(ClientApi):
             raise ServingError(f"unknown wire mode {wire!r}")
         if health_interval is not None and health_interval <= 0:
             raise ServingError("health_interval must be positive (or None)")
-        if scale_interval is not None and scale_interval <= 0:
-            raise ServingError("scale_interval must be positive (or None)")
         self.shards = int(shards)
         #: How every shard process is configured — validated here, before
         #: anything is spawned (an unknown keyword is a ``TypeError``).
@@ -471,24 +465,20 @@ class EvaCluster(ClientApi):
         #: fresh TCP connect per probe.  Same shape as a thread's request
         #: cache, ``index -> (generation, connection)``.
         self._probe_clients: Dict[int, Tuple[int, Any]] = {}
-        #: Serializes everything that grows membership (rejoin, attach, add):
-        #: concurrent rejoins of one index (operator retry racing automation)
-        #: must not both respawn the process, nor two joins share an index.
+        #: Serializes everything that grows membership (rejoin, attach):
+        #: concurrent rejoins of one index (an operator retry racing the
+        #: first) must not both respawn the process, nor two joins share an
+        #: index.
         self._rejoin_lock = threading.Lock()
         #: Remote ``(host, port)`` endpoints attached right after start().
         self._remote_endpoints = [
             (str(host), int(port)) for host, port in remote_shards or []
         ]
-        #: The cluster's own telemetry plane: scale decisions, join events —
-        #: aggregated into the fleet metrics snapshot next to the shards'.
+        #: The cluster's own telemetry plane (join events), aggregated into
+        #: the fleet metrics snapshot next to the shards'.
         self.telemetry = Telemetry(shard="cluster")
-        #: Watermark autoscaling (None disables): scale_tick() is the
-        #: injectable decision step, the background loop just calls it.
-        self.scale_policy = scale_policy
-        self.scale_interval = scale_interval
-        self._scaler = Autoscaler(scale_policy) if scale_policy is not None else None
         self._stop = threading.Event()
-        self._threads: List[threading.Thread] = []
+        self._health_thread: Optional[threading.Thread] = None
         self._started = False
         self._closed = False
 
@@ -582,28 +572,20 @@ class EvaCluster(ClientApi):
         except BaseException:
             self.close()
             raise
-        loops = [("eva-cluster-health", self.health_interval, self.check_health)]
-        if self._scaler is not None:
-            loops.append(("eva-cluster-scale", self.scale_interval, self.scale_tick))
-        for name, interval, step in loops:
-            if interval is not None:
-                thread = threading.Thread(
-                    target=self._run_every,
-                    args=(interval, step),
-                    name=name,
-                    daemon=True,
-                )
-                thread.start()
-                self._threads.append(thread)
+        if self.health_interval is not None:
+            self._health_thread = threading.Thread(
+                target=self._health_loop, name="eva-cluster-health", daemon=True
+            )
+            self._health_thread.start()
         return self
 
-    def _run_every(self, interval: float, step: Callable[[], Any]) -> None:
-        """A background loop: periodic health checks, so dead shards leave the
-        ring before any client request trips over them, or autoscaler ticks."""
-        while not self._stop.wait(interval):
+    def _health_loop(self) -> None:
+        """Periodic health checks, so dead shards leave the ring before any
+        client request trips over them."""
+        while not self._stop.wait(self.health_interval):
             try:
-                step()
-            except Exception:  # pragma: no cover - monitoring and scaling must not die
+                self.check_health()
+            except Exception:  # pragma: no cover - monitoring must not die
                 pass
 
     def close(self) -> None:
@@ -612,8 +594,8 @@ class EvaCluster(ClientApi):
             return
         self._closed = True
         self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout=10)
+        if self._health_thread is not None:
+            self._health_thread.join(timeout=10)
         with self._lock:
             clients = list(self._all_clients)
             self._probe_clients.clear()
@@ -864,93 +846,6 @@ class EvaCluster(ClientApi):
     def _next_index(self) -> int:
         return max(self._handles, default=self.shards - 1) + 1
 
-    def add_shard(self) -> Dict[str, Any]:
-        """Spawn one brand-new local shard and add it to the ring.
-
-        The scale-up primitive for when no parked (drained or dead) shard is
-        available to rejoin: allocates the next free index, spawns a fresh
-        process with the cluster's registered program set, and waits for it
-        to bind before ring membership changes.
-        """
-        if not self._started:
-            raise ServingError("the cluster has not been started")
-        with self._rejoin_lock:
-            index = self._next_index()
-            (handle,) = self._spawn_shards([index])
-            self._transition(index, JOIN, handle=handle)
-        return {
-            "shard": index,
-            "status": "added",
-            "mode": "local",
-            "pid": handle.pid,
-            "port": handle.port,
-        }
-
-    # -- autoscaling ---------------------------------------------------------------
-    def _observed_queue_depth(self) -> float:
-        """Fleet-wide queue depth: queued jobs summed over live shards."""
-        return sum(
-            float((stats.get("engine") or {}).get("queued", 0) or 0)
-            for _index, stats in self._each_live(lambda client: client.stats())
-        )
-
-    def scale_tick(
-        self, queue_depth: Optional[float] = None, now: Optional[float] = None
-    ):
-        """One autoscaler observation; returns the action taken (or None).
-
-        ``queue_depth`` defaults to the observed fleet-wide depth and ``now``
-        to the monotonic clock; tests (and operators simulating load) may
-        inject both.  The decision is
-        :meth:`~repro.serving.membership.Autoscaler.tick`'s — two-sided
-        hysteresis and a cooldown, so a load oscillating across a watermark
-        cannot flap membership; an action that fails starts no cooldown.
-        """
-        if self._scaler is None:
-            raise ServingError("the cluster has no scale policy")
-        if queue_depth is None:
-            queue_depth = self._observed_queue_depth()
-        queue_depth = float(queue_depth)
-        live = self._live_shards()
-        self.telemetry.set_gauge("cluster.scale.queue_depth", queue_depth)
-        self.telemetry.set_gauge("cluster.scale.live_shards", len(live))
-        now = time.monotonic() if now is None else now
-        decision = self._scaler.tick(queue_depth, len(live), now)
-        if decision is None:
-            return None
-        action = self._scale(decision, live)
-        if action is None:
-            self._scaler.retract()
-        return action
-
-    def _scale(self, decision: str, live: List[int]) -> Optional[Dict[str, Any]]:
-        """Carry out one autoscaler decision; None when the action failed.
-
-        Up: rejoin a parked local shard, else spawn a new one.  Down: drain
-        (not kill) the highest-index live *local* shard, which keeps the
-        process parked so the next scale-up is a cheap rejoin.  Remote shards
-        are never scaled down — the router did not provision them, so it does
-        not decommission them.
-        """
-        with self._lock:
-            pool = live if decision == "down" else self.members.indices(DRAINED, DEAD)
-            local = [index for index in pool if not self._handles[index].remote]
-        try:
-            if decision == "down":
-                if not local:
-                    return None
-                result, reason = self.drain_shard(max(local)), "drain"
-            elif local:
-                result, reason = self.rejoin_shard(local[0]), "rejoin"
-            else:
-                result, reason = self.add_shard(), "spawn"
-        except ServingError:
-            # A dead shard that fails to respawn, a drain of what became the
-            # last ring member: the next full streak retries.
-            return None
-        self.telemetry.inc(f"cluster.scale.{decision}", reason=reason)
-        return dict(result, action=decision, reason=reason)
-
     # -- request plumbing ---------------------------------------------------------
     def _connection(
         self, cache: Dict[int, Tuple[int, Any]], index: int, timeout, wire: str
@@ -1084,7 +979,7 @@ class EvaCluster(ClientApi):
         Every series appears per-shard (labeled ``shard=<i>``) and summed
         into an unlabeled aggregate, with histogram percentiles recomputed
         from the merged buckets.  The cluster's own control-plane registry
-        (``cluster.scale.*``, ``cluster.shards.joined``) rides along under
+        (``cluster.shards.joined``) rides along under
         ``shard=cluster``, and each of ``planes`` under its own label.
         """
         snapshots = {

@@ -524,8 +524,7 @@ class JobEngine:
 
         ``batch_size_counts`` and ``largest_batch`` read the ``size`` label of
         ``serving.batches``; a batch folded past the series cap still counts
-        in ``batches``.  ``queued`` is read under the engine lock (the cluster
-        autoscaler compares it against its watermarks).
+        in ``batches``.  ``queued`` is read under the engine lock.
         """
         sums: Dict[str, float] = {}
         sizes: Dict[int, int] = {}

@@ -14,15 +14,12 @@ state lock, and performs what follows (respawn, reconnect, close).
 * :class:`Membership` stores ``state[index]`` and ``generation[index]`` and
   keeps the :class:`ConsistentHashRing` equal to the live set — a derived
   fact, so "a drained shard gets no new work" holds by construction.
-* :class:`Autoscaler` is the :class:`ScalePolicy` hysteresis as a pure
-  ``tick(queue_depth, live, now)``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ServingError
@@ -92,12 +89,12 @@ class ConsistentHashRing:
 
 # -- the shard lifecycle -----------------------------------------------------------
 #: Shard states.  ``live``: in the ring, serving.  ``drained``: process up,
-#: parked out of the ring by an operator or the autoscaler.  ``dead``: process
+#: parked out of the ring by an operator.  ``dead``: process
 #: gone or unresponsive; its clients reroute.  A shard nobody has joined yet has
 #: no state (``None``).
 STATES = (LIVE, DRAINED, DEAD) = ("live", "drained", "dead")
 
-#: Events.  ``join``: a shard came up (start, scale-up spawn) or an endpoint was
+#: Events.  ``join``: a shard came up (start, respawn) or an endpoint was
 #: attached.  ``probe_ok`` / ``probe_failed``: the answer of a health ping to a
 #: shard whose process is up.  ``process_died``: the process is gone — for a
 #: remote endpoint, which has no process to ask, a failed probe *is* this event.
@@ -204,88 +201,3 @@ class Membership:
             return self.ring.route(str(key))
         except LookupError as exc:
             raise ServingError("no live shards in the cluster") from exc
-
-
-# -- autoscaling -------------------------------------------------------------------
-@dataclass
-class ScalePolicy:
-    """Watermark autoscaling knobs of an :class:`~repro.serving.cluster.EvaCluster`.
-
-    The autoscaler watches the fleet-wide queue depth (summed over live
-    shards).  ``observations`` consecutive ticks at or above
-    ``high_queue_depth`` scale **up** (rejoining a parked shard before
-    spawning a new one); the same number at or below ``low_queue_depth``
-    scale **down** (draining, never killing, a local shard).  ``cooldown``
-    seconds must pass between actions.  The two-sided hysteresis plus the
-    cooldown keeps an oscillating load from flapping membership — crossing a
-    watermark once does nothing.
-    """
-
-    high_queue_depth: float = 32.0
-    low_queue_depth: float = 4.0
-    min_shards: int = 1
-    max_shards: int = 8
-    #: Consecutive ticks a watermark must stay breached before acting.
-    observations: int = 3
-    #: Seconds that must elapse between two scaling actions.
-    cooldown: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.low_queue_depth < 0 or self.high_queue_depth <= self.low_queue_depth:
-            raise ValueError(
-                "watermarks must satisfy 0 <= low_queue_depth < high_queue_depth"
-            )
-        if self.min_shards < 1:
-            raise ValueError("min_shards must be at least 1")
-        if self.max_shards < self.min_shards:
-            raise ValueError("max_shards must be >= min_shards")
-        if self.observations < 1:
-            raise ValueError("observations must be at least 1")
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be non-negative")
-
-
-class Autoscaler:
-    """The hysteresis of one :class:`ScalePolicy`, as a pure decision step."""
-
-    def __init__(self, policy: ScalePolicy) -> None:
-        self.policy = policy
-        self.above = 0
-        self.below = 0
-        self.last_action_at: Optional[float] = None
-
-    def tick(self, queue_depth: float, live: int, now: float) -> Optional[str]:
-        """One observation; returns ``"up"``, ``"down"`` or None.
-
-        A watermark must stay breached for ``observations`` consecutive
-        ticks, any tick in between the watermarks resets both streaks, no
-        decision comes within ``cooldown`` seconds of the last, and none
-        would take ``live`` past ``min_shards`` / ``max_shards`` — so a load
-        oscillating across a watermark cannot flap membership.
-        """
-        policy = self.policy
-        if queue_depth >= policy.high_queue_depth:
-            self.above += 1
-            self.below = 0
-        elif queue_depth <= policy.low_queue_depth:
-            self.below += 1
-            self.above = 0
-        else:
-            self.above = self.below = 0
-        last = self.last_action_at
-        if last is not None and now - last < policy.cooldown:
-            return None
-        if self.above >= policy.observations and live < policy.max_shards:
-            self.above = 0
-            self.last_action_at = now
-            return "up"
-        if self.below >= policy.observations and live > policy.min_shards:
-            self.below = 0
-            self.last_action_at = now
-            return "down"
-        return None
-
-    def retract(self) -> None:
-        """The action of the last decision failed: no cooldown starts, the next
-        full streak retries it."""
-        self.last_action_at = None

@@ -64,10 +64,6 @@ ckks.op.count                         counter    op, program
 ckks.op.seconds                       counter    op, program
 ckks.ntt.rows                         counter    op, program
 cluster.shards.joined                 counter    —
-cluster.scale.up                      counter    reason
-cluster.scale.down                    counter    reason
-cluster.scale.queue_depth             gauge      —
-cluster.scale.live_shards             gauge      —
 serving.engine.* / serving.quota.*    gauge      (absorbed summaries)
 serving.registry.* / serving.store.*  gauge      (absorbed summaries)
 serving.sessions.* / serving.artifacts.*  gauge  (absorbed summaries)

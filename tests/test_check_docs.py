@@ -37,7 +37,7 @@ class TestCheckDocs:
     def test_ground_truth_is_nonempty(self, check_docs):
         metrics = check_docs.catalogue_metrics()
         assert "serving.slo.attained" in metrics
-        assert "cluster.scale.up" in metrics
+        assert "cluster.shards.joined" in metrics
         surface = dict(check_docs.cli_surface())
         assert "--deadline-ms" in surface["submit"]
         assert "--cluster-config" in surface["serve"]
@@ -215,12 +215,12 @@ class TestSurface:
         report = surface.measure(REPO_ROOT)
         assert report["src_lines"] == sum(report["src_lines_by_package"].values()) > 10_000
         assert report["src_lines_by_package"]["repro.serving"] > 1_000
-        # EvaCluster: its ten own parameters plus the fields of the recipe.
+        # EvaCluster: its eight own parameters plus the fields of the recipe.
         options = surface.constructor_options()
         own = [name for name in options["EvaCluster"] if not name.startswith("recipe.")]
         assert own == [
             "shards", "replicas", "start_timeout", "request_timeout", "retries",
-            "health_interval", "wire", "remote_shards", "scale_policy", "scale_interval",
+            "health_interval", "wire", "remote_shards",
         ]  # fmt: skip
         assert "recipe.backend" in options["EvaCluster"]
         assert "recipe.log_level" in options["EvaCluster"]
@@ -236,7 +236,7 @@ class TestSurface:
         # Each field of a config object is an option too.
         configs = surface.config_fields()
         assert "lane_width" in configs["CompilerOptions"] and "seed" in configs["BackendSpec"]
-        assert set(configs) == {"CompilerOptions", "ScalePolicy", "FairnessPolicy", "BackendSpec"}
+        assert set(configs) == {"CompilerOptions", "FairnessPolicy", "BackendSpec"}
         assert report["options"] == report["options_without_config_fields"] + sum(
             len(names) for names in configs.values()
         )

@@ -535,6 +535,34 @@ class TestClusterEndToEnd:
         finally:
             cluster.close()
 
+    def test_health_loop_ejects_a_dead_shard_with_no_request_sent(self):
+        """The periodic loop alone takes a killed shard out of the ring, and
+        close() stops it."""
+        import threading
+
+        cluster = EvaCluster(
+            shards=2,
+            backend=BackendSpec("mock-exact", seed=7),
+            batch_window=0.0,
+            health_interval=0.1,
+        )
+        cluster.register("poly", make_poly_program())
+        events = record_transitions(cluster)
+        cluster.start()
+        try:
+            victim = cluster._handles[1].process
+            victim.kill()  # behind the cluster's back: no mark_dead, no request
+            victim.join(10)
+            deadline = time.monotonic() + 10.0
+            while cluster.members.state.get(1) != "dead" and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert cluster.members.state[1] == "dead"
+            assert 1 not in cluster.ring and cluster.ring.nodes == [0]
+            assert_replays(cluster, events, "join", "process_died")
+        finally:
+            cluster.close()
+        assert not [t for t in threading.enumerate() if t.name == "eva-cluster-health"]
+
     def test_session_ops_count_against_quota(self, tmp_path):
         """create_session is the heaviest op; it must not bypass admission."""
         from repro.errors import QuotaExceededError
@@ -703,6 +731,21 @@ class TestRecipe:
 
 
 class TestClusterCli:
+    def test_serve_refuses_a_scale_table_before_spawning(self, tmp_path, capsys, monkeypatch):
+        """A config written for the retired autoscaler fails loudly, not
+        silently as a cluster that never scales."""
+        from repro.cli import main
+        from repro.core.serialization import save
+
+        path = tmp_path / "poly.evaproto"
+        save(make_poly_program().graph, path)
+        config = tmp_path / "cluster.toml"
+        config.write_text("[cluster]\nshards = 2\n\n[scale]\nhigh_queue_depth = 32\n")
+        monkeypatch.setattr(EvaCluster, "start", lambda self: pytest.fail("shards spawned"))
+        code = main(["serve", str(path), "--port", "0", "--cluster-config", str(config)])
+        assert code == 1
+        assert "unknown table or key 'scale'" in capsys.readouterr().err
+
     def test_serve_shards_session_survives_shard_kill(self, tmp_path):
         """`repro.cli serve --shards 2 --session-dir` + kill = session survives.
 
@@ -1160,7 +1203,6 @@ class TestRemoteShards:
         parsed = load_cluster_config(config)
         assert parsed["cluster"] == {"shards": 1}
         assert parsed["remote"] == [(host, port)]
-        assert parsed["scale"] is None
 
         cluster = EvaCluster(
             backend=BackendSpec("mock-exact", seed=7),
@@ -1217,126 +1259,3 @@ class TestRemoteShards:
             tcp.shutdown()
             tcp.server_close()
             eva.close()
-
-
-class TestAutoscaling:
-    """ScalePolicy hysteresis: watermark streaks, cooldown, no flapping."""
-
-    def _policy(self, **overrides):
-        from repro.serving import ScalePolicy
-
-        fields = dict(
-            high_queue_depth=10.0,
-            low_queue_depth=1.0,
-            min_shards=1,
-            max_shards=3,
-            observations=2,
-            cooldown=3600.0,
-        )
-        fields.update(overrides)
-        return ScalePolicy(**fields)
-
-    def test_scale_up_down_rejoin_with_hysteresis_and_cooldown(self):
-        cluster = EvaCluster(
-            shards=2,
-            backend=BackendSpec("mock-exact", seed=7),
-            batch_window=0.0,
-            scale_policy=self._policy(),
-        )
-        cluster.register("poly", make_poly_program())
-        cluster.start()
-        try:
-            clock = [0.0]
-
-            def tick(queue_depth):
-                clock[0] += 1.0
-                return cluster.scale_tick(queue_depth=queue_depth, now=clock[0])
-
-            # One high observation is not enough; a mid-band observation
-            # resets the streak (the no-flap property).
-            assert tick(50) is None
-            assert tick(5) is None
-            assert tick(50) is None
-            action = tick(50)
-            assert action["action"] == "up" and action["reason"] == "spawn"
-            assert action["shard"] == 2 and cluster.stats()["live"] == [0, 1, 2]
-
-            # Cooldown gates the next action even with a sustained breach.
-            assert tick(50) is None
-            assert tick(50) is None
-            clock[0] += 3600.0  # the cooldown passes
-
-            # Low-watermark streak drains the newest local shard (parked,
-            # not killed)...
-            assert tick(0) is None
-            action = tick(0)
-            assert action["action"] == "down" and action["shard"] == 2
-            assert cluster.stats()["drained"] == [2]
-            clock[0] += 3600.0
-
-            # ... so the next scale-up is a cheap rejoin, not a spawn.
-            assert tick(50) is None
-            action = tick(50)
-            assert action["action"] == "up" and action["reason"] == "rejoin"
-            assert cluster.stats()["live"] == [0, 1, 2]
-            clock[0] += 3600.0
-
-            # max_shards caps growth even under a sustained breach.
-            assert tick(50) is None
-            assert tick(50) is None
-            assert len(cluster.stats()["live"]) == 3
-
-            # The decisions landed on the cluster's own telemetry plane.
-            counters = {
-                (c["name"], c["labels"].get("reason")): c["value"]
-                for c in cluster.telemetry.registry.snapshot()["counters"]
-            }
-            assert counters[("cluster.scale.up", "spawn")] == 1
-            assert counters[("cluster.scale.up", "rejoin")] == 1
-            assert counters[("cluster.scale.down", "drain")] == 1
-            snapshot = cluster.metrics_snapshot()
-            assert any(
-                c["name"] == "cluster.scale.up"
-                and c["labels"].get("shard") == "cluster"
-                for c in snapshot["counters"]
-            )
-        finally:
-            cluster.close()
-
-    def test_scale_down_never_drains_remote_or_below_min(self):
-        program = make_poly_program()
-        eva, tcp = start_remote_shard(program)
-        cluster = EvaCluster(
-            shards=1,
-            backend=BackendSpec("mock-exact", seed=7),
-            batch_window=0.0,
-            scale_policy=self._policy(min_shards=1, cooldown=0.0, observations=1),
-        )
-        cluster.register("poly", program)
-        cluster.start()
-        try:
-            cluster.attach_shard(*tcp.address)
-            # Two live shards, but the only local one is the last above
-            # min_shards... the remote endpoint must not be drained in its
-            # place, and the local one is the last ring member candidate.
-            action = cluster.scale_tick(queue_depth=0)
-            assert action is None or action.get("shard") != 1
-            assert 1 in cluster.stats()["live"]
-        finally:
-            cluster.close()
-            tcp.shutdown()
-            tcp.server_close()
-            eva.close()
-
-    def test_observed_queue_depth_sums_engine_backlogs(self):
-        cluster = EvaCluster(
-            shards=1, backend=BackendSpec("mock-exact", seed=7), batch_window=0.0
-        )
-        cluster.register("poly", make_poly_program())
-        cluster.start()
-        try:
-            assert cluster._observed_queue_depth() == 0.0
-            cluster.submit("poly", {"x": [1.0]}, client_id="alice")
-            assert cluster._observed_queue_depth() == 0.0
-        finally:
-            cluster.close()

@@ -1,9 +1,9 @@
 """The control plane's properties, checked on the machine: no process, socket or sleep.
 
 ``repro.serving.membership`` is the sans-IO half of ``EvaCluster`` — the shard
-table, the ring derived from it, and the autoscaler's hysteresis.  These tests
-drive it with seeded random walks and assert the bounded-response properties
-after every event; ``TestBoundedResponse`` does the same for ``EvaCluster._call``,
+table and the ring derived from it.  These tests drive it with seeded random
+walks and assert the bounded-response properties after every event;
+``TestBoundedResponse`` does the same for ``EvaCluster._call``,
 and for the client helpers that reach it through ``EvaCluster.call``, over
 scripted stub handles.  (The process tests in ``test_cluster.py`` replay the
 event sequences their IO shell produced through a fresh machine.)
@@ -17,11 +17,11 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import ServingError, TransportError
-from repro.serving import EvaCluster, ScalePolicy, ServingClient, ShardHandle, membership, netserver
+from repro.serving import EvaCluster, ServingClient, ShardHandle, membership, netserver
 from repro.serving import cluster as cluster_module
 from repro.serving.membership import (
     DEAD, DRAIN, DRAINED, EVENTS, JOIN, LIVE, PROBE_FAILED, PROBE_OK, PROCESS_DIED,
-    REJOIN, REJOIN_RESPAWNED, STATES, TRANSITIONS, TRANSPORT_FAILURE, Autoscaler, Membership,
+    REJOIN, REJOIN_RESPAWNED, STATES, TRANSITIONS, TRANSPORT_FAILURE, Membership,
 )  # fmt: skip
 
 
@@ -161,54 +161,6 @@ class TestRandomWalk:
         members.apply(1, PROCESS_DIED)
         assert members.indices(DRAINED) == [] and members.indices(DEAD) == [1]
         assert members.apply(1, REJOIN_RESPAWNED) == LIVE and members.generation[1] == 1
-
-
-class TestAutoscalerProperties:
-    @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_hysteresis_cooldown_and_bounds(self, seed):
-        rng = random.Random(seed)
-        policy = ScalePolicy(
-            high_queue_depth=10.0, low_queue_depth=2.0, min_shards=1, max_shards=4,
-            observations=rng.choice([1, 2, 3]), cooldown=rng.choice([0.0, 5.0, 30.0]),
-        )  # fmt: skip
-        scaler = Autoscaler(policy)
-        live, now, last_action = 2, 0.0, None
-        above = below = 0  # the reference streaks, kept by the test
-        actions = 0
-        for _tick in range(3000):
-            now += rng.choice([0.5, 1.0, 4.0])
-            depth = rng.choice([0.0, 1.0, 2.0, 5.0, 9.9, 10.0, 50.0])
-            if depth >= policy.high_queue_depth:
-                above, below = above + 1, 0
-            elif depth <= policy.low_queue_depth:
-                above, below = 0, below + 1
-            else:
-                above = below = 0  # any in-band tick resets both streaks
-            decision = scaler.tick(depth, live, now)
-            assert (scaler.above, scaler.below) == (
-                (0 if decision == "up" else above), (0 if decision == "down" else below)
-            )
-            if decision is None:
-                continue
-            actions += 1
-            # No two actions closer than the cooldown ...
-            assert last_action is None or now - last_action >= policy.cooldown
-            # ... each after `observations` consecutive breaching ticks ...
-            streak = above if decision == "up" else below
-            assert streak >= policy.observations
-            # ... and never past the bounds.
-            live += 1 if decision == "up" else -1
-            assert policy.min_shards <= live <= policy.max_shards
-            last_action = now
-            above, below = scaler.above, scaler.below
-        assert actions > 10
-
-    def test_a_failed_action_starts_no_cooldown(self):
-        scaler = Autoscaler(ScalePolicy(high_queue_depth=10, low_queue_depth=1, observations=1, cooldown=60))
-        assert scaler.tick(50, 1, now=0.0) == "up"
-        scaler.retract()  # the spawn failed
-        assert scaler.tick(50, 1, now=1.0) == "up"
-        assert scaler.tick(50, 2, now=2.0) is None  # this one stood: cooling
 
 
 class TestBoundedResponse:

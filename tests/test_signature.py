@@ -65,8 +65,6 @@ class TestProgramSignature:
         [
             {"policy": "chet"},
             {"max_rescale_bits": 40.0},
-            {"rescale_bits": 25.0},
-            {"waterline_bits": 20.0},
             {"security_level": 192},
             {"lane_width": 4},
         ],
@@ -83,8 +81,6 @@ class TestProgramSignature:
         covered = {
             "policy",
             "max_rescale_bits",
-            "rescale_bits",
-            "waterline_bits",
             "security_level",
             "lane_width",
         }
@@ -121,16 +117,25 @@ class TestProgramSignature:
 class TestRetiredOptions:
     """``lower_sum``, ``remove_copies`` and ``cleanup`` are gone: SUM is always
     expanded, COPY always removed, the cleanup passes always run.  So are
-    ``hoist_rotations`` and ``bsgs_rotations``: lane lowering always composes
-    the wrap branch, hoisting always runs, the BSGS plan is the cost model's."""
+    ``rescale_bits`` and ``waterline_bits``: both are always derived from the
+    program.  So are ``hoist_rotations`` and ``bsgs_rotations``: lane lowering
+    always composes the wrap branch, hoisting always runs, the BSGS plan is
+    the cost model's."""
 
-    RETIRED = ("lower_sum", "remove_copies", "cleanup")
+    #: Still written by ``to_dict``, each at its one value.
+    RETIRED = {
+        "lower_sum": True,
+        "remove_copies": True,
+        "cleanup": True,
+        "rescale_bits": None,
+        "waterline_bits": None,
+    }
     #: Earlier builds left these out of ``to_dict`` at this, their default.
     UNWRITTEN = {"hoist_rotations": True, "bsgs_rotations": "auto"}
 
     def test_written_at_their_only_value(self):
         data = CompilerOptions().to_dict()
-        assert [data[name] for name in self.RETIRED] == [True, True, True]
+        assert {name: data[name] for name in self.RETIRED} == self.RETIRED
         assert CompilerOptions.from_dict(data) == CompilerOptions()
 
     def test_unwritten_ones_read_at_their_only_value(self):
@@ -138,7 +143,7 @@ class TestRetiredOptions:
         assert not set(self.UNWRITTEN) & set(data)
         assert CompilerOptions.from_dict({**data, **self.UNWRITTEN}) == CompilerOptions()
 
-    @pytest.mark.parametrize("name", RETIRED)
+    @pytest.mark.parametrize("name", list(RETIRED))
     def test_a_retired_option_set_to_false_is_refused(self, name):
         data = dict(CompilerOptions().to_dict(), **{name: False})
         with pytest.raises(CompilationError, match=repr(name)):

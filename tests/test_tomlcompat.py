@@ -76,4 +76,28 @@ def test_documented_cluster_config_loads(tmp_path):
     recipe = EvaCluster(**parsed["cluster"]).recipe
     assert recipe.backend.name == "mock-exact" and recipe.fairness.slo_classes == {"trader": "tight"}
     assert parsed["remote"] == [("10.0.0.5", 7001)]
-    assert parsed["scale"].high_queue_depth == 32 and parsed["scale_interval"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[clustr]\nshards = 3\n", "'clustr'"),
+        ("[cluster]\nshards = 1\n\n[scale]\nhigh_queue_depth = 32\n", "'scale'"),
+        ('[[remote]]\nhost = "10.0.0.5"\nport = 7001\nweight = 3\n', "'weight'"),
+        ('[[remote]]\nhost = "10.0.0.5"\nport = "x"\n', "'port'"),
+        ('[[remote]]\nhost = "10.0.0.5"\nport = 70000\n', "1-65535"),
+        ("[[remote]]\nhost = 5\nport = 7001\n", "string 'host'"),
+        ('[remote]\nhost = "10.0.0.5"\nport = 7001\n', "array of \\[\\[remote\\]\\] tables"),
+        ("cluster = 3\n", "\\[cluster\\] table"),
+    ],
+    ids=[
+        "misspelt-table", "retired-scale-table", "unknown-remote-key", "port-not-an-integer",
+        "port-out-of-range", "host-not-a-string", "remote-as-single-table", "cluster-not-a-table",
+    ],  # fmt: skip
+)
+def test_the_loader_refuses_what_it_does_not_read(text, named, tmp_path):
+    """A table or key the cluster would ignore fails the load, naming it."""
+    config = tmp_path / "cluster.toml"
+    config.write_text(text)
+    with pytest.raises(ServingError, match=named):
+        load_cluster_config(config)

@@ -11,7 +11,7 @@ to re-derive them.  This script prints both from the checkout it is pointed at:
   ``ShardConfig`` recipe those keywords become — ``EvaluationEngine`` and
   ``Evaluator``; via ``inspect.signature`` / ``dataclasses.fields``), each
   field of the config objects those take (``CompilerOptions``,
-  ``ScalePolicy``, ``FairnessPolicy``, ``BackendSpec``: a field is an
+  ``FairnessPolicy``, ``BackendSpec``: a field is an
   independently settable value like any parameter), the long flags of
   every ``repro.cli`` subcommand (``build_parser()``; a flag two
   subcommands share counts twice, it is spelled twice), and the
@@ -50,7 +50,6 @@ COUNTED_CONSTRUCTORS = (
 #: (module, class) of every config dataclass whose fields count as options.
 COUNTED_CONFIG_OBJECTS = (
     ("repro.core.compiler", "CompilerOptions"),
-    ("repro.serving.membership", "ScalePolicy"),
     ("repro.serving.quotas", "FairnessPolicy"),
     ("repro.serving.cluster", "BackendSpec"),
 )
