@@ -121,8 +121,7 @@ def measure_mode(host: str, port: int, mode: str, kit, xv: np.ndarray):
 def run(benchmark=None) -> float:
     program = make_rotation_program()
     backend = CkksBackend(seed=11)
-    server = EvaServer(backend=backend, workers=1, batch_window=0.0,
-                       session_capacity=16)
+    server = EvaServer(backend=backend, workers=1, batch_window=0.0)
     server.register("rotpoly", program, options=OPTIONS)
     tcp = EvaTcpServer(server, port=0)
     tcp.start_background()

@@ -214,22 +214,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
         executor_threads=args.threads,
         fairness=_fairness_policy(args),
     )
-    # A bad config file fails before logging is set up or anything is spawned.
+    # A bad flag or config file fails before logging is set up or anything is
+    # spawned.
     config = load_cluster_config(args.cluster_config) if args.cluster_config else None
+    shard = ShardConfig(**recipe)
+    cluster = _cluster(args, recipe, config) if config is not None or args.shards > 1 else None
     configure_logging(json_logs=args.log_json, level=args.log_level)
     entries = [(name, program, options) for name, program in programs.items()]
-    if config is not None or args.shards > 1:
-        return _serve_cluster(args, recipe, entries, config)
-    return _serve_single(args, ShardConfig(**recipe), entries)
+    if cluster is not None:
+        return _serve_cluster(args, cluster, entries)
+    return _serve_single(args, shard, entries)
 
 
 def _fairness_policy(args):
     """The quota flags as a ``FairnessPolicy`` table, or None when no quota is set."""
-    if args.quota_burst is not None and args.quota_rps is None:
-        # Burst is the rate limiter's bucket capacity; without a rate it
-        # would be silently ignored — refuse rather than mislead.
-        raise EvaError("--quota-burst requires --quota-rps")
-    if args.quota_rps is None and args.max_inflight is None:
+    if args.quota_rps is None and args.quota_burst is None and args.max_inflight is None:
         return None
     return {
         "quota_rps": args.quota_rps,
@@ -263,7 +262,7 @@ def _serve_single(args, recipe, entries) -> int:
     from .serving import EvaTcpServer
 
     server = recipe.build(entries)
-    tcp = EvaTcpServer(server, host=args.host, port=args.port, wire_policy=args.wire)
+    tcp = EvaTcpServer(server, host=args.host, port=args.port)
     return _serve_until_interrupted(
         tcp,
         server,
@@ -273,14 +272,14 @@ def _serve_single(args, recipe, entries) -> int:
     )
 
 
-def _serve_cluster(args, recipe, entries, config=None) -> int:
-    from .serving import ClusterTcpServer, EvaCluster
+def _cluster(args, recipe, config):
+    """The (unstarted) ``EvaCluster`` the flags and the config file describe."""
+    from .serving import EvaCluster
 
     kwargs = dict(
         recipe,
         shards=args.shards,
         health_interval=args.health_interval or None,
-        wire=args.wire,
     )
     if config is not None:
         # [cluster] table entries override the flag-derived kwargs; [[remote]]
@@ -289,17 +288,18 @@ def _serve_cluster(args, recipe, entries, config=None) -> int:
         if config["remote"]:
             kwargs["remote_shards"] = config["remote"]
     try:
-        cluster = EvaCluster(**kwargs)
+        return EvaCluster(**kwargs)
     except TypeError as error:
         raise EvaError(f"bad [cluster] config key: {error}") from None
+
+
+def _serve_cluster(args, cluster, entries) -> int:
+    from .serving import ClusterTcpServer
+
     for name, program, options in entries:
         cluster.register(name, program, options=options)
     cluster.start()
-    # `wire` twice, on purpose: what the router speaks upstream (above) and
-    # what its listener grants are different settings.
-    tcp = ClusterTcpServer(
-        cluster, host=args.host, port=args.port, wire_policy=args.wire
-    )
+    tcp = ClusterTcpServer(cluster, host=args.host, port=args.port)
     return _serve_until_interrupted(
         tcp,
         cluster,
@@ -544,14 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-level",
         default="INFO",
         help="logging level for the serving logger tree (DEBUG, INFO, ...)",
-    )
-    serve.add_argument(
-        "--wire",
-        choices=["auto", "binary", "json"],
-        default="auto",
-        help="wire policy: auto serves JSON lines and grants binary framing "
-        "to clients that negotiate it; json pins the listener to JSON "
-        "(legacy clients work unchanged under every policy)",
     )
     serve.add_argument(
         "--cluster-config",

@@ -17,7 +17,7 @@ Turns the one-shot compiler + executor into a serving stack:
 * :class:`FairnessPolicy` / :class:`QuotaLedger` — per-client token-bucket
   rate quotas and in-flight caps (the serving 429,
   :class:`~repro.errors.QuotaExceededError`), enforced at the cluster router
-  and at each shard's job engine, which dequeues by weighted fair queueing
+  and at each shard's job engine, which dequeues by fair queueing
   instead of global FIFO.
 * :class:`EvaCluster` / :class:`ClusterTcpServer` — multi-node sharding:
   local shard processes plus remote shard servers attached from a cluster

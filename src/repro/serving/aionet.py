@@ -31,8 +31,8 @@ import socket
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import ServingError, TransportError
-from ..wire import WIRE_MODES, FrameDecoder
+from ..errors import TransportError
+from ..wire import FrameDecoder
 from ..wire.frames import READ_BYTES
 
 #: Upper bound on threads processing requests concurrently (idle connections
@@ -128,10 +128,8 @@ class AsyncWireServer:
     ``shutdown`` is thread-safe and waits for the loop to wind down, closing
     live connections as it goes.
 
-    ``wire_policy`` governs hello negotiation: ``auto``/``binary`` grant
-    binary framing to clients that ask for it, ``json`` pins the listener to
-    JSON (binary hellos negotiate down; legacy clients are unaffected either
-    way).
+    Every listener accepts both framings: it grants binary framing to a
+    client whose hello asks for it and speaks JSON lines to every other.
     """
 
     connection_class: Any = None
@@ -139,12 +137,7 @@ class AsyncWireServer:
     #: Name of the background serving thread (and prefix of its workers).
     thread_name = "eva-aio-server"
 
-    def __init__(self, host: str, port: int, wire_policy: str) -> None:
-        if wire_policy not in WIRE_MODES:
-            raise ServingError(
-                f"unknown wire policy {wire_policy!r}; expected one of {WIRE_MODES}"
-            )
-        self.wire_policy = wire_policy
+    def __init__(self, host: str, port: int) -> None:
         self._conn_lock = threading.Lock()
         self._conn_seq = 0
         self._connections: Dict[int, Any] = {}

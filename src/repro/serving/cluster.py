@@ -85,7 +85,7 @@ from .membership import (
 )
 from .netserver import ClientApi
 from .quotas import FairnessPolicy
-from .telemetry import Telemetry, aggregate_snapshots, merge_traces
+from .telemetry import Telemetry, aggregate_snapshots, log_level, merge_traces
 
 #: Transport-level failures that justify failing over to another shard.
 _FAILOVER_ERRORS = (TransportError, OSError)
@@ -166,7 +166,8 @@ class ShardConfig:
     serving process or none.  Construction validates and coerces, before any
     process exists: ``backend`` may be a :class:`BackendSpec`, a backend name
     or a table of its fields, ``fairness`` a policy or a table of its fields;
-    a wrong type raises :class:`~repro.errors.ServingError` naming the key.
+    a wrong type or an out-of-range value raises
+    :class:`~repro.errors.ServingError` naming the key.
     """
 
     backend: Any = None
@@ -174,7 +175,6 @@ class ShardConfig:
     session_dir: Optional[str] = None
     host: str = "127.0.0.1"
     workers: int = 2
-    queue_size: int = 256
     max_batch: int = 8
     batch_window: float = 0.0
     executor_threads: int = 1
@@ -197,6 +197,14 @@ class ShardConfig:
     #: The fields that may be None, and what they hold otherwise (every other
     #: scalar field is checked against the type of its default).
     _OPTIONAL = {"session_dir": str, "session_ttl": float, "artifact_dir": str}
+    #: The least value of each numeric field that has one.
+    _MINIMUM = {
+        "workers": 1,
+        "max_batch": 1,
+        "executor_threads": 1,
+        "batch_window": 0.0,
+        "slow_threshold": 0.0,
+    }
 
     def __post_init__(self) -> None:
         backend = {} if self.backend is None else self.backend
@@ -211,6 +219,15 @@ class ShardConfig:
                 kind = self._OPTIONAL.get(key) or type(spec.default)
                 value = _scalar(key, getattr(self, key), kind, key in self._OPTIONAL)
                 setattr(self, key, value)
+        for key, least in self._MINIMUM.items():
+            if getattr(self, key) < least:
+                raise ServingError(f"{key} must be at least {least:g}, not {getattr(self, key)!r}")
+        if self.session_ttl is not None and self.session_ttl <= 0:
+            raise ServingError(f"session_ttl must be positive seconds, not {self.session_ttl!r}")
+        try:
+            log_level(self.log_level)
+        except ValueError as error:
+            raise ServingError(f"bad log_level: {error}") from None
 
     def build(
         self, programs: Iterable[Tuple[str, Any, Any]], shard: Optional[int] = None
@@ -235,7 +252,6 @@ class ShardConfig:
         server = EvaServer(
             backend=self.backend.build(),
             workers=self.workers,
-            queue_size=self.queue_size,
             max_batch=self.max_batch,
             batch_window=self.batch_window,
             executor_threads=self.executor_threads,
@@ -419,19 +435,15 @@ class EvaCluster(ClientApi):
     def __init__(
         self,
         shards: int = 2,
-        replicas: int = 64,
         start_timeout: float = 120.0,
         request_timeout: Optional[float] = 60.0,
         retries: int = 3,
         health_interval: Optional[float] = None,
-        wire: str = "auto",
         remote_shards: Optional[List[Tuple[str, int]]] = None,
         **recipe: Any,
     ) -> None:
         if shards < 1 and not remote_shards:
             raise ServingError("a cluster needs at least one shard")
-        if wire not in ("auto", "binary", "json"):
-            raise ServingError(f"unknown wire mode {wire!r}")
         if health_interval is not None and health_interval <= 0:
             raise ServingError("health_interval must be positive (or None)")
         self.shards = int(shards)
@@ -439,17 +451,12 @@ class EvaCluster(ClientApi):
         #: anything is spawned (an unknown keyword is a ``TypeError``).
         self.recipe = ShardConfig(**recipe)
         self.health_interval = health_interval
-        #: Wire mode of the cluster-internal connections to shards (``auto``
-        #: negotiates the binary frame protocol; shard listeners always
-        #: accept both framings, so this only pins what *this* process
-        #: speaks upstream).
-        self.wire = str(wire)
         self.start_timeout = float(start_timeout)
         self.request_timeout = request_timeout
         self.retries = max(int(retries), 1)
         #: The shard table (state and generation per index) and the ring it
         #: implies; only :meth:`_transition` changes it.
-        self.members = Membership(replicas=replicas)
+        self.members = Membership()
         #: ``(name, proto bytes, options)`` per registered program.
         self._programs: List[Tuple[str, bytes, Optional[CompilerOptions]]] = []
         self._handles: Dict[int, ShardHandle] = {}
@@ -893,9 +900,7 @@ class EvaCluster(ClientApi):
 
     def _client_for(self, index: int):
         """This thread's cached connection to one shard."""
-        return self._connection(
-            self._thread_clients(), index, self.request_timeout, self.wire
-        )
+        return self._connection(self._thread_clients(), index, self.request_timeout, "auto")
 
     def _note_failure(self, index: int) -> None:
         """A request to ``index`` failed at the transport level.

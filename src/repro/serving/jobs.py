@@ -8,13 +8,13 @@ the queue and hand them to the server's handler.  Jobs carry a *group key*
 picked up — optionally lingering ``batch_window`` seconds for stragglers — so
 the slot batcher downstream sees whole batches, not single requests.
 
-Scheduling is **weighted fair queueing** across clients, not global FIFO:
-each client has its own arrival queue and a virtual-time counter advanced by
-``1 / weight`` per dequeued job, and workers always serve the client with the
-smallest virtual time.  Under contention a client flooding the queue is
-served in proportion to its weight instead of monopolizing the workers, so a
-light client's jobs never sit behind a greedy client's entire backlog.  With
-one client (or balanced arrivals) this degenerates to the old FIFO order.
+Scheduling is **fair queueing** across clients, not global FIFO: each
+client has its own arrival queue and a virtual-time counter advanced by one
+per dequeued job, and workers always serve the client with the smallest
+virtual time.  Every client has the same weight: under contention a client
+flooding the queue gets an equal share instead of monopolizing the workers,
+so a light client's jobs never sit behind a greedy client's entire backlog.
+With one client (or balanced arrivals) this degenerates to the old FIFO order.
 
 Admission additionally enforces a per-client
 :class:`~repro.serving.quotas.FairnessPolicy` when one is configured: a rate
@@ -24,7 +24,8 @@ serving layer's 429.  The global bounded queue (``QueueFullError``) remains
 the server-protecting backstop.
 
 Requests may carry a **deadline** (``deadline_ms``) and an **SLO class**
-(``tight`` / ``standard`` / ``relaxed``).  Admission models the request's
+(``tight`` / ``standard`` / ``relaxed``); one that carries neither is
+``standard`` with no deadline.  Admission models the request's
 queue wait (observed recent waits and current backlog) plus its solo
 execution estimate and rejects requests whose deadline is already infeasible
 with :class:`~repro.errors.DeadlineInfeasibleError` — executing them would
@@ -115,8 +116,7 @@ class JobEngine:
     that job); if the handler itself raises, the whole batch fails.
 
     ``fairness`` (a :class:`~repro.serving.quotas.FairnessPolicy`) enables
-    per-client admission control — rate quota and in-flight cap — and
-    supplies the per-client weights of the fair dequeue.
+    per-client admission control — rate quota and in-flight cap.
     """
 
     def __init__(
@@ -137,7 +137,6 @@ class JobEngine:
         self.queue_size = queue_size
         self.max_batch = max(int(max_batch), 1)
         self.batch_window = max(float(batch_window), 0.0)
-        self.fairness = fairness
         self.ledger = QuotaLedger(fairness)
         #: The one place engine events are counted (and spans recorded).
         self.telemetry = telemetry if telemetry is not None else Telemetry()
@@ -167,11 +166,6 @@ class JobEngine:
         for thread in self._workers:
             thread.start()
 
-    def _weight_of(self, client: str) -> float:
-        if self.fairness is None:
-            return 1.0
-        return self.fairness.weight_of(client)
-
     # -- deadline admission model ------------------------------------------------
     def wait_estimate(
         self, slo_class: str = "standard", client: str = "default"
@@ -184,7 +178,7 @@ class JobEngine:
           relaxed job's wait includes the linger it deliberately paid to fill
           lanes, so class-blind percentiles would reject tight traffic on a
           server that serves its tight requests promptly;
-        * a backlog estimate reflecting the weighted-fair dequeue: the
+        * a backlog estimate reflecting the fair dequeue: the
           client's *own* queued jobs (plus the request itself) each wait one
           round of service across the currently active clients, spread over
           the workers.  Global queue depth is deliberately not the unit — a
@@ -232,11 +226,11 @@ class JobEngine:
         up in time (the back-pressure signal a front-end turns into "try
         later").
 
-        ``deadline_ms`` and ``slo_class`` attach SLO semantics: unset values
-        fall back to the fairness policy's per-client class and per-class
-        deadline defaults.  A request whose modeled queue wait plus solo
-        execution (``execute_estimate``, falling back to the engine's
-        observed history) already exceeds its deadline is rejected with
+        ``deadline_ms`` and ``slo_class`` attach SLO semantics: a request
+        without them is ``standard`` with no deadline.  A request whose
+        modeled queue wait plus solo execution (``execute_estimate``, falling
+        back to the engine's observed history) already exceeds its deadline
+        is rejected with
         :class:`~repro.errors.DeadlineInfeasibleError` carrying a
         ``retry_after`` hint.  The linger a batch may add is deliberately
         *not* part of the admission model: a request whose slack only covers
@@ -252,16 +246,9 @@ class JobEngine:
         """
         client = str(client)
         telemetry = self.telemetry
-        if self.fairness is not None:
-            slo = self.fairness.slo_class_of(client, slo_class)
-            if deadline_ms is None:
-                deadline_ms = self.fairness.deadline_ms_of(slo)
-        else:
-            slo = slo_class if slo_class is not None else "standard"
-            if slo not in SLO_CLASSES:
-                raise ValueError(
-                    f"unknown SLO class {slo!r}; expected one of {SLO_CLASSES}"
-                )
+        slo = slo_class if slo_class is not None else "standard"
+        if slo not in SLO_CLASSES:
+            raise ValueError(f"unknown SLO class {slo!r}; expected one of {SLO_CLASSES}")
         estimate = float(execute_estimate) if execute_estimate else 0.0
         if deadline_ms is not None:
             deadline_s = float(deadline_ms) / 1000.0
@@ -398,12 +385,9 @@ class JobEngine:
                 self._cond.wait(remaining)
                 self._drain_group(batch, self._queues.get(client, deque()))
             # Charge the client's virtual time for the service received: one
-            # unit per job, scaled down by its weight.  The engine clock
-            # advances with the served client so newly active clients start
-            # at "now" in virtual time.
-            self._vtime[client] = self._vtime.get(client, 0.0) + (
-                len(batch) / self._weight_of(client)
-            )
+            # unit per job.  The engine clock advances with the served client
+            # so newly active clients start at "now" in virtual time.
+            self._vtime[client] = self._vtime.get(client, 0.0) + len(batch)
             self._clock = max(self._clock, self._vtime[client])
             if not self._queues.get(client):
                 # Drop empty queues (and their vtime) so per-client state

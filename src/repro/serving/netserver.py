@@ -217,7 +217,7 @@ class _WireConnection:
                     raise TransportError("clients send request frames, got a response frame")
                 envelope = framing.peek(raw)
                 if envelope.get("op") == "hello":
-                    ack, self.protocol = hello_ack(envelope, self.server.wire_policy)
+                    ack, self.protocol = hello_ack(envelope)
                     self.negotiated = self.protocol == BINARY.name
                     parts = framing.parts(ack)
                 else:
@@ -331,23 +331,16 @@ class _ShardConnection(_WireConnection):
 
 
 class EvaTcpServer(AsyncWireServer):
-    """TCP front door of one :class:`~repro.serving.server.EvaServer`
-    (``wire_policy``: see :class:`~.aionet.AsyncWireServer`)."""
+    """TCP front door of one :class:`~repro.serving.server.EvaServer`."""
 
     connection_class = _ShardConnection
     thread_name = "eva-tcp-server"
 
-    def __init__(
-        self,
-        eva_server: EvaServer,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        wire_policy: str = "auto",
-    ) -> None:
+    def __init__(self, eva_server: EvaServer, host: str = "127.0.0.1", port: int = 0) -> None:
         self.eva_server = eva_server
         #: Where connections count their bytes: the engine's own registry.
         self.telemetry = eva_server.telemetry
-        super().__init__(host, port, wire_policy)
+        super().__init__(host, port)
 
 
 class _RouterConnection(_WireConnection):
@@ -607,8 +600,8 @@ class ClusterTcpServer(AsyncWireServer):
 
     Owns the public listener; every request is forwarded to the shard its
     client consistent-hashes to.  The wire protocols are identical to
-    :class:`EvaTcpServer`'s — JSON lines and binary frames on one socket,
-    governed by the same ``wire_policy`` — plus the cluster admin ops:
+    :class:`EvaTcpServer`'s — JSON lines and binary frames on one socket —
+    plus the cluster admin ops:
     ``route`` (which shard/pid a client maps to), ``health`` (per-shard
     liveness), ``drain`` and ``rejoin`` (shard lifecycle) — useful for chaos
     drills, rolling restarts, and smoke tests.
@@ -623,13 +616,7 @@ class ClusterTcpServer(AsyncWireServer):
     connection_class = _RouterConnection
     thread_name = "eva-cluster-router"
 
-    def __init__(
-        self,
-        cluster: Any,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        wire_policy: str = "auto",
-    ) -> None:
+    def __init__(self, cluster: Any, host: str = "127.0.0.1", port: int = 0) -> None:
         self.cluster = cluster
         self.ledger = QuotaLedger(cluster.recipe.fairness)
         #: The router's own telemetry plane: forward/admission spans, router
@@ -637,7 +624,7 @@ class ClusterTcpServer(AsyncWireServer):
         #: latency as the client experienced it, including the shard hop).
         threshold = cluster.recipe.slow_threshold
         self.telemetry = Telemetry(slow_threshold=threshold, shard="router")
-        super().__init__(host, port, wire_policy)
+        super().__init__(host, port)
 
 
 #: Error kinds a reply carries a ``retry_after`` hint for.

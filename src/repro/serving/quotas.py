@@ -10,8 +10,9 @@ per-*client* half of admission control:
   request spends one.  An empty bucket yields the time until the next token,
   which travels to the client as ``retry_after``.
 * :class:`FairnessPolicy` — the operator-facing knobs: requests/second per
-  client, burst size, a per-client in-flight cap, and optional per-client
-  scheduling weights for the engine's weighted fair dequeue.
+  client, burst size and a per-client in-flight cap.  They are the same for
+  every client: the engine's fair dequeue weighs clients equally, and a
+  request's SLO class and deadline are what the request carries.
 * :class:`QuotaLedger` — thread-safe per-client enforcement of one policy.
   Both admission points share it: the cluster router (rejecting before a
   request ever crosses to a shard) and each shard's job engine (protecting a
@@ -27,10 +28,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..core.serialization.messages import SLO_CLASSES
 from ..errors import QuotaExceededError
 
 
@@ -73,59 +73,27 @@ class FairnessPolicy:
         ``None`` disables rate limiting.
     burst:
         Bucket capacity — how many requests a client may send back-to-back
-        after an idle period.  Defaults to ``max(2 * quota_rps, 1)``.
+        after an idle period.  Defaults to ``max(2 * quota_rps, 1)``; it
+        needs a ``quota_rps`` to shape.
     max_inflight:
         Maximum requests one client may have queued or executing at once.
         ``None`` disables the cap.
-    weights:
-        Per-client scheduling weights for the engine's weighted fair dequeue
-        (default weight 1.0); a weight of 2 gets twice the service share
-        under contention.  Scheduling weights are independent of the quota —
-        they shape *order*, quotas shape *admission*.
-    slo_classes:
-        Per-client default SLO class (``tight`` / ``standard`` / ``relaxed``)
-        applied to submits that carry no explicit ``slo_class``.  Clients
-        without an entry default to ``standard``.
-    class_deadlines_ms:
-        Per-class default ``deadline_ms`` applied to submits that carry a
-        class (explicit or per-client default) but no explicit deadline.
-        Classes without an entry carry no deadline — they still shape
-        batch-vs-solo decisions, but never trigger deadline admission.
     """
 
     quota_rps: Optional[float] = None
     burst: Optional[float] = None
     max_inflight: Optional[int] = None
-    weights: Dict[str, float] = field(default_factory=dict)
-    slo_classes: Dict[str, str] = field(default_factory=dict)
-    class_deadlines_ms: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.quota_rps is not None and self.quota_rps <= 0:
             raise ValueError("quota_rps must be positive (or None to disable)")
         if self.burst is not None and self.burst < 1:
             raise ValueError("burst must be at least 1 (or None for the default)")
+        if self.burst is not None and self.quota_rps is None:
+            # Without a rate the bucket capacity would be silently ignored.
+            raise ValueError("burst (--quota-burst) requires quota_rps (--quota-rps)")
         if self.max_inflight is not None and self.max_inflight < 1:
             raise ValueError("max_inflight must be at least 1 (or None to disable)")
-        for client, weight in self.weights.items():
-            if weight <= 0:
-                raise ValueError(f"weight of client {client!r} must be positive")
-        for client, slo_class in self.slo_classes.items():
-            if slo_class not in SLO_CLASSES:
-                raise ValueError(
-                    f"unknown SLO class {slo_class!r} of client {client!r}; "
-                    f"expected one of {SLO_CLASSES}"
-                )
-        for slo_class, deadline_ms in self.class_deadlines_ms.items():
-            if slo_class not in SLO_CLASSES:
-                raise ValueError(
-                    f"unknown SLO class {slo_class!r} in class_deadlines_ms; "
-                    f"expected one of {SLO_CLASSES}"
-                )
-            if deadline_ms <= 0:
-                raise ValueError(
-                    f"class deadline of {slo_class!r} must be positive milliseconds"
-                )
 
     @property
     def limits_rate(self) -> bool:
@@ -147,29 +115,6 @@ class FairnessPolicy:
         if self.burst is not None:
             return float(self.burst)
         return max(2.0 * float(self.quota_rps or 0.0), 1.0)
-
-    def weight_of(self, client_id: str) -> float:
-        """A client's fair-queueing weight (default 1.0)."""
-        return float(self.weights.get(str(client_id), 1.0))
-
-    def slo_class_of(self, client_id: str, requested: Optional[str] = None) -> str:
-        """The effective SLO class of one request.
-
-        An explicit per-request class wins; otherwise the client's configured
-        default applies; otherwise ``standard``.
-        """
-        if requested is not None:
-            if requested not in SLO_CLASSES:
-                raise ValueError(
-                    f"unknown SLO class {requested!r}; expected one of {SLO_CLASSES}"
-                )
-            return str(requested)
-        return str(self.slo_classes.get(str(client_id), "standard"))
-
-    def deadline_ms_of(self, slo_class: str) -> Optional[float]:
-        """The class's default deadline in milliseconds, or None when unset."""
-        deadline_ms = self.class_deadlines_ms.get(str(slo_class))
-        return float(deadline_ms) if deadline_ms is not None else None
 
 
 class QuotaLedger:

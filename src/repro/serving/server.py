@@ -224,10 +224,7 @@ class EvaServer:
     def __init__(
         self,
         backend: Optional[HomomorphicBackend] = None,
-        registry_capacity: int = 64,
-        session_capacity: int = 32,
         workers: int = 2,
-        queue_size: int = 256,
         max_batch: int = 8,
         batch_window: float = 0.0,
         executor_threads: int = 1,
@@ -249,10 +246,8 @@ class EvaServer:
         #: loads what a sibling shard already compiled instead of recompiling,
         #: and fresh compilations are published back for the fleet.
         self.artifact_cache = artifact_cache
-        self.registry = ProgramRegistry(
-            capacity=registry_capacity, artifacts=artifact_cache
-        )
-        self.sessions = SessionManager(backend, capacity=session_capacity)
+        self.registry = ProgramRegistry(artifacts=artifact_cache)
+        self.sessions = SessionManager(backend)
         #: Optional disk persistence of client key blobs: sessions created
         #: through :meth:`create_session` are saved, and an unknown client's
         #: encrypted request triggers a lazy restore — which is how sessions
@@ -271,7 +266,6 @@ class EvaServer:
         self.engine = JobEngine(
             self._handle_batch,
             workers=workers,
-            queue_size=queue_size,
             max_batch=max_batch,
             batch_window=batch_window,
             fairness=fairness,
@@ -954,7 +948,10 @@ class EvaServer:
         """
         snapshot = self.telemetry.registry.snapshot()
         absorb_summary(snapshot, "serving.engine", self.engine.metrics_snapshot())
-        absorb_summary(snapshot, "serving.quota", self.engine.ledger.summary())
+        quota = self.engine.ledger.summary()
+        # Keyed by client-chosen ids, which are no part of a metric name.
+        del quota["clients_inflight"]
+        absorb_summary(snapshot, "serving.quota", quota)
         absorb_summary(snapshot, "serving.registry", self.registry.summary())
         absorb_summary(snapshot, "serving.sessions", self.sessions.summary())
         if self.session_store is not None:

@@ -456,9 +456,14 @@ def _prom_name(name: str) -> str:
     return name.replace(".", "_").replace("-", "_")
 
 
+def _prom_value(value: Any) -> str:
+    """A label value escaped for the text format (backslash, quote, newline)."""
+    return str(value).replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
 def _prom_labels(labels: Mapping[str, Any], extra: str = "") -> str:
     parts = [
-        f'{_prom_name(key)}="{str(value)}"' for key, value in sorted(labels.items())
+        f'{_prom_name(key)}="{_prom_value(value)}"' for key, value in sorted(labels.items())
     ]
     if extra:
         parts.append(extra)
@@ -715,6 +720,14 @@ class _JsonLogFormatter(logging.Formatter):
         return json.dumps(event, separators=(",", ":"), default=str)
 
 
+def log_level(level: str) -> int:
+    """The numeric value of a standard logging level name (any case)."""
+    resolved = getattr(logging, str(level).upper(), None)
+    if not isinstance(resolved, int):
+        raise ValueError(f"unknown log level {level!r}")
+    return resolved
+
+
 def configure_logging(json_logs: bool = False, level: str = "INFO") -> None:
     """Configure the ``repro`` logger tree for serving processes.
 
@@ -723,9 +736,7 @@ def configure_logging(json_logs: bool = False, level: str = "INFO") -> None:
     replaces the handler instead of stacking duplicates.
     """
     logger = logging.getLogger("repro")
-    resolved = getattr(logging, str(level).upper(), None)
-    if not isinstance(resolved, int):
-        raise ValueError(f"unknown log level {level!r}")
+    resolved = log_level(level)
     handler = logging.StreamHandler(sys.stderr)
     if json_logs:
         handler.setFormatter(_JsonLogFormatter())

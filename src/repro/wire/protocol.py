@@ -96,12 +96,12 @@ def build_hello(mode: str) -> Dict[str, Any]:
     }
 
 
-def hello_ack(request: Dict[str, Any], policy: str) -> Tuple[Dict[str, Any], str]:
-    """Answer a hello under the listener's wire policy.
+def hello_ack(request: Dict[str, Any]) -> Tuple[Dict[str, Any], str]:
+    """Answer a hello.
 
     Returns ``(reply, negotiated_protocol)``.  Binary is granted when the
-    listener allows it (policy ``auto`` or ``binary``) and the client offers
-    a version this build speaks; everything else negotiates down to JSON.
+    client asks for it (``auto`` or ``binary``) and offers a version this
+    build speaks; everything else negotiates down to JSON.
     Whichever framing results, the reply grants the offered features this
     build reads (and has no such field for a client that offered none).
     """
@@ -112,7 +112,7 @@ def hello_ack(request: Dict[str, Any], policy: str) -> Tuple[Dict[str, Any], str
         else []
     )
     wants_binary = request.get("wire") in ("binary", "auto")
-    if policy != "json" and wants_binary and PROTOCOL_VERSION in offered:
+    if wants_binary and PROTOCOL_VERSION in offered:
         reply = {"ok": True, "wire": "binary", "version": PROTOCOL_VERSION}
     else:
         reply = {"ok": True, "wire": "json"}
@@ -136,8 +136,8 @@ def granted_features(reply: Dict[str, Any]) -> FrozenSet[str]:
 def parse_hello_reply(reply: Dict[str, Any], mode: str) -> Tuple[str, Optional[int]]:
     """Interpret the server's hello reply; returns (protocol, version).
 
-    In ``auto`` mode any refusal — a JSON-pinned server, or a legacy server
-    answering "unknown op" — falls back to JSON.  In forced ``binary`` mode a
+    In ``auto`` mode any refusal — a server that answers JSON, or a legacy
+    server answering "unknown op" — falls back to JSON.  In forced ``binary`` mode a
     refusal is an error, because the caller asked for a guarantee the server
     cannot give.
     """

@@ -58,8 +58,6 @@ def async_server():
 class FakeListener:
     """What a shard connection needs from its listener — no socket in sight."""
 
-    wire_policy = "auto"
-
     def __init__(self, eva_server):
         self.eva_server = eva_server
         self.telemetry = eva_server.telemetry
@@ -70,8 +68,6 @@ class FakeListener:
 
 class FakeRouter:
     """What a router connection needs from its listener."""
-
-    wire_policy = "auto"
 
     def __init__(self, cluster, fairness=None):
         self.cluster = cluster

@@ -200,6 +200,30 @@ class TestCheckDocs:
             "operations.md: shard lifecycle table missing"
         ]
 
+    def test_cluster_key_table_must_match_the_code_both_ways(self, check_docs):
+        doc = (REPO_ROOT / "docs" / "operations.md").read_text()
+        assert check_docs.check_cluster_table(doc) == []
+        # A key the code no longer takes, still offered by the docs ...
+        stale = doc.replace("| `shards`, `start_timeout`", "| `shards`, `replicas`, `start_timeout`")
+        assert stale != doc
+        assert check_docs.check_cluster_table(stale) == [
+            "operations.md: [cluster] table names `replicas`, which the code does not take"
+        ]
+        # ... a field the code takes that the docs leave out ...
+        fairness = next(line for line in doc.splitlines() if line.startswith("| `fairness`"))
+        assert check_docs.check_cluster_table(doc.replace(fairness, "| `fairness` | quotas |")) == [
+            f"operations.md: [cluster] `fairness` row lacks `{name}`"
+            for name in ("burst", "max_inflight", "quota_rps")
+        ]
+        # ... and a retired sub-table named in a row.
+        retired = doc.replace(fairness, fairness.replace("`max_inflight`", "`max_inflight`, `weights`"))
+        assert check_docs.check_cluster_table(retired) == [
+            "operations.md: [cluster] `fairness` row names `weights`, which the code does not take"
+        ]
+        assert check_docs.check_cluster_table("# Operations\n") == [
+            "operations.md: [cluster] key table missing"
+        ]
+
     def test_fails_on_missing_doc_file(self, check_docs, tmp_path):
         docs = tmp_path / "docs"
         shutil.copytree(REPO_ROOT / "docs", docs)
@@ -215,12 +239,12 @@ class TestSurface:
         report = surface.measure(REPO_ROOT)
         assert report["src_lines"] == sum(report["src_lines_by_package"].values()) > 10_000
         assert report["src_lines_by_package"]["repro.serving"] > 1_000
-        # EvaCluster: its eight own parameters plus the fields of the recipe.
+        # EvaCluster: its six own parameters plus the fields of the recipe.
         options = surface.constructor_options()
         own = [name for name in options["EvaCluster"] if not name.startswith("recipe.")]
         assert own == [
-            "shards", "replicas", "start_timeout", "request_timeout", "retries",
-            "health_interval", "wire", "remote_shards",
+            "shards", "start_timeout", "request_timeout", "retries", "health_interval",
+            "remote_shards",
         ]  # fmt: skip
         assert "recipe.backend" in options["EvaCluster"]
         assert "recipe.log_level" in options["EvaCluster"]

@@ -646,10 +646,7 @@ class TestRecipe:
 
     CONFIG = (
         '[cluster]\nshards = 1\nbackend = "mock-exact"\nbatch_window = 0\n\n'
-        "[cluster.fairness]\nquota_rps = 50.0\nburst = 100\n"
-        "[cluster.fairness.weights]\nalice = 2.0\n"
-        '[cluster.fairness.slo_classes]\nalice = "tight"\n'
-        "[cluster.fairness.class_deadlines_ms]\ntight = 5000.0\n"
+        "[cluster.fairness]\nquota_rps = 50.0\nburst = 100\nmax_inflight = 4\n"
     )
 
     def test_config_file_tables_are_coerced_before_any_process_exists(self, tmp_path):
@@ -664,10 +661,7 @@ class TestRecipe:
         cluster = EvaCluster(**load_cluster_config(config)["cluster"])
         assert cluster.recipe.backend == BackendSpec("mock-exact")
         assert cluster.recipe.batch_window == 0.0 and isinstance(cluster.recipe.batch_window, float)
-        assert cluster.recipe.fairness == FairnessPolicy(
-            quota_rps=50.0, burst=100, weights={"alice": 2.0},
-            slo_classes={"alice": "tight"}, class_deadlines_ms={"tight": 5000.0},
-        )  # fmt: skip
+        assert cluster.recipe.fairness == FairnessPolicy(quota_rps=50.0, burst=100, max_inflight=4)
         program = make_poly_program()
         cluster.register("poly", program)
         cluster.start()
@@ -692,6 +686,13 @@ class TestRecipe:
             ("batch_window", "5ms"),
             ("session_dir", 12),
             ("log_json", "yes"),
+            ("workers", 0),
+            ("max_batch", 0),
+            ("executor_threads", 0),
+            ("batch_window", -0.5),
+            ("slow_threshold", -1.0),
+            ("session_ttl", -5.0),
+            ("log_level", "LOUD"),
         ],
     )
     def test_a_bad_value_fails_in_the_parent_naming_the_key(self, key, value):
@@ -731,6 +732,80 @@ class TestRecipe:
 
 
 class TestClusterCli:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--workers", "0"], "workers"),
+            (["--log-level", "LOUD"], "LOUD"),
+            (["--session-ttl", "-5", "--session-dir", "sessions"], "session_ttl"),
+            (["--shards", "2", "--workers", "0"], "workers"),
+        ],
+        ids=["workers", "log-level", "session-ttl", "sharded-workers"],
+    )
+    def test_serve_refuses_an_out_of_range_flag_before_spawning(
+        self, argv, named, tmp_path, capsys, monkeypatch
+    ):
+        """An out-of-range flag is an `error:` line and exit 1, not a traceback
+        from deep inside the engine, the logger or the session store."""
+        import repro.serving.cluster as cluster_module
+        from repro.cli import main
+        from repro.core.serialization import save
+
+        path = tmp_path / "poly.evaproto"
+        save(make_poly_program().graph, path)
+        monkeypatch.setattr(EvaCluster, "start", lambda self: pytest.fail("shards spawned"))
+        monkeypatch.setattr(
+            cluster_module.ShardConfig, "build", lambda *a, **k: pytest.fail("server built")
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["serve", str(path), "--port", "0", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "table, named",
+        [
+            ("[cluster]\nreplicas = 8\n", "replicas"),
+            ('[cluster]\nwire = "json"\n', "wire"),
+            ("[cluster]\nqueue_size = 8\n", "queue_size"),
+            ("[cluster]\n\n[cluster.fairness.weights]\nalice = 2.0\n", "weights"),
+            ('[cluster]\n\n[cluster.fairness.slo_classes]\nalice = "tight"\n', "slo_classes"),
+            (
+                "[cluster]\n\n[cluster.fairness.class_deadlines_ms]\ntight = 50.0\n",
+                "class_deadlines_ms",
+            ),
+        ],
+        ids=["replicas", "wire", "queue_size", "weights", "slo_classes", "class_deadlines_ms"],
+    )
+    def test_serve_refuses_a_retired_key_before_spawning(
+        self, table, named, tmp_path, capsys, monkeypatch
+    ):
+        """A config written for the per-client policy tables, the JSON-pinned
+        router or the sizing knobs fails loudly, naming the key, instead of
+        starting a cluster that ignores it."""
+        from repro.cli import main
+        from repro.core.serialization import save
+
+        path = tmp_path / "poly.evaproto"
+        save(make_poly_program().graph, path)
+        config = tmp_path / "cluster.toml"
+        config.write_text(table)
+        monkeypatch.setattr(EvaCluster, "start", lambda self: pytest.fail("shards spawned"))
+        code = main(["serve", str(path), "--port", "0", "--cluster-config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_serve_has_no_wire_flag(self, capsys):
+        """Every listener grants binary to a client that asks; there is no
+        JSON-pinned listener to choose."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "poly.evaproto", "--wire", "json"])
+        assert exit_info.value.code == 2
+        assert "--wire" in capsys.readouterr().err
+
     def test_serve_refuses_a_scale_table_before_spawning(self, tmp_path, capsys, monkeypatch):
         """A config written for the retired autoscaler fails loudly, not
         silently as a cluster that never scales."""

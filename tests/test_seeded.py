@@ -393,16 +393,16 @@ def parent_session_bytes(mode):
     return PARENT_REQUEST_BYTES[mode][0] - RELIN_ENTRY_BYTES[mode]
 
 
-def old_ack(request, policy):
+def old_ack(request):
     """A hello ack as a build before features wrote it."""
-    reply, protocol = wire.hello_ack(request, policy)
+    reply, protocol = wire.hello_ack(request)
     reply.pop("features", None)
     return reply, protocol
 
 
-def seeded_ack(request, policy):
+def seeded_ack(request):
     """A hello ack as a build that reads ``seeded`` but not ``bitpacked`` wrote it."""
-    reply, protocol = wire.hello_ack(request, policy)
+    reply, protocol = wire.hello_ack(request)
     if "features" in reply:
         reply["features"] = [feature for feature in reply["features"] if feature != wire.BITPACKED]
     return reply, protocol

@@ -1034,37 +1034,6 @@ class TestSloScheduling:
             tcp.server_close()
             eva.close()
 
-    def test_fairness_policy_assigns_class_and_deadline_defaults(self):
-        from repro.serving import FairnessPolicy
-
-        policy = FairnessPolicy(
-            slo_classes={"trader": "tight"},
-            class_deadlines_ms={"tight": 50.0},
-        )
-        assert policy.slo_class_of("trader", None) == "tight"
-        assert policy.slo_class_of("other", None) == "standard"
-        assert policy.slo_class_of("trader", "relaxed") == "relaxed"
-        assert policy.deadline_ms_of("tight") == 50.0
-        assert policy.deadline_ms_of("standard") is None
-        with pytest.raises(ValueError, match="unknown SLO class"):
-            policy.slo_class_of("trader", "bogus")
-
-        def handler(jobs):
-            time.sleep(0.05)
-            return [None] * len(jobs)
-
-        # The per-client default deadline is enforced without the request
-        # carrying one: prime the engine's observed history past 50ms, then
-        # the trader's next job is rejected while an unclassified client's
-        # identical job is admitted.
-        with JobEngine(handler, workers=1, fairness=policy) as engine:
-            engine.submit("g", 0, client="trader").result(10)
-            from repro.errors import DeadlineInfeasibleError
-
-            with pytest.raises(DeadlineInfeasibleError):
-                engine.submit("g", 1, client="trader")
-            assert engine.submit("g", 2, client="other").result(10) is None
-
 
 # ---------------------------------------------------------------------------
 # One evaluation spine: one behaviour, every kind of request, both backends.

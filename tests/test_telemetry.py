@@ -286,6 +286,34 @@ class TestPrometheusRender:
             float(value)
             assert name_part[0].isalpha() and "." not in name_part.split("{")[0]
 
+    def test_a_client_id_cannot_forge_a_line_or_a_metric_name(self):
+        """Client ids are chosen by clients: a label value is escaped, and the
+        quota ledger's per-client in-flight table stays out of the gauges."""
+        hostile = 'evil"} 1\nfake_metric{x="'
+        server = EvaServer(
+            backend=MockBackend(error_model="none"), workers=1,
+            fairness=FairnessPolicy(max_inflight=4),
+        )  # fmt: skip
+        try:
+            server.register("poly", make_poly_program())
+            server.submit("poly", {"x": [1.0]}, client_id=hostile).result(10)
+            server.engine.ledger.admit("a b")  # one request in flight
+            snapshot = server.metrics_snapshot()
+            stats = server.stats()
+        finally:
+            server.close()
+        text = render_prometheus(snapshot)
+        assert 'client="evil\\"} 1\\nfake_metric{x=\\""' in text
+        sample_names = {
+            line.split("{")[0].split(" ")[0]
+            for line in text.splitlines()
+            if line and not line.startswith("#")
+        }
+        assert "fake_metric" not in sample_names
+        assert all(" " not in name and name.replace("_", "").isalnum() for name in sample_names)
+        assert not any("clients_inflight" in gauge["name"] for gauge in snapshot["gauges"])
+        assert stats["quota"]["clients_inflight"] == {"a b": 1}
+
 
 class TestTelemetry:
     def test_span_is_noop_without_trace_id(self):

@@ -70,11 +70,11 @@ def test_documented_cluster_config_loads(tmp_path):
     parsed = load_cluster_config(config)
     assert parsed["cluster"] == {
         "shards": 2, "batch_window": 0.01, "backend": "mock-exact",
-        "fairness": {"quota_rps": 20.0, "max_inflight": 8, "slo_classes": {"trader": "tight"}},
+        "fairness": {"quota_rps": 20.0, "max_inflight": 8},
     }  # fmt: skip
     # ... which is exactly what EvaCluster takes: its own arguments plus recipe fields.
     recipe = EvaCluster(**parsed["cluster"]).recipe
-    assert recipe.backend.name == "mock-exact" and recipe.fairness.slo_classes == {"trader": "tight"}
+    assert recipe.backend.name == "mock-exact" and recipe.fairness.max_inflight == 8
     assert parsed["remote"] == [("10.0.0.5", 7001)]
 
 
@@ -89,15 +89,18 @@ def test_documented_cluster_config_loads(tmp_path):
         ("[[remote]]\nhost = 5\nport = 7001\n", "string 'host'"),
         ('[remote]\nhost = "10.0.0.5"\nport = 7001\n', "array of \\[\\[remote\\]\\] tables"),
         ("cluster = 3\n", "\\[cluster\\] table"),
+        ("[cluster]\nshards = 1\n\n[cluster.fairness]\nburst = 3\n", "burst"),
     ],
     ids=[
         "misspelt-table", "retired-scale-table", "unknown-remote-key", "port-not-an-integer",
         "port-out-of-range", "host-not-a-string", "remote-as-single-table", "cluster-not-a-table",
+        "burst-without-rate",
     ],  # fmt: skip
 )
 def test_the_loader_refuses_what_it_does_not_read(text, named, tmp_path):
-    """A table or key the cluster would ignore fails the load, naming it."""
+    """A table or key the cluster would ignore fails before any cluster
+    exists (the loader, or the recipe it hands over), naming it."""
     config = tmp_path / "cluster.toml"
     config.write_text(text)
     with pytest.raises(ServingError, match=named):
-        load_cluster_config(config)
+        EvaCluster(**load_cluster_config(config)["cluster"])

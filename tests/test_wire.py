@@ -421,7 +421,7 @@ class TestMessageCodec:
 
 class TestNegotiation:
     def test_hello_ack_grants_binary_under_auto_policy(self):
-        reply, proto = wire.hello_ack(wire.build_hello("auto"), "auto")
+        reply, proto = wire.hello_ack(wire.build_hello("auto"))
         assert proto == "binary"
         assert reply == {
             "ok": True,
@@ -432,28 +432,28 @@ class TestNegotiation:
 
     def test_a_hello_without_features_is_acked_exactly_as_before(self):
         hello = {"op": "hello", "wire": "auto", "versions": [wire.PROTOCOL_VERSION]}
-        reply, _proto = wire.hello_ack(hello, "auto")
+        reply, _proto = wire.hello_ack(hello)
         assert reply == {"ok": True, "wire": "binary", "version": wire.PROTOCOL_VERSION}
         assert wire.granted_features(reply) == frozenset()
 
     def test_features_are_granted_by_intersection_under_either_framing(self):
         hello = dict(wire.build_hello("auto"), features=["seeded", "from-the-future", 7])
-        for policy in ("auto", "json"):
-            reply, _proto = wire.hello_ack(hello, policy)
+        for framing in ("auto", "json"):
+            reply, _proto = wire.hello_ack(dict(hello, wire=framing))
             assert reply["features"] == ["seeded"]
             assert wire.granted_features(reply) == {"seeded"}
         assert wire.granted_features({"ok": False, "features": ["seeded"]}) == frozenset()
         assert wire.granted_features({"ok": True, "features": "seeded"}) == frozenset()
-        assert wire.hello_ack(dict(hello, features="seeded"), "auto")[0].get("features") is None
+        assert wire.hello_ack(dict(hello, features="seeded"))[0].get("features") is None
 
-    def test_hello_ack_pins_json_when_policy_is_json(self):
-        reply, proto = wire.hello_ack(wire.build_hello("binary"), "json")
+    def test_hello_ack_answers_a_json_hello_in_json(self):
+        reply, proto = wire.hello_ack(dict(wire.build_hello("binary"), wire="json"))
         assert proto == "json"
         assert reply["wire"] == "json"
 
     def test_hello_ack_refuses_unknown_versions(self):
         hello = {"op": "hello", "wire": "binary", "versions": [99]}
-        _reply, proto = wire.hello_ack(hello, "auto")
+        _reply, proto = wire.hello_ack(hello)
         assert proto == "json"
 
     def test_parse_reply_auto_falls_back_on_legacy_error(self):
@@ -606,22 +606,21 @@ class TestServingOverBinaryWire:
             outputs = client.submit("poly", {"x": [1.0, 2.0]})
         np.testing.assert_allclose(outputs["y"], [3.0, 7.0], atol=1e-6)
 
-    def test_json_pinned_server_negotiates_down(self):
-        server = EvaServer(backend=MockBackend(error_model="none"), workers=1)
-        server.register("poly", make_poly_program())
-        tcp = EvaTcpServer(server, port=0, wire_policy="json")
-        tcp.start_background()
-        try:
-            host, port = tcp.address
-            with ServingClient(host, port, wire="auto") as client:
-                assert client.protocol == "json"
-                outputs = client.submit("poly", {"x": [1.0]})
-                np.testing.assert_allclose(outputs["y"], [3.0], atol=1e-6)
-            with pytest.raises(ServingError, match="binary"):
-                ServingClient(host, port, wire="binary")
-        finally:
-            tcp.shutdown()
-            server.close()
+    def test_a_server_that_answers_json_is_negotiated_down(self, tcp_server, monkeypatch):
+        """Against a listener that acks every hello in JSON (as an earlier
+        build's ``serve --wire json`` did), ``auto`` falls back to JSON lines
+        and ``binary`` refuses to connect."""
+        from repro.serving import netserver
+
+        json_ack = {"ok": True, "wire": "json"}
+        monkeypatch.setattr(netserver, "hello_ack", lambda request: (json_ack, "json"))
+        host, port = tcp_server.address
+        with ServingClient(host, port, wire="auto") as client:
+            assert client.protocol == "json"
+            outputs = client.submit("poly", {"x": [1.0]})
+            np.testing.assert_allclose(outputs["y"], [3.0], atol=1e-6)
+        with pytest.raises(ServingError, match="binary"):
+            ServingClient(host, port, wire="binary")
 
     def test_binary_and_json_clients_agree(self, tcp_server):
         host, port = tcp_server.address

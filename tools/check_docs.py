@@ -38,6 +38,12 @@ every piece of it:
   who emits it, its immediate, its scale rule and the ``BackendContext``
   methods its ``evaluate`` calls (found by calling it on a recording
   context);
+* the ``[cluster]`` key table in ``docs/operations.md`` (under ``## Cluster
+  config file``) -> its key column must name exactly ``EvaCluster``'s own
+  keyword parameters (``remote_shards`` aside: ``[[remote]]`` sets it) and
+  the ``ShardConfig`` fields, and its ``backend`` / ``fairness`` rows exactly
+  the ``BackendSpec`` / ``FairnessPolicy`` fields, in both directions (a key
+  the docs offer and the loader refuses is as wrong as a silent one);
 * the shard lifecycle table in ``docs/operations.md`` (under ``## Shard
   lifecycle``) -> it must state exactly
   ``repro.serving.membership.TRANSITIONS``, in both directions: every
@@ -303,6 +309,57 @@ def check_feature_table(wire_doc: str) -> list:
     return complaints
 
 
+def cluster_config_keys() -> dict:
+    """What a ``[cluster]`` table takes: ``{"": keys, "backend": fields, "fairness": fields}``."""
+    import dataclasses
+    import inspect
+
+    from repro.serving import cluster, quotas
+
+    parameters = inspect.signature(cluster.EvaCluster.__init__).parameters.values()
+    own = {
+        p.name
+        for p in parameters
+        if p.name not in ("self", "remote_shards") and p.kind is not p.VAR_KEYWORD
+    }
+    recipe = {field.name for field in dataclasses.fields(cluster.ShardConfig)}
+    return {
+        "": own | recipe,
+        "backend": {field.name for field in dataclasses.fields(cluster.BackendSpec)},
+        "fairness": {field.name for field in dataclasses.fields(quotas.FairnessPolicy)},
+    }
+
+
+def check_cluster_table(operations_doc: str) -> list:
+    """The ``[cluster]`` key table vs. the keywords the cluster config takes."""
+    section = operations_doc.partition("## Cluster config file")[2].partition("\n## ")[0]
+    rows = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|")
+    ][2:]  # header and ruler
+    if not rows:
+        return ["operations.md: [cluster] key table missing"]
+    documented = {"": set()}
+    for row in rows:
+        keys = re.findall(r"`([^`]+)`", row[0])
+        documented[""].update(keys)
+        for key in keys:
+            documented[key] = {
+                name for name in re.findall(r"`([^`]+)`", row[1]) if re.fullmatch(r"[a-z_]+", name)
+            }
+    complaints = []
+    for table, expected in cluster_config_keys().items():
+        where = "[cluster] table" if not table else f"[cluster] `{table}` row"
+        found = documented.get(table, set())
+        complaints += [f"operations.md: {where} lacks `{k}`" for k in sorted(expected - found)]
+        complaints += [
+            f"operations.md: {where} names `{k}`, which the code does not take"
+            for k in sorted(found - expected)
+        ]
+    return complaints
+
+
 def check_lifecycle_table(operations_doc: str) -> list:
     """The shard lifecycle table vs. ``membership.TRANSITIONS``."""
     from repro.serving import membership
@@ -424,6 +481,7 @@ def check(docs_dir: Path) -> list:
 
     if operations_doc:
         missing.extend(check_stale_flags(operations_doc))
+        missing.extend(check_cluster_table(operations_doc))
         missing.extend(check_lifecycle_table(operations_doc))
 
     architecture_doc = read("architecture.md")
