@@ -53,17 +53,18 @@ def main() -> None:
         )
 
     # -- encrypted inference -------------------------------------------------------
-    # One session = one client/server pair: the client keeps the keys, the
-    # server evaluates ciphertexts only, and keygen is paid once for all images.
-    session = EncryptedInferenceSession(compiled["eva"], backend=MockBackend(seed=5))
+    # One session = one client and one in-process server: the client keeps the
+    # keys, the server evaluates ciphertexts only, and keygen is paid once for
+    # all images.
     matches, correct = 0, 0
     samples = 10
     print(f"\nrunning {samples} encrypted inferences (EVA policy, mock CKKS backend)")
-    for image, label in zip(dataset.test_images[:samples], dataset.test_labels[:samples]):
-        logits = session.infer(image)
-        encrypted_prediction = int(np.argmax(logits))
-        matches += int(encrypted_prediction == network.predict(image))
-        correct += int(encrypted_prediction == int(label))
+    with EncryptedInferenceSession(compiled["eva"], backend=MockBackend(seed=5)) as session:
+        for image, label in zip(dataset.test_images[:samples], dataset.test_labels[:samples]):
+            logits = session.infer(image)
+            encrypted_prediction = int(np.argmax(logits))
+            matches += int(encrypted_prediction == network.predict(image))
+            correct += int(encrypted_prediction == int(label))
     print(f"encrypted predictions agreeing with plaintext: {matches}/{samples}")
     print(f"encrypted accuracy on these samples:           {correct}/{samples}")
 

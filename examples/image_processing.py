@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from repro.api import ClientKit, CompiledProgram, ServerRuntime
+from repro.api import ClientKit, CompiledProgram, EvaServer
 from repro.apps import (
     build_harris_program,
     build_sobel_program,
@@ -30,11 +30,13 @@ def run(name, program, inputs, reference):
     summary = compiled.summary()
     # Client encrypts, the server evaluates blindly, the client decrypts.
     client = ClientKit(compiled, backend=MockBackend(seed=7))
-    server = ServerRuntime(compiled, backend=client.backend)
-    server.attach_client(client.client_id, client.evaluation_context())
-    start = time.perf_counter()
-    outputs = client.decrypt_outputs(server.evaluate(client.encrypt_inputs(inputs)))
-    elapsed = time.perf_counter() - start
+    with EvaServer(backend=client.backend) as server:
+        server.register(name, compiled)
+        server.create_session(name, client.client_id, client.evaluation_context())
+        start = time.perf_counter()
+        reply = server.request_encrypted(name, client.encrypt_inputs(inputs))
+        outputs = client.decrypt_outputs(reply.outputs)
+        elapsed = time.perf_counter() - start
     output_name = next(iter(outputs))
     error = np.max(np.abs(outputs[output_name] - reference.reshape(-1)))
     print(

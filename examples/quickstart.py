@@ -11,8 +11,8 @@ ciphertexts only.  The workflow is:
    the FHE-specific operations, validates the result, and selects encryption
    parameters and rotation keys);
 3. split the execution across the trust boundary: a ``ClientKit`` generates
-   keys and encrypts, a ``ServerRuntime`` — which never receives the secret
-   key — evaluates the ciphertext bundle, and the client decrypts.
+   keys and encrypts, an in-process ``EvaServer`` — which never receives the
+   secret key — evaluates the ciphertext bundle, and the client decrypts.
 
 Run with::
 
@@ -21,7 +21,7 @@ Run with::
 
 import numpy as np
 
-from repro.api import ClientKit, ServerRuntime, eva_program
+from repro.api import ClientKit, EvaServer, eva_program
 from repro.backend import MockBackend
 
 
@@ -53,23 +53,24 @@ def main() -> None:
     # The server receives only the compiled program, the client's *evaluation*
     # keys, and ciphertexts.  Handing it a context holding a secret key is an
     # error; decryption on its context raises.
-    server = ServerRuntime(compiled, backend=client.backend)
-    server.attach_client(client.client_id, client.evaluation_context())
-    encrypted = server.evaluate(bundle)
+    server_context = client.evaluation_context()
+    with EvaServer(backend=client.backend) as server:
+        server.register("kernel", compiled)
+        server.create_session("kernel", client.client_id, server_context)
+        reply = server.request_encrypted("kernel", bundle)
 
-    # -- 5. client: decrypt and check vs the plaintext reference --------------
-    outputs = client.decrypt_outputs(encrypted)
+        # -- 5. client: decrypt and check vs the plaintext reference ----------
+        outputs = client.decrypt_outputs(reply.outputs)
+        reply.release()
     reference = compiled.execute_reference(inputs)
 
     error = np.max(np.abs(outputs["out"] - reference["out"]))
     print(f"\nmax |encrypted - plaintext| = {error:.2e}")
-    server_context = server.client_context(client.client_id)
     print(
         f"server evaluated {server_context.op_count} homomorphic operations "
-        f"in {encrypted.evaluate_seconds:.3f}s without the secret key "
+        f"in {reply.execute_seconds:.3f}s without the secret key "
         f"(has_secret_key={server_context.has_secret_key})"
     )
-
 
 if __name__ == "__main__":
     main()

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from repro.api import ClientKit, CompiledProgram, ServerRuntime
+from repro.api import ClientKit, CompiledProgram, EvaServer
 from repro.apps import (
     build_linear_regression_program,
     build_multivariate_regression_program,
@@ -32,11 +32,13 @@ from repro.backend import MockBackend
 def run(name, program, inputs, reference):
     compiled = CompiledProgram.compile(program)
     client = ClientKit(compiled, backend=MockBackend(seed=11))
-    server = ServerRuntime(compiled, backend=client.backend)
-    server.attach_client(client.client_id, client.evaluation_context())
-    start = time.perf_counter()
-    outputs = client.decrypt_outputs(server.evaluate(client.encrypt_inputs(inputs)))
-    elapsed = time.perf_counter() - start
+    with EvaServer(backend=client.backend) as server:
+        server.register(name, compiled)
+        server.create_session(name, client.client_id, client.evaluation_context())
+        start = time.perf_counter()
+        reply = server.request_encrypted(name, client.encrypt_inputs(inputs))
+        outputs = client.decrypt_outputs(reply.outputs)
+        elapsed = time.perf_counter() - start
     prediction = outputs[next(iter(outputs))]
     reference = np.atleast_1d(np.asarray(reference, dtype=np.float64))
     error = np.max(np.abs(prediction[: reference.size] - reference))

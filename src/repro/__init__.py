@@ -4,13 +4,13 @@ The public API lives in :mod:`repro.api`, organized around the paper's
 asymmetric deployment model (client encrypts, server evaluates, client
 decrypts)::
 
-    from repro.api import ClientKit, CompiledProgram, ServerRuntime, eva_program
+    from repro.api import ClientKit, CompiledProgram, EvaServer, eva_program
 
 The package is organized as follows:
 
 * :mod:`repro.api` — the public client/server API: ``CompiledProgram``,
-  ``ClientKit``, ``ServerRuntime``, cipher bundles, and the ``@eva_program``
-  tracing decorator.
+  ``ClientKit``, cipher bundles, the ``@eva_program`` tracing decorator, and
+  ``EvaServer``, the blind evaluator.
 * :mod:`repro.core` — the EVA language (term-graph IR), the optimizing
   compiler (rescale / modswitch / relinearize insertion, scale matching,
   validation, parameter and rotation-key selection), executors, and a

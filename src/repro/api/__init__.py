@@ -11,28 +11,29 @@ exposes that workflow as three first-class artifacts plus a tracing frontend:
   cache keys by;
 * :class:`ClientKit` — key owner; ``encrypt_inputs()`` / ``decrypt_outputs()``
   plus evaluation-key export for the server;
-* :class:`ServerRuntime` — blind evaluator over :class:`CipherBundle` objects;
-  refuses any context holding a secret key;
+* :class:`~repro.serving.EvaServer` — the blind evaluator: it is given a
+  client's evaluation context, never the secret key, and evaluates
+  :class:`CipherBundle` objects; a context holding a secret key is refused;
 * :func:`eva_program` — decorator tracing a plain Python function into an
   :class:`EvaProgramFamily` parameterized by ``vec_size``.
 
 A minimal end-to-end flow::
 
-    from repro.api import ClientKit, ServerRuntime, eva_program
+    from repro.api import ClientKit, EvaServer, eva_program
 
     @eva_program(vec_size=1024, default_scale=30)
     def squares(x):
         return x ** 2 + x
 
     compiled = squares.compile()
-
     client = ClientKit(compiled)                      # client: keygen
-    server = ServerRuntime(compiled)                  # server: no keys
-    server.attach_client("alice", client.evaluation_context())
 
-    bundle = client.encrypt_inputs({"x": data})       # client: encrypt
-    encrypted = server.evaluate(bundle)               # server: blind evaluate
-    outputs = client.decrypt_outputs(encrypted)       # client: decrypt
+    with EvaServer(backend=client.backend) as server:  # server: no keys
+        server.register("squares", compiled)
+        server.create_session("squares", client.client_id, client.evaluation_context())
+        bundle = client.encrypt_inputs({"x": data})   # client: encrypt
+        reply = server.request_encrypted("squares", bundle)  # blind evaluate
+        outputs = client.decrypt_outputs(reply.outputs)       # client: decrypt
 
 The classic one-process API (``EvaProgram`` + ``Executor.execute``) remains
 available — re-exported here — as a compatibility layer.
@@ -75,12 +76,10 @@ from .bundles import (
     outputs_to_wire,
 )
 from .client import ClientKit
-from .runtime import ServerRuntime
 from .tracing import EvaProgramFamily, eva_program
 
 #: The first of the three artifacts *is* the compiler's result: one value,
-#: taken as it is by :class:`ClientKit`, :class:`ServerRuntime`, the executors
-#: and the serving layer.
+#: taken as it is by :class:`ClientKit`, the executors and the serving layer.
 CompiledProgram = CompilationResult
 
 #: Serving-layer names resolved lazily to avoid a circular import
@@ -91,7 +90,6 @@ __all__ = [
     # three artifacts
     "CompiledProgram",
     "ClientKit",
-    "ServerRuntime",
     # bundles + wire codecs
     "CipherBundle",
     "EncryptedOutputs",

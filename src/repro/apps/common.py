@@ -43,12 +43,14 @@ def run_application(
 
     The flow is the three-artifact API of :mod:`repro.api`: compile to a
     :class:`~repro.api.CompiledProgram`, encrypt with a
-    :class:`~repro.api.ClientKit`, evaluate blindly on a
-    :class:`~repro.api.ServerRuntime` (which never sees the secret key), and
-    decrypt client-side.  The result is packaged as an
-    :class:`~repro.core.executor.ExecutionResult` for the benchmark harness.
+    :class:`~repro.api.ClientKit`, evaluate blindly on an in-process
+    :class:`~repro.serving.EvaServer` (which is given the client's evaluation
+    context, never the secret key), and decrypt client-side.  The result is
+    packaged as an :class:`~repro.core.executor.ExecutionResult` for the
+    benchmark harness.
     """
-    from ..api import ClientKit, CompiledProgram, ServerRuntime
+    from ..api import ClientKit, CompiledProgram
+    from ..serving import EvaServer
 
     start_all = time.perf_counter()
     compiled = CompiledProgram.compile(program, options=options)
@@ -56,25 +58,27 @@ def run_application(
     t0 = time.perf_counter()
     client = ClientKit(compiled, backend=backend)
     context_seconds = time.perf_counter() - t0
-    server = ServerRuntime(compiled, backend=client.backend, threads=threads)
-    server.attach_client(client.client_id, client.evaluation_context())
+    server_context = client.evaluation_context()
 
     t0 = time.perf_counter()
     bundle = client.encrypt_inputs(inputs)
     encrypt_seconds = time.perf_counter() - t0
 
-    encrypted = server.evaluate(bundle)
+    with EvaServer(backend=client.backend, executor_threads=threads) as server:
+        server.register(compiled.name, compiled)
+        server.create_session(compiled.name, client.client_id, server_context)
+        reply = server.request_encrypted(compiled.name, bundle)
 
-    t0 = time.perf_counter()
-    outputs = client.decrypt_outputs(encrypted)
-    decrypt_seconds = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        outputs = client.decrypt_outputs(reply.outputs)
+        decrypt_seconds = time.perf_counter() - t0
+        reply.release()
 
-    server_context = server.client_context(client.client_id)
     stats = ExecutionStats(
         wall_seconds=time.perf_counter() - start_all,
         context_seconds=context_seconds,
         encrypt_seconds=encrypt_seconds,
-        evaluate_seconds=encrypted.evaluate_seconds,
+        evaluate_seconds=reply.execute_seconds,
         decrypt_seconds=decrypt_seconds,
         op_count=getattr(server_context, "op_count", 0),
         peak_live_ciphertexts=getattr(server_context, "peak_live_ciphertexts", 0),

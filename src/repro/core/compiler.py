@@ -200,8 +200,9 @@ class CompilationResult:
     steps needing Galois keys, plus the content ``signature`` client and
     server agree on without coordination.  It is what
     :meth:`compile` / :class:`EvaCompiler` return, what
-    :class:`~repro.api.ClientKit`, :class:`~repro.api.ServerRuntime` and the
-    executors take, what the serving registry caches, and — through
+    :class:`~repro.api.ClientKit`, the executors and
+    :meth:`EvaServer.register <repro.serving.EvaServer.register>` take, what
+    the serving registry caches, and — through
     :meth:`to_record` — the one thing written to disk
     (``repro.api.CompiledProgram`` is this class).
     """

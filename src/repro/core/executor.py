@@ -21,7 +21,7 @@ Three layers are provided, mirroring the paper's asymmetric deployment model
 * :class:`Executor` is the one-process convenience wrapper kept for
   compatibility: ``execute(inputs)`` is keygen plus those three duties in one
   call.  New code targeting the client/server split should use
-  :class:`repro.api.ClientKit` and :class:`repro.api.ServerRuntime` instead.
+  :class:`repro.api.ClientKit` and :class:`repro.serving.EvaServer` instead.
 """
 
 from __future__ import annotations
@@ -430,7 +430,7 @@ class Executor:
     for examples, benchmarks, and tests, but code that needs the paper's
     trust boundary — the server never sees plaintext inputs or the secret
     key — should use :class:`repro.api.ClientKit` plus
-    :class:`repro.api.ServerRuntime`, which share the same
+    :class:`repro.serving.EvaServer`, which share the same
     :class:`EvaluationEngine` underneath.
     """
 

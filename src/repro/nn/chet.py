@@ -147,13 +147,15 @@ class DnnCompiler:
 
 
 class EncryptedInferenceSession:
-    """A client/server pair for repeated encrypted inferences on one network.
+    """A client and an in-process server for repeated encrypted inferences.
 
     Uses the three-artifact API of :mod:`repro.api`: the client kit owns the
-    keys and encrypts each image, the server runtime evaluates the compiled
-    network on ciphertexts only (it is never given the secret key), and the
-    client decrypts the logits.  Key generation happens once per session, so
-    batch evaluations (accuracy sweeps) amortize it across images.
+    keys and encrypts each image, an :class:`~repro.serving.EvaServer`
+    evaluates the compiled network on ciphertexts only (it is given the
+    client's evaluation context, never the secret key), and the client
+    decrypts the logits.  Key generation happens once per session, so batch
+    evaluations (accuracy sweeps) amortize it across images.  The session
+    owns the server: use it as a context manager, or call :meth:`close`.
     """
 
     def __init__(
@@ -162,22 +164,39 @@ class EncryptedInferenceSession:
         backend: Optional[HomomorphicBackend] = None,
         threads: int = 1,
     ) -> None:
-        from ..api import ClientKit, ServerRuntime
+        from ..api import ClientKit
+        from ..serving import EvaServer
 
         self.compiled = compiled
         self.client = ClientKit(compiled.compilation, backend=backend)
-        self.server = ServerRuntime(
-            compiled.compilation, backend=self.client.backend, threads=threads
-        )
-        self.server.attach_client(
-            self.client.client_id, self.client.evaluation_context()
-        )
+        self.server = EvaServer(backend=self.client.backend, executor_threads=threads)
+        self.name = compiled.compilation.name
+        try:
+            self.server.register(self.name, compiled.compilation)
+            self.server.create_session(
+                self.name, self.client.client_id, self.client.evaluation_context()
+            )
+        except BaseException:
+            self.server.close()
+            raise
 
     def infer(self, image: np.ndarray) -> np.ndarray:
         """Encrypt one image, evaluate blindly, decrypt and return the logits."""
         bundle = self.client.encrypt_inputs(self.compiled.image_to_inputs(image))
-        outputs = self.client.decrypt_outputs(self.server.evaluate(bundle))
+        reply = self.server.request_encrypted(self.name, bundle)
+        outputs = self.client.decrypt_outputs(reply.outputs)
+        reply.release()
         return self.compiled.logits_from_outputs(outputs)
+
+    def close(self) -> None:
+        """Stop the session's server."""
+        self.server.close()
+
+    def __enter__(self) -> "EncryptedInferenceSession":
+        return self
+
+    def __exit__(self, *_exc: object) -> None:
+        self.close()
 
 
 def encrypted_inference(
@@ -187,8 +206,8 @@ def encrypted_inference(
     threads: int = 1,
 ) -> np.ndarray:
     """Run one encrypted inference and return the logits."""
-    session = EncryptedInferenceSession(compiled, backend=backend, threads=threads)
-    return session.infer(image)
+    with EncryptedInferenceSession(compiled, backend=backend, threads=threads) as session:
+        return session.infer(image)
 
 
 def encrypted_accuracy(
@@ -199,11 +218,11 @@ def encrypted_accuracy(
     threads: int = 1,
 ) -> float:
     """Fraction of images classified correctly under encryption."""
-    session = EncryptedInferenceSession(compiled, backend=backend, threads=threads)
     correct = 0
-    for image, label in zip(images, labels):
-        if int(np.argmax(session.infer(image))) == int(label):
-            correct += 1
+    with EncryptedInferenceSession(compiled, backend=backend, threads=threads) as session:
+        for image, label in zip(images, labels):
+            if int(np.argmax(session.infer(image))) == int(label):
+                correct += 1
     return correct / max(len(labels), 1)
 
 

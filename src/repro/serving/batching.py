@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.compiler import CompilationResult
-from ..core.ir import Program
+from ..core.ir import Program, Term
 from ..errors import ServingError
 
 
@@ -98,8 +98,12 @@ def min_lane_width(program: Program) -> int:
     semantics, so they must not inflate the output period reported for the
     program's real constants.
     """
+    return _min_lane(program.terms())
+
+
+def _min_lane(terms: Sequence[Term]) -> int:
     width = 1
-    for term in program.terms():
+    for term in terms:
         if term.is_constant and not term.attributes.get("lane_mask"):
             width = max(width, pow2_ceil(_value_width(term.value)))
     return width
@@ -173,10 +177,11 @@ class SlotBatcher:
         lane_width = compilation.options.lane_width
         if lane_width is not None and lane_width >= program.vec_size:
             lane_width = None  # full-width lane: lowering was the identity
-        rows = [term.instruction for term in program.instructions()]
+        terms = program.terms()  # one walk of the graph for every fact below
+        rows = [term.instruction for term in terms if term.is_instruction]
         return BatchInfo(
-            slotwise=is_slotwise(program),
-            min_lane=min_lane_width(program),
+            slotwise=not any(row.moves_slots for row in rows),
+            min_lane=_min_lane(terms),
             vec_size=program.vec_size,
             lane_width=lane_width,
             rotations=sum(row.immediate == "rotation" for row in rows),

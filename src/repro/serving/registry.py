@@ -122,7 +122,7 @@ class ProgramRegistry:
             lane_width = (options or CompilerOptions()).lane_width
             loaded = self.artifacts.load(signature, lane_width)
             if loaded is not None:
-                return self._insert(signature, loaded)
+                return self.insert(signature, loaded)
         compilation = EvaCompiler(options).compile(program, input_scales, output_scales)
         if self.artifacts is not None:
             try:
@@ -136,7 +136,7 @@ class ProgramRegistry:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-        return self._insert(signature, compilation)
+        return self.insert(signature, compilation)
 
     def get_or_compile_variant(
         self,
@@ -183,10 +183,11 @@ class ProgramRegistry:
             signature=signature,
         )
 
-    def _insert(
+    def insert(
         self, signature: str, compilation: CompilationResult
     ) -> CompilationResult:
-        """Insert (or yield the racing winner); returns the surviving object.
+        """Insert a finished compilation under ``signature`` (or yield the
+        racing winner); returns the surviving object.
 
         A race loser must hand its caller the *cached* compilation, not its
         own duplicate, so identity-keyed caches downstream stay coherent.

@@ -44,7 +44,8 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -147,6 +148,9 @@ class EncryptedServeResponse:
     #: transport can encode the reply without re-resolving the session (which
     #: may have been evicted between evaluation and encoding).
     context: Optional[BackendContext] = None
+    #: The output handles :meth:`release` frees, each once.  A pass-through
+    #: output of a live bundle is the client's input handle, so it is not here.
+    owned: List[Any] = field(default_factory=list)
 
     def to_wire(self, context: Optional[BackendContext] = None) -> Dict[str, Any]:
         """Encode the response for the wire (ciphertext outputs as blobs)."""
@@ -155,10 +159,10 @@ class EncryptedServeResponse:
         return outputs_to_wire(self.outputs, context or self.context)
 
     def release(self) -> None:
-        """Release the output handles (after a transport has encoded them)."""
-        if self.context is not None:
-            for handle in self.outputs.ciphertexts.values():
-                self.context.release(handle)
+        """Release the server's output handles (after they have been encoded
+        or decrypted); a live bundle's own handles stay the client's."""
+        for handle in self.owned:
+            self.context.release(handle)
 
     def stats_dict(self) -> Dict[str, object]:
         """Wire/stats-friendly response metadata (no payloads)."""
@@ -213,9 +217,22 @@ class _Served:
     #: :meth:`SlotBatcher.inspect` facts; also carries the static
     #: rotation/key-switch counts the telemetry counters are fed from.
     info: BatchInfo
-    #: Modeled solo-execution seconds (cost model over the compiled graph),
-    #: the cold-start execute estimate of the engine's deadline admission.
-    execute_seconds: float
+
+    @cached_property
+    def execute_seconds(self) -> float:
+        """Modeled solo-execution seconds (cost model over the compiled
+        graph), the cold-start execute estimate of the engine's deadline
+        admission; modeled when the program's second request is admitted, so
+        a server that answers one request never walks the graph for it."""
+        from ..backend.cost_model import DEFAULT_COST_MODEL
+
+        compilation = self.engine.compilation
+        params = compilation.parameters
+        return DEFAULT_COST_MODEL.program_seconds(
+            compilation.program,
+            params.poly_modulus_degree,
+            max(params.modulus_count - 1, 1),
+        )
 
 
 class EvaServer:
@@ -295,18 +312,35 @@ class EvaServer:
         same ``lane_width`` — is then served by the lane-lowered program.
         Without it, the server still lane-batches plaintext requests by
         resolving variants on demand per batch.
+
+        ``program`` may also be a finished compilation
+        (:class:`~repro.api.CompiledProgram`), which carries its own options,
+        scales and lane width: its signature names the program and the
+        registry is seeded with it, so nothing is hashed or compiled again.
+        Its ``source`` serves lane variants and a recompile after eviction.
         """
-        graph = frontend_graph(program)
-        if lane_width is not None:
-            options = replace(options or CompilerOptions(), lane_width=int(lane_width))
-        spec = ProgramSpec(
-            name=name,
-            program=graph,
-            options=options,
-            input_scales=input_scales,
-            output_scales=output_scales,
-            signature=program_signature(graph, options, input_scales, output_scales),
-        )
+        if isinstance(program, CompilationResult):
+            if program.source is None:
+                raise ServingError(
+                    f"cannot register {name!r}: the compilation carries no "
+                    "source program to recompile from"
+                )
+            if any(v is not None for v in (options, input_scales, output_scales, lane_width)):
+                raise ServingError(
+                    f"cannot register {name!r}: a compilation carries its own "
+                    "options, scales and lane width"
+                )
+            spec = ProgramSpec(
+                name, program.source, program.options,
+                program.input_scales, program.output_scales, program.signature,
+            )
+            self.registry.insert(spec.signature, program)
+        else:
+            graph = frontend_graph(program)
+            if lane_width is not None:
+                options = replace(options or CompilerOptions(), lane_width=int(lane_width))
+            signature = program_signature(graph, options, input_scales, output_scales)
+            spec = ProgramSpec(name, graph, options, input_scales, output_scales, signature)
         with self._lock:
             self._programs[name] = spec
         return spec
@@ -333,9 +367,9 @@ class EvaServer:
         the wait for queue space, ``trace_id`` labels the spans, and
         ``deadline_ms`` / ``slo_class`` (``tight`` / ``standard`` /
         ``relaxed``) attach SLO semantics — an infeasible deadline is rejected
-        at admission with :class:`~repro.errors.DeadlineInfeasibleError`, the
-        class shapes the batch-vs-solo decision downstream, and unset values
-        fall back to the fairness policy's per-client defaults.
+        at admission with :class:`~repro.errors.DeadlineInfeasibleError` and
+        the class shapes the batch-vs-solo decision downstream.  A request
+        that carries neither is class ``standard`` with no deadline.
         """
         spec = self._lookup(name)
         if output_size is not None:
@@ -427,18 +461,13 @@ class EvaServer:
     def _create_session(
         self, name: str, client_id: str, evaluation_keys: Any
     ) -> Dict[str, object]:
-        spec, compilation, _cached = self._resolve(name)
+        spec = self._lookup(name)
+        compilation = self._compile(spec)
         if isinstance(evaluation_keys, BackendContext):
             context = evaluation_keys
         else:
             context = self.backend.create_evaluation_context(
                 compilation.parameters, evaluation_keys
-            )
-        if getattr(context, "has_secret_key", True):
-            raise ServingError(
-                "sessions for encrypted bundles must use evaluation-only "
-                "contexts; export keys with ClientKit.export_evaluation_keys() "
-                "or derive a context with ClientKit.evaluation_context()"
             )
         try:
             self.sessions.attach(compilation, client_id, context)
@@ -537,14 +566,6 @@ class EvaServer:
         return self.submit_encrypted(name, bundle, timeout=timeout, **fields).result(timeout)
 
     # -- execution (worker side) -------------------------------------------------
-    def _resolve(self, name: str) -> Tuple[ProgramSpec, CompilationResult, bool]:
-        with self._lock:
-            spec = self._programs.get(name)
-        if spec is None:
-            raise UnknownProgramError(f"program {name!r} was unregistered mid-flight")
-        cached = spec.signature in self.registry
-        return spec, self._compile(spec), cached
-
     def _compile(
         self, spec: ProgramSpec, lane_width: Optional[int] = None
     ) -> CompilationResult:
@@ -574,7 +595,8 @@ class EvaServer:
             with self._lock:
                 spec = self._programs.get(name)
             if spec is not None and spec.signature == signature:
-                return self._resolve(name)
+                cached = signature in self.registry
+                return spec, self._compile(spec), cached
         raise UnknownProgramError(
             "every program of this batch was unregistered (or re-registered "
             f"as a different program) mid-flight: {sorted(set(names))}"
@@ -638,19 +660,11 @@ class EvaServer:
         with self._lock:
             served = self._served.get(signature)
             if served is None:
-                from ..backend.cost_model import DEFAULT_COST_MODEL
-
-                params = compilation.parameters
                 served = self._served[signature] = _Served(
                     engine=EvaluationEngine(
                         compilation, self.backend, threads=self.executor_threads
                     ),
                     info=self.batcher.inspect(compilation),
-                    execute_seconds=DEFAULT_COST_MODEL.program_seconds(
-                        compilation.program,
-                        params.poly_modulus_degree,
-                        max(params.modulus_count - 1, 1),
-                    ),
                 )
                 # Keep the side cache bounded alongside the registry.
                 while len(self._served) > 2 * self.registry.capacity:
@@ -865,11 +879,15 @@ class EvaServer:
             self._count_rotation_tax(info, spec.name, client_id)
             self._harvest_op_times(context, spec.name)
             if encrypted:
-                # The outputs go to the transport, which releases them once
-                # encoded (EncryptedServeResponse.release).  A pass-through
-                # output aliases an input handle, which stays live with it.
-                handed_over = {id(handle) for handle in handles.values()}
-                owned = [handle for handle in owned if id(handle) not in handed_over]
+                # The outputs go to the caller, which releases the server's
+                # ones once encoded or decrypted (EncryptedServeResponse.release).
+                # A pass-through output aliases an input handle: a wire copy
+                # is handed over with it, a live bundle's stays the client's.
+                replied = {id(handle): handle for handle in handles.values()}
+                owned = [handle for handle in owned if id(handle) not in replied]
+                if not request.wire:
+                    for handle in ciphers.values():
+                        replied.pop(id(handle), None)
                 return [
                     EncryptedServeResponse(
                         outputs=EncryptedOutputs(
@@ -882,6 +900,7 @@ class EvaServer:
                         cached_program=cached_program,
                         execute_seconds=elapsed,
                         context=context,
+                        owned=list(replied.values()),
                     )
                 ]
             owned += handles.values()

@@ -150,7 +150,8 @@ class SessionManager:
         if getattr(context, "has_secret_key", True):
             raise ValueError(
                 "attached sessions must use evaluation-only contexts "
-                "(no secret key); derive one with ClientKit.evaluation_context()"
+                "(no secret key); derive one with ClientKit.evaluation_context() "
+                "or send ClientKit.export_evaluation_keys()"
             )
         context.check_rotation_keys(compilation.parameters.rotation_steps)
         key = session_key(compilation, client_id)

@@ -1,9 +1,9 @@
 """Tests for the client/server API split (:mod:`repro.api`).
 
-The acceptance property of the redesign: a :class:`ServerRuntime` evaluates a
-:class:`ClientKit`-encrypted bundle without ever receiving the secret key or
-plaintext inputs, the decrypted results match :func:`execute_reference`, and
-the same bundle round-trips through :class:`EvaServer` over the TCP
+The acceptance property of the redesign: an in-process :class:`EvaServer`
+evaluates a :class:`ClientKit`-encrypted bundle without ever receiving the
+secret key or plaintext inputs, the decrypted results match
+:func:`execute_reference`, and the same bundle round-trips through the TCP
 transport, while the legacy one-shot :class:`Executor` keeps working as a
 compatibility wrapper.
 """
@@ -21,14 +21,19 @@ from repro.api import (
     CompilationResult,
     CompiledProgram,
     Executor,
-    ServerRuntime,
     bundle_from_wire,
     eva_program,
     execute_reference,
 )
 from repro.backend import CkksBackend, MockBackend
 from repro.core import CompilerOptions, program_signature
-from repro.errors import CompilationError, ExecutionError, SerializationError, ServingError
+from repro.errors import (
+    CompilationError,
+    ExecutionError,
+    SerializationError,
+    ServingError,
+    UnknownProgramError,
+)
 from repro.frontend import EvaProgram, input_encrypted, input_plain, output
 from repro.serving import EvaServer, EvaTcpServer, ServingClient
 
@@ -52,12 +57,20 @@ def compiled():
 
 @pytest.fixture
 def split(compiled):
-    """A (client, server) pair over a noiseless mock backend."""
+    """A client, an in-process server holding its compilation as ``poly``,
+    and the evaluation context the client gave it, over a noiseless mock."""
     backend = MockBackend(error_model="none")
     client = ClientKit(compiled, backend=backend, client_id="alice")
-    server = ServerRuntime(compiled, backend=backend)
-    server.attach_client("alice", client.evaluation_context())
-    return client, server
+    context = client.evaluation_context()
+    with EvaServer(backend=backend) as server:
+        server.register("poly", compiled)
+        server.create_session("poly", "alice", context)
+        yield client, server, context
+
+
+def evaluate(server, bundle, name="poly"):
+    """Blind evaluation of one bundle: the reply's ciphertext outputs."""
+    return server.request_encrypted(name, bundle, timeout=30).outputs
 
 
 class TestCompiledProgram:
@@ -122,10 +135,11 @@ class TestCompiledProgram:
         loaded = CompiledProgram.load(path)
         backend = MockBackend(error_model="none")
         client = ClientKit(loaded, backend=backend)
-        server = ServerRuntime(loaded, backend=backend)
-        server.attach_client("default", client.evaluation_context())
-        xv = np.linspace(-1, 1, 32)
-        outputs = client.decrypt_outputs(server.evaluate(client.encrypt_inputs({"x": xv})))
+        with EvaServer(backend=backend) as server:
+            server.register("poly", loaded)
+            server.create_session("poly", "default", client.evaluation_context())
+            xv = np.linspace(-1, 1, 32)
+            outputs = client.decrypt_outputs(evaluate(server, client.encrypt_inputs({"x": xv})))
         np.testing.assert_allclose(outputs["y"], expected(xv), atol=1e-9)
 
     def test_load_rejects_non_artifacts(self, tmp_path):
@@ -147,42 +161,40 @@ class TestServerBoundary:
     """The acceptance tests: the server never sees secrets or plaintext."""
 
     def test_end_to_end_matches_reference(self, split):
-        client, server = split
+        client, server, _context = split
         xv = np.linspace(-1, 1, 32)
         bundle = client.encrypt_inputs({"x": xv})
-        encrypted = server.evaluate(bundle)
+        encrypted = evaluate(server, bundle)
         outputs = client.decrypt_outputs(encrypted)
         reference = execute_reference(client.compiled.source, {"x": xv})
         np.testing.assert_allclose(outputs["y"], reference["y"], atol=1e-9)
 
-    def test_server_context_has_no_secret_key(self, split):
-        client, server = split
-        context = server.client_context("alice")
+    def test_server_context_has_no_secret_key(self, split, compiled):
+        client, server, context = split
+        assert server.sessions.get_attached(compiled, "alice").context is context
         assert context.has_secret_key is False
         assert client.context.has_secret_key is True
 
     def test_server_cannot_decrypt(self, split):
-        client, server = split
+        client, server, context = split
         bundle = client.encrypt_inputs({"x": np.linspace(-1, 1, 32)})
-        encrypted = server.evaluate(bundle)
-        context = server.client_context("alice")
+        encrypted = evaluate(server, bundle)
         with pytest.raises(ExecutionError, match="no secret key"):
             context.decrypt(encrypted.ciphertexts["y"])
 
     def test_server_never_calls_decrypt(self, split, monkeypatch):
         """Instrumented proof: evaluation performs zero decrypt calls."""
-        client, server = split
-        context = server.client_context("alice")
+        client, server, context = split
         calls = []
         original = type(context).decrypt
         monkeypatch.setattr(
             type(context), "decrypt", lambda self, h: calls.append(1) or original(self, h)
         )
-        server.evaluate(client.encrypt_inputs({"x": np.linspace(-1, 1, 32)}))
+        evaluate(server, client.encrypt_inputs({"x": np.linspace(-1, 1, 32)}))
         assert calls == []
 
     def test_bundle_carries_no_plaintext_for_cipher_inputs(self, split):
-        client, _server = split
+        client, _server, _context = split
         bundle = client.encrypt_inputs({"x": np.linspace(-1, 1, 32)})
         assert set(bundle.ciphertexts) == {"x"}
         assert bundle.plain == {}
@@ -196,41 +208,41 @@ class TestServerBoundary:
         compiled = CompiledProgram.compile(program)
         backend = MockBackend(error_model="none")
         client = ClientKit(compiled, backend=backend)
-        server = ServerRuntime(compiled, backend=backend)
-        server.attach_client("default", client.evaluation_context())
         xv = np.linspace(-1, 1, 16)
         mask = (np.arange(16) % 2).astype(float)
         bundle = client.encrypt_inputs({"x": xv, "mask": mask})
         assert set(bundle.ciphertexts) == {"x"}
         assert set(bundle.plain) == {"mask"}
-        outputs = client.decrypt_outputs(server.evaluate(bundle))
+        with EvaServer(backend=backend) as server:
+            server.register("mixed", compiled)
+            server.create_session("mixed", "default", client.evaluation_context())
+            outputs = client.decrypt_outputs(evaluate(server, bundle, "mixed"))
         np.testing.assert_allclose(outputs["y"], xv * mask, atol=1e-9)
 
     def test_secret_contexts_are_refused(self, split, compiled):
-        client, server = split
-        with pytest.raises(ExecutionError, match="refuses contexts holding a secret key"):
-            server.attach_client("bob", client.context)
-        bundle = client.encrypt_inputs({"x": np.zeros(32)})
-        with pytest.raises(ExecutionError, match="refuses contexts"):
-            server.evaluate(bundle, context=client.context)
+        client, server, _context = split
+        with pytest.raises(ServingError, match="evaluation-only"):
+            server.create_session("poly", "bob", client.context)
+        with pytest.raises(LookupError):
+            server.sessions.get_attached(compiled, "bob")
 
     def test_signature_mismatch_is_refused(self, split):
-        client, server = split
+        client, server, _context = split
         other = CompiledProgram.compile(
             make_program(), options=CompilerOptions(policy="chet")
         )
         other_client = ClientKit(other, backend=MockBackend(error_model="none"))
         bundle = other_client.encrypt_inputs({"x": np.zeros(32)})
         bundle.client_id = "alice"
-        with pytest.raises(ExecutionError, match="different compilation"):
-            server.evaluate(bundle)
+        with pytest.raises(ServingError, match="different compilation"):
+            evaluate(server, bundle)
 
     def test_unknown_client_is_refused(self, split):
-        client, server = split
+        client, server, _context = split
         bundle = client.encrypt_inputs({"x": np.zeros(32)})
         bundle.client_id = "nobody"
-        with pytest.raises(ExecutionError, match="no evaluation keys attached"):
-            server.evaluate(bundle)
+        with pytest.raises(ServingError, match="'nobody' has not registered evaluation keys"):
+            evaluate(server, bundle)
 
     def test_missing_input_is_refused_extras_ignored(self, compiled):
         client = ClientKit(compiled, backend=MockBackend())
@@ -261,11 +273,11 @@ class TestServerBoundary:
 
     def test_bundle_reusable_after_evaluation(self, split):
         """Evaluation must not release/mutate the client's input handles."""
-        client, server = split
+        client, server, _context = split
         xv = np.linspace(-1, 1, 32)
         bundle = client.encrypt_inputs({"x": xv})
-        first = client.decrypt_outputs(server.evaluate(bundle))
-        second = client.decrypt_outputs(server.evaluate(bundle))
+        first = client.decrypt_outputs(evaluate(server, bundle))
+        second = client.decrypt_outputs(evaluate(server, bundle))
         np.testing.assert_allclose(first["y"], second["y"], atol=1e-12)
         # ...and it still serializes afterwards.
         client.bundle_to_wire(bundle)
@@ -273,37 +285,41 @@ class TestServerBoundary:
 
 class TestWireRoundTrip:
     def test_bundle_survives_json(self, split):
-        client, server = split
+        client, server, _context = split
         xv = np.linspace(-1, 1, 32)
         wire = json.loads(json.dumps(client.bundle_to_wire(client.encrypt_inputs({"x": xv}))))
-        reply = json.loads(json.dumps(server.evaluate_wire(wire)))
+        response = server.request_encrypted("poly", wire, timeout=30)
+        reply = json.loads(json.dumps(response.to_wire()))
+        response.release()
         outputs = client.decrypt_outputs(client.outputs_from_wire(reply))
         np.testing.assert_allclose(outputs["y"], expected(xv), atol=1e-9)
 
     def test_wire_path_releases_server_handles(self, split):
         """Repeated wire evaluations must not grow the session context's
         live-ciphertext accounting without bound."""
-        client, server = split
+        client, server, context = split
         xv = np.linspace(-1, 1, 32)
         wire = client.bundle_to_wire(client.encrypt_inputs({"x": xv}))
-        context = server.client_context("alice")
         for _ in range(3):
-            server.evaluate_wire(json.loads(json.dumps(wire)))
+            response = server.request_encrypted("poly", json.loads(json.dumps(wire)), timeout=30)
+            response.to_wire()
+            response.release()
         assert context.live_ciphertexts == 0
 
     def test_exported_keys_survive_json(self, compiled):
         backend = MockBackend(error_model="none")
         client = ClientKit(compiled, backend=backend, client_id="carol")
-        server = ServerRuntime(compiled, backend=backend)
         blob = json.loads(json.dumps(client.export_evaluation_keys()))
-        context = server.attach_client("carol", blob)
-        assert context.has_secret_key is False
-        xv = np.linspace(-1, 1, 32)
-        outputs = client.decrypt_outputs(server.evaluate(client.encrypt_inputs({"x": xv})))
+        with EvaServer(backend=backend) as server:
+            server.register("poly", compiled)
+            server.create_session("poly", "carol", blob)
+            assert server.sessions.get_attached(compiled, "carol").context.has_secret_key is False
+            xv = np.linspace(-1, 1, 32)
+            outputs = client.decrypt_outputs(evaluate(server, client.encrypt_inputs({"x": xv})))
         np.testing.assert_allclose(outputs["y"], expected(xv), atol=1e-9)
 
     def test_malformed_bundles_are_rejected(self, split):
-        client, _server = split
+        client, _server, _context = split
         with pytest.raises(Exception, match="malformed|program_signature"):
             bundle_from_wire({"vec_size": 2}, client.context)
         with pytest.raises(Exception, match="mock"):
@@ -326,17 +342,22 @@ class TestCkksBoundary:
         compiled = self._compiled()
         backend = CkksBackend(seed=7)
         client = ClientKit(compiled, backend=backend, client_id="alice")
-        server = ServerRuntime(compiled, backend=backend)
         # Full wire fidelity: keys and ciphertexts cross a JSON boundary.
         blob = json.loads(json.dumps(client.export_evaluation_keys()))
         assert "public_key" in blob and "relin_key" in blob and "galois_keys" in blob
-        context = server.attach_client("alice", blob)
-        assert context.has_secret_key is False
-        assert context.decryptor is None and context.keygen is None
+        with EvaServer(backend=backend) as server:
+            server.register("ckks-poly", compiled)
+            server.create_session("ckks-poly", "alice", blob)
+            context = server.sessions.get_attached(compiled, "alice").context
+            assert context.has_secret_key is False
+            assert context.decryptor is None and context.keygen is None
 
-        xv = np.linspace(-1, 1, 128)
-        wire = json.loads(json.dumps(client.bundle_to_wire(client.encrypt_inputs({"x": xv}))))
-        reply = server.evaluate_wire(wire)
+            xv = np.linspace(-1, 1, 128)
+            wire = json.loads(json.dumps(client.bundle_to_wire(client.encrypt_inputs({"x": xv}))))
+            response = server.request_encrypted("ckks-poly", wire, timeout=60)
+            reply = response.to_wire()
+            response.release()
+            assert context.live_ciphertexts == 0
         outputs = client.decrypt_outputs(client.outputs_from_wire(reply))
         reference = execute_reference(compiled.source, {"x": xv})
         assert np.max(np.abs(outputs["y"] - reference["y"])) < 0.05
@@ -345,11 +366,14 @@ class TestCkksBoundary:
         compiled = self._compiled()
         backend = CkksBackend(seed=3)
         client = ClientKit(compiled, backend=backend)
-        server = ServerRuntime(compiled, backend=backend)
-        server.attach_client("default", client.evaluation_context())
-        encrypted = server.evaluate(client.encrypt_inputs({"x": np.linspace(-1, 1, 128)}))
+        context = client.evaluation_context()
+        with EvaServer(backend=backend) as server:
+            server.register("ckks-poly", compiled)
+            server.create_session("ckks-poly", "default", context)
+            bundle = client.encrypt_inputs({"x": np.linspace(-1, 1, 128)})
+            encrypted = evaluate(server, bundle, "ckks-poly")
         with pytest.raises(ExecutionError, match="no secret key"):
-            server.client_context("default").decrypt(encrypted.ciphertexts["y"])
+            context.decrypt(encrypted.ciphertexts["y"])
 
 
 class TestEvaServerEncryptedPath:
@@ -378,6 +402,58 @@ class TestEvaServerEncryptedPath:
                 server.create_session("poly", "alice", kit.context)
         finally:
             server.close()
+
+    def test_create_session_names_an_unregistered_program_like_submit(self):
+        server, kit = self._server_and_kit()
+        try:
+            message = r"no program registered under 'pol'; known programs: \['poly'\]"
+            with pytest.raises(UnknownProgramError, match=message):
+                server.submit("pol", {"x": np.zeros(32)})
+            with pytest.raises(UnknownProgramError, match=message):
+                server.create_session("pol", "alice", kit.evaluation_context())
+        finally:
+            server.close()
+
+    def test_create_session_over_the_wire_names_an_unregistered_program(self):
+        server, kit = self._server_and_kit()
+        tcp = EvaTcpServer(server, port=0)
+        tcp.start_background()
+        host, port = tcp.address
+        try:
+            with ServingClient(host, port) as client:
+                with pytest.raises(
+                    ServingError, match=r"no program registered under 'pol'; known programs"
+                ):
+                    client.create_session("pol", kit)
+        finally:
+            tcp.shutdown()
+            server.close()
+
+    def test_releasing_a_reply_leaves_the_clients_bundle_alone(self):
+        """A pass-through output of a live bundle is the client's own input
+        handle: releasing the reply must not release it."""
+        program = EvaProgram("echo", vec_size=32, default_scale=25)
+        with program:
+            output("y", input_encrypted("x", 25), 25)
+        compiled = CompiledProgram.compile(program)
+        backend = MockBackend(error_model="none")
+        kit = ClientKit(compiled, backend=backend, client_id="alice")
+        context = kit.evaluation_context()
+        xv = np.linspace(-1, 1, 32)
+        with EvaServer(backend=backend) as server:
+            server.register("echo", program)
+            server.create_session("echo", "alice", context)
+            bundle = kit.encrypt_inputs({"x": xv})
+            response = server.request_encrypted("echo", bundle, timeout=30)
+            assert response.outputs.ciphertexts["y"] is bundle.ciphertexts["x"]
+            response.release()
+            kit.bundle_to_wire(bundle)  # still live: it serializes
+            np.testing.assert_allclose(kit.decrypt_outputs(response.outputs)["y"], xv, atol=1e-9)
+            # A wire bundle's copy is the server's, and goes with the reply.
+            response = server.request_encrypted("echo", kit.bundle_to_wire(bundle), timeout=30)
+            assert context.live_ciphertexts == 1
+            response.release()
+            assert context.live_ciphertexts == 0
 
     def test_same_client_keeps_plaintext_path_after_session(self):
         """Registering evaluation keys must not hijack the client's plaintext
@@ -536,11 +612,11 @@ class TestLegacyCompat:
         assert result.stats.op_count > 0
 
     def test_executor_matches_split_api(self, compiled, split):
-        client, server = split
+        client, server, _context = split
         xv = np.linspace(-1, 1, 32)
         one_shot = Executor(compiled, MockBackend(error_model="none")).execute({"x": xv})
         split_outputs = client.decrypt_outputs(
-            server.evaluate(client.encrypt_inputs({"x": xv}))
+            evaluate(server, client.encrypt_inputs({"x": xv}))
         )
         np.testing.assert_allclose(one_shot["y"], split_outputs["y"], atol=1e-12)
 

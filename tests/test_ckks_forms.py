@@ -34,7 +34,7 @@ from repro.api import (
     CompiledProgram,
     CompilerOptions,
     EvaProgram,
-    ServerRuntime,
+    EvaServer,
     execute_reference,
     input_encrypted,
     output,
@@ -901,16 +901,19 @@ class TestRealBackendAgainstTheReference:
         backend = CkksBackend(seed=21)
         client = ClientKit(compiled, backend=backend, client_id="forms")
         wire = json.loads(json.dumps(client.bundle_to_wire(client.encrypt_inputs(inputs))))
-        server = ServerRuntime(compiled, backend=backend)
-        context = server.attach_client("forms", client.evaluation_context())
+        context = client.evaluation_context()
         keys = context.evaluator.relin_key, context.evaluator.galois_keys
         replies, outputs = [], []
-        for evaluator in (Evaluator, StepwiseCoefficientEvaluator):
-            context.evaluator = evaluator(context.context, *keys)
-            reply = server.evaluate_wire(wire, client_id="forms")
-            decoded = client.outputs_from_wire(reply)
-            replies.append(decoded.ciphertexts)
-            outputs.append(client.decrypt_outputs(decoded))
+        with EvaServer(backend=backend, workers=1) as server:
+            server.register(compiled.name, compiled)
+            server.create_session(compiled.name, "forms", context)
+            for evaluator in (Evaluator, StepwiseCoefficientEvaluator):
+                context.evaluator = evaluator(context.context, *keys)
+                response = server.request_encrypted(compiled.name, wire, timeout=120)
+                decoded = client.outputs_from_wire(response.to_wire())
+                response.release()
+                replies.append(decoded.ciphertexts)
+                outputs.append(client.decrypt_outputs(decoded))
         return replies, outputs
 
     def _assert_the_relation(self, program, options, inputs, merged, atol):

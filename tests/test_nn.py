@@ -1,5 +1,7 @@
 """Tests for the DNN layers, layouts, kernels, and the CHET-style compiler."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,14 @@ from repro.nn import (
     Conv2D,
     Dense,
     DnnCompiler,
+    EncryptedInferenceSession,
     Flatten,
     Network,
     ScaleConfig,
     TensorLayout,
     build_model,
     build_lenet_small,
+    encrypted_accuracy,
     encrypted_inference,
     synthetic_image_dataset,
     train_readout,
@@ -277,3 +281,40 @@ class TestModelsAndTraining:
         ds = synthetic_image_dataset(num_classes=3, image_shape=(1, 8, 8), train_per_class=4, test_per_class=2, seed=0)
         value = unencrypted_accuracy(net, ds.test_images, ds.test_labels)
         assert 0.0 <= value <= 1.0
+
+
+class TestNoServerThreadOutlivesItsCaller:
+    """Each encrypted entry point evaluates on an in-process server it owns
+    and closes: when the call returns, none of the server's workers runs."""
+
+    @staticmethod
+    def _serving_threads():
+        return {t for t in threading.enumerate() if t.name.startswith("eva-serve-")}
+
+    def _session_block(self, compiled, image, backend):
+        with EncryptedInferenceSession(compiled, backend=backend) as session:
+            assert self._serving_threads()
+            return session.infer(image)
+
+    def _run_application(self, _compiled, _image, backend):
+        from repro.apps import build_linear_regression_program, run_application
+
+        program = build_linear_regression_program(vec_size=64)
+        return run_application(program, {"x": np.linspace(-1, 1, 64)}, backend=backend)
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["run_application", "encrypted_inference", "encrypted_accuracy", "session_block"],
+    )
+    def test_entry_point(self, entry, noiseless_backend):
+        compiled = DnnCompiler(ScaleConfig()).compile(tiny_network())
+        image = np.random.default_rng(6).uniform(-1, 1, (1, 4, 4))
+        call = {
+            "run_application": self._run_application,
+            "encrypted_inference": encrypted_inference,
+            "encrypted_accuracy": lambda c, i, backend: encrypted_accuracy(c, [i], [0], backend=backend),
+            "session_block": self._session_block,
+        }[entry]
+        before = self._serving_threads()  # another test's leak is not this one's
+        call(compiled, image, backend=noiseless_backend)
+        assert self._serving_threads() <= before

@@ -8,7 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 import pytest
 
-from repro.api import ClientKit, CompiledProgram, EncryptedOutputs, ServerRuntime
+from repro.api import ClientKit, CompiledProgram, EncryptedOutputs
 from repro.backend import CkksBackend, MockBackend
 from repro.core import CompilerOptions, Executor, compile_program, execute_reference, program_signature
 from repro.core.serialization import messages
@@ -1342,8 +1342,8 @@ class TestOneEvaluationSpine:
             assert handle_accounts(server) == baseline
 
     def test_entry_points_agree(self, backend_id):
-        """``Executor.execute``, ``ClientKit`` + ``ServerRuntime`` and every
-        ``EvaServer`` kind are one evaluation: same program, same answers."""
+        """``Executor.execute``, a server given the client's compilation and
+        every ``EvaServer`` kind are one evaluation: same program, same answers."""
         factory, atol = SPINE_BACKENDS[backend_id]
         backend = factory()
         program = make_spine_program()
@@ -1351,9 +1351,12 @@ class TestOneEvaluationSpine:
         compiled = CompiledProgram.compile(program, options=SPINE_OPTIONS)
         kit = ClientKit(compiled, backend=backend, client_id="carol")
         answers = {"executor": Executor(compiled, backend).execute(request).outputs}
-        runtime = ServerRuntime(compiled, backend=backend)
-        runtime.attach_client("carol", kit.evaluation_context())
-        answers["runtime"] = kit.decrypt_outputs(runtime.evaluate(kit.encrypt_inputs(request)))
+        with spine_server(backend) as server:
+            server.register("compiled", compiled)
+            server.create_session("compiled", "carol", kit.evaluation_context())
+            _, (answers["registered-compilation"],), _ = serve(
+                server, "compiled", kit, [request], "compiled", encrypted=True
+            )
         with spine_server(backend) as server:
             server.register("prog", program, options=SPINE_OPTIONS)
             server.create_session("prog", "carol", kit.evaluation_context())
@@ -1464,6 +1467,95 @@ class TestOneEvaluationSpine:
             second = server.submit("poly", {"x": [0.25] * 8})
             assert first.result(60).batch_size == 2
             assert second.result(60).batch_size == 2
+
+
+class TestRegisteredCompilation:
+    """``register(name, compiled)``: the client's compilation, served as it is."""
+
+    @staticmethod
+    def _kit(compiled):
+        return ClientKit(compiled, backend=MockBackend(error_model="none"), client_id="carol")
+
+    def _answer(self, server, kit, request, name="prog"):
+        response = server.request_encrypted(name, kit.encrypt_inputs(request), timeout=30)
+        answer = kit.decrypt_outputs(response.outputs)
+        response.release()
+        return response.outputs.program_signature, answer
+
+    def test_nothing_is_hashed_or_compiled_again(self, monkeypatch):
+        import repro.serving.registry as registry_module
+        import repro.serving.server as server_module
+
+        compiled = CompiledProgram.compile(make_spine_program(), options=SPINE_OPTIONS)
+        kit = self._kit(compiled)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a registered compilation was hashed or compiled again")
+
+        monkeypatch.setattr(server_module, "program_signature", forbidden)
+        monkeypatch.setattr(registry_module, "program_signature", forbidden)
+        monkeypatch.setattr(registry_module.EvaCompiler, "compile", forbidden)
+        request = {"x": np.linspace(-1, 1, 64)}
+        with EvaServer(backend=kit.backend) as server:
+            spec = server.register("prog", compiled)
+            assert spec.signature == compiled.signature
+            session = server.create_session("prog", "carol", kit.evaluation_context())
+            assert session["signature"] == compiled.signature
+            signature, answer = self._answer(server, kit, request)
+            assert server.registry.stats.misses == 0
+        assert signature == compiled.signature
+        reference = execute_reference(make_spine_program().graph, request)
+        for name, want in reference.items():
+            np.testing.assert_allclose(answer[name], want, atol=1e-9)
+
+    def test_a_recompile_after_eviction_serves_the_same_answers(self):
+        compiled = CompiledProgram.compile(make_spine_program(), options=SPINE_OPTIONS)
+        kit = self._kit(compiled)
+        request = {"x": np.linspace(-1, 1, 64)}
+        with EvaServer(backend=kit.backend) as server:
+            server.register("prog", compiled)
+            server.create_session("prog", "carol", kit.evaluation_context())
+            before = self._answer(server, kit, request)
+            server.registry.clear()
+            after = self._answer(server, kit, request)
+            recompiled = server.registry.lookup(compiled.signature)
+            assert server.registry.stats.misses == 1  # the one recompile
+        assert recompiled is not None and recompiled is not compiled
+        assert recompiled.parameters == compiled.parameters
+        assert before[0] == after[0] == compiled.signature
+        for name in before[1]:
+            assert np.array_equal(before[1][name], after[1][name])
+
+    def test_plaintext_batches_use_a_lane_variant_of_its_source(self):
+        compiled = CompiledProgram.compile(make_spine_program(), options=SPINE_OPTIONS)
+        requests = [{"x": np.linspace(-1, 1, 8) * scale} for scale in (0.3, 0.6, 0.9)]
+        with spine_server(MockBackend(error_model="none"), 3) as server:
+            server.register("prog", compiled)
+            responses, answers, _ = serve(server, "prog", None, requests, "packed")
+        assert [response.lane_width for response in responses] == [8, 8, 8]
+        for request, answer in zip(requests, answers):
+            reference = execute_reference(make_spine_program().graph, request)
+            for name in reference:
+                np.testing.assert_allclose(answer[name][:8], reference[name][:8], atol=1e-9)
+
+    def test_a_compilation_without_its_source_is_refused(self):
+        compiled = CompiledProgram.compile(make_spine_program(), options=SPINE_OPTIONS)
+        with EvaServer() as server:
+            with pytest.raises(ServingError, match="no source program"):
+                server.register("prog", replace(compiled, source=None))
+            assert server.programs() == []
+
+    @pytest.mark.parametrize(
+        "keyword",
+        [{"lane_width": 8}, {"options": SPINE_OPTIONS}, {"input_scales": {"x": 25}}],
+        ids=["lane_width", "options", "input_scales"],
+    )
+    def test_a_compilation_takes_no_compile_arguments(self, keyword):
+        compiled = CompiledProgram.compile(make_spine_program(), options=SPINE_OPTIONS)
+        with EvaServer() as server:
+            with pytest.raises(ServingError, match="carries its own options"):
+                server.register("prog", compiled, **keyword)
+            assert server.programs() == []
 
 
 def test_restored_session_is_counted_under_the_registered_name(tmp_path):
