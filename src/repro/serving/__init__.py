@@ -61,7 +61,7 @@ from .cluster import (
 from .jobs import Job, JobEngine
 from .netserver import ClusterTcpServer, EvaTcpServer, ServingClient
 from .quotas import FairnessPolicy, QuotaLedger, TokenBucket
-from .registry import CacheStats, ProgramRegistry
+from .registry import ProgramRegistry
 from .server import (
     EncryptedServeRequest,
     EncryptedServeResponse,
@@ -108,7 +108,6 @@ __all__ = [
     "ServingClient",
     "SessionStore",
     "session_digest",
-    "CacheStats",
     "ProgramRegistry",
     "EvaServer",
     "ProgramSpec",

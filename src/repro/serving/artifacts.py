@@ -39,13 +39,14 @@ from ..errors import SerializationError
 
 
 class ArtifactCache(RecordDirectory):
-    """A directory of compiled-program records keyed by (signature, lane width)."""
+    """A directory of compiled-program records keyed by (signature, lane width).
+
+    It holds the file format only: the registry that consults it counts its
+    hits, misses and stores (``serving.artifacts.*``).
+    """
 
     def __init__(self, root: Union[str, Path]) -> None:
-        super().__init__(root)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
+        super().__init__(root)  # no TTL: artifacts age by mtime, via prune
 
     def accepts(self, record: Dict[str, Any]) -> bool:
         """Records of another format or version (an earlier build's) read as
@@ -65,7 +66,6 @@ class ArtifactCache(RecordDirectory):
         record = compilation.to_record(include_source=False)
         with self._lock:
             write_record(path, record)
-            self.stores += 1
         return path
 
     def load(
@@ -77,19 +77,13 @@ class ArtifactCache(RecordDirectory):
         miss — the caller compiles from source exactly as it would have
         without a cache, and republishes over the bad record.
         """
-        compilation = None
         record = self._read(self.path_for(signature, lane_width))
-        if record is not None and record.get("signature") == signature:
-            try:
-                compilation = CompilationResult.from_record(record)
-            except SerializationError:
-                pass
-        with self._lock:
-            if compilation is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return compilation
+        if record is None or record.get("signature") != signature:
+            return None
+        try:
+            return CompilationResult.from_record(record)
+        except SerializationError:
+            return None
 
     def records(self) -> List[Dict[str, Any]]:
         """Metadata of every readable artifact (compiled graphs omitted)."""
@@ -102,17 +96,6 @@ class ArtifactCache(RecordDirectory):
             }
             for path, record in self
         ]
-
-    def summary(self) -> Dict[str, object]:
-        """Cheap monitoring view: counts files without parsing graphs."""
-        with self._lock:
-            return {
-                "root": str(self.root),
-                "records": self.file_count(),
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-            }
 
 
 __all__ = ["ArtifactCache"]

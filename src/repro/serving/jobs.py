@@ -140,6 +140,12 @@ class JobEngine:
         self.ledger = QuotaLedger(fairness)
         #: The one place engine events are counted (and spans recorded).
         self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self.telemetry.inc("serving.requests.throttled", 0.0)
+        self.telemetry.set_gauge("serving.quota.enabled", self.ledger.enabled)
+        if fairness is not None and fairness.quota_rps is not None:
+            self.telemetry.set_gauge("serving.quota.quota_rps", fairness.quota_rps)
+        if fairness is not None and fairness.max_inflight is not None:
+            self.telemetry.set_gauge("serving.quota.max_inflight", fairness.max_inflight)
         #: Per-client arrival queues; jobs of one client stay FIFO relative
         #: to each other, but *clients* are interleaved by virtual time.
         self._queues: "OrderedDict[str, deque[Job]]" = OrderedDict()
@@ -203,6 +209,19 @@ class JobEngine:
         return _percentile(execs, 0.95)
 
     # -- submission --------------------------------------------------------------
+    def admit(self, client: str) -> None:
+        """Charge one request of ``client`` to the quota ledger.
+
+        Every shard-side refusal passes here and is counted once, as
+        ``serving.requests.throttled``; the caller owes ``ledger.release``
+        for an admitted request.
+        """
+        try:
+            self.ledger.admit(client)
+        except ServingError:
+            self.telemetry.inc("serving.requests.throttled", client=client)
+            raise
+
     def submit(
         self,
         group: Hashable,
@@ -268,11 +287,7 @@ class JobEngine:
         else:
             deadline_s = None
         admit_started = time.perf_counter()
-        try:
-            self.ledger.admit(client)
-        except ServingError:
-            telemetry.inc("serving.requests.throttled", client=client)
-            raise
+        self.admit(client)
         telemetry.span(
             trace_id,
             "quota_admission",

@@ -142,7 +142,6 @@ class QuotaLedger:
         self.max_clients = int(max_clients)
         self._buckets: "OrderedDict[str, TokenBucket]" = OrderedDict()
         self._inflight: Dict[str, int] = {}
-        self.throttled = 0
         self._lock = threading.Lock()
 
     @property
@@ -160,7 +159,6 @@ class QuotaLedger:
             if policy.limits_inflight:
                 inflight = self._inflight.get(client_id, 0)
                 if inflight >= int(policy.max_inflight):
-                    self.throttled += 1
                     raise QuotaExceededError(
                         f"client {client_id!r} already has {inflight} requests "
                         f"in flight (cap {policy.max_inflight}); retry when one "
@@ -179,7 +177,6 @@ class QuotaLedger:
                     self._buckets.move_to_end(client_id)
                 retry_after = bucket.try_acquire()
                 if retry_after > 0.0:
-                    self.throttled += 1
                     raise QuotaExceededError(
                         f"client {client_id!r} exceeded its rate quota of "
                         f"{policy.quota_rps:g} requests/second; retry in "
@@ -208,14 +205,14 @@ class QuotaLedger:
             return self._inflight.get(str(client_id), 0)
 
     def summary(self) -> Dict[str, object]:
-        """Quota totals and per-client in-flight counts, for stats()."""
+        """The policy and per-client in-flight counts, for stats() (refusals
+        are counted by whoever called :meth:`admit`)."""
         policy = self.policy
         with self._lock:
             return {
                 "enabled": self.enabled,
                 "quota_rps": policy.quota_rps if policy else None,
                 "max_inflight": policy.max_inflight if policy else None,
-                "throttled": self.throttled,
                 "clients_inflight": dict(sorted(self._inflight.items())),
             }
 

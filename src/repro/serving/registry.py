@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.compiler import (
@@ -22,34 +22,27 @@ from ..core.compiler import (
     program_signature,
 )
 from ..core.ir import Program
+from .telemetry import MetricsRegistry, Telemetry
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters shared by the serving caches."""
+def read_counters(metrics: MetricsRegistry, names: Tuple[str, ...]) -> Dict[str, Any]:
+    """Unlabelled counters, keyed by the last part of their names."""
+    return {name.rsplit(".", 1)[1]: int(metrics.counter_value(name)) for name in names}
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
 
-    @property
-    def requests(self) -> int:
-        """Total lookups (hits + misses)."""
-        return self.hits + self.misses
+def cache_view(metrics: MetricsRegistry, names: Tuple[str, ...]) -> Dict[str, Any]:
+    """Hits, misses, evictions and hit rate of one cache, read from its counters."""
+    view = read_counters(metrics, names)
+    lookups = view["hits"] + view["misses"]
+    return {**view, "hit_rate": round(view["hits"] / lookups, 4) if lookups else 0.0}
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache."""
-        return self.hits / self.requests if self.requests else 0.0
 
-    def summary(self) -> Dict[str, float]:
-        """Cache counters as a plain dict."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hit_rate, 4),
-        }
+_COUNTERS = ("serving.registry.hits", "serving.registry.misses", "serving.registry.evictions")
+_ARTIFACT_COUNTERS = (
+    "serving.artifacts.hits",
+    "serving.artifacts.misses",
+    "serving.artifacts.stores",
+)
 
 
 class ProgramRegistry:
@@ -66,20 +59,37 @@ class ProgramRegistry:
     tries to *load* the finished compilation a sibling shard published
     before falling back to compiling from source, and every fresh compile
     is published for the rest of the fleet.
+
+    Lookups, evictions and artifact loads and stores are counted in
+    ``telemetry`` (the server's, or a fresh one), where :meth:`summary`
+    reads them back.
     """
 
-    def __init__(self, capacity: int = 64, artifacts: Optional[Any] = None) -> None:
+    def __init__(
+        self,
+        capacity: int = 64,
+        artifacts: Optional[Any] = None,
+        telemetry: Optional[Telemetry] = None,
+    ) -> None:
         if capacity < 1:
             raise ValueError("registry capacity must be at least 1")
         self.capacity = capacity
         self.artifacts = artifacts
-        self.stats = CacheStats()
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        for name in _COUNTERS + (_ARTIFACT_COUNTERS if artifacts is not None else ()):
+            self.telemetry.inc(name, 0.0)
+        self.telemetry.set_gauge("serving.registry.capacity", capacity)
         self._entries: "OrderedDict[str, CompilationResult]" = OrderedDict()
         #: Index from (base signature, lane width) to the variant's own
         #: signature, so the warm path of :meth:`get_or_compile_variant`
         #: never re-hashes the program graph.
         self._variants: "OrderedDict[Tuple[str, int], str]" = OrderedDict()
         self._lock = threading.Lock()
+        self._count_entries()
+
+    def _count_entries(self) -> None:
+        """Publish the entry count (lock held, or during construction)."""
+        self.telemetry.set_gauge("serving.registry.entries", len(self._entries))
 
     def __len__(self) -> int:
         with self._lock:
@@ -94,10 +104,10 @@ class ProgramRegistry:
         with self._lock:
             compilation = self._entries.get(signature)
             if compilation is None:
-                self.stats.misses += 1
+                self.telemetry.inc("serving.registry.misses")
                 return None
             self._entries.move_to_end(signature)
-            self.stats.hits += 1
+            self.telemetry.inc("serving.registry.hits")
             return compilation
 
     def get_or_compile(
@@ -121,6 +131,9 @@ class ProgramRegistry:
         if self.artifacts is not None:
             lane_width = (options or CompilerOptions()).lane_width
             loaded = self.artifacts.load(signature, lane_width)
+            self.telemetry.inc(
+                "serving.artifacts.misses" if loaded is None else "serving.artifacts.hits"
+            )
             if loaded is not None:
                 return self.insert(signature, loaded)
         compilation = EvaCompiler(options).compile(program, input_scales, output_scales)
@@ -136,6 +149,8 @@ class ProgramRegistry:
                     RuntimeWarning,
                     stacklevel=2,
                 )
+            else:
+                self.telemetry.inc("serving.artifacts.stores")
         return self.insert(signature, compilation)
 
     def get_or_compile_variant(
@@ -202,7 +217,8 @@ class ProgramRegistry:
             self._entries[signature] = compilation
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.stats.evictions += 1
+                self.telemetry.inc("serving.registry.evictions")
+            self._count_entries()
             return compilation
 
     def clear(self) -> None:
@@ -210,15 +226,20 @@ class ProgramRegistry:
         with self._lock:
             self._entries.clear()
             self._variants.clear()
+            self._count_entries()
 
     def summary(self) -> Dict[str, object]:
-        """Cache contents and counters, for stats() and telemetry absorption."""
-        with self._lock:
-            summary = {
-                "capacity": self.capacity,
-                "entries": len(self._entries),
-                **self.stats.summary(),
-            }
+        """Cache size and counters, read back from the telemetry registry."""
+        metrics = self.telemetry.registry
+        summary: Dict[str, object] = {
+            "capacity": self.capacity,
+            "entries": int(metrics.gauge_value("serving.registry.entries")),
+            **cache_view(metrics, _COUNTERS),
+        }
         if self.artifacts is not None:
-            summary["artifacts"] = self.artifacts.summary()
+            summary["artifacts"] = {
+                "root": str(self.artifacts.root),
+                "records": self.artifacts.file_count(),
+                **read_counters(metrics, _ARTIFACT_COUNTERS),
+            }
         return summary

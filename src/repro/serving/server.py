@@ -263,13 +263,15 @@ class EvaServer:
         #: loads what a sibling shard already compiled instead of recompiling,
         #: and fresh compilations are published back for the fleet.
         self.artifact_cache = artifact_cache
-        self.registry = ProgramRegistry(artifacts=artifact_cache)
-        self.sessions = SessionManager(backend)
+        self.registry = ProgramRegistry(artifacts=artifact_cache, telemetry=self.telemetry)
+        self.sessions = SessionManager(backend, telemetry=self.telemetry)
         #: Optional disk persistence of client key blobs: sessions created
         #: through :meth:`create_session` are saved, and an unknown client's
         #: encrypted request triggers a lazy restore — which is how sessions
         #: survive server restarts and (in a cluster) shard failures.
         self.session_store = session_store
+        if session_store is not None and session_store.ttl is not None:
+            self.telemetry.set_gauge("serving.store.ttl", session_store.ttl)
         self.batcher = SlotBatcher()
         self.executor_threads = max(int(executor_threads), 1)
         self._programs: Dict[str, ProgramSpec] = {}
@@ -451,12 +453,11 @@ class EvaServer:
         a server with a policy must not let them bypass admission — this is
         the shot at 429 for transports that call straight into the server.
         """
-        ledger = self.engine.ledger
-        ledger.admit(str(client_id))  # raises QuotaExceededError when violated
+        self.engine.admit(str(client_id))  # raises QuotaExceededError when violated
         try:
             return self._create_session(name, client_id, evaluation_keys)
         finally:
-            ledger.release(str(client_id))
+            self.engine.ledger.release(str(client_id))
 
     def _create_session(
         self, name: str, client_id: str, evaluation_keys: Any
@@ -938,47 +939,43 @@ class EvaServer:
 
     # -- introspection / lifecycle ----------------------------------------------
     def stats(self) -> Dict[str, object]:
-        """One dict of registry/session/engine/quota/batching metrics."""
+        """One dict of registry/session/engine/quota/batching metrics.
+
+        The counts and sizes are read back from the telemetry registry, so
+        each equals its series in :meth:`metrics_snapshot`.
+        """
         with self._lock:
             lane_failures = len(self._lane_failures)
+        engine = self.engine.metrics_snapshot()
         return {
             "backend": getattr(self.backend, "name", "unknown"),
             "programs": self.programs(),
             "registry": self.registry.summary(),
             "sessions": self.sessions.summary(),
             "session_store": (
-                self.session_store.summary() if self.session_store else None
+                self.session_store.summary() if self.session_store is not None else None
             ),
-            "engine": self.engine.metrics_snapshot(),
-            "quota": self.engine.ledger.summary(),
+            "engine": engine,
+            "quota": {**self.engine.ledger.summary(), "throttled": engine["throttled"]},
             # (signature, width) pairs whose lane variant failed to compile
             # and were pinned to solo execution; non-zero deserves a look.
             "lane_variant_failures": lane_failures,
         }
 
     def metrics_snapshot(self) -> Dict[str, object]:
-        """The unified telemetry snapshot: registry series + absorbed summaries.
+        """The unified telemetry snapshot: every series of the registry.
 
-        The request-path histograms and counters come straight from the
-        telemetry registry; the engine's view of them and the per-component
-        state ``summary()`` dicts (program registry, sessions, stores,
-        quotas) are absorbed as gauges under stable dotted prefixes, so one
-        snapshot is the whole observable state of this server process.
+        The two record directories are counted now, because sibling shards
+        write them too; the engine's view is absorbed as ``serving.engine.*``
+        gauges.
         """
-        snapshot = self.telemetry.registry.snapshot()
-        absorb_summary(snapshot, "serving.engine", self.engine.metrics_snapshot())
-        quota = self.engine.ledger.summary()
-        # Keyed by client-chosen ids, which are no part of a metric name.
-        del quota["clients_inflight"]
-        absorb_summary(snapshot, "serving.quota", quota)
-        absorb_summary(snapshot, "serving.registry", self.registry.summary())
-        absorb_summary(snapshot, "serving.sessions", self.sessions.summary())
+        telemetry = self.telemetry
         if self.session_store is not None:
-            absorb_summary(snapshot, "serving.store", self.session_store.summary())
+            telemetry.set_gauge("serving.store.records", self.session_store.file_count())
         if self.artifact_cache is not None:
-            absorb_summary(
-                snapshot, "serving.artifacts", self.artifact_cache.summary()
-            )
+            telemetry.set_gauge("serving.artifacts.records", self.artifact_cache.file_count())
+        snapshot = telemetry.registry.snapshot()
+        absorb_summary(snapshot, "serving.engine", self.engine.metrics_snapshot())
         return snapshot
 
     def close(self, wait: bool = True) -> None:

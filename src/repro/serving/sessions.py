@@ -18,13 +18,16 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..backend.hisa import BackendContext, HomomorphicBackend
 from ..core.compiler import CompilationResult
-from .registry import CacheStats
+from .registry import cache_view
+from .telemetry import Telemetry
 
 SessionKey = Tuple[str, int, Tuple[int, ...], Tuple[int, ...]]
+
+_COUNTERS = ("serving.sessions.hits", "serving.sessions.misses", "serving.sessions.evictions")
 
 
 def session_key(compilation: CompilationResult, client_id: str = "default") -> SessionKey:
@@ -68,24 +71,62 @@ class SessionManager:
     ``capacity`` bounds the number of concurrently cached sessions (each one
     holds key material and, for real backends, sizeable Galois keys); the
     least-recently-used session is dropped when the bound is exceeded.
+    Lookups, evictions and the cache's sizes are written to ``telemetry``
+    (the server's, or a fresh one), where :meth:`summary` reads them back.
     """
 
-    def __init__(self, backend: HomomorphicBackend, capacity: int = 32) -> None:
+    def __init__(
+        self,
+        backend: HomomorphicBackend,
+        capacity: int = 32,
+        telemetry: Optional[Telemetry] = None,
+    ) -> None:
         if capacity < 1:
             raise ValueError("session capacity must be at least 1")
         self.backend = backend
         self.capacity = capacity
-        self.stats = CacheStats()
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        for name in _COUNTERS:
+            self.telemetry.inc(name, 0.0)
+        self.telemetry.set_gauge("serving.sessions.capacity", capacity)
         self._sessions: "OrderedDict[SessionKey, Session]" = OrderedDict()
         #: Client-keyed (attached) sessions live in their own namespace so a
         #: client that registers evaluation keys for the encrypted path keeps
         #: its independent server-generated session for plaintext requests.
         self._attached: "OrderedDict[SessionKey, Session]" = OrderedDict()
         self._lock = threading.Lock()
+        self._count_sizes()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._sessions) + len(self._attached)
+
+    def _find(self, table: OrderedDict, key: SessionKey) -> Optional[Session]:
+        """The session under ``key``, refreshed and counted (lock held)."""
+        session = table.get(key)
+        if session is None:
+            self.telemetry.inc("serving.sessions.misses")
+            return None
+        table.move_to_end(key)
+        self.telemetry.inc("serving.sessions.hits")
+        session.hits += 1
+        return session
+
+    def _install(self, table: OrderedDict, session: Session) -> None:
+        """Put ``session`` into ``table``, evicting past capacity (lock held)."""
+        table[session.key] = session
+        table.move_to_end(session.key)
+        while len(table) > self.capacity:
+            table.popitem(last=False)
+            self.telemetry.inc("serving.sessions.evictions")
+        self._count_sizes()
+
+    def _count_sizes(self) -> None:
+        """Publish the cache's sizes (lock held, or during construction)."""
+        keys = list(self._sessions) + list(self._attached)
+        self.telemetry.set_gauge("serving.sessions.sessions", len(keys))
+        self.telemetry.set_gauge("serving.sessions.clients", len({key[0] for key in keys}))
+        self.telemetry.set_gauge("serving.sessions.client_keyed", len(self._attached))
 
     def get(
         self, compilation: CompilationResult, client_id: str = "default"
@@ -99,13 +140,9 @@ class SessionManager:
         """The cached session for (compilation, client), creating it on miss."""
         key = session_key(compilation, client_id)
         with self._lock:
-            session = self._sessions.get(key)
+            session = self._find(self._sessions, key)
             if session is not None:
-                self._sessions.move_to_end(key)
-                self.stats.hits += 1
-                session.hits += 1
                 return session
-            self.stats.misses += 1
         # Keygen runs outside the lock: it is the expensive part and other
         # sessions should not stall behind it.
         start = time.perf_counter()
@@ -126,10 +163,7 @@ class SessionManager:
                 self._sessions.move_to_end(key)
                 existing.hits += 1
                 return existing
-            self._sessions[key] = session
-            while len(self._sessions) > self.capacity:
-                self._sessions.popitem(last=False)
-                self.stats.evictions += 1
+            self._install(self._sessions, session)
         return session
 
     def attach(
@@ -163,11 +197,7 @@ class SessionManager:
             client_keyed=True,
         )
         with self._lock:
-            self._attached[key] = session
-            self._attached.move_to_end(key)
-            while len(self._attached) > self.capacity:
-                self._attached.popitem(last=False)
-                self.stats.evictions += 1
+            self._install(self._attached, session)
         return session
 
     def get_attached(
@@ -181,44 +211,21 @@ class SessionManager:
         """
         key = session_key(compilation, client_id)
         with self._lock:
-            session = self._attached.get(key)
-            if session is not None:
-                self._attached.move_to_end(key)
-                self.stats.hits += 1
-                session.hits += 1
-                return session
-            self.stats.misses += 1
+            session = self._find(self._attached, key)
+        if session is not None:
+            return session
         raise LookupError(
             f"client {client_id!r} has not registered evaluation keys for this "
             "program (create a session first)"
         )
 
-    def invalidate(self, client_id: str) -> int:
-        """Drop every session of ``client_id`` (e.g. on key rotation)."""
-        count = 0
-        with self._lock:
-            for store in (self._sessions, self._attached):
-                doomed = [k for k in store if k[0] == str(client_id)]
-                for key in doomed:
-                    del store[key]
-                count += len(doomed)
-        return count
-
-    def clear(self) -> None:
-        """Release every cached session."""
-        with self._lock:
-            self._sessions.clear()
-            self._attached.clear()
-
     def summary(self) -> Dict[str, object]:
-        """Session-cache counters, for stats() and telemetry absorption."""
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "sessions": len(self._sessions) + len(self._attached),
-                "clients": len(
-                    {k[0] for k in self._sessions} | {k[0] for k in self._attached}
-                ),
-                "client_keyed": len(self._attached),
-                **self.stats.summary(),
-            }
+        """Session-cache sizes and counters, read back from the telemetry registry."""
+        metrics = self.telemetry.registry
+        return {
+            "capacity": self.capacity,
+            "sessions": int(metrics.gauge_value("serving.sessions.sessions")),
+            "clients": int(metrics.gauge_value("serving.sessions.clients")),
+            "client_keyed": int(metrics.gauge_value("serving.sessions.client_keyed")),
+            **cache_view(metrics, _COUNTERS),
+        }

@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Optional
 
 from ..core.compiler import CompilationResult
 from ..core.serialization.packing import jsonable_blobs
-from ..core.serialization.records import RecordDirectory, unlink_quietly, write_record
+from ..core.serialization.records import RecordDirectory, write_record
 
 #: Format version stamped into every record.
 STORE_VERSION = 1
@@ -150,15 +150,6 @@ class SessionStore(RecordDirectory):
             }
             for path, record in self
         ]
-
-    def delete(self, client_id: str) -> int:
-        """Drop every persisted session of ``client_id`` (e.g. key rotation)."""
-        with self._lock:
-            return sum(
-                unlink_quietly(path)
-                for path, record in self
-                if record.get("client_id") == str(client_id)
-            )
 
     def summary(self) -> Dict[str, object]:
         """Cheap monitoring view: counts files without parsing key blobs.

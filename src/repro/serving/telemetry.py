@@ -1,10 +1,14 @@
 r"""Unified telemetry plane: metrics registry, latency histograms, request tracing.
 
-Every request event is counted once, here: the job engine writes its
-submissions, outcomes, batches and waits into the registry and its
-``stats()["engine"]`` is a view computed from it.  The registry, artifact,
-quota, session and store ``summary()`` dicts describe *state* rather than
-events and are folded into snapshots as gauges (:func:`absorb_summary`).
+Every serving count is written once, here, where it happens: the job engine
+writes its submissions, outcomes, throttles, batches and waits; the program
+registry, session cache and artifact tier their hits, misses, evictions and
+stores; each component sets its sizes and constants as gauges.  ``stats()``
+is a view read back from these series.  The one thing still folded in from
+outside the registry is the engine's derived view, as ``serving.engine.*``
+gauges (:func:`absorb_summary`), because ``benchmarks/e2e`` reads
+``serving.engine.batches``.
+
 Traces tell *where* a slow encrypted request spent its time as it crossed
 router → shard → fair queue → batch → backend:
 
@@ -64,9 +68,28 @@ ckks.op.count                         counter    op, program
 ckks.op.seconds                       counter    op, program
 ckks.ntt.rows                         counter    op, program
 cluster.shards.joined                 counter    —
-serving.engine.* / serving.quota.*    gauge      (absorbed summaries)
-serving.registry.* / serving.store.*  gauge      (absorbed summaries)
-serving.sessions.* / serving.artifacts.*  gauge  (absorbed summaries)
+serving.registry.hits                 counter    —
+serving.registry.misses               counter    —
+serving.registry.evictions            counter    —
+serving.registry.capacity             gauge      —
+serving.registry.entries              gauge      —
+serving.sessions.hits                 counter    —
+serving.sessions.misses               counter    —
+serving.sessions.evictions            counter    —
+serving.sessions.capacity             gauge      —
+serving.sessions.sessions             gauge      —
+serving.sessions.clients              gauge      —
+serving.sessions.client_keyed         gauge      —
+serving.artifacts.hits                counter    —
+serving.artifacts.misses              counter    —
+serving.artifacts.stores              counter    —
+serving.artifacts.records             gauge      —
+serving.store.ttl                     gauge      —
+serving.store.records                 gauge      —
+serving.quota.enabled                 gauge      —
+serving.quota.quota_rps               gauge      —
+serving.quota.max_inflight            gauge      —
+serving.engine.*                      gauge      (absorbed engine view)
 ====================================  =========  =======================
 
 The ``op`` label of the three ``ckks.*`` series is the scheme primitive that
@@ -140,14 +163,6 @@ class Histogram:
         self.count += 1
         self.sum += value
 
-    def merge_counts(self, counts: List[int], total: int, total_sum: float) -> None:
-        """Fold another histogram's buckets in (same bounds assumed)."""
-        for index, extra in enumerate(counts):
-            if index < len(self.counts):
-                self.counts[index] += int(extra)
-        self.count += int(total)
-        self.sum += float(total_sum)
-
     def percentile(self, q: float) -> float:
         """The q-th percentile (0..100) reconstructed from the buckets."""
         return percentile_from_buckets(self.bounds, self.counts, self.count, q)
@@ -164,9 +179,7 @@ class Histogram:
                 for i, c in enumerate(self.counts)
                 if c
             ],
-            "p50": round(self.percentile(50), 9),
-            "p95": round(self.percentile(95), 9),
-            "p99": round(self.percentile(99), 9),
+            **{f"p{q}": round(self.percentile(q), 9) for q in (50, 95, 99)},
         }
 
 
@@ -273,6 +286,11 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get((str(name), _label_key(labels)), 0.0)
 
+    def gauge_value(self, name: str, **labels: Any) -> float:
+        """Current value of one gauge series (0.0 when absent)."""
+        with self._lock:
+            return self._gauges.get((str(name), _label_key(labels)), 0.0)
+
     def histogram_of(self, name: str, **labels: Any) -> Optional[Histogram]:
         """The histogram object behind one series, or None."""
         with self._lock:
@@ -320,34 +338,20 @@ class MetricsRegistry:
 def absorb_summary(
     snapshot: Dict[str, Any], prefix: str, summary: Optional[Mapping[str, Any]]
 ) -> None:
-    """Fold a component's ad-hoc ``summary()`` dict into a snapshot as gauges.
+    """Fold a ``summary()`` dict into a snapshot as gauges under ``prefix``.
 
     Only numeric leaves are absorbed (one level of nested dicts is flattened
     with a dotted suffix); strings/lists are monitoring noise here and stay
-    in ``stats()``.  This is how the engine's view and the registry /
-    artifact / quota / session / store state surface under stable dotted
-    names.
+    in ``stats()``.  The engine's view is its one caller
+    (``serving.engine.*``).
     """
-    if not summary:
-        return
     gauges = snapshot.setdefault("gauges", [])
-    for key, value in summary.items():
-        if isinstance(value, bool):
-            value = int(value)
-        if isinstance(value, (int, float)):
-            gauges.append({"name": f"{prefix}.{key}", "labels": {}, "value": value})
-        elif isinstance(value, Mapping):
-            for sub_key, sub_value in value.items():
-                if isinstance(sub_value, bool):
-                    sub_value = int(sub_value)
-                if isinstance(sub_value, (int, float)):
-                    gauges.append(
-                        {
-                            "name": f"{prefix}.{key}.{sub_key}",
-                            "labels": {},
-                            "value": sub_value,
-                        }
-                    )
+    for key, value in (summary or {}).items():
+        leaves = value.items() if isinstance(value, Mapping) else [(None, value)]
+        for sub_key, leaf in leaves:
+            if isinstance(leaf, (int, float)):
+                name = f"{prefix}.{key}" if sub_key is None else f"{prefix}.{key}.{sub_key}"
+                gauges.append({"name": name, "labels": {}, "value": leaf})
 
 
 def aggregate_snapshots(
@@ -374,28 +378,18 @@ def aggregate_snapshots(
 
     for shard, snapshot in snapshots.items():
         out["dropped_series"] += int(snapshot.get("dropped_series", 0))
-        for counter in snapshot.get("counters", []):
-            labels = dict(counter.get("labels", {}))
-            out["counters"].append(
-                {
-                    "name": counter["name"],
-                    "labels": {**labels, "shard": str(shard)},
-                    "value": counter["value"],
-                }
-            )
-            key = (counter["name"], _label_key(labels))
-            agg_counters[key] = agg_counters.get(key, 0.0) + float(counter["value"])
-        for gauge in snapshot.get("gauges", []):
-            labels = dict(gauge.get("labels", {}))
-            out["gauges"].append(
-                {
-                    "name": gauge["name"],
-                    "labels": {**labels, "shard": str(shard)},
-                    "value": gauge["value"],
-                }
-            )
-            key = (gauge["name"], _label_key(labels))
-            agg_gauges[key] = agg_gauges.get(key, 0.0) + float(gauge["value"])
+        for kind, totals in (("counters", agg_counters), ("gauges", agg_gauges)):
+            for series in snapshot.get(kind, []):
+                labels = dict(series.get("labels", {}))
+                out[kind].append(
+                    {
+                        "name": series["name"],
+                        "labels": {**labels, "shard": str(shard)},
+                        "value": series["value"],
+                    }
+                )
+                key = (series["name"], _label_key(labels))
+                totals[key] = totals.get(key, 0.0) + float(series["value"])
         for hist in snapshot.get("histograms", []):
             labels = dict(hist.get("labels", {}))
             out["histograms"].append(
@@ -418,12 +412,9 @@ def aggregate_snapshots(
             merged["count"] += int(hist.get("count", 0))
             merged["sum"] += float(hist.get("sum", 0.0))
 
-    for (name, labels), value in agg_counters.items():
-        out["counters"].append(
-            {"name": name, "labels": dict(labels), "value": value}
-        )
-    for (name, labels), value in agg_gauges.items():
-        out["gauges"].append({"name": name, "labels": dict(labels), "value": value})
+    for kind, totals in (("counters", agg_counters), ("gauges", agg_gauges)):
+        for (name, labels), value in totals.items():
+            out[kind].append({"name": name, "labels": dict(labels), "value": value})
     for (name, labels), merged in agg_hists.items():
         bounds = sorted(b for b in merged["counts"] if b != float("inf"))
         counts = [merged["counts"][b] for b in bounds]
@@ -438,15 +429,10 @@ def aggregate_snapshots(
             "sum": round(merged["sum"], 9),
             "buckets": [[b, c] for b, c in zip(bounds, counts) if c]
             + ([[None, counts[-1]]] if counts[-1] else []),
-            "p50": round(
-                percentile_from_buckets(bounds_t, counts, merged["count"], 50), 9
-            ),
-            "p95": round(
-                percentile_from_buckets(bounds_t, counts, merged["count"], 95), 9
-            ),
-            "p99": round(
-                percentile_from_buckets(bounds_t, counts, merged["count"], 99), 9
-            ),
+            **{
+                f"p{q}": round(percentile_from_buckets(bounds_t, counts, merged["count"], q), 9)
+                for q in (50, 95, 99)
+            },
         }
         out["histograms"].append(entry)
     return out

@@ -177,14 +177,6 @@ class TestSessionStore:
         assert store.load("alice", compilation) is None
         assert len(store) == 0
 
-    def test_delete_client(self, tmp_path, compilation):
-        store = SessionStore(tmp_path)
-        store.save("alice", compilation, {"scheme": "mock"})
-        store.save("bob", compilation, {"scheme": "mock"})
-        assert store.delete("alice") == 1
-        assert store.load("alice", compilation) is None
-        assert store.load("bob", compilation) is not None
-
     def test_shared_directory_between_stores(self, tmp_path, compilation):
         """Two store objects (= two shard processes) see each other's writes."""
         writer = SessionStore(tmp_path)

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import ClientKit, CompiledProgram
 from repro.backend import MockBackend
 from repro.core import compile_program
 from repro.core.executor import Executor
@@ -117,7 +118,6 @@ class TestQuotaLedger:
         assert info.value.retry_after > 0.0
         # A different client has its own bucket.
         ledger.admit("bob")
-        assert ledger.throttled == 1
 
     def test_inflight_cap_and_release(self):
         ledger = QuotaLedger(FairnessPolicy(max_inflight=2))
@@ -128,9 +128,7 @@ class TestQuotaLedger:
             ledger.admit("alice")
         ledger.release("alice")
         ledger.admit("alice")  # a freed slot admits again
-        summary = ledger.summary()
-        assert summary["throttled"] == 1
-        assert summary["clients_inflight"] == {"alice": 2}
+        assert ledger.summary()["clients_inflight"] == {"alice": 2}
 
 
 class TestFairDequeue:
@@ -313,6 +311,40 @@ class TestServerQuotas:
             tcp.shutdown()
             server.close()
 
+    @pytest.mark.parametrize("transport", ["in-process", "wire"])
+    def test_a_refused_session_is_a_throttled_request(self, transport):
+        """create_session passes the same admission as submit, so its refusal
+        counts in ``serving.requests.throttled`` and in both stats views."""
+        compiled = CompiledProgram.compile(make_poly_program().graph)
+        kit = ClientKit(compiled, backend=MockBackend(error_model="none"), client_id="alice")
+        server = EvaServer(
+            backend=MockBackend(error_model="none"),
+            fairness=FairnessPolicy(quota_rps=0.001, burst=1),
+        )
+        server.register("poly", compiled)
+        tcp = EvaTcpServer(server, port=0) if transport == "wire" else None
+        try:
+            if tcp is None:
+                server.create_session("poly", "alice", kit.evaluation_context())
+                with pytest.raises(QuotaExceededError):
+                    server.create_session("poly", "alice", kit.evaluation_context())
+                stats, snapshot = server.stats(), server.metrics_snapshot()
+            else:
+                tcp.start_background()
+                with ServingClient(*tcp.address) as client:
+                    client.create_session("poly", kit)
+                    with pytest.raises(QuotaExceededError):
+                        client.create_session("poly", kit)
+                    stats, snapshot = client.stats(), client.metrics()["metrics"]
+        finally:
+            if tcp is not None:
+                tcp.shutdown()
+            server.close()
+        assert stats["quota"]["throttled"] == stats["engine"]["throttled"] == 1
+        throttled = [c for c in snapshot["counters"] if c["name"] == "serving.requests.throttled"]
+        assert sum(c["value"] for c in throttled) == 1
+        assert {"client": "alice"} in [c["labels"] for c in throttled if c["value"]]
+
 
 class TestArtifactCache:
     @pytest.fixture
@@ -362,14 +394,11 @@ class TestArtifactCache:
         first = ProgramRegistry(artifacts=ArtifactCache(tmp_path))
         compiled = first.get_or_compile(graph)
         # A second registry (= another shard process) loads, not compiles.
-        second_cache = ArtifactCache(tmp_path)
-        second = ProgramRegistry(artifacts=second_cache)
+        second = ProgramRegistry(artifacts=ArtifactCache(tmp_path))
         loaded = second.get_or_compile(graph)
-        assert second_cache.hits == 1
-        assert second_cache.stores == 0
         assert loaded.parameters == compiled.parameters
-        summary = second.summary()
-        assert summary["artifacts"]["hits"] == 1
+        artifacts = second.summary()["artifacts"]
+        assert (artifacts["hits"], artifacts["stores"]) == (1, 0)
 
     def test_concurrent_compile_race_converges(self, tmp_path, graph):
         """Two shards compiling the same signature concurrently: atomic
@@ -485,10 +514,10 @@ class TestLaneVariantOnDemand:
 
     def test_a_sibling_server_loads_the_variant_instead_of_compiling(self, tmp_path):
         self._serve_pair(ArtifactCache(tmp_path))
-        sibling = ArtifactCache(tmp_path)
-        responses, _stats = self._serve_pair(sibling)
+        responses, stats = self._serve_pair(ArtifactCache(tmp_path))
         assert [response.lane_width for response in responses] == [8, 8]
-        assert sibling.hits == 2 and sibling.stores == 0
+        artifacts = stats["registry"]["artifacts"]
+        assert (artifacts["hits"], artifacts["stores"]) == (2, 0)
 
 
 class TestSessionStoreGC:

@@ -186,7 +186,7 @@ class TestCompiledRecord:
         assert loaded.signature == compiled.signature
         cache = ArtifactCache(tmp_path / "artifacts")
         published = cache.save(loaded)
-        assert published.exists() and cache.stores == 1
+        assert published.exists() and len(cache) == 1
         assert cache.load(compiled.signature).parameters == compiled.parameters
         kit = ClientKit(loaded, backend=MockBackend(error_model="none"), client_id="alice")
         with exact_server() as server:

@@ -83,23 +83,6 @@ class TestHistogram:
     def test_empty_histogram_percentile_is_zero(self):
         assert Histogram().percentile(95) == 0.0
 
-    def test_merge_counts_equals_union(self):
-        rng = np.random.default_rng(3)
-        a_samples = rng.uniform(0.0005, 0.05, size=200)
-        b_samples = rng.uniform(0.001, 0.4, size=300)
-        a, b, union = Histogram(), Histogram(), Histogram()
-        for value in a_samples:
-            a.observe(value)
-            union.observe(value)
-        for value in b_samples:
-            b.observe(value)
-            union.observe(value)
-        a.merge_counts(b.counts, b.count, b.sum)
-        assert a.counts == union.counts
-        assert a.count == union.count
-        assert a.sum == pytest.approx(union.sum)
-        assert a.percentile(95) == pytest.approx(union.percentile(95))
-
     def test_snapshot_contains_only_nonempty_buckets(self):
         hist = Histogram(bounds=(1.0, 2.0, 4.0))
         hist.observe(1.5)
@@ -572,6 +555,134 @@ class TestEngineAccounting:
         assert telemetry.registry.counter_value(
             "serving.requests.throttled", client="alice"
         ) == 1
+
+
+#: Where each section of ``EvaServer.stats()`` lives in the snapshot.
+STATS_PREFIXES = {
+    "registry": "serving.registry",
+    "sessions": "serving.sessions",
+    "session_store": "serving.store",
+    "engine": "serving.engine",
+    "quota": "serving.quota",
+}
+#: Stats names whose series is named otherwise, and derived stats with none.
+STATS_RENAMED = {
+    "serving.registry.artifacts": "serving.artifacts",
+    "serving.quota.throttled": "serving.requests.throttled",
+}
+STATS_DERIVED = {"serving.registry.hit_rate", "serving.sessions.hit_rate"}
+
+
+def stats_numbers(stats):
+    """Every number of ``stats()`` under the series name it is a view of."""
+    numbers = {}
+
+    def walk(name, value):
+        name = STATS_RENAMED.get(name, name)
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(f"{name}.{key}", item)
+        elif isinstance(value, (int, float)) and name not in STATS_DERIVED:
+            numbers[name] = float(value)
+
+    for section, prefix in STATS_PREFIXES.items():
+        # Per-client in-flight counts are keyed by client-chosen ids.
+        walk(prefix, {k: v for k, v in stats[section].items() if k != "clients_inflight"})
+    return numbers
+
+
+class TestOneSource:
+    def test_stats_and_metrics_read_the_same_series(self, tmp_path):
+        """Every count and size of ``stats()`` is the ``metrics`` series of its
+        name, each name has one kind, and the exposition one ``# TYPE`` each."""
+        from repro.api import ClientKit, CompiledProgram
+        from repro.serving import ArtifactCache, ProgramRegistry, SessionStore
+
+        server = EvaServer(
+            backend=MockBackend(error_model="none"),
+            workers=1,
+            artifact_cache=ArtifactCache(tmp_path / "artifacts"),
+            session_store=SessionStore(tmp_path / "sessions", ttl=60),
+            fairness=FairnessPolicy(quota_rps=0.001, burst=5),
+        )
+        # One entry, so a second program evicts the first.
+        server.registry = ProgramRegistry(
+            capacity=1, artifacts=server.artifact_cache, telemetry=server.telemetry
+        )
+        kit = ClientKit(
+            CompiledProgram.compile(make_poly_program("a").graph),
+            backend=MockBackend(error_model="none"),
+            client_id="carol",
+        )
+        try:
+            server.register("a", make_poly_program("a"))
+            server.register("b", make_poly_program("b", vec_size=32))
+            for name in ("a", "b", "a", "a", "a"):
+                server.request(name, {"x": [1.0]}, client_id="alice")
+            server.create_session("a", "carol", kit.evaluation_context())
+            with pytest.raises(QuotaExceededError):
+                server.request("a", {"x": [1.0]}, client_id="alice")
+            with pytest.raises(QuotaExceededError):
+                server.create_session("a", "alice", kit.evaluation_context())
+            stats = server.stats()
+            snapshot = server.metrics_snapshot()
+        finally:
+            server.close()
+
+        kinds, series = {}, {}
+        for kind in ("counters", "gauges", "histograms"):
+            for entry in snapshot[kind]:
+                kinds.setdefault(entry["name"], set()).add(kind)
+                if kind != "histograms":
+                    series[entry["name"]] = series.get(entry["name"], 0.0) + entry["value"]
+        numbers = stats_numbers(stats)
+        assert {name: series.get(name) for name in numbers} == numbers
+        assert {name: kind for name, kind in kinds.items() if len(kind) > 1} == {}
+        type_lines = [line for line in render_prometheus(snapshot).splitlines() if line.startswith("# TYPE ")]
+        assert len(type_lines) == len(set(type_lines)) == len(kinds)
+
+        # The run covered every event the views count.
+        registry, sessions = stats["registry"], stats["sessions"]
+        assert registry["hits"] and registry["misses"] and registry["evictions"]
+        assert all(registry["artifacts"][key] for key in ("hits", "misses", "stores"))
+        assert sessions["hits"] and sessions["misses"] and sessions["client_keyed"] == 1
+        assert stats["quota"]["throttled"] == stats["engine"]["throttled"] == 2
+        assert stats["session_store"]["records"] == 1
+        for name in ("serving.registry.artifacts.hits", "serving.quota.throttled"):
+            assert name not in kinds
+
+    def test_concurrent_lookups_lose_no_count(self):
+        """Counts and size gauges written from many threads stay exact."""
+        import sys
+
+        from repro.core import compile_program
+        from repro.serving import SessionManager
+
+        compilation = compile_program(make_poly_program().graph)
+        sessions = SessionManager(MockBackend(error_model="none"), capacity=4)
+        workers, lookups = 8, 100
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda i=i: [
+                        sessions.get_session(compilation, f"client{(i + n) % 6}")
+                        for n in range(lookups)
+                    ]
+                )
+                for i in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        summary = sessions.summary()
+        assert summary["hits"] + summary["misses"] == workers * lookups
+        assert summary["sessions"] == summary["clients"] == len(sessions) == 4
 
 
 class TestServerTelemetryEndToEnd:
