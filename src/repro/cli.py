@@ -282,11 +282,8 @@ def _cluster(args, recipe, config):
         health_interval=args.health_interval or None,
     )
     if config is not None:
-        # [cluster] table entries override the flag-derived kwargs; [[remote]]
-        # endpoints attach at start.
-        kwargs.update(config["cluster"])
-        if config["remote"]:
-            kwargs["remote_shards"] = config["remote"]
+        # [cluster] table entries override the flag-derived kwargs.
+        kwargs.update(config)
     try:
         return EvaCluster(**kwargs)
     except TypeError as error:
@@ -377,8 +374,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
 _CLUSTER_FIELDS = {
     "client_id": ("client", "--client"),
     "shard": ("shard", "--shard"),
-    "host": ("join_host", "--join-host"),
-    "port": ("join_port", "--join-port"),
     "trace_id": ("trace_id", "a trace id argument"),
     "limit": ("limit", "--limit"),
 }
@@ -550,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="TOML cluster config: a [cluster] table of cluster and shard "
-        "settings (overrides the flags) and [[remote]] shard endpoints to attach "
-        "at start; implies cluster mode even with --shards 1",
+        "settings (overrides the flags); implies cluster mode even with "
+        "--shards 1",
     )
     add_compile_options(serve)
     serve.set_defaults(func=cmd_serve)
@@ -619,10 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
         "action",
         choices=[op for op, row in OPS.items() if not row.forwarded],
         help="the op to send (docs/wire-protocol.md lists what each takes and "
-        "answers): drain/rejoin take --shard, join takes --join-host/--join-port, "
-        "trace takes a trace id, route takes --client, slow takes --limit, "
-        "metrics takes --prometheus; route, drain, rejoin and join are answered "
-        "by cluster routers only",
+        "answers): drain/rejoin take --shard, trace takes a trace id, route "
+        "takes --client, slow takes --limit, metrics takes --prometheus; route, "
+        "drain and rejoin are answered by cluster routers only",
     )
     cluster.add_argument(
         "trace_id",
@@ -632,17 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_connection_options(cluster)
     cluster.add_argument("--shard", type=int, default=None, help="shard index for drain/rejoin")
-    cluster.add_argument(
-        "--join-host",
-        default=None,
-        help="host of a running shard server to attach with the join action",
-    )
-    cluster.add_argument(
-        "--join-port",
-        type=int,
-        default=None,
-        help="port of the shard server to attach with the join action",
-    )
     cluster.add_argument("--client", default="default", help="client id for route")
     cluster.add_argument(
         "--prometheus",

@@ -138,8 +138,6 @@ FIELDS: Dict[str, Field] = {
     "limit": Field("a non-negative integer", _typed(numbers.Integral, lambda n: n >= 0, int)),
     "deadline_ms": Field("a positive number", _typed(numbers.Real, lambda ms: ms > 0, float)),
     "slo_class": Field(f"one of {SLO_CLASSES}", _typed(str, SLO_CLASSES.__contains__)),
-    "host": Field("a non-empty string", _typed(str, len)),
-    "port": Field("a TCP port (1-65535)", _typed(numbers.Integral, lambda n: 0 < n < 65536, int)),
 }
 
 #: Fields every op may carry: whose request it is, and the trace it belongs to.
@@ -174,9 +172,8 @@ class Op:
 
 
 #: The request ops.  ``route`` (which shard a client consistent-hashes to),
-#: ``drain`` (take a shard out of the ring without stopping it), ``rejoin``
-#: (return a shard to the ring, respawning it if dead) and ``join`` (attach an
-#: already-running remote shard endpoint by ``host``/``port``) are cluster
+#: ``drain`` (take a shard out of the ring without stopping it) and ``rejoin``
+#: (return a shard to the ring, respawning it if dead) are cluster
 #: operations.  The telemetry ops — ``metrics`` (registry snapshot; ``format:
 #: "prometheus"`` adds the text exposition under ``"prometheus"``), ``trace``
 #: (the recorded spans of one trace id) and ``slow`` (recent slow requests,
@@ -200,7 +197,6 @@ OPS: Dict[str, Op] = {
         Op("health"),
         Op("drain", ("shard",), cluster_only=True),
         Op("rejoin", ("shard",), cluster_only=True),
-        Op("join", ("host", "port"), cluster_only=True),
         Op("metrics", optional=("format",)),
         Op("trace", ("trace_id",)),
         Op("slow", optional=("limit",)),

@@ -1,9 +1,9 @@
 """EVA program serialization in the Protocol Buffers schema of Figure 1.
 
 The message layout follows the paper's ``EVA.proto`` definition exactly
-(field numbers included); two backward-compatible extension fields are added
-so that round-tripping through the binary format is lossless for this
-implementation:
+(field numbers included); backward-compatible extension fields are added so
+that round-tripping through the binary format is lossless for this
+implementation (a reader that does not know one skips it):
 
 * ``Input.name = 15`` and ``Output.name = 15`` carry the symbolic names the
   Python frontend uses (the original schema identifies inputs and outputs
@@ -11,6 +11,12 @@ implementation:
 * ``Constant.lane_mask = 15`` marks the 0/1 selector constants inserted by
   the lane-lowering pass (compiler plumbing the slot batcher must ignore
   when deriving the program's output period).
+* ``Instruction.kernel = 15`` carries the label of the tensor kernel an
+  instruction belongs to (CHET's per-kernel rescaling and the ``kernel``
+  schedule read it, so it changes what a program compiles to).
+
+A constant's value type is its ``ObjectType``: a one-element vector constant
+stays a vector.
 
 Rotation step counts and rescale divisors are represented as scalar-constant
 arguments of their instructions, matching the instruction signatures of
@@ -127,17 +133,20 @@ class InstructionMessage:
     output_id: int
     op_code: Op
     arg_ids: List[int] = field(default_factory=list)
+    kernel: str = ""
 
     def to_bytes(self) -> bytes:
         payload = wire.encode_bytes_field(1, wire.encode_varint_field(1, self.output_id))
         payload += wire.encode_varint_field(2, int(self.op_code))
         for arg in self.arg_ids:
             payload += wire.encode_bytes_field(3, wire.encode_varint_field(1, arg))
+        if self.kernel:
+            payload += wire.encode_string_field(15, self.kernel)
         return payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "InstructionMessage":
-        output_id, op_code, args = 0, Op.UNDEFINED, []
+        output_id, op_code, args, kernel = 0, Op.UNDEFINED, [], ""
         for number, _, raw in wire.iter_fields(data):
             if number == 1:
                 output_id = _decode_object(raw)
@@ -145,7 +154,9 @@ class InstructionMessage:
                 op_code = Op(int(raw))
             elif number == 3:
                 args.append(_decode_object(raw))
-        return cls(output_id, op_code, args)
+            elif number == 15:
+                kernel = bytes(raw).decode("utf-8")
+        return cls(output_id, op_code, args, kernel)
 
 
 @dataclass
@@ -260,7 +271,9 @@ def program_to_message(program: Program) -> ProgramMessage:
         immediate = immediate_of(term.op)
         if immediate:
             arg_ids.append(scalar_constant(getattr(term, immediate)))
-        message.instructions.append(InstructionMessage(ids[term.id], term.op, arg_ids))
+        message.instructions.append(
+            InstructionMessage(ids[term.id], term.op, arg_ids, kernel=term.kernel or "")
+        )
 
     for name, term in program.outputs.items():
         message.outputs.append(
@@ -283,7 +296,7 @@ def message_to_program(message: ProgramMessage, name: str = "program") -> Progra
         terms[inp.obj_id] = term
     for constant in message.constants:
         value_type = value_type_for(constant.type)
-        if value_type is ValueType.SCALAR or len(constant.elements) == 1:
+        if value_type is ValueType.SCALAR:
             value = float(constant.elements[0]) if constant.elements else 0.0
             scalar_values[constant.obj_id] = value
             term = program.constant(value, scale=constant.scale, value_type=ValueType.SCALAR)
@@ -311,6 +324,8 @@ def message_to_program(message: ProgramMessage, name: str = "program") -> Progra
                     f"{inst.op_code.name} refers to a non-scalar constant argument"
                 )
             arg_ids, attributes = arg_ids[:-1], {immediate: IMMEDIATES[immediate](scalar)}
+        if inst.kernel:
+            attributes["kernel"] = inst.kernel
         args = [_lookup(terms, i) for i in arg_ids]
         terms[inst.output_id] = program.make_term(inst.op_code, args, **attributes)
 

@@ -19,9 +19,8 @@ Turns the one-shot compiler + executor into a serving stack:
   :class:`~repro.errors.QuotaExceededError`), enforced at the cluster router
   and at each shard's job engine, which dequeues by fair queueing
   instead of global FIFO.
-* :class:`EvaCluster` / :class:`ClusterTcpServer` — multi-node sharding:
-  local shard processes plus remote shard servers attached from a cluster
-  config or live via the ``join`` wire op, consistent-hash client routing,
+* :class:`EvaCluster` / :class:`ClusterTcpServer` — multi-process sharding:
+  shard processes spawned from one recipe, consistent-hash client routing,
   transparent failover, health checks, and shard ``drain`` / ``rejoin``
   (``repro.cli serve --shards N --cluster-config cluster.toml``; admin via
   ``repro.cli cluster``).  Every serving process — ``serve``, a shard — is

@@ -35,18 +35,14 @@ Shard processes are started with the ``spawn`` method (safe to use from
 threaded parents) and are daemons of the front-door process; killing the
 front door kills the fleet.
 
-Shards need not be local: :meth:`EvaCluster.attach_shard` adds a **remote**
-``host:port`` endpoint (a running :class:`~repro.serving.netserver.EvaTcpServer`
-anywhere on the network) to the same ring — exposed on the wire as the
-``join`` op and loadable from a cluster config file
-(:func:`load_cluster_config`).  Remote shards get the same health probes,
-drain/rejoin lifecycle, and binary-frame forwarding as local ones; they are
-simply never spawned, killed, or respawned by this process.
+Every shard is a process this cluster spawned from its one recipe and its
+registered program set, so every shard serves the same compilations; there is
+no way to put an endpoint it did not start on the ring.
 
-Membership changes only by command or by failure: :meth:`EvaCluster.start`,
-the health loop and request-time failover remove dead shards, and the
-operator ops ``drain`` / ``rejoin`` / ``join`` park, restore and attach them.
-The cluster never grows or shrinks on its own.
+Membership changes only by command or by failure: :meth:`EvaCluster.start`
+brings the shards up, the health loop and request-time failover remove dead
+ones, and the operator ops ``drain`` / ``rejoin`` park and restore them
+(respawning a dead one).  The cluster never grows or shrinks on its own.
 
 Two decisions are data, each in one place: *how a serving process is
 configured* is a :class:`ShardConfig` (the recipe ``serve``, a shard and a
@@ -304,75 +300,48 @@ def _shard_main(
 
 @dataclass
 class ShardHandle:
-    """A running shard as seen from the front door.
-
-    Two modes share one handle type.  A **local** shard wraps the process
-    this cluster spawned; a **remote** shard (``process is None``) is a
-    ``host:port`` endpoint attached with :meth:`EvaCluster.attach_shard` —
-    its liveness is whatever the last TCP probe said (``last_probe_ok``),
-    since there is no process object to ask.
-    """
+    """A running shard as seen from the front door: the process this cluster
+    spawned and the address it bound."""
 
     index: int
     process: Any
     host: str
     port: int
-    #: Result of the most recent TCP probe; the liveness signal of remote
-    #: shards (local ones ask their process instead).  Starts True so a
-    #: freshly attached shard is live until a probe says otherwise.
-    last_probe_ok: bool = True
 
     @property
-    def remote(self) -> bool:
-        """True for an attached host:port endpoint with no local process."""
-        return self.process is None
-
-    @property
-    def mode(self) -> str:
-        """``local`` (spawned child process) or ``remote`` (attached endpoint)."""
-        return "remote" if self.remote else "local"
-
-    @property
-    def pid(self) -> Optional[int]:
-        """The local shard process pid (None for remote shards)."""
-        return None if self.process is None else self.process.pid
+    def pid(self) -> int:
+        """The shard process pid."""
+        return self.process.pid
 
     def alive(self) -> bool:
-        """Whether the shard looked alive at the last probe (remote) or is
-        running (local)."""
-        return self.last_probe_ok if self.remote else self.process.is_alive()
+        """Whether the shard process is running."""
+        return self.process.is_alive()
 
     def info(self) -> Dict[str, Any]:
-        """Wire-friendly shard descriptor (index, mode, address, liveness)."""
+        """Wire-friendly shard descriptor (index, address, liveness)."""
         return {
             "index": self.index,
             "pid": self.pid,
             "host": self.host,
             "port": self.port,
             "alive": self.alive(),
-            "mode": self.mode,
         }
 
 
 # -- cluster config files ----------------------------------------------------------
 def load_cluster_config(path: Any) -> Dict[str, Any]:
-    """Parse a cluster TOML config into constructor-ready pieces.
+    """Parse a cluster TOML config into :class:`EvaCluster` keywords.
 
-    The file has up to two sections::
+    The file has one section::
 
         [cluster]            # EvaCluster arguments and ShardConfig fields
         shards = 2
         batch_window = 0.01
 
-        [[remote]]           # remote shards to attach after start
-        host = "10.0.0.5"
-        port = 7001
-
-    Returns ``{"cluster": {...}, "remote": [(host, port), ...]}``.  Any other
-    table, a key a ``[[remote]]`` entry does not read, or a mistyped host or
-    port raises :class:`~repro.errors.ServingError` naming it, so a misspelt
-    section never silently starts a default cluster.  Parsed by
-    :mod:`repro.tomlcompat` (``tomllib`` on 3.11+, a subset parser before).
+    Returns the ``[cluster]`` table.  Any other table raises
+    :class:`~repro.errors.ServingError` naming it, so a misspelt section never
+    silently starts a default cluster.  Parsed by :mod:`repro.tomlcompat`
+    (``tomllib`` on 3.11+, a subset parser before).
     """
     with open(path, "rb") as fh:
         raw = fh.read().decode("utf-8")
@@ -380,30 +349,16 @@ def load_cluster_config(path: Any) -> Dict[str, Any]:
         data = tomlcompat.loads(raw)
     except ValueError as error:
         raise ServingError(f"{path}: malformed cluster config: {error}") from None
-    unknown = sorted(set(data) - {"cluster", "remote"})
+    unknown = sorted(set(data) - {"cluster"})
     if unknown:
         raise ServingError(
             f"{path}: unknown table or key {unknown[0]!r} (a cluster config "
-            "has only [cluster] and [[remote]])"
+            "has only [cluster])"
         )
-    cluster, entries = data.get("cluster", {}), data.get("remote", [])
+    cluster = data.get("cluster", {})
     if not isinstance(cluster, dict):
         raise ServingError(f"{path}: 'cluster' must be a [cluster] table")
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ServingError(f"{path}: 'remote' must be an array of [[remote]] tables")
-    remotes: List[Tuple[str, int]] = []
-    for entry in entries:
-        extra = sorted(set(entry) - {"host", "port"})
-        if extra:
-            raise ServingError(f"{path}: unknown key {extra[0]!r} in [[remote]]")
-        host, port = entry.get("host"), entry.get("port")
-        if not isinstance(host, str) or type(port) is not int or not 0 < port < 65536:
-            raise ServingError(
-                f"{path}: each [[remote]] entry needs a string 'host' and an "
-                f"integer 'port' in 1-65535 (got {host!r}, {port!r})"
-            )
-        remotes.append((host, port))
-    return {"cluster": dict(cluster), "remote": remotes}
+    return dict(cluster)
 
 
 def _close_quietly(client: Any) -> None:
@@ -439,10 +394,9 @@ class EvaCluster(ClientApi):
         request_timeout: Optional[float] = 60.0,
         retries: int = 3,
         health_interval: Optional[float] = None,
-        remote_shards: Optional[List[Tuple[str, int]]] = None,
         **recipe: Any,
     ) -> None:
-        if shards < 1 and not remote_shards:
+        if shards < 1:
             raise ServingError("a cluster needs at least one shard")
         if health_interval is not None and health_interval <= 0:
             raise ServingError("health_interval must be positive (or None)")
@@ -472,18 +426,9 @@ class EvaCluster(ClientApi):
         #: fresh TCP connect per probe.  Same shape as a thread's request
         #: cache, ``index -> (generation, connection)``.
         self._probe_clients: Dict[int, Tuple[int, Any]] = {}
-        #: Serializes everything that grows membership (rejoin, attach):
-        #: concurrent rejoins of one index (an operator retry racing the
-        #: first) must not both respawn the process, nor two joins share an
-        #: index.
+        #: Serializes rejoins: concurrent rejoins of one index (an operator
+        #: retry racing the first) must not both respawn the process.
         self._rejoin_lock = threading.Lock()
-        #: Remote ``(host, port)`` endpoints attached right after start().
-        self._remote_endpoints = [
-            (str(host), int(port)) for host, port in remote_shards or []
-        ]
-        #: The cluster's own telemetry plane (join events), aggregated into
-        #: the fleet metrics snapshot next to the shards'.
-        self.telemetry = Telemetry(shard="cluster")
         self._stop = threading.Event()
         self._health_thread: Optional[threading.Thread] = None
         self._started = False
@@ -573,12 +518,6 @@ class EvaCluster(ClientApi):
         for handle in self._spawn_shards(range(self.shards)):
             self._transition(handle.index, JOIN, handle=handle)
         self._started = True
-        try:
-            for host, port in self._remote_endpoints:
-                self.attach_shard(host, port)
-        except BaseException:
-            self.close()
-            raise
         if self.health_interval is not None:
             self._health_thread = threading.Thread(
                 target=self._health_loop, name="eva-cluster-health", daemon=True
@@ -608,15 +547,11 @@ class EvaCluster(ClientApi):
             self._probe_clients.clear()
         for client in clients:
             _close_quietly(client)
-        # Remote shards are attached, not owned: closing the front door
-        # leaves their processes running wherever they live.
-        owned = [
-            handle.process for handle in self._handles.values() if not handle.remote
-        ]
-        for process in owned:
+        processes = [handle.process for handle in self._handles.values()]
+        for process in processes:
             if process.is_alive():
                 process.terminate()
-        for process in owned:
+        for process in processes:
             process.join(timeout=10)
 
     def __enter__(self) -> "EvaCluster":
@@ -660,11 +595,6 @@ class EvaCluster(ClientApi):
         handle = self._handles.get(index)
         if handle is None:
             raise ServingError(f"no shard {index}")
-        if handle.remote:
-            raise ServingError(
-                f"shard {index} is a remote endpoint ({handle.host}:{handle.port}); "
-                "the router has no process to kill — drain it instead"
-            )
         handle.process.kill()
         handle.process.join(timeout=10)
         self.mark_dead(index)
@@ -677,8 +607,7 @@ class EvaCluster(ClientApi):
         fresh TCP connect.  A failure on a connection that was already cached
         retries once on a fresh one before declaring the shard down, so a
         stale socket (e.g. the shard restarted out-of-band) is not mistaken
-        for a dead shard.  The result also lands on ``handle.last_probe_ok`` —
-        the liveness signal of remote shards.
+        for a dead shard.
         """
         index, ok = handle.index, False
         for _attempt in range(2 if index in self._probe_clients else 1):
@@ -690,7 +619,6 @@ class EvaCluster(ClientApi):
             if ok:
                 break
             self._drop_connection(self._probe_clients, index)
-        handle.last_probe_ok = ok
         return ok
 
     def _observe(self, index: int, probe: bool) -> Tuple[ShardHandle, int, bool, bool]:
@@ -703,13 +631,8 @@ class EvaCluster(ClientApi):
         with self._lock:
             handle = self._handles[index]
             generation = self.members.generation.get(index, 0)
-        if handle.remote:
-            # No process to ask: the probe IS the liveness signal (and
-            # without probing, the last probe's verdict stands).
-            alive = responsive = self._ping_shard(handle) if probe else handle.alive()
-        else:
-            alive = handle.alive()
-            responsive = alive and (self._ping_shard(handle) if probe else True)
+        alive = handle.alive()
+        responsive = alive and (self._ping_shard(handle) if probe else True)
         return handle, generation, alive, responsive
 
     def check_health(self, probe: bool = True) -> List[Dict[str, Any]]:
@@ -736,7 +659,6 @@ class EvaCluster(ClientApi):
             report.append(
                 {
                     "index": index,
-                    "mode": handle.mode,
                     "pid": handle.pid,
                     "port": handle.port,
                     "alive": alive,
@@ -777,18 +699,9 @@ class EvaCluster(ClientApi):
             handle = self._handles.get(index)
             if handle is None:
                 raise ServingError(f"no shard {index}")
-            respawned = False
-            if handle.remote:
-                # There is no process to respawn: the endpoint must answer a
-                # probe before it may return to the ring.
-                if not self._ping_shard(handle):
-                    raise ServingError(
-                        f"remote shard {index} at {handle.host}:{handle.port} "
-                        "is not responding; rejoin it once it is back up"
-                    )
-            elif not handle.alive():
+            respawned = not handle.alive()
+            if respawned:
                 (handle,) = self._spawn_shards([index])
-                respawned = True
             # A respawn bumps the generation: connections cached against the
             # dead process are dropped lazily, by every thread.
             event = REJOIN_RESPAWNED if respawned else REJOIN
@@ -799,59 +712,7 @@ class EvaCluster(ClientApi):
             "respawned": respawned,
             "pid": handle.pid,
             "port": handle.port,
-            "mode": handle.mode,
         }
-
-    def attach_shard(self, host: str, port: int) -> Dict[str, Any]:
-        """Attach a running remote shard at ``host:port`` to the ring.
-
-        The endpoint (any :class:`~repro.serving.netserver.EvaTcpServer`,
-        typically ``repro.cli serve`` on another host) must answer a probe
-        and serve every program registered with this cluster.  Attaching a
-        ``host:port`` that is already known simply returns that shard to the
-        ring (the live counterpart of :meth:`rejoin_shard` for endpoints the
-        router cannot respawn).  Exposed on the wire as the ``join`` op.
-        """
-        if not self._started:
-            raise ServingError("the cluster has not been started")
-        host, port = str(host), int(port)
-        from .netserver import ServingClient
-
-        try:
-            with ServingClient(
-                host, port, timeout=self.request_timeout, wire="json"
-            ) as probe:
-                if not probe.ping():
-                    raise TransportError("endpoint did not answer the ping")
-                remote_programs = set(probe.programs())
-        except Exception as exc:
-            raise ServingError(f"cannot attach shard at {host}:{port}: {exc}") from exc
-        registered = {name for name, _data, _options in self._programs}
-        missing = sorted(registered - remote_programs)
-        if missing:
-            raise ServingError(
-                f"remote shard at {host}:{port} does not serve the cluster's "
-                f"registered programs (missing {missing}); start it with the "
-                "same program set"
-            )
-        with self._rejoin_lock:
-            endpoints = {
-                (h.host, h.port): h.index for h in self._handles.values() if h.remote
-            }
-            index = endpoints.get((host, port), self._next_index())
-            # A fresh handle either way: it just answered, so it starts live.
-            self._transition(index, JOIN, handle=ShardHandle(index, None, host, port))
-        self.telemetry.inc("cluster.shards.joined")
-        return {
-            "shard": index,
-            "status": "joined",
-            "mode": "remote",
-            "host": host,
-            "port": port,
-        }
-
-    def _next_index(self) -> int:
-        return max(self._handles, default=self.shards - 1) + 1
 
     # -- request plumbing ---------------------------------------------------------
     def _connection(
@@ -907,14 +768,10 @@ class EvaCluster(ClientApi):
 
         A dead process is removed from the ring so its clients reroute; a
         live process (transient connection failure) stays — the retry loop
-        reconnects to it.  A remote shard has no process to ask; one failed
-        probe after a transport error is the eviction signal.
+        reconnects to it.
         """
         self._drop_connection(self._thread_clients(), index)
-        handle = self._handles.get(index)
-        if handle is None:
-            return
-        _handle, generation, alive, _ok = self._observe(index, probe=handle.remote)
+        _handle, generation, alive, _ok = self._observe(index, probe=False)
         event = TRANSPORT_FAILURE if alive else PROCESS_DIED
         self._transition(index, event, generation)
 
@@ -983,15 +840,14 @@ class EvaCluster(ClientApi):
 
         Every series appears per-shard (labeled ``shard=<i>``) and summed
         into an unlabeled aggregate, with histogram percentiles recomputed
-        from the merged buckets.  The cluster's own control-plane registry
-        (``cluster.shards.joined``) rides along under
-        ``shard=cluster``, and each of ``planes`` under its own label.
+        from the merged buckets; each of ``planes`` rides along under its own
+        label.
         """
         snapshots = {
             str(index): reply["metrics"]
             for index, reply in self._each_live(lambda client: client.metrics())
         }
-        for plane in (self.telemetry, *planes):
+        for plane in planes:
             snapshots[str(plane.shard)] = plane.registry.snapshot()
         return aggregate_snapshots(snapshots)
 

@@ -94,11 +94,9 @@ class ConsistentHashRing:
 #: no state (``None``).
 STATES = (LIVE, DRAINED, DEAD) = ("live", "drained", "dead")
 
-#: Events.  ``join``: a shard came up (start, respawn) or an endpoint was
-#: attached.  ``probe_ok`` / ``probe_failed``: the answer of a health ping to a
-#: shard whose process is up.  ``process_died``: the process is gone — for a
-#: remote endpoint, which has no process to ask, a failed probe *is* this event.
-#: ``transport_failure``: a request lost its connection to a shard that turned
+#: Events.  ``join``: a shard process came up at start.  ``probe_ok`` /
+#: ``probe_failed``: the answer of a health ping to a shard whose process is
+#: up.  ``process_died``: the process is gone.  ``transport_failure``: a request lost its connection to a shard that turned
 #: out to be alive (the retry reconnects).  ``drain`` / ``rejoin``: the admin
 #: ops; ``rejoin_respawned`` is a rejoin that had to start a new process, and
 #: the only event that bumps the shard's generation.

@@ -586,10 +586,6 @@ _ANSWERS: Dict[str, Tuple[Optional[_Answer], Optional[_Answer]]] = {
     ),
     "drain": (None, lambda conn, request, framing: conn.cluster.drain_shard(request["shard"])),
     "rejoin": (None, lambda conn, request, framing: conn.cluster.rejoin_shard(request["shard"])),
-    "join": (
-        None,
-        lambda conn, request, framing: conn.cluster.attach_shard(request["host"], request["port"]),
-    ),
 }
 _ShardConnection.answers = {op: shard for op, (shard, _) in _ANSWERS.items() if shard}
 _RouterConnection.answers = {op: router for op, (_, router) in _ANSWERS.items() if router}
@@ -944,10 +940,6 @@ class ServingClient(ClientApi):
     def rejoin(self, shard: int) -> Dict[str, Any]:
         """Return ``shard`` to the ring, respawning it if dead (cluster only)."""
         return self.call("rejoin", shard=shard)
-
-    def join(self, host: str, port: int) -> Dict[str, Any]:
-        """Attach a running remote shard at ``host:port`` to the ring (cluster only)."""
-        return self.call("join", host=host, port=port)
 
     def stats(self) -> Dict[str, Any]:
         """The server's stats() snapshot."""

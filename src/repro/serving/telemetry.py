@@ -67,7 +67,6 @@ serving.slo.rejected                  counter    slo_class, client
 ckks.op.count                         counter    op, program
 ckks.op.seconds                       counter    op, program
 ckks.ntt.rows                         counter    op, program
-cluster.shards.joined                 counter    —
 serving.registry.hits                 counter    —
 serving.registry.misses               counter    —
 serving.registry.evictions            counter    —

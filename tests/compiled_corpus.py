@@ -13,7 +13,10 @@ chooses the special prime's width (never below 30 bits) and gives an output
 factor at least 20 bits, ``poly_relin`` and ``sums_copies_and_constants`` —
 the two cases at ``max_rescale_bits=25`` — end their chains in 30 where they
 ended in 25, and the latter's output factor is 20 bits where it was 15 (the
-backend ran 65537, a 17-bit prime, for it); signatures did not move.
+backend ran 65537, a 17-bit prime, for it); signatures did not move.  The
+proto extension field ``Instruction.kernel`` then lengthened the proto bytes
+of the two LeNet cases, the only ones whose instructions carry kernel labels;
+their parameters and signatures did not move.
 ``tests/test_instructions.py`` holds the current compiler to it byte for byte.
 Regenerate it only from a clone of the commit you compare against::
 

@@ -211,10 +211,10 @@ CASES = [
      is_error("UnknownProgramError", trace_id="t-123"), True),
     ("quota rejection", lambda f: [on_wire(f, submit(f, "greedy"))] * 2,
      is_error("QuotaExceededError", retry_after=lambda seconds: seconds > 0), False),
-    ("join without a host", lambda f: [on_wire(f, {"op": "join"})],
-     is_error("SerializationError", error=lambda text: "'host'" in text and "need" in text), True),
-    ("join with a non-numeric port", lambda f: [on_wire(f, {"op": "join", "host": "h", "port": "x"})],
-     is_error("SerializationError", error=lambda text: "port" in text), True),
+    ("drain without a shard", lambda f: [on_wire(f, {"op": "drain"})],
+     is_error("SerializationError", error=lambda text: "'shard'" in text and "need" in text), True),
+    ("drain with a non-integer shard", lambda f: [on_wire(f, {"op": "drain", "shard": "x"})],
+     is_error("SerializationError", error=lambda text: "shard" in text), True),
 ]
 
 

@@ -37,11 +37,11 @@ class TestCheckDocs:
     def test_ground_truth_is_nonempty(self, check_docs):
         metrics = check_docs.catalogue_metrics()
         assert "serving.slo.attained" in metrics
-        assert "cluster.shards.joined" in metrics
+        assert "serving.router.forwarded" in metrics
         surface = dict(check_docs.cli_surface())
         assert "--deadline-ms" in surface["submit"]
         assert "--cluster-config" in surface["serve"]
-        assert "join" in check_docs.wire_ops()
+        assert "rejoin" in check_docs.wire_ops() and "join" not in check_docs.wire_ops()
         assert check_docs.frame_kinds() == ["FRAME_CHUNK", "FRAME_REQUEST", "FRAME_RESPONSE"]
 
     def test_fails_on_doctored_docs(self, check_docs, tmp_path):
@@ -58,12 +58,12 @@ class TestCheckDocs:
             operations.read_text().replace("--deadline-ms", "--deadline-redacted")
         )
         wire = docs / "wire-protocol.md"
-        wire.write_text(wire.read_text().replace("`join`", "`redacted`"))
+        wire.write_text(wire.read_text().replace("`rejoin`", "`redacted`"))
 
         missing = check_docs.check(docs)
         assert any("serving.slo.rejected" in item for item in missing)
         assert any("--deadline-ms" in item for item in missing)
-        assert any("`join`" in item for item in missing)
+        assert any("`rejoin`" in item for item in missing)
         assert check_docs.main(["--docs-dir", str(docs)]) == 1
 
     def test_a_documented_flag_must_exist(self, check_docs, tmp_path):
@@ -107,8 +107,8 @@ class TestCheckDocs:
         assert check_docs.check_state_table(doc.replace(row + "\n", "")) == [
             "wire-protocol.md: state table lacks message kind `FRAME_RESPONSE`"
         ]
-        assert check_docs.check_state_table(doc.replace("`rejoin`, `join`", "`rejoin`, `adopt`")) == [
-            "wire-protocol.md: state table lacks op `join`",
+        assert check_docs.check_state_table(doc.replace("`drain`, `rejoin`", "`drain`, `adopt`")) == [
+            "wire-protocol.md: state table lacks op `rejoin`",
             "wire-protocol.md: state table names unknown op `adopt`",
         ]
         assert check_docs.check_state_table("# Wire protocol\n") == [
@@ -239,13 +239,10 @@ class TestSurface:
         report = surface.measure(REPO_ROOT)
         assert report["src_lines"] == sum(report["src_lines_by_package"].values()) > 10_000
         assert report["src_lines_by_package"]["repro.serving"] > 1_000
-        # EvaCluster: its six own parameters plus the fields of the recipe.
+        # EvaCluster: its five own parameters plus the fields of the recipe.
         options = surface.constructor_options()
         own = [name for name in options["EvaCluster"] if not name.startswith("recipe.")]
-        assert own == [
-            "shards", "start_timeout", "request_timeout", "retries", "health_interval",
-            "remote_shards",
-        ]  # fmt: skip
+        assert own == ["shards", "start_timeout", "request_timeout", "retries", "health_interval"]
         assert "recipe.backend" in options["EvaCluster"]
         assert "recipe.log_level" in options["EvaCluster"]
         assert set(options) == {"EvaServer", "JobEngine", "EvaCluster", "EvaluationEngine", "Evaluator"}

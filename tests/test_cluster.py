@@ -650,7 +650,7 @@ class TestRecipe:
         assert tomlcompat._parse_toml_minimal(self.CONFIG) == tomlcompat.loads(self.CONFIG)
         config = tmp_path / "cluster.toml"
         config.write_text(self.CONFIG)
-        cluster = EvaCluster(**load_cluster_config(config)["cluster"])
+        cluster = EvaCluster(**load_cluster_config(config))
         assert cluster.recipe.backend == BackendSpec("mock-exact")
         assert cluster.recipe.batch_window == 0.0 and isinstance(cluster.recipe.batch_window, float)
         assert cluster.recipe.fairness == FairnessPolicy(quota_rps=50.0, burst=100, max_inflight=4)
@@ -696,6 +696,9 @@ class TestRecipe:
         assert set(multiprocessing.active_children()) == children
         with pytest.raises(TypeError, match="no_such_key"):  # "bad [cluster] config key"
             EvaCluster(shards=1, no_such_key=1)
+        # Every shard is one the cluster spawned: there is no endpoint list to attach.
+        with pytest.raises(TypeError, match="remote_shards"):
+            EvaCluster(shards=1, remote_shards=[("127.0.0.1", 7001)])
 
     def test_table_forms_and_paths(self, tmp_path):
         recipe = ShardConfig(
@@ -717,7 +720,7 @@ class TestRecipe:
         config.write_text(self.CONFIG.replace("batch_window = 0\n", "precompile_widths = 2\n"))
         children = set(multiprocessing.active_children())
         with pytest.raises(TypeError, match="precompile_widths"):
-            EvaCluster(**load_cluster_config(config)["cluster"])
+            EvaCluster(**load_cluster_config(config))
         with pytest.raises(TypeError, match="precompile_widths"):
             ShardConfig(precompile_widths=2)
         assert set(multiprocessing.active_children()) == children
@@ -766,15 +769,23 @@ class TestClusterCli:
                 "[cluster]\n\n[cluster.fairness.class_deadlines_ms]\ntight = 50.0\n",
                 "class_deadlines_ms",
             ),
+            (
+                '[cluster]\nshards = 1\n\n[[remote]]\nhost = "127.0.0.1"\nport = 7001\n',
+                "unknown table or key 'remote'",
+            ),
+            ('[cluster]\nremote_shards = [["127.0.0.1", 7001]]\n', "remote_shards"),
         ],
-        ids=["replicas", "wire", "queue_size", "weights", "slo_classes", "class_deadlines_ms"],
+        ids=[
+            "replicas", "wire", "queue_size", "weights", "slo_classes", "class_deadlines_ms",
+            "remote-table", "remote_shards",
+        ],  # fmt: skip
     )
     def test_serve_refuses_a_retired_key_before_spawning(
         self, table, named, tmp_path, capsys, monkeypatch
     ):
         """A config written for the per-client policy tables, the JSON-pinned
-        router or the sizing knobs fails loudly, naming the key, instead of
-        starting a cluster that ignores it."""
+        router, the sizing knobs or attached remote shards fails loudly,
+        naming the key, instead of starting a cluster that ignores it."""
         from repro.cli import main
         from repro.core.serialization import save
 
@@ -1147,182 +1158,28 @@ class TestClusterTelemetry:
             cluster.close()
 
 
-def start_remote_shard(program=None, name="poly"):
-    """An in-process stand-in for `repro.cli serve` on another host."""
-    from repro.serving import EvaTcpServer
-
-    eva = EvaServer(backend=MockBackend(error_model="none", seed=7), batch_window=0.0)
-    if program is not None:
-        eva.register(name, program)
-    tcp = EvaTcpServer(eva, port=0)
-    tcp.start_background()
-    return eva, tcp
-
-
-class TestRemoteShards:
-    """Remote endpoints on the ring: attach, drain/rejoin, wire join."""
-
-    def _cluster(self, program, **kwargs):
-        cluster = EvaCluster(
-            shards=1, backend=BackendSpec("mock-exact", seed=7), batch_window=0.0, **kwargs
-        )
-        cluster.register("poly", program)
-        cluster.start()
-        return cluster
-
-    def _client_homed_on(self, cluster, shard):
-        for i in range(256):
-            client_id = f"homing-{i}"
-            if cluster.shard_for(client_id) == shard:
-                return client_id
-        raise AssertionError(f"no client routed to shard {shard}")
-
-    def test_attach_serves_drains_and_rejoins_without_respawn(self, tmp_path):
-        """The chaos loop for a shard the router cannot respawn."""
-        program = make_poly_program()
-        expected = execute_reference(program.graph, {"x": [1.0, 2.0]})["y"][:2]
-        eva, tcp = start_remote_shard(program)
-        cluster = self._cluster(program)
-        try:
-            host, port = tcp.address
-            info = cluster.attach_shard(host, port)
-            assert info == {
-                "shard": 1, "status": "joined", "mode": "remote",
-                "host": host, "port": port,
-            }
-            assert cluster.stats()["live"] == [0, 1]
-            statuses = {h["index"]: h for h in cluster.check_health()}
-            assert statuses[1]["status"] == "live"
-            assert statuses[1]["mode"] == "remote" and statuses[1]["pid"] is None
-
-            client_id = self._client_homed_on(cluster, 1)
-            outputs = cluster.submit("poly", {"x": [1.0, 2.0]}, client_id=client_id)
-            np.testing.assert_allclose(outputs["y"][:2], expected, atol=1e-6)
-            # The request was actually served by the remote endpoint.
-            assert eva.stats()["engine"]["completed"] >= 1
-
-            # Remote shards have no process to kill; the graceful ops work.
-            with pytest.raises(ServingError, match="remote"):
-                cluster.kill_shard(1)
-            assert cluster.drain_shard(1)["status"] == "drained"
-            assert cluster.shard_for(client_id) == 0
-            cluster.submit("poly", {"x": [1.0, 2.0]}, client_id=client_id)
-            info = cluster.rejoin_shard(1)
-            assert not info["respawned"] and info["mode"] == "remote"
-            assert cluster.shard_for(client_id) == 1
-            cluster.submit("poly", {"x": [1.0, 2.0]}, client_id=client_id)
-
-            # Re-attaching a known endpoint is the remote rejoin, not a new
-            # shard; a brand-new endpoint gets the next free index.
-            cluster.drain_shard(1)
-            assert cluster.attach_shard(host, port)["shard"] == 1
-            assert cluster.stats()["live"] == [0, 1]
-
-            # When the endpoint goes away the health loop demotes it and its
-            # clients fail over to the surviving local shard.  (A real process
-            # death severs established sockets; the in-process stand-in's
-            # daemon handler threads outlive shutdown(), so drop the cached
-            # probe connection to emulate the broken link.)
-            tcp.shutdown()
-            tcp.server_close()
-            eva.close()
-            cluster._drop_connection(cluster._probe_clients, 1)
-            statuses = {h["index"]: h["status"] for h in cluster.check_health()}
-            assert statuses[1] == "dead"
-            outputs = cluster.submit("poly", {"x": [1.0, 2.0]}, client_id=client_id)
-            np.testing.assert_allclose(outputs["y"][:2], expected, atol=1e-6)
-            # ... and rejoin refuses until the endpoint answers again.
-            with pytest.raises(ServingError, match="not responding"):
-                cluster.rejoin_shard(1)
-        finally:
-            cluster.close()
-
-    def test_attach_rejects_mismatched_program_set(self):
-        program = make_poly_program()
-        other = make_poly_program(name="other")
-        eva, tcp = start_remote_shard(other, name="other")
-        cluster = self._cluster(program)
-        try:
-            host, port = tcp.address
-            with pytest.raises(ServingError, match="missing \\['poly'\\]"):
-                cluster.attach_shard(host, port)
-            with pytest.raises(ServingError, match="cannot attach"):
-                cluster.attach_shard("127.0.0.1", 1)  # nothing listens there
-            assert cluster.stats()["live"] == [0]
-        finally:
-            cluster.close()
-            tcp.shutdown()
-            tcp.server_close()
-            eva.close()
-
-    def test_join_over_the_wire_and_config_file(self, tmp_path):
-        """`cluster join` wire op and [[remote]] config attach the same way."""
-        from repro.serving import load_cluster_config
-
-        program = make_poly_program()
-        eva, tcp = start_remote_shard(program)
-        host, port = tcp.address
-        config = tmp_path / "cluster.toml"
-        config.write_text(
-            "[cluster]\nshards = 1\n\n"
-            f'[[remote]]\nhost = "{host}"\nport = {port}\n'
-        )
-        parsed = load_cluster_config(config)
-        assert parsed["cluster"] == {"shards": 1}
-        assert parsed["remote"] == [(host, port)]
-
-        cluster = EvaCluster(
-            backend=BackendSpec("mock-exact", seed=7),
-            batch_window=0.0,
-            **parsed["cluster"],
-            remote_shards=parsed["remote"],
-        )
-        cluster.register("poly", program)
-        cluster.start()
-        router = None
-        try:
-            # The [[remote]] endpoint joined during start().
-            assert cluster.stats()["live"] == [0, 1]
-
-            # A second endpoint joins live through the router wire op.
-            eva2, tcp2 = start_remote_shard(program)
-            try:
-                router = ClusterTcpServer(cluster, port=0)
-                router.start_background()
-                rhost, rport = router.address
-                with ServingClient(rhost, rport) as client:
-                    info = client.join(*tcp2.address)
-                    assert info["shard"] == 2 and info["mode"] == "remote"
-                    assert client.stats()["live"] == [0, 1, 2]
-                    client.submit("poly", {"x": [1.0, 2.0]}, client_id="alice")
-            finally:
-                tcp2.shutdown()
-                tcp2.server_close()
-                eva2.close()
-        finally:
-            if router is not None:
-                router.shutdown()
-            cluster.close()
-            tcp.shutdown()
-            tcp.server_close()
-            eva.close()
-
+class TestHealthProbes:
     def test_health_probe_reuses_its_connection(self):
         """Steady-state probing must not open a connection per probe."""
-        program = make_poly_program()
-        eva, tcp = start_remote_shard(program)
-        cluster = self._cluster(program)
+        cluster = EvaCluster(shards=1, backend=BackendSpec("mock-exact", seed=7), batch_window=0.0)
+        cluster.register("poly", make_poly_program())
+        cluster.start()
         try:
-            cluster.attach_shard(*tcp.address)
-            cluster.check_health()
-            opened = tcp._conn_seq
-            for _ in range(5):
+            handle = cluster._handles[0]
+            with ServingClient(handle.host, handle.port, wire="json") as observer:
+
+                def probe_peers():
+                    """The shard's connections other than the observer's own."""
+                    mine = "%s:%d" % observer._sock.getsockname()[:2]
+                    peers = {info["peer"] for info in observer.stats()["connections"]}
+                    return peers - {mine}
+
                 cluster.check_health()
-            # The attach probe and the first health probe may each have
-            # connected once; five more probe rounds add none.
-            assert tcp._conn_seq == opened
+                opened = probe_peers()
+                assert len(opened) == 1  # the probe connection
+                for _ in range(5):
+                    cluster.check_health()
+                # Five more probe rounds went over that same connection.
+                assert probe_peers() == opened
         finally:
             cluster.close()
-            tcp.shutdown()
-            tcp.server_close()
-            eva.close()

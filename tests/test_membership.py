@@ -95,20 +95,9 @@ class TestTransitionTable:
 
 
 class TestRandomWalk:
-    """≥ 2 000 events over ≤ 6 shards (some remote), every property after every event."""
+    """≥ 2 000 events over ≤ 6 shards, every property after every event."""
 
     SHARDS = 6
-    REMOTE = {4, 5}  # endpoints: no process to respawn, a failed probe is their death
-
-    def _shell_event(self, rng, index):
-        """An event as the IO shell would produce it for this kind of shard."""
-        event = rng.choice(EVENTS)
-        if index in self.REMOTE:
-            if event == PROBE_FAILED:
-                return PROCESS_DIED
-            if event == REJOIN_RESPAWNED:
-                return REJOIN
-        return event
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_properties_hold_after_every_event(self, seed):
@@ -118,7 +107,7 @@ class TestRandomWalk:
         refused = applied = 0
         for _step in range(2500):
             index = rng.randrange(self.SHARDS)
-            event = self._shell_event(rng, index)
+            event = rng.choice(EVENTS)
             state, generation = members.state.get(index), members.generation.get(index, 0)
             live_before = members.indices(LIVE)
             try:
@@ -168,23 +157,18 @@ class TestBoundedResponse:
     ``retries + 1`` attempts, and every failed attempt either removed the shard
     it tried from the ring or left it routable — on stub handles, no process."""
 
-    def _cluster(self, shards, remote, retries, script):
+    def _cluster(self, shards, retries, script):
         cluster = EvaCluster(shards=shards, retries=retries)
         cluster._started = True
-        for index in range(shards + remote):
-            process = None if index >= shards else SimpleNamespace(
+        for index in range(shards):
+            process = SimpleNamespace(
                 pid=1000 + index, is_alive=lambda index=index: script.alive[index]
             )
             handle = ShardHandle(index=index, process=process, host="stub", port=index)
             cluster._transition(index, JOIN, handle=handle)
         cluster._client_for = lambda index: index  # the "connection" is the index
         cluster._drop_connection = lambda cache, index: None
-
-        def ping(handle, timeout=2.0):
-            handle.last_probe_ok = script.alive[handle.index]
-            return handle.last_probe_ok
-
-        cluster._ping_shard = ping
+        cluster._ping_shard = lambda handle, timeout=2.0: script.alive[handle.index]
         return cluster
 
     @pytest.mark.parametrize("seed", range(20))
@@ -192,7 +176,7 @@ class TestBoundedResponse:
         rng = random.Random(seed)
         retries = rng.choice([1, 2, 3])
         script = SimpleNamespace(alive={index: True for index in range(5)})
-        cluster = self._cluster(shards=3, remote=2, retries=retries, script=script)
+        cluster = self._cluster(shards=5, retries=retries, script=script)
         attempts = []
 
         def fn(index):
@@ -236,7 +220,7 @@ class TestBoundedResponse:
         rng = random.Random(seed)
         retries = rng.choice([1, 2, 3])
         script = SimpleNamespace(alive={index: True for index in range(5)}, encoding_on=None)
-        cluster = self._cluster(shards=3, remote=2, retries=retries, script=script)
+        cluster = self._cluster(shards=5, retries=retries, script=script)
         sent = []  # (connection, op, fields as encoded), one per attempt
 
         class Connection:
@@ -375,7 +359,7 @@ class TestShellRaces:
 
     def test_a_shard_respawned_mid_probe_is_reported_as_its_successor(self):
         script = SimpleNamespace(alive={0: True, 1: True})
-        cluster = self._cluster(shards=2, remote=0, retries=1, script=script)
+        cluster = self._cluster(shards=2, retries=1, script=script)
         corpse = cluster._handles[0]
         corpse.process.is_alive = lambda: False
         successor = ShardHandle(0, SimpleNamespace(pid=2000, is_alive=lambda: True), "stub", 99)
@@ -394,7 +378,7 @@ class TestShellRaces:
         assert cluster.members.generation[0] == 1
 
     def test_the_loser_of_a_race_for_a_shared_connection_is_closed(self, monkeypatch):
-        cluster = self._cluster(2, 0, 1, SimpleNamespace(alive={0: True, 1: True}))
+        cluster = self._cluster(2, 1, SimpleNamespace(alive={0: True, 1: True}))
         del cluster._drop_connection  # the real one, not _cluster's stub
         made, cache = [], {}
 

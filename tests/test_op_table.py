@@ -58,7 +58,7 @@ def wrong_values():
     """(op, field, a value of the wrong type or range) for every pair in the table."""
     wrong = {
         "program": 7, "inputs": {"x": ["a"]}, "bundle": [1], "evaluation_keys": "keys",
-        "client_id": 7, "output_size": 0, "shard": "zzz", "host": "", "port": 65536,
+        "client_id": 7, "output_size": 0, "shard": "zzz",
         "trace_id": 7, "trace": "yes", "format": 7, "limit": "abc", "deadline_ms": True,
         "slo_class": "urgent",
     }  # fmt: skip
@@ -67,7 +67,7 @@ def wrong_values():
 
 
 def valid_request(op):
-    valid = {"program": "poly", "evaluation_keys": KEYS, "shard": 0, "host": "h", "port": 1, "trace_id": "t"}
+    valid = {"program": "poly", "evaluation_keys": KEYS, "shard": 0, "trace_id": "t"}
     return {"op": op, **{name: valid[name] for name in messages.OPS[op].required}}
 
 
@@ -89,7 +89,7 @@ class TestEveryFieldIsChecked:
         row = messages.OPS[op]
         valid = {
             "program": "poly", "inputs": {"x": X}, "evaluation_keys": KEYS, "client_id": "alice",
-            "output_size": np.int64(2), "shard": 3, "host": "h", "port": 8587, "trace_id": "t",
+            "output_size": np.int64(2), "shard": 3, "trace_id": "t",
             "trace": True, "format": "prometheus", "limit": 5, "deadline_ms": 250,
             "slo_class": "standard",
         }  # fmt: skip
@@ -111,8 +111,8 @@ class TestEveryFieldIsChecked:
             messages.validate_request({"op": "metrics", "format": 7})
         with pytest.raises(SerializationError, match="'shard'"):
             messages.validate_request({"op": "ping", "shard": "zzz"})
-        with pytest.raises(SerializationError, match="'port'"):
-            messages.build_request("join", host="h", port=70000)
+        with pytest.raises(SerializationError, match="'shard'"):
+            messages.build_request("drain", shard=-1)
         with pytest.raises(SerializationError, match="'deadline_ms'"):
             messages.build_request("submit", program="p", inputs={}, deadline_ms=True)
 
@@ -201,11 +201,29 @@ class TestOneRowIsEnough:
             assert exchange(conns["router"], on_wire(wire.JSON, {"op": "echo"}))["error"] == (
                 "the router does not answer 'echo' requests"
             )
-            for op in ("route", "drain", "rejoin", "join"):
+            for op in ("route", "drain", "rejoin"):
                 reply = exchange(conns["shard"], on_wire(wire.JSON, valid_request(op)))
                 assert reply["kind"] == "ServingError" and "is a cluster operation" in reply["error"]
         finally:
             server.close()
+
+    def test_the_retired_join_op_is_an_unknown_op(self):
+        """``join`` attached a running server by address; an old client that
+        still sends it gets the typed unknown-op error from either endpoint,
+        over either framing, and the client and CLI no longer offer it."""
+        assert "join" not in messages.OPS and not hasattr(ServingClient, "join")
+        server = EvaServer(backend=MockBackend(error_model="none"), workers=1)
+        try:
+            for conn in connections(server).values():
+                for framing in (wire.JSON, wire.BINARY):
+                    reply = exchange(conn, on_wire(framing, {"op": "join", "host": "h", "port": 1}))
+                    assert reply == {
+                        "ok": False, "kind": "SerializationError", "error": "unknown request op 'join'"
+                    }
+        finally:
+            server.close()
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["cluster", "join", "--join-host", "h", "--join-port", "1"])
 
 
 class TestOldPathsAreGone:

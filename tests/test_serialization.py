@@ -11,7 +11,10 @@ from repro.core.serialization.wire import (
     iter_fields,
     unpack_doubles,
 )
-from repro.core import compile_program, execute_reference
+from compiled_corpus import CASES
+
+from repro.core import CompilerOptions, compile_program, execute_reference
+from repro.core.compiler import CompilationResult, frontend_graph, program_signature
 from repro.core.ir import Program
 from repro.core.types import Op, ValueType
 from repro.errors import SerializationError
@@ -110,6 +113,36 @@ class TestProtoRoundTrip:
         message.outputs.append(proto.OutputMessage(5, 30.0, "out"))
         with pytest.raises(SerializationError):
             proto.message_to_program(message)
+
+
+def one_element_vector():
+    program = Program("one_element_vector", vec_size=8)
+    x = program.input("x", ValueType.CIPHER, scale=30)
+    weight = program.constant(np.array([2.0]), scale=20)
+    program.set_output("y", program.make_term(Op.MULTIPLY, [x, weight]), scale=30)
+    return program, CompilerOptions()
+
+
+#: The compiled corpus (the LeNets carry kernel labels) plus a one-element
+#: vector constant, which must not come back a scalar.
+SIGNATURE_CASES = dict(CASES, one_element_vector=one_element_vector)
+
+
+class TestProtoKeepsTheSignature:
+    """Proto bytes are how a cluster ships programs to its shards and how
+    ``cli serve`` / ``run`` load them, so the program they decode to must
+    hash to the same signature as the one that was written, or a shard
+    compiles something else and refuses the client's bundle."""
+
+    @pytest.mark.parametrize("name", sorted(SIGNATURE_CASES))
+    def test_source_and_compiled_graph(self, name):
+        program, options = SIGNATURE_CASES[name]()
+        graph = frontend_graph(program)
+        restored = proto.deserialize(proto.serialize(graph))
+        assert program_signature(restored, options) == program_signature(graph, options)
+        compiled = CompilationResult.compile(graph, options=options)
+        again = proto.deserialize(proto.serialize(compiled.program))
+        assert program_signature(again) == program_signature(compiled.program)
 
 
 class TestJsonRoundTrip:

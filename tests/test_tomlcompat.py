@@ -68,14 +68,13 @@ def test_documented_cluster_config_loads(tmp_path):
     config = tmp_path / "cluster.toml"
     config.write_text(documented_cluster_config())
     parsed = load_cluster_config(config)
-    assert parsed["cluster"] == {
+    assert parsed == {
         "shards": 2, "batch_window": 0.01, "backend": "mock-exact",
         "fairness": {"quota_rps": 20.0, "max_inflight": 8},
     }  # fmt: skip
     # ... which is exactly what EvaCluster takes: its own arguments plus recipe fields.
-    recipe = EvaCluster(**parsed["cluster"]).recipe
+    recipe = EvaCluster(**parsed).recipe
     assert recipe.backend.name == "mock-exact" and recipe.fairness.max_inflight == 8
-    assert parsed["remote"] == [("10.0.0.5", 7001)]
 
 
 @pytest.mark.parametrize(
@@ -83,11 +82,12 @@ def test_documented_cluster_config_loads(tmp_path):
     [
         ("[clustr]\nshards = 3\n", "'clustr'"),
         ("[cluster]\nshards = 1\n\n[scale]\nhigh_queue_depth = 32\n", "'scale'"),
-        ('[[remote]]\nhost = "10.0.0.5"\nport = 7001\nweight = 3\n', "'weight'"),
-        ('[[remote]]\nhost = "10.0.0.5"\nport = "x"\n', "'port'"),
-        ('[[remote]]\nhost = "10.0.0.5"\nport = 70000\n', "1-65535"),
-        ("[[remote]]\nhost = 5\nport = 7001\n", "string 'host'"),
-        ('[remote]\nhost = "10.0.0.5"\nport = 7001\n', "array of \\[\\[remote\\]\\] tables"),
+        # Remote shards are gone: a [[remote]] table, well-formed or not, is refused by name.
+        ('[[remote]]\nhost = "10.0.0.5"\nport = 7001\nweight = 3\n', "'remote'"),
+        ('[[remote]]\nhost = "10.0.0.5"\nport = "x"\n', "'remote'"),
+        ('[[remote]]\nhost = "10.0.0.5"\nport = 70000\n', "'remote'"),
+        ("[[remote]]\nhost = 5\nport = 7001\n", "'remote'"),
+        ('[remote]\nhost = "10.0.0.5"\nport = 7001\n', "'remote'"),
         ("cluster = 3\n", "\\[cluster\\] table"),
         ("[cluster]\nshards = 1\n\n[cluster.fairness]\nburst = 3\n", "burst"),
     ],
@@ -103,4 +103,4 @@ def test_the_loader_refuses_what_it_does_not_read(text, named, tmp_path):
     config = tmp_path / "cluster.toml"
     config.write_text(text)
     with pytest.raises(ServingError, match=named):
-        EvaCluster(**load_cluster_config(config)["cluster"])
+        EvaCluster(**load_cluster_config(config))

@@ -933,33 +933,22 @@ class TestRouterUploadIsolation:
 
     @pytest.fixture
     def routed(self, monkeypatch):
-        """A router with ONE dispatch worker in front of one in-process shard,
-        so every client connection relays over the same upstream socket."""
+        """A router with ONE dispatch worker in front of one shard, so every
+        client connection relays over the same upstream socket."""
         from repro.serving import aionet, netserver
 
         monkeypatch.setattr(netserver, "STREAM_THRESHOLD_BYTES", 64)
-        shard_server = EvaServer(backend=MockBackend(error_model="none"), workers=1)
-        shard_server.register("poly", make_poly_program())
-        shard = EvaTcpServer(shard_server, port=0)
-        shard.start_background()
         monkeypatch.setattr(aionet, "DISPATCH_WORKERS", 1)
-        cluster = EvaCluster(
-            shards=0,
-            backend=BackendSpec(name="mock-exact"),
-            remote_shards=[shard.address],
-            health_interval=None,
-        )
+        cluster = EvaCluster(shards=1, backend=BackendSpec(name="mock-exact"), workers=1)
         cluster.register("poly", make_poly_program())
         cluster.start()
         router = ClusterTcpServer(cluster, port=0)
         router.start_background()
         try:
-            yield router, shard
+            yield router, cluster
         finally:
             router.shutdown()
             cluster.close()
-            shard.shutdown()
-            shard_server.close()
 
     @staticmethod
     def wait_for(condition, what):
@@ -970,8 +959,10 @@ class TestRouterUploadIsolation:
         raise AssertionError(f"timed out waiting for {what}")
 
     @staticmethod
-    def shard_open_uploads(shard):
-        return sum(info["open_uploads"] for info in shard.connection_infos())
+    def shard_open_uploads(cluster):
+        """Open uploads over every connection the shard process holds."""
+        connections = cluster.stats()["per_shard"]["0"]["connections"]
+        return sum(info["open_uploads"] for info in connections)
 
     def abandon_upload(self, router, upload_id, client_id="ghost"):
         """A client that streams one non-final chunk, then disconnects."""
@@ -1014,23 +1005,23 @@ class TestRouterUploadIsolation:
         np.testing.assert_allclose(outputs["y"][:2], [7.0, 21.0], atol=1e-6)
 
     def test_abandoned_upload_does_not_corrupt_the_next_clients(self, routed):
-        router, _shard = routed
+        router, _cluster = routed
         # Same upload id the victim's ServingClient will mint for its bundle.
         self.abandon_upload(router, "up-1")
         self.chunked_session_and_request(router, "victim")
 
     def test_abandoned_uploads_cannot_wedge_a_dispatch_slot(self, routed):
-        router, _shard = routed
+        router, _cluster = routed
         for index in range(5):  # one more than MAX_OPEN_UPLOADS
             self.abandon_upload(router, f"ghost-{index}", client_id=f"ghost-{index}")
         self.chunked_session_and_request(router, "fresh")
 
     def test_shard_side_open_uploads_return_to_zero(self, routed):
-        router, shard = routed
+        router, cluster = routed
         self.abandon_upload(router, "up-1")
         self.abandon_upload(router, "up-2")
         self.wait_for(
-            lambda: self.shard_open_uploads(shard) == 0, "the shard to discard the uploads"
+            lambda: self.shard_open_uploads(cluster) == 0, "the shard to discard the uploads"
         )
         self.chunked_session_and_request(router, "after")
-        assert self.shard_open_uploads(shard) == 0
+        assert self.shard_open_uploads(cluster) == 0

@@ -51,7 +51,6 @@ REQUESTS = [
     ("health", {}),
     ("drain", dict(shard=2)),
     ("rejoin", dict(shard=0)),
-    ("join", dict(host="10.0.0.7", port=8587)),
     ("metrics", {}),
     ("metrics", dict(format="prometheus")),
     ("trace", dict(trace_id="t-5")),
@@ -107,9 +106,6 @@ class ScriptedCluster(StubCluster):
 
     def rejoin_shard(self, shard):
         return {"rejoined": shard}
-
-    def attach_shard(self, host, port):
-        return {"joined": f"{host}:{port}"}
 
 
 def connections(server):

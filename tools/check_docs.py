@@ -40,10 +40,10 @@ every piece of it:
   context);
 * the ``[cluster]`` key table in ``docs/operations.md`` (under ``## Cluster
   config file``) -> its key column must name exactly ``EvaCluster``'s own
-  keyword parameters (``remote_shards`` aside: ``[[remote]]`` sets it) and
-  the ``ShardConfig`` fields, and its ``backend`` / ``fairness`` rows exactly
-  the ``BackendSpec`` / ``FairnessPolicy`` fields, in both directions (a key
-  the docs offer and the loader refuses is as wrong as a silent one);
+  keyword parameters and the ``ShardConfig`` fields, and its ``backend`` /
+  ``fairness`` rows exactly the ``BackendSpec`` / ``FairnessPolicy`` fields,
+  in both directions (a key the docs offer and the loader refuses is as wrong
+  as a silent one);
 * the shard lifecycle table in ``docs/operations.md`` (under ``## Shard
   lifecycle``) -> it must state exactly
   ``repro.serving.membership.TRANSITIONS``, in both directions: every
@@ -317,11 +317,7 @@ def cluster_config_keys() -> dict:
     from repro.serving import cluster, quotas
 
     parameters = inspect.signature(cluster.EvaCluster.__init__).parameters.values()
-    own = {
-        p.name
-        for p in parameters
-        if p.name not in ("self", "remote_shards") and p.kind is not p.VAR_KEYWORD
-    }
+    own = {p.name for p in parameters if p.name != "self" and p.kind is not p.VAR_KEYWORD}
     recipe = {field.name for field in dataclasses.fields(cluster.ShardConfig)}
     return {
         "": own | recipe,
