@@ -94,12 +94,11 @@ class ConsistentHashRing:
 #: no state (``None``).
 STATES = (LIVE, DRAINED, DEAD) = ("live", "drained", "dead")
 
-#: Events.  ``join``: a shard process came up at start.  ``probe_ok`` /
-#: ``probe_failed``: the answer of a health ping to a shard whose process is
-#: up.  ``process_died``: the process is gone.  ``transport_failure``: a request lost its connection to a shard that turned
-#: out to be alive (the retry reconnects).  ``drain`` / ``rejoin``: the admin
-#: ops; ``rejoin_respawned`` is a rejoin that had to start a new process, and
-#: the only event that bumps the shard's generation.
+#: Events.  ``join``: a shard process came up at start.  ``probe_ok`` / ``probe_failed``: the answer
+#: of a health ping to a shard whose process is up.  ``process_died``: the process is gone.
+#: ``transport_failure``: a request lost its connection to a shard that turned out to be alive (the
+#: retry reconnects).  ``drain`` / ``rejoin``: the admin ops; ``rejoin_respawned`` is a rejoin that
+#: had to start a new process, and the only event that bumps the shard's generation.
 JOIN = "join"
 PROBE_OK = "probe_ok"
 PROBE_FAILED = "probe_failed"

@@ -107,7 +107,8 @@ class TestCheckDocs:
         assert check_docs.check_state_table(doc.replace(row + "\n", "")) == [
             "wire-protocol.md: state table lacks message kind `FRAME_RESPONSE`"
         ]
-        assert check_docs.check_state_table(doc.replace("`drain`, `rejoin`", "`drain`, `adopt`")) == [
+        renamed = doc.replace("`drain`, `rejoin`", "`drain`, `adopt`")
+        assert check_docs.check_state_table(renamed) == [
             "wire-protocol.md: state table lacks op `rejoin`",
             "wire-protocol.md: state table names unknown op `adopt`",
         ]

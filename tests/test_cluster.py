@@ -773,7 +773,7 @@ class TestClusterCli:
                 '[cluster]\nshards = 1\n\n[[remote]]\nhost = "127.0.0.1"\nport = 7001\n',
                 "unknown table or key 'remote'",
             ),
-            ('[cluster]\nremote_shards = [["127.0.0.1", 7001]]\n', "remote_shards"),
+            ('[cluster]\nremote_shards = "127.0.0.1:7001"\n', "remote_shards"),
         ],
         ids=[
             "replicas", "wire", "queue_size", "weights", "slo_classes", "class_deadlines_ms",

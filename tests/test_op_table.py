@@ -218,12 +218,16 @@ class TestOneRowIsEnough:
                 for framing in (wire.JSON, wire.BINARY):
                     reply = exchange(conn, on_wire(framing, {"op": "join", "host": "h", "port": 1}))
                     assert reply == {
-                        "ok": False, "kind": "SerializationError", "error": "unknown request op 'join'"
+                        "ok": False,
+                        "kind": "SerializationError",
+                        "error": "unknown request op 'join'",
                     }
         finally:
             server.close()
         with pytest.raises(SystemExit):
-            cli.build_parser().parse_args(["cluster", "join", "--join-host", "h", "--join-port", "1"])
+            cli.build_parser().parse_args(
+                ["cluster", "join", "--join-host", "h", "--join-port", "1"]
+            )
 
 
 class TestOldPathsAreGone:

@@ -82,18 +82,12 @@ def test_documented_cluster_config_loads(tmp_path):
     [
         ("[clustr]\nshards = 3\n", "'clustr'"),
         ("[cluster]\nshards = 1\n\n[scale]\nhigh_queue_depth = 32\n", "'scale'"),
-        # Remote shards are gone: a [[remote]] table, well-formed or not, is refused by name.
-        ('[[remote]]\nhost = "10.0.0.5"\nport = 7001\nweight = 3\n', "'remote'"),
-        ('[[remote]]\nhost = "10.0.0.5"\nport = "x"\n', "'remote'"),
-        ('[[remote]]\nhost = "10.0.0.5"\nport = 70000\n', "'remote'"),
-        ("[[remote]]\nhost = 5\nport = 7001\n", "'remote'"),
-        ('[remote]\nhost = "10.0.0.5"\nport = 7001\n', "'remote'"),
+        ('[[remote]]\nhost = "10.0.0.5"\nport = 7001\n', "'remote'"),
         ("cluster = 3\n", "\\[cluster\\] table"),
         ("[cluster]\nshards = 1\n\n[cluster.fairness]\nburst = 3\n", "burst"),
     ],
     ids=[
-        "misspelt-table", "retired-scale-table", "unknown-remote-key", "port-not-an-integer",
-        "port-out-of-range", "host-not-a-string", "remote-as-single-table", "cluster-not-a-table",
+        "misspelt-table", "retired-scale-table", "retired-remote-table", "cluster-not-a-table",
         "burst-without-rate",
     ],  # fmt: skip
 )
