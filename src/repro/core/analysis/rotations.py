@@ -79,22 +79,6 @@ def select_rotation_steps(program: Program) -> List[int]:
     return sorted(steps)
 
 
-def merge_rotation_steps(*step_sets: Iterable[int]) -> List[int]:
-    """Sorted union of normalized step sets (zero steps dropped).
-
-    Keygen for a client covering several compiled variants of one program
-    (solo + lane-lowered, or several lane widths) must generate each Galois
-    key once: the union of the per-variant step sets, not their concatenation.
-    """
-    merged: Set[int] = set()
-    for steps in step_sets:
-        for step in steps:
-            step = int(step)
-            if step != 0:
-                merged.add(step)
-    return sorted(merged)
-
-
 # ---------------------------------------------------------------------------
 # Additive-tree decomposition (hoisting analysis)
 # ---------------------------------------------------------------------------

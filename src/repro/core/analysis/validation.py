@@ -72,7 +72,6 @@ def check_evaluable(program: Program) -> None:
 def validate(
     program: Program,
     max_rescale_bits: float = DEFAULT_MAX_RESCALE_BITS,
-    check_scale_positive: bool = True,
 ) -> None:
     """Validate a compiled program against Constraints 1-4.
 
@@ -82,9 +81,9 @@ def validate(
         The (transformed) program to check.
     max_rescale_bits:
         ``log2 s_f``; every RESCALE value must be at most this (Constraint 4).
-    check_scale_positive:
-        Additionally require every ciphertext scale to stay strictly positive,
-        which guards against rescaling below the fixed-point representation.
+
+    Every ciphertext scale must also stay strictly positive, which guards
+    against rescaling below the fixed-point representation.
     """
     program.check_structure(frontend_only=False)
     check_evaluable(program)
@@ -127,11 +126,7 @@ def validate(
                     f"RESCALE (term {term.id}) has non-positive rescale value"
                 )
 
-        if (
-            check_scale_positive
-            and term.value_type is ValueType.CIPHER
-            and scales[term.id] <= 0
-        ):
+        if term.value_type is ValueType.CIPHER and scales[term.id] <= 0:
             raise ValidationError(
                 f"term {term.id} ({term.op.name}) has non-positive scale "
                 f"2^{scales[term.id]:g}; the message would be destroyed"

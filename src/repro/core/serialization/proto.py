@@ -168,16 +168,14 @@ class ProgramMessage:
     instructions: List[InstructionMessage] = field(default_factory=list)
 
     def to_bytes(self) -> bytes:
-        payload = wire.encode_varint_field(1, self.vec_size)
-        for constant in self.constants:
-            payload += wire.encode_bytes_field(2, constant.to_bytes())
-        for inp in self.inputs:
-            payload += wire.encode_bytes_field(3, inp.to_bytes())
-        for out in self.outputs:
-            payload += wire.encode_bytes_field(4, out.to_bytes())
-        for inst in self.instructions:
-            payload += wire.encode_bytes_field(5, inst.to_bytes())
-        return payload
+        # One join, not ``+=`` per message: growing one bytes object is
+        # quadratic in the program size.
+        parts = [wire.encode_varint_field(1, self.vec_size)]
+        for number, messages in (
+            (2, self.constants), (3, self.inputs), (4, self.outputs), (5, self.instructions)
+        ):
+            parts.extend(wire.encode_bytes_field(number, m.to_bytes()) for m in messages)
+        return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProgramMessage":

@@ -58,7 +58,7 @@ import sys
 import threading
 import time
 import weakref
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import tomlcompat
@@ -445,16 +445,12 @@ class EvaCluster(ClientApi):
         name: str,
         program: Any,
         options: Optional[CompilerOptions] = None,
-        lane_width: Optional[int] = None,
     ) -> None:
         """Queue a program for registration on every shard (before start)."""
         if self._started:
             raise ServingError("programs must be registered before the cluster starts")
         from ..core.serialization.proto import serialize
 
-        if lane_width is not None:
-            # Folded into the options, as EvaServer.register does it.
-            options = replace(options or CompilerOptions(), lane_width=int(lane_width))
         self._programs.append((str(name), serialize(frontend_graph(program)), options))
 
     # -- lifecycle ---------------------------------------------------------------

@@ -30,9 +30,9 @@ once, via the registry's variant index) a *lane-lowered* compilation of the
 same source at the batch's lane width and executes that instead.  A lane
 variant computes, per lane, exactly what the base program computes on a
 replicated narrow input, so batched and solo answers agree.  Operators can
-also pin a lane width at registration (``register(..., lane_width=w)``),
-which bakes it into the program's signature — the form clients compiling for
-the encrypted path must match.
+also pin a lane width at registration (``register(name, program,
+options=CompilerOptions(lane_width=w))``), which bakes it into the program's
+signature — the form clients compiling for the encrypted path must match.
 
 The result is the amortized serving path the paper's deployment story
 implies: compile once, keygen once per client, and pay one homomorphic
@@ -44,7 +44,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -299,7 +299,6 @@ class EvaServer:
         options: Optional[CompilerOptions] = None,
         input_scales: Optional[Dict[str, float]] = None,
         output_scales: Optional[Dict[str, float]] = None,
-        lane_width: Optional[int] = None,
     ) -> ProgramSpec:
         """Register a frontend program (or its graph) under ``name``.
 
@@ -308,12 +307,12 @@ class EvaServer:
         Registration is cheap — compilation happens lazily on first request
         and is shared through the registry afterwards.
 
-        ``lane_width`` pins the compilation to that lane width (folded into
-        the compiler options, and hence the signature): every request —
-        including pre-encrypted bundles, which a client must compile with the
-        same ``lane_width`` — is then served by the lane-lowered program.
-        Without it, the server still lane-batches plaintext requests by
-        resolving variants on demand per batch.
+        ``CompilerOptions(lane_width=w)`` pins the compilation to that lane
+        width (it is part of the signature): every request — including
+        pre-encrypted bundles, which a client must compile with the same
+        options — is then served by the lane-lowered program.  Without it,
+        the server still lane-batches plaintext requests by resolving
+        variants on demand per batch.
 
         ``program`` may also be a finished compilation
         (:class:`~repro.api.CompiledProgram`), which carries its own options,
@@ -327,10 +326,10 @@ class EvaServer:
                     f"cannot register {name!r}: the compilation carries no "
                     "source program to recompile from"
                 )
-            if any(v is not None for v in (options, input_scales, output_scales, lane_width)):
+            if any(v is not None for v in (options, input_scales, output_scales)):
                 raise ServingError(
                     f"cannot register {name!r}: a compilation carries its own "
-                    "options, scales and lane width"
+                    "options and scales"
                 )
             spec = ProgramSpec(
                 name, program.source, program.options,
@@ -339,8 +338,6 @@ class EvaServer:
             self.registry.insert(spec.signature, program)
         else:
             graph = frontend_graph(program)
-            if lane_width is not None:
-                options = replace(options or CompilerOptions(), lane_width=int(lane_width))
             signature = program_signature(graph, options, input_scales, output_scales)
             spec = ProgramSpec(name, graph, options, input_scales, output_scales, signature)
         with self._lock:
@@ -490,8 +487,9 @@ class EvaServer:
             "program": name,
             "client_id": str(client_id),
             "signature": spec.signature,
-            # The lane width the server compiled with; a client that wants
-            # packed encrypted requests aligns encrypt_packed to this.
+            # The lane width the server compiled with; a client that packs
+            # its requests with SlotBatcher before encrypting compiles with
+            # the same CompilerOptions(lane_width=...).
             "lane_width": compilation.lane_width,
         }
 
@@ -543,7 +541,8 @@ class EvaServer:
         :meth:`create_session` first.  Encrypted jobs are grouped per
         (program, client) like plaintext ones but never co-batched with them:
         the server cannot slot-pack data it cannot read — clients pack before
-        encrypting (``ClientKit.encrypt_packed``) to get the same amortization.
+        encrypting (``SlotBatcher().pack`` then ``ClientKit.encrypt_inputs``) to
+        get the same amortization.
         ``admission`` is :meth:`submit`'s.
         """
         spec = self._lookup(name)

@@ -498,6 +498,9 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
 
 _slow_logger = logging.getLogger("repro.serving.slow")
 
+#: How many slow requests the ring buffer behind ``Telemetry.slow`` keeps.
+SLOW_CAPACITY = 256
+
 
 class Telemetry:
     """One process's telemetry plane: registry + trace ring + slow-request log.
@@ -512,18 +515,17 @@ class Telemetry:
         self,
         slow_threshold: float = 1.0,
         trace_capacity: int = 1024,
-        slow_capacity: int = 256,
         shard: Optional[Any] = None,
         max_series: int = 8192,
     ) -> None:
-        if trace_capacity < 1 or slow_capacity < 1:
-            raise ValueError("trace/slow capacities must be at least 1")
+        if trace_capacity < 1:
+            raise ValueError("trace capacity must be at least 1")
         self.registry = MetricsRegistry(max_series=max_series)
         self.slow_threshold = float(slow_threshold)
         self.shard = shard
         self._traces: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._trace_capacity = int(trace_capacity)
-        self._slow: "deque[Dict[str, Any]]" = deque(maxlen=int(slow_capacity))
+        self._slow: "deque[Dict[str, Any]]" = deque(maxlen=SLOW_CAPACITY)
         self._lock = threading.Lock()
 
     # -- metrics passthroughs ---------------------------------------------------

@@ -135,8 +135,19 @@ class TestValidation:
         square = program2.make_term(Op.MULTIPLY, [x, x])
         rescaled = program2.make_term(Op.RESCALE, [square], rescale_value=50.0)
         program2.set_output("out", rescaled, scale=20)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="non-positive scale"):
             validate(program2)
+
+    def test_zero_scale_rejected(self):
+        # Rescaling a scale-40 product by exactly 40 bits leaves scale 2^0:
+        # not negative, yet the message is gone all the same.
+        program = Program("p", vec_size=8)
+        x = program.input("x", ValueType.CIPHER, scale=20)
+        square = program.make_term(Op.MULTIPLY, [x, x])
+        rescaled = program.make_term(Op.RESCALE, [square], rescale_value=40.0)
+        program.set_output("out", rescaled, scale=20)
+        with pytest.raises(ValidationError, match="non-positive scale 2\\^0"):
+            validate(program)
 
     def test_polynomial_counts(self):
         program = Program("p", vec_size=8)

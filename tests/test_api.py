@@ -35,7 +35,7 @@ from repro.errors import (
     UnknownProgramError,
 )
 from repro.frontend import EvaProgram, input_encrypted, input_plain, output
-from repro.serving import EvaServer, EvaTcpServer, ServingClient
+from repro.serving import EvaServer, EvaTcpServer, ServingClient, SlotBatcher
 
 
 def make_program(vec_size=32, scale=25):
@@ -516,9 +516,12 @@ class TestEvaServerEncryptedPath:
         try:
             server.create_session("poly", "alice", kit.evaluation_context())
             requests = [{"x": [0.1] * 4}, {"x": [0.2] * 4}, {"x": [0.3] * 4}]
-            bundle, plan = kit.encrypt_packed(requests)
+            # The client packs before encrypting, where it can see the data.
+            plan = SlotBatcher().plan(kit.compiled, requests)
+            assert plan is not None and plan.capacity >= len(requests)
+            bundle = kit.encrypt_inputs(SlotBatcher().pack(plan, requests))
             response = server.request_encrypted("poly", bundle)
-            per_request = kit.decrypt_packed(plan, response.outputs)
+            per_request = SlotBatcher().unpack(plan, kit.decrypt_outputs(response.outputs))
             for request, result in zip(requests, per_request):
                 np.testing.assert_allclose(
                     result["y"], expected(np.asarray(request["x"])), atol=1e-9
@@ -619,6 +622,42 @@ class TestLegacyCompat:
             evaluate(server, client.encrypt_inputs({"x": xv}))
         )
         np.testing.assert_allclose(one_shot["y"], split_outputs["y"], atol=1e-12)
+
+    def test_api_never_imports_serving(self):
+        """The client half stands without the server half: no module under
+        ``repro/api`` imports ``repro.serving``, except the lazy re-export of
+        the server names in the package's ``__getattr__``."""
+        import ast
+        from pathlib import Path
+
+        import repro.api
+
+        offenders = []
+        for path in sorted(Path(repro.api.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            exempt = {
+                id(inner)
+                for node in ast.walk(tree)
+                if path.name == "__init__.py"
+                and isinstance(node, ast.FunctionDef)
+                and node.name == "__getattr__"
+                for inner in ast.walk(node)
+            }
+            for node in ast.walk(tree):
+                if id(node) in exempt:
+                    continue
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    # Every module here sits in the package repro.api.
+                    base = "repro.api".rsplit(".", node.level - 1)[0] if node.level else ""
+                    module = ".".join(part for part in (base, node.module or "") if part)
+                    names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                if any(name == "repro.serving" or name.startswith("repro.serving.") for name in names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
     def test_api_reachable_as_attribute(self):
         import repro

@@ -279,7 +279,7 @@ class TestRealCkksSpotCheck:
 class TestEncryptedLaneAlignment:
     """Client-side packing aligned with the server's registered lane width."""
 
-    def test_encrypt_packed_roundtrip_through_server(self):
+    def test_client_packed_bundle_roundtrip_through_server(self):
         from repro.api import ClientKit, CompiledProgram
         from repro.serving import EvaServer
 
@@ -287,22 +287,24 @@ class TestEncryptedLaneAlignment:
         options = CompilerOptions(lane_width=16)
         backend = MockBackend(error_model="none")
         with EvaServer(backend=backend, workers=1, batch_window=0.0) as server:
-            spec = server.register("rot-enc", program, lane_width=16)
+            spec = server.register("rot-enc", program, options=options)
             # The client compiles with the same options; signatures align.
             compiled = CompiledProgram.compile(program, options=options)
             assert compiled.signature == spec.signature
             client = ClientKit(compiled, backend=backend, client_id="alice")
-            assert client.lane_width == 16
             session = server.create_session(
                 "rot-enc", "alice", client.evaluation_context()
             )
-            assert session["lane_width"] == 16
+            assert session["lane_width"] == compiled.lane_width == 16
 
             rng = np.random.default_rng(29)
             requests = [{"x": rng.uniform(-1, 1, 16)} for _ in range(4)]
-            bundle, plan = client.encrypt_packed(requests)
+            # The client packs the lanes before encrypting.
+            plan = SlotBatcher().plan(compiled, requests)
+            assert plan is not None and plan.lane_width == 16 and plan.capacity == 4
+            bundle = client.encrypt_inputs(SlotBatcher().pack(plan, requests))
             response = server.request_encrypted("rot-enc", bundle)
-            results = client.decrypt_packed(plan, response.outputs)
+            results = SlotBatcher().unpack(plan, client.decrypt_outputs(response.outputs))
         base = compile_program(program.graph)
         for request, outputs in zip(requests, results):
             solo = Executor(base, MockBackend(error_model="none")).execute(request)
@@ -316,7 +318,7 @@ class TestEncryptedLaneAlignment:
         program = rotation_program(vec_size=64, name="rot-mis")
         backend = MockBackend(error_model="none")
         with EvaServer(backend=backend, workers=1, batch_window=0.0) as server:
-            server.register("rot-mis", program, lane_width=16)
+            server.register("rot-mis", program, options=CompilerOptions(lane_width=16))
             # Client compiled *without* the lane width: different signature.
             compiled = CompiledProgram.compile(program)
             client = ClientKit(compiled, backend=backend, client_id="bob")

@@ -1,14 +1,12 @@
-"""Tests for the rotation-cost layer: hoisting, BSGS planning, key dedup.
+"""Tests for the rotation-cost layer: hoisting, BSGS planning and lane keys.
 
-Three optimizations share one correctness obligation — the optimized program
+Two optimizations share one correctness obligation — the optimized program
 must compute exactly what the source program means:
 
 * rotation hoisting rewrites ``sum_j c_j * rot_s(y_j)`` into
   ``rot_s(sum_j roll(c_j, s) * y_j)``, one rotation per distinct step;
 * BSGS decomposes ``rot(s)`` into ``rot_baby(s % B)(rot_giant(B * (s // B)))``
-  so k distinct steps need O(sqrt(k)) Galois keys;
-* keygen dedup unions the step sets of several compiled variants so a step
-  shared between the solo and lane-lowered forms yields exactly one key.
+  so k distinct steps need O(sqrt(k)) Galois keys.
 
 The property tests here drive random step sets, widths, and coefficients
 through the full compiler and compare against ``execute_reference`` on the
@@ -29,12 +27,10 @@ from repro.core import CompilerOptions, Executor, compile_program, execute_refer
 from repro.core.analysis.rotations import (
     _plan_for_base,
     lane_wrap_step,
-    merge_rotation_steps,
     plan_rotation_steps,
     select_rotation_steps,
 )
 from repro.core.types import Op
-from repro.errors import ExecutionError
 from repro.frontend import EvaProgram, input_encrypted, output
 
 EXACT = dict(error_model="none")
@@ -187,77 +183,34 @@ class TestBsgsPlanner:
         assert len(optimized.rotation_steps) == 4
 
 
-class TestKeyDedup:
-    def _variants(self, vec_size=64):
-        # Two lane widths of the same program: same masked depth, hence the
-        # same encryption parameters, but overlapping-not-equal step sets —
-        # exactly the shape a server serving several batch widths produces.
-        program = EvaProgram("dedup", vec_size=vec_size, default_scale=25)
-        with program:
-            x = input_encrypted("x", 25)
-            output("y", (x << 3) * 0.5 + (x << 5) * 0.25 + x, 25)
-        narrow = compile_program(
-            program.graph, options=CompilerOptions(lane_width=8)
-        )
-        wide = compile_program(
-            program.graph, options=CompilerOptions(lane_width=16)
-        )
-        return narrow, wide
-
-    def test_merge_is_a_set_union(self):
-        assert merge_rotation_steps([3, 5], [5, 7], [0, 3]) == [3, 5, 7]
-
-    def test_kit_keygen_covers_the_union_once(self):
+class TestKitKeys:
+    def test_exported_galois_keys_are_exactly_the_compilations_steps(self):
+        # One kit, one compilation: the client generates one Galois key per
+        # rotation step the compiler selected, and no key for another
+        # compilation of the same source (here, a wider lane width).
         from repro.api import ClientKit
 
-        narrow, wide = self._variants()
-        union = merge_rotation_steps(narrow.rotation_steps, wide.rotation_steps)
-        kit = ClientKit.for_programs(
-            [narrow, wide], backend=MockBackend(**EXACT)
-        )
-        # The kit holds exactly the union — |A ∪ B| keys, not |A| + |B|.
-        assert kit.rotation_steps == union
-        assert len(kit.rotation_steps) < len(narrow.rotation_steps) + len(
-            wide.rotation_steps
-        )
-
-    def test_exported_key_set_size_is_the_union_on_real_ckks(self):
-        from repro.api import ClientKit
-
-        program = EvaProgram("dedup-ckks", vec_size=32, default_scale=25)
+        program = EvaProgram("kit-keys", vec_size=32, default_scale=25)
         with program:
             x = input_encrypted("x", 25)
             output("y", (x << 1) * 0.5 + (x << 3) * 0.25 + x, 25)
-        narrow = compile_program(
-            program.graph,
-            options=CompilerOptions(max_rescale_bits=25, lane_width=4),
+        narrow, wide = (
+            compile_program(
+                program.graph,
+                options=CompilerOptions(max_rescale_bits=25, lane_width=width),
+            )
+            for width in (4, 8)
         )
-        wide = compile_program(
-            program.graph,
-            options=CompilerOptions(max_rescale_bits=25, lane_width=8),
-        )
-        union = merge_rotation_steps(narrow.rotation_steps, wide.rotation_steps)
-        kit = ClientKit.for_programs([narrow, wide], backend=CkksBackend(seed=3))
-        blob = kit.export_evaluation_keys()
-        # One Galois key per step in the union: the exported key-set size is
-        # the regression guard for keygen dedup.
-        assert len(blob["galois_keys"]) == len(union)
-
-    def test_mismatched_parameters_rejected(self):
-        from repro.api import ClientKit
-
-        narrow, _ = self._variants()
-        program = EvaProgram("deep", vec_size=64, default_scale=30)
-        with program:
-            x = input_encrypted("x", 30)
-            output("y", ((x * x) * x) * x, 30)
-        deep = compile_program(program.graph)
-        assert (
-            deep.parameters.coeff_modulus_bits
-            != narrow.parameters.coeff_modulus_bits
-        )
-        with pytest.raises(ExecutionError, match="different"):
-            ClientKit.for_programs([narrow, deep], backend=MockBackend(**EXACT))
+        assert set(wide.rotation_steps) - set(narrow.rotation_steps)
+        kit = ClientKit(narrow, backend=CkksBackend(seed=3))
+        ring = kit.context.context
+        expected = {
+            str(ring.galois_element_for_step(step % ring.slots))
+            for step in narrow.rotation_steps
+            if step % ring.slots
+        }
+        assert set(kit.export_evaluation_keys()["galois_keys"]) == expected
+        assert len(expected) == len(narrow.rotation_steps)
 
 
 class TestRealCkksSpotCheck:

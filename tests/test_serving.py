@@ -491,7 +491,7 @@ class TestEvaServer:
         with EvaServer(
             backend=MockBackend(error_model="none"), workers=1, batch_window=0.0
         ) as server:
-            server.register("rot", program, lane_width=8)
+            server.register("rot", program, options=CompilerOptions(lane_width=8))
             xv = np.arange(8, dtype=float) / 8.0
             response = server.request("rot", {"x": xv})
         assert response.lane_width == 8
@@ -769,7 +769,7 @@ class TestLaneReviewRegressions:
         with EvaServer(
             backend=MockBackend(error_model="none"), workers=1, batch_window=0.0
         ) as server:
-            server.register("rot", program, lane_width=8)
+            server.register("rot", program, options=CompilerOptions(lane_width=8))
             with pytest.raises(ServingError, match="lane width"):
                 server.request("rot", {"x": np.arange(64, dtype=float)})
             with pytest.raises(ServingError, match="lane width"):
@@ -1277,11 +1277,10 @@ class TestOneEvaluationSpine:
         jobs = 3 if "packed" in case else 1
         good = {"x": np.linspace(-1, 1, 8), "y": np.linspace(1, -1, 8)}
         with spine_server(backend, jobs) as server:
-            server.register("mix", program, options=SPINE_OPTIONS, lane_width=8)
+            options = replace(SPINE_OPTIONS, lane_width=8)
+            server.register("mix", program, options=options)
             kit = ClientKit(
-                CompiledProgram.compile(
-                    program, options=replace(SPINE_OPTIONS, lane_width=8)
-                ),
+                CompiledProgram.compile(program, options=options),
                 backend=backend,
                 client_id="carol",
             )
@@ -1538,8 +1537,8 @@ class TestRegisteredCompilation:
 
     @pytest.mark.parametrize(
         "keyword",
-        [{"lane_width": 8}, {"options": SPINE_OPTIONS}, {"input_scales": {"x": 25}}],
-        ids=["lane_width", "options", "input_scales"],
+        [{"options": SPINE_OPTIONS}, {"input_scales": {"x": 25}}, {"output_scales": {"y": 25}}],
+        ids=["options", "input_scales", "output_scales"],
     )
     def test_a_compilation_takes_no_compile_arguments(self, keyword):
         compiled = CompiledProgram.compile(make_spine_program(), options=SPINE_OPTIONS)

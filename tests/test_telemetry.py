@@ -28,6 +28,7 @@ from repro.serving import (
 )
 from repro.serving.telemetry import (
     DEFAULT_BUCKETS,
+    SLOW_CAPACITY,
     absorb_summary,
     percentile_from_buckets,
 )
@@ -361,6 +362,20 @@ class TestTelemetry:
         assert len(records) == 2
         assert records[0]["client"] == "c4"
         assert records[1]["client"] == "c3"
+
+    def test_slow_ring_keeps_the_newest_slow_capacity_records(self):
+        telemetry = Telemetry(slow_threshold=0.0)
+        total = SLOW_CAPACITY + 3
+        for i in range(total):
+            telemetry.finish(None, 1.0, client=f"c{i}", program="p")
+        records = telemetry.slow()
+        assert len(records) == SLOW_CAPACITY
+        assert records[0]["client"] == f"c{total - 1}"
+        assert records[-1]["client"] == f"c{total - SLOW_CAPACITY}"
+        # The counter counts every slow request, evicted or not.
+        assert telemetry.registry.counter_value(
+            "serving.slow_requests", program="p"
+        ) == total
 
     def test_merge_traces_orders_spans_and_keeps_metadata(self):
         trace_id = new_trace_id()
