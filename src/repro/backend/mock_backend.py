@@ -82,9 +82,9 @@ class MockContext(BackendContext):
         #: latency restores the real ratio of compute to coordination.
         self.op_latency = float(op_latency)
         self._rng = np.random.default_rng(seed)
-        #: Consumable coefficient-modulus chain (the special prime is excluded:
-        #: it is reserved for key switching, as in SEAL).
-        self.chain_bits: List[int] = list(parameters.coeff_modulus_bits[:-1])
+        #: Consumable coefficient-modulus chain (the special primes are
+        #: excluded: they are reserved for key switching, as in SEAL).
+        self.chain_bits: List[int] = list(parameters.data_bits)
         self.keys_generated = False
         self.live_ciphertexts = 0
         self.peak_live_ciphertexts = 0

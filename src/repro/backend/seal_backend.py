@@ -106,11 +106,14 @@ def _keyswitch_to_dict(key: KeySwitchingKey, context: CkksContext) -> Dict[str, 
 
 def _keyswitch_from_dict(context: CkksContext, data: Dict[str, Any], family: str) -> KeySwitchingKey:
     basis = context.key_basis(0)
+    names = context.group_primes()
     pairs: Dict[int, Tuple[RnsPolynomial, UniformHalf]] = {}
     for prime, (b_rows, a_rows) in data.items():
         prime = int(prime)
-        if prime not in context.consumable_primes:
-            raise SerializationError(f"switching key names {prime}, not a prime of the chain")
+        if prime not in names:
+            raise SerializationError(
+                f"switching key names {prime}, not a prime of the chain that names a digit group"
+            )
         label = digit_label(family, context.consumable_primes.index(prime))
         pairs[prime] = (_poly_from_rows(basis, b_rows), _uniform_from_rows(basis, a_rows, label))
     return KeySwitchingKey.imported(context, pairs)
@@ -134,6 +137,8 @@ class CkksBackendContext(BackendContext):
             parameters.coeff_modulus_bits,
             security_level=parameters.security_level,
             enforce_security=enforce_security,
+            special_primes=parameters.special_primes,
+            group_size=parameters.group_size,
         )
         self.keygen: Optional[KeyGenerator] = None
         self.encryptor: Optional[Encryptor] = None

@@ -26,10 +26,10 @@ def settled_coefficients(poly: RnsPolynomial) -> RnsPolynomial:
 
     An extended polynomial is transformed back whole and divided there
     (``K`` inverse rows), cheaper than dividing in evaluation form and then
-    converting (``2L + 1``) when the evaluation form is not wanted again.
+    converting (``2L + k``) when the evaluation form is not wanted again.
     """
     poly = poly.to_coeff()
-    return poly.divide_and_round_last() if poly.basis.special else poly
+    return poly.divide_and_round_last(poly.basis.special) if poly.basis.special else poly
 
 
 @dataclass
@@ -78,7 +78,7 @@ class Ciphertext:
     def settle(self, first: int = 0) -> List[RnsPolynomial]:
         """The polynomials, those from index ``first`` on over the data basis of ``level``.
 
-        An extended polynomial pays its division by the special prime here,
+        An extended polynomial pays its division by the special primes here,
         once: the result replaces ``polys``.  Linear operations and
         ``rescale_to_next`` read extended polynomials as they are, ``rotate``
         needs only ``c1`` settled (``first=1``); every other consumer starts
@@ -87,7 +87,7 @@ class Ciphertext:
         polys = self.polys
         if any(poly.basis.special for poly in polys[first:]):
             polys = self.polys = polys[:first] + [
-                poly.divide_and_round_last() if poly.basis.special else poly
+                poly.divide_and_round_last(poly.basis.special) if poly.basis.special else poly
                 for poly in polys[first:]
             ]
         return polys

@@ -9,22 +9,33 @@ used at every level of the modulus chain.
 Prime ordering
 --------------
 The compiler emits coefficient-modulus *bit sizes* in consumption order with
-the key-switching special prime last.  Internally, ciphertext bases store the
-*last-consumed* prime first, so that RESCALE and MOD_SWITCH always operate on
-the final residue row (the cheapest representation to drop).
+the ``k`` key-switching special primes last.  Internally, ciphertext bases
+store the *last-consumed* prime first, so that RESCALE and MOD_SWITCH always
+operate on the final residue row (the cheapest representation to drop).
+
+Digit groups
+------------
+Key switching decomposes a polynomial into *digits*, one per group of
+``group_size`` data primes, taken in basis order: the data basis of level 0
+is cut into runs of ``group_size`` rows from its first row (the last prime to
+be consumed), so only the last group — the one consumed first — may be
+short, and a level's groups are a prefix of level 0's, the last of them
+possibly cut.  The special primes' product ``P`` is what the key-switch result
+is divided by.  ``group_size = 1`` with one special prime is the classic
+per-prime decomposition.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..core.analysis.parameters import SECURITY_MAX_COEFF_MODULUS_BITS
 from ..errors import ParameterError, SecurityError
 from .encoder import CkksEncoder, get_encoder
-from .numth import generate_ntt_primes
+from .numth import generate_ntt_primes, mod_inverse
 from .rns import RnsBasis, RnsPolynomial
 
 
@@ -37,14 +48,20 @@ class CkksContext:
         coeff_modulus_bits: Sequence[int],
         security_level: int = 128,
         enforce_security: bool = True,
+        special_primes: int = 1,
+        group_size: int = 1,
     ) -> None:
-        if len(coeff_modulus_bits) < 2:
+        special_primes, group_size = int(special_primes), int(group_size)
+        if min(special_primes, group_size) < 1 or len(coeff_modulus_bits) <= special_primes:
             raise ParameterError(
-                "the coefficient modulus needs at least one data prime and the special prime"
+                "the coefficient modulus needs at least one data prime and the special "
+                "primes, and a digit at least one prime"
             )
         self.poly_modulus_degree = int(poly_modulus_degree)
         self.coeff_modulus_bits = [int(b) for b in coeff_modulus_bits]
         self.security_level = int(security_level)
+        #: Data primes per key-switching digit.
+        self.group_size = group_size
 
         if enforce_security:
             table = SECURITY_MAX_COEFF_MODULUS_BITS.get(self.security_level)
@@ -65,12 +82,13 @@ class CkksContext:
 
         primes = generate_ntt_primes(self.coeff_modulus_bits, self.poly_modulus_degree)
         #: Primes in consumption order (the compiler's chain order), special last.
-        self.consumable_primes: List[int] = primes[:-1]
-        self.special_prime: int = primes[-1]
+        self.consumable_primes: List[int] = primes[:-special_primes]
+        self.special_primes: List[int] = primes[-special_primes:]
         self.encoder: CkksEncoder = get_encoder(self.poly_modulus_degree)
 
         self._data_bases: Dict[int, RnsBasis] = {}
         self._key_bases: Dict[int, RnsBasis] = {}
+        self._conversions: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     # -- basic properties -----------------------------------------------------------
     @property
@@ -98,9 +116,11 @@ class CkksContext:
         basis = self._data_bases.get(level)
         if basis is None:
             # Every data basis is a prefix of the level-0 key basis, so each is
-            # derived by dropping a prime and shares that basis's NTT tables.
-            parent = self.key_basis(0) if level == 0 else self.data_basis(level - 1)
-            basis = parent.drop_last()
+            # derived by dropping primes and shares that basis's NTT tables.
+            if level == 0:
+                basis = self.key_basis(0).drop_last(len(self.special_primes))
+            else:
+                basis = self.data_basis(level - 1).drop_last()
             self._data_bases[level] = basis
         return basis
 
@@ -113,10 +133,50 @@ class CkksContext:
             else:
                 primes = self.data_basis(level).primes
             basis = RnsBasis(
-                primes + [self.special_prime], self.poly_modulus_degree, special=True
+                primes + self.special_primes,
+                self.poly_modulus_degree,
+                special=len(self.special_primes),
             )
             self._key_bases[level] = basis
         return basis
+
+    def digit_groups(self, level: int = 0) -> List[slice]:
+        """The data rows of each key-switching digit at ``level``, in basis order."""
+        count, size = len(self.data_basis(level)), self.group_size
+        return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+
+    def group_primes(self) -> List[int]:
+        """The prime naming each digit group of a switching key: its first data
+        prime, in basis order (the consumption order reversed)."""
+        basis = self.data_basis(0).primes
+        return [basis[group.start] for group in self.digit_groups(0)]
+
+    def base_conversion(self, level: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Tables that lift each digit from its group's primes to the key basis.
+
+        Returns ``(inverses, factors)``: row ``i`` of the data basis is
+        multiplied by ``inverses[i] = (Q_g / q_i)^-1 mod q_i`` and then by
+        ``factors[0, i, p] = (Q_g / q_i) mod p`` for every key prime ``p``, and
+        the products of a group's rows sum to its digit — the group's residue
+        ``[x]_{Q_g}`` plus a multiple of ``Q_g`` below the group's size (fast
+        base conversion).  ``Q_g`` is the product of the group's primes at
+        this level.
+        """
+        tables = self._conversions.get(level)
+        if tables is None:
+            data = self.data_basis(level).primes
+            key = self.key_basis(level).primes
+            inverses = np.ones((len(data), 1), dtype=np.int64)
+            factors = np.ones((1, len(data), len(key)), dtype=np.uint64)
+            for group in self.digit_groups(level):
+                members = data[group]
+                modulus = math.prod(members)
+                for row, prime in enumerate(members, start=group.start):
+                    quotient = modulus // prime
+                    inverses[row] = mod_inverse(quotient, prime)
+                    factors[0, row] = [quotient % p for p in key]
+            tables = self._conversions[level] = (inverses, factors)
+        return tables
 
     def restrict(self, poly: RnsPolynomial, basis: RnsBasis) -> RnsPolynomial:
         """Restrict a polynomial to a basis whose primes are a subset of its own."""
@@ -135,12 +195,12 @@ class CkksContext:
 
     # -- reporting -------------------------------------------------------------------------
     def total_coeff_modulus_bits(self) -> float:
-        """Actual ``log2 Q`` including the special prime."""
-        total = math.prod(self.consumable_primes) * self.special_prime
-        return math.log2(total)
+        """Actual ``log2 Q`` including the special primes."""
+        return math.log2(math.prod(self.consumable_primes) * math.prod(self.special_primes))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<CkksContext N={self.poly_modulus_degree} "
-            f"primes={self.coeff_modulus_bits} security={self.security_level}>"
+            f"primes={self.coeff_modulus_bits} special={len(self.special_primes)} "
+            f"group={self.group_size} security={self.security_level}>"
         )

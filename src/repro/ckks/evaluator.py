@@ -14,18 +14,18 @@ return evaluation form (and leave their operands converted, by rebinding
 ``Ciphertext.polys``); linear operations keep the form they are given.
 
 A key switch computes ``P`` times its result, in evaluation form over the key
-basis, and the division by the special prime ``P`` is paid only by a
-polynomial whose *value* is needed next.  ``rotate`` returns ``[perm(P*c0) +
-t0, round(t1 / P)]``: ``c1`` is decomposed by the next rotation, so it is
-settled in the form it arrived in; ``c0`` is only ever permuted and added —
-both free in evaluation form over the key basis — so it stays *extended*
-through rotation chains and reduction trees, and one division settles the sum
-of all their key-switch results.  ``relinearize`` of an evaluation-form
-ciphertext leaves both polynomials extended because the ``rescale_to_next``
-that follows divides by both primes in one pass.  ``add`` / ``sub`` /
-``negate`` keep an extended polynomial extended (a settled partner is
-*lifted* to ``P`` times itself, which never rebinds it); everything else
-settles first.
+basis, and the division by ``P`` — the product of the special primes — is paid
+only by a polynomial whose *value* is needed next.  ``rotate`` returns
+``[perm(P*c0) + t0, round(t1 / P)]``: ``c1`` is decomposed by the next
+rotation, so it is settled in the form it arrived in; ``c0`` is only ever
+permuted and added — both free in evaluation form over the key basis — so it
+stays *extended* through rotation chains and reduction trees, and one division
+settles the sum of all their key-switch results.  ``relinearize`` of an
+evaluation-form ciphertext leaves both polynomials extended because the
+``rescale_to_next`` that follows divides by ``P`` and the next prime in one
+pass.  ``add`` / ``sub`` / ``negate`` keep an extended polynomial extended (a
+settled partner is *lifted* to ``P`` times itself, which never rebinds it);
+everything else settles first.
 """
 
 from __future__ import annotations
@@ -135,13 +135,14 @@ class Evaluator:
     def _lift(self, poly: RnsPolynomial, level: int) -> RnsPolynomial:
         """``P * poly`` in evaluation form over the key basis: ``poly``, extended.
 
-        The special row of a multiple of ``P`` is zero, so this is ``L``
+        The special rows of a multiple of ``P`` are zero, so this is ``L``
         forward rows from coefficient form and none from evaluation form.
         """
         key_basis = self.context.key_basis(level)
-        primes = key_basis.primes_column
+        data = len(key_basis) - key_basis.special
         rows = np.zeros((len(key_basis), key_basis.poly_modulus_degree), dtype=np.int64)
-        rows[:-1] = poly.to_eval().residues * (primes[-1] % primes[:-1]) % primes[:-1]
+        multiplier = key_basis.special_multiplier()
+        rows[:data] = poly.to_eval().residues * multiplier % key_basis.primes_column[:data]
         return RnsPolynomial(key_basis, rows, EVAL)
 
     def _remembered(self, c0: RnsPolynomial, c1: RnsPolynomial) -> Optional[tuple]:
@@ -232,20 +233,38 @@ class Evaluator:
         return self.multiply(a, a)
 
     # -- key switching ----------------------------------------------------------------------
-    def _digit_ntts(self, poly: RnsPolynomial, level: int) -> np.ndarray:
-        """Forward NTT of every decomposition digit of ``poly`` over the key basis.
+    def _digits(self, coefficients: np.ndarray, level: int) -> np.ndarray:
+        """The decomposition digits of coefficient rows ``coefficients`` over the key basis.
 
-        Returns an ``(L, K, N)`` array: row ``j`` holds the NTT (one row per
-        key-basis prime) of ``poly``'s ``j``-th data residue lifted to the key
-        basis.
+        Returns ``(d, K, N)`` in coefficient form: digit ``g`` is the residue
+        of the polynomial modulo its group's primes, lifted to every key prime
+        by fast base conversion (:meth:`CkksContext.base_conversion`).  A digit
+        of one prime is that residue row itself, reduced modulo each key prime.
+        """
+        primes = self.context.key_basis(level).primes_column
+        inverses, factors = self.context.base_conversion(level)
+        scaled = (coefficients * inverses % primes[: len(coefficients)]).view(np.uint64)
+        groups = self.context.digit_groups(level)
+        digits = np.empty((len(groups), len(primes), coefficients.shape[-1]), dtype=np.int64)
+        for g, group in enumerate(groups):
+            digits[g] = _multiply_accumulate(
+                scaled[group, np.newaxis], factors[:, group, :, np.newaxis], primes
+            )[0]
+        return digits
+
+    def _digit_ntts(self, poly: RnsPolynomial, level: int) -> np.ndarray:
+        """Forward NTT of every decomposition digit of ``poly`` over the key basis (ModUp).
+
+        Returns a ``(d, K, N)`` array: row ``g`` holds the NTT (one row per
+        key-basis prime) of ``poly``'s ``g``-th digit lifted to the key basis.
+        Either form costs ``d*K`` rows.
         """
         key_basis = self.context.key_basis(level)
         if poly.form == EVAL:
-            return self._digit_ntts_of_evaluations(poly, key_basis)
-        # Lift every data residue row to all key primes, then transform the
-        # whole (L, K, N) digit matrix in one kernel pass.
-        digits = poly.residues[:, np.newaxis, :] % key_basis.primes_column
-        return key_basis.kernel.forward(digits)
+            return self._digit_ntts_of_evaluations(poly, level, key_basis)
+        # Lift every digit to all key primes, then transform the whole
+        # (d, K, N) digit matrix in one kernel pass.
+        return key_basis.kernel.forward(self._digits(poly.residues, level))
 
     def _hoisted(
         self, a: Ciphertext, c0: RnsPolynomial, c1: RnsPolynomial
@@ -275,29 +294,31 @@ class Evaluator:
             for key in [key for key, entry in self._hoist_cache.items() if entry[4] == id(a)]:
                 del self._hoist_cache[key]
 
-    @staticmethod
-    def _digit_ntts_of_evaluations(poly: RnsPolynomial, key_basis: RnsBasis) -> np.ndarray:
-        """The digit matrix of an evaluation-form ``poly``: L inverse + L(K-1) forward rows.
+    def _digit_ntts_of_evaluations(
+        self, poly: RnsPolynomial, level: int, key_basis: RnsBasis
+    ) -> np.ndarray:
+        """The digit matrix of an evaluation-form ``poly``: L inverse + d*K - L forward rows.
 
-        Digit ``j`` lifted to its own prime is residue row ``j`` itself, so
-        that row of its transform is ``poly``'s evaluation row and is not
-        recomputed; the digits themselves need ``poly``'s coefficients.
+        A digit lifted to its own group's primes is ``poly``'s residue rows
+        there, so those rows of its transform are ``poly``'s evaluation rows
+        and are not recomputed; the digits themselves need ``poly``'s
+        coefficients.
         """
         kernel = poly.basis.kernel
-        coefficients = kernel.inverse(poly.residues)
-        count, degree = coefficients.shape
+        count = len(poly.basis)
+        digits = self._digits(kernel.inverse(poly.residues), level)
+        groups = self.context.digit_groups(level)
+        group_of = np.repeat(np.arange(len(groups)), [g.stop - g.start for g in groups])
         own = np.arange(count)
-        digit_ntts = np.empty((count, count + 1, degree), dtype=np.int64)
-        digit_ntts[own, own] = poly.residues
-        special = key_basis.kernel.rows(count, count + 1)
-        digit_ntts[:, count:] = special.forward(
-            coefficients[:, np.newaxis, :] % key_basis.primes[-1]
-        )
-        if count > 1:
-            # Pass b over the data primes: prime k transforms digit (k + 1 + b) mod L,
-            # so every prime meets every digit but its own.
-            digit = (own + 1 + np.arange(count - 1).reshape(-1, 1)) % count
-            digit_ntts[digit, own] = kernel.forward(coefficients[digit] % poly.basis.primes_column)
+        digit_ntts = np.empty(digits.shape, dtype=np.int64)
+        digit_ntts[group_of, own] = poly.residues
+        special = key_basis.kernel.rows(count, len(key_basis))
+        digit_ntts[:, count:] = special.forward(digits[:, count:])
+        if len(groups) > 1:
+            # Pass b over the data primes: prime i transforms digit (g_i + 1 + b) mod d,
+            # g_i its own group's, so every prime meets every digit but its own.
+            digit = (group_of + 1 + np.arange(len(groups) - 1).reshape(-1, 1)) % len(groups)
+            digit_ntts[digit, own] = kernel.forward(digits[digit, own])
         return digit_ntts
 
     def _key_switch_totals(
@@ -307,23 +328,29 @@ class Evaluator:
         level: int,
         permutation: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """``sum_j digit_j * key_j`` for both key halves, as ``(2, K, N)`` evaluations.
+        """``sum_g digit_g * key_g`` for both key halves, as ``(2, K, N)`` evaluations.
 
-        This is the switched pair times the special prime, over the key basis.
+        This is the switched pair times ``P``, over the key basis.
         ``permutation`` (a Galois NTT permutation) is applied to the digits on
         the fly, which is how hoisted rotations reuse one decomposition.  The
         key is read in its level-0 form: level ``l`` reads, as views, its first
-        ``L_l`` digits over their data rows and over the special row.
+        ``d_l`` digits over its ``L_l`` data rows and over the special rows.
         """
-        primes = self.context.key_basis(level).primes_column
+        key_basis = self.context.key_basis(level)
+        primes = key_basis.primes_column
         form = switching_key.evaluation_form(self.context)
         if permutation is not None:
             digit_ntts = np.take(digit_ntts, permutation, axis=-1)
-        count = len(digit_ntts)
-        if count == form.shape[1]:
+        digits, rows = digit_ntts.shape[:2]
+        if rows == form.shape[2]:
             return _multiply_accumulate(digit_ntts, form, primes)
-        data = _multiply_accumulate(digit_ntts[:, :count], form[:, :count, :count], primes[:count])
-        special = _multiply_accumulate(digit_ntts[:, count:], form[:, :count, -1:], primes[count:])
+        count = rows - key_basis.special
+        data = _multiply_accumulate(
+            digit_ntts[:, :count], form[:, :digits, :count], primes[:count]
+        )
+        special = _multiply_accumulate(
+            digit_ntts[:, count:], form[:, :digits, -key_basis.special :], primes[count:]
+        )
         return np.concatenate([data, special], axis=1)
 
     def relinearize(self, a: Ciphertext) -> Ciphertext:
@@ -348,13 +375,14 @@ class Evaluator:
         if not c0.form == c1.form == EVAL:
             # Both totals back in one inverse pass, divided by P in coefficient form.
             ks0, ks1 = (
-                RnsPolynomial(key_basis, rows).divide_and_round_last()
+                RnsPolynomial(key_basis, rows).divide_and_round_last(key_basis.special)
                 for rows in key_basis.kernel.inverse(totals)
             )
             return Ciphertext([c0.add(ks0), c1.add(ks1)], a.scale, a.level)
-        primes = key_basis.primes_column
-        lifted = np.stack([c0.residues, c1.residues]) * (primes[-1] % primes[:-1])
-        totals[:, :-1] = (totals[:, :-1] + lifted) % primes[:-1]
+        data = len(key_basis) - key_basis.special
+        primes = key_basis.primes_column[:data]
+        lifted = np.stack([c0.residues, c1.residues]) * key_basis.special_multiplier()
+        totals[:, :data] = (totals[:, :data] + lifted) % primes
         polys = [RnsPolynomial(key_basis, rows, EVAL) for rows in totals]
         return Ciphertext(polys, a.scale, a.level)
 
@@ -365,8 +393,9 @@ class Evaluator:
         totals ``(t0, t1)`` of the permuted ``c1``: ``c0`` extended, the
         automorphism a slot permutation and the division by ``P`` still owed;
         ``c1`` — which the next rotation decomposes — settled in the form it
-        arrived in.  So a rotation transforms the ``L*K`` digit rows forward
-        and ``K`` rows (coefficient ``c1``) or ``1 + L`` (evaluation) back.
+        arrived in.  So a rotation transforms the ``d*K`` digit rows forward
+        and ``K`` rows back (coefficient ``c1``: all of them; evaluation: the
+        ``k`` special rows back and the correction's ``L`` forward).
 
         The decomposition of ``c1`` and the lift of a settled ``c0`` are
         hoisted: computed once (and cached by ciphertext identity), and each
@@ -391,19 +420,22 @@ class Evaluator:
         t0, t1 = (RnsPolynomial(key_basis, rows, EVAL) for rows in totals)
         if c1.form == COEFF:
             t1 = t1.to_coeff()
-        rotated = [extended.automorphism(element).add(t0), t1.divide_and_round_last()]
+        rotated = [
+            extended.automorphism(element).add(t0),
+            t1.divide_and_round_last(key_basis.special),
+        ]
         return Ciphertext(rotated, a.scale, a.level)
 
     # -- modulus chain -----------------------------------------------------------------------
     def rescale_to_next(self, a: Ciphertext) -> Ciphertext:
         """Divide the ciphertext (and its scale) by the next prime in the chain.
 
-        An extended polynomial divides by the special prime and the next prime
+        An extended polynomial divides by the special primes and the next prime
         together, which is what it was left extended for.
         """
         if a.level >= self.context.max_level - 1:
             raise ModulusExhaustedError("cannot rescale: no prime left to divide away")
-        polys = [p.divide_and_round_last(2 if p.basis.special else 1) for p in a.polys]
+        polys = [p.divide_and_round_last(p.basis.special + 1) for p in a.polys]
         return Ciphertext(polys, a.scale / self.context.prime_at_level(a.level), a.level + 1)
 
     def mod_switch_to_next(self, a: Ciphertext) -> Ciphertext:

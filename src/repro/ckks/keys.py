@@ -1,10 +1,13 @@
 """Key material and key generation for the RNS-CKKS scheme.
 
-Key switching uses the "special prime" (hybrid) technique: switching keys are
-generated modulo ``Q * P`` where ``P`` is the special prime, the decomposition
-digits are the per-prime residues of the polynomial being switched, and the
-final result is divided by ``P`` (with rounding), which keeps the switching
-noise small relative to the scale.
+Key switching uses the hybrid (grouped-digit) technique: switching keys are
+generated modulo ``Q * P`` where ``P`` is the product of the context's special
+primes, the decomposition digits are the residues of the polynomial being
+switched modulo each group of data primes (:meth:`CkksContext.digit_groups`),
+and the final result is divided by ``P`` (with rounding), which keeps the
+switching noise small relative to the scale.  The key of group ``g`` encrypts
+``P * E_g * s'``, ``E_g`` being 1 modulo the group's primes and 0 modulo
+every other prime, so one key serves every level: a level reads its rows.
 
 The same :class:`KeySwitchingKey` structure backs relinearization keys (which
 switch from ``s^2`` to ``s``) and Galois keys (which switch from ``s(X^g)`` to
@@ -26,8 +29,9 @@ pass and no forward pass; an importer fills the ``a`` half of the form it
 multiplies by straight from the seed and forward-transforms only ``b``
 (:func:`evaluation_forms`).  Labels separate every polynomial under one
 key-set seed: ``public``, ``relin/<j>`` and ``galois/<element>/<j>``, ``j``
-the digit's index in the chain's consumption order (and the prime of each row
-is part of the expander's input).
+the index in the chain's consumption order of the prime that names the
+digit's group — its first data prime in basis order (and the prime of each
+row is part of the expander's input).
 
 A key set written by a build before seeds carries ``a`` in coefficient form;
 such an ``a`` is forward-transformed with ``b`` when the key is imported.
@@ -75,7 +79,8 @@ class SeededUniform:
 UniformHalf = Union[SeededUniform, RnsPolynomial]
 
 #: Label families under a key-set seed.  A switching key's digit ``j`` (the
-#: index of its prime in the chain's consumption order) is ``<family>/<j>``.
+#: index in the chain's consumption order of the prime naming its group) is
+#: ``<family>/<j>``.
 PUBLIC_LABEL = "public"
 RELIN_LABEL = "relin"
 
@@ -154,22 +159,24 @@ class PublicKey:
 class KeySwitchingKey:
     """Switching key from some key ``s'`` to the secret key ``s``.
 
-    The key switch reads one array, :meth:`evaluation_form`: ``(2, L, K, N)``
-    ``uint32`` over the level-0 key basis, ``[0, j]`` holding ``b_j`` and
-    ``[1, j]`` holding ``a_j`` in evaluation form for data prime ``q_j``
-    (residues are below 2^30).  Every other level reads its rows of it: the
-    NTT is row-wise and a level's digits and key primes are subsets of level 0's.
+    The key switch reads one array, :meth:`evaluation_form`: ``(2, d, L+k, N)``
+    ``uint32`` over the level-0 key basis, ``[0, g]`` holding ``b_g`` and
+    ``[1, g]`` holding ``a_g`` in evaluation form for digit group ``g`` in
+    basis order (residues are below 2^31).  Every other level reads its rows
+    of it: the NTT is row-wise and a level's digits and key primes are subsets
+    of level 0's.
 
-    ``pairs[prime] = (b_j, a_j)`` — ``b_j`` in coefficient form (the wire's),
-    ``a_j`` its :data:`UniformHalf` — is what a key generator made; it keeps
-    them for export and builds the form on first use.  An imported key
-    (:meth:`imported`) is the form alone, plus its seeded ``a_j``: the key held
-    once, ``2*L*K*N*4`` bytes, its export rebuilt from the form.
+    ``pairs[prime] = (b_g, a_g)`` — keyed by the prime naming the group
+    (:meth:`CkksContext.group_primes`), ``b_g`` in coefficient form (the
+    wire's), ``a_g`` its :data:`UniformHalf` — is what a key generator made;
+    it keeps them for export and builds the form on first use.  An imported
+    key (:meth:`imported`) is the form alone, plus its seeded ``a_g``: the key
+    held once, ``2*d*(L+k)*N*4`` bytes, its export rebuilt from the form.
     """
 
     pairs: Dict[int, Tuple[RnsPolynomial, UniformHalf]]
     form: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    #: An imported key's seeded ``a_j`` by prime: the ``a`` half of its export.
+    #: An imported key's seeded ``a_g`` by prime: the ``a`` half of its export.
     seeds: Dict[int, SeededUniform] = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
@@ -182,18 +189,17 @@ class KeySwitchingKey:
         return cls({}, form, seeds)
 
     def evaluation_form(self, context: CkksContext) -> np.ndarray:
-        """The ``(2, L, K, N)`` form, built on first use: every ``b_j``
-        forward-transformed in one pass, every seeded ``a_j`` expanded into it."""
+        """The ``(2, d, L+k, N)`` form, built on first use: every ``b_g``
+        forward-transformed in one pass, every seeded ``a_g`` expanded into it."""
         if self.form is None:
-            key_basis = context.key_basis(0)
-            data_primes = key_basis.primes[:-1]
-            missing = [q_j for q_j in data_primes if q_j not in self.pairs]
+            names = context.group_primes()
+            missing = [q_g for q_g in names if q_g not in self.pairs]
             if missing:
                 raise ParameterError(f"switching key is missing the digit for prime {missing[0]}")
-            halves = zip(*(self.pairs[q_j] for q_j in data_primes))
-            polys = [poly for half in halves for poly in half]  # every b_j, then every a_j
-            form = evaluation_forms(context, polys, key_basis)
-            self.form = form.reshape(2, len(data_primes), *form.shape[1:]).astype(np.uint32)
+            halves = zip(*(self.pairs[q_g] for q_g in names))
+            polys = [poly for half in halves for poly in half]  # every b_g, then every a_g
+            form = evaluation_forms(context, polys, context.key_basis(0))
+            self.form = form.reshape(2, len(names), *form.shape[1:]).astype(np.uint32)
         return self.form
 
     def exported_pairs(self, context: CkksContext) -> Dict[int, Tuple[RnsPolynomial, UniformHalf]]:
@@ -203,8 +209,8 @@ class KeySwitchingKey:
         key_basis = context.key_basis(0)
         b, a = (key_basis.kernel.inverse(half.astype(np.int64)) for half in self.form)
         return {
-            q_j: (RnsPolynomial(key_basis, b[j]), self.seeds.get(q_j) or RnsPolynomial(key_basis, a[j]))
-            for j, q_j in enumerate(key_basis.primes[:-1])
+            q_g: (RnsPolynomial(key_basis, b[g]), self.seeds.get(q_g) or RnsPolynomial(key_basis, a[g]))
+            for g, q_g in enumerate(context.group_primes())
         }
 
 
@@ -267,18 +273,22 @@ class KeyGenerator:
         """Create a switching key from the key ``target`` (over the key basis) to ``s``."""
         context = self.context
         key_basis = context.key_basis(0)
-        special = context.special_prime
-        primes = context.consumable_primes
-        uniforms = [SeededUniform(self.seed, digit_label(family, j)) for j in range(len(primes))]
+        multiplier = key_basis.special_multiplier()
+        # Groups by the prime naming them, generated in consumption order.
+        groups = dict(zip(context.group_primes(), context.digit_groups(0)))
+        names = list(groups)[::-1]
+        uniforms = [
+            SeededUniform(self.seed, digit_label(family, context.consumable_primes.index(q_g)))
+            for q_g in names
+        ]
         masks = self._masks(key_basis, uniforms)
         pairs: Dict[int, Tuple[RnsPolynomial, UniformHalf]] = {}
-        prime_rows = {prime: i for i, prime in enumerate(key_basis.primes)}
-        for q_j, a_j, a_j_times_s in zip(primes, uniforms, masks):
+        for q_g, a_g, a_g_times_s in zip(names, uniforms, masks):
             w = RnsPolynomial.zero(key_basis)
-            row = prime_rows[q_j]
-            w.residues[row] = (target.residues[row] * (special % q_j)) % q_j
-            e_j = self.sampler.error(key_basis)
-            pairs[q_j] = (w.sub(RnsPolynomial(key_basis, a_j_times_s)).sub(e_j), a_j)
+            rows = groups[q_g]
+            w.residues[rows] = target.residues[rows] * multiplier[rows] % key_basis.primes_column[rows]
+            e_g = self.sampler.error(key_basis)
+            pairs[q_g] = (w.sub(RnsPolynomial(key_basis, a_g_times_s)).sub(e_g), a_g)
         return KeySwitchingKey(pairs)
 
     def create_relin_key(self) -> RelinearizationKey:

@@ -22,6 +22,7 @@ CRT composition back to the integers happens only at decryption:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -60,9 +61,10 @@ class RnsBasis:
     add, re-deriving ``mod_inverse`` on every rescale) is paid at basis
     construction instead of per polynomial op.
 
-    ``special`` marks a key-switching basis, whose last prime is the special
-    prime ``P``: a ciphertext whose polynomials live over one is *extended*
-    (it holds ``P`` times its value and still owes the division by ``P``).
+    ``special`` counts the special primes that end a key-switching basis, whose
+    product is ``P``: a ciphertext whose polynomials live over one is
+    *extended* (it holds ``P`` times its value and still owes the division by
+    ``P``).  An ordinary basis has ``special == 0``.
     """
 
     def __init__(
@@ -70,13 +72,13 @@ class RnsBasis:
         primes: Sequence[int],
         poly_modulus_degree: int,
         _kernel: "NttKernel | None" = None,
-        special: bool = False,
+        special: int = 0,
     ) -> None:
         if not primes:
             raise ParameterError("an RNS basis needs at least one prime")
         self.primes: List[int] = [int(p) for p in primes]
         self.poly_modulus_degree = int(poly_modulus_degree)
-        self.special = bool(special)
+        self.special = int(special)
         #: Transforms ``(..., len(primes), N)`` arrays over all primes at once.
         self.kernel = _kernel or get_ntt_kernel(self.primes, self.poly_modulus_degree)
         #: ``primes`` as an (L, 1) int64 column, ready to broadcast over residues.
@@ -86,6 +88,7 @@ class RnsBasis:
         self._garner_inverses: "List[np.ndarray] | None" = None
         self._crt_factors: "List[int] | None" = None
         self._modulus: "int | None" = None
+        self._special_multiplier: "np.ndarray | None" = None
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -118,6 +121,16 @@ class RnsBasis:
                 [mod_inverse(dropped, p) for p in self.primes[:-count]], dtype=np.int64
             ).reshape(-1, 1)
         return inverses
+
+    def special_multiplier(self) -> np.ndarray:
+        """``P mod q`` for every prime before the special ones, as a column:
+        the factor that extends a polynomial of the data basis."""
+        if self._special_multiplier is None:
+            data = len(self) - self.special
+            product = math.prod(self.primes[data:])
+            multiplier = [product % prime for prime in self.primes[:data]]
+            self._special_multiplier = np.array(multiplier, dtype=np.int64).reshape(-1, 1)
+        return self._special_multiplier
 
     def garner_inverses(self) -> List[np.ndarray]:
         """Entry ``i``: ``primes[i]^-1 mod p`` for every later prime ``p``, as a column."""
@@ -285,34 +298,46 @@ class RnsPolynomial:
         return RnsPolynomial(self.basis.drop_last(), self.residues[:-1].copy(), self.form)
 
     def divide_and_round_last(self, count: int = 1) -> "RnsPolynomial":
-        """Divide by the last ``count`` (1 or 2) primes of the basis and round (CKKS rescaling).
+        """Divide by the last ``count`` primes of the basis and round (CKKS rescaling).
 
         Bit-identical to ``count`` single divisions in a row, in the form of
         this polynomial.  Each division subtracts the centered residue of the
-        prime it drops; two of them fold into one correction
-        ``delta_P + P * delta_q`` (below 2^61, so it fits ``int64``).  In
-        evaluation form only the dropped rows are inverse-transformed and only
-        the correction is forward-transformed, over the rows that remain.
+        prime it drops; together they fold into one correction, the mixed-radix
+        number ``delta_1 + p_1 delta_2 + p_1 p_2 delta_3 + ...`` over the
+        dropped primes ``p_1, p_2, ...`` (last first), reduced modulo each kept
+        prime so no value leaves ``int64``.  In evaluation
+        form only the dropped rows are inverse-transformed and only the
+        correction is forward-transformed, over the rows that remain.
         """
-        if count not in (1, 2):
-            raise ParameterError("one or two primes can be divided away at a time")
         basis = self.basis
         kept = len(basis) - count
-        if kept < 1:
-            raise ParameterError("cannot rescale away the only prime of the basis")
+        if count < 1 or kept < 1:
+            raise ParameterError(
+                f"cannot divide {len(basis)} primes by {count}: one prime must remain"
+            )
         dropped = self.residues[kept:]
         if self.form == EVAL:
             dropped = basis.kernel.rows(kept, len(basis)).inverse(dropped)
-        last = basis.primes[-1]
-        correction = _centered(dropped[-1], last)
-        if count == 2:
-            # After the first division the next row holds (row - delta_P) / P.
-            prime = basis.primes[-2]
-            row = (dropped[0] - correction) % prime * mod_inverse(last, prime) % prime
-            correction = correction + last * _centered(row, prime)
+        # Digit i is what remains modulo the i-th dropped prime (last first)
+        # after the divisions by the primes dropped before it.
+        dropped_primes = basis.primes[: kept - 1 : -1]
+        digits = []
+        for index, prime in enumerate(dropped_primes):
+            row = dropped[count - 1 - index]
+            for digit, earlier in zip(digits, dropped_primes):
+                row = (row - digit) % prime * mod_inverse(earlier, prime) % prime
+            digits.append(_centered(row, prime))
         new_basis = basis.drop_last(count)
         primes = new_basis.primes_column
+        # The first two digits fold exactly (below 2^61); later ones are
+        # added modulo each kept prime, times the product of the primes before.
+        correction = digits[0] + dropped_primes[0] * digits[1] if count > 1 else digits[0]
         correction = correction % primes
+        weight = math.prod(dropped_primes[:2])
+        for digit, prime in zip(digits[2:], dropped_primes[2:]):
+            factor = np.array([weight % q for q in new_basis.primes], dtype=np.int64)
+            correction = (correction + factor.reshape(-1, 1) * digit) % primes
+            weight *= prime
         if self.form == EVAL:
             correction = new_basis.kernel.forward(correction)
         # Reduced minus reduced, plus p, lies in (0, 2p): times an inverse it stays below 2^63.

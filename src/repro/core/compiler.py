@@ -339,6 +339,10 @@ class CompilationResult:
             "rotation_steps": [int(s) for s in self.rotation_steps],
             "compile_seconds": float(self.compile_seconds),
         }
+        if (parameters.special_primes, parameters.group_size) != (1, 1):
+            # Absent means one of each: a record of that shape is the parent's byte for byte.
+            record["parameters"]["special_primes"] = int(parameters.special_primes)
+            record["parameters"]["group_size"] = int(parameters.group_size)
         if include_source and self.source is not None:
             record["source"] = program_to_dict(self.source)
         record["digest"] = _sha256_of(record)
@@ -381,6 +385,8 @@ class CompilationResult:
                     coeff_modulus_bits=[int(b) for b in parameters["coeff_modulus_bits"]],
                     security_level=int(parameters["security_level"]),
                     rotation_steps=[int(s) for s in parameters["rotation_steps"]],
+                    special_primes=int(parameters.get("special_primes", 1)),
+                    group_size=int(parameters.get("group_size", 1)),
                 ),
                 rotation_steps=[int(s) for s in body["rotation_steps"]],
                 options=CompilerOptions.from_dict(body["options"]),

@@ -127,6 +127,9 @@ class EvaluationEngine:
         self.threads = max(int(threads), 1)
         self.program = compilation.program
         self._scales = compute_scales(self.program)
+        #: The evaluation order and each term's use count, fixed with the program.
+        self._terms = self.program.terms()
+        self._use_counts = {tid: len(users) for tid, users in self.program.uses().items()}
 
     # -- public API -------------------------------------------------------------
     # Input classification walks terms() rather than the inputs dict: an
@@ -136,21 +139,21 @@ class EvaluationEngine:
         """Scale (bits) at which each live Cipher input must be encrypted (level 0)."""
         return {
             term.name: float(self._scales[term.id])
-            for term in self.program.terms()
+            for term in self._terms
             if term.is_input and term.value_type is ValueType.CIPHER
         }
 
     def cipher_input_names(self) -> List[str]:
         return [
             term.name
-            for term in self.program.terms()
+            for term in self._terms
             if term.is_input and term.value_type is ValueType.CIPHER
         ]
 
     def plain_input_names(self) -> List[str]:
         return [
             term.name
-            for term in self.program.terms()
+            for term in self._terms
             if term.is_input and term.value_type is not ValueType.CIPHER
         ]
 
@@ -227,7 +230,7 @@ class EvaluationEngine:
         cipher_values: Dict[int, Any] = {}
         plain_values: Dict[int, np.ndarray] = {}
         vec_size = self.program.vec_size
-        for term in self.program.terms():
+        for term in self._terms:
             if term.is_input:
                 if term.value_type is ValueType.CIPHER:
                     if term.name not in cipher_inputs:
@@ -255,9 +258,8 @@ class EvaluationEngine:
         retire_inputs: bool,
     ) -> Dict[str, Any]:
         program = self.program
-        uses = program.uses()
-        remaining_uses = {tid: len(consumers) for tid, consumers in uses.items()}
-        terms = program.terms()
+        remaining_uses = dict(self._use_counts)
+        terms = self._terms
         # Never retired: the outputs, and inputs the caller does not own.
         keep_ids = {t.id for t in program.outputs.values()}
         if not retire_inputs:

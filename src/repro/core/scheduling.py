@@ -55,7 +55,7 @@ def term_costs(
     """Latency of every ciphertext instruction in the compiled program."""
     program = compilation.program
     levels = compute_levels(program)
-    total_primes = len(compilation.parameters.coeff_modulus_bits) - 1
+    total_primes = len(compilation.parameters.data_bits)
     poly_degree = compilation.parameters.poly_modulus_degree
     costs: Dict[int, float] = {}
     for term in program.terms():

@@ -231,7 +231,7 @@ class _Served:
         return DEFAULT_COST_MODEL.program_seconds(
             compilation.program,
             params.poly_modulus_degree,
-            max(params.modulus_count - 1, 1),
+            max(len(params.data_bits), 1),
         )
 
 

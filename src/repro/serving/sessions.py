@@ -25,7 +25,7 @@ from ..core.compiler import CompilationResult
 from .registry import cache_view
 from .telemetry import Telemetry
 
-SessionKey = Tuple[str, int, Tuple[int, ...], Tuple[int, ...]]
+SessionKey = Tuple[str, int, Tuple[int, ...], Tuple[int, int], Tuple[int, ...]]
 
 _COUNTERS = ("serving.sessions.hits", "serving.sessions.misses", "serving.sessions.evictions")
 
@@ -37,6 +37,7 @@ def session_key(compilation: CompilationResult, client_id: str = "default") -> S
         str(client_id),
         parameters.poly_modulus_degree,
         tuple(parameters.coeff_modulus_bits),
+        (parameters.special_primes, parameters.group_size),
         tuple(sorted(compilation.rotation_steps)),
     )
 

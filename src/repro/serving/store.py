@@ -61,6 +61,8 @@ def session_digest(compilation: CompilationResult, client_id: str) -> str:
         [int(b) for b in parameters.coeff_modulus_bits],
         sorted(int(s) for s in compilation.rotation_steps),
     ]
+    if (parameters.special_primes, parameters.group_size) != (1, 1):
+        key.append([int(parameters.special_primes), int(parameters.group_size)])
     return hashlib.sha256(json.dumps(key, separators=(",", ":")).encode("utf-8")).hexdigest()[:32]
 
 

@@ -16,7 +16,11 @@ ended in 25, and the latter's output factor is 20 bits where it was 15 (the
 backend ran 65537, a 17-bit prime, for it); signatures did not move.  The
 proto extension field ``Instruction.kernel`` then lengthened the proto bytes
 of the two LeNet cases, the only ones whose instructions carry kernel labels;
-their parameters and signatures did not move.
+their parameters and signatures did not move.  Grouped key switching then
+moved the ``parameters`` of every case whose program switches a key and whose
+``N`` has room: their chains end in the special primes of the digit groups
+(``special_primes`` and ``group_size`` are written when either is not 1), and
+proto bytes, rotation steps and signatures did not move.
 ``tests/test_instructions.py`` holds the current compiler to it byte for byte.
 Regenerate it only from a clone of the commit you compare against::
 
@@ -103,6 +107,9 @@ def compiled_corpus():
             "rotation_steps": list(compiled.rotation_steps),
             "signature": compiled.signature,
         }
+        shape = (compiled.parameters.special_primes, compiled.parameters.group_size)
+        if shape != (1, 1):
+            corpus[name]["parameters"].update(special_primes=shape[0], group_size=shape[1])
     return corpus
 
 

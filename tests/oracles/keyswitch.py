@@ -2,8 +2,13 @@
 
 These are the ``_key_switch_reference`` / ``_rotate_reference`` methods
 ``repro.ckks.evaluator.Evaluator`` shipped behind its ``fast_keyswitch=False``
-switch before the switch was deleted, moved here verbatim (only the imports
-changed).  One forward/inverse NTT pair per decomposition digit per key prime,
+switch before the switch was deleted, moved here and generalised from one
+digit per prime to one per group of primes: a digit is the textbook fast base
+conversion ``sum_i [r_i (Q_g/q_i)^-1]_{q_i} (Q_g/q_i)`` of the group's
+residues, composed in Python integers, and the division by the special primes
+is one prime at a time.  With one prime per group and one special prime that
+is the code as it shipped.  One forward/inverse NTT pair per decomposition
+digit per key prime,
 built from ``RnsPolynomial.multiply`` with nothing cached and nothing hoisted —
 the independent definition the production NTT-domain pipeline is pinned
 against in ``tests/test_kernel_properties.py`` (bit-exact for relinearization,
@@ -24,13 +29,27 @@ the production path reads the seed as the same polynomial.
 
 from __future__ import annotations
 
-from typing import Tuple
+import math
+from typing import Sequence, Tuple
+
+import numpy as np
 
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import KeySwitchingKey, SeededUniform
 from repro.ckks.rns import RnsPolynomial
 from repro.errors import ParameterError, PolynomialCountError
+
+
+def group_digit(rows: np.ndarray, primes: Sequence[int]) -> np.ndarray:
+    """The fast base conversion of one group's residue rows, as Python integers
+    in ``[0, len(primes) * Q_g)``: what the digit is before reduction per prime."""
+    modulus = math.prod(primes)
+    total = np.zeros(rows.shape[-1], dtype=object)
+    for row, prime in zip(rows, primes):
+        quotient = modulus // prime
+        total = total + (row.astype(object) * pow(quotient, -1, prime) % prime) * quotient
+    return total
 
 
 def coefficient_form(cipher: Ciphertext) -> Ciphertext:
@@ -81,11 +100,15 @@ class ReferenceEvaluator(Evaluator):
         key_basis = context.key_basis(level)
         acc0 = RnsPolynomial.zero(key_basis)
         acc1 = RnsPolynomial.zero(key_basis)
-        for row, prime in enumerate(data_basis.primes):
+        for group in context.digit_groups(level):
+            prime = data_basis.primes[group.start]
             pair = switching_key.pairs.get(prime)
             if pair is None:
                 raise ParameterError(f"switching key is missing the digit for prime {prime}")
-            digit = RnsPolynomial.from_int64_coefficients(key_basis, poly.residues[row])
+            members = data_basis.primes[group]
+            digit = RnsPolynomial.from_int_coefficients(
+                key_basis, group_digit(poly.residues[group], members)
+            )
             b_j, a_j = pair
             if isinstance(a_j, SeededUniform):  # the oracle multiplies coefficient forms
                 if a_j not in self._written_out:
@@ -95,7 +118,9 @@ class ReferenceEvaluator(Evaluator):
             a_j = context.restrict(a_j, key_basis)
             acc0 = acc0.add(digit.multiply(b_j))
             acc1 = acc1.add(digit.multiply(a_j))
-        return acc0.divide_and_round_last(), acc1.divide_and_round_last()
+        for _ in range(key_basis.special):
+            acc0, acc1 = acc0.divide_and_round_last(), acc1.divide_and_round_last()
+        return acc0, acc1
 
     def _rotate_reference(
         self, a: Ciphertext, element: int, switching_key: KeySwitchingKey

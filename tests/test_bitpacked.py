@@ -44,8 +44,9 @@ from repro.serving import EvaServer, EvaTcpServer, ServingClient, SessionStore, 
 from repro.serving import netserver
 from test_seeded import OPTIONS, poly_program, rotate_sum_program, seeded_ack, through_json
 
-#: Widths of the rotation program's chain at N = 4096 (data primes, then the special one).
-WIDTHS = [26, 25, 31]
+#: Widths of the rotation program's chain at N = 4096 (data primes, then the two
+#: special ones: one digit of both data primes over ``P = q_2 q_3``).
+WIDTHS = [26, 25, 29, 28]
 
 
 def reference_payload(residues, widths) -> bytes:
@@ -221,8 +222,10 @@ class TestExactBytes:
         c0 = bits["ciphertexts"]["x"]["polys"][0]
         assert c0["bits"] == [26, 25] and len(c0["raw"]) == 26112
         for key in galois.values():
-            for b, a in key.values():
-                assert b["bits"] == WIDTHS and len(b["raw"]) == 41984 and "seed" in a
+            # One digit of 108 bits per coefficient: 55 296 bytes where two
+            # digits of [26, 25, 31] took 2 x 41 984.
+            (b, a), = key.values()
+            assert b["bits"] == WIDTHS and len(b["raw"]) == 55296 and "seed" in a
         response = server.request_encrypted("rotate_sum", bits, client_id="alice")
         with raw_blobs(), bitpacked_residues():
             reply = response.to_wire()
@@ -359,6 +362,7 @@ class TestRelinearizationKey:
             with expanded_seeds():
                 exports.append(through_json(kit.export_evaluation_keys()))
             rows.append(ntt_rows() - before)
-        # The public a over the data basis (2 rows), two digits of ten Galois keys (3 rows each).
-        assert rows == [2 + 10 * 2 * 3, 0]
+        # The public a over the data basis (2 rows), one digit of ten Galois keys
+        # (4 rows each; two digits of 3 rows while each prime was a digit).
+        assert rows == [2 + 10 * 1 * 4, 0]
         assert exports[0] == exports[1]

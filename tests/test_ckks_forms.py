@@ -47,8 +47,11 @@ from repro.ckks.keys import SeededUniform
 from repro.ckks.ntt import get_ntt_kernel, ntt_rows
 from repro.ckks.numth import generate_ntt_primes
 from repro.ckks.rns import COEFF, EVAL, RnsBasis, RnsPolynomial
+from repro.core.analysis import compute_levels
+from repro.core.analysis.parameters import modup_rows
 from repro.core.executor import EvaluationEngine
 from repro.core.serialization.packing import pack_residues, unpack_residues
+from repro.core.types import Op
 from repro.errors import SerializationError
 from repro.serving import EvaServer
 
@@ -404,7 +407,7 @@ def boundary_residues(rng, basis):
 
 
 class TestDivideAndRoundLast:
-    """Both forms, one or two primes at once, against the sequential oracle."""
+    """Both forms, any number of primes at once, against the sequential oracle."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -419,9 +422,9 @@ class TestDivideAndRoundLast:
     def test_matches_sequential_divisions(self, n, bits, seed):
         basis = RnsBasis(generate_ntt_primes(bits, n), n)
         poly = boundary_residues(np.random.default_rng(seed), basis)
-        for count in (1, 2):
+        for count in range(1, len(basis) + 1):
             if count >= len(basis):
-                with pytest.raises(Exception, match="only prime"):
+                with pytest.raises(Exception, match="one prime must remain"):
                     poly.divide_and_round_last(count)
                 continue
             want = divide_and_round_sequential(poly, count)
@@ -430,10 +433,15 @@ class TestDivideAndRoundLast:
                 assert got.form == operand_.form and got.basis == want.basis
                 assert np.array_equal(got.to_coeff().residues, want.residues)
 
-    def test_more_than_two_primes_at_once_is_refused(self):
+    def test_any_count_short_of_every_prime_divides(self):
+        """Any count up to all primes but one divides (the special primes and
+        the next prime of a grouped chain go at once); all of them, or none,
+        is refused."""
         basis = RnsBasis(generate_ntt_primes([25] * 5, 8), 8)
-        with pytest.raises(Exception, match="one or two"):
-            RnsPolynomial.zero(basis).divide_and_round_last(3)
+        assert RnsPolynomial.zero(basis).divide_and_round_last(4).basis == basis.drop_last(4)
+        for count in (0, 5):
+            with pytest.raises(Exception, match="one prime must remain"):
+                RnsPolynomial.zero(basis).divide_and_round_last(count)
 
     def test_the_trailing_row_kernels_are_views_of_the_key_basis_tables(self, monkeypatch):
         # Every kernel inspected here is built here: a kernel some earlier test
@@ -519,29 +527,66 @@ def steady_state_rows(program, chain, whole_request):
 
 
 class TestExactNttRows:
-    def test_multiply_chain_62_rows(self):
-        rows = steady_state_rows(relin_poly_program(), (8192, [25] * 4 + [30]), whole_request=False)
+    def test_multiply_chain_56_rows(self):
+        rows = steady_state_rows(relin_poly_program(), (8192, [25] * 4 + [28, 28]), whole_request=False)
         # 126 before forms: multiply 56 (it transformed back), relinearize 70.
         # 82 while every product was relinearized and rescaled on its own: a
         # relinearization costs 20 rows at level 0 and 12 at level 1, a
         # rescale 10 and 8, and x2*x2 + x2*x now sums before doing either
         # once at level 1 (relinearize 20 + 12 + 12, rescale 10 + 8 + 8).
+        # 62 with a digit per prime over one 30-bit special prime (relinearize
+        # 20 + 12, rescale 10 + 8).  Now two digits of two primes over two
+        # 28-bit special primes: a decomposition is d*K = 2*6 at level 0 and
+        # 2*5 at level 1, and a rescale after it divides k + 1 = 3 rows back
+        # and spreads the correction over L - 1, per polynomial: 2*(3 + 3)
+        # and 2*(3 + 2).
         assert rows.pop("decrypt") == 4
-        assert rows == {"multiply": 8, "relinearize": 20 + 12, "rescale": 10 + 8, "export": 4}
+        assert rows == {"multiply": 8, "relinearize": 12 + 10, "rescale": 12 + 10, "export": 4}
 
-    def test_rotation_chain_95_rows(self):
-        rows = steady_state_rows(rotate_sum_program(), (4096, [25, 25, 30]), whole_request=False)
+    def test_rotation_chain_86_rows(self):
+        rows = steady_state_rows(rotate_sum_program(), (4096, [25, 25, 28, 28]), whole_request=False)
         assert rows.pop("decrypt") == 4
         # 120 when every rotation divided both halves: (L + 1)(L + 2) = 12 each.
-        # Now L*K digit rows forward and K back for c1, L more to lift the
-        # fresh c0 once — 11 + 9 * 9 — and c0's one owed division at export (K).
-        assert rows == {"rotate": 92, "export": 3}
+        # 95 with a digit per prime: L*K = 6 digit rows forward and K = 3 back
+        # for c1, L more to lift the fresh c0 once (rotate 2 + 10 * 9) and c0's
+        # one owed division at export (K).  Now one digit of both primes over
+        # two special primes: d*K = 4 forward and K = 4 back (2 + 10 * 8),
+        # and the export's division takes one row more (K = 4).
+        assert rows == {"rotate": 82, "export": 4}
 
     def test_server_held_keys_34_rows(self):
         rows = steady_state_rows(batch_poly_program(), (4096, [25, 25, 25, 30]), whole_request=True)
         # 48 before forms (multiply 15, relinearize 20, decrypt 4), 37 before
         # symmetric encryption (3L = 9 rows for the public-key path).
         assert rows == {"encrypt": 6, "multiply": 6, "relinearize": 12, "rescale": 8, "decrypt": 2}
+
+    @pytest.mark.parametrize(
+        "program", [rotate_sum_program, relin_poly_program, batch_poly_program],
+        ids=["rotate_sum", "relin_poly", "batch_poly"],
+    )
+    def test_the_row_formula_is_what_each_key_switch_counts(self, program):
+        """Every RELINEARIZE counts its decomposition of c2, ``modup_rows`` at
+        its level (its two polynomials stay extended for the rescale), and
+        every ROTATE the decomposition of its operand — once per operand, the
+        lift of a fresh c0 (L rows) with it — and ``K`` to divide c1."""
+        compiled = CompiledProgram.compile(program().graph, options=OPTIONS)
+        parameters = compiled.parameters
+        chain = (parameters.poly_modulus_degree, parameters.coeff_modulus_bits)
+        rows = steady_state_rows(program(), chain, whole_request=program is batch_poly_program)
+        levels, data = compute_levels(compiled.program), len(parameters.data_bits)
+        shape = (parameters.group_size, parameters.special_primes)
+        expected, decomposed = {"rotate": 0, "relinearize": 0}, set()
+        for term in compiled.program.terms():
+            primes = data - levels[term.id]
+            if term.op is Op.RELINEARIZE:
+                expected["relinearize"] += modup_rows(primes, *shape)
+            elif term.op in (Op.ROTATE_LEFT, Op.ROTATE_RIGHT):
+                operand = term.args[0]
+                if operand.id not in decomposed:
+                    decomposed.add(operand.id)
+                    expected["rotate"] += modup_rows(primes, *shape) + primes * operand.is_input
+                expected["rotate"] += primes + parameters.special_primes
+        assert {op: rows.get(op, 0) for op in expected} == expected
 
     @pytest.mark.parametrize(
         "program, chain, keygen, encrypt, imported, steady",
@@ -553,13 +598,18 @@ class TestExactNttRows:
             # coefficient form (K = 3) and a*s per digit (L*K = 6).  The 10
             # Galois keys' forms (6 rows each) were paid by the first request
             # (155) until the import prepared them.
-            (rotate_sum_program, (4096, [25, 25, 30]), 67, 4, 60, 95),
+            # 67 / 4 / 60 / 95 with a digit per prime over one special prime
+            # (6 keygen and attach rows per key); one digit over two special
+            # primes takes 4 (d*K) rows of each.
+            (rotate_sum_program, (4096, [25, 25, 28, 28]), 48, 4, 40, 86),
             # 72 / 12 / 146 / 82: one relinearization key, whose level-1 form is
             # a selection of the level-0 form (20 rows), not 24 rows more.
             # 102 / 82 while both level-1 products were relinearized (12 rows)
             # and rescaled (8) on their own, before their sum; a first request
             # of 82 while the key's form (20 rows) waited for it.
-            (relin_poly_program, (8192, [25] * 4 + [30]), 38, 8, 20, 62),
+            # 38 / 8 / 20 / 62 with a digit per prime (the key's L*K = 20
+            # rows); two digits of two primes over two special primes: 2*6.
+            (relin_poly_program, (8192, [25] * 4 + [28, 28]), 32, 8, 12, 56),
         ],
         ids=["rotate_sum", "relin_poly"],
     )
@@ -597,10 +647,13 @@ class TestExactNttRows:
         assert np.allclose(answer[: len(reference)], reference, atol=0.1)
 
     @pytest.mark.parametrize(
-        "program, keys", [(rotate_sum_program, 10), (relin_poly_program, 1)], ids=["rotate_sum", "relin_poly"]
+        "program, keys, form_bytes",
+        # 196 608 and 1 310 720 bytes (2*L*(L+1)*N*4) with a digit per prime.
+        [(rotate_sum_program, 10, 2 * 1 * 4 * 4096 * 4), (relin_poly_program, 1, 2 * 2 * 6 * 8192 * 4)],
+        ids=["rotate_sum", "relin_poly"],
     )
-    def test_an_imported_session_holds_each_key_once_and_no_hoisted_digits(self, program, keys):
-        """Each switching key is its level-0 form alone, 2*L*K*N*4 bytes of
+    def test_an_imported_session_holds_each_key_once_and_no_hoisted_digits(self, program, keys, form_bytes):
+        """Each switching key is its level-0 form alone, 2*d*(L+k)*N*4 bytes of
         ``uint32`` (where an import kept the coefficient ``b`` beside a cached
         int64 form per level), and once an evaluation has released its handles
         the hoisting cache holds nothing: no digit NTTs, no ciphertext pinned."""
@@ -611,14 +664,16 @@ class TestExactNttRows:
         server = backend.create_evaluation_context(
             compiled.parameters, json.loads(json.dumps(kit.export_evaluation_keys()))
         )
-        degree, (*data, _) = compiled.parameters.poly_modulus_degree, compiled.parameters.coeff_modulus_bits
+        parameters = compiled.parameters
+        digits = -(-len(parameters.data_bits) // parameters.group_size)
+        assert form_bytes == 2 * digits * len(parameters.coeff_modulus_bits) * parameters.poly_modulus_degree * 4
         evaluator = server.evaluator
         held = list(evaluator.galois_keys.keys.values())
         held += [evaluator.relin_key.key] if evaluator.relin_key else []
         assert len(held) == keys
         for key in held:
             assert key.pairs == {} and key.form.base is None and key.form.dtype == np.uint32
-            assert key.form.nbytes == 2 * len(data) * (len(data) + 1) * degree * 4
+            assert key.form.nbytes == form_bytes
             assert all(isinstance(a, SeededUniform) and not a._coefficients for a in key.seeds.values())
         engine = EvaluationEngine(compiled, backend=backend)
         values = np.random.default_rng(1).uniform(-1.0, 1.0, program.graph.vec_size)
@@ -691,12 +746,15 @@ class TestExactNttRows:
         c0 waited.  912 steady and 1192 with cold key forms while each of the
         25 products was rescaled on its own (rescale 326, relinearize 134 / 190
         cold); summing before rescaling and relinearizing leaves 8 RESCALE and
-        3 RELINEARIZE: 632 steady, 912 cold."""
+        3 RELINEARIZE: 632 steady, 912 cold with a digit per prime.  The
+        compiler now groups the seven primes in two digits (4 + 3) over four
+        29-bit special primes: 550 steady, 660 cold."""
         program = build_sobel_program(image_size=64, scale=28.0)
         options = CompilerOptions(max_rescale_bits=28)
         compilation = CompiledProgram.compile(program.graph, options=options)
         assert compilation.parameters.poly_modulus_degree == 16384
-        assert compilation.parameters.coeff_modulus_bits == [28] * 7 + [30]
+        assert compilation.parameters.coeff_modulus_bits == [28] * 7 + [29] * 4
+        assert (compilation.parameters.group_size, compilation.parameters.special_primes) == (4, 4)
         backend = CkksBackend(seed=3)
         engine = EvaluationEngine(compilation, backend=backend)
         context = backend.create_context(compilation.parameters)
@@ -710,14 +768,17 @@ class TestExactNttRows:
             wire = context.encode_cipher(handles["edges"])
             totals.append(context.drain_ntt_rows())
         cold, steady = totals
-        assert sum(cold.values()) == 912 and sum(steady.values()) == 632
-        assert (steady["rescale"], steady["relinearize"], cold["relinearize"]) == (88, 92, 148)
+        assert sum(cold.values()) == 660 and sum(steady.values()) == 550
+        # (88, 92, 148) with a digit per prime: the rescales after the three
+        # relinearizations divide four special primes more, and a
+        # decomposition is d*K = 2*11 rows at level 0 where it was 7*8.
+        assert (steady["rescale"], steady["relinearize"], cold["relinearize"]) == (106, 46, 68)
         # Three hoisted groups of evaluation-form ciphertexts, 8 rotations:
-        # L + L^2 digit rows per group and 1 + L per step for c1 (296 when
-        # each step divided c0 as well) ...
-        assert steady["rotate"] == 3 * (7 + 7 * 7) + 8 * (1 + 7)
-        # ... and 8 settles of an extended c0, 1 + L each, at the multiplications.
-        assert steady["multiply_plain"] == 152 + 8 * (1 + 7)
+        # d*K = 2*11 digit rows per group and K = k + L per step for c1
+        # (3 * 56 + 8 * 8 with a digit per prime) ...
+        assert steady["rotate"] == 3 * (2 * 11) + 8 * (4 + 7)
+        # ... and 8 settles of an extended c0, k + L each, at the multiplications.
+        assert steady["multiply_plain"] == 152 + 8 * (4 + 7)
         expected = execute_reference(program.graph, inputs)["edges"]
         answer = context.decrypt(context.decode_cipher(wire))
         # 0.00254 while every product was rescaled on its own: no worse now.
@@ -790,11 +851,12 @@ class TestFormsStayOffTheWire:
         context.generate_keys()
         x = context.encrypt(np.linspace(-1, 1, 1024), 25)
         rotated = context.rotate(context.decode_cipher(context.encode_cipher(x)), 1)
-        assert [p.basis.special for p in rotated.polys] == [True, False]
+        special = compiled.parameters.special_primes
+        assert [p.basis.special for p in rotated.polys] == [special, 0]
         data_rows, degree = len(context.context.data_basis(0)), context.context.poly_modulus_degree
         context.drain_ntt_rows()
         wire = context.encode_cipher(rotated)
-        assert context.drain_ntt_rows() == {"export": data_rows + 1}
+        assert context.drain_ntt_rows() == {"export": data_rows + special}
         assert [unpack_residues(rows).shape for rows in wire["polys"]] == [(data_rows, degree)] * 2
         assert rotated.polys[0].basis.special  # not settled by the export
         want = np.roll(np.linspace(-1, 1, 1024), -1)

@@ -73,11 +73,13 @@ class TestCli:
         ops = report["ops"]
         rows = {op: entry["ntt_rows"] for op, entry in ops.items()}
         # Keygen and symmetric encryption as a new client pays them; the ten
-        # rotations' steady 92 plus 60 to cache the ten Galois keys' evaluation
-        # form on first use; the lift of acc is remembered, so the adds
-        # transform nothing; decrypt divides c0's owed P (K = 3) and takes c1
-        # there and back (2L = 4).
-        assert rows == {"keygen": 76, "encrypt": 4, "rotate": 92 + 60, "add": 0, "decrypt": 3 + 4}
+        # rotations' steady 82 plus 40 to cache the ten Galois keys' evaluation
+        # form on first use (one digit of both primes over two special primes,
+        # d*K = 4 rows each; 92 + 60 with a digit per prime); the lift of acc
+        # is remembered, so the adds transform nothing; decrypt divides c0's
+        # owed P (K = 4, was 3) and takes c1 there and back (2L = 4).  Keygen
+        # was 76: a*s per digit of eleven keys, K rows each.
+        assert rows == {"keygen": 56, "encrypt": 4, "rotate": 82 + 40, "add": 0, "decrypt": 4 + 4}
         assert (ops["rotate"]["count"], ops["add"]["count"]) == (10, 10)
         assert ops["rotate"]["seconds"] > 0
         # The mock backends time nothing.

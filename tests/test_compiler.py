@@ -68,10 +68,15 @@ class TestCompilerDriver:
 
     def test_x2y3_matches_paper_chain_structure(self, x2y3_program):
         # Figure 2(d)/(e): output rescale chain of length 2 with 60-bit values,
-        # final output scale 2^90, so r = 1 + 2 + ceil((90 + 30)/60) = 5.
+        # final output scale 2^90, so r = 1 + 2 + ceil((90 + 30)/60) = 5 in the
+        # paper's accounting, which has one special prime.  Key switching is
+        # then shaped for the program's relinearizations: its four data primes
+        # in two digits over two 60-bit special primes, so six primes run.
         result = compile_program(x2y3_program, output_scales={"out": 30})
-        assert result.parameters.modulus_count == 5
-        assert result.parameters.coeff_modulus_bits.count(60) >= 3
+        parameters = result.parameters
+        assert len(parameters.data_bits) + 1 == 5
+        assert (parameters.group_size, parameters.special_primes) == (2, 2)
+        assert parameters.modulus_count == 6 and parameters.coeff_modulus_bits.count(60) == 6
 
 
 class TestPolicyComparison:
@@ -90,11 +95,14 @@ class TestPolicyComparison:
     def test_eva_modulus_not_longer_than_chet(self):
         # The paper's optimality claim is about the modulus-chain length r
         # (Section 5.3); for very shallow programs the 60-bit rescale policy
-        # can use more total bits than the baseline, so only r is compared.
+        # can use more total bits than the baseline, so only r is compared —
+        # the chain the program consumes, with the paper's one special prime:
+        # the special primes key switching is then shaped with depend on how
+        # much room each chain leaves at its N, not on the policy.
         program = self._program()
         eva = program.compile(options=CompilerOptions(policy="eva"))
         chet = program.compile(options=CompilerOptions(policy="chet"))
-        assert eva.parameters.modulus_count <= chet.parameters.modulus_count
+        assert len(eva.parameters.data_bits) <= len(chet.parameters.data_bits)
 
     def test_both_policies_produce_equivalent_results(self, noiseless_backend):
         from repro.core import Executor
@@ -115,9 +123,18 @@ class TestRescaleBitOptions:
             input_scales={"x": 25, "y": 25},
             options=CompilerOptions(max_rescale_bits=25),
         )
-        *chain, special = result.parameters.coeff_modulus_bits
+        parameters = result.parameters
+        chain, special = parameters.data_bits, parameters.coeff_modulus_bits[len(parameters.data_bits) :]
         assert all(bits <= 25 for bits in chain)
-        assert special == SPECIAL_PRIME_BITS  # never narrower: it divides the key-switching noise
+        # One special prime was never narrower than SPECIAL_PRIME_BITS: it
+        # divides the key-switching noise.  Grouped, the special primes are at
+        # most that wide, and together they divide by at least as much past the
+        # widest group as one such prime did past the widest data prime.
+        assert (parameters.group_size, len(special)) == (2, 2) and special == [28, 28]
+        assert all(bits <= SPECIAL_PRIME_BITS for bits in special)
+        basis = chain[::-1]
+        widest = max(sum(basis[i : i + parameters.group_size]) for i in range(0, len(basis), parameters.group_size))
+        assert sum(special) - widest >= SPECIAL_PRIME_BITS - max(chain)
 
 
 class TestCseAndFolding:

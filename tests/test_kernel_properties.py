@@ -22,6 +22,8 @@ optimized paths can be pinned against them over randomized inputs:
   the two valid decompositions differ only under the noise floor).
 """
 
+import contextlib
+import hashlib
 import json
 import pathlib
 
@@ -54,8 +56,8 @@ from repro.ckks.numth import generate_ntt_primes, is_prime
 from repro.ckks.rns import RnsBasis, RnsPolynomial
 from repro.ckks.sampling import ENCRYPTION_SECRETS, RlweSampler
 from repro.core.analysis.parameters import EncryptionParameters
-from repro.core.serialization.packing import expanded_seeds
-from repro.errors import ParameterError
+from repro.core.serialization.packing import bitpacked_residues, expanded_seeds
+from repro.errors import ParameterError, SerializationError
 
 DRAWS = 5
 
@@ -413,6 +415,133 @@ class TestKeySwitchAgainstReference:
             fast = scheme["fast"].rotate(cipher, step)
             got = np.real(scheme["decryptor"].decrypt(fast))
             assert np.max(np.abs(got - np.roll(values, -step))) < 1e-2
+
+
+def grouped_shapes(count, bits=25, one=30):
+    """Every ``(group_size, special_primes, width)`` the selection rule admits
+    for ``count`` data primes of ``bits`` bits, the security table aside:
+    special primes of one width, at most ``one`` bits and at least 20, that
+    divide the widest group by at least ``one - bits`` bits."""
+    for size in range(1, count + 1):
+        widest = bits * size
+        for special in range(1, count + 2):
+            width = max(-(-(widest + one - bits) // special), 20)
+            if width <= one:
+                yield size, special, width
+
+
+def largest_difference(got, want):
+    """``max |got - want|`` over the coefficients, composed exactly and centered."""
+    modulus = got.basis.modulus()
+    differences = (np.array(got.to_int_coefficients(), dtype=object) - want) % modulus
+    return max(min(int(d), modulus - int(d)) for d in differences)
+
+
+class TestGroupedKeySwitching:
+    """Digits of several primes over several special primes, at every level:
+    within the one-prime shape's error bound, and bit-exact against the
+    grouped oracle where the oracle is exact.
+
+    The bound is the one-prime shape's worst case: rounding a division by
+    ``P`` leaves at most 1/2 per coefficient of ``c0`` and of ``c1 * s``, so
+    ``(N + 1) / 2``, and the switching noise ``sum_j q_j * N * B_e / P_1``
+    (``B_e`` = 6 sigma) divided by the 30-bit prime ``P_1`` — which grouping
+    keeps, since its ``P`` divides each group by at least as much as ``P_1``
+    divided one prime."""
+
+    N = 64
+    SCALE = 2.0**20
+
+    @pytest.mark.parametrize(
+        "count, group_size, special_primes, width",
+        [(count, *shape) for count in range(1, 5) for shape in grouped_shapes(count)],
+    )
+    def test_every_switch_at_every_level(self, count, group_size, special_primes, width):
+        context = CkksContext(
+            self.N, [25] * count + [width] * special_primes, enforce_security=False,
+            special_primes=special_primes, group_size=group_size,
+        )  # fmt: skip
+        assert len(context.digit_groups(0)) == -(-count // group_size)
+        keygen = KeyGenerator(context, seed=count)
+        keys = keygen.create_relin_key(), keygen.create_galois_keys([1, 3])
+        fast, reference = Evaluator(context, *keys), ReferenceEvaluator(context, *keys)
+        encryptor = Encryptor(context, keygen.create_public_key(), keygen.secret_key, seed=count)
+        decryptor = Decryptor(context, keygen.secret_key)
+        values = np.random.default_rng(count).uniform(-1.0, 1.0, context.slots)
+        cipher = encryptor.encode_and_encrypt(values, self.SCALE)
+        one_prime = generate_ntt_primes([25] * count + [30], self.N)
+        bound = (self.N + 1) / 2 + sum(one_prime[:-1]) * self.N * 6 * 3.2 / one_prime[-1]
+        for level in range(count):
+            if level:
+                cipher = fast.mod_switch_to_next(cipher)
+            plain = decryptor.decrypt_poly(cipher)
+            for step in (1, 3, 1):  # a single rotation, then two hoisted on its digits
+                element = context.galois_element_for_step(step)
+                want = np.array(plain.automorphism(element).to_int_coefficients(), dtype=object)
+                for evaluator in (fast, reference):
+                    rotated = decryptor.decrypt_poly(evaluator.rotate(cipher, step))
+                    assert largest_difference(rotated, want) <= bound
+            squared = fast.multiply(cipher, cipher)
+            want = np.array(decryptor.decrypt_poly(squared).to_int_coefficients(), dtype=object)
+            relinearized = fast.relinearize(squared)
+            assert largest_difference(decryptor.decrypt_poly(relinearized), want) <= bound
+            for got, expected in zip(relinearized.to_coeff(), reference.relinearize(squared).polys):
+                assert np.array_equal(got.residues, expected.residues)
+
+    def test_group_keys_round_trip_with_their_seeded_labels(self):
+        """A key is one ``{b, seed}`` pair per group, named by the group's first
+        data prime in basis order and labelled by that prime's index in the
+        chain's consumption order; an import rebuilds the generator's forms
+        and exports the same pairs, and a name inside a group is refused."""
+        parameters = EncryptionParameters(
+            1024, [25, 25, 25, 28, 28], rotation_steps=[1, 3], special_primes=2, group_size=2
+        )
+        backend = CkksBackend(seed=43, enforce_security=False)
+        client = backend.create_context(parameters)
+        client.generate_keys()
+        context = client.context
+        blob = json.loads(json.dumps(client.export_evaluation_keys()))
+        basis = context.data_basis(0).primes  # last consumed first: groups [0, 1] and [2]
+        names = [basis[2], basis[0]]  # in consumption order: the chain's first and third primes
+        assert context.group_primes() == names[::-1] and names == context.consumable_primes[::2]
+        for key in [blob["relin_key"], *blob["galois_keys"].values()]:
+            assert [int(prime) for prime in key] == names
+        server = backend.create_evaluation_context(parameters, blob)
+        for element, key in server.evaluator.galois_keys.keys.items():
+            labels = {prime: a.label for prime, a in key.seeds.items()}
+            assert labels == {basis[2]: f"galois/{element}/0", basis[0]: f"galois/{element}/2"}
+            generated = client.evaluator.galois_keys.keys[element].evaluation_form(context)
+            assert key.form.shape == (2, 2, 5, 1024) and np.array_equal(key.form, generated)
+        assert json.loads(json.dumps(server.export_evaluation_keys())) == blob
+        values = np.linspace(-1.0, 1.0, context.slots)
+        cipher = server.decode_cipher(json.loads(json.dumps(client.encode_cipher(client.encrypt(values, 20)))))
+        rotated = client.decode_cipher(server.encode_cipher(server.rotate(cipher, 3)))
+        assert np.allclose(client.decrypt(rotated), np.roll(values, -3), atol=1e-3)
+        inside = json.loads(json.dumps(blob))
+        inside["relin_key"] = {str(basis[1]): inside["relin_key"][str(basis[0])]}
+        with pytest.raises(SerializationError, match="not a prime of the chain"):
+            backend.create_evaluation_context(parameters, inside)
+
+    @pytest.mark.parametrize(
+        "variant, digest",
+        [
+            (None, "811d77747a190b557e68aaeb51ab7690708bbf7fa909765d67a522047499ee9d"),
+            (expanded_seeds, "b1f54a4a9d93124ff5a43f377964f6b37870159ac6bce0ee3194ed8be562c608"),
+            (bitpacked_residues, "589e1dad42711d50e4eee985e7f680019f96d93312dc48f3ee54170cac4ca4be"),
+        ],
+        ids=["seeded", "written-out", "bitpacked"],
+    )
+    def test_a_one_prime_key_blob_is_the_parent_commits_byte_for_byte(self, variant, digest):
+        """Digits of one prime over one special prime are the shape every key
+        had before groups: under a fixed seed the export hashes to what the
+        commit before groups exported (digests taken there)."""
+        parameters = EncryptionParameters(1024, [26, 26, 26, 30], rotation_steps=[1, 3])
+        context = CkksBackend(seed=41, enforce_security=False).create_context(parameters)
+        context.generate_keys()
+        with variant() if variant else contextlib.nullcontext():
+            blob = context.export_evaluation_keys()
+        data = json.dumps(blob, sort_keys=True, default=lambda raw: bytes(raw).hex()).encode()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestTransformOnceAgainstPairwise:

@@ -27,6 +27,7 @@ from repro.core.serialization import json_format, proto
 from repro.core.types import Op, ValueType
 from repro.errors import EvaError
 from repro.frontend import EvaProgram
+from test_analysis import assert_key_switching_invariants
 
 # ---------------------------------------------------------------------------
 # Random frontend program generation
@@ -114,7 +115,8 @@ def test_compiled_program_always_validates(case):
         return
     validate(result.program, max_rescale_bits=60)
     assert result.parameters.modulus_count >= 2
-    assert result.parameters.coeff_modulus_bits[-1] == 60
+    # One 60-bit special prime, or the group of them key switching is shaped with.
+    assert_key_switching_invariants(result.parameters, CompilerOptions(), result.program)
 
 
 @settings(max_examples=30, deadline=None)

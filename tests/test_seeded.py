@@ -376,16 +376,22 @@ def rotate_sum_program():
 
 
 #: Request bytes of ``create_session`` and of one ``submit_encrypted`` for
-#: ``rotate_sum_program`` (N = 4096, ten Galois keys), client "alice", measured at
-#: the parent commit (81b56f1) — the format a connection that negotiated no
-#: ``seeded`` feature must still be sent, length for length.
-PARENT_REQUEST_BYTES = {"json": (2973392, 87747), "binary": (2233917, 65916)}
+#: ``rotate_sum_program`` (N = 4096, ten Galois keys), client "alice", in the
+#: format a connection that negotiated no ``seeded`` feature must still be
+#: sent, length for length.  Measured at the parent commit (81b56f1) they were
+#: (2973392, 87747) and (2233917, 65916), for keys of two one-prime digits over
+#: [25, 25, 30]; the chain is now [25, 25, 28, 28] with one digit of both data
+#: primes over two special primes, so each of the eleven switching keys writes
+#: out 2 x 4 rows where it wrote 2 x 2 x 3, and the session request is these
+#: lengths.  Ciphertexts did not change.
+PARENT_REQUEST_BYTES = {"json": (2011211, 87747), "binary": (1510414, 65916)}
 
-#: What the written-out ``relin_key`` entry of that session request came to.  A
-#: kit for a program with no RELINEARIZE generates and sends none, so its
-#: parent-format session is exactly this much shorter; a kit that holds one
-#: still sends the parent's bytes exactly.
-RELIN_ENTRY_BYTES = {"json": 262348, "binary": 197096}
+#: What the written-out ``relin_key`` entry of that session request comes to
+#: (262348 and 197096 for two digits of three rows).  A kit for a program with
+#: no RELINEARIZE generates and sends none, so its parent-format session is
+#: exactly this much shorter; a kit that holds one sends the parent format's
+#: bytes exactly.
+RELIN_ENTRY_BYTES = {"json": 174877, "binary": 131323}
 
 
 def parent_session_bytes(mode):
@@ -479,7 +485,7 @@ class TestSeededWire:
         with ServingClient(host, port, wire="binary") as client:
             assert client.features == {"seeded"}
             session_bytes, submit_bytes, y = self._session_and_submit(client, served["kit"], x)
-            assert client._upload_seq == 0  # 1 018 886 bytes: under the streaming threshold
+            assert client._upload_seq == 0  # 689 846 bytes: under the streaming threshold
         assert np.allclose(y[:1024], execute_reference(served["program"].graph, {"x": x})["y"], atol=0.1)
         assert has_seed_record(seen["keys"][0]) and has_seed_record(seen["bundles"][0])
         assert not carries_bitpacked(seen["keys"][0]) and not carries_bitpacked(seen["bundles"][0])
@@ -487,7 +493,7 @@ class TestSeededWire:
         assert 0.495 < submit_bytes / PARENT_REQUEST_BYTES["binary"][1] < 0.51
 
     def test_a_bitpacked_connection_sends_residues_at_their_widths(self, served, monkeypatch):
-        """Both features: seeds, and every residue at 26/25/31 bits instead of 32."""
+        """Both features: seeds, and every residue at 26/25/29/28 bits instead of 32."""
         seen = self._spy(monkeypatch, served["server"])
         x = np.linspace(-1, 1, 1024) / 1024
         host, port = served["tcp"].address
@@ -496,8 +502,9 @@ class TestSeededWire:
             session_bytes, submit_bytes, y = self._session_and_submit(client, served["kit"], x)
         assert np.allclose(y[:1024], execute_reference(served["program"].graph, {"x": x})["y"], atol=0.1)
         assert carries_bitpacked(seen["keys"][0]) and carries_bitpacked(seen["bundles"][0])
-        # 869 287 and 26 539 bytes: 0.427 and 0.403 of the parent format.
-        assert 0.425 < session_bytes / parent_session_bytes("binary") < 0.43
+        # 581 037 and 26 539 bytes: 0.421 and 0.403 of the parent format (the
+        # session was 0.427 at [26, 25, 31] bits).
+        assert 0.42 < session_bytes / parent_session_bytes("binary") < 0.425
         assert 0.40 < submit_bytes / PARENT_REQUEST_BYTES["binary"][1] < 0.405
 
     @pytest.mark.parametrize("mode", ["json", "binary"])

@@ -34,6 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backend import CkksBackend, MockBackend
 from repro.core import CompilerOptions, Executor, Program, compile_program, execute_reference
+from repro.core.analysis.parameters import SPECIAL_PRIME_BITS
 from repro.core.instructions import INSTRUCTIONS
 from repro.core.rewrite import RelinearizePass, framework, matchscale, relinearize
 from repro.core.rewrite.framework import PassContext
@@ -220,7 +221,8 @@ _CHET_LENET = [25, 25, 60, 25, 25, 60, 25, 25, 25, 60, 25, 60, 60]
 #: (program, policy) -> (N, coefficient modulus bits), as before the rules.
 #: The served programs' special prime is 30 bits since the compiler chose its
 #: width (it was 25 and the backend raised it to 30): N and the primes that
-#: run are as they were.
+#: run are as they were.  Since key switching is grouped these are the chains
+#: with the one special prime N is chosen for: the data primes and N that run.
 PARAMETERS = {
     ("rotate_sum", "eva"): (4096, [25, 25, 30]),
     ("rotate_sum", "chet"): (4096, [25, 25, 30]),
@@ -243,6 +245,31 @@ PARAMETERS = {
     ("pathlen1024", "eva"): (16384, [60, 60, 60, 60, 30, 60]),
     ("pathlen1024", "chet"): (16384, [30] * 5 + [60, 60]),
 }
+#: (program, policy) -> (data primes per digit, special prime widths) that run:
+#: the one special prime above gives way to these where the program switches
+#: a key and the security table leaves room at that N.
+KEY_SWITCHING = {
+    ("rotate_sum", "eva"): (2, [28, 28]),
+    ("rotate_sum", "chet"): (2, [28, 28]),
+    ("relin_poly", "eva"): (2, [28, 28]),
+    ("relin_poly", "chet"): (2, [28, 28]),
+    ("batch_poly", "eva"): (1, [30]),
+    ("batch_poly", "chet"): (1, [30]),
+    ("squeezenet-cifar", "eva"): (3, [60] * 3),
+    ("squeezenet-cifar", "chet"): (13, [58] * 8),
+    ("lenet5-medium", "eva"): (2, [60] * 2),
+    ("lenet5-medium", "chet"): (6, [55] * 4),
+    ("lenet5-small", "eva"): (2, [60] * 2),
+    ("lenet5-small", "chet"): (6, [55] * 4),
+    ("sobel32", "eva"): (2, [60] * 2),
+    ("sobel32", "chet"): (3, [60] * 2),
+    ("harris32", "eva"): (2, [60] * 2),
+    ("harris32", "chet"): (3, [60] * 2),
+    ("polyreg4096", "eva"): (1, [60]),
+    ("polyreg4096", "chet"): (1, [60]),
+    ("pathlen1024", "eva"): (2, [60] * 2),
+    ("pathlen1024", "chet"): (3, [60] * 2),
+}
 
 
 @pytest.mark.parametrize("name, policy", list(PARAMETERS))
@@ -253,8 +280,11 @@ def test_parameters_are_pinned(name, policy):
         program, base = ZOO[name].build()[0], CompilerOptions()
     compiled = compile_program(program.graph, options=dataclasses.replace(base, policy=policy))
     parameters = compiled.parameters
-    chain = (parameters.poly_modulus_degree, parameters.coeff_modulus_bits)
-    assert chain == PARAMETERS[name, policy]
+    data = parameters.data_bits
+    one_special = max(int(base.max_rescale_bits), SPECIAL_PRIME_BITS)
+    assert (parameters.poly_modulus_degree, data + [one_special]) == PARAMETERS[name, policy]
+    special = parameters.coeff_modulus_bits[len(data) :]
+    assert (parameters.group_size, special) == KEY_SWITCHING[name, policy]
     assert not fireable(compiled.program)
 
 
