@@ -6,6 +6,11 @@ bound used by the compiler's parameter-selection pass), generates the
 NTT-friendly primes for the coefficient modulus, and precomputes the RNS bases
 used at every level of the modulus chain.
 
+A context builds one set of NTT tables, its level-0 key basis's: a data basis
+transforms on a row-slice view of them, a later level's key basis on a join of
+two views (its data rows, the special rows), so table memory grows with the
+chain's length, not its square.
+
 Prime ordering
 --------------
 The compiler emits coefficient-modulus *bit sizes* in consumption order with
@@ -36,7 +41,7 @@ from ..core.analysis.parameters import SECURITY_MAX_COEFF_MODULUS_BITS
 from ..errors import ParameterError, SecurityError
 from .encoder import CkksEncoder, get_encoder
 from .numth import generate_ntt_primes, mod_inverse
-from .rns import RnsBasis, RnsPolynomial
+from .rns import RnsBasis
 
 
 class CkksContext:
@@ -129,12 +134,15 @@ class CkksContext:
         basis = self._key_bases.get(level)
         if basis is None:
             if level == 0:
-                primes = list(reversed(self.consumable_primes))
+                primes, kernel = list(reversed(self.consumable_primes)), None
             else:
                 primes = self.data_basis(level).primes
+                top, count = self.key_basis(0).kernel, self.max_level
+                kernel = top.rows(0, len(primes)).join(top.rows(count, len(top.primes)))
             basis = RnsBasis(
                 primes + self.special_primes,
                 self.poly_modulus_degree,
+                _kernel=kernel,
                 special=len(self.special_primes),
             )
             self._key_bases[level] = basis
@@ -177,15 +185,6 @@ class CkksContext:
                     factors[0, row] = [quotient % p for p in key]
             tables = self._conversions[level] = (inverses, factors)
         return tables
-
-    def restrict(self, poly: RnsPolynomial, basis: RnsBasis) -> RnsPolynomial:
-        """Restrict a polynomial to a basis whose primes are a subset of its own."""
-        index_of = {prime: i for i, prime in enumerate(poly.basis.primes)}
-        try:
-            rows = [poly.residues[index_of[prime]] for prime in basis.primes]
-        except KeyError as exc:
-            raise ParameterError("target basis is not contained in the source basis") from exc
-        return RnsPolynomial(basis, np.stack(rows))
 
     # -- rotations -----------------------------------------------------------------------
     def galois_element_for_step(self, step: int) -> int:

@@ -114,7 +114,7 @@ class Encryptor:
         key = self.public_key
         if key._evaluation_form is None:
             top = self.context.data_basis(0)
-            key._evaluation_form = evaluation_forms(self.context, [key.b, key.a], top)
+            key._evaluation_form = evaluation_forms([key.b, key.a], top)
         return key._evaluation_form[:, : len(basis)]
 
     def encode_and_encrypt(

@@ -93,18 +93,18 @@ def digit_label(family: str, index: int) -> str:
     return f"{family}/{int(index)}"
 
 
-def evaluation_forms(
-    context: CkksContext, polys: Sequence[UniformHalf], basis: RnsBasis
-) -> np.ndarray:
+def evaluation_forms(polys: Sequence[UniformHalf], basis: RnsBasis) -> np.ndarray:
     """``(len(polys), K, N)`` evaluation forms of key polynomials over ``basis``.
 
-    The written-out ones are restricted to ``basis`` and transformed in one
+    The written-out ones, which live over ``basis``, are transformed in one
     kernel pass; the seeded ones are expanded for its primes and cost no row.
     """
     forms = np.empty((len(polys), len(basis), basis.poly_modulus_degree), dtype=np.int64)
     written = [i for i, poly in enumerate(polys) if isinstance(poly, RnsPolynomial)]
+    if any(polys[i].basis != basis for i in written):
+        raise ParameterError("a key polynomial is not over the basis of its evaluation form")
     if written:
-        stack = np.stack([context.restrict(polys[i], basis).residues for i in written])
+        stack = np.stack([polys[i].to_coeff().residues for i in written])
         forms[written] = basis.kernel.forward(stack)
     for i, poly in enumerate(polys):
         if isinstance(poly, SeededUniform):
@@ -198,7 +198,7 @@ class KeySwitchingKey:
                 raise ParameterError(f"switching key is missing the digit for prime {missing[0]}")
             halves = zip(*(self.pairs[q_g] for q_g in names))
             polys = [poly for half in halves for poly in half]  # every b_g, then every a_g
-            form = evaluation_forms(context, polys, context.key_basis(0))
+            form = evaluation_forms(polys, context.key_basis(0))
             self.form = form.reshape(2, len(names), *form.shape[1:]).astype(np.uint32)
         return self.form
 

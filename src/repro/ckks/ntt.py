@@ -36,9 +36,10 @@ whole-array ``numpy`` operations:
 Twiddle tables are ``log2 N`` rows of ``N/2`` (``w``, ``w'``) pairs per prime
 and direction, so kernels are cached process-wide by ``(primes, N)`` —
 sessions with equal parameters derive equal primes and share one table — and
-the kernel over any contiguous run of a basis's primes (its last prime
-dropped, or only its trailing rows) is a row-slice view of its parent's
-table, not a copy.
+no table is built twice: the kernel over any contiguous run of a basis's
+primes is a row-slice view of its parent's table, and one over several runs
+(a later level's key basis: its data rows and the special rows) is a
+:meth:`NttKernel.join` of views that transforms each run on its own view.
 
 Every ``forward`` / ``inverse`` adds the rows it transforms to a thread-local
 tally (:func:`ntt_rows`): kernels are process-wide and sessions run on
@@ -51,6 +52,7 @@ through the same kernel).
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Dict, Sequence, Tuple
 
@@ -91,7 +93,7 @@ class NttKernel:
     ``forward`` and ``inverse`` map ``(..., K, N)`` ``int64`` arrays of
     reduced residues (row ``k`` modulo ``primes[k]``) to arrays of the same
     shape; see the module docstring for the algorithm and its invariants.
-    Obtain instances through :func:`get_ntt_kernel`.
+    Obtain instances through :func:`get_ntt_kernel`, :meth:`rows` and :meth:`join`.
     """
 
     def __init__(
@@ -100,6 +102,7 @@ class NttKernel:
         poly_modulus_degree: int,
         _parent: "NttKernel | None" = None,
         _start: int = 0,
+        _runs: "Tuple[NttKernel, ...]" = (),
     ) -> None:
         n = int(poly_modulus_degree)
         if n < 2 or n & (n - 1):
@@ -109,6 +112,11 @@ class NttKernel:
         rows = len(self.primes)
         if not rows:
             raise ParameterError("an NTT kernel needs at least one prime")
+        #: A join's parts in row order (it holds no table); empty otherwise.
+        self._runs = _runs
+        if _runs:
+            self.psi = sum((run.psi for run in _runs), ())
+            return
         if _parent is not None:
             # Row-slice views of the parent's tables: no twiddle is copied.
             view = slice(_start, _start + rows)
@@ -161,11 +169,33 @@ class NttKernel:
         q = self._q[:, : w.shape[-1]]
         return np.stack([w, (w << np.uint64(_SHOUP_BITS)) // q], axis=-3)
 
-    def rows(self, start: int, stop: int) -> "NttKernel":
-        """The kernel over ``primes[start:stop]``, sharing this one's tables."""
-        key = (self.primes[start:stop], self.n)
+    @property
+    def runs(self) -> "Tuple[NttKernel, ...]":
+        """The kernels whose tables this one transforms on: itself, or a join's parts."""
+        return self._runs or (self,)
+
+    def join(self, other: "NttKernel") -> "NttKernel":
+        """The cached kernel over ``primes + other.primes``, on both kernels' tables:
+        its transforms and row tally are a standalone kernel's over those primes."""
+        key = (self.primes + other.primes, self.n)
         kernel = _KERNEL_CACHE.get(key)
         if kernel is None:
+            kernel = _KERNEL_CACHE[key] = NttKernel(key[0], self.n, _runs=self.runs + other.runs)
+        return kernel
+
+    def rows(self, start: int, stop: int) -> "NttKernel":
+        """The kernel over ``primes[start:stop]``, sharing this one's tables (a
+        join's: a view of each run the rows cross, joined)."""
+        key = (self.primes[start:stop], self.n)
+        kernel = _KERNEL_CACHE.get(key)
+        if kernel is None and self._runs:
+            parts, offset = [], 0
+            for run in self._runs:
+                low, high = max(start - offset, 0), min(stop - offset, len(run.primes))
+                parts += [run.rows(low, high)] if low < high else []
+                offset += len(run.primes)
+            kernel = functools.reduce(NttKernel.join, parts)
+        elif kernel is None:
             kernel = _KERNEL_CACHE[key] = NttKernel(key[0], self.n, _parent=self, _start=start)
         return kernel
 
@@ -174,14 +204,24 @@ class NttKernel:
         return self.rows(0, len(self.primes) - 1)
 
     # -- the transform ---------------------------------------------------------------
-    def _words(self, values: np.ndarray) -> np.ndarray:
+    def _checked(self, values: np.ndarray) -> np.ndarray:
         values = np.ascontiguousarray(values, dtype=np.int64)
         if values.ndim < 2 or values.shape[-2:] != (len(self.primes), self.n):
             raise ParameterError(
                 f"expected (..., {len(self.primes)}, {self.n}) residues, got {values.shape}"
             )
+        return values
+
+    def _words(self, values: np.ndarray) -> np.ndarray:
+        values = self._checked(values)
         _TALLY.rows = ntt_rows() + values.size // self.n
         return values.view(np.uint64)
+
+    def _through_runs(self, values: np.ndarray, transform) -> np.ndarray:
+        """A join's transform: each run's rows through that run."""
+        ends = np.cumsum([len(run.primes) for run in self._runs])
+        runs = zip(self._runs, np.split(self._checked(values), ends[:-1], axis=-2))
+        return np.concatenate([transform(run, part) for run, part in runs], axis=-2)
 
     @staticmethod
     def _mul_shoup(x, twiddle, q, scratch, product, out) -> None:
@@ -205,7 +245,9 @@ class NttKernel:
         )
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficient form to evaluation form, all rows in one pass."""
+        """Coefficient form to evaluation form, all rows in one pass (a join: one per run)."""
+        if self._runs:
+            return self._through_runs(coeffs, NttKernel.forward)
         x = self._words(coeffs)
         half = self.n // 2
         pong, (t, u, v) = self._buffers(x)
@@ -226,7 +268,9 @@ class NttKernel:
         return self._reduced(x, pong[stage & 1 ^ 1])
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
-        """Evaluation form back to coefficient form, all rows in one pass."""
+        """Evaluation form back to coefficient form, all rows in one pass (a join: one per run)."""
+        if self._runs:
+            return self._through_runs(values, NttKernel.inverse)
         x = self._words(values)
         half = self.n // 2
         pong, (t, u, v) = self._buffers(x)

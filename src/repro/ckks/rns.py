@@ -16,14 +16,14 @@ multiplications never round-trips through the NTT.  ``residues`` is never
 edited in place: changing form makes a new polynomial.
 
 CRT composition back to the integers happens only at decryption:
-:meth:`RnsPolynomial.to_float_coefficients` stays in ``int64`` / ``float64``;
-:meth:`RnsPolynomial.to_int_coefficients` is the exact arbitrary-precision API.
+:meth:`RnsPolynomial.to_float_coefficients` stays in ``int64`` / ``float64``
+(the exact big-integer composition is a test oracle).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,8 +55,8 @@ class RnsBasis:
     """An ordered list of primes together with their batched NTT kernel.
 
     Derived tables that every hot operation needs — the primes broadcast as an
-    ``int64`` column, the rescale inverses of the trailing primes, the CRT
-    composition factors — are computed once per basis and cached, so the
+    ``int64`` column, the rescale inverses of the trailing primes, the Garner
+    composition inverses — are computed once per basis and cached, so the
     per-call overhead profiling measured (rebuilding the primes array on every
     add, re-deriving ``mod_inverse`` on every rescale) is paid at basis
     construction instead of per polynomial op.
@@ -86,8 +86,6 @@ class RnsBasis:
         self._dropped: "RnsBasis | None" = None
         self._rescale_inverses: Dict[int, np.ndarray] = {}
         self._garner_inverses: "List[np.ndarray] | None" = None
-        self._crt_factors: "List[int] | None" = None
-        self._modulus: "int | None" = None
         self._special_multiplier: "np.ndarray | None" = None
 
     def __len__(self) -> int:
@@ -101,14 +99,6 @@ class RnsBasis:
                 self.primes[:-1], self.poly_modulus_degree, _kernel=self.kernel.drop_last()
             )
         return self._dropped if count == 1 else self._dropped.drop_last(count - 1)
-
-    def modulus(self) -> int:
-        if self._modulus is None:
-            product = 1
-            for prime in self.primes:
-                product *= prime
-            self._modulus = product
-        return self._modulus
 
     def rescale_inverses(self, count: int = 1) -> np.ndarray:
         """``(product of the last count primes)^-1 mod p`` per remaining prime, as a column."""
@@ -143,17 +133,6 @@ class RnsBasis:
             ]
         return self._garner_inverses
 
-    def crt_factors(self) -> List[int]:
-        """CRT composition factor ``(Q/p) * ((Q/p)^-1 mod p)`` per prime."""
-        if self._crt_factors is None:
-            modulus = self.modulus()
-            factors = []
-            for prime in self.primes:
-                quotient = modulus // prime
-                factors.append((quotient * mod_inverse(quotient, prime)) % modulus)
-            self._crt_factors = factors
-        return self._crt_factors
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RnsBasis)
@@ -187,20 +166,6 @@ class RnsPolynomial:
             basis,
             np.zeros((len(basis), basis.poly_modulus_degree), dtype=np.int64),
         )
-
-    @classmethod
-    def from_int_coefficients(cls, basis: RnsBasis, coeffs: Iterable[int]) -> "RnsPolynomial":
-        """Build from (possibly negative, possibly large) integer coefficients."""
-        coeff_list = list(coeffs)
-        n = basis.poly_modulus_degree
-        if len(coeff_list) != n:
-            raise ParameterError(f"expected {n} coefficients, got {len(coeff_list)}")
-        rows = []
-        as_array = np.asarray(coeff_list, dtype=object)
-        for prime in basis.primes:
-            row = np.array([int(c) % prime for c in as_array], dtype=np.int64)
-            rows.append(row)
-        return cls(basis, np.stack(rows))
 
     @classmethod
     def from_int64_coefficients(cls, basis: RnsBasis, coeffs: np.ndarray) -> "RnsPolynomial":
@@ -368,14 +333,3 @@ class RnsPolynomial:
         for digit, prime in zip(digits[-2::-1], basis.primes[-2::-1]):
             total = total * prime + digit
         return total
-
-    def to_int_coefficients(self) -> List[int]:
-        """CRT-compose the residues into exact centered integer coefficients."""
-        modulus = self.basis.modulus()
-        half = modulus // 2
-        factors = self.basis.crt_factors()
-        composed = np.zeros(self.basis.poly_modulus_degree, dtype=object)
-        for row, factor in zip(self.to_coeff().residues, factors):
-            composed += row.astype(object) * factor
-        composed %= modulus
-        return [int(c - modulus) if c > half else int(c) for c in composed]

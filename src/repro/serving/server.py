@@ -51,6 +51,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..backend.hisa import BackendContext, HomomorphicBackend
+from ..core.analysis.parameters import modup_rows
 from ..core.compiler import (
     CompilationResult,
     CompilerOptions,
@@ -698,22 +699,20 @@ class EvaServer:
     def _count_session_keys(
         self, compilation: CompilationResult, program: str, client_id: str
     ) -> None:
-        """Account one session's Galois key footprint (modeled bytes).
+        """Account one session's Galois key footprint: the bytes its keys hold.
 
-        The byte estimate comes from the cost model, so it is deterministic
-        across backends and matches what the BSGS planner optimizes; the
-        per-key wire blobs of a real CKKS context track it proportionally.
+        A session holds each key as its ``(2, d, L+k, N)`` ``uint32`` form (one
+        decomposition's shape, ``d * (L+k)`` rows, twice), read from the
+        compiled parameters so every backend reports the same number.
         """
-        from ..backend.cost_model import DEFAULT_COST_MODEL
-
         parameters = compilation.parameters
         steps = len(parameters.rotation_steps)
         if not steps:
             return
-        key_bytes = steps * DEFAULT_COST_MODEL.galois_key_bytes(
-            parameters.poly_modulus_degree,
-            max(len(parameters.coeff_modulus_bits), 1),
+        form_rows = modup_rows(
+            len(parameters.data_bits), parameters.group_size, parameters.special_primes
         )
+        key_bytes = steps * 2 * form_rows * parameters.poly_modulus_degree * 4
         self.telemetry.inc(
             "serving.galois.keys_bytes",
             key_bytes,

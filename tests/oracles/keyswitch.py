@@ -33,6 +33,7 @@ import math
 from typing import Sequence, Tuple
 
 import numpy as np
+from oracles.rns import from_int_coefficients, restrict
 
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.evaluator import Evaluator
@@ -106,7 +107,7 @@ class ReferenceEvaluator(Evaluator):
             if pair is None:
                 raise ParameterError(f"switching key is missing the digit for prime {prime}")
             members = data_basis.primes[group]
-            digit = RnsPolynomial.from_int_coefficients(
+            digit = from_int_coefficients(
                 key_basis, group_digit(poly.residues[group], members)
             )
             b_j, a_j = pair
@@ -114,8 +115,8 @@ class ReferenceEvaluator(Evaluator):
                 if a_j not in self._written_out:
                     self._written_out[a_j] = a_j.coefficients(b_j.basis)
                 a_j = self._written_out[a_j]
-            b_j = context.restrict(b_j, key_basis)
-            a_j = context.restrict(a_j, key_basis)
+            b_j = restrict(b_j, key_basis)
+            a_j = restrict(a_j, key_basis)
             acc0 = acc0.add(digit.multiply(b_j))
             acc1 = acc1.add(digit.multiply(a_j))
         for _ in range(key_basis.special):

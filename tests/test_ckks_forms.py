@@ -52,7 +52,7 @@ from repro.core.analysis.parameters import modup_rows
 from repro.core.executor import EvaluationEngine
 from repro.core.serialization.packing import pack_residues, unpack_residues
 from repro.core.types import Op
-from repro.errors import SerializationError
+from repro.errors import ParameterError, SerializationError
 from repro.serving import EvaServer
 
 N = 256
@@ -447,24 +447,152 @@ class TestDivideAndRoundLast:
         # Every kernel inspected here is built here: a kernel some earlier test
         # built standalone over the same trailing primes would be handed back
         # by the process-wide cache and owns its tables.
+        for special in (1, 2):
+            monkeypatch.setattr(ntt, "_KERNEL_CACHE", {})
+            context = CkksContext(
+                64, [25, 25, 25] + [30] * special, enforce_security=False, special_primes=special
+            )
+            top = context.key_basis(0).kernel
+            for level in range(context.max_level):
+                key_kernel = context.key_basis(level).kernel
+                count = len(key_kernel.primes)
+                for start in range(count):
+                    view = key_kernel.rows(start, count)
+                    assert view.primes == key_kernel.primes[start:]
+                    assert view is key_kernel.rows(start, count)
+                    # Whatever the level, every run transforms on the level-0
+                    # tables: the level-0 kernel itself or row views of them.
+                    for run in view.runs:
+                        assert run is top or (
+                            run._forward.base is top._forward
+                            and run._inverse.base is top._inverse
+                        )
+                    rng = np.random.default_rng(start)
+                    rows = rng.integers(0, 1000, size=(2, count, 64), dtype=np.int64)
+                    assert np.array_equal(
+                        view.forward(rows[:, start:]), key_kernel.forward(rows)[:, start:]
+                    )
+                    evaluations = key_kernel.forward(rows)
+                    assert np.array_equal(view.inverse(evaluations[:, start:]), rows[:, start:])
+
+
+def owned_tables():
+    """``{kernel: bytes}`` over the cached kernels that own NTT tables (views and joins own none)."""
+    owned = {}
+    for kernel in ntt._KERNEL_CACHE.values():
+        arrays = [value for value in vars(kernel).values() if isinstance(value, np.ndarray)]
+        size = sum(array.nbytes for array in arrays if array.base is None)
+        if size:
+            owned[kernel] = size
+    return owned
+
+
+class TestJoinedKernels:
+    """A join of row views is the kernel over its primes, on tables it does not own."""
+
+    PRIMES = tuple(generate_ntt_primes([25, 26, 27, 28, 30], 64))
+
+    def joined(self):
+        top = get_ntt_kernel(self.PRIMES, 64)
+        return top.rows(0, 2).join(top.rows(3, 5))
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+    def test_a_join_is_bit_identical_to_a_standalone_kernel(self, monkeypatch, batch):
         monkeypatch.setattr(ntt, "_KERNEL_CACHE", {})
-        context = CkksContext(64, [25, 25, 25, 30], enforce_security=False)
+        joined = self.joined()
+        standalone = ntt.NttKernel(joined.primes, 64)
+        assert joined.primes == self.PRIMES[:2] + self.PRIMES[3:]
+        assert [run.primes for run in joined.runs] == [self.PRIMES[:2], self.PRIMES[3:]]
+        column = np.array(joined.primes, dtype=np.int64).reshape(-1, 1)
+        values = np.random.default_rng(len(batch)).integers(0, 2**31, size=batch + (4, 64)) % column
+        forward = joined.forward(values)
+        assert np.array_equal(forward, standalone.forward(values))
+        assert np.array_equal(joined.inverse(values), standalone.inverse(values))
+        assert np.array_equal(joined.inverse(forward), values)
+        with pytest.raises(ParameterError):
+            joined.forward(values[..., :3, :])
+
+    def test_a_join_tallies_the_rows_of_a_standalone_kernel(self, monkeypatch):
+        monkeypatch.setattr(ntt, "_KERNEL_CACHE", {})
+        joined = self.joined()
+        standalone = ntt.NttKernel(joined.primes, 64)
+        values = np.zeros((5, 4, 64), dtype=np.int64)
+        tallies = []
+        for kernel in (joined, standalone):
+            before = ntt_rows()
+            kernel.inverse(kernel.forward(values))
+            tallies.append(ntt_rows() - before)
+        assert tallies == [40, 40]
+
+    def test_rows_and_joins_of_a_join_are_the_cached_kernels(self, monkeypatch):
+        monkeypatch.setattr(ntt, "_KERNEL_CACHE", {})
+        top = get_ntt_kernel(self.PRIMES, 64)
+        joined = self.joined()
+        assert joined is self.joined() is ntt._KERNEL_CACHE[(joined.primes, 64)]
+        assert joined.rows(0, 4) is joined
+        assert joined.rows(1, 3) is joined.rows(1, 3)
+        assert joined.rows(1, 3).runs == (top.rows(1, 2), top.rows(3, 4))
+        # Rows inside one run are that run's view; so is a dropped last prime.
+        assert joined.rows(2, 4) is top.rows(3, 5)
+        assert joined.drop_last().runs == (top.rows(0, 2), top.rows(3, 4))
+        assert top.rows(0, 1).join(top.rows(4, 5)).drop_last() is top.rows(0, 1)
+        assert list(owned_tables()) == [top]
+
+
+class TestOneTableSet:
+    """A context owns one NTT table set, its level-0 key basis's, at every level.
+
+    A key basis past level 0 with tables of its own would make table memory
+    grow with the square of the chain; these pins fail on it.
+    """
+
+    def test_a_relin_poly_request_owns_only_the_level_0_tables(self, monkeypatch):
+        monkeypatch.setattr(ntt, "_KERNEL_CACHE", {})
+        program = relin_poly_program()
+        with EvaServer(backend=CkksBackend(seed=3), workers=1, batch_window=0.0) as server:
+            server.register("relin_poly", program, options=OPTIONS)
+            values = np.linspace(-1.0, 1.0, 2048)
+            got = server.submit("relin_poly", {"x": values}, client_id="carol").result(120)
+        want = execute_reference(program.graph, {"x": values})["y"]
+        assert np.allclose(got.outputs["y"][: len(want)], want, atol=0.1)
+        # 6 primes at N = 8192, 1.875 MiB each; tables of its own for the
+        # level-1 key basis, which relinearizes x2 * x2 + x2 * x, add 9.375 MiB.
+        ((owner, size),) = owned_tables().items()
+        assert len(owner.primes) == 6 and size == 11.25 * 2**20
+
+    def test_a_sobel_class_chain_owns_one_table_set_at_every_level(self, monkeypatch):
+        monkeypatch.setattr(ntt, "_KERNEL_CACHE", {})
+        # Sobel 64x64 as benchmarks/bench_table8_applications.py runs it.
+        options = CompilerOptions(max_rescale_bits=28)
+        parameters = CompiledProgram.compile(build_sobel_program(64), options=options).parameters
+        assert (parameters.poly_modulus_degree, len(parameters.coeff_modulus_bits)) == (16384, 12)
+        context = CkksContext(
+            parameters.poly_modulus_degree,
+            parameters.coeff_modulus_bits,
+            special_primes=parameters.special_primes,
+            group_size=parameters.group_size,
+        )
+        top = context.key_basis(0).kernel
+        rng = np.random.default_rng(5)
         for level in range(context.max_level):
-            key_kernel = context.key_basis(level).kernel
-            count = len(key_kernel.primes)
-            for start in range(count):
-                view = key_kernel.rows(start, count)
-                assert view.primes == key_kernel.primes[start:]
-                assert view is key_kernel.rows(start, count)
-                if view is not key_kernel:
-                    assert view._forward.base is not None
-                rng = np.random.default_rng(start)
-                rows = rng.integers(0, 1000, size=(2, count, 64), dtype=np.int64)
-                assert np.array_equal(
-                    view.forward(rows[:, start:]), key_kernel.forward(rows)[:, start:]
+            key_basis = context.key_basis(level)
+            residues = rng.integers(0, 2**24, size=(len(key_basis), 16384))
+            extended = RnsPolynomial(key_basis, residues).to_eval()
+            assert np.array_equal(extended.to_coeff().residues, residues)
+            # The division after a key switch, and the rescale fused with it
+            # (its rows cross from the special run into the data run).
+            settled = extended.divide_and_round_last(key_basis.special)
+            assert settled.basis == context.data_basis(level)
+            assert np.array_equal(settled.to_coeff().to_eval().residues, settled.residues)
+            if level + 1 < context.max_level:
+                rescaled = extended.divide_and_round_last(key_basis.special + 1)
+                assert rescaled.basis == context.data_basis(level + 1)
+            for basis in (key_basis, settled.basis):
+                assert all(
+                    run is top or run._forward.base is top._forward for run in basis.kernel.runs
                 )
-                evaluations = key_kernel.forward(rows)
-                assert np.array_equal(view.inverse(evaluations[:, start:]), rows[:, start:])
+        # 12 primes at N = 16384, 4 MiB each (168 MiB if every level built its own).
+        assert owned_tables() == {top: 48 * 2**20}
 
 
 # -- exact NTT row counts ---------------------------------------------------------------

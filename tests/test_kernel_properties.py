@@ -8,7 +8,7 @@ optimized paths can be pinned against them over randomized inputs:
 * the batched ``NttKernel`` vs the textbook transform in ``oracles.ntt`` —
   bit-for-bit, under the kernel's documented slot
   order (``kernel[j] == reference[bit_reverse(j)]``);
-* ``RnsPolynomial.divide_and_round_last`` / ``to_int_coefficients`` /
+* ``RnsPolynomial.divide_and_round_last`` / ``oracles.rns.to_int_coefficients`` /
   ``to_float_coefficients`` vs the row-at-a-time versions in ``oracles.rns``;
 * ``galois_ntt_permutation`` vs the coefficient-domain automorphism, as an
   order-free property of the production kernel;
@@ -32,8 +32,12 @@ import pytest
 from oracles.keyswitch import ReferenceEvaluator
 from oracles.ntt import ReferenceNtt
 from oracles.rns import (
+    basis_modulus,
     divide_and_round_last_reference,
     divide_and_round_sequential,
+    from_int_coefficients,
+    restrict,
+    to_int_coefficients,
     to_int_coefficients_reference,
 )
 
@@ -304,21 +308,21 @@ class TestRnsKernelsAgainstReference:
         rng = np.random.default_rng(11)
         for draw in range(DRAWS):
             poly = random_residues(rng, basis)
-            assert poly.to_int_coefficients() == to_int_coefficients_reference(poly)
+            assert to_int_coefficients(poly) == to_int_coefficients_reference(poly)
 
     @pytest.mark.parametrize("count", range(1, 9))
     def test_to_float_coefficients(self, count):
         """The int64/float64 Garner composition against the exact big-integer one."""
         n = 64
         basis = RnsBasis(generate_ntt_primes([20, 28, 25, 30, 22, 27, 29, 24][:count], n), n)
-        modulus = basis.modulus()
+        modulus = basis_modulus(basis)
         rng = np.random.default_rng(count)
         # Anywhere in (-Q/2, Q/2]: each of the count - 1 float steps may round once.
         edges = [modulus // 2, -(modulus // 2), modulus // 2 - 1, 1 - modulus // 2, 0, 1, -1]
         polys = [random_residues(rng, basis) for draw in range(DRAWS)]
-        polys.append(RnsPolynomial.from_int_coefficients(basis, (edges * n)[:n]))
+        polys.append(from_int_coefficients(basis, (edges * n)[:n]))
         for poly in polys:
-            exact = np.asarray(poly.to_int_coefficients(), dtype=np.float64)
+            exact = np.asarray(to_int_coefficients(poly), dtype=np.float64)
             for form in (poly, poly.to_eval()):
                 got = form.to_float_coefficients()
                 assert got.dtype == np.float64
@@ -327,7 +331,7 @@ class TestRnsKernelsAgainstReference:
         bound = min(2**53, modulus // 2)
         small = [int(v) for v in rng.integers(-bound + 1, bound, size=n)]
         small[:4] = [bound - 1, 1 - bound, 0, -1]
-        poly = RnsPolynomial.from_int_coefficients(basis, small)
+        poly = from_int_coefficients(basis, small)
         assert np.array_equal(poly.to_float_coefficients(), np.asarray(small, dtype=np.float64))
 
     def test_roundtrip_through_int_coefficients(self):
@@ -335,7 +339,7 @@ class TestRnsKernelsAgainstReference:
         basis = RnsBasis(generate_ntt_primes([22, 24], n), n)
         rng = np.random.default_rng(13)
         poly = random_residues(rng, basis)
-        back = RnsPolynomial.from_int_coefficients(basis, poly.to_int_coefficients())
+        back = from_int_coefficients(basis, to_int_coefficients(poly))
         assert np.array_equal(back.residues, poly.residues)
 
 
@@ -432,8 +436,8 @@ def grouped_shapes(count, bits=25, one=30):
 
 def largest_difference(got, want):
     """``max |got - want|`` over the coefficients, composed exactly and centered."""
-    modulus = got.basis.modulus()
-    differences = (np.array(got.to_int_coefficients(), dtype=object) - want) % modulus
+    modulus = basis_modulus(got.basis)
+    differences = (np.array(to_int_coefficients(got), dtype=object) - want) % modulus
     return max(min(int(d), modulus - int(d)) for d in differences)
 
 
@@ -477,12 +481,12 @@ class TestGroupedKeySwitching:
             plain = decryptor.decrypt_poly(cipher)
             for step in (1, 3, 1):  # a single rotation, then two hoisted on its digits
                 element = context.galois_element_for_step(step)
-                want = np.array(plain.automorphism(element).to_int_coefficients(), dtype=object)
+                want = np.array(to_int_coefficients(plain.automorphism(element)), dtype=object)
                 for evaluator in (fast, reference):
                     rotated = decryptor.decrypt_poly(evaluator.rotate(cipher, step))
                     assert largest_difference(rotated, want) <= bound
             squared = fast.multiply(cipher, cipher)
-            want = np.array(decryptor.decrypt_poly(squared).to_int_coefficients(), dtype=object)
+            want = np.array(to_int_coefficients(decryptor.decrypt_poly(squared)), dtype=object)
             relinearized = fast.relinearize(squared)
             assert largest_difference(decryptor.decrypt_poly(relinearized), want) <= bound
             for got, expected in zip(relinearized.to_coeff(), reference.relinearize(squared).polys):
@@ -614,7 +618,7 @@ class TestTransformOnceAgainstPairwise:
             sampler = RlweSampler(7, ENCRYPTION_SECRETS)
             u, e0, e1 = sampler.ternary(basis), sampler.error(basis), sampler.error(basis)
             pair = (public_key.b, public_key.a.coefficients(public_key.b.basis))
-            pk_b, pk_a = (context.restrict(p, basis) for p in pair)
+            pk_b, pk_a = (restrict(p, basis) for p in pair)
             want = [pk_b.multiply(u).add(e0).add(plain.poly), pk_a.multiply(u).add(e1)]
             self._assert_same(got.polys, want)
 

@@ -320,7 +320,7 @@ class TestServingRotationCounters:
             assert rotations == 3 * per_eval
             assert keyswitches >= rotations
 
-            # A session registration accrues the modeled key upload bytes.
+            # A session registration accrues the bytes its Galois keys hold.
             kit = ClientKit(
                 CompiledProgram.compile(program, options=CompilerOptions()),
                 backend=backend,
@@ -332,18 +332,47 @@ class TestServingRotationCounters:
             key_bytes = registry.counter_value(
                 "serving.galois.keys_bytes", program="rotcount", client="carol"
             )
-            expected = len(
-                compiled.parameters.rotation_steps
-            ) * DEFAULT_COST_MODEL.galois_key_bytes(
-                compiled.parameters.poly_modulus_degree,
-                max(len(compiled.parameters.coeff_modulus_bits), 1),
-            )
-            assert key_bytes == expected
+            # One key (step 1), held as its (2, d, L+k, N) uint32 form: one
+            # digit of both data primes over L + k = 4 primes at N = 8192.
+            # Priced by the cost model's 2*r*(r+1)*N*8 it read 2 621 440.
+            parameters = compiled.parameters
+            assert parameters.rotation_steps == [1] and parameters.poly_modulus_degree == 8192
+            assert (parameters.group_size, parameters.special_primes) == (2, 2)
+            assert key_bytes == 2 * 1 * 4 * 8192 * 4 == 262_144
 
             exposition = render_prometheus(server.metrics_snapshot())
             assert 'serving_rotations_total{' in exposition
             assert 'serving_keyswitch_total{' in exposition
             assert 'serving_galois_keys_bytes_total{' in exposition
+
+    def test_the_counted_key_bytes_are_the_forms_a_real_session_holds(self):
+        from repro.api import ClientKit, CompiledProgram
+        from repro.serving import EvaServer
+
+        program = EvaProgram("rotsum", vec_size=64, default_scale=25)
+        with program:
+            x = input_encrypted("x", 25)
+            output("y", x + (x << 1) + (x << 2) + (x << 5), 25)
+        options = CompilerOptions(max_rescale_bits=25)
+        counted = []
+        for backend in (MockBackend(**EXACT), CkksBackend(seed=3)):
+            kit = ClientKit(
+                CompiledProgram.compile(program, options=options), backend=backend, client_id="carol"
+            )
+            with EvaServer(backend=backend, workers=1, batch_window=0.0) as server:
+                server.register("rotsum", program, options=options)
+                server.create_session("rotsum", "carol", kit.evaluation_context())
+                counted.append(
+                    server.telemetry.registry.counter_value(
+                        "serving.galois.keys_bytes", program="rotsum", client="carol"
+                    )
+                )
+        session = backend.create_evaluation_context(
+            kit.compiled.parameters, kit.export_evaluation_keys()
+        )
+        held = session.evaluator.galois_keys.keys.values()
+        assert len(held) == 3
+        assert counted == [sum(key.form.nbytes for key in held)] * 2
 
 
 class TestCostModelTerms:
