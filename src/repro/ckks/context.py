@@ -145,6 +145,8 @@ class CkksContext:
                 _kernel=kernel,
                 special=len(self.special_primes),
             )
+            if level > 0:  # level 0's data basis is derived from this one
+                basis.divides_onto(self.data_basis(level))
             self._key_bases[level] = basis
         return basis
 

@@ -50,11 +50,13 @@ def is_prime(n: int) -> bool:
 
 
 def generate_ntt_primes(bit_sizes: Sequence[int], poly_modulus_degree: int) -> List[int]:
-    """Generate distinct primes ``p ≡ 1 (mod 2N)`` with the requested bit sizes.
+    """Generate distinct primes ``p ≡ 1 (mod 2N)``, one near ``2^b`` per requested ``b``.
 
-    Mirrors SEAL's ``CoeffModulus::Create``: for each requested bit size the
-    largest suitable prime not yet used is returned, so equal bit sizes yield
-    distinct primes.
+    Unlike SEAL (the largest unused prime below ``2^b``), each is the first
+    unused prime found searching outward from ``2^b`` in steps of 2N, above
+    before below, so a nominal ``b``-bit prime may have ``b + 1`` bits:
+    ``rotate_sum``'s ``[25, 25, 28, 28]`` at N = 4096 have 25, 26, 29 and 28
+    bits.  The compiler does not yet know this prime supply (ROADMAP 10(a)).
     """
     modulus = 2 * poly_modulus_degree
     chosen: List[int] = []

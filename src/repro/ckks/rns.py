@@ -100,6 +100,12 @@ class RnsBasis:
             )
         return self._dropped if count == 1 else self._dropped.drop_last(count - 1)
 
+    def divides_onto(self, data: "RnsBasis") -> None:
+        """Make ``drop_last(self.special)`` return ``data`` (the existing basis
+        of this one's data primes) instead of building a copy of it."""
+        tail = self.drop_last(self.special - 1) if self.special > 1 else self
+        tail._dropped = data
+
     def rescale_inverses(self, count: int = 1) -> np.ndarray:
         """``(product of the last count primes)^-1 mod p`` per remaining prime, as a column."""
         inverses = self._rescale_inverses.get(count)

@@ -11,12 +11,15 @@ only say which connection object to build.
   :class:`~repro.wire.FrameDecoder` — the one place the first-byte
   JSON/binary sniff and the frame-header checks live — and writes back
   whatever the connection object returns.
-* **An affinity pool runs the blocking work.**  CKKS evaluation and cluster
+* **A slot pool runs the blocking work.**  CKKS evaluation and cluster
   forwarding block, so each complete message is handed to
-  :class:`_DaemonDispatchPool`, a bounded pool of daemon threads shared by
-  all connections.  A connection always runs on the same worker, one
-  message at a time: pipelined requests keep their order, and the router's
-  thread-keyed upstream connections stay coherent.
+  :class:`_DaemonDispatchPool`, a bounded pool of daemon threads.  A
+  connection binds, when it opens, the lowest-index slot no live connection
+  holds (the least-loaded slot once all are held) and runs on that one
+  worker, one message at a time: pipelined requests keep their order, and
+  the router's thread-keyed upstream connections stay coherent.  It
+  releases the slot once its ``close`` is queued, so the next client reuses
+  the thread — and its malloc arena — instead of starting its own.
 * **Connection objects are sans-IO.**  They take a decoded message and
   return ``(reply_bytes, keep_open)``; they never see a socket, a stream or
   the loop, so the protocol can be driven by a test with no network.
@@ -29,62 +32,90 @@ import concurrent.futures
 import queue
 import socket
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import TransportError
 from ..wire import FrameDecoder
 from ..wire.frames import READ_BYTES
 
-#: Upper bound on threads processing requests concurrently (idle connections
-#: hold no thread).  Workers exit after ``_WORKER_IDLE_SECONDS`` without work.
+#: Dispatch slots, each with at most one thread.  A connection binds the
+#: lowest-index slot no live connection holds (the least-loaded once all are
+#: held), so sequential clients share one thread and live ones get one each.
+#: Workers exit after ``_WORKER_IDLE_SECONDS`` without work.
 DISPATCH_WORKERS = 64
 _WORKER_IDLE_SECONDS = 30.0
 
 
 class _WorkerSlot:
-    __slots__ = ("queue", "lock", "running")
+    __slots__ = ("index", "queue", "lock", "running", "connections")
 
-    def __init__(self) -> None:
+    def __init__(self, index: int) -> None:
+        self.index = index
         self.queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self.lock = threading.Lock()
         self.running = False
+        #: Live connections bound to this slot (guarded by the pool's lock).
+        self.connections = 0
 
 
 class _DaemonDispatchPool:
-    """Bounded pool of daemon threads with per-connection worker affinity.
+    """Bounded pool of daemon threads; each connection is bound to one slot.
 
-    Every connection hashes to one worker slot, so all of a connection's
-    requests run on the *same* OS thread — which is what keeps the cluster
-    router's thread-keyed upstream connections coherent: the CHUNK frames of
-    a streaming upload and the request that finally references the upload
-    must reach the shard over one upstream socket.
+    A connection submits every message to the slot :meth:`bind` gave it until
+    :meth:`release`, so all its requests run on the *same* OS thread, in
+    order — which keeps the cluster router's thread-keyed upstream
+    connections coherent: the CHUNK frames of a streaming upload and the
+    request that finally references the upload must reach the shard over one
+    upstream socket.
 
     ``concurrent.futures.ThreadPoolExecutor`` is deliberately not used: it
     has no affinity, and its workers are non-daemon and joined at interpreter
     exit, so one handler stuck on a dead upstream would hang process
     shutdown.  Workers spawn on first use of their slot and retire after a
-    quiet period.
+    quiet period; ``on_threads`` is called with the live worker count
+    whenever it changes.
     """
 
-    def __init__(self, max_workers: int, name: str) -> None:
-        self._slots = [_WorkerSlot() for _ in range(max(1, int(max_workers)))]
+    def __init__(
+        self, max_workers: int, name: str, on_threads: Callable[[int], None] = lambda count: None
+    ) -> None:
+        self._slots = [_WorkerSlot(index) for index in range(max(1, int(max_workers)))]
         self._name = name
+        self._lock = threading.Lock()
+        self._threads = 0
+        self._on_threads = on_threads
 
-    def submit(self, affinity: int, fn, *args) -> "concurrent.futures.Future":
+    def bind(self) -> _WorkerSlot:
+        """The lowest-index slot no live connection holds, else the least-loaded."""
+        with self._lock:
+            slot = min(self._slots, key=lambda slot: slot.connections)
+            slot.connections += 1
+        return slot
+
+    def release(self, slot: _WorkerSlot) -> None:
+        """Give up a slot; what the connection queued on it still runs first."""
+        with self._lock:
+            slot.connections -= 1
+
+    def submit(self, slot: _WorkerSlot, fn, *args) -> "concurrent.futures.Future":
         future: "concurrent.futures.Future" = concurrent.futures.Future()
-        index = affinity % len(self._slots)
-        slot = self._slots[index]
         slot.queue.put((future, fn, args))
         with slot.lock:
             if not slot.running:
                 slot.running = True
+                self._count_thread(+1)
                 threading.Thread(
                     target=self._worker,
                     args=(slot,),
-                    name=f"{self._name}-{index}",
+                    name=f"{self._name}-{slot.index}",
                     daemon=True,
                 ).start()
         return future
+
+    def _count_thread(self, delta: int) -> None:
+        with self._lock:
+            self._threads += delta
+            self._on_threads(self._threads)
 
     def _worker(self, slot: _WorkerSlot) -> None:
         while True:
@@ -97,6 +128,7 @@ class _DaemonDispatchPool:
                     # an item we must drain before retiring.
                     if slot.queue.empty():
                         slot.running = False
+                        self._count_thread(-1)
                         return
                 continue
             future, fn, args = item
@@ -115,11 +147,14 @@ class AsyncWireServer:
 
     Subclasses set :attr:`connection_class`; the listener builds one per
     accepted socket as ``connection_class(self, key, peer)`` — ``key`` is the
-    connection's registry key and dispatch affinity — and drives it through
-    ``handle(message) -> (reply_bytes, keep_open)`` for each decoded message,
-    ``info()`` for the ``stats`` op, and, once the socket is gone and only if
-    ``needs_close`` is true, ``close()``.  ``handle`` and ``close`` run on
-    the connection's pool worker and may block.
+    connection's registry key, unique for the listener's life — and drives it
+    through ``handle(message) -> (reply_bytes, keep_open)`` for each decoded
+    message, ``info()`` for the ``stats`` op, and, once the socket is gone
+    and only if ``needs_close`` is true, ``close()``.  ``handle`` and
+    ``close`` run on the dispatch slot the connection bound when it opened
+    and may block.  Subclasses set :attr:`telemetry` before calling
+    ``__init__``; the live dispatch worker count is its gauge
+    ``serving.dispatch.threads``.
 
     The listening socket is bound synchronously in ``__init__`` so
     ``.address`` answers immediately after construction — the CLI and the
@@ -133,6 +168,7 @@ class AsyncWireServer:
     """
 
     connection_class: Any = None
+    telemetry: Any = None
 
     #: Name of the background serving thread (and prefix of its workers).
     thread_name = "eva-aio-server"
@@ -142,7 +178,12 @@ class AsyncWireServer:
         self._conn_seq = 0
         self._connections: Dict[int, Any] = {}
         self._socket = socket.create_server((host, port), backlog=512)
-        self._pool = _DaemonDispatchPool(DISPATCH_WORKERS, f"{self.thread_name}-dispatch")
+        self.telemetry.set_gauge("serving.dispatch.threads", 0)
+        self._pool = _DaemonDispatchPool(
+            DISPATCH_WORKERS,
+            f"{self.thread_name}-dispatch",
+            on_threads=lambda count: self.telemetry.set_gauge("serving.dispatch.threads", count),
+        )
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._started = threading.Event()
@@ -241,8 +282,9 @@ class AsyncWireServer:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:
                 pass
+        slot = self._pool.bind()
         try:
-            await self._connection_loop(conn, reader, writer)
+            await self._connection_loop(conn, slot, reader, writer)
         except asyncio.CancelledError:
             pass  # server shutting down
         except (ConnectionError, OSError):
@@ -260,12 +302,14 @@ class AsyncWireServer:
                 pass
             if conn.needs_close:
                 # Queued behind the connection's last message on its own
-                # worker; not awaited, because this task may be the one
+                # slot; not awaited, because this task may be the one
                 # being cancelled.
-                self._pool.submit(conn.key, conn.close)
+                self._pool.submit(slot, conn.close)
+            # The next connection to bind this slot queues behind that close.
+            self._pool.release(slot)
 
     async def _connection_loop(
-        self, conn, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self, conn, slot: _WorkerSlot, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Decode, dispatch, reply — one message at a time, in arrival order.
 
@@ -286,7 +330,7 @@ class AsyncWireServer:
                 decoder.feed(data)
                 continue
             reply, keep_open = await asyncio.wrap_future(
-                self._pool.submit(conn.key, conn.handle, message)
+                self._pool.submit(slot, conn.handle, message)
             )
             if reply:
                 try:

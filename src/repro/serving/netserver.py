@@ -539,6 +539,13 @@ class _RouterConnection(_WireConnection):
         return framing.rewrite(reply, envelope, {"trace": merged})
 
 
+def _front_door_stats(listener: Any) -> Dict[str, Any]:
+    """What a listener adds to the ``stats`` answer: its live connections and
+    its live dispatch workers (the ``serving.dispatch.threads`` gauge)."""
+    threads = listener.telemetry.registry.gauge_value("serving.dispatch.threads")
+    return {"connections": listener.connection_infos(), "dispatch": {"threads": int(threads)}}
+
+
 #: What each kind of endpoint answers an op with: ``op -> (a single-process
 #: server or shard, a cluster router)``, ``None`` where that endpoint refuses
 #: the op.  The router has no answer for the ops it forwards to a shard
@@ -553,12 +560,8 @@ _ANSWERS: Dict[str, Tuple[Optional[_Answer], Optional[_Answer]]] = {
         lambda conn, request, framing: conn.cluster.programs(),
     ),
     "stats": (
-        lambda conn, request, framing: dict(
-            conn.eva.stats(), connections=conn.server.connection_infos()
-        ),
-        lambda conn, request, framing: dict(
-            conn.cluster.stats(), connections=conn.server.connection_infos()
-        ),
+        lambda conn, request, framing: dict(conn.eva.stats(), **_front_door_stats(conn.server)),
+        lambda conn, request, framing: dict(conn.cluster.stats(), **_front_door_stats(conn.server)),
     ),
     "metrics": (
         lambda conn, request, framing: conn.eva.metrics_snapshot(),

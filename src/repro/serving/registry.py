@@ -10,6 +10,7 @@ pipeline, which dominates cold-request latency for small programs.
 
 from __future__ import annotations
 
+import concurrent.futures
 import threading
 from collections import OrderedDict
 from dataclasses import replace
@@ -50,9 +51,11 @@ class ProgramRegistry:
 
     ``capacity`` bounds the number of distinct compilations kept alive;
     the least-recently-used entry is evicted when a new compilation would
-    exceed it.  All methods are thread-safe: concurrent workers serving
-    the same program race to compile only on the very first request (the
-    compile itself runs outside the lock, and the first finisher wins).
+    exceed it.  All methods are thread-safe: the first worker to miss a
+    signature claims it and compiles outside the lock; any other worker that
+    misses it meanwhile counts a hit, waits for that claim and takes its
+    result, and a failed compile raises in every waiter and releases the
+    claim for the next request.
 
     ``artifacts`` (an :class:`~repro.serving.artifacts.ArtifactCache`) adds
     a second, on-disk tier shared across processes: a memory miss first
@@ -84,6 +87,8 @@ class ProgramRegistry:
         #: signature, so the warm path of :meth:`get_or_compile_variant`
         #: never re-hashes the program graph.
         self._variants: "OrderedDict[Tuple[str, int], str]" = OrderedDict()
+        #: Signature -> the pending result of the compile that claimed it.
+        self._claims: Dict[str, "concurrent.futures.Future"] = {}
         self._lock = threading.Lock()
         self._count_entries()
 
@@ -98,17 +103,6 @@ class ProgramRegistry:
     def __contains__(self, signature: str) -> bool:
         with self._lock:
             return signature in self._entries
-
-    def lookup(self, signature: str) -> Optional[CompilationResult]:
-        """Return the cached compilation for ``signature`` or None (counts)."""
-        with self._lock:
-            compilation = self._entries.get(signature)
-            if compilation is None:
-                self.telemetry.inc("serving.registry.misses")
-                return None
-            self._entries.move_to_end(signature)
-            self.telemetry.inc("serving.registry.hits")
-            return compilation
 
     def get_or_compile(
         self,
@@ -125,9 +119,43 @@ class ProgramRegistry:
         """
         if signature is None:
             signature = program_signature(program, options, input_scales, output_scales)
-        cached = self.lookup(signature)
-        if cached is not None:
-            return cached
+        with self._lock:
+            compilation = self._entries.get(signature)
+            if compilation is not None:
+                self._entries.move_to_end(signature)
+                self.telemetry.inc("serving.registry.hits")
+                return compilation
+            claim = self._claims.get(signature)
+            owner = claim is None
+            if owner:
+                claim = self._claims[signature] = concurrent.futures.Future()
+            self.telemetry.inc("serving.registry.misses" if owner else "serving.registry.hits")
+        if not owner:
+            return claim.result()
+        try:
+            compilation = self.insert(
+                signature, self._load_or_compile(signature, program, options, input_scales, output_scales)
+            )
+        except BaseException as exc:
+            claim.set_exception(exc)
+            raise
+        else:
+            claim.set_result(compilation)
+            return compilation
+        finally:
+            with self._lock:
+                del self._claims[signature]
+
+    def _load_or_compile(
+        self,
+        signature: str,
+        program: Program,
+        options: Optional[CompilerOptions],
+        input_scales: Optional[Dict[str, float]],
+        output_scales: Optional[Dict[str, float]],
+    ) -> CompilationResult:
+        """A claimed miss: the artifact tier's record, else a fresh compile
+        (published there, best-effort)."""
         if self.artifacts is not None:
             lane_width = (options or CompilerOptions()).lane_width
             loaded = self.artifacts.load(signature, lane_width)
@@ -135,7 +163,7 @@ class ProgramRegistry:
                 "serving.artifacts.misses" if loaded is None else "serving.artifacts.hits"
             )
             if loaded is not None:
-                return self.insert(signature, loaded)
+                return loaded
         compilation = EvaCompiler(options).compile(program, input_scales, output_scales)
         if self.artifacts is not None:
             try:
@@ -147,11 +175,11 @@ class ProgramRegistry:
                     f"could not publish compiled artifact {signature[:12]}...: "
                     f"{type(exc).__name__}: {exc}",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
             else:
                 self.telemetry.inc("serving.artifacts.stores")
-        return self.insert(signature, compilation)
+        return compilation
 
     def get_or_compile_variant(
         self,
@@ -177,22 +205,20 @@ class ProgramRegistry:
                 signature=base_signature,
             )
         lane_width = int(lane_width)
-        if base_signature is not None:
-            with self._lock:
-                known = self._variants.get((base_signature, lane_width))
-            if known is not None:
-                cached = self.lookup(known)
-                if cached is not None:
-                    return cached
         variant_options = replace(base_options, lane_width=lane_width)
-        signature = program_signature(
-            program, variant_options, input_scales, output_scales
-        )
+        signature = None
         if base_signature is not None:
             with self._lock:
-                self._variants[(base_signature, lane_width)] = signature
-                while len(self._variants) > 4 * self.capacity:
-                    self._variants.popitem(last=False)
+                signature = self._variants.get((base_signature, lane_width))
+        if signature is None:
+            signature = program_signature(
+                program, variant_options, input_scales, output_scales
+            )
+            if base_signature is not None:
+                with self._lock:
+                    self._variants[(base_signature, lane_width)] = signature
+                    while len(self._variants) > 4 * self.capacity:
+                        self._variants.popitem(last=False)
         return self.get_or_compile(
             program, variant_options, input_scales, output_scales,
             signature=signature,
@@ -210,7 +236,7 @@ class ProgramRegistry:
         with self._lock:
             existing = self._entries.get(signature)
             if existing is not None:
-                # A concurrent worker compiled the same program first; keep
+                # Registered (or compiled) under this signature first; keep
                 # the existing entry so cached identity stays stable.
                 self._entries.move_to_end(signature)
                 return existing

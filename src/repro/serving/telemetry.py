@@ -53,6 +53,7 @@ serving.router.throttled              counter    client
 net.bytes_sent / net.bytes_received   counter    protocol
 serving.batches                       counter    program, size
 serving.queue.depth                   gauge      —
+serving.dispatch.threads              gauge      —
 serving.queue.seconds                 histogram  client, program
 serving.execute.seconds               histogram  client, program
 serving.request.seconds               histogram  op, program

@@ -3,14 +3,16 @@
 The protocol matrix (negotiation, chunked uploads, mixed JSON+binary
 clients) and the socket-free frame-decoder matrix live in ``test_wire.py``.
 This file covers the two halves the listener joins — sans-IO connection
-objects driven with no network at all, and connection->worker affinity in
-the dispatch pool — and then the real thing: abrupt disconnects mid-frame
-and mid-line, and an idle crowd served alongside live traffic.
+objects driven with no network at all, and connection->slot binding in the
+dispatch pool — and then the real thing: sequential clients sharing one
+dispatch thread (directly and through a router), abrupt disconnects
+mid-frame and mid-line, and an idle crowd served alongside live traffic.
 """
 
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from repro.backend import MockBackend
 from repro.core.serialization import messages
 from repro.core.serialization.packing import raw_blobs
 from repro.frontend import EvaProgram, input_encrypted, output
-from repro.serving import EvaServer, EvaTcpServer, FairnessPolicy, ServingClient, Telemetry
+from repro.serving import EvaServer, EvaTcpServer, FairnessPolicy, ServingClient, ShardConfig, Telemetry
 from repro.serving import aionet, netserver
 from repro.serving.quotas import QuotaLedger
 from repro.wire.frames import encode_varint
@@ -419,9 +421,10 @@ class TestRouterPassthrough:
         assert text.startswith(body[:-1] + ',"trace_id":"') and text.endswith('"}\n')
 
 
-class TestDispatchPoolAffinity:
-    def test_same_affinity_runs_on_one_thread_in_order(self):
+class TestDispatchPoolBinding:
+    def test_a_connection_runs_on_one_thread_in_order(self):
         pool = aionet._DaemonDispatchPool(4, name="test-pool")
+        slot = pool.bind()
         seen, order = [], []
 
         def record(value):
@@ -429,12 +432,24 @@ class TestDispatchPoolAffinity:
             order.append(value)
             return value
 
-        futures = [pool.submit(7, record, i) for i in range(32)]
+        futures = [pool.submit(slot, record, i) for i in range(32)]
         assert [f.result(timeout=10) for f in futures] == list(range(32))
         assert len(set(seen)) == 1, "one connection must stay on one thread"
         assert order == list(range(32)), "per-connection order must hold"
 
-    def test_distinct_affinities_spread_over_threads(self):
+    def test_sequential_connections_reuse_one_thread(self):
+        counts = []
+        pool = aionet._DaemonDispatchPool(4, name="test-pool", on_threads=counts.append)
+        idents = set()
+        for _ in range(20):
+            slot = pool.bind()
+            assert slot.index == 0
+            idents.add(pool.submit(slot, threading.get_ident).result(timeout=10))
+            pool.release(slot)
+        assert len(idents) == 1
+        assert counts == [1], "one worker started, and none retired"
+
+    def test_concurrent_connections_get_distinct_threads(self):
         pool = aionet._DaemonDispatchPool(4, name="test-pool")
         barrier = threading.Barrier(4, timeout=10)
 
@@ -442,20 +457,121 @@ class TestDispatchPoolAffinity:
             barrier.wait()
             return threading.get_ident()
 
-        futures = [pool.submit(a, rendezvous) for a in range(4)]
-        idents = {f.result(timeout=10) for f in futures}
-        assert len(idents) == 4
+        slots = [pool.bind() for _ in range(4)]
+        assert [slot.index for slot in slots] == [0, 1, 2, 3]
+        futures = [pool.submit(slot, rendezvous) for slot in slots]
+        assert len({f.result(timeout=10) for f in futures}) == 4
+
+    def test_a_reused_slot_runs_the_previous_close_first(self):
+        pool = aionet._DaemonDispatchPool(4, name="test-pool")
+        busy, order = threading.Event(), []
+        first = pool.bind()
+        pool.submit(first, busy.wait, 10)  # the departing connection's last message
+        pool.submit(first, order.append, "close")
+        pool.release(first)
+        second = pool.bind()
+        assert second is first
+        done = pool.submit(second, order.append, "first message")
+        busy.set()
+        done.result(timeout=10)
+        assert order == ["close", "first message"]
+
+    def test_a_full_pool_shares_the_least_loaded_slot(self):
+        pool = aionet._DaemonDispatchPool(2, name="test-pool")
+        slots = [pool.bind() for _ in range(3)]
+        assert [slot.index for slot in slots] == [0, 1, 0]
+        pool.release(slots[1])
+        # Loads are now [2, 0]: slot 1 takes the next two, then the tie goes low.
+        assert [pool.bind().index for _ in range(3)] == [1, 1, 0]
 
     def test_exceptions_propagate_through_futures(self):
         pool = aionet._DaemonDispatchPool(2, name="test-pool")
+        slot = pool.bind()
 
         def boom():
             raise ValueError("kaput")
 
         with pytest.raises(ValueError, match="kaput"):
-            pool.submit(0, boom).result(timeout=10)
+            pool.submit(slot, boom).result(timeout=10)
         # The worker survives its task's exception.
-        assert pool.submit(0, lambda: 42).result(timeout=10) == 42
+        assert pool.submit(slot, lambda: 42).result(timeout=10) == 42
+
+
+class TestOneThreadPerLiveConnection:
+    """Real sockets, in this process: sequential clients share one dispatch
+    thread, and behind a router they share its upstream socket too."""
+
+    def test_twenty_sequential_clients_leave_one_dispatch_thread(self, async_server):
+        host, port = async_server.address
+        for index in range(20):
+            with ServingClient(host, port, wire="binary") as client:
+                outputs = client.submit("poly", {"x": [float(index)]})
+            np.testing.assert_allclose(outputs["y"][:1], [index * index + index + 1.0], atol=1e-6)
+            wait_until(lambda: not async_server.connection_infos())
+        with ServingClient(host, port, wire="json") as client:
+            assert client.stats()["dispatch"] == {"threads": 1}
+            assert gauge(client.metrics()["metrics"], "serving.dispatch.threads") == 1
+
+    def test_relayed_upload_ids_stay_per_client_on_a_shared_upstream(self, async_server, monkeypatch):
+        """Three clients, one after another, through a one-shard router: all
+        three run on one router thread and its one upstream socket, and the
+        shard sees each client's ``up-1`` under that client's connection key."""
+        seen = []
+        add_chunk = wire.UploadState.add_chunk
+
+        def recording(state, envelope, data):
+            seen.append(envelope["upload"])
+            return add_chunk(state, envelope, data)
+
+        monkeypatch.setattr(wire.UploadState, "add_chunk", recording)
+        cluster = ThreadKeyedCluster(async_server.address)
+        router = netserver.ClusterTcpServer(cluster)
+        router.start_background()
+        try:
+            host, port = router.address
+            for index in range(3):
+                with socket.create_connection((host, port), timeout=10) as sock:
+                    for data in chunked_submit(wire.BINARY, f"relayed-{index}"):
+                        sock.sendall(data)
+                    message = wire.read_message(wire.FrameDecoder(), sock.recv)
+                framing, _type, raw, _n = wire.open_message(message)
+                outputs_are([3.0, 7.0])(messages.finish_response(framing.decode(raw, framing.peek(raw))))
+                wait_until(lambda: not router.connection_infos())
+            assert len(set(seen)) == 3 and all(upload_id.endswith("/up-1") for upload_id in seen)
+            assert len(cluster.upstreams) == 1, "one router thread, one upstream socket"
+            assert router.telemetry.registry.gauge_value("serving.dispatch.threads") == 1
+            assert async_server.telemetry.registry.gauge_value("serving.dispatch.threads") == 1
+        finally:
+            router.shutdown()
+            for upstream in cluster.upstreams.values():
+                upstream.close()
+
+
+class ThreadKeyedCluster:
+    """A cluster's forwarding as the router uses it, to one in-process shard:
+    one upstream connection per router thread, kept for the thread's life."""
+
+    def __init__(self, address):
+        self.address = address
+        self.recipe = ShardConfig()
+        self.upstreams = {}
+
+    def _call(self, client_id, fn):
+        upstream = self.upstreams.get(threading.get_ident())
+        if upstream is None:
+            upstream = self.upstreams[threading.get_ident()] = ServingClient(*self.address)
+        return fn(upstream)
+
+
+def wait_until(condition, seconds=10):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+def gauge(snapshot, name):
+    return sum(entry["value"] for entry in snapshot["gauges"] if entry["name"] == name)
 
 
 # -- abrupt disconnects and idle crowds ----------------------------------------

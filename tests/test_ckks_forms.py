@@ -582,11 +582,11 @@ class TestOneTableSet:
             # The division after a key switch, and the rescale fused with it
             # (its rows cross from the special run into the data run).
             settled = extended.divide_and_round_last(key_basis.special)
-            assert settled.basis == context.data_basis(level)
+            assert settled.basis is context.data_basis(level)
             assert np.array_equal(settled.to_coeff().to_eval().residues, settled.residues)
             if level + 1 < context.max_level:
                 rescaled = extended.divide_and_round_last(key_basis.special + 1)
-                assert rescaled.basis == context.data_basis(level + 1)
+                assert rescaled.basis is context.data_basis(level + 1)
             for basis in (key_basis, settled.basis):
                 assert all(
                     run is top or run._forward.base is top._forward for run in basis.kernel.runs

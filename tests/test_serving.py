@@ -111,6 +111,86 @@ class TestProgramRegistry:
         assert registry.summary()["evictions"] == 1
 
 
+    @pytest.mark.parametrize("variant", [False, True], ids=["base", "lane-variant"])
+    def test_workers_that_miss_together_compile_once(self, held_compiler, variant):
+        """Four workers miss one signature at once: one compiles while the
+        other three wait on its claim, and all four get the same object."""
+        registry = ProgramRegistry()
+        graph = make_poly_program().graph
+        if variant:
+            lookup = lambda: registry.get_or_compile_variant(graph, lane_width=8, base_signature="base")
+        else:
+            lookup = lambda: registry.get_or_compile(graph)
+        outcomes = miss_together(registry, held_compiler, lookup, 4)
+        assert outcomes == [held_compiler.result] * 4
+        assert held_compiler.calls == 1
+        assert (registry.summary()["misses"], registry.summary()["hits"]) == (1, 3)
+
+    def test_a_failed_compile_raises_in_every_waiter_and_frees_the_claim(self, held_compiler):
+        registry = ProgramRegistry()
+        graph = make_poly_program().graph
+        held_compiler.error = ValueError("no parameters fit")
+        outcomes = miss_together(registry, held_compiler, lambda: registry.get_or_compile(graph), 3)
+        assert outcomes == [held_compiler.error] * 3
+        held_compiler.error = None
+        outcomes = miss_together(registry, held_compiler, lambda: registry.get_or_compile(graph), 1)
+        assert outcomes == [held_compiler.result]
+        assert held_compiler.calls == 2, "the next request compiles again"
+
+
+@pytest.fixture
+def held_compiler(monkeypatch):
+    """``EvaCompiler`` replaced by a stub whose every compile waits at
+    ``gate`` (a two-party barrier the test passes) and then returns
+    ``result`` or raises ``error``."""
+    import repro.serving.registry as registry_module
+
+    class HeldCompiler:
+        calls = 0
+        error: Optional[Exception] = None
+        result = object()
+        gate = threading.Barrier(2)
+
+        def __init__(self, options=None):
+            pass
+
+        def compile(self, *_args):
+            HeldCompiler.calls += 1
+            HeldCompiler.gate.wait(10)
+            if HeldCompiler.error is not None:
+                raise HeldCompiler.error
+            return HeldCompiler.result
+
+    monkeypatch.setattr(registry_module, "EvaCompiler", HeldCompiler)
+    return HeldCompiler
+
+
+def miss_together(registry, compiler, lookup, count):
+    """Run ``lookup`` on ``count`` threads at once; the held compile is let
+    go only after every one of them has been counted a hit or a miss.
+    Returns each thread's result or exception."""
+    outcomes = [None] * count
+
+    def call(index):
+        try:
+            outcomes[index] = lookup()
+        except Exception as exc:
+            outcomes[index] = exc
+
+    looked_up = registry.summary()["hits"] + registry.summary()["misses"]
+    threads = [threading.Thread(target=call, args=(index,)) for index in range(count)]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + 10
+    while registry.summary()["hits"] + registry.summary()["misses"] < looked_up + count:
+        assert time.monotonic() < deadline, "the lookups never happened"
+        time.sleep(0.005)
+    compiler.gate.wait(10)
+    for thread in threads:
+        thread.join(10)
+    return outcomes
+
+
 class TestSessionManager:
     def test_context_reused_per_client(self):
         compilation = compile_program(make_poly_program().graph)
@@ -1508,7 +1588,7 @@ class TestRegisteredCompilation:
             before = self._answer(server, kit, request)
             server.registry.clear()
             after = self._answer(server, kit, request)
-            recompiled = server.registry.lookup(compiled.signature)
+            recompiled = server.registry.get_or_compile(None, signature=compiled.signature)
             assert server.registry.summary()["misses"] == 1  # the one recompile
         assert recompiled is not None and recompiled is not compiled
         assert recompiled.parameters == compiled.parameters
