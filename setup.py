@@ -16,6 +16,8 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # The NTT stage loop's C source: compiled on first use, not at install.
+    package_data={"repro.ckks": ["ntt.c"]},
     python_requires=">=3.9",
     install_requires=["numpy"],
 )

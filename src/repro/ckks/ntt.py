@@ -6,14 +6,14 @@ negacyclic NTT: evaluate both operands at the ``N`` odd powers of a primitive
 
 One kernel, :class:`NttKernel`, does every transform of the scheme.  It takes
 an ``(..., K, N)`` array — all ``K`` primes of an RNS basis, under any leading
-batch of polynomials or key-switching digits — and runs ``log2 N`` stages of
-whole-array ``numpy`` operations:
+batch of polynomials or key-switching digits — and runs ``log2 N`` stages
+(where they run: last section):
 
 * **Constant geometry.**  Every forward stage reads the two contiguous halves
   of its input and writes butterfly outputs interleaved (``y[2i]``,
   ``y[2i+1]``); every inverse stage does the opposite.  The perfect shuffle
   between stages replaces the bit-reversal gather, and every stage is one
-  vector operation of length ``N/2`` per row.  The ``psi`` twist is merged
+  pass of ``N/2`` butterflies per row.  The ``psi`` twist is merged
   into the stage twiddles, so there is no separate pre/post scaling pass.
 * **Shoup multiplication.**  A twiddle ``w`` is stored with its companion
   ``w' = floor(w * 2^32 / q)``; then ``x*w - ((x*w') >> 32) * q`` lies in
@@ -48,12 +48,35 @@ own work to get an exact, repeatable cost.
 
 :class:`NttContext` is the single-prime face (one 1-D row in, one out,
 through the same kernel).
+
+**Where the stages run.**  ``ntt.c``, beside this file, is the stage loop
+transcribed to C, one row at a time: the same butterflies in the same
+``uint64`` arithmetic, on the tables this module builds (a view passes its
+parent's pointer and strides), so its output is bit-identical.  On the first
+transform of a process it is compiled once per user and source with the
+system compiler (``cc -O3 -shared -fPIC``) into ``<tempdir>/repro-<uid>``,
+named by the SHA-256 of the source and the command and moved into place with
+``os.replace``, then loaded with :mod:`ctypes`, which releases the GIL for
+each call.  The cache directory must be a directory owned by this user and
+writable by no one else; a directory that fails that check, a missing
+compiler or a failed compile or load logs one warning and leaves every
+transform to the whole-array ``numpy`` stages (``_numpy_forward`` /
+``_numpy_inverse``), which answer with the same bits and are the oracle the
+C loop is tested against.  :func:`stages_in_c` says which one runs.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import hashlib
+import logging
+import os
+import stat
+import subprocess
+import tempfile
 import threading
+from pathlib import Path
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -67,6 +90,68 @@ _SHOUP_BITS = 32
 _PRIME_BOUND = 1 << 31
 
 _TALLY = threading.local()
+
+_LOG = logging.getLogger(__name__)
+_SOURCE = Path(__file__).with_name("ntt.c")
+#: Portable flags only: the library is shared by every process of the user.
+_COMPILE = ("cc", "-O3", "-shared", "-fPIC")
+_NATIVE: Dict[str, "ctypes.CDLL | None"] = {}
+_NATIVE_LOCK = threading.Lock()
+
+
+def _load_native() -> "ctypes.CDLL | None":
+    """Compile (once per user and source) and load ``ntt.c``; ``None``, logged, if it fails."""
+    try:
+        source = _SOURCE.read_bytes()
+        cache = Path(tempfile.gettempdir()) / f"repro-{os.getuid()}"
+        cache.mkdir(mode=0o700, exist_ok=True)
+        status = cache.lstat()
+        if (
+            not stat.S_ISDIR(status.st_mode)
+            or status.st_uid != os.getuid()
+            or status.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+        ):
+            raise PermissionError(f"{cache} is not a directory that only this user can write")
+        digest = hashlib.sha256(source + " ".join(_COMPILE).encode()).hexdigest()
+        library = cache / f"ntt-{digest}.so"
+        if not library.exists():
+            # A private name per thread, then an atomic rename: processes that
+            # compile at the same moment each replace the library whole.
+            partial = cache / f".{library.name}.{os.getpid()}.{threading.get_ident()}"
+            subprocess.run(
+                [*_COMPILE, "-o", str(partial), str(_SOURCE)],
+                check=True, capture_output=True, timeout=120,
+            )
+            os.replace(partial, library)
+        loaded = ctypes.CDLL(str(library))
+    except (OSError, subprocess.SubprocessError) as exc:
+        _LOG.warning("NTT stages run in numpy: the C stage loop did not load (%s)", exc)
+        return None
+    index, pointer = ctypes.c_ssize_t, ctypes.c_void_p
+    rows = [pointer, pointer] + [index] * 4 + [pointer] + [index] * 3 + [pointer, index]
+    loaded.repro_ntt_forward.argtypes = rows
+    loaded.repro_ntt_inverse.argtypes = rows + [pointer, index, index]
+    loaded.repro_ntt_forward.restype = loaded.repro_ntt_inverse.restype = ctypes.c_int
+    return loaded
+
+
+def _native() -> "ctypes.CDLL | None":
+    """The C stage loop, loaded on first use; ``None`` when the numpy stages run."""
+    if "library" not in _NATIVE:
+        with _NATIVE_LOCK:
+            if "library" not in _NATIVE:
+                _NATIVE["library"] = _load_native()
+    return _NATIVE["library"]
+
+
+def stages_in_c() -> bool:
+    """Whether transforms run the C stage loop (loading it if no transform has yet)."""
+    return _native() is not None
+
+
+def _strided(array: np.ndarray) -> tuple:
+    """``array``'s data pointer and its strides in words, all but the last (which is 1)."""
+    return (array.ctypes.data, *(step // array.itemsize for step in array.strides[:-1]))
 
 
 def ntt_rows() -> int:
@@ -204,24 +289,57 @@ class NttKernel:
         return self.rows(0, len(self.primes) - 1)
 
     # -- the transform ---------------------------------------------------------------
-    def _checked(self, values: np.ndarray) -> np.ndarray:
+    def _words(self, values: np.ndarray) -> np.ndarray:
+        """``values`` checked, as contiguous ``uint64`` words; their rows tallied."""
         values = np.ascontiguousarray(values, dtype=np.int64)
         if values.ndim < 2 or values.shape[-2:] != (len(self.primes), self.n):
             raise ParameterError(
                 f"expected (..., {len(self.primes)}, {self.n}) residues, got {values.shape}"
             )
-        return values
-
-    def _words(self, values: np.ndarray) -> np.ndarray:
-        values = self._checked(values)
         _TALLY.rows = ntt_rows() + values.size // self.n
         return values.view(np.uint64)
 
-    def _through_runs(self, values: np.ndarray, transform) -> np.ndarray:
-        """A join's transform: each run's rows through that run."""
+    def forward(self, coeffs: np.ndarray) -> np.ndarray:
+        """Coefficient form to evaluation form, all rows in one pass (a join: one per run)."""
+        return self._stages(self._words(coeffs), inverse=False)
+
+    def inverse(self, values: np.ndarray) -> np.ndarray:
+        """Evaluation form back to coefficient form, all rows in one pass (a join: one per run)."""
+        return self._stages(self._words(values), inverse=True)
+
+    def _stages(self, x: np.ndarray, inverse: bool) -> np.ndarray:
+        """The stage loop over checked ``uint64`` words: the C one if it loaded, else numpy's."""
+        library = _native()
+        if library is None:
+            return self._numpy_stages(x, inverse)
+        out = np.empty_like(x)
+        block = len(self.primes) * self.n
+        entry = library.repro_ntt_inverse if inverse else library.repro_ntt_forward
+        offset = 0
+        for run in self.runs:
+            # A row view's tables are its parent's: a pointer into them, the
+            # parent's strides.  Every array pointed into is held by `run` or here.
+            tables = _strided(run._inverse if inverse else run._forward)
+            scale = _strided(run._n_inv) if inverse else ()
+            status = entry(
+                x.ctypes.data + offset, out.ctypes.data + offset, x.size // block, block,
+                len(run.primes), self.n, *tables, *_strided(run._q), *scale,
+            )
+            if status:
+                raise MemoryError("the C NTT stage loop could not allocate its scratch row")
+            offset += len(run.primes) * self.n * x.itemsize
+        return out.view(np.int64)
+
+    def _numpy_stages(self, x: np.ndarray, inverse: bool) -> np.ndarray:
+        """The numpy stage loop: the fallback, and the oracle the C loop is pinned to.
+        A join sends each run's rows through that run."""
+        if not self._runs:
+            return self._numpy_inverse(x) if inverse else self._numpy_forward(x)
         ends = np.cumsum([len(run.primes) for run in self._runs])
-        runs = zip(self._runs, np.split(self._checked(values), ends[:-1], axis=-2))
-        return np.concatenate([transform(run, part) for run, part in runs], axis=-2)
+        parts = np.split(x, ends[:-1], axis=-2)
+        return np.concatenate(
+            [run._numpy_stages(part, inverse) for run, part in zip(self._runs, parts)], axis=-2
+        )
 
     @staticmethod
     def _mul_shoup(x, twiddle, q, scratch, product, out) -> None:
@@ -244,11 +362,7 @@ class NttKernel:
             [np.empty(half, dtype=np.uint64) for _ in range(3)],
         )
 
-    def forward(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficient form to evaluation form, all rows in one pass (a join: one per run)."""
-        if self._runs:
-            return self._through_runs(coeffs, NttKernel.forward)
-        x = self._words(coeffs)
+    def _numpy_forward(self, x: np.ndarray) -> np.ndarray:
         half = self.n // 2
         pong, (t, u, v) = self._buffers(x)
         q, two_q = self._q_half, self._two_q_half
@@ -267,11 +381,7 @@ class NttKernel:
             x = y
         return self._reduced(x, pong[stage & 1 ^ 1])
 
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        """Evaluation form back to coefficient form, all rows in one pass (a join: one per run)."""
-        if self._runs:
-            return self._through_runs(values, NttKernel.inverse)
-        x = self._words(values)
+    def _numpy_inverse(self, x: np.ndarray) -> np.ndarray:
         half = self.n // 2
         pong, (t, u, v) = self._buffers(x)
         q, two_q = self._q_half, self._two_q_half

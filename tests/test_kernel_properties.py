@@ -25,7 +25,15 @@ optimized paths can be pinned against them over randomized inputs:
 import contextlib
 import hashlib
 import json
+import logging
+import os
 import pathlib
+import shutil
+import stat
+import subprocess
+import sys
+import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -42,6 +50,7 @@ from oracles.rns import (
 )
 
 from repro.backend import CkksBackend
+from repro.ckks import ntt
 from repro.ckks import (
     CkksContext,
     Decryptor,
@@ -264,6 +273,173 @@ class TestBatchedKernelAgainstReference:
         assert np.array_equal(
             dropped.kernel.forward(poly.residues[:-1]), master.forward(poly.residues)[:-1]
         )
+
+
+@pytest.fixture
+def fresh_library(tmp_path, monkeypatch):
+    """An empty per-user cache under ``tmp_path`` and no C stage loop loaded yet."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(ntt, "_NATIVE", {})
+    return tmp_path / f"repro-{os.getuid()}"
+
+
+def numpy_and_c(kernel, values, inverse):
+    """One transform through the numpy stages and through the C stage loop."""
+    words = np.ascontiguousarray(values).view(np.uint64)
+    numpy_out = kernel._numpy_stages(words, inverse)
+    return numpy_out, kernel.inverse(values) if inverse else kernel.forward(values)
+
+
+class TestCStageLoop:
+    """``ntt.c`` is the numpy stage loop transcribed: equal bits on every input
+    the kernel takes, on its own tables, views and joins; the numpy stages stay
+    pinned to the textbook oracle; and every way the C loop can fail to load
+    leaves the numpy stages answering."""
+
+    @pytest.fixture(autouse=True)
+    def own_kernels(self, monkeypatch):
+        # Tables up to N = 32768 are built here; let them go with the test.
+        monkeypatch.setattr(ntt, "_KERNEL_CACHE", {})
+
+    def test_the_c_loop_loads_where_a_compiler_exists(self):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on this host: the numpy stages run")
+        assert ntt.stages_in_c()
+
+    @pytest.mark.parametrize("log_n", range(1, 16))
+    def test_bit_identical_to_the_numpy_stages_at_every_degree(self, log_n):
+        if not ntt.stages_in_c():
+            pytest.skip("no C stage loop on this host")
+        n = 1 << log_n
+        primes = [largest_ntt_prime_below(1 << bits, n) for bits in (17, 24, 31)]
+        kernel = NttKernel(primes, n)
+        rng = np.random.default_rng(log_n)
+        for values in (
+            kernel_inputs(rng, primes, n, (2,)),
+            np.zeros((len(primes), n), np.int64),
+            np.array(primes, np.int64).reshape(-1, 1) - np.ones((2, 1, n), np.int64),
+        ):
+            for inverse in (False, True):
+                numpy_out, c_out = numpy_and_c(kernel, values, inverse)
+                assert c_out.dtype == np.int64 and np.array_equal(c_out, numpy_out)
+            assert np.array_equal(kernel.inverse(kernel.forward(values)), values)
+
+    def test_bit_identical_for_every_prime_width(self):
+        if not ntt.stages_in_c():
+            pytest.skip("no C stage loop on this host")
+        n = 1024
+        primes = [largest_ntt_prime_below(1 << bits, n) for bits in range(17, 32)]
+        assert primes[-1] > 2**30 and primes[0] < 2**17
+        kernel = NttKernel(primes, n)
+        values = kernel_inputs(np.random.default_rng(3), primes, n, (3,))
+        for inverse in (False, True):
+            numpy_out, c_out = numpy_and_c(kernel, values, inverse)
+            assert np.array_equal(c_out, numpy_out)
+
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_bit_identical_on_views_and_joins(self, n):
+        if not ntt.stages_in_c():
+            pytest.skip("no C stage loop on this host")
+        primes = kernel_primes(n, 5)
+        top = get_ntt_kernel(primes, n)
+        joined = top.rows(0, 2).join(top.rows(3, 5))
+        rng = np.random.default_rng(n)
+        for kernel in (top, top.rows(1, 4), top.drop_last(), joined, joined.rows(1, 3)):
+            for batch in ((), (3,), (2, 2)):
+                values = kernel_inputs(rng, kernel.primes, n, batch)
+                for inverse in (False, True):
+                    numpy_out, c_out = numpy_and_c(kernel, values, inverse)
+                    assert np.array_equal(c_out, numpy_out)
+                    assert np.array_equal(
+                        c_out, numpy_and_c(NttKernel(kernel.primes, n), values, inverse)[0]
+                    )
+
+    @pytest.mark.parametrize("n", [2, 64, 2048])
+    def test_the_numpy_stages_match_the_oracle(self, n):
+        primes = kernel_primes(n, 3)
+        kernel = NttKernel(primes, n)
+        order = bit_reverse_indices(n)
+        coeffs = kernel_inputs(np.random.default_rng(n), primes, n, (2,))
+        forward = kernel._numpy_stages(coeffs.view(np.uint64), False)
+        for item in range(2):
+            for k, prime in enumerate(primes):
+                oracle = ReferenceNtt(prime, n)
+                natural = oracle.forward_reference(coeffs[item, k])
+                assert np.array_equal(forward[item, k], natural[order])
+        assert np.array_equal(kernel._numpy_stages(forward.view(np.uint64), True), coeffs)
+
+    def test_a_failed_load_logs_once_and_the_numpy_stages_answer(
+        self, fresh_library, monkeypatch, caplog
+    ):
+        primes = kernel_primes(256, 3)
+        kernel = NttKernel(primes, 256)
+        values = kernel_inputs(np.random.default_rng(1), primes, 256, (2,))
+        want = kernel._numpy_stages(values.view(np.uint64), False)
+        monkeypatch.setattr(ntt, "_COMPILE", ("/nonexistent/cc",) + ntt._COMPILE[1:])
+        with caplog.at_level(logging.WARNING, logger=ntt.__name__):
+            assert np.array_equal(kernel.forward(values), want)
+            assert np.array_equal(kernel.inverse(want), values)
+        assert not ntt.stages_in_c()
+        (record,) = [r for r in caplog.records if r.name == ntt.__name__]
+        assert "did not load" in record.getMessage()
+
+    @pytest.mark.parametrize("mode", [0o770, 0o702, 0o720])
+    def test_a_writable_cache_directory_is_refused(self, fresh_library, mode, caplog):
+        fresh_library.mkdir(mode=0o700)
+        fresh_library.chmod(mode)
+        with caplog.at_level(logging.WARNING, logger=ntt.__name__):
+            assert not ntt.stages_in_c()
+        assert "only this user can write" in caplog.text
+        assert list(fresh_library.iterdir()) == []
+
+    def test_a_cache_directory_of_another_user_is_refused(self, fresh_library, monkeypatch):
+        owner = os.getuid()
+        monkeypatch.setattr(os, "getuid", lambda: owner + 1)
+        stranger = fresh_library.with_name(f"repro-{owner + 1}")
+        stranger.mkdir(mode=0o700)
+        assert not ntt.stages_in_c()
+        assert list(stranger.iterdir()) == []
+
+    def test_a_symlinked_cache_directory_is_refused(self, fresh_library, tmp_path):
+        (tmp_path / "elsewhere").mkdir(mode=0o700)
+        fresh_library.symlink_to(tmp_path / "elsewhere")
+        assert not ntt.stages_in_c()
+
+    def test_a_private_cache_directory_is_compiled_into_once(self, fresh_library):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on this host")
+        assert ntt.stages_in_c()
+        (library,) = fresh_library.iterdir()
+        assert library.name.startswith("ntt-") and library.suffix == ".so"
+        assert stat.S_IMODE(fresh_library.stat().st_mode) == 0o700
+
+    def test_two_processes_compiling_at_once_both_load(self, fresh_library, tmp_path):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on this host")
+        go = tmp_path / "go"
+        script = (
+            "import os, time\n"
+            "from repro.ckks import ntt\n"
+            f"while not os.path.exists({str(go)!r}): time.sleep(0.001)\n"
+            "print(ntt.stages_in_c())\n"
+        )
+        src = str(pathlib.Path(ntt.__file__).parents[2])
+        env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=src)
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True
+            )
+            for _ in range(2)
+        ]
+        try:
+            time.sleep(0.5)
+            go.touch()
+            outputs = [child.communicate(timeout=120)[0].strip() for child in children]
+        finally:
+            for child in children:
+                child.kill()
+        assert outputs == ["True", "True"]
+        assert [path.suffix for path in fresh_library.iterdir()] == [".so"]
 
 
 class TestGaloisPermutation:
