@@ -52,17 +52,25 @@ through the same kernel).
 **Where the stages run.**  ``ntt.c``, beside this file, is the stage loop
 transcribed to C, one row at a time: the same butterflies in the same
 ``uint64`` arithmetic, on the tables this module builds (a view passes its
-parent's pointer and strides), so its output is bit-identical.  On the first
-transform of a process it is compiled once per user and source with the
-system compiler (``cc -O3 -shared -fPIC``) into ``<tempdir>/repro-<uid>``,
-named by the SHA-256 of the source and the command and moved into place with
-``os.replace``, then loaded with :mod:`ctypes`, which releases the GIL for
-each call.  The cache directory must be a directory owned by this user and
-writable by no one else; a directory that fails that check, a missing
-compiler or a failed compile or load logs one warning and leaves every
-transform to the whole-array ``numpy`` stages (``_numpy_forward`` /
-``_numpy_inverse``), which answer with the same bits and are the oracle the
-C loop is tested against.  :func:`stages_in_c` says which one runs.
+parent's pointer and strides), so its output is bit-identical.  The same file
+holds the pointwise halves of a division by trailing primes
+(:class:`repro.ckks.rns.RescaleConstants`).  On the first transform of a
+process it is compiled once per user, source and host ISA with the system
+compiler for the host CPU (``cc -O3 -shared -fPIC -march=native``) into
+``<tempdir>/repro-<uid>``, named by the SHA-256 of the source, the command
+and the compiler's predefined macros under ``-march=native`` (which name the
+host's instruction set, so a library is loaded only where it was built for),
+moved into place with ``os.replace``, then loaded with :mod:`ctypes`, which
+releases the GIL for each call.  A compiler that cannot build for the host
+(the macro probe or the compile fails) gets the portable build, without
+``-march=native`` and named by source and command, with one warning.  The
+cache directory must be a directory owned by this user and writable by no
+one else; a directory that fails that check, a missing compiler or a failed
+portable compile or load logs one warning and leaves every transform to the
+whole-array ``numpy`` stages (``_numpy_forward`` / ``_numpy_inverse``), which
+answer with the same bits and are the oracle the C loop is tested against.
+:func:`stages_in_c` says which one runs and :func:`build_command` which build
+loaded.
 """
 
 from __future__ import annotations
@@ -93,37 +101,69 @@ _TALLY = threading.local()
 
 _LOG = logging.getLogger(__name__)
 _SOURCE = Path(__file__).with_name("ntt.c")
-#: Portable flags only: the library is shared by every process of the user.
+#: The portable build, which any CPU of the compiler's target runs.
 _COMPILE = ("cc", "-O3", "-shared", "-fPIC")
-_NATIVE: Dict[str, "ctypes.CDLL | None"] = {}
+#: The build for the host CPU: the portable command with this flag added.
+_HOST_FLAG = "-march=native"
+_NATIVE: Dict[str, object] = {}
 _NATIVE_LOCK = threading.Lock()
 
 
-def _load_native() -> "ctypes.CDLL | None":
-    """Compile (once per user and source) and load ``ntt.c``; ``None``, logged, if it fails."""
-    try:
-        source = _SOURCE.read_bytes()
-        cache = Path(tempfile.gettempdir()) / f"repro-{os.getuid()}"
-        cache.mkdir(mode=0o700, exist_ok=True)
-        status = cache.lstat()
-        if (
-            not stat.S_ISDIR(status.st_mode)
-            or status.st_uid != os.getuid()
-            or status.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
-        ):
-            raise PermissionError(f"{cache} is not a directory that only this user can write")
-        digest = hashlib.sha256(source + " ".join(_COMPILE).encode()).hexdigest()
-        library = cache / f"ntt-{digest}.so"
-        if not library.exists():
-            # A private name per thread, then an atomic rename: processes that
-            # compile at the same moment each replace the library whole.
-            partial = cache / f".{library.name}.{os.getpid()}.{threading.get_ident()}"
+def _host_probe() -> bytes:
+    """The compiler's predefined macros under ``-march=native``: the host's ISA, as text."""
+    return subprocess.run(
+        [_COMPILE[0], _HOST_FLAG, "-E", "-dM", "-x", "c", os.devnull],
+        check=True, capture_output=True, timeout=60,
+    ).stdout
+
+
+def _cache_directory() -> Path:
+    """``<tempdir>/repro-<uid>``, created 0700; refused unless only this user can write it."""
+    cache = Path(tempfile.gettempdir()) / f"repro-{os.getuid()}"
+    cache.mkdir(mode=0o700, exist_ok=True)
+    status = cache.lstat()
+    if (
+        not stat.S_ISDIR(status.st_mode)
+        or status.st_uid != os.getuid()
+        or status.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    ):
+        raise PermissionError(f"{cache} is not a directory that only this user can write")
+    return cache
+
+
+def _library(cache: Path, source: bytes, command: Tuple[str, ...], probe: bytes = b"") -> Path:
+    """The library ``command`` builds from ``source`` (for the ISA ``probe`` names), compiled
+    into ``cache`` unless it is there: named by the SHA-256 of all three."""
+    digest = hashlib.sha256(source + " ".join(command).encode() + probe).hexdigest()
+    library = cache / f"ntt-{digest}.so"
+    if not library.exists():
+        # A private name per thread, then an atomic rename: processes that
+        # compile at the same moment each replace the library whole.
+        partial = cache / f".{library.name}.{os.getpid()}.{threading.get_ident()}"
+        try:
             subprocess.run(
-                [*_COMPILE, "-o", str(partial), str(_SOURCE)],
+                [*command, "-o", str(partial), str(_SOURCE)],
                 check=True, capture_output=True, timeout=120,
             )
             os.replace(partial, library)
-        loaded = ctypes.CDLL(str(library))
+        finally:
+            partial.unlink(missing_ok=True)
+    return library
+
+
+def _load_native() -> "Tuple[ctypes.CDLL, Tuple[str, ...]] | None":
+    """Build (once per user, source and ISA) and load ``ntt.c``, for the host CPU if the
+    compiler can, else portably; ``None`` if neither loads.  One warning either way."""
+    host = (*_COMPILE, _HOST_FLAG)
+    try:
+        source = _SOURCE.read_bytes()
+        cache = _cache_directory()
+        try:
+            command, loaded = host, ctypes.CDLL(str(_library(cache, source, host, _host_probe())))
+        except (OSError, subprocess.SubprocessError) as exc:
+            portable = _library(cache, source, _COMPILE)
+            command, loaded = _COMPILE, ctypes.CDLL(str(portable))
+            _LOG.warning("the C kernels are built for any CPU, not this one (%s)", exc)
     except (OSError, subprocess.SubprocessError) as exc:
         _LOG.warning("NTT stages run in numpy: the C stage loop did not load (%s)", exc)
         return None
@@ -131,22 +171,32 @@ def _load_native() -> "ctypes.CDLL | None":
     rows = [pointer, pointer] + [index] * 4 + [pointer] + [index] * 3 + [pointer, index]
     loaded.repro_ntt_forward.argtypes = rows
     loaded.repro_ntt_inverse.argtypes = rows + [pointer, index, index]
-    loaded.repro_ntt_forward.restype = loaded.repro_ntt_inverse.restype = ctypes.c_int
-    return loaded
+    loaded.repro_rescale.argtypes = [pointer] * 3 + [index] * 3 + [pointer] * 5
+    for entry in (loaded.repro_ntt_forward, loaded.repro_ntt_inverse, loaded.repro_rescale):
+        entry.restype = ctypes.c_int
+    return loaded, command
 
 
-def _native() -> "ctypes.CDLL | None":
-    """The C stage loop, loaded on first use; ``None`` when the numpy stages run."""
+def native_library() -> "ctypes.CDLL | None":
+    """The C kernels, loaded on first use; ``None`` when numpy does their work."""
     if "library" not in _NATIVE:
         with _NATIVE_LOCK:
             if "library" not in _NATIVE:
-                _NATIVE["library"] = _load_native()
+                library, _NATIVE["command"] = _load_native() or (None, None)
+                _NATIVE["library"] = library
     return _NATIVE["library"]
 
 
 def stages_in_c() -> bool:
     """Whether transforms run the C stage loop (loading it if no transform has yet)."""
-    return _native() is not None
+    return native_library() is not None
+
+
+def build_command() -> "Tuple[str, ...] | None":
+    """The compile command of the loaded C kernels (``-march=native`` in it: built for
+    this host's ISA); ``None`` when numpy does their work."""
+    native_library()
+    return _NATIVE["command"]
 
 
 def _strided(array: np.ndarray) -> tuple:
@@ -309,7 +359,7 @@ class NttKernel:
 
     def _stages(self, x: np.ndarray, inverse: bool) -> np.ndarray:
         """The stage loop over checked ``uint64`` words: the C one if it loaded, else numpy's."""
-        library = _native()
+        library = native_library()
         if library is None:
             return self._numpy_stages(x, inverse)
         out = np.empty_like(x)

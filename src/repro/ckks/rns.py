@@ -2,9 +2,12 @@
 
 An :class:`RnsPolynomial` stores one residue row per prime of its basis; all
 ring operations (addition, negacyclic multiplication, Galois automorphisms,
-dropping / dividing away trailing primes) run on the whole residue matrix with
-vectorized ``numpy`` ``int64`` arithmetic and the batched NTT kernel of
-:mod:`repro.ckks.ntt`.
+dropping trailing primes) run on the whole residue matrix with vectorized
+``numpy`` ``int64`` arithmetic and the batched NTT kernel of
+:mod:`repro.ckks.ntt`.  Dividing trailing primes away runs the kernel's
+transforms around :class:`RescaleConstants`, whose pointwise arithmetic is
+``ntt.c``'s Shoup products where the C kernels loaded (numpy, with the same
+bits, where they did not).
 
 A polynomial carries its **form**: :data:`COEFF` rows hold coefficients,
 :data:`EVAL` rows hold the kernel's evaluations (in its private slot order).
@@ -28,7 +31,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import ParameterError
-from .ntt import NttKernel, galois_ntt_permutation, get_ntt_kernel
+from .ntt import NttKernel, galois_ntt_permutation, get_ntt_kernel, native_library
 from .numth import mod_inverse
 
 #: Residue rows hold the polynomial's coefficients.
@@ -55,11 +58,12 @@ class RnsBasis:
     """An ordered list of primes together with their batched NTT kernel.
 
     Derived tables that every hot operation needs — the primes broadcast as an
-    ``int64`` column, the rescale inverses of the trailing primes, the Garner
+    ``int64`` column, the rescale inverses of the trailing primes and the
+    rest of a division's constants (:meth:`rescale_constants`), the Garner
     composition inverses — are computed once per basis and cached, so the
     per-call overhead profiling measured (rebuilding the primes array on every
-    add, re-deriving ``mod_inverse`` on every rescale) is paid at basis
-    construction instead of per polynomial op.
+    add, re-deriving ``mod_inverse`` on every rescale) is paid once per basis
+    instead of per polynomial op.
 
     ``special`` counts the special primes that end a key-switching basis, whose
     product is ``P``: a ciphertext whose polynomials live over one is
@@ -85,6 +89,7 @@ class RnsBasis:
         self.primes_column = np.array(self.primes, dtype=np.int64).reshape(-1, 1)
         self._dropped: "RnsBasis | None" = None
         self._rescale_inverses: Dict[int, np.ndarray] = {}
+        self._rescale_constants: Dict[int, RescaleConstants] = {}
         self._garner_inverses: "List[np.ndarray] | None" = None
         self._special_multiplier: "np.ndarray | None" = None
 
@@ -117,6 +122,13 @@ class RnsBasis:
                 [mod_inverse(dropped, p) for p in self.primes[:-count]], dtype=np.int64
             ).reshape(-1, 1)
         return inverses
+
+    def rescale_constants(self, count: int = 1) -> "RescaleConstants":
+        """The tables a division by the last ``count`` primes reads, built once."""
+        constants = self._rescale_constants.get(count)
+        if constants is None:
+            constants = self._rescale_constants[count] = RescaleConstants(self, count)
+        return constants
 
     def special_multiplier(self) -> np.ndarray:
         """``P mod q`` for every prime before the special ones, as a column:
@@ -153,6 +165,104 @@ class RnsBasis:
 def _centered(row: np.ndarray, prime: int) -> np.ndarray:
     """The representative of each residue in ``(-prime/2, prime/2]``."""
     return np.where(row > prime // 2, row - prime, row)
+
+
+def _with_shoup(values: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """``values`` (each below its modulus) stacked on a new axis 0 with their Shoup
+    companions ``floor(v * 2^32 / modulus)``, the operands of ``ntt.c``'s ``mul_shoup``."""
+    return np.stack([values, (values << 32) // moduli])
+
+
+class RescaleConstants:
+    """Division by the last ``count`` primes of a basis with rounding, on tables built once.
+
+    The correction that division subtracts is the mixed-radix number
+    ``delta_0 + p_0 delta_1 + p_0 p_1 delta_2 + ...`` over the dropped primes
+    ``p_0, p_1, ...`` (last first): digit ``delta_i`` is the centered residue
+    modulo ``p_i`` of what remains after removing the earlier digits and
+    dividing by their primes.  :meth:`divide` computes it modulo each kept
+    prime, then subtracts it and multiplies by the inverse of the dropped
+    product, on these tables (each ``int64``, stacked on axis 0 with the
+    Shoup companions ``ntt.c`` multiplies by):
+
+    * ``steps[:, i, j]``: ``p_j^-1 mod p_i`` for ``j < i`` (0 above the diagonal);
+    * ``weights[:, i, k]``: ``p_0 ... p_{i-1} mod q_k`` for ``i <= count``;
+    * ``inverses[:, k]``: ``(p_0 ... p_{count-1})^-1 mod q_k``.
+
+    Both halves run in ``ntt.c``'s ``repro_rescale`` when the C kernels loaded,
+    else its numpy body (``_numpy_correction`` / ``_numpy_finish``), which
+    answers with the same bits and is the oracle the C one is tested against.
+    """
+
+    def __init__(self, basis: "RnsBasis", count: int) -> None:
+        kept = basis.drop_last(count)
+        self.n = basis.poly_modulus_degree
+        #: The kept primes as an ``(L - count, 1)`` column.
+        self.primes = kept.primes_column
+        dropped = basis.primes[: len(kept) - 1 : -1]
+        #: The dropped primes, last first.
+        self.dropped = np.array(dropped, dtype=np.int64)
+        steps = [
+            [mod_inverse(earlier, prime) for earlier in dropped[:index]] + [0] * (count - index)
+            for index, prime in enumerate(dropped)
+        ]
+        self.steps = _with_shoup(np.array(steps, dtype=np.int64), self.dropped.reshape(-1, 1))
+        weights = [[math.prod(dropped[:i]) % q for q in kept.primes] for i in range(count + 1)]
+        self.weights = _with_shoup(np.array(weights, dtype=np.int64), self.primes.reshape(-1))
+        inverses = basis.rescale_inverses(count).reshape(-1)
+        self.inverses = _with_shoup(inverses, self.primes.reshape(-1))
+
+    def divide(self, kept=None, dropped=None, correction=None) -> np.ndarray:
+        """The correction from the ``dropped`` rows (coefficient form) alone, or
+        ``(kept - correction) * (dropped product)^-1`` per kept prime from
+        ``kept`` and either the ``dropped`` rows (coefficient form) or a
+        ``correction`` in ``kept``'s form (which C overwrites with the result)."""
+        library = native_library()
+        if library is not None:
+            return self._c(library, kept, dropped, correction)
+        if dropped is not None:
+            correction = self._numpy_correction(dropped)
+        return correction if kept is None else self._numpy_finish(kept, correction)
+
+    def _c(self, library, kept, dropped, out) -> np.ndarray:
+        """One ``repro_rescale`` call, on contiguous ``int64`` rows of this division's shape."""
+        kept, dropped = (
+            None if a is None else np.ascontiguousarray(a, np.int64) for a in (kept, dropped)
+        )
+        shape = (len(self.primes), self.n)
+        out = np.empty(shape, np.int64) if out is None else np.require(out, np.int64, ["C", "W"])
+        for rows, height in ((kept, shape[0]), (dropped, len(self.dropped)), (out, shape[0])):
+            if rows is not None and rows.shape != (height, self.n):
+                raise ParameterError(f"expected ({height}, {self.n}) residues, got {rows.shape}")
+        status = library.repro_rescale(
+            None if kept is None else kept.ctypes.data,
+            None if dropped is None else dropped.ctypes.data, out.ctypes.data,
+            self.n, shape[0], len(self.dropped), self.primes.ctypes.data,
+            self.dropped.ctypes.data, self.steps.ctypes.data, self.weights.ctypes.data,
+            self.inverses.ctypes.data,
+        )
+        if status:
+            raise MemoryError("the C rescale could not allocate its digit rows")
+        return out
+
+    def _numpy_correction(self, dropped: np.ndarray) -> np.ndarray:
+        digits = []
+        for index, prime in enumerate(self.dropped):
+            row = dropped[len(self.dropped) - 1 - index]
+            for digit, inverse in zip(digits, self.steps[0, index]):
+                row = (row - digit) % prime * inverse % prime
+            digits.append(_centered(row, prime))
+        # The first two digits fold exactly (below 2^61); later ones are
+        # added modulo each kept prime, times the product of the primes before.
+        correction = digits[0] + self.dropped[0] * digits[1] if len(digits) > 1 else digits[0]
+        correction = correction % self.primes
+        for digit, weight in zip(digits[2:], self.weights[0, 2:]):
+            correction = (correction + weight.reshape(-1, 1) * digit) % self.primes
+        return correction
+
+    def _numpy_finish(self, kept: np.ndarray, correction: np.ndarray) -> np.ndarray:
+        # Reduced minus reduced, plus p, lies in (0, 2p): times an inverse it stays below 2^63.
+        return (kept - correction + self.primes) * self.inverses[0].reshape(-1, 1) % self.primes
 
 
 class RnsPolynomial:
@@ -273,12 +383,12 @@ class RnsPolynomial:
 
         Bit-identical to ``count`` single divisions in a row, in the form of
         this polynomial.  Each division subtracts the centered residue of the
-        prime it drops; together they fold into one correction, the mixed-radix
-        number ``delta_1 + p_1 delta_2 + p_1 p_2 delta_3 + ...`` over the
-        dropped primes ``p_1, p_2, ...`` (last first), reduced modulo each kept
-        prime so no value leaves ``int64``.  In evaluation
-        form only the dropped rows are inverse-transformed and only the
-        correction is forward-transformed, over the rows that remain.
+        prime it drops; together they fold into one correction, a mixed-radix
+        number over the dropped primes reduced modulo each kept prime
+        (:class:`RescaleConstants`).  In coefficient form that is one call; in
+        evaluation form only the dropped rows are inverse-transformed and only
+        the correction is forward-transformed, over the rows that remain,
+        between the two halves.
         """
         basis = self.basis
         kept = len(basis) - count
@@ -286,34 +396,14 @@ class RnsPolynomial:
             raise ParameterError(
                 f"cannot divide {len(basis)} primes by {count}: one prime must remain"
             )
-        dropped = self.residues[kept:]
-        if self.form == EVAL:
-            dropped = basis.kernel.rows(kept, len(basis)).inverse(dropped)
-        # Digit i is what remains modulo the i-th dropped prime (last first)
-        # after the divisions by the primes dropped before it.
-        dropped_primes = basis.primes[: kept - 1 : -1]
-        digits = []
-        for index, prime in enumerate(dropped_primes):
-            row = dropped[count - 1 - index]
-            for digit, earlier in zip(digits, dropped_primes):
-                row = (row - digit) % prime * mod_inverse(earlier, prime) % prime
-            digits.append(_centered(row, prime))
-        new_basis = basis.drop_last(count)
-        primes = new_basis.primes_column
-        # The first two digits fold exactly (below 2^61); later ones are
-        # added modulo each kept prime, times the product of the primes before.
-        correction = digits[0] + dropped_primes[0] * digits[1] if count > 1 else digits[0]
-        correction = correction % primes
-        weight = math.prod(dropped_primes[:2])
-        for digit, prime in zip(digits[2:], dropped_primes[2:]):
-            factor = np.array([weight % q for q in new_basis.primes], dtype=np.int64)
-            correction = (correction + factor.reshape(-1, 1) * digit) % primes
-            weight *= prime
-        if self.form == EVAL:
-            correction = new_basis.kernel.forward(correction)
-        # Reduced minus reduced, plus p, lies in (0, 2p): times an inverse it stays below 2^63.
-        diff = self.residues[:kept] - correction + primes
-        return RnsPolynomial(new_basis, diff * basis.rescale_inverses(count) % primes, self.form)
+        constants, new_basis = basis.rescale_constants(count), basis.drop_last(count)
+        if self.form == COEFF:
+            residues = constants.divide(self.residues[:kept], self.residues[kept:])
+            return RnsPolynomial(new_basis, residues, COEFF)
+        dropped = basis.kernel.rows(kept, len(basis)).inverse(self.residues[kept:])
+        correction = new_basis.kernel.forward(constants.divide(dropped=dropped))
+        residues = constants.divide(self.residues[:kept], correction=correction)
+        return RnsPolynomial(new_basis, residues, EVAL)
 
     # -- CRT composition ---------------------------------------------------------------
     def to_float_coefficients(self) -> np.ndarray:

@@ -442,6 +442,193 @@ class TestCStageLoop:
         assert [path.suffix for path in fresh_library.iterdir()] == [".so"]
 
 
+@contextlib.contextmanager
+def numpy_only(monkeypatch):
+    """No C kernel loaded inside: numpy does every transform and rescale."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ntt, "_NATIVE", {"library": None, "command": None})
+        yield
+
+
+def rescale_operands(rng, basis):
+    """Random residues, then all-zero and all-``q-1`` ones, each with its
+    rounding boundaries (``q//2``, ``q//2 + 1``) in the first columns."""
+    column = basis.primes_column
+    shape = (len(basis), basis.poly_modulus_degree)
+    for residues in (
+        rng.integers(0, column, size=shape),
+        np.zeros(shape, np.int64),
+        np.broadcast_to(column - 1, shape).copy(),
+    ):
+        edges = np.concatenate([column // 2, column // 2 + 1], 1)
+        width = min(edges.shape[1], shape[1] // 2)
+        residues[:, :width] = edges[:, :width]
+        yield RnsPolynomial(basis, residues.astype(np.int64))
+
+
+class TestCRescale:
+    """``ntt.c``'s ``repro_rescale`` is ``RescaleConstants``' numpy halves in
+    C: equal bits for every count, both forms, every degree, mixed prime widths
+    and the key bases a key switch divides."""
+
+    @pytest.fixture(autouse=True)
+    def c_kernels(self, monkeypatch):
+        monkeypatch.setattr(ntt, "_KERNEL_CACHE", {})
+        if not ntt.stages_in_c():
+            pytest.skip("no C kernels on this host")
+        self.monkeypatch = monkeypatch
+
+    def assert_c_is_numpy(self, basis, rng, counts=None):
+        for poly in rescale_operands(rng, basis):
+            for count in counts or range(1, len(basis)):
+                constants = basis.rescale_constants(count)
+                kept, dropped = poly.residues[:-count], poly.residues[-count:]
+                assert np.array_equal(
+                    constants.divide(dropped=dropped), constants._numpy_correction(dropped)
+                )
+                # An evaluation-form correction is any reduced row, not only a small one.
+                correction = rng.integers(0, constants.primes, size=kept.shape)
+                numpy_finish = constants._numpy_finish(kept, correction)
+                got = constants.divide(kept, correction=correction)
+                assert np.array_equal(got, numpy_finish)
+                for operand in (poly, poly.to_eval()):
+                    c_out = operand.divide_and_round_last(count)
+                    with numpy_only(self.monkeypatch):
+                        numpy_out = operand.divide_and_round_last(count)
+                    assert c_out.form == numpy_out.form == operand.form
+                    assert c_out.basis == numpy_out.basis == basis.drop_last(count)
+                    assert c_out.residues.dtype == np.int64
+                    assert np.array_equal(c_out.residues, numpy_out.residues)
+
+    @pytest.mark.parametrize("log_n", range(3, 15))
+    def test_every_count_at_every_degree(self, log_n):
+        n = 1 << log_n
+        primes = [largest_ntt_prime_below(1 << bits, n) for bits in (20, 25, 28, 30, 31)]
+        self.assert_c_is_numpy(RnsBasis(primes, n), np.random.default_rng(log_n))
+
+    def test_every_prime_width(self):
+        n = 256
+        primes = [largest_ntt_prime_below(1 << bits, n) for bits in range(17, 32)]
+        self.assert_c_is_numpy(RnsBasis(primes, n), np.random.default_rng(17))
+        self.assert_c_is_numpy(RnsBasis(primes[::-1], n), np.random.default_rng(31))
+
+    @pytest.mark.parametrize("special", [1, 2, 3])
+    def test_small_data_primes_under_31_bit_special_primes(self, special):
+        n = 1024
+        data = [largest_ntt_prime_below(1 << bits, n) for bits in (17, 18, 20)]
+        top = largest_ntt_prime_below(1 << 31, n)
+        specials = [top - 2 * n * step for step in range(64) if is_prime(top - 2 * n * step)]
+        basis = RnsBasis(data + specials[:special], n, special=special)
+        self.assert_c_is_numpy(basis, np.random.default_rng(special))
+
+    @pytest.mark.parametrize("special", [1, 2])
+    def test_the_joined_key_bases_of_every_level(self, special):
+        context = CkksContext(
+            256, [20, 25, 28, 30] + [30] * special, enforce_security=False,
+            special_primes=special,
+        )
+        for level in range(context.max_level):
+            key_basis = context.key_basis(level)
+            assert level == 0 or len(key_basis.kernel.runs) == 2
+            # What a key switch divides by, and a rescale of an extended polynomial.
+            counts = [count for count in (special, special + 1) if count < len(key_basis)]
+            self.assert_c_is_numpy(key_basis, np.random.default_rng(level), counts)
+
+    def test_rows_of_another_shape_are_refused_before_c_reads_them(self):
+        basis = RnsBasis(kernel_primes(64, 4), 64)
+        constants = basis.rescale_constants(2)
+        kept, dropped = np.zeros((2, 64), np.int64), np.zeros((2, 64), np.int64)
+        for call in (
+            lambda: constants.divide(kept[:1], dropped),
+            lambda: constants.divide(kept, dropped[:, :32]),
+            lambda: constants.divide(dropped=np.zeros((3, 64), np.int64)),
+            lambda: constants.divide(kept, correction=np.zeros((2, 128), np.int64)),
+        ):
+            with pytest.raises(ParameterError, match="residues"):
+                call()
+
+    def test_the_constants_are_built_once_per_basis_and_count(self):
+        basis = RnsBasis(kernel_primes(64, 4), 64)
+        assert basis.rescale_constants(2) is basis.rescale_constants(2)
+        assert basis.rescale_constants(1) is not basis.rescale_constants(2)
+        for count in (1, 2, 3):
+            constants = basis.rescale_constants(count)
+            assert np.array_equal(constants.inverses[0], basis.rescale_inverses(count).ravel())
+            # Every Shoup operand is below 2^32, every constant below its modulus.
+            for table in (constants.steps, constants.weights, constants.inverses):
+                assert table.dtype == np.int64 and table.min() >= 0 and table.max() < 2**32
+
+
+class TestHostBuild:
+    """The C kernels are built for the host CPU, named by what the compiler
+    says that CPU is, and fall back to the portable build with one warning."""
+
+    @pytest.fixture(autouse=True)
+    def needs_cc(self):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on this host")
+
+    def loaded_name(self):
+        return pathlib.Path(ntt.native_library()._name).name
+
+    def test_the_host_build_loads_where_the_compiler_takes_march_native(self, fresh_library):
+        try:
+            ntt._host_probe()
+        except (OSError, subprocess.SubprocessError):
+            pytest.skip("this compiler does not take -march=native")
+        assert ntt.stages_in_c() and "-march=native" in ntt.build_command()
+
+    def test_a_different_probe_gives_a_different_library(self, fresh_library, monkeypatch):
+        names = []
+        for probe in (b"#define __AVX2__ 1\n", b"#define __AVX512F__ 1\n"):
+            monkeypatch.setattr(ntt, "_host_probe", lambda probe=probe: probe)
+            monkeypatch.setattr(ntt, "_NATIVE", {})
+            assert "-march=native" in ntt.build_command()
+            names.append(self.loaded_name())
+        assert names[0] != names[1]
+        assert sorted(path.name for path in fresh_library.iterdir()) == sorted(names)
+
+    def test_a_library_named_for_another_probe_is_never_loaded(
+        self, fresh_library, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(ntt, "_host_probe", lambda: b"one host")
+        ntt.native_library()
+        other = fresh_library / self.loaded_name()
+        # Replaced, not rewritten: this process still maps the library.
+        (fresh_library / "garbage").write_bytes(b"not a library")
+        os.replace(fresh_library / "garbage", other)
+        monkeypatch.setattr(ntt, "_host_probe", lambda: b"another host")
+        monkeypatch.setattr(ntt, "_NATIVE", {})
+        with caplog.at_level(logging.WARNING, logger=ntt.__name__):
+            assert "-march=native" in ntt.build_command()
+        assert self.loaded_name() != other.name and not caplog.records
+        assert other.read_bytes() == b"not a library"
+
+    def test_a_failing_probe_gives_the_portable_build_and_the_same_bits(
+        self, fresh_library, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(ntt, "_KERNEL_CACHE", {})
+        primes = kernel_primes(256, 4)
+        basis = RnsBasis(primes, 256)
+        values = kernel_inputs(np.random.default_rng(5), primes, 256, (2,))
+        poly = RnsPolynomial(basis, values[0])
+        with numpy_only(monkeypatch):
+            want = [basis.kernel.forward(values), poly.divide_and_round_last(2).residues]
+
+        def refused():
+            raise subprocess.CalledProcessError(1, "cc -march=native")
+
+        monkeypatch.setattr(ntt, "_host_probe", refused)
+        with caplog.at_level(logging.WARNING, logger=ntt.__name__):
+            assert ntt.build_command() == ntt._COMPILE
+            got = [basis.kernel.forward(values), poly.divide_and_round_last(2).residues]
+        (record,) = [r for r in caplog.records if r.name == ntt.__name__]
+        assert "built for any CPU" in record.getMessage()
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        (library,) = fresh_library.iterdir()
+        assert library.name == self.loaded_name()
+
+
 class TestGaloisPermutation:
     @pytest.mark.parametrize("n", [64, 256])
     def test_permutation_matches_coefficient_automorphism(self, n):
