@@ -61,9 +61,11 @@ compiler for the host CPU (``cc -O3 -shared -fPIC -march=native``) into
 and the compiler's predefined macros under ``-march=native`` (which name the
 host's instruction set, so a library is loaded only where it was built for),
 moved into place with ``os.replace``, then loaded with :mod:`ctypes`, which
-releases the GIL for each call.  A compiler that cannot build for the host
-(the macro probe or the compile fails) gets the portable build, without
-``-march=native`` and named by source and command, with one warning.  The
+releases the GIL for each call.  Loading a cached library touches its mtime;
+a build removes the libraries untouched for seven days.  A compiler that
+cannot build for the host (the macro probe or the compile fails) gets the
+portable build, without ``-march=native`` and named by source and command,
+with one warning.  The
 cache directory must be a directory owned by this user and writable by no
 one else; a directory that fails that check, a missing compiler or a failed
 portable compile or load logs one warning and leaves every transform to the
@@ -75,6 +77,7 @@ loaded.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -84,6 +87,7 @@ import stat
 import subprocess
 import tempfile
 import threading
+import time
 from pathlib import Path
 from typing import Dict, Sequence, Tuple
 
@@ -105,6 +109,8 @@ _SOURCE = Path(__file__).with_name("ntt.c")
 _COMPILE = ("cc", "-O3", "-shared", "-fPIC")
 #: The build for the host CPU: the portable command with this flag added.
 _HOST_FLAG = "-march=native"
+#: A cached library neither built nor loaded for this long is removed after a build.
+_STALE_SECONDS = 7 * 24 * 3600
 _NATIVE: Dict[str, object] = {}
 _NATIVE_LOCK = threading.Lock()
 
@@ -136,7 +142,9 @@ def _library(cache: Path, source: bytes, command: Tuple[str, ...], probe: bytes 
     into ``cache`` unless it is there: named by the SHA-256 of all three."""
     digest = hashlib.sha256(source + " ".join(command).encode() + probe).hexdigest()
     library = cache / f"ntt-{digest}.so"
-    if not library.exists():
+    try:
+        os.utime(library)  # a hit marks the library used, so no build prunes it
+    except FileNotFoundError:
         # A private name per thread, then an atomic rename: processes that
         # compile at the same moment each replace the library whole.
         partial = cache / f".{library.name}.{os.getpid()}.{threading.get_ident()}"
@@ -148,6 +156,13 @@ def _library(cache: Path, source: bytes, command: Tuple[str, ...], probe: bytes 
             os.replace(partial, library)
         finally:
             partial.unlink(missing_ok=True)
+        # By age, not by name: a checkout of another source in use on this host
+        # keeps touching its own library.  A process mapping a removed one keeps it.
+        cutoff = time.time() - _STALE_SECONDS
+        for other in cache.glob("ntt-*.so"):
+            with contextlib.suppress(OSError):  # another process pruned it first
+                if other.stat().st_mtime < cutoff:
+                    other.unlink()
     return library
 
 

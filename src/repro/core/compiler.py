@@ -20,6 +20,7 @@ the benchmark harness to reproduce the CHET-vs-EVA comparisons of Section 8.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import time
@@ -34,7 +35,7 @@ from .analysis import select_parameters, select_rotation_steps, validate
 from .analysis.parameters import EncryptionParameters
 from .analysis.validation import check_evaluable
 from .ir import Program
-from .serialization.json_format import dict_to_program, program_to_dict
+from .serialization.proto import deserialize, serialize
 from .serialization.records import read_record, write_record
 from .rewrite import (
     BsgsRotationPass,
@@ -55,21 +56,6 @@ from .rewrite import (
 )
 from .rewrite.framework import PassContext, PassReport, waterline_of
 from .types import DEFAULT_MAX_RESCALE_BITS, DEFAULT_SECURITY_LEVEL, Op
-
-
-#: Options of earlier builds, at the one value this build compiles with: SUM
-#: is always expanded, COPY always removed, the cleanup passes always run, and
-#: the waterline and rescale value are always derived from the program.
-#: :meth:`CompilerOptions.to_dict` still writes them, so signatures and
-#: records of earlier builds stay the same.
-_RETIRED_OPTIONS = {
-    "lower_sum": True, "remove_copies": True, "cleanup": True,
-    "rescale_bits": None, "waterline_bits": None,
-}  # fmt: skip
-#: Same, for options earlier builds left out of ``to_dict`` at this value:
-#: the lane wrap branch is always composed, rotation hoisting always runs and
-#: the BSGS plan is always the cost model's.
-_RETIRED_UNWRITTEN = {"hoist_rotations": True, "bsgs_rotations": "auto"}
 
 
 @dataclass
@@ -114,26 +100,12 @@ class CompilerOptions:
 
     def to_dict(self) -> Dict[str, Any]:
         """All option fields as a JSON-able dict (signature and artifact use)."""
-        data = asdict(self)
-        # Back-compat: an unset lane width serializes to the pre-lane layout,
-        # so signatures of (and artifacts for) programs compiled without lane
-        # lowering are unchanged by the option's existence.
-        if data.get("lane_width") is None:
-            data.pop("lane_width", None)
-        return {**data, **_RETIRED_OPTIONS}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CompilerOptions":
         """Inverse of :meth:`to_dict`; unknown keys are rejected, missing ones default."""
-        data = dict(data)
-        for name, value in {**_RETIRED_OPTIONS, **_RETIRED_UNWRITTEN}.items():
-            given = data.pop(name, value)
-            if type(given) is not type(value) or given != value:
-                raise CompilationError(
-                    f"compiler option {name!r} is retired: this build always uses {value!r}"
-                )
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise CompilationError(f"unknown compiler options: {sorted(unknown)}")
         return cls(**data)
@@ -141,18 +113,29 @@ class CompilerOptions:
 
 #: Format marker and version of a compiled program on disk — the one record
 #: :meth:`CompilationResult.save` writes and the serving layer's
-#: ``--artifact-dir`` cache publishes.  Version 2 stores the selected
-#: parameters and a digest of the body; a version-1 file of an earlier build
-#: (parameters re-derived at load, no digest) is refused, and the records an
-#: earlier build's cache wrote under its own format marker read as a miss.
+#: ``--artifact-dir`` cache publishes.  Version 3 stores the compiled graph
+#: (and the source) as base64 proto bytes, the one program encoding, beside
+#: the selected parameters and a digest of the body.  A record of an earlier
+#: version (version 2 stored the graphs as JSON nodes and hashed signatures
+#: over them) is refused, and the serving cache reads one as a miss.
 RECORD_FORMAT = "eva-compiled-program"
-RECORD_VERSION = 2
+RECORD_VERSION = 3
 
 
 def _sha256_of(payload: Dict[str, Any]) -> str:
     """SHA-256 of the canonical (sorted keys, no whitespace) JSON of ``payload``."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _proto_text(program: Program) -> str:
+    """A program's proto bytes as base64 text, how a record stores a graph."""
+    return base64.b64encode(serialize(program)).decode("ascii")
+
+
+def _proto_program(text: str, name: str) -> Program:
+    """Inverse of :func:`_proto_text`."""
+    return deserialize(base64.b64decode(text, validate=True), name=name)
 
 
 def frontend_graph(program: Any) -> Program:
@@ -173,23 +156,22 @@ def program_signature(
 ) -> str:
     """Stable content hash of a (program, compilation policy) pair.
 
-    Two programs with identical graphs, compiler options, and scale overrides
-    produce the same signature even across processes, so the signature can key
-    a compilation cache (see :class:`repro.serving.ProgramRegistry`).  The
-    program name is deliberately excluded: renaming a program does not change
-    what the compiler produces.
+    The SHA-256 of the program's proto bytes (:func:`.serialization.serialize`,
+    the one program encoding), hashed with the canonical JSON of the compiler
+    options and scale overrides.  Two programs with identical graphs, options
+    and overrides produce the same signature even across processes, so it can
+    key a compilation cache (see :class:`repro.serving.ProgramRegistry`).  The
+    program name is not part of the proto, so renaming a program — which does
+    not change what the compiler produces — does not change its signature.
     """
-    payload = program_to_dict(program)
-    payload.pop("name", None)
-    options = options or CompilerOptions()
-    payload["options"] = options.to_dict()
-    payload["input_scales"] = {
-        k: float(v) for k, v in sorted((input_scales or {}).items())
-    }
-    payload["output_scales"] = {
-        k: float(v) for k, v in sorted((output_scales or {}).items())
-    }
-    return _sha256_of(payload)
+    return _sha256_of(
+        {
+            "program": hashlib.sha256(serialize(program)).hexdigest(),
+            "options": (options or CompilerOptions()).to_dict(),
+            "input_scales": {k: float(v) for k, v in (input_scales or {}).items()},
+            "output_scales": {k: float(v) for k, v in (output_scales or {}).items()},
+        }
+    )
 
 
 @dataclass
@@ -329,22 +311,21 @@ class CompilationResult:
             "options": self.options.to_dict(),
             "input_scales": {k: float(v) for k, v in self.input_scales.items()},
             "output_scales": {k: float(v) for k, v in self.output_scales.items()},
-            "program": program_to_dict(self.program),
+            "name": self.program.name,
+            "program": _proto_text(self.program),
             "parameters": {
                 "poly_modulus_degree": int(parameters.poly_modulus_degree),
                 "coeff_modulus_bits": [int(b) for b in parameters.coeff_modulus_bits],
                 "security_level": int(parameters.security_level),
                 "rotation_steps": [int(s) for s in parameters.rotation_steps],
+                "special_primes": int(parameters.special_primes),
+                "group_size": int(parameters.group_size),
             },
             "rotation_steps": [int(s) for s in self.rotation_steps],
             "compile_seconds": float(self.compile_seconds),
         }
-        if (parameters.special_primes, parameters.group_size) != (1, 1):
-            # Absent means one of each: a record of that shape is the parent's byte for byte.
-            record["parameters"]["special_primes"] = int(parameters.special_primes)
-            record["parameters"]["group_size"] = int(parameters.group_size)
         if include_source and self.source is not None:
-            record["source"] = program_to_dict(self.source)
+            record["source"] = _proto_text(self.source)
         record["digest"] = _sha256_of(record)
         return record
 
@@ -376,17 +357,17 @@ class CompilationResult:
                 "its contents"
             )
         try:
-            parameters = body["parameters"]
+            parameters, name = body["parameters"], str(body["name"])
             source = body.get("source")
             return cls(
-                program=dict_to_program(body["program"]),
+                program=_proto_program(body["program"], name),
                 parameters=EncryptionParameters(
                     poly_modulus_degree=int(parameters["poly_modulus_degree"]),
                     coeff_modulus_bits=[int(b) for b in parameters["coeff_modulus_bits"]],
                     security_level=int(parameters["security_level"]),
                     rotation_steps=[int(s) for s in parameters["rotation_steps"]],
-                    special_primes=int(parameters.get("special_primes", 1)),
-                    group_size=int(parameters.get("group_size", 1)),
+                    special_primes=int(parameters["special_primes"]),
+                    group_size=int(parameters["group_size"]),
                 ),
                 rotation_steps=[int(s) for s in body["rotation_steps"]],
                 options=CompilerOptions.from_dict(body["options"]),
@@ -394,7 +375,7 @@ class CompilationResult:
                 output_scales={k: float(v) for k, v in body["output_scales"].items()},
                 compile_seconds=float(body["compile_seconds"]),
                 signature=str(body["signature"]),
-                source=dict_to_program(source) if source is not None else None,
+                source=_proto_program(source, name) if source is not None else None,
             )
         except (KeyError, TypeError, ValueError, AttributeError, EvaError) as exc:
             raise SerializationError(

@@ -1,4 +1,11 @@
-"""Serialization of EVA programs (binary proto3 wire format and JSON)."""
+"""Serialization of EVA programs.
+
+A program has one serialized form, the binary proto3 format of Figure 1
+(:mod:`.proto`): :func:`save` writes it, :func:`load` reads it, a compiled
+record embeds it, and :func:`~repro.core.compiler.program_signature` is the
+SHA-256 of its bytes plus the compiler options and scale overrides.
+:mod:`.messages` and :mod:`.packing` are the serving wire, not programs.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +14,7 @@ from typing import Union
 
 from ...errors import SerializationError
 from ..ir import Program
-from . import json_format, messages, packing, proto
+from . import messages, packing, proto
 from .proto import deserialize, serialize
 
 __all__ = [
@@ -16,30 +23,19 @@ __all__ = [
     "save",
     "load",
     "proto",
-    "json_format",
     "messages",
     "packing",
 ]
 
 
 def save(program: Program, path: Union[str, Path]) -> None:
-    """Save a program to disk; the format is chosen by file extension.
-
-    ``.json`` files use the JSON text format; anything else uses the binary
-    proto3 wire format of Figure 1.
-    """
-    path = Path(path)
-    if path.suffix == ".json":
-        path.write_text(json_format.dumps(program, indent=2))
-    else:
-        path.write_bytes(serialize(program))
+    """Save a program to disk in the binary proto3 format of Figure 1."""
+    Path(path).write_bytes(serialize(program))
 
 
 def load(path: Union[str, Path]) -> Program:
-    """Load a program saved with :func:`save`."""
+    """Load a program saved with :func:`save`, named after the file's stem."""
     path = Path(path)
     if not path.exists():
         raise SerializationError(f"no such program file: {path}")
-    if path.suffix == ".json":
-        return json_format.loads(path.read_text())
     return deserialize(path.read_bytes(), name=path.stem)

@@ -1,11 +1,10 @@
 """JSON wire messages for the serving layer (request/response framing).
 
-The program interchange formats (:mod:`.proto`, :mod:`.json_format`) describe
-*programs*; this module describes the *requests and responses* exchanged
-between a serving client and server.  Messages are JSON objects transported as
-newline-delimited UTF-8 over a byte stream — the same human-readable wire the
-JSON program format uses, so a request can be assembled with nothing more
-than ``json.dumps`` on the client side.
+A *program* has one serialized form, the proto of :mod:`.proto`; this module
+describes the *requests and responses* exchanged between a serving client and
+server.  Messages are JSON objects transported as newline-delimited UTF-8 over
+a byte stream, so a request can be assembled with nothing more than
+``json.dumps`` on the client side.
 
 A request looks like::
 

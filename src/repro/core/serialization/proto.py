@@ -1,5 +1,9 @@
 """EVA program serialization in the Protocol Buffers schema of Figure 1.
 
+The one serialized form of a program: what ``save`` writes, a cluster ships
+to its shards, a compiled record stores (base64) and ``program_signature``
+hashes.  Each message has one writer (``to_bytes``) and one reader.
+
 The message layout follows the paper's ``EVA.proto`` definition exactly
 (field numbers included); backward-compatible extension fields are added so
 that round-tripping through the binary format is lossless for this
@@ -30,7 +34,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ...errors import SerializationError
+from ...errors import CompilationError, SerializationError
 from ..instructions import IMMEDIATES, immediate_of
 from ..ir import Program, Term
 from ..types import ObjectType, Op, ValueType, object_type_for, value_type_for
@@ -346,5 +350,8 @@ def serialize(program: Program) -> bytes:
 
 
 def deserialize(data: bytes, name: str = "program") -> Program:
-    """Deserialize a program from the binary proto3 wire format."""
-    return message_to_program(ProgramMessage.from_bytes(data), name=name)
+    """Deserialize a program from proto3 bytes; other bytes raise :class:`SerializationError`."""
+    try:
+        return message_to_program(ProgramMessage.from_bytes(data), name=name)
+    except (ValueError, TypeError, CompilationError) as exc:
+        raise SerializationError(f"malformed program: {type(exc).__name__}: {exc}") from exc

@@ -23,6 +23,8 @@ WIRETYPE_FIXED32 = 5
 
 def encode_varint(value: int) -> bytes:
     """Encode a non-negative integer as a base-128 varint."""
+    if 0 <= value < 0x80:
+        return bytes((value,))
     if value < 0:
         raise SerializationError("varints must be non-negative")
     out = bytearray()
@@ -78,8 +80,7 @@ def encode_string_field(field_number: int, value: str) -> bytes:
 
 
 def encode_packed_doubles(field_number: int, values: "List[float]") -> bytes:
-    payload = b"".join(struct.pack("<d", float(v)) for v in values)
-    return encode_bytes_field(field_number, payload)
+    return encode_bytes_field(field_number, struct.pack(f"<{len(values)}d", *values))
 
 
 def iter_fields(data: bytes) -> Iterator[Tuple[int, int, object]]:
@@ -129,11 +130,11 @@ def iter_field_spans(data) -> Iterator[Tuple[int, int, object, int]]:
 def unpack_doubles(payload: bytes) -> List[float]:
     if len(payload) % 8 != 0:
         raise SerializationError("packed double payload has invalid length")
-    return [v[0] for v in struct.iter_unpack("<d", payload)]
+    return list(struct.unpack(f"<{len(payload) // 8}d", payload))
 
 
 def unpack_double(raw: object) -> float:
-    if isinstance(raw, bytes):
+    if isinstance(raw, bytes) and len(raw) == 8:
         (value,) = struct.unpack("<d", raw)
         return value
     raise SerializationError("expected a fixed64 field")

@@ -20,7 +20,10 @@ their parameters and signatures did not move.  Grouped key switching then
 moved the ``parameters`` of every case whose program switches a key and whose
 ``N`` has room: their chains end in the special primes of the digit groups
 (``special_primes`` and ``group_size`` are written when either is not 1), and
-proto bytes, rotation steps and signatures did not move.
+proto bytes, rotation steps and signatures did not move.  The signature then
+became the SHA-256 of the source's proto bytes plus options and scales (it
+hashed the source's JSON nodes before), which moved every ``signature`` and
+nothing else.
 ``tests/test_instructions.py`` holds the current compiler to it byte for byte.
 Regenerate it only from a clone of the commit you compare against::
 

@@ -161,3 +161,13 @@ class TestCli:
         missing = tmp_path / "missing.evaproto"
         assert main(["info", str(missing)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["info", "compile", "run"])
+    def test_a_json_text_program_is_a_clean_error(self, tmp_path, inputs_file, capsys, command):
+        """Programs have one file format, the proto; JSON text is not one."""
+        path = tmp_path / "demo.json"
+        path.write_text(json.dumps({"name": "demo", "vec_size": 16, "nodes": [], "outputs": []}))
+        argv = {"compile": ["-o", str(tmp_path / "out.json")], "run": ["--inputs", str(inputs_file)]}
+        assert main([command, str(path), *argv.get(command, [])]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unsupported wire type 3" in err

@@ -28,11 +28,11 @@ from repro.backend import MockBackend
 from repro.backend.cost_model import DEFAULT_COST_MODEL
 from repro.core import CompilerOptions, EvaluationEngine, Program, execute_reference
 from repro.core.analysis import compute_levels, compute_scales, select_rotation_steps, validate
-from repro.core.compiler import CompilationResult
+from repro.core.compiler import CompilationResult, program_signature
 from repro.core.instructions import INSTRUCTIONS, Instruction
 from repro.core.rewrite import ConstantFoldingPass
 from repro.core.rewrite.framework import PassContext
-from repro.core.serialization import json_format, proto
+from repro.core.serialization import proto
 from repro.core.types import Op, ValueType
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -97,8 +97,7 @@ class TestOneRowIsEnough:
             model.op_seconds("rotate", 8192, 3) + model.op_seconds("multiply_plain", 8192, 3)
         )
         for restored in (
-            proto.deserialize(proto.serialize(compiled.program)),
-            json_format.loads(json_format.dumps(compiled.program)),
+            assert_round_trips(compiled.program),
             CompilationResult.from_record(compiled.to_record()).program,
         ):
             assert [t.rotation for t in restored.terms() if t.op is rotate_negate] == [3]
@@ -117,6 +116,85 @@ VEC_SIZE = 8
 PERIODS = (1, 2, 4, VEC_SIZE)
 #: Rotation steps: negative, larger than every period, not dividing it.
 IMMEDIATE_VALUES = {"rotation": (-3, 5, 11, 3), "rescale_value": (10.0,)}
+
+
+def _fields(term):
+    """Everything a term carries: opcode, type and every attribute set."""
+    attributes = {k: v for k, v in term.attributes.items() if v is not None}
+    value = attributes.pop("value", None)
+    if value is not None:
+        attributes["value"] = (np.ndim(value), np.asarray(value, dtype=np.float64).tolist())
+    return term.op, term.value_type, attributes
+
+
+def assert_round_trips(program: Program) -> Program:
+    """``program`` comes back from its proto bytes field for field, and with
+    the same signature; returns what came back."""
+    restored = proto.deserialize(proto.serialize(program), name=program.name)
+    assert restored.vec_size == program.vec_size
+    assert [_fields(t) for t in restored.terms()] == [_fields(t) for t in program.terms()]
+    assert {name: restored.terms().index(t) for name, t in restored.outputs.items()} == {
+        name: program.terms().index(t) for name, t in program.outputs.items()
+    }
+    assert {name: restored.output_scales[name] for name in restored.outputs} == {
+        name: program.output_scales.get(name, 0.0) for name in program.outputs
+    }
+    assert program_signature(restored) == program_signature(program)
+    return restored
+
+
+def instruction_rows():
+    """One case per row of the instruction table and value of its immediate."""
+    for op, row in sorted(INSTRUCTIONS.items()):
+        for value in IMMEDIATE_VALUES[row.immediate] if row.immediate else (None,):
+            yield pytest.param(op, value, id=f"{op.name}-{value}" if row.immediate else op.name)
+
+
+class TestEveryFieldSurvives:
+    """Generated from the instruction table and the attributes a root carries:
+    the proto writer and reader are each message's one pair, so a field one of
+    them forgets (``Instruction.kernel`` once) fails here, not in a compile."""
+
+    @pytest.mark.parametrize("op, immediate", instruction_rows())
+    def test_instruction(self, op, immediate):
+        row = INSTRUCTIONS[op]
+        program = Program("row", vec_size=8)
+        args = [program.input(f"x{i}", ValueType.CIPHER, scale=30 + i) for i in range(row.arity)]
+        attributes = {"kernel": "layer1"}
+        if row.immediate:
+            attributes[row.immediate] = immediate
+        program.set_output("out", program.make_term(op, args, **attributes), scale=30)
+        (term,) = [t for t in assert_round_trips(program).terms() if t.is_instruction]
+        assert term.kernel == "layer1"
+        if row.immediate:
+            assert getattr(term, row.immediate) == immediate
+
+    @pytest.mark.parametrize("value_type", [ValueType.CIPHER, ValueType.VECTOR, ValueType.SCALAR])
+    def test_input(self, value_type):
+        program = Program("inputs", vec_size=8)
+        x = program.input("x", ValueType.CIPHER, scale=30)
+        given = program.input("given", value_type, scale=17.5)
+        program.set_output("out", program.make_term(Op.MULTIPLY, [x, given]), scale=40)
+        restored = assert_round_trips(program)
+        assert restored.inputs["given"].value_type is value_type
+        assert restored.inputs["given"].scale == 17.5
+
+    @pytest.mark.parametrize(
+        "value, lane_mask",
+        [(0.75, False), (np.array([2.0]), False), (np.linspace(0, 1, 8), False),
+         (np.array([1.0, 0.0] * 4), True)],
+        ids=["scalar", "one-element-vector", "vector", "lane-mask"],
+    )  # fmt: skip
+    def test_constant(self, value, lane_mask):
+        program = Program("constants", vec_size=8)
+        x = program.input("x", ValueType.CIPHER, scale=30)
+        constant = program.constant(value, scale=12.5)
+        if lane_mask:
+            constant.attributes["lane_mask"] = True
+        program.set_output("out", program.make_term(Op.MULTIPLY, [x, constant]), scale=30)
+        (restored,) = [t for t in assert_round_trips(program).terms() if t.is_constant]
+        assert restored.scale == 12.5 and np.ndim(restored.value) == np.ndim(value)
+        assert bool(restored.attributes.get("lane_mask")) is lane_mask
 
 
 def folding_cases():

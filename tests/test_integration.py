@@ -35,7 +35,7 @@ class TestEndToEndPipelines:
             x = input_encrypted("x", 25)
             output("out", x * x + x, 25)
         compiled = program.compile()
-        path = tmp_path / "compiled.json"
+        path = tmp_path / "compiled.evaproto"
         save(compiled.program, path)
         restored = load(path)
         assert restored.op_counts() == compiled.program.op_counts()

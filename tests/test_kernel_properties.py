@@ -604,6 +604,29 @@ class TestHostBuild:
         assert self.loaded_name() != other.name and not caplog.records
         assert other.read_bytes() == b"not a library"
 
+    def test_a_build_removes_aged_libraries_and_keeps_fresh_and_loaded_ones(
+        self, fresh_library, monkeypatch
+    ):
+        monkeypatch.setattr(ntt, "_host_probe", lambda: b"this host")
+        ntt.native_library()
+        loaded = fresh_library / self.loaded_name()
+        aged, fresh = fresh_library / "ntt-aged.so", fresh_library / "ntt-fresh.so"
+        aged.write_bytes(b"a library no tree names")
+        fresh.write_bytes(b"the library of another tree in use")
+        stale = time.time() - ntt._STALE_SECONDS - 60.0
+        for path in (aged, loaded):
+            os.utime(path, (stale, stale))
+        monkeypatch.setattr(ntt, "_NATIVE", {})
+        ntt.native_library()  # a hit: touches the library it loads, builds nothing
+        assert aged.exists() and loaded.stat().st_mtime > stale + 60.0
+        monkeypatch.setattr(ntt, "_host_probe", lambda: b"another host")
+        monkeypatch.setattr(ntt, "_NATIVE", {})
+        ntt.native_library()  # a build: prunes by age, not by name
+        built = fresh_library / self.loaded_name()
+        assert sorted(p.name for p in fresh_library.iterdir()) == sorted(
+            [loaded.name, fresh.name, built.name]
+        )
+
     def test_a_failing_probe_gives_the_portable_build_and_the_same_bits(
         self, fresh_library, monkeypatch, caplog
     ):

@@ -6,7 +6,7 @@ The key invariants checked here:
   compiled program (with RESCALE/MOD_SWITCH/RELINEARIZE inserted) computes the
   same function as the input program under the identity scheme, and always
   passes validation.
-* **Serialization** — proto/JSON round-trips preserve program semantics.
+* **Serialization** — the proto round-trip preserves every field and the semantics.
 * **Encoder** — CKKS encoding followed by decoding is close to the identity,
   and is additively homomorphic.
 * **Mock backend metadata** — arbitrary valid op sequences never violate the
@@ -23,11 +23,11 @@ from repro.backend import MockBackend
 from repro.core import CompilerOptions, Executor, compile_program, execute_reference
 from repro.core.analysis import validate
 from repro.core.ir import Program
-from repro.core.serialization import json_format, proto
 from repro.core.types import Op, ValueType
 from repro.errors import EvaError
 from repro.frontend import EvaProgram
 from test_analysis import assert_key_switching_invariants
+from test_instructions import assert_round_trips
 
 # ---------------------------------------------------------------------------
 # Random frontend program generation
@@ -124,13 +124,10 @@ def test_compiled_program_always_validates(case):
 def test_serialization_roundtrip_preserves_semantics(case):
     program, inputs = case
     reference = execute_reference(program, inputs)["out"]
-    for restored in (
-        proto.deserialize(proto.serialize(program)),
-        json_format.loads(json_format.dumps(program)),
-    ):
-        np.testing.assert_allclose(
-            execute_reference(restored, inputs)["out"], reference, rtol=1e-9, atol=1e-9
-        )
+    restored = assert_round_trips(program)
+    np.testing.assert_allclose(
+        execute_reference(restored, inputs)["out"], reference, rtol=1e-9, atol=1e-9
+    )
 
 
 # ---------------------------------------------------------------------------

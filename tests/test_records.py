@@ -9,9 +9,11 @@ a typed error or a miss, never a wrong answer.  No sockets, no processes.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import random
+import struct
 import threading
 import time
 import warnings
@@ -25,7 +27,7 @@ from repro.backend import MockBackend
 from repro.core import Executor, program_signature
 from repro.core.analysis import validate
 from repro.core.compiler import _sha256_of
-from repro.core.serialization.json_format import program_to_dict
+from repro.core.serialization import proto
 from repro.core.serialization.records import RecordDirectory, read_record, write_record
 from repro.core.types import Op
 from repro.errors import CompilationError, EvaError, SerializationError, ServingError
@@ -55,11 +57,25 @@ def exact_server(**stores):
 
 
 def alter_constant(path):
-    """Change one digit of the program's constant; the file stays valid JSON."""
-    text = path.read_text()
-    assert text.count("[3.0]") >= 1
-    path.write_text(text.replace("[3.0]", "[7.0]"))
-    json.loads(path.read_text())
+    """Change the program's constant 3.0 to 7.0 in its proto bytes; the file
+    stays a well-formed record whose graph decodes."""
+    record = json.loads(path.read_text())
+    program = base64.b64decode(record["program"])
+    three, seven = struct.pack("<d", 3.0), struct.pack("<d", 7.0)
+    assert program.count(three) >= 1
+    record["program"] = base64.b64encode(program.replace(three, seven)).decode("ascii")
+    proto.deserialize(base64.b64decode(record["program"]))
+    path.write_text(json.dumps(record))
+
+
+def resealed(record, edit):
+    """``record`` after ``edit(record)``, sealed again: an intact digest over
+    whatever the edit left."""
+    record = json.loads(json.dumps(record))
+    del record["digest"]
+    edit(record)
+    record["digest"] = _sha256_of(record)
+    return record
 
 
 class TestCompiledRecord:
@@ -73,7 +89,7 @@ class TestCompiledRecord:
         original = CompiledProgram.compile(make_program(), options=options)
         record = json.loads(json.dumps(original.to_record(include_source=include_source)))
         loaded = CompiledProgram.from_record(record)
-        assert program_to_dict(loaded.program) == program_to_dict(original.program)
+        assert proto.serialize(loaded.program) == proto.serialize(original.program)
         assert loaded.parameters == original.parameters
         assert loaded.rotation_steps == original.rotation_steps
         assert loaded.options == original.options and loaded.lane_width == options.lane_width
@@ -82,7 +98,7 @@ class TestCompiledRecord:
         assert loaded.signature == original.signature
         assert loaded.compile_seconds == original.compile_seconds
         if include_source:
-            assert program_to_dict(loaded.source) == program_to_dict(original.source)
+            assert proto.serialize(loaded.source) == proto.serialize(original.source)
             np.testing.assert_allclose(
                 loaded.execute_reference({"x": X})["y"], original.execute_reference({"x": X})["y"]
             )
@@ -94,7 +110,7 @@ class TestCompiledRecord:
         [
             ({"format": "eva-compiled-program"}, "version None"),
             ({"format": "eva-compiled-program", "version": 1, "program": {}}, "save it again"),
-            ({"format": "eva-compiled-program", "version": 2}, "digest does not match"),
+            ({"format": "eva-compiled-program", "version": 3}, "digest does not match"),
         ],
         ids=["marker-only", "version-1", "no-digest"],
     )
@@ -111,16 +127,32 @@ class TestCompiledRecord:
         with pytest.raises(SerializationError, match="malformed compiled program record"):
             CompiledProgram.from_record(record)
 
-    @pytest.mark.parametrize("op", ["NORMALIZE_SCALE", "SUM", "COPY", "FUSED_ADD"])
-    def test_a_record_no_backend_can_evaluate_is_refused_at_load(self, compiled, op):
+    @pytest.mark.parametrize(
+        "opcode, complaint",
+        [(Op.NORMALIZE_SCALE, "NORMALIZE_SCALE"), (Op.SUM, "SUM"), (Op.COPY, "COPY"),
+         (13, "13 is not a valid Op")],
+        ids=["NORMALIZE_SCALE", "SUM", "COPY", "no-row-13"],
+    )  # fmt: skip
+    def test_a_record_no_backend_can_evaluate_is_refused_at_load(self, compiled, opcode, complaint):
         """Sealed with a valid digest, it used to load and then fail every
         request: an opcode without a row, or one the compiler lowers away."""
-        record = compiled.to_record()
-        del record["digest"]
-        (node,) = [n for n in record["program"]["nodes"] if n["op"] == "ROTATE_LEFT"]
-        node["op"] = op
-        record["digest"] = _sha256_of(record)
-        with pytest.raises(SerializationError, match=op):
+
+        def edit(record):
+            message = proto.ProgramMessage.from_bytes(base64.b64decode(record["program"]))
+            (inst,) = [i for i in message.instructions if i.op_code is Op.ROTATE_LEFT]
+            inst.op_code = opcode
+            record["program"] = base64.b64encode(message.to_bytes()).decode("ascii")
+
+        with pytest.raises(SerializationError, match=complaint):
+            CompiledProgram.from_record(resealed(compiled.to_record(), edit))
+
+    @pytest.mark.parametrize(
+        "graph", ["not base64!", base64.b64encode(b"{not a proto}").decode(), 7],
+        ids=["not-base64", "not-a-proto", "not-text"],
+    )  # fmt: skip
+    def test_a_graph_that_does_not_decode_is_typed(self, compiled, graph):
+        record = resealed(compiled.to_record(), lambda record: record.update(program=graph))
+        with pytest.raises(SerializationError, match="malformed compiled program record"):
             CompiledProgram.from_record(record)
 
     @pytest.mark.parametrize("op", [Op.NORMALIZE_SCALE, Op.SUM, Op.COPY], ids=lambda op: op.name)
@@ -131,13 +163,24 @@ class TestCompiledRecord:
         with pytest.raises(CompilationError, match=op.name):
             validate(program)
 
-    def test_a_record_an_earlier_build_wrote_still_loads(self):
+    def test_a_record_an_earlier_build_wrote_is_refused(self, tmp_path):
         """``tests/data/compiled_record.json`` was written by ``cli compile -o``
-        at the commit before the instruction table: its options carry the
-        retired lowering switches, at the one value they could keep."""
+        at the commit before the instruction table: version 2, its graphs as
+        JSON nodes and its signature hashed over them.  It is refused with the
+        version message, and the serving cache reads one as a miss."""
         record = read_record(DATA / "compiled_record.json")
-        retired = ("lower_sum", "remove_copies", "cleanup")
-        assert [record["options"][name] for name in retired] == [True, True, True]
+        assert record["version"] == 2 and isinstance(record["program"], dict)
+        with pytest.raises(SerializationError, match="has version 2, this build reads version 3"):
+            CompiledProgram.from_record(record)
+        cache = ArtifactCache(tmp_path)
+        write_record(cache.path_for(record["signature"]), record)
+        assert cache.load(record["signature"]) is None
+
+    def test_a_record_this_version_wrote_still_loads(self):
+        """``tests/data/compiled_record_v3.json`` was written by ``cli compile
+        -o --max-rescale-bits 25`` from the same source: it loads, seals to the
+        same digest, hashes its source to the stored signature and runs."""
+        record = read_record(DATA / "compiled_record_v3.json")
         loaded = CompiledProgram.from_record(record)
         assert loaded.to_record()["digest"] == record["digest"]
         assert program_signature(loaded.source, loaded.options) == record["signature"]

@@ -1,11 +1,13 @@
-"""Tests for program serialization (proto3 wire format and JSON)."""
+"""Tests for program serialization: the proto3 format of Figure 1, the one
+serialized form of a program."""
 
+import random
 import time
 
 import numpy as np
 import pytest
 
-from repro.core.serialization import json_format, load, proto, save
+from repro.core.serialization import load, proto, save
 from repro.core.serialization.wire import (
     decode_varint,
     encode_varint,
@@ -14,9 +16,10 @@ from repro.core.serialization.wire import (
     unpack_doubles,
 )
 from compiled_corpus import CASES
+from test_instructions import assert_round_trips
 
 from repro.core import CompilerOptions, compile_program, execute_reference
-from repro.core.compiler import CompilationResult, frontend_graph, program_signature
+from repro.core.compiler import CompilationResult, frontend_graph
 from repro.core.ir import Program
 from repro.core.types import Op, ValueType
 from repro.errors import SerializationError
@@ -109,6 +112,20 @@ class TestProtoRoundTrip:
         with pytest.raises(SerializationError):
             proto.deserialize(b"")  # no vec_size
 
+    def test_damaged_bytes_are_a_serialization_error(self):
+        """Whatever a damaged file holds, the reader raises its one typed error."""
+        data = proto.serialize(make_rich_program())
+        rng = random.Random(7)
+        for _ in range(2000):
+            damaged = bytearray(data)
+            for _ in range(rng.randint(1, 4)):
+                damaged[rng.randrange(len(damaged))] = rng.randrange(256)
+            cut = rng.choice([len(damaged), rng.randrange(len(damaged))])
+            try:
+                proto.deserialize(bytes(damaged[:cut]))
+            except SerializationError:
+                pass
+
     def test_missing_argument_reference_rejected(self):
         message = proto.ProgramMessage(vec_size=8)
         message.instructions.append(proto.InstructionMessage(5, Op.NEGATE, [99]))
@@ -152,37 +169,26 @@ class TestProtoKeepsTheSignature:
     def test_source_and_compiled_graph(self, name):
         program, options = SIGNATURE_CASES[name]()
         graph = frontend_graph(program)
-        restored = proto.deserialize(proto.serialize(graph))
-        assert program_signature(restored, options) == program_signature(graph, options)
-        compiled = CompilationResult.compile(graph, options=options)
-        again = proto.deserialize(proto.serialize(compiled.program))
-        assert program_signature(again) == program_signature(compiled.program)
+        assert_round_trips(graph)
+        assert_round_trips(CompilationResult.compile(graph, options=options).program)
 
 
-class TestJsonRoundTrip:
-    def test_roundtrip_semantics(self):
-        program = make_rich_program()
-        restored = json_format.loads(json_format.dumps(program))
-        inputs = {"x": np.linspace(-1, 1, 16)}
-        np.testing.assert_allclose(
-            execute_reference(restored, inputs)["out"],
-            execute_reference(program, inputs)["out"],
-        )
+class TestFieldsSurvive:
+    """Programs as the frontend and the tests build them, field for field
+    (``test_instructions.TestEveryFieldSurvives`` covers each row)."""
 
-    def test_kernel_labels_preserved(self):
+    def test_rich_program(self):
+        assert_round_trips(make_rich_program())
+
+    def test_kernel_labels_from_the_frontend(self):
         program = EvaProgram("k", vec_size=8, default_scale=25)
         with program:
             x = input_encrypted("x", 25)
             with program.kernel("layer1"):
                 y = x * x
             output("y", y, 25)
-        restored = json_format.loads(json_format.dumps(program.graph))
-        kernels = {t.kernel for t in restored.terms() if t.is_instruction}
-        assert "layer1" in kernels
-
-    def test_malformed_dict_rejected(self):
-        with pytest.raises(SerializationError):
-            json_format.dict_to_program({"nodes": []})
+        restored = assert_round_trips(program.graph)
+        assert {t.kernel for t in restored.terms() if t.is_instruction} == {"layer1"}
 
 
 class TestFileIO:
@@ -193,12 +199,23 @@ class TestFileIO:
         restored = load(path)
         assert restored.vec_size == 16
 
-    def test_save_and_load_json(self, tmp_path):
+    def test_save_writes_the_proto_whatever_the_suffix(self, tmp_path):
         program = make_rich_program()
         path = tmp_path / "program.json"
         save(program, path)
-        restored = load(path)
-        assert list(restored.outputs) == ["out"]
+        assert path.read_bytes() == proto.serialize(program)
+        assert list(load(path).outputs) == ["out"]
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"name": "p", "vec_size": 8, "nodes": [], "outputs": []}', "[1, 2, 3]", "not a program"],
+        ids=["json-program", "json-list", "text"],
+    )
+    def test_a_file_that_is_not_a_proto_is_a_serialization_error(self, tmp_path, text):
+        path = tmp_path / "program.json"
+        path.write_text(text)
+        with pytest.raises(SerializationError):
+            load(path)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(SerializationError):

@@ -974,12 +974,10 @@ class TestLaneReviewRegressions:
         # The 16-wide masks are marked compiler plumbing; only the program's
         # real constants (scalars here) count toward the output period.
         assert min_lane_width(lowered.program) == 1
-        # ... and the marker survives the JSON artifact round trip...
-        from repro.core.serialization.json_format import dict_to_program, program_to_dict
-
-        restored = dict_to_program(program_to_dict(lowered.program))
+        # ... and the marker survives the artifact record's round trip...
+        restored = CompiledProgram.from_record(lowered.to_record()).program
         assert min_lane_width(restored) == 1
-        # ... and the binary proto round trip (the default save()/load()).
+        # ... and the binary proto round trip (what save()/load() do).
         from repro.core.serialization import deserialize, serialize
 
         reloaded = deserialize(serialize(lowered.program))

@@ -11,14 +11,15 @@ from pathlib import Path
 import pytest
 
 from repro.core import CompilationResult, CompilerOptions, Program, program_signature
+from repro.core.serialization import deserialize, serialize
 from repro.core.types import Op, ValueType
-from repro.errors import CompilationError
+from repro.errors import CompilationError, SerializationError
 
 #: Golden value of :func:`_golden_program`'s signature with default options.
 #: This hash is part of the wire contract: clients and servers that compiled
 #: the same source agree on it across processes and machines, so a change
 #: here is a breaking change for every serialized artifact and session.
-GOLDEN_SIGNATURE = "2fb87ad0acdd994f0ce5d354865f47096e3166c2394bdf73252220a9759c94fa"
+GOLDEN_SIGNATURE = "2b97603b8865358f6aa3683c4d31ceca5299d5b81a117421d7dcf820a96ac66d"
 
 _GOLDEN_SNIPPET = """
 from repro.core import Program, program_signature
@@ -86,13 +87,20 @@ class TestProgramSignature:
         }
         assert {f.name for f in fields(CompilerOptions)} == covered
 
-    def test_unset_lane_width_keeps_legacy_signature(self):
-        """lane_width=None serializes to the pre-lane layout: hashes unchanged."""
-        program = _golden_program()
+    def test_options_hash_as_every_field(self):
+        """``to_dict`` is every field, ``lane_width`` unset included, and
+        ``from_dict`` reads it back."""
         options = CompilerOptions()
-        assert options.lane_width is None
-        assert "lane_width" not in options.to_dict()
-        assert program_signature(program, options) == GOLDEN_SIGNATURE
+        assert options.to_dict() == {f.name: getattr(options, f.name) for f in fields(options)}
+        assert CompilerOptions.from_dict(options.to_dict()) == options
+        assert program_signature(_golden_program(), options) == GOLDEN_SIGNATURE
+
+    def test_the_program_is_hashed_as_its_proto_bytes(self):
+        """Two graphs hash alike exactly when their proto bytes are equal."""
+        program = _golden_program()
+        restored = deserialize(serialize(program))
+        assert serialize(restored) == serialize(program)
+        assert program_signature(restored) == GOLDEN_SIGNATURE
 
     def test_scale_overrides_change_the_signature(self):
         program = _golden_program()
@@ -120,57 +128,39 @@ class TestRetiredOptions:
     ``rescale_bits`` and ``waterline_bits``: both are always derived from the
     program.  So are ``hoist_rotations`` and ``bsgs_rotations``: lane lowering
     always composes the wrap branch, hoisting always runs, the BSGS plan is
-    the cost model's."""
+    the cost model's.  None of them is an option any more, at any value."""
 
-    #: Still written by ``to_dict``, each at its one value.
+    #: Each at the one value earlier builds wrote or read it at.
     RETIRED = {
         "lower_sum": True,
         "remove_copies": True,
         "cleanup": True,
         "rescale_bits": None,
         "waterline_bits": None,
+        "hoist_rotations": True,
+        "bsgs_rotations": "auto",
     }
-    #: Earlier builds left these out of ``to_dict`` at this, their default.
-    UNWRITTEN = {"hoist_rotations": True, "bsgs_rotations": "auto"}
 
-    def test_written_at_their_only_value(self):
-        data = CompilerOptions().to_dict()
-        assert {name: data[name] for name in self.RETIRED} == self.RETIRED
-        assert CompilerOptions.from_dict(data) == CompilerOptions()
-
-    def test_unwritten_ones_read_at_their_only_value(self):
-        data = CompilerOptions().to_dict()
-        assert not set(self.UNWRITTEN) & set(data)
-        assert CompilerOptions.from_dict({**data, **self.UNWRITTEN}) == CompilerOptions()
+    def test_none_is_written(self):
+        assert not set(self.RETIRED) & set(CompilerOptions().to_dict())
 
     @pytest.mark.parametrize("name", list(RETIRED))
-    def test_a_retired_option_set_to_false_is_refused(self, name):
-        data = dict(CompilerOptions().to_dict(), **{name: False})
-        with pytest.raises(CompilationError, match=repr(name)):
-            CompilerOptions.from_dict(data)
-
-    @pytest.mark.parametrize(
-        "name, value",
-        [("hoist_rotations", False), ("hoist_rotations", 1), ("bsgs_rotations", "off"),
-         ("bsgs_rotations", "always")],
-    )  # fmt: skip
-    def test_an_unwritten_one_at_another_value_is_refused(self, name, value):
-        data = dict(CompilerOptions().to_dict(), **{name: value})
-        with pytest.raises(CompilationError, match=repr(name)):
+    def test_one_is_an_unknown_option(self, name):
+        data = dict(CompilerOptions().to_dict(), **{name: self.RETIRED[name]})
+        with pytest.raises(CompilationError, match=f"unknown compiler options: \\['{name}'\\]"):
             CompilerOptions.from_dict(data)
         with pytest.raises(TypeError):
-            CompilerOptions(**{name: value})
+            CompilerOptions(**{name: self.RETIRED[name]})
 
-    @pytest.mark.parametrize("name, value", [("hoist_rotations", False), ("bsgs_rotations", "off")])
-    def test_a_record_carrying_one_fails_to_load(self, name, value):
+    @pytest.mark.parametrize("name", ["hoist_rotations", "lower_sum"])
+    def test_a_record_carrying_one_fails_to_load(self, name):
         from repro.core.compiler import _sha256_of
-        from repro.errors import SerializationError
 
         record = CompilationResult.compile(_golden_program()).to_record()
         del record["digest"]
-        record["options"][name] = value
+        record["options"][name] = self.RETIRED[name]
         record["digest"] = _sha256_of(record)  # intact: the option is what fails
-        with pytest.raises(SerializationError, match=repr(name)):
+        with pytest.raises(SerializationError, match=f"unknown compiler options.*{name}"):
             CompilationResult.from_record(record)
 
     def test_every_pass_they_switched_runs(self):

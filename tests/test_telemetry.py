@@ -800,7 +800,7 @@ class TestServerTelemetryEndToEnd:
 
 
 class TestStructuredLogging:
-    def test_json_formatter_emits_parseable_events(self):
+    def test_json_log_formatter_emits_parseable_events(self):
         from repro.serving.telemetry import _JsonLogFormatter
 
         record = logging.LogRecord(

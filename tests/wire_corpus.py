@@ -3,7 +3,9 @@
 ``python tests/wire_corpus.py [fmt]`` prints the corpus of the ``repro`` on
 ``PYTHONPATH`` as JSON; ``tests/data/wire_corpus.json`` is that output at the
 commit before the op table (whose ``build_request`` called the ``format`` field
-``fmt``), and ``tests/test_op_table.py`` holds the current code to it.
+``fmt``), and ``tests/test_op_table.py`` holds the current code to it.  The
+replies' program ``signature`` strings were re-derived once, when the
+signature became a hash of the program's proto bytes.
 """
 
 import json
