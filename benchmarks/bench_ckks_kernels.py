@@ -50,11 +50,12 @@ gates the ratios:
   first answer: key generation, export, import into an evaluation context
   (which builds every switching key's evaluation form) and the first
   rotation — with the uniform half of every key travelling as its seed vs
-  the same keys written out in full, the format of builds before seeds
-  (``a`` produced by an inverse transform at export and transformed back at
-  import).  Same
-  test seed, so the same keys and ciphertext: the rotated answers are
-  asserted byte-identical.  Reports the exact NTT rows of both sides.
+  the same keys written out in full, the format of builds before seeds,
+  which the importer still reads (``a`` produced by an inverse transform
+  after export, as those builds' export did, and transformed back at
+  import).  Same test seed, so the same keys and ciphertext: the rotated
+  answers are asserted byte-identical.  Reports the exact NTT rows of both
+  sides.
 
 Speedups are ratios of wall times measured back to back in one process, so
 they transfer between hosts; the acceptance bar is >= 2x on the four kernel
@@ -68,7 +69,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -83,13 +83,13 @@ from repro.ckks import (
 )
 from repro.ckks.ntt import bit_reverse_indices, ntt_rows
 from repro.core.analysis.parameters import EncryptionParameters
-from repro.core.serialization.packing import expanded_seeds
 
 # Reference sides that have left production live with the tests.
 sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles.dense_encoder import DenseCkksEncoder  # noqa: E402
 from oracles.keyswitch import ReferenceEvaluator, coefficient_form  # noqa: E402
 from oracles.ntt import ReferenceNtt  # noqa: E402
+from oracles.seeded import write_out_seeds  # noqa: E402
 
 try:
     from conftest import print_table
@@ -246,8 +246,9 @@ def measure_session_keys(values) -> dict:
         backend = CkksBackend(seed=7)
         client = backend.create_context(parameters)
         client.generate_keys()
-        with expanded_seeds() if written_out else nullcontext():
-            keys = client.export_evaluation_keys()
+        keys = client.export_evaluation_keys()
+        if written_out:
+            keys = write_out_seeds(client, keys)
         server = backend.create_evaluation_context(parameters, keys)
         rows = ntt_rows() - before
         cipher = server.decode_cipher(client.encode_cipher(client.encrypt(values, np.log2(SCALE))))

@@ -12,18 +12,15 @@ Both clients talk to the *same* ``EvaTcpServer`` over real sockets; the
 only variable is ``ServingClient(wire=...)``.  Measured:
 
 * **bytes on wire** — client-side ``bytes_sent + bytes_received`` for one
-  session creation plus one encrypted request/response.  JSON pays base64
-  (4/3 expansion) on every key and ciphertext blob; binary ships raw
-  bytes.  The binary client also opens with a hello, which is where the
-  ``seeded`` and ``bitpacked`` features are granted: the uniform half of
-  every key and fresh ciphertext travels as a 32-byte seed, and every
-  residue at its prime's bit width instead of 32 bits.  The JSON client
-  sends no hello, so it is sent every polynomial written out in words — the
-  format of every earlier build — and the ratio (~1.33x from base64 alone)
-  is ~3.1x.  The
-  acceptance bar stays a >= 1.3x reduction, and the ratio is
-  deterministic (blob sizes are fixed by the parameter set), which is why
-  it is the gated metric in check_regression.py.
+  session creation plus one encrypted request/response.  Both framings
+  carry the same records — the uniform half of every key and fresh
+  ciphertext as a 32-byte seed, every residue at its prime's bit width — so
+  the only difference is how a blob travels: JSON pays base64 (4/3
+  expansion) on every key and ciphertext blob, binary ships raw bytes, and
+  the ratio is ~1.33x.  The acceptance bar is a >= 1.3x reduction.  Blob
+  sizes are fixed by the parameter set, so both totals are deterministic
+  up to the reply's timing text: the ratio and the binary total are the
+  gated metrics in check_regression.py.
 * **session-setup latency** — min-of-N wall clock for ``create_session``
   on a warm connection.  Binary skips the multi-MB base64 encode, the
   giant-string JSON parse, and streams the key set as chunked frames.
@@ -48,10 +45,8 @@ from repro.api import ClientKit, CompiledProgram
 from repro.backend import CkksBackend
 from repro.core.compiler import CompilerOptions
 from repro.core.executor import execute_reference
-from repro.core.serialization.packing import expanded_seeds
 from repro.frontend import EvaProgram, input_encrypted, output
 from repro.serving import EvaServer, EvaTcpServer, ServingClient
-from repro.wire import FEATURES
 
 try:
     from conftest import print_table
@@ -100,7 +95,6 @@ def measure_mode(host: str, port: int, mode: str, kit, xv: np.ndarray):
     # roundtrip — on a single connection, isolated from the reps above.
     with ServingClient(host, port, wire=mode) as client:
         assert client.protocol == ("binary" if mode == "binary" else "json")
-        assert client.features == (set(FEATURES) if mode == "binary" else frozenset())
         client.create_session("rotpoly", kit, client_id=f"{mode}-bytes")
         setup_bytes = client.bytes_sent + client.bytes_received
         outputs = client.submit_encrypted(
@@ -132,8 +126,7 @@ def run(benchmark=None) -> float:
         backend=backend,
         client_id="bench",
     )
-    with expanded_seeds():  # the written-out key set, what the JSON side uploads
-        key_bytes = len(json.dumps(kit.export_evaluation_keys()).encode("utf-8"))
+    key_bytes = len(json.dumps(kit.export_evaluation_keys()).encode("utf-8"))
     xv = np.linspace(-1.0, 1.0, 32)
 
     try:

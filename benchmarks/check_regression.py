@@ -47,6 +47,9 @@ GATES: Dict[str, List[Tuple]] = {
         # set, so this ratio is deterministic across hosts; setup latency is
         # deliberately *not* gated (too noisy on shared runners).
         ("bytes.ratio", "higher"),
+        # The binary total itself, an exact count but for a few bytes of the
+        # reply's timing text: the near-zero band exact counts get.
+        ("bytes.binary", "lower", 0.001),
     ],
     "rotation_cost": [
         # Rotations per batched evaluation over unbatched, on the two

@@ -54,9 +54,8 @@ from .hisa import BackendContext, HomomorphicBackend, replicate_to_slots
 
 
 def _poly_to_rows(poly: RnsPolynomial) -> Dict[str, Any]:
-    """Pack an RNS polynomial's coefficient-form residue matrix (``u4`` words,
-    or each row at its prime's bit width inside ``bitpacked_residues()``).
-    Evaluation form never reaches the wire."""
+    """Pack an RNS polynomial's coefficient-form residue matrix, each row at its
+    prime's bit width.  Evaluation form never reaches the wire."""
     return pack_residues(poly.to_coeff().residues, poly.basis.primes)
 
 
@@ -80,11 +79,11 @@ def _poly_from_rows(basis: RnsBasis, rows: Any) -> RnsPolynomial:
     return RnsPolynomial(basis, residues)
 
 
-def _uniform_to_rows(uniform: UniformHalf, basis: RnsBasis) -> Dict[str, Any]:
-    """A key's uniform half: its seed record, or — for a peer that reads no
-    seeds, and for a key imported written out — the packed polynomial."""
+def _uniform_to_rows(uniform: UniformHalf) -> Dict[str, Any]:
+    """A key's uniform half: its seed record, or for a key an earlier build
+    wrote out, the packed polynomial it was imported as."""
     if isinstance(uniform, SeededUniform):
-        return pack_seed(uniform.seed) or _poly_to_rows(uniform.coefficients(basis))
+        return pack_seed(uniform.seed)
     return _poly_to_rows(uniform)
 
 
@@ -97,9 +96,8 @@ def _uniform_from_rows(basis: RnsBasis, rows: Any, label: str) -> UniformHalf:
 
 
 def _keyswitch_to_dict(key: KeySwitchingKey, context: CkksContext) -> Dict[str, Any]:
-    basis = context.key_basis(0)
     return {
-        str(prime): [_poly_to_rows(b), _uniform_to_rows(a, basis)]
+        str(prime): [_poly_to_rows(b), _uniform_to_rows(a)]
         for prime, (b, a) in key.exported_pairs(context).items()
     }
 
@@ -208,11 +206,10 @@ class CkksBackendContext(BackendContext):
         """Serialize public + evaluation keys (never the secret key)."""
         self._require_keys()
         public = self.encryptor.public_key
-        data_basis = self.context.data_basis(0)
         blob: Dict[str, Any] = {
             "scheme": "ckks",
             "poly_modulus_degree": self.context.poly_modulus_degree,
-            "public_key": [_poly_to_rows(public.b), _uniform_to_rows(public.a, data_basis)],
+            "public_key": [_poly_to_rows(public.b), _uniform_to_rows(public.a)],
         }
         relin = self.evaluator.relin_key
         if relin is not None:

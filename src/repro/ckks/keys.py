@@ -34,7 +34,9 @@ digit's group — its first data prime in basis order (and the prime of each
 row is part of the expander's input).
 
 A key set written by a build before seeds carries ``a`` in coefficient form;
-such an ``a`` is forward-transformed with ``b`` when the key is imported.
+such an ``a`` is forward-transformed with ``b`` when the key is imported, and
+exported again as it came.  A seeded ``a`` is only ever exported as its seed:
+nothing here writes it out.
 """
 
 from __future__ import annotations
@@ -57,22 +59,12 @@ class SeededUniform:
 
     seed: bytes
     label: str
-    #: Per-basis written-out forms (:meth:`coefficients`), kept for the next export.
-    _coefficients: Dict[Tuple[int, ...], RnsPolynomial] = field(default_factory=dict, repr=False, compare=False)
 
     def evaluations(self, basis: RnsBasis) -> np.ndarray:
         """The ``(K, N)`` evaluation form over ``basis``, in the kernel's slot order."""
         degree = basis.poly_modulus_degree
         natural = expand_uniform(self.seed, self.label, basis.primes, degree)
         return natural[:, bit_reverse_indices(degree)]
-
-    def coefficients(self, basis: RnsBasis) -> RnsPolynomial:
-        """Written out in coefficient form (what builds before seeds exchange):
-        one inverse transform per basis, cached for every later export."""
-        key = tuple(basis.primes)
-        if key not in self._coefficients:
-            self._coefficients[key] = RnsPolynomial(basis, self.evaluations(basis), EVAL).to_coeff()
-        return self._coefficients[key]
 
 
 #: The uniform half of a key: named by its seed, or written out by an older build.

@@ -20,18 +20,17 @@ unconditionally (including zero-copy ``memoryview`` slices of a received
 frame), and :func:`jsonable_blobs` converts raw records back to base64 for
 the places that must stay plain JSON (the session store on disk).
 
-A *seed record*, ``{"seed": "<64 hex digits>"}``, may stand wherever a packed
+A *seed record*, ``{"seed": "<64 hex digits>"}``, stands wherever a packed
 uniformly random polynomial would: the reader expands the 32-byte seed
-itself (:mod:`repro.ckks.sampling`).  Writers emit it by default
-(:func:`pack_seed`); inside an :func:`expanded_seeds` context — a connection
-whose peer did not announce the ``seeded`` feature — they write the
-polynomial out instead, which is exactly the format of builds before seeds.
-Readers accept both, always (:func:`unpack_seed`).
+itself (:mod:`repro.ckks.sampling`).  Writers always emit it
+(:func:`pack_seed`); readers also accept the written-out polynomial that
+builds before seeds sent (:func:`unpack_seed` returns ``None`` for it).
 
 A *bit-packed record*, ``{"dtype": "bits", "bits": [b_0, ...], "shape": [K,
 N], ...}``, holds row ``k`` of a residue matrix as the ``N·b_k/8`` bytes of
 the little-endian integer ``sum_i v_i · 2^(i·b_k)``, rows concatenated.
-Writers emit it inside :func:`bitpacked_residues` only; readers accept it always.
+Writers emit it wherever the layout allows (:func:`pack_residues`); readers
+also accept the ``u4`` words that builds before it sent.
 """
 
 from __future__ import annotations
@@ -74,9 +73,7 @@ def _integer_tag(array: np.ndarray) -> str:
     return "i8"
 
 
-#: This thread's packing context: ``raw`` (see :func:`raw_blobs`),
-#: ``expanded`` (see :func:`expanded_seeds`) and ``bitpacked`` (see
-#: :func:`bitpacked_residues`), all off unless entered.
+#: This thread's packing context: ``raw`` (see :func:`raw_blobs`), off unless entered.
 _PACKING = threading.local()
 
 #: Length of the seed a seed record carries (``repro.ckks.sampling.SEED_BYTES``).
@@ -84,15 +81,6 @@ _SEED_BYTES = 32
 
 
 @contextmanager
-def _packing(flag: str):
-    previous = getattr(_PACKING, flag, False)
-    setattr(_PACKING, flag, True)
-    try:
-        yield
-    finally:
-        setattr(_PACKING, flag, previous)
-
-
 def raw_blobs():
     """Make :func:`pack_array` emit raw-bytes records in this thread.
 
@@ -102,30 +90,16 @@ def raw_blobs():
     they exist to be lifted into binary blob records by the wire codec (or
     converted back with :func:`jsonable_blobs`).
     """
-    return _packing("raw")
+    previous = getattr(_PACKING, "raw", False)
+    _PACKING.raw = True
+    try:
+        yield
+    finally:
+        _PACKING.raw = previous
 
 
-def expanded_seeds():
-    """Make :func:`pack_seed` decline in this thread, so writers send whole polynomials.
-
-    Entered around message building for a peer that did not announce the
-    ``seeded`` feature: the messages then have the record shapes and lengths
-    of every build before seeds.
-    """
-    return _packing("expanded")
-
-
-def bitpacked_residues():
-    """Make :func:`pack_residues` write bit-packed records in this thread: for
-    a peer granted ``bitpacked``, and a reply to a bit-packed request."""
-    return _packing("bitpacked")
-
-
-def pack_seed(seed: bytes) -> "dict | None":
-    """The seed record standing in for a uniform polynomial — or ``None``
-    inside :func:`expanded_seeds`, where the caller packs the polynomial."""
-    if getattr(_PACKING, "expanded", False):
-        return None
+def pack_seed(seed: bytes) -> dict:
+    """The seed record standing in for a uniform polynomial."""
     return {"seed": seed.hex()}
 
 
@@ -286,12 +260,11 @@ def _unpack_row(data: np.ndarray, width: int, degree: int) -> np.ndarray:
 
 def pack_residues(residues: Any, primes: Sequence[int] = ()) -> dict:
     """Pack a 2-D int64 RNS residue matrix (one row per prime in ``primes``):
-    ``u4`` words, or inside :func:`bitpacked_residues` row ``k`` at
-    ``primes[k].bit_length()`` bits (where ``N`` is a multiple of 8)."""
+    row ``k`` at ``primes[k].bit_length()`` bits where the layout allows (``N``
+    a multiple of 8, widths at most 32 bits), else the smallest whole words."""
     residues = np.asarray(residues)
     bits = [int(prime).bit_length() for prime in primes]
-    if not (getattr(_PACKING, "bitpacked", False) and bits and len(bits) == len(residues)
-            and residues.shape[1] % 8 == 0 and max(bits) <= 32):
+    if not (bits and len(bits) == len(residues) and residues.shape[1] % 8 == 0 and max(bits) <= 32):
         return pack_array(residues, dtype=np.int64)
     payload = b"".join(_pack_row(row, width) for row, width in zip(residues, bits))
     return _with_payload({"dtype": "bits", "bits": bits, "shape": list(residues.shape)}, payload)
@@ -335,11 +308,3 @@ def unpack_residues(data: Any) -> np.ndarray:
         residues[k] = _unpack_row(flat[ends[k] - size : ends[k]], width, shape[1])
     return residues
 
-
-def carries_bitpacked(node: Any) -> bool:
-    """Whether any record in a message tree is bit-packed."""
-    if isinstance(node, (list, tuple)):
-        return any(carries_bitpacked(item) for item in node)
-    return isinstance(node, dict) and (
-        node.get("dtype") == "bits" or any(carries_bitpacked(v) for v in node.values())
-    )

@@ -62,7 +62,7 @@ class ConstantMessage:
     def from_bytes(cls, data: bytes) -> "ConstantMessage":
         obj_id, type_, scale, elements = 0, ObjectType.UNDEFINED_TYPE, 0.0, []
         lane_mask = False
-        for number, _, raw in wire.iter_fields(data):
+        for number, _, raw, _end in wire.iter_field_spans(data):
             if number == 1:
                 obj_id = _decode_object(raw)
             elif number == 2:
@@ -94,7 +94,7 @@ class InputMessage:
     @classmethod
     def from_bytes(cls, data: bytes) -> "InputMessage":
         obj_id, type_, scale, name = 0, ObjectType.UNDEFINED_TYPE, 0.0, ""
-        for number, _, raw in wire.iter_fields(data):
+        for number, _, raw, _end in wire.iter_field_spans(data):
             if number == 1:
                 obj_id = _decode_object(raw)
             elif number == 2:
@@ -122,7 +122,7 @@ class OutputMessage:
     @classmethod
     def from_bytes(cls, data: bytes) -> "OutputMessage":
         obj_id, scale, name = 0, 0.0, ""
-        for number, _, raw in wire.iter_fields(data):
+        for number, _, raw, _end in wire.iter_field_spans(data):
             if number == 1:
                 obj_id = _decode_object(raw)
             elif number == 2:
@@ -151,7 +151,7 @@ class InstructionMessage:
     @classmethod
     def from_bytes(cls, data: bytes) -> "InstructionMessage":
         output_id, op_code, args, kernel = 0, Op.UNDEFINED, [], ""
-        for number, _, raw in wire.iter_fields(data):
+        for number, _, raw, _end in wire.iter_field_spans(data):
             if number == 1:
                 output_id = _decode_object(raw)
             elif number == 2:
@@ -184,7 +184,7 @@ class ProgramMessage:
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProgramMessage":
         message = cls(vec_size=0)
-        for number, _, raw in wire.iter_fields(data):
+        for number, _, raw, _end in wire.iter_field_spans(data):
             if number == 1:
                 message.vec_size = int(raw)
             elif number == 2:
@@ -201,7 +201,7 @@ class ProgramMessage:
 def _decode_object(raw: object) -> int:
     if not isinstance(raw, (bytes, bytearray)):
         raise SerializationError("expected an embedded Object message")
-    for number, _, value in wire.iter_fields(bytes(raw)):
+    for number, _, value, _end in wire.iter_field_spans(bytes(raw)):
         if number == 1:
             return int(value)
     return 0
@@ -210,7 +210,7 @@ def _decode_object(raw: object) -> int:
 def _decode_vector(raw: object) -> List[float]:
     if not isinstance(raw, (bytes, bytearray)):
         raise SerializationError("expected an embedded Vector message")
-    for number, _, value in wire.iter_fields(bytes(raw)):
+    for number, _, value, _end in wire.iter_field_spans(bytes(raw)):
         if number == 1 and isinstance(value, (bytes, bytearray)):
             return wire.unpack_doubles(bytes(value))
     return []

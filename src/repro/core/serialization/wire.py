@@ -83,21 +83,13 @@ def encode_packed_doubles(field_number: int, values: "List[float]") -> bytes:
     return encode_bytes_field(field_number, struct.pack(f"<{len(values)}d", *values))
 
 
-def iter_fields(data: bytes) -> Iterator[Tuple[int, int, object]]:
-    """Iterate over (field_number, wire_type, raw_value) triples of a message.
-
-    Varint fields yield ints, fixed64 fields yield 8-byte buffers, and
-    length-delimited fields yield byte strings.  Unknown wire types raise.
-    """
-    for field_number, wire_type, value, _end in iter_field_spans(data):
-        yield field_number, wire_type, value
-
-
 def iter_field_spans(data) -> Iterator[Tuple[int, int, object, int]]:
-    """:func:`iter_fields` plus the offset just past each field.
+    """Iterate over ``(field_number, wire_type, raw_value, end)`` of a message.
 
-    Values are slices of ``data``: pass a :class:`memoryview` and
-    length-delimited fields come back zero-copy.
+    Varint fields yield ints, fixed64 and fixed32 fields their bytes, and
+    length-delimited fields their payload; ``end`` is the offset just past
+    the field.  Unknown wire types raise.  Values are slices of ``data``: pass
+    a :class:`memoryview` and length-delimited fields come back zero-copy.
     """
     offset = 0
     while offset < len(data):

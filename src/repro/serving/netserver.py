@@ -49,14 +49,12 @@ from __future__ import annotations
 
 import socket
 import time
-from contextlib import contextmanager, nullcontext
 from functools import partial
-from typing import Any, Callable, Dict, FrozenSet, Iterator, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.serialization import messages
-from ..core.serialization.packing import bitpacked_residues, carries_bitpacked, expanded_seeds
 from ..errors import (
     DeadlineInfeasibleError,
     EvaError,
@@ -66,14 +64,12 @@ from ..errors import (
 )
 from ..wire import (
     BINARY,
-    BITPACKED,
     FRAME_CHUNK,
     FRAME_REQUEST,
     FRAME_RESPONSE,
     FRAMINGS,
     JSON,
     MAX_TRACKED_UPLOADS,
-    SEEDED,
     STREAM_THRESHOLD_BYTES,
     UPLOAD_KEY,
     WIRE_MODES,
@@ -83,7 +79,6 @@ from ..wire import (
     UploadState,
     build_hello,
     decode_message,
-    granted_features,
     hello_ack,
     iter_chunks,
     open_message,
@@ -297,15 +292,11 @@ class _ShardConnection(_WireConnection):
             # evaluated under (carried on the response, so an eviction between
             # evaluation and encoding cannot fail a completed request); the
             # server never decrypts — only the submitting client can.
-            # Replies are bit-packed exactly when the request was: a client
-            # never meets a record shape it did not write itself.
             encode_started = time.perf_counter()
-            bits = carries_bitpacked(request["bundle"])
-            with bitpacked_residues() if bits else nullcontext():
-                reply = messages.build_response(
-                    stats=response.stats_dict(),
-                    payload={"encrypted_outputs": response.to_wire()},
-                )
+            reply = messages.build_response(
+                stats=response.stats_dict(),
+                payload={"encrypted_outputs": response.to_wire()},
+            )
             # The transport owns the output handles once encoded.
             response.release()
         else:
@@ -702,7 +693,7 @@ class ClientApi:
         ``export_evaluation_keys()``); the secret key never leaves the client.
         The connection that sends the keys exports them: raw (no base64) and
         streamed as chunked frames past the streaming threshold on a binary
-        connection, seeded and bit-packed as far as the hello granted.
+        connection.
         """
         return self.call(
             "session",
@@ -778,9 +769,8 @@ class ServingClient(ClientApi):
     the server is legacy or pinned; ``binary`` demands frames (raising
     :class:`~repro.errors.ServingError` when refused); ``json`` skips
     negotiation entirely and speaks the original line protocol.  The
-    negotiated result is ``self.protocol`` and ``self.features`` (the optional
-    record shapes the server said it reads — none without a hello, so such a
-    connection is sent the format every build understands);
+    negotiated result is ``self.protocol``; every framing carries the same
+    records (seeds and bit-packed residues), only blobs travel differently.
     ``bytes_sent``/``bytes_received`` count the traffic on this connection.
     """
 
@@ -798,7 +788,6 @@ class ServingClient(ClientApi):
         self.wire_mode = wire
         self.protocol = "json"
         self.protocol_version: Optional[int] = None
-        self.features: FrozenSet[str] = frozenset()
         self.bytes_sent = 0
         self.bytes_received = 0
         self._upload_seq = 0
@@ -813,7 +802,6 @@ class ServingClient(ClientApi):
             # The hello exchange: a JSON line even legacy servers can answer.
             reply = JSON.peek(self.roundtrip(JSON, JSON.parts(build_hello(wire))))
             self.protocol, self.protocol_version = parse_hello_reply(reply, wire)
-            self.features = granted_features(reply)
 
     # -- transport ----------------------------------------------------------------
     def send(self, framing: Framing, frame_type: int, parts: Parts) -> None:
@@ -851,19 +839,6 @@ class ServingClient(ClientApi):
         return raw
 
     # -- request plumbing ---------------------------------------------------------
-    @contextmanager
-    def _kit_packing(self) -> Iterator[None]:
-        """The packing context a client kit writes this connection's blobs in.
-
-        The framing's own (raw bytes on a binary connection); unless the
-        server granted ``seeded``, every seeded polynomial written out; and
-        where it granted ``bitpacked``, residues at their primes' widths.
-        """
-        seeds = nullcontext() if SEEDED in self.features else expanded_seeds()
-        bits = bitpacked_residues() if BITPACKED in self.features else nullcontext()
-        with FRAMINGS[self.protocol].blob_context(), seeds, bits:
-            yield
-
     def _stream_upload(self, blobs: Sequence[Any], client_id: str) -> str:
         """Stream ``blobs`` as bounded CHUNK frames; returns the upload id.
 
@@ -886,7 +861,7 @@ class ServingClient(ClientApi):
 
     def _roundtrip_op(self, op: str, **fields: Any) -> Dict[str, Any]:
         framing = FRAMINGS[self.protocol]
-        with self._kit_packing():
+        with framing.blob_context():
             # A callable field (a kit's keys or bundle) is encoded here, for
             # this connection.
             fields = {key: value() if callable(value) else value for key, value in fields.items()}

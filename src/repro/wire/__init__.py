@@ -18,11 +18,10 @@ alternative that shares every listener with the JSON protocol:
   blobs travel as raw little-endian bytes — no base64 — and decode into
   zero-copy :class:`memoryview` slices of the received frame.
 * :mod:`.protocol` — connection-level concerns: the ``hello`` negotiation
-  (a JSON line, so legacy servers answer it with an ordinary error and the
-  client falls back to JSON) of the framing and of optional record shapes
-  (``features``), and chunked streaming uploads so a multi-MB
-  evaluation-key set is carried as a sequence of bounded frames instead of
-  one monolithic message.
+  of the framing (a JSON line, so legacy servers answer it with an ordinary
+  error and the client falls back to JSON), and chunked streaming uploads so
+  a multi-MB evaluation-key set is carried as a sequence of bounded frames
+  instead of one monolithic message.
 
 * :mod:`.framing` — the codec pair: ``JSON`` and ``BINARY``, two instances of
   one interface (peek an envelope, decode, rewrite an envelope field without
@@ -60,17 +59,13 @@ from .frames import (
 )
 from .framing import BINARY, FRAMINGS, JSON, Framing, Parts, open_message
 from .protocol import (
-    BITPACKED,
     CHUNK_BYTES,
-    FEATURES,
     MAX_TRACKED_UPLOADS,
     PROTOCOL_VERSION,
-    SEEDED,
     STREAM_THRESHOLD_BYTES,
     UploadState,
     WIRE_MODES,
     build_hello,
-    granted_features,
     hello_ack,
     iter_chunks,
     parse_hello_reply,
@@ -78,10 +73,8 @@ from .protocol import (
 
 __all__ = [
     "BINARY",
-    "BITPACKED",
     "BLOB_KEY",
     "CHUNK_BYTES",
-    "FEATURES",
     "FRAME_CHUNK",
     "FRAME_REQUEST",
     "FRAME_RESPONSE",
@@ -94,7 +87,6 @@ __all__ = [
     "MAX_TRACKED_UPLOADS",
     "PROTOCOL_VERSION",
     "Parts",
-    "SEEDED",
     "STREAM_THRESHOLD_BYTES",
     "UPLOAD_KEY",
     "UploadState",
@@ -105,7 +97,6 @@ __all__ = [
     "encode_envelope",
     "encode_frame",
     "encode_message",
-    "granted_features",
     "hello_ack",
     "iter_chunks",
     "join_message",

@@ -22,9 +22,10 @@ share the same keys, checks and arithmetic outside key switching.  The
 reference path predates form-carrying polynomials: both entry points first
 bring their operand to coefficient form (settling an extended one), and
 answer in it.  A seeded key half is likewise written out in coefficient form
-(one inverse transform of its expansion, kept for the next switch so timings
-against this path stay about key switching), so the oracle also checks that
-the production path reads the seed as the same polynomial.
+(``oracles.seeded.written_out``: one inverse transform of its expansion,
+kept for the next switch so timings against this path stay about key
+switching), so the oracle also checks that the production path reads the
+seed as the same polynomial.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 from oracles.rns import from_int_coefficients, restrict
+from oracles.seeded import written_out
 
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.evaluator import Evaluator
@@ -113,7 +115,7 @@ class ReferenceEvaluator(Evaluator):
             b_j, a_j = pair
             if isinstance(a_j, SeededUniform):  # the oracle multiplies coefficient forms
                 if a_j not in self._written_out:
-                    self._written_out[a_j] = a_j.coefficients(b_j.basis)
+                    self._written_out[a_j] = written_out(a_j, b_j.basis)
                 a_j = self._written_out[a_j]
             b_j = restrict(b_j, key_basis)
             a_j = restrict(a_j, key_basis)

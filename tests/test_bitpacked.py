@@ -1,20 +1,22 @@
 """Bit-packed residues, and key sets without an unused relinearization key.
 
-A connection granted the ``bitpacked`` hello feature carries every RNS residue
-matrix at its primes' bit widths (``{"dtype": "bits", "bits": [...]}``), and a
-client kit for a program with no RELINEARIZE neither generates nor sends a
-relinearization key.  This file pins, in order: the packer (a property round
-trip, the layout, the five refusals over both framings);
-the exact record sizes of the rotation program at N = 4096; which record
-shapes each pairing of client and server exchanges, directly and through a
-one-shard router; the session store; key sets with and without a
-relinearization key, and the written-out fallback's cache.
+Every writer carries every RNS residue matrix at its primes' bit widths
+(``{"dtype": "bits", "bits": [...]}``) and every uniform polynomial as its
+seed, on either framing, and a client kit for a program with no RELINEARIZE
+neither generates nor sends a relinearization key.  This file pins, in
+order: the packer (a property round trip, the layout, the five refusals over
+both framings); the exact record sizes of the rotation program at N = 4096;
+that every writer sends seeds and bits, directly and through a one-shard
+router, and that what earlier builds' clients sent is still answered there;
+the session store, which still restores a session in ``u4`` words;
+and key sets with and without a relinearization key.
 """
 
 from __future__ import annotations
 
 import base64
 import copy
+import dataclasses
 import re
 import threading
 from contextlib import nullcontext
@@ -24,25 +26,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.seeded import in_words, write_out_seeds
 
 from repro import wire
 from repro.api import ClientKit, CompiledProgram
 from repro.backend import CkksBackend
-from repro.ckks.ntt import ntt_rows
 from repro.core.executor import execute_reference
 from repro.core.serialization import packing
-from repro.core.serialization.packing import (
-    bitpacked_residues,
-    carries_bitpacked,
-    expanded_seeds,
-    pack_residues,
-    raw_blobs,
-    unpack_residues,
-)
+from repro.core.serialization.packing import pack_residues, raw_blobs, unpack_residues
 from repro.errors import ParameterError, SerializationError, ServingError
 from repro.serving import EvaServer, EvaTcpServer, ServingClient, SessionStore, ShardConfig
 from repro.serving import netserver
-from test_seeded import OPTIONS, poly_program, rotate_sum_program, seeded_ack, through_json
+from test_seeded import (
+    OPTIONS,
+    has_seed_record,
+    poly_program,
+    record_dtypes,
+    rotate_sum_program,
+    through_json,
+)
 
 #: Widths of the rotation program's chain at N = 4096 (data primes, then the two
 #: special ones: one digit of both data primes over ``P = q_2 q_3``).
@@ -62,7 +64,7 @@ def reference_payload(residues, widths) -> bytes:
 def bits_record(residues, widths, framing="b64"):
     """A bit-packed record of ``residues`` at ``widths`` (stand-in primes of those widths)."""
     primes = [(1 << width) - 1 for width in widths]
-    with bitpacked_residues(), (raw_blobs() if framing == "raw" else nullcontext()):
+    with raw_blobs() if framing == "raw" else nullcontext():
         return pack_residues(residues, primes)
 
 
@@ -95,19 +97,12 @@ class TestPacker:
             assert int.from_bytes(row, "little") == want
         assert record["raw"] == reference_payload(residues, [3, 4])
 
-    def test_writers_fall_back_to_words_outside_the_context_or_the_layout(self):
+    def test_writers_fall_back_to_words_outside_the_layout(self):
         residues = np.arange(16).reshape(2, 8)
-        assert pack_residues(residues, [97, 101])["dtype"] == "u1"
-        with bitpacked_residues():
-            assert pack_residues(residues, [97, 101])["bits"] == [7, 7]
-            assert pack_residues(residues)["dtype"] == "u1"  # no primes, no widths
-            assert pack_residues(np.arange(8).reshape(2, 4), [97, 101])["dtype"] == "u1"  # N = 4
-            assert pack_residues(residues, [97, 2**33])["dtype"] == "u1"  # wider than a word
-
-    def test_a_message_tree_says_whether_it_carries_bits(self):
-        record = bits_record(np.zeros((1, 8), dtype=np.int64), [3])
-        assert carries_bitpacked({"a": [1, {"b": record}]})
-        assert not carries_bitpacked({"a": [1, {"b": pack_residues(np.zeros((1, 8)))}]})
+        assert pack_residues(residues, [97, 101])["bits"] == [7, 7]
+        assert pack_residues(residues)["dtype"] == "u1"  # no primes, no widths
+        assert pack_residues(np.arange(8).reshape(2, 4), [97, 101])["dtype"] == "u1"  # N = 4
+        assert pack_residues(residues, [97, 2**33])["dtype"] == "u1"  # wider than a word
 
 
 def malformed_records():
@@ -191,8 +186,7 @@ class TestRefusals:
     ):
         kit = served["kits"]["rotate_sum"]
         served["server"].create_session("rotate_sum", "alice", kit.export_evaluation_keys())
-        with bitpacked_residues():
-            bundle = through_json(kit.bundle_to_wire(kit.encrypt_inputs(rotate_inputs())))
+        bundle = through_json(kit.bundle_to_wire(kit.encrypt_inputs(rotate_inputs())))
         record = bundle["ciphertexts"]["x"]["polys"][0]
         assert record["bits"] == WIDTHS[:2]
         edit(record)
@@ -214,10 +208,9 @@ class TestExactBytes:
         server.create_session("rotate_sum", "alice", keys)
         bundle = kit.encrypt_inputs(rotate_inputs())
         with raw_blobs():
-            words = kit.bundle_to_wire(bundle)
-            with bitpacked_residues():
-                bits = kit.bundle_to_wire(bundle)
-                galois = kit.export_evaluation_keys()["galois_keys"]
+            bits = kit.bundle_to_wire(bundle)
+            galois = kit.export_evaluation_keys()["galois_keys"]
+            words = in_words(bits)
         assert len(words["ciphertexts"]["x"]["polys"][0]["raw"]) == 32768
         c0 = bits["ciphertexts"]["x"]["polys"][0]
         assert c0["bits"] == [26, 25] and len(c0["raw"]) == 26112
@@ -227,7 +220,7 @@ class TestExactBytes:
             (b, a), = key.values()
             assert b["bits"] == WIDTHS and len(b["raw"]) == 55296 and "seed" in a
         response = server.request_encrypted("rotate_sum", bits, client_id="alice")
-        with raw_blobs(), bitpacked_residues():
+        with raw_blobs():
             reply = response.to_wire()
         response.release()
         polys = reply["ciphertexts"]["y"]["polys"]
@@ -237,11 +230,7 @@ class TestExactBytes:
 
 
 # -- who sends what ---------------------------------------------------------------------------
-CLIENTS = ["new", "seeded only", "json"]
-SERVERS = ["new", "pre-bitpacked"]
-
-
-class TestCompatibilityMatrix:
+class TestEveryWriter:
     @staticmethod
     def _spy(monkeypatch, server):
         seen = []
@@ -251,13 +240,10 @@ class TestCompatibilityMatrix:
         return seen
 
     @pytest.mark.parametrize("path", ["direct", "router"])
-    @pytest.mark.parametrize("server_kind", SERVERS)
-    @pytest.mark.parametrize("client_kind", CLIENTS)
-    def test_a_peer_sees_bits_only_when_both_sides_read_them(
-        self, served, monkeypatch, client_kind, server_kind, path
-    ):
-        if server_kind == "pre-bitpacked":  # the shard's acks, and the router's
-            monkeypatch.setattr(netserver, "hello_ack", seeded_ack)
+    @pytest.mark.parametrize("mode", ["json", "binary"])
+    def test_every_writer_sends_seeds_and_bits(self, served, monkeypatch, mode, path):
+        """The kit's key export and bundle, and the server's reply: seed records
+        and bit-packed residues, on either framing, direct or through a router."""
         seen = self._spy(monkeypatch, served["server"])
         address, router = served["tcp"].address, None
         if path == "router":
@@ -265,56 +251,119 @@ class TestCompatibilityMatrix:
             router.start_background()
             address = router.address
         kit = served["kits"]["rotate_sum"]
+        inputs = rotate_inputs()
         try:
-            with monkeypatch.context() as hello:  # the router's upstream, opened later, offers both
-                if client_kind == "seeded only":
-                    hello.setattr(netserver, "build_hello", lambda mode: dict(wire.build_hello(mode), features=["seeded"]))
-                client = ServingClient(*address, wire="json" if client_kind == "json" else "binary")
-            with client:
-                both = client_kind == "new" and server_kind == "new"
-                assert (wire.BITPACKED in client.features) == both
+            with ServingClient(*address, wire=mode) as client:
+                assert client.protocol == mode
                 client.create_session("rotate_sum", kit)
-                inputs = rotate_inputs()
                 reply = client.submit_bundle(
                     "rotate_sum", partial(kit.bundle_to_wire, kit.encrypt_inputs(inputs)), client_id="alice"
                 )
-            if router is not None:  # whatever the router and its shard negotiated between them
-                (upstream,) = router.cluster.upstreams.values()
-                assert (wire.BITPACKED in upstream.features) == (server_kind == "new")
         finally:
             if router is not None:
                 router.shutdown()
                 router.server_close()
                 for upstream in router.cluster.upstreams.values():
                     upstream.close()
-        assert len(seen) == 2 and [carries_bitpacked(message) for message in seen] == [both, both]
-        assert carries_bitpacked(reply) == both
+        keys, bundle = seen
+        assert has_seed_record(keys) and has_seed_record(bundle)
+        assert record_dtypes(keys) == record_dtypes(bundle) == record_dtypes(reply) == {"bits"}
+        answer = kit.decrypt_outputs(kit.outputs_from_wire(reply))["y"]
+        assert_answers(served, "rotate_sum", inputs, answer)
+
+
+class EarlierKit:
+    """A kit that exports what an earlier build's client sent: seeds with
+    residues in ``u4`` words (``seeded only``), or every polynomial written
+    out in ``u4`` words (``written out``)."""
+
+    client_id = "alice"
+
+    def __init__(self, kit, shape):
+        self.kit, self.shape = kit, shape
+
+    def export_evaluation_keys(self):
+        keys = self.kit.export_evaluation_keys()
+        if self.shape == "written out":
+            keys = write_out_seeds(self.kit.context, keys)
+        return in_words(keys)
+
+    def bundle_to_wire(self, bundle):
+        if self.shape == "written out":  # a copy is not fresh: no seed
+            bundle = dataclasses.replace(bundle, ciphertexts={n: c.copy() for n, c in bundle.ciphertexts.items()})
+        return in_words(self.kit.bundle_to_wire(bundle))
+
+
+class TestEarlierShapes:
+    @pytest.mark.parametrize("path", ["direct", "router"])
+    @pytest.mark.parametrize("mode", ["json", "binary"])
+    @pytest.mark.parametrize("shape", ["seeded only", "written out"])
+    def test_an_earlier_builds_request_is_answered_in_bits(self, served, monkeypatch, shape, mode, path):
+        """Readers did not change: keys and a bundle in either earlier shape,
+        on either framing, direct or through a router, get the right answer,
+        and the reply is bit-packed regardless.  A ``seeded only`` binary
+        client's hello still offers its ``features``; the server ignores them."""
+        seen = TestEveryWriter._spy(monkeypatch, served["server"])
+        address, router = served["tcp"].address, None
+        if path == "router":
+            router = netserver.ClusterTcpServer(OneShardCluster(address), port=0)
+            router.start_background()
+            address = router.address
+        kit, earlier = served["kits"]["rotate_sum"], EarlierKit(served["kits"]["rotate_sum"], shape)
+        inputs = rotate_inputs()
+        try:
+            with monkeypatch.context() as hello:  # the router's upstream, opened later, is this build
+                if shape == "seeded only":
+                    hello.setattr(netserver, "build_hello", lambda mode: dict(wire.build_hello(mode), features=["seeded"]))
+                client = ServingClient(*address, wire=mode)
+            with client:
+                assert client.protocol == mode
+                client.create_session("rotate_sum", earlier)
+                reply = client.submit_bundle(
+                    "rotate_sum", partial(earlier.bundle_to_wire, kit.encrypt_inputs(inputs)), client_id="alice"
+                )
+        finally:
+            if router is not None:
+                router.shutdown()
+                router.server_close()
+                for upstream in router.cluster.upstreams.values():
+                    upstream.close()
+        keys, bundle = seen
+        seeded = shape == "seeded only"
+        assert has_seed_record(keys) == has_seed_record(bundle) == seeded
+        assert record_dtypes(keys) == record_dtypes(bundle) == {"u4"}
+        assert record_dtypes(reply) == {"bits"}
         answer = kit.decrypt_outputs(kit.outputs_from_wire(reply))["y"]
         assert_answers(served, "rotate_sum", inputs, answer)
 
 
 # -- stored sessions ---------------------------------------------------------------------------
-def test_a_bitpacked_session_is_stored_smaller_and_restores(served, monkeypatch, tmp_path):
+def test_a_bitpacked_session_is_stored_smaller_and_restores(served, tmp_path):
     kit, program = served["kits"]["rotate_sum"], served["programs"]["rotate_sum"]
     compiled = kit.compiled
+
+    class InWords:  # what ServingClient.create_session asks of a kit
+        client_id = "bob"
+
+        def export_evaluation_keys(self):
+            return in_words(kit.export_evaluation_keys())  # an earlier build's session
+
     store_server = EvaServer(backend=CkksBackend(seed=11), workers=1, session_store=SessionStore(tmp_path))
     tcp = EvaTcpServer(store_server, port=0)
     try:
         store_server.register("rotate_sum", program, options=OPTIONS)
         tcp.start_background()
         with ServingClient(*tcp.address, wire="binary") as client:
-            client.create_session("rotate_sum", kit, client_id="alice")  # bit-packed
-        with monkeypatch.context() as old:  # the parent format: u4 words
-            old.setattr(netserver, "hello_ack", seeded_ack)
-            with ServingClient(*tcp.address, wire="binary") as client:
-                client.create_session("rotate_sum", kit, client_id="bob")
+            client.create_session("rotate_sum", kit, client_id="alice")
+            client.create_session("rotate_sum", InWords())
     finally:
         tcp.shutdown()
         tcp.server_close()
         store_server.close()
     store = SessionStore(tmp_path)
     alice, bob = (store.path_for(name, compiled) for name in ("alice", "bob"))
-    assert carries_bitpacked(store.load("alice", compiled)) and not carries_bitpacked(store.load("bob", compiled))
+    assert record_dtypes(store.load("alice", compiled)) == {"bits"}
+    assert record_dtypes(store.load("bob", compiled)) == {"u4"}
     assert alice.stat().st_size < 0.87 * bob.stat().st_size
     restarted = EvaServer(backend=CkksBackend(seed=11), workers=1, session_store=SessionStore(tmp_path))
     try:
@@ -352,17 +401,3 @@ class TestRelinearizationKey:
         with ServingClient(*served["tcp"].address) as client:
             with pytest.raises(ServingError, match="ParameterError"):
                 client.submit_bundle("poly", bundle, client_id="carol")
-
-    def test_the_written_out_fallback_transforms_each_uniform_half_once(self):
-        compiled = CompiledProgram.compile(rotate_sum_program().graph, options=OPTIONS)
-        kit = ClientKit(compiled, backend=CkksBackend(seed=4))
-        exports, rows = [], []
-        for _ in range(2):
-            before = ntt_rows()
-            with expanded_seeds():
-                exports.append(through_json(kit.export_evaluation_keys()))
-            rows.append(ntt_rows() - before)
-        # The public a over the data basis (2 rows), one digit of ten Galois keys
-        # (4 rows each; two digits of 3 rows while each prime was a digit).
-        assert rows == [2 + 10 * 1 * 4, 0]
-        assert exports[0] == exports[1]

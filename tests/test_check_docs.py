@@ -161,18 +161,6 @@ class TestCheckDocs:
         assert check_docs.backend_methods(INSTRUCTIONS[Op.MULTIPLY]) == ["multiply", "multiply_plain"]
         assert check_docs.backend_methods(INSTRUCTIONS[Op.SUM]) == []
 
-    def test_feature_table_must_match_the_code_both_ways(self, check_docs):
-        doc = (REPO_ROOT / "docs" / "wire-protocol.md").read_text()
-        assert check_docs.check_feature_table(doc) == []
-        assert check_docs.check_feature_table(doc.replace("| `seeded` |", "| `sprouted` |")) == [
-            "wire-protocol.md: feature table lacks `seeded`",
-            "wire-protocol.md: feature table names unknown feature `sprouted`",
-        ]
-        assert check_docs.check_feature_table("# Wire protocol\n") == [
-            "wire-protocol.md: feature table lacks `bitpacked`",
-            "wire-protocol.md: feature table lacks `seeded`",
-        ]
-
     def test_lifecycle_table_must_match_the_machine_both_ways(self, check_docs):
         doc = (REPO_ROOT / "docs" / "operations.md").read_text()
         assert check_docs.check_lifecycle_table(doc) == []

@@ -39,6 +39,7 @@ import numpy as np
 import pytest
 from oracles.keyswitch import ReferenceEvaluator
 from oracles.ntt import ReferenceNtt
+from oracles.seeded import in_words, write_out_seeds, written_out
 from oracles.rns import (
     basis_modulus,
     divide_and_round_last_reference,
@@ -69,7 +70,6 @@ from repro.ckks.numth import generate_ntt_primes, is_prime
 from repro.ckks.rns import RnsBasis, RnsPolynomial
 from repro.ckks.sampling import ENCRYPTION_SECRETS, RlweSampler
 from repro.core.analysis.parameters import EncryptionParameters
-from repro.core.serialization.packing import bitpacked_residues, expanded_seeds
 from repro.errors import ParameterError, SerializationError
 
 DRAWS = 5
@@ -913,23 +913,29 @@ class TestGroupedKeySwitching:
             backend.create_evaluation_context(parameters, inside)
 
     @pytest.mark.parametrize(
-        "variant, digest",
+        "shape, digest",
         [
-            (None, "811d77747a190b557e68aaeb51ab7690708bbf7fa909765d67a522047499ee9d"),
-            (expanded_seeds, "b1f54a4a9d93124ff5a43f377964f6b37870159ac6bce0ee3194ed8be562c608"),
-            (bitpacked_residues, "589e1dad42711d50e4eee985e7f680019f96d93312dc48f3ee54170cac4ca4be"),
+            ("seeded", "811d77747a190b557e68aaeb51ab7690708bbf7fa909765d67a522047499ee9d"),
+            ("written-out", "b1f54a4a9d93124ff5a43f377964f6b37870159ac6bce0ee3194ed8be562c608"),
+            ("bitpacked", "589e1dad42711d50e4eee985e7f680019f96d93312dc48f3ee54170cac4ca4be"),
         ],
         ids=["seeded", "written-out", "bitpacked"],
     )
-    def test_a_one_prime_key_blob_is_the_parent_commits_byte_for_byte(self, variant, digest):
+    def test_a_one_prime_key_blob_is_the_parent_commits_byte_for_byte(self, shape, digest):
         """Digits of one prime over one special prime are the shape every key
         had before groups: under a fixed seed the export hashes to what the
-        commit before groups exported (digests taken there)."""
+        commit before groups exported in each of its three shapes (digests
+        taken there).  ``bitpacked`` is the export itself, the one shape
+        writers now send; the other two are the test oracle's rewriting of
+        it into the earlier builds' shapes, which the readers are held to."""
         parameters = EncryptionParameters(1024, [26, 26, 26, 30], rotation_steps=[1, 3])
         context = CkksBackend(seed=41, enforce_security=False).create_context(parameters)
         context.generate_keys()
-        with variant() if variant else contextlib.nullcontext():
-            blob = context.export_evaluation_keys()
+        blob = context.export_evaluation_keys()
+        if shape == "written-out":
+            blob = write_out_seeds(context, blob)
+        if shape != "bitpacked":
+            blob = in_words(blob)
         data = json.dumps(blob, sort_keys=True, default=lambda raw: bytes(raw).hex()).encode()
         assert hashlib.sha256(data).hexdigest() == digest
 
@@ -1003,7 +1009,7 @@ class TestTransformOnceAgainstPairwise:
             got = Encryptor(context, public_key, seed=7).encrypt(plain)  # no secret key
             sampler = RlweSampler(7, ENCRYPTION_SECRETS)
             u, e0, e1 = sampler.ternary(basis), sampler.error(basis), sampler.error(basis)
-            pair = (public_key.b, public_key.a.coefficients(public_key.b.basis))
+            pair = (public_key.b, written_out(public_key.a, public_key.b.basis))
             pk_b, pk_a = (restrict(p, basis) for p in pair)
             want = [pk_b.multiply(u).add(e0).add(plain.poly), pk_a.multiply(u).add(e1)]
             self._assert_same(got.polys, want)
@@ -1052,6 +1058,8 @@ class TestEvaluationFormStaysOffTheWire:
         assert again.export_evaluation_keys() == client.export_evaluation_keys()
 
     def test_written_out_blobs_have_the_parent_record_shapes_and_lengths(self, frozen):
+        """The test oracle's earlier-build shapes are the parent's, record for
+        record: what tests hand the readers as an earlier build's blob is one."""
         def shape_of(node):
             """A blob with every payload replaced by its length."""
             if isinstance(node, dict):
@@ -1060,8 +1068,8 @@ class TestEvaluationFormStaysOffTheWire:
 
         _, _, client = self._client(frozen)
         cipher = client.encrypt(frozen["values"], frozen["scale_bits"])
-        with expanded_seeds():
-            keys, wire = client.export_evaluation_keys(), client.encode_cipher(cipher)
+        keys = in_words(write_out_seeds(client, client.export_evaluation_keys()))
+        wire = in_words(client.encode_cipher(cipher.copy()))  # a copy is not fresh: no seed
         assert shape_of(keys) == shape_of(frozen["evaluation_keys"])
         assert shape_of(wire) == shape_of(frozen["cipher"])
         assert "seed" not in json.dumps([keys, wire])
@@ -1070,7 +1078,9 @@ class TestEvaluationFormStaysOffTheWire:
         backend, parameters, client = self._client(frozen)
         server = backend.create_evaluation_context(parameters, frozen["evaluation_keys"])
         cipher = server.decode_cipher(frozen["cipher"])
-        assert server.encode_cipher(cipher) == frozen["cipher"]
+        again = server.encode_cipher(cipher)  # bit-packed now, the same residues
+        assert [poly["dtype"] for poly in again["polys"]] == ["bits", "bits"]
+        assert in_words(again) == frozen["cipher"]
         # Every key is held in its evaluation form from the import on.
         rotated = server.rotate(cipher, 1)
         squared = server.relinearize(server.multiply(cipher, cipher))
@@ -1082,5 +1092,5 @@ class TestEvaluationFormStaysOffTheWire:
         evaluator = server.evaluator
         used = [evaluator.relin_key.key] + list(evaluator.galois_keys.keys.values())
         assert all(key.form is not None and not key.pairs for key in used)
-        # The export is rebuilt from the forms, exactly.
-        assert server.export_evaluation_keys() == frozen["evaluation_keys"]
+        # The export is rebuilt from the forms, exactly: the same residues.
+        assert in_words(server.export_evaluation_keys()) == frozen["evaluation_keys"]

@@ -342,14 +342,22 @@ class TestOneClientPath:
         assert minting(self.tree(cluster_module)) == []
 
     def test_one_place_encodes_a_kit_for_its_connection(self):
-        src = Path(netserver.__file__).parent.parent
-        uses = [
-            path.name
-            for path in sorted(src.rglob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.Attribute) and node.attr == "_kit_packing"
+        """A kit's keys and bundles are encoded inside the connection's blob
+        context, which one client-side method enters."""
+        client_side = [
+            node
+            for node in self.tree(netserver).body
+            if isinstance(node, ast.ClassDef) and node.name in ("ClientApi", "ServingClient")
         ]
-        assert uses == ["netserver.py"]
+        entering = [
+            function.name
+            for cls in client_side
+            for function in ast.walk(cls)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute) and node.attr == "blob_context"
+        ]
+        assert entering == ["_roundtrip_op"]
 
 
 class TestShellRaces:

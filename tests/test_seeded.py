@@ -6,10 +6,11 @@ transformed.  This file pins, in order: the expander byte for byte (frozen
 vectors, a word-at-a-time reference, its statistics); that a key set imported
 from ``{seed, b}`` computes with exactly the forms its generator does, and
 exactly those of the same key written out in full; symmetric encryption and
-which handles still carry a seed; what each kind of connection is sent (seeds
-where negotiated, the parent commit's record shapes and lengths elsewhere);
-the decode-time validation of everything a blob hands the NTT kernel; and the
-separation of public from secret randomness.
+which handles still carry a seed; what every connection is sent (seeds and
+bit-packed residues on either framing) and that the written-out shapes of
+earlier builds still get their answer; the decode-time validation of
+everything a blob hands the NTT kernel; and the separation of public from
+secret randomness.
 
 The exact NTT row counts of key generation, first evaluation and encryption
 live with the other row pins in ``test_ckks_forms.py``.
@@ -18,6 +19,7 @@ live with the other row pins in ``test_ckks_forms.py``.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -27,11 +29,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.ntt import ReferenceNtt
+from oracles.seeded import in_words, write_out_seeds, written_out
 
 from repro import wire
 from repro.api import ClientKit, CompiledProgram
 from repro.backend import CkksBackend
-from repro.backend import seal_backend
 from repro.ckks import sampling
 from repro.ckks.keys import KeyGenerator, SeededUniform
 from repro.ckks.ntt import bit_reverse_indices
@@ -42,9 +44,6 @@ from repro.core.analysis.parameters import EncryptionParameters
 from repro.core.compiler import CompilerOptions
 from repro.core.executor import execute_reference
 from repro.core.serialization.packing import (
-    bitpacked_residues,
-    carries_bitpacked,
-    expanded_seeds,
     pack_residues,
     raw_blobs,
     unpack_residues,
@@ -153,7 +152,7 @@ class TestExpander:
         half = SeededUniform(SEED, "relin/0")
         natural = expand_uniform(SEED, "relin/0", basis.primes, 64)
         assert np.array_equal(half.evaluations(basis), natural[:, bit_reverse_indices(64)])
-        coefficients = half.coefficients(basis)
+        coefficients = written_out(half, basis)
         for row, prime, want in zip(coefficients.residues, basis.primes, natural):
             oracle = ReferenceNtt(prime, 64)
             assert np.array_equal(oracle.forward_reference(row), want)
@@ -201,8 +200,7 @@ class TestSeededKeys:
     def parties(self):
         backend, client = make_client()
         seeded_blob = through_json(client.export_evaluation_keys())
-        with expanded_seeds():
-            written_blob = through_json(client.export_evaluation_keys())
+        written_blob = through_json(write_out_seeds(client, client.export_evaluation_keys()))
         return {
             "client": client,
             "own": client.evaluation_context(),  # shares the generator's key objects
@@ -286,8 +284,6 @@ class TestSeededKeys:
         seeded, written = parties["blobs"]
         assert parties["seeded"].export_evaluation_keys() == seeded
         assert parties["written"].export_evaluation_keys() == written
-        with expanded_seeds():  # a seeded import can still serve a peer that reads no seeds
-            assert parties["seeded"].export_evaluation_keys() == written
 
 
 # -- (3) ciphertexts ---------------------------------------------------------------------
@@ -316,8 +312,7 @@ class TestSymmetricEncryption:
         _, client = make_client()
         cipher = client.encrypt(np.linspace(-1, 1, 128), SCALE_BITS, level=1)
         seeded = client.encode_cipher(cipher)
-        with expanded_seeds():
-            written = client.encode_cipher(cipher)
+        written = client.encode_cipher(cipher.copy())  # a copy is not fresh: no seed
         assert seeded["polys"][0] == written["polys"][0]
         assert seeded["polys"][1] == {"seed": cipher.seed.hex()}
         assert "seed" not in json.dumps(written)
@@ -376,42 +371,25 @@ def rotate_sum_program():
 
 
 #: Request bytes of ``create_session`` and of one ``submit_encrypted`` for
-#: ``rotate_sum_program`` (N = 4096, ten Galois keys), client "alice", in the
-#: format a connection that negotiated no ``seeded`` feature must still be
-#: sent, length for length.  Measured at the parent commit (81b56f1) they were
-#: (2973392, 87747) and (2233917, 65916), for keys of two one-prime digits over
-#: [25, 25, 30]; the chain is now [25, 25, 28, 28] with one digit of both data
-#: primes over two special primes, so each of the eleven switching keys writes
-#: out 2 x 4 rows where it wrote 2 x 2 x 3, and the session request is these
-#: lengths.  Ciphertexts did not change.
+#: ``rotate_sum_program`` (N = 4096, ten Galois keys), client "alice", as
+#: builds before seeds and bit-packing sent them: every polynomial written
+#: out in ``u4`` words.  Measured at 81b56f1 they were (2973392, 87747) and
+#: (2233917, 65916), for keys of two one-prime digits over [25, 25, 30]; the
+#: chain is now [25, 25, 28, 28] with one digit of both data primes over two
+#: special primes, so each of the eleven switching keys writes out 2 x 4 rows
+#: where it wrote 2 x 2 x 3, and the session request is these lengths.
+#: Ciphertexts did not change.
 PARENT_REQUEST_BYTES = {"json": (2011211, 87747), "binary": (1510414, 65916)}
 
 #: What the written-out ``relin_key`` entry of that session request comes to
 #: (262348 and 197096 for two digits of three rows).  A kit for a program with
-#: no RELINEARIZE generates and sends none, so its parent-format session is
-#: exactly this much shorter; a kit that holds one sends the parent format's
-#: bytes exactly.
+#: no RELINEARIZE generates and sends none.
 RELIN_ENTRY_BYTES = {"json": 174877, "binary": 131323}
 
 
 def parent_session_bytes(mode):
-    """The parent format's session request for a key set without a relinearization key."""
+    """The earlier builds' session request for a key set without a relinearization key."""
     return PARENT_REQUEST_BYTES[mode][0] - RELIN_ENTRY_BYTES[mode]
-
-
-def old_ack(request):
-    """A hello ack as a build before features wrote it."""
-    reply, protocol = wire.hello_ack(request)
-    reply.pop("features", None)
-    return reply, protocol
-
-
-def seeded_ack(request):
-    """A hello ack as a build that reads ``seeded`` but not ``bitpacked`` wrote it."""
-    reply, protocol = wire.hello_ack(request)
-    if "features" in reply:
-        reply["features"] = [feature for feature in reply["features"] if feature != wire.BITPACKED]
-    return reply, protocol
 
 
 def has_seed_record(node) -> bool:
@@ -422,12 +400,15 @@ def has_seed_record(node) -> bool:
     return False
 
 
-def written_out_decoder(context, bundle_wire):
-    """The parent commit's reading of a bundle: the packed-polynomial branch only."""
-    for cipher in bundle_wire["ciphertexts"].values():
-        basis = context.context.data_basis(cipher["level"])
-        for rows in cipher["polys"]:
-            seal_backend._poly_from_rows(basis, rows)
+def record_dtypes(node) -> set:
+    """The dtype of every packed record in a message tree, on either framing."""
+    if isinstance(node, dict):
+        if "b64" in node or "raw" in node:
+            return {node.get("dtype")}
+        return set().union(*(record_dtypes(value) for value in node.values()))
+    if isinstance(node, list):
+        return set().union(*(record_dtypes(item) for item in node))
+    return set()
 
 
 class TestSeededWire:
@@ -476,78 +457,56 @@ class TestSeededWire:
         y = client.submit_encrypted("rotate_sum", kit, {"x": x})["y"]
         return session_bytes, client.bytes_sent - before, y
 
-    def test_a_negotiated_connection_sends_seeds_and_half_the_bytes(self, served, monkeypatch):
-        """Seeds alone, ``bitpacked`` withheld: half the parent format's bytes."""
-        monkeypatch.setattr(netserver, "hello_ack", seeded_ack)
+    def _assert_seeds_and_widths(self, served, monkeypatch, mode):
+        """Seeds, and every residue at 26/25/29/28 bits instead of 32."""
         seen = self._spy(monkeypatch, served["server"])
         x = np.linspace(-1, 1, 1024) / 1024
         host, port = served["tcp"].address
-        with ServingClient(host, port, wire="binary") as client:
-            assert client.features == {"seeded"}
+        with ServingClient(host, port, wire=mode) as client:
             session_bytes, submit_bytes, y = self._session_and_submit(client, served["kit"], x)
-            assert client._upload_seq == 0  # 689 846 bytes: under the streaming threshold
+            assert client._upload_seq == 0  # under the streaming threshold
         assert np.allclose(y[:1024], execute_reference(served["program"].graph, {"x": x})["y"], atol=0.1)
         assert has_seed_record(seen["keys"][0]) and has_seed_record(seen["bundles"][0])
-        assert not carries_bitpacked(seen["keys"][0]) and not carries_bitpacked(seen["bundles"][0])
-        assert 0.495 < session_bytes / parent_session_bytes("binary") < 0.505
-        assert 0.495 < submit_bytes / PARENT_REQUEST_BYTES["binary"][1] < 0.51
+        assert record_dtypes(seen["keys"][0]) == record_dtypes(seen["bundles"][0]) == {"bits"}
+        # Binary 581 037 and 26 539 bytes, JSON 773 998 and 35 231: 0.421 and
+        # 0.402 of the earlier builds' format on both framings (the session
+        # was 0.427 at [26, 25, 31] bits).
+        assert 0.42 < session_bytes / parent_session_bytes(mode) < 0.425
+        assert 0.40 < submit_bytes / PARENT_REQUEST_BYTES[mode][1] < 0.405
 
     def test_a_bitpacked_connection_sends_residues_at_their_widths(self, served, monkeypatch):
-        """Both features: seeds, and every residue at 26/25/29/28 bits instead of 32."""
-        seen = self._spy(monkeypatch, served["server"])
-        x = np.linspace(-1, 1, 1024) / 1024
-        host, port = served["tcp"].address
-        with ServingClient(host, port, wire="binary") as client:
-            assert client.features == set(wire.FEATURES)
-            session_bytes, submit_bytes, y = self._session_and_submit(client, served["kit"], x)
-        assert np.allclose(y[:1024], execute_reference(served["program"].graph, {"x": x})["y"], atol=0.1)
-        assert carries_bitpacked(seen["keys"][0]) and carries_bitpacked(seen["bundles"][0])
-        # 581 037 and 26 539 bytes: 0.421 and 0.403 of the parent format (the
-        # session was 0.427 at [26, 25, 31] bits).
-        assert 0.42 < session_bytes / parent_session_bytes("binary") < 0.425
-        assert 0.40 < submit_bytes / PARENT_REQUEST_BYTES["binary"][1] < 0.405
+        """Every binary connection is a bit-packed one."""
+        self._assert_seeds_and_widths(served, monkeypatch, "binary")
 
-    @pytest.mark.parametrize("mode", ["json", "binary"])
-    def test_an_unnegotiated_connection_is_sent_the_parent_format(self, served, monkeypatch, mode):
-        """``wire="json"`` sends no hello; the binary side meets a server that
-        acks like one built before features existed.  The rotation program has
-        no RELINEARIZE, so its kit sends no relinearization key; a kit holding
-        one sends the parent's bytes exactly."""
-        monkeypatch.setattr(netserver, "hello_ack", old_ack)
-        seen = self._spy(monkeypatch, served["server"])
-        x = np.linspace(-1, 1, 1024) / 1024
-        host, port = served["tcp"].address
-        relinearizing = ClientKit(served["compiled"], backend=CkksBackend(seed=11), client_id="alice")
-        relinearizing.context.generate_keys()  # the parent's kit: a relinearization key too
-        with ServingClient(host, port, wire=mode) as client:
-            assert client.protocol == mode and client.features == frozenset()
-            session_bytes, submit_bytes, y = self._session_and_submit(client, served["kit"], x)
-            assert self._session_and_submit(client, relinearizing, x)[:2] == PARENT_REQUEST_BYTES[mode]
-        assert (session_bytes, submit_bytes) == (parent_session_bytes(mode), PARENT_REQUEST_BYTES[mode][1])
-        assert np.allclose(y[:1024], execute_reference(served["program"].graph, {"x": x})["y"], atol=0.1)
-        keys, bundle = seen["keys"][0], seen["bundles"][0]
-        assert not has_seed_record(keys) and not has_seed_record(bundle)
-        assert not carries_bitpacked(seen) and "relin_key" not in keys
-        written_out_decoder(served["kit"].context, bundle)
-        for pair in [keys["public_key"], *next(iter(keys["galois_keys"].values())).values()]:
-            assert [sorted(record) for record in pair] == [sorted(pair[0])] * 2  # two packed records
+    def test_a_json_lines_connection_sends_seeds_and_residues_at_their_widths(self, served, monkeypatch):
+        """A JSON-lines connection sends no hello and is sent the same shape."""
+        self._assert_seeds_and_widths(served, monkeypatch, "json")
 
     def test_seeded_and_written_out_requests_get_byte_identical_replies(self, served):
+        """What builds before seeds and bit-packing sent — ``c1`` written out,
+        ``u4`` words — is answered as a seeded, bit-packed request is, byte
+        for byte, and the reply is bit-packed regardless.  The same request
+        over either framing, direct and through a router, is in
+        ``test_bitpacked.py``'s ``TestEarlierShapes``."""
         kit, server = served["kit"], served["server"]
         server.create_session("rotate_sum", "alice", kit.export_evaluation_keys())
-        bundle = kit.encrypt_inputs({"x": np.linspace(-1, 1, 1024) / 1024})
+        x = np.linspace(-1, 1, 1024) / 1024
+        bundle = kit.encrypt_inputs({"x": x})
         seeded = kit.bundle_to_wire(bundle)
-        with expanded_seeds():
-            written = kit.bundle_to_wire(bundle)
+        copies = dataclasses.replace(bundle, ciphertexts={n: c.copy() for n, c in bundle.ciphertexts.items()})
+        written = in_words(kit.bundle_to_wire(copies))  # a copy is not fresh: no seed
         assert has_seed_record(seeded) and not has_seed_record(written)
+        assert record_dtypes(seeded) == {"bits"} and record_dtypes(written) == {"u4"}
         replies = [
             server.request_encrypted("rotate_sum", through_json(wire_form), client_id="alice").to_wire()
             for wire_form in (seeded, written)
         ]
         for reply in replies:
             reply.pop("evaluate_seconds")
-            assert not has_seed_record(reply)  # results are written as they always were
+            assert not has_seed_record(reply) and record_dtypes(reply) == {"bits"}
         assert replies[0] == replies[1]
+        y = kit.decrypt_outputs(kit.outputs_from_wire(replies[1]))["y"]
+        assert np.allclose(y[:1024], execute_reference(served["program"].graph, {"x": x})["y"], atol=0.1)
 
     def test_a_kit_writes_seeds_by_default_and_the_codec_keeps_them_in_the_envelope(self, served):
         kit = served["kit"]
@@ -587,7 +546,6 @@ class TestSeededWire:
         try:
             x = np.linspace(-1, 1, 1024) / 1024
             with ServingClient(*router.address, wire="binary") as client:
-                assert client.features == set(wire.FEATURES)
                 _, _, y = self._session_and_submit(client, served["kit"], x)
                 assert client._upload_seq == 1
         finally:
@@ -702,12 +660,11 @@ class TestDecodeValidation:
         with pytest.raises(SerializationError, match="outside"):
             kit.context.decode_cipher(cipher)
         # A bit-packed row holds any value below 2^width, its prime included.
-        with bitpacked_residues():
-            cipher = through_json(kit.context.encode_cipher(kit.context.encrypt([0.5], 25)))
-            residues = unpack_residues(cipher["polys"][0])
-            primes = kit.context.context.data_basis(0).primes
-            residues[1, 0] = primes[1]
-            cipher["polys"][0] = pack_residues(residues, primes)
+        cipher = through_json(kit.context.encode_cipher(kit.context.encrypt([0.5], 25)))
+        residues = unpack_residues(cipher["polys"][0])
+        primes = kit.context.context.data_basis(0).primes
+        residues[1, 0] = primes[1]
+        cipher["polys"][0] = pack_residues(residues, primes)
         assert cipher["polys"][0]["bits"] == [prime.bit_length() for prime in primes]
         with pytest.raises(SerializationError, match="outside"):
             kit.context.decode_cipher(cipher)
@@ -765,8 +722,7 @@ class TestDecodeValidation:
             blob = through_json(kit.export_evaluation_keys())
             edit(blob)
             yield name, blob, fragment
-        with expanded_seeds():
-            blob = through_json(kit.export_evaluation_keys())
+        blob = through_json(write_out_seeds(kit.context, kit.export_evaluation_keys()))
         first_pair(blob)[1] = set_residue(first_pair(blob)[1], 2**40)
         yield "residue of 2^40 in a written-out a", blob, "outside [0, prime)"
 
@@ -815,7 +771,7 @@ class TestRandomnessSeparation:
         assert np.array_equal(s, keygen.secret_key.coefficients)
         basis = context.data_basis(0)
         e = replica.error(basis)
-        a = public.a.coefficients(basis)
+        a = written_out(public.a, basis)
         want = a.multiply(RnsPolynomial.from_int64_coefficients(basis, s)).add(e).negate()
         assert np.array_equal(public.b.residues, want.residues)
 

@@ -10,9 +10,12 @@ import pytest
 from repro.core.serialization import load, proto, save
 from repro.core.serialization.wire import (
     decode_varint,
+    encode_bytes_field,
+    encode_double_field,
+    encode_tag,
     encode_varint,
     encode_varint_field,
-    iter_fields,
+    iter_field_spans,
     unpack_doubles,
 )
 from compiled_corpus import CASES
@@ -56,11 +59,39 @@ class TestVarints:
         with pytest.raises(SerializationError):
             decode_varint(b"\x80", 0)
 
-    def test_iter_fields_skips_unknown_fields(self):
+    def test_iter_field_spans_skips_unknown_fields(self):
         payload = encode_varint_field(99, 7) + encode_varint_field(1, 42)
-        fields = {number: value for number, _, value in iter_fields(payload)}
+        fields = {number: value for number, _, value, _end in iter_field_spans(payload)}
         assert fields[1] == 42
         assert fields[99] == 7
+
+    @pytest.mark.parametrize(
+        "field, wire_type, value",
+        [
+            (encode_varint_field(3, 300), 0, 300),
+            (encode_double_field(3, 1.5), 1, np.float64(1.5).tobytes()),
+            (encode_bytes_field(3, b"abc"), 2, b"abc"),
+            (encode_tag(3, 5) + b"\x01\x02\x03\x04", 5, b"\x01\x02\x03\x04"),
+        ],
+        ids=["varint", "fixed64", "length-delimited", "fixed32"],
+    )
+    def test_iter_field_spans_yields_each_wire_type_and_its_end(self, field, wire_type, value):
+        """The frame codec reads ``end`` as where a field stops: just past it."""
+        payload = field + encode_varint_field(1, 42)
+        first, second = iter_field_spans(memoryview(payload))
+        assert first[:2] == (3, wire_type)
+        assert (bytes(first[2]) if wire_type else first[2]) == value
+        assert first[3] == len(field)
+        assert second == (1, 0, 42, len(payload))
+
+    @pytest.mark.parametrize(
+        "field",
+        [encode_double_field(3, 1.5), encode_bytes_field(3, b"abc"), encode_tag(3, 5) + b"\x01\x02\x03\x04"],
+        ids=["fixed64", "length-delimited", "fixed32"],
+    )
+    def test_iter_field_spans_refuses_a_truncated_field(self, field):
+        with pytest.raises(SerializationError, match="truncated"):
+            list(iter_field_spans(field[:-1]))
 
     def test_unpack_doubles_validates_length(self):
         with pytest.raises(SerializationError):

@@ -423,28 +423,20 @@ class TestNegotiation:
     def test_hello_ack_grants_binary_under_auto_policy(self):
         reply, proto = wire.hello_ack(wire.build_hello("auto"))
         assert proto == "binary"
-        assert reply == {
-            "ok": True,
-            "wire": "binary",
-            "version": wire.PROTOCOL_VERSION,
-            "features": ["seeded", "bitpacked"],
-        }
+        assert reply == {"ok": True, "wire": "binary", "version": wire.PROTOCOL_VERSION}
 
     def test_a_hello_without_features_is_acked_exactly_as_before(self):
+        """A hello as builds before features wrote it, field for field."""
         hello = {"op": "hello", "wire": "auto", "versions": [wire.PROTOCOL_VERSION]}
-        reply, _proto = wire.hello_ack(hello)
+        reply, proto = wire.hello_ack(hello)
+        assert proto == "binary"
         assert reply == {"ok": True, "wire": "binary", "version": wire.PROTOCOL_VERSION}
-        assert wire.granted_features(reply) == frozenset()
 
-    def test_features_are_granted_by_intersection_under_either_framing(self):
-        hello = dict(wire.build_hello("auto"), features=["seeded", "from-the-future", 7])
+    def test_a_features_field_from_an_earlier_client_is_ignored(self):
+        hello = dict(wire.build_hello("auto"), features=["seeded", "bitpacked"])
+        assert "features" not in wire.build_hello("auto")
         for framing in ("auto", "json"):
-            reply, _proto = wire.hello_ack(dict(hello, wire=framing))
-            assert reply["features"] == ["seeded"]
-            assert wire.granted_features(reply) == {"seeded"}
-        assert wire.granted_features({"ok": False, "features": ["seeded"]}) == frozenset()
-        assert wire.granted_features({"ok": True, "features": "seeded"}) == frozenset()
-        assert wire.hello_ack(dict(hello, features="seeded"))[0].get("features") is None
+            assert wire.hello_ack(dict(hello, wire=framing)) == wire.hello_ack(wire.build_hello(framing))
 
     def test_hello_ack_answers_a_json_hello_in_json(self):
         reply, proto = wire.hello_ack(dict(wire.build_hello("binary"), wire="json"))
@@ -878,7 +870,7 @@ class TestMixedProtocolCluster:
             )
             victim = cluster.describe_route("dave")["shard"]
             with ServingClient(host, port, wire="binary", timeout=30.0) as client:
-                with client._kit_packing():
+                with wire.BINARY.blob_context():
                     request = messages.build_request(
                         "session", program="poly", client_id="dave",
                         evaluation_keys=kit.export_evaluation_keys(),

@@ -28,10 +28,6 @@ every piece of it:
   the ``repro.wire.FRAME_*`` kinds and its op column exactly ``hello`` plus
   ``REQUEST_OPS``, in both directions — the table claims to be the state
   machine, so it may not say more than the code either;
-* the hello features ``repro.wire.FEATURES`` -> the table under ``###
-  Features`` in ``docs/wire-protocol.md`` must name exactly those, in both
-  directions (a documented feature no build grants is as wrong as a granted
-  one nobody documented);
 * the instruction table ``repro.core.instructions.INSTRUCTIONS`` -> the
   table under ``## The instruction table`` in ``docs/architecture.md`` must
   state exactly its rows, in both directions: every opcode with its arity,
@@ -291,24 +287,6 @@ def check_instruction_table(architecture_doc: str) -> list:
     return complaints
 
 
-def check_feature_table(wire_doc: str) -> list:
-    """The hello feature table vs. ``repro.wire.FEATURES``."""
-    from repro import wire
-
-    section = wire_doc.partition("### Features")[2].partition("\n## ")[0]
-    rows = [line for line in section.splitlines() if line.startswith("|")][2:]
-    found = {token for row in rows for token in re.findall(r"`([^`]+)`", row.split("|")[1])}
-    expected = set(wire.FEATURES)
-    complaints = [
-        f"wire-protocol.md: feature table lacks `{name}`" for name in sorted(expected - found)
-    ]
-    complaints += [
-        f"wire-protocol.md: feature table names unknown feature `{name}`"
-        for name in sorted(found - expected)
-    ]
-    return complaints
-
-
 def cluster_config_keys() -> dict:
     """What a ``[cluster]`` table takes: ``{"": keys, "backend": fields, "fairness": fields}``."""
     import dataclasses
@@ -488,7 +466,6 @@ def check(docs_dir: Path) -> list:
     if wire_doc:
         missing.extend(check_op_table(wire_doc))
         missing.extend(check_state_table(wire_doc))
-        missing.extend(check_feature_table(wire_doc))
 
     missing.extend(check_gates_manifest())
 
