@@ -22,7 +22,9 @@ only variable is ``ServingClient(wire=...)``.  Measured:
   up to the reply's timing text: the ratio and the binary total are the
   gated metrics in check_regression.py.
 * **session-setup latency** — min-of-N wall clock for ``create_session``
-  on a warm connection.  Binary skips the multi-MB base64 encode, the
+  on a fresh connection, the two protocols alternating rep by rep (and which
+  goes first alternating too) so a slow spell of a shared host falls on
+  both sides alike.  Binary skips the multi-MB base64 encode, the
   giant-string JSON parse, and streams the key set as chunked frames.
   Latency is asserted faster here but not CI-gated (too noisy on shared
   runners).
@@ -62,8 +64,8 @@ except ImportError:  # standalone invocation without the benchmarks conftest
 VEC_SIZE = 512
 #: Pure-python CKKS supports coefficient primes <= 30 bits.
 OPTIONS = CompilerOptions(max_rescale_bits=25)
-#: Session creations per protocol; latency is the min across reps.
-SETUP_REPS = 3
+#: Session creations per protocol, alternating; latency is the min across reps.
+SETUP_REPS = 7
 #: Acceptance bar for bytes-on-wire reduction (JSON bytes / binary bytes).
 MIN_BYTES_RATIO = 1.3
 #: Decrypted-output tolerance against the plaintext reference.
@@ -79,22 +81,27 @@ def make_rotation_program() -> EvaProgram:
     return program
 
 
-def measure_mode(host: str, port: int, mode: str, kit, xv: np.ndarray):
-    """One protocol's numbers: setup latency (min-of-N) and total bytes."""
-    setup_seconds = []
+def measure_setup(host: str, port: int, kit) -> dict:
+    """Setup latency per protocol: the min of ``SETUP_REPS`` session
+    creations each, the protocols alternating rep by rep."""
+    setup_seconds = {"json": [], "binary": []}
     for rep in range(SETUP_REPS):
-        with ServingClient(host, port, wire=mode) as client:
-            start = time.perf_counter()
-            session = client.create_session(
-                "rotpoly", kit, client_id=f"{mode}-{rep}"
-            )
-            setup_seconds.append(time.perf_counter() - start)
-            assert session["client_id"] == f"{mode}-{rep}"
+        for mode in ("json", "binary") if rep % 2 == 0 else ("binary", "json"):
+            with ServingClient(host, port, wire=mode) as client:
+                start = time.perf_counter()
+                session = client.create_session(
+                    "rotpoly", kit, client_id=f"{mode}-{rep}"
+                )
+                setup_seconds[mode].append(time.perf_counter() - start)
+                assert session["client_id"] == f"{mode}-{rep}"
+    return {mode: min(seconds) for mode, seconds in setup_seconds.items()}
 
-    # Bytes for the canonical workload — one session + one encrypted
-    # roundtrip — on a single connection, isolated from the reps above.
+
+def measure_bytes(host: str, port: int, mode: str, kit, xv: np.ndarray) -> dict:
+    """Bytes for the canonical workload — one session + one encrypted
+    roundtrip — on a single connection, isolated from the setup reps."""
     with ServingClient(host, port, wire=mode) as client:
-        assert client.protocol == ("binary" if mode == "binary" else "json")
+        assert client.protocol == mode
         client.create_session("rotpoly", kit, client_id=f"{mode}-bytes")
         setup_bytes = client.bytes_sent + client.bytes_received
         outputs = client.submit_encrypted(
@@ -105,11 +112,7 @@ def measure_mode(host: str, port: int, mode: str, kit, xv: np.ndarray):
     assert np.max(np.abs(outputs["y"][: len(xv)] - reference["y"][: len(xv)])) < ATOL, (
         f"{mode} encrypted roundtrip diverged from reference"
     )
-    return {
-        "setup_seconds": min(setup_seconds),
-        "setup_bytes": setup_bytes,
-        "total_bytes": total_bytes,
-    }
+    return {"setup_bytes": setup_bytes, "total_bytes": total_bytes}
 
 
 def run(benchmark=None) -> float:
@@ -130,8 +133,9 @@ def run(benchmark=None) -> float:
     xv = np.linspace(-1.0, 1.0, 32)
 
     try:
+        setup = measure_setup(host, port, kit)
         results = {
-            mode: measure_mode(host, port, mode, kit, xv)
+            mode: dict(measure_bytes(host, port, mode, kit, xv), setup_seconds=setup[mode])
             for mode in ("json", "binary")
         }
     finally:

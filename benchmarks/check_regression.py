@@ -110,12 +110,11 @@ GATES: Dict[str, List[Tuple]] = {
         ("rotation_chain.ntt_rows.production", "lower", 0.001),
         # A new client's keys end to end — keygen, export, import, first
         # rotation — seeded vs the same keys written out in full.  Both row
-        # counts are exact (121: keygen 86 — 72 for six switching keys, 14 for
-        # the public key, s and s^2 — and 35 for the first rotation and its
-        # export, 12 of them b's evaluation form; 208 written out: 75 more at
-        # export, 12 more at first use) and get the near-zero band; the ratio
-        # sits near 1.7x and its 30% band gates "seeds still pay", not the last
-        # number.
+        # counts are exact (181: keygen 86, import 72 — each switching key's
+        # evaluation form, built at attach — the first rotation 19 and its
+        # reply's export 4; 328 written out: 75 more to write the seeds out,
+        # 72 more at import) and get the near-zero band; the ratio sits near
+        # 1.7x and its 30% band gates "seeds still pay", not the last number.
         ("session_keys.speedup", "higher", 0.3),
         ("session_keys.ntt_rows.seeded", "lower", 0.001),
         ("session_keys.ntt_rows.written_out", "lower", 0.001),

@@ -460,10 +460,8 @@ class CkksBackendContext(BackendContext):
 
     def release(self, handle: Ciphertext) -> None:
         if handle.polys:  # a handle counts once, however often it is released
-            if self.evaluator is not None:
-                self.evaluator.forget(handle)
             handle.polys = []
-            handle.seed = None
+            handle.seed = handle.hoisted = None
             self.live_ciphertexts = max(self.live_ciphertexts - 1, 0)
 
 

@@ -54,12 +54,19 @@ class Ciphertext:
     whatever form it has been rebound to since, and the wire may carry the
     seed in its place.  Every operation builds a new ciphertext, which has
     none.
+
+    ``hoisted`` is what every rotation of this ciphertext shares, kept by the
+    first one (``Evaluator.rotate``): ``(c0, c1, digit NTTs of c1, c0
+    extended)``.  It describes the ciphertext only while ``polys[0] is c0 and
+    polys[1] is c1``; rebinding ``polys`` makes it stale, and releasing the
+    handle drops it with ``polys``.
     """
 
     polys: List[RnsPolynomial] = field(default_factory=list)
     scale: float = 1.0
     level: int = 0
     seed: Optional[bytes] = None
+    hoisted: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:

@@ -30,8 +30,6 @@ everything else settles first.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,14 +49,6 @@ from .rns import COEFF, EVAL, RnsBasis, RnsPolynomial
 
 #: Relative tolerance when comparing scales of additive operands.
 _SCALE_RTOL = 1e-6
-
-#: How many ciphertexts the hoisting cache remembers: the digit decomposition
-#: of ``c1`` with the lift of ``c0`` beside it (keyed by the identity of
-#: ``c1``; entries hold strong references so ``id()`` cannot be recycled while
-#: cached, and :meth:`Evaluator.forget` drops a ciphertext's entries when it
-#: is released).
-_HOIST_CACHE_CAPACITY = 4
-
 
 #: Residue products are below 2^62, so this many fit one ``uint64`` sum unreduced.
 _LAZY_TERMS = 4
@@ -103,12 +93,6 @@ class Evaluator:
         self.context = context
         self.relin_key = relin_key
         self.galois_keys = galois_keys
-        #: ``id(c1) -> (c1, c0, digit NTTs of c1, c0 extended, id of the ciphertext)``,
-        #: least recently rotated first.
-        self._hoist_cache: (
-            "OrderedDict[int, Tuple[RnsPolynomial, RnsPolynomial, np.ndarray, RnsPolynomial, int]]"
-        ) = OrderedDict()
-        self._hoist_lock = threading.Lock()
 
     # -- checks ---------------------------------------------------------------------
     @staticmethod
@@ -145,27 +129,26 @@ class Evaluator:
         rows[:data] = poly.to_eval().residues * multiplier % key_basis.primes_column[:data]
         return RnsPolynomial(key_basis, rows, EVAL)
 
-    def _remembered(self, c0: RnsPolynomial, c1: RnsPolynomial) -> Optional[tuple]:
-        """The hoisting-cache entry of the ciphertext ``(c0, c1)``, if it is still these two."""
-        with self._hoist_lock:
-            entry = self._hoist_cache.get(id(c1))
-            if entry is None or entry[0] is not c1 or entry[1] is not c0:
-                return None
-            self._hoist_cache.move_to_end(id(c1))
+    @staticmethod
+    def _remembered(a: Ciphertext, polys: Sequence[RnsPolynomial]) -> Optional[tuple]:
+        """``a.hoisted``, if it describes the polynomials ``polys`` of ``a``."""
+        entry = a.hoisted
+        if entry and len(polys) == 2 and polys[0] is entry[0] and polys[1] is entry[1]:
             return entry
+        return None
 
-    def _extended(self, polys: Sequence[RnsPolynomial], index: int, level: int) -> RnsPolynomial:
-        """``polys[index]`` extended: itself when it already is, otherwise lifted.
+    def _extended(self, a: Ciphertext, index: int) -> RnsPolynomial:
+        """``a.polys[index]`` extended: itself when it already is, otherwise lifted.
 
         A lift makes a new polynomial and never rebinds the ciphertext it
-        reads.  The lift of a rotated ciphertext's ``c0`` is already in the
-        hoisting cache, so ``acc + (acc << k)`` and a hoisted group lift once.
+        reads.  The lift of a rotated ciphertext's ``c0`` is already in its
+        hoisted state, so ``acc + (acc << k)`` and a hoisted group lift once.
         """
-        poly = polys[index]
+        poly = a.polys[index]
         if poly.basis.special:
             return poly
-        entry = self._remembered(*polys) if index == 0 and len(polys) == 2 else None
-        return entry[3] if entry else self._lift(poly, level)
+        entry = self._remembered(a, a.polys) if index == 0 else None
+        return entry[3] if entry else self._lift(poly, a.level)
 
     def negate(self, a: Ciphertext) -> Ciphertext:
         return Ciphertext([p.negate() for p in a.polys], a.scale, a.level)
@@ -173,13 +156,13 @@ class Evaluator:
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         self._check_same_level(a, b)
         self._check_same_scale(a.scale, b.scale)
-        shorter, longer = sorted((a.polys, b.polys), key=len)
+        shorter, longer = sorted((a, b), key=lambda cipher: cipher.size)
         polys = []
-        for index, (p, q) in enumerate(zip(shorter, longer)):
+        for index, (p, q) in enumerate(zip(shorter.polys, longer.polys)):
             if p.basis.special != q.basis.special:  # the settled one of a pair meets the other
-                p, q = (self._extended(polys_, index, a.level) for polys_ in (shorter, longer))
+                p, q = (self._extended(cipher, index) for cipher in (shorter, longer))
             polys.append(p.add(q))
-        polys += [p.copy() for p in longer[len(shorter) :]]
+        polys += [p.copy() for p in longer.polys[shorter.size :]]
         return Ciphertext(polys, max(a.scale, b.scale), a.level)
 
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -272,27 +255,17 @@ class Evaluator:
         """What every rotation of the ciphertext ``a = (c0, c1)`` shares: the
         digit NTTs of ``c1`` and ``c0`` extended.
 
-        Remembered by the identity of the ciphertext's own polynomials,
-        whatever their form, so a group of rotations of one ciphertext
-        decomposes and lifts once — and so does the ``add`` that meets the
-        ciphertext again afterwards — until ``a`` is released (:meth:`forget`).
+        Kept on ``a`` itself (``Ciphertext.hoisted``) and valid while its
+        polynomials are these two, whatever their form — so a group of
+        rotations of one ciphertext decomposes and lifts once, and so does the
+        ``add`` that meets the ciphertext again afterwards — until ``a`` is
+        released.
         """
-        entry = self._remembered(c0, c1)
+        entry = self._remembered(a, (c0, c1))
         if entry is None:
             lifted = c0 if c0.basis.special else self._lift(c0, a.level)
-            entry = (c1, c0, self._digit_ntts(c1, a.level), lifted, id(a))
-            with self._hoist_lock:
-                self._hoist_cache[id(c1)] = entry
-                while len(self._hoist_cache) > _HOIST_CACHE_CAPACITY:
-                    self._hoist_cache.popitem(last=False)
+            entry = a.hoisted = (c0, c1, self._digit_ntts(c1, a.level), lifted)
         return entry[2], entry[3]
-
-    def forget(self, a: Ciphertext) -> None:
-        """Drop the hoisting-cache entries of a ciphertext being released (one per
-        ``c1`` it was rotated with), so none outlives it, pins it or keeps its digits."""
-        with self._hoist_lock:
-            for key in [key for key, entry in self._hoist_cache.items() if entry[4] == id(a)]:
-                del self._hoist_cache[key]
 
     def _digit_ntts_of_evaluations(
         self, poly: RnsPolynomial, level: int, key_basis: RnsBasis
@@ -398,7 +371,7 @@ class Evaluator:
         ``k`` special rows back and the correction's ``L`` forward).
 
         The decomposition of ``c1`` and the lift of a settled ``c0`` are
-        hoisted: computed once (and cached by ciphertext identity), and each
+        hoisted: computed once (and kept on ``a``), and each
         rotation applies its Galois element as an index permutation of them —
         rotating the same ciphertext by k different steps costs one
         decomposition instead of k.

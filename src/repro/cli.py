@@ -432,10 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timeout", type=float, default=30.0)
         p.add_argument(
             "--wire",
-            choices=["auto", "binary", "json"],
-            default="auto",
-            help="wire framing: auto negotiates the binary protocol and falls "
-            "back to JSON lines; binary demands it; json skips negotiation",
+            choices=["binary", "json"],
+            default="binary",
+            help="wire framing: binary frames or JSON lines (every server "
+            "takes either; nothing is negotiated)",
         )
 
     comp = sub.add_parser("compile", help="compile an input program")

@@ -163,8 +163,9 @@ class AsyncWireServer:
     ``shutdown`` is thread-safe and waits for the loop to wind down, closing
     live connections as it goes.
 
-    Every listener accepts both framings: it grants binary framing to a
-    client whose hello asks for it and speaks JSON lines to every other.
+    Every listener accepts both framings, sniffed per message from its first
+    byte, and answers each message in its own framing; nothing is
+    negotiated (an earlier build's client's ``hello`` is simply acked).
     """
 
     connection_class: Any = None
@@ -199,7 +200,7 @@ class AsyncWireServer:
         return conn
 
     def connection_infos(self) -> List[Dict[str, Any]]:
-        """Live connections with their negotiated protocol and byte counters
+        """Live connections with their reported protocol and byte counters
         (the ``stats`` op's ``connections`` field)."""
         with self._conn_lock:
             connections = list(self._connections.values())

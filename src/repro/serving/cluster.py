@@ -421,10 +421,10 @@ class EvaCluster(ClientApi):
         #: (ServingClient closes its socket on finalization); close() sweeps
         #: whatever is still alive.
         self._all_clients: "weakref.WeakSet[Any]" = weakref.WeakSet()
-        #: Persistent per-shard health-probe connections (pinned JSON — probes
-        #: never negotiate): probing reuses one connection instead of paying a
-        #: fresh TCP connect per probe.  Same shape as a thread's request
-        #: cache, ``index -> (generation, connection)``.
+        #: Persistent per-shard health-probe connections (JSON lines): probing
+        #: reuses one connection instead of paying a fresh TCP connect per
+        #: probe.  Same shape as a thread's request cache,
+        #: ``index -> (generation, connection)``.
         self._probe_clients: Dict[int, Tuple[int, Any]] = {}
         #: Serializes rejoins: concurrent rejoins of one index (an operator
         #: retry racing the first) must not both respawn the process.
@@ -757,7 +757,7 @@ class EvaCluster(ClientApi):
 
     def _client_for(self, index: int):
         """This thread's cached connection to one shard."""
-        return self._connection(self._thread_clients(), index, self.request_timeout, "auto")
+        return self._connection(self._thread_clients(), index, self.request_timeout, "binary")
 
     def _note_failure(self, index: int) -> None:
         """A request to ``index`` failed at the transport level.

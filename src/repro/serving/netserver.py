@@ -13,17 +13,19 @@ The framing of each message is sniffed from its first byte (``0xEB`` can
 never begin a JSON line), and replies always use the framing of the request
 they answer — so legacy JSON clients keep working unchanged against a
 binary-capable listener, and one router can serve both kinds concurrently.
-Binary framing is negotiated by a JSON ``hello`` exchange (see
-:mod:`repro.wire.protocol`); multi-megabyte evaluation-key sets stream as
-bounded CHUNK frames instead of one monolithic message.
+Nothing is negotiated: a client picks its framing and its first byte is
+its first message's.  The JSON ``hello`` line an earlier build's client
+opens with is still answered (see :mod:`repro.wire.protocol`);
+multi-megabyte evaluation-key sets stream as bounded CHUNK frames instead of
+one monolithic message.
 
 Sockets live elsewhere.  The listener is :class:`~.aionet.AsyncWireServer`
 (one event loop, an affinity pool for blocking work); this module supplies
 the *sans-IO connection objects* it drives — one decoded message in, reply
-bytes and a keep-open flag out — so everything protocol-shaped (hello,
-chunked uploads, dispatch, byte accounting, error replies) can be exercised
-without a network.  Each connection may pipeline any number of requests;
-responses come back in order.
+bytes and a keep-open flag out — so everything protocol-shaped (an earlier
+client's hello, chunked uploads, dispatch, byte accounting, error replies)
+can be exercised without a network.  Each connection may pipeline any
+number of requests; responses come back in order.
 
 Nothing here is written once per framing.  :meth:`_WireConnection.handle` is
 the connection's one state machine, and it, the router's passthrough and
@@ -77,12 +79,10 @@ from ..wire import (
     Framing,
     Parts,
     UploadState,
-    build_hello,
     decode_message,
     hello_ack,
     iter_chunks,
     open_message,
-    parse_hello_reply,
     read_message,
 )
 from .aionet import AsyncWireServer
@@ -129,10 +129,8 @@ class _WireConnection:
         self.key = key
         self.peer = peer
         self.opened_at = time.time()
-        #: The connection's current framing: ``json`` until a binary frame
-        #: arrives or a hello negotiates binary.
+        #: The connection's reported framing: ``json`` until a binary frame arrives.
         self.protocol = JSON.name
-        self.negotiated = False
         self.bytes_sent = 0
         self.bytes_received = 0
         self.requests = 0
@@ -142,7 +140,6 @@ class _WireConnection:
         return {
             "peer": self.peer,
             "protocol": self.protocol,
-            "negotiated": self.negotiated,
             "bytes_sent": self.bytes_sent,
             "bytes_received": self.bytes_received,
             "requests": self.requests,
@@ -211,10 +208,8 @@ class _WireConnection:
                 if frame_type == FRAME_RESPONSE:
                     raise TransportError("clients send request frames, got a response frame")
                 envelope = framing.peek(raw)
-                if envelope.get("op") == "hello":
-                    ack, self.protocol = hello_ack(envelope)
-                    self.negotiated = self.protocol == BINARY.name
-                    parts = framing.parts(ack)
+                if envelope.get("op") == "hello":  # what an earlier build's client opens with
+                    parts = framing.parts(hello_ack(envelope))
                 else:
                     trace_id = messages.request_trace_id(envelope)
                     self.requests += 1
@@ -764,14 +759,12 @@ class ClientApi:
 class ServingClient(ClientApi):
     """Dual-protocol client for :class:`EvaTcpServer` (and the router).
 
-    ``wire`` selects the framing: ``auto`` (default) negotiates the binary
-    frame protocol with a hello exchange and falls back to JSON lines when
-    the server is legacy or pinned; ``binary`` demands frames (raising
-    :class:`~repro.errors.ServingError` when refused); ``json`` skips
-    negotiation entirely and speaks the original line protocol.  The
-    negotiated result is ``self.protocol``; every framing carries the same
-    records (seeds and bit-packed residues), only blobs travel differently.
-    ``bytes_sent``/``bytes_received`` count the traffic on this connection.
+    ``wire`` is the framing, ``self.protocol``: ``binary`` (default) frames or
+    ``json`` lines.  Nothing is negotiated — every listener sniffs the framing
+    of each message — so the first thing written is the first request.  Both
+    framings carry the same records (seeds and bit-packed residues), only
+    blobs travel differently.  ``bytes_sent``/``bytes_received`` count the
+    traffic on this connection.
     """
 
     def __init__(
@@ -779,15 +772,13 @@ class ServingClient(ClientApi):
         host: str,
         port: int,
         timeout: Optional[float] = 30.0,
-        wire: str = "auto",
+        wire: str = "binary",
     ) -> None:
         if wire not in WIRE_MODES:
             raise ServingError(
                 f"unknown wire mode {wire!r}; expected one of {WIRE_MODES}"
             )
-        self.wire_mode = wire
-        self.protocol = "json"
-        self.protocol_version: Optional[int] = None
+        self.protocol = wire
         self.bytes_sent = 0
         self.bytes_received = 0
         self._upload_seq = 0
@@ -798,10 +789,6 @@ class ServingClient(ClientApi):
         #: buffer the write side so one request leaves as coalesced segments.
         self._file = self._sock.makefile("wb")
         self._decoder = FrameDecoder()
-        if wire != "json":
-            # The hello exchange: a JSON line even legacy servers can answer.
-            reply = JSON.peek(self.roundtrip(JSON, JSON.parts(build_hello(wire))))
-            self.protocol, self.protocol_version = parse_hello_reply(reply, wire)
 
     # -- transport ----------------------------------------------------------------
     def send(self, framing: Framing, frame_type: int, parts: Parts) -> None:

@@ -17,11 +17,11 @@ alternative that shares every listener with the JSON protocol:
   one implementation in :mod:`repro.core.serialization.wire`.  Cipher and key
   blobs travel as raw little-endian bytes — no base64 — and decode into
   zero-copy :class:`memoryview` slices of the received frame.
-* :mod:`.protocol` — connection-level concerns: the ``hello`` negotiation
-  of the framing (a JSON line, so legacy servers answer it with an ordinary
-  error and the client falls back to JSON), and chunked streaming uploads so
-  a multi-MB evaluation-key set is carried as a sequence of bounded frames
-  instead of one monolithic message.
+* :mod:`.protocol` — connection-level concerns: the one protocol version,
+  the answer to the ``hello`` line an earlier build's client opens with (a
+  client of this build sends none: its first byte is its first message's),
+  and chunked streaming uploads so a multi-MB evaluation-key set is carried
+  as a sequence of bounded frames instead of one monolithic message.
 
 * :mod:`.framing` — the codec pair: ``JSON`` and ``BINARY``, two instances of
   one interface (peek an envelope, decode, rewrite an envelope field without
@@ -32,6 +32,8 @@ alternative that shares every listener with the JSON protocol:
 Compatibility promise: a listener that speaks this protocol still serves
 plain JSON-lines clients unchanged — framing is sniffed per message from the
 first byte, and replies always use the framing of the request they answer.
+Version 1 is the only binary version; nothing on the wire announces one, so a
+future revision needs a new mechanism (a new magic byte, say).
 """
 
 from .codec import (
@@ -65,10 +67,8 @@ from .protocol import (
     STREAM_THRESHOLD_BYTES,
     UploadState,
     WIRE_MODES,
-    build_hello,
     hello_ack,
     iter_chunks,
-    parse_hello_reply,
 )
 
 __all__ = [
@@ -91,7 +91,6 @@ __all__ = [
     "UPLOAD_KEY",
     "UploadState",
     "WIRE_MODES",
-    "build_hello",
     "decode_message",
     "encode_blob_record",
     "encode_envelope",
@@ -101,7 +100,6 @@ __all__ = [
     "iter_chunks",
     "join_message",
     "open_message",
-    "parse_hello_reply",
     "peek_envelope",
     "read_message",
     "rehydrate",

@@ -155,7 +155,7 @@ class _BinaryFrames(Framing):
 JSON = _JsonLines()
 BINARY = _BinaryFrames()
 
-#: The two framings by protocol label (what a hello negotiates).
+#: The two framings by protocol label (a client's ``wire`` mode).
 FRAMINGS = {JSON.name: JSON, BINARY.name: BINARY}
 
 

@@ -2,20 +2,19 @@
 
 Two concerns live here, shared by client and server:
 
-**Negotiation.**  A client that wants binary framing opens the conversation
-with a plain JSON line — ``{"op": "hello", "wire": "binary", "versions":
-[1]}`` — because every server ever shipped can at least parse that.  A
-binary-capable server answers ``{"ok": true, "wire": "binary", "version":
-1}`` and both sides switch to frames; a server pinned to JSON answers
-``{"ok": true, "wire": "json"}``; a *legacy* server answers its ordinary
-"unknown op" error, which an ``auto`` client treats as "speak JSON" — so new
-clients work against old servers and old clients never see a byte of binary.
+**Framing.**  A listener sniffs each message's framing from its first
+byte and answers in the framing it was asked in, so a client of this build
+picks its framing and writes its first message straight away: a binary
+client's first byte is the frame magic.  There is one binary protocol
+version (:data:`PROTOCOL_VERSION`).  A client of an earlier build opened
+with a JSON ``hello`` line — ``{"op": "hello", "wire": "auto", "versions":
+[1]}``, perhaps with a ``features`` field, which is ignored — and the
+listener still answers it (:func:`hello_ack`) before serving its frames.
 
-The hello negotiates framing only.  What travels inside a message is one
-shape on either framing — seed records and bit-packed residues
-(:mod:`repro.core.serialization.packing`) — so the two framings differ only in
-how a blob travels, base64 in a JSON line or raw bytes in a frame.  A
-``features`` field that a client of an earlier build sends is ignored.
+What travels inside a message is one shape on either framing — seed records
+and bit-packed residues (:mod:`repro.core.serialization.packing`) — so the
+two framings differ only in how a blob travels, base64 in a JSON line or raw
+bytes in a frame.
 
 **Chunked uploads.**  A multi-megabyte evaluation-key set is not sent as one
 monolithic frame: the client streams it as bounded CHUNK frames (one blob
@@ -28,17 +27,16 @@ peer can pin.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
-from ..errors import SerializationError, ServingError, TransportError
+from ..errors import SerializationError, TransportError
 from .frames import MAX_FRAME_BYTES
 
-#: Highest binary protocol version this build speaks.
+#: The binary protocol version, the only one this build speaks.
 PROTOCOL_VERSION = 1
 
-#: Client/server wire modes (CLI ``--wire``): ``auto`` negotiates binary and
-#: falls back to JSON, the other two force one protocol.
-WIRE_MODES = ("auto", "binary", "json")
+#: Client wire modes (CLI ``--wire``): the framing a client speaks.
+WIRE_MODES = ("binary", "json")
 
 #: One streamed chunk's blob slice (frame payload stays comfortably small).
 CHUNK_BYTES = 256 * 1024
@@ -70,21 +68,13 @@ MAX_CONNECTION_UPLOAD_BYTES = MAX_OPEN_UPLOADS * MAX_UPLOAD_BYTES
 _Bytes = Union[bytes, bytearray, memoryview]
 
 
-def build_hello(mode: str) -> Dict[str, Any]:
-    """The hello request an ``auto`` or ``binary`` client opens with."""
-    return {
-        "op": "hello",
-        "wire": str(mode),
-        "versions": [PROTOCOL_VERSION],
-    }
+def hello_ack(request: Dict[str, Any]) -> Dict[str, Any]:
+    """Answer the hello an earlier build's client opens with.
 
-
-def hello_ack(request: Dict[str, Any]) -> Tuple[Dict[str, Any], str]:
-    """Answer a hello.
-
-    Returns ``(reply, negotiated_protocol)``.  Binary is granted when the
-    client asks for it (``auto`` or ``binary``) and offers a version this
-    build speaks; everything else negotiates down to JSON.
+    Binary is granted when the client asks for it (``auto`` or ``binary``)
+    and offers :data:`PROTOCOL_VERSION`; everything else is answered
+    ``json``.  The answer changes nothing on the connection: its first binary
+    frame does.
     """
     versions = request.get("versions")
     offered = (
@@ -92,36 +82,9 @@ def hello_ack(request: Dict[str, Any]) -> Tuple[Dict[str, Any], str]:
         if isinstance(versions, list)
         else []
     )
-    wants_binary = request.get("wire") in ("binary", "auto")
-    if wants_binary and PROTOCOL_VERSION in offered:
-        reply = {"ok": True, "wire": "binary", "version": PROTOCOL_VERSION}
-    else:
-        reply = {"ok": True, "wire": "json"}
-    return reply, reply["wire"]
-
-
-def parse_hello_reply(reply: Dict[str, Any], mode: str) -> Tuple[str, Optional[int]]:
-    """Interpret the server's hello reply; returns (protocol, version).
-
-    In ``auto`` mode any refusal — a server that answers JSON, or a legacy
-    server answering "unknown op" — falls back to JSON.  In forced ``binary`` mode a
-    refusal is an error, because the caller asked for a guarantee the server
-    cannot give.
-    """
-    if reply.get("ok") and reply.get("wire") == "binary":
-        version = reply.get("version")
-        if version != PROTOCOL_VERSION:
-            raise ServingError(
-                f"server negotiated unsupported wire protocol version {version!r}"
-            )
-        return "binary", PROTOCOL_VERSION
-    if mode == "binary":
-        detail = reply.get("error") or reply.get("wire") or "refused"
-        raise ServingError(
-            f"server does not speak the binary wire protocol ({detail}); "
-            "use --wire auto or json against it"
-        )
-    return "json", None
+    if request.get("wire") in ("binary", "auto") and PROTOCOL_VERSION in offered:
+        return {"ok": True, "wire": "binary", "version": PROTOCOL_VERSION}
+    return {"ok": True, "wire": "json"}
 
 
 def iter_chunks(blob: _Bytes, size: int = CHUNK_BYTES) -> Iterator[memoryview]:

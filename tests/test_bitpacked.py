@@ -45,6 +45,7 @@ from test_seeded import (
     rotate_sum_program,
     through_json,
 )
+from test_wire import record_sends
 
 #: Widths of the rotation program's chain at N = 4096 (data primes, then the two
 #: special ones: one digit of both data primes over ``P = q_2 q_3``).
@@ -243,8 +244,11 @@ class TestEveryWriter:
     @pytest.mark.parametrize("mode", ["json", "binary"])
     def test_every_writer_sends_seeds_and_bits(self, served, monkeypatch, mode, path):
         """The kit's key export and bundle, and the server's reply: seed records
-        and bit-packed residues, on either framing, direct or through a router."""
+        and bit-packed residues, on either framing, direct or through a router.
+        A binary connection opens with the key set's first chunk: no hello."""
         seen = self._spy(monkeypatch, served["server"])
+        monkeypatch.setattr(netserver, "STREAM_THRESHOLD_BYTES", 64 * 1024)
+        sent = record_sends(monkeypatch)
         address, router = served["tcp"].address, None
         if path == "router":
             router = netserver.ClusterTcpServer(OneShardCluster(address), port=0)
@@ -265,6 +269,14 @@ class TestEveryWriter:
                 router.server_close()
                 for upstream in router.cluster.upstreams.values():
                     upstream.close()
+        # The client, and the router's upstream where there is one, open with
+        # the session: binary as its first chunk, no hello.  Every message is
+        # in the client's framing (the upstream relays a JSON client's lines).
+        first = wire.FRAME_CHUNK if mode == "binary" else wire.FRAME_REQUEST
+        assert len(sent) == (2 if router else 1)
+        for connection, messages in sent.items():
+            assert messages[0] == (connection.protocol, mode, first)
+            assert {framing for _mode, framing, _type in messages} == {mode}
         keys, bundle = seen
         assert has_seed_record(keys) and has_seed_record(bundle)
         assert record_dtypes(keys) == record_dtypes(bundle) == record_dtypes(reply) == {"bits"}
@@ -301,8 +313,9 @@ class TestEarlierShapes:
     def test_an_earlier_builds_request_is_answered_in_bits(self, served, monkeypatch, shape, mode, path):
         """Readers did not change: keys and a bundle in either earlier shape,
         on either framing, direct or through a router, get the right answer,
-        and the reply is bit-packed regardless.  A ``seeded only`` binary
-        client's hello still offers its ``features``; the server ignores them."""
+        and the reply is bit-packed regardless.  A binary client of an earlier
+        build opens with a hello (a ``seeded only`` one offering ``features``,
+        which are ignored): it is acked, and the frames after it are served."""
         seen = TestEveryWriter._spy(monkeypatch, served["server"])
         address, router = served["tcp"].address, None
         if path == "router":
@@ -312,12 +325,13 @@ class TestEarlierShapes:
         kit, earlier = served["kits"]["rotate_sum"], EarlierKit(served["kits"]["rotate_sum"], shape)
         inputs = rotate_inputs()
         try:
-            with monkeypatch.context() as hello:  # the router's upstream, opened later, is this build
-                if shape == "seeded only":
-                    hello.setattr(netserver, "build_hello", lambda mode: dict(wire.build_hello(mode), features=["seeded"]))
-                client = ServingClient(*address, wire=mode)
-            with client:
-                assert client.protocol == mode
+            with ServingClient(*address, wire=mode) as client:
+                if mode == "binary":
+                    hello = {"op": "hello", "wire": "auto", "versions": [1]}
+                    if shape == "seeded only":
+                        hello["features"] = ["seeded"]
+                    ack = wire.JSON.peek(client.roundtrip(wire.JSON, wire.JSON.parts(hello)))
+                    assert ack == {"ok": True, "wire": "binary", "version": 1}
                 client.create_session("rotate_sum", earlier)
                 reply = client.submit_bundle(
                     "rotate_sum", partial(earlier.bundle_to_wire, kit.encrypt_inputs(inputs)), client_id="alice"

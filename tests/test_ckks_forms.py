@@ -41,6 +41,7 @@ from repro.api import (
 )
 from repro.apps import build_harris_program, build_sobel_program, random_image
 from repro.backend import CkksBackend
+from repro.backend.seal_backend import CkksBackendContext
 from repro.ckks import Ciphertext, CkksContext, Decryptor, Encryptor, Evaluator, KeyGenerator
 from repro.ckks import ntt
 from repro.ckks.keys import SeededUniform
@@ -599,6 +600,19 @@ class TestOneTableSet:
 OPTIONS = CompilerOptions(policy="eva", max_rescale_bits=25.0, security_level=128)
 
 
+def spy_on_releases(context):
+    """Record ``(handle, whether it held hoisted state)`` for every handle
+    ``context`` releases from now on; returns the growing list."""
+    released, release = [], context.release
+
+    def spy(handle):
+        released.append((handle, handle.hoisted is not None))
+        release(handle)
+
+    context.release = spy
+    return released
+
+
 def relin_poly_program():
     program = EvaProgram("relin_poly", vec_size=2048, default_scale=25)
     with program:
@@ -783,8 +797,8 @@ class TestExactNttRows:
     def test_an_imported_session_holds_each_key_once_and_no_hoisted_digits(self, program, keys, form_bytes):
         """Each switching key is its level-0 form alone, 2*d*(L+k)*N*4 bytes of
         ``uint32`` (where an import kept the coefficient ``b`` beside a cached
-        int64 form per level), and once an evaluation has released its handles
-        the hoisting cache holds nothing: no digit NTTs, no ciphertext pinned."""
+        int64 form per level), and a handle the evaluation released holds no
+        hoisted state: no digit NTTs, no polynomial pinned."""
         program = program()
         compiled = CompiledProgram.compile(program.graph, options=OPTIONS)
         backend = CkksBackend(seed=3)
@@ -805,20 +819,23 @@ class TestExactNttRows:
             assert all(isinstance(a, SeededUniform) for a in key.seeds.values())
         engine = EvaluationEngine(compiled, backend=backend)
         values = np.random.default_rng(1).uniform(-1.0, 1.0, program.graph.vec_size)
+        released = spy_on_releases(server)
         for _ in range(2):
             wire = json.loads(json.dumps(kit.bundle_to_wire(kit.encrypt_inputs({"x": values}))))
             ciphers = {name: server.decode_cipher(c) for name, c in wire["ciphertexts"].items()}
             handles = engine.evaluate(server, ciphers, {}, retire_inputs=True)
             reply = server.encode_cipher(handles["y"])
             server.release(handles["y"])
-            assert not evaluator._hoist_cache and server.live_ciphertexts == 0
+            assert server.live_ciphertexts == 0
+            assert all(handle.hoisted is None and not handle.polys for handle, _had in released)
+        assert any(had for _handle, had in released) == bool(evaluator.galois_keys.keys)
         answer = kit.context.decrypt(kit.context.decode_cipher(reply))[: program.graph.vec_size]
         assert np.allclose(answer, execute_reference(program.graph, {"x": values})["y"], atol=0.1)
 
     def test_threaded_evaluations_leave_no_hoisted_entry(self):
         """Rotations and releases racing on one evaluator (four executor
         threads on two cores, a short switch interval): every answer right,
-        and no entry left once each evaluation has released its handles."""
+        and no handle the evaluation released holds hoisted state."""
         program = EvaProgram("fan", vec_size=1024, default_scale=25)
         with program:  # a hoisted group whose rotations run side by side, then a chain
             x = input_encrypted("x", 25)
@@ -831,6 +848,7 @@ class TestExactNttRows:
         engine = EvaluationEngine(compiled, backend=backend, threads=4)
         values = np.random.default_rng(2).uniform(-1.0, 1.0, program.graph.vec_size)
         expected = execute_reference(program.graph, {"x": values})["y"]
+        released = spy_on_releases(server)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -840,16 +858,18 @@ class TestExactNttRows:
                 handles = engine.evaluate(server, ciphers, {}, retire_inputs=True)
                 reply = kit.context.decode_cipher(server.encode_cipher(handles["y"]))
                 server.release(handles["y"])
-                assert not server.evaluator._hoist_cache and server.live_ciphertexts == 0
+                assert server.live_ciphertexts == 0
+                assert all(handle.hoisted is None and not handle.polys for handle, _had in released)
                 assert np.allclose(kit.context.decrypt(reply)[: len(expected)], expected, atol=0.1)
         finally:
             sys.setswitchinterval(interval)
+        assert any(had for _handle, had in released)
 
     def test_hoisted_rotations_of_an_evaluation_form_ciphertext(self, scheme):
         """L + L^2 digit rows once and 1 + L per step (c1 divided in evaluation
         form; c0 is lifted from evaluation form for nothing) — the cache is
-        keyed on the ciphertext's own c1, so the conversion cannot make it
-        miss — and the entry goes when the ciphertext is released."""
+        kept with the ciphertext's own c1, so the conversion cannot make it
+        miss — and the state goes when the ciphertext is released."""
         ev, count = scheme.evaluator, 3
         for key in ev.galois_keys.keys.values():
             key.evaluation_form(scheme.context)  # what an import prepares
@@ -861,9 +881,10 @@ class TestExactNttRows:
             before = ntt_rows()
             ev.rotate(a, step)
             assert ntt_rows() - before == 1 + count
-        assert any(entry[0] is a.polys[1] for entry in ev._hoist_cache.values())
-        ev.forget(a)
-        assert not any(entry[0] is a.polys[1] for entry in ev._hoist_cache.values())
+        assert a.hoisted[1] is a.polys[1]
+        context = SimpleNamespace(live_ciphertexts=1)
+        CkksBackendContext.release(context, a)
+        assert a.hoisted is None and not a.polys and context.live_ciphertexts == 0
 
     def test_a_rotation_feeding_a_plain_multiply_pays_in_the_settle(self):
         """Sobel 64x64 at the compiler-chosen N = 16384, 7 x 28-bit chain and a

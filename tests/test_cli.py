@@ -162,6 +162,16 @@ class TestCli:
         assert main(["info", str(missing)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["submit", "poly"], ["cluster", "stats"]])
+    def test_wire_auto_is_no_longer_a_choice(self, capsys, command):
+        """A client sends no hello, so there is nothing for ``auto`` to
+        negotiate: argparse names the two framings."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--wire", "auto"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --wire: invalid choice: 'auto'" in err and "'binary', 'json'" in err
+
     @pytest.mark.parametrize("command", ["info", "compile", "run"])
     def test_a_json_text_program_is_a_clean_error(self, tmp_path, inputs_file, capsys, command):
         """Programs have one file format, the proto; JSON text is not one."""

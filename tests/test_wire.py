@@ -1,17 +1,18 @@
-"""Tests for the binary wire protocol: frames, codec, negotiation, uploads.
+"""Tests for the binary wire protocol: frames, codec, hellos, uploads.
 
 Property/fuzz coverage of the varint codec and of the socket-free frame
 decoder (roundtrips on random values under every way a stream can be cut up;
 truncated/oversized/garbage input raises a clean ``TransportError``, never
-hangs or over-reads), the envelope+blob message codec, the hello negotiation
-(including legacy fallback), chunked streaming uploads, and mixed-protocol
-serving — one JSON client and one binary client concurrently on the same
-router.
+hangs or over-reads), the envelope+blob message codec, a binary client that
+opens with its first frame and the answer to an earlier build's hello,
+chunked streaming uploads, and mixed-protocol serving — one JSON client and
+one binary client concurrently on the same router.
 """
 
 import io
 import json
 import random
+import socket
 import threading
 
 import numpy as np
@@ -49,6 +50,20 @@ def make_poly_program(name="poly", vec_size=32):
         x = input_encrypted("x", 25)
         output("y", x * x + x + 1.0, 25)
     return program
+
+
+def record_sends(monkeypatch):
+    """Every message a ``ServingClient`` of this process writes from now on,
+    by client: ``[(its wire mode, the message's framing, frame type), ...]``."""
+    sent = {}
+    send = ServingClient.send
+
+    def spy(client, framing, frame_type, parts):
+        sent.setdefault(client, []).append((client.protocol, framing.name, frame_type))
+        return send(client, framing, frame_type, parts)
+
+    monkeypatch.setattr(ServingClient, "send", spy)
+    return sent
 
 
 # -- varints -------------------------------------------------------------------
@@ -416,49 +431,30 @@ class TestMessageCodec:
                 pass  # the only acceptable failure mode
 
 
-# -- negotiation ---------------------------------------------------------------
+# -- an earlier client's hello ------------------------------------------------
+
+#: The hellos earlier builds' clients opened with, field for field: ``auto``
+#: (their default) or ``binary``, before and after the ``features`` field.
+EARLIER_HELLOS = [
+    {"op": "hello", "wire": "auto", "versions": [1]},
+    {"op": "hello", "wire": "binary", "versions": [1]},
+    {"op": "hello", "wire": "auto", "versions": [1], "features": ["seeded", "bitpacked"]},
+    {"op": "hello", "wire": "binary", "versions": [1], "features": ["seeded"]},
+]
 
 
-class TestNegotiation:
-    def test_hello_ack_grants_binary_under_auto_policy(self):
-        reply, proto = wire.hello_ack(wire.build_hello("auto"))
-        assert proto == "binary"
-        assert reply == {"ok": True, "wire": "binary", "version": wire.PROTOCOL_VERSION}
-
-    def test_a_hello_without_features_is_acked_exactly_as_before(self):
-        """A hello as builds before features wrote it, field for field."""
-        hello = {"op": "hello", "wire": "auto", "versions": [wire.PROTOCOL_VERSION]}
-        reply, proto = wire.hello_ack(hello)
-        assert proto == "binary"
-        assert reply == {"ok": True, "wire": "binary", "version": wire.PROTOCOL_VERSION}
-
-    def test_a_features_field_from_an_earlier_client_is_ignored(self):
-        hello = dict(wire.build_hello("auto"), features=["seeded", "bitpacked"])
-        assert "features" not in wire.build_hello("auto")
-        for framing in ("auto", "json"):
-            assert wire.hello_ack(dict(hello, wire=framing)) == wire.hello_ack(wire.build_hello(framing))
+class TestEarlierHello:
+    @pytest.mark.parametrize("hello", EARLIER_HELLOS)
+    def test_an_earlier_hello_is_acked_binary(self, hello):
+        assert wire.hello_ack(hello) == {"ok": True, "wire": "binary", "version": 1}
 
     def test_hello_ack_answers_a_json_hello_in_json(self):
-        reply, proto = wire.hello_ack(dict(wire.build_hello("binary"), wire="json"))
-        assert proto == "json"
-        assert reply["wire"] == "json"
+        hello = {"op": "hello", "wire": "json", "versions": [1]}
+        assert wire.hello_ack(hello) == {"ok": True, "wire": "json"}
 
     def test_hello_ack_refuses_unknown_versions(self):
         hello = {"op": "hello", "wire": "binary", "versions": [99]}
-        _reply, proto = wire.hello_ack(hello)
-        assert proto == "json"
-
-    def test_parse_reply_auto_falls_back_on_legacy_error(self):
-        legacy = {"ok": False, "error": "unknown request op 'hello'"}
-        assert wire.parse_hello_reply(legacy, "auto") == ("json", None)
-
-    def test_parse_reply_forced_binary_raises_on_refusal(self):
-        with pytest.raises(ServingError, match="binary"):
-            wire.parse_hello_reply({"ok": True, "wire": "json"}, "binary")
-
-    def test_parse_reply_rejects_version_mismatch(self):
-        with pytest.raises(ServingError, match="version"):
-            wire.parse_hello_reply({"ok": True, "wire": "binary", "version": 2}, "auto")
+        assert wire.hello_ack(hello)["wire"] == "json"
 
 
 # -- chunked uploads -----------------------------------------------------------
@@ -590,29 +586,35 @@ def tcp_server():
 
 
 class TestServingOverBinaryWire:
-    def test_auto_client_negotiates_binary(self, tcp_server):
+    def test_the_default_client_speaks_binary_frames_only(self, tcp_server):
         host, port = tcp_server.address
         with ServingClient(host, port) as client:
             assert client.protocol == "binary"
-            assert client.protocol_version == wire.PROTOCOL_VERSION
             outputs = client.submit("poly", {"x": [1.0, 2.0]})
         np.testing.assert_allclose(outputs["y"], [3.0, 7.0], atol=1e-6)
+        received = tcp_server.telemetry.registry.counter_value
+        assert received("net.bytes_received", protocol="json") == 0
+        assert received("net.bytes_received", protocol="binary") == client.bytes_sent > 0
 
-    def test_a_server_that_answers_json_is_negotiated_down(self, tcp_server, monkeypatch):
-        """Against a listener that acks every hello in JSON (as an earlier
-        build's ``serve --wire json`` did), ``auto`` falls back to JSON lines
-        and ``binary`` refuses to connect."""
-        from repro.serving import netserver
-
-        json_ack = {"ok": True, "wire": "json"}
-        monkeypatch.setattr(netserver, "hello_ack", lambda request: (json_ack, "json"))
-        host, port = tcp_server.address
-        with ServingClient(host, port, wire="auto") as client:
-            assert client.protocol == "json"
-            outputs = client.submit("poly", {"x": [1.0]})
-            np.testing.assert_allclose(outputs["y"], [3.0], atol=1e-6)
-        with pytest.raises(ServingError, match="binary"):
-            ServingClient(host, port, wire="binary")
+    def test_a_binary_client_opens_with_its_first_frame(self):
+        """No hello: the first byte a binary client writes is the frame magic,
+        and its first message is the request it was asked to send."""
+        answers = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            with ServingClient(*listener.getsockname()[:2], timeout=10) as client:
+                peer, _address = listener.accept()
+                with peer:
+                    caller = threading.Thread(target=lambda: answers.append(client.ping()))
+                    caller.start()
+                    assert peer.recv(1, socket.MSG_PEEK) == bytes([wire.MAGIC])
+                    message = wire.read_message(wire.FrameDecoder(), peer.recv)
+                    framing, frame_type, raw, _nbytes = wire.open_message(message)
+                    assert (framing, frame_type) == (wire.BINARY, wire.FRAME_REQUEST)
+                    assert framing.peek(raw)["op"] == "ping"
+                    pong = wire.BINARY.parts({"ok": True, "pong": True})
+                    peer.sendall(wire.BINARY.encode(wire.FRAME_RESPONSE, pong))
+                    caller.join(timeout=10)
+        assert answers == [True]
 
     def test_binary_and_json_clients_agree(self, tcp_server):
         host, port = tcp_server.address
@@ -676,6 +678,7 @@ class TestServingOverBinaryWire:
         from repro.serving import netserver
 
         monkeypatch.setattr(netserver, "STREAM_THRESHOLD_BYTES", 64)
+        sent = record_sends(monkeypatch)
         host, port = tcp_server.address
         program = make_poly_program()
         kit = ClientKit(
@@ -690,6 +693,11 @@ class TestServingOverBinaryWire:
                 "poly", kit, {"x": [2.0]}, client_id="bob"
             )
         np.testing.assert_allclose(outputs["y"][:1], [7.0], atol=1e-6)
+        # No hello: the session request opened the connection, and every
+        # message after it (the bundle's chunks too) was a frame.
+        assert sent[client][0] == ("binary", "binary", wire.FRAME_REQUEST)
+        assert wire.FRAME_CHUNK in {frame_type for _mode, _framing, frame_type in sent[client]}
+        assert {framing for _mode, framing, _type in sent[client]} == {"binary"}
 
     def test_upload_violations_surface_as_error_replies(self, tcp_server):
         host, port = tcp_server.address
@@ -807,6 +815,7 @@ class TestMixedProtocolCluster:
         from repro.serving import netserver
 
         monkeypatch.setattr(netserver, "STREAM_THRESHOLD_BYTES", 64)
+        sent = record_sends(monkeypatch)
         cluster = EvaCluster(
             shards=2,
             backend=BackendSpec(name="mock-exact"),
@@ -836,6 +845,14 @@ class TestMixedProtocolCluster:
         finally:
             router.shutdown()
             cluster.close()
+        # The client and the cluster's upstream connections (every binary
+        # ServingClient here; the health probes speak JSON lines) wrote no
+        # hello, and frames only.
+        upstreams = [other for other in sent if other is not client and other.protocol == "binary"]
+        assert upstreams
+        for connection in [client, *upstreams]:
+            assert sent[connection][0] == ("binary", "binary", wire.FRAME_REQUEST)
+            assert {framing for _mode, framing, _type in sent[connection]} == {"binary"}
 
 
     def test_shard_killed_mid_upload_is_a_typed_error_and_a_clean_retry(self, tmp_path, monkeypatch):
