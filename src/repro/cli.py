@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--backend", default="mock", choices=["mock", "mock-exact", "ckks"])
     serve.add_argument("--workers", type=int, default=2, help="job-engine worker threads")
     serve.add_argument("--max-batch", type=int, default=8, help="max requests packed per execution")
-    serve.add_argument("--batch-window", type=float, default=0.005, help="seconds a worker lingers to fill a batch")
+    serve.add_argument("--batch-window", type=float, default=0.005, help="longest a worker lingers to fill a batch (seconds)")
     serve.add_argument("--threads", type=int, default=1, help="executor threads per evaluation")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
@@ -601,8 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["tight", "standard", "relaxed"],
         default=None,
         help="service class steering batch-vs-solo: tight never lingers for "
-        "a batch, relaxed always amortizes the full window, standard "
-        "lingers only within its deadline slack",
+        "a batch, relaxed lingers up to the full window, standard "
+        "only within its deadline slack",
     )
     add_compile_options(submit)
     submit.set_defaults(func=cmd_submit)

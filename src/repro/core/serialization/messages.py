@@ -46,7 +46,7 @@ import numpy as np
 from ...errors import SerializationError
 
 #: SLO classes a submit may carry.  ``tight`` requests are never held back
-#: to fill a batch, ``relaxed`` ones always linger the full batch window,
+#: to fill a batch, ``relaxed`` ones linger up to the full batch window,
 #: ``standard`` ones linger only as much as their deadline slack allows.
 SLO_CLASSES = ("tight", "standard", "relaxed")
 

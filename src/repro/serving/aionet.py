@@ -197,7 +197,11 @@ class AsyncWireServer:
             self._conn_seq += 1
             conn = self.connection_class(self, self._conn_seq, peer)
             self._connections[conn.key] = conn
+            self._connections_changed()
         return conn
+
+    def _connections_changed(self) -> None:
+        """Called under the registry lock after a connection opens or closes."""
 
     def connection_infos(self) -> List[Dict[str, Any]]:
         """Live connections with their reported protocol and byte counters
@@ -297,6 +301,7 @@ class AsyncWireServer:
                 self._conn_tasks.discard(task)
             with self._conn_lock:
                 self._connections.pop(conn.key, None)
+                self._connections_changed()
             try:
                 writer.close()
             except Exception:

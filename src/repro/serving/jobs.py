@@ -5,8 +5,12 @@ The engine decouples request admission from execution.  ``submit`` enqueues a
 returns a :class:`concurrent.futures.Future`; worker threads pull jobs off
 the queue and hand them to the server's handler.  Jobs carry a *group key*
 (program name + client) and a worker drains every queued job of the group it
-picked up — optionally lingering ``batch_window`` seconds for stragglers — so
-the slot batcher downstream sees whole batches, not single requests.
+picked up — optionally lingering up to ``batch_window`` seconds for
+stragglers — so the slot batcher downstream sees whole batches, not single
+requests.  The window is a ceiling: a batch whose jobs came in through a
+listener and hold one from every live connection (:meth:`JobEngine.set_callers`)
+closes at once, because a connection has one request in flight at most and
+no one else is left to join.
 
 Scheduling is **fair queueing** across clients, not global FIFO: each
 client has its own arrival queue and a virtual-time counter advanced by one
@@ -50,7 +54,7 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional
+from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional
 
 from ..core.serialization.messages import SLO_CLASSES
 from ..errors import DeadlineInfeasibleError, QueueFullError, ServingError
@@ -101,6 +105,12 @@ class Job:
     #: Whether same-group jobs can share one evaluation with this one; a job
     #: that cannot gains nothing from company, so its batch never lingers.
     can_share: bool = True
+    #: The listener connection the job came in on (None for an in-process
+    #: submit), which batch formation holds against the live connections.
+    caller: Optional[Hashable] = None
+    #: Why the job's batch stopped forming: ``full``, ``callers``, ``window``
+    #: or ``no_linger`` (set by the dequeue side, like ``batch_form_seconds``).
+    batch_closed: str = ""
 
     @property
     def queue_seconds(self) -> float:
@@ -164,6 +174,9 @@ class JobEngine:
         self._execute_recent: "deque[float]" = deque(maxlen=_RECENT_SAMPLES)
         self._cond = threading.Condition()
         self._closed = False
+        #: Keys of the live listener connections; None while no listener
+        #: reports them (an in-process engine lingers out every window).
+        self._callers: Optional[FrozenSet[Hashable]] = None
         self._ids = itertools.count()
         self._workers = [
             threading.Thread(target=self._worker_loop, name=f"eva-serve-{i}", daemon=True)
@@ -208,6 +221,18 @@ class JobEngine:
             execs = list(self._execute_recent)
         return _percentile(execs, 0.95)
 
+    def set_callers(self, callers: Iterable[Hashable]) -> None:
+        """Tell batch formation which listener connections are live.
+
+        A listener calls this on every open and close.  A lingering batch
+        whose jobs all carry a ``caller`` and hold one from each of these
+        closes at once: a connection sends its next request only after its
+        last one is answered, so nobody is left who could join.
+        """
+        with self._cond:
+            self._callers = frozenset(callers)
+            self._cond.notify_all()
+
     # -- submission --------------------------------------------------------------
     def admit(self, client: str) -> None:
         """Charge one request of ``client`` to the quota ledger.
@@ -234,6 +259,7 @@ class JobEngine:
         slo_class: Optional[str] = None,
         execute_estimate: Optional[float] = None,
         can_share: bool = True,
+        caller: Optional[Hashable] = None,
     ) -> "Future[Any]":
         """Enqueue a job for ``client`` and return its future.
 
@@ -258,7 +284,8 @@ class JobEngine:
         ``can_share`` says whether the handler can answer same-group jobs
         with one shared evaluation; when it cannot, batch formation does not
         linger for stragglers (already-queued same-group jobs still ride
-        along, and SLO accounting is unchanged).
+        along, and SLO accounting is unchanged).  ``caller`` names the
+        listener connection the request came in on (see :meth:`set_callers`).
 
         ``trace_id`` labels every span the engine records for this job;
         ``program`` labels its metric series.
@@ -328,6 +355,7 @@ class JobEngine:
                     deadline_at=None if deadline_s is None else now + deadline_s,
                     execute_estimate=estimate,
                     can_share=can_share,
+                    caller=caller,
                 )
                 queue = self._queues.get(client)
                 if queue is None:
@@ -383,7 +411,8 @@ class JobEngine:
             # first job gets a zero linger budget (already-queued same-group
             # jobs above still ride along), a relaxed one the full window,
             # a standard one its deadline slack — and a job that cannot share
-            # an evaluation never waits for company.
+            # an evaluation never waits for company.  The budget is a ceiling:
+            # the linger ends once nobody is left who could join.
             now = time.monotonic()
             window = linger_budget(
                 first.slo_class,
@@ -393,12 +422,15 @@ class JobEngine:
                 first.can_share,
             )
             deadline = now + window
-            while len(batch) < self.max_batch and window > 0 and not self._closed:
+            closed = self._close_reason(batch, window)
+            while closed is None:
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                if remaining <= 0 or self._closed:
+                    closed = "window"
                     break
                 self._cond.wait(remaining)
                 self._drain_group(batch, self._queues.get(client, deque()))
+                closed = self._close_reason(batch, window)
             # Charge the client's virtual time for the service received: one
             # unit per job.  The engine clock advances with the served client
             # so newly active clients start at "now" in virtual time.
@@ -412,9 +444,24 @@ class JobEngine:
             form_seconds = time.perf_counter() - form_started
             for job in batch:
                 job.batch_form_seconds = form_seconds
+                job.batch_closed = closed
             self.telemetry.set_gauge("serving.queue.depth", self._queued)
             self._cond.notify_all()
             return batch
+
+    def _close_reason(self, batch: List[Job], window: float) -> Optional[str]:
+        """Why ``batch`` stops forming now, or None while company can still
+        join it (lock held).  ``callers``: every job came in through the
+        listener and the batch holds one from each live connection (a
+        cancelled job holds nobody: its caller is free to send again)."""
+        if len(batch) >= self.max_batch:
+            return "full"
+        if window <= 0:
+            return "no_linger"
+        held = {job.caller for job in batch if not job.future.cancelled()}
+        if self._callers is not None and None not in held and self._callers <= held:
+            return "callers"
+        return None
 
     def _drain_group(self, batch: List[Job], queue: "deque[Job]") -> None:
         """Pull same-group jobs out of one client's queue (lock held)."""
@@ -484,7 +531,7 @@ class JobEngine:
                 )
                 telemetry.span(
                     job.trace_id, "batch_form", job.batch_form_seconds,
-                    batch_size=len(batch),
+                    batch_size=len(batch), closed=job.batch_closed,
                 )
                 telemetry.span(
                     job.trace_id, "execute", job_execute,

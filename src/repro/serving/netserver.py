@@ -280,6 +280,7 @@ class _ShardConnection(_WireConnection):
             "trace_id": trace_id,
             "deadline_ms": request.get("deadline_ms"),
             "slo_class": request.get("slo_class"),
+            "caller": self.key,
         }
         if "bundle" in request:
             response = eva.request_encrypted(request["program"], request["bundle"], **routing)
@@ -327,6 +328,11 @@ class EvaTcpServer(AsyncWireServer):
         #: Where connections count their bytes: the engine's own registry.
         self.telemetry = eva_server.telemetry
         super().__init__(host, port)
+
+    def _connections_changed(self) -> None:
+        """Tell the engine which connections are live (a batch holding a
+        request from each stops lingering)."""
+        self.eva_server.engine.set_callers(self._connections)
 
 
 class _RouterConnection(_WireConnection):

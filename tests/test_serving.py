@@ -1,7 +1,10 @@
 """Tests for the serving subsystem: registry, sessions, batching, engine, wire."""
 
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -1102,6 +1105,186 @@ class TestSloScheduling:
             tcp.shutdown()
             tcp.server_close()
             eva.close()
+
+
+class TestLingerEndsWithEveryCaller:
+    """``batch_window`` is a ceiling: a batch that holds a job from every live
+    listener connection closes at once, since none of them can send another
+    request before this one is answered.  All under a 1 s window."""
+
+    @staticmethod
+    def engine(batches, fail=(), gate=None):
+        def handler(jobs):
+            if jobs[0].payload == "block":
+                gate.wait(10)
+            batches.append([(job.payload, job.batch_closed) for job in jobs])
+            if jobs[0].payload in fail:
+                raise RuntimeError("kaput")
+            return [job.payload for job in jobs]
+
+        return JobEngine(handler, workers=1, batch_window=1.0, max_batch=8)
+
+    @staticmethod
+    def timed_pair(engine, callers=(1, 2)):
+        started = time.perf_counter()
+        futures = [engine.submit("g", f"p{caller}", caller=caller) for caller in callers]
+        for future in futures:
+            future.result(10)
+        return time.perf_counter() - started
+
+    def test_a_job_from_every_caller_closes_the_batch(self):
+        batches = []
+        with self.engine(batches) as engine:
+            engine.set_callers([1, 2])
+            assert self.timed_pair(engine) < 0.2
+        assert batches == [[("p1", "callers"), ("p2", "callers")]]
+
+    @pytest.mark.parametrize("callers, jobs", [
+        ([1, 2, 3], (1, 2)),  # a live connection has sent nothing yet
+        ([1], (1, None)),  # a job that did not come through the listener
+        (None, (1, 2)),  # an engine no listener reports to
+    ])  # fmt: skip
+    def test_company_that_can_still_come_keeps_the_window(self, callers, jobs):
+        batches = []
+        with self.engine(batches) as engine:
+            if callers is not None:
+                engine.set_callers(callers)
+            assert self.timed_pair(engine, jobs) > 0.9
+        assert [[closed for _, closed in batch] for batch in batches] == [["window"] * 2]
+
+    def test_a_caller_closing_during_the_linger_wakes_the_worker(self):
+        batches = []
+        with self.engine(batches) as engine:
+            engine.set_callers([1, 2, 3])
+            futures = [engine.submit("g", f"p{caller}", caller=caller) for caller in (1, 2)]
+            time.sleep(0.1)
+            started = time.perf_counter()
+            engine.set_callers([1, 2])
+            for future in futures:
+                future.result(10)
+            assert time.perf_counter() - started < 0.2
+        assert batches == [[("p1", "callers"), ("p2", "callers")]]
+
+    @pytest.mark.parametrize("settle", ["cancelled", "failed"])
+    def test_settled_jobs_leave_no_caller_behind(self, settle):
+        """After caller 2's job is cancelled or fails, a lone job of caller 1
+        still waits for company, and a pair still closes at once."""
+        batches = []
+        gate = threading.Event()
+        with self.engine(batches, fail={"p2"}, gate=gate) as engine:
+            engine.set_callers([1, 2])
+            if settle == "cancelled":
+                blocker = engine.submit("block", "block", slo_class="tight")
+                doomed = engine.submit("g", "p2", caller=2)
+                assert doomed.cancel()
+                gate.set()
+                blocker.result(10)
+            else:
+                with pytest.raises(RuntimeError, match="kaput"):
+                    engine.submit("g", "p2", caller=2, slo_class="tight").result(10)
+            started = time.perf_counter()
+            assert engine.submit("g", "p1", caller=1).result(10) == "p1"
+            assert time.perf_counter() - started > 0.9
+            assert self.timed_pair(engine) < 0.2
+        assert batches[-2:] == [[("p1", "window")], [("p1", "callers"), ("p2", "callers")]]
+        assert engine.metrics_snapshot()[settle] == 1
+
+    def test_callers_coming_and_going_under_a_short_switch_interval(self):
+        """Six connections, one request in flight each, leaving one by one:
+        every batch holds exactly one job per live connection and closes on
+        ``callers``, so there is one batch per round.  A lost wake-up would
+        linger out the 30 s window; a lost update would split a round."""
+        batches = []
+        rounds = {key: 5 + key for key in range(6)}
+        live, lock = set(rounds), threading.Lock()
+
+        def handler(jobs):
+            batches.append(([job.caller for job in jobs], jobs[0].batch_closed))
+            return [None] * len(jobs)
+
+        def connection(engine, key):
+            for index in range(rounds[key]):
+                engine.submit("g", index, caller=key).result(10)
+            with lock:
+                live.discard(key)
+                engine.set_callers(live)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with JobEngine(handler, workers=1, batch_window=30.0, max_batch=8) as engine:
+                engine.set_callers(live)
+                threads = [threading.Thread(target=connection, args=(engine, key)) for key in rounds]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(20)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(batches) == max(rounds.values())
+        for index, (callers, closed) in enumerate(batches):
+            assert sorted(callers) == [key for key in rounds if rounds[key] > index]
+            assert closed == "callers"
+
+    @pytest.mark.parametrize("cancel_pending", [False, True])
+    def test_shutdown_ends_the_linger(self, cancel_pending):
+        """Drained or shut down, a lingering batch runs at once and every
+        future settles."""
+        batches = []
+        engine = self.engine(batches)
+        engine.set_callers([1, 2, 3])
+        futures = [engine.submit("g", f"p{caller}", caller=caller) for caller in (1, 2)]
+        time.sleep(0.1)
+        started = time.perf_counter()
+        engine.shutdown(wait=True, cancel_pending=cancel_pending)
+        assert time.perf_counter() - started < 0.5
+        assert [future.result(0) for future in futures] == ["p1", "p2"]
+        assert batches == [[("p1", "window"), ("p2", "window")]]
+
+    @pytest.fixture()
+    def listener(self):
+        eva = EvaServer(backend=MockBackend(seed=5), workers=1, batch_window=1.0)
+        eva.register("poly", make_poly_program(vec_size=32))
+        tcp = EvaTcpServer(eva, port=0)
+        tcp.start_background()
+        yield tcp.address
+        tcp.shutdown()
+        tcp.server_close()
+        eva.close()
+
+    @staticmethod
+    def submit_together(clients):
+        def submit(client, value):
+            client.submit("poly", {"x": [value] * 4}, trace=True)
+            return client.last_stats, client.last_trace
+
+        with ThreadPoolExecutor(max_workers=len(clients)) as pool:
+            return list(pool.map(submit, clients, (0.5, 0.25)))
+
+    @pytest.mark.parametrize("third", [None, "idle", "gone"])
+    def test_a_json_and_a_binary_connection_share_a_batch(self, listener, third):
+        """Through the listener: with every live connection in the batch it
+        closes at once; a third, idle connection holds it for the window,
+        one that has closed does not."""
+        host, port = listener
+        with ExitStack() as stack:
+            clients = [stack.enter_context(ServingClient(host, port, wire=wire)) for wire in ("json", "binary")]
+            if third is not None:
+                clients.append(stack.enter_context(ServingClient(host, port)))
+            for client in clients:  # every connection is registered before the pair goes
+                assert client.ping()
+            if third == "gone":
+                clients[2].close()
+            replies = self.submit_together(clients[:2])
+        for stats, trace in replies:
+            assert stats["batch_size"] == 2
+            if third == "idle":
+                assert stats["queue_seconds"] > 0.8
+            else:
+                assert stats["queue_seconds"] < 0.2
+            (batch_form,) = [span for span in trace["spans"] if span["stage"] == "batch_form"]
+            assert batch_form["closed"] == ("window" if third == "idle" else "callers")
 
 
 # ---------------------------------------------------------------------------

@@ -672,31 +672,40 @@ class TestServingOverBinaryWire:
             )
         np.testing.assert_allclose(outputs["y"][:2], [3.0, 7.0], atol=1e-6)
 
-    def test_chunked_upload_streams_large_sessions(self, tcp_server, monkeypatch):
-        # Force the streaming path with a tiny threshold: the key set is sent
-        # as CHUNK frames and the final request references the upload.
+    def test_chunked_upload_streams_large_sessions(self, monkeypatch):
+        # Real CKKS keys (N=4096) carry blobs past a lowered threshold, so the
+        # session goes as CHUNK frames and the final request references the
+        # upload.  (The mock backend's keys have no blob that large.)
         from repro.serving import netserver
 
         monkeypatch.setattr(netserver, "STREAM_THRESHOLD_BYTES", 64)
         sent = record_sends(monkeypatch)
-        host, port = tcp_server.address
+        backend = CkksBackend(seed=7)
+        options = CompilerOptions(max_rescale_bits=25)
         program = make_poly_program()
         kit = ClientKit(
-            CompiledProgram.compile(program.graph),
-            backend=MockBackend(error_model="none"),
+            CompiledProgram.compile(program.graph, options=options),
+            backend=backend,
             client_id="bob",
         )
-        with ServingClient(host, port, wire="binary") as client:
-            session = client.create_session("poly", kit)
-            assert session["client_id"] == "bob"
-            outputs = client.submit_encrypted(
-                "poly", kit, {"x": [2.0]}, client_id="bob"
-            )
-        np.testing.assert_allclose(outputs["y"][:1], [7.0], atol=1e-6)
-        # No hello: the session request opened the connection, and every
-        # message after it (the bundle's chunks too) was a frame.
-        assert sent[client][0] == ("binary", "binary", wire.FRAME_REQUEST)
-        assert wire.FRAME_CHUNK in {frame_type for _mode, _framing, frame_type in sent[client]}
+        server = EvaServer(backend=backend, workers=1)
+        server.register("poly", program, options=options)
+        tcp = EvaTcpServer(server, port=0)
+        tcp.start_background()
+        try:
+            with ServingClient(*tcp.address, wire="binary") as client:
+                session = client.create_session("poly", kit)
+                session_frames = [frame_type for _mode, _framing, frame_type in sent[client]]
+                assert session["client_id"] == "bob"
+                outputs = client.submit_encrypted("poly", kit, {"x": [0.5]}, client_id="bob")
+        finally:
+            tcp.shutdown()
+            server.close()
+        np.testing.assert_allclose(outputs["y"][:1], [1.75], atol=0.05)
+        # No hello: the session's first chunk opened the connection, its
+        # request followed its chunks, and every message was a frame.
+        assert len(session_frames) > 1
+        assert session_frames == [wire.FRAME_CHUNK] * (len(session_frames) - 1) + [wire.FRAME_REQUEST]
         assert {framing for _mode, framing, _type in sent[client]} == {"binary"}
 
     def test_upload_violations_surface_as_error_replies(self, tcp_server):
